@@ -413,6 +413,8 @@ func TestPublicAPICrashSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Stop its background checkpoint writer before TempDir is removed.
+	defer func() { _ = restored.Close() }()
 	if _, err := w.Push(ctx, restored, prep.Push); err == nil {
 		t.Fatal("stale-incarnation push accepted")
 	} else {

@@ -33,6 +33,16 @@ func FromSpec(s Spec) (*Runtime, error) {
 	if err := validateTransport(s.Bind.Transport); err != nil {
 		return nil, err
 	}
+	var err error
+	if s.NonStragglerPct, err = nonStragglerPct(s.NonStragglerPct); err != nil {
+		return nil, err
+	}
+	s.Tenants = append([]tenant.Config(nil), s.Tenants...) // resolved below; the caller's stay untouched
+	for i := range s.Tenants {
+		if s.Tenants[i].NonStragglerPct, err = nonStragglerPct(s.Tenants[i].NonStragglerPct); err != nil {
+			return nil, fmt.Errorf("tenant %s: %w", s.Tenants[i].Name, err)
+		}
+	}
 	switch s.Role {
 	case RoleRoot, "":
 		return compileRoot(s)
@@ -41,6 +51,20 @@ func FromSpec(s Spec) (*Runtime, error) {
 	default:
 		return nil, fmt.Errorf("unknown node role %q (want root or edge)", s.Role)
 	}
+}
+
+// nonStragglerPct resolves AdaSGD's s-percentile for every role: unset
+// means the paper's 99.7, and a value outside (0, 100] — which
+// learning.NewAdaSGD treats as a programming error and panics on — is a
+// configuration error here.
+func nonStragglerPct(pct float64) (float64, error) {
+	if pct == 0 {
+		return 99.7, nil
+	}
+	if !(pct > 0 && pct <= 100) {
+		return 0, fmt.Errorf("NonStragglerPct %v outside (0, 100]", pct)
+	}
+	return pct, nil
 }
 
 func validateTransport(t string) error {
@@ -464,7 +488,12 @@ func compileEdge(s Spec) (*Runtime, error) {
 	if upClient != nil {
 		// Server-pushed model announces refresh the edge cache (and
 		// relay downstream) without a pull round trip.
-		upClient.OnAnnounce = func(ann protocol.ModelAnnounce) { node.AbsorbUpstreamAnnounce(ann) }
+		// The edge consumes them here, so the client's own pending run is
+		// discarded rather than held for a TakeAnnounces nobody makes.
+		upClient.OnAnnounce = func(ann protocol.ModelAnnounce) {
+			node.AbsorbUpstreamAnnounce(ann)
+			upClient.TakeAnnounces()
+		}
 	}
 
 	interceptors := buildInterceptors(s)

@@ -2,11 +2,13 @@ package node
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"fleet/internal/persist"
+	"fleet/internal/tenant"
 )
 
 // rootSpec is a minimal valid root Spec; tests doctor copies of it.
@@ -50,6 +52,57 @@ func TestFromSpecValidation(t *testing.T) {
 				t.Fatalf("FromSpec error = %v, want containing %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestNonStragglerPctDefaultsAndValidates: an unset AdaSGD percentile
+// compiles (as 99.7) and an out-of-range one is a returned error — never
+// the learning package's constructor panic — for the single-model root,
+// the edge and a tenant of a multi-tenant root alike.
+func TestNonStragglerPctDefaultsAndValidates(t *testing.T) {
+	upstream, err := FromSpec(rootSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = upstream.Close() }()
+	roles := map[string]func(pct float64) Spec{
+		"root": func(pct float64) Spec {
+			s := rootSpec()
+			s.NonStragglerPct = pct
+			return s
+		},
+		"edge": func(pct float64) Spec {
+			s := rootSpec()
+			s.Role, s.Arch, s.NonStragglerPct = RoleEdge, "tiny-mnist", pct
+			s.Upstream.Service = upstream.Service()
+			return s
+		},
+		"tenant": func(pct float64) Spec {
+			s := rootSpec()
+			s.Tenants = []tenant.Config{{Name: "alpha", K: 1, NonStragglerPct: pct}}
+			return s
+		},
+	}
+	for role, spec := range roles {
+		for _, tc := range []struct {
+			pct     float64
+			wantErr bool
+		}{{0, false}, {99.7, false}, {100, false}, {-1, true}, {100.5, true}, {math.NaN(), true}} {
+			s := spec(tc.pct)
+			rt, err := FromSpec(s)
+			switch {
+			case tc.wantErr && (err == nil || !strings.Contains(err.Error(), "NonStragglerPct")):
+				t.Errorf("%s with %v: error = %v, want a NonStragglerPct error", role, tc.pct, err)
+			case !tc.wantErr && err != nil:
+				t.Errorf("%s with %v: %v", role, tc.pct, err)
+			}
+			if role == "tenant" && s.Tenants[0].NonStragglerPct != tc.pct && !math.IsNaN(tc.pct) {
+				t.Errorf("FromSpec rewrote the caller's tenant config to %v", s.Tenants[0].NonStragglerPct)
+			}
+			if rt != nil {
+				_ = rt.Close()
+			}
+		}
 	}
 }
 

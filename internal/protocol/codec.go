@@ -9,6 +9,7 @@ import (
 	"io"
 	"mime"
 	"strings"
+	"sync"
 )
 
 // Content types understood by the v1 wire protocol. ContentTypeOctet is
@@ -44,8 +45,21 @@ type gobGzipCodec struct{}
 
 func (gobGzipCodec) ContentType() string { return ContentTypeGobGzip }
 
+// The deflate state behind a gzip.Writer is ~800 KB and costs more to
+// allocate than a small message costs to compress, so writers and readers
+// are pooled and Reset per message. Reset restores exactly the state a
+// fresh NewWriter/NewReader starts in — output bytes and decode behaviour
+// do not depend on what the pooled value processed before, errors included.
+// A pooled value keeps its last stream referenced until its next use.
+var (
+	gzipWriters = sync.Pool{New: func() interface{} { return gzip.NewWriter(nil) }}
+	gzipReaders = sync.Pool{New: func() interface{} { return new(gzip.Reader) }}
+)
+
 func (gobGzipCodec) Encode(w io.Writer, v interface{}) error {
-	zw := gzip.NewWriter(w)
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(w)
 	if err := gob.NewEncoder(zw).Encode(v); err != nil {
 		return fmt.Errorf("protocol: encode: %w", err)
 	}
@@ -63,11 +77,11 @@ func (gobGzipCodec) Encode(w io.Writer, v interface{}) error {
 var MaxDecodedBytes int64 = 256 << 20
 
 func (gobGzipCodec) Decode(r io.Reader, v interface{}) error {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
+	zr := gzipReaders.Get().(*gzip.Reader)
+	defer gzipReaders.Put(zr)
+	if err := zr.Reset(r); err != nil {
 		return fmt.Errorf("protocol: gzip open: %w", err)
 	}
-	defer func() { _ = zr.Close() }()
 	if err := gob.NewDecoder(&limitedReader{r: zr, n: MaxDecodedBytes}).Decode(v); err != nil {
 		var pe *Error
 		if errors.As(err, &pe) {

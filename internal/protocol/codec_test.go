@@ -2,7 +2,10 @@ package protocol
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/gob"
 	"errors"
+	"math/rand"
 	"net/http"
 	"reflect"
 	"testing"
@@ -86,6 +89,95 @@ func TestGobGzipDecodeBoundsDecompression(t *testing.T) {
 	var apiErr *Error
 	if !errors.As(err, &apiErr) || apiErr.Code != CodePayloadTooLarge {
 		t.Fatalf("want payload_too_large, got %v", err)
+	}
+}
+
+// TestGobGzipPooledOutputIsByteIdentical: recycling the gzip.Writer must
+// not change a single wire byte. Every message type, interleaved small and
+// large so the pooled deflate state carries history from one message into
+// the next, is compared against a fresh gzip.NewWriter + gob.NewEncoder.
+func TestGobGzipPooledOutputIsByteIdentical(t *testing.T) {
+	reference := func(v interface{}) []byte {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		if err := gob.NewEncoder(zw).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 4; round++ {
+		msgs := []interface{}{&GradientPush{Gradient: randFloats(rng, 8000), BatchSize: 1}}
+		for _, m := range flatMessages {
+			msgs = append(msgs, m.gen(rng))
+		}
+		for _, in := range msgs {
+			if s, ok := in.(*Stats); ok {
+				// Gob walks maps in Go's random order: more than one key
+				// per map has no single reference encoding.
+				s.RejectsByPolicy = map[string]int{"min-batch": 3}
+				s.WireUplinkByCodec = map[string]int64{ContentTypeFlat: 9}
+				s.WireDownlinkByCodec = nil
+			}
+			var buf bytes.Buffer
+			if err := GobGzip.Encode(&buf, in); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), reference(in)) {
+				t.Fatalf("round %d: pooled %T encoding differs from the un-pooled reference", round, in)
+			}
+		}
+	}
+}
+
+// TestGobGzipDecodeErrorsDoNotPoisonThePool: whatever a recycled
+// gzip.Reader last choked on — a bad header, a corrupt or truncated deflate
+// stream, a bomb cut off at MaxDecodedBytes — the next message decodes.
+func TestGobGzipDecodeErrorsDoNotPoisonThePool(t *testing.T) {
+	old := MaxDecodedBytes
+	MaxDecodedBytes = 64 << 10
+	defer func() { MaxDecodedBytes = old }()
+
+	var good, bomb bytes.Buffer
+	want := samplePush()
+	if err := GobGzip.Encode(&good, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := GobGzip.Encode(&bomb, &GradientPush{Gradient: make([]float64, 1<<20)}); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := append([]byte(nil), good.Bytes()...)
+	for i := 12; i < len(corrupt)-8; i++ {
+		corrupt[i] ^= 0x5A
+	}
+	bad := map[string][]byte{
+		"garbage":   []byte("definitely not gzip"),
+		"empty":     nil,
+		"truncated": good.Bytes()[:good.Len()/2],
+		"corrupt":   corrupt,
+		"bomb":      bomb.Bytes(),
+	}
+	for i := 0; i < 20; i++ {
+		for name, raw := range bad {
+			var out GradientPush
+			err := GobGzip.Decode(bytes.NewReader(raw), &out)
+			if err == nil {
+				t.Fatalf("%s decoded without error", name)
+			}
+			var pe *Error
+			if name == "bomb" && (!errors.As(err, &pe) || pe.Code != CodePayloadTooLarge) {
+				t.Fatalf("bomb: want payload_too_large, got %v", err)
+			}
+			if err := GobGzip.Decode(bytes.NewReader(good.Bytes()), &out); err != nil {
+				t.Fatalf("decode after %s failed: %v", name, err)
+			}
+			if !reflect.DeepEqual(out, want) {
+				t.Fatalf("decode after %s: got %+v", name, out)
+			}
+		}
 	}
 }
 

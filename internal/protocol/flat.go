@@ -3,28 +3,31 @@ package protocol
 import (
 	"encoding/binary"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 
 	"fleet/internal/compress"
 )
 
-// Flat binary wire codec: the allocation-free dialect for the two hot,
-// O(params) messages. Gob re-sends type descriptors on every message (each
-// encoder is per-request) and gzip burns CPU on payloads that are mostly
+// Flat binary wire codec: the allocation-light dialect of the whole
+// protocol. Gob re-sends type descriptors on every message (each encoder is
+// per-request) and gzip burns CPU on payloads that are mostly
 // incompressible float bits; the flat codec instead writes a fixed header
-// and raw little-endian arrays, so a sparse push costs ~40 bytes of
-// framing plus 4–12 bytes per kept coordinate, encoded through a pooled
+// and raw little-endian fields and arrays, so a sparse push costs ~40 bytes
+// of framing plus 4–12 bytes per kept coordinate, encoded through a pooled
 // buffer and decoded zero-copy: array bytes are read straight off the wire
 // into the final []float64/[]int32/[]uint16 backing stores.
 //
-// Only GradientPush and TaskResponse get a flat layout (kinds 2 and 3);
-// every other message travels as a gob+gzip stream behind the flat header
-// (kind 0), so the codec satisfies the full Codec contract and flat
-// sessions can still exchange acks, announces and stats. The layouts are
-// fixed field lists — adding a field requires bumping flatVersion, unlike
-// the self-describing gob/JSON dialects.
+// Every protocol message has a native layout (kinds 2–7 below); there is no
+// self-describing fallback, so a Go type without a layout fails to encode
+// and an unknown kind fails to decode, both as invalid_argument. The
+// layouts are fixed field lists in the order the encoders below write them
+// — that order is the wire contract a non-Go worker implements, and adding
+// or moving a field requires bumping flatVersion, unlike the
+// self-describing gob/JSON dialects.
 
 // ContentTypeFlat is the negotiation token of the flat binary codec.
 const ContentTypeFlat = "application/x-fleet-flat"
@@ -33,15 +36,30 @@ const ContentTypeFlat = "application/x-fleet-flat"
 var Flat Codec = flatCodec{}
 
 const (
-	flatMagic   = "FLT1"
-	flatVersion = 1
+	flatMagic = "FLT1"
+	// Version 1 peers wrapped four of the six messages in gob behind the
+	// flat header; they are refused on their first frame.
+	flatVersion = 2
 
-	flatKindGob          = 0 // gob+gzip stream follows the header
 	flatKindTaskResponse = 2
 	flatKindPush         = 3
+	flatKindTaskRequest  = 4
+	flatKindPushAck      = 5
+	flatKindAnnounce     = 6
+	flatKindStats        = 7
 
 	flatHeaderLen = 8 // magic(4) + version(1) + kind(1) + reserved(2)
 )
+
+// flatKindNames names the known kinds for type-confusion errors.
+var flatKindNames = [...]string{
+	flatKindTaskResponse: "task-response",
+	flatKindPush:         "gradient-push",
+	flatKindTaskRequest:  "task-request",
+	flatKindPushAck:      "push-ack",
+	flatKindAnnounce:     "model-announce",
+	flatKindStats:        "stats",
+}
 
 // hostLittle reports the native byte order, checked once: on little-endian
 // hosts (every deployment target) array payloads are memcpy'd; the
@@ -68,6 +86,7 @@ func (f *flatBuf) u32(v uint32) {
 func (f *flatBuf) i64(v int64) {
 	f.b = binary.LittleEndian.AppendUint64(f.b, uint64(v))
 }
+func (f *flatBuf) int(v int) { f.i64(int64(v)) }
 func (f *flatBuf) f64(v float64) {
 	f.b = binary.LittleEndian.AppendUint64(f.b, math.Float64bits(v))
 }
@@ -81,6 +100,12 @@ func (f *flatBuf) bool(v bool) {
 func (f *flatBuf) str(s string) {
 	f.u32(uint32(len(s)))
 	f.b = append(f.b, s...)
+}
+func (f *flatBuf) strs(s []string) {
+	f.u32(uint32(len(s)))
+	for _, v := range s {
+		f.str(v)
+	}
 }
 func (f *flatBuf) f64s(s []float64) {
 	f.u32(uint32(len(s)))
@@ -128,9 +153,32 @@ func (f *flatBuf) u8s(s []uint8) {
 func (f *flatBuf) ints(s []int) {
 	f.u32(uint32(len(s)))
 	for _, v := range s {
-		f.i64(int64(v))
+		f.int(v)
 	}
 }
+
+// sparse writes an optional sparse vector: a presence byte, then (when
+// present) the dense length and the index and value arrays.
+func (f *flatBuf) sparse(s *compress.Sparse) {
+	f.bool(s != nil)
+	if s != nil {
+		f.int(s.Len)
+		f.i32s(s.Indices)
+		f.f64s(s.Values)
+	}
+}
+
+// putFlatMap writes a string-keyed counter map as a count followed by
+// (key, i64 value) pairs in ascending key order, so equal maps encode to
+// equal bytes.
+func putFlatMap[V int | int64](f *flatBuf, m map[string]V) {
+	f.u32(uint32(len(m)))
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		f.str(k)
+		f.i64(int64(m[k]))
+	}
+}
+
 func (f *flatBuf) header(kind uint8) {
 	f.b = append(f.b, flatMagic...)
 	f.u8(flatVersion)
@@ -140,26 +188,36 @@ func (f *flatBuf) header(kind uint8) {
 }
 
 func (flatCodec) Encode(w io.Writer, v interface{}) error {
+	f := flatPool.Get().(*flatBuf)
 	switch m := v.(type) {
-	case *GradientPush:
-		return encodeFlatPush(w, m)
-	case GradientPush:
-		return encodeFlatPush(w, &m)
 	case *TaskResponse:
-		return encodeFlatTaskResponse(w, m)
+		f.taskResponse(m)
 	case TaskResponse:
-		return encodeFlatTaskResponse(w, &m)
+		f.taskResponse(&m)
+	case *GradientPush:
+		f.push(m)
+	case GradientPush:
+		f.push(&m)
+	case *TaskRequest:
+		f.taskRequest(m)
+	case TaskRequest:
+		f.taskRequest(&m)
+	case *PushAck:
+		f.pushAck(m)
+	case PushAck:
+		f.pushAck(&m)
+	case *ModelAnnounce:
+		f.announce(m)
+	case ModelAnnounce:
+		f.announce(&m)
+	case *Stats:
+		f.stats(m)
+	case Stats:
+		f.stats(&m)
 	default:
-		// Cold-path messages: gob+gzip stream behind the flat header.
-		hdr := [flatHeaderLen]byte{flatMagic[0], flatMagic[1], flatMagic[2], flatMagic[3], flatVersion, flatKindGob}
-		if _, err := w.Write(hdr[:]); err != nil {
-			return Errorf(CodeUnavailable, "flat: write header: %v", err)
-		}
-		return GobGzip.Encode(w, v)
+		flatPool.Put(f)
+		return Errorf(CodeInvalidArgument, "flat: no layout for %T", v)
 	}
-}
-
-func flushFlat(w io.Writer, f *flatBuf) error {
 	_, err := w.Write(f.b)
 	f.b = f.b[:0]
 	flatPool.Put(f)
@@ -169,17 +227,32 @@ func flushFlat(w io.Writer, f *flatBuf) error {
 	return nil
 }
 
-// encodeFlatPush lays out a GradientPush as kind 3. Field order is the
-// wire contract — change it only with a flatVersion bump.
-func encodeFlatPush(w io.Writer, p *GradientPush) error {
-	f := flatPool.Get().(*flatBuf)
+// The encoders below are the wire contract: each writes its message's
+// fields in exactly this order — change it only with a flatVersion bump.
+
+// taskResponse lays out a TaskResponse as kind 2.
+func (f *flatBuf) taskResponse(t *TaskResponse) {
+	f.header(flatKindTaskResponse)
+	f.bool(t.Accepted)
+	f.str(t.Reason)
+	f.int(t.ModelVersion)
+	f.f64s(t.Params)
+	f.int(t.BatchSize)
+	f.sparse(t.ParamsDelta)
+	f.int(t.DeltaBase)
+	f.bool(t.Full)
+	f.i64(t.ServerEpoch)
+}
+
+// push lays out a GradientPush as kind 3.
+func (f *flatBuf) push(p *GradientPush) {
 	f.header(flatKindPush)
-	f.i64(int64(p.WorkerID))
+	f.int(p.WorkerID)
 	f.str(p.DeviceModel)
-	f.i64(int64(p.ModelVersion))
+	f.int(p.ModelVersion)
 	f.i64(p.ModelEpoch)
 	f.f64s(p.Gradient)
-	f.i64(int64(p.GradientLen))
+	f.int(p.GradientLen)
 	f.i32s(p.SparseIndices)
 	f.f64s(p.SparseValues)
 	f.u16s(p.SparseF16)
@@ -187,133 +260,196 @@ func encodeFlatPush(w io.Writer, p *GradientPush) error {
 	f.f64(p.SparseQ8Min)
 	f.f64(p.SparseQ8Max)
 	f.str(p.Encoding)
-	f.i64(int64(p.BatchSize))
+	f.int(p.BatchSize)
 	f.ints(p.LabelCounts)
 	f.f64(p.CompTimeSec)
 	f.f64(p.EnergyPct)
 	f.f64s(p.TimeFeatures)
 	f.f64s(p.EnergyFeatures)
-	f.i64(int64(p.Contributing))
-	f.i64(int64(p.StalenessMin))
-	f.i64(int64(p.StalenessMax))
-	return flushFlat(w, f)
+	f.int(p.Contributing)
+	f.int(p.StalenessMin)
+	f.int(p.StalenessMax)
 }
 
-// encodeFlatTaskResponse lays out a TaskResponse as kind 2.
-func encodeFlatTaskResponse(w io.Writer, t *TaskResponse) error {
-	f := flatPool.Get().(*flatBuf)
-	f.header(flatKindTaskResponse)
-	f.bool(t.Accepted)
-	f.str(t.Reason)
-	f.i64(int64(t.ModelVersion))
-	f.f64s(t.Params)
-	f.i64(int64(t.BatchSize))
-	if t.ParamsDelta != nil {
-		f.u8(1)
-		f.i64(int64(t.ParamsDelta.Len))
-		f.i32s(t.ParamsDelta.Indices)
-		f.f64s(t.ParamsDelta.Values)
-	} else {
-		f.u8(0)
+// taskRequest lays out a TaskRequest as kind 4.
+func (f *flatBuf) taskRequest(r *TaskRequest) {
+	f.header(flatKindTaskRequest)
+	f.int(r.WorkerID)
+	f.str(r.DeviceModel)
+	f.f64s(r.TimeFeatures)
+	f.f64s(r.EnergyFeatures)
+	f.ints(r.LabelCounts)
+	f.int(r.KnownVersion)
+	f.bool(r.WantDelta)
+	f.i64(r.KnownEpoch)
+}
+
+// pushAck lays out a PushAck as kind 5.
+func (f *flatBuf) pushAck(a *PushAck) {
+	f.header(flatKindPushAck)
+	f.bool(a.Applied)
+	f.int(a.Staleness)
+	f.f64(a.Scale)
+	f.int(a.NewVersion)
+}
+
+// announce lays out a ModelAnnounce as kind 6.
+func (f *flatBuf) announce(a *ModelAnnounce) {
+	f.header(flatKindAnnounce)
+	f.int(a.ModelVersion)
+	f.i64(a.ServerEpoch)
+	f.sparse(a.Delta)
+	f.int(a.DeltaBase)
+	f.u16s(a.ParamsF16)
+}
+
+// stats lays out a Stats snapshot as kind 7.
+func (f *flatBuf) stats(s *Stats) {
+	f.header(flatKindStats)
+	f.int(s.ModelVersion)
+	f.int(s.TasksServed)
+	f.int(s.TasksRejected)
+	f.int(s.GradientsIn)
+	f.f64(s.MeanStaleness)
+	f.strs(s.PipelineStages)
+	f.str(s.Aggregator)
+	f.int(s.TasksDropped)
+	f.strs(s.AdmissionPolicies)
+	putFlatMap(f, s.RejectsByPolicy)
+	f.int(s.DrainErrors)
+	f.int(s.Checkpoints)
+	f.int(s.CheckpointErrors)
+	f.int(s.RestoredVersion)
+	f.i64(s.ServerEpoch)
+	f.int(s.LeafGradients)
+	f.bool(s.Tenant != nil)
+	if t := s.Tenant; t != nil {
+		f.str(t.Name)
+		f.int(t.Workers)
+		f.int(t.MaxWorkers)
+		f.i64(t.AuthRejects)
+		f.i64(t.WorkerCapRejects)
+		f.i64(t.BudgetRejects)
+		f.f64(t.EpsilonBudget)
+		f.f64(t.EpsilonSpent)
+		f.int(t.BudgetCharges)
+		f.bool(t.BudgetExhausted)
 	}
-	f.i64(int64(t.DeltaBase))
-	f.bool(t.Full)
-	f.i64(t.ServerEpoch)
-	return flushFlat(w, f)
+	putFlatMap(f, s.WireUplinkByCodec)
+	putFlatMap(f, s.WireDownlinkByCodec)
 }
 
 // flatDec decodes one flat message from an io.Reader, tracking a byte
 // budget so a hostile header cannot demand gigabyte allocations: every
 // declared array length is charged against MaxDecodedBytes before its
-// backing store is allocated.
+// backing store is allocated. The first failure sticks in err and turns
+// every later read into a no-op returning the zero value, so the message
+// decoders are straight field lists checked once by finish.
 type flatDec struct {
 	r       io.Reader
 	scratch [8]byte
 	budget  int64
+	err     error
 }
 
-func (d *flatDec) charge(n int64) error {
-	d.budget -= n
-	if d.budget < 0 {
-		return Errorf(CodePayloadTooLarge, "flat: message exceeds %d bytes", MaxDecodedBytes)
+func (d *flatDec) fail(format string, args ...interface{}) {
+	if d.err == nil {
+		d.err = Errorf(CodeInvalidArgument, format, args...)
 	}
-	return nil
 }
 
-func (d *flatDec) fill(b []byte) error {
+func (d *flatDec) fill(b []byte) bool {
+	if d.err != nil {
+		return false
+	}
 	if _, err := io.ReadFull(d.r, b); err != nil {
-		return Errorf(CodeInvalidArgument, "flat: truncated message: %v", err)
+		d.fail("flat: truncated message: %v", err)
+		return false
 	}
-	return nil
+	return true
 }
 
-func (d *flatDec) u8() (uint8, error) {
-	if err := d.fill(d.scratch[:1]); err != nil {
-		return 0, err
+func (d *flatDec) u8() uint8 {
+	if !d.fill(d.scratch[:1]) {
+		return 0
 	}
-	return d.scratch[0], nil
+	return d.scratch[0]
 }
-func (d *flatDec) u32() (uint32, error) {
-	if err := d.fill(d.scratch[:4]); err != nil {
-		return 0, err
+func (d *flatDec) u32() uint32 {
+	if !d.fill(d.scratch[:4]) {
+		return 0
 	}
-	return binary.LittleEndian.Uint32(d.scratch[:4]), nil
+	return binary.LittleEndian.Uint32(d.scratch[:4])
 }
-func (d *flatDec) i64() (int64, error) {
-	if err := d.fill(d.scratch[:8]); err != nil {
-		return 0, err
+func (d *flatDec) i64() int64 {
+	if !d.fill(d.scratch[:8]) {
+		return 0
 	}
-	return int64(binary.LittleEndian.Uint64(d.scratch[:8])), nil
+	return int64(binary.LittleEndian.Uint64(d.scratch[:8]))
 }
-func (d *flatDec) f64() (float64, error) {
-	v, err := d.i64()
-	return math.Float64frombits(uint64(v)), err
-}
-func (d *flatDec) bool() (bool, error) {
-	v, err := d.u8()
-	if err != nil {
-		return false, err
-	}
+func (d *flatDec) int() int     { return int(d.i64()) }
+func (d *flatDec) f64() float64 { return math.Float64frombits(uint64(d.i64())) }
+
+// bool reads a bool or presence byte; anything but 0 or 1 is rejected.
+func (d *flatDec) bool() bool {
+	v := d.u8()
 	if v > 1 {
-		return false, Errorf(CodeInvalidArgument, "flat: bool byte %d", v)
+		d.fail("flat: bool byte %d", v)
 	}
-	return v == 1, nil
+	return v == 1
 }
 
-// count reads an array length and charges its decoded size.
-func (d *flatDec) count(elemSize int64) (int, error) {
-	n, err := d.u32()
-	if err != nil {
-		return 0, err
+// count reads an array length and charges its decoded size; it returns 0
+// once the decoder has failed, so callers allocate nothing.
+func (d *flatDec) count(elemSize int64) int {
+	n := d.u32()
+	if d.err != nil {
+		return 0
 	}
-	if err := d.charge(int64(n) * elemSize); err != nil {
-		return 0, err
+	if d.budget -= int64(n) * elemSize; d.budget < 0 {
+		d.err = Errorf(CodePayloadTooLarge, "flat: message exceeds %d bytes", MaxDecodedBytes)
+		return 0
 	}
-	return int(n), nil
+	return int(n)
 }
 
-func (d *flatDec) str() (string, error) {
-	n, err := d.count(1)
-	if err != nil || n == 0 {
-		return "", err
+func (d *flatDec) str() string {
+	n := d.count(1)
+	if n == 0 {
+		return ""
 	}
 	b := make([]byte, n)
-	if err := d.fill(b); err != nil {
-		return "", err
+	if !d.fill(b) {
+		return ""
 	}
-	return string(b), nil
+	return string(b)
+}
+
+func (d *flatDec) strs() []string {
+	n := d.count(int64(unsafe.Sizeof("")))
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = d.str()
+		if d.err != nil {
+			return nil
+		}
+	}
+	return out
 }
 
 // f64s reads a float64 array zero-copy: the wire bytes land directly in
 // the returned slice's backing store (element-wise on big-endian hosts).
-func (d *flatDec) f64s() ([]float64, error) {
-	n, err := d.count(8)
-	if err != nil || n == 0 {
-		return nil, err
+func (d *flatDec) f64s() []float64 {
+	n := d.count(8)
+	if n == 0 {
+		return nil
 	}
 	out := make([]float64, n)
-	if err := d.fill(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*8)); err != nil {
-		return nil, err
+	if !d.fill(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*8)) {
+		return nil
 	}
 	if !hostLittle {
 		for i := range out {
@@ -321,69 +457,100 @@ func (d *flatDec) f64s() ([]float64, error) {
 			out[i] = math.Float64frombits(swap64(raw))
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (d *flatDec) i32s() ([]int32, error) {
-	n, err := d.count(4)
-	if err != nil || n == 0 {
-		return nil, err
+func (d *flatDec) i32s() []int32 {
+	n := d.count(4)
+	if n == 0 {
+		return nil
 	}
 	out := make([]int32, n)
-	if err := d.fill(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*4)); err != nil {
-		return nil, err
+	if !d.fill(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*4)) {
+		return nil
 	}
 	if !hostLittle {
 		for i := range out {
 			out[i] = int32(swap32(uint32(out[i])))
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (d *flatDec) u16s() ([]uint16, error) {
-	n, err := d.count(2)
-	if err != nil || n == 0 {
-		return nil, err
+func (d *flatDec) u16s() []uint16 {
+	n := d.count(2)
+	if n == 0 {
+		return nil
 	}
 	out := make([]uint16, n)
-	if err := d.fill(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*2)); err != nil {
-		return nil, err
+	if !d.fill(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*2)) {
+		return nil
 	}
 	if !hostLittle {
 		for i := range out {
 			out[i] = out[i]<<8 | out[i]>>8
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (d *flatDec) u8s() ([]uint8, error) {
-	n, err := d.count(1)
-	if err != nil || n == 0 {
-		return nil, err
+func (d *flatDec) u8s() []uint8 {
+	n := d.count(1)
+	if n == 0 {
+		return nil
 	}
 	out := make([]uint8, n)
-	if err := d.fill(out); err != nil {
-		return nil, err
+	if !d.fill(out) {
+		return nil
 	}
-	return out, nil
+	return out
 }
 
-func (d *flatDec) ints() ([]int, error) {
-	n, err := d.count(8)
-	if err != nil || n == 0 {
-		return nil, err
+func (d *flatDec) ints() []int {
+	n := d.count(8)
+	if n == 0 {
+		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		v, err := d.i64()
-		if err != nil {
-			return nil, err
+		out[i] = d.int()
+		if d.err != nil {
+			return nil
 		}
-		out[i] = int(v)
 	}
-	return out, nil
+	return out
+}
+
+func (d *flatDec) sparse() *compress.Sparse {
+	if !d.bool() {
+		return nil
+	}
+	return &compress.Sparse{Len: d.int(), Indices: d.i32s(), Values: d.f64s()}
+}
+
+// getFlatMap reads a counter map written by putFlatMap. Keys must arrive
+// strictly ascending — the one canonical encoding, which also rules out
+// duplicates. The map grows as entries actually arrive rather than being
+// pre-sized from the declared count.
+func getFlatMap[V int | int64](d *flatDec) map[string]V {
+	n := d.count(int64(unsafe.Sizeof("")) + 8)
+	if n == 0 {
+		return nil
+	}
+	out := make(map[string]V)
+	prev := ""
+	for i := 0; i < n; i++ {
+		k, v := d.str(), d.i64()
+		if d.err != nil {
+			return nil
+		}
+		if i > 0 && k <= prev {
+			d.fail("flat: map key %q not in ascending order", k)
+			return nil
+		}
+		out[k], prev = V(v), k
+	}
+	return out
 }
 
 func swap64(v uint64) uint64 {
@@ -396,9 +563,13 @@ func swap32(v uint32) uint32 {
 	return v<<24 | v>>24 | (v&0xff00)<<8 | (v>>8)&0xff00
 }
 
-// eof verifies the message has no trailing garbage (flat kinds are
-// exactly-sized; extra bytes mean a framing bug or a tampered payload).
-func (d *flatDec) eof() error {
+// finish reports the first decode failure, or trailing garbage: flat
+// kinds are exactly-sized, so extra bytes mean a framing bug or a tampered
+// payload.
+func (d *flatDec) finish() error {
+	if d.err != nil {
+		return d.err
+	}
 	if _, err := io.ReadFull(d.r, d.scratch[:1]); err != io.EOF {
 		return Errorf(CodeInvalidArgument, "flat: trailing bytes after message")
 	}
@@ -419,159 +590,183 @@ func (flatCodec) Decode(r io.Reader, v interface{}) error {
 	if hdr[6] != 0 || hdr[7] != 0 {
 		return Errorf(CodeInvalidArgument, "flat: nonzero reserved bytes")
 	}
-	switch kind := hdr[5]; kind {
-	case flatKindGob:
-		return GobGzip.Decode(r, v)
-	case flatKindPush:
-		p, ok := v.(*GradientPush)
-		if !ok {
-			return Errorf(CodeInvalidArgument, "flat: gradient-push frame decoded into %T", v)
+	kind := hdr[5]
+	d := flatDec{r: r, budget: MaxDecodedBytes}
+	switch m := v.(type) {
+	case *TaskResponse:
+		if kind == flatKindTaskResponse {
+			return d.taskResponse(m)
 		}
-		return decodeFlatPush(r, p)
-	case flatKindTaskResponse:
-		t, ok := v.(*TaskResponse)
-		if !ok {
-			return Errorf(CodeInvalidArgument, "flat: task-response frame decoded into %T", v)
+	case *GradientPush:
+		if kind == flatKindPush {
+			return d.push(m)
 		}
-		return decodeFlatTaskResponse(r, t)
+	case *TaskRequest:
+		if kind == flatKindTaskRequest {
+			return d.taskRequest(m)
+		}
+	case *PushAck:
+		if kind == flatKindPushAck {
+			return d.pushAck(m)
+		}
+	case *ModelAnnounce:
+		if kind == flatKindAnnounce {
+			return d.announce(m)
+		}
+	case *Stats:
+		if kind == flatKindStats {
+			return d.stats(m)
+		}
 	default:
-		return Errorf(CodeInvalidArgument, "flat: unknown message kind %d", kind)
+		return Errorf(CodeInvalidArgument, "flat: no layout for %T", v)
 	}
+	if int(kind) < len(flatKindNames) && flatKindNames[kind] != "" {
+		return Errorf(CodeInvalidArgument, "flat: %s frame decoded into %T", flatKindNames[kind], v)
+	}
+	return Errorf(CodeInvalidArgument, "flat: unknown message kind %d", kind)
 }
 
-func decodeFlatPush(r io.Reader, p *GradientPush) error {
-	d := flatDec{r: r, budget: MaxDecodedBytes}
-	var out GradientPush
-	var v int64
-	var err error
-	read := func(dst *int64) {
-		if err == nil {
-			*dst, err = d.i64()
-		}
+// The decoders mirror the encoders field for field (Go evaluates the calls
+// of a composite literal in source order). Each builds the message aside
+// and assigns it only after finish, so a failed decode never leaves a
+// partial message behind.
+
+func (d *flatDec) taskResponse(dst *TaskResponse) error {
+	out := TaskResponse{
+		Accepted:     d.bool(),
+		Reason:       d.str(),
+		ModelVersion: d.int(),
+		Params:       d.f64s(),
+		BatchSize:    d.int(),
+		ParamsDelta:  d.sparse(),
+		DeltaBase:    d.int(),
+		Full:         d.bool(),
+		ServerEpoch:  d.i64(),
 	}
-	read(&v)
-	out.WorkerID = int(v)
-	if err == nil {
-		out.DeviceModel, err = d.str()
-	}
-	read(&v)
-	out.ModelVersion = int(v)
-	read(&out.ModelEpoch)
-	if err == nil {
-		out.Gradient, err = d.f64s()
-	}
-	read(&v)
-	out.GradientLen = int(v)
-	if err == nil {
-		out.SparseIndices, err = d.i32s()
-	}
-	if err == nil {
-		out.SparseValues, err = d.f64s()
-	}
-	if err == nil {
-		out.SparseF16, err = d.u16s()
-	}
-	if err == nil {
-		out.SparseQ8Levels, err = d.u8s()
-	}
-	if err == nil {
-		out.SparseQ8Min, err = d.f64()
-	}
-	if err == nil {
-		out.SparseQ8Max, err = d.f64()
-	}
-	if err == nil {
-		out.Encoding, err = d.str()
-	}
-	read(&v)
-	out.BatchSize = int(v)
-	if err == nil {
-		out.LabelCounts, err = d.ints()
-	}
-	if err == nil {
-		out.CompTimeSec, err = d.f64()
-	}
-	if err == nil {
-		out.EnergyPct, err = d.f64()
-	}
-	if err == nil {
-		out.TimeFeatures, err = d.f64s()
-	}
-	if err == nil {
-		out.EnergyFeatures, err = d.f64s()
-	}
-	read(&v)
-	out.Contributing = int(v)
-	read(&v)
-	out.StalenessMin = int(v)
-	read(&v)
-	out.StalenessMax = int(v)
-	if err != nil {
+	if err := d.finish(); err != nil {
 		return err
 	}
-	if err := d.eof(); err != nil {
-		return err
-	}
-	*p = out
+	*dst = out
 	return nil
 }
 
-func decodeFlatTaskResponse(r io.Reader, t *TaskResponse) error {
-	d := flatDec{r: r, budget: MaxDecodedBytes}
-	var out TaskResponse
-	var v int64
-	var err error
-	if err == nil {
-		out.Accepted, err = d.bool()
+func (d *flatDec) push(dst *GradientPush) error {
+	out := GradientPush{
+		WorkerID:       d.int(),
+		DeviceModel:    d.str(),
+		ModelVersion:   d.int(),
+		ModelEpoch:     d.i64(),
+		Gradient:       d.f64s(),
+		GradientLen:    d.int(),
+		SparseIndices:  d.i32s(),
+		SparseValues:   d.f64s(),
+		SparseF16:      d.u16s(),
+		SparseQ8Levels: d.u8s(),
+		SparseQ8Min:    d.f64(),
+		SparseQ8Max:    d.f64(),
+		Encoding:       d.str(),
+		BatchSize:      d.int(),
+		LabelCounts:    d.ints(),
+		CompTimeSec:    d.f64(),
+		EnergyPct:      d.f64(),
+		TimeFeatures:   d.f64s(),
+		EnergyFeatures: d.f64s(),
+		Contributing:   d.int(),
+		StalenessMin:   d.int(),
+		StalenessMax:   d.int(),
 	}
-	if err == nil {
-		out.Reason, err = d.str()
-	}
-	if err == nil {
-		v, err = d.i64()
-		out.ModelVersion = int(v)
-	}
-	if err == nil {
-		out.Params, err = d.f64s()
-	}
-	if err == nil {
-		v, err = d.i64()
-		out.BatchSize = int(v)
-	}
-	if err == nil {
-		var present uint8
-		present, err = d.u8()
-		if err == nil && present > 1 {
-			err = Errorf(CodeInvalidArgument, "flat: delta presence byte %d", present)
-		}
-		if err == nil && present == 1 {
-			sp := &compress.Sparse{}
-			if v, err = d.i64(); err == nil {
-				sp.Len = int(v)
-				sp.Indices, err = d.i32s()
-			}
-			if err == nil {
-				sp.Values, err = d.f64s()
-			}
-			out.ParamsDelta = sp
-		}
-	}
-	if err == nil {
-		v, err = d.i64()
-		out.DeltaBase = int(v)
-	}
-	if err == nil {
-		out.Full, err = d.bool()
-	}
-	if err == nil {
-		out.ServerEpoch, err = d.i64()
-	}
-	if err != nil {
+	if err := d.finish(); err != nil {
 		return err
 	}
-	if err := d.eof(); err != nil {
+	*dst = out
+	return nil
+}
+
+func (d *flatDec) taskRequest(dst *TaskRequest) error {
+	out := TaskRequest{
+		WorkerID:       d.int(),
+		DeviceModel:    d.str(),
+		TimeFeatures:   d.f64s(),
+		EnergyFeatures: d.f64s(),
+		LabelCounts:    d.ints(),
+		KnownVersion:   d.int(),
+		WantDelta:      d.bool(),
+		KnownEpoch:     d.i64(),
+	}
+	if err := d.finish(); err != nil {
 		return err
 	}
-	*t = out
+	*dst = out
+	return nil
+}
+
+func (d *flatDec) pushAck(dst *PushAck) error {
+	out := PushAck{
+		Applied:    d.bool(),
+		Staleness:  d.int(),
+		Scale:      d.f64(),
+		NewVersion: d.int(),
+	}
+	if err := d.finish(); err != nil {
+		return err
+	}
+	*dst = out
+	return nil
+}
+
+func (d *flatDec) announce(dst *ModelAnnounce) error {
+	out := ModelAnnounce{
+		ModelVersion: d.int(),
+		ServerEpoch:  d.i64(),
+		Delta:        d.sparse(),
+		DeltaBase:    d.int(),
+		ParamsF16:    d.u16s(),
+	}
+	if err := d.finish(); err != nil {
+		return err
+	}
+	*dst = out
+	return nil
+}
+
+func (d *flatDec) stats(dst *Stats) error {
+	out := Stats{
+		ModelVersion:      d.int(),
+		TasksServed:       d.int(),
+		TasksRejected:     d.int(),
+		GradientsIn:       d.int(),
+		MeanStaleness:     d.f64(),
+		PipelineStages:    d.strs(),
+		Aggregator:        d.str(),
+		TasksDropped:      d.int(),
+		AdmissionPolicies: d.strs(),
+		RejectsByPolicy:   getFlatMap[int](d),
+		DrainErrors:       d.int(),
+		Checkpoints:       d.int(),
+		CheckpointErrors:  d.int(),
+		RestoredVersion:   d.int(),
+		ServerEpoch:       d.i64(),
+		LeafGradients:     d.int(),
+	}
+	if d.bool() {
+		out.Tenant = &TenantStats{
+			Name:             d.str(),
+			Workers:          d.int(),
+			MaxWorkers:       d.int(),
+			AuthRejects:      d.i64(),
+			WorkerCapRejects: d.i64(),
+			BudgetRejects:    d.i64(),
+			EpsilonBudget:    d.f64(),
+			EpsilonSpent:     d.f64(),
+			BudgetCharges:    d.int(),
+			BudgetExhausted:  d.bool(),
+		}
+	}
+	out.WireUplinkByCodec = getFlatMap[int64](d)
+	out.WireDownlinkByCodec = getFlatMap[int64](d)
+	if err := d.finish(); err != nil {
+		return err
+	}
+	*dst = out
 	return nil
 }

@@ -2,9 +2,13 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -115,109 +119,255 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	return out
 }
 
-// TestFlatRoundTripPush proves exact reconstruction: 500 seeded random
-// pushes survive encode→decode bit-for-bit.
-func TestFlatRoundTripPush(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		in := randPush(rng)
-		var buf bytes.Buffer
-		if err := Flat.Encode(&buf, in); err != nil {
-			t.Fatalf("encode %d: %v", i, err)
+func randTaskRequest(rng *rand.Rand) *TaskRequest {
+	r := &TaskRequest{
+		WorkerID:     rng.Intn(1000),
+		DeviceModel:  []string{"", "Galaxy S7", "Pixel 4"}[rng.Intn(3)],
+		KnownVersion: rng.Intn(1 << 20),
+		WantDelta:    rng.Intn(2) == 0,
+		KnownEpoch:   int64(rng.Intn(4)),
+	}
+	if rng.Intn(2) == 0 {
+		r.TimeFeatures = randFloats(rng, 1+rng.Intn(6))
+		r.EnergyFeatures = randFloats(rng, 1+rng.Intn(6))
+	}
+	if rng.Intn(2) == 0 {
+		r.LabelCounts = randInts(rng, 1+rng.Intn(10))
+	}
+	return r
+}
+
+func randPushAck(rng *rand.Rand) *PushAck {
+	return &PushAck{
+		Applied:    rng.Intn(2) == 0,
+		Staleness:  rng.Intn(50),
+		Scale:      rng.Float64(),
+		NewVersion: rng.Intn(1 << 20),
+	}
+}
+
+func randAnnounce(rng *rand.Rand) *ModelAnnounce {
+	a := &ModelAnnounce{
+		ModelVersion: 1 + rng.Intn(1<<20),
+		ServerEpoch:  int64(rng.Intn(4)),
+		DeltaBase:    rng.Intn(1 << 20),
+	}
+	switch rng.Intn(4) {
+	case 0:
+		k := 1 + rng.Intn(40)
+		a.Delta = &compress.Sparse{Len: 1000, Indices: randIndices(rng, k), Values: randFloats(rng, k)}
+	case 1:
+		a.Delta = &compress.Sparse{} // present but empty: distinct from nil
+	case 2:
+		a.ParamsF16 = randU16s(rng, 1+rng.Intn(200))
+	}
+	return a
+}
+
+func randCounters[V int | int64](rng *rand.Rand) map[string]V {
+	if rng.Intn(2) == 0 {
+		return nil
+	}
+	keys := []string{"", "min-batch", "similarity", "iprof-time", ContentTypeFlat, ContentTypeJSON, "zz"}
+	out := make(map[string]V)
+	for _, i := range rng.Perm(len(keys))[:1+rng.Intn(len(keys))] {
+		out[keys[i]] = V(rng.Intn(1 << 30))
+	}
+	return out
+}
+
+func randStats(rng *rand.Rand) *Stats {
+	s := &Stats{
+		ModelVersion:        rng.Intn(1 << 20),
+		TasksServed:         rng.Intn(1 << 20),
+		TasksRejected:       rng.Intn(100),
+		GradientsIn:         rng.Intn(1 << 20),
+		MeanStaleness:       rng.Float64() * 10,
+		Aggregator:          []string{"", "mean", "krum(2)"}[rng.Intn(3)],
+		TasksDropped:        rng.Intn(100),
+		RejectsByPolicy:     randCounters[int](rng),
+		DrainErrors:         rng.Intn(3),
+		Checkpoints:         rng.Intn(30),
+		CheckpointErrors:    rng.Intn(3),
+		RestoredVersion:     rng.Intn(1 << 10),
+		ServerEpoch:         int64(rng.Intn(4)),
+		LeafGradients:       rng.Intn(1 << 20),
+		WireUplinkByCodec:   randCounters[int64](rng),
+		WireDownlinkByCodec: randCounters[int64](rng),
+	}
+	if rng.Intn(2) == 0 {
+		s.PipelineStages = []string{"staleness", "dp(1,1.2)", ""}[:1+rng.Intn(3)]
+		s.AdmissionPolicies = []string{"iprof-time(3)", "min-batch(5)"}[:1+rng.Intn(2)]
+	}
+	if rng.Intn(2) == 0 {
+		s.Tenant = &TenantStats{
+			Name: "ads", Workers: rng.Intn(10), MaxWorkers: rng.Intn(10),
+			AuthRejects: int64(rng.Intn(9)), WorkerCapRejects: int64(rng.Intn(9)), BudgetRejects: int64(rng.Intn(9)),
+			EpsilonBudget: rng.Float64(), EpsilonSpent: rng.Float64(),
+			BudgetCharges: rng.Intn(60), BudgetExhausted: rng.Intn(2) == 0,
 		}
-		var out GradientPush
-		if err := Flat.Decode(&buf, &out); err != nil {
-			t.Fatalf("decode %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(*in, out) {
-			t.Fatalf("round trip %d:\n in: %+v\nout: %+v", i, *in, out)
+	}
+	return s
+}
+
+// flatMessages is the table every all-kinds test ranges over: a seeded
+// generator and a zero target per wire kind.
+var flatMessages = []struct {
+	name string
+	kind uint8
+	gen  func(*rand.Rand) interface{}
+	zero func() interface{}
+}{
+	{"task-response", flatKindTaskResponse, func(r *rand.Rand) interface{} { return randTaskResponse(r) }, func() interface{} { return new(TaskResponse) }},
+	{"gradient-push", flatKindPush, func(r *rand.Rand) interface{} { return randPush(r) }, func() interface{} { return new(GradientPush) }},
+	{"task-request", flatKindTaskRequest, func(r *rand.Rand) interface{} { return randTaskRequest(r) }, func() interface{} { return new(TaskRequest) }},
+	{"push-ack", flatKindPushAck, func(r *rand.Rand) interface{} { return randPushAck(r) }, func() interface{} { return new(PushAck) }},
+	{"model-announce", flatKindAnnounce, func(r *rand.Rand) interface{} { return randAnnounce(r) }, func() interface{} { return new(ModelAnnounce) }},
+	{"stats", flatKindStats, func(r *rand.Rand) interface{} { return randStats(r) }, func() interface{} { return new(Stats) }},
+}
+
+func flatBytes(t testing.TB, v interface{}) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Flat.Encode(&buf, v); err != nil {
+		t.Fatalf("encode %T: %v", v, err)
+	}
+	return buf.Bytes()
+}
+
+func wantInvalidArgument(t *testing.T, what string, err error) {
+	t.Helper()
+	var pe *Error
+	if !errors.As(err, &pe) || pe.Code != CodeInvalidArgument {
+		t.Errorf("%s: want invalid_argument, got %v", what, err)
+	}
+}
+
+// TestFlatRoundTrip proves exact reconstruction for every kind: seeded
+// random messages survive encode→decode bit-for-bit, and the wire bytes
+// name the expected version and kind.
+func TestFlatRoundTrip(t *testing.T) {
+	for i, m := range flatMessages {
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		for n := 0; n < 300; n++ {
+			in := m.gen(rng)
+			raw := flatBytes(t, in)
+			if raw[4] != flatVersion || raw[5] != m.kind {
+				t.Fatalf("%s: header version %d kind %d", m.name, raw[4], raw[5])
+			}
+			out := m.zero()
+			if err := Flat.Decode(bytes.NewReader(raw), out); err != nil {
+				t.Fatalf("%s %d: decode: %v", m.name, n, err)
+			}
+			if !reflect.DeepEqual(in, out) {
+				t.Fatalf("%s %d round trip:\n in: %+v\nout: %+v", m.name, n, in, out)
+			}
 		}
 	}
 }
 
-func TestFlatRoundTripTaskResponse(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 500; i++ {
-		in := randTaskResponse(rng)
-		var buf bytes.Buffer
-		if err := Flat.Encode(&buf, in); err != nil {
-			t.Fatalf("encode %d: %v", i, err)
-		}
-		var out TaskResponse
-		if err := Flat.Decode(&buf, &out); err != nil {
-			t.Fatalf("decode %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(*in, out) {
-			t.Fatalf("round trip %d:\n in: %+v\nout: %+v", i, *in, out)
+// TestFlatEncodesValuesLikePointers: the Codec contract takes a message by
+// value or by pointer; both produce the same bytes.
+func TestFlatEncodesValuesLikePointers(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, m := range flatMessages {
+		p := m.gen(rng)
+		if v := reflect.ValueOf(p).Elem().Interface(); !bytes.Equal(flatBytes(t, p), flatBytes(t, v)) {
+			t.Errorf("%s: value and pointer encode differently", m.name)
 		}
 	}
 }
 
 // TestFlatSpecialFloats checks the bit-exactness claim on the values that
-// break approximate codecs: NaN payloads, infinities, signed zero,
-// subnormals.
+// break approximate codecs — NaN payloads, infinities, signed zero,
+// subnormals — in every float-carrying message. NaN != NaN, so equality is
+// stated on the re-encoded bytes.
 func TestFlatSpecialFloats(t *testing.T) {
-	in := &GradientPush{
-		GradientLen:   6,
-		SparseIndices: []int32{0, 1, 2, 3, 4, 5},
-		SparseValues: []float64{
-			math.NaN(), math.Inf(1), math.Inf(-1),
-			math.Copysign(0, -1), 5e-324, math.MaxFloat64,
-		},
-		BatchSize: 1,
+	special := []float64{
+		math.NaN(), math.Float64frombits(0x7FF8000000000BAD), math.Inf(1), math.Inf(-1),
+		math.Copysign(0, -1), 5e-324, math.MaxFloat64,
 	}
-	var buf bytes.Buffer
-	if err := Flat.Encode(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	var out GradientPush
-	if err := Flat.Decode(&buf, &out); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range in.SparseValues {
-		if math.Float64bits(v) != math.Float64bits(out.SparseValues[i]) {
-			t.Errorf("value %d: bits %x != %x", i, math.Float64bits(v), math.Float64bits(out.SparseValues[i]))
+	idx := ascendingIndices(len(special))
+	for _, v := range special {
+		msgs := []interface{}{
+			&GradientPush{GradientLen: 100, SparseIndices: idx, SparseValues: special, SparseQ8Min: v, CompTimeSec: v, BatchSize: 1},
+			&TaskResponse{Params: special, ParamsDelta: &compress.Sparse{Len: 100, Indices: idx, Values: special}},
+			&TaskRequest{TimeFeatures: special, EnergyFeatures: []float64{v}},
+			&PushAck{Scale: v},
+			&ModelAnnounce{ModelVersion: 1, Delta: &compress.Sparse{Len: 100, Indices: idx, Values: special}},
+			&Stats{MeanStaleness: v, Tenant: &TenantStats{EpsilonBudget: v, EpsilonSpent: v}},
+		}
+		for _, in := range msgs {
+			raw := flatBytes(t, in)
+			out := reflect.New(reflect.TypeOf(in).Elem()).Interface()
+			if err := Flat.Decode(bytes.NewReader(raw), out); err != nil {
+				t.Fatalf("%T: %v", in, err)
+			}
+			if !bytes.Equal(raw, flatBytes(t, out)) {
+				t.Errorf("%T with %x: float bits changed in transit", in, math.Float64bits(v))
+			}
 		}
 	}
-}
-
-// TestFlatGobFallback: every non-flat message kind still travels through
-// the codec (gob behind the header), so flat sessions can exchange acks,
-// announces and stats.
-func TestFlatGobFallback(t *testing.T) {
-	in := &ModelAnnounce{
-		ModelVersion: 9, ServerEpoch: 2,
-		Delta:     &compress.Sparse{Len: 4, Indices: []int32{1, 3}, Values: []float64{0.5, -0.25}},
-		DeltaBase: 8,
-		ParamsF16: []uint16{0x3C00, 0x4000},
-	}
-	var buf bytes.Buffer
-	if err := Flat.Encode(&buf, in); err != nil {
+	var ack PushAck
+	if err := Flat.Decode(bytes.NewReader(flatBytes(t, &PushAck{Scale: math.Copysign(0, -1)})), &ack); err != nil {
 		t.Fatal(err)
 	}
-	var out ModelAnnounce
-	if err := Flat.Decode(&buf, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*in, out) {
-		t.Fatalf("announce round trip:\n in: %+v\nout: %+v", *in, out)
+	if !math.Signbit(ack.Scale) {
+		t.Error("-0 lost its sign")
 	}
 }
 
-// TestFlatTruncated: every strict prefix of a valid message must be
-// rejected with an error, never a panic or a silent partial decode.
+// TestFlatOptionalBlocks pins the presence semantics: a nil Delta/Tenant
+// stays nil, a present-but-empty one stays non-nil, and nil or empty
+// slices and maps both decode as nil (count 0), matching omitempty.
+func TestFlatOptionalBlocks(t *testing.T) {
+	var ann ModelAnnounce
+	if err := Flat.Decode(bytes.NewReader(flatBytes(t, &ModelAnnounce{ModelVersion: 3})), &ann); err != nil {
+		t.Fatal(err)
+	}
+	if ann.Delta != nil || ann.ParamsF16 != nil {
+		t.Errorf("nil delta decoded as %+v", ann)
+	}
+	empty := &ModelAnnounce{ModelVersion: 3, Delta: &compress.Sparse{Len: 7, Indices: []int32{}, Values: []float64{}}, ParamsF16: []uint16{0x3C00}}
+	if err := Flat.Decode(bytes.NewReader(flatBytes(t, empty)), &ann); err != nil {
+		t.Fatal(err)
+	}
+	if ann.Delta == nil || ann.Delta.Len != 7 || ann.Delta.Indices != nil || ann.Delta.Values != nil {
+		t.Errorf("empty delta decoded as %+v", ann.Delta)
+	}
+	if !reflect.DeepEqual(ann.ParamsF16, []uint16{0x3C00}) {
+		t.Errorf("ParamsF16 = %v", ann.ParamsF16)
+	}
+
+	var st Stats
+	in := &Stats{RejectsByPolicy: map[string]int{}, WireUplinkByCodec: map[string]int64{"b": 2, "a": 1}, Tenant: &TenantStats{}}
+	if err := Flat.Decode(bytes.NewReader(flatBytes(t, in)), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.RejectsByPolicy != nil || st.WireDownlinkByCodec != nil || st.Tenant == nil {
+		t.Errorf("stats optional blocks: %+v", st)
+	}
+	if !reflect.DeepEqual(st.WireUplinkByCodec, in.WireUplinkByCodec) {
+		t.Errorf("uplink map = %v", st.WireUplinkByCodec)
+	}
+}
+
+// TestFlatTruncated: every strict prefix of a valid message of every kind
+// must be rejected with an error, never a panic or a silent partial decode.
 func TestFlatTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	in := randPush(rng)
-	var buf bytes.Buffer
-	if err := Flat.Encode(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for n := 0; n < len(raw); n++ {
-		var out GradientPush
-		if err := Flat.Decode(bytes.NewReader(raw[:n]), &out); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(raw))
+	for _, m := range flatMessages {
+		for rep := 0; rep < 8; rep++ {
+			raw := flatBytes(t, m.gen(rng))
+			for n := 0; n < len(raw); n++ {
+				out := m.zero()
+				if err := Flat.Decode(bytes.NewReader(raw[:n]), out); err == nil {
+					t.Fatalf("%s: prefix of %d/%d bytes decoded without error", m.name, n, len(raw))
+				}
+				if !reflect.DeepEqual(out, m.zero()) {
+					t.Fatalf("%s: failed decode of %d/%d bytes left a partial message", m.name, n, len(raw))
+				}
+			}
 		}
 	}
 }
@@ -225,50 +375,101 @@ func TestFlatTruncated(t *testing.T) {
 // TestFlatTrailingGarbage: extra bytes after a flat message are a framing
 // error, not silently ignored.
 func TestFlatTrailingGarbage(t *testing.T) {
-	in := &GradientPush{Gradient: []float64{1, 2}, BatchSize: 1}
-	var buf bytes.Buffer
-	if err := Flat.Encode(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteByte(0xFF)
-	var out GradientPush
-	if err := Flat.Decode(&buf, &out); err == nil {
-		t.Fatal("trailing byte accepted")
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range flatMessages {
+		raw := append(flatBytes(t, m.gen(rng)), 0xFF)
+		wantInvalidArgument(t, m.name, Flat.Decode(bytes.NewReader(raw), m.zero()))
 	}
 }
 
-// TestFlatStructuralRejects: garbage headers, wrong kinds, hostile array
-// lengths and type confusion all fail structurally.
+// TestFlatStructuralRejects: garbage headers, retired versions and kinds,
+// hostile array lengths, non-canonical bytes and type confusion all fail
+// structurally.
 func TestFlatStructuralRejects(t *testing.T) {
-	oversized := []byte{'F', 'L', 'T', '1', 1, flatKindPush}
-	oversized = append(oversized, 0, 0)                               // reserved
-	oversized = append(oversized, 1, 0, 0, 0, 0, 0, 0, 0)             // WorkerID
-	oversized = append(oversized, 0xFF, 0xFF, 0xFF, 0xFF)             // DeviceModel len 4GiB
-	oversized = append(oversized, bytes.Repeat([]byte{'x'}, 1024)...) // not that many follow
+	hdr := func(version, kind uint8, body ...byte) []byte {
+		return append([]byte{'F', 'L', 'T', '1', version, kind, 0, 0}, body...)
+	}
+	i64 := func(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
-	cases := []struct {
+	oversized := hdr(flatVersion, flatKindPush, cat(
+		i64(1),                              // WorkerID
+		[]byte{0xFF, 0xFF, 0xFF, 0xFF},      // DeviceModel len 4GiB
+		bytes.Repeat([]byte{'x'}, 1024))...) // not that many follow
+	// A stats message whose first map holds the given raw entries.
+	statsWithMap := func(count uint32, entries ...[]byte) []byte {
+		raw := flatBytes(t, &Stats{})
+		const mapOffset = flatHeaderLen + 4*8 + 8 + 4 + 4 + 8 + 4 // up to RejectsByPolicy's count
+		out := append([]byte(nil), raw[:mapOffset]...)
+		out = binary.LittleEndian.AppendUint32(out, count)
+		out = append(out, cat(entries...)...)
+		return append(out, raw[mapOffset+4:]...)
+	}
+	entry := func(k string, v int64) []byte {
+		return cat(binary.LittleEndian.AppendUint32(nil, uint32(len(k))), []byte(k), i64(v))
+	}
+	if err := Flat.Decode(bytes.NewReader(statsWithMap(2, entry("a", 1), entry("b", 2))), &Stats{}); err != nil {
+		t.Fatalf("statsWithMap builds an invalid baseline: %v", err)
+	}
+
+	type reject struct {
 		name string
 		raw  []byte
 		into interface{}
-	}{
+	}
+	cases := []reject{
 		{"empty", nil, &GradientPush{}},
 		{"bad magic", []byte("XXXXXXXXXXXX"), &GradientPush{}},
-		{"bad version", []byte{'F', 'L', 'T', '1', 99, flatKindPush, 0, 0}, &GradientPush{}},
-		{"reserved bytes", []byte{'F', 'L', 'T', '1', 1, flatKindPush, 7, 0}, &GradientPush{}},
-		{"unknown kind", []byte{'F', 'L', 'T', '1', 1, 42, 0, 0}, &GradientPush{}},
-		{"oversized count", oversized, &GradientPush{}},
-		{"kind/type confusion", []byte{'F', 'L', 'T', '1', 1, flatKindPush, 0, 0}, &TaskResponse{}},
+		{"flat version 1", hdr(1, flatKindPush), &GradientPush{}},
+		{"future version", hdr(99, flatKindPush), &GradientPush{}},
+		{"reserved bytes", []byte{'F', 'L', 'T', '1', flatVersion, flatKindPush, 7, 0}, &GradientPush{}},
+		{"kind 0", hdr(flatVersion, 0), &PushAck{}},
+		{"kind 1", hdr(flatVersion, 1), &PushAck{}},
+		{"unknown kind", hdr(flatVersion, 42), &GradientPush{}},
+		{"bool byte 2", hdr(flatVersion, flatKindPushAck, cat([]byte{2}, i64(0), i64(0), i64(0))...), &PushAck{}},
+		{"presence byte 2", hdr(flatVersion, flatKindAnnounce, cat(i64(1), i64(0), []byte{2}, i64(0), []byte{0, 0, 0, 0})...), &ModelAnnounce{}},
+		{"map keys descending", statsWithMap(2, entry("b", 1), entry("a", 2)), &Stats{}},
+		{"map key repeated", statsWithMap(2, entry("a", 1), entry("a", 2)), &Stats{}},
+		{"non-pointer target", flatBytes(t, &PushAck{}), PushAck{}},
+		{"unknown target type", flatBytes(t, &PushAck{}), &struct{ Applied bool }{}},
+	}
+	for _, m := range flatMessages {
+		raw := flatBytes(t, m.gen(rand.New(rand.NewSource(6))))
+		for _, other := range flatMessages {
+			if other.kind != m.kind {
+				cases = append(cases, reject{m.name + " into " + other.name, raw, other.zero()})
+			}
+		}
 	}
 	for _, tc := range cases {
-		if err := Flat.Decode(bytes.NewReader(tc.raw), tc.into); err == nil {
-			t.Errorf("%s: decoded without error", tc.name)
+		wantInvalidArgument(t, tc.name, Flat.Decode(bytes.NewReader(tc.raw), tc.into))
+	}
+
+	err := Flat.Decode(bytes.NewReader(hdr(1, flatKindPush)), &GradientPush{})
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("version 1 peer: want \"unsupported version 1\", got %v", err)
+	}
+	var pe *Error
+	if err := Flat.Decode(bytes.NewReader(oversized), &GradientPush{}); !errors.As(err, &pe) || pe.Code != CodePayloadTooLarge {
+		t.Errorf("oversized count: want payload_too_large before allocation, got %v", err)
+	}
+}
+
+// TestFlatEncodeUnknownType: a Go type without a layout is refused with a
+// structured error and nothing is written — there is no generic fallback.
+func TestFlatEncodeUnknownType(t *testing.T) {
+	for _, v := range []interface{}{nil, 42, "push", struct{ Applied bool }{}, &TenantStats{}, new(*PushAck)} {
+		var buf bytes.Buffer
+		wantInvalidArgument(t, fmt.Sprintf("%T", v), Flat.Encode(&buf, v))
+		if buf.Len() != 0 {
+			t.Errorf("%T: %d bytes written before the refusal", v, buf.Len())
 		}
 	}
 }
 
-// TestFlatConcurrent hammers the pooled encode/decode path from many
-// goroutines — run with -race (as CI does) this proves the sync.Pool
-// buffers are never shared across in-flight messages.
+// TestFlatConcurrent hammers the pooled encode/decode path with every kind
+// from many goroutines — run with -race (as CI does) this proves the
+// sync.Pool buffers are never shared across in-flight messages.
 func TestFlatConcurrent(t *testing.T) {
 	const goroutines = 8
 	const iters = 300
@@ -280,19 +481,20 @@ func TestFlatConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < iters; i++ {
-				in := randPush(rng)
+				m := flatMessages[rng.Intn(len(flatMessages))]
+				in := m.gen(rng)
 				var buf bytes.Buffer
 				if err := Flat.Encode(&buf, in); err != nil {
 					errs <- err
 					return
 				}
-				var out GradientPush
-				if err := Flat.Decode(&buf, &out); err != nil {
+				out := m.zero()
+				if err := Flat.Decode(&buf, out); err != nil {
 					errs <- err
 					return
 				}
-				if !reflect.DeepEqual(*in, out) {
-					errs <- Errorf(CodeInternal, "goroutine %d iter %d: corrupted round trip", seed, i)
+				if !reflect.DeepEqual(in, out) {
+					errs <- Errorf(CodeInternal, "goroutine %d iter %d: corrupted %s round trip", seed, i, m.name)
 					return
 				}
 			}
@@ -305,37 +507,30 @@ func TestFlatConcurrent(t *testing.T) {
 	}
 }
 
-// FuzzFlatDecodePush: arbitrary input must never panic, and any input
-// that decodes must re-encode to a stable canonical form (encode∘decode
-// idempotent on its image — byte comparison, so NaN payloads are handled).
-func FuzzFlatDecodePush(f *testing.F) {
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 8; i++ {
-		var buf bytes.Buffer
-		_ = Flat.Encode(&buf, randPush(rng))
-		f.Add(buf.Bytes())
-	}
+// FuzzFlatDecode feeds arbitrary bytes to Flat.Decode for each of the six
+// message types: no input may panic or allocate past the decode budget, and
+// whatever decodes must be the one canonical encoding of its message —
+// encode(decode(data)) == data, which (compared on bytes, so NaN payloads
+// are covered) is decode(encode(m)) == m for every reachable m. The seed
+// corpus under testdata/fuzz/FuzzFlatDecode holds one valid message per
+// kind.
+func FuzzFlatDecode(f *testing.F) {
 	f.Add([]byte("FLT1"))
-	f.Add([]byte{'F', 'L', 'T', '1', 1, flatKindPush, 0, 0, 0xFF, 0xFF})
+	f.Add([]byte{'F', 'L', 'T', '1', flatVersion, flatKindPush, 0, 0, 0xFF, 0xFF})
+	// Keep a hostile length prefix from costing 256 MB per exec; the
+	// check-before-allocate logic is the same at any budget.
+	old := MaxDecodedBytes
+	MaxDecodedBytes = 1 << 20
+	f.Cleanup(func() { MaxDecodedBytes = old })
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var msg GradientPush
-		if err := Flat.Decode(bytes.NewReader(data), &msg); err != nil {
-			return
-		}
-		var b2 bytes.Buffer
-		if err := Flat.Encode(&b2, &msg); err != nil {
-			t.Fatalf("re-encode of decoded message failed: %v", err)
-		}
-		var msg2 GradientPush
-		if err := Flat.Decode(bytes.NewReader(b2.Bytes()), &msg2); err != nil {
-			t.Fatalf("decode of re-encoded message failed: %v", err)
-		}
-		var b3 bytes.Buffer
-		if err := Flat.Encode(&b3, &msg2); err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		if !bytes.Equal(b2.Bytes(), b3.Bytes()) {
-			t.Fatalf("unstable canonical form")
+		for _, m := range flatMessages {
+			msg := m.zero()
+			if err := Flat.Decode(bytes.NewReader(data), msg); err != nil {
+				continue
+			}
+			if again := flatBytes(t, msg); !bytes.Equal(again, data) {
+				t.Fatalf("%s: decoded input is not canonical:\n in: %x\nout: %x", m.name, data, again)
+			}
 		}
 	})
 }
@@ -431,30 +626,73 @@ func ascendingIndices(k int) []int32 {
 	return out
 }
 
-// BenchmarkFlatCodecEncode / Decode: the hot wire path (sparse k=64 push).
+type benchMessage struct {
+	name string
+	v    interface{}
+	zero func() interface{}
+}
+
+// benchMessages are the round's wire messages at benchmark size: the sparse
+// k=64 push, the request and ack around it, and a window-closing announce
+// with a 12 k-nnz delta (1 % of a 1.2 M-parameter model, ~145 KB).
+func benchMessages() []benchMessage {
+	rng := rand.New(rand.NewSource(8))
+	push := benchPush(10000, 64)
+	return []benchMessage{
+		{"push", push, func() interface{} { return new(GradientPush) }},
+		{"request", &TaskRequest{
+			WorkerID: 1, DeviceModel: push.DeviceModel, TimeFeatures: push.TimeFeatures, EnergyFeatures: push.EnergyFeatures,
+			LabelCounts: push.LabelCounts, KnownVersion: 100, WantDelta: true,
+		}, func() interface{} { return new(TaskRequest) }},
+		{"ack", &PushAck{Applied: true, Staleness: 2, Scale: 0.5, NewVersion: 101}, func() interface{} { return new(PushAck) }},
+		{"announce", &ModelAnnounce{
+			ModelVersion: 101, DeltaBase: 100,
+			Delta: &compress.Sparse{Len: 1200000, Indices: ascendingIndices(12000), Values: randFloats(rng, 12000)},
+		}, func() interface{} { return new(ModelAnnounce) }},
+	}
+}
+
+// BenchmarkFlatCodecEncode / Decode: every message of the hot wire path.
 func BenchmarkFlatCodecEncode(b *testing.B) {
-	p := benchPush(10000, 64)
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := Flat.Encode(&buf, p); err != nil {
-			b.Fatal(err)
-		}
+	for _, m := range benchMessages() {
+		b.Run(m.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := Flat.Encode(&buf, m.v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkFlatCodecDecode(b *testing.B) {
-	p := benchPush(10000, 64)
-	var buf bytes.Buffer
-	if err := Flat.Encode(&buf, p); err != nil {
-		b.Fatal(err)
+	for _, m := range benchMessages() {
+		b.Run(m.name, func(b *testing.B) {
+			raw := flatBytes(b, m.v)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := Flat.Decode(bytes.NewReader(raw), m.zero()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	raw := buf.Bytes()
+}
+
+// BenchmarkGobCodecEncode is the smallest message through the default
+// codec: what it costs is compressor state, not payload — pooled, a
+// ~100-byte ack no longer allocates a deflate window per call.
+func BenchmarkGobCodecEncode(b *testing.B) {
+	ack := &PushAck{Applied: true, Staleness: 2, Scale: 0.5, NewVersion: 101}
+	var buf bytes.Buffer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var out GradientPush
-		if err := Flat.Decode(bytes.NewReader(raw), &out); err != nil {
+		buf.Reset()
+		if err := GobGzip.Encode(&buf, ack); err != nil {
 			b.Fatal(err)
 		}
 	}

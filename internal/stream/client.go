@@ -69,6 +69,14 @@ type Client struct {
 
 var _ service.Service = (*Client)(nil)
 
+// maxPendingAnnounces bounds the run a client holds for TakeAnnounces, so
+// an owner that never takes (it only listens on OnAnnounce) or stalls does
+// not retain one delta per model version forever. Deep enough that a worker
+// computing while a few hundred versions are minted keeps its whole chain
+// (the stream-push scenario peaks at 122 pending); further behind than
+// that, a pull beats patching the backlog anyway.
+const maxPendingAnnounces = 256
+
 // RequestTask implements service.Service over the stream.
 func (c *Client) RequestTask(ctx context.Context, req *protocol.TaskRequest) (*protocol.TaskResponse, error) {
 	var resp protocol.TaskResponse
@@ -126,10 +134,12 @@ func (c *Client) Close() error {
 // every announcement since the last take whose deltas chain gap-free up to
 // the latest announced version. A chain broken by a dropped announce, an
 // epoch change or a delta-less drain resets to the announcements after the
-// break — callers absorb what applies and pull for the rest. An announce
-// carrying a half-precision full model (ParamsF16, the server's dense-drain
-// fallback) is complete on its own: it restarts the chain rather than
-// breaking it, and later deltas chain off its version.
+// break — callers absorb what applies and pull for the rest. At most
+// maxPendingAnnounces are kept; past that the oldest are dropped, which a
+// caller sees as a gap. An announce carrying a half-precision full model
+// (ParamsF16, the server's dense-drain fallback) is complete on its own: it
+// restarts the chain rather than breaking it, and later deltas chain off
+// its version.
 func (c *Client) TakeAnnounces() []protocol.ModelAnnounce {
 	c.annMu.Lock()
 	defer c.annMu.Unlock()
@@ -188,6 +198,9 @@ func (c *Client) noteAnnounce(ann protocol.ModelAnnounce) {
 		c.annRun = c.annRun[:0]
 	}
 	if ann.Delta != nil || len(ann.ParamsF16) > 0 {
+		if len(c.annRun) == maxPendingAnnounces {
+			c.annRun = append(c.annRun[:0], c.annRun[1:]...) // drop the oldest
+		}
 		// A ParamsF16 announce needs no base (it overwrites the whole
 		// cache), so it starts a fresh run; the reset above already
 		// dropped anything pending.

@@ -118,6 +118,41 @@ func TestCoalescedAnnounceChainsAtClient(t *testing.T) {
 	}
 }
 
+// TestUntakenAnnounceRunIsBounded: a client whose owner only listens on
+// OnAnnounce and never calls TakeAnnounces (an edge's upstream session)
+// must not retain one delta per root version forever. The pending run stays
+// within maxPendingAnnounces and still ends in a gap-free chain up to the
+// latest version.
+func TestUntakenAnnounceRunIsBounded(t *testing.T) {
+	const total = 1500
+	observed := 0
+	c := &Client{OnAnnounce: func(protocol.ModelAnnounce) { observed++ }}
+	c.noteFloor(0, 0)
+	for v := 1; v <= total; v++ {
+		c.noteAnnounce(protocol.ModelAnnounce{
+			ModelVersion: v, DeltaBase: v - 1,
+			Delta: &compress.Sparse{Len: 8, Indices: []int32{int32(v % 8)}, Values: []float64{float64(v)}},
+		})
+		if len(c.annRun) > maxPendingAnnounces || cap(c.annRun) > 2*maxPendingAnnounces {
+			t.Fatalf("after %d announces the client retains %d (cap %d), want at most %d",
+				v, len(c.annRun), cap(c.annRun), maxPendingAnnounces)
+		}
+	}
+	if observed != total {
+		t.Fatalf("OnAnnounce saw %d of %d announces", observed, total)
+	}
+	run := c.TakeAnnounces()
+	if len(run) != maxPendingAnnounces || run[len(run)-1].ModelVersion != total {
+		t.Fatalf("took %d announces ending at v%d, want the newest %d ending at v%d",
+			len(run), run[len(run)-1].ModelVersion, maxPendingAnnounces, total)
+	}
+	for i := 1; i < len(run); i++ {
+		if run[i].DeltaBase != run[i-1].ModelVersion {
+			t.Fatalf("retained run has a gap at %d: %+v", i, run)
+		}
+	}
+}
+
 // TestParamsF16AnnounceSurvivesTake: a delta-less announce carrying the
 // half-precision full model (the server's dense-drain fallback under
 // F16Announce) must reach TakeAnnounces — it is complete on its own, so it

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 
 	"fleet/internal/protocol"
 )
@@ -124,6 +125,9 @@ type frame struct {
 }
 
 // writeFrame writes one frame. Callers serialize writes per connection.
+// Header and payload go out as one vectored write: on a TCP connection
+// (TCP_NODELAY) that is a single writev — one syscall, one segment for a
+// small frame — and the payload is never copied behind the header.
 func writeFrame(w io.Writer, f frame) error {
 	if int64(len(f.payload)) > MaxFrameBytes {
 		return protocol.Errorf(protocol.CodePayloadTooLarge,
@@ -135,13 +139,12 @@ func writeFrame(w io.Writer, f frame) error {
 	hdr[3] = 0
 	binary.BigEndian.PutUint32(hdr[4:8], f.corr)
 	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(f.payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("stream: write frame header: %w", err)
+	bufs := net.Buffers{hdr[:], f.payload}
+	if len(f.payload) == 0 {
+		bufs = bufs[:1]
 	}
-	if len(f.payload) > 0 {
-		if _, err := w.Write(f.payload); err != nil {
-			return fmt.Errorf("stream: write frame payload: %w", err)
-		}
+	if _, err := bufs.WriteTo(w); err != nil {
+		return fmt.Errorf("stream: write %s frame: %w", f.typ, err)
 	}
 	return nil
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"net"
 	"testing"
+	"time"
 
 	"fleet/internal/protocol"
 )
@@ -94,5 +96,74 @@ func TestReadFrameTruncated(t *testing.T) {
 		if !protocol.IsCode(err, protocol.CodeUnavailable) {
 			t.Fatalf("truncated at %d: %v, want unavailable", cut, err)
 		}
+	}
+}
+
+// writeCountingConn counts plain Write calls on a TCP connection. It embeds
+// the concrete *net.TCPConn rather than the net.Conn interface so the
+// connection's vectored-write path stays reachable through the wrapper: a
+// frame sent as one writev never shows up as a Write.
+type writeCountingConn struct {
+	*net.TCPConn
+	writes int
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.TCPConn.Write(p)
+}
+
+// TestWriteFrameIsOneVectoredWrite: header and payload leave in a single
+// writev, not as a 12-byte Write followed by a payload Write (two syscalls
+// and two segments on a TCP_NODELAY socket).
+func TestWriteFrameIsOneVectoredWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	got := make(chan frame, 2)
+	go func() {
+		peer, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer peer.Close()
+		for i := 0; i < 2; i++ {
+			f, err := readFrame(peer)
+			if err != nil {
+				return
+			}
+			got <- f
+		}
+	}()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	conn := &writeCountingConn{TCPConn: raw.(*net.TCPConn)}
+
+	sent := []frame{
+		{typ: fPush, corr: 7, payload: bytes.Repeat([]byte("g"), 4096)},
+		{typ: fPing},
+	}
+	for _, f := range sent {
+		if err := writeFrame(conn, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range sent {
+		select {
+		case f := <-got:
+			if f.typ != want.typ || f.corr != want.corr || !bytes.Equal(f.payload, want.payload) {
+				t.Fatalf("peer read %s/%d/%d bytes, want %s/%d/%d", f.typ, f.corr, len(f.payload), want.typ, want.corr, len(want.payload))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("peer never received the frame")
+		}
+	}
+	if conn.writes != 0 {
+		t.Fatalf("%d plain Write calls for %d frames, want every frame in one writev", conn.writes, len(sent))
 	}
 }
