@@ -519,8 +519,9 @@ func BuildPipeline(stagesSpec, aggSpec string, opts PipelineOptions) (*Pipeline,
 // stage (multiplies each gradient's Equation-3 factor).
 func StalenessStage(algo Algorithm) (Stage, error) { return pipeline.NewStalenessScale(algo) }
 
-// DPStage clips and noises each gradient (dp.Perturb) with pooled
-// per-push RNGs, so concurrent pushes stay safe and parallel.
+// DPStage clips and noises each gradient (dp.Perturb) with a generator per
+// push derived from (seed, push ordinal), so concurrent pushes stay safe
+// and parallel and a serialized push sequence replays bit-for-bit.
 func DPStage(cfg DPConfig, seed int64) (Stage, error) { return pipeline.NewDP(cfg, seed) }
 
 // NormFilterStage rejects gradients whose L2 norm exceeds max.

@@ -105,12 +105,6 @@ type edgeSnapshot struct {
 	deltas map[int]*compress.Sparse
 }
 
-// histEntry retains a superseded snapshot's params for delta precompute.
-type histEntry struct {
-	version int
-	params  []float64
-}
-
 // windowPush is one drained window ready to forward upstream.
 type windowPush struct {
 	vec          []float64
@@ -162,7 +156,7 @@ type Node struct {
 	// refresh) and guards the delta history. Lock order mu → (unlock) →
 	// upMu: the window drain captures under mu and forwards after release.
 	upMu    sync.Mutex
-	history []histEntry
+	history *compress.History
 
 	// relayHook observes every snapshot refresh as a downstream announce
 	// (OnAnnounce); the stream transport broadcasts from it.
@@ -227,6 +221,7 @@ func New(cfg Config) (*Node, error) {
 		sparseOK:   cfg.Pipeline.SparseCapable(),
 		admit:      cfg.Admission,
 		rejects:    map[string]int{},
+		history:    compress.NewHistory(cfg.DeltaHistory),
 	}
 	return n, nil
 }
@@ -602,34 +597,32 @@ func (n *Node) pullLocked(ctx context.Context, delta bool) error {
 		return protocol.Errorf(protocol.CodeInternal,
 			"aggtree: upstream served %d params, architecture needs %d", len(resp.Params), n.paramCount)
 	}
-	n.publishLocked(resp.ModelVersion, resp.ServerEpoch, params)
+	var patched []int32
+	if resp.ParamsDelta != nil {
+		patched = resp.ParamsDelta.Indices
+	}
+	n.publishLocked(resp.ModelVersion, resp.ServerEpoch, params, patched)
 	return nil
 }
 
-// publishLocked installs a new cached snapshot, maintains the delta
+// publishLocked installs a new cached snapshot, advances the delta
 // history, and relays the refresh downstream as an announce. Callers hold
-// n.upMu. An epoch change clears the history — old params are meaningless
-// as delta bases across incarnations — and relays a delta-less announce,
-// which subscribed leaves ignore until their next push conflicts.
-func (n *Node) publishLocked(version int, epoch int64, params []float64) {
+// n.upMu. patched lists the coordinates of the upstream delta params was
+// just patched with (nil after a full pull), so the history re-examines
+// only those instead of rediscovering them. An epoch change resets the
+// history — old params are meaningless as delta bases across incarnations
+// — and relays a delta-less announce, which subscribed leaves ignore until
+// their next push conflicts.
+func (n *Node) publishLocked(version int, epoch int64, params []float64, patched []int32) {
 	old := n.snap.Load()
 	if old != nil && old.version == version && old.epoch == epoch {
 		return
 	}
 	next := &edgeSnapshot{version: version, epoch: epoch, params: params}
-	if old != nil && old.epoch == epoch && n.cfg.DeltaHistory > 0 {
-		n.history = append(n.history, histEntry{version: old.version, params: old.params})
-		if len(n.history) > n.cfg.DeltaHistory {
-			n.history = n.history[len(n.history)-n.cfg.DeltaHistory:]
-		}
-		next.deltas = make(map[int]*compress.Sparse, len(n.history))
-		for _, e := range n.history {
-			if d, ok := compress.Diff(e.params, params, n.paramCount/2); ok {
-				next.deltas[e.version] = &d
-			}
-		}
+	if old != nil && old.epoch == epoch {
+		next.deltas = n.history.Advance(version, params, patched)
 	} else {
-		n.history = nil
+		n.history.Reset(version, params)
 	}
 	n.snap.Store(next)
 
@@ -690,7 +683,7 @@ func (n *Node) AbsorbUpstreamAnnounce(ann protocol.ModelAnnounce) bool {
 		n.needRefresh.Store(true)
 		return false
 	}
-	n.publishLocked(ann.ModelVersion, ann.ServerEpoch, params)
+	n.publishLocked(ann.ModelVersion, ann.ServerEpoch, params, ann.Delta.Indices)
 	return true
 }
 

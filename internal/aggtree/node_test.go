@@ -3,9 +3,12 @@ package aggtree
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
+	"fleet/internal/compress"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
 	"fleet/internal/protocol"
@@ -416,5 +419,113 @@ func TestNewValidation(t *testing.T) {
 	_, err := New(Config{Arch: nn.ArchSoftmaxMNIST, Algorithm: newAlgo()})
 	if !errors.As(err, &apiErr) || apiErr.Code != protocol.CodeInvalidArgument {
 		t.Errorf("want structured invalid_argument, got %v", err)
+	}
+}
+
+// TestEdgeDeltasMatchDiff is the edge-level equivalence oracle of the shared
+// delta history: however a refresh reached the cache — the delta pull after
+// a forward (the adjacent upstream delta is handed to the history as its
+// step), an absorbed upstream announce, a multi-version jump, a full pull
+// once the root's own history ran out, a dense window, a root restart onto a
+// new incarnation — every delta the edge publishes equals
+// compress.Diff(base, params, P/2) over the snapshots it served in this
+// incarnation, and a base Diff abandons is absent.
+func TestEdgeDeltasMatchDiff(t *testing.T) {
+	ctx := context.Background()
+	for _, depth := range []int{1, 4} {
+		root := newRoot(t, server.Config{K: 1, Seed: 7, DeltaHistory: 2})
+		up := &swapSvc{inner: root}
+		edge := newEdge(t, Config{Upstream: up, K: 1, DeltaHistory: depth, ID: 1_000_000})
+		if err := edge.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		paramCount := edge.paramCount
+		rng := rand.New(rand.NewSource(int64(depth)))
+		grad := func(dense bool) []float64 {
+			g := make([]float64, paramCount)
+			if dense {
+				for i := range g {
+					g[i] = rng.NormFloat64() * 1e-3
+				}
+				return g
+			}
+			for n := 1 + rng.Intn(10); n > 0; n-- {
+				g[rng.Intn(paramCount)] = rng.NormFloat64()
+			}
+			return g
+		}
+		rootPush := func(g []float64) { // another edge's forward: the root moves, this edge does not
+			_, v := root.Model()
+			if _, err := root.PushGradient(ctx, &protocol.GradientPush{
+				WorkerID: 9, ModelVersion: v, ModelEpoch: root.Epoch(), Gradient: g, BatchSize: 1,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		served := []*edgeSnapshot{edge.snap.Load()} // this incarnation's snapshots, oldest first
+		absorbed, published := 0, 0
+		for step := 0; step < 80; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5: // a leaf window through the edge: forward, then delta pull
+				v, e := edge.Version()
+				_, err := edge.PushGradient(ctx, &protocol.GradientPush{
+					WorkerID: 1, ModelVersion: v, ModelEpoch: e, Gradient: grad(op == 0), BatchSize: 1,
+				})
+				if err != nil && !protocol.IsCode(err, protocol.CodeVersionConflict) {
+					t.Fatal(err)
+				}
+			case op < 7: // the root moves 1–3 versions behind the edge's back
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					rootPush(grad(false))
+				}
+			case op < 9: // …and announces it over a subscribed stream
+				root.OnSnapshot(func(ann protocol.ModelAnnounce) {
+					if edge.AbsorbUpstreamAnnounce(ann) {
+						absorbed++
+					}
+				})
+				rootPush(grad(false))
+				root.OnSnapshot(nil)
+			default: // root restart: fresh incarnation, version stream rewound
+				root = newRoot(t, server.Config{K: 1, Seed: 7, DeltaHistory: 2, BootEpoch: int64(step + 1)})
+				up.set(root)
+			}
+
+			snap := edge.snap.Load()
+			if last := served[len(served)-1]; snap == last {
+				continue
+			} else if snap.epoch != last.epoch {
+				served = nil
+			}
+			bases := served
+			if len(bases) > depth {
+				bases = bases[len(bases)-depth:]
+			}
+			served = append(served, snap)
+			want := 0
+			for _, b := range bases {
+				d, ok := compress.Diff(b.params, snap.params, paramCount/2)
+				got := snap.deltas[b.version]
+				if ok != (got != nil) {
+					t.Fatalf("depth %d step %d base v%d→v%d: Diff ok=%v, published=%v", depth, step, b.version, snap.version, ok, got != nil)
+				}
+				if ok {
+					want++
+					if !reflect.DeepEqual(*got, d) {
+						t.Fatalf("depth %d step %d base v%d→v%d: published delta differs from Diff (nnz %d vs %d)",
+							depth, step, b.version, snap.version, len(got.Indices), len(d.Indices))
+					}
+				}
+			}
+			if len(snap.deltas) != want {
+				t.Fatalf("depth %d step %d: %d deltas published, Diff keeps %d", depth, step, len(snap.deltas), want)
+			}
+			published += want
+		}
+		if absorbed == 0 || published == 0 || edge.Resyncs() == 0 {
+			t.Fatalf("depth %d: sequence absorbed %d announces, published %d deltas, resynced %d times — a path went unexercised",
+				depth, absorbed, published, edge.Resyncs())
+		}
 	}
 }

@@ -1,0 +1,235 @@
+package compress
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// historyOracle is the implementation History replaced: keep the last depth
+// superseded versions and Diff every one of them against the new target.
+type historyOracle struct {
+	depth   int
+	cur     histEntry
+	entries []histEntry
+}
+
+func (o *historyOracle) reset(version int, params []float64) {
+	o.cur, o.entries = histEntry{version, params}, nil
+}
+
+func (o *historyOracle) advance(version int, params []float64) map[int]*Sparse {
+	if o.depth <= 0 {
+		o.reset(version, params)
+		return nil
+	}
+	o.entries = append(o.entries, o.cur)
+	if len(o.entries) > o.depth {
+		o.entries = o.entries[len(o.entries)-o.depth:]
+	}
+	o.cur = histEntry{version, params}
+	out := map[int]*Sparse{}
+	for _, e := range o.entries {
+		if d, ok := Diff(e.params, params, len(params)/2); ok {
+			out[e.version] = &d
+		}
+	}
+	return out
+}
+
+// TestHistoryMatchesDiff is the equivalence oracle of the composed delta
+// history: over randomized sequences of sparse, dense and mixed windows —
+// coordinates reverting to their old bits, a delta crossing the half-vector
+// bound and coming back under it, NaNs, resets (boot / incarnation change),
+// caller-supplied steps that over-report — every published delta equals
+// Diff(base, target, P/2) field for field, and presence in the map matches.
+func TestHistoryMatchesDiff(t *testing.T) {
+	const P = 64
+	// recovered counts deltas published for a base whose previous delta was
+	// abandoned: the model came back under the bound, and the history had
+	// nothing to compose from.
+	recovered := 0
+	for _, depth := range []int{-1, 1, 4} {
+		for seed := int64(0); seed < 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			h, o := NewHistory(depth), &historyOracle{depth: depth}
+			// versions[i] is every params vector published so far, reverts
+			// draw their old bits from it.
+			cur := make([]float64, P)
+			for i := range cur {
+				cur[i] = rng.NormFloat64()
+			}
+			versions := [][]float64{cur}
+			h.Reset(0, cur)
+			o.reset(0, cur)
+			composed, abandoned := 0, 0
+			var last map[int]*Sparse
+			for v := 1; v <= 60; v++ {
+				next := append([]float64(nil), cur...)
+				touched := map[int32]bool{}
+				set := func(i int, x float64) { next[i] = x; touched[int32(i)] = true }
+				switch op := rng.Intn(10); {
+				case op < 4: // sparse window
+					for n := 1 + rng.Intn(5); n > 0; n-- {
+						set(rng.Intn(P), rng.NormFloat64())
+					}
+				case op < 5: // mixed: a third of the vector, two of them cross P/2
+					for n := P / 3; n > 0; n-- {
+						set(rng.Intn(P), rng.NormFloat64())
+					}
+				case op < 6: // dense window
+					for i := range next {
+						set(i, next[i]+1)
+					}
+				case op < 8: // revert everything to an older version's bits
+					old := versions[rng.Intn(len(versions))]
+					for i := range next {
+						if rng.Intn(8) > 0 {
+							set(i, old[i])
+						}
+					}
+				case op < 9: // rewrite a few coordinates with the bits they hold, plus a NaN
+					for n := 3; n > 0; n-- {
+						i := rng.Intn(P)
+						set(i, next[i])
+					}
+					set(rng.Intn(P), math.NaN())
+				default: // incarnation change
+					h.Reset(v, next)
+					o.reset(v, next)
+					cur, versions, last = next, append(versions, next), nil
+					continue
+				}
+				// The caller's step: nothing (a full pull / the server's own
+				// drain), or the list of what it wrote — which names
+				// coordinates whose value did not move and omits the
+				// untouched NaNs Diff reports.
+				var step []int32
+				if rng.Intn(2) == 0 {
+					step = []int32{}
+					for i := int32(0); i < P; i++ {
+						if touched[i] {
+							step = append(step, i)
+						}
+					}
+				}
+				got, want := h.Advance(v, next, step), o.advance(v, next)
+				if len(got) != len(want) {
+					t.Fatalf("depth %d seed %d v%d: published bases %v, want %v", depth, seed, v, keys(got), keys(want))
+				}
+				for base, w := range want {
+					if g := got[base]; g == nil || !sameSparse(*g, *w) {
+						t.Fatalf("depth %d seed %d v%d base %d:\n got %+v\nwant %+v", depth, seed, v, base, g, w)
+					}
+					if base != v-1 && last[base] == nil {
+						recovered++
+					}
+				}
+				composed += len(got)
+				abandoned += len(o.entries) - len(want)
+				cur, versions, last = next, append(versions, next), want
+			}
+			if depth > 0 && (composed == 0 || abandoned == 0) {
+				t.Fatalf("depth %d seed %d: sequence exercised %d published and %d abandoned deltas", depth, seed, composed, abandoned)
+			}
+		}
+	}
+	if recovered == 0 {
+		t.Fatal("no sequence brought an abandoned delta back under the bound")
+	}
+}
+
+// sameSparse is field-for-field equality with NaN == NaN (DeepEqual on the
+// float bits would do, but not on the floats).
+func sameSparse(a, b Sparse) bool {
+	if a.Len != b.Len || !reflect.DeepEqual(a.Indices, b.Indices) || len(a.Values) != len(b.Values) {
+		return false
+	}
+	for i := range a.Values {
+		if math.Float64bits(a.Values[i]) != math.Float64bits(b.Values[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func keys(m map[int]*Sparse) []int {
+	var out []int
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+
+// TestHistoryRejectsBadStep: a touched list that is not strictly ascending
+// inside the vector cannot be merged; the history finds the step itself
+// instead of publishing a malformed delta.
+func TestHistoryRejectsBadStep(t *testing.T) {
+	boot := []float64{0, 2, 3, 4}
+	base := []float64{1, 2, 3, 4}
+	next := []float64{1, 9, 3, 8}
+	want, _ := Diff(base, next, 2)
+	for name, idx := range map[string][]int32{
+		"descending":   {3, 1},
+		"duplicate":    {1, 1, 3},
+		"out of range": {1, 3, 4},
+		"negative":     {-1, 1, 3},
+	} {
+		h := NewHistory(2)
+		h.Reset(0, boot)
+		h.Advance(1, base, nil) // a step is only consulted once the history knows cur's NaNs
+		got := h.Advance(2, next, idx)
+		if d := got[1]; d == nil || !sameSparse(*d, want) {
+			t.Errorf("%s step: published %+v, want %+v", name, d, want)
+		}
+	}
+}
+
+// BenchmarkHistoryAdvance closes a window at the bench/perf model size
+// (cifar100, 325 k parameters, ~1 % of them moved per window, 4 versions
+// retained) through the composed history and through the per-entry Diff
+// loop it replaced.
+func BenchmarkHistoryAdvance(b *testing.B) {
+	const P, depth, moved = 325_000, 4, 12_000
+	// The history references the current version and depth older ones, so a
+	// ring of depth+2 buffers always has one free for the next version.
+	run := func(b *testing.B, reset func(int, []float64), advance func(int, []float64) map[int]*Sparse) {
+		rng := rand.New(rand.NewSource(1))
+		ring := make([][]float64, depth+2)
+		for i := range ring {
+			ring[i] = make([]float64, P)
+		}
+		step := func(v int) []float64 {
+			next := ring[v%len(ring)]
+			copy(next, ring[(v-1)%len(ring)])
+			for n := 0; n < moved; n++ {
+				next[rng.Intn(P)] = rng.NormFloat64()
+			}
+			return next
+		}
+		reset(0, ring[0])
+		for v := 1; v <= depth; v++ {
+			advance(v, step(v))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			v := depth + 1 + i
+			next := step(v)
+			b.StartTimer()
+			if got := advance(v, next); len(got) != depth {
+				b.Fatalf("published %d deltas, want %d", len(got), depth)
+			}
+		}
+	}
+	b.Run("composed", func(b *testing.B) {
+		h := NewHistory(depth)
+		run(b, h.Reset, func(v int, p []float64) map[int]*Sparse { return h.Advance(v, p, nil) })
+	})
+	b.Run("diff-per-entry", func(b *testing.B) {
+		o := &historyOracle{depth: depth}
+		run(b, o.reset, o.advance)
+	})
+}

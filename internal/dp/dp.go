@@ -44,7 +44,7 @@ func (c Config) Validate() error {
 // *rand.Rand is not safe for concurrent use — callers invoking Perturb
 // from multiple goroutines must serialize access to rng or give each
 // goroutine its own. The serving path does the latter via pipeline.NewDP,
-// whose stage hands each concurrent push its own pooled RNG.
+// whose stage seeds a generator per push.
 func Perturb(cfg Config, rng *rand.Rand, grad []float64) float64 {
 	norm := 0.0
 	for _, v := range grad {

@@ -268,13 +268,23 @@ func (a *AdaSGD) RestoreState(st AdaSGDState) {
 }
 
 // StalenessTracker keeps a bounded history of staleness values and answers
-// quantile queries, implementing the paper's τ_thres estimation.
+// quantile queries, implementing the paper's τ_thres estimation. The
+// quantile is on every push, so beside the chronological ring the tracker
+// maintains the same values as a sorted multiset and reads the order
+// statistic off it instead of sorting the history per query.
 type StalenessTracker struct {
 	max    int
 	values []int
 	next   int
-	full   bool
+	// sorted holds the ring's values as ascending (τ, count) pairs. It has
+	// at most one pair per stored value — O(max) however large a τ a peer
+	// declares — and in practice a handful (distinct staleness values are
+	// few).
+	sorted []tauCount
 }
+
+// tauCount is one multiset entry: n stored observations of staleness tau.
+type tauCount struct{ tau, n int }
 
 // NewStalenessTracker builds a tracker bounded to max values (ring buffer).
 func NewStalenessTracker(max int) *StalenessTracker {
@@ -291,11 +301,26 @@ func (s *StalenessTracker) Add(v int) {
 	}
 	if len(s.values) < s.max {
 		s.values = append(s.values, v)
-		return
+	} else {
+		s.count(s.values[s.next], -1)
+		s.values[s.next] = v
+		s.next = (s.next + 1) % s.max
 	}
-	s.values[s.next] = v
-	s.next = (s.next + 1) % s.max
-	s.full = true
+	s.count(v, 1)
+}
+
+// count adds delta (±1) observations of v to the sorted multiset, inserting
+// or deleting v's pair as its count leaves or reaches zero.
+func (s *StalenessTracker) count(v, delta int) {
+	i := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i].tau >= v })
+	if i == len(s.sorted) || s.sorted[i].tau != v {
+		s.sorted = append(s.sorted, tauCount{})
+		copy(s.sorted[i+1:], s.sorted[i:])
+		s.sorted[i] = tauCount{tau: v}
+	}
+	if s.sorted[i].n += delta; s.sorted[i].n == 0 {
+		s.sorted = append(s.sorted[:i], s.sorted[i+1:]...)
+	}
 }
 
 // Len returns the number of stored observations.
@@ -321,7 +346,8 @@ func (s *StalenessTracker) ExportState() StalenessState {
 }
 
 // RestoreState replaces the history with a checkpointed one, truncated to
-// the tracker's capacity (most recent values win).
+// the tracker's capacity (most recent values win). The multiset is derived
+// state and is rebuilt from the values.
 func (s *StalenessTracker) RestoreState(st StalenessState) {
 	vals := st.Values
 	if len(vals) > s.max {
@@ -330,15 +356,21 @@ func (s *StalenessTracker) RestoreState(st StalenessState) {
 	s.values = make([]int, len(vals), s.max)
 	copy(s.values, vals)
 	s.next = 0
-	if len(s.values) == s.max {
-		s.full = true
-	} else {
-		s.full = false
+	sorted := append([]int(nil), s.values...)
+	sort.Ints(sorted)
+	s.sorted = s.sorted[:0]
+	for _, v := range sorted {
+		if k := len(s.sorted); k > 0 && s.sorted[k-1].tau == v {
+			s.sorted[k-1].n++
+		} else {
+			s.sorted = append(s.sorted, tauCount{tau: v, n: 1})
+		}
 	}
 }
 
 // Quantile returns the q-quantile (q in [0, 1]) of the stored history, or 0
-// when empty.
+// when empty: the nearest-rank order statistic at index ceil(q·n)−1 of the
+// sorted values.
 func (s *StalenessTracker) Quantile(q float64) float64 {
 	if len(s.values) == 0 {
 		return 0
@@ -349,12 +381,10 @@ func (s *StalenessTracker) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	sorted := make([]int, len(s.values))
-	copy(sorted, s.values)
-	sort.Ints(sorted)
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
+	idx := int(math.Ceil(q*float64(len(s.values)))) - 1
+	i := 0
+	for ; idx >= s.sorted[i].n; i++ {
+		idx -= s.sorted[i].n
 	}
-	return float64(sorted[idx])
+	return float64(s.sorted[i].tau)
 }

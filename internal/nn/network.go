@@ -167,6 +167,27 @@ func (n *Network) ApplyGradient(grad []float64, lr float64) {
 	}
 }
 
+// ApplyGradientAt is ApplyGradient restricted to the ascending coordinate
+// list idx: params[i] -= lr * grad[i] for i in idx, at O(len(idx)) instead
+// of O(params). Where grad is +0 off the list and lr is finite and positive
+// the result is bit-for-bit ApplyGradient's: x − (+0) is x for every x. (A
+// negative lr would make the skipped term −0, and −0 − (−0) is +0.)
+func (n *Network) ApplyGradientAt(idx []int32, grad []float64, lr float64) {
+	if len(grad) != n.ParamCount() {
+		panic(fmt.Sprintf("nn: ApplyGradientAt got %d values, want %d", len(grad), n.ParamCount()))
+	}
+	off, k := 0, 0
+	for _, l := range n.Layers {
+		for _, p := range l.Params() {
+			d := p.Data()
+			for ; k < len(idx) && int(idx[k]) < off+len(d); k++ {
+				d[int(idx[k])-off] -= lr * grad[idx[k]]
+			}
+			off += len(d)
+		}
+	}
+}
+
 // Accuracy evaluates top-1 accuracy over a sample set.
 func (n *Network) Accuracy(samples []Sample) float64 {
 	if len(samples) == 0 {

@@ -141,6 +141,45 @@ func TestApplyGradientIsSGDStep(t *testing.T) {
 	}
 }
 
+// TestApplyGradientAtMatchesDense: applying a gradient at the coordinates
+// where it is nonzero gives the same bits as applying it everywhere — across
+// layer boundaries, with the first and last parameter on the list, and with
+// negative zeros and a NaN among the untouched parameters.
+func TestApplyGradientAtMatchesDense(t *testing.T) {
+	build := func() *Network {
+		net := ArchTinyMNIST.Build(simrand.New(3))
+		p := net.ParamVector()
+		p[5], p[6], p[7] = math.Copysign(0, -1), math.NaN(), 0
+		net.SetParams(p)
+		return net
+	}
+	dense, sparse := build(), build()
+	n := dense.ParamCount()
+	rng := simrand.New(4)
+	for round := 0; round < 20; round++ {
+		grad := make([]float64, n)
+		picked := map[int32]bool{0: true, int32(n - 1): true}
+		for k := 0; k < 40; k++ {
+			picked[int32(rng.Intn(n))] = true
+		}
+		var idx []int32
+		for i := int32(0); int(i) < n; i++ {
+			if picked[i] {
+				idx = append(idx, i)
+				grad[i] = rng.NormFloat64()
+			}
+		}
+		dense.ApplyGradient(grad, 0.1)
+		sparse.ApplyGradientAt(idx, grad, 0.1)
+	}
+	want, got := dense.ParamVector(), sparse.ParamVector()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("param %d: sparse apply %v, dense apply %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestSameSeedSameNetwork(t *testing.T) {
 	a := ArchTinyMNIST.Build(simrand.New(42))
 	b := ArchTinyMNIST.Build(simrand.New(42))

@@ -109,6 +109,17 @@ type SparseAdder interface {
 	AddSparse(denseLen int, idx []int32, vals []float64, scale float64)
 }
 
+// TouchedDrainer is a WindowAggregator whose drain can say where its
+// direction may be nonzero. touched is non-nil only when that direction is
+// the whole drain and summed nothing but sparse gradients: it then lists,
+// ascending, every coordinate the window wrote, and the server applies the
+// direction and finds the model's step delta at those coordinates instead
+// of over all of them. nil means any coordinate may be set. The list is the
+// aggregator's scratch, valid until its next drain.
+type TouchedDrainer interface {
+	DrainTouched(apply func(direction []float64, touched []int32)) error
+}
+
 // Pipeline chains Stages in front of a WindowAggregator.
 type Pipeline struct {
 	stages []Stage
@@ -189,13 +200,26 @@ func (p *Pipeline) SparseCapable() bool {
 // Drain folds the current window into the model via apply. Errors are
 // surfaced as invalid_argument protocol errors (the window is discarded).
 func (p *Pipeline) Drain(apply func(direction []float64)) error {
-	if err := p.agg.Drain(apply); err != nil {
-		if pe, ok := err.(*protocol.Error); ok {
-			return pe
-		}
-		return protocol.Errorf(protocol.CodeInvalidArgument, "pipeline: aggregator %s: %v", p.agg.Name(), err)
+	return p.drainError(p.agg.Drain(apply))
+}
+
+// DrainTouched is Drain with the aggregator's touched list passed through
+// (see TouchedDrainer); an aggregator that keeps none reports nil.
+func (p *Pipeline) DrainTouched(apply func(direction []float64, touched []int32)) error {
+	if td, ok := p.agg.(TouchedDrainer); ok {
+		return p.drainError(td.DrainTouched(apply))
 	}
-	return nil
+	return p.Drain(func(direction []float64) { apply(direction, nil) })
+}
+
+func (p *Pipeline) drainError(err error) error {
+	if err == nil {
+		return nil
+	}
+	if pe, ok := err.(*protocol.Error); ok {
+		return pe
+	}
+	return protocol.Errorf(protocol.CodeInvalidArgument, "pipeline: aggregator %s: %v", p.agg.Name(), err)
 }
 
 // StageNames lists the composed stage names in order.

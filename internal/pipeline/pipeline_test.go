@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -95,8 +97,42 @@ func TestDPStageClipsAndIsSeeded(t *testing.T) {
 	}
 }
 
-// TestDPStageConcurrentPushes proves the DP stage's internally locked RNG
-// makes concurrent Process calls safe (run with -race).
+// TestDPStageReplaysAcrossGC: a serialized push sequence draws the same
+// noise whatever the collector does between pushes — each push's generator
+// comes from (seed, ordinal), not from a pool the GC may empty. (The pooled
+// stage forked its stream here: a collected pool member was replaced by a
+// freshly seeded one.) Distinct ordinals must also draw distinct noise.
+func TestDPStageReplaysAcrossGC(t *testing.T) {
+	run := func(gc bool) [][]float64 {
+		d, err := NewDP(dp.Config{ClipNorm: 1, NoiseMultiplier: 0.5}, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]float64
+		for i := 0; i < 12; i++ {
+			if gc {
+				runtime.GC()
+				runtime.GC() // sync.Pool victims survive one cycle
+			}
+			g := &Gradient{Vec: []float64{3, 4, 0, -1}, Meta: learning.GradientMeta{BatchSize: 10}, Scale: 1}
+			if err := d.Process(g); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, g.Vec)
+		}
+		return out
+	}
+	plain, collected := run(false), run(true)
+	if !reflect.DeepEqual(plain, collected) {
+		t.Fatalf("noise stream forked across GC cycles:\n%v\n%v", plain, collected)
+	}
+	if reflect.DeepEqual(plain[0], plain[1]) {
+		t.Fatalf("pushes 0 and 1 drew identical noise: %v", plain[0])
+	}
+}
+
+// TestDPStageConcurrentPushes proves concurrent Process calls are safe: each
+// push draws from a generator of its own (run with -race).
 func TestDPStageConcurrentPushes(t *testing.T) {
 	d, err := NewDP(dp.Config{ClipNorm: 1, NoiseMultiplier: 1}, 1)
 	if err != nil {
@@ -167,6 +203,101 @@ func TestMeanWindowSumsScaledGradients(t *testing.T) {
 		if called {
 			t.Fatalf("shards=%d: drain of an empty window applied mass", shards)
 		}
+	}
+}
+
+// TestMeanWindowReportsTouched: a window of sparse Adds drains with the
+// ascending union of their coordinates and is zeroed there; one dense Add
+// makes the window opaque (nil) for that drain only; the plain Drain sees
+// the same directions either way.
+func TestMeanWindowReportsTouched(t *testing.T) {
+	const P = 200
+	m := NewMeanWindow(1)
+	drain := func() (dir []float64, touched []int32, calls int) {
+		err := m.DrainTouched(func(d []float64, at []int32) {
+			dir, touched = append([]float64(nil), d...), nil
+			if at != nil {
+				touched = append([]int32{}, at...)
+			}
+			calls++
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	m.AddSparse(P, []int32{3, 64, 199}, []float64{1, 2, 3}, 2)
+	m.AddSparse(P, []int32{0, 64, 130}, []float64{5, 5, 5}, 1)
+	dir, touched, calls := drain()
+	if want := []int32{0, 3, 64, 130, 199}; calls != 1 || !reflect.DeepEqual(touched, want) {
+		t.Fatalf("sparse window: %d applies, touched %v, want one with %v", calls, touched, want)
+	}
+	if dir[0] != 5 || dir[3] != 2 || dir[64] != 9 || dir[130] != 5 || dir[199] != 6 {
+		t.Fatalf("sparse window direction wrong at the touched coordinates: %v", dir)
+	}
+
+	// The drained window left nothing behind: the next one reports only its own.
+	m.AddSparse(P, []int32{7}, []float64{1}, 1)
+	if dir, touched, _ = drain(); !reflect.DeepEqual(touched, []int32{7}) || dir[64] != 0 || dir[7] != 1 {
+		t.Fatalf("second window: touched %v, dir[64]=%v dir[7]=%v", touched, dir[64], dir[7])
+	}
+
+	// A dense Add anywhere in the window hides the list — before or after
+	// the sparse ones — and the window after it is sparse again.
+	dense := make([]float64, P)
+	dense[150] = 4
+	m.AddSparse(P, []int32{9}, []float64{1}, 1)
+	m.Add(dense, 1)
+	m.AddSparse(P, []int32{11}, []float64{1}, 1)
+	if dir, touched, calls = drain(); calls != 1 || touched != nil || dir[9] != 1 || dir[11] != 1 || dir[150] != 4 {
+		t.Fatalf("mixed window: %d applies, touched %v, dir[9,11,150]=%v,%v,%v", calls, touched, dir[9], dir[11], dir[150])
+	}
+	m.AddSparse(P, []int32{12}, []float64{1}, 1)
+	if dir, touched, _ = drain(); !reflect.DeepEqual(touched, []int32{12}) || dir[9] != 0 || dir[150] != 0 {
+		t.Fatalf("window after a dense one: touched %v, stale mass dir[9]=%v dir[150]=%v", touched, dir[9], dir[150])
+	}
+
+	// The plain Drain is the same walk without the lists.
+	m.AddSparse(P, []int32{1, 2}, []float64{1, 1}, 3)
+	var plain []float64
+	if err := m.Drain(func(d []float64) { plain = append([]float64(nil), d...) }); err != nil {
+		t.Fatal(err)
+	}
+	if plain[1] != 3 || plain[2] != 3 {
+		t.Fatalf("plain drain direction %v", plain[:4])
+	}
+	if _, _, calls = drain(); calls != 0 {
+		t.Fatal("plain Drain left the window dirty")
+	}
+
+	// A dirty window no sparse Add wrote a coordinate into is still sparse:
+	// an empty list, not the nil that means "anything may be set".
+	m.AddSparse(P, nil, nil, 1)
+	if _, touched, calls = drain(); calls != 1 || touched == nil || len(touched) != 0 {
+		t.Fatalf("empty sparse window: %d applies, touched %v (nil: %v)", calls, touched, touched == nil)
+	}
+	fresh := NewMeanWindow(1)
+	fresh.AddSparse(P, nil, nil, 1)
+	if err := fresh.DrainTouched(func(_ []float64, at []int32) {
+		if at == nil {
+			t.Fatal("first drain of an empty sparse window reported nil")
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A striped window drains one direction per dirty shard, and no list
+	// describes their sum: it keeps none.
+	two := NewMeanWindow(2)
+	two.AddSparse(P, []int32{1}, []float64{1}, 1)
+	two.AddSparse(P, []int32{2}, []float64{1}, 1)
+	calls = 0
+	if err := two.DrainTouched(func(_ []float64, at []int32) {
+		if calls++; at != nil {
+			t.Fatalf("striped window reported a touched list %v", at)
+		}
+	}); err != nil || calls != 2 {
+		t.Fatalf("two shards: %d applies, err %v", calls, err)
 	}
 }
 

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
+	randv2 "math/rand/v2"
+	"sync/atomic"
 
 	"fleet/internal/dp"
 	"fleet/internal/learning"
@@ -45,25 +46,30 @@ func (s StalenessScale) SparseSafe() bool { return true }
 // DP is the differential-privacy stage: per-gradient L2 clipping plus
 // Gaussian noise (dp.Perturb), with the noise std divided by the push's
 // mini-batch size. dp.Perturb's *rand.Rand is not safe for concurrent use,
-// so the stage keeps a pool of RNGs — each concurrent push checks one out
-// for the O(params) noise loop, and only the seeding of fresh pool members
-// synchronizes on a mutex. Concurrent pushes therefore noise in parallel
-// instead of serializing on one generator. The seed pins the sequence in
-// which pool members are created, not the full noise stream: under
-// concurrency (or across GC cycles, which may reclaim pooled RNGs) the
-// exact draws depend on scheduling.
+// so every push gets a generator of its own, seeded from (stage seed, push
+// ordinal): concurrent pushes noise in parallel with no shared state beyond
+// one atomic counter, and a serialized push sequence replays bit-for-bit —
+// the n-th push through the stage always draws the same stream, whatever
+// the GC or the scheduler did in between. Under concurrency the seed pins
+// each ordinal's stream, not which push obtains which ordinal.
 type DP struct {
-	cfg dp.Config
-
-	// seedMu guards seedRng, the master generator that seeds pool members.
-	seedMu  sync.Mutex
-	seedRng *rand.Rand
-	pool    sync.Pool
+	cfg  dp.Config
+	seed uint64
+	// pushes is the ordinal of the next push through the stage.
+	pushes atomic.Uint64
 }
 
+// pcgSource adapts math/rand/v2's PCG (two words of state, seeded in a few
+// nanoseconds — unlike the 607-word rand.NewSource) to the math/rand source
+// dp.Perturb's *rand.Rand draws from.
+type pcgSource struct{ *randv2.PCG }
+
+func (s pcgSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+func (s pcgSource) Seed(int64)   {}
+
 // NewDP builds a DP stage; cfg.BatchSize is overridden per gradient by the
-// push's batch size. The seed derives every pool member's RNG (see the
-// type comment for the limits of reproducibility).
+// push's batch size. The seed derives every push's noise stream (see the
+// type comment).
 func NewDP(cfg dp.Config, seed int64) (*DP, error) {
 	if cfg.ClipNorm <= 0 {
 		return nil, fmt.Errorf("pipeline: dp stage needs a positive ClipNorm, got %v", cfg.ClipNorm)
@@ -71,14 +77,7 @@ func NewDP(cfg dp.Config, seed int64) (*DP, error) {
 	if cfg.NoiseMultiplier < 0 {
 		return nil, fmt.Errorf("pipeline: dp stage needs a non-negative NoiseMultiplier, got %v", cfg.NoiseMultiplier)
 	}
-	d := &DP{cfg: cfg, seedRng: rand.New(rand.NewSource(seed))}
-	d.pool.New = func() interface{} {
-		d.seedMu.Lock()
-		s := d.seedRng.Int63()
-		d.seedMu.Unlock()
-		return rand.New(rand.NewSource(s))
-	}
-	return d, nil
+	return &DP{cfg: cfg, seed: uint64(seed)}, nil
 }
 
 // Name implements Stage.
@@ -98,9 +97,12 @@ func (d *DP) Process(g *Gradient) error {
 	}
 	vec := make([]float64, len(g.Vec))
 	copy(vec, g.Vec)
-	rng := d.pool.Get().(*rand.Rand)
-	dp.Perturb(cfg, rng, vec)
-	d.pool.Put(rng)
+	// The ordinal (counted from 0) goes through a splitmix64 finalizer so
+	// consecutive pushes do not start from adjacent PCG states.
+	n := (d.pushes.Add(1) - 1) * 0x9e3779b97f4a7c15
+	n = (n ^ n>>30) * 0xbf58476d1ce4e5b9
+	n = (n ^ n>>27) * 0x94d049bb133111eb
+	dp.Perturb(cfg, rand.New(pcgSource{randv2.NewPCG(d.seed, n^n>>31)}), vec)
 	g.Vec = vec
 	return nil
 }

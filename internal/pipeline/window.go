@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -15,7 +16,14 @@ type meanShard struct {
 	mu    sync.Mutex
 	accum []float64
 	dirty bool
-	_     [64]byte
+	// touched has one bit per coordinate scattered into since the last
+	// drain, maintained while every Add of the window was sparse; a dense
+	// Add sets dense and the bitmap is ignored until the drain clears both.
+	// Only a single-shard window keeps one (nil otherwise): striped windows
+	// drain several directions, and no one list describes their sum.
+	touched []uint64
+	dense   bool
+	_       [64]byte
 }
 
 // MeanWindow is the default window aggregator: the K-sum of Equation 3,
@@ -27,6 +35,8 @@ type meanShard struct {
 // reorders, never loses, gradient mass.
 type MeanWindow struct {
 	shards []meanShard
+	// idx is DrainTouched's scratch: the shard's touched coordinates.
+	idx []int32
 	// cursor round-robins Adds across shards.
 	cursor atomic.Uint64
 	// alloc sizes the shard buffers on first Add (the pipeline learns the
@@ -49,17 +59,13 @@ func (m *MeanWindow) Name() string { return fmt.Sprintf("mean(shards=%d)", len(m
 // Add implements WindowAggregator: O(params) accumulation under this
 // shard's lock only, so Adds on different shards proceed in parallel.
 func (m *MeanWindow) Add(vec []float64, scale float64) {
-	m.alloc.Do(func() {
-		for i := range m.shards {
-			m.shards[i].accum = make([]float64, len(vec))
-		}
-	})
+	m.alloc.Do(func() { m.allocate(len(vec)) })
 	sh := &m.shards[m.cursor.Add(1)%uint64(len(m.shards))]
 	sh.mu.Lock()
 	for i, g := range vec {
 		sh.accum[i] += scale * g
 	}
-	sh.dirty = true
+	sh.dirty, sh.dense = true, true
 	sh.mu.Unlock()
 }
 
@@ -70,16 +76,27 @@ func (m *MeanWindow) Add(vec []float64, scale float64) {
 // the untouched coordinates would only have received identity +0 adds —
 // while skipping the O(params) allocation and loop per push.
 func (m *MeanWindow) AddSparse(denseLen int, idx []int32, vals []float64, scale float64) {
-	m.alloc.Do(func() {
-		for i := range m.shards {
-			m.shards[i].accum = make([]float64, denseLen)
-		}
-	})
+	m.alloc.Do(func() { m.allocate(denseLen) })
 	sh := &m.shards[m.cursor.Add(1)%uint64(len(m.shards))]
 	sh.mu.Lock()
 	tensor.ScatterAddScaled(sh.accum, idx, vals, scale)
+	if sh.touched != nil && !sh.dense {
+		for _, c := range idx {
+			sh.touched[c>>6] |= 1 << (c & 63)
+		}
+	}
 	sh.dirty = true
 	sh.mu.Unlock()
+}
+
+func (m *MeanWindow) allocate(params int) {
+	for i := range m.shards {
+		m.shards[i].accum = make([]float64, params)
+	}
+	if len(m.shards) == 1 {
+		m.shards[0].touched = make([]uint64, (params+63)/64)
+		m.idx = []int32{} // non-nil: an empty list is not "anything may be set"
+	}
 }
 
 // Drain implements WindowAggregator: every dirty shard is applied and
@@ -88,16 +105,38 @@ func (m *MeanWindow) AddSparse(denseLen int, idx []int32, vals []float64, scale 
 // pick up mass that pushes of the next window have already accumulated —
 // mass is only ever reordered across versions, never lost or duplicated.
 func (m *MeanWindow) Drain(apply func(direction []float64)) error {
+	return m.DrainTouched(func(direction []float64, _ []int32) { apply(direction) })
+}
+
+// DrainTouched implements TouchedDrainer: Drain, telling apply which
+// coordinates the window scattered into when one shard holds the whole
+// window and all of its Adds were sparse (nil otherwise). Such a shard is
+// zeroed at those coordinates only.
+func (m *MeanWindow) DrainTouched(apply func(direction []float64, touched []int32)) error {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		if sh.dirty {
-			apply(sh.accum)
-			for j := range sh.accum {
-				sh.accum[j] = 0
+		switch {
+		case !sh.dirty:
+		case sh.touched == nil || sh.dense:
+			apply(sh.accum, nil)
+			clear(sh.accum)
+			clear(sh.touched)
+		default:
+			idx := m.idx[:0]
+			for w, word := range sh.touched {
+				for ; word != 0; word &= word - 1 {
+					idx = append(idx, int32(w<<6|bits.TrailingZeros64(word)))
+				}
+				sh.touched[w] = 0
 			}
-			sh.dirty = false
+			apply(sh.accum, idx)
+			for _, c := range idx {
+				sh.accum[c] = 0
+			}
+			m.idx = idx
 		}
+		sh.dirty, sh.dense = false, false
 		sh.mu.Unlock()
 	}
 	return nil

@@ -4,13 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
+	"fleet/internal/compress"
 	"fleet/internal/device"
 	"fleet/internal/iprof"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
+	"fleet/internal/persist"
 	"fleet/internal/protocol"
 	"fleet/internal/sched"
 	"fleet/internal/simrand"
@@ -587,4 +592,120 @@ func BenchmarkRequestTask(b *testing.B) {
 			}
 		})
 	})
+}
+
+// TestPublishedDeltasMatchDiff is the server-level equivalence oracle of the
+// composed delta history: a server just built by Restore (empty history)
+// runs windows of top-k pushes (applied and diffed at the touched
+// coordinates only), dense and mixed windows, windows that cancel the
+// previous one, and a NaN a peer slipped in — and after every drain each
+// delta the snapshot publishes must equal compress.Diff(base, params, P/2)
+// against the params that version served, and a version Diff abandons must
+// be absent.
+func TestPublishedDeltasMatchDiff(t *testing.T) {
+	ctx := context.Background()
+	for _, depth := range []int{1, 4} {
+		donor := newTestServer(t, Config{Algorithm: learning.SSGD{}, K: 2})
+		pushN(t, donor, 6)
+		params, version := donor.Model()
+		s, err := Restore(Config{
+			Arch: nn.ArchSoftmaxMNIST, Algorithm: learning.SSGD{}, LearningRate: 0.1, K: 2, DeltaHistory: depth,
+		}, &persist.State{Arch: nn.ArchSoftmaxMNIST.String(), Version: version, Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := s.snap.Load().deltas; len(d) != 0 {
+			t.Fatalf("restored server published %d deltas before any drain", len(d))
+		}
+
+		rng := simrand.New(int64(depth))
+		// topk is a sparse push of n random coordinates, ascending.
+		topk := func(n int) *protocol.GradientPush {
+			picked := rng.Perm(s.paramCount)[:n]
+			sort.Ints(picked)
+			p := &protocol.GradientPush{GradientLen: s.paramCount}
+			for _, c := range picked {
+				p.SparseIndices = append(p.SparseIndices, int32(c))
+				p.SparseValues = append(p.SparseValues, rng.NormFloat64())
+			}
+			return p
+		}
+		negated := func(p *protocol.GradientPush) *protocol.GradientPush {
+			q := &protocol.GradientPush{GradientLen: p.GradientLen, SparseIndices: p.SparseIndices}
+			for _, v := range p.SparseValues {
+				q.SparseValues = append(q.SparseValues, -v)
+			}
+			for _, v := range p.Gradient {
+				q.Gradient = append(q.Gradient, -v)
+			}
+			return q
+		}
+		dense := func() *protocol.GradientPush {
+			p := &protocol.GradientPush{Gradient: make([]float64, s.paramCount)}
+			for i := range p.Gradient {
+				p.Gradient[i] = rng.NormFloat64() * 1e-3
+			}
+			return p
+		}
+
+		served := []*modelSnapshot{s.snap.Load()} // every snapshot of this incarnation
+		var last [2]*protocol.GradientPush
+		for w := 0; w < 60; w++ {
+			var window [2]*protocol.GradientPush
+			switch op := rng.Intn(8); {
+			case op == 0: // dense window: past the half-vector bound
+				window = [2]*protocol.GradientPush{dense(), topk(3)}
+			case op == 1 && last[0] != nil: // cancel the previous window: most coordinates revert
+				window = [2]*protocol.GradientPush{negated(last[0]), negated(last[1])}
+			case op == 2: // a sparse window with a few coordinates in dense form: opaque, but sparse
+				g := topk(5).SparseIndices
+				window = [2]*protocol.GradientPush{{Gradient: make([]float64, s.paramCount)}, topk(4)}
+				for _, c := range g {
+					window[0].Gradient[c] = 1
+				}
+			case w == 30: // a peer pushes a NaN: it stays in the model, and in every delta
+				window = [2]*protocol.GradientPush{topk(2), topk(2)}
+				window[0].SparseValues[0] = math.NaN()
+			default:
+				window = [2]*protocol.GradientPush{topk(1 + rng.Intn(20)), topk(1 + rng.Intn(20))}
+			}
+			last = window
+			for _, push := range window { // K=2: the second push closes the window
+				push.ModelVersion, push.ModelEpoch = s.snap.Load().version, s.epoch
+				push.BatchSize, push.LabelCounts = 1, []int{1}
+				if _, err := s.PushGradient(ctx, push); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := s.snap.Load()
+			served = append(served, snap)
+			bases := served[:len(served)-1]
+			if len(bases) > depth {
+				bases = bases[len(bases)-depth:]
+			}
+			want := 0
+			for _, b := range bases {
+				d, ok := compress.Diff(b.params, snap.params, s.paramCount/2)
+				got := snap.deltas[b.version]
+				if ok != (got != nil) {
+					t.Fatalf("depth %d window %d base v%d: Diff ok=%v, published=%v", depth, w, b.version, ok, got != nil)
+				}
+				if !ok {
+					continue
+				}
+				want++
+				same := got.Len == d.Len && reflect.DeepEqual(got.Indices, d.Indices) && len(got.Values) == len(d.Values)
+				for i := 0; same && i < len(d.Values); i++ {
+					same = math.Float64bits(got.Values[i]) == math.Float64bits(d.Values[i])
+				}
+				if !same {
+					t.Fatalf("depth %d window %d base v%d: published delta differs from Diff (nnz %d vs %d)",
+						depth, w, b.version, len(got.Indices), len(d.Indices))
+				}
+			}
+			if len(snap.deltas) != want {
+				t.Fatalf("depth %d window %d: %d deltas published, Diff keeps %d", depth, w, len(snap.deltas), want)
+			}
+		}
+	}
 }

@@ -170,12 +170,6 @@ type modelSnapshot struct {
 	deltas map[int]*compress.Sparse
 }
 
-// histEntry retains a superseded snapshot's params for delta precompute.
-type histEntry struct {
-	version int
-	params  []float64 // shared with the snapshot that published it
-}
-
 // Server is the FLeet parameter server. All exported methods are safe for
 // concurrent use.
 type Server struct {
@@ -216,7 +210,7 @@ type Server struct {
 	model       *nn.Network
 	version     int
 	pending     int
-	history     []histEntry
+	history     *compress.History
 	gradientsIn int
 	// leafGradients counts individual worker gradients: an aggregated
 	// push from an edge tier (GradientPush.Contributing > 0) adds its
@@ -372,8 +366,9 @@ func New(cfg Config) (*Server, error) {
 		admit:      cfg.Admission,
 		rejects:    map[string]int{},
 		epoch:      cfg.BootEpoch,
+		history:    compress.NewHistory(cfg.DeltaHistory),
 	}
-	s.snap.Store(&modelSnapshot{version: 0, params: model.ParamVector()})
+	s.publishBoot(0)
 	if cfg.Checkpointer != nil {
 		s.ckptQ = make(chan ckptReq, ckptQueueDepth)
 		s.ckptQuit = make(chan struct{})
@@ -381,6 +376,14 @@ func New(cfg Config) (*Server, error) {
 		go s.ckptWriter()
 	}
 	return s, nil
+}
+
+// publishBoot publishes the model as it stands at boot (fresh or restored)
+// as the first snapshot of this incarnation, with an empty delta history.
+func (s *Server) publishBoot(version int) {
+	params := s.model.ParamVector()
+	s.history.Reset(version, params)
+	s.snap.Store(&modelSnapshot{version: version, params: params})
 }
 
 // Pipeline returns the server's composed update pipeline.
@@ -739,31 +742,29 @@ func (s *Server) OnSnapshot(fn func(protocol.ModelAnnounce)) {
 // its gradient is committed either way, so the push is not retriable;
 // built-in aggregators never error on server-validated windows.
 //
-// This is also where the O(params) cost of the lock-free pull path lives:
-// one ParamVector copy for the new snapshot plus up to DeltaHistory sparse
-// diffs — paid once per K-window, never per RequestTask. A diff that goes
-// denser than half the vector is abandoned mid-scan (Diff's maxNNZ bound)
-// and its version falls back to full pulls.
+// This is also where the cost of the lock-free pull path lives, paid once
+// per K-window and never per RequestTask: one ParamVector copy for the new
+// snapshot, one v−1→v step delta (a diff of the two vectors, or of the
+// coordinates a window of sparse pushes touched), and per older history
+// entry a merge over only the coordinates that moved (compress.History).
+// A delta denser than half the vector is abandoned and its version falls
+// back to full pulls.
 func (s *Server) drainLocked() error {
-	err := s.pipe.Drain(func(direction []float64) {
-		s.model.ApplyGradient(direction, s.cfg.LearningRate)
+	// A window of sparse pushes only is applied at the coordinates they
+	// touched, and the step delta is found there too.
+	var touched []int32
+	err := s.pipe.DrainTouched(func(direction []float64, at []int32) {
+		if touched = at; at == nil {
+			s.model.ApplyGradient(direction, s.cfg.LearningRate)
+		} else {
+			s.model.ApplyGradientAt(at, direction, s.cfg.LearningRate)
+		}
 	})
 	s.version++
 
 	old := s.snap.Load()
 	next := &modelSnapshot{version: s.version, params: s.model.ParamVector()}
-	if h := s.cfg.DeltaHistory; h > 0 {
-		s.history = append(s.history, histEntry{version: old.version, params: old.params})
-		if len(s.history) > h {
-			s.history = s.history[len(s.history)-h:]
-		}
-		next.deltas = make(map[int]*compress.Sparse, len(s.history))
-		for _, e := range s.history {
-			if d, ok := compress.Diff(e.params, next.params, s.paramCount/2); ok {
-				next.deltas[e.version] = &d
-			}
-		}
-	}
+	next.deltas = s.history.Advance(next.version, next.params, touched)
 	s.snap.Store(next)
 
 	// Snapshot-publish notification: captured here so the announce carries
@@ -937,7 +938,7 @@ func Restore(cfg Config, st *persist.State) (*Server, error) {
 	s.epoch = st.Epoch + 1
 	s.tasksServed.Store(st.TasksServed)
 	s.tasksDropped.Store(st.TasksDropped)
-	s.snap.Store(&modelSnapshot{version: st.Version, params: s.model.ParamVector()})
+	s.publishBoot(st.Version)
 	if st.AdaSGD != nil {
 		if a, ok := s.cfg.Algorithm.(*learning.AdaSGD); ok {
 			a.RestoreState(*st.AdaSGD)

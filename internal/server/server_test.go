@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -430,7 +431,48 @@ func benchmarkPushSparse(b *testing.B, shards int, ascending bool) {
 	})
 }
 
+// benchmarkPushWindowClose measures one whole sparse window at a realistic
+// model size: the cifar100 CNN (325 k parameters), top-k 1 % uplinks, K=4,
+// DeltaHistory=4 — the bench/perf stream-tenant-sparse posture without the
+// wire. One op is four pushes, the last of which closes the window: apply,
+// snapshot copy, step diff and the composed delta history.
+func benchmarkPushWindowClose(b *testing.B) {
+	ctx := context.Background()
+	s := newTestServer(b, Config{K: 4, Arch: nn.ArchCIFAR100})
+	rng := simrand.New(1)
+	k := s.paramCount / 100
+	pool := make([]*protocol.GradientPush, 16)
+	for p := range pool {
+		picked := rng.Perm(s.paramCount)[:k]
+		sort.Ints(picked)
+		idx, vals := make([]int32, k), make([]float64, k)
+		for i, c := range picked {
+			idx[i], vals[i] = int32(c), rng.NormFloat64()*1e-3
+		}
+		pool[p] = &protocol.GradientPush{
+			GradientLen: s.paramCount, SparseIndices: idx, SparseValues: vals,
+			BatchSize: 10, LabelCounts: make([]int, s.classes),
+		}
+	}
+	push := func(i int) {
+		g := pool[i%len(pool)]
+		g.ModelVersion = s.snap.Load().version
+		if _, err := s.PushGradient(ctx, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*(s.cfg.DeltaHistory+1); i++ { // fill the delta history
+		push(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < 4*b.N; i++ {
+		push(i)
+	}
+}
+
 func BenchmarkPushGradient(b *testing.B) {
+	b.Run("sparse-window-close", benchmarkPushWindowClose)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { benchmarkPush(b, shards) })
 	}
