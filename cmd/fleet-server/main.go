@@ -199,7 +199,7 @@ func buildServer(args []string, stderr io.Writer) (*serverSetup, error) {
 		ckptRecover = fs.String("checkpoint-recover", "latest", `startup policy with -checkpoint-dir: "latest" restores the newest valid checkpoint and refuses to boot without one; "fresh" additionally allows initializing a new model when the directory holds no checkpoint at all (corruption still refuses)`)
 
 		tenantsFile   = fs.String("tenants", "", "JSON file declaring the tenant fleet (array of tenant configs); switches the server to multi-tenant mode")
-		defaultTenant = fs.String("default-tenant", "", "tenant that legacy/un-tenanted routes alias to (default: the first declared tenant)")
+		defaultTenant = fs.String("default-tenant", "", "tenant that un-tenanted routes alias to (default: the first declared tenant)")
 		mintToken     = fs.String("mint-token", "", "mint the bearer token for tenant:workerID against the declared tenant's secret, print it and exit (operator utility; requires the same -tenant/-tenants flags as the server boot)")
 	)
 	var tenantSpecs stringList

@@ -71,7 +71,6 @@ func buildWorker(args []string, stderr io.Writer) (*workerSetup, error) {
 		compressK  = fs.Int("compress-k", 0, "top-k sparse uplink coordinates (0 sends dense gradients); deprecated spelling of -compress 'topk(k)'")
 		compress   = fs.String("compress", "", `uplink compression chain, e.g. "topk(16)", "topk(16),q8", "topk(16),f16" (empty sends dense gradients; supersedes -compress-k)`)
 		fullPull   = fs.Bool("full-pull", false, "always download the full model (disable delta pulls)")
-		legacy     = fs.Bool("legacy", false, "speak the unversioned pre-v1 routes")
 		timeout    = fs.Duration("timeout", 30*time.Second, "per-round deadline")
 		tenantName = fs.String("tenant", "", "tenant to serve on a multi-tenant server (empty: the server's default tenant)")
 		token      = fs.String("token", "", "bearer token minted for (tenant, worker id); required when the tenant enforces authentication")
@@ -94,22 +93,10 @@ func buildWorker(args []string, stderr io.Writer) (*workerSetup, error) {
 	default:
 		return nil, fmt.Errorf("unknown codec %q (want gob, json or flat)", *codecName)
 	}
-	if *legacy && *codecName != "gob" {
-		return nil, fmt.Errorf("-legacy speaks the pre-v1 gob+gzip dialect only; drop -codec or -legacy")
-	}
 	switch *transport {
 	case "http", "stream":
 	default:
 		return nil, fmt.Errorf("unknown -transport %q (want http or stream)", *transport)
-	}
-	if *transport == "stream" && *legacy {
-		return nil, fmt.Errorf("-legacy speaks the pre-v1 HTTP routes; the stream transport has no legacy dialect")
-	}
-	if *legacy && *compress != "" {
-		return nil, fmt.Errorf("-legacy speaks the pre-v1 dialect, which predates tagged compression chains; use -compress-k or drop -legacy")
-	}
-	if *legacy && (*tenantName != "" || *token != "") {
-		return nil, fmt.Errorf("-legacy speaks the pre-v1 routes, which carry no tenant credentials; drop -tenant/-token or -legacy")
 	}
 
 	model, err := device.ModelByName(*deviceName)
@@ -165,7 +152,7 @@ func buildWorker(args []string, stderr io.Writer) (*workerSetup, error) {
 		}
 		st.client = st.strm
 	} else {
-		st.client = &worker.Client{BaseURL: *serverURL, Codec: codec, Legacy: *legacy, Tenant: *tenantName, Token: *token}
+		st.client = &worker.Client{BaseURL: *serverURL, Codec: codec, Tenant: *tenantName, Token: *token}
 	}
 	return st, nil
 }

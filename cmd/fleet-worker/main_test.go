@@ -18,13 +18,11 @@ import (
 
 func TestBuildWorkerFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{"-codec", "xml"},                   // unknown codec
-		{"-legacy", "-codec", "json"},       // legacy is gob-only
-		{"-device", "No Such Phone"},        // not in the catalogue
-		{"-transport", "telegraph"},         // unknown transport
-		{"-transport", "stream", "-legacy"}, // stream has no legacy dialect
-		{"-bogus"},                          // unknown flag
-		{"stray"},                           // positional junk
+		{"-codec", "xml"},            // unknown codec
+		{"-device", "No Such Phone"}, // not in the catalogue
+		{"-transport", "telegraph"},  // unknown transport
+		{"-bogus"},                   // unknown flag
+		{"stray"},                    // positional junk
 	} {
 		if _, err := buildWorker(args, io.Discard); err == nil {
 			t.Errorf("args %v built without error", args)
@@ -45,7 +43,7 @@ func TestBuildWorkerRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("http transport built client %T, want *worker.Client", st.client)
 	}
-	if cl.BaseURL != "http://example.test:9" || cl.Legacy {
+	if cl.BaseURL != "http://example.test:9" {
 		t.Fatalf("client = %+v", cl)
 	}
 	if cl.Codec.ContentType() != protocol.JSON.ContentType() {

@@ -74,7 +74,7 @@ func main() {
 	}
 
 	// Cross-cutting concerns compose around the server as interceptors;
-	// the HTTP handler serves the chained service on /v1 and legacy routes.
+	// the HTTP handler serves the chained service on the /v1 routes.
 	calls := fleet.NewCallMetrics()
 	svc := fleet.Chain(srv,
 		fleet.Recovery(),

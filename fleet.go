@@ -125,7 +125,7 @@ type ServerConfig = server.Config
 func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 
 // NewHandler exposes a Service over the versioned HTTP wire protocol
-// (/v1/task, /v1/gradient, /v1/stats plus the legacy unversioned routes).
+// (/v1/task, /v1/gradient, /v1/stats).
 func NewHandler(svc Service) http.Handler { return server.NewHandler(svc) }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@
 // window, which makes a tree the natural scale-out.
 //
 // A Node implements service.Service, so leaf workers — and every
-// transport and interceptor in the system — run against it unchanged:
+// transport and interceptor in the system — run against it unchanged. The
+// learning-task path is internal/ingest's, the one the root runs; this
+// package is the edge's window sink — what a full window does here is
+// travel upstream — plus the cached upstream snapshot the core serves from:
 //
 //	leaf ─▶ Node.RequestTask   local admission chain, model served from
 //	                           the edge's cached upstream snapshot
@@ -40,7 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fleet/internal/compress"
+	"fleet/internal/ingest"
 	"fleet/internal/iprof"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
@@ -92,20 +95,8 @@ type Config struct {
 	ID int
 }
 
-// edgeSnapshot is one immutable cached state of the upstream model, in the
-// upstream's (version, epoch) clock — the edge is transparent: leaves cache
-// exactly the coordinates the root minted, so epoch conflicts propagate
-// without translation.
-type edgeSnapshot struct {
-	version int
-	epoch   int64
-	params  []float64
-	// deltas maps an older upstream version v to the exact sparse
-	// difference params(v) → params, for version-aware leaf pulls.
-	deltas map[int]*compress.Sparse
-}
-
-// windowPush is one drained window ready to forward upstream.
+// windowPush is one window on its way upstream: the metadata of the pushes
+// folded into it and, once drained, their summed direction.
 type windowPush struct {
 	vec          []float64
 	contributing int
@@ -118,45 +109,22 @@ type windowPush struct {
 // Node is one edge aggregator. All exported methods are safe for
 // concurrent use.
 type Node struct {
-	cfg        Config
-	paramCount int
-	classes    int
-	labels     *learning.LabelTracker
-	pipe       *pipeline.Pipeline
-	// sparseOK caches pipe.SparseCapable(): top-k leaf pushes scatter
-	// straight into the edge's window without densifying (same gate as the
-	// root server's).
-	sparseOK bool
-	admit    sched.AdmissionPolicy
+	cfg Config
+	// core is the learning-task path (admission, pipeline, K-window,
+	// counters) and holds the cached upstream model as its snapshot, nil
+	// until the first sync; the node is its window sink (edgeSink).
+	core *ingest.Core[*windowPush]
 
-	// snap is the immutable cached upstream model, read lock-free by the
-	// leaf-serving paths; nil until the first sync.
-	snap atomic.Pointer[edgeSnapshot]
-
-	tasksServed  atomic.Int64
-	tasksDropped atomic.Int64
-	rejectMu     sync.Mutex
-	rejects      map[string]int
-
-	// mu guards the local window state and push counters.
-	mu            sync.Mutex
-	pending       int
-	gradientsIn   int
-	leafGradients int
-	staleSum      float64
-	drainErrors   int
-	winHas        bool
-	winContrib    int
-	winBatch      int
-	winLabels     []int
-	winStaleMin   int
-	winStaleMax   int
+	// win is the open window's metadata beside the aggregator's mass, nil
+	// while the window is empty; guarded by the core's commit lock
+	// (edgeSink.Fold, edgeSink.CloseWindow).
+	win *windowPush
 
 	// upMu serializes every upstream exchange (sync, window forward,
-	// refresh) and guards the delta history. Lock order mu → (unlock) →
-	// upMu: the window drain captures under mu and forwards after release.
-	upMu    sync.Mutex
-	history *compress.History
+	// refresh) and with them every snapshot publication. Lock order commit
+	// lock → (unlock) → upMu: the window drain captures under the commit
+	// lock and forwards after release.
+	upMu sync.Mutex
 
 	// relayHook observes every snapshot refresh as a downstream announce
 	// (OnAnnounce); the stream transport broadcasts from it.
@@ -180,48 +148,24 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Upstream == nil {
 		return nil, protocol.Errorf(protocol.CodeInvalidArgument, "aggtree: Upstream is required")
 	}
-	if cfg.Algorithm == nil {
-		return nil, protocol.Errorf(protocol.CodeInvalidArgument, "aggtree: Algorithm is required")
-	}
-	if cfg.K <= 0 {
-		cfg.K = 1
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	if cfg.DefaultBatchSize <= 0 {
-		cfg.DefaultBatchSize = 100
-	}
-	if cfg.DeltaHistory == 0 {
-		cfg.DeltaHistory = 4
-	}
-	if cfg.DeltaHistory < 0 {
-		cfg.DeltaHistory = 0
-	}
-	if cfg.Pipeline == nil {
-		stage, err := pipeline.NewStalenessScale(cfg.Algorithm)
-		if err != nil {
-			return nil, protocol.AsError(err)
-		}
-		cfg.Pipeline, err = pipeline.New(pipeline.NewMeanWindow(cfg.Shards), stage)
-		if err != nil {
-			return nil, protocol.AsError(err)
-		}
-	}
-	if cfg.Admission == nil {
-		cfg.Admission = sched.NewChain()
-	}
-	scratch := cfg.Arch.Build(simrand.New(0))
-	n := &Node{
-		cfg:        cfg,
-		paramCount: scratch.ParamCount(),
-		classes:    cfg.Arch.Classes(),
-		labels:     learning.NewLabelTracker(cfg.Arch.Classes()),
-		pipe:       cfg.Pipeline,
-		sparseOK:   cfg.Pipeline.SparseCapable(),
-		admit:      cfg.Admission,
-		rejects:    map[string]int{},
-		history:    compress.NewHistory(cfg.DeltaHistory),
+	n := &Node{cfg: cfg}
+	var err error
+	n.core, err = ingest.New(ingest.Config{
+		Name:             "aggtree",
+		ParamCount:       cfg.Arch.Build(simrand.New(0)).ParamCount(),
+		Classes:          cfg.Arch.Classes(),
+		Algorithm:        cfg.Algorithm,
+		K:                cfg.K,
+		Shards:           cfg.Shards,
+		Pipeline:         cfg.Pipeline,
+		Admission:        cfg.Admission,
+		TimeProfiler:     cfg.TimeProfiler,
+		EnergyProfiler:   cfg.EnergyProfiler,
+		DefaultBatchSize: cfg.DefaultBatchSize,
+		DeltaHistory:     cfg.DeltaHistory,
+	}, (*edgeSink)(n))
+	if err != nil {
+		return nil, err
 	}
 	return n, nil
 }
@@ -229,273 +173,89 @@ func New(cfg Config) (*Node, error) {
 // Sync pulls the upstream model now (full), so a booting edge can refuse to
 // serve instead of failing its first leaf. Idempotent once synced.
 func (n *Node) Sync(ctx context.Context) error {
-	if n.snap.Load() != nil {
-		return nil
-	}
 	n.upMu.Lock()
 	defer n.upMu.Unlock()
-	if n.snap.Load() != nil {
+	if n.core.Snapshot() != nil {
 		return nil
 	}
 	return n.pullLocked(ctx, false)
 }
 
-// ensureSynced returns the cached snapshot, lazily performing the first
-// upstream pull.
-func (n *Node) ensureSynced(ctx context.Context) (*edgeSnapshot, error) {
-	if s := n.snap.Load(); s != nil {
-		return s, nil
-	}
-	if err := n.Sync(ctx); err != nil {
-		return nil, err
-	}
-	return n.snap.Load(), nil
-}
-
 // RequestTask implements service.Service for leaf workers: the local
 // admission chain decides, and the model is served from the edge's cached
-// upstream snapshot — full, or as a sparse delta against a version the
-// edge's history retains. The accept path is lock-free and O(1) in the
-// model size, exactly like the root's.
+// upstream snapshot (ingest.Core.RequestTask).
 func (n *Node) RequestTask(ctx context.Context, req *protocol.TaskRequest) (*protocol.TaskResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
-	}
-	if _, err := n.ensureSynced(ctx); err != nil {
-		return nil, err
-	}
-	if err := protocol.ValidateLabelCounts("TaskRequest.label_counts", req.LabelCounts, n.classes); err != nil {
-		return nil, err
-	}
-
-	areq := &sched.TaskRequest{
-		Wire:       req,
-		BatchSize:  n.cfg.DefaultBatchSize,
-		Similarity: n.labels.Similarity(req.LabelCounts),
-	}
-	decision, err := n.admit.Admit(ctx, areq)
-	if err != nil {
-		return nil, protocol.AsError(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
-	}
-	if !decision.Accept {
-		n.tasksDropped.Add(1)
-		n.rejectMu.Lock()
-		n.rejects[decision.Policy]++
-		n.rejectMu.Unlock()
-		return &protocol.TaskResponse{Accepted: false, Reason: decision.Reason}, nil
-	}
-
-	n.tasksServed.Add(1)
-	snap := n.snap.Load()
-	resp := &protocol.TaskResponse{
-		Accepted:     true,
-		ModelVersion: snap.version,
-		BatchSize:    decision.BatchSize,
-		ServerEpoch:  snap.epoch,
-	}
-	if req.WantDelta && req.KnownEpoch == snap.epoch {
-		if req.KnownVersion == snap.version {
-			resp.ParamsDelta = &compress.Sparse{Len: len(snap.params)}
-			resp.DeltaBase = req.KnownVersion
-			return resp, nil
-		}
-		if d, ok := snap.deltas[req.KnownVersion]; ok {
-			resp.ParamsDelta = d
-			resp.DeltaBase = req.KnownVersion
-			return resp, nil
-		}
-	}
-	resp.Params = snap.params // shared immutable snapshot storage
-	resp.Full = true
-	return resp, nil
+	return n.core.RequestTask(ctx, req)
 }
 
 // PushGradient implements service.Service for leaf workers: the gradient
-// runs the local pipeline (staleness scaling against the edge's cached
-// clock, DP, filters) into the window aggregator; every K-th accepted push
-// drains the window and forwards the single summed direction upstream,
-// weighted by the count of contributing leaf gradients.
+// runs the local pipeline against the edge's cached clock into the window
+// aggregator (ingest.Core.PushGradient); every K-th accepted push drains
+// the window and forwards the single summed direction upstream, weighted
+// by the count of contributing leaf gradients.
 //
 // The leaf's ack never depends on the upstream exchange: by the time the
 // window forwards, this gradient is committed locally — an upstream
 // failure discards the window (counted, like a drain error) rather than
 // inviting a leaf retry that would double-contribute.
 func (n *Node) PushGradient(ctx context.Context, push *protocol.GradientPush) (*protocol.PushAck, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
-	}
-	snap, err := n.ensureSynced(ctx)
-	if err != nil {
-		return nil, err
-	}
-	// Every uplink dialect — dense, top-k, quantized top-k — decodes
-	// through the shared payload helper, exactly as at the root.
-	payload, err := protocol.DecodeGradientPayload(push, n.paramCount)
-	if err != nil {
-		return nil, err
-	}
-	if push.BatchSize <= 0 {
-		return nil, protocol.Errorf(protocol.CodeInvalidArgument,
-			"aggtree: non-positive batch size %d", push.BatchSize)
-	}
-	if err := protocol.ValidateLabelCounts("GradientPush.label_counts", push.LabelCounts, n.classes); err != nil {
-		return nil, err
-	}
-
-	if n.cfg.TimeProfiler != nil && push.CompTimeSec > 0 && len(push.TimeFeatures) > 0 {
-		n.cfg.TimeProfiler.Observe(iprof.Observation{
-			DeviceModel: push.DeviceModel,
-			Features:    push.TimeFeatures,
-			Alpha:       push.CompTimeSec / float64(push.BatchSize),
-		})
-	}
-	if n.cfg.EnergyProfiler != nil && push.EnergyPct > 0 && len(push.EnergyFeatures) > 0 {
-		n.cfg.EnergyProfiler.Observe(iprof.Observation{
-			DeviceModel: push.DeviceModel,
-			Features:    push.EnergyFeatures,
-			Alpha:       push.EnergyPct / float64(push.BatchSize),
-		})
-	}
-
-	sim := n.labels.Similarity(push.LabelCounts)
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
-	}
-
-	// The epoch gate is where a root restart cascades: after the edge
-	// resynced onto the new incarnation, every leaf push still carrying
-	// the old epoch is rejected exactly as the root would — the leaf drops
-	// its cache and re-pulls from the edge, one tier at a time.
-	if push.ModelEpoch != snap.epoch {
-		return nil, protocol.Errorf(protocol.CodeVersionConflict,
-			"aggtree: gradient from server incarnation %d (edge is at incarnation %d); re-pull and recompute",
-			push.ModelEpoch, snap.epoch)
-	}
-	staleness := snap.version - push.ModelVersion
-	if staleness < 0 {
-		return nil, protocol.Errorf(protocol.CodeVersionConflict,
-			"aggtree: gradient from future model version %d (edge at %d)", push.ModelVersion, snap.version)
-	}
-
-	// Sparse fast path, mirroring the root server: a validated ascending
-	// top-k view scatters straight into the edge window's shard
-	// accumulators; anything else densifies up front. Decoded payloads
-	// always arrive Ascending (the decoder canonicalizes duplicates with
-	// densify's last-value-wins semantics).
-	g := &pipeline.Gradient{
-		Meta: learning.GradientMeta{
-			Staleness:  staleness,
-			Similarity: sim,
-			BatchSize:  push.BatchSize,
-			WorkerID:   push.WorkerID,
-		},
-		Scale: 1,
-	}
-	if payload.Sparse() && payload.Ascending && n.sparseOK {
-		g.Vec = payload.Values
-		g.Indices = payload.Indices
-		g.DenseLen = n.paramCount
-	} else {
-		g.Vec = payload.Densify(n.paramCount)
-	}
-	if err := n.pipe.Process(g); err != nil {
-		return nil, err
-	}
-	n.cfg.Algorithm.Observe(g.Meta)
-	absorb := n.cfg.Algorithm.AbsorbWeight(g.Meta)
-	n.labels.RecordWeighted(push.LabelCounts, absorb)
-	n.pipe.Add(g)
-
-	// A push from a stacked sub-tier already aggregates Contributing leaf
-	// gradients; count its weight and fold its staleness bounds in.
-	contrib := push.Contributing
-	if contrib <= 0 {
-		contrib = 1
-	}
-	sMin, sMax := staleness, staleness
-	if push.Contributing > 0 {
-		if push.StalenessMin < sMin {
-			sMin = push.StalenessMin
-		}
-		if push.StalenessMax > sMax {
-			sMax = push.StalenessMax
-		}
-	}
-
-	var up *windowPush
-	n.mu.Lock()
-	n.gradientsIn++
-	n.leafGradients += contrib
-	n.staleSum += float64(staleness)
-	if !n.winHas {
-		n.winHas = true
-		n.winStaleMin, n.winStaleMax = sMin, sMax
-		n.winLabels = make([]int, n.classes)
-	} else {
-		if sMin < n.winStaleMin {
-			n.winStaleMin = sMin
-		}
-		if sMax > n.winStaleMax {
-			n.winStaleMax = sMax
-		}
-	}
-	n.winContrib += contrib
-	n.winBatch += push.BatchSize
-	for i, c := range push.LabelCounts {
-		n.winLabels[i] += c
-	}
-	n.pending++
-	if n.pending >= n.cfg.K {
-		n.pending = 0
-		up = n.takeWindowLocked()
-	}
-	ack := &protocol.PushAck{Applied: true, Staleness: staleness, Scale: g.Scale}
-	n.mu.Unlock()
-
-	if up != nil {
-		n.forwardWindow(ctx, up)
-	}
-	// The edge's clock after the push — refreshed when this push completed
-	// a window that advanced the upstream model, mirroring the root's ack.
-	ack.NewVersion = n.snap.Load().version
-	return ack, nil
+	return n.core.PushGradient(ctx, push)
 }
 
-// takeWindowLocked drains the local aggregator into one summed direction
-// and captures the window's metadata for the upstream push, resetting the
-// window state. Callers hold n.mu. A drain failure (a window the rule
-// rejects) discards the window — the leaves were acked, so there is no
-// addressee; it is counted in drainErrors.
-func (n *Node) takeWindowLocked() *windowPush {
-	direction := make([]float64, n.paramCount)
-	err := n.pipe.Drain(func(dir []float64) {
+// edgeSink is the node as the ingest core's window sink.
+type edgeSink Node
+
+// Sync is the lazy first upstream pull.
+func (k *edgeSink) Sync(ctx context.Context) error { return (*Node)(k).Sync(ctx) }
+
+// Fold accumulates the open window's upstream-push metadata. A push from a
+// stacked sub-tier already aggregates Contributing leaf gradients; its
+// weight is counted and its staleness bounds folded in.
+func (k *edgeSink) Fold(push *protocol.GradientPush, staleness, contrib int) {
+	n := (*Node)(k)
+	sMin, sMax := staleness, staleness
+	if push.Contributing > 0 {
+		sMin, sMax = min(sMin, push.StalenessMin), max(sMax, push.StalenessMax)
+	}
+	w := n.win
+	if w == nil {
+		w = &windowPush{labels: make([]int, n.cfg.Arch.Classes()), staleMin: sMin, staleMax: sMax}
+		n.win = w
+	}
+	w.staleMin, w.staleMax = min(w.staleMin, sMin), max(w.staleMax, sMax)
+	w.contributing += contrib
+	w.batch += push.BatchSize
+	for i, c := range push.LabelCounts {
+		w.labels[i] += c
+	}
+}
+
+// CloseWindow drains the local aggregator into one summed direction and
+// hands the window over for the upstream push. A drain failure (a window
+// the rule rejects) discards it — the leaves were acked, so there is no
+// addressee.
+func (k *edgeSink) CloseWindow(ingest.Tally) (*windowPush, error) {
+	n := (*Node)(k)
+	up := n.win
+	n.win = nil
+	up.vec = make([]float64, n.core.Config().ParamCount)
+	err := n.core.Config().Pipeline.Drain(func(dir []float64) {
 		for i, v := range dir {
-			direction[i] += v
+			up.vec[i] += v
 		}
 	})
-	up := &windowPush{
-		vec:          direction,
-		contributing: n.winContrib,
-		batch:        n.winBatch,
-		labels:       n.winLabels,
-		staleMin:     n.winStaleMin,
-		staleMax:     n.winStaleMax,
-	}
-	n.winHas = false
-	n.winContrib = 0
-	n.winBatch = 0
-	n.winLabels = nil
 	if err != nil {
-		n.drainErrors++
-		return nil
+		return nil, err
 	}
-	if up.contributing == 0 {
-		return nil // concurrent Flush already took this window
+	return up, nil
+}
+
+// Deliver forwards the window this push closed, if it closed one; the ack
+// that follows reports the edge's clock after the forward refreshed it.
+func (k *edgeSink) Deliver(ctx context.Context, up *windowPush) {
+	if up != nil {
+		(*Node)(k).forwardWindow(ctx, up)
 	}
-	return up
 }
 
 // forwardWindow pushes one drained window direction upstream and refreshes
@@ -507,12 +267,12 @@ func (n *Node) takeWindowLocked() *windowPush {
 func (n *Node) forwardWindow(ctx context.Context, w *windowPush) {
 	n.upMu.Lock()
 	defer n.upMu.Unlock()
-	cur := n.snap.Load()
+	cur := n.core.Snapshot()
 	push := &protocol.GradientPush{
 		WorkerID:     n.cfg.ID,
 		DeviceModel:  "aggtree-edge",
-		ModelVersion: cur.version,
-		ModelEpoch:   cur.epoch,
+		ModelVersion: cur.Version,
+		ModelEpoch:   cur.Epoch,
 		Gradient:     w.vec,
 		BatchSize:    w.batch,
 		LabelCounts:  w.labels,
@@ -532,7 +292,7 @@ func (n *Node) forwardWindow(ctx context.Context, w *windowPush) {
 		return
 	}
 	n.upstreamPushes.Add(1)
-	if ack.NewVersion > cur.version || n.needRefresh.Swap(false) {
+	if ack.NewVersion > cur.Version || n.needRefresh.Swap(false) {
 		// The upstream model moved (this window may have completed the
 		// upstream window, or announces were missed): refresh by delta.
 		_ = n.pullLocked(ctx, true)
@@ -543,16 +303,7 @@ func (n *Node) forwardWindow(ctx context.Context, w *windowPush) {
 // terminating edge does not strand acked leaf gradients. No-op when the
 // window is empty.
 func (n *Node) Flush(ctx context.Context) error {
-	var up *windowPush
-	n.mu.Lock()
-	if n.pending > 0 {
-		n.pending = 0
-		up = n.takeWindowLocked()
-	}
-	n.mu.Unlock()
-	if up != nil {
-		n.forwardWindow(ctx, up)
-	}
+	n.core.FlushWindow(ctx)
 	return nil
 }
 
@@ -560,12 +311,12 @@ func (n *Node) Flush(ctx context.Context) error {
 // current snapshot when delta is true, full otherwise — and publishes the
 // result. Callers hold n.upMu.
 func (n *Node) pullLocked(ctx context.Context, delta bool) error {
-	cur := n.snap.Load()
+	cur := n.core.Snapshot()
 	req := &protocol.TaskRequest{WorkerID: n.cfg.ID, DeviceModel: "aggtree-edge"}
 	if delta && cur != nil {
 		req.WantDelta = true
-		req.KnownVersion = cur.version
-		req.KnownEpoch = cur.epoch
+		req.KnownVersion = cur.Version
+		req.KnownEpoch = cur.Epoch
 	}
 	resp, err := n.cfg.Upstream.RequestTask(ctx, req)
 	if err != nil {
@@ -578,24 +329,24 @@ func (n *Node) pullLocked(ctx context.Context, delta bool) error {
 	var params []float64
 	switch {
 	case resp.ParamsDelta != nil:
-		if cur == nil || resp.DeltaBase != cur.version || resp.ServerEpoch != cur.epoch {
+		if cur == nil || resp.DeltaBase != cur.Version || resp.ServerEpoch != cur.Epoch {
 			return protocol.Errorf(protocol.CodeInternal,
 				"aggtree: upstream delta from (version %d, epoch %d), cache at (%d, %d)",
-				resp.DeltaBase, resp.ServerEpoch, cur.version, cur.epoch)
+				resp.DeltaBase, resp.ServerEpoch, cur.Version, cur.Epoch)
 		}
-		params = make([]float64, len(cur.params))
-		copy(params, cur.params)
+		params = make([]float64, len(cur.Params))
+		copy(params, cur.Params)
 		if err := resp.ParamsDelta.Patch(params); err != nil {
 			return protocol.AsError(err)
 		}
-	case len(resp.Params) == n.paramCount:
+	case len(resp.Params) == n.core.Config().ParamCount:
 		// In-process upstreams hand out their immutable snapshot storage;
 		// the edge never mutates it, so sharing is safe (and what keeps
 		// the tree's pull path O(1) in the model size).
 		params = resp.Params
 	default:
 		return protocol.Errorf(protocol.CodeInternal,
-			"aggtree: upstream served %d params, architecture needs %d", len(resp.Params), n.paramCount)
+			"aggtree: upstream served %d params, architecture needs %d", len(resp.Params), n.core.Config().ParamCount)
 	}
 	var patched []int32
 	if resp.ParamsDelta != nil {
@@ -614,29 +365,23 @@ func (n *Node) pullLocked(ctx context.Context, delta bool) error {
 // — and relays a delta-less announce, which subscribed leaves ignore until
 // their next push conflicts.
 func (n *Node) publishLocked(version int, epoch int64, params []float64, patched []int32) {
-	old := n.snap.Load()
-	if old != nil && old.version == version && old.epoch == epoch {
+	old := n.core.Snapshot()
+	if old != nil && old.Version == version && old.Epoch == epoch {
 		return
 	}
-	next := &edgeSnapshot{version: version, epoch: epoch, params: params}
-	if old != nil && old.epoch == epoch {
-		next.deltas = n.history.Advance(version, params, patched)
+	var next *ingest.Snapshot
+	if old != nil && old.Epoch == epoch {
+		next = n.core.Advance(version, params, patched)
 	} else {
-		n.history.Reset(version, params)
+		next = n.core.Boot(version, epoch, params)
 	}
-	n.snap.Store(next)
 
 	if fn := n.relayHook.Load(); fn != nil {
-		ann := protocol.ModelAnnounce{ModelVersion: version, ServerEpoch: epoch}
+		base := version // nothing to patch from before the first sync
 		if old != nil {
-			if d, ok := next.deltas[old.version]; ok {
-				// One exact patch even when the refresh jumped several
-				// versions — overwrite deltas compose by construction.
-				ann.Delta = d
-				ann.DeltaBase = old.version
-			}
+			base = old.Version
 		}
-		(*fn)(ann)
+		(*fn)(next.Announce(base))
 	}
 }
 
@@ -662,23 +407,23 @@ func (n *Node) AbsorbUpstreamAnnounce(ann protocol.ModelAnnounce) bool {
 		return false
 	}
 	defer n.upMu.Unlock()
-	cur := n.snap.Load()
+	cur := n.core.Snapshot()
 	if cur == nil {
 		return false // not synced yet; the lazy first pull fetches current
 	}
-	if ann.ServerEpoch != cur.epoch {
+	if ann.ServerEpoch != cur.Epoch {
 		n.needRefresh.Store(true)
 		return false
 	}
-	if ann.ModelVersion <= cur.version {
+	if ann.ModelVersion <= cur.Version {
 		return false // stale or duplicate
 	}
-	if ann.Delta == nil || ann.DeltaBase != cur.version {
+	if ann.Delta == nil || ann.DeltaBase != cur.Version {
 		n.needRefresh.Store(true)
 		return false
 	}
-	params := make([]float64, len(cur.params))
-	copy(params, cur.params)
+	params := make([]float64, len(cur.Params))
+	copy(params, cur.Params)
 	if err := ann.Delta.Patch(params); err != nil {
 		n.needRefresh.Store(true)
 		return false
@@ -703,8 +448,8 @@ func (n *Node) OnAnnounce(fn func(protocol.ModelAnnounce)) {
 
 // Version returns the cached upstream model clock (0, 0 before first sync).
 func (n *Node) Version() (version int, epoch int64) {
-	if s := n.snap.Load(); s != nil {
-		return s.version, s.epoch
+	if s := n.core.Snapshot(); s != nil {
+		return s.Version, s.Epoch
 	}
 	return 0, 0
 }
@@ -728,47 +473,13 @@ func (n *Node) LostWindows() int64 { return n.lostWindows.Load() }
 // Stats implements service.Service with edge-local diagnostics: the cached
 // model clock, the local pipeline/admission composition, and the tier's
 // own push counters. GradientsIn counts pushes into this edge;
-// LeafGradients the individual worker gradients they represent.
+// LeafGradients the individual worker gradients they represent; DrainErrors
+// includes the windows lost upstream.
 func (n *Node) Stats(ctx context.Context) (*protocol.Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
+	st, err := n.core.Stats(ctx)
+	if err != nil {
+		return nil, err
 	}
-	served := int(n.tasksServed.Load())
-	dropped := int(n.tasksDropped.Load())
-	n.rejectMu.Lock()
-	var rejects map[string]int
-	if len(n.rejects) > 0 {
-		rejects = make(map[string]int, len(n.rejects))
-		for k, v := range n.rejects {
-			rejects[k] = v
-		}
-	}
-	n.rejectMu.Unlock()
-
-	var version int
-	var epoch int64
-	if s := n.snap.Load(); s != nil {
-		version, epoch = s.version, s.epoch
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	mean := 0.0
-	if n.gradientsIn > 0 {
-		mean = n.staleSum / float64(n.gradientsIn)
-	}
-	return &protocol.Stats{
-		ModelVersion:      version,
-		TasksServed:       served,
-		TasksRejected:     dropped,
-		TasksDropped:      dropped,
-		GradientsIn:       n.gradientsIn,
-		LeafGradients:     n.leafGradients,
-		MeanStaleness:     mean,
-		PipelineStages:    n.pipe.StageNames(),
-		Aggregator:        n.pipe.AggregatorName(),
-		AdmissionPolicies: sched.Names(n.admit),
-		RejectsByPolicy:   rejects,
-		DrainErrors:       n.drainErrors + int(n.lostWindows.Load()),
-		ServerEpoch:       epoch,
-	}, nil
+	st.DrainErrors += int(n.lostWindows.Load())
+	return st, nil
 }

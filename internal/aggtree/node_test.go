@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fleet/internal/compress"
+	"fleet/internal/ingest"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
 	"fleet/internal/protocol"
@@ -439,7 +440,7 @@ func TestEdgeDeltasMatchDiff(t *testing.T) {
 		if err := edge.Sync(ctx); err != nil {
 			t.Fatal(err)
 		}
-		paramCount := edge.paramCount
+		paramCount := edge.core.Config().ParamCount
 		rng := rand.New(rand.NewSource(int64(depth)))
 		grad := func(dense bool) []float64 {
 			g := make([]float64, paramCount)
@@ -463,7 +464,7 @@ func TestEdgeDeltasMatchDiff(t *testing.T) {
 			}
 		}
 
-		served := []*edgeSnapshot{edge.snap.Load()} // this incarnation's snapshots, oldest first
+		served := []*ingest.Snapshot{edge.core.Snapshot()} // this incarnation's snapshots, oldest first
 		absorbed, published := 0, 0
 		for step := 0; step < 80; step++ {
 			switch op := rng.Intn(10); {
@@ -492,10 +493,10 @@ func TestEdgeDeltasMatchDiff(t *testing.T) {
 				up.set(root)
 			}
 
-			snap := edge.snap.Load()
+			snap := edge.core.Snapshot()
 			if last := served[len(served)-1]; snap == last {
 				continue
-			} else if snap.epoch != last.epoch {
+			} else if snap.Epoch != last.Epoch {
 				served = nil
 			}
 			bases := served
@@ -505,21 +506,21 @@ func TestEdgeDeltasMatchDiff(t *testing.T) {
 			served = append(served, snap)
 			want := 0
 			for _, b := range bases {
-				d, ok := compress.Diff(b.params, snap.params, paramCount/2)
-				got := snap.deltas[b.version]
+				d, ok := compress.Diff(b.Params, snap.Params, paramCount/2)
+				got := snap.Deltas[b.Version]
 				if ok != (got != nil) {
-					t.Fatalf("depth %d step %d base v%d→v%d: Diff ok=%v, published=%v", depth, step, b.version, snap.version, ok, got != nil)
+					t.Fatalf("depth %d step %d base v%d→v%d: Diff ok=%v, published=%v", depth, step, b.Version, snap.Version, ok, got != nil)
 				}
 				if ok {
 					want++
 					if !reflect.DeepEqual(*got, d) {
 						t.Fatalf("depth %d step %d base v%d→v%d: published delta differs from Diff (nnz %d vs %d)",
-							depth, step, b.version, snap.version, len(got.Indices), len(d.Indices))
+							depth, step, b.Version, snap.Version, len(got.Indices), len(d.Indices))
 					}
 				}
 			}
-			if len(snap.deltas) != want {
-				t.Fatalf("depth %d step %d: %d deltas published, Diff keeps %d", depth, step, len(snap.deltas), want)
+			if len(snap.Deltas) != want {
+				t.Fatalf("depth %d step %d: %d deltas published, Diff keeps %d", depth, step, len(snap.Deltas), want)
 			}
 			published += want
 		}

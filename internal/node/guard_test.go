@@ -3,6 +3,7 @@ package node
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -50,5 +51,64 @@ func TestCmdMainsDoNotOwnListeners(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("walking %s: %v", cmdDir, err)
+	}
+}
+
+// TestIngestAndEndpointAreSingleSourced keeps the two ingest paths and the
+// three wire endpoints from growing back. The learning-task path — payload
+// decode, the admission chain, label absorption — is called from
+// internal/ingest only, and a request body is decoded into a TaskRequest or
+// a GradientPush in service.Call only. A second call site means a node or a
+// transport has started re-implementing the path: extend ingest.Core or
+// service.Call instead. The packages that define these functions, the
+// offline simulator (internal/core: no wire, no admission chain, its own
+// Controller) and the bench/perf module (layer timings) are outside the
+// serving tree and not scanned.
+func TestIngestAndEndpointAreSingleSourced(t *testing.T) {
+	const ingest, call = "internal/ingest/ingest.go", "internal/service/call.go"
+	owners := map[string]string{
+		"protocol.DecodeGradientPayload(": ingest,
+		".Admit(ctx,":                     ingest,
+		".AbsorbWeight(":                  ingest,
+	}
+	skipped := map[string]bool{
+		"internal/protocol": true, "internal/sched": true, "internal/learning": true,
+		"internal/core": true, "bench": true, ".git": true,
+	}
+	request := regexp.MustCompile(`var (\w+) protocol\.(TaskRequest|GradientPush)\b`)
+	root := filepath.Join("..", "..")
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		if info.IsDir() {
+			if skipped[rel] {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		src := string(raw)
+		for pat, owner := range owners {
+			if n := strings.Count(src, pat); n > 0 && rel != owner || n > 1 {
+				t.Errorf("%s: %d call(s) of %q — the one call site is %s", rel, n, pat, owner)
+			}
+		}
+		for _, m := range request.FindAllStringSubmatch(src, -1) {
+			if strings.Contains(src, ", &"+m[1]+")") && strings.Contains(src, ".Decode(") && rel != call {
+				t.Errorf("%s decodes a request body into a protocol.%s — service.Call (%s) is the one endpoint", rel, m[2], call)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking %s: %v", root, err)
 	}
 }

@@ -3,11 +3,7 @@
 // the Go analogue of the paper's Kryo+Gzip Java streams (§2.4).
 package protocol
 
-import (
-	"io"
-
-	"fleet/internal/compress"
-)
+import "fleet/internal/compress"
 
 // TaskRequest is step (1) of the protocol: the worker announces itself with
 // its device information (for I-Prof) and the label distribution of its
@@ -264,10 +260,3 @@ type TenantStats struct {
 	BudgetCharges   int     `json:"budget_charges,omitempty"`
 	BudgetExhausted bool    `json:"budget_exhausted,omitempty"`
 }
-
-// Encode writes v to w as a gzip-compressed gob stream — the default wire
-// representation, and the only one the legacy (unversioned) routes speak.
-func Encode(w io.Writer, v interface{}) error { return GobGzip.Encode(w, v) }
-
-// Decode reads a gzip-compressed gob value from r into v (a pointer).
-func Decode(r io.Reader, v interface{}) error { return GobGzip.Decode(r, v) }

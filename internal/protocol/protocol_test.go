@@ -19,11 +19,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		EnergyPct:    0.05,
 	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, in); err != nil {
+	if err := GobGzip.Encode(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	var out GradientPush
-	if err := Decode(&buf, &out); err != nil {
+	if err := GobGzip.Decode(&buf, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.WorkerID != 7 || out.DeviceModel != "Galaxy S7" || out.ModelVersion != 42 {
@@ -46,7 +46,7 @@ func TestEncodeCompresses(t *testing.T) {
 	// size — that is the point of the gzip stream.
 	in := TaskResponse{Accepted: true, Params: make([]float64, 10000), BatchSize: 10}
 	var buf bytes.Buffer
-	if err := Encode(&buf, in); err != nil {
+	if err := GobGzip.Encode(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() >= 40000 {
@@ -56,7 +56,7 @@ func TestEncodeCompresses(t *testing.T) {
 
 func TestDecodeGarbageFails(t *testing.T) {
 	var out TaskRequest
-	if err := Decode(bytes.NewBufferString("not gzip"), &out); err == nil {
+	if err := GobGzip.Decode(bytes.NewBufferString("not gzip"), &out); err == nil {
 		t.Fatal("want error on garbage input")
 	}
 }
@@ -70,13 +70,13 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 	}
 	for i, in := range cases {
 		var buf bytes.Buffer
-		if err := Encode(&buf, in); err != nil {
+		if err := GobGzip.Encode(&buf, in); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		switch want := in.(type) {
 		case TaskRequest:
 			var got TaskRequest
-			if err := Decode(&buf, &got); err != nil {
+			if err := GobGzip.Decode(&buf, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.DeviceModel != want.DeviceModel {
@@ -84,7 +84,7 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 			}
 		case TaskResponse:
 			var got TaskResponse
-			if err := Decode(&buf, &got); err != nil {
+			if err := GobGzip.Decode(&buf, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.Reason != want.Reason {
@@ -92,7 +92,7 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 			}
 		case PushAck:
 			var got PushAck
-			if err := Decode(&buf, &got); err != nil {
+			if err := GobGzip.Decode(&buf, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.Scale != want.Scale || got.Staleness != want.Staleness {
@@ -100,7 +100,7 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 			}
 		case Stats:
 			var got Stats
-			if err := Decode(&buf, &got); err != nil {
+			if err := GobGzip.Decode(&buf, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.MeanStaleness != want.MeanStaleness {

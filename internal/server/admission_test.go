@@ -12,6 +12,7 @@ import (
 
 	"fleet/internal/compress"
 	"fleet/internal/device"
+	"fleet/internal/ingest"
 	"fleet/internal/iprof"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
@@ -577,17 +578,18 @@ func BenchmarkRequestTask(b *testing.B) {
 
 	b.Run("legacy-locked", func(b *testing.B) {
 		s := newTestServer(b, Config{Algorithm: learning.SSGD{}, Arch: nn.ArchTinyMNIST})
+		var mu sync.Mutex // the model lock the pull path once took
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				s.mu.Lock()
+				mu.Lock()
 				resp := &protocol.TaskResponse{
 					Accepted:     true,
-					ModelVersion: s.version,
+					ModelVersion: s.core.Snapshot().Version,
 					Params:       s.model.ParamVector(),
 					BatchSize:    100,
 				}
-				s.mu.Unlock()
+				mu.Unlock()
 				_ = resp
 			}
 		})
@@ -614,7 +616,7 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := s.snap.Load().deltas; len(d) != 0 {
+		if d := s.core.Snapshot().Deltas; len(d) != 0 {
 			t.Fatalf("restored server published %d deltas before any drain", len(d))
 		}
 
@@ -648,7 +650,7 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 			return p
 		}
 
-		served := []*modelSnapshot{s.snap.Load()} // every snapshot of this incarnation
+		served := []*ingest.Snapshot{s.core.Snapshot()} // every snapshot of this incarnation
 		var last [2]*protocol.GradientPush
 		for w := 0; w < 60; w++ {
 			var window [2]*protocol.GradientPush
@@ -671,13 +673,13 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 			}
 			last = window
 			for _, push := range window { // K=2: the second push closes the window
-				push.ModelVersion, push.ModelEpoch = s.snap.Load().version, s.epoch
+				push.ModelVersion, push.ModelEpoch = s.core.Snapshot().Version, s.epoch
 				push.BatchSize, push.LabelCounts = 1, []int{1}
 				if _, err := s.PushGradient(ctx, push); err != nil {
 					t.Fatal(err)
 				}
 			}
-			snap := s.snap.Load()
+			snap := s.core.Snapshot()
 			served = append(served, snap)
 			bases := served[:len(served)-1]
 			if len(bases) > depth {
@@ -685,10 +687,10 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 			}
 			want := 0
 			for _, b := range bases {
-				d, ok := compress.Diff(b.params, snap.params, s.paramCount/2)
-				got := snap.deltas[b.version]
+				d, ok := compress.Diff(b.Params, snap.Params, s.paramCount/2)
+				got := snap.Deltas[b.Version]
 				if ok != (got != nil) {
-					t.Fatalf("depth %d window %d base v%d: Diff ok=%v, published=%v", depth, w, b.version, ok, got != nil)
+					t.Fatalf("depth %d window %d base v%d: Diff ok=%v, published=%v", depth, w, b.Version, ok, got != nil)
 				}
 				if !ok {
 					continue
@@ -700,11 +702,11 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 				}
 				if !same {
 					t.Fatalf("depth %d window %d base v%d: published delta differs from Diff (nnz %d vs %d)",
-						depth, w, b.version, len(got.Indices), len(d.Indices))
+						depth, w, b.Version, len(got.Indices), len(d.Indices))
 				}
 			}
-			if len(snap.deltas) != want {
-				t.Fatalf("depth %d window %d: %d deltas published, Diff keeps %d", depth, w, len(snap.deltas), want)
+			if len(snap.Deltas) != want {
+				t.Fatalf("depth %d window %d: %d deltas published, Diff keeps %d", depth, w, len(snap.Deltas), want)
 			}
 		}
 	}

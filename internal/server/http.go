@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"log"
+	"maps"
 	"net/http"
+	"strings"
 	"sync"
 
 	"fleet/internal/protocol"
@@ -25,176 +27,105 @@ var MaxRequestBytes int64 = 64 << 20
 // NewHandler exposes any Service — typically a *Server wrapped in an
 // interceptor chain — over the FLeet wire protocol:
 //
-//	POST /v1/task, /v1/gradient — Content-Type negotiated (gob+gzip, JSON),
+//	POST /v1/task, /v1/gradient — Content-Type negotiated (gob+gzip, JSON, flat),
 //	GET  /v1/stats              — Accept negotiated,
 //
-// with structured JSON error bodies and mapped status codes, plus the
-// legacy unversioned routes /task, /gradient and /stats speaking the
-// original gob+gzip-only, text-error dialect for pre-v1 clients.
-func NewHandler(svc service.Service) http.Handler {
-	mux := http.NewServeMux()
-	tally := newWireTally()
-
-	mux.HandleFunc("/v1/task", func(w http.ResponseWriter, r *http.Request) {
-		v1Call(w, r, tally, func(ctx context.Context, codec protocol.Codec) (interface{}, error) {
-			var req protocol.TaskRequest
-			if err := codec.Decode(r.Body, &req); err != nil {
-				return nil, decodeError(err)
-			}
-			return svc.RequestTask(ctx, &req)
-		})
-	})
-	mux.HandleFunc("/v1/gradient", func(w http.ResponseWriter, r *http.Request) {
-		v1Call(w, r, tally, func(ctx context.Context, codec protocol.Codec) (interface{}, error) {
-			var push protocol.GradientPush
-			if err := codec.Decode(r.Body, &push); err != nil {
-				return nil, decodeError(err)
-			}
-			return svc.PushGradient(ctx, &push)
-		})
-	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			protocol.WriteError(w, protocol.Errorf(protocol.CodeMethodNotAllowed, "GET required"))
-			return
-		}
-		codec, err := protocol.CodecForContentType(r.Header.Get("Accept"))
-		if err != nil {
-			protocol.WriteError(w, err)
-			return
-		}
-		stats, err := svc.Stats(r.Context())
-		if err != nil {
-			protocol.WriteError(w, err)
-			return
-		}
-		// The Stats value is freshly built per call, so stamping the
-		// handler's wire tally into it mutates no shared state.
-		tally.stamp(stats)
-		cw := &countingWriter{ResponseWriter: w}
-		writeV1(cw, codec, stats)
-		tally.addDown(codec.ContentType(), cw.n)
-	})
-
-	// Legacy dialect: gob+gzip only, plain-text error bodies. Statuses
-	// follow the structured code so interceptor failures (panics, rate
-	// limits) are not misreported as client faults; request-level errors
-	// keep the original 400.
-	mux.HandleFunc("/task", func(w http.ResponseWriter, r *http.Request) {
-		legacyCall(w, r, func(ctx context.Context, body io.Reader) (interface{}, error) {
-			var req protocol.TaskRequest
-			if err := protocol.Decode(body, &req); err != nil {
-				return nil, protocol.Errorf(protocol.CodeInvalidArgument, "%v", err)
-			}
-			return svc.RequestTask(ctx, &req)
-		})
-	})
-	mux.HandleFunc("/gradient", func(w http.ResponseWriter, r *http.Request) {
-		legacyCall(w, r, func(ctx context.Context, body io.Reader) (interface{}, error) {
-			var push protocol.GradientPush
-			if err := protocol.Decode(body, &push); err != nil {
-				return nil, protocol.Errorf(protocol.CodeInvalidArgument, "%v", err)
-			}
-			return svc.PushGradient(ctx, &push)
-		})
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		stats, err := svc.Stats(r.Context())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if err := protocol.Encode(w, stats); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	return mux
-}
+// with structured JSON error bodies and mapped status codes, for unknown
+// routes too.
+func NewHandler(svc service.Service) http.Handler { return NewEndpoint(svc) }
 
 // Handler returns the HTTP handler exposing the server's endpoints with no
 // interceptors attached; production deployments usually wrap the server in
 // service.Chain first and pass the result to NewHandler.
 func (s *Server) Handler() http.Handler { return NewHandler(s) }
 
-// decodeError classifies a request-decode failure: bodies over the wire
-// cap (http.MaxBytesReader) or the decompression cap surface as 413
-// payload_too_large; everything else is a 400 invalid_argument.
-func decodeError(err error) error {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return protocol.Errorf(protocol.CodePayloadTooLarge, "request body exceeds %d bytes", mbe.Limit)
-	}
-	var pe *protocol.Error
-	if errors.As(err, &pe) {
-		return pe
-	}
-	return protocol.Errorf(protocol.CodeInvalidArgument, "%v", err)
+// Endpoint is the HTTP envelope around service.Call for one Service: method
+// and codec negotiation, the request-size cap, the per-codec wire tally, and
+// errors as JSON bodies with mapped statuses. As an http.Handler it serves
+// /v1/<route>; a router that owns the path (the tenant registry's
+// /v1/t/<tenant>/<route>) calls Serve with the route it resolved.
+type Endpoint struct {
+	svc   service.Service
+	tally *wireTally
 }
 
-// legacyCall runs one pre-v1 POST exchange: gob+gzip body in, gob+gzip
-// reply out, plain-text errors.
-func legacyCall(w http.ResponseWriter, r *http.Request, call func(context.Context, io.Reader) (interface{}, error)) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	out, err := call(r.Context(), http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	if err != nil {
-		writeLegacyError(w, err)
-		return
-	}
-	if err := protocol.Encode(w, out); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+// NewEndpoint builds the endpoint serving svc.
+func NewEndpoint(svc service.Service) *Endpoint {
+	tally := newWireTally()
+	return &Endpoint{svc: stampedStats{svc, tally}, tally: tally}
 }
 
-// writeLegacyError writes a service error in the pre-v1 dialect: plain
-// text, with the 400 the seed protocol used for every request-level
-// rejection, but 5xx/429-class codes mapped truthfully so legacy clients
-// don't mistake server faults for invalid requests.
-func writeLegacyError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	switch e := protocol.AsError(err); e.Code {
-	case protocol.CodeInvalidArgument, protocol.CodeVersionConflict:
-		// The seed's legacy behavior.
-	default:
-		status = e.HTTPStatus()
-	}
-	http.Error(w, err.Error(), status)
+// ServeHTTP serves /v1/task, /v1/gradient and /v1/stats.
+func (e *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	// Anything else comes back whole and is no route; Serve says so.
+	route, _ := strings.CutPrefix(r.URL.Path, "/v1/")
+	e.Serve(r.Context(), w, r, route)
 }
 
-// v1Call runs one negotiated POST exchange: pick the codec from the request
-// Content-Type, let call decode and serve, and reply in the same codec.
+// Serve runs one exchange of the named route ("task", "gradient", "stats")
+// under ctx, which carries whatever credentials the router attached.
 // Request and response payload bytes are tallied per codec (wire-level:
-// exactly what traveled, compression included) into the handler's tally.
-func v1Call(w http.ResponseWriter, r *http.Request, tally *wireTally, call func(context.Context, protocol.Codec) (interface{}, error)) {
-	if r.Method != http.MethodPost {
-		protocol.WriteError(w, protocol.Errorf(protocol.CodeMethodNotAllowed, "POST required"))
+// exactly what traveled, compression included).
+func (e *Endpoint) Serve(ctx context.Context, w http.ResponseWriter, r *http.Request, route string) {
+	op, method, negotiated := service.OpTask, http.MethodPost, "Content-Type"
+	switch route {
+	case "task":
+	case "gradient":
+		op = service.OpPush
+	case "stats":
+		op, method, negotiated = service.OpStats, http.MethodGet, "Accept"
+	default:
+		protocol.WriteError(w, protocol.Errorf(protocol.CodeInvalidArgument,
+			"unknown route %q (want task, gradient or stats under /v1/)", route))
 		return
 	}
-	codec, err := protocol.CodecForContentType(r.Header.Get("Content-Type"))
+	if r.Method != method {
+		protocol.WriteError(w, protocol.Errorf(protocol.CodeMethodNotAllowed, "%s required", method))
+		return
+	}
+	codec, err := protocol.CodecForContentType(r.Header.Get(negotiated))
 	if err != nil {
 		protocol.WriteError(w, err)
 		return
 	}
-	body := &countingBody{rc: http.MaxBytesReader(w, r.Body, MaxRequestBytes)}
-	r.Body = body
-	out, err := call(r.Context(), codec)
-	tally.addUp(codec.ContentType(), body.n)
-	if err != nil {
-		protocol.WriteError(w, err)
-		return
-	}
+	body := &countingBody{r: http.MaxBytesReader(w, r.Body, MaxRequestBytes)}
 	cw := &countingWriter{ResponseWriter: w}
-	writeV1(cw, codec, out)
-	tally.addDown(codec.ContentType(), cw.n)
+	w.Header().Set("Content-Type", codec.ContentType())
+	err = service.Call(ctx, e.svc, op, codec, body, cw)
+	e.tally.add(codec.ContentType(), body.n, cw.n)
+	switch {
+	case err == nil:
+	case cw.n == 0:
+		protocol.WriteError(w, err)
+	default:
+		// The reply is already on the wire, so the status can't change;
+		// log so the failure is visible server-side instead of surfacing
+		// only as an opaque decode error on the client.
+		log.Printf("fleet: encoding %s response: %v", codec.ContentType(), err)
+	}
 }
 
-// wireTally accumulates wire bytes per codec content type across a
-// handler's v1 routes: uplink counts every request body byte actually read
+// stampedStats stamps the endpoint's wire tally into the Stats it serves.
+// The Stats value is freshly built per call, so this mutates no shared
+// state.
+type stampedStats struct {
+	service.Service
+	tally *wireTally
+}
+
+func (s stampedStats) Stats(ctx context.Context) (*protocol.Stats, error) {
+	st, err := s.Service.Stats(ctx)
+	if err == nil {
+		s.tally.stamp(st)
+	}
+	return st, err
+}
+
+// wireTally accumulates wire bytes per codec content type across an
+// endpoint's routes: uplink counts every request body byte actually read
 // (decoded payloads and rejected ones alike), downlink counts the encoded
 // reply bodies (structured error bodies are not payload traffic and are
-// excluded). The legacy routes predate the tally and stay uncounted.
+// excluded).
 type wireTally struct {
 	mu   sync.Mutex
 	up   map[string]int64
@@ -205,22 +136,15 @@ func newWireTally() *wireTally {
 	return &wireTally{up: map[string]int64{}, down: map[string]int64{}}
 }
 
-func (t *wireTally) addUp(codec string, n int64) {
-	if n == 0 {
-		return
-	}
+func (t *wireTally) add(codec string, up, down int64) {
 	t.mu.Lock()
-	t.up[codec] += n
-	t.mu.Unlock()
-}
-
-func (t *wireTally) addDown(codec string, n int64) {
-	if n == 0 {
-		return
+	defer t.mu.Unlock()
+	if up > 0 {
+		t.up[codec] += up
 	}
-	t.mu.Lock()
-	t.down[codec] += n
-	t.mu.Unlock()
+	if down > 0 {
+		t.down[codec] += down
+	}
 }
 
 // stamp copies the tally into a freshly built Stats value.
@@ -228,33 +152,32 @@ func (t *wireTally) stamp(st *protocol.Stats) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.up) > 0 {
-		st.WireUplinkByCodec = make(map[string]int64, len(t.up))
-		for k, v := range t.up {
-			st.WireUplinkByCodec[k] = v
-		}
+		st.WireUplinkByCodec = maps.Clone(t.up)
 	}
 	if len(t.down) > 0 {
-		st.WireDownlinkByCodec = make(map[string]int64, len(t.down))
-		for k, v := range t.down {
-			st.WireDownlinkByCodec[k] = v
-		}
+		st.WireDownlinkByCodec = maps.Clone(t.down)
 	}
 }
 
-// countingBody wraps a request body, counting the bytes the decoder
-// actually consumed off the wire.
+// countingBody wraps a capped request body, counting the bytes the decoder
+// actually consumed off the wire and reporting the cap as the structured
+// payload_too_large every transport uses for its size limit.
 type countingBody struct {
-	rc io.ReadCloser
-	n  int64
+	r io.Reader
+	n int64
 }
 
 func (c *countingBody) Read(p []byte) (int, error) {
-	n, err := c.rc.Read(p)
+	n, err := c.r.Read(p)
 	c.n += int64(n)
+	if err != nil && err != io.EOF { // off the per-Read path: the target escapes
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			err = protocol.Errorf(protocol.CodePayloadTooLarge, "request body exceeds %d bytes", mbe.Limit)
+		}
+	}
 	return n, err
 }
-
-func (c *countingBody) Close() error { return c.rc.Close() }
 
 // countingWriter wraps a ResponseWriter, counting encoded reply bytes.
 type countingWriter struct {
@@ -266,14 +189,4 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.ResponseWriter.Write(p)
 	c.n += int64(n)
 	return n, err
-}
-
-func writeV1(w http.ResponseWriter, codec protocol.Codec, v interface{}) {
-	w.Header().Set("Content-Type", codec.ContentType())
-	if err := codec.Encode(w, v); err != nil {
-		// Headers are already written, so the status can't change; log so
-		// the failure is visible server-side instead of surfacing only as
-		// an opaque decode error on the client.
-		log.Printf("fleet: encoding %s response: %v", codec.ContentType(), err)
-	}
 }

@@ -178,13 +178,6 @@ func TestRequestBodyCap(t *testing.T) {
 	if err := json.Unmarshal(out, &apiErr); err != nil || apiErr.Code != protocol.CodePayloadTooLarge {
 		t.Fatalf("error body = %s (err %v)", out, err)
 	}
-	gobBig := encodeWith(t, protocol.GobGzip, &protocol.GradientPush{
-		Gradient: make([]float64, 4096), BatchSize: 1,
-	})
-	status, _, _ = postRaw(t, hs.URL+"/gradient", "application/octet-stream", gobBig)
-	if status != http.StatusBadRequest {
-		t.Fatalf("oversized legacy body status %d, want 400", status)
-	}
 }
 
 func TestV1VersionConflictStatus(t *testing.T) {
@@ -199,100 +192,6 @@ func TestV1VersionConflictStatus(t *testing.T) {
 	var apiErr protocol.Error
 	if err := json.Unmarshal(out, &apiErr); err != nil || apiErr.Code != protocol.CodeVersionConflict {
 		t.Fatalf("error body = %s (err %v)", out, err)
-	}
-}
-
-func TestLegacyRoutesKeepWorking(t *testing.T) {
-	s, hs := newHTTPServer(t, Config{Algorithm: learning.SSGD{}})
-	params, _ := s.Model()
-
-	// Legacy /task: gob+gzip under application/octet-stream.
-	body := encodeWith(t, protocol.GobGzip, &protocol.TaskRequest{WorkerID: 1, LabelCounts: []int{1}})
-	status, _, out := postRaw(t, hs.URL+"/task", "application/octet-stream", body)
-	if status != http.StatusOK {
-		t.Fatalf("legacy /task status %d", status)
-	}
-	var resp protocol.TaskResponse
-	if err := protocol.Decode(bytes.NewReader(out), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Accepted {
-		t.Fatalf("legacy task rejected: %s", resp.Reason)
-	}
-
-	// Legacy /gradient.
-	body = encodeWith(t, protocol.GobGzip, &protocol.GradientPush{
-		ModelVersion: 0, Gradient: make([]float64, len(params)), BatchSize: 5, LabelCounts: []int{1},
-	})
-	status, _, out = postRaw(t, hs.URL+"/gradient", "application/octet-stream", body)
-	if status != http.StatusOK {
-		t.Fatalf("legacy /gradient status %d: %s", status, out)
-	}
-	var ack protocol.PushAck
-	if err := protocol.Decode(bytes.NewReader(out), &ack); err != nil {
-		t.Fatal(err)
-	}
-	if !ack.Applied {
-		t.Fatalf("legacy ack = %+v", ack)
-	}
-
-	// Legacy /gradient errors stay plain-text 400s.
-	body = encodeWith(t, protocol.GobGzip, &protocol.GradientPush{
-		ModelVersion: 99, Gradient: make([]float64, len(params)), BatchSize: 5,
-	})
-	status, _, _ = postRaw(t, hs.URL+"/gradient", "application/octet-stream", body)
-	if status != http.StatusBadRequest {
-		t.Fatalf("legacy error status %d, want 400", status)
-	}
-
-	// Legacy /stats.
-	sr, err := http.Get(hs.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = sr.Body.Close() }()
-	var stats protocol.Stats
-	if err := protocol.Decode(sr.Body, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.GradientsIn != 1 {
-		t.Fatalf("legacy stats = %+v", stats)
-	}
-}
-
-// failingService returns a fixed error from every method, standing in for
-// an interceptor failure (panic recovery, overload) behind the handler.
-type failingService struct{ err error }
-
-func (f failingService) RequestTask(context.Context, *protocol.TaskRequest) (*protocol.TaskResponse, error) {
-	return nil, f.err
-}
-func (f failingService) PushGradient(context.Context, *protocol.GradientPush) (*protocol.PushAck, error) {
-	return nil, f.err
-}
-func (f failingService) Stats(context.Context) (*protocol.Stats, error) { return nil, f.err }
-
-// TestLegacyRouteStatusForServerFaults checks server-side faults are not
-// misreported to legacy clients as 400 client errors, while request-level
-// rejections keep the seed's 400.
-func TestLegacyRouteStatusForServerFaults(t *testing.T) {
-	hs := httptest.NewServer(NewHandler(failingService{
-		err: protocol.Errorf(protocol.CodeInternal, "panic: boom"),
-	}))
-	defer hs.Close()
-	body := encodeWith(t, protocol.GobGzip, &protocol.TaskRequest{})
-	status, _, _ := postRaw(t, hs.URL+"/task", "application/octet-stream", body)
-	if status != http.StatusInternalServerError {
-		t.Fatalf("legacy status for internal fault = %d, want 500", status)
-	}
-
-	hs2 := httptest.NewServer(NewHandler(failingService{
-		err: protocol.Errorf(protocol.CodeResourceExhausted, "rate limited"),
-	}))
-	defer hs2.Close()
-	status, _, _ = postRaw(t, hs2.URL+"/gradient", "application/octet-stream", body)
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("legacy status for rate limit = %d, want 429", status)
 	}
 }
 

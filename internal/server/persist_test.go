@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"fleet/internal/ingest"
 	"fleet/internal/iprof"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
@@ -299,7 +300,7 @@ func TestStaleCheckpointWriteSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The delayed writer from an earlier drain finally runs.
-	s.saveState(s.captureState(ckptCore{version: 1, params: s.snap.Load().params}))
+	s.saveState(s.captureState(&ingest.Snapshot{Version: 1, Params: s.core.Snapshot().Params}, ingest.Tally{}))
 	st, _, err := persist.LoadLatest(dir)
 	if err != nil {
 		t.Fatal(err)

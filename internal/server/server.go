@@ -8,23 +8,18 @@
 //	POST /v1/gradient — step (5): push a computed gradient
 //	GET  /v1/stats    — diagnostics
 //
-// plus the legacy unversioned /task, /gradient and /stats routes for
-// pre-v1 clients. v1 payloads are Content-Type negotiated between gob+gzip
-// and JSON (see internal/protocol).
+// Payloads are Content-Type negotiated between gob+gzip, JSON and the flat
+// binary codec (see internal/protocol).
 //
-// The two halves of the protocol scale independently:
-//
-//   - Uplink (PushGradient): every accepted gradient travels the update
-//     pipeline (internal/pipeline) — staleness scaling, optional DP
-//     perturbation, norm filtering — into a window aggregator that folds
-//     each K-window into the model under the server mutex.
-//   - Downlink (RequestTask): admission runs through a pluggable policy
-//     chain (internal/sched) — I-Prof batch sizing, the similarity
-//     controller, quotas — and the model is served from an immutable
-//     snapshot behind an atomic pointer, refreshed only at window drain.
-//     The accept path takes no lock and does no O(params) work: full pulls
-//     hand out the shared snapshot slice, and version-aware pulls hand out
-//     deltas precomputed at drain time.
+// The learning-task path itself is internal/ingest's, shared with the edge
+// aggregator, and its two halves scale independently: on the uplink every
+// accepted gradient travels the update pipeline (internal/pipeline) into a
+// window aggregator; on the downlink admission runs through a pluggable
+// policy chain (internal/sched) and the model is served lock-free from an
+// immutable snapshot. This package is the root's window sink: what a full
+// window does here is fold into the global model under the ingest commit
+// lock, publish the next snapshot with its precomputed deltas, announce it
+// and checkpoint it.
 package server
 
 import (
@@ -33,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"fleet/internal/compress"
+	"fleet/internal/ingest"
 	"fleet/internal/iprof"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
@@ -158,79 +154,30 @@ type Config struct {
 	BootEpoch int64
 }
 
-// modelSnapshot is one immutable published state of the global model. The
-// params slice is shared with every TaskResponse served from it and must
-// never be written after publication.
-type modelSnapshot struct {
-	version int
-	params  []float64
-	// deltas maps an older version v to the exact sparse difference
-	// params(v) → params, when sparse enough to be worth the wire; the
-	// absence of an entry means "serve a full pull".
-	deltas map[int]*compress.Sparse
-}
-
 // Server is the FLeet parameter server. All exported methods are safe for
 // concurrent use.
 type Server struct {
 	cfg Config
-	// paramCount and classes are immutable after New: request validation
-	// reads them without holding any lock.
+	// core is the learning-task path (admission, pipeline, K-window,
+	// snapshot, counters); the server is its window sink (rootSink).
+	core *ingest.Core[drained]
+	// paramCount and classes are immutable after New.
 	paramCount int
 	classes    int
-	// labels guards itself (lock-free reads); it is never touched under mu.
-	labels *learning.LabelTracker
-	// pipe is the update pipeline (immutable after New); its aggregator
-	// guards its own window state, so Process/Add run outside mu.
-	pipe *pipeline.Pipeline
-	// sparseOK caches pipe.SparseCapable(): whether a validated top-k push
-	// may travel the pipeline as an index/value view and scatter straight
-	// into the aggregator, skipping the O(params) densify per push.
-	sparseOK bool
-	// admit is the admission chain (immutable after New); stateful
-	// policies synchronize themselves.
-	admit sched.AdmissionPolicy
 
-	// snap is the immutable (version, params, deltas) snapshot RequestTask
-	// serves from without locking; it is replaced only inside drainLocked
-	// (and so only under mu), but read anywhere.
-	snap atomic.Pointer[modelSnapshot]
-
-	// Task counters are atomic: the admission path must not contend with
-	// the gradient-commit path. rejectsByPolicy is only touched on the
-	// (already slow) reject path.
-	tasksServed  atomic.Int64
-	tasksDropped atomic.Int64
-	rejectMu     sync.Mutex
-	rejects      map[string]int
-
-	// mu guards the model, the logical clock, the delta history and the
-	// push counters.
-	mu          sync.Mutex
-	model       *nn.Network
-	version     int
-	pending     int
-	history     *compress.History
-	gradientsIn int
-	// leafGradients counts individual worker gradients: an aggregated
-	// push from an edge tier (GradientPush.Contributing > 0) adds its
-	// contributing count here but 1 to gradientsIn.
-	leafGradients int
-	staleSum      float64
-	drainErrors   int
+	// model is only written when a window closes, under the core's commit
+	// lock (rootSink.CloseWindow), and read there to publish the snapshot
+	// everything else is served from.
+	model *nn.Network
 	// windowsSinceCkpt counts drains toward the periodic checkpoint
-	// cadence; ckptDue is the core state captured under mu when one falls
-	// due, written to disk outside the lock by the push that drained.
+	// cadence, under the same lock.
 	windowsSinceCkpt int
-	ckptDue          *ckptCore
 	// snapHook is the snapshot-publish notification (OnSnapshot): the
-	// streaming transport broadcasts model announcements from it. Like the
-	// checkpoint, the announce is captured under mu in drainLocked
-	// (announceDue) and delivered by the draining push after unlock, so
-	// the hook never runs inside the model lock yet observes (version,
-	// epoch, delta) exactly as published.
-	snapHook    atomic.Pointer[func(protocol.ModelAnnounce)]
-	announceDue *protocol.ModelAnnounce
+	// streaming transport broadcasts model announcements from it. The
+	// draining push delivers it after the commit lock is released, so the
+	// hook never runs inside the commit lock yet observes (version, epoch,
+	// delta) exactly as published.
+	snapHook atomic.Pointer[func(protocol.ModelAnnounce)]
 
 	// restoredVersion is the logical clock the server booted from (0 on a
 	// fresh boot); epoch is the incarnation counter (Config.BootEpoch on
@@ -272,15 +219,16 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// ckptCore is the model-critical slice of a checkpoint, captured atomically
-// under s.mu at drain time: version and params move together. params shares
-// the immutable snapshot storage, so the capture is O(1).
-type ckptCore struct {
-	version       int
-	params        []float64
-	gradientsIn   int
-	leafGradients int
-	staleSum      float64
+// drained is what a closed window leaves the push that closed it to do once
+// the commit lock is released: announce the snapshot it published and, when
+// the periodic cadence fell due, checkpoint the cut taken with it — the
+// model-critical slice of a checkpoint, captured atomically under the commit
+// lock: version, params and push accounting move together. The params are
+// the snapshot's immutable storage, so the capture is O(1).
+type drained struct {
+	snap    *ingest.Snapshot
+	tally   ingest.Tally
+	ckptDue bool
 }
 
 // ckptReq is one unit of work for the background checkpoint writer: a
@@ -301,38 +249,11 @@ const ckptQueueDepth = 4
 
 // New builds a server with a freshly initialized global model.
 func New(cfg Config) (*Server, error) {
-	if cfg.Algorithm == nil {
-		return nil, protocol.Errorf(protocol.CodeInvalidArgument, "server: Algorithm is required")
-	}
 	if cfg.LearningRate <= 0 {
 		return nil, protocol.Errorf(protocol.CodeInvalidArgument, "server: LearningRate must be positive")
 	}
-	if cfg.K <= 0 {
-		cfg.K = 1
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	if cfg.DefaultBatchSize <= 0 {
-		cfg.DefaultBatchSize = 100
-	}
-	if cfg.DeltaHistory == 0 {
-		cfg.DeltaHistory = 4
-	}
-	if cfg.DeltaHistory < 0 {
-		cfg.DeltaHistory = 0 // negative disables; 0 internally means "none kept"
-	}
-	if cfg.Pipeline == nil {
-		stage, err := pipeline.NewStalenessScale(cfg.Algorithm)
-		if err != nil {
-			return nil, protocol.AsError(err)
-		}
-		cfg.Pipeline, err = pipeline.New(pipeline.NewMeanWindow(cfg.Shards), stage)
-		if err != nil {
-			return nil, protocol.AsError(err)
-		}
-	}
-	if cfg.Admission == nil {
+	admission := cfg.Admission
+	if admission == nil {
 		// The legacy-equivalent default: each Figure-2 controller stage,
 		// included only when its knob is set, in the order the hardwired
 		// block ran them.
@@ -349,7 +270,7 @@ func New(cfg Config) (*Server, error) {
 		if cfg.MaxSimilarity > 0 {
 			policies = append(policies, sched.Similarity(cfg.MaxSimilarity))
 		}
-		cfg.Admission = sched.NewChain(policies...)
+		admission = sched.NewChain(policies...)
 	}
 	if cfg.BootEpoch < 0 {
 		cfg.BootEpoch = 0
@@ -360,15 +281,27 @@ func New(cfg Config) (*Server, error) {
 		paramCount: model.ParamCount(),
 		classes:    cfg.Arch.Classes(),
 		model:      model,
-		labels:     learning.NewLabelTracker(cfg.Arch.Classes()),
-		pipe:       cfg.Pipeline,
-		sparseOK:   cfg.Pipeline.SparseCapable(),
-		admit:      cfg.Admission,
-		rejects:    map[string]int{},
 		epoch:      cfg.BootEpoch,
-		history:    compress.NewHistory(cfg.DeltaHistory),
 	}
-	s.publishBoot(0)
+	var err error
+	s.core, err = ingest.New(ingest.Config{
+		Name:             "server",
+		ParamCount:       s.paramCount,
+		Classes:          s.classes,
+		Algorithm:        cfg.Algorithm,
+		K:                cfg.K,
+		Shards:           cfg.Shards,
+		Pipeline:         cfg.Pipeline,
+		Admission:        admission,
+		TimeProfiler:     cfg.TimeProfiler,
+		EnergyProfiler:   cfg.EnergyProfiler,
+		DefaultBatchSize: cfg.DefaultBatchSize,
+		DeltaHistory:     cfg.DeltaHistory,
+	}, (*rootSink)(s))
+	if err != nil {
+		return nil, err
+	}
+	s.core.Boot(0, s.epoch, model.ParamVector())
 	if cfg.Checkpointer != nil {
 		s.ckptQ = make(chan ckptReq, ckptQueueDepth)
 		s.ckptQuit = make(chan struct{})
@@ -378,263 +311,35 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// publishBoot publishes the model as it stands at boot (fresh or restored)
-// as the first snapshot of this incarnation, with an empty delta history.
-func (s *Server) publishBoot(version int) {
-	params := s.model.ParamVector()
-	s.history.Reset(version, params)
-	s.snap.Store(&modelSnapshot{version: version, params: params})
-}
-
 // Pipeline returns the server's composed update pipeline.
-func (s *Server) Pipeline() *pipeline.Pipeline { return s.pipe }
+func (s *Server) Pipeline() *pipeline.Pipeline { return s.core.Config().Pipeline }
 
 // Admission returns the server's composed admission chain.
-func (s *Server) Admission() sched.AdmissionPolicy { return s.admit }
+func (s *Server) Admission() sched.AdmissionPolicy { return s.core.Config().Admission }
 
-// RequestTask processes step (1)→(4) of Figure 2: screen the task through
-// the admission chain (I-Prof batch sizing, the controller) and serve the
-// model. The accept path is lock-free and O(1) in the model size: the
-// response either shares the immutable snapshot's parameter slice (full
-// pull) or hands out a delta precomputed at drain time (version-aware
-// pull). The only synchronization is the label tracker's lock-free
-// snapshot read and whatever stateful admission policies do internally.
+// RequestTask processes step (1)→(4) of Figure 2 (ingest.Core.RequestTask):
+// admission, then the model served lock-free from the published snapshot.
 func (s *Server) RequestTask(ctx context.Context, req *protocol.TaskRequest) (*protocol.TaskResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
-	}
-	if err := protocol.ValidateLabelCounts("TaskRequest.label_counts", req.LabelCounts, s.classes); err != nil {
-		return nil, err
-	}
-
-	areq := &sched.TaskRequest{
-		Wire:       req,
-		BatchSize:  s.cfg.DefaultBatchSize,
-		Similarity: s.labels.Similarity(req.LabelCounts),
-	}
-	decision, err := s.admit.Admit(ctx, areq)
-	if err != nil {
-		return nil, protocol.AsError(err)
-	}
-
-	// Re-check before committing controller state: the profiler lookups
-	// and similarity scan above may have outlived the caller's deadline.
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
-	}
-
-	if !decision.Accept {
-		s.tasksDropped.Add(1)
-		s.rejectMu.Lock()
-		s.rejects[decision.Policy]++
-		s.rejectMu.Unlock()
-		return &protocol.TaskResponse{Accepted: false, Reason: decision.Reason}, nil
-	}
-
-	s.tasksServed.Add(1)
-	snap := s.snap.Load()
-	resp := &protocol.TaskResponse{
-		Accepted:     true,
-		ModelVersion: snap.version,
-		BatchSize:    decision.BatchSize,
-		ServerEpoch:  s.epoch,
-	}
-	// A delta is only meaningful against this incarnation's own version
-	// stream: after a restore, a client's cached "version 33" names the
-	// dead instance's parameters, not ours — patching our delta onto it
-	// would silently corrupt the cache. Epoch mismatch → full pull.
-	if req.WantDelta && req.KnownEpoch == s.epoch {
-		if req.KnownVersion == snap.version {
-			// Already current: the empty delta.
-			resp.ParamsDelta = &compress.Sparse{Len: len(snap.params)}
-			resp.DeltaBase = req.KnownVersion
-			return resp, nil
-		}
-		if d, ok := snap.deltas[req.KnownVersion]; ok {
-			resp.ParamsDelta = d
-			resp.DeltaBase = req.KnownVersion
-			return resp, nil
-		}
-		// Version too old, from the future, or the delta went dense:
-		// transparent fallback to a full pull.
-	}
-	resp.Params = snap.params // shared immutable snapshot storage
-	resp.Full = true
-	return resp, nil
+	return s.core.RequestTask(ctx, req)
 }
 
-// PushGradient processes step (5): the gradient runs through the update
-// pipeline's stages (staleness scaling, DP, filters), lands in the window
-// aggregator, and the model is updated after K gradients; the measured
-// cost feeds back into I-Prof.
+// PushGradient processes step (5) (ingest.Core.PushGradient): the gradient
+// runs through the update pipeline into the window aggregator, and the
+// model is updated after K gradients; the measured cost feeds back into
+// I-Prof.
 func (s *Server) PushGradient(ctx context.Context, push *protocol.GradientPush) (*protocol.PushAck, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
-	}
-	// Validation and sparse decoding touch only the immutable paramCount,
-	// so they run outside every lock. The shared payload decoder handles
-	// every uplink dialect — dense, top-k, and the quantized top-k forms —
-	// and reports whether the indices are strictly ascending (the
-	// precondition for the zero-copy scatter path below).
-	payload, err := protocol.DecodeGradientPayload(push, s.paramCount)
-	if err != nil {
-		return nil, err
-	}
-	if push.BatchSize <= 0 {
-		return nil, protocol.Errorf(protocol.CodeInvalidArgument,
-			"server: non-positive batch size %d", push.BatchSize)
-	}
-	if err := protocol.ValidateLabelCounts("GradientPush.label_counts", push.LabelCounts, s.classes); err != nil {
-		return nil, err
-	}
-
-	// Feed I-Prof outside the model lock.
-	if s.cfg.TimeProfiler != nil && push.CompTimeSec > 0 && len(push.TimeFeatures) > 0 {
-		s.cfg.TimeProfiler.Observe(iprof.Observation{
-			DeviceModel: push.DeviceModel,
-			Features:    push.TimeFeatures,
-			Alpha:       push.CompTimeSec / float64(push.BatchSize),
-		})
-	}
-	if s.cfg.EnergyProfiler != nil && push.EnergyPct > 0 && len(push.EnergyFeatures) > 0 {
-		s.cfg.EnergyProfiler.Observe(iprof.Observation{
-			DeviceModel: push.DeviceModel,
-			Features:    push.EnergyFeatures,
-			Alpha:       push.EnergyPct / float64(push.BatchSize),
-		})
-	}
-
-	sim := s.labels.Similarity(push.LabelCounts)
-
-	// Last abort point: past here the gradient is counted and accumulated,
-	// which must complete even if the deadline lapses mid-flight. Checking
-	// again after the O(params) decode and the profiler feeds lets a
-	// Deadline interceptor actually fire on in-process calls that queued
-	// too long.
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
-	}
-
-	// A gradient from another incarnation was computed on parameters this
-	// server cannot reason about (the same version number names different
-	// params across a restore): version_conflict, the resync signal — the
-	// worker drops its cache, re-pulls full and recomputes.
-	if push.ModelEpoch != s.epoch {
-		return nil, protocol.Errorf(protocol.CodeVersionConflict,
-			"server: gradient from server incarnation %d (this is incarnation %d, restored after a restart); re-pull and recompute",
-			push.ModelEpoch, s.epoch)
-	}
-
-	// Staleness against the logical clock, read lock-free from the
-	// published snapshot (version and snapshot move together under mu
-	// inside drainLocked, so the snapshot's clock is never ahead).
-	staleness := s.snap.Load().version - push.ModelVersion
-	if staleness < 0 {
-		return nil, protocol.Errorf(protocol.CodeVersionConflict,
-			"server: gradient from future model version %d (at %d)", push.ModelVersion, push.ModelVersion+staleness)
-	}
-
-	// Pipeline stages: staleness scaling, DP perturbation, filters — the
-	// O(params) work stays outside s.mu. A stage rejection (e.g. the norm
-	// filter) surfaces before the gradient is counted or accumulated.
-	//
-	// Sparse fast path: a validated, strictly-ascending top-k view travels
-	// the pipeline as-is and scatters straight into the shard accumulators
-	// (pipeline.SparseAdder) — zero O(params) allocations per push. Gated
-	// on sparseOK (every stage SparseSafe, aggregator a SparseAdder).
-	// Decoded payloads always arrive Ascending (the decoder canonicalizes
-	// out-of-order and duplicate indices with densify's last-value-wins
-	// semantics); the gate remains for hand-built payloads.
-	g := &pipeline.Gradient{
-		Meta: learning.GradientMeta{
-			Staleness:  staleness,
-			Similarity: sim,
-			BatchSize:  push.BatchSize,
-			WorkerID:   push.WorkerID,
-		},
-		Scale: 1,
-	}
-	if payload.Sparse() && payload.Ascending && s.sparseOK {
-		g.Vec = payload.Values
-		g.Indices = payload.Indices
-		g.DenseLen = s.paramCount
-	} else {
-		g.Vec = payload.Densify(s.paramCount)
-	}
-	if err := s.pipe.Process(g); err != nil {
-		return nil, err
-	}
-
-	// The algorithm observes the staleness after scaling (matching the
-	// pre-pipeline order: a gradient's own staleness enters the quantile
-	// history only after its scale is fixed), and LD_global accumulates
-	// label mass weighted by the pure staleness dampening, so labels the
-	// model never effectively incorporated keep their novelty (and keep
-	// being boosted).
-	s.cfg.Algorithm.Observe(g.Meta)
-	absorb := s.cfg.Algorithm.AbsorbWeight(g.Meta)
-	s.labels.RecordWeighted(push.LabelCounts, absorb)
-
-	// Window accumulation: the aggregator synchronizes itself (per-shard
-	// locks for the mean, the window lock for retention mode), so pushes
-	// proceed in parallel here.
-	s.pipe.Add(g)
-
-	// Commit section: a push only counts toward the K-window after its
-	// mass reaches the aggregator, so when pending hits K every counted
-	// gradient is already in the window and the drain can never strand
-	// acked mass. The logical clock advances inside drainLocked, after the
-	// model is updated, keeping (params, version) consistent for
-	// RequestTask.
-	//
-	// A drain failure does NOT fail the push: this gradient was already
-	// counted and accumulated, so returning an error would invite a retry
-	// that double-contributes. The window is discarded, the failure is
-	// surfaced through Stats.DrainErrors, and the pusher gets its ack.
-	// Leaf-gradient accounting: an edge-aggregator push carries the count
-	// of worker gradients its direction sums, so the K-sum bookkeeping
-	// (and the O(fan-in) push reduction it proves) stays visible here.
-	contrib := push.Contributing
-	if contrib <= 0 {
-		contrib = 1
-	}
-
-	s.mu.Lock()
-	s.gradientsIn++
-	s.leafGradients += contrib
-	s.staleSum += float64(staleness)
-	s.pending++
-	if s.pending >= s.cfg.K {
-		s.pending = 0
-		if err := s.drainLocked(); err != nil {
-			s.drainErrors++
-		}
-	}
-	ack := &protocol.PushAck{
-		Applied:    true,
-		Staleness:  staleness,
-		Scale:      g.Scale,
-		NewVersion: s.version,
-	}
-	due := s.ckptDue
-	s.ckptDue = nil
-	ann := s.announceDue
-	s.announceDue = nil
-	s.mu.Unlock()
-	if ann != nil {
-		if fn := s.snapHook.Load(); fn != nil {
-			(*fn)(*ann)
-		}
-	}
-	if due != nil {
-		// The periodic checkpoint the drain scheduled: the full state is
-		// captured here, on the push goroutine with the model lock already
-		// released — the same cut the synchronous writer took — and only
-		// the encode+fsync is deferred to the background writer.
-		s.enqueueCheckpoint(s.captureState(*due))
-	}
-	return ack, nil
+	return s.core.PushGradient(ctx, push)
 }
+
+// rootSink is the server as the ingest core's window sink.
+type rootSink Server
+
+// Sync is never reached: New and Restore publish before serving.
+func (*rootSink) Sync(context.Context) error { return nil }
+
+// Fold has nothing to carry per push: the root's window is the
+// aggregator's mass alone.
+func (*rootSink) Fold(*protocol.GradientPush, int, int) {}
 
 // ckptWriter is the background checkpoint goroutine: it encodes and fsyncs
 // queued cores off the push path, acknowledges flush barriers, and on Close
@@ -722,7 +427,7 @@ func (s *Server) Close() error {
 // delta history retains one) the sparse delta from the immediately
 // preceding version — exactly what a streaming transport broadcasts to
 // subscribed workers. fn runs on the goroutine of the push that drained,
-// outside the model lock, strictly before that push's ack returns; keep it
+// outside the commit lock, strictly before that push's ack returns; keep it
 // non-blocking (the stream server's Broadcast is). A nil fn unregisters.
 func (s *Server) OnSnapshot(fn func(protocol.ModelAnnounce)) {
 	if fn == nil {
@@ -732,15 +437,12 @@ func (s *Server) OnSnapshot(fn func(protocol.ModelAnnounce)) {
 	s.snapHook.Store(&fn)
 }
 
-// drainLocked folds the aggregator's window into the model, advances the
+// CloseWindow folds the aggregator's window into the model, advances the
 // logical clock, and publishes a fresh immutable snapshot, so version and
-// parameters move together under s.mu. Callers hold s.mu; the aggregator
-// takes its own locks inside (lock order s.mu → aggregator, acyclic). The
-// clock advances even when the drain errors (the window is discarded), so
-// a poisoned window cannot stall the version stream. The error is counted
-// by the caller into Stats.DrainErrors and never surfaced to the pusher —
-// its gradient is committed either way, so the push is not retriable;
-// built-in aggregators never error on server-validated windows.
+// parameters move together under the commit lock. The clock advances even
+// when the drain errors (the window is discarded), so a poisoned window
+// cannot stall the version stream; built-in aggregators never error on
+// server-validated windows.
 //
 // This is also where the cost of the lock-free pull path lives, paid once
 // per K-window and never per RequestTask: one ParamVector copy for the new
@@ -749,88 +451,84 @@ func (s *Server) OnSnapshot(fn func(protocol.ModelAnnounce)) {
 // entry a merge over only the coordinates that moved (compress.History).
 // A delta denser than half the vector is abandoned and its version falls
 // back to full pulls.
-func (s *Server) drainLocked() error {
+func (k *rootSink) CloseWindow(tally ingest.Tally) (drained, error) {
+	s := (*Server)(k)
 	// A window of sparse pushes only is applied at the coordinates they
 	// touched, and the step delta is found there too.
 	var touched []int32
-	err := s.pipe.DrainTouched(func(direction []float64, at []int32) {
+	err := s.Pipeline().DrainTouched(func(direction []float64, at []int32) {
 		if touched = at; at == nil {
 			s.model.ApplyGradient(direction, s.cfg.LearningRate)
 		} else {
 			s.model.ApplyGradientAt(at, direction, s.cfg.LearningRate)
 		}
 	})
-	s.version++
-
-	old := s.snap.Load()
-	next := &modelSnapshot{version: s.version, params: s.model.ParamVector()}
-	next.deltas = s.history.Advance(next.version, next.params, touched)
-	s.snap.Store(next)
-
-	// Snapshot-publish notification: captured here so the announce carries
-	// the same immutable state just stored, delivered by the draining push
-	// after it releases s.mu (see OnSnapshot). The v−1→v delta, when the
-	// history kept one, is shared with the snapshot — immutable, so the
-	// transport may encode it concurrently with further drains.
-	if s.snapHook.Load() != nil {
-		s.announceDue = &protocol.ModelAnnounce{
-			ModelVersion: s.version,
-			ServerEpoch:  s.epoch,
-		}
-		if d, ok := next.deltas[old.version]; ok {
-			s.announceDue.Delta = d
-			s.announceDue.DeltaBase = old.version
-		} else if s.cfg.F16Announce {
-			// No exact delta retained (dense-gradient deployments hit
-			// Diff's half-vector bound every window): attach the full
-			// model in half precision so subscribers still absorb the
-			// announce instead of falling back to a delta-less ping.
-			s.announceDue.ParamsF16 = compress.PackF16(next.params)
-		}
-	}
+	d := drained{snap: s.core.Advance(s.core.Snapshot().Version+1, s.model.ParamVector(), touched), tally: tally}
 
 	// Periodic crash safety: every CheckpointEvery-th window schedules a
 	// durable snapshot. Only the O(1) core capture happens here (params
 	// shares the just-published immutable storage); the push that drained
-	// writes the file after releasing s.mu.
+	// hands it to the writer after the commit lock is released.
 	if s.cfg.Checkpointer != nil && s.cfg.CheckpointEvery > 0 {
 		s.windowsSinceCkpt++
 		if s.windowsSinceCkpt >= s.cfg.CheckpointEvery {
 			s.windowsSinceCkpt = 0
-			s.ckptDue = &ckptCore{
-				version:       s.version,
-				params:        next.params,
-				gradientsIn:   s.gradientsIn,
-				leafGradients: s.leafGradients,
-				staleSum:      s.staleSum,
-			}
+			d.ckptDue = true
 		}
 	}
-	return err
+	return d, err
 }
 
-// captureState assembles the full persist.State around a core capture. The
+// Deliver is the draining push's work outside the commit lock, in this
+// order before its ack returns: the snapshot-publish notification, then the
+// checkpoint the drain scheduled.
+func (k *rootSink) Deliver(_ context.Context, d drained) {
+	s := (*Server)(k)
+	if d.snap == nil {
+		return
+	}
+	if fn := s.snapHook.Load(); fn != nil {
+		ann := d.snap.Announce(d.snap.Version - 1)
+		if ann.Delta == nil && s.cfg.F16Announce {
+			// No exact delta retained (dense-gradient deployments hit
+			// Diff's half-vector bound every window): attach the full
+			// model in half precision so subscribers still absorb the
+			// announce instead of falling back to a delta-less ping.
+			ann.ParamsF16 = compress.PackF16(d.snap.Params)
+		}
+		(*fn)(ann)
+	}
+	if d.ckptDue {
+		// The full state is captured here, on the push goroutine with the
+		// commit lock already released, and only the encode+fsync is
+		// deferred to the background writer.
+		s.enqueueCheckpoint(s.captureState(d.snap, d.tally))
+	}
+}
+
+// captureState assembles the full persist.State around a captured cut. The
 // auxiliary blocks (AdaSGD history, LD_global, profilers) snapshot
 // themselves under their own locks, so they may trail the core by the few
 // pushes that landed since the drain — they tune scaling heuristics, not
 // model correctness (see persist.State).
-func (s *Server) captureState(core ckptCore) *persist.State {
+func (s *Server) captureState(snap *ingest.Snapshot, tally ingest.Tally) *persist.State {
+	served, dropped := s.core.TaskCounts()
 	st := &persist.State{
 		Arch:          s.cfg.Arch.String(),
 		Epoch:         s.epoch,
-		Version:       core.version,
-		Params:        core.params,
-		GradientsIn:   core.gradientsIn,
-		LeafGradients: core.leafGradients,
-		StaleSum:      core.staleSum,
-		TasksServed:   s.tasksServed.Load(),
-		TasksDropped:  s.tasksDropped.Load(),
+		Version:       snap.Version,
+		Params:        snap.Params,
+		GradientsIn:   tally.GradientsIn,
+		LeafGradients: tally.LeafGradients,
+		StaleSum:      tally.StaleSum,
+		TasksServed:   served,
+		TasksDropped:  dropped,
 	}
 	if a, ok := s.cfg.Algorithm.(*learning.AdaSGD); ok {
 		ada := a.ExportState()
 		st.AdaSGD = &ada
 	}
-	labels := s.labels.ExportState()
+	labels := s.core.Labels().ExportState()
 	st.Labels = &labels
 	if s.cfg.TimeProfiler != nil {
 		st.TimeProfiler = s.cfg.TimeProfiler.ExportState()
@@ -870,27 +568,16 @@ func (s *Server) Checkpoint() (string, error) {
 	// ckptMu first, capture second: the capture is then guaranteed at
 	// least as new as anything already persisted, so the recency guard
 	// never fires on the explicit path. The order is acyclic with the
-	// push path, which releases s.mu before taking ckptMu.
+	// push path, which releases the commit lock before taking ckptMu.
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	s.mu.Lock()
-	snap := s.snap.Load()
-	core := ckptCore{
-		version:       snap.version,
-		params:        snap.params,
-		gradientsIn:   s.gradientsIn,
-		leafGradients: s.leafGradients,
-		staleSum:      s.staleSum,
-	}
-	s.ckptDue = nil // an explicit checkpoint supersedes a scheduled one
-	s.mu.Unlock()
-
-	path, err := s.cfg.Checkpointer.Save(s.captureState(core))
+	snap, tally := s.core.Cut()
+	path, err := s.cfg.Checkpointer.Save(s.captureState(snap, tally))
 	if err != nil {
 		s.ckptErrors.Add(1)
 		return "", err
 	}
-	s.ckptVersion = core.version
+	s.ckptVersion = snap.Version
 	s.checkpoints.Add(1)
 	return path, nil
 }
@@ -928,24 +615,23 @@ func Restore(cfg Config, st *persist.State) (*Server, error) {
 			"server: checkpoint has negative version %d", st.Version)
 	}
 	s.model.SetParams(st.Params)
-	s.version = st.Version
-	s.gradientsIn = st.GradientsIn
-	s.leafGradients = st.LeafGradients
-	s.staleSum = st.StaleSum
+	s.core.Restore(ingest.Tally{
+		GradientsIn:   st.GradientsIn,
+		LeafGradients: st.LeafGradients,
+		StaleSum:      st.StaleSum,
+	}, st.TasksServed, st.TasksDropped)
 	s.restoredVersion = st.Version
 	// A new incarnation: pushes and delta requests carrying the old epoch
 	// are detected instead of colliding with our re-walked version stream.
 	s.epoch = st.Epoch + 1
-	s.tasksServed.Store(st.TasksServed)
-	s.tasksDropped.Store(st.TasksDropped)
-	s.publishBoot(st.Version)
+	s.core.Boot(st.Version, s.epoch, s.model.ParamVector())
 	if st.AdaSGD != nil {
 		if a, ok := s.cfg.Algorithm.(*learning.AdaSGD); ok {
 			a.RestoreState(*st.AdaSGD)
 		}
 	}
 	if st.Labels != nil {
-		if err := s.labels.RestoreState(*st.Labels); err != nil {
+		if err := s.core.Labels().RestoreState(*st.Labels); err != nil {
 			return nil, protocol.Errorf(protocol.CodeInvalidArgument, "server: %v", err)
 		}
 	}
@@ -983,58 +669,27 @@ func (s *Server) RestoredVersion() int { return s.restoredVersion }
 // incremented by every checkpoint restore.
 func (s *Server) Epoch() int64 { return s.epoch }
 
-// Stats returns a diagnostic snapshot, including the composed update
-// pipeline (stage names in chain order plus the window aggregator) and the
-// composed admission chain with its per-policy reject counters.
+// Stats returns a diagnostic snapshot: the ingest core's (model clock,
+// composed pipeline and admission chain with per-policy reject counters,
+// push accounting) plus the root's checkpoint and incarnation state.
 func (s *Server) Stats(ctx context.Context) (*protocol.Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
+	st, err := s.core.Stats(ctx)
+	if err != nil {
+		return nil, err
 	}
-	served := int(s.tasksServed.Load())
-	dropped := int(s.tasksDropped.Load())
-	s.rejectMu.Lock()
-	var rejects map[string]int
-	if len(s.rejects) > 0 {
-		rejects = make(map[string]int, len(s.rejects))
-		for k, v := range s.rejects {
-			rejects[k] = v
-		}
-	}
-	s.rejectMu.Unlock()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mean := 0.0
-	if s.gradientsIn > 0 {
-		mean = s.staleSum / float64(s.gradientsIn)
-	}
-	return &protocol.Stats{
-		ModelVersion:      s.version,
-		TasksServed:       served,
-		TasksRejected:     dropped,
-		TasksDropped:      dropped,
-		GradientsIn:       s.gradientsIn,
-		LeafGradients:     s.leafGradients,
-		MeanStaleness:     mean,
-		PipelineStages:    s.pipe.StageNames(),
-		Aggregator:        s.pipe.AggregatorName(),
-		AdmissionPolicies: sched.Names(s.admit),
-		RejectsByPolicy:   rejects,
-		DrainErrors:       s.drainErrors,
-		Checkpoints:       int(s.checkpoints.Load()),
-		CheckpointErrors:  int(s.ckptErrors.Load()),
-		RestoredVersion:   s.restoredVersion,
-		ServerEpoch:       s.epoch,
-	}, nil
+	st.Checkpoints = int(s.checkpoints.Load())
+	st.CheckpointErrors = int(s.ckptErrors.Load())
+	st.RestoredVersion = s.restoredVersion
+	return st, nil
 }
 
 // Model returns a copy of the current global parameters and their version,
 // served lock-free from the published snapshot.
 func (s *Server) Model() ([]float64, int) {
-	snap := s.snap.Load()
-	out := make([]float64, len(snap.params))
-	copy(out, snap.params)
-	return out, snap.version
+	snap := s.core.Snapshot()
+	out := make([]float64, len(snap.Params))
+	copy(out, snap.Params)
+	return out, snap.Version
 }
 
 // Evaluate computes test accuracy of the current global model. The provided

@@ -456,12 +456,12 @@ func benchmarkPushWindowClose(b *testing.B) {
 	}
 	push := func(i int) {
 		g := pool[i%len(pool)]
-		g.ModelVersion = s.snap.Load().version
+		g.ModelVersion = s.core.Snapshot().Version
 		if _, err := s.PushGradient(ctx, g); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for i := 0; i < 4*(s.cfg.DeltaHistory+1); i++ { // fill the delta history
+	for i := 0; i < 4*(s.core.Config().DeltaHistory+1); i++ { // fill the delta history
 		push(i)
 	}
 	b.ReportAllocs()
@@ -495,7 +495,7 @@ func TestSparseAccumulateMatchesDensify(t *testing.T) {
 	ctx := context.Background()
 	sparse := newTestServer(t, Config{K: 3, Shards: 4, Algorithm: learning.SSGD{}})
 	dense := newTestServer(t, Config{K: 3, Shards: 4, Algorithm: learning.SSGD{}})
-	if !sparse.sparseOK {
+	if !sparse.Pipeline().SparseCapable() {
 		t.Fatal("default pipeline must be sparse-capable")
 	}
 	paramCount := sparse.paramCount

@@ -10,7 +10,7 @@ import "context"
 // validates them per call, so both wire paths share one enforcement point.
 type Credentials struct {
 	// Tenant is the tenant name the caller addressed ("" on untenanted
-	// deployments and legacy routes, which alias to the default tenant).
+	// deployments and routes, which alias to the default tenant).
 	Tenant string
 	// Token is the HMAC bearer token minted for (tenant, worker).
 	Token string

@@ -254,6 +254,12 @@ func (c *Client) call(ctx context.Context, reqType, respType frameType, in, out 
 	}
 	defer sess.unregister(corr)
 	if err := sess.write(frame{typ: reqType, corr: corr, payload: payload}); err != nil {
+		var pe *protocol.Error
+		if errors.As(err, &pe) {
+			// Refused before a byte was written (payload_too_large): the
+			// caller's fault, and the session is intact.
+			return pe
+		}
 		err = protocol.Errorf(protocol.CodeUnavailable, "stream: write %s: %v", reqType, err)
 		sess.fail(err)
 		return err

@@ -8,7 +8,7 @@
 // the model it holds just went stale. The stream transport holds one
 // session per worker — opened once, kept alive by heartbeats — and the
 // server broadcasts {version, epoch, sparse-delta} announcements to every
-// subscribed session the moment drainLocked publishes a new snapshot.
+// subscribed session the moment a window drain publishes a new snapshot.
 //
 // Payloads reuse the internal/protocol codecs (gob+gzip by default, JSON by
 // negotiation), so the learning messages are byte-identical to the HTTP

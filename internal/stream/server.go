@@ -39,8 +39,8 @@ const DefaultIdleTimeout = 2 * time.Minute
 // Server accepts persistent worker sessions and serves the learning-task
 // protocol over them, dispatching every request frame to the wrapped
 // service.Service. It is the streaming sibling of server.NewHandler: both
-// are thin transport shells around the same service boundary, so
-// interceptors and the learning core are shared unchanged.
+// are envelopes around service.Call, so the wire endpoint, the interceptors
+// and the learning core are shared unchanged.
 type Server struct {
 	svc  service.Service
 	opts Options
@@ -430,53 +430,28 @@ func (s *Server) armIdleDeadline(conn net.Conn) {
 	}
 }
 
-// handle decodes one request frame, dispatches it to the service, and
-// writes the response (or a structured error) under the frame's
-// correlation ID. A payload that fails to decode only fails this request —
-// frame boundaries are length-delimited, so the session survives.
+// handle serves one request frame through service.Call — the endpoint the
+// HTTP transport serves through too — and writes the encoded reply (or a
+// structured error) under the frame's correlation ID. A payload that fails
+// to decode only fails this request — frame boundaries are length-delimited,
+// so the session survives.
 func (sess *session) handle(f frame) {
-	resp, err := sess.dispatch(f)
-	if err != nil {
+	op, resp := service.OpTask, fTaskResp
+	switch f.typ {
+	case fPush:
+		op, resp = service.OpPush, fPushAck
+	case fStats:
+		op, resp = service.OpStats, fStatsResp
+	}
+	var buf bytes.Buffer
+	if err := service.Call(sess.callCtx(), sess.svc, op, sess.codec, bytes.NewReader(f.payload), &buf); err != nil {
 		sess.writeError(f.corr, err)
 		return
 	}
-	if err := sess.write(resp); err != nil {
-		sess.srv.logf("stream: worker %d: write %s: %v", sess.workerID, resp.typ, err)
+	if err := sess.write(frame{typ: resp, corr: f.corr, payload: buf.Bytes()}); err != nil {
+		sess.srv.logf("stream: worker %d: write %s: %v", sess.workerID, resp, err)
 		sess.close()
 	}
-}
-
-func (sess *session) dispatch(f frame) (frame, error) {
-	ctx := sess.callCtx()
-	switch f.typ {
-	case fTask:
-		var req protocol.TaskRequest
-		if err := sess.decode(f.payload, &req); err != nil {
-			return frame{}, err
-		}
-		resp, err := sess.svc.RequestTask(ctx, &req)
-		if err != nil {
-			return frame{}, err
-		}
-		return sess.encode(fTaskResp, f.corr, resp)
-	case fPush:
-		var push protocol.GradientPush
-		if err := sess.decode(f.payload, &push); err != nil {
-			return frame{}, err
-		}
-		ack, err := sess.svc.PushGradient(ctx, &push)
-		if err != nil {
-			return frame{}, err
-		}
-		return sess.encode(fPushAck, f.corr, ack)
-	case fStats:
-		stats, err := sess.svc.Stats(ctx)
-		if err != nil {
-			return frame{}, err
-		}
-		return sess.encode(fStatsResp, f.corr, stats)
-	}
-	return frame{}, protocol.Errorf(protocol.CodeInvalidArgument, "stream: unexpected %s frame", f.typ)
 }
 
 // callCtx is the context dispatched calls run under: the server's lifecycle
@@ -486,17 +461,6 @@ func (sess *session) callCtx() context.Context {
 		return sess.srv.ctx
 	}
 	return service.WithCredentials(sess.srv.ctx, sess.creds)
-}
-
-func (sess *session) decode(payload []byte, v interface{}) error {
-	if err := sess.codec.Decode(bytes.NewReader(payload), v); err != nil {
-		var pe *protocol.Error
-		if errors.As(err, &pe) {
-			return pe
-		}
-		return protocol.Errorf(protocol.CodeInvalidArgument, "stream: undecodable payload: %v", err)
-	}
-	return nil
 }
 
 func (sess *session) encode(typ frameType, corr uint32, v interface{}) (frame, error) {

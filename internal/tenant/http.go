@@ -14,46 +14,41 @@ import (
 const tenantRoutePrefix = "/v1/t/"
 
 // Handler exposes the whole registry over HTTP. Tenant-scoped routes
-// (/v1/t/<tenant>/...) resolve the named unit and delegate to its own wire
-// handler with the path's tenant segment stripped, so each unit serves the
-// exact protocol surface server.NewHandler defines; every other path —
-// including the legacy unversioned dialect — aliases to the default tenant.
-// The handler only attaches credentials (tenant segment + Authorization
-// bearer token) to the request context; enforcement happens in the unit's
-// interceptor, shared with the stream transport.
+// (/v1/t/<tenant>/<route>) resolve the named unit and serve the route on
+// that unit's own endpoint — the exact protocol surface server.NewHandler
+// defines, with the unit's own wire tally; every other path is the default
+// tenant's. The handler only attaches credentials (tenant segment +
+// Authorization bearer token) to the call context; enforcement happens in
+// the unit's interceptor, shared with the stream transport.
 func (r *Registry) Handler() http.Handler {
-	handlers := make(map[string]http.Handler, len(r.units))
+	endpoints := make(map[string]*server.Endpoint, len(r.units))
 	for _, u := range r.units {
-		handlers[u.name] = server.NewHandler(u.Service())
+		endpoints[u.name] = server.NewEndpoint(u.Service())
 	}
-	def := handlers[r.def.name]
+	def := endpoints[r.def.name]
 
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		creds := service.Credentials{Token: bearerToken(req)}
-		if rest, ok := strings.CutPrefix(req.URL.Path, tenantRoutePrefix); ok {
-			name, sub, ok := strings.Cut(rest, "/")
-			if !ok || name == "" {
-				protocol.WriteError(w, protocol.Errorf(protocol.CodeInvalidArgument,
-					"tenant route wants %s<tenant>/task|gradient|stats", tenantRoutePrefix))
-				return
-			}
-			h, found := handlers[name]
-			if !found {
-				// Same shape as Registry.Resolve: don't confirm tenant
-				// names to unauthenticated probers.
-				protocol.WriteError(w, protocol.Errorf(protocol.CodeUnauthenticated, "unknown tenant"))
-				return
-			}
-			creds.Tenant = name
-			// Delegate with the tenant segment stripped so the unit's mux
-			// sees its canonical /v1/<method> routes. Clone first: the
-			// original URL may be shared with httptest callers.
-			req2 := req.Clone(service.WithCredentials(req.Context(), creds))
-			req2.URL.Path = "/v1/" + sub
-			h.ServeHTTP(w, req2)
+		rest, scoped := strings.CutPrefix(req.URL.Path, tenantRoutePrefix)
+		if !scoped {
+			def.ServeHTTP(w, req.WithContext(service.WithCredentials(req.Context(), creds)))
 			return
 		}
-		def.ServeHTTP(w, req.Clone(service.WithCredentials(req.Context(), creds)))
+		name, route, ok := strings.Cut(rest, "/")
+		if !ok || name == "" {
+			protocol.WriteError(w, protocol.Errorf(protocol.CodeInvalidArgument,
+				"tenant route wants %s<tenant>/task|gradient|stats", tenantRoutePrefix))
+			return
+		}
+		ep, found := endpoints[name]
+		if !found {
+			// Same shape as Registry.Resolve: don't confirm tenant
+			// names to unauthenticated probers.
+			protocol.WriteError(w, protocol.Errorf(protocol.CodeUnauthenticated, "unknown tenant"))
+			return
+		}
+		creds.Tenant = name
+		ep.Serve(service.WithCredentials(req.Context(), creds), w, req, route)
 	})
 }
 

@@ -17,7 +17,7 @@ type Registry struct {
 }
 
 // NewRegistry builds the units for every config. Options.Default selects
-// which tenant legacy/un-tenanted routes alias to (empty: the first
+// which tenant un-tenanted routes alias to (empty: the first
 // config).
 func NewRegistry(cfgs []Config, opts Options) (*Registry, error) {
 	if len(cfgs) == 0 {
@@ -48,7 +48,7 @@ func NewRegistry(cfgs []Config, opts Options) (*Registry, error) {
 }
 
 // Resolve returns the unit serving the named tenant; the empty name aliases
-// to the default tenant (legacy routes, untenanted hello frames). Unknown
+// to the default tenant (un-tenanted routes and hello frames). Unknown
 // tenants fail as unauthenticated — the registry does not confirm which
 // tenant names exist to unauthenticated callers.
 func (r *Registry) Resolve(name string) (*Unit, error) {
@@ -75,7 +75,7 @@ func (r *Registry) ResolveService(name string) (service.Service, error) {
 // Units returns every unit in declaration order.
 func (r *Registry) Units() []*Unit { return r.units }
 
-// Default returns the unit legacy routes alias to.
+// Default returns the unit un-tenanted routes alias to.
 func (r *Registry) Default() *Unit { return r.def }
 
 // CheckpointAll checkpoints every unit's server, returning the first error

@@ -59,7 +59,7 @@ type Config struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Secret is the shared per-tenant HMAC secret worker tokens are minted
 	// with (MintToken). Empty disables authentication for this tenant —
-	// the back-compat posture of the default tenant behind legacy routes.
+	// the single-fleet posture of a default tenant behind un-tenanted routes.
 	Secret string `json:"secret,omitempty"`
 	// MaxWorkers caps the distinct worker identities this tenant may
 	// enroll (0: unlimited) — the per-tenant worker quota.
@@ -187,7 +187,7 @@ func LoadFile(path string) ([]Config, error) {
 
 // Options carries the deployment-wide dependencies every unit shares.
 type Options struct {
-	// Default names the tenant legacy and un-tenanted routes alias to.
+	// Default names the tenant un-tenanted routes alias to.
 	// Empty: the first configured tenant.
 	Default string
 	// Now is the clock time-windowed admission policies read (nil:

@@ -12,23 +12,19 @@ import (
 )
 
 // Client adapts a remote FLeet server (base URL) to service.Service over
-// HTTP. By default it speaks the versioned /v1 routes with the gob+gzip
-// codec; Codec switches the wire representation and Legacy drops down to
-// the unversioned pre-v1 routes for old servers.
+// HTTP. It speaks the versioned /v1 routes, by default with the gob+gzip
+// codec; Codec switches the wire representation.
 type Client struct {
 	BaseURL    string
 	HTTPClient *http.Client
 	// Codec selects the wire representation (nil: protocol.GobGzip).
-	// Ignored in Legacy mode, which is gob+gzip only.
 	Codec protocol.Codec
-	// Legacy speaks the unversioned /task, /gradient and /stats routes.
-	Legacy bool
 	// Wire, when non-nil, tallies encoded payload bytes in both directions
 	// (request and response bodies; HTTP header overhead is not counted).
 	Wire *protocol.WireCounter
 	// Tenant routes calls through the tenant-scoped /v1/t/<tenant>/ route
 	// space on multi-tenant servers ("" keeps the un-tenanted routes, which
-	// alias to the server's default tenant). Ignored in Legacy mode.
+	// alias to the server's default tenant).
 	Tenant string
 	// Token is the bearer token minted for (tenant, worker), sent as the
 	// Authorization header on every call.
@@ -131,12 +127,9 @@ func (c *Client) readError(resp *http.Response) error {
 	return protocol.ErrorFromHTTP(resp.StatusCode, resp.Header.Get("Content-Type"), body)
 }
 
-// route maps a logical path onto the versioned, tenant-scoped or legacy
-// route space.
+// route maps a logical path onto the versioned or tenant-scoped route
+// space.
 func (c *Client) route(path string) string {
-	if c.Legacy {
-		return path
-	}
 	if c.Tenant != "" {
 		return "/v1/t/" + c.Tenant + path
 	}
@@ -151,7 +144,7 @@ func (c *Client) authorize(req *http.Request) {
 }
 
 func (c *Client) codec() protocol.Codec {
-	if c.Legacy || c.Codec == nil {
+	if c.Codec == nil {
 		return protocol.GobGzip
 	}
 	return c.Codec

@@ -133,10 +133,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestHTTPEndToEndJSONAndLegacy drives the same server through the JSON v1
-// codec and through the legacy unversioned routes: both dialects must
-// train against one model.
-func TestHTTPEndToEndJSONAndLegacy(t *testing.T) {
+// TestHTTPEndToEndJSONAndGob drives the same server through the JSON and
+// the default gob+gzip codec: both representations must train against one
+// model.
+func TestHTTPEndToEndJSONAndGob(t *testing.T) {
 	ctx := context.Background()
 	ds := data.TinyMNIST(5, 12, 4)
 	srv := newServer(t, server.Config{})
@@ -144,18 +144,18 @@ func TestHTTPEndToEndJSONAndLegacy(t *testing.T) {
 	defer hs.Close()
 
 	jsonClient := &Client{BaseURL: hs.URL, HTTPClient: hs.Client(), Codec: protocol.JSON}
-	legacyClient := &Client{BaseURL: hs.URL, HTTPClient: hs.Client(), Legacy: true}
+	gobClient := &Client{BaseURL: hs.URL, HTTPClient: hs.Client()}
 	workers := newWorkers(t, 2, ds)
 
 	for round := 0; round < 3; round++ {
 		if _, err := workers[0].Step(ctx, jsonClient); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := workers[1].Step(ctx, legacyClient); err != nil {
+		if _, err := workers[1].Step(ctx, gobClient); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stats, err := legacyClient.Stats(ctx)
+	stats, err := gobClient.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
