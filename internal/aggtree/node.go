@@ -87,9 +87,10 @@ type Config struct {
 	EnergyProfiler *iprof.IProf
 	// DefaultBatchSize seeds the admission chain (default 100).
 	DefaultBatchSize int
-	// DeltaHistory is how many recent upstream versions the edge keeps
-	// exact sparse deltas for, to serve version-aware leaf pulls and
-	// relay announces. Default 4; negative disables.
+	// DeltaHistory is how many recent upstream versions the edge keeps as
+	// bases of exact sparse deltas, to serve version-aware leaf pulls and
+	// relay announces (server.Config.DeltaHistory has the cost model).
+	// Default 4; negative disables.
 	DeltaHistory int
 	// ID is the worker ID this edge identifies as upstream.
 	ID int

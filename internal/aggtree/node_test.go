@@ -501,13 +501,17 @@ func TestEdgeDeltasMatchDiff(t *testing.T) {
 			}
 			bases := served
 			if len(bases) > depth {
+				// One past the depth: not retained, so a full pull.
+				if past := bases[len(bases)-depth-1]; snap.Delta(past.Version) != nil {
+					t.Fatalf("depth %d step %d: base v%d is past the history but still has a delta", depth, step, past.Version)
+				}
 				bases = bases[len(bases)-depth:]
 			}
 			served = append(served, snap)
 			want := 0
 			for _, b := range bases {
 				d, ok := compress.Diff(b.Params, snap.Params, paramCount/2)
-				got := snap.Deltas[b.Version]
+				got := snap.Delta(b.Version)
 				if ok != (got != nil) {
 					t.Fatalf("depth %d step %d base v%d→v%d: Diff ok=%v, published=%v", depth, step, b.Version, snap.Version, ok, got != nil)
 				}
@@ -518,9 +522,6 @@ func TestEdgeDeltasMatchDiff(t *testing.T) {
 							depth, step, b.Version, snap.Version, len(got.Indices), len(d.Indices))
 					}
 				}
-			}
-			if len(snap.Deltas) != want {
-				t.Fatalf("depth %d step %d: %d deltas published, Diff keeps %d", depth, step, len(snap.Deltas), want)
 			}
 			published += want
 		}

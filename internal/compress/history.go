@@ -1,5 +1,7 @@
 package compress
 
+import "sync"
+
 // histEntry retains one superseded version's params as a delta base. The
 // slice is shared with the snapshot that published it and never written.
 type histEntry struct {
@@ -9,38 +11,53 @@ type histEntry struct {
 
 // History is the delta history behind version-aware pulls: it retains the
 // params of the last depth superseded model versions and, each time the
-// model advances, publishes the exact sparse delta from every retained
-// version to the new one — for each base, field for field what
-// Diff(base, target, len(target)/2) returns, and absent when Diff would
-// abandon (the full pull is cheaper on the wire).
+// model advances, publishes a Deltas view answering, for each retained
+// base, field for field what Diff(base, target, len(target)/2) returns —
+// nothing when Diff would abandon (the full pull is cheaper on the wire).
 //
-// The cost of an Advance follows what changed, not history × size: one
-// step delta prev→target (a Diff, or a comparison at the coordinates the
-// caller says it wrote), then per older entry a merge of its previous delta
-// with the step — a coordinate can only differ between an old base and the
-// new target if it moved on the way to prev or in the step, so only the
-// union of those two index lists is compared. An entry whose previous delta
-// was abandoned, or a step that went dense, falls back to Diff.
+// An Advance pays for one delta only, the step prev→target every announce
+// carries: a Diff, or a comparison at the coordinates the caller says it
+// wrote. The delta from an older base is left to the first pull that names
+// it (Deltas.From), which composes it outside any lock of the publisher.
 //
 // A History is not safe for concurrent use (the parameter server advances
-// it under its model lock, an edge under its upstream lock); the maps and
-// deltas it returns are immutable and may be read from anywhere.
+// it under its model lock, an edge under its upstream lock); the views and
+// deltas it returns are immutable to their readers and may be used from
+// anywhere, concurrently with further Advances.
 type History struct {
-	depth   int
-	cur     histEntry       // target of the last Reset/Advance; no params before the first
-	entries []histEntry     // superseded versions, oldest first, ≤ depth
-	deltas  map[int]*Sparse // entry version → exact delta to cur
+	depth int
+	cur   histEntry   // target of the last Reset/Advance; no params before the first
+	bases []deltaBase // cur's view: superseded versions, oldest first, ≤ depth
 	// nan lists the coordinates at which cur is NaN, valid while nanOK: a
 	// NaN compares unequal to itself, so Diff reports it in every delta
 	// even where nothing was written.
 	nan   []int32
 	nanOK bool
-	idx   []int32 // merge scratch, reused across Advances
-	vals  []float64
+	sc    mergeScratch // reused across Advances
+}
+
+// deltaBase is one retained version inside a Deltas view.
+type deltaBase struct {
+	histEntry
+	// step is the exact delta from this version to the next retained one
+	// (to the view's target for the newest base); nil when it was abandoned.
+	step *Sparse
+	// delta is the exact delta to the view's target of every base but the
+	// newest (whose step it is), composed under once by the first From.
+	once  sync.Once
+	delta *Sparse
+}
+
+// Deltas is the immutable delta view of one published version: a lookup
+// from a retained older version to the exact sparse difference to it. The
+// zero value retains nothing.
+type Deltas struct {
+	target []float64
+	bases  []deltaBase
 }
 
 // NewHistory keeps deltas for the last depth versions; depth <= 0 keeps
-// none (every Advance returns nil).
+// none (every Advance returns the empty view).
 func NewHistory(depth int) *History { return &History{depth: depth} }
 
 // Reset starts a fresh line at (version, params) with no delta bases:
@@ -48,29 +65,22 @@ func NewHistory(depth int) *History { return &History{depth: depth} }
 // before the cut are meaningless as bases after it.
 func (h *History) Reset(version int, params []float64) {
 	h.cur = histEntry{version: version, params: params}
-	h.entries = nil
-	h.deltas = nil
+	h.bases = nil
 	h.nanOK = false
 }
 
-// Advance moves the line to (version, params) and returns the deltas from
-// each retained older version, keyed by that version. params must not be
-// written afterwards. touched, when non-nil, lists in ascending order every
+// Advance moves the line to (version, params) and returns the view of the
+// deltas from each retained older version. params must not be written
+// afterwards. touched, when non-nil, lists in ascending order every
 // coordinate written since the previous target, and possibly more — the
 // indices of a delta the caller just patched in, or of the sparse gradients
 // it applied; nil makes Advance find them.
-func (h *History) Advance(version int, params []float64, touched []int32) map[int]*Sparse {
+func (h *History) Advance(version int, params []float64, touched []int32) Deltas {
 	if h.depth <= 0 || len(params) != len(h.cur.params) {
 		h.Reset(version, params)
-		return nil
+		return Deltas{}
 	}
 	prev := h.cur
-	if len(h.entries) == h.depth {
-		copy(h.entries, h.entries[1:])
-		h.entries[h.depth-1] = prev
-	} else {
-		h.entries = append(h.entries, prev)
-	}
 	maxNNZ := len(params) / 2
 
 	// The step delta is re-derived from the caller's list rather than
@@ -79,7 +89,7 @@ func (h *History) Advance(version int, params []float64, touched []int32) map[in
 	// which it does.
 	var d *Sparse
 	if touched != nil && h.nanOK {
-		d = h.changed(touched, h.nan, prev.params, params, maxNNZ)
+		d = changed(&h.sc, touched, h.nan, prev.params, params, maxNNZ)
 	}
 	if d == nil {
 		if full, ok := Diff(prev.params, params, maxNNZ); ok {
@@ -98,33 +108,81 @@ func (h *History) Advance(version int, params []float64, touched []int32) map[in
 		}
 	}
 
-	next := make(map[int]*Sparse, len(h.entries))
-	for _, e := range h.entries[:len(h.entries)-1] {
-		if via := h.deltas[e.version]; via != nil && d != nil {
-			// Both lists are this type's own output, so a nil result
-			// means the merge passed maxNNZ — exactly when Diff abandons.
-			if c := h.changed(via.Indices, d.Indices, e.params, params, maxNNZ); c != nil {
-				next[e.version] = c
-			}
-		} else if full, ok := Diff(e.params, params, maxNNZ); ok {
-			next[e.version] = &full
+	// The new view keeps the newest depth−1 bases of the old one, each with
+	// the step that left it, and prev. The old view's slice is shared with
+	// readers that may be composing from it: entries are rebuilt, never
+	// moved, and only the fields no reader writes are read.
+	old := h.bases
+	if len(old) >= h.depth {
+		old = old[len(old)-h.depth+1:]
+	}
+	bases := make([]deltaBase, len(old)+1)
+	for i := range old {
+		bases[i].histEntry, bases[i].step = old[i].histEntry, old[i].step
+	}
+	bases[len(old)].histEntry, bases[len(old)].step = prev, d
+	h.cur = histEntry{version: version, params: params}
+	h.bases = bases
+	return Deltas{target: params, bases: bases}
+}
+
+// From returns the exact delta from the retained version to the view's
+// target — Diff(base, target, len(target)/2) field for field — or nil when
+// that version is not retained or Diff would abandon. The newest base
+// costs a lookup; an older one is composed by the first call that asks for
+// it, once per view, and shared by every later one. Safe for concurrent
+// use.
+func (v Deltas) From(version int) *Sparse {
+	for i := range v.bases {
+		if v.bases[i].version == version {
+			return v.at(i)
 		}
 	}
-	if d != nil {
-		next[prev.version] = d
-	}
-	h.cur = histEntry{version: version, params: params}
-	h.deltas = next
-	return next
+	return nil
 }
+
+// at returns the delta from bases[i]. A coordinate can only differ between
+// that base and the target if it moved in the step that left the base or
+// differs between the next base and the target, so only the union of those
+// two index lists is compared; where either was abandoned, Diff decides.
+func (v Deltas) at(i int) *Sparse {
+	b := &v.bases[i]
+	if i == len(v.bases)-1 {
+		return b.step
+	}
+	b.once.Do(func() {
+		maxNNZ := len(v.target) / 2
+		if via := v.at(i + 1); b.step != nil && via != nil {
+			sc := scratchPool.Get().(*mergeScratch)
+			// Both lists are this type's own output, so a nil result means
+			// the merge passed maxNNZ — exactly when Diff abandons.
+			b.delta = changed(sc, b.step.Indices, via.Indices, b.params, v.target, maxNNZ)
+			scratchPool.Put(sc)
+		} else if full, ok := Diff(b.params, v.target, maxNNZ); ok {
+			b.delta = &full
+		}
+	})
+	return b.delta
+}
+
+// mergeScratch collects one merge's output before it is copied out at its
+// exact size.
+type mergeScratch struct {
+	idx  []int32
+	vals []float64
+}
+
+// scratchPool serves the compositions that run on pull goroutines; a
+// History brings its own.
+var scratchPool = sync.Pool{New: func() interface{} { return new(mergeScratch) }}
 
 // changed walks the union of the ascending index lists a and b and keeps
 // the coordinates where target differs from base, with target's values —
 // Diff restricted to the candidates, allocated at its exact size. It
 // returns nil when more than maxNNZ coordinates differ (maxNNZ <= 0: no
 // bound) or a list is not strictly ascending within the vector.
-func (h *History) changed(a, b []int32, base, target []float64, maxNNZ int) *Sparse {
-	h.idx, h.vals = h.idx[:0], h.vals[:0]
+func changed(sc *mergeScratch, a, b []int32, base, target []float64, maxNNZ int) *Sparse {
+	sc.idx, sc.vals = sc.idx[:0], sc.vals[:0]
 	last := int32(-1)
 	for i, j := 0, 0; i < len(a) || j < len(b); {
 		var c int32
@@ -145,19 +203,19 @@ func (h *History) changed(a, b []int32, base, target []float64, maxNNZ int) *Spa
 		}
 		last = c
 		if target[c] != base[c] {
-			if maxNNZ > 0 && len(h.idx) == maxNNZ {
+			if maxNNZ > 0 && len(sc.idx) == maxNNZ {
 				return nil
 			}
-			h.idx = append(h.idx, c)
-			h.vals = append(h.vals, target[c])
+			sc.idx = append(sc.idx, c)
+			sc.vals = append(sc.vals, target[c])
 		}
 	}
 	out := &Sparse{
 		Len:     len(target),
-		Indices: make([]int32, len(h.idx)),
-		Values:  make([]float64, len(h.vals)),
+		Indices: make([]int32, len(sc.idx)),
+		Values:  make([]float64, len(sc.vals)),
 	}
-	copy(out.Indices, h.idx)
-	copy(out.Values, h.vals)
+	copy(out.Indices, sc.idx)
+	copy(out.Values, sc.vals)
 	return out
 }

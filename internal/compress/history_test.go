@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -42,8 +43,10 @@ func (o *historyOracle) advance(version int, params []float64) map[int]*Sparse {
 // history: over randomized sequences of sparse, dense and mixed windows —
 // coordinates reverting to their old bits, a delta crossing the half-vector
 // bound and coming back under it, NaNs, resets (boot / incarnation change),
-// caller-supplied steps that over-report — every published delta equals
-// Diff(base, target, P/2) field for field, and presence in the map matches.
+// caller-supplied steps that over-report — every delta a view hands out
+// equals Diff(base, target, P/2) field for field, and is absent exactly
+// when Diff abandons. Bases are asked in random order, some never, and a
+// second goroutine asks the same view while the history keeps advancing.
 func TestHistoryMatchesDiff(t *testing.T) {
 	const P = 64
 	// recovered counts deltas published for a base whose previous delta was
@@ -63,9 +66,20 @@ func TestHistoryMatchesDiff(t *testing.T) {
 			versions := [][]float64{cur}
 			h.Reset(0, cur)
 			o.reset(0, cur)
-			composed, abandoned := 0, 0
+			composed, abandoned, skipped := 0, 0, 0
 			var last map[int]*Sparse
-			for v := 1; v <= 60; v++ {
+			// check compares one view against the oracle's map for the
+			// bases given, in the order given.
+			check := func(v int, view Deltas, want map[int]*Sparse, bases []int) {
+				for _, base := range bases {
+					g, w := view.From(base), want[base]
+					if (g == nil) != (w == nil) || (g != nil && !sameSparse(*g, *w)) {
+						t.Errorf("depth %d seed %d v%d base %d:\n got %+v\nwant %+v", depth, seed, v, base, g, w)
+					}
+				}
+			}
+			var readers sync.WaitGroup
+			for v := 1; v <= 60 && !t.Failed(); v++ {
 				next := append([]float64(nil), cur...)
 				touched := map[int32]bool{}
 				set := func(i int, x float64) { next[i] = x; touched[int32(i)] = true }
@@ -114,24 +128,46 @@ func TestHistoryMatchesDiff(t *testing.T) {
 						}
 					}
 				}
-				got, want := h.Advance(v, next, step), o.advance(v, next)
-				if len(got) != len(want) {
-					t.Fatalf("depth %d seed %d v%d: published bases %v, want %v", depth, seed, v, keys(got), keys(want))
-				}
-				for base, w := range want {
-					if g := got[base]; g == nil || !sameSparse(*g, *w) {
-						t.Fatalf("depth %d seed %d v%d base %d:\n got %+v\nwant %+v", depth, seed, v, base, g, w)
+				view, want := h.Advance(v, next, step), o.advance(v, next)
+				// Every retained base and the two versions either side of
+				// them (never retained), shuffled; one view in four leaves
+				// some bases unasked, so later views compose without them.
+				var ask, all []int
+				for base := v - depth - 1; base <= v; base++ {
+					all = append(all, base)
+					if rng.Intn(4) > 0 || v%4 != 0 {
+						ask = append(ask, base)
+					} else {
+						skipped++
 					}
+				}
+				rng.Shuffle(len(ask), func(i, j int) { ask[i], ask[j] = ask[j], ask[i] })
+				// The concurrent reader asks every base of this view while
+				// the loop goes on to advance the history past it.
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					check(v, view, want, all)
+				}()
+				check(v, view, want, ask)
+				for base := range want {
 					if base != v-1 && last[base] == nil {
 						recovered++
 					}
 				}
-				composed += len(got)
+				composed += len(want)
 				abandoned += len(o.entries) - len(want)
 				cur, versions, last = next, append(versions, next), want
 			}
+			readers.Wait()
+			if t.Failed() {
+				return
+			}
 			if depth > 0 && (composed == 0 || abandoned == 0) {
 				t.Fatalf("depth %d seed %d: sequence exercised %d published and %d abandoned deltas", depth, seed, composed, abandoned)
+			}
+			if depth > 1 && skipped == 0 {
+				t.Fatalf("depth %d seed %d: every base of every view was asked", depth, seed)
 			}
 		}
 	}
@@ -154,14 +190,6 @@ func sameSparse(a, b Sparse) bool {
 	return true
 }
 
-func keys(m map[int]*Sparse) []int {
-	var out []int
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
 // TestHistoryRejectsBadStep: a touched list that is not strictly ascending
 // inside the vector cannot be merged; the history finds the step itself
 // instead of publishing a malformed delta.
@@ -180,7 +208,7 @@ func TestHistoryRejectsBadStep(t *testing.T) {
 		h.Reset(0, boot)
 		h.Advance(1, base, nil) // a step is only consulted once the history knows cur's NaNs
 		got := h.Advance(2, next, idx)
-		if d := got[1]; d == nil || !sameSparse(*d, want) {
+		if d := got.From(1); d == nil || !sameSparse(*d, want) {
 			t.Errorf("%s step: published %+v, want %+v", name, d, want)
 		}
 	}
@@ -188,13 +216,15 @@ func TestHistoryRejectsBadStep(t *testing.T) {
 
 // BenchmarkHistoryAdvance closes a window at the bench/perf model size
 // (cifar100, 325 k parameters, ~1 % of them moved per window, 4 versions
-// retained) through the composed history and through the per-entry Diff
-// loop it replaced.
+// retained): what every window pays (step-only), what it pays when a pull
+// then names every older base (compose-on-first-pull), and the per-entry
+// Diff loop both replaced.
 func BenchmarkHistoryAdvance(b *testing.B) {
 	const P, depth, moved = 325_000, 4, 12_000
 	// The history references the current version and depth older ones, so a
 	// ring of depth+2 buffers always has one free for the next version.
-	run := func(b *testing.B, reset func(int, []float64), advance func(int, []float64) map[int]*Sparse) {
+	// advance returns how many deltas it produced.
+	run := func(b *testing.B, reset func(int, []float64), advance func(int, []float64) int, want int) {
 		rng := rand.New(rand.NewSource(1))
 		ring := make([][]float64, depth+2)
 		for i := range ring {
@@ -219,17 +249,30 @@ func BenchmarkHistoryAdvance(b *testing.B) {
 			v := depth + 1 + i
 			next := step(v)
 			b.StartTimer()
-			if got := advance(v, next); len(got) != depth {
-				b.Fatalf("published %d deltas, want %d", len(got), depth)
+			if got := advance(v, next); got != want {
+				b.Fatalf("produced %d deltas, want %d", got, want)
 			}
 		}
 	}
-	b.Run("composed", func(b *testing.B) {
+	// pulled counts the deltas of the newest n bases of the view at v.
+	pulled := func(view Deltas, v, n int) (got int) {
+		for base := v - 1; base >= v-n; base-- {
+			if view.From(base) != nil {
+				got++
+			}
+		}
+		return got
+	}
+	b.Run("step-only", func(b *testing.B) {
 		h := NewHistory(depth)
-		run(b, h.Reset, func(v int, p []float64) map[int]*Sparse { return h.Advance(v, p, nil) })
+		run(b, h.Reset, func(v int, p []float64) int { return pulled(h.Advance(v, p, nil), v, 1) }, 1)
+	})
+	b.Run("compose-on-first-pull", func(b *testing.B) {
+		h := NewHistory(depth)
+		run(b, h.Reset, func(v int, p []float64) int { return pulled(h.Advance(v, p, nil), v, depth) }, depth)
 	})
 	b.Run("diff-per-entry", func(b *testing.B) {
 		o := &historyOracle{depth: depth}
-		run(b, o.reset, o.advance)
+		run(b, o.reset, func(v int, p []float64) int { return len(o.advance(v, p)) }, depth)
 	})
 }

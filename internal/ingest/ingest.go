@@ -34,11 +34,16 @@ type Snapshot struct {
 	Version int
 	Epoch   int64
 	Params  []float64
-	// Deltas maps an older version v to the exact sparse difference
-	// params(v) → Params, when sparse enough to be worth the wire; the
-	// absence of an entry means "serve a full pull".
-	Deltas map[int]*compress.Sparse
+	deltas  compress.Deltas
 }
+
+// Delta returns the exact sparse difference params(base) → Params for an
+// older version the history still retains, when sparse enough to be worth
+// the wire; nil means "serve a full pull". The previous version's delta was
+// taken when the snapshot was published; an older base's is composed by the
+// first caller that names it — O(coordinates that moved since), once per
+// base and snapshot, on that caller's goroutine — and shared afterwards.
+func (s *Snapshot) Delta(base int) *compress.Sparse { return s.deltas.From(base) }
 
 // Announce describes the refresh base → s to subscribers: the clock, and
 // the exact delta when the history kept one (one patch even across several
@@ -47,7 +52,7 @@ type Snapshot struct {
 // with further publications.
 func (s *Snapshot) Announce(base int) protocol.ModelAnnounce {
 	ann := protocol.ModelAnnounce{ModelVersion: s.Version, ServerEpoch: s.Epoch}
-	if d, ok := s.Deltas[base]; ok {
+	if d := s.Delta(base); d != nil {
 		ann.Delta, ann.DeltaBase = d, base
 	}
 	return ann
@@ -205,22 +210,26 @@ func (c *Core[W]) Boot(version int, epoch int64, params []float64) *Snapshot {
 }
 
 // Advance publishes the next snapshot of the current line and epoch, with
-// the exact deltas from every retained older version. touched is
+// the exact delta from the previous one and the means to compose the delta
+// from every older retained version (Snapshot.Delta). touched is
 // compress.History.Advance's: every coordinate written since the previous
 // snapshot, possibly more; nil makes the history find them.
 func (c *Core[W]) Advance(version int, params []float64, touched []int32) *Snapshot {
 	next := &Snapshot{Version: version, Epoch: c.snap.Load().Epoch, Params: params}
-	next.Deltas = c.history.Advance(version, params, touched)
+	next.deltas = c.history.Advance(version, params, touched)
 	c.snap.Store(next)
 	return next
 }
 
 // RequestTask processes step (1)→(4) of Figure 2: screen the task through
 // the admission chain (I-Prof batch sizing, the controller) and serve the
-// model. The accept path is lock-free and O(1) in the model size: the
-// response either shares the immutable snapshot's parameter slice (full
-// pull) or hands out a delta precomputed when the snapshot was published
-// (version-aware pull). The only synchronization is the label tracker's
+// model. The accept path never takes the commit lock and copies nothing:
+// the response shares the immutable snapshot's parameter slice (full pull)
+// or one of its deltas (version-aware pull). That is O(1) in the model size
+// for a worker at the current or the previous version; the first pull from
+// an older retained version composes that delta — O(coordinates that moved
+// since), once per base and snapshot — and every later one shares it
+// (Snapshot.Delta). The only synchronization besides is the label tracker's
 // lock-free snapshot read and whatever stateful admission policies do
 // internally.
 func (c *Core[W]) RequestTask(ctx context.Context, req *protocol.TaskRequest) (*protocol.TaskResponse, error) {
@@ -274,7 +283,7 @@ func (c *Core[W]) RequestTask(ctx context.Context, req *protocol.TaskRequest) (*
 			resp.DeltaBase = req.KnownVersion
 			return resp, nil
 		}
-		if d, ok := snap.Deltas[req.KnownVersion]; ok {
+		if d := snap.Delta(req.KnownVersion); d != nil {
 			resp.ParamsDelta = d
 			resp.DeltaBase = req.KnownVersion
 			return resp, nil

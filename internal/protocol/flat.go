@@ -18,8 +18,9 @@ import (
 // incompressible float bits; the flat codec instead writes a fixed header
 // and raw little-endian fields and arrays, so a sparse push costs ~40 bytes
 // of framing plus 4–12 bytes per kept coordinate, encoded through a pooled
-// buffer and decoded zero-copy: array bytes are read straight off the wire
-// into the final []float64/[]int32/[]uint16 backing stores.
+// buffer (a model-sized array bypasses it, see SharedWriter) and decoded
+// zero-copy: array bytes are read straight off the wire into the final
+// []float64/[]int32/[]uint16 backing stores.
 //
 // Every protocol message has a native layout (kinds 2–7 below); there is no
 // self-describing fallback, so a Go type without a layout fails to encode
@@ -73,11 +74,69 @@ type flatCodec struct{}
 
 func (flatCodec) ContentType() string { return ContentTypeFlat }
 
-// flatBuf is a pooled encode scratch buffer; one message is built in
-// memory and written with a single w.Write.
-type flatBuf struct{ b []byte }
+// SharedWriter is the one way an Encode destination may keep a message's
+// arrays instead of copying them: plain io.Writer forbids retaining p, so a
+// writer that can send a slice later (a vectored socket write) says so by
+// implementing this. The codec hands it, by reference, any large array of
+// the message — the caller that passes a SharedWriter to Encode therefore
+// vouches that the message's arrays are not written until it is done with
+// what WriteShared received (true of everything served from an immutable
+// model snapshot, and of a request whose sender waits for the write).
+type SharedWriter interface {
+	io.Writer
+	// WriteShared appends p to the output without copying it.
+	WriteShared(p []byte) (n int, err error)
+}
+
+const (
+	// flatSplitBytes is the array size from which the encoder stops copying:
+	// the message goes out as head, array, tail — the array bytes straight
+	// from the caller's slice — instead of through the scratch buffer.
+	flatSplitBytes = 64 << 10
+	// flatPoolMaxBytes bounds the scratch a pooled buffer may keep, so one
+	// large message (a big-endian host's converted model) is not pinned for
+	// the life of the process.
+	flatPoolMaxBytes = 1 << 20
+)
+
+// flatBuf is a pooled encode scratch buffer: a message is built in memory
+// and written to w with a single Write, unless it carries an array of
+// flatSplitBytes or more, which splits it into the Writes around it.
+type flatBuf struct {
+	b   []byte
+	w   io.Writer
+	err error // first failed Write
+}
 
 var flatPool = sync.Pool{New: func() interface{} { return &flatBuf{b: make([]byte, 0, 4096)} }}
+
+// flush writes what the scratch holds.
+func (f *flatBuf) flush() {
+	if len(f.b) > 0 && f.err == nil {
+		_, f.err = f.w.Write(f.b)
+	}
+	f.b = f.b[:0]
+}
+
+// image appends the little-endian wire image of an array, which on a
+// little-endian host is the array's own memory: small, it is copied into
+// the scratch; large, it is written from where it lies — handed over by
+// reference when w can keep it.
+func (f *flatBuf) image(p []byte) {
+	if len(p) < flatSplitBytes {
+		f.b = append(f.b, p...)
+		return
+	}
+	f.flush()
+	if f.err != nil {
+		return
+	}
+	if sw, ok := f.w.(SharedWriter); ok {
+		_, f.err = sw.WriteShared(p)
+	} else {
+		_, f.err = f.w.Write(p)
+	}
+}
 
 func (f *flatBuf) u8(v uint8) { f.b = append(f.b, v) }
 func (f *flatBuf) u32(v uint32) {
@@ -113,7 +172,7 @@ func (f *flatBuf) f64s(s []float64) {
 		return
 	}
 	if hostLittle {
-		f.b = append(f.b, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)...)
+		f.image(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8))
 		return
 	}
 	for _, v := range s {
@@ -126,7 +185,7 @@ func (f *flatBuf) i32s(s []int32) {
 		return
 	}
 	if hostLittle {
-		f.b = append(f.b, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4)...)
+		f.image(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4))
 		return
 	}
 	for _, v := range s {
@@ -139,7 +198,7 @@ func (f *flatBuf) u16s(s []uint16) {
 		return
 	}
 	if hostLittle {
-		f.b = append(f.b, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*2)...)
+		f.image(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*2))
 		return
 	}
 	for _, v := range s {
@@ -189,6 +248,7 @@ func (f *flatBuf) header(kind uint8) {
 
 func (flatCodec) Encode(w io.Writer, v interface{}) error {
 	f := flatPool.Get().(*flatBuf)
+	f.w = w
 	switch m := v.(type) {
 	case *TaskResponse:
 		f.taskResponse(m)
@@ -215,12 +275,16 @@ func (flatCodec) Encode(w io.Writer, v interface{}) error {
 	case Stats:
 		f.stats(&m)
 	default:
+		f.w = nil
 		flatPool.Put(f)
 		return Errorf(CodeInvalidArgument, "flat: no layout for %T", v)
 	}
-	_, err := w.Write(f.b)
-	f.b = f.b[:0]
-	flatPool.Put(f)
+	f.flush()
+	err := f.err
+	f.w, f.err = nil, nil
+	if cap(f.b) <= flatPoolMaxBytes {
+		flatPool.Put(f)
+	}
 	if err != nil {
 		return Errorf(CodeUnavailable, "flat: write: %v", err)
 	}

@@ -616,8 +616,8 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := s.core.Snapshot().Deltas; len(d) != 0 {
-			t.Fatalf("restored server published %d deltas before any drain", len(d))
+		if d := s.core.Snapshot().Delta(version - 1); d != nil {
+			t.Fatalf("restored server serves a delta from v%d before any drain", version-1)
 		}
 
 		rng := simrand.New(int64(depth))
@@ -672,6 +672,12 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 				window = [2]*protocol.GradientPush{topk(1 + rng.Intn(20)), topk(1 + rng.Intn(20))}
 			}
 			last = window
+			// A delta pull from the oldest base that may still be retained
+			// races the drain: whichever snapshot it is served from, it
+			// must reconstruct that snapshot exactly.
+			racer := served[max(0, len(served)-depth)]
+			raced := make(chan *protocol.TaskResponse, 1)
+			go func() { raced <- deltaPull(t, s, racer.Version) }()
 			for _, push := range window { // K=2: the second push closes the window
 				push.ModelVersion, push.ModelEpoch = s.core.Snapshot().Version, s.epoch
 				push.BatchSize, push.LabelCounts = 1, []int{1}
@@ -681,21 +687,40 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 			}
 			snap := s.core.Snapshot()
 			served = append(served, snap)
+			if resp := <-raced; resp != nil {
+				target := served[resp.ModelVersion-version]
+				got := resp.Params
+				if resp.ParamsDelta != nil {
+					got = append([]float64(nil), racer.Params...)
+					if err := resp.ParamsDelta.Patch(got); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := range target.Params {
+					if math.Float64bits(got[i]) != math.Float64bits(target.Params[i]) {
+						t.Fatalf("depth %d window %d: pull from v%d racing the drain does not reconstruct v%d at %d",
+							depth, w, racer.Version, target.Version, i)
+					}
+				}
+			}
 			bases := served[:len(served)-1]
 			if len(bases) > depth {
+				// One past the depth: not retained, so a full pull.
+				past := bases[len(bases)-depth-1]
+				if resp := deltaPull(t, s, past.Version); resp == nil || !resp.Full || resp.ParamsDelta != nil || snap.Delta(past.Version) != nil {
+					t.Fatalf("depth %d window %d: base v%d is past the history but was not served a full pull", depth, w, past.Version)
+				}
 				bases = bases[len(bases)-depth:]
 			}
-			want := 0
 			for _, b := range bases {
 				d, ok := compress.Diff(b.Params, snap.Params, s.paramCount/2)
-				got := snap.Deltas[b.Version]
+				got := snap.Delta(b.Version)
 				if ok != (got != nil) {
 					t.Fatalf("depth %d window %d base v%d: Diff ok=%v, published=%v", depth, w, b.Version, ok, got != nil)
 				}
 				if !ok {
 					continue
 				}
-				want++
 				same := got.Len == d.Len && reflect.DeepEqual(got.Indices, d.Indices) && len(got.Values) == len(d.Values)
 				for i := 0; same && i < len(d.Values); i++ {
 					same = math.Float64bits(got.Values[i]) == math.Float64bits(d.Values[i])
@@ -705,9 +730,19 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 						depth, w, b.Version, len(got.Indices), len(d.Indices))
 				}
 			}
-			if len(snap.Deltas) != want {
-				t.Fatalf("depth %d window %d: %d deltas published, Diff keeps %d", depth, w, len(snap.Deltas), want)
-			}
 		}
 	}
+}
+
+// deltaPull is a version-aware pull from known at s's incarnation; nil
+// (after t.Error) when the call fails.
+func deltaPull(t *testing.T, s *Server, known int) *protocol.TaskResponse {
+	resp, err := s.RequestTask(context.Background(), &protocol.TaskRequest{
+		LabelCounts: []int{1}, WantDelta: true, KnownVersion: known, KnownEpoch: s.epoch,
+	})
+	if err != nil || !resp.Accepted {
+		t.Errorf("delta pull from v%d: %v (%+v)", known, err, resp)
+		return nil
+	}
+	return resp
 }

@@ -18,8 +18,8 @@
 // policy chain (internal/sched) and the model is served lock-free from an
 // immutable snapshot. This package is the root's window sink: what a full
 // window does here is fold into the global model under the ingest commit
-// lock, publish the next snapshot with its precomputed deltas, announce it
-// and checkpoint it.
+// lock, publish the next snapshot with the delta from the previous one,
+// announce it and checkpoint it.
 package server
 
 import (
@@ -117,10 +117,15 @@ type Config struct {
 	// DeltaHistory is how many recent model versions the server keeps
 	// exact sparse deltas for, enabling version-aware pulls: a worker at
 	// version t−τ (τ ≤ DeltaHistory) downloads the delta instead of the
-	// full model. Deltas are precomputed at drain time so RequestTask
-	// stays O(1); a delta denser than half the parameter vector is
-	// discarded (the full pull is cheaper on the wire). Default 4;
-	// negative disables delta pulls.
+	// full model. A drain takes only the delta from the previous version
+	// (the announce carries it), so RequestTask is O(1) in the model size
+	// for a worker at the current or the previous version; the delta from
+	// an older retained version is composed by the first pull that names
+	// it — one pass over the coordinates that moved since, once per base
+	// and snapshot, never under the commit lock — and shared afterwards.
+	// A delta denser than half the parameter vector is discarded (the
+	// full pull is cheaper on the wire). Default 4; negative disables
+	// delta pulls.
 	DeltaHistory int
 	// Checkpointer, when non-nil, makes the server crash-safe: learned
 	// state (model, logical clock, AdaSGD staleness history, LD_global,
@@ -444,13 +449,14 @@ func (s *Server) OnSnapshot(fn func(protocol.ModelAnnounce)) {
 // cannot stall the version stream; built-in aggregators never error on
 // server-validated windows.
 //
-// This is also where the cost of the lock-free pull path lives, paid once
-// per K-window and never per RequestTask: one ParamVector copy for the new
-// snapshot, one v−1→v step delta (a diff of the two vectors, or of the
-// coordinates a window of sparse pushes touched), and per older history
-// entry a merge over only the coordinates that moved (compress.History).
-// A delta denser than half the vector is abandoned and its version falls
-// back to full pulls.
+// This is also where most of the cost of the lock-free pull path lives,
+// paid once per K-window: one ParamVector copy for the new snapshot and one
+// v−1→v step delta (a diff of the two vectors, or of the coordinates a
+// window of sparse pushes touched). The delta from an older history entry
+// is not taken here: the first pull that names that base composes it, off
+// this lock, by a merge over only the coordinates that moved
+// (compress.Deltas.From). A delta denser than half the vector is abandoned
+// and its version falls back to full pulls.
 func (k *rootSink) CloseWindow(tally ingest.Tally) (drained, error) {
 	s := (*Server)(k)
 	// A window of sparse pushes only is applied at the coordinates they

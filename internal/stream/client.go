@@ -1,12 +1,15 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,9 +56,12 @@ type Client struct {
 	// arrives (called from the session's read loop; keep it brief).
 	OnAnnounce func(protocol.ModelAnnounce)
 
-	mu    sync.Mutex // guards sess lifecycle
-	sess  *clientSession
-	dials atomic.Int64
+	mu   sync.Mutex // guards sess lifecycle
+	sess *clientSession
+	// retired holds sessions the server told to go away, still finishing
+	// their in-flight calls, until they die or Close ends them.
+	retired []*clientSession
+	dials   atomic.Int64
 
 	// Announce state: the latest announced (epoch, version) plus the
 	// longest consecutive delta chain ending there, for proactive absorb.
@@ -117,15 +123,22 @@ func (c *Client) Connected() bool {
 }
 
 // Close tears the session down (a final goaway tells the server this is
-// deliberate). The client remains usable: the next call dials fresh.
+// deliberate) and returns once its read and heartbeat loops have exited, so
+// nothing of it still runs afterwards; calls in flight fail with
+// unavailable. Do not call it from OnAnnounce, which the read loop runs.
+// The client remains usable: the next call dials fresh.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	sess := c.sess
-	c.sess = nil
+	sessions := c.retired
+	if c.sess != nil {
+		sessions = append(sessions, c.sess)
+	}
+	c.sess, c.retired = nil, nil
 	c.mu.Unlock()
-	if sess != nil {
+	for _, sess := range sessions {
 		sess.sendGoAway("client closing")
 		sess.fail(protocol.Errorf(protocol.CodeUnavailable, "stream: client closed session"))
+		sess.loops.Wait()
 	}
 	return nil
 }
@@ -240,20 +253,21 @@ func (c *Client) call(ctx context.Context, reqType, respType frameType, in, out 
 	if err != nil {
 		return err
 	}
-	var payload []byte
+	// The request is encoded into the outgoing frame; the write below
+	// completes before call returns, so in's arrays may go by reference.
+	req := newFrameOut()
+	defer req.release()
 	if in != nil {
-		var buf bytes.Buffer
-		if err := sess.codec.Encode(&buf, in); err != nil {
+		if err := sess.codec.Encode(req, in); err != nil {
 			return err
 		}
-		payload = buf.Bytes()
 	}
 	corr, ch, err := sess.register()
 	if err != nil {
 		return err
 	}
 	defer sess.unregister(corr)
-	if err := sess.write(frame{typ: reqType, corr: corr, payload: payload}); err != nil {
+	if err := sess.send(reqType, corr, req); err != nil {
 		var pe *protocol.Error
 		if errors.As(err, &pe) {
 			// Refused before a byte was written (payload_too_large): the
@@ -275,7 +289,11 @@ func (c *Client) call(ctx context.Context, reqType, respType frameType, in, out 
 		case fError:
 			return decodeErrorFrame(res.f.payload)
 		case respType:
-			return sess.decode(res.f.payload, out)
+			if res.task != nil { // decoded by the read loop; respType is fTaskResp
+				*out.(*protocol.TaskResponse) = *res.task
+				return nil
+			}
+			return sess.decode(bytes.NewReader(res.f.payload), out)
 		}
 		return protocol.Errorf(protocol.CodeInternal,
 			"stream: got %s in response to %s", res.f.typ, reqType)
@@ -295,6 +313,7 @@ func (c *Client) session(ctx context.Context) (*clientSession, error) {
 		// session, but route new calls over a fresh one.
 		old := c.sess
 		c.sess = nil
+		c.retired = append(slices.DeleteFunc(c.retired, (*clientSession).dead), old)
 		go func() {
 			time.Sleep(c.dialTimeout())
 			old.fail(protocol.Errorf(protocol.CodeUnavailable, "stream: session drained"))
@@ -334,6 +353,7 @@ func (c *Client) dial(ctx context.Context) (*clientSession, error) {
 	sess := &clientSession{
 		client:  c,
 		conn:    conn,
+		br:      bufio.NewReader(conn),
 		codec:   c.codec(),
 		pending: make(map[uint32]chan callResult),
 		done:    make(chan struct{}),
@@ -350,11 +370,12 @@ func (c *Client) dial(ctx context.Context) (*clientSession, error) {
 		_ = conn.Close()
 		return nil, protocol.Errorf(protocol.CodeUnavailable, "stream: hello: %v", err)
 	}
-	f, err := sess.read()
+	f, err := readFrame(sess.br)
 	if err != nil {
 		_ = conn.Close()
 		return nil, readErr("welcome", err)
 	}
+	c.Wire.AddDownlink(int64(headerSize + len(f.payload)))
 	switch f.typ {
 	case fError:
 		_ = conn.Close()
@@ -373,8 +394,10 @@ func (c *Client) dial(ctx context.Context) (*clientSession, error) {
 	if c.Subscribe {
 		c.noteFloor(welcome.ModelVersion, welcome.ServerEpoch)
 	}
+	sess.loops.Add(1)
 	go sess.readLoop()
 	if interval := c.pingInterval(); interval > 0 {
+		sess.loops.Add(1)
 		go sess.pingLoop(interval)
 	}
 	return sess, nil
@@ -390,18 +413,30 @@ func (c *Client) pingInterval() time.Duration {
 	return DefaultIdleTimeout / 3
 }
 
-// callResult is what a pending call receives: a response frame or the
-// session-fatal error that killed it.
+// callResult is what a pending call receives: a response frame, a task
+// response the read loop decoded off the connection, or the error that
+// failed the call (session-fatal, or that decode's).
 type callResult struct {
-	f   frame
-	err error
+	f    frame
+	task *protocol.TaskResponse
+	err  error
 }
+
+// directDecodeBytes is the payload size from which a task response is
+// decoded straight from the connection instead of through a buffered copy
+// of the frame: with the flat codec a full pull's model then crosses user
+// space once, socket to []float64.
+const directDecodeBytes = 64 << 10
 
 // clientSession is one established stream session.
 type clientSession struct {
 	client *Client
 	conn   net.Conn
-	codec  protocol.Codec
+	// br buffers the read side, so a small frame costs one read of the
+	// socket, not one for its header and one for its payload. Only dial and
+	// then the read loop touch it.
+	br    *bufio.Reader
+	codec protocol.Codec
 
 	writeMu sync.Mutex
 	corr    atomic.Uint32
@@ -414,6 +449,7 @@ type clientSession struct {
 	draining atomic.Bool
 	done     chan struct{}
 	once     sync.Once
+	loops    sync.WaitGroup // the read and heartbeat loops
 }
 
 // register allocates a correlation ID and its response channel; it fails
@@ -439,17 +475,25 @@ func (s *clientSession) unregister(corr uint32) {
 	s.pmu.Unlock()
 }
 
-// deliver routes a response frame to its waiting call.
-func (s *clientSession) deliver(f frame) {
+// deliver routes a response to the call waiting on corr, if it still is.
+func (s *clientSession) deliver(corr uint32, res callResult) {
 	s.pmu.Lock()
-	ch, ok := s.pending[f.corr]
+	ch, ok := s.pending[corr]
 	if ok {
-		delete(s.pending, f.corr)
+		delete(s.pending, corr)
 	}
 	s.pmu.Unlock()
 	if ok {
-		ch <- callResult{f: f}
+		ch <- res
 	}
+}
+
+// awaited reports whether a call is waiting on corr.
+func (s *clientSession) awaited(corr uint32) bool {
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	_, ok := s.pending[corr]
+	return ok
 }
 
 // fail terminates the session: every pending call gets err, the connection
@@ -478,10 +522,27 @@ func (s *clientSession) dead() bool {
 	return s.closed
 }
 
-// readLoop demultiplexes inbound frames until the session dies.
+// readLoop demultiplexes inbound frames until the session dies. Frames it
+// consumes itself (announces, session control) are read into one buffer it
+// reuses; a response's payload is handed to its call and so allocated.
 func (s *clientSession) readLoop() {
+	defer s.loops.Done()
+	var scratch []byte
 	for {
-		f, err := s.read()
+		f, n, err := readHeader(s.br)
+		var res callResult
+		switch {
+		case err != nil:
+		case f.typ == fTaskResp && n >= directDecodeBytes:
+			res, err = s.readTaskResponse(f.corr, n)
+		case f.typ == fAnnounce || f.typ == fGoAway || f.typ == fPong || (f.typ == fError && f.corr == 0):
+			f.payload, err = readPayload(s.br, f.typ, n, scratch)
+			if f.payload != nil && cap(f.payload) <= framePoolMaxBytes {
+				scratch = f.payload[:0]
+			}
+		default:
+			f.payload, err = readPayload(s.br, f.typ, n, nil)
+		}
 		if err != nil {
 			if errors.Is(err, errSessionClosed) || errors.Is(err, net.ErrClosed) {
 				err = protocol.Errorf(protocol.CodeUnavailable, "stream: session closed by server")
@@ -489,18 +550,17 @@ func (s *clientSession) readLoop() {
 			s.fail(readErr("response", err))
 			return
 		}
+		s.client.Wire.AddDownlink(headerSize + n)
 		switch f.typ {
 		case fAnnounce:
 			var ann protocol.ModelAnnounce
-			if err := s.decode(f.payload, &ann); err == nil {
+			if err := s.decode(bytes.NewReader(f.payload), &ann); err == nil {
 				s.client.noteAnnounce(ann)
 			}
 		case fGoAway:
 			// The server is draining: in-flight responses still arrive on
 			// this connection, but the client's next call redials.
 			s.draining.Store(true)
-			var ga goAwayPayload
-			_ = json.Unmarshal(f.payload, &ga)
 		case fPong:
 			// Heartbeat answered; any inbound frame proves liveness.
 		case fError:
@@ -510,16 +570,42 @@ func (s *clientSession) readLoop() {
 				s.fail(decodeErrorFrame(f.payload))
 				return
 			}
-			s.deliver(f)
+			s.deliver(f.corr, callResult{f: f})
 		default:
-			s.deliver(f)
+			res.f = f
+			s.deliver(f.corr, res)
 		}
 	}
+}
+
+// readTaskResponse consumes the n-byte body of a large task response by
+// decoding it from the connection into a value of the session's own — never
+// into the caller's, which a cancelled call has already walked away from.
+// Whatever the decoder leaves unread (a body longer than its message; all of
+// it when no call waits on corr) is skipped, so a body the codec rejects
+// fails its call (the result's err) and the session stays on the frame
+// boundary; the error returned is the connection's and ends the session.
+func (s *clientSession) readTaskResponse(corr uint32, n int64) (res callResult, err error) {
+	body := io.LimitedReader{R: s.br, N: n}
+	if s.awaited(corr) {
+		res.task = new(protocol.TaskResponse)
+		if res.err = s.decode(&body, res.task); res.err != nil {
+			res.task = nil
+		}
+	}
+	if _, err := io.Copy(io.Discard, &body); err != nil || body.N > 0 {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		return callResult{}, payloadErr(fTaskResp, n, err)
+	}
+	return res, nil
 }
 
 // pingLoop heartbeats an idle session so the server's idle timeout only
 // fires for peers that are actually gone.
 func (s *clientSession) pingLoop(interval time.Duration) {
+	defer s.loops.Done()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -537,27 +623,25 @@ func (s *clientSession) pingLoop(interval time.Duration) {
 
 // write serializes one frame onto the connection, counting uplink bytes.
 func (s *clientSession) write(f frame) error {
+	out := newFrameOut()
+	defer out.release()
+	_, _ = out.WriteShared(f.payload) // never fails
+	return s.send(f.typ, f.corr, out)
+}
+
+// send is write for a frame assembled in place, under correlation ID corr.
+func (s *clientSession) send(typ frameType, corr uint32, out *frameOut) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	if err := writeFrame(s.conn, f); err != nil {
+	if err := out.writeTo(s.conn, typ, corr); err != nil {
 		return err
 	}
-	s.client.Wire.AddUplink(int64(headerSize + len(f.payload)))
+	s.client.Wire.AddUplink(int64(headerSize + out.size()))
 	return nil
 }
 
-// read reads one frame, counting downlink bytes.
-func (s *clientSession) read() (frame, error) {
-	f, err := readFrame(s.conn)
-	if err != nil {
-		return f, err
-	}
-	s.client.Wire.AddDownlink(int64(headerSize + len(f.payload)))
-	return f, nil
-}
-
-func (s *clientSession) decode(payload []byte, v interface{}) error {
-	if err := s.codec.Decode(bytes.NewReader(payload), v); err != nil {
+func (s *clientSession) decode(r io.Reader, v interface{}) error {
+	if err := s.codec.Decode(r, v); err != nil {
 		var pe *protocol.Error
 		if errors.As(err, &pe) {
 			return pe

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 
 	"fleet/internal/protocol"
 )
@@ -124,29 +125,109 @@ type frame struct {
 	payload []byte
 }
 
-// writeFrame writes one frame. Callers serialize writes per connection.
-// Header and payload go out as one vectored write: on a TCP connection
-// (TCP_NODELAY) that is a single writev — one syscall, one segment for a
-// small frame — and the payload is never copied behind the header.
-func writeFrame(w io.Writer, f frame) error {
-	if int64(len(f.payload)) > MaxFrameBytes {
+// frameOut assembles one outbound frame and sends it as a single vectored
+// write: on a TCP connection (TCP_NODELAY) one writev — one syscall, one
+// segment for a small frame. It is the io.Writer a codec encodes the payload
+// into: bytes given to Write are copied into own, slices given to
+// WriteShared (protocol.SharedWriter: the model behind a full pull) go out
+// from where they lie, so the payload is never copied behind the header.
+// Everything a send needs is inline, and the value is pooled.
+type frameOut struct {
+	hdr [headerSize]byte
+	own []byte
+	// cuts lists the shared slices in payload order.
+	cuts   [maxSharedSegments]sharedSegment
+	ncut   int
+	shared int // bytes in cuts
+	vec    [2*maxSharedSegments + 2][]byte
+	nb     net.Buffers
+}
+
+// sharedSegment is a slice sent by reference after own[:at].
+type sharedSegment struct {
+	at int
+	p  []byte
+}
+
+const (
+	// maxSharedSegments is how many slices a frame carries by reference (a
+	// task response has at most three large arrays); more are copied.
+	maxSharedSegments = 4
+	// framePoolMaxBytes bounds the copy buffer a pooled frameOut may keep.
+	framePoolMaxBytes = 1 << 20
+)
+
+var framePool = sync.Pool{New: func() interface{} { return new(frameOut) }}
+
+func newFrameOut() *frameOut { return framePool.Get().(*frameOut) }
+
+func (o *frameOut) Write(p []byte) (int, error) {
+	o.own = append(o.own, p...)
+	return len(p), nil
+}
+
+func (o *frameOut) WriteShared(p []byte) (int, error) {
+	if o.ncut == len(o.cuts) {
+		return o.Write(p)
+	}
+	o.cuts[o.ncut] = sharedSegment{at: len(o.own), p: p}
+	o.ncut++
+	o.shared += len(p)
+	return len(p), nil
+}
+
+// size is the payload length so far.
+func (o *frameOut) size() int { return len(o.own) + o.shared }
+
+// writeTo sends the frame. Callers serialize writes per connection.
+func (o *frameOut) writeTo(w io.Writer, typ frameType, corr uint32) error {
+	if int64(o.size()) > MaxFrameBytes {
 		return protocol.Errorf(protocol.CodePayloadTooLarge,
-			"stream: %s frame payload %d bytes exceeds %d", f.typ, len(f.payload), MaxFrameBytes)
+			"stream: %s frame payload %d bytes exceeds %d", typ, o.size(), MaxFrameBytes)
 	}
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint16(hdr[0:2], frameMagic)
-	hdr[2] = byte(f.typ)
-	hdr[3] = 0
-	binary.BigEndian.PutUint32(hdr[4:8], f.corr)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(f.payload)))
-	bufs := net.Buffers{hdr[:], f.payload}
-	if len(f.payload) == 0 {
-		bufs = bufs[:1]
+	binary.BigEndian.PutUint16(o.hdr[0:2], frameMagic)
+	o.hdr[2] = byte(typ)
+	o.hdr[3] = 0
+	binary.BigEndian.PutUint32(o.hdr[4:8], corr)
+	binary.BigEndian.PutUint32(o.hdr[8:12], uint32(o.size()))
+	vec, from := append(o.vec[:0], o.hdr[:]), 0
+	for _, c := range o.cuts[:o.ncut] {
+		if c.at > from {
+			vec = append(vec, o.own[from:c.at])
+			from = c.at
+		}
+		if len(c.p) > 0 {
+			vec = append(vec, c.p)
+		}
 	}
-	if _, err := bufs.WriteTo(w); err != nil {
-		return fmt.Errorf("stream: write %s frame: %w", f.typ, err)
+	if len(o.own) > from {
+		vec = append(vec, o.own[from:])
+	}
+	o.nb = vec
+	if _, err := o.nb.WriteTo(w); err != nil {
+		return fmt.Errorf("stream: write %s frame: %w", typ, err)
 	}
 	return nil
+}
+
+// release returns o to the pool, dropping every reference to shared storage.
+func (o *frameOut) release() {
+	clear(o.cuts[:])
+	clear(o.vec[:])
+	o.nb, o.ncut, o.shared, o.own = nil, 0, 0, o.own[:0]
+	if cap(o.own) > framePoolMaxBytes {
+		o.own = nil
+	}
+	framePool.Put(o)
+}
+
+// writeFrame writes one frame whose payload is already encoded; the payload
+// is not retained past the call.
+func writeFrame(w io.Writer, f frame) error {
+	o := newFrameOut()
+	defer o.release()
+	_, _ = o.WriteShared(f.payload) // never fails
+	return o.writeTo(w, f.typ, f.corr)
 }
 
 // errSessionClosed marks a clean end of stream: the peer closed the
@@ -161,23 +242,37 @@ var errSessionClosed = errors.New("stream: session closed")
 // frame boundary returns errSessionClosed. Reads never hang beyond the
 // connection's read deadline, which the session loops arm before each call.
 func readFrame(r io.Reader) (frame, error) {
+	f, n, err := readHeader(r)
+	if err == nil {
+		f.payload, err = readPayload(r, f.typ, n, nil)
+	}
+	if err != nil {
+		return frame{}, err
+	}
+	return f, nil
+}
+
+// readHeader reads and checks one frame header: the frame without its
+// payload, and the payload's length, which the caller must consume from r
+// before the next header.
+func readHeader(r io.Reader) (frame, int64, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return frame{}, errSessionClosed
+			return frame{}, 0, errSessionClosed
 		}
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return frame{}, protocol.Errorf(protocol.CodeUnavailable,
+			return frame{}, 0, protocol.Errorf(protocol.CodeUnavailable,
 				"stream: connection closed mid-header")
 		}
-		return frame{}, readErr("frame header", err)
+		return frame{}, 0, readErr("frame header", err)
 	}
 	if magic := binary.BigEndian.Uint16(hdr[0:2]); magic != frameMagic {
-		return frame{}, protocol.Errorf(protocol.CodeInvalidArgument,
+		return frame{}, 0, protocol.Errorf(protocol.CodeInvalidArgument,
 			"stream: bad frame magic 0x%04x (not a fleet stream, or desynchronized)", magic)
 	}
 	if hdr[3] != 0 {
-		return frame{}, protocol.Errorf(protocol.CodeInvalidArgument,
+		return frame{}, 0, protocol.Errorf(protocol.CodeInvalidArgument,
 			"stream: reserved flag bits 0x%02x set", hdr[3])
 	}
 	f := frame{
@@ -186,20 +281,35 @@ func readFrame(r io.Reader) (frame, error) {
 	}
 	n := int64(binary.BigEndian.Uint32(hdr[8:12]))
 	if n > MaxFrameBytes {
-		return frame{}, protocol.Errorf(protocol.CodePayloadTooLarge,
+		return frame{}, 0, protocol.Errorf(protocol.CodePayloadTooLarge,
 			"stream: %s frame announces %d-byte payload, limit %d", f.typ, n, MaxFrameBytes)
 	}
-	if n > 0 {
-		f.payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.payload); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return frame{}, protocol.Errorf(protocol.CodeUnavailable,
-					"stream: connection closed mid-payload (%s frame, wanted %d bytes)", f.typ, n)
-			}
-			return frame{}, readErr("frame payload", err)
-		}
+	return f, n, nil
+}
+
+// readPayload reads the n payload bytes of a typ frame, into buf's storage
+// when that is large enough (nil for an empty payload).
+func readPayload(r io.Reader, typ frameType, n int64, buf []byte) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
 	}
-	return f, nil
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, payloadErr(typ, n, err)
+	}
+	return buf, nil
+}
+
+// payloadErr classifies a failure to read a frame's payload.
+func payloadErr(typ frameType, n int64, err error) error {
+	if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+		return protocol.Errorf(protocol.CodeUnavailable,
+			"stream: connection closed mid-payload (%s frame, wanted %d bytes)", typ, n)
+	}
+	return readErr("frame payload", err)
 }
 
 // readErr classifies a transport read failure as a structured error,

@@ -432,9 +432,13 @@ func (s *Server) armIdleDeadline(conn net.Conn) {
 
 // handle serves one request frame through service.Call — the endpoint the
 // HTTP transport serves through too — and writes the encoded reply (or a
-// structured error) under the frame's correlation ID. A payload that fails
-// to decode only fails this request — frame boundaries are length-delimited,
-// so the session survives.
+// structured error) under the frame's correlation ID. The reply is encoded
+// into the outgoing frame itself, which keeps the arrays of a reply served
+// from a model snapshot by reference (snapshots are immutable): a full pull
+// leaves as frame header, head, model, tail in one vectored write, the
+// model bytes never copied in user space. A payload that fails to decode
+// only fails this request — frame boundaries are length-delimited, so the
+// session survives.
 func (sess *session) handle(f frame) {
 	op, resp := service.OpTask, fTaskResp
 	switch f.typ {
@@ -443,12 +447,13 @@ func (sess *session) handle(f frame) {
 	case fStats:
 		op, resp = service.OpStats, fStatsResp
 	}
-	var buf bytes.Buffer
-	if err := service.Call(sess.callCtx(), sess.svc, op, sess.codec, bytes.NewReader(f.payload), &buf); err != nil {
+	out := newFrameOut()
+	defer out.release()
+	if err := service.Call(sess.callCtx(), sess.svc, op, sess.codec, bytes.NewReader(f.payload), out); err != nil {
 		sess.writeError(f.corr, err)
 		return
 	}
-	if err := sess.write(frame{typ: resp, corr: f.corr, payload: buf.Bytes()}); err != nil {
+	if err := sess.send(resp, f.corr, out); err != nil {
 		sess.srv.logf("stream: worker %d: write %s: %v", sess.workerID, resp, err)
 		sess.close()
 	}
@@ -476,6 +481,13 @@ func (sess *session) write(f frame) error {
 	sess.writeMu.Lock()
 	defer sess.writeMu.Unlock()
 	return writeFrame(sess.conn, f)
+}
+
+// send is write for a frame assembled in place.
+func (sess *session) send(typ frameType, corr uint32, out *frameOut) error {
+	sess.writeMu.Lock()
+	defer sess.writeMu.Unlock()
+	return out.writeTo(sess.conn, typ, corr)
 }
 
 // writeError answers corr with a structured error frame (best effort).

@@ -36,16 +36,16 @@ func (csvCodec) ContentType() string { return "text/csv" }
 // are envelopes around one endpoint (service.Call), not three
 // re-implementations.
 func TestEndpointParityAcrossTransports(t *testing.T) {
-	// Both transports' size caps, set before anything serves. The HTTP cap is
-	// restored once the HTTP server has stopped; the stream cap stays (no
-	// other test of this package opens a stream session), because a stream
-	// client's read loop outlives Close and reads it. The stream cap binds
-	// the sender too, so the oversized row also covers the client refusing
-	// to send.
+	// Both transports' size caps, set before anything serves and restored
+	// by the cleanup registered first, which runs last: after the deferred
+	// server shutdowns and after every stream client's Close, which returns
+	// only once its read loop (a reader of the cap) is gone. The stream cap
+	// binds the sender too, so the oversized row also covers the client
+	// refusing to send.
 	const limit = 16 << 10
-	oldReq := server.MaxRequestBytes
+	oldReq, oldFrame := server.MaxRequestBytes, stream.MaxFrameBytes
 	server.MaxRequestBytes, stream.MaxFrameBytes = limit, limit
-	defer func() { server.MaxRequestBytes = oldReq }()
+	t.Cleanup(func() { server.MaxRequestBytes, stream.MaxFrameBytes = oldReq, oldFrame })
 
 	reg, err := NewRegistry([]Config{{Name: "open"}}, Options{})
 	if err != nil {
