@@ -113,6 +113,8 @@ type AsyncResult struct {
 	TasksRejected int
 	// FinalAccuracy is the last evaluated test accuracy.
 	FinalAccuracy float64
+	// Params is the trained model: the final parameter vector.
+	Params []float64
 }
 
 // RunAsync executes one asynchronous training run over the given user
@@ -292,5 +294,6 @@ func RunAsync(cfg AsyncConfig, users [][]nn.Sample, test []nn.Sample) *AsyncResu
 	if cfg.EvalEvery <= 0 || cfg.Steps%cfg.EvalEvery != 0 {
 		evaluate(cfg.Steps)
 	}
+	res.Params = global.ParamVector()
 	return res
 }

@@ -61,6 +61,8 @@ type TraceResult struct {
 	WallClockSec float64
 	// Dropped counts results lost to disconnects.
 	Dropped int
+	// Params is the trained model: the final parameter vector.
+	Params []float64
 }
 
 // taskEvent is one in-flight learning task completing at Time.
@@ -210,6 +212,7 @@ func RunTrace(cfg TraceConfig, users [][]nn.Sample, test []nn.Sample) *TraceResu
 		res.Accuracy.Add(float64(version), global.Accuracy(test))
 	}
 	res.WallClockSec = now
+	res.Params = global.ParamVector()
 	if len(res.Staleness) > 0 {
 		res.MeanStaleness = stSum / float64(len(res.Staleness))
 	}

@@ -71,13 +71,13 @@ func fig8(scale Scale) *Report {
 	users, test, arch, lr, batch, steps, evalEvery := mnistNonIID(scale, 8)
 
 	run := func(alg learning.Algorithm, st stalenessSetup) *core.AsyncResult {
-		return core.RunAsync(core.AsyncConfig{
+		return runAsync(core.AsyncConfig{
 			Arch: arch, Algorithm: alg, LearningRate: lr, BatchSize: batch,
 			Steps: steps, EvalEvery: evalEvery, Seed: 42,
 			Staleness: core.GaussianStaleness(st.mu, st.sigma),
 		}, users, test)
 	}
-	ssgd := core.RunAsync(core.AsyncConfig{
+	ssgd := runAsync(core.AsyncConfig{
 		Arch: arch, Algorithm: learning.SSGD{}, LearningRate: lr, BatchSize: batch,
 		Steps: steps, EvalEvery: evalEvery, Seed: 42,
 	}, users, test)
@@ -150,7 +150,7 @@ func fig9(scale Scale) *Report {
 	users, test, arch, lr, batch, steps, evalEvery := fig9Population(scale, 9)
 
 	run := func(alg learning.Algorithm, staleness core.StalenessSampler) *core.AsyncResult {
-		return core.RunAsync(core.AsyncConfig{
+		return runAsync(core.AsyncConfig{
 			Arch: arch, Algorithm: alg, LearningRate: lr, BatchSize: batch,
 			Steps: steps, EvalEvery: evalEvery, Seed: 43,
 			Staleness: staleness, TrackClasses: []int{0},
@@ -216,7 +216,7 @@ func fig10(scale Scale) *Report {
 
 	for _, s := range setups {
 		run := func(alg learning.Algorithm, st core.StalenessSampler) float64 {
-			return core.RunAsync(core.AsyncConfig{
+			return runAsync(core.AsyncConfig{
 				Arch: s.arch, Algorithm: alg, LearningRate: s.lr, BatchSize: s.batch,
 				Steps: s.steps, EvalEvery: s.steps / 4, Seed: 44, Staleness: st,
 			}, s.users, s.test).FinalAccuracy
@@ -257,7 +257,7 @@ func fig11(scale Scale) *Report {
 		if noise > 0 {
 			dpCfg = &dp.Config{ClipNorm: 4, NoiseMultiplier: noise, BatchSize: batch}
 		}
-		return core.RunAsync(core.AsyncConfig{
+		return runAsync(core.AsyncConfig{
 			Arch: arch, Algorithm: alg, LearningRate: lr, BatchSize: batch,
 			Steps: steps, EvalEvery: evalEvery, Seed: 45,
 			Staleness: core.GaussianStaleness(d2.mu, d2.sigma), DP: dpCfg,
@@ -297,7 +297,7 @@ func ablationDampening(scale Scale) *Report {
 		total := 0.0
 		for _, seed := range seeds {
 			users, test, arch, lr, batch, steps, evalEvery := mnistNonIID(scale, seed)
-			total += core.RunAsync(core.AsyncConfig{
+			total += runAsync(core.AsyncConfig{
 				Arch: arch, Algorithm: mk(), LearningRate: lr, BatchSize: batch,
 				Steps: steps, EvalEvery: evalEvery, Seed: 46 + seed,
 				Staleness: core.GaussianStaleness(d2.mu, d2.sigma),
@@ -306,14 +306,23 @@ func ablationDampening(scale Scale) *Report {
 		return total / float64(len(seeds))
 	}
 	rep.addLine("dampening-function ablation under D2 staleness (mean over %d seeds):", len(seeds))
-	rep.addLine("exponential (AdaSGD): %.3f", run(func() learning.Algorithm {
-		c := adaConfig()
-		c.DisableSimilarityBoost = true
-		return learning.NewAdaSGD(c)
-	}))
-	rep.addLine("inverse (DynSGD):     %.3f", run(func() learning.Algorithm { return learning.DynSGD{} }))
-	rep.addLine("constant 1 (FedAvg):  %.3f", run(func() learning.Algorithm { return learning.FedAvg{} }))
-	rep.addLine("hard drop (τ>0 ⇒ 0):  %.3f", run(func() learning.Algorithm { return dropStale{} }))
+	for _, row := range []struct {
+		key, label string
+		mk         func() learning.Algorithm
+	}{
+		{"exponential", "exponential (AdaSGD):", func() learning.Algorithm {
+			c := adaConfig()
+			c.DisableSimilarityBoost = true
+			return learning.NewAdaSGD(c)
+		}},
+		{"inverse", "inverse (DynSGD):", func() learning.Algorithm { return learning.DynSGD{} }},
+		{"constant", "constant 1 (FedAvg):", func() learning.Algorithm { return learning.FedAvg{} }},
+		{"drop", "hard drop (τ>0 ⇒ 0):", func() learning.Algorithm { return dropStale{} }},
+	} {
+		acc := run(row.mk)
+		rep.addLine("%-21s %.3f", row.label, acc)
+		rep.setValue(row.key, acc)
+	}
 	return rep
 }
 
@@ -338,7 +347,7 @@ func ablationSimilarity(scale Scale) *Report {
 	run := func(disable bool) *core.AsyncResult {
 		c := adaConfig()
 		c.DisableSimilarityBoost = disable
-		return core.RunAsync(core.AsyncConfig{
+		return runAsync(core.AsyncConfig{
 			Arch: arch, Algorithm: learning.NewAdaSGD(c), LearningRate: lr, BatchSize: batch,
 			Steps: steps, EvalEvery: evalEvery, Seed: 43,
 			Staleness: fig9Sampler(), TrackClasses: []int{0},
@@ -361,7 +370,7 @@ func ablationSPct(scale Scale) *Report {
 	for _, pct := range []float64{50, 90, 99.7, 100} {
 		cfg := adaConfig()
 		cfg.NonStragglerPct = pct
-		acc := core.RunAsync(core.AsyncConfig{
+		acc := runAsync(core.AsyncConfig{
 			Arch: arch, Algorithm: learning.NewAdaSGD(cfg), LearningRate: lr, BatchSize: batch,
 			Steps: steps, EvalEvery: evalEvery, Seed: 48,
 			Staleness: core.GaussianStaleness(d2.mu, d2.sigma),
@@ -377,7 +386,7 @@ func ablationK(scale Scale) *Report {
 	users, test, arch, lr, batch, steps, evalEvery := mnistNonIID(scale, 16)
 	rep.addLine("aggregation-parameter K ablation (same gradient budget, D1 staleness):")
 	for _, k := range []int{1, 5, 10} {
-		acc := core.RunAsync(core.AsyncConfig{
+		acc := runAsync(core.AsyncConfig{
 			Arch: arch, Algorithm: learning.NewAdaSGD(adaConfig()), LearningRate: lr, BatchSize: batch,
 			Steps: steps / k, K: k, EvalEvery: evalEvery, Seed: 49,
 			Staleness: core.GaussianStaleness(d1.mu, d1.sigma),

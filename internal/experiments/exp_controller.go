@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 
 	"fleet/internal/core"
@@ -33,7 +34,7 @@ func fig15(scale Scale) *Report {
 		if sizePct > 0 || simPct > 0 {
 			ctrl = &core.Controller{SizePercentile: sizePct, SimilarityPercentile: simPct}
 		}
-		res := core.RunAsync(core.AsyncConfig{
+		res := runAsync(core.AsyncConfig{
 			Arch: arch, Algorithm: learning.SSGD{}, LearningRate: lr,
 			BatchSizeSampler: batchSampler,
 			Steps:            steps, RequestBudget: steps, EvalEvery: evalEvery, Seed: 52,
@@ -52,9 +53,8 @@ func fig15(scale Scale) *Report {
 		rep.addLine("  thres=%2.0f: accuracy %.3f (Δ %+0.3f), executed %d, pruned %d (%.1f%%)",
 			pct, acc, acc-baseAcc, tasks, rejected,
 			float64(rejected)/float64(tasks+rejected)*100)
-		if pct == 40 {
-			rep.setValue("size40", acc)
-		}
+		rep.setValue(fmt.Sprintf("size%.0f", pct), acc)
+		rep.setValue(fmt.Sprintf("size%.0f-pruned", pct), float64(rejected)/float64(tasks+rejected))
 	}
 	rep.addLine("threshold on similarity (drop most similar):")
 	for _, pct := range []float64{5, 10, 20, 40, 60, 80} {
@@ -62,9 +62,8 @@ func fig15(scale Scale) *Report {
 		rep.addLine("  thres=%2.0f: accuracy %.3f (Δ %+0.3f), executed %d, pruned %d (%.1f%%)",
 			pct, acc, acc-baseAcc, tasks, rejected,
 			float64(rejected)/float64(tasks+rejected)*100)
-		if pct == 40 {
-			rep.setValue("sim40", acc)
-		}
+		rep.setValue(fmt.Sprintf("sim%.0f", pct), acc)
+		rep.setValue(fmt.Sprintf("sim%.0f-pruned", pct), float64(rejected)/float64(tasks+rejected))
 	}
 	rep.addLine("paper: dropping ≤39%% smallest batches costs ≤2.2%% accuracy;")
 	rep.addLine("dropping 17%% most-similar costs 4.8%%")

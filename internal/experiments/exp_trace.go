@@ -19,7 +19,7 @@ func traceStaleness(scale Scale) *Report {
 	}
 
 	run := func(alg learning.Algorithm) *core.TraceResult {
-		return core.RunTrace(core.TraceConfig{
+		return runTrace(core.TraceConfig{
 			Arch: arch, Algorithm: alg, LearningRate: lr, BatchSize: batch,
 			Updates: updates, EvalEvery: evalEvery,
 			NetworkMinSec: 1.1, NetworkMeanSec: 2.4, // 4G/3G mix (§3.1)

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"fleet/internal/core"
 )
 
 // Scale selects experiment sizing.
@@ -93,3 +95,11 @@ func All() []string {
 	sort.Strings(out)
 	return out
 }
+
+// The training loops the experiments run on. Transitional: the oracle test
+// swaps in wrappers that run the engine and the served driver side by side.
+var (
+	runAsync     = core.RunAsync
+	runTrace     = core.RunTrace
+	runSyncMixed = core.RunSyncMixed
+)

@@ -1,7 +1,9 @@
 package hashtag
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 
 	"fleet/internal/metrics"
 	"fleet/internal/simrand"
@@ -133,17 +135,19 @@ func MeasureEnergy(s *Stream, seed int64) EnergyStats {
 	daily := make(map[int]map[int]float64)
 	for h := 0; h < totalHours; h++ {
 		byUser := GroupByUser(s.Chunk(float64(h), float64(h+1)))
-		for u, tweets := range byUser {
+		// User-id order, here and below: the noise stream and the order
+		// of summation must not depend on map iteration.
+		for _, u := range slices.Sorted(maps.Keys(byUser)) {
 			if daily[u] == nil {
 				daily[u] = make(map[int]float64)
 			}
-			daily[u][h/24] += updateEnergyMWh(len(tweets), rng)
+			daily[u][h/24] += updateEnergyMWh(len(byUser[u]), rng)
 		}
 	}
 	var values []float64
-	for _, days := range daily {
-		for _, mwh := range days {
-			values = append(values, mwh)
+	for _, u := range slices.Sorted(maps.Keys(daily)) {
+		for _, day := range slices.Sorted(maps.Keys(daily[u])) {
+			values = append(values, daily[u][day])
 		}
 	}
 	if len(values) == 0 {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -138,13 +139,17 @@ func (sw *simWorker) think(mean float64) float64 {
 // admission policies (sched.BuildOptions.Now) so quota windows are decided
 // by deterministic virtual time instead of the wall clock — PR 4's
 // bit-for-bit replay guarantee extended to quota scenarios.
-type vclock struct{ sec float64 }
+//
+// The harness goroutine sets it; over a live transport the policy reads it
+// on a handler goroutine, hence the atomic (virtual seconds as float bits).
+type vclock struct{ sec atomic.Uint64 }
 
-func (c *vclock) set(sec float64) { c.sec = sec }
+func (c *vclock) set(sec float64) { c.sec.Store(math.Float64bits(sec)) }
 
 // Now maps virtual seconds onto a fixed epoch.
 func (c *vclock) Now() time.Time {
-	return time.Unix(0, 0).Add(time.Duration(c.sec * float64(time.Second)))
+	sec := math.Float64frombits(c.sec.Load())
+	return time.Unix(0, 0).Add(time.Duration(sec * float64(time.Second)))
 }
 
 // swapService routes Service calls to a swappable backend — how the

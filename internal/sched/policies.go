@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"fleet/internal/metrics"
 	"fleet/internal/protocol"
 )
 
@@ -194,4 +195,61 @@ func (p *perWorkerQuota) Admit(_ context.Context, req *TaskRequest) (Decision, e
 	}
 	b.count++
 	return Accept(req.BatchSize), nil
+}
+
+// Controller is the percentile form of the §2.4 controller, as evaluated in
+// §3.5 (Figure 15): where min-batch and similarity compare against absolute
+// thresholds, it compares each task against the history of tasks it has
+// seen. A task is rejected when its prescribed mini-batch size falls below
+// the SizePercentile of past sizes (noisy, low utility), or when its
+// similarity exceeds the (100−SimilarityPercentile)-th percentile of past
+// similarities (the most redundant), before any gradient is computed. It
+// sits after whatever policy prescribes the batch; its thresholds depend on
+// the deployment's history, so it is built in Go and has no spec name. The
+// zero value admits everything.
+type Controller struct {
+	// SizePercentile in [0, 100); 0 disables size pruning.
+	SizePercentile float64
+	// SimilarityPercentile in [0, 100); 0 disables similarity pruning.
+	SimilarityPercentile float64
+	// MinHistory is how many tasks must be observed before pruning kicks
+	// in (default 20).
+	MinHistory int
+
+	mu    sync.Mutex
+	sizes []float64
+	sims  []float64
+}
+
+func (c *Controller) Name() string {
+	return fmt.Sprintf("controller(size-pct=%g,similarity-pct=%g)", c.SizePercentile, c.SimilarityPercentile)
+}
+
+// Admit records the task's values in the history whether or not it passes.
+func (c *Controller) Admit(_ context.Context, req *TaskRequest) (Decision, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	minHist := c.MinHistory
+	if minHist <= 0 {
+		minHist = 20
+	}
+	d := Accept(req.BatchSize)
+	if len(c.sizes) >= minHist {
+		switch {
+		case c.SizePercentile > 0 && float64(req.BatchSize) < metrics.Percentile(c.sizes, c.SizePercentile):
+			d = Reject(c.Name(), ReasonBatchBelowThreshold)
+		case c.SimilarityPercentile > 0 && req.Similarity > metrics.Percentile(c.sims, 100-c.SimilarityPercentile):
+			d = Reject(c.Name(), ReasonSimilarityExceeded)
+		}
+	}
+	c.sizes = append(c.sizes, float64(req.BatchSize))
+	c.sims = append(c.sims, req.Similarity)
+	return d, nil
+}
+
+// HistoryLen returns how many tasks the controller has seen.
+func (c *Controller) HistoryLen() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.sizes)
 }
