@@ -13,8 +13,9 @@
 //
 //  1. The middleware itself: NewServer/NewWorker speak the paper's
 //     learning-task protocol (Figure 2) in-process or over HTTP.
-//  2. The simulation engine: RunAsync reproduces the paper's controlled-
-//     staleness experiments; the device simulator stands in for the
+//  2. The evaluation driver: RunAsync reproduces the paper's controlled-
+//     staleness experiments by driving NewServer's server with gradients
+//     computed on past snapshots; the device simulator stands in for the
 //     heterogeneous Android fleet.
 //  3. The experiment drivers: RunExperiment regenerates every table and
 //     figure of the paper's evaluation.
@@ -444,29 +445,13 @@ type (
 // distributions (raw counts accepted), the similarity measure of §2.3.
 func Bhattacharyya(p, q []float64) float64 { return learning.Bhattacharyya(p, q) }
 
-// LRSchedule maps the server's logical clock to the learning rate γt.
-type LRSchedule = learning.LRSchedule
-
-// Learning-rate schedules for long-running Online-FL deployments.
-var (
-	// ConstantLR returns γt = lr.
-	ConstantLR = learning.ConstantLR
-	// StepDecayLR multiplies the rate by factor every `every` steps.
-	StepDecayLR = learning.StepDecayLR
-	// InverseTimeLR decays as lr/(1+decay·t).
-	InverseTimeLR = learning.InverseTimeLR
-	// WarmupLR ramps linearly before delegating to an inner schedule.
-	WarmupLR = learning.WarmupLR
-)
-
 // RobustAggregator combines the K gradients of an aggregation window with
 // a (possibly Byzantine-resilient) rule — the §4 "pluggable robustness"
 // hook. Aggregate returns an error (never panics) on empty or ragged
 // windows.
 type RobustAggregator = robust.Aggregator
 
-// Byzantine-resilient aggregation rules for AsyncConfig.Aggregator and
-// RetainedWindow.
+// Byzantine-resilient aggregation rules for RetainedWindow.
 type (
 	// MeanAggregator is plain averaging (not resilient).
 	MeanAggregator = robust.Mean
@@ -747,7 +732,8 @@ func PartitionNonIID(rng *rand.Rand, samples []Sample, numUsers, shardsPerUser i
 }
 
 // ---------------------------------------------------------------------------
-// Simulation engine (§3.2-style controlled-staleness experiments).
+// Evaluation driver (§3.2-style controlled-staleness experiments on the
+// server NewServer builds).
 
 // AsyncConfig parameterizes an asynchronous training run.
 type AsyncConfig = core.AsyncConfig
@@ -755,8 +741,10 @@ type AsyncConfig = core.AsyncConfig
 // AsyncResult is the output of an asynchronous training run.
 type AsyncResult = core.AsyncResult
 
-// Controller is the task-admission controller (size/similarity thresholds).
-type Controller = core.Controller
+// Controller is the percentile task-admission controller of §3.5 (size and
+// similarity thresholds relative to the tasks seen so far), an
+// AdmissionPolicy.
+type Controller = sched.Controller
 
 // StalenessSampler draws per-task staleness.
 type StalenessSampler = core.StalenessSampler

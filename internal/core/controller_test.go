@@ -1,13 +1,33 @@
 package core
 
 import (
+	"context"
 	"testing"
+
+	"fleet/internal/sched"
 )
 
+// admit puts one task with the given prescribed batch and similarity to the
+// percentile controller, as the chain of RunAsync's server does.
+func admit(t *testing.T, c *sched.Controller, batchSize int, similarity float64) bool {
+	t.Helper()
+	d, err := c.Admit(context.Background(), &sched.TaskRequest{BatchSize: batchSize, Similarity: similarity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Accept && d.BatchSize != batchSize {
+		t.Fatalf("controller changed the prescribed batch %d to %d", batchSize, d.BatchSize)
+	}
+	if !d.Accept && (d.Policy != c.Name() || d.Reason == "") {
+		t.Fatalf("unattributed rejection %+v", d)
+	}
+	return d.Accept
+}
+
 func TestControllerNoThresholdsAdmitsAll(t *testing.T) {
-	var c Controller
+	var c sched.Controller
 	for i := 0; i < 100; i++ {
-		if !c.Admit(i%7+1, float64(i%10)/10) {
+		if !admit(t, &c, i%7+1, float64(i%10)/10) {
 			t.Fatal("threshold-free controller must admit everything")
 		}
 	}
@@ -17,49 +37,49 @@ func TestControllerNoThresholdsAdmitsAll(t *testing.T) {
 }
 
 func TestControllerWarmupAdmitsAll(t *testing.T) {
-	c := Controller{SizePercentile: 90, MinHistory: 50}
+	c := sched.Controller{SizePercentile: 90, MinHistory: 50}
 	for i := 0; i < 50; i++ {
-		if !c.Admit(1, 1) { // tiny batches, maximal similarity
+		if !admit(t, &c, 1, 1) { // tiny batches, maximal similarity
 			t.Fatalf("request %d rejected during warmup", i)
 		}
 	}
 }
 
 func TestControllerSizeThreshold(t *testing.T) {
-	c := Controller{SizePercentile: 50, MinHistory: 10}
+	c := sched.Controller{SizePercentile: 50, MinHistory: 10}
 	// History: batches 1..20.
 	for i := 1; i <= 20; i++ {
-		c.Admit(i, 0.5)
+		admit(t, &c, i, 0.5)
 	}
-	if c.Admit(2, 0.5) {
+	if admit(t, &c, 2, 0.5) {
 		t.Fatal("batch 2 is below the median of history; must be rejected")
 	}
-	if !c.Admit(100, 0.5) {
+	if !admit(t, &c, 100, 0.5) {
 		t.Fatal("large batch must pass")
 	}
 }
 
 func TestControllerSimilarityThreshold(t *testing.T) {
-	c := Controller{SimilarityPercentile: 50, MinHistory: 10}
+	c := sched.Controller{SimilarityPercentile: 50, MinHistory: 10}
 	// History: similarities 0.0 .. 0.95.
 	for i := 0; i < 20; i++ {
-		c.Admit(10, float64(i)*0.05)
+		admit(t, &c, 10, float64(i)*0.05)
 	}
-	if c.Admit(10, 0.99) {
+	if admit(t, &c, 10, 0.99) {
 		t.Fatal("most-similar task must be rejected")
 	}
-	if !c.Admit(10, 0.01) {
+	if !admit(t, &c, 10, 0.01) {
 		t.Fatal("novel task must pass")
 	}
 }
 
 func TestControllerRejectedStillRecorded(t *testing.T) {
-	c := Controller{SizePercentile: 50, MinHistory: 5}
+	c := sched.Controller{SizePercentile: 50, MinHistory: 5}
 	for i := 1; i <= 10; i++ {
-		c.Admit(i*10, 0.5)
+		admit(t, &c, i*10, 0.5)
 	}
 	before := c.HistoryLen()
-	c.Admit(1, 0.5) // rejected
+	admit(t, &c, 1, 0.5) // rejected
 	if c.HistoryLen() != before+1 {
 		t.Fatal("rejected tasks must still enter the history")
 	}

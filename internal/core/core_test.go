@@ -6,14 +6,15 @@ import (
 	"testing"
 
 	"fleet/internal/data"
-	"fleet/internal/dp"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
-	"fleet/internal/robust"
+	"fleet/internal/pipeline"
+	"fleet/internal/sched"
+	"fleet/internal/server"
 	"fleet/internal/simrand"
 )
 
-// fixtures builds a small non-IID population for fast engine tests.
+// fixtures builds a small non-IID population for fast tests.
 func fixtures(t *testing.T) (users [][]nn.Sample, test []nn.Sample) {
 	t.Helper()
 	ds := data.TinyMNIST(1, 24, 8)
@@ -146,7 +147,12 @@ func TestDPNoiseSlowsButLearns(t *testing.T) {
 	clean := RunAsync(baseConfig(learning.SSGD{}), users, test)
 
 	cfg := baseConfig(learning.SSGD{})
-	cfg.DP = &dp.Config{ClipNorm: 1, NoiseMultiplier: 0.5, BatchSize: 16}
+	var err error
+	cfg.Pipeline, err = pipeline.Build("dp(1,0.5),staleness", "mean",
+		pipeline.BuildOptions{Algorithm: cfg.Algorithm, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
 	noisy := RunAsync(cfg, users, test)
 
 	if noisy.FinalAccuracy > clean.FinalAccuracy+0.05 {
@@ -160,7 +166,7 @@ func TestDPNoiseSlowsButLearns(t *testing.T) {
 func TestControllerPrunesSmallBatches(t *testing.T) {
 	users, test := fixtures(t)
 	cfg := baseConfig(learning.SSGD{})
-	cfg.Controller = &Controller{SizePercentile: 40, MinHistory: 10}
+	cfg.Controller = &sched.Controller{SizePercentile: 40, MinHistory: 10}
 	cfg.BatchSizeSampler = func(rng *rand.Rand) int {
 		return int(rng.NormFloat64()*8 + 16)
 	}
@@ -218,48 +224,22 @@ func TestRunAsyncPanics(t *testing.T) {
 	}()
 }
 
-func TestLRScheduleUsed(t *testing.T) {
-	users, test := fixtures(t)
-	// A schedule decaying to ~0 after a few steps must freeze the model;
-	// compare against the constant-rate run.
-	cfg := baseConfig(learning.SSGD{})
-	cfg.LearningRate = 0
-	cfg.LRSchedule = learning.StepDecayLR(0.3, 10, 0.01)
-	frozen := RunAsync(cfg, users, test)
-
-	normal := RunAsync(baseConfig(learning.SSGD{}), users, test)
-	if frozen.FinalAccuracy >= normal.FinalAccuracy {
-		t.Fatalf("decayed schedule (%v) should underperform constant rate (%v)",
-			frozen.FinalAccuracy, normal.FinalAccuracy)
-	}
-}
-
-func TestAggregatorWindowInEngine(t *testing.T) {
-	users, test := fixtures(t)
-	cfg := baseConfig(learning.SSGD{})
-	cfg.K = 4
-	cfg.LearningRate = 0.3 * 4 // mean-scale window direction
-	cfg.Aggregator = robust.CoordinateMedian{}
-	res := RunAsync(cfg, users, test)
-	if res.TasksExecuted != cfg.Steps*4 {
-		t.Fatalf("executed %d tasks, want %d", res.TasksExecuted, cfg.Steps*4)
-	}
-	if res.FinalAccuracy < 0.35 {
-		t.Fatalf("median-aggregated training accuracy %v", res.FinalAccuracy)
-	}
-}
-
 func TestGradientTransformHook(t *testing.T) {
-	users, test := fixtures(t)
+	users, _ := fixtures(t)
+	d := NewDriver(server.Config{Arch: nn.ArchSoftmaxMNIST, Algorithm: learning.SSGD{}, LearningRate: 0.3, Seed: 3}, 1)
+	before, _ := d.srv.Model()
 	called := 0
-	cfg := baseConfig(learning.SSGD{})
-	cfg.Steps = 20
-	cfg.GradientTransform = func(workerID int, grad []float64) []float64 {
+	d.Transform = func(workerID int, grad []float64) []float64 {
 		called++
-		return grad
+		return make([]float64, len(grad)) // the server must see this, not the gradient
 	}
-	RunAsync(cfg, users, test)
+	for i := 0; i < 20; i++ {
+		d.Push(i%len(users), 0, users[i%len(users)][:8])
+	}
 	if called != 20 {
 		t.Fatalf("transform called %d times, want 20", called)
+	}
+	if after, _ := d.srv.Model(); d.Version() != 20 || !sameBits(before, after) {
+		t.Fatalf("20 zeroed gradients moved the model (version %d)", d.Version())
 	}
 }

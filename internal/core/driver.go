@@ -1,3 +1,16 @@
+// Package core runs FLeet's evaluation loops on the serving core. A Driver
+// is a server.Server (internal/ingest's Figure-2 loop: admission chain,
+// staleness gate, update pipeline, label absorption, K-window, model update)
+// with a ring of its published snapshots, so a caller decides how stale each
+// gradient is and the server does everything else, exactly as it does for a
+// worker on the wire. Three runs are built on it:
+//
+//   - RunAsync: controlled staleness, the paper's evaluation method (§3.2) —
+//     every gradient is computed against a past snapshot whose age is drawn
+//     from a configurable distribution, so algorithm comparisons are precise
+//     and bit-for-bit reproducible;
+//   - RunTrace: staleness that emerges from simulated devices and networks;
+//   - RunSyncMixed: synchronous rounds of strong and weak workers (Figure 3).
 package core
 
 import (

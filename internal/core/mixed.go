@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"fleet/internal/data"
+	"fleet/internal/learning"
 	"fleet/internal/metrics"
 	"fleet/internal/nn"
+	"fleet/internal/server"
 	"fleet/internal/simrand"
 )
 
@@ -34,46 +36,33 @@ type SyncMixedConfig struct {
 // workers (each drawing IID batches from the shared training set) and
 // returns test accuracy vs. step.
 func RunSyncMixed(cfg SyncMixedConfig, train, test []nn.Sample) *metrics.Series {
-	if cfg.StrongWorkers+cfg.WeakWorkers == 0 {
+	workers := cfg.StrongWorkers + cfg.WeakWorkers
+	if workers == 0 {
 		panic("core: RunSyncMixed needs at least one worker")
 	}
 	rng := simrand.New(cfg.Seed)
-	global := cfg.Arch.Build(simrand.New(cfg.Seed + 1))
-	worker := cfg.Arch.Build(simrand.New(cfg.Seed + 1))
+	// Equal-weight averaging is the server's K-sum at γ/W: a window of one
+	// staleness-free gradient per worker.
+	d := NewDriver(server.Config{
+		Arch: cfg.Arch, Algorithm: learning.SSGD{}, K: workers,
+		LearningRate: cfg.LearningRate / float64(workers), Seed: cfg.Seed + 1,
+	}, 1)
 
 	series := &metrics.Series{Name: fmt.Sprintf("%d strong + %d weak", cfg.StrongWorkers, cfg.WeakWorkers)}
-	params := global.ParamCount()
-	accum := make([]float64, params)
-	workers := cfg.StrongWorkers + cfg.WeakWorkers
-
 	for t := 1; t <= cfg.Steps; t++ {
-		for i := range accum {
-			accum[i] = 0
-		}
-		snapshot := global.ParamVector()
 		for w := 0; w < workers; w++ {
 			batchSize := cfg.StrongBatch
 			if w >= cfg.StrongWorkers {
 				batchSize = cfg.WeakBatch
 			}
-			worker.SetParams(snapshot)
-			batch := data.SampleBatch(rng, train, batchSize)
-			grad, _ := worker.Gradient(batch)
-			for i, g := range grad {
-				accum[i] += g
-			}
+			d.Push(w, 0, data.SampleBatch(rng, train, batchSize))
 		}
-		inv := 1.0 / float64(workers)
-		for i := range accum {
-			accum[i] *= inv
-		}
-		global.ApplyGradient(accum, cfg.LearningRate)
 		if cfg.EvalEvery > 0 && t%cfg.EvalEvery == 0 {
-			series.Add(float64(t), global.Accuracy(test))
+			series.Add(float64(t), d.Evaluate(test))
 		}
 	}
 	if cfg.EvalEvery <= 0 || cfg.Steps%cfg.EvalEvery != 0 {
-		series.Add(float64(cfg.Steps), global.Accuracy(test))
+		series.Add(float64(cfg.Steps), d.Evaluate(test))
 	}
 	return series
 }

@@ -9,6 +9,7 @@ import (
 	"fleet/internal/learning"
 	"fleet/internal/metrics"
 	"fleet/internal/nn"
+	"fleet/internal/server"
 	"fleet/internal/simrand"
 )
 
@@ -89,16 +90,15 @@ func (q *eventQueue) Pop() interface{} {
 }
 
 // RunTrace executes an event-driven training run over the given user
-// partitions and test set.
+// partitions and test set. The device and network simulation decides when
+// each gradient arrives; the server sees it pushed against the version its
+// worker pulled. A configuration the server refuses panics.
 func RunTrace(cfg TraceConfig, users [][]nn.Sample, test []nn.Sample) *TraceResult {
-	if cfg.Algorithm == nil {
-		panic("core: TraceConfig.Algorithm is required")
-	}
 	if len(users) == 0 {
 		panic("core: RunTrace needs at least one user")
 	}
-	if cfg.Updates <= 0 || cfg.LearningRate <= 0 {
-		panic("core: RunTrace needs positive Updates and LearningRate")
+	if cfg.Updates <= 0 {
+		panic("core: RunTrace needs positive Updates")
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 20
@@ -112,22 +112,16 @@ func RunTrace(cfg TraceConfig, users [][]nn.Sample, test []nn.Sample) *TraceResu
 	}
 	rng := simrand.New(cfg.Seed)
 
-	global := cfg.Arch.Build(simrand.New(cfg.Seed + 1))
-	workerNet := cfg.Arch.Build(simrand.New(cfg.Seed + 1))
-	classes := cfg.Arch.Classes()
-	labelTracker := learning.NewLabelTracker(classes)
-
 	devices := make([]*device.Device, len(users))
 	for i := range devices {
 		devices[i] = device.New(models[i%len(models)], simrand.New(cfg.Seed+100+int64(i)))
 	}
 
-	// Model snapshots, bounded; emergent staleness can exceed any fixed
-	// bound under churn, so deep-stale gradients clamp to the oldest
-	// retained snapshot.
-	const snapCap = 1024
-	snapshots := make([][]float64, snapCap)
-	snapshots[0] = global.ParamVector()
+	// Emergent staleness can exceed any fixed bound under churn: a gradient
+	// staler than the ring is deep clamps to the oldest retained snapshot.
+	d := NewDriver(server.Config{
+		Arch: cfg.Arch, Algorithm: cfg.Algorithm, LearningRate: cfg.LearningRate, Seed: cfg.Seed + 1,
+	}, 1024)
 
 	res := &TraceResult{}
 	res.Accuracy.Name = cfg.Algorithm.Name() + "-trace"
@@ -137,24 +131,22 @@ func RunTrace(cfg TraceConfig, users [][]nn.Sample, test []nn.Sample) *TraceResu
 		heap.Push(q, taskEvent{Time: rng.Float64() * cfg.ThinkTimeSec, Worker: w, Ready: true})
 	}
 
-	version := 0
 	now := 0.0
 	stSum := 0.0
-	for version < cfg.Updates && q.Len() > 0 {
+	for d.Version() < cfg.Updates && q.Len() > 0 {
 		ev := heap.Pop(q).(taskEvent)
 		now = ev.Time
 
 		if ev.Ready {
 			// Worker pulls the current model and starts computing.
 			w := ev.Worker
-			d := devices[w]
-			d.Idle(cfg.ThinkTimeSec / 2)
-			exec := d.Execute(cfg.BatchSize)
+			devices[w].Idle(cfg.ThinkTimeSec / 2)
+			exec := devices[w].Execute(cfg.BatchSize)
 			net := simrand.Exponential(rng, cfg.NetworkMinSec, cfg.NetworkMeanSec)
 			heap.Push(q, taskEvent{
 				Time:        now + exec.LatencySec + net,
 				Worker:      w,
-				PullVersion: version,
+				PullVersion: d.Version(),
 			})
 			continue
 		}
@@ -164,42 +156,12 @@ func RunTrace(cfg TraceConfig, users [][]nn.Sample, test []nn.Sample) *TraceResu
 		if cfg.DropoutProb > 0 && rng.Float64() < cfg.DropoutProb {
 			res.Dropped++
 		} else {
-			tau := version - ev.PullVersion
-			if tau >= snapCap {
-				tau = snapCap - 1
-			}
-			snap := snapshots[(version-tau)%snapCap]
-			workerNet.SetParams(snap)
-			batchSize := cfg.BatchSize
-			if batchSize > len(users[w]) {
-				batchSize = len(users[w])
-			}
-			batch := data.SampleBatch(rng, users[w], batchSize)
-			grad, _ := workerNet.Gradient(batch)
-
-			batchCounts := data.LabelCounts(batch, classes)
-			meta := learning.GradientMeta{
-				Staleness:  tau,
-				Similarity: labelTracker.Similarity(batchCounts),
-				BatchSize:  batchSize,
-				WorkerID:   w,
-			}
-			scale := cfg.Algorithm.Scale(meta)
-			cfg.Algorithm.Observe(meta)
-			labelTracker.RecordWeighted(batchCounts, cfg.Algorithm.AbsorbWeight(meta))
-
-			scaled := make([]float64, len(grad))
-			for i, g := range grad {
-				scaled[i] = scale * g
-			}
-			global.ApplyGradient(scaled, cfg.LearningRate)
-			version++
-			snapshots[version%snapCap] = global.ParamVector()
-			res.Staleness = append(res.Staleness, tau)
-			stSum += float64(tau)
-
-			if cfg.EvalEvery > 0 && version%cfg.EvalEvery == 0 {
-				res.Accuracy.Add(float64(version), global.Accuracy(test))
+			batch := data.SampleBatch(rng, users[w], min(cfg.BatchSize, len(users[w])))
+			ack := d.Push(w, d.Version()-ev.PullVersion, batch)
+			res.Staleness = append(res.Staleness, ack.Staleness)
+			stSum += float64(ack.Staleness)
+			if v := ack.NewVersion; cfg.EvalEvery > 0 && v%cfg.EvalEvery == 0 {
+				res.Accuracy.Add(float64(v), d.Evaluate(test))
 			}
 		}
 
@@ -208,11 +170,11 @@ func RunTrace(cfg TraceConfig, users [][]nn.Sample, test []nn.Sample) *TraceResu
 		heap.Push(q, taskEvent{Time: now + think, Worker: w, Ready: true})
 	}
 
-	if cfg.EvalEvery <= 0 || version%cfg.EvalEvery != 0 {
-		res.Accuracy.Add(float64(version), global.Accuracy(test))
+	if v := d.Version(); cfg.EvalEvery <= 0 || v%cfg.EvalEvery != 0 {
+		res.Accuracy.Add(float64(v), d.Evaluate(test))
 	}
 	res.WallClockSec = now
-	res.Params = global.ParamVector()
+	res.Params, _ = d.srv.Model()
 	if len(res.Staleness) > 0 {
 		res.MeanStaleness = stSum / float64(len(res.Staleness))
 	}

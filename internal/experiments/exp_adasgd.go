@@ -9,6 +9,7 @@ import (
 	"fleet/internal/dp"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
+	"fleet/internal/pipeline"
 	"fleet/internal/simrand"
 )
 
@@ -29,18 +30,57 @@ var (
 	d2 = stalenessSetup{name: "D2", mu: 12, sigma: 4}
 )
 
-// mnistNonIID builds the non-IID MNIST population of §3.2 at the given
-// scale.
-func mnistNonIID(scale Scale, seed int64) (users [][]nn.Sample, test []nn.Sample, arch nn.Arch, lr float64, batch, steps, evalEvery int) {
-	rng := simrand.New(seed)
+func (s stalenessSetup) sampler() core.StalenessSampler { return core.GaussianStaleness(s.mu, s.sigma) }
+
+// population is the users' local datasets with their test set, and the run
+// parameters every training on them shares.
+type population struct {
+	users                   [][]nn.Sample
+	test                    []nn.Sample
+	arch                    nn.Arch
+	lr                      float64
+	batch, steps, evalEvery int
+}
+
+// config is one run of alg on the population, under staleness st.
+func (p population) config(alg learning.Algorithm, seed int64, st core.StalenessSampler) core.AsyncConfig {
+	return core.AsyncConfig{
+		Arch: p.arch, Algorithm: alg, LearningRate: p.lr, BatchSize: p.batch,
+		Steps: p.steps, EvalEvery: p.evalEvery, Seed: seed, Staleness: st,
+	}
+}
+
+// iid re-deals the population's samples uniformly to as many users.
+func (p population) iid(seed int64) population {
+	var flat []nn.Sample
+	for _, u := range p.users {
+		flat = append(flat, u...)
+	}
+	p.users = data.PartitionIID(simrand.New(seed), flat, len(p.users))
+	return p
+}
+
+// mnist generates the MNIST-style dataset of §3.2 at the given scale with
+// its run parameters; the caller deals the training set to users.
+func mnist(scale Scale, seed int64) (population, []nn.Sample) {
 	if scale == ScaleFull {
 		ds := data.SyntheticMNIST(seed, 1)
-		return data.PartitionNonIID(rng, ds.Train, 100, 2), ds.Test,
-			nn.ArchMNIST, 5e-2, 100, 4000, 200
+		return population{test: ds.Test, arch: nn.ArchMNIST, lr: 5e-2, batch: 100, steps: 4000, evalEvery: 200}, ds.Train
 	}
 	ds := data.TinyMNIST(seed, 40, 10)
-	return data.PartitionNonIID(rng, ds.Train, 20, 2), ds.Test,
-		nn.ArchTinyMNIST, 0.03, 20, 1200, 100
+	return population{test: ds.Test, arch: nn.ArchTinyMNIST, lr: 0.03, batch: 20, steps: 1200, evalEvery: 100}, ds.Train
+}
+
+// mnistNonIID builds the non-IID MNIST population of §3.2 at the given
+// scale.
+func mnistNonIID(scale Scale, seed int64) population {
+	p, train := mnist(scale, seed)
+	users := 20
+	if scale == ScaleFull {
+		users = 100
+	}
+	p.users = data.PartitionNonIID(simrand.New(seed), train, users, 2)
+	return p
 }
 
 func fig5(Scale) *Report {
@@ -68,27 +108,19 @@ func fig5(Scale) *Report {
 
 func fig8(scale Scale) *Report {
 	rep := &Report{}
-	users, test, arch, lr, batch, steps, evalEvery := mnistNonIID(scale, 8)
-
-	run := func(alg learning.Algorithm, st stalenessSetup) *core.AsyncResult {
-		return runAsync(core.AsyncConfig{
-			Arch: arch, Algorithm: alg, LearningRate: lr, BatchSize: batch,
-			Steps: steps, EvalEvery: evalEvery, Seed: 42,
-			Staleness: core.GaussianStaleness(st.mu, st.sigma),
-		}, users, test)
+	pop := mnistNonIID(scale, 8)
+	run := func(alg learning.Algorithm, st core.StalenessSampler) *core.AsyncResult {
+		return core.RunAsync(pop.config(alg, 42, st), pop.users, pop.test)
 	}
-	ssgd := runAsync(core.AsyncConfig{
-		Arch: arch, Algorithm: learning.SSGD{}, LearningRate: lr, BatchSize: batch,
-		Steps: steps, EvalEvery: evalEvery, Seed: 42,
-	}, users, test)
+	ssgd := run(learning.SSGD{}, nil)
 	rep.addLine("%-22s final accuracy %.3f (ideal)", "SSGD (staleness-free)", ssgd.FinalAccuracy)
 	rep.setValue("ssgd", ssgd.FinalAccuracy)
 
 	// Convergence-speed target: 80% of SSGD's final accuracy.
 	target := 0.8 * ssgd.FinalAccuracy
 	for _, st := range []stalenessSetup{d1, d2} {
-		ada := run(learning.NewAdaSGD(adaConfig()), st)
-		dyn := run(learning.DynSGD{}, st)
+		ada := run(learning.NewAdaSGD(adaConfig()), st.sampler())
+		dyn := run(learning.DynSGD{}, st.sampler())
 		adaSteps := ada.Accuracy.StepsToReach(target)
 		dynSteps := dyn.Accuracy.StepsToReach(target)
 		speedup := 0.0
@@ -101,7 +133,7 @@ func fig8(scale Scale) *Report {
 		rep.setValue("dyn-"+st.name, dyn.FinalAccuracy)
 		rep.setValue("speedup-"+st.name, speedup)
 	}
-	fed := run(learning.FedAvg{}, d2)
+	fed := run(learning.FedAvg{}, d2.sampler())
 	rep.addLine("%-22s final accuracy %.3f (staleness-unaware, diverges/lags)", "FedAvg (D2)", fed.FinalAccuracy)
 	rep.setValue("fedavg", fed.FinalAccuracy)
 	return rep
@@ -110,7 +142,7 @@ func fig8(scale Scale) *Report {
 // fig9Sampler draws D1 staleness for everyone except workers holding
 // class-0 data, who are pinned to τ = 4·τ_thres = 48 (D1 ⇒ τ_thres = 12).
 func fig9Sampler() core.StalenessSampler {
-	base := core.GaussianStaleness(d1.mu, d1.sigma)
+	base := d1.sampler()
 	return func(rng *rand.Rand, workerID int, labelCounts []int) int {
 		if len(labelCounts) > 0 && labelCounts[0] > 0 {
 			return 48
@@ -122,43 +154,34 @@ func fig9Sampler() core.StalenessSampler {
 // fig9Population builds the long-tail straggler setup of §3.2: class 0 is
 // present *only* on straggler workers (two users holding all class-0 data),
 // the remaining classes are dealt non-IID to everyone else.
-func fig9Population(scale Scale, seed int64) (users [][]nn.Sample, test []nn.Sample, arch nn.Arch, lr float64, batch, steps, evalEvery int) {
-	rng := simrand.New(seed)
-	var ds *data.Dataset
-	if scale == ScaleFull {
-		ds = data.SyntheticMNIST(seed, 1)
-		arch, lr, batch, steps, evalEvery = nn.ArchMNIST, 5e-2, 100, 4000, 200
-	} else {
-		ds = data.TinyMNIST(seed, 40, 10)
-		arch, lr, batch, steps, evalEvery = nn.ArchTinyMNIST, 0.03, 20, 1200, 100
-	}
+func fig9Population(scale Scale, seed int64) population {
+	p, train := mnist(scale, seed)
 	var class0, rest []nn.Sample
-	for _, s := range ds.Train {
+	for _, s := range train {
 		if s.Label == 0 {
 			class0 = append(class0, s)
 		} else {
 			rest = append(rest, s)
 		}
 	}
-	users = append(users, class0[:len(class0)/2], class0[len(class0)/2:])
-	users = append(users, data.PartitionNonIID(rng, rest, 18, 2)...)
-	return users, ds.Test, arch, lr, batch, steps, evalEvery
+	p.users = append(p.users, class0[:len(class0)/2], class0[len(class0)/2:])
+	p.users = append(p.users, data.PartitionNonIID(simrand.New(seed), rest, 18, 2)...)
+	return p
+}
+
+// class0Run is a Figure-9 run: class-0 stragglers, class-0 accuracy tracked.
+func class0Run(pop population, alg learning.Algorithm, st core.StalenessSampler) *core.AsyncResult {
+	cfg := pop.config(alg, 43, st)
+	cfg.TrackClasses = []int{0}
+	return core.RunAsync(cfg, pop.users, pop.test)
 }
 
 func fig9(scale Scale) *Report {
 	rep := &Report{}
-	users, test, arch, lr, batch, steps, evalEvery := fig9Population(scale, 9)
-
-	run := func(alg learning.Algorithm, staleness core.StalenessSampler) *core.AsyncResult {
-		return runAsync(core.AsyncConfig{
-			Arch: arch, Algorithm: alg, LearningRate: lr, BatchSize: batch,
-			Steps: steps, EvalEvery: evalEvery, Seed: 43,
-			Staleness: staleness, TrackClasses: []int{0},
-		}, users, test)
-	}
-	ada := run(learning.NewAdaSGD(adaConfig()), fig9Sampler())
-	dyn := run(learning.DynSGD{}, fig9Sampler())
-	ssgd := run(learning.SSGD{}, nil)
+	pop := fig9Population(scale, 9)
+	ada := class0Run(pop, learning.NewAdaSGD(adaConfig()), fig9Sampler())
+	dyn := class0Run(pop, learning.DynSGD{}, fig9Sampler())
+	ssgd := class0Run(pop, learning.SSGD{}, nil)
 
 	rep.addLine("class-0 gradients pinned to τ=48 (= 4·τ_thres); class-0 test accuracy:")
 	rep.addLine("%-8s class-0 final %.3f | overall %.3f (ideal)", "SSGD",
@@ -189,39 +212,34 @@ func fig10(scale Scale) *Report {
 	rng := simrand.New(10)
 
 	type setup struct {
-		name  string
-		users [][]nn.Sample
-		test  []nn.Sample
-		arch  nn.Arch
-		lr    float64
-		steps int
-		batch int
+		name string
+		population
+	}
+	// users and batch are 100 at full scale, 20 at CI scale.
+	iid := func(name string, ds *data.Dataset, n int, arch nn.Arch, lr float64, steps int) setup {
+		return setup{name, population{
+			users: data.PartitionIID(rng, ds.Train, n), test: ds.Test,
+			arch: arch, lr: lr, batch: n, steps: steps, evalEvery: steps / 4,
+		}}
 	}
 	var setups []setup
 	if scale == ScaleFull {
-		em := data.SyntheticEMNIST(10, 1)
-		cf := data.SyntheticCIFAR100(11, 1)
 		setups = []setup{
-			{"E-MNIST (IID)", data.PartitionIID(rng, em.Train, 100), em.Test, nn.ArchEMNIST, 8e-2, 8000, 100},
-			{"CIFAR-100 (IID)", data.PartitionIID(rng, cf.Train, 100), cf.Test, nn.ArchCIFAR100, 15e-2, 24000, 100},
+			iid("E-MNIST (IID)", data.SyntheticEMNIST(10, 1), 100, nn.ArchEMNIST, 8e-2, 8000),
+			iid("CIFAR-100 (IID)", data.SyntheticCIFAR100(11, 1), 100, nn.ArchCIFAR100, 15e-2, 24000),
 		}
 	} else {
-		em := data.TinyMNIST(10, 40, 10)
-		cf := data.TinyCIFAR(11, 30, 8)
 		setups = []setup{
-			{"tiny-MNIST (IID)", data.PartitionIID(rng, em.Train, 20), em.Test, nn.ArchTinyMNIST, 0.03, 1000, 20},
-			{"tiny-CIFAR (IID)", data.PartitionIID(rng, cf.Train, 20), cf.Test, nn.ArchTinyCIFAR, 0.1, 200, 20},
+			iid("tiny-MNIST (IID)", data.TinyMNIST(10, 40, 10), 20, nn.ArchTinyMNIST, 0.03, 1000),
+			iid("tiny-CIFAR (IID)", data.TinyCIFAR(11, 30, 8), 20, nn.ArchTinyCIFAR, 0.1, 200),
 		}
 	}
 
 	for _, s := range setups {
 		run := func(alg learning.Algorithm, st core.StalenessSampler) float64 {
-			return runAsync(core.AsyncConfig{
-				Arch: s.arch, Algorithm: alg, LearningRate: s.lr, BatchSize: s.batch,
-				Steps: s.steps, EvalEvery: s.steps / 4, Seed: 44, Staleness: st,
-			}, s.users, s.test).FinalAccuracy
+			return core.RunAsync(s.config(alg, 44, st), s.users, s.test).FinalAccuracy
 		}
-		st := func() core.StalenessSampler { return core.GaussianStaleness(d2.mu, d2.sigma) }
+		st := d2.sampler
 		ada := run(learning.NewAdaSGD(adaConfig()), st())
 		dyn := run(learning.DynSGD{}, st())
 		fed := run(learning.FedAvg{}, st())
@@ -238,38 +256,40 @@ func fig10(scale Scale) *Report {
 
 func fig11(scale Scale) *Report {
 	rep := &Report{}
-	users, test, arch, lr, batch, steps, evalEvery := mnistNonIID(scale, 11)
-	// Figure 11 uses IID MNIST; re-partition.
-	rng := simrand.New(12)
-	var flat []nn.Sample
-	for _, u := range users {
-		flat = append(flat, u...)
-	}
-	users = data.PartitionIID(rng, flat, len(users))
+	// Figure 11 uses IID MNIST.
+	pop := mnistNonIID(scale, 11).iid(12)
 
 	// δ = 1/N² with N the training-set size; q = batch/N (§3.2).
-	n := float64(len(flat))
+	n := 0.0
+	for _, u := range pop.users {
+		n += float64(len(u))
+	}
 	delta := 1 / (n * n)
-	q := float64(batch) / n
+	q := float64(pop.batch) / n
 
+	// DP is the served pipeline's dp stage (clip 4, noise σ per batch) in
+	// front of the staleness scaling.
 	run := func(alg learning.Algorithm, noise float64) float64 {
-		var dpCfg *dp.Config
+		var pipe *pipeline.Pipeline
 		if noise > 0 {
-			dpCfg = &dp.Config{ClipNorm: 4, NoiseMultiplier: noise, BatchSize: batch}
+			var err error
+			pipe, err = pipeline.Build(fmt.Sprintf("dp(4,%g),staleness", noise), "mean",
+				pipeline.BuildOptions{Algorithm: alg, Seed: 45})
+			if err != nil {
+				panic(fmt.Sprintf("experiments: building the dp pipeline: %v", err))
+			}
 		}
-		return runAsync(core.AsyncConfig{
-			Arch: arch, Algorithm: alg, LearningRate: lr, BatchSize: batch,
-			Steps: steps, EvalEvery: evalEvery, Seed: 45,
-			Staleness: core.GaussianStaleness(d2.mu, d2.sigma), DP: dpCfg,
-		}, users, test).FinalAccuracy
+		cfg := pop.config(alg, 45, d2.sampler())
+		cfg.Pipeline = pipe
+		return core.RunAsync(cfg, pop.users, pop.test).FinalAccuracy
 	}
 
-	rep.addLine("IID MNIST, staleness D2, δ=1/N²=%.2e, q=%.2e, T=%d", delta, q, steps)
+	rep.addLine("IID MNIST, staleness D2, δ=1/N²=%.2e, q=%.2e, T=%d", delta, q, pop.steps)
 	for _, eps := range []float64{0, 13.66, 1.75} {
 		noise := 0.0
 		label := "no DP"
 		if eps > 0 {
-			sigma, err := dp.SigmaFor(q, eps, steps, delta)
+			sigma, err := dp.SigmaFor(q, eps, pop.steps, delta)
 			if err != nil {
 				rep.addLine("ε=%.2f: %v", eps, err)
 				continue
@@ -296,12 +316,8 @@ func ablationDampening(scale Scale) *Report {
 	run := func(mk func() learning.Algorithm) float64 {
 		total := 0.0
 		for _, seed := range seeds {
-			users, test, arch, lr, batch, steps, evalEvery := mnistNonIID(scale, seed)
-			total += runAsync(core.AsyncConfig{
-				Arch: arch, Algorithm: mk(), LearningRate: lr, BatchSize: batch,
-				Steps: steps, EvalEvery: evalEvery, Seed: 46 + seed,
-				Staleness: core.GaussianStaleness(d2.mu, d2.sigma),
-			}, users, test).FinalAccuracy
+			pop := mnistNonIID(scale, seed)
+			total += core.RunAsync(pop.config(mk(), 46+seed, d2.sampler()), pop.users, pop.test).FinalAccuracy
 		}
 		return total / float64(len(seeds))
 	}
@@ -343,15 +359,11 @@ func (dropStale) Observe(learning.GradientMeta)                     {}
 func ablationSimilarity(scale Scale) *Report {
 	rep := &Report{}
 	// Same population and seed as Figure 9; only the boost is toggled.
-	users, test, arch, lr, batch, steps, evalEvery := fig9Population(scale, 9)
+	pop := fig9Population(scale, 9)
 	run := func(disable bool) *core.AsyncResult {
 		c := adaConfig()
 		c.DisableSimilarityBoost = disable
-		return runAsync(core.AsyncConfig{
-			Arch: arch, Algorithm: learning.NewAdaSGD(c), LearningRate: lr, BatchSize: batch,
-			Steps: steps, EvalEvery: evalEvery, Seed: 43,
-			Staleness: fig9Sampler(), TrackClasses: []int{0},
-		}, users, test)
+		return class0Run(pop, learning.NewAdaSGD(c), fig9Sampler())
 	}
 	with := run(false)
 	without := run(true)
@@ -365,16 +377,12 @@ func ablationSimilarity(scale Scale) *Report {
 
 func ablationSPct(scale Scale) *Report {
 	rep := &Report{}
-	users, test, arch, lr, batch, steps, evalEvery := mnistNonIID(scale, 15)
+	pop := mnistNonIID(scale, 15)
 	rep.addLine("s%% mis-estimation ablation under D2 (paper: underestimate slows, overestimate risks divergence):")
 	for _, pct := range []float64{50, 90, 99.7, 100} {
 		cfg := adaConfig()
 		cfg.NonStragglerPct = pct
-		acc := runAsync(core.AsyncConfig{
-			Arch: arch, Algorithm: learning.NewAdaSGD(cfg), LearningRate: lr, BatchSize: batch,
-			Steps: steps, EvalEvery: evalEvery, Seed: 48,
-			Staleness: core.GaussianStaleness(d2.mu, d2.sigma),
-		}, users, test).FinalAccuracy
+		acc := core.RunAsync(pop.config(learning.NewAdaSGD(cfg), 48, d2.sampler()), pop.users, pop.test).FinalAccuracy
 		rep.addLine("s%%=%5.1f: final accuracy %.3f", pct, acc)
 		rep.setValue(fmt.Sprintf("s%.1f", pct), acc)
 	}
@@ -383,15 +391,13 @@ func ablationSPct(scale Scale) *Report {
 
 func ablationK(scale Scale) *Report {
 	rep := &Report{}
-	users, test, arch, lr, batch, steps, evalEvery := mnistNonIID(scale, 16)
+	pop := mnistNonIID(scale, 16)
 	rep.addLine("aggregation-parameter K ablation (same gradient budget, D1 staleness):")
 	for _, k := range []int{1, 5, 10} {
-		acc := runAsync(core.AsyncConfig{
-			Arch: arch, Algorithm: learning.NewAdaSGD(adaConfig()), LearningRate: lr, BatchSize: batch,
-			Steps: steps / k, K: k, EvalEvery: evalEvery, Seed: 49,
-			Staleness: core.GaussianStaleness(d1.mu, d1.sigma),
-		}, users, test).FinalAccuracy
-		rep.addLine("K=%2d: final accuracy %.3f (%d updates)", k, acc, steps/k)
+		cfg := pop.config(learning.NewAdaSGD(adaConfig()), 49, d1.sampler())
+		cfg.Steps, cfg.K = pop.steps/k, k
+		acc := core.RunAsync(cfg, pop.users, pop.test).FinalAccuracy
+		rep.addLine("K=%2d: final accuracy %.3f (%d updates)", k, acc, cfg.Steps)
 		rep.setValue(fmt.Sprintf("k%d", k), acc)
 	}
 	return rep

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"fleet/internal/core"
 	"fleet/internal/data"
 	"fleet/internal/learning"
-	"fleet/internal/nn"
 	"fleet/internal/pipeline"
-	"fleet/internal/protocol"
 	"fleet/internal/server"
 	"fleet/internal/simrand"
 )
@@ -17,22 +14,15 @@ import (
 // byzantine evaluates the §4 claim that robust aggregation is pluggable
 // into FLeet: 20% of the workers are adversarial (they send sign-flipped,
 // amplified gradients) while updates aggregate K=5 gradients per window
-// under D1 staleness. Unlike the other drivers this one runs through the
-// live *server.Server — gradients travel PushGradient and the update
-// pipeline (internal/pipeline) with a registry-selected window aggregator,
-// exactly the path a production deployment exercises.
+// under D1 staleness, each rule a registry-selected window aggregator of the
+// server's update pipeline (internal/pipeline).
 func byzantine(scale Scale) *Report {
 	rep := &Report{}
-	users, test, arch, lr, batch, steps, _ := mnistNonIID(scale, 18)
 	// Robust aggregation is evaluated on IID users (as in the Byzantine-SGD
 	// literature the paper cites): per-coordinate medians of non-IID
 	// gradients are biased toward zero and would confound the attack.
-	rng := simrand.New(19)
-	var flat []nn.Sample
-	for _, u := range users {
-		flat = append(flat, u...)
-	}
-	users = data.PartitionIID(rng, flat, len(users))
+	pop := mnistNonIID(scale, 18).iid(19)
+	users := pop.users
 
 	// Every 5th user is Byzantine: sign-flip with 5x amplification, the
 	// classic model-poisoning attack.
@@ -48,9 +38,8 @@ func byzantine(scale Scale) *Report {
 	}
 
 	const k = 5
-	updates := steps / 2
-	classes := arch.Classes()
-	staleness := core.GaussianStaleness(d1.mu, d1.sigma)
+	updates := pop.steps / 2
+	staleness := d1.sampler()
 
 	run := func(aggSpec string, attacked bool) float64 {
 		algo := learning.NewAdaSGD(adaConfig())
@@ -60,62 +49,23 @@ func byzantine(scale Scale) *Report {
 		}
 		// Every aggregator applies the K-sum magnitude of Equation 3 (the
 		// retained rules scale their direction by the window size), so the
-		// learning rate needs no per-rule compensation.
-		srv, err := server.New(server.Config{
-			Arch: arch, Algorithm: algo, LearningRate: lr, K: k,
+		// learning rate needs no per-rule compensation. D1 staleness is
+		// imposed the §3.2 way: the driver computes each gradient against
+		// the snapshot τ versions back.
+		d := core.NewDriver(server.Config{
+			Arch: pop.arch, Algorithm: algo, LearningRate: pop.lr, K: k,
 			Pipeline: pipe, Seed: 54,
-		})
-		if err != nil {
-			panic(err)
+		}, 257) // far deeper than D1 ever draws
+		if attacked {
+			d.Transform = attack
 		}
-
-		ctx := context.Background()
 		runRng := simrand.New(54)
-		workerNet := arch.Build(simrand.New(54))
-
-		// The experiment imposes the D1 staleness distribution by pulling
-		// past snapshots: snapshots[v % snapCap] is the param vector at
-		// version v (ring buffer, like core.RunAsync's MaxStaleness).
-		const maxStale = 256
-		const snapCap = maxStale + 1
-		params, version := srv.Model()
-		snapshots := make([][]float64, snapCap)
-		snapshots[0] = params
-		for version < updates {
+		for d.Version() < updates {
 			u := runRng.Intn(len(users))
 			tau := staleness(runRng, u, nil)
-			if tau > version {
-				tau = version
-			}
-			if tau > maxStale {
-				tau = maxStale
-			}
-			pullVersion := version - tau
-			workerNet.SetParams(snapshots[pullVersion%snapCap])
-
-			bs := batch
-			if bs > len(users[u]) {
-				bs = len(users[u])
-			}
-			b := data.SampleBatch(runRng, users[u], bs)
-			grad, _ := workerNet.Gradient(b)
-			if attacked {
-				grad = attack(u, grad)
-			}
-			ack, err := srv.PushGradient(ctx, &protocol.GradientPush{
-				WorkerID: u, ModelVersion: pullVersion, Gradient: grad,
-				BatchSize: bs, LabelCounts: data.LabelCounts(b, classes),
-			})
-			if err != nil {
-				panic(err)
-			}
-			for version < ack.NewVersion {
-				version++
-				p, _ := srv.Model()
-				snapshots[version%snapCap] = p
-			}
+			d.Push(u, tau, data.SampleBatch(runRng, users[u], min(pop.batch, len(users[u]))))
 		}
-		return srv.Evaluate(workerNet, test)
+		return d.Evaluate(pop.test)
 	}
 
 	rep.addLine("20%% Byzantine workers (sign-flip ×5), K=5 windows, D1 staleness, live server:")

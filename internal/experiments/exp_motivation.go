@@ -44,7 +44,7 @@ func fig3(scale Scale) *Report {
 	}
 	rep.addLine("synchronous SGD, strong batch %d, weak batch 1 (CIFAR-style CNN):", strongBatch)
 	for _, c := range configs {
-		series := runSyncMixed(core.SyncMixedConfig{
+		series := core.RunSyncMixed(core.SyncMixedConfig{
 			Arch: arch, StrongWorkers: c.strong, WeakWorkers: c.weak,
 			StrongBatch: strongBatch, WeakBatch: 1,
 			LearningRate: lr, Steps: steps, EvalEvery: steps / 3, Seed: 31,

@@ -12,20 +12,20 @@ import (
 // latency and think time — the dynamics the real middleware experiences.
 func traceStaleness(scale Scale) *Report {
 	rep := &Report{}
-	users, test, arch, lr, batch, _, evalEvery := mnistNonIID(scale, 17)
+	pop := mnistNonIID(scale, 17)
 	updates := 800
 	if scale == ScaleFull {
 		updates = 4000
 	}
 
 	run := func(alg learning.Algorithm) *core.TraceResult {
-		return runTrace(core.TraceConfig{
-			Arch: arch, Algorithm: alg, LearningRate: lr, BatchSize: batch,
-			Updates: updates, EvalEvery: evalEvery,
+		return core.RunTrace(core.TraceConfig{
+			Arch: pop.arch, Algorithm: alg, LearningRate: pop.lr, BatchSize: pop.batch,
+			Updates: updates, EvalEvery: pop.evalEvery,
 			NetworkMinSec: 1.1, NetworkMeanSec: 2.4, // 4G/3G mix (§3.1)
 			ThinkTimeSec: 4, DropoutProb: 0.05,
 			Seed: 53,
-		}, users, test)
+		}, pop.users, pop.test)
 	}
 
 	ada := run(learning.NewAdaSGD(adaConfig()))

@@ -3,14 +3,18 @@
 // driver returns a Report with the same rows/series the paper plots, at two
 // scales: ScaleCI (seconds, used by tests and testing.B benchmarks) and
 // ScaleFull (paper-sized, used by cmd/fleet-experiments).
+//
+// Every federated-learning figure (3, 8–11, 15, the ablations,
+// trace-staleness, byzantine) trains on a server.Server through
+// internal/core's driver: the staleness gate, the update pipeline, label
+// absorption, the K-window and the model update are the code a worker talks
+// to. testdata/ci_values.json pins every Report.Values at ScaleCI.
 package experiments
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"fleet/internal/core"
 )
 
 // Scale selects experiment sizing.
@@ -95,11 +99,3 @@ func All() []string {
 	sort.Strings(out)
 	return out
 }
-
-// The training loops the experiments run on. Transitional: the oracle test
-// swaps in wrappers that run the engine and the served driver side by side.
-var (
-	runAsync     = core.RunAsync
-	runTrace     = core.RunTrace
-	runSyncMixed = core.RunSyncMixed
-)

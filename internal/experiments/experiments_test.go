@@ -34,10 +34,8 @@ func TestRunUnknownID(t *testing.T) {
 }
 
 func TestFig5DampeningCurves(t *testing.T) {
-	rep, err := Run("fig5", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "fig5")
 	// The exponential must intersect the inverse at τ_thres/2 (the defining
 	// property of β).
 	if v := rep.Values["intersection"]; v > 1e-9 || v < -1e-9 {
@@ -49,10 +47,8 @@ func TestFig5DampeningCurves(t *testing.T) {
 }
 
 func TestFig6OnlineBeatsStandard(t *testing.T) {
-	rep, err := Run("fig6", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "fig6")
 	if boost := rep.Values["boost"]; boost < 1.3 {
 		t.Errorf("online/standard boost %v, want > 1.3 (paper: 2.3)", boost)
 	}
@@ -62,10 +58,8 @@ func TestFig6OnlineBeatsStandard(t *testing.T) {
 }
 
 func TestFig7LongTail(t *testing.T) {
-	rep, err := Run("fig7", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "fig7")
 	mean := rep.Values["mean"]
 	if mean < 5 {
 		t.Errorf("mean staleness %v, want the paper's double-digit regime", mean)
@@ -76,10 +70,8 @@ func TestFig7LongTail(t *testing.T) {
 }
 
 func TestFig8Ordering(t *testing.T) {
-	rep, err := Run("fig8", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "fig8")
 	// SSGD is the ideal; AdaSGD must beat DynSGD under both staleness
 	// setups (the paper's headline claim).
 	if rep.Values["ssgd"] < 0.8 {
@@ -97,10 +89,8 @@ func TestFig8Ordering(t *testing.T) {
 }
 
 func TestFig9SimilarityBoostRecovery(t *testing.T) {
-	rep, err := Run("fig9", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "fig9")
 	ada, dyn := rep.Values["ada-class0"], rep.Values["dyn-class0"]
 	if ada <= dyn+0.2 {
 		t.Errorf("AdaSGD class-0 accuracy %v must clearly beat DynSGD %v", ada, dyn)
@@ -111,30 +101,24 @@ func TestFig9SimilarityBoostRecovery(t *testing.T) {
 }
 
 func TestFig12IProfBeatsMAUI(t *testing.T) {
-	rep, err := Run("fig12", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "fig12")
 	if rep.Values["ratio-p90"] < 1.5 {
 		t.Errorf("I-Prof p90 advantage %vx, want > 1.5x (paper: 3.6x)", rep.Values["ratio-p90"])
 	}
 }
 
 func TestFig13IProfBeatsMAUI(t *testing.T) {
-	rep, err := Run("fig13", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "fig13")
 	if rep.Values["ratio-p90"] < 1.5 {
 		t.Errorf("I-Prof energy p90 advantage %vx, want > 1.5x (paper: 19x)", rep.Values["ratio-p90"])
 	}
 }
 
 func TestFig14FLeetComparable(t *testing.T) {
-	rep, err := Run("fig14", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "fig14")
 	for _, dev := range fig13TestDevices {
 		fleetE, calE := rep.Values["fleet-"+dev], rep.Values["caloree-"+dev]
 		if fleetE == 0 || calE == 0 {
@@ -147,10 +131,8 @@ func TestFig14FLeetComparable(t *testing.T) {
 }
 
 func TestTable2ErrorEscalates(t *testing.T) {
-	rep, err := Run("table2", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "table2")
 	s7 := rep.Values["Galaxy S7"]
 	h9 := rep.Values["Honor 9"]
 	h10 := rep.Values["Honor 10"]
@@ -167,10 +149,8 @@ func TestTable2ErrorEscalates(t *testing.T) {
 }
 
 func TestEnergyPlausible(t *testing.T) {
-	rep, err := Run("energy", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "energy")
 	if v := rep.Values["mean-mwh"]; v <= 0 || v > 50 {
 		t.Errorf("daily energy %v mWh outside the paper's regime", v)
 	}
@@ -180,10 +160,8 @@ func TestEnergyPlausible(t *testing.T) {
 }
 
 func TestAblationSimilarityHelps(t *testing.T) {
-	rep, err := Run("ablation-similarity", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "ablation-similarity")
 	if rep.Values["class0-with"] <= rep.Values["class0-without"] {
 		t.Errorf("boost on (%v) must beat boost off (%v) on straggler class",
 			rep.Values["class0-with"], rep.Values["class0-without"])
@@ -191,10 +169,8 @@ func TestAblationSimilarityHelps(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	rep, err := Run("fig5", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "fig5")
 	s := rep.String()
 	if !strings.Contains(s, "fig5") || !strings.Contains(s, "gradient scaling") {
 		t.Errorf("report rendering broken:\n%s", s)
@@ -202,10 +178,8 @@ func TestReportString(t *testing.T) {
 }
 
 func TestByzantineRobustness(t *testing.T) {
-	rep, err := Run("byzantine", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "byzantine")
 	meanClean := rep.Values["clean-Mean"]
 	meanAttacked := rep.Values["attacked-Mean"]
 	if meanClean < 0.6 {
@@ -222,14 +196,69 @@ func TestByzantineRobustness(t *testing.T) {
 }
 
 func TestTraceStalenessExperiment(t *testing.T) {
-	rep, err := Run("trace-staleness", ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep := ciReport(t, "trace-staleness")
 	if rep.Values["mean-staleness"] <= 0 {
 		t.Error("no emergent staleness")
 	}
 	if rep.Values["ada"] < 0.3 {
 		t.Errorf("AdaSGD accuracy %v under emergent staleness", rep.Values["ada"])
+	}
+}
+
+func TestFig3WeakWorkersCancelTheBenefit(t *testing.T) {
+	t.Parallel()
+	rep := ciReport(t, "fig3")
+	one, ten, weak := rep.Values["1 strong"], rep.Values["10 strong"], rep.Values["10 strong + 4 weak"]
+	if ten <= one {
+		t.Errorf("10 strong workers (%v) must beat 1 (%v)", ten, one)
+	}
+	if weak > ten-0.2 {
+		t.Errorf("4 weak workers must cost 10 strong ones (%v) at least 0.2, got %v", ten, weak)
+	}
+}
+
+func TestFig10StalenessAwarenessIID(t *testing.T) {
+	t.Parallel()
+	rep := ciReport(t, "fig10")
+	for _, ds := range []string{"tiny-MNIST (IID)", "tiny-CIFAR (IID)"} {
+		if ada, dyn := rep.Values["ada-"+ds], rep.Values["dyn-"+ds]; ada <= dyn {
+			t.Errorf("%s: AdaSGD %v must beat DynSGD %v", ds, ada, dyn)
+		}
+	}
+	if fed := rep.Values["fed-tiny-CIFAR (IID)"]; fed >= 0.3 {
+		t.Errorf("staleness-unaware FedAvg should diverge on tiny-CIFAR under D2, got %v", fed)
+	}
+}
+
+func TestFig11DPCostsAccuracy(t *testing.T) {
+	t.Parallel()
+	rep := ciReport(t, "fig11")
+	if clean, private := rep.Values["ada-eps0.00"], rep.Values["ada-eps1.75"]; clean < private+0.1 {
+		t.Errorf("AdaSGD without DP (%v) must exceed ε=1.75 (%v) by at least 0.1", clean, private)
+	}
+}
+
+func TestFig15PruningCurve(t *testing.T) {
+	t.Parallel()
+	rep := ciReport(t, "fig15")
+	base := rep.Values["base"]
+	if acc := rep.Values["size40"]; acc < base-0.03 {
+		t.Errorf("dropping the 40%% smallest batches: accuracy %v, want within 0.03 of %v", acc, base)
+	}
+	if pruned := rep.Values["size40-pruned"]; pruned < 0.3 {
+		t.Errorf("size threshold 40 pruned %.1f%% of requests, want at least 30%%", pruned*100)
+	}
+	if acc := rep.Values["sim80"]; acc >= 0.6 {
+		t.Errorf("dropping the 80%% most similar tasks should collapse accuracy, got %v", acc)
+	}
+}
+
+func TestAblationKFewerUpdatesCost(t *testing.T) {
+	t.Parallel()
+	rep := ciReport(t, "ablation-k")
+	// The gradient budget is fixed, so a larger K means fewer model updates.
+	if k1, k5, k10 := rep.Values["k1"], rep.Values["k5"], rep.Values["k10"]; k5 > k1 || k10 > k5 {
+		t.Errorf("accuracy must not increase with K: K=1 %v, K=5 %v, K=10 %v", k1, k5, k10)
 	}
 }

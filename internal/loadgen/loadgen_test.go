@@ -464,6 +464,13 @@ func TestConcurrentRunsDoNotMutateRegistry(t *testing.T) {
 		Workers: 3, Rounds: 2,
 		Tiers: []Tier{{Name: "t", Weight: 1, SpeedFactor: 0}}, // defaulted per run
 	})
+	// The registry is process-wide: left behind, the scenario fails
+	// TestEveryScenarioHasBaseline on the next -count iteration.
+	t.Cleanup(func() {
+		regMu.Lock()
+		delete(scenarios, "shared-tiers")
+		regMu.Unlock()
+	})
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)

@@ -57,23 +57,26 @@ func TestCmdMainsDoNotOwnListeners(t *testing.T) {
 // TestIngestAndEndpointAreSingleSourced keeps the two ingest paths and the
 // three wire endpoints from growing back. The learning-task path — payload
 // decode, the admission chain, label absorption — is called from
-// internal/ingest only, and a request body is decoded into a TaskRequest or
-// a GradientPush in service.Call only. A second call site means a node or a
-// transport has started re-implementing the path: extend ingest.Core or
-// service.Call instead. The packages that define these functions, the
-// offline simulator (internal/core: no wire, no admission chain, its own
-// Controller) and the bench/perf module (layer timings) are outside the
-// serving tree and not scanned.
+// internal/ingest only, the global model is updated in internal/server only,
+// and a request body is decoded into a TaskRequest or a GradientPush in
+// service.Call only. A second call site means a node, a transport or an
+// evaluation loop has started re-implementing the path: extend ingest.Core
+// or service.Call instead (internal/core's paper-evaluation runs drive a
+// server.Server for this reason). The packages that define these functions,
+// internal/hashtag (a plain SGD recommender with no server, staleness or
+// aggregation) and the bench/perf module (layer timings) are not scanned.
 func TestIngestAndEndpointAreSingleSourced(t *testing.T) {
 	const ingest, call = "internal/ingest/ingest.go", "internal/service/call.go"
 	owners := map[string]string{
 		"protocol.DecodeGradientPayload(": ingest,
 		".Admit(ctx,":                     ingest,
 		".AbsorbWeight(":                  ingest,
+		"RecordWeighted(":                 ingest,
+		".ApplyGradient(":                 "internal/server/server.go",
 	}
 	skipped := map[string]bool{
 		"internal/protocol": true, "internal/sched": true, "internal/learning": true,
-		"internal/core": true, "bench": true, ".git": true,
+		"internal/hashtag": true, "bench": true, ".git": true,
 	}
 	request := regexp.MustCompile(`var (\w+) protocol\.(TaskRequest|GradientPush)\b`)
 	root := filepath.Join("..", "..")

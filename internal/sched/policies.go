@@ -221,11 +221,13 @@ type Controller struct {
 	sims  []float64
 }
 
+// Name implements AdmissionPolicy.
 func (c *Controller) Name() string {
 	return fmt.Sprintf("controller(size-pct=%g,similarity-pct=%g)", c.SizePercentile, c.SimilarityPercentile)
 }
 
-// Admit records the task's values in the history whether or not it passes.
+// Admit implements AdmissionPolicy. The task's values enter the history
+// whether or not it passes.
 func (c *Controller) Admit(_ context.Context, req *TaskRequest) (Decision, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -14,6 +14,9 @@
 //	similarity(max)        — reject tasks whose label similarity exceeds max
 //	per-worker-quota(n,s)  — at most n admits per worker per s seconds
 //
+// Controller is the same controller with percentile thresholds over the
+// history of tasks it has seen (§3.5, Figure 15); it is built in Go only.
+//
 // Policies compose programmatically (NewChain) or from string specs via
 // the name→constructor registry (Build), exactly like pipeline.Build for
 // the uplink; the composed chain drives ServerConfig.Admission and the
