@@ -26,8 +26,8 @@
 // On SIGINT/SIGTERM the edge drains gracefully: listeners stop accepting,
 // in-flight leaf pushes commit, stream sessions get a goaway frame, and a
 // partial aggregation window is flushed upstream so no acked leaf gradient
-// is stranded. The flags translate one-to-one into a node.Spec; assembly
-// and the drain/flush lifecycle live in internal/node, shared with
+// is stranded. The flags bind one-to-one onto a node.Spec; assembly and
+// the drain/flush lifecycle live in internal/node, shared with
 // fleet-server.
 package main
 
@@ -37,23 +37,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"net"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"fleet/internal/aggtree"
 	"fleet/internal/node"
-	"fleet/internal/service"
-	"fleet/internal/stream"
 )
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	setup, err := buildAgg(os.Args[1:], os.Stderr)
+	rt, err := buildAgg(os.Args[1:], os.Stderr)
 	if err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			os.Exit(0) // -h: usage already printed, a successful exit
@@ -61,137 +56,44 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	os.Exit(serve(ctx, setup, nil))
+	// The runtime syncs with the upstream before the listeners bind (an
+	// edge that cannot reach its upstream refuses to serve leaves a model
+	// it does not have), then owns the canonical teardown: stream goaway,
+	// HTTP shutdown, partial-window flush upstream, upstream close —
+	// bounded by the drain deadline.
+	os.Exit(rt.Run(ctx, nil))
 }
 
-// aggSetup is everything buildAgg derives from the command line. serve
-// consumes it, and tests construct doctored ones.
-type aggSetup struct {
-	addr       string
-	drain      time.Duration
-	node       *aggtree.Node
-	svc        service.Service
-	transport  string
-	streamAddr string
-	// upstream, when non-nil, is the persistent upstream stream client to
-	// close at shutdown (nil over HTTP).
-	upstream *stream.Client
-	banner   string
-	logf     func(format string, args ...interface{})
-	// ready channels receive bound addresses once listeners are up (tests
-	// bind ":0").
-	httpReady   chan<- net.Addr
-	streamReady chan<- net.Addr
-}
-
-// buildAgg parses args into an edge node.Spec and compiles it: the local
-// update pipeline, admission chain and upstream client all assemble in
-// internal/node through the same spec registries as fleet-server.
-func buildAgg(args []string, stderr io.Writer) (*aggSetup, error) {
+// buildAgg binds the flags onto an edge node.Spec and compiles it: the
+// local update pipeline, admission chain and upstream client all assemble
+// in internal/node through the same spec registries as fleet-server.
+func buildAgg(args []string, stderr io.Writer) (*node.Runtime, error) {
 	fs := flag.NewFlagSet("fleet-agg", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		upstream    = fs.String("upstream", "", "upstream base URL (http transport, e.g. http://root:8080) or host:port (stream transport)")
-		upTransport = fs.String("upstream-transport", "http", `upstream transport: "http" (per-request) or "stream" (persistent session absorbing server-pushed model announces)`)
-		addr        = fs.String("addr", ":8090", "leaf-facing HTTP listen address")
-		transport   = fs.String("transport", "http", `leaf-facing transports: "http", "stream" or "both"`)
-		streamAddr  = fs.String("stream-addr", ":8091", "leaf-facing stream listen address (with -transport stream|both)")
-		archName    = fs.String("arch", "tiny-mnist", "model architecture (must match the upstream's)")
-		k           = fs.Int("k", 4, "leaf gradients aggregated per upstream push (the edge window)")
-		shards      = fs.Int("shards", 1, "local gradient accumulator shards")
-		sPct        = fs.Float64("s-pct", 99.7, "AdaSGD non-straggler percentage for the local staleness stage")
-		stages      = fs.String("stages", "staleness", "comma-separated local update-pipeline stage specs")
-		agg         = fs.String("aggregator", "mean", "local window-aggregation rule spec (mean, median, trimmed(b), krum(f))")
-		admission   = fs.String("admission", "", "local admission-policy chain spec (e.g. min-batch(5),similarity(0.9)); empty admits everything")
-		batchSize   = fs.Int("batch-size", 100, "mini-batch size served to admitted leaf tasks")
-		deltaHist   = fs.Int("delta-history", 4, "upstream versions retained as sparse deltas for version-aware leaf pulls (negative disables)")
-		id          = fs.Int("id", 1_000_000, "worker ID this edge identifies as upstream")
-		seed        = fs.Int64("seed", 1, "pipeline stage seed (DP noise etc.)")
-		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests on SIGINT/SIGTERM")
-		verbose     = fs.Bool("verbose", false, "log every request")
-	)
+	spec := node.Spec{Role: node.RoleEdge, Name: "fleet-agg"}
+	fs.StringVar(&spec.Upstream.Target, "upstream", "", "upstream base URL (http transport, e.g. http://root:8080) or host:port (stream transport)")
+	fs.StringVar(&spec.Upstream.Transport, "upstream-transport", "http", `upstream transport: "http" (per-request) or "stream" (persistent session absorbing server-pushed model announces)`)
+	fs.StringVar(&spec.Bind.Addr, "addr", ":8090", "leaf-facing HTTP listen address")
+	fs.StringVar(&spec.Bind.Transport, "transport", "http", `leaf-facing transports: "http", "stream" or "both"`)
+	fs.StringVar(&spec.Bind.StreamAddr, "stream-addr", ":8091", "leaf-facing stream listen address (with -transport stream|both)")
+	fs.StringVar(&spec.Arch, "arch", "tiny-mnist", "model architecture (must match the upstream's)")
+	fs.IntVar(&spec.K, "k", 4, "leaf gradients aggregated per upstream push (the edge window)")
+	fs.IntVar(&spec.Shards, "shards", 1, "local gradient accumulator shards")
+	fs.Float64Var(&spec.NonStragglerPct, "s-pct", 99.7, "AdaSGD non-straggler percentage for the local staleness stage")
+	fs.StringVar(&spec.Stages, "stages", "staleness", "comma-separated local update-pipeline stage specs")
+	fs.StringVar(&spec.Aggregator, "aggregator", "mean", "local window-aggregation rule spec (mean, median, trimmed(b), krum(f))")
+	fs.StringVar(&spec.Admission, "admission", "", "local admission-policy chain spec (e.g. min-batch(5),similarity(0.9)); empty admits everything")
+	fs.IntVar(&spec.DefaultBatchSize, "batch-size", 100, "mini-batch size served to admitted leaf tasks")
+	fs.IntVar(&spec.DeltaHistory, "delta-history", 4, "upstream versions retained as sparse deltas for version-aware leaf pulls (negative disables)")
+	fs.IntVar(&spec.ID, "id", 1_000_000, "worker ID this edge identifies as upstream")
+	fs.Int64Var(&spec.Seed, "seed", 1, "pipeline stage seed (DP noise etc.)")
+	fs.DurationVar(&spec.Bind.Drain, "drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests on SIGINT/SIGTERM")
+	fs.BoolVar(&spec.Verbose, "verbose", false, "log every request")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	if fs.NArg() > 0 {
 		return nil, fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
-
-	rt, err := node.FromSpec(node.Spec{
-		Role:             node.RoleEdge,
-		Name:             "fleet-agg",
-		Arch:             *archName,
-		K:                *k,
-		NonStragglerPct:  *sPct,
-		Seed:             *seed,
-		Shards:           *shards,
-		DeltaHistory:     *deltaHist,
-		DefaultBatchSize: *batchSize,
-		Stages:           *stages,
-		Aggregator:       *agg,
-		Admission:        *admission,
-		Verbose:          *verbose,
-		ID:               *id,
-		Upstream: node.UpstreamSpec{
-			Target:    *upstream,
-			Transport: *upTransport,
-		},
-		Bind: node.BindSpec{
-			Transport:  *transport,
-			Addr:       *addr,
-			StreamAddr: *streamAddr,
-			Drain:      *drain,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	asm := rt.Assembly()
-	return &aggSetup{
-		addr:       *addr,
-		drain:      *drain,
-		node:       asm.EdgeNode,
-		svc:        asm.Service,
-		transport:  *transport,
-		streamAddr: *streamAddr,
-		upstream:   asm.UpstreamStream,
-		banner:     asm.Banner,
-		logf:       log.Printf,
-	}, nil
-}
-
-// serve hands the setup to the shared node runtime and runs it until ctx
-// is cancelled (SIGINT/SIGTERM in main). The runtime syncs with the
-// upstream before the listeners bind (an edge that cannot reach its
-// upstream refuses to serve leaves a model it does not have), then owns
-// the canonical teardown: stream goaway, HTTP shutdown, partial-window
-// flush upstream, upstream close — bounded by the drain deadline.
-func serve(ctx context.Context, st *aggSetup, ready chan<- net.Addr) int {
-	asm := node.Assembly{
-		Name:        "fleet-agg",
-		Service:     st.svc,
-		Transport:   st.transport,
-		Addr:        st.addr,
-		StreamAddr:  st.streamAddr,
-		Drain:       st.drain,
-		Banner:      st.banner,
-		Logf:        st.logf,
-		HTTPReady:   st.httpReady,
-		StreamReady: st.streamReady,
-	}
-	if st.node != nil {
-		asm.EdgeNode = st.node
-		asm.Sync = st.node.Sync
-		asm.Announce = st.node.OnAnnounce
-		asm.Flush = st.node.Flush
-		nd := st.node
-		asm.DrainedMsg = func() string {
-			return fmt.Sprintf("drained cleanly (%d windows forwarded, %d lost)",
-				nd.UpstreamPushes(), nd.LostWindows())
-		}
-	}
-	if st.upstream != nil {
-		asm.CloseUpstream = st.upstream.Close
-	}
-	return node.New(asm).Run(ctx, ready)
+	return node.FromSpec(spec)
 }

@@ -61,19 +61,19 @@ func newRoot(t *testing.T, cfg server.Config) (*server.Server, string) {
 func TestAggServesLeavesAndForwardsUpstream(t *testing.T) {
 	root, rootURL := newRoot(t, server.Config{K: 1})
 
-	setup, err := buildAgg([]string{
+	rt, err := buildAgg([]string{
 		"-upstream", rootURL, "-addr", "127.0.0.1:0",
 		"-arch", "softmax-mnist", "-k", "2", "-drain", "5s",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup.logf = t.Logf
+	rt.Assembly().Logf = t.Logf
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan net.Addr, 1)
 	exit := make(chan int, 1)
-	go func() { exit <- serve(ctx, setup, ready) }()
+	go func() { exit <- rt.Run(ctx, ready) }()
 	addr := (<-ready).String()
 	client := &worker.Client{BaseURL: "http://" + addr}
 
@@ -140,7 +140,7 @@ func TestAggServesLeavesAndForwardsUpstream(t *testing.T) {
 func TestAggStreamRelay(t *testing.T) {
 	_, rootURL := newRoot(t, server.Config{K: 1})
 
-	setup, err := buildAgg([]string{
+	rt, err := buildAgg([]string{
 		"-upstream", rootURL, "-addr", "127.0.0.1:0",
 		"-stream-addr", "127.0.0.1:0", "-transport", "both",
 		"-arch", "softmax-mnist", "-k", "1", "-drain", "5s",
@@ -148,14 +148,13 @@ func TestAggStreamRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup.logf = t.Logf
 	streamReady := make(chan net.Addr, 1)
-	setup.streamReady = streamReady
+	rt.Assembly().Logf, rt.Assembly().StreamReady = t.Logf, streamReady
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan net.Addr, 1)
 	exit := make(chan int, 1)
-	go func() { exit <- serve(ctx, setup, ready) }()
+	go func() { exit <- rt.Run(ctx, ready) }()
 	defer func() {
 		cancel()
 		select {
@@ -215,17 +214,17 @@ func TestServeExitsWhenUpstreamUnreachable(t *testing.T) {
 	dead := ln.Addr().String()
 	_ = ln.Close()
 
-	setup, err := buildAgg([]string{
+	rt, err := buildAgg([]string{
 		"-upstream", "http://" + dead, "-addr", "127.0.0.1:0", "-arch", "softmax-mnist",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var logged strings.Builder
-	setup.logf = func(format string, args ...interface{}) {
+	rt.Assembly().Logf = func(format string, args ...interface{}) {
 		logged.WriteString(strings.TrimSpace(format) + "\n")
 	}
-	if code := serve(context.Background(), setup, nil); code != 1 {
+	if code := rt.Run(context.Background(), nil); code != 1 {
 		t.Fatalf("serve with unreachable upstream exited %d, want 1", code)
 	}
 	if !strings.Contains(logged.String(), "sync") {

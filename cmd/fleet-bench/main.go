@@ -199,7 +199,6 @@ func buildRunner(o *benchOptions) (*loadgen.Runner, error) {
 	if o.compress != "" {
 		// "dense" turns compression off outright — the uncompressed twin the
 		// uplink-bytes headline is measured against.
-		sc.CompressK = 0
 		if o.compress == "dense" {
 			sc.CompressSpec = ""
 		} else {

@@ -15,6 +15,7 @@ import (
 
 	"fleet/internal/data"
 	"fleet/internal/nn"
+	"fleet/internal/node"
 	"fleet/internal/persist"
 	"fleet/internal/protocol"
 	"fleet/internal/service"
@@ -23,6 +24,18 @@ import (
 	"fleet/internal/tenant"
 	"fleet/internal/worker"
 )
+
+// build compiles args into a runtime and points its lifecycle log at the
+// test.
+func build(t *testing.T, args ...string) *node.Runtime {
+	t.Helper()
+	rt, _, err := buildServer(args, io.Discard)
+	if err != nil {
+		t.Fatalf("buildServer(%v): %v", args, err)
+	}
+	rt.Assembly().Logf = t.Logf
+	return rt
+}
 
 func TestBuildServerFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
@@ -34,7 +47,7 @@ func TestBuildServerFlagValidation(t *testing.T) {
 		{"-bogus"},
 		{"stray-positional"},
 	} {
-		if _, err := buildServer(args, io.Discard); err == nil {
+		if _, _, err := buildServer(args, io.Discard); err == nil {
 			t.Errorf("args %v built without error", args)
 		}
 	}
@@ -43,21 +56,17 @@ func TestBuildServerFlagValidation(t *testing.T) {
 // TestSpecFlagsRoundTripIntoServer: the -stages/-aggregator/-admission
 // specs must surface verbatim in the running service's own diagnostics.
 func TestSpecFlagsRoundTripIntoServer(t *testing.T) {
-	setup, err := buildServer([]string{
+	rt := build(t,
 		"-arch", "softmax-mnist", "-lr", "0.1", "-k", "3",
 		"-time-slo", "0", // skip I-Prof pretraining for speed
 		"-stages", "staleness,norm-filter(100)",
 		"-aggregator", "trimmed(1)",
 		"-admission", "min-batch(2),per-worker-quota(10,60)",
-		"-drain", "5s",
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
+		"-drain", "5s")
+	if d := rt.Assembly().Drain; d != 5*time.Second {
+		t.Fatalf("drain = %v", d)
 	}
-	if setup.drain != 5*time.Second {
-		t.Fatalf("drain = %v", setup.drain)
-	}
-	stats, err := setup.svc.Stats(context.Background())
+	stats, err := rt.Service().Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +88,9 @@ func TestSpecFlagsRoundTripIntoServer(t *testing.T) {
 // TestLegacyKnobsSynthesizeAdmission: with -admission empty, the individual
 // controller flags must still route through the registry.
 func TestLegacyKnobsSynthesizeAdmission(t *testing.T) {
-	setup, err := buildServer([]string{
-		"-arch", "softmax-mnist", "-time-slo", "0",
-		"-min-batch", "5", "-max-similarity", "0.9",
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := setup.svc.Stats(context.Background())
+	rt := build(t, "-arch", "softmax-mnist", "-time-slo", "0",
+		"-min-batch", "5", "-max-similarity", "0.9")
+	stats, err := rt.Service().Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,19 +116,14 @@ func slowPush(d time.Duration) service.Interceptor {
 // bare-ListenAndServe bug: a push that is mid-flight when the shutdown
 // signal arrives must still commit, and serve must exit 0.
 func TestGracefulShutdownDrainsInFlightPush(t *testing.T) {
-	setup, err := buildServer([]string{
-		"-addr", "127.0.0.1:0", "-arch", "softmax-mnist", "-time-slo", "0", "-drain", "5s",
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setup.svc = service.Chain(setup.svc, slowPush(400*time.Millisecond))
-	setup.logf = t.Logf
+	rt := build(t, "-addr", "127.0.0.1:0", "-arch", "softmax-mnist", "-time-slo", "0", "-drain", "5s")
+	asm := rt.Assembly()
+	asm.Service = service.Chain(asm.Service, slowPush(400*time.Millisecond))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan net.Addr, 1)
 	exit := make(chan int, 1)
-	go func() { exit <- serve(ctx, setup, ready) }()
+	go func() { exit <- rt.Run(ctx, ready) }()
 	addr := (<-ready).String()
 	client := &worker.Client{BaseURL: "http://" + addr}
 
@@ -155,7 +154,7 @@ func TestGracefulShutdownDrainsInFlightPush(t *testing.T) {
 		t.Fatal("serve did not exit after drain")
 	}
 	// The model must have committed the drained push.
-	stats, err := setup.svc.Stats(context.Background())
+	stats, err := rt.Service().Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,21 +172,15 @@ func TestGracefulShutdownDrainsInFlightPush(t *testing.T) {
 // drain tells every session "server draining" with a final goaway before
 // the process exits 0.
 func TestStreamServeAndDrain(t *testing.T) {
-	setup, err := buildServer([]string{
-		"-addr", "127.0.0.1:0", "-stream-addr", "127.0.0.1:0", "-transport", "both",
-		"-arch", "softmax-mnist", "-time-slo", "0", "-drain", "5s",
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setup.logf = t.Logf
+	rt := build(t, "-addr", "127.0.0.1:0", "-stream-addr", "127.0.0.1:0", "-transport", "both",
+		"-arch", "softmax-mnist", "-time-slo", "0", "-drain", "5s")
 	streamReady := make(chan net.Addr, 1)
-	setup.streamReady = streamReady
+	rt.Assembly().StreamReady = streamReady
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan net.Addr, 1)
 	exit := make(chan int, 1)
-	go func() { exit <- serve(ctx, setup, ready) }()
+	go func() { exit <- rt.Run(ctx, ready) }()
 	httpAddr := (<-ready).String()
 	streamAddr := (<-streamReady).String()
 
@@ -238,19 +231,14 @@ func TestStreamServeAndDrain(t *testing.T) {
 // TestServeExitsOnListenerFailure: a dead listener must surface as a
 // non-zero exit, not a hang.
 func TestServeExitsOnListenerFailure(t *testing.T) {
-	setup, err := buildServer([]string{"-addr", "127.0.0.1:0", "-arch", "softmax-mnist", "-time-slo", "0"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setup.logf = func(string, ...interface{}) {}
 	// Occupy a port, then point the server at it.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ln.Close() }()
-	setup.addr = ln.Addr().String()
-	if code := serve(context.Background(), setup, nil); code != 1 {
+	rt := build(t, "-addr", ln.Addr().String(), "-arch", "softmax-mnist", "-time-slo", "0")
+	if code := rt.Run(context.Background(), nil); code != 1 {
 		t.Fatalf("serve on occupied port exited %d, want 1", code)
 	}
 }
@@ -268,12 +256,12 @@ func TestHelperServe(t *testing.T) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	setup, err := buildServer(args, os.Stderr)
+	rt, _, err := buildServer(args, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	os.Exit(serve(context.Background(), setup, nil))
+	os.Exit(rt.Run(context.Background(), nil))
 }
 
 // TestHardKillThenRestore is the end-to-end crash drill: a real
@@ -349,19 +337,13 @@ func TestHardKillThenRestore(t *testing.T) {
 
 	// The successor boots from the same directory. Default recovery
 	// ("latest") suffices now — a checkpoint exists.
-	setup, err := buildServer([]string{
-		"-addr", "127.0.0.1:0", "-arch", "softmax-mnist", "-time-slo", "0",
-		"-k", "1", "-checkpoint-dir", dir, "-checkpoint-every", "1", "-drain", "5s",
-	}, io.Discard)
-	if err != nil {
-		t.Fatalf("restore boot: %v", err)
-	}
-	setup.logf = t.Logf
+	rt := build(t, "-addr", "127.0.0.1:0", "-arch", "softmax-mnist", "-time-slo", "0",
+		"-k", "1", "-checkpoint-dir", dir, "-checkpoint-every", "1", "-drain", "5s")
 	serveCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ready := make(chan net.Addr, 1)
 	exit := make(chan int, 1)
-	go func() { exit <- serve(serveCtx, setup, ready) }()
+	go func() { exit <- rt.Run(serveCtx, ready) }()
 	addr2 := (<-ready).String()
 	client2 := &worker.Client{BaseURL: "http://" + addr2}
 
@@ -424,29 +406,25 @@ func TestCheckpointRecoverPolicy(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-arch", "softmax-mnist", "-time-slo", "0", "-checkpoint-dir", dir}
 
-	if _, err := buildServer(base, io.Discard); !errors.Is(err, persist.ErrNoCheckpoint) {
+	if _, _, err := buildServer(base, io.Discard); !errors.Is(err, persist.ErrNoCheckpoint) {
 		t.Fatalf("default recovery on empty dir: %v, want ErrNoCheckpoint", err)
 	}
-	if _, err := buildServer(append(base, "-checkpoint-recover", "bogus"), io.Discard); err == nil {
+	if _, _, err := buildServer(append(base, "-checkpoint-recover", "bogus"), io.Discard); err == nil {
 		t.Fatal("bogus -checkpoint-recover accepted")
 	}
-	setup, err := buildServer(append(base, "-checkpoint-recover", "fresh"), io.Discard)
-	if err != nil {
-		t.Fatalf("fresh recovery on empty dir: %v", err)
-	}
-	if setup.checkpoint == nil {
+	rt := build(t, append(base, "-checkpoint-recover", "fresh")...)
+	defer func() { _ = rt.Close() }()
+	if rt.Assembly().Checkpoint == nil {
 		t.Fatal("checkpoint hook missing despite -checkpoint-dir")
 	}
 	// The fresh boot can checkpoint; a second "latest" boot then works and
 	// reports the next incarnation.
-	if _, err := setup.checkpoint(); err != nil {
+	if _, err := rt.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	setup2, err := buildServer(base, io.Discard)
-	if err != nil {
-		t.Fatalf("latest recovery with a checkpoint present: %v", err)
-	}
-	stats, err := setup2.svc.Stats(context.Background())
+	rt2 := build(t, base...)
+	defer func() { _ = rt2.Close() }()
+	stats, err := rt2.Service().Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +437,7 @@ func TestCheckpointRecoverPolicy(t *testing.T) {
 // the token it prints must verify against the declared tenant's secret for
 // exactly the requested worker identity.
 func TestMintTokenUtility(t *testing.T) {
-	setup, err := buildServer([]string{
+	rt, printOnly, err := buildServer([]string{
 		"-time-slo", "0",
 		"-tenant", "open",
 		"-tenant", "ads:softmax-mnist:secret=s3:workers=5",
@@ -468,8 +446,11 @@ func TestMintTokenUtility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok := strings.TrimSuffix(setup.printOnly, "\n")
-	if tok == setup.printOnly {
+	if rt != nil {
+		t.Fatal("-mint-token compiled a runtime; it must print and exit")
+	}
+	tok := strings.TrimSuffix(printOnly, "\n")
+	if tok == printOnly {
 		t.Fatal("printed token must be newline-terminated")
 	}
 	id, err := tenant.VerifyToken([]byte("s3"), "ads", tok)
@@ -488,7 +469,7 @@ func TestMintTokenUtility(t *testing.T) {
 		{"-tenant", "ads:secret=s3", "-mint-token", "ads:-1"},    // negative id
 		{"-tenant", "ads:secret=s3", "-mint-token", "ads:seven"}, // non-integer id
 	} {
-		if _, err := buildServer(append([]string{"-time-slo", "0"}, args...), io.Discard); err == nil {
+		if _, _, err := buildServer(append([]string{"-time-slo", "0"}, args...), io.Discard); err == nil {
 			t.Errorf("args %v minted without error", args)
 		}
 	}
@@ -498,35 +479,32 @@ func TestMintTokenUtility(t *testing.T) {
 // registry mode — tenant-routing handler, stream resolver, per-tenant
 // announce wiring — with the declared default aliased for legacy routes.
 func TestMultiTenantBuild(t *testing.T) {
-	setup, err := buildServer([]string{
+	rt := build(t,
 		"-time-slo", "0",
 		"-tenant", "analytics",
 		"-tenant", "ads:softmax-mnist:dp(1,1.2),staleness:mean:secret=s3:eps=2",
-		"-default-tenant", "analytics",
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
+		"-default-tenant", "analytics")
+	defer func() { _ = rt.Close() }()
+	asm := rt.Assembly()
+	if asm.Handler == nil || asm.Resolver == nil || asm.AnnounceTenants == nil {
+		t.Fatal("multi-tenant assembly must carry handler, resolver and announce wiring")
 	}
-	defer setup.closer()
-	if setup.handler == nil || setup.resolver == nil || setup.announceTenants == nil {
-		t.Fatal("multi-tenant setup must carry handler, resolver and announce wiring")
-	}
-	if !strings.Contains(setup.banner, "analytics") || !strings.Contains(setup.banner, "ads") {
-		t.Fatalf("banner %q does not name the tenants", setup.banner)
+	if !strings.Contains(asm.Banner, "analytics") || !strings.Contains(asm.Banner, "ads") {
+		t.Fatalf("banner %q does not name the tenants", asm.Banner)
 	}
 	// The default unit serves un-tenanted callers without credentials…
-	if _, err := setup.svc.Stats(context.Background()); err != nil {
+	if _, err := rt.Service().Stats(context.Background()); err != nil {
 		t.Fatalf("default tenant stats: %v", err)
 	}
 	// …while the locked tenant resolved through the stream path enforces.
-	svc, name, err := setup.resolver("ads")
+	svc, name, err := asm.Resolver("ads")
 	if err != nil || name != "ads" {
 		t.Fatalf("resolver(ads) = %q, %v", name, err)
 	}
 	if _, err := svc.RequestTask(context.Background(), &protocol.TaskRequest{WorkerID: 0}); !protocol.IsCode(err, protocol.CodeUnauthenticated) {
 		t.Fatalf("credential-less call on locked tenant: got %v, want unauthenticated", err)
 	}
-	if _, _, err := setup.resolver("ghost"); !protocol.IsCode(err, protocol.CodeUnauthenticated) {
+	if _, _, err := asm.Resolver("ghost"); !protocol.IsCode(err, protocol.CodeUnauthenticated) {
 		t.Fatalf("resolver(ghost): got %v, want unauthenticated", err)
 	}
 }
@@ -540,14 +518,9 @@ func TestMultiTenantBuild(t *testing.T) {
 func TestBootNonceBumpsEpochOnCheckpointLessRestarts(t *testing.T) {
 	epochOf := func(t *testing.T, args []string) int64 {
 		t.Helper()
-		setup, err := buildServer(args, io.Discard)
-		if err != nil {
-			t.Fatalf("buildServer(%v): %v", args, err)
-		}
-		if setup.closer != nil {
-			defer func() { _ = setup.closer() }()
-		}
-		stats, err := setup.svc.Stats(context.Background())
+		rt := build(t, args...)
+		defer func() { _ = rt.Close() }()
+		stats, err := rt.Service().Stats(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

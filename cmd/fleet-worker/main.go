@@ -68,8 +68,7 @@ func buildWorker(args []string, stderr io.Writer) (*workerSetup, error) {
 		interval   = fs.Duration("interval", 200*time.Millisecond, "pause between rounds")
 		seed       = fs.Int64("seed", 7, "local data + sampling seed")
 		codecName  = fs.String("codec", "gob", "wire codec: gob, json or flat")
-		compressK  = fs.Int("compress-k", 0, "top-k sparse uplink coordinates (0 sends dense gradients); deprecated spelling of -compress 'topk(k)'")
-		compress   = fs.String("compress", "", `uplink compression chain, e.g. "topk(16)", "topk(16),q8", "topk(16),f16" (empty sends dense gradients; supersedes -compress-k)`)
+		compress   = fs.String("compress", "", `uplink compression chain, e.g. "topk(16)", "topk(16),q8", "topk(16),f16" (empty sends dense gradients)`)
 		fullPull   = fs.Bool("full-pull", false, "always download the full model (disable delta pulls)")
 		timeout    = fs.Duration("timeout", 30*time.Second, "per-round deadline")
 		tenantName = fs.String("tenant", "", "tenant to serve on a multi-tenant server (empty: the server's default tenant)")
@@ -82,16 +81,9 @@ func buildWorker(args []string, stderr io.Writer) (*workerSetup, error) {
 		return nil, fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
 
-	var codec protocol.Codec
-	switch *codecName {
-	case "gob":
-		codec = protocol.GobGzip
-	case "json":
-		codec = protocol.JSON
-	case "flat":
-		codec = protocol.Flat
-	default:
-		return nil, fmt.Errorf("unknown codec %q (want gob, json or flat)", *codecName)
+	codec, err := protocol.CodecByName(*codecName)
+	if err != nil {
+		return nil, err
 	}
 	switch *transport {
 	case "http", "stream":
@@ -128,7 +120,6 @@ func buildWorker(args []string, stderr io.Writer) (*workerSetup, error) {
 		Rng:          simrand.New(*seed + 2),
 		Compress:     *compress,
 		CompressRng:  simrand.New(*seed + 3),
-		CompressK:    *compressK,
 		FullPullOnly: *fullPull,
 	})
 	if err != nil {

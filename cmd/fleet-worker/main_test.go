@@ -34,7 +34,7 @@ func TestBuildWorkerRoundTrip(t *testing.T) {
 	st, err := buildWorker([]string{
 		"-server", "http://example.test:9", "-device", "Pixel", "-id", "3",
 		"-rounds", "7", "-interval", "1ms", "-timeout", "2s",
-		"-codec", "json", "-compress-k", "5", "-full-pull",
+		"-codec", "json", "-compress", "topk(5)", "-full-pull",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)

@@ -111,7 +111,7 @@ func main() {
 			// Top-k sparsified uplink (with error feedback); it also
 			// keeps the server's per-version deltas sparse, so the
 			// downlink serves delta pulls instead of full models.
-			CompressK: 64,
+			Compress: "topk(64)",
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -198,8 +198,8 @@ type Client = worker.Client
 // Codec serializes protocol messages for one wire representation.
 type Codec = protocol.Codec
 
-// CodecGobGzip returns the compact default wire codec (gob + gzip) for
-// Client.Codec and the /v1 routes.
+// CodecGobGzip returns the gob + gzip wire codec — what an unset
+// Client.Codec means today (protocol.Default).
 func CodecGobGzip() Codec { return protocol.GobGzip }
 
 // CodecJSON returns the interoperable, curl-friendly wire codec.
@@ -324,32 +324,18 @@ func NewAggNode(cfg AggConfig) (*AggNode, error) { return aggtree.New(cfg) }
 // ---------------------------------------------------------------------------
 // Multi-tenant fleets (internal/tenant).
 
-// TenantRegistry maps tenant IDs onto isolated serving units — each with
-// its own model, update pipeline, admission chain, worker quota, DP
-// epsilon budget and checkpoint subdirectory — and routes both transports
-// through per-unit enforcement (HMAC worker authentication, quota, budget).
-type TenantRegistry = tenant.Registry
-
-// TenantConfig declares one tenant's serving unit; every zero field except
-// Name keeps the single-fleet server's defaults.
+// TenantConfig declares one tenant's isolated serving unit — its own model,
+// update pipeline, admission chain, worker quota, DP epsilon budget and
+// checkpoint subdirectory, behind per-unit enforcement (HMAC worker
+// authentication, quota, budget) on both transports; every zero field
+// except Name keeps the single-fleet server's defaults. A deployment's
+// tenants are declared on NodeSpec.Tenants and compiled by NewNode.
 type TenantConfig = tenant.Config
-
-// TenantOptions carries the deployment-wide dependencies units share
-// (default tenant, clock, profilers, operator interceptors, checkpointing).
-type TenantOptions = tenant.Options
-
-// TenantUnit is one tenant's isolated serving stack.
-type TenantUnit = tenant.Unit
 
 // TenantStatsBlock is the per-tenant attribution stamped into Stats
 // responses: enrolled workers, auth/quota/budget reject counters and the
 // epsilon ledger.
 type TenantStatsBlock = protocol.TenantStats
-
-// NewTenantRegistry builds the registry from declarative tenant configs.
-func NewTenantRegistry(cfgs []TenantConfig, opts TenantOptions) (*TenantRegistry, error) {
-	return tenant.NewRegistry(cfgs, opts)
-}
 
 // ParseTenantSpec parses the repeatable -tenant flag form
 // "name:arch:stages:aggregator:admission[:key=value...]".
@@ -545,9 +531,9 @@ func WindowAggregators() []string { return pipeline.Aggregators() }
 
 // AdmissionPolicy decides whether (and at what mini-batch size) a task
 // request is admitted — steps (1)–(4) of Figure 2 as a composable module.
-// Set a chain of them on ServerConfig.Admission; a nil config builds the
-// legacy-equivalent default from the TimeSLOSec/EnergySLOPct/MinBatchSize/
-// MaxSimilarity knobs.
+// Set a chain of them on ServerConfig.Admission; nil admits every task at
+// the default batch size. (fleet-server's -time-slo/-energy-slo/-min-batch/
+// -max-similarity flags are NodeSpec knobs that name such a chain.)
 type AdmissionPolicy = sched.AdmissionPolicy
 
 // AdmissionRequest is the in-flight admission context a policy evaluates:

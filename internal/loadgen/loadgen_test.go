@@ -505,7 +505,7 @@ func TestStreamTransportMatchesInProc(t *testing.T) {
 	// Sparse top-k uplinks keep the v−1→v model diff sparse, so broadcast
 	// announces carry an absorbable delta (dense gradients exceed Diff's
 	// half-vector bound and the announce degrades to delta-less).
-	sc.CompressK = 8
+	sc.CompressSpec = "topk(8)"
 	inproc := runScenario(t, sc, 7)
 	strRes, err := (&Runner{Scenario: sc, Seed: 7, Transport: TransportStream}).Run(context.Background())
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"fleet/internal/data"
 	"fleet/internal/device"
 	"fleet/internal/iprof"
-	"fleet/internal/learning"
 	"fleet/internal/metrics"
 	"fleet/internal/nn"
 	"fleet/internal/node"
@@ -424,10 +423,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	wireCodec, err := codecByName(sc.Codec)
-	if err != nil {
-		return nil, err
-	}
+	wireCodec, _ := protocol.CodecByName(sc.Codec) // validate accepted the name
 
 	// Deterministic seed plumbing: every random stream is derived from the
 	// master in a fixed, documented order, so adding a worker or a knob
@@ -607,21 +603,26 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		}
 		edges = make([]*aggtree.Node, sc.Tree.Edges)
 		for e := range edges {
-			node, err := aggtree.New(aggtree.Config{
-				Upstream: swap,
-				Arch:     arch,
-				// Tier-local AdaSGD: the staleness history an edge damps
-				// with is its own, never shared with the root's.
-				Algorithm:        learning.NewAdaSGD(learning.AdaSGDConfig{NonStragglerPct: sc.Server.NonStragglerPct, BootstrapSteps: 50}),
+			// Compiled like a fleet-agg (tier-local AdaSGD, staleness into a
+			// mean window) but never started: the edge is a direct call
+			// target and pulls its first model lazily.
+			edgeRT, err := node.FromSpec(node.Spec{
+				Role:             node.RoleEdge,
+				Arch:             sc.Server.Arch,
 				K:                sc.Tree.FanIn,
+				NonStragglerPct:  sc.Server.NonStragglerPct,
+				Stages:           "staleness",
+				Aggregator:       "mean",
 				DeltaHistory:     sc.Server.DeltaHistory,
 				DefaultBatchSize: sc.Server.DefaultBatchSize,
 				ID:               treeEdgeIDBase + e,
+				Upstream:         node.UpstreamSpec{Service: swap},
+				Bind:             node.BindSpec{Transport: "none"},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("loadgen: edge %d: %w", e, err)
 			}
-			edges[e] = node
+			edges[e] = edgeRT.Assembly().EdgeNode
 		}
 		treeAnnounce = func(ann protocol.ModelAnnounce) {
 			for _, ed := range edges {
@@ -682,7 +683,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 			// environment draws of an existing scenario.
 			Compress:          sc.CompressSpec,
 			CompressRng:       simrand.New(base + 7),
-			CompressK:         sc.CompressK,
 			GradientTransform: transform,
 			FullPullOnly:      fullPull[i],
 		})
@@ -1274,21 +1274,6 @@ func flipLabels(samples []nn.Sample, classes int) []nn.Sample {
 		out[i] = s
 	}
 	return out
-}
-
-// codecByName maps a scenario's codec knob onto the protocol codec the
-// wire transports hand their clients. Nil for the default keeps the
-// clients' own fallback (gob+gzip) in charge.
-func codecByName(name string) (protocol.Codec, error) {
-	switch name {
-	case "", "gob":
-		return protocol.GobGzip, nil
-	case "json":
-		return protocol.JSON, nil
-	case "flat":
-		return protocol.Flat, nil
-	}
-	return nil, fmt.Errorf("loadgen: unknown codec %q (known: gob, json, flat)", name)
 }
 
 // admissionSLO extracts the SLO argument of the named policy from an

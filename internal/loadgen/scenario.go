@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"fleet/internal/protocol"
 )
 
 // Byzantine attack kinds.
@@ -190,14 +192,10 @@ type Scenario struct {
 	EvalEvery int `json:"eval_every,omitempty"`
 	// ThinkTimeSec is the mean virtual idle time between a worker's rounds.
 	ThinkTimeSec float64 `json:"think_time_sec,omitempty"`
-	// CompressK enables the top-k sparse uplink (0: dense gradients).
-	// Deprecated: the one-knob spelling of CompressSpec "topk(k)", kept so
-	// pre-registry profiles keep running; CompressSpec supersedes it.
-	CompressK int `json:"compress_k,omitempty"`
 	// CompressSpec names a registry-built uplink compression chain through
 	// the internal/compress grammar — "topk(k)", "topk(k),q8",
 	// "topk(k),f16" — the same specs fleet-worker -compress accepts.
-	// Non-empty supersedes CompressK.
+	// Empty sends dense gradients.
 	CompressSpec string `json:"compress_spec,omitempty"`
 	// Codec selects the wire representation for wire transports: "gob"
 	// (default gob+gzip), "json", or "flat" (the flat binary codec). The
@@ -312,10 +310,8 @@ func (s Scenario) validate() error {
 	if s.FullPullFrac < 0 || s.FullPullFrac > 1 {
 		return fmt.Errorf("loadgen: full-pull fraction %g outside [0,1]", s.FullPullFrac)
 	}
-	switch s.Codec {
-	case "", "gob", "json", "flat":
-	default:
-		return fmt.Errorf("loadgen: unknown codec %q (known: gob, json, flat)", s.Codec)
+	if _, err := protocol.CodecByName(s.Codec); err != nil {
+		return fmt.Errorf("loadgen: %w", err)
 	}
 	if s.Churn.LeaveProb < 0 || s.Churn.LeaveProb > 1 {
 		return fmt.Errorf("loadgen: churn leave probability %g outside [0,1]", s.Churn.LeaveProb)

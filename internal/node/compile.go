@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 
 	"fleet/internal/aggtree"
@@ -72,7 +73,7 @@ func validateTransport(t string) error {
 	case "", "http", "stream", "both", "none":
 		return nil
 	default:
-		return fmt.Errorf("unknown -transport %q (want http, stream or both)", t)
+		return fmt.Errorf("unknown -transport %q (want http, stream, both or none)", t)
 	}
 }
 
@@ -142,33 +143,71 @@ func buildInterceptors(s Spec) []service.Interceptor {
 	return interceptors
 }
 
+// assembly starts a Spec's Assembly with the fields every role fills the
+// same way: the log name, the listener surface and the banner (with the
+// stream listener appended when one serves).
+func (s Spec) assembly(svc service.Service, banner string) Assembly {
+	if t := s.Bind.Transport; t == "stream" || t == "both" {
+		banner += fmt.Sprintf(", stream sessions on %s", s.Bind.StreamAddr)
+	}
+	return Assembly{
+		Name:       s.name(),
+		Service:    svc,
+		Transport:  s.Bind.Transport,
+		Addr:       s.Bind.Addr,
+		StreamAddr: s.Bind.StreamAddr,
+		Drain:      s.Bind.Drain,
+		Banner:     banner,
+		Logf:       s.Logf,
+	}
+}
+
 // compileRoot assembles the parameter server: single-tenant (one model,
 // one pipeline, one admission chain) or multi-tenant (each declared
-// tenant a child runtime behind the shared listeners).
+// tenant a child unit behind the shared listeners).
 func compileRoot(s Spec) (*Runtime, error) {
-	name := s.name()
-	archName := s.Arch
-	if archName == "" {
-		archName = "tiny-mnist"
-	}
-	arch, err := nn.ArchByName(archName)
-	if err != nil {
-		return nil, err
-	}
 	timeProf, energyProf, err := buildProfilers(s)
 	if err != nil {
 		return nil, err
 	}
-	interceptors := buildInterceptors(s)
-
-	// Multi-tenant mode: the declared tenants replace the single-server
-	// model/pipeline fields entirely — each unit builds its own from its
-	// config — while the transport, drain, interceptor and checkpoint
-	// fields apply deployment-wide.
 	if len(s.Tenants) > 0 {
-		return compileTenants(s, name, timeProf, energyProf, interceptors)
+		return compileTenants(s, timeProf, energyProf)
 	}
+	if s.Arch == "" {
+		s.Arch = "tiny-mnist"
+	}
+	srv, err := rootServer(s, timeProf, energyProf, true)
+	if err != nil {
+		return nil, err
+	}
+	asm := s.assembly(service.Chain(srv, buildInterceptors(s)...),
+		fmt.Sprintf("FLeet server listening on %s (arch=%s, lr=%g, K=%d, pipeline: %s, admission: [%s])",
+			s.Bind.Addr, s.Arch, s.LearningRate, s.K, srv.Pipeline(), strings.Join(sched.Names(srv.Admission()), " -> ")))
+	asm.Server = srv
+	asm.Announce = srv.OnSnapshot
+	if s.Checkpoint.Dir != "" {
+		asm.Checkpoint = srv.Checkpoint
+		asm.PreDrainCheckpoint = true
+		// Close flushes the background checkpoint writer at exit so the
+		// final enqueued cores are durable before the process dies.
+		asm.Closer = srv.Close
+		asm.Banner += fmt.Sprintf(", checkpoints: %s every %d windows, incarnation %d at version %d",
+			s.Checkpoint.Dir, s.Checkpoint.Every, srv.Epoch(), srv.RestoredVersion())
+	}
+	return New(asm), nil
+}
 
+// rootServer builds one parameter server from a root Spec — the
+// single-model root's, or one tenant unit's: architecture, AdaSGD, the
+// update pipeline and the admission chain from the shared registries,
+// booted per the Spec's recovery policy. owned says the profilers are this
+// server's to train and checkpoint; a tenant unit only reads the
+// deployment's shared pair through its admission chain.
+func rootServer(s Spec, timeProf, energyProf *iprof.IProf, owned bool) (*server.Server, error) {
+	arch, err := nn.ArchByName(s.Arch)
+	if err != nil {
+		return nil, err
+	}
 	algo := learning.NewAdaSGD(learning.AdaSGDConfig{NonStragglerPct: s.NonStragglerPct, BootstrapSteps: 50})
 	pipe, err := buildPipeline(s, algo)
 	if err != nil {
@@ -184,21 +223,21 @@ func compileRoot(s Spec) (*Runtime, error) {
 		DefaultBatchSize: s.DefaultBatchSize,
 		F16Announce:      s.F16Announce,
 		Seed:             s.Seed,
-		TimeProfiler:     timeProf,
-		EnergyProfiler:   energyProf,
+	}
+	if owned {
+		cfg.TimeProfiler, cfg.EnergyProfiler = timeProf, energyProf
 	}
 
-	// Compose the admission chain from the registry. Every Figure-2
-	// controller knob routes through the same spec grammar as the
-	// stages: an explicit Admission wins, otherwise the legacy knobs
-	// synthesize the equivalent chain.
+	// Every Figure-2 controller knob routes through the same spec grammar
+	// as the stages: an explicit Admission wins, otherwise the four knobs
+	// name the equivalent chain. This is the knobs' only meaning.
 	admissionSpec := s.Admission
 	if admissionSpec == "" {
 		var parts []string
-		if timeProf != nil {
+		if s.TimeSLO > 0 {
 			parts = append(parts, fmt.Sprintf("iprof-time(%g)", s.TimeSLO))
 		}
-		if energyProf != nil {
+		if s.EnergySLO > 0 {
 			parts = append(parts, fmt.Sprintf("iprof-energy(%g)", s.EnergySLO))
 		}
 		if s.MinBatch > 0 {
@@ -216,45 +255,11 @@ func compileRoot(s Spec) (*Runtime, error) {
 	if energyProf != nil {
 		schedOpts.EnergyProfiler = energyProf
 	}
-	chain, err := sched.Build(admissionSpec, schedOpts)
+	cfg.Admission, err = sched.Build(admissionSpec, schedOpts)
 	if err != nil {
 		return nil, fmt.Errorf("%w\nknown admission policies: %s", err, strings.Join(sched.Policies(), ", "))
 	}
-	if admissionSpec != "" {
-		cfg.Admission = chain
-	}
-
-	srv, err := bootRoot(s, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	asm := Assembly{
-		Name:       name,
-		Service:    service.Chain(srv, interceptors...),
-		Server:     srv,
-		Transport:  s.Bind.Transport,
-		Addr:       s.Bind.Addr,
-		StreamAddr: s.Bind.StreamAddr,
-		Drain:      s.Bind.Drain,
-		Announce:   srv.OnSnapshot,
-		Banner: fmt.Sprintf("FLeet server listening on %s (arch=%s, lr=%g, K=%d, pipeline: %s, admission: [%s])",
-			s.Bind.Addr, arch, s.LearningRate, s.K, pipe, strings.Join(chain.Names(), " -> ")),
-		Logf: s.Logf,
-	}
-	if t := s.Bind.Transport; t == "stream" || t == "both" {
-		asm.Banner += fmt.Sprintf(", stream sessions on %s", s.Bind.StreamAddr)
-	}
-	if s.Checkpoint.Dir != "" {
-		asm.Checkpoint = srv.Checkpoint
-		asm.PreDrainCheckpoint = true
-		// Close flushes the background checkpoint writer at exit so the
-		// final enqueued cores are durable before the process dies.
-		asm.Closer = srv.Close
-		asm.Banner += fmt.Sprintf(", checkpoints: %s every %d windows, incarnation %d at version %d",
-			s.Checkpoint.Dir, s.Checkpoint.Every, srv.Epoch(), srv.RestoredVersion())
-	}
-	return New(asm), nil
+	return bootRoot(s, cfg)
 }
 
 // bootRoot boots the root's server per the recovery policy. A missing
@@ -334,93 +339,115 @@ func bootRoot(s Spec, cfg server.Config) (*server.Server, error) {
 	}
 }
 
-// compileTenants assembles the multi-tenant root: the registry builds
-// every unit (restore-latest per tenant subdirectory), and each unit
-// becomes a child of the parent runtime — checkpointed and closed by the
-// parent's lifecycle, served through the parent's listeners.
-func compileTenants(s Spec, name string, timeProf, energyProf *iprof.IProf, interceptors []service.Interceptor) (*Runtime, error) {
-	topts := tenant.Options{
-		Default:         s.DefaultTenant,
-		Now:             s.Now,
-		CheckpointDir:   s.Checkpoint.Dir,
-		CheckpointEvery: s.Checkpoint.Every,
-		CheckpointKeep:  s.Checkpoint.Keep,
-		Interceptors:    interceptors,
+// unitSpec maps one tenant's declaration onto the root Spec its unit is
+// compiled from, applying tenant.Config's documented defaults. A unit keeps
+// its durable state under <dir>/<name> and always boots "fresh if empty"
+// (a corrupt-only subdirectory still refuses): Recover is one
+// deployment-wide setting, and having to say "fresh" to add one tenant
+// would let every other tenant start from nothing just as silently. The
+// deployment's Recover and NonceDir therefore govern a single-model root
+// only.
+func unitSpec(s Spec, c tenant.Config) Spec {
+	u := Spec{
+		Arch:             c.Arch,
+		LearningRate:     c.LearningRate,
+		K:                c.K,
+		NonStragglerPct:  c.NonStragglerPct,
+		Seed:             c.Seed,
+		Shards:           c.Shards,
+		DeltaHistory:     c.DeltaHistory,
+		DefaultBatchSize: c.DefaultBatchSize,
+		Stages:           c.Stages,
+		Aggregator:       c.Aggregator,
+		Admission:        c.Admission,
+		Now:              s.Now,
 	}
-	if timeProf != nil {
-		topts.TimeProfiler = timeProf
+	if u.Arch == "" {
+		u.Arch = "tiny-mnist"
 	}
-	if energyProf != nil {
-		topts.EnergyProfiler = energyProf
+	if u.LearningRate <= 0 {
+		u.LearningRate = 0.03
 	}
-	reg, err := tenant.NewRegistry(s.Tenants, topts)
-	if err != nil {
-		return nil, err
+	if u.Stages == "" {
+		u.Stages = "staleness"
 	}
-	units := reg.Units()
-	names := make([]string, 0, len(units))
-	children := make([]Child, 0, len(units))
-	for _, u := range units {
-		names = append(names, u.Name())
-		srv := u.Server()
-		child := Child{Name: u.Name(), Close: srv.Close}
+	if u.Aggregator == "" {
+		u.Aggregator = "mean"
+	}
+	if s.Checkpoint.Dir != "" {
+		u.Checkpoint = CheckpointSpec{
+			Dir:     filepath.Join(s.Checkpoint.Dir, c.Name),
+			Every:   s.Checkpoint.Every,
+			Keep:    s.Checkpoint.Keep,
+			Recover: "fresh",
+		}
+	}
+	return u
+}
+
+// compileTenants assembles the multi-tenant root: every declared tenant's
+// server is compiled like a single-model root's (rootServer) and attached
+// to its enforcement layer, and each unit becomes a child of the parent
+// runtime — checkpointed and closed by the parent's lifecycle, served
+// through the parent's listeners. The single-model fields of s shape
+// nothing here; its transport, drain, interceptor and checkpoint fields
+// apply deployment-wide.
+func compileTenants(s Spec, timeProf, energyProf *iprof.IProf) (*Runtime, error) {
+	topts := tenant.Options{Default: s.DefaultTenant, Interceptors: buildInterceptors(s)}
+	units := make([]*tenant.Unit, 0, len(s.Tenants))
+	names := make([]string, 0, len(s.Tenants))
+	children := make([]Child, 0, len(s.Tenants))
+	for _, c := range s.Tenants {
+		// The name becomes a directory below; tenant.Attach enforces the
+		// full naming rule, this keeps the path inside Checkpoint.Dir.
+		if c.Name != filepath.Base(c.Name) || c.Name == "." || c.Name == ".." {
+			return nil, fmt.Errorf("tenant: invalid tenant name %q", c.Name)
+		}
+		srv, err := rootServer(unitSpec(s, c), timeProf, energyProf, false)
+		if err != nil {
+			return nil, fmt.Errorf("tenant %s: %w", c.Name, err)
+		}
+		u, err := tenant.Attach(c, srv, topts)
+		if err != nil {
+			_ = srv.Close()
+			return nil, err
+		}
+		child := Child{Name: c.Name, Close: srv.Close}
 		if s.Checkpoint.Dir != "" {
 			child.Checkpoint = srv.Checkpoint
 		}
-		children = append(children, child)
+		units, names, children = append(units, u), append(names, c.Name), append(children, child)
 	}
-	// Close every child's background writers, best effort, first error
-	// reported — mirrors the checkpoint sweep below.
-	closeChildren := func() error {
-		var firstErr error
-		for _, c := range children {
-			if err := c.Close(); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("tenant %s: %w", c.Name, err)
-			}
+	reg, err := tenant.NewRegistry(units, topts)
+	if err != nil {
+		return nil, err
+	}
+	asm := s.assembly(reg.Default().Service(),
+		fmt.Sprintf("FLeet multi-tenant server listening on %s (tenants: %s; default %s)",
+			s.Bind.Addr, strings.Join(names, ", "), reg.Default().Name()))
+	asm.Handler = reg.Handler()
+	asm.Resolver = func(tn string) (service.Service, string, error) {
+		u, err := reg.Resolve(tn)
+		if err != nil {
+			return nil, "", err
 		}
-		return firstErr
+		return u.Service(), u.Name(), nil
 	}
-	asm := Assembly{
-		Name:       name,
-		Service:    reg.Default().Service(),
-		Transport:  s.Bind.Transport,
-		Addr:       s.Bind.Addr,
-		StreamAddr: s.Bind.StreamAddr,
-		Drain:      s.Bind.Drain,
-		Handler:    reg.Handler(),
-		Resolver: func(tn string) (service.Service, string, error) {
-			u, err := reg.Resolve(tn)
-			if err != nil {
-				return nil, "", err
-			}
-			return u.Service(), u.Name(), nil
-		},
-		AnnounceTenants: func(broadcast func(string, protocol.ModelAnnounce)) {
-			for _, u := range units {
-				tn := u.Name()
-				u.Server().OnSnapshot(func(ann protocol.ModelAnnounce) { broadcast(tn, ann) })
-			}
-		},
-		Children: children,
-		Closer:   closeChildren,
-		Banner: fmt.Sprintf("FLeet multi-tenant server listening on %s (tenants: %s; default %s)",
-			s.Bind.Addr, strings.Join(names, ", "), reg.Default().Name()),
-		Logf: s.Logf,
+	asm.AnnounceTenants = func(broadcast func(string, protocol.ModelAnnounce)) {
+		for _, u := range units {
+			tn := u.Name()
+			u.Server().OnSnapshot(func(ann protocol.ModelAnnounce) { broadcast(tn, ann) })
+		}
 	}
-	if t := s.Bind.Transport; t == "stream" || t == "both" {
-		asm.Banner += fmt.Sprintf(", stream sessions on %s", s.Bind.StreamAddr)
-	}
-	if s.Checkpoint.Dir != "" {
-		dir := s.Checkpoint.Dir
+	// Runtime.Close closes every child's background writer.
+	asm.Children = children
+	if dir := s.Checkpoint.Dir; dir != "" {
 		asm.PreDrainCheckpoint = true
 		// Checkpoint every child, best effort, first error reported —
 		// shutdown wants durability everywhere, not fail-fast.
 		asm.Checkpoint = func() (string, error) {
 			var firstErr error
 			for _, c := range children {
-				if c.Checkpoint == nil {
-					continue
-				}
 				if _, err := c.Checkpoint(); err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("tenant %s: %w", c.Name, err)
 				}
@@ -436,7 +463,6 @@ func compileTenants(s Spec, name string, timeProf, energyProf *iprof.IProf, inte
 // pipeline and admission chain compose from the same registries as the
 // root's, and the upstream client is the node's only write path.
 func compileEdge(s Spec) (*Runtime, error) {
-	name := s.name()
 	if s.Upstream.Target == "" && s.Upstream.Service == nil {
 		return nil, fmt.Errorf("-upstream is required")
 	}
@@ -496,34 +522,21 @@ func compileEdge(s Spec) (*Runtime, error) {
 		}
 	}
 
-	interceptors := buildInterceptors(s)
-	asm := Assembly{
-		Name:       name,
-		Service:    service.Chain(node, interceptors...),
-		Transport:  s.Bind.Transport,
-		Addr:       s.Bind.Addr,
-		StreamAddr: s.Bind.StreamAddr,
-		Drain:      s.Bind.Drain,
-		// Every edge model refresh relays downstream as an announce to
-		// subscribed leaf sessions — the push half of the tree.
-		Announce: node.OnAnnounce,
-		Sync:     node.Sync,
-		Flush:    node.Flush,
-		DrainedMsg: func() string {
-			return fmt.Sprintf("drained cleanly (%d windows forwarded, %d lost)",
-				node.UpstreamPushes(), node.LostWindows())
-		},
-		Banner: fmt.Sprintf("FLeet edge aggregator on %s (upstream=%s via %s, arch=%s, K=%d, pipeline: %s, admission: [%s])",
-			s.Bind.Addr, s.Upstream.Target, upTransport, arch, s.K, pipe, strings.Join(chain.Names(), " -> ")),
-		Logf: s.Logf,
+	asm := s.assembly(service.Chain(node, buildInterceptors(s)...),
+		fmt.Sprintf("FLeet edge aggregator on %s (upstream=%s via %s, arch=%s, K=%d, pipeline: %s, admission: [%s])",
+			s.Bind.Addr, s.Upstream.Target, upTransport, arch, s.K, pipe, strings.Join(chain.Names(), " -> ")))
+	asm.EdgeNode = node
+	// Every edge model refresh relays downstream as an announce to
+	// subscribed leaf sessions — the push half of the tree.
+	asm.Announce = node.OnAnnounce
+	asm.Sync = node.Sync
+	asm.Flush = node.Flush
+	asm.DrainedMsg = func() string {
+		return fmt.Sprintf("drained cleanly (%d windows forwarded, %d lost)",
+			node.UpstreamPushes(), node.LostWindows())
 	}
 	if upClient != nil {
 		asm.CloseUpstream = upClient.Close
-		asm.UpstreamStream = upClient
 	}
-	if t := s.Bind.Transport; t == "stream" || t == "both" {
-		asm.Banner += fmt.Sprintf(", stream sessions on %s", s.Bind.StreamAddr)
-	}
-	asm.EdgeNode = node
 	return New(asm), nil
 }

@@ -115,3 +115,56 @@ func TestIngestAndEndpointAreSingleSourced(t *testing.T) {
 		t.Fatalf("walking %s: %v", root, err)
 	}
 }
+
+// TestServingUnitsAreCompiledOnce keeps a second assembler from growing
+// back beside FromSpec. The binaries, the tenant layer and the harness
+// declare a Spec and take what it compiles to: none of them builds a
+// server, an edge, a pipeline, an admission chain or an Assembly by hand
+// (tests may). And what an unset codec means is protocol.Default's to say:
+// outside internal/protocol the gob codec is named only by the facade's
+// CodecGobGzip.
+func TestServingUnitsAreCompiledOnce(t *testing.T) {
+	builders := []string{
+		"server.New(", "server.RestoreLatest(", "aggtree.New(",
+		"pipeline.Build(", "sched.Build(", "node.New(", "node.Assembly{",
+	}
+	declarers := []string{"cmd/", "internal/tenant/", "internal/loadgen/"}
+	root := filepath.Join("..", "..")
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		if info.IsDir() {
+			if rel == "bench" || rel == ".git" || rel == "internal/protocol" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		src := string(raw)
+		if n := strings.Count(src, "protocol.GobGzip"); n > 0 && rel != "fleet.go" || n > 1 {
+			t.Errorf("%s names protocol.GobGzip %d time(s): an unset codec is protocol.Default, a named one protocol.CodecByName", rel, n)
+		}
+		for _, dir := range declarers {
+			if !strings.HasPrefix(rel, dir) {
+				continue
+			}
+			for _, pat := range builders {
+				if strings.Contains(src, pat) {
+					t.Errorf("%s calls %q: declare a node.Spec and let node.FromSpec assemble it", rel, pat)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking %s: %v", root, err)
+	}
+}

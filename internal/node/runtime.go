@@ -112,10 +112,8 @@ type Assembly struct {
 	// drain (edges), so no acked leaf gradient is stranded.
 	Flush func(ctx context.Context) error
 	// CloseUpstream closes the persistent upstream session (edges over
-	// the stream transport). UpstreamStream is that session's typed
-	// client when the compiler built one.
-	CloseUpstream  func() error
-	UpstreamStream *stream.Client
+	// the stream transport).
+	CloseUpstream func() error
 	// Closer flushes and stops background checkpoint writers at exit.
 	Closer func() error
 	// DrainedMsg is the clean-exit log line (nil: "drained cleanly").
@@ -164,8 +162,8 @@ func New(asm Assembly) *Runtime {
 	return &Runtime{asm: asm}
 }
 
-// Assembly exposes the compiled assembly (read-mostly; the cmd binaries
-// copy fields out of it, and tests doctor services before Run).
+// Assembly exposes the compiled assembly, read-mostly: tests and the
+// benchmark doctor it (services, log sink, ready channels) before Run.
 func (r *Runtime) Assembly() *Assembly { return &r.asm }
 
 // Server returns the underlying parameter server (nil for edges).
@@ -286,6 +284,9 @@ func (r *Runtime) Start(ctx context.Context) error {
 // The returned code is the process exit code.
 func (r *Runtime) Run(ctx context.Context, ready chan<- net.Addr) int {
 	if err := r.Start(ctx); err != nil {
+		// Start released its listeners; what the compiler started — the
+		// checkpoint writer, an edge's upstream session — is closed here.
+		_ = r.Close()
 		return 1
 	}
 	if ready != nil {
@@ -296,6 +297,7 @@ func (r *Runtime) Run(ctx context.Context, ready chan<- net.Addr) int {
 		// Serve only returns on listener failure here; ErrServerClosed
 		// cannot arrive before a Shutdown call.
 		r.logf("%s: %v", r.asm.Name, err)
+		_ = r.Kill()
 		return 1
 	case <-ctx.Done():
 		return r.Shutdown(context.Background())
@@ -425,17 +427,15 @@ func (r *Runtime) Close() error {
 		}
 		var firstErr error
 		if r.asm.Closer != nil {
-			// The compiled Closer covers the children too (multi-tenant
-			// assemblies close every unit, best effort).
 			firstErr = r.asm.Closer()
-		} else {
-			for _, c := range r.asm.Children {
-				if c.Close == nil {
-					continue
-				}
-				if err := c.Close(); err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("tenant %s: %w", c.Name, err)
-				}
+		}
+		// Every child, best effort, first error reported.
+		for _, c := range r.asm.Children {
+			if c.Close == nil {
+				continue
+			}
+			if err := c.Close(); err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("tenant %s: %w", c.Name, err)
 			}
 		}
 		if firstErr != nil {

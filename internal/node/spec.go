@@ -14,9 +14,11 @@
 //
 // with the drain ordering (stream goaway first, then HTTP shutdown, then
 // window flush, then upstream close) defined exactly once, here, and
-// proven by the role-parameterized tests in this package. The binaries
-// are thin flag→Spec translators; a hot standby (ROADMAP 2a) is just a
-// second Runtime compiled from the same Spec.
+// proven by the role-parameterized tests in this package. FromSpec is the
+// only place a serving unit is assembled: the binaries bind their flags
+// onto a Spec and Run what it compiles to, a tenant unit compiles like a
+// single-model root, the harness compiles its roots and edges here; a hot
+// standby is just a second Runtime compiled from the same Spec.
 package node
 
 import (
@@ -89,8 +91,8 @@ type UpstreamSpec struct {
 	// absorbing server-pushed model announces). Empty means "http".
 	Transport string
 	// Service, when non-nil, overrides Target entirely with a direct
-	// in-process upstream — the loadgen harness routes edges through its
-	// swappable backend this way.
+	// in-process upstream: loadgen's tree scenarios forward through the
+	// swappable front a restart re-points.
 	Service service.Service
 }
 
@@ -122,10 +124,13 @@ type Spec struct {
 	Aggregator string
 	// Admission is the policy chain spec; empty synthesizes the chain
 	// from TimeSLO/EnergySLO/MinBatch/MaxSimilarity on a root (the
-	// legacy Figure-2 knobs), and admits everything on an edge.
+	// Figure-2 knobs), and admits everything on an edge.
 	Admission string
 
-	// Figure-2 controller knobs, used when Admission is empty.
+	// Figure-2 controller knobs, used when Admission is empty: each set
+	// knob names one policy, in this order — "iprof-time(TimeSLO),
+	// iprof-energy(EnergySLO),min-batch(MinBatch),similarity(MaxSimilarity)".
+	// They have no other meaning.
 	TimeSLO       float64
 	EnergySLO     float64
 	MinBatch      int
@@ -157,10 +162,12 @@ type Spec struct {
 	// ID is the worker identity an edge presents upstream.
 	ID int
 
-	// Tenants switches a root into multi-tenant mode: each config
-	// becomes a child runtime sharing the parent's listeners, and the
+	// Tenants switches a root into multi-tenant mode: each config compiles
+	// like a single-model root (same pipeline, admission and boot path)
+	// into a child unit behind the parent's listeners, and the
 	// single-model fields above (Arch, Stages, ...) no longer shape the
-	// serving surface — each unit builds its own.
+	// serving surface. A unit checkpoints under Checkpoint.Dir/<name> and
+	// always boots "fresh if empty", whatever Checkpoint.Recover says.
 	Tenants       []tenant.Config
 	DefaultTenant string
 

@@ -32,14 +32,34 @@ type Codec interface {
 	Decode(r io.Reader, v interface{}) error
 }
 
-// Built-in codecs. GobGzip is the default — the Go analogue of the paper's
-// Kryo+Gzip streams — and the compact choice for gradient payloads; JSON
-// trades size for interoperability and debuggability (curl, dashboards,
-// non-Go workers).
+// Built-in codecs. GobGzip is the Go analogue of the paper's Kryo+Gzip
+// streams; JSON trades size for interoperability and debuggability (curl,
+// dashboards, non-Go workers).
 var (
 	GobGzip Codec = gobGzipCodec{}
 	JSON    Codec = jsonCodec{}
 )
+
+// Default is what an unset codec means everywhere: a client with no Codec,
+// an empty or wildcard Content-Type/Accept, a stream session before its
+// hello, the "" codec name. Changing the default wire format is this line.
+var Default = GobGzip
+
+// CodecByName maps a -codec flag or scenario knob onto its codec; the empty
+// name is Default.
+func CodecByName(name string) (Codec, error) {
+	switch name {
+	case "":
+		return Default, nil
+	case "gob":
+		return GobGzip, nil
+	case "json":
+		return JSON, nil
+	case "flat":
+		return Flat, nil
+	}
+	return nil, fmt.Errorf("unknown codec %q (known: gob, json, flat)", name)
+}
 
 type gobGzipCodec struct{}
 
@@ -130,13 +150,13 @@ func (jsonCodec) Decode(r io.Reader, v interface{}) error {
 }
 
 // CodecForContentType negotiates the codec for a Content-Type (or Accept)
-// header value. The empty string, application/octet-stream and wildcard
-// accepts select the default gob+gzip codec; unknown types return a
-// CodeUnsupportedMedia error.
+// header value. The empty string and wildcard accepts select Default;
+// application/octet-stream names gob+gzip like its own content type does;
+// unknown types return a CodeUnsupportedMedia error.
 func CodecForContentType(contentType string) (Codec, error) {
 	ct := strings.TrimSpace(contentType)
 	if ct == "" {
-		return GobGzip, nil
+		return Default, nil
 	}
 	// Accept headers may list several types; the first supported one wins.
 	for _, part := range strings.Split(ct, ",") {
@@ -145,7 +165,9 @@ func CodecForContentType(contentType string) (Codec, error) {
 			continue
 		}
 		switch media {
-		case ContentTypeGobGzip, ContentTypeOctet, "*/*", "application/*":
+		case "*/*", "application/*":
+			return Default, nil
+		case ContentTypeGobGzip, ContentTypeOctet:
 			return GobGzip, nil
 		case ContentTypeJSON:
 			return JSON, nil

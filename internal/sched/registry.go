@@ -100,8 +100,7 @@ func init() {
 			return nil, fmt.Errorf("similarity takes (max), got %d args", len(args))
 		}
 		// Thresholds above 1 are legal no-ops (Bhattacharyya similarity
-		// never exceeds 1), matching the legacy unvalidated
-		// ServerConfig.MaxSimilarity and -max-similarity flag.
+		// never exceeds 1): the -max-similarity flag was never validated.
 		if args[0] <= 0 {
 			return nil, fmt.Errorf("similarity threshold must be positive, got %g", args[0])
 		}

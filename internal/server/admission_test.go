@@ -35,14 +35,15 @@ func newProfiler(t testing.TB, kind iprof.Kind, slo float64, seed int64) *iprof.
 	return prof
 }
 
-// TestAdmissionEquivalentToLegacy proves the default admission chain
+// TestAdmissionEquivalentToLegacy proves the spec-built admission chain
 // reproduces the pre-sched hardwired controller decision-for-decision. An
 // inline oracle replicates the legacy RequestTask logic (profiler batch
 // sizing with time-replaces/energy-lowers semantics, min-batch before
-// similarity, exact reject strings) against the very profiler and a mirror
-// of the label tracker; a second server runs an explicitly spec-built
-// chain. All three must agree on every accept/reject, reason and batch
-// size over a stream that exercises profiler evolution and label drift.
+// similarity, exact reject strings) against a profiler pair fed the same
+// observations and a mirror of the label tracker. Oracle and server must
+// agree on every accept/reject, reason and batch size over a stream that
+// exercises profiler evolution and label drift. (That the four node.Spec
+// knobs mean exactly this chain is node's TestSpecKnobsEqualAdmissionString.)
 func TestAdmissionEquivalentToLegacy(t *testing.T) {
 	ctx := context.Background()
 	const (
@@ -52,36 +53,23 @@ func TestAdmissionEquivalentToLegacy(t *testing.T) {
 		maxSim    = 0.97
 	)
 
-	// Two identical profiler pairs: the oracle shares the legacy server's
-	// (BatchSize is read-only); the chain server owns the other pair and
-	// is fed the identical push stream.
+	// The oracle reads the server's own profiler pair (BatchSize is
+	// read-only), which the push stream below keeps training.
 	tProfA := newProfiler(t, iprof.KindTime, timeSLO, 7)
 	eProfA := newProfiler(t, iprof.KindEnergy, energySLO, 8)
-	tProfB := newProfiler(t, iprof.KindTime, timeSLO, 7)
-	eProfB := newProfiler(t, iprof.KindEnergy, energySLO, 8)
-
-	legacy := newTestServer(t, Config{
-		Algorithm:      learning.SSGD{},
-		TimeProfiler:   tProfA,
-		TimeSLOSec:     timeSLO,
-		EnergyProfiler: eProfA,
-		EnergySLOPct:   energySLO,
-		MinBatchSize:   minBatch,
-		MaxSimilarity:  maxSim,
-	})
 
 	chain, err := sched.Build(
 		fmt.Sprintf("iprof-time(%g),iprof-energy(%g),min-batch(%d),similarity(%g)",
 			timeSLO, energySLO, minBatch, maxSim),
-		sched.BuildOptions{TimeProfiler: tProfB, EnergyProfiler: eProfB})
+		sched.BuildOptions{TimeProfiler: tProfA, EnergyProfiler: eProfA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	explicit := newTestServer(t, Config{
 		Algorithm:      learning.SSGD{},
 		Admission:      chain,
-		TimeProfiler:   tProfB,
-		EnergyProfiler: eProfB,
+		TimeProfiler:   tProfA,
+		EnergyProfiler: eProfA,
 	})
 
 	// The oracle's mirror of LD_global: SSGD's absorb weight is 1, so the
@@ -104,7 +92,7 @@ func TestAdmissionEquivalentToLegacy(t *testing.T) {
 		return true, "", batch
 	}
 
-	params, _ := legacy.Model()
+	params, _ := explicit.Model()
 	models := device.Catalogue()
 	rng := simrand.New(42)
 	accepted, rejected := 0, 0
@@ -121,24 +109,16 @@ func TestAdmissionEquivalentToLegacy(t *testing.T) {
 			LabelCounts:    labels,
 		}
 		wantAccept, wantReason, wantBatch := oracle(req)
-		req2 := *req
-
-		got1, err := legacy.RequestTask(ctx, req)
+		got, err := explicit.RequestTask(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got2, err := explicit.RequestTask(ctx, &req2)
-		if err != nil {
-			t.Fatal(err)
+		if got.Accepted != wantAccept || got.Reason != wantReason {
+			t.Fatalf("step %d: got accept=%v reason=%q, oracle accept=%v reason=%q",
+				i, got.Accepted, got.Reason, wantAccept, wantReason)
 		}
-		for name, got := range map[string]*protocol.TaskResponse{"legacy-config": got1, "explicit-chain": got2} {
-			if got.Accepted != wantAccept || got.Reason != wantReason {
-				t.Fatalf("step %d (%s): got accept=%v reason=%q, oracle accept=%v reason=%q",
-					i, name, got.Accepted, got.Reason, wantAccept, wantReason)
-			}
-			if wantAccept && got.BatchSize != wantBatch {
-				t.Fatalf("step %d (%s): batch %d, oracle %d", i, name, got.BatchSize, wantBatch)
-			}
+		if wantAccept && got.BatchSize != wantBatch {
+			t.Fatalf("step %d: batch %d, oracle %d", i, got.BatchSize, wantBatch)
 		}
 		if wantAccept {
 			accepted++
@@ -146,7 +126,7 @@ func TestAdmissionEquivalentToLegacy(t *testing.T) {
 			rejected++
 		}
 
-		// Every few steps, push a gradient through both servers (and the
+		// Every few steps, push a gradient through the server (and the
 		// mirror) so profiler state and LD_global evolve mid-stream.
 		if i%4 == 0 {
 			grad := make([]float64, len(params))
@@ -159,12 +139,8 @@ func TestAdmissionEquivalentToLegacy(t *testing.T) {
 				TimeFeatures:   iprof.FeaturesOf(dev, iprof.KindTime),
 				EnergyFeatures: iprof.FeaturesOf(dev, iprof.KindEnergy),
 			}
-			push.ModelVersion = func() int { _, v := legacy.Model(); return v }()
-			push2 := push
-			if _, err := legacy.PushGradient(ctx, &push); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := explicit.PushGradient(ctx, &push2); err != nil {
+			_, push.ModelVersion = explicit.Model()
+			if _, err := explicit.PushGradient(ctx, &push); err != nil {
 				t.Fatal(err)
 			}
 			mirror.RecordWeighted(labels, 1)
@@ -175,22 +151,15 @@ func TestAdmissionEquivalentToLegacy(t *testing.T) {
 		t.Fatalf("stream did not exercise both outcomes: %d accepted, %d rejected", accepted, rejected)
 	}
 
-	// The servers' stats must agree with each other and with the oracle's
-	// tally, and attribute rejects to named policies.
-	s1, err := legacy.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := explicit.Stats(ctx)
+	// The server's stats must agree with the oracle's tally, and attribute
+	// rejects to named policies.
+	s1, err := explicit.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1.TasksServed != accepted || s1.TasksDropped != rejected {
-		t.Fatalf("legacy stats served=%d dropped=%d, oracle %d/%d",
+		t.Fatalf("stats served=%d dropped=%d, oracle %d/%d",
 			s1.TasksServed, s1.TasksDropped, accepted, rejected)
-	}
-	if s2.TasksServed != s1.TasksServed || s2.TasksDropped != s1.TasksDropped {
-		t.Fatalf("stats diverged: %+v vs %+v", s1, s2)
 	}
 	total := 0
 	for _, n := range s1.RejectsByPolicy {
@@ -201,10 +170,10 @@ func TestAdmissionEquivalentToLegacy(t *testing.T) {
 	}
 }
 
-// TestDefaultAdmissionChainComposition checks which policies the legacy
-// knobs synthesize.
+// TestDefaultAdmissionChainComposition: a configured chain is the server's
+// chain, and a nil one is the empty, admit-all chain.
 func TestDefaultAdmissionChainComposition(t *testing.T) {
-	s := newTestServer(t, Config{MinBatchSize: 5, MaxSimilarity: 0.9})
+	s := newTestServer(t, Config{Admission: sched.NewChain(sched.MinBatch(5), sched.Similarity(0.9))})
 	want := []string{"min-batch(5)", "similarity(0.9)"}
 	got := sched.Names(s.Admission())
 	if len(got) != len(want) {

@@ -13,6 +13,7 @@ import (
 	"fleet/internal/learning"
 	"fleet/internal/pipeline"
 	"fleet/internal/protocol"
+	"fleet/internal/sched"
 	"fleet/internal/service"
 )
 
@@ -378,7 +379,7 @@ func TestV1TaskLabelValidationHTTP(t *testing.T) {
 // TestV1StatsExposesAdmission: the composed admission chain and reject
 // counters travel the stats wire.
 func TestV1StatsExposesAdmission(t *testing.T) {
-	_, hs := newHTTPServer(t, Config{MinBatchSize: 500}) // default batch 100 -> every task rejected
+	_, hs := newHTTPServer(t, Config{Admission: sched.NewChain(sched.MinBatch(500))}) // default batch 100 -> every task rejected
 	body := encodeWith(t, protocol.JSON, &protocol.TaskRequest{WorkerID: 1, LabelCounts: []int{1}})
 	if status, _, out := postRaw(t, hs.URL+"/v1/task", protocol.ContentTypeJSON, body); status != http.StatusOK {
 		t.Fatalf("task status %d: %s", status, out)

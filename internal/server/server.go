@@ -73,38 +73,22 @@ type Config struct {
 	Pipeline *pipeline.Pipeline
 	// Admission, when non-nil, replaces the task-admission chain: the
 	// policy sequence every TaskRequest travels before the model is
-	// served (see internal/sched). When nil the server builds the
-	// legacy-equivalent default from the fields below — iprof-time,
-	// iprof-energy, min-batch, similarity, each included only when its
-	// knob is set. Policies may hold per-worker state (quotas): build one
-	// chain per server. Build one directly (sched.NewChain) or from
+	// served (see internal/sched). Nil admits every task at
+	// DefaultBatchSize. Policies may hold per-worker state (quotas): build
+	// one chain per server. Build one directly (sched.NewChain) or from
 	// string specs (sched.Build), e.g.
 	//
 	//	sched.Build("iprof-time(3),min-batch(5),similarity(0.9)",
 	//	    sched.BuildOptions{TimeProfiler: prof})
 	Admission sched.AdmissionPolicy
-	// TimeSLOSec and EnergySLOPct are the provider's SLOs; the controller
-	// sends each worker the largest batch meeting both (0 disables one).
-	// Ignored when Admission is set (the chain's policies decide).
-	TimeSLOSec   float64
-	EnergySLOPct float64
-	// TimeProfiler and EnergyProfiler are the I-Prof instances. A nil
-	// profiler disables that bound and DefaultBatchSize is used instead.
-	// PushGradient always feeds measured costs back into them, whether or
-	// not an Admission chain uses them for batch sizing.
+	// TimeProfiler and EnergyProfiler are the I-Prof instances the server
+	// trains and checkpoints: PushGradient feeds measured costs back into
+	// them, whether or not an Admission chain uses them for batch sizing.
 	TimeProfiler   *iprof.IProf
 	EnergyProfiler *iprof.IProf
-	// DefaultBatchSize is used when no profiler is configured (default 100,
-	// the paper's mini-batch size).
+	// DefaultBatchSize is the batch a task carries when no admission policy
+	// sizes it (default 100, the paper's mini-batch size).
 	DefaultBatchSize int
-	// MinBatchSize is the controller's size threshold: predicted batches
-	// below it are rejected before any energy is spent (§2.2). Ignored
-	// when Admission is set.
-	MinBatchSize int
-	// MaxSimilarity is the controller's similarity threshold: tasks whose
-	// label similarity exceeds it are rejected as redundant. 0 disables.
-	// Ignored when Admission is set.
-	MaxSimilarity float64
 	// F16Announce, when true, attaches a full half-precision parameter
 	// vector (ModelAnnounce.ParamsF16) to snapshot announces whose exact
 	// sparse delta went dense (or was never kept) — the dense-gradient
@@ -257,26 +241,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.LearningRate <= 0 {
 		return nil, protocol.Errorf(protocol.CodeInvalidArgument, "server: LearningRate must be positive")
 	}
-	admission := cfg.Admission
-	if admission == nil {
-		// The legacy-equivalent default: each Figure-2 controller stage,
-		// included only when its knob is set, in the order the hardwired
-		// block ran them.
-		var policies []sched.AdmissionPolicy
-		if cfg.TimeProfiler != nil && cfg.TimeSLOSec > 0 {
-			policies = append(policies, sched.IProfTime(cfg.TimeProfiler, cfg.TimeSLOSec))
-		}
-		if cfg.EnergyProfiler != nil && cfg.EnergySLOPct > 0 {
-			policies = append(policies, sched.IProfEnergy(cfg.EnergyProfiler, cfg.EnergySLOPct))
-		}
-		if cfg.MinBatchSize > 0 {
-			policies = append(policies, sched.MinBatch(cfg.MinBatchSize))
-		}
-		if cfg.MaxSimilarity > 0 {
-			policies = append(policies, sched.Similarity(cfg.MaxSimilarity))
-		}
-		admission = sched.NewChain(policies...)
-	}
 	if cfg.BootEpoch < 0 {
 		cfg.BootEpoch = 0
 	}
@@ -297,7 +261,7 @@ func New(cfg Config) (*Server, error) {
 		K:                cfg.K,
 		Shards:           cfg.Shards,
 		Pipeline:         cfg.Pipeline,
-		Admission:        admission,
+		Admission:        cfg.Admission,
 		TimeProfiler:     cfg.TimeProfiler,
 		EnergyProfiler:   cfg.EnergyProfiler,
 		DefaultBatchSize: cfg.DefaultBatchSize,

@@ -15,6 +15,7 @@ import (
 	"fleet/internal/nn"
 	"fleet/internal/pipeline"
 	"fleet/internal/protocol"
+	"fleet/internal/sched"
 	"fleet/internal/simrand"
 )
 
@@ -166,7 +167,7 @@ func TestRequestCanceledContext(t *testing.T) {
 
 func TestSimilarityThresholdRejects(t *testing.T) {
 	ctx := context.Background()
-	s := newTestServer(t, Config{MaxSimilarity: 0.9})
+	s := newTestServer(t, Config{Admission: sched.NewChain(sched.Similarity(0.9))})
 	// Seed the global label distribution.
 	params, _ := s.Model()
 	grad := make([]float64, len(params))

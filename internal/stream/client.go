@@ -33,7 +33,7 @@ import (
 type Client struct {
 	// Addr is the server's stream listener address (host:port).
 	Addr string
-	// Codec selects the wire representation (nil: protocol.GobGzip).
+	// Codec selects the wire representation (nil: protocol.Default).
 	Codec protocol.Codec
 	// WorkerID identifies the worker in the session handshake.
 	WorkerID int
@@ -337,7 +337,7 @@ func (c *Client) dialTimeout() time.Duration {
 
 func (c *Client) codec() protocol.Codec {
 	if c.Codec == nil {
-		return protocol.GobGzip
+		return protocol.Default
 	}
 	return c.Codec
 }

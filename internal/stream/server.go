@@ -358,7 +358,7 @@ func (s *Server) handshake(conn net.Conn) (*session, bool) {
 	sess := &session{
 		srv:      s,
 		conn:     conn,
-		codec:    protocol.GobGzip,
+		codec:    protocol.Default,
 		annReady: make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}

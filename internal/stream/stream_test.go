@@ -241,7 +241,7 @@ func TestBroadcastAnnounce(t *testing.T) {
 	ds := data.TinyMNIST(1, 6, 2)
 	w, err := worker.New(worker.Config{
 		ID: 1, Arch: nn.ArchSoftmaxMNIST, Local: ds.Train,
-		Rng: simrand.New(3), CompressK: 32,
+		Rng: simrand.New(3), Compress: "topk(32)",
 	})
 	if err != nil {
 		t.Fatal(err)

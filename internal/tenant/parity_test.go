@@ -47,11 +47,10 @@ func TestEndpointParityAcrossTransports(t *testing.T) {
 	server.MaxRequestBytes, stream.MaxFrameBytes = limit, limit
 	t.Cleanup(func() { server.MaxRequestBytes, stream.MaxFrameBytes = oldReq, oldFrame })
 
-	reg, err := NewRegistry([]Config{{Name: "open"}}, Options{})
+	reg, err := newRegistry(t, "", Config{Name: "open", Arch: "tiny-mnist"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close()
 	hs := httptest.NewServer(reg.Handler())
 	defer hs.Close()
 	ss := stream.NewServer(reg.Default().Service(), stream.Options{

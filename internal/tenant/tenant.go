@@ -15,22 +15,14 @@ package tenant
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"fleet/internal/learning"
-	"fleet/internal/nn"
-	"fleet/internal/persist"
-	"fleet/internal/pipeline"
 	"fleet/internal/protocol"
-	"fleet/internal/sched"
 	"fleet/internal/server"
 	"fleet/internal/service"
 	"fleet/internal/spec"
@@ -38,7 +30,9 @@ import (
 
 // Config declares one tenant's serving unit. The zero value of every field
 // except Name defaults to the single-fleet server's defaults, so
-// "-tenant analytics" alone is a complete declaration.
+// "-tenant analytics" alone is a complete declaration. The model and
+// pipeline defaults are applied where the unit's server is compiled
+// (node.FromSpec); this package only enforces around a built server.
 type Config struct {
 	// Name is the tenant's registry key, route segment (/v1/t/<name>/...)
 	// and checkpoint subdirectory. Letters, digits, '-', '_' and '.' only.
@@ -74,25 +68,8 @@ type Config struct {
 	SamplingRatio float64 `json:"sampling_ratio,omitempty"`
 }
 
+// withDefaults fills the accountant's parameters.
 func (c Config) withDefaults() Config {
-	if c.Arch == "" {
-		c.Arch = "tiny-mnist"
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.03
-	}
-	if c.K <= 0 {
-		c.K = 1
-	}
-	if c.NonStragglerPct <= 0 {
-		c.NonStragglerPct = 99.7
-	}
-	if c.Stages == "" {
-		c.Stages = "staleness"
-	}
-	if c.Aggregator == "" {
-		c.Aggregator = "mean"
-	}
 	if c.Delta <= 0 {
 		c.Delta = 1e-5
 	}
@@ -185,31 +162,15 @@ func LoadFile(path string) ([]Config, error) {
 	return cfgs, nil
 }
 
-// Options carries the deployment-wide dependencies every unit shares.
+// Options carries what the enforcement layer shares deployment-wide.
 type Options struct {
 	// Default names the tenant un-tenanted routes alias to.
 	// Empty: the first configured tenant.
 	Default string
-	// Now is the clock time-windowed admission policies read (nil:
-	// time.Now); deterministic harnesses inject their virtual clock.
-	Now func() time.Time
-	// TimeProfiler/EnergyProfiler back the iprof admission policies in
-	// tenant admission chains (shared across tenants, like the device
-	// catalogue they model).
-	TimeProfiler   sched.Profiler
-	EnergyProfiler sched.Profiler
 	// Interceptors are operator-level concerns (recovery, logging, rate
 	// limits) wrapped outermost around every unit's service, outside the
 	// tenant enforcement layer.
 	Interceptors []service.Interceptor
-	// CheckpointDir, when set, gives every unit crash safety under its own
-	// subdirectory <CheckpointDir>/<name>: restore-latest on construction
-	// (fresh model when the subdirectory holds no checkpoint), periodic
-	// checkpoints every CheckpointEvery windows, CheckpointKeep files
-	// retained.
-	CheckpointDir   string
-	CheckpointEvery int
-	CheckpointKeep  int
 }
 
 // Unit is one tenant's isolated serving stack: its own parameter server
@@ -242,84 +203,13 @@ func dpSigma(stages string) (float64, bool) {
 	return 0, false
 }
 
-func newUnit(cfg Config, opts Options) (*Unit, error) {
-	cfg = cfg.withDefaults()
-	if !validName(cfg.Name) {
-		return nil, fmt.Errorf("tenant: invalid tenant name %q", cfg.Name)
-	}
-	arch, err := nn.ArchByName(cfg.Arch)
-	if err != nil {
-		return nil, fmt.Errorf("tenant %s: %w", cfg.Name, err)
-	}
-	algo := learning.NewAdaSGD(learning.AdaSGDConfig{NonStragglerPct: cfg.NonStragglerPct, BootstrapSteps: 50})
-	scfg := server.Config{
-		Arch:             arch,
-		Algorithm:        algo,
-		LearningRate:     cfg.LearningRate,
-		K:                cfg.K,
-		DeltaHistory:     cfg.DeltaHistory,
-		DefaultBatchSize: cfg.DefaultBatchSize,
-		Seed:             cfg.Seed,
-	}
-	scfg.Pipeline, err = pipeline.Build(cfg.Stages, cfg.Aggregator, pipeline.BuildOptions{
-		Algorithm: algo,
-		Shards:    cfg.Shards,
-		Seed:      cfg.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("tenant %s: %w", cfg.Name, err)
-	}
-	if cfg.Admission != "" {
-		scfg.Admission, err = sched.Build(cfg.Admission, sched.BuildOptions{
-			Now:            opts.Now,
-			TimeProfiler:   opts.TimeProfiler,
-			EnergyProfiler: opts.EnergyProfiler,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", cfg.Name, err)
-		}
-	}
-
-	var srv *server.Server
-	if opts.CheckpointDir != "" {
-		dir := filepath.Join(opts.CheckpointDir, cfg.Name)
-		ckpt, err := persist.NewCheckpointer(dir, opts.CheckpointKeep)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", cfg.Name, err)
-		}
-		scfg.Checkpointer = ckpt
-		scfg.CheckpointEvery = opts.CheckpointEvery
-		srv, err = server.RestoreLatest(scfg, dir)
-		if errors.Is(err, persist.ErrNoCheckpoint) {
-			// First boot of this tenant in this directory: mint an
-			// incarnation epoch so workers that cached a previous
-			// instance's state resync instead of colliding on epoch 0.
-			fresh := scfg
-			fresh.BootEpoch, err = persist.BootNonce(dir, cfg.Seed)
-			if err == nil {
-				srv, err = server.New(fresh)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", cfg.Name, err)
-		}
-	} else {
-		srv, err = server.New(scfg)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", cfg.Name, err)
-		}
-	}
-	return Attach(cfg, srv, opts)
-}
-
-// Attach builds a Unit around an externally constructed server: the
-// enforcement chain (authentication, worker quota, DP budget) and the
-// per-tenant stats attribution, without the unit owning server
-// construction. The loadgen harness uses this to route its own
-// deterministically seeded server through the exact tenant layer a
-// fleet-server deployment would; cfg's model/pipeline fields should mirror
-// how srv was actually built — the budget reads the dp stage's σ out of
-// cfg.Stages.
+// Attach builds a Unit around a constructed server: the enforcement chain
+// (authentication, worker quota, DP budget) and the per-tenant stats
+// attribution. node.FromSpec compiles a deployment's units this way, and
+// the loadgen harness routes its own deterministically seeded server
+// through the exact tenant layer a fleet-server deployment would; cfg's
+// model/pipeline fields should mirror how srv was actually built — the
+// budget reads the dp stage's σ out of cfg.Stages.
 func Attach(cfg Config, srv *server.Server, opts Options) (*Unit, error) {
 	cfg = cfg.withDefaults()
 	if !validName(cfg.Name) {
@@ -366,12 +256,6 @@ func (u *Unit) Server() *server.Server { return u.srv }
 // worker quota and the budget wrap the server. All transports must route
 // through it.
 func (u *Unit) Service() service.Service { return u.svc }
-
-// Budget returns the tenant's DP accountant (nil without a budget).
-func (u *Unit) Budget() *Budget { return u.budget }
-
-// Config returns the defaulted configuration the unit was built from.
-func (u *Unit) Config() Config { return u.cfg }
 
 // admitWorker enrolls a worker identity, enforcing the per-tenant quota.
 func (u *Unit) admitWorker(id int) bool {

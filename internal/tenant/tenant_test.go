@@ -7,12 +7,54 @@ import (
 	"testing"
 
 	"fleet/internal/data"
+	"fleet/internal/learning"
 	"fleet/internal/nn"
+	"fleet/internal/pipeline"
 	"fleet/internal/protocol"
+	"fleet/internal/server"
 	"fleet/internal/service"
 	"fleet/internal/simrand"
 	"fleet/internal/worker"
 )
+
+// newUnit attaches cfg to a server built from its model fields: the
+// fixture's stand-in for node.FromSpec, which compiles a deployment's
+// units. The server is closed with the test.
+func newUnit(t *testing.T, cfg Config) (*Unit, error) {
+	t.Helper()
+	arch, err := nn.ArchByName(cfg.Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algo := learning.NewAdaSGD(learning.AdaSGDConfig{NonStragglerPct: 99.7, BootstrapSteps: 50})
+	stages := cfg.Stages
+	if stages == "" {
+		stages = "staleness"
+	}
+	pipe, err := pipeline.Build(stages, "mean", pipeline.BuildOptions{Algorithm: algo, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Arch: arch, Algorithm: algo, LearningRate: 0.03, Pipeline: pipe, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	return Attach(cfg, srv, Options{})
+}
+
+// newRegistry builds a registry over fixture units.
+func newRegistry(t *testing.T, def string, cfgs ...Config) (*Registry, error) {
+	t.Helper()
+	units := make([]*Unit, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if units[i], err = newUnit(t, cfg); err != nil {
+			return nil, err
+		}
+	}
+	return NewRegistry(units, Options{Default: def})
+}
 
 func TestParseSpec(t *testing.T) {
 	cases := []struct {
@@ -96,27 +138,26 @@ func ctxFor(tenant, token string) context.Context {
 // presents a teammate's token under its own worker id. Both must be
 // rejected as unauthenticated and attributed to the target tenant's stats.
 func TestCrossTenantTokenReplay(t *testing.T) {
-	reg, err := NewRegistry([]Config{
-		{Name: "alpha", Arch: "softmax-mnist", Secret: "alpha-secret"},
-		{Name: "beta", Arch: "softmax-mnist", Secret: "beta-secret"},
-	}, Options{})
+	reg, err := newRegistry(t, "",
+		Config{Name: "alpha", Arch: "softmax-mnist", Secret: "alpha-secret"},
+		Config{Name: "beta", Arch: "softmax-mnist", Secret: "beta-secret"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close()
 
 	alphaTok := MintToken([]byte("alpha-secret"), "alpha", 1)
 	req := &protocol.TaskRequest{WorkerID: 1}
 
 	// The token works where it was minted.
-	alpha, _ := reg.ResolveService("alpha")
+	alphaUnit, _ := reg.Resolve("alpha")
+	betaUnit, _ := reg.Resolve("beta")
+	alpha, beta := alphaUnit.Service(), betaUnit.Service()
 	if _, err := alpha.RequestTask(ctxFor("alpha", alphaTok), req); err != nil {
 		t.Fatalf("legitimate call rejected: %v", err)
 	}
 
 	// Replayed against beta it must fail closed, even with the same worker
 	// id: beta verifies against its own secret and name.
-	beta, _ := reg.ResolveService("beta")
 	if _, err := beta.RequestTask(ctxFor("beta", alphaTok), req); !protocol.IsCode(err, protocol.CodeUnauthenticated) {
 		t.Fatalf("cross-tenant replay: got %v, want unauthenticated", err)
 	}
@@ -132,8 +173,6 @@ func TestCrossTenantTokenReplay(t *testing.T) {
 		t.Fatalf("missing credentials: got %v, want unauthenticated", err)
 	}
 
-	alphaUnit, _ := reg.Resolve("alpha")
-	betaUnit, _ := reg.Resolve("beta")
 	if got := alphaUnit.StatsBlock().AuthRejects; got != 2 {
 		t.Errorf("alpha auth_rejects = %d, want 2", got)
 	}
@@ -147,11 +186,10 @@ func TestCrossTenantTokenReplay(t *testing.T) {
 // authentication cannot stop it — and checks the per-tenant worker quota
 // caps the distinct identities it can enroll.
 func TestSybilRotationQuota(t *testing.T) {
-	u, err := newUnit(Config{Name: "quota", Arch: "softmax-mnist", Secret: "s", MaxWorkers: 3}, Options{})
+	u, err := newUnit(t, Config{Name: "quota", Arch: "softmax-mnist", Secret: "s", MaxWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer u.Server().Close()
 
 	secret := []byte("s")
 	admitted, capped := 0, 0
@@ -191,14 +229,13 @@ func TestBudgetExhaustion(t *testing.T) {
 	// With the dp(1,1.2) mechanism at q=0.01, δ=1e-5, one composed step
 	// spends ε≈0.8417, so a 0.85 budget exhausts after exactly one applied
 	// push.
-	u, err := newUnit(Config{
+	u, err := newUnit(t, Config{
 		Name: "metered", Arch: "softmax-mnist",
 		Stages: "dp(1,1.2),staleness", Epsilon: 0.85,
-	}, Options{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer u.Server().Close()
 
 	ctx := context.Background() // no secret: authentication disabled
 	resp, err := u.Service().RequestTask(ctx, &protocol.TaskRequest{WorkerID: 0})
@@ -233,26 +270,26 @@ func TestBudgetExhaustion(t *testing.T) {
 }
 
 func TestBudgetRequiresDPStage(t *testing.T) {
-	if _, err := newUnit(Config{Name: "m", Epsilon: 1}, Options{}); err == nil || !strings.Contains(err.Error(), "dp(clip,sigma) stage") {
+	if _, err := newUnit(t, Config{Name: "m", Arch: "softmax-mnist", Epsilon: 1}); err == nil || !strings.Contains(err.Error(), "dp(clip,sigma) stage") {
 		t.Fatalf("epsilon without dp stage: got %v, want dp-stage error", err)
 	}
 }
 
 func TestRegistryResolve(t *testing.T) {
-	if _, err := NewRegistry([]Config{{Name: "a"}, {Name: "a"}}, Options{}); err == nil {
+	a, b := Config{Name: "a", Arch: "softmax-mnist"}, Config{Name: "b", Arch: "softmax-mnist"}
+	if _, err := newRegistry(t, "", a, a); err == nil {
 		t.Error("duplicate tenant names accepted")
 	}
-	if _, err := NewRegistry([]Config{{Name: "a"}}, Options{Default: "nope"}); err == nil {
+	if _, err := newRegistry(t, "nope", a); err == nil {
 		t.Error("unknown default tenant accepted")
 	}
-	reg, err := NewRegistry([]Config{
-		{Name: "a", Arch: "softmax-mnist"},
-		{Name: "b", Arch: "softmax-mnist"},
-	}, Options{Default: "b"})
+	if _, err := NewRegistry(nil, Options{}); err == nil {
+		t.Error("empty registry accepted")
+	}
+	reg, err := newRegistry(t, "b", a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close()
 	if def, _ := reg.Resolve(""); def.Name() != "b" {
 		t.Errorf("default tenant = %s, want b", def.Name())
 	}
@@ -265,14 +302,12 @@ func TestRegistryResolve(t *testing.T) {
 // with bearer tokens, the replay and unknown-tenant failure modes, and the
 // legacy route aliasing onto the default tenant.
 func TestHTTPTenantRouting(t *testing.T) {
-	reg, err := NewRegistry([]Config{
-		{Name: "open", Arch: "softmax-mnist"},
-		{Name: "locked", Arch: "softmax-mnist", Secret: "locked-secret"},
-	}, Options{Default: "open"})
+	reg, err := newRegistry(t, "open",
+		Config{Name: "open", Arch: "softmax-mnist"},
+		Config{Name: "locked", Arch: "softmax-mnist", Secret: "locked-secret"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close()
 	hs := httptest.NewServer(reg.Handler())
 	defer hs.Close()
 

@@ -17,7 +17,7 @@ import (
 type Client struct {
 	BaseURL    string
 	HTTPClient *http.Client
-	// Codec selects the wire representation (nil: protocol.GobGzip).
+	// Codec selects the wire representation (nil: protocol.Default).
 	Codec protocol.Codec
 	// Wire, when non-nil, tallies encoded payload bytes in both directions
 	// (request and response bodies; HTTP header overhead is not counted).
@@ -145,7 +145,7 @@ func (c *Client) authorize(req *http.Request) {
 
 func (c *Client) codec() protocol.Codec {
 	if c.Codec == nil {
-		return protocol.GobGzip
+		return protocol.Default
 	}
 	return c.Codec
 }

@@ -106,7 +106,7 @@ func TestResetModelCacheForcesFullPull(t *testing.T) {
 	ds := data.TinyMNIST(5, 8, 2)
 	srv := newServer(t, server.Config{})
 	// Top-k uplink keeps model updates sparse, so delta pulls stay viable.
-	w, err := New(Config{ID: 1, Arch: nn.ArchSoftmaxMNIST, Local: ds.Train[:20], Rng: simrand.New(3), CompressK: 8})
+	w, err := New(Config{ID: 1, Arch: nn.ArchSoftmaxMNIST, Local: ds.Train[:20], Rng: simrand.New(3), Compress: "topk(8)"})
 	if err != nil {
 		t.Fatal(err)
 	}

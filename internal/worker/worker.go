@@ -40,19 +40,12 @@ type Config struct {
 	// registry — "topk(8)", "topk(12),q8", "topk(64),f16" — built per
 	// worker at New (chains are stateful: error feedback, quantizer RNG).
 	// Pushes built through a chain carry the self-describing Encoding tag.
-	// Non-empty Compress supersedes CompressK; empty falls back to it.
+	// Empty sends dense gradients.
 	Compress string
 	// CompressRng drives the chain's stochastic rounding (required when
 	// the chain includes q8 or f16). Give each worker its own stream so
 	// quantization never perturbs the batch-sampling Rng.
 	CompressRng *rand.Rand
-	// CompressK, when positive, transmits only the K largest-magnitude
-	// gradient coordinates per push, with client-side error feedback (the
-	// dropped mass is carried into the next gradient). 0 sends dense
-	// gradients. Deprecated in favor of Compress ("topk(k)"); kept as the
-	// pre-tag wire dialect — pushes it builds carry no Encoding tag,
-	// exactly as before the tag existed.
-	CompressK int
 	// GradientTransform, when non-nil, mutates each computed dense
 	// gradient in place before compression and push. The load harness
 	// injects Byzantine behaviors (sign-flip, scaled noise) through it;
@@ -78,7 +71,6 @@ type Worker struct {
 	cfg         Config
 	net         *nn.Network
 	labelCounts []int
-	feedback    *compress.ErrorFeedback
 	compressor  compress.Compressor
 	// params/version/epoch cache the last pulled model so subsequent task
 	// requests can advertise KnownVersion (and the server incarnation it
@@ -135,8 +127,6 @@ func New(cfg Config) (*Worker, error) {
 			return nil, fmt.Errorf("worker: %w", err)
 		}
 		w.compressor = c
-	} else if cfg.CompressK > 0 {
-		w.feedback = compress.NewErrorFeedback(net.ParamCount(), cfg.CompressK)
 	}
 	return w, nil
 }
@@ -250,17 +240,9 @@ func (w *Worker) Compute(resp *protocol.TaskResponse) *Prepared {
 		BatchSize:    batchSize,
 		LabelCounts:  data.LabelCounts(batch, w.cfg.Arch.Classes()),
 	}
-	switch {
-	case w.compressor != nil:
+	if w.compressor != nil {
 		applyForm(push, w.compressor.Compress(grad))
-	case w.feedback != nil:
-		// Legacy pre-tag dialect: untagged top-k, bit-identical to every
-		// release before the Encoding tag existed.
-		sparse := w.feedback.Compress(grad)
-		push.GradientLen = sparse.Len
-		push.SparseIndices = sparse.Indices
-		push.SparseValues = sparse.Values
-	default:
+	} else {
 		push.Gradient = grad
 	}
 	out := &Prepared{Push: push}

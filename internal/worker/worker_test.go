@@ -13,6 +13,7 @@ import (
 	"fleet/internal/learning"
 	"fleet/internal/nn"
 	"fleet/internal/protocol"
+	"fleet/internal/sched"
 	"fleet/internal/server"
 	"fleet/internal/simrand"
 )
@@ -197,7 +198,7 @@ func TestWorkerCountsRejections(t *testing.T) {
 	ctx := context.Background()
 	ds := data.TinyMNIST(6, 12, 4)
 	// MinBatchSize above the default batch size: every task is rejected.
-	srv := newServer(t, server.Config{MinBatchSize: 1000, DefaultBatchSize: 16})
+	srv := newServer(t, server.Config{Admission: sched.NewChain(sched.MinBatch(1000)), DefaultBatchSize: 16})
 	workers := newWorkers(t, 1, ds)
 	w := workers[0]
 	ack, err := w.Step(ctx, srv)
@@ -252,11 +253,11 @@ func TestCompressedUplinkTrains(t *testing.T) {
 	var workers []*Worker
 	for i := 0; i < 8; i++ {
 		w, err := New(Config{
-			ID:        i,
-			Arch:      nn.ArchSoftmaxMNIST,
-			Local:     parts[i],
-			Rng:       simrand.New(int64(300 + i)),
-			CompressK: paramCount / 10,
+			ID:       i,
+			Arch:     nn.ArchSoftmaxMNIST,
+			Local:    parts[i],
+			Rng:      simrand.New(int64(300 + i)),
+			Compress: fmt.Sprintf("topk(%d)", paramCount/10),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -456,7 +457,7 @@ func TestWorkerDeltaPullsEndToEndHTTP(t *testing.T) {
 	for i := range parts {
 		w, err := New(Config{
 			ID: i, Arch: nn.ArchSoftmaxMNIST, Local: parts[i],
-			Rng: simrand.New(int64(300 + i)), CompressK: 8,
+			Rng: simrand.New(int64(300 + i)), Compress: "topk(8)",
 		})
 		if err != nil {
 			t.Fatal(err)
