@@ -43,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"fleet/internal/compress"
 	"fleet/internal/ingest"
 	"fleet/internal/iprof"
 	"fleet/internal/learning"
@@ -253,10 +254,13 @@ func (k *edgeSink) CloseWindow(ingest.Tally) (*windowPush, error) {
 
 // Deliver forwards the window this push closed, if it closed one; the ack
 // that follows reports the edge's clock after the forward refreshed it.
-func (k *edgeSink) Deliver(ctx context.Context, up *windowPush) {
-	if up != nil {
-		(*Node)(k).forwardWindow(ctx, up)
+func (k *edgeSink) Deliver(ctx context.Context, up *windowPush, committed int) int {
+	if up == nil {
+		return committed
 	}
+	n := (*Node)(k)
+	n.forwardWindow(ctx, up)
+	return n.core.Snapshot().Version
 }
 
 // forwardWindow pushes one drained window direction upstream and refreshes
@@ -319,7 +323,7 @@ func (n *Node) pullLocked(ctx context.Context, delta bool) error {
 		req.KnownVersion = cur.Version
 		req.KnownEpoch = cur.Epoch
 	}
-	resp, err := n.cfg.Upstream.RequestTask(ctx, req)
+	resp, err := n.cfg.Upstream.RequestTask(service.Keeping(ctx), req) // cached here: not the leaf's lease's to release
 	if err != nil {
 		return protocol.AsError(err)
 	}
@@ -327,7 +331,6 @@ func (n *Node) pullLocked(ctx context.Context, delta bool) error {
 		return protocol.Errorf(protocol.CodeUnavailable,
 			"aggtree: upstream declined model pull: %s", resp.Reason)
 	}
-	var params []float64
 	switch {
 	case resp.ParamsDelta != nil:
 		if cur == nil || resp.DeltaBase != cur.Version || resp.ServerEpoch != cur.Epoch {
@@ -335,45 +338,42 @@ func (n *Node) pullLocked(ctx context.Context, delta bool) error {
 				"aggtree: upstream delta from (version %d, epoch %d), cache at (%d, %d)",
 				resp.DeltaBase, resp.ServerEpoch, cur.Version, cur.Epoch)
 		}
-		params = make([]float64, len(cur.Params))
-		copy(params, cur.Params)
-		if err := resp.ParamsDelta.Patch(params); err != nil {
-			return protocol.AsError(err)
-		}
+		return n.publishLocked(resp.ModelVersion, resp.ServerEpoch, nil, resp.ParamsDelta)
 	case len(resp.Params) == n.core.Config().ParamCount:
-		// In-process upstreams hand out their immutable snapshot storage;
-		// the edge never mutates it, so sharing is safe (and what keeps
-		// the tree's pull path O(1) in the model size).
-		params = resp.Params
+		// In-process upstreams hand out their snapshot's own storage, which
+		// escapes there; the edge never mutates it either, so sharing is
+		// safe (and what keeps the tree's pull path O(1) in the model size).
+		return n.publishLocked(resp.ModelVersion, resp.ServerEpoch, resp.Params, nil)
 	default:
 		return protocol.Errorf(protocol.CodeInternal,
 			"aggtree: upstream served %d params, architecture needs %d", len(resp.Params), n.core.Config().ParamCount)
 	}
-	var patched []int32
-	if resp.ParamsDelta != nil {
-		patched = resp.ParamsDelta.Indices
-	}
-	n.publishLocked(resp.ModelVersion, resp.ServerEpoch, params, patched)
-	return nil
 }
 
-// publishLocked installs a new cached snapshot, advances the delta
-// history, and relays the refresh downstream as an announce. Callers hold
-// n.upMu. patched lists the coordinates of the upstream delta params was
-// just patched with (nil after a full pull), so the history re-examines
-// only those instead of rediscovering them. An epoch change resets the
-// history — old params are meaningless as delta bases across incarnations
-// — and relays a delta-less announce, which subscribed leaves ignore until
-// their next push conflicts.
-func (n *Node) publishLocked(version int, epoch int64, params []float64, patched []int32) {
+// publishLocked installs a new cached snapshot — the upstream's full params
+// (shared with whoever served them), or the cache patched with the delta
+// that chains onto it, in the core's next recycled buffer — advances the
+// delta history (re-examining only a delta's coordinates), and relays the
+// refresh downstream as an announce. Callers hold n.upMu. An epoch change
+// resets the history — old params are meaningless as delta bases across
+// incarnations — and relays a delta-less announce, which subscribed leaves
+// ignore until their next push conflicts.
+func (n *Node) publishLocked(version int, epoch int64, params []float64, delta *compress.Sparse) error {
 	old := n.core.Snapshot()
 	if old != nil && old.Version == version && old.Epoch == epoch {
-		return
+		return nil
 	}
 	var next *ingest.Snapshot
-	if old != nil && old.Epoch == epoch {
-		next = n.core.Advance(version, params, patched)
-	} else {
+	switch {
+	case delta != nil:
+		patched, err := n.core.Patched(delta)
+		if err != nil {
+			return protocol.AsError(err)
+		}
+		next = n.core.Advance(version, patched, delta.Indices)
+	case old != nil && old.Epoch == epoch:
+		next = n.core.AdvanceShared(version, params)
+	default:
 		next = n.core.Boot(version, epoch, params)
 	}
 
@@ -384,6 +384,7 @@ func (n *Node) publishLocked(version int, epoch int64, params []float64, patched
 		}
 		(*fn)(next.Announce(base))
 	}
+	return nil
 }
 
 // AbsorbUpstreamAnnounce folds one upstream model announcement into the
@@ -419,17 +420,11 @@ func (n *Node) AbsorbUpstreamAnnounce(ann protocol.ModelAnnounce) bool {
 	if ann.ModelVersion <= cur.Version {
 		return false // stale or duplicate
 	}
-	if ann.Delta == nil || ann.DeltaBase != cur.Version {
+	if ann.Delta == nil || ann.DeltaBase != cur.Version ||
+		n.publishLocked(ann.ModelVersion, ann.ServerEpoch, nil, ann.Delta) != nil {
 		n.needRefresh.Store(true)
 		return false
 	}
-	params := make([]float64, len(cur.Params))
-	copy(params, cur.Params)
-	if err := ann.Delta.Patch(params); err != nil {
-		n.needRefresh.Store(true)
-		return false
-	}
-	n.publishLocked(ann.ModelVersion, ann.ServerEpoch, params, ann.Delta.Indices)
 	return true
 }
 

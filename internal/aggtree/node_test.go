@@ -464,7 +464,10 @@ func TestEdgeDeltasMatchDiff(t *testing.T) {
 			}
 		}
 
-		served := []*ingest.Snapshot{edge.core.Snapshot()} // this incarnation's snapshots, oldest first
+		// This incarnation's snapshots, oldest first, each under a lease
+		// until it is one past the depth: older storage is the core's to
+		// recycle while the oracle runs.
+		served := []*ingest.Lease{edge.core.Lease()}
 		absorbed, published := 0, 0
 		for step := 0; step < 80; step++ {
 			switch op := rng.Intn(10); {
@@ -493,10 +496,14 @@ func TestEdgeDeltasMatchDiff(t *testing.T) {
 				up.set(root)
 			}
 
-			snap := edge.core.Snapshot()
+			snap := edge.core.Lease()
 			if last := served[len(served)-1]; snap == last {
+				snap.Release()
 				continue
 			} else if snap.Epoch != last.Epoch {
+				for _, old := range served {
+					old.Release()
+				}
 				served = nil
 			}
 			bases := served
@@ -507,10 +514,13 @@ func TestEdgeDeltasMatchDiff(t *testing.T) {
 				}
 				bases = bases[len(bases)-depth:]
 			}
-			served = append(served, snap)
+			if served = append(served, snap); len(served) > depth+1 {
+				served[0].Release()
+				served = served[1:]
+			}
 			want := 0
 			for _, b := range bases {
-				d, ok := compress.Diff(b.Params, snap.Params, paramCount/2)
+				d, ok := compress.Diff(b.Params(), snap.Params(), paramCount/2)
 				got := snap.Delta(b.Version)
 				if ok != (got != nil) {
 					t.Fatalf("depth %d step %d base v%d→v%d: Diff ok=%v, published=%v", depth, step, b.Version, snap.Version, ok, got != nil)

@@ -141,6 +141,15 @@ func (v Deltas) From(version int) *Sparse {
 	return nil
 }
 
+// Step is From for the version the target superseded and nothing older: a
+// lookup that never composes, so it reads neither vector.
+func (v Deltas) Step(version int) *Sparse {
+	if n := len(v.bases); n > 0 && v.bases[n-1].version == version {
+		return v.bases[n-1].step
+	}
+	return nil
+}
+
 // at returns the delta from bases[i]. A coordinate can only differ between
 // that base and the target if it moved in the step that left the base or
 // differs between the next base and the target, so only the union of those

@@ -14,6 +14,7 @@ package ingest
 import (
 	"context"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,40 +24,62 @@ import (
 	"fleet/internal/pipeline"
 	"fleet/internal/protocol"
 	"fleet/internal/sched"
+	"fleet/internal/service"
 )
 
-// Snapshot is one immutable published state of the model a node serves, in
-// the root's (version, epoch) clock — an edge is transparent: leaves cache
-// exactly the coordinates the root minted, so epoch conflicts propagate
-// without translation. Params is shared with every TaskResponse served from
-// it and must never be written after publication.
+// Snapshot is one published state of the model a node serves, in the root's
+// (version, epoch) clock — an edge is transparent: leaves cache exactly the
+// coordinates the root minted, so epoch conflicts propagate without
+// translation. Its parameter storage is reached through a Lease only: the
+// core writes it again, as a later snapshot, once it has left the history and
+// every snapshot whose deltas name it is superseded with no reader counted in
+// — unless it escaped (an in-process pull; storage shared at Boot or after).
 type Snapshot struct {
 	Version int
 	Epoch   int64
-	Params  []float64
+	params  []float64
 	deltas  compress.Deltas
+	readers atomic.Int32 // leases out
+	escaped atomic.Bool  // params is held by someone who will not say when it is done
 }
 
-// Delta returns the exact sparse difference params(base) → Params for an
-// older version the history still retains, when sparse enough to be worth
-// the wire; nil means "serve a full pull". The previous version's delta was
-// taken when the snapshot was published; an older base's is composed by the
-// first caller that names it — O(coordinates that moved since), once per
-// base and snapshot, on that caller's goroutine — and shared afterwards.
-func (s *Snapshot) Delta(base int) *compress.Sparse { return s.deltas.From(base) }
-
-// Announce describes the refresh base → s to subscribers: the clock, and
-// the exact delta when the history kept one (one patch even across several
-// versions — overwrite deltas compose by construction). The delta is shared
-// with the snapshot, immutable, so a transport may encode it concurrently
-// with further publications.
+// Announce describes the refresh base → s to subscribers: the clock, and the
+// exact delta when base is the snapshot s superseded and the history kept
+// that step (one patch even where an edge's step spans several upstream
+// versions — overwrite deltas compose by construction). The delta aliases no
+// parameter storage: a transport may encode it while publication goes on.
 func (s *Snapshot) Announce(base int) protocol.ModelAnnounce {
 	ann := protocol.ModelAnnounce{ModelVersion: s.Version, ServerEpoch: s.Epoch}
-	if d := s.Delta(base); d != nil {
+	if d := s.deltas.Step(base); d != nil {
 		ann.Delta, ann.DeltaBase = d, base
 	}
 	return ann
 }
+
+// Lease is one counted read of a snapshot (Core.Lease, Core.Cut): until
+// Release, neither its parameters nor its retained delta bases' are written.
+// It may be held across windows (a vectored write to a slow peer, a queued
+// checkpoint); one never released costs a buffer's recycling, nothing else.
+type Lease Snapshot
+
+// Params returns the snapshot's parameters: read-only, until Release.
+func (l *Lease) Params() []float64 { return l.params }
+
+// Delta returns the exact sparse difference params(base) → Params for an
+// older version the history still retains, when sparse enough to be worth
+// the wire; nil means "serve a full pull". The previous version's was taken
+// at publication; an older base's is composed by the first caller that names
+// it — O(coordinates that moved since), once per base and snapshot, reading
+// both vectors (hence the lease) — and shared. The delta outlives the lease.
+func (l *Lease) Delta(base int) *compress.Sparse { return l.deltas.From(base) }
+
+// Release counts the reader out. Once per lease.
+func (l *Lease) Release() { l.readers.Add(-1) }
+
+// keep ends the lease the other way: Params is the holder's for good, the
+// garbage collector's after. Marked, then counted out: retire reads in the
+// reverse order.
+func (l *Lease) keep() { l.escaped.Store(true); l.Release() }
 
 // Tally is the push accounting the core keeps under its commit lock.
 // LeafGradients counts individual worker gradients: an aggregated push from
@@ -87,8 +110,10 @@ type Sink[W any] interface {
 	CloseWindow(tally Tally) (W, error)
 	// Deliver runs after the commit lock is released, on the goroutine of
 	// the push that committed and strictly before its ack returns, with
-	// what CloseWindow returned.
-	Deliver(ctx context.Context, w W)
+	// what CloseWindow returned and the version published as the push left
+	// the commit lock. It returns the ack's clock: that (the root), or the
+	// cache's where delivering moves the model (the edge).
+	Deliver(ctx context.Context, w W, committed int) int
 }
 
 // Config is the half of server.Config and aggtree.Config both share; the
@@ -114,9 +139,9 @@ type Config struct {
 }
 
 // Core is the shared learning-task path. All methods are safe for
-// concurrent use, except that Boot and Advance must be serialized by the
-// sink (the root publishes under the commit lock, inside CloseWindow; the
-// edge under its upstream lock).
+// concurrent use, except that Boot, Advance, AdvanceShared, Buffer and
+// Patched must be serialized by the sink (the root publishes under the
+// commit lock, inside CloseWindow; the edge under its upstream lock).
 type Core[W any] struct {
 	sink Sink[W]
 	// cfg is immutable after New (defaults applied): request validation
@@ -136,6 +161,10 @@ type Core[W any] struct {
 	// history keeps the params behind the deltas it publishes.
 	snap    atomic.Pointer[Snapshot]
 	history *compress.History
+	// free holds at most maxFree model-sized buffers nothing reads; retired at
+	// most DeltaHistory + releaseSlack superseded snapshots, oldest first.
+	free    [][]float64
+	retired []*Snapshot
 
 	// Task counters are atomic: the admission path must not contend with
 	// the gradient-commit path. rejects is only touched on the (already
@@ -199,39 +228,117 @@ func (c *Core[W]) Labels() *learning.LabelTracker { return c.labels }
 // Snapshot returns the published snapshot, nil before the first Boot.
 func (c *Core[W]) Snapshot() *Snapshot { return c.snap.Load() }
 
+// Lease counts a reader into the published snapshot, before confirming it
+// is current: a publisher superseding it in between either sees the count or
+// is seen by the re-check, so a superseded snapshot found unread stays so.
+func (c *Core[W]) Lease() *Lease {
+	for {
+		s := c.snap.Load()
+		s.readers.Add(1)
+		if c.snap.Load() == s {
+			return (*Lease)(s)
+		}
+		s.readers.Add(-1)
+	}
+}
+
 // Boot publishes the first snapshot of a line — boot, a checkpoint restore,
 // an incarnation change — with an empty delta history: params from before
-// the cut are meaningless as delta bases after it.
+// the cut are meaningless as delta bases after it. params stays the caller's
+// to share (an edge boots on its upstream's) and is never recycled, nor is
+// what the old line retained.
 func (c *Core[W]) Boot(version int, epoch int64, params []float64) *Snapshot {
 	c.history.Reset(version, params)
-	next := &Snapshot{Version: version, Epoch: epoch, Params: params}
+	c.retired = nil
+	next := &Snapshot{Version: version, Epoch: epoch, params: params}
+	next.escaped.Store(true)
 	c.snap.Store(next)
 	return next
 }
 
 // Advance publishes the next snapshot of the current line and epoch, with
 // the exact delta from the previous one and the means to compose the delta
-// from every older retained version (Snapshot.Delta). touched is
+// from every older retained version (Lease.Delta). params becomes the core's,
+// written again once provably unread: nobody else may hold it. touched is
 // compress.History.Advance's: every coordinate written since the previous
 // snapshot, possibly more; nil makes the history find them.
 func (c *Core[W]) Advance(version int, params []float64, touched []int32) *Snapshot {
-	next := &Snapshot{Version: version, Epoch: c.snap.Load().Epoch, Params: params}
+	old := c.snap.Load()
+	next := &Snapshot{Version: version, Epoch: old.Epoch, params: params}
 	next.deltas = c.history.Advance(version, params, touched)
 	c.snap.Store(next)
+	c.retire(old)
 	return next
+}
+
+// AdvanceShared is Advance for params the caller shares with someone else
+// (an in-process upstream's snapshot storage): never recycled.
+func (c *Core[W]) AdvanceShared(version int, params []float64) *Snapshot {
+	next := c.Advance(version, params, nil)
+	next.escaped.Store(true) // long before the serialized publisher retires it
+	return next
+}
+
+const (
+	releaseSlack = 2 // superseded snapshots past the history depth that may await release; beyond, the oldest is the garbage collector's
+	maxFree      = 2 // free buffers kept: the one the next window fills and a spare
+)
+
+// retire queues the snapshot just superseded and recycles what is provably
+// unread. The oldest queued has left the history once more than depth are
+// queued; its storage is named by its own deltas and those of the depth
+// snapshots after it — all queued, so superseded: no reader can still count
+// itself in, and when none is counted in, none reads. Counts are read before
+// the escape mark, the reverse of Lease.keep's writes: a reader seen counted
+// out has its mark seen too.
+func (c *Core[W]) retire(old *Snapshot) {
+	depth := max(c.cfg.DeltaHistory, 0)
+	c.retired = append(c.retired, old)
+	for len(c.retired) > depth {
+		read := slices.ContainsFunc(c.retired[:depth+1], func(s *Snapshot) bool { return s.readers.Load() != 0 })
+		if read && len(c.retired) <= depth+releaseSlack {
+			return // a reader is still counted in: look again next window
+		}
+		if head := c.retired[0]; !read && !head.escaped.Load() && len(c.free) < maxFree {
+			c.free = append(c.free, head.params)
+		}
+		c.retired = append(c.retired[:0], c.retired[1:]...)
+	}
+}
+
+// Buffer returns a recycled model-sized vector, contents stale, to overwrite
+// and hand to Advance; nil when none is free (append then allocates, unzeroed).
+func (c *Core[W]) Buffer() (buf []float64) {
+	if n := len(c.free); n > 0 {
+		buf, c.free = c.free[n-1], c.free[:n-1]
+	}
+	return buf
+}
+
+// Patched returns the published parameters patched with d, in Buffer's
+// storage: an edge's next snapshot, for the Advance that follows.
+func (c *Core[W]) Patched(d *compress.Sparse) ([]float64, error) {
+	buf := append(c.Buffer()[:0], c.snap.Load().params...)
+	err := d.Patch(buf)
+	if err != nil {
+		c.free, buf = append(c.free, buf), nil // nothing is published from it
+	}
+	return buf, err
 }
 
 // RequestTask processes step (1)→(4) of Figure 2: screen the task through
 // the admission chain (I-Prof batch sizing, the controller) and serve the
 // model. The accept path never takes the commit lock and copies nothing:
-// the response shares the immutable snapshot's parameter slice (full pull)
-// or one of its deltas (version-aware pull). That is O(1) in the model size
-// for a worker at the current or the previous version; the first pull from
-// an older retained version composes that delta — O(coordinates that moved
-// since), once per base and snapshot — and every later one shares it
-// (Snapshot.Delta). The only synchronization besides is the label tracker's
-// lock-free snapshot read and whatever stateful admission policies do
-// internally.
+// it counts itself into the published snapshot (Lease) and answers with one
+// of its deltas (version-aware pull; O(1) from the previous version, composed
+// once per base and snapshot from an older retained one: Lease.Delta) or its
+// parameter storage (full pull). A delta aliases nothing; the count ends with
+// the call. A full pull's Params is the snapshot's own storage: under a
+// service.Lease (a wire endpoint) the count passes to the lease and Params
+// is the caller's to read until it releases; under any other context (every
+// in-process caller) the snapshot escapes and Params is the caller's for as
+// long as it likes. The only synchronization besides is the label tracker's
+// lock-free snapshot read and whatever stateful admission policies do.
 func (c *Core[W]) RequestTask(ctx context.Context, req *protocol.TaskRequest) (*protocol.TaskResponse, error) {
 	if err := c.begin(ctx); err != nil {
 		return nil, err
@@ -265,34 +372,36 @@ func (c *Core[W]) RequestTask(ctx context.Context, req *protocol.TaskRequest) (*
 	}
 
 	c.tasksServed.Add(1)
-	snap := c.snap.Load()
+	held := c.Lease()
 	resp := &protocol.TaskResponse{
 		Accepted:     true,
-		ModelVersion: snap.Version,
+		ModelVersion: held.Version,
 		BatchSize:    decision.BatchSize,
-		ServerEpoch:  snap.Epoch,
+		ServerEpoch:  held.Epoch,
 	}
 	// A delta is only meaningful against this incarnation's own version
 	// stream: after a restore, a client's cached "version 33" names the
 	// dead instance's parameters, not ours — patching our delta onto it
 	// would silently corrupt the cache. Epoch mismatch → full pull.
-	if req.WantDelta && req.KnownEpoch == snap.Epoch {
-		if req.KnownVersion == snap.Version {
-			// Already current: the empty delta.
-			resp.ParamsDelta = &compress.Sparse{Len: len(snap.Params)}
-			resp.DeltaBase = req.KnownVersion
-			return resp, nil
+	if req.WantDelta && req.KnownEpoch == held.Epoch {
+		d := &compress.Sparse{Len: len(held.params)} // already current: the empty delta
+		if req.KnownVersion != held.Version {
+			d = held.Delta(req.KnownVersion)
 		}
-		if d := snap.Delta(req.KnownVersion); d != nil {
-			resp.ParamsDelta = d
-			resp.DeltaBase = req.KnownVersion
+		if d != nil {
+			held.Release()
+			resp.ParamsDelta, resp.DeltaBase = d, req.KnownVersion
 			return resp, nil
 		}
 		// Version too old, from the future, or the delta went dense:
 		// transparent fallback to a full pull.
 	}
-	resp.Params = snap.Params // shared immutable snapshot storage
-	resp.Full = true
+	resp.Params, resp.Full = held.params, true
+	if l := service.LeaseFrom(ctx); l != nil {
+		l.Hold(held)
+	} else {
+		held.keep()
+	}
 	return resp, nil
 }
 
@@ -443,15 +552,13 @@ func (c *Core[W]) PushGradient(ctx context.Context, push *protocol.GradientPush)
 	if c.pending >= c.cfg.K {
 		closed = c.closeLocked()
 	}
+	committed := c.snap.Load().Version // under the lock: what this push's own window minted, if any
 	c.mu.Unlock()
-	c.sink.Deliver(ctx, closed)
 	return &protocol.PushAck{
-		Applied:   true,
-		Staleness: staleness,
-		Scale:     g.Scale,
-		// The node's clock once this push is through: advanced when it
-		// closed a window that moved the model.
-		NewVersion: c.snap.Load().Version,
+		Applied:    true,
+		Staleness:  staleness,
+		Scale:      g.Scale,
+		NewVersion: c.sink.Deliver(ctx, closed, committed),
 	}, nil
 }
 
@@ -485,15 +592,15 @@ func (c *Core[W]) FlushWindow(ctx context.Context) {
 		closed = c.closeLocked()
 	}
 	c.mu.Unlock()
-	c.sink.Deliver(ctx, closed)
+	c.sink.Deliver(ctx, closed, 0) // no ack to report a clock in
 }
 
-// Cut returns the published snapshot and the push accounting as of one
-// instant under the commit lock — a checkpoint's consistent cut.
-func (c *Core[W]) Cut() (*Snapshot, Tally) {
+// Cut returns a lease on the published snapshot and the push accounting as
+// of one instant under the commit lock — a checkpoint's consistent cut.
+func (c *Core[W]) Cut() (*Lease, Tally) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.snap.Load(), c.tally
+	return c.Lease(), c.tally
 }
 
 // TaskCounts returns the admission counters (served, dropped).

@@ -31,8 +31,6 @@ type Layer interface {
 	Params() []*tensor.Tensor
 	// Grads returns the accumulated parameter gradients, aligned with Params.
 	Grads() []*tensor.Tensor
-	// ZeroGrads resets the accumulated gradients.
-	ZeroGrads()
 }
 
 // Conv2D is a 2-D convolution over CHW inputs with symmetric zero padding.
@@ -124,12 +122,6 @@ func (l *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }
 // Grads implements Layer.
 func (l *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{l.gradW, l.gradB} }
 
-// ZeroGrads implements Layer.
-func (l *Conv2D) ZeroGrads() {
-	l.gradW.Zero()
-	l.gradB.Zero()
-}
-
 // MaxPool2D is a channelwise max-pooling layer over CHW inputs.
 type MaxPool2D struct {
 	InC, InH, InW int
@@ -204,9 +196,6 @@ func (l *MaxPool2D) Params() []*tensor.Tensor { return nil }
 // Grads implements Layer.
 func (l *MaxPool2D) Grads() []*tensor.Tensor { return nil }
 
-// ZeroGrads implements Layer.
-func (l *MaxPool2D) ZeroGrads() {}
-
 // Dense is a fully connected layer y = Wx + b over flattened inputs.
 type Dense struct {
 	In, Out int
@@ -277,12 +266,6 @@ func (l *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }
 // Grads implements Layer.
 func (l *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{l.gradW, l.gradB} }
 
-// ZeroGrads implements Layer.
-func (l *Dense) ZeroGrads() {
-	l.gradW.Zero()
-	l.gradB.Zero()
-}
-
 // ReLU is an elementwise rectifier.
 type ReLU struct {
 	lastIn *tensor.Tensor
@@ -319,9 +302,6 @@ func (l *ReLU) Params() []*tensor.Tensor { return nil }
 
 // Grads implements Layer.
 func (l *ReLU) Grads() []*tensor.Tensor { return nil }
-
-// ZeroGrads implements Layer.
-func (l *ReLU) ZeroGrads() {}
 
 // heInit fills w with He-normal initialization for fan-in fanIn.
 func heInit(rng *rand.Rand, w []float64, fanIn int) {

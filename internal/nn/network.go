@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"fleet/internal/tensor"
 )
@@ -15,16 +16,48 @@ type Sample struct {
 }
 
 // Network is a feed-forward stack of layers terminated by an implicit
-// softmax/cross-entropy head.
+// softmax/cross-entropy head. Every layer's parameters live in one contiguous
+// arena and their accumulated gradients in a second one, both in layer order
+// (the order of the flat vectors that travel the wire); the layers' tensors
+// are views into them, so a write through Layers[i].Params() is a write to
+// the arena and the whole model moves with one copy.
 type Network struct {
 	Layers  []Layer
 	Classes int
+	params  []float64
+	grads   []float64
 }
 
-// NewNetwork assembles a network. classes is the size of the final layer
-// output (used by the softmax/cross-entropy head).
+// NewNetwork assembles a network, moving the layers' freshly initialized
+// parameter and gradient tensors into the network's arenas: a layer belongs
+// to one network. classes is the size of the final layer output (used by the
+// softmax/cross-entropy head).
 func NewNetwork(classes int, layers ...Layer) *Network {
-	return &Network{Layers: layers, Classes: classes}
+	n := &Network{Layers: layers, Classes: classes}
+	count := 0
+	for _, l := range layers {
+		for _, p := range l.Params() {
+			count += p.Len()
+		}
+	}
+	n.params, n.grads = make([]float64, count), make([]float64, count)
+	off := 0
+	for _, l := range layers {
+		grads := l.Grads()
+		for i, p := range l.Params() {
+			end := off + p.Len()
+			adopt(p, n.params[off:end:end])
+			adopt(grads[i], n.grads[off:end:end])
+			off = end
+		}
+	}
+	return n
+}
+
+// adopt moves t's elements into view and makes view its storage.
+func adopt(t *tensor.Tensor, view []float64) {
+	copy(view, t.Data())
+	*t = *tensor.FromSlice(view, t.Shape()...)
 }
 
 // Forward runs the network and returns the raw logits for one sample.
@@ -96,95 +129,56 @@ func (n *Network) Gradient(batch []Sample) ([]float64, float64) {
 		totalLoss += n.LossAndBackward(s)
 	}
 	inv := 1.0 / float64(len(batch))
-	grad := make([]float64, 0, n.ParamCount())
-	for _, l := range n.Layers {
-		for _, g := range l.Grads() {
-			for _, v := range g.Data() {
-				grad = append(grad, v*inv)
-			}
-		}
+	grad := make([]float64, len(n.grads))
+	for i, v := range n.grads {
+		grad[i] = v * inv
 	}
 	return grad, totalLoss * inv
 }
 
 // ZeroGrads clears accumulated gradients in all layers.
-func (n *Network) ZeroGrads() {
-	for _, l := range n.Layers {
-		l.ZeroGrads()
-	}
-}
+func (n *Network) ZeroGrads() { clear(n.grads) }
 
 // ParamCount returns the total number of trainable parameters.
-func (n *Network) ParamCount() int {
-	c := 0
-	for _, l := range n.Layers {
-		for _, p := range l.Params() {
-			c += p.Len()
-		}
-	}
-	return c
-}
+func (n *Network) ParamCount() int { return len(n.params) }
 
 // ParamVector returns a flat copy of all parameters.
-func (n *Network) ParamVector() []float64 {
-	out := make([]float64, 0, n.ParamCount())
-	for _, l := range n.Layers {
-		for _, p := range l.Params() {
-			out = append(out, p.Data()...)
-		}
-	}
-	return out
-}
+func (n *Network) ParamVector() []float64 { return slices.Clone(n.params) }
+
+// CopyParams copies all parameters into dst's storage, which is reused when
+// it is large enough and allocated (not zeroed first) otherwise, and returns
+// the filled vector: ParamVector for a caller that recycles its buffers.
+func (n *Network) CopyParams(dst []float64) []float64 { return append(dst[:0], n.params...) }
 
 // SetParams loads a flat parameter vector produced by ParamVector.
 func (n *Network) SetParams(v []float64) {
-	if len(v) != n.ParamCount() {
-		panic(fmt.Sprintf("nn: SetParams got %d values, want %d", len(v), n.ParamCount()))
+	if len(v) != len(n.params) {
+		panic(fmt.Sprintf("nn: SetParams got %d values, want %d", len(v), len(n.params)))
 	}
-	off := 0
-	for _, l := range n.Layers {
-		for _, p := range l.Params() {
-			copy(p.Data(), v[off:off+p.Len()])
-			off += p.Len()
-		}
-	}
+	copy(n.params, v)
 }
 
 // ApplyGradient performs an in-place SGD step: params -= lr * grad.
 func (n *Network) ApplyGradient(grad []float64, lr float64) {
-	if len(grad) != n.ParamCount() {
-		panic(fmt.Sprintf("nn: ApplyGradient got %d values, want %d", len(grad), n.ParamCount()))
+	if len(grad) != len(n.params) {
+		panic(fmt.Sprintf("nn: ApplyGradient got %d values, want %d", len(grad), len(n.params)))
 	}
-	off := 0
-	for _, l := range n.Layers {
-		for _, p := range l.Params() {
-			d := p.Data()
-			for i := range d {
-				d[i] -= lr * grad[off+i]
-			}
-			off += p.Len()
-		}
+	for i, g := range grad {
+		n.params[i] -= lr * g
 	}
 }
 
-// ApplyGradientAt is ApplyGradient restricted to the ascending coordinate
-// list idx: params[i] -= lr * grad[i] for i in idx, at O(len(idx)) instead
-// of O(params). Where grad is +0 off the list and lr is finite and positive
-// the result is bit-for-bit ApplyGradient's: x − (+0) is x for every x. (A
+// ApplyGradientAt is ApplyGradient restricted to the coordinate list idx:
+// params[i] -= lr * grad[i] for i in idx, at O(len(idx)) instead of
+// O(params). Where grad is +0 off the list and lr is finite and positive the
+// result is bit-for-bit ApplyGradient's: x − (+0) is x for every x. (A
 // negative lr would make the skipped term −0, and −0 − (−0) is +0.)
 func (n *Network) ApplyGradientAt(idx []int32, grad []float64, lr float64) {
-	if len(grad) != n.ParamCount() {
-		panic(fmt.Sprintf("nn: ApplyGradientAt got %d values, want %d", len(grad), n.ParamCount()))
+	if len(grad) != len(n.params) {
+		panic(fmt.Sprintf("nn: ApplyGradientAt got %d values, want %d", len(grad), len(n.params)))
 	}
-	off, k := 0, 0
-	for _, l := range n.Layers {
-		for _, p := range l.Params() {
-			d := p.Data()
-			for ; k < len(idx) && int(idx[k]) < off+len(d); k++ {
-				d[int(idx[k])-off] -= lr * grad[idx[k]]
-			}
-			off += len(d)
-		}
+	for _, i := range idx {
+		n.params[i] -= lr * grad[i]
 	}
 }
 

@@ -168,3 +168,128 @@ func TestServingUnitsAreCompiledOnce(t *testing.T) {
 		t.Fatalf("walking %s: %v", root, err)
 	}
 }
+
+// TestSnapshotStorageIsReachedThroughALeaseOnly keeps the proof that a
+// recycled buffer is unread the compiler's: a snapshot's parameter storage is
+// an unexported field of internal/ingest, and the only exported ways to a
+// []float64 there are a counted read (Lease.Params), the publisher's next
+// buffer (Core.Buffer, Core.Patched) and, inside RequestTask, a reply that
+// either passes its count to the caller's service.Lease or marks the snapshot
+// escaped. A new exported accessor, an exported slice field on Snapshot, or a
+// snapshot built by hand outside the package would let storage out uncounted.
+func TestSnapshotStorageIsReachedThroughALeaseOnly(t *testing.T) {
+	root := filepath.Join("..", "..")
+	raw, err := os.ReadFile(filepath.Join(root, "internal", "ingest", "ingest.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(raw)
+	allowed := map[string]bool{
+		"func (l *Lease) Params() []float64":                               true,
+		"func (c *Core[W]) Buffer() (buf []float64)":                       true,
+		"func (c *Core[W]) Patched(d *compress.Sparse) ([]float64, error)": true,
+	}
+	exported := regexp.MustCompile(`^func (\([^)]*\) )?[A-Z]\w*(\[[^\]]*\])?\([^)]*\) [^{]*\[\]float64[^{]*`)
+	for _, line := range strings.Split(src, "\n") {
+		if sig := strings.TrimSpace(exported.FindString(line)); sig != "" && !allowed[sig] {
+			t.Errorf("internal/ingest exports a new way to parameter storage: %s", sig)
+		}
+	}
+	decl := regexp.MustCompile(`(?s)type Snapshot struct \{(.*?)\n\}`).FindStringSubmatch(src)
+	if decl == nil {
+		t.Fatal("internal/ingest/ingest.go no longer declares type Snapshot struct")
+	}
+	if m := regexp.MustCompile(`(?m)^\t[A-Z]\w*\s+(\[\]|\*|map\[)`).FindString(decl[1]); m != "" {
+		t.Errorf("ingest.Snapshot has an exported field that shares storage: %q", strings.TrimSpace(m))
+	}
+	if n := strings.Count(src, "held.keep()"); n != 1 || !strings.Contains(src, "l.Hold(held)") {
+		t.Errorf("RequestTask no longer hands a full pull's storage out as exactly one of: a held lease, an escaped snapshot")
+	}
+	byHand := regexp.MustCompile(`[^*\]]ingest\.(Snapshot|Lease)\{`) // a composite literal, not a []*T{...} of them
+	err = filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		if info.IsDir() {
+			if rel == ".git" || rel == "internal/ingest" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if byHand.Match(raw) {
+			t.Errorf("%s builds an ingest snapshot by hand: only ingest.Core publishes them", rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking %s: %v", root, err)
+	}
+}
+
+// TestForwardedTaskCallsKeepOrPassThrough: a service.Lease rides in the
+// context, so a Service that calls another under its caller's context hands
+// the lease on with it. That is right for a layer that only passes the reply
+// back up (the endpoint releases after encoding it) and wrong for one that
+// keeps the reply — a cache, an edge: the endpoint would release storage the
+// keeper still serves from. Every non-test RequestTask call therefore either
+// names a context that cannot carry its caller's lease (service.Keeping, a
+// fresh context) or is one of the pass-throughs listed here. A new forwarder
+// fails this test until it says which it is.
+func TestForwardedTaskCallsKeepOrPassThrough(t *testing.T) {
+	passThrough := map[string]string{
+		"internal/service/call.go":    "svc.RequestTask(ctx, &req)",                                      // the endpoint itself: encodes the reply, then its caller releases
+		"internal/service/service.go": "a.next.RequestTask(ctx, req)",                                    // Around: the reply goes back up through the hook
+		"internal/server/server.go":   "s.core.RequestTask(ctx, req)",                                    // a node answering from its own core
+		"internal/aggtree/node.go":    "n.core.RequestTask(ctx, req)",                                    // likewise
+		"internal/loadgen/runner.go":  "s.get().RequestTask(ctx, req)",                                   // swapService returns what it gets
+		"internal/loadgen/tenants.go": "c.inner.RequestTask(service.WithCredentials(ctx, c.creds), req)", // credClient likewise
+		"internal/worker/worker.go":   "svc.RequestTask(ctx, &req)",                                      // a worker is the caller: the context is its own
+	}
+	call := regexp.MustCompile(`[\w.()]+\.RequestTask\(.*\)`)
+	leaseFree := regexp.MustCompile(`\.RequestTask\((service\.Keeping\(|context\.(Background|TODO)\(\))`)
+	root := filepath.Join("..", "..")
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		if info.IsDir() {
+			// bench/perf is a module of its own: a client of the wire, never between an endpoint and a core.
+			if rel == ".git" || rel == "bench" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			if idx := strings.Index(line, "//"); idx >= 0 {
+				line = line[:idx]
+			}
+			for _, site := range call.FindAllString(line, -1) {
+				if leaseFree.MatchString(site) || passThrough[rel] != "" && strings.Contains(site, passThrough[rel]) {
+					continue
+				}
+				t.Errorf("%s:%d: %s forwards its caller's context, and any service.Lease in it: call under service.Keeping(ctx) if the reply is kept past the call, or list the site here if it is only passed back up",
+					rel, i+1, site)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking %s: %v", root, err)
+	}
+}

@@ -585,7 +585,9 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := s.core.Snapshot().Delta(version - 1); d != nil {
+		// Every lease this test takes is kept: what it compares against must
+		// not be recycled under it.
+		if d := s.core.Lease().Delta(version - 1); d != nil {
 			t.Fatalf("restored server serves a delta from v%d before any drain", version-1)
 		}
 
@@ -619,7 +621,7 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 			return p
 		}
 
-		served := []*ingest.Snapshot{s.core.Snapshot()} // every snapshot of this incarnation
+		served := []*ingest.Lease{s.core.Lease()} // every snapshot of this incarnation
 		var last [2]*protocol.GradientPush
 		for w := 0; w < 60; w++ {
 			var window [2]*protocol.GradientPush
@@ -654,19 +656,19 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			snap := s.core.Snapshot()
+			snap := s.core.Lease()
 			served = append(served, snap)
 			if resp := <-raced; resp != nil {
 				target := served[resp.ModelVersion-version]
 				got := resp.Params
 				if resp.ParamsDelta != nil {
-					got = append([]float64(nil), racer.Params...)
+					got = append([]float64(nil), racer.Params()...)
 					if err := resp.ParamsDelta.Patch(got); err != nil {
 						t.Fatal(err)
 					}
 				}
-				for i := range target.Params {
-					if math.Float64bits(got[i]) != math.Float64bits(target.Params[i]) {
+				for i := range target.Params() {
+					if math.Float64bits(got[i]) != math.Float64bits(target.Params()[i]) {
 						t.Fatalf("depth %d window %d: pull from v%d racing the drain does not reconstruct v%d at %d",
 							depth, w, racer.Version, target.Version, i)
 					}
@@ -682,7 +684,7 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 				bases = bases[len(bases)-depth:]
 			}
 			for _, b := range bases {
-				d, ok := compress.Diff(b.Params, snap.Params, s.paramCount/2)
+				d, ok := compress.Diff(b.Params(), snap.Params(), s.paramCount/2)
 				got := snap.Delta(b.Version)
 				if ok != (got != nil) {
 					t.Fatalf("depth %d window %d base v%d: Diff ok=%v, published=%v", depth, w, b.Version, ok, got != nil)

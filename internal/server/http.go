@@ -91,6 +91,11 @@ func (e *Endpoint) Serve(ctx context.Context, w http.ResponseWriter, r *http.Req
 	body := &countingBody{r: http.MaxBytesReader(w, r.Body, MaxRequestBytes)}
 	cw := &countingWriter{ResponseWriter: w}
 	w.Header().Set("Content-Type", codec.ContentType())
+	if op == service.OpTask {
+		lease := &service.Lease{Context: ctx} // encoded into w before Call returns: a full pull only borrows
+		defer lease.Release()
+		ctx = lease
+	}
 	err = service.Call(ctx, e.svc, op, codec, body, cw)
 	e.tally.add(codec.ContentType(), body.n, cw.n)
 	switch {

@@ -300,7 +300,10 @@ func TestStaleCheckpointWriteSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The delayed writer from an earlier drain finally runs.
-	s.saveState(s.captureState(&ingest.Snapshot{Version: 1, Params: s.core.Snapshot().Params}, ingest.Tally{}))
+	held := s.core.Lease()
+	stale := s.captureState(held, ingest.Tally{})
+	stale.Version = 1
+	s.saveState(stale, held)
 	st, _, err := persist.LoadLatest(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -24,6 +24,7 @@ package server
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -213,9 +214,9 @@ type Server struct {
 // the periodic cadence fell due, checkpoint the cut taken with it — the
 // model-critical slice of a checkpoint, captured atomically under the commit
 // lock: version, params and push accounting move together. The params are
-// the snapshot's immutable storage, so the capture is O(1).
+// the snapshot's own storage under a lease, so the capture is O(1).
 type drained struct {
-	snap    *ingest.Snapshot
+	snap    *ingest.Lease
 	tally   ingest.Tally
 	ckptDue bool
 }
@@ -226,9 +227,10 @@ type drained struct {
 // state is captured on the push goroutine at enqueue time — capturing at
 // write time would snapshot AdaSGD/label/profiler state that later pushes
 // already advanced, making the durable bytes timing-dependent and breaking
-// replayable restarts.
+// replayable restarts. Its Params are snap's, released once written.
 type ckptReq struct {
 	st      *persist.State
+	snap    *ingest.Lease
 	barrier chan struct{}
 }
 
@@ -317,7 +319,7 @@ func (s *Server) ckptWriter() {
 	defer close(s.ckptDone)
 	serve := func(req ckptReq) {
 		if req.st != nil {
-			s.saveState(req.st)
+			s.saveState(req.st, req.snap)
 		}
 		if req.barrier != nil {
 			close(req.barrier)
@@ -340,15 +342,15 @@ func (s *Server) ckptWriter() {
 	}
 }
 
-// enqueueCheckpoint hands a captured state to the background writer. The
-// queue is small and the send blocks when it is full — backpressure, never
-// dropped durability. A push racing Close (the writer already gone) falls
-// back to writing synchronously, preserving the pre-Close guarantee.
-func (s *Server) enqueueCheckpoint(st *persist.State) {
+// enqueueCheckpoint hands a captured state and the lease on its Params to
+// the background writer. The queue is small and the send blocks when full —
+// backpressure, never dropped durability. A push racing Close (the writer
+// already gone) writes synchronously, preserving the pre-Close guarantee.
+func (s *Server) enqueueCheckpoint(st *persist.State, snap *ingest.Lease) {
 	select {
-	case s.ckptQ <- ckptReq{st: st}:
+	case s.ckptQ <- ckptReq{st: st, snap: snap}:
 	case <-s.ckptDone:
-		s.saveState(st)
+		s.saveState(st, snap)
 	}
 }
 
@@ -414,8 +416,10 @@ func (s *Server) OnSnapshot(fn func(protocol.ModelAnnounce)) {
 // server-validated windows.
 //
 // This is also where most of the cost of the lock-free pull path lives,
-// paid once per K-window: one ParamVector copy for the new snapshot and one
-// v−1→v step delta (a diff of the two vectors, or of the coordinates a
+// paid once per K-window: one copy of the model's arena into storage the
+// core recycled from a snapshot nothing reads any more (allocated, unzeroed,
+// only while none is free: warm-up, or every snapshot escaped in process) and
+// one v−1→v step delta (a diff of the two vectors, or of the coordinates a
 // window of sparse pushes touched). The delta from an older history entry
 // is not taken here: the first pull that names that base composes it, off
 // this lock, by a merge over only the coordinates that moved
@@ -433,12 +437,13 @@ func (k *rootSink) CloseWindow(tally ingest.Tally) (drained, error) {
 			s.model.ApplyGradientAt(at, direction, s.cfg.LearningRate)
 		}
 	})
-	d := drained{snap: s.core.Advance(s.core.Snapshot().Version+1, s.model.ParamVector(), touched), tally: tally}
+	s.core.Advance(s.core.Snapshot().Version+1, s.model.CopyParams(s.core.Buffer()), touched)
+	d := drained{snap: s.core.Lease(), tally: tally} // the one just published
 
 	// Periodic crash safety: every CheckpointEvery-th window schedules a
 	// durable snapshot. Only the O(1) core capture happens here (params
-	// shares the just-published immutable storage); the push that drained
-	// hands it to the writer after the commit lock is released.
+	// shares the just-published storage, under d's lease); the push that
+	// drained hands it to the writer after the commit lock is released.
 	if s.cfg.Checkpointer != nil && s.cfg.CheckpointEvery > 0 {
 		s.windowsSinceCkpt++
 		if s.windowsSinceCkpt >= s.cfg.CheckpointEvery {
@@ -451,20 +456,20 @@ func (k *rootSink) CloseWindow(tally ingest.Tally) (drained, error) {
 
 // Deliver is the draining push's work outside the commit lock, in this
 // order before its ack returns: the snapshot-publish notification, then the
-// checkpoint the drain scheduled.
-func (k *rootSink) Deliver(_ context.Context, d drained) {
+// checkpoint the drain scheduled, which takes over the snapshot's lease.
+func (k *rootSink) Deliver(_ context.Context, d drained, committed int) int {
 	s := (*Server)(k)
 	if d.snap == nil {
-		return
+		return committed
 	}
 	if fn := s.snapHook.Load(); fn != nil {
-		ann := d.snap.Announce(d.snap.Version - 1)
+		ann := (*ingest.Snapshot)(d.snap).Announce(d.snap.Version - 1)
 		if ann.Delta == nil && s.cfg.F16Announce {
 			// No exact delta retained (dense-gradient deployments hit
 			// Diff's half-vector bound every window): attach the full
 			// model in half precision so subscribers still absorb the
 			// announce instead of falling back to a delta-less ping.
-			ann.ParamsF16 = compress.PackF16(d.snap.Params)
+			ann.ParamsF16 = compress.PackF16(d.snap.Params())
 		}
 		(*fn)(ann)
 	}
@@ -472,8 +477,11 @@ func (k *rootSink) Deliver(_ context.Context, d drained) {
 		// The full state is captured here, on the push goroutine with the
 		// commit lock already released, and only the encode+fsync is
 		// deferred to the background writer.
-		s.enqueueCheckpoint(s.captureState(d.snap, d.tally))
+		s.enqueueCheckpoint(s.captureState(d.snap, d.tally), d.snap)
+	} else {
+		d.snap.Release()
 	}
+	return committed
 }
 
 // captureState assembles the full persist.State around a captured cut. The
@@ -481,13 +489,13 @@ func (k *rootSink) Deliver(_ context.Context, d drained) {
 // themselves under their own locks, so they may trail the core by the few
 // pushes that landed since the drain — they tune scaling heuristics, not
 // model correctness (see persist.State).
-func (s *Server) captureState(snap *ingest.Snapshot, tally ingest.Tally) *persist.State {
+func (s *Server) captureState(snap *ingest.Lease, tally ingest.Tally) *persist.State {
 	served, dropped := s.core.TaskCounts()
 	st := &persist.State{
 		Arch:          s.cfg.Arch.String(),
 		Epoch:         s.epoch,
 		Version:       snap.Version,
-		Params:        snap.Params,
+		Params:        snap.Params(),
 		GradientsIn:   tally.GradientsIn,
 		LeafGradients: tally.LeafGradients,
 		StaleSum:      tally.StaleSum,
@@ -509,11 +517,12 @@ func (s *Server) captureState(snap *ingest.Snapshot, tally ingest.Tally) *persis
 	return st
 }
 
-// saveState persists one captured state; failures are counted (and visible
-// in Stats.CheckpointErrors), never propagated onto the push path. A state
-// older than what is already durable is dropped: writing it would register
-// as the newest checkpoint and roll a future restore backwards.
-func (s *Server) saveState(st *persist.State) {
+// saveState persists one captured state and releases the lease on its
+// Params; failures are counted (Stats.CheckpointErrors), never propagated
+// onto the push path. A state older than what is already durable is dropped:
+// written, it would be the newest checkpoint and roll a restore backwards.
+func (s *Server) saveState(st *persist.State, snap *ingest.Lease) {
+	defer snap.Release()
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	if st.Version < s.ckptVersion {
@@ -542,6 +551,7 @@ func (s *Server) Checkpoint() (string, error) {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	snap, tally := s.core.Cut()
+	defer snap.Release()
 	path, err := s.cfg.Checkpointer.Save(s.captureState(snap, tally))
 	if err != nil {
 		s.ckptErrors.Add(1)
@@ -656,10 +666,9 @@ func (s *Server) Stats(ctx context.Context) (*protocol.Stats, error) {
 // Model returns a copy of the current global parameters and their version,
 // served lock-free from the published snapshot.
 func (s *Server) Model() ([]float64, int) {
-	snap := s.core.Snapshot()
-	out := make([]float64, len(snap.Params))
-	copy(out, snap.Params)
-	return out, snap.Version
+	snap := s.core.Lease()
+	defer snap.Release()
+	return slices.Clone(snap.Params()), snap.Version
 }
 
 // Evaluate computes test accuracy of the current global model. The provided

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
@@ -432,27 +431,30 @@ func benchmarkPushSparse(b *testing.B, shards int, ascending bool) {
 	})
 }
 
-// benchmarkPushWindowClose measures one whole sparse window at a realistic
-// model size: the cifar100 CNN (325 k parameters), top-k 1 % uplinks, K=4,
-// DeltaHistory=4 — the bench/perf stream-tenant-sparse posture without the
-// wire. One op is four pushes, the last of which closes the window: apply,
-// snapshot copy, step diff and the composed delta history.
-func benchmarkPushWindowClose(b *testing.B) {
+// benchmarkPushWindowClose measures one whole window at a realistic model
+// size, K=4, DeltaHistory=4, without the wire: sparse is bench/perf's
+// stream-tenant-sparse posture — the cifar100 CNN (325 k parameters), top-k
+// 1 % uplinks — dense its inproc-dense one, the mnist CNN (12 k parameters)
+// under 94 KB gradients. One op is four pushes, the last of which closes the
+// window: apply, snapshot copy into recycled storage (nothing here pulls, so
+// every snapshot comes back: B/op holds no model), step diff.
+func benchmarkPushWindowClose(b *testing.B, sparse bool) {
 	ctx := context.Background()
-	s := newTestServer(b, Config{K: 4, Arch: nn.ArchCIFAR100})
-	rng := simrand.New(1)
-	k := s.paramCount / 100
-	pool := make([]*protocol.GradientPush, 16)
-	for p := range pool {
-		picked := rng.Perm(s.paramCount)[:k]
-		sort.Ints(picked)
-		idx, vals := make([]int32, k), make([]float64, k)
-		for i, c := range picked {
-			idx[i], vals[i] = int32(c), rng.NormFloat64()*1e-3
-		}
-		pool[p] = &protocol.GradientPush{
-			GradientLen: s.paramCount, SparseIndices: idx, SparseValues: vals,
-			BatchSize: 10, LabelCounts: make([]int, s.classes),
+	var s *Server
+	var pool []*protocol.GradientPush
+	if sparse {
+		s = newTestServer(b, Config{K: 4, Arch: nn.ArchCIFAR100})
+		pool = sparsePool(s)
+	} else {
+		s = newTestServer(b, Config{K: 4, Arch: nn.ArchMNIST})
+		rng := simrand.New(1)
+		pool = make([]*protocol.GradientPush, 16)
+		for p := range pool {
+			grad := make([]float64, s.paramCount)
+			for i := range grad {
+				grad[i] = rng.NormFloat64() * 1e-3
+			}
+			pool[p] = &protocol.GradientPush{Gradient: grad, BatchSize: 10, LabelCounts: make([]int, s.classes)}
 		}
 	}
 	push := func(i int) {
@@ -473,7 +475,8 @@ func benchmarkPushWindowClose(b *testing.B) {
 }
 
 func BenchmarkPushGradient(b *testing.B) {
-	b.Run("sparse-window-close", benchmarkPushWindowClose)
+	b.Run("sparse-window-close", func(b *testing.B) { benchmarkPushWindowClose(b, true) })
+	b.Run("dense-window-close", func(b *testing.B) { benchmarkPushWindowClose(b, false) })
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { benchmarkPush(b, shards) })
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -125,8 +126,10 @@ func (c *Client) Connected() bool {
 // Close tears the session down (a final goaway tells the server this is
 // deliberate) and returns once its read and heartbeat loops have exited, so
 // nothing of it still runs afterwards; calls in flight fail with
-// unavailable. Do not call it from OnAnnounce, which the read loop runs.
-// The client remains usable: the next call dials fresh.
+// unavailable. The client remains usable: the next call dials fresh.
+// Calling it from OnAnnounce is a misuse (it would wait for its own caller,
+// the read loop): that session is closed, not waited for, and Close returns
+// an internal error. From any other goroutine it waits out a running callback.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	sessions := c.retired
@@ -135,12 +138,25 @@ func (c *Client) Close() error {
 	}
 	c.sess, c.retired = nil, nil
 	c.mu.Unlock()
+	var err error
 	for _, sess := range sessions {
 		sess.sendGoAway("client closing")
 		sess.fail(protocol.Errorf(protocol.CodeUnavailable, "stream: client closed session"))
+		if sess.reader.Load() == goroutineID() {
+			err = protocol.Errorf(protocol.CodeInternal, "stream: Close called from OnAnnounce: session closed, its read loop (the caller) not waited for")
+			continue
+		}
 		sess.loops.Wait()
 	}
-	return nil
+	return err
+}
+
+// goroutineID reads the caller's id off its stack header ("goroutine 12 ["),
+// as x/net/http2's goroutine lock does; 0 if the header does not parse.
+func goroutineID() (id uint64) {
+	var buf [64]byte
+	_, _ = fmt.Sscanf(string(buf[:runtime.Stack(buf[:], false)]), "goroutine %d ", &id)
+	return id
 }
 
 // TakeAnnounces returns (and clears) the pending consecutive delta chain:
@@ -450,6 +466,7 @@ type clientSession struct {
 	done     chan struct{}
 	once     sync.Once
 	loops    sync.WaitGroup // the read and heartbeat loops
+	reader   atomic.Uint64  // the read loop's goroutineID, 0 until it runs
 }
 
 // register allocates a correlation ID and its response channel; it fails
@@ -527,6 +544,7 @@ func (s *clientSession) dead() bool {
 // reuses; a response's payload is handed to its call and so allocated.
 func (s *clientSession) readLoop() {
 	defer s.loops.Done()
+	s.reader.Store(goroutineID())
 	var scratch []byte
 	for {
 		f, n, err := readHeader(s.br)

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,28 +24,44 @@ import (
 
 // TestFullPullsRaceWindowCloses: a full pull leaves the server as a vectored
 // write over the published snapshot's own storage and is decoded off the
-// socket at the client, while pushes keep closing windows. 64 cold pulls on
-// four sessions race 200 drains; every response must be, bit for bit, the
-// version it names — never a model torn between two.
+// socket at the client, while pushes keep closing windows. Cold pulls on four
+// sessions race the drains; every response must be, bit for bit, the version
+// it names — never a model torn between two, and never one whose storage the
+// server recycled into a later snapshot before the write returned: at depth 1
+// a snapshot's storage is back in use three windows after it was published,
+// and the pullers keep pulling for as long as windows close.
 func TestFullPullsRaceWindowCloses(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		depth, drains, pulls int // pulls: at least this many per puller
+	}{
+		{"default-history", 0, 200, 16},
+		{"recycling", 1, 400, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) { fullPullsRaceWindowCloses(t, tc.depth, tc.drains, tc.pulls) })
+	}
+}
+
+func fullPullsRaceWindowCloses(t *testing.T, depth, drains, pullsEach int) {
 	ctx := context.Background()
 	// ArchMNIST is 94 KB of parameters: past both the encoder's split size
 	// and the client's direct-decode size.
-	srv := newCore(t, server.Config{Arch: nn.ArchMNIST, Algorithm: learning.SSGD{}, K: 1, LearningRate: 0.05})
+	srv := newCore(t, server.Config{Arch: nn.ArchMNIST, Algorithm: learning.SSGD{}, K: 1, LearningRate: 0.05, DeltaHistory: depth})
 	_, addr := startStream(t, srv, Options{})
 	boot, _ := srv.Model()
 	if 8*len(boot) < directDecodeBytes {
 		t.Fatalf("model of %d parameters does not reach the direct-decode path", len(boot))
 	}
 
-	const drains, pullers, pullsEach = 200, 4, 16
-	published := make([][]float64, drains+1) // by version; written by the pusher only
-	published[0] = boot
+	const pullers = 4
+	published := make([]uint64, drains+1) // hash by version; written by the pusher only
+	published[0] = hashParams(boot)
 	type pulled struct {
 		version int
-		params  []float64
+		hash    uint64
 	}
-	results := make(chan pulled, pullers*pullsEach)
+	results := make([][]pulled, pullers)
+	pushing := make(chan struct{})
 	var wg sync.WaitGroup
 	for p := 0; p < pullers; p++ {
 		wg.Add(1)
@@ -51,13 +69,20 @@ func TestFullPullsRaceWindowCloses(t *testing.T) {
 			defer wg.Done()
 			c := &Client{Addr: addr, WorkerID: 10 + p, Codec: protocol.Flat, PingInterval: -1}
 			defer func() { _ = c.Close() }()
-			for i := 0; i < pullsEach; i++ {
+			for i := 0; ; i++ {
+				if i >= pullsEach {
+					select {
+					case <-pushing:
+						return
+					default:
+					}
+				}
 				resp, err := c.RequestTask(ctx, &protocol.TaskRequest{WorkerID: 10 + p, LabelCounts: []int{1}})
-				if err != nil || !resp.Accepted || !resp.Full {
+				if err != nil || !resp.Accepted || !resp.Full || len(resp.Params) != len(boot) {
 					t.Errorf("puller %d pull %d: %v (%+v)", p, i, err, resp)
 					return
 				}
-				results <- pulled{resp.ModelVersion, resp.Params}
+				results[p] = append(results[p], pulled{resp.ModelVersion, hashParams(resp.Params)})
 			}
 		}()
 	}
@@ -72,25 +97,131 @@ func TestFullPullsRaceWindowCloses(t *testing.T) {
 		if err != nil || ack.NewVersion != v {
 			t.Fatalf("push %d: %v (%+v)", v, err, ack)
 		}
-		published[v], _ = srv.Model()
+		params, _ := srv.Model()
+		published[v] = hashParams(params)
 	}
+	close(pushing)
 	wg.Wait()
-	close(results)
-	seen := map[int]bool{}
-	for r := range results {
-		want := published[r.version]
-		if len(r.params) != len(want) {
-			t.Fatalf("pull of v%d: %d params, want %d", r.version, len(r.params), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(r.params[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("pull of v%d differs from the published version at coordinate %d", r.version, i)
+	seen, pulls := map[int]bool{}, 0
+	for _, rs := range results {
+		for _, r := range rs {
+			if r.hash != published[r.version] {
+				t.Fatalf("pull of v%d differs from the published version", r.version)
 			}
+			seen[r.version] = true
+			pulls++
 		}
-		seen[r.version] = true
 	}
 	if len(seen) < 2 {
-		t.Logf("all pulls were served from %d version(s): the race did not interleave on this run", len(seen))
+		t.Logf("all %d pulls were served from %d version(s): the race did not interleave on this run", pulls, len(seen))
+	}
+}
+
+// hashParams is the FNV-1a hash of a vector's float64 bits.
+func hashParams(v []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		_, _ = h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestPeerThatNeverReadsPinsOneSnapshot: a peer asks for full pulls of a
+// 2.6 MB model and never reads a byte. The replies block in the vectored
+// write, aliasing the snapshot they were served from, which stays pinned
+// under the frames' leases; 200 windows still publish behind it, from
+// recycled storage — the heap does not grow by a model per window — and no
+// goroutine is added per window. Hanging up fails the writes and releases
+// the leases.
+func TestPeerThatNeverReadsPinsOneSnapshot(t *testing.T) {
+	ctx := context.Background()
+	srv := newCore(t, server.Config{Arch: nn.ArchCIFAR100, Algorithm: learning.SSGD{}, K: 1, LearningRate: 0.05, DeltaHistory: 1})
+	ss, addr := startStream(t, srv, Options{})
+	params, _ := srv.Model()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	hello, _ := json.Marshal(helloPayload{WorkerID: 7, ContentType: protocol.ContentTypeFlat})
+	if err := writeFrame(conn, frame{typ: fHello, corr: 1, payload: hello}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := readFrame(conn); err != nil || f.typ != fWelcome {
+		t.Fatalf("handshake: %+v, %v", f, err)
+	}
+	var req bytes.Buffer
+	if err := protocol.Flat.Encode(&req, &protocol.TaskRequest{WorkerID: 7, LabelCounts: []int{1}}); err != nil {
+		t.Fatal(err)
+	}
+	// Far more than the loopback socket buffers hold: a write must block.
+	for corr := uint32(2); corr < 10; corr++ {
+		if err := writeFrame(conn, frame{typ: fTask, corr: corr, payload: req.Bytes()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stuck *session
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		ss.mu.Lock()
+		for sess := range ss.sessions {
+			stuck = sess
+		}
+		ss.mu.Unlock()
+		if stuck != nil && !stuck.writeMu.TryLock() {
+			break // a reply is in its write and not getting out
+		} else if stuck != nil {
+			stuck.writeMu.Unlock()
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no reply ever blocked on the unread connection")
+		}
+	}
+
+	pusher := &Client{Addr: addr, WorkerID: 1, Codec: protocol.Flat, PingInterval: -1}
+	defer func() { _ = pusher.Close() }()
+	window := func(v int) {
+		t.Helper()
+		ack, err := pusher.PushGradient(ctx, &protocol.GradientPush{
+			WorkerID: 1, ModelVersion: v - 1, BatchSize: 1, LabelCounts: make([]int, 100),
+			GradientLen: len(params), SparseIndices: []int32{int32(v), int32(len(params) - 1)},
+			SparseValues: []float64{float64(v), 0.5},
+		})
+		if err != nil || ack.NewVersion != v {
+			t.Fatalf("window %d behind the stuck peer: %v (%+v)", v, err, ack)
+		}
+	}
+	measure := func() (heap uint64, goroutines int) {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapInuse, runtime.NumGoroutine()
+	}
+	for v := 1; v <= 20; v++ { // warm: the pinned snapshot has fallen off, buffers cycle
+		window(v)
+	}
+	heap0, gor0 := measure()
+	for v := 21; v <= 220; v++ {
+		window(v)
+	}
+	heap1, gor1 := measure()
+	if model := uint64(8 * len(params)); heap1 > heap0+4*model {
+		t.Fatalf("heap in use grew %d KB over 200 windows behind a stuck peer (a model is %d KB)", (heap1-heap0)>>10, model>>10)
+	}
+	// The handler that wrote the last ack may still be on its way out.
+	for wait := time.Now().Add(2 * time.Second); gor1 > gor0 && time.Now().Before(wait); time.Sleep(5 * time.Millisecond) {
+		gor1 = runtime.NumGoroutine()
+	}
+	if gor1 > gor0 {
+		t.Fatalf("goroutines grew from %d to %d over 200 windows behind a stuck peer", gor0, gor1)
+	}
+	// A fresh full pull is the current model, whatever the stuck frames alias.
+	resp, err := pusher.RequestTask(ctx, &protocol.TaskRequest{WorkerID: 1, LabelCounts: make([]int, 100)})
+	want, _ := srv.Model()
+	if err != nil || !resp.Full || hashParams(resp.Params) != hashParams(want) {
+		t.Fatalf("pull behind the stuck peer: %v", err)
 	}
 }
 

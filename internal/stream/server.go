@@ -434,9 +434,10 @@ func (s *Server) armIdleDeadline(conn net.Conn) {
 // HTTP transport serves through too — and writes the encoded reply (or a
 // structured error) under the frame's correlation ID. The reply is encoded
 // into the outgoing frame itself, which keeps the arrays of a reply served
-// from a model snapshot by reference (snapshots are immutable): a full pull
-// leaves as frame header, head, model, tail in one vectored write, the
-// model bytes never copied in user space. A payload that fails to decode
+// from a model snapshot by reference: a full pull leaves as frame header,
+// head, model, tail in one vectored write, the model bytes never copied in
+// user space, under a lease released once the write is done or has failed
+// (a peer that never reads pins that one snapshot). A payload that fails to decode
 // only fails this request — frame boundaries are length-delimited, so the
 // session survives.
 func (sess *session) handle(f frame) {
@@ -449,7 +450,13 @@ func (sess *session) handle(f frame) {
 	}
 	out := newFrameOut()
 	defer out.release()
-	if err := service.Call(sess.callCtx(), sess.svc, op, sess.codec, bytes.NewReader(f.payload), out); err != nil {
+	ctx := sess.callCtx()
+	if op == service.OpTask {
+		lease := &service.Lease{Context: ctx} // never pooled: what a call derives from its context may outlive it
+		defer lease.Release()
+		ctx = lease
+	}
+	if err := service.Call(ctx, sess.svc, op, sess.codec, bytes.NewReader(f.payload), out); err != nil {
 		sess.writeError(f.corr, err)
 		return
 	}

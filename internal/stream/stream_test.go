@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -563,5 +564,86 @@ func TestResyncOverStream(t *testing.T) {
 	}
 	if got := c.Dials(); got != 1 {
 		t.Fatalf("dials = %d, want 1 (resync must not need a reconnect)", got)
+	}
+}
+
+// TestCloseFromOnAnnounceIsAnError: Close waits for the read loop, and the
+// read loop runs OnAnnounce, so a Close from the callback would wait for
+// itself. It closes the session, does not wait, and says so.
+func TestCloseFromOnAnnounceIsAnError(t *testing.T) {
+	srv := newCore(t, server.Config{K: 1})
+	ss, addr := startStream(t, srv, Options{})
+	srv.OnSnapshot(ss.Broadcast)
+	closed := make(chan error, 1)
+	var c *Client
+	c = &Client{Addr: addr, WorkerID: 1, Subscribe: true, PingInterval: -1,
+		OnAnnounce: func(protocol.ModelAnnounce) { closed <- c.Close() }}
+	ctx := context.Background()
+	if _, err := c.Stats(ctx); err != nil { // dial and subscribe
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	sess := c.sess
+	c.mu.Unlock()
+	w := newTestWorker(t, 2)
+	if _, err := w.Step(ctx, srv); err != nil { // closes a window: one announce
+		t.Fatal(err)
+	}
+	select {
+	case err := <-closed:
+		if !protocol.IsCode(err, protocol.CodeInternal) {
+			t.Fatalf("Close from OnAnnounce: %v, want an internal error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close from OnAnnounce never returned")
+	}
+	sess.loops.Wait() // the read loop exits once the callback has returned
+	if c.Connected() {
+		t.Fatal("the session survived the Close")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close with no session: %v", err)
+	}
+}
+
+// TestCloseDuringOnAnnounceStillWaits: a Close from another goroutine that
+// lands while the read loop is inside OnAnnounce is no misuse. It keeps
+// Close's contract: it returns nil, and only once the callback has returned
+// and the session's loops have exited.
+func TestCloseDuringOnAnnounceStillWaits(t *testing.T) {
+	srv := newCore(t, server.Config{K: 1})
+	ss, addr := startStream(t, srv, Options{})
+	srv.OnSnapshot(ss.Broadcast)
+	inCallback, letGo := make(chan struct{}), make(chan struct{})
+	var returned atomic.Bool
+	c := &Client{Addr: addr, WorkerID: 1, Subscribe: true, PingInterval: -1,
+		OnAnnounce: func(protocol.ModelAnnounce) {
+			close(inCallback)
+			<-letGo
+			returned.Store(true)
+		}}
+	ctx := context.Background()
+	if _, err := c.Stats(ctx); err != nil { // dial and subscribe
+		t.Fatal(err)
+	}
+	if _, err := newTestWorker(t, 2).Step(ctx, srv); err != nil { // closes a window: one announce
+		t.Fatal(err)
+	}
+	<-inCallback
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while OnAnnounce was still running", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(letGo)
+	select {
+	case err := <-closed:
+		if err != nil || !returned.Load() {
+			t.Fatalf("Close: %v (callback returned: %v), want nil after the callback", err, returned.Load())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned")
 	}
 }
