@@ -10,7 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"fleet"
+	"fleet/internal/data"
+	"fleet/internal/experiments"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
 	"fleet/internal/protocol"
@@ -22,10 +23,10 @@ import (
 // headline metrics.
 func benchExperiment(b *testing.B, id string, metricKeys ...string) {
 	b.Helper()
-	var rep *fleet.ExperimentReport
+	var rep *experiments.Report
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = fleet.RunExperiment(id, fleet.ScaleCI)
+		rep, err = experiments.Run(id, experiments.ScaleCI)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func BenchmarkAblationK(b *testing.B) {
 func BenchmarkGradientMNISTCNN(b *testing.B) {
 	rng := simrand.New(1)
 	net := nn.ArchMNIST.Build(rng)
-	ds := fleet.SyntheticMNIST(2, 0.02)
+	ds := data.SyntheticMNIST(2, 0.02)
 	batch := ds.Train[:32]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -132,7 +133,7 @@ func BenchmarkGradientMNISTCNN(b *testing.B) {
 func BenchmarkGradientTinyCNN(b *testing.B) {
 	rng := simrand.New(1)
 	net := nn.ArchTinyMNIST.Build(rng)
-	ds := fleet.TinyMNIST(2, 10, 1)
+	ds := data.TinyMNIST(2, 10, 1)
 	batch := ds.Train[:32]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -78,7 +78,6 @@ func buildAgg(args []string, stderr io.Writer) (*node.Runtime, error) {
 	fs.StringVar(&spec.Bind.StreamAddr, "stream-addr", ":8091", "leaf-facing stream listen address (with -transport stream|both)")
 	fs.StringVar(&spec.Arch, "arch", "tiny-mnist", "model architecture (must match the upstream's)")
 	fs.IntVar(&spec.K, "k", 4, "leaf gradients aggregated per upstream push (the edge window)")
-	fs.IntVar(&spec.Shards, "shards", 1, "local gradient accumulator shards")
 	fs.Float64Var(&spec.NonStragglerPct, "s-pct", 99.7, "AdaSGD non-straggler percentage for the local staleness stage")
 	fs.StringVar(&spec.Stages, "stages", "staleness", "comma-separated local update-pipeline stage specs")
 	fs.StringVar(&spec.Aggregator, "aggregator", "mean", "local window-aggregation rule spec (mean, median, trimmed(b), krum(f))")

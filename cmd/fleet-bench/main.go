@@ -59,7 +59,6 @@ type benchOptions struct {
 	arch      string
 	lr        float64
 	k         int
-	shards    int
 	stages    string
 	agg       string
 	admission string
@@ -108,7 +107,6 @@ func parseBench(args []string, stderr io.Writer) (*benchOptions, error) {
 	fs.StringVar(&o.arch, "arch", "", "override the model architecture")
 	fs.Float64Var(&o.lr, "lr", 0, "override the learning rate")
 	fs.IntVar(&o.k, "k", 0, "override gradients per model update")
-	fs.IntVar(&o.shards, "shards", 0, "override accumulator shards")
 	fs.StringVar(&o.stages, "stages", "", "override the update-pipeline stage specs")
 	fs.StringVar(&o.agg, "aggregator", "", "override the window-aggregator spec")
 	fs.StringVar(&o.admission, "admission", "", "override the admission-chain spec")
@@ -183,9 +181,6 @@ func buildRunner(o *benchOptions) (*loadgen.Runner, error) {
 	}
 	if o.k > 0 {
 		sc.Server.K = o.k
-	}
-	if o.shards > 0 {
-		sc.Server.Shards = o.shards
 	}
 	if o.stages != "" {
 		sc.Server.Stages = o.stages

@@ -36,7 +36,7 @@ func TestSpecFlagsRoundTripIntoRunner(t *testing.T) {
 	o, err := parseBench([]string{
 		"-scenario", "uniform", "-seed", "99",
 		"-workers", "7", "-rounds", "3",
-		"-arch", "tiny-mnist", "-lr", "0.05", "-k", "4", "-shards", "2",
+		"-arch", "tiny-mnist", "-lr", "0.05", "-k", "4",
 		"-stages", "staleness,norm-filter(50)",
 		"-aggregator", "trimmed(1)",
 		"-admission", "min-batch(2),per-worker-quota(5,60)",
@@ -53,7 +53,7 @@ func TestSpecFlagsRoundTripIntoRunner(t *testing.T) {
 	if r.Seed != 99 || sc.Workers != 7 || sc.Rounds != 3 {
 		t.Fatalf("fleet overrides lost: seed=%d workers=%d rounds=%d", r.Seed, sc.Workers, sc.Rounds)
 	}
-	if sc.Server.Arch != "tiny-mnist" || sc.Server.LearningRate != 0.05 || sc.Server.K != 4 || sc.Server.Shards != 2 {
+	if sc.Server.Arch != "tiny-mnist" || sc.Server.LearningRate != 0.05 || sc.Server.K != 4 {
 		t.Fatalf("server overrides lost: %+v", sc.Server)
 	}
 	if sc.Server.Stages != "staleness,norm-filter(50)" || sc.Server.Aggregator != "trimmed(1)" {

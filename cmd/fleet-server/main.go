@@ -129,7 +129,6 @@ func buildServer(args []string, stderr io.Writer) (rt *node.Runtime, printOnly s
 	fs.Float64Var(&spec.MaxSimilarity, "max-similarity", 0, "controller similarity threshold (0 disables); routed through the admission registry")
 	fs.StringVar(&spec.Admission, "admission", "", "admission-policy chain spec (e.g. iprof-time(3),min-batch(5),similarity(0.9)); empty synthesizes the chain from -time-slo/-energy-slo/-min-batch/-max-similarity")
 	fs.Int64Var(&spec.Seed, "seed", 1, "model initialization seed")
-	fs.IntVar(&spec.Shards, "shards", 1, "gradient accumulator shards (striped locking; 1 = single mutex)")
 	fs.StringVar(&spec.Stages, "stages", "staleness", "comma-separated update-pipeline stage specs (e.g. staleness,norm-filter(100),dp(1,0.5))")
 	fs.StringVar(&spec.Aggregator, "aggregator", "mean", "window-aggregation rule spec (mean, median, trimmed(b), krum(f))")
 	fs.Float64Var(&spec.RateLimit, "rate-limit", 0, "per-worker request rate limit in req/s (0 disables)")

@@ -35,12 +35,12 @@ func main() {
 
 	// The update pipeline composes per-gradient stages in front of the
 	// window aggregator: AdaSGD staleness scaling, then an L2 norm filter
-	// rejecting absurd pushes, feeding the sharded mean fast path. Swap the
-	// aggregator spec for "krum(1)" (with K > 1) to make the same server
-	// Byzantine-resilient.
+	// rejecting absurd pushes, feeding the mean window (Equation 3's K-sum).
+	// Swap the aggregator spec for "krum(1)" (with K > 1) to make the same
+	// server Byzantine-resilient.
 	algo := fleet.NewAdaSGD(fleet.AdaSGDConfig{NonStragglerPct: 99.7, BootstrapSteps: 20})
 	pipe, err := fleet.BuildPipeline("staleness,norm-filter(1000)", "mean",
-		fleet.PipelineOptions{Algorithm: algo, Shards: 4, Seed: 2})
+		fleet.PipelineOptions{Algorithm: algo, Seed: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -149,8 +149,8 @@ func main() {
 	for _, w := range workers {
 		deltaPulls += w.DeltaPulls
 	}
-	fmt.Printf("done over HTTP: %d gradients in, %d tasks rejected, %d delta pulls\n",
-		stats.GradientsIn, stats.TasksRejected, deltaPulls)
+	fmt.Printf("done over HTTP: %d gradients in, %d tasks dropped, %d delta pulls\n",
+		stats.GradientsIn, stats.TasksDropped, deltaPulls)
 	// The composed pipeline and admission chain travel the wire in the
 	// stats snapshot.
 	fmt.Printf("update pipeline: %v -> %s\n", stats.PipelineStages, stats.Aggregator)

@@ -3,11 +3,16 @@ package fleet_test
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"fleet"
+	"fleet/internal/data"
 	"fleet/internal/loadgen"
+	"fleet/internal/nn"
+	"fleet/internal/protocol"
 	"fleet/internal/simrand"
 )
 
@@ -16,7 +21,7 @@ import (
 // and evaluation — the quickstart example as a test.
 func TestPublicAPIRoundTrip(t *testing.T) {
 	srv, err := fleet.NewServer(fleet.ServerConfig{
-		Arch:             fleet.ArchSoftmaxMNIST,
+		Arch:             nn.ArchSoftmaxMNIST,
 		Algorithm:        fleet.NewAdaSGD(fleet.AdaSGDConfig{NonStragglerPct: 99.7, BootstrapSteps: 10}),
 		LearningRate:     0.3,
 		DefaultBatchSize: 16,
@@ -34,7 +39,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	for i, local := range parts {
 		w, err := fleet.NewWorker(fleet.WorkerConfig{
 			ID:     i,
-			Arch:   fleet.ArchSoftmaxMNIST,
+			Arch:   nn.ArchSoftmaxMNIST,
 			Local:  local,
 			Device: fleet.NewDevice(catalogue[i], simrand.New(int64(10+i))),
 			Rng:    simrand.New(int64(20 + i)),
@@ -46,7 +51,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	eval := fleet.ArchSoftmaxMNIST.Build(simrand.New(4))
+	eval := nn.ArchSoftmaxMNIST.Build(simrand.New(4))
 	before := srv.Evaluate(eval, ds.Test)
 	for round := 0; round < 25; round++ {
 		for _, w := range workers {
@@ -76,11 +81,10 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 func TestPublicAPIInterceptorChain(t *testing.T) {
 	ctx := context.Background()
 	srv, err := fleet.NewServer(fleet.ServerConfig{
-		Arch:             fleet.ArchSoftmaxMNIST,
+		Arch:             nn.ArchSoftmaxMNIST,
 		Algorithm:        fleet.NewAdaSGD(fleet.AdaSGDConfig{NonStragglerPct: 99.7, BootstrapSteps: 5}),
 		LearningRate:     0.3,
 		DefaultBatchSize: 8,
-		Shards:           4,
 		Seed:             1,
 	})
 	if err != nil {
@@ -91,7 +95,7 @@ func TestPublicAPIInterceptorChain(t *testing.T) {
 
 	ds := fleet.TinyMNIST(2, 12, 4)
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
-		ID: 1, Arch: fleet.ArchSoftmaxMNIST, Local: ds.Train, Rng: simrand.New(3),
+		ID: 1, Arch: nn.ArchSoftmaxMNIST, Local: ds.Train, Rng: simrand.New(3),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,9 +126,9 @@ func TestPublicAPIInterceptorChain(t *testing.T) {
 
 func TestPublicAPISimulation(t *testing.T) {
 	ds := fleet.TinyMNIST(5, 24, 8)
-	users := fleet.PartitionIID(simrand.New(6), ds.Train, 8)
+	users := data.PartitionIID(simrand.New(6), ds.Train, 8)
 	res := fleet.RunAsync(fleet.AsyncConfig{
-		Arch:         fleet.ArchSoftmaxMNIST,
+		Arch:         nn.ArchSoftmaxMNIST,
 		Algorithm:    fleet.DynSGD{},
 		LearningRate: 0.3,
 		BatchSize:    16,
@@ -141,34 +145,47 @@ func TestPublicAPISimulation(t *testing.T) {
 	}
 }
 
+// TestPublicAPIDP reaches the dp stage the way the facade offers it — a
+// BuildPipeline spec — and checks it perturbs the update, replays under the
+// same seed, and is visible in the stats.
 func TestPublicAPIDP(t *testing.T) {
-	eps, err := fleet.DPEpsilon(0.01, 2.0, 100, 1e-6)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	train := func(stages string, seed int64) ([]float64, *protocol.Stats) {
+		algo := fleet.SSGD{}
+		pipe, err := fleet.BuildPipeline(stages, "mean", fleet.PipelineOptions{Algorithm: algo, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := fleet.NewServer(fleet.ServerConfig{
+			Arch: nn.ArchSoftmaxMNIST, Algorithm: algo, LearningRate: 0.1, Pipeline: pipe, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		params, _ := srv.Model()
+		grad := make([]float64, len(params))
+		grad[0] = 1
+		if _, err := srv.PushGradient(ctx, &protocol.GradientPush{Gradient: grad, BatchSize: 5, LabelCounts: []int{1}}); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := srv.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params, _ = srv.Model()
+		return params, stats
 	}
-	if eps <= 0 {
-		t.Fatalf("epsilon %v", eps)
+	plain, _ := train("staleness", 7)
+	noisy, stats := train("staleness,dp(1,0.5)", 7)
+	replay, _ := train("staleness,dp(1,0.5)", 7)
+	if !reflect.DeepEqual(noisy, replay) {
+		t.Fatal("the dp stage does not replay under the same seed")
 	}
-	sigma, err := fleet.DPSigmaFor(0.01, eps, 100, 1e-6)
-	if err != nil {
-		t.Fatal(err)
+	if reflect.DeepEqual(plain, noisy) {
+		t.Fatal("the dp stage left the update unperturbed")
 	}
-	if sigma <= 0 {
-		t.Fatalf("sigma %v", sigma)
-	}
-}
-
-func TestPublicAPIExperimentsRegistry(t *testing.T) {
-	ids := fleet.Experiments()
-	if len(ids) < 15 {
-		t.Fatalf("only %d experiments registered", len(ids))
-	}
-	rep, err := fleet.RunExperiment("fig5", fleet.ScaleCI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ID != "fig5" || len(rep.Lines) == 0 {
-		t.Fatalf("report = %+v", rep)
+	if got := strings.Join(stats.PipelineStages, ","); !strings.Contains(got, "dp(") {
+		t.Fatalf("pipeline stages %q do not show the dp stage", got)
 	}
 }
 
@@ -187,14 +204,8 @@ func TestPublicAPIDeviceCatalogue(t *testing.T) {
 	}
 }
 
-func TestPublicAPIBhattacharyya(t *testing.T) {
-	if got := fleet.Bhattacharyya([]float64{1, 1}, []float64{1, 1}); got < 0.999 {
-		t.Fatalf("BC = %v", got)
-	}
-}
-
 // TestPublicAPIPipeline drives the facade's pipeline surface: registry
-// specs, direct construction, a Krum server, and the stats exposure.
+// specs, a Krum server, and the stats exposure.
 func TestPublicAPIPipeline(t *testing.T) {
 	ctx := context.Background()
 	algo := fleet.NewAdaSGD(fleet.AdaSGDConfig{NonStragglerPct: 99.7, BootstrapSteps: 5})
@@ -204,7 +215,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := fleet.NewServer(fleet.ServerConfig{
-		Arch:         fleet.ArchSoftmaxMNIST,
+		Arch:         nn.ArchSoftmaxMNIST,
 		Algorithm:    algo,
 		LearningRate: 0.05,
 		K:            3,
@@ -217,7 +228,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 	grad := make([]float64, len(params))
 	grad[0] = 1
 	for i := 0; i < 3; i++ {
-		if _, err := srv.PushGradient(ctx, &fleet.GradientPush{
+		if _, err := srv.PushGradient(ctx, &protocol.GradientPush{
 			ModelVersion: 0, Gradient: grad, BatchSize: 5, LabelCounts: []int{1, 1},
 		}); err != nil {
 			t.Fatal(err)
@@ -230,33 +241,11 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if stats.ModelVersion != 1 || stats.Aggregator != "Krum(f=1)" {
 		t.Fatalf("stats = %+v", stats)
 	}
-
-	// Direct construction with the exported stage/aggregator constructors.
-	stage, err := fleet.StalenessStage(fleet.DynSGD{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	win, err := fleet.RetainedWindow(fleet.MedianAggregator{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fleet.NewPipeline(win, stage); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fleet.NewPipeline(fleet.MeanWindow(4)); err != nil {
-		t.Fatal(err)
-	}
-
-	// The spec registries are populated and extensible.
-	if len(fleet.PipelineStages()) < 3 || len(fleet.WindowAggregators()) < 4 {
-		t.Fatalf("registries: stages=%v aggregators=%v",
-			fleet.PipelineStages(), fleet.WindowAggregators())
-	}
 }
 
 // TestPublicAPIAdmission exercises the exported admission surface: policy
-// constructors, chain composition, spec building, the ServerConfig wiring,
-// per-policy reject stats, and a version-aware delta pull.
+// constructors, chain composition, spec building, the ServerConfig wiring
+// and per-policy reject stats.
 func TestPublicAPIAdmission(t *testing.T) {
 	ctx := context.Background()
 
@@ -268,12 +257,9 @@ func TestPublicAPIAdmission(t *testing.T) {
 	if _, err := fleet.BuildAdmission("no-such-policy", fleet.AdmissionOptions{}); err == nil {
 		t.Fatal("unknown policy must error")
 	}
-	if len(fleet.AdmissionPolicies()) < 5 {
-		t.Fatalf("admission registry: %v", fleet.AdmissionPolicies())
-	}
 
 	srv, err := fleet.NewServer(fleet.ServerConfig{
-		Arch:         fleet.ArchSoftmaxMNIST,
+		Arch:         nn.ArchSoftmaxMNIST,
 		Algorithm:    fleet.SSGD{},
 		LearningRate: 0.1,
 		Admission: fleet.NewAdmissionChain(
@@ -283,7 +269,7 @@ func TestPublicAPIAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := srv.RequestTask(ctx, &fleet.TaskRequest{WorkerID: 1, LabelCounts: []int{1}})
+	resp, err := srv.RequestTask(ctx, &protocol.TaskRequest{WorkerID: 1, LabelCounts: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,54 +283,10 @@ func TestPublicAPIAdmission(t *testing.T) {
 	if stats.TasksDropped != 1 || stats.RejectsByPolicy["min-batch(200)"] != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
-
-	// An accepting server serves delta pulls from the snapshot.
-	open, err := fleet.NewServer(fleet.ServerConfig{
-		Arch:         fleet.ArchSoftmaxMNIST,
-		Algorithm:    fleet.SSGD{},
-		LearningRate: 0.1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := open.RequestTask(ctx, &fleet.TaskRequest{WorkerID: 1, LabelCounts: []int{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := append([]float64(nil), full.Params...)
-	if _, err := open.PushGradient(ctx, &fleet.GradientPush{
-		ModelVersion: full.ModelVersion, GradientLen: len(cached),
-		SparseIndices: []int32{0}, SparseValues: []float64{0.5},
-		BatchSize: 1, LabelCounts: []int{1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	delta, err := open.RequestTask(ctx, &fleet.TaskRequest{
-		WorkerID: 1, LabelCounts: []int{1}, WantDelta: true, KnownVersion: full.ModelVersion,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta.ParamsDelta == nil {
-		t.Fatalf("delta pull = %+v", delta)
-	}
-	if err := delta.ParamsDelta.Patch(cached); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := open.Model()
-	for i := range want {
-		if cached[i] != want[i] {
-			t.Fatalf("coord %d: %v != %v", i, cached[i], want[i])
-		}
-	}
 }
 
 func TestPublicAPILoadHarness(t *testing.T) {
-	names := fleet.LoadScenarios()
-	if len(names) < 5 {
-		t.Fatalf("load scenarios = %v", names)
-	}
-	sc, err := fleet.LoadScenarioByName("uniform")
+	sc, err := loadgen.ByName("uniform")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,64 +300,63 @@ func TestPublicAPILoadHarness(t *testing.T) {
 	if res.Counts.Pushes != 12 || res.Counts.ProtocolErrors != 0 {
 		t.Fatalf("counts = %+v", res.Counts)
 	}
-	rep := fleet.CompareBench(res, res, loadgen.CompareOptions{})
-	if rep.Failed {
-		t.Fatalf("self-comparison failed:\n%s", rep)
-	}
 }
 
-// TestPublicAPICrashSafety exercises the crash-safety facade: checkpoint a
-// live server, hard-drop it, restore with RestoreServerLatest, and watch a
-// worker resync through the incarnation conflict.
+// TestPublicAPICrashSafety exercises the facade's one way to a durable
+// server: a NodeSpec with a checkpoint policy. It kills a live root
+// abruptly, rebuilds it from the same Spec with Recover "latest", and
+// watches a worker resync through the incarnation conflict.
 func TestPublicAPICrashSafety(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
-	ckpt, err := fleet.NewCheckpointer(dir, 0)
-	if err != nil {
-		t.Fatal(err)
+	spec := fleet.NodeSpec{
+		Role:             fleet.NodeRoot,
+		LearningRate:     0.3,
+		NonStragglerPct:  99.7,
+		K:                1,
+		DefaultBatchSize: 8,
+		Stages:           "staleness",
+		Aggregator:       "mean",
+		Checkpoint:       fleet.NodeCheckpointSpec{Dir: t.TempDir(), Every: 1, Recover: "fresh"},
+		Bind:             fleet.NodeBindSpec{Transport: "http", Addr: "127.0.0.1:0", Drain: time.Second},
+		Logf:             func(string, ...interface{}) {},
 	}
-	mkCfg := func() fleet.ServerConfig {
-		return fleet.ServerConfig{
-			Arch:             fleet.ArchSoftmaxMNIST,
-			Algorithm:        fleet.NewAdaSGD(fleet.AdaSGDConfig{NonStragglerPct: 99.7, BootstrapSteps: 5}),
-			LearningRate:     0.3,
-			DefaultBatchSize: 8,
-			Checkpointer:     ckpt,
-			CheckpointEvery:  1,
+	start := func(spec fleet.NodeSpec) (*fleet.NodeRuntime, *fleet.Client) {
+		rt, err := fleet.NewNode(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := rt.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return rt, &fleet.Client{BaseURL: "http://" + rt.Addr().String()}
 	}
-	srv, err := fleet.NewServer(mkCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := fleet.TinyMNIST(2, 12, 4)
+	rt, client := start(spec)
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
-		ID: 1, Arch: fleet.ArchSoftmaxMNIST, Local: ds.Train, Rng: simrand.New(3),
+		ID: 1, Arch: fleet.ArchTinyMNIST, Local: fleet.TinyMNIST(2, 12, 4).Train, Rng: simrand.New(3),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := w.Step(ctx, srv); err != nil {
+		if _, err := w.Step(ctx, client); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// In-flight round at the crash. Flush first: checkpoints are written by
-	// a background goroutine, and the barrier is the durability point.
-	srv.Flush()
-	resp, err := w.Pull(ctx, srv)
+	// In-flight round at the crash: the periodic checkpoints are what
+	// survives a kill.
+	resp, err := w.Pull(ctx, client)
 	if err != nil || !resp.Accepted {
 		t.Fatalf("pull: %v", err)
 	}
 	prep := w.Compute(resp)
-
-	restored, err := fleet.RestoreServerLatest(mkCfg(), dir)
-	if err != nil {
+	if err := rt.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	// Stop its background checkpoint writer before TempDir is removed.
-	defer func() { _ = restored.Close() }()
-	if _, err := w.Push(ctx, restored, prep.Push); err == nil {
+
+	spec.Checkpoint.Recover = "latest"
+	restored, client := start(spec)
+	defer restored.Shutdown(ctx)
+	if _, err := w.Push(ctx, client, prep.Push); err == nil {
 		t.Fatal("stale-incarnation push accepted")
 	} else {
 		var apiErr *fleet.APIError
@@ -426,13 +367,14 @@ func TestPublicAPICrashSafety(t *testing.T) {
 	if w.Resyncs != 1 {
 		t.Fatalf("resyncs = %d", w.Resyncs)
 	}
-	if _, err := w.Step(ctx, restored); err != nil {
+	if _, err := w.Step(ctx, client); err != nil {
 		t.Fatalf("post-restore step: %v", err)
 	}
 
-	// The empty-dir failure mode is a typed sentinel.
-	if _, err := fleet.RestoreServerLatest(mkCfg(), t.TempDir()); !errors.Is(err, fleet.ErrNoCheckpoint) {
-		t.Fatalf("empty dir: %v, want fleet.ErrNoCheckpoint", err)
+	// Recover "latest" refuses an empty directory instead of booting fresh.
+	spec.Checkpoint.Dir = t.TempDir()
+	if _, err := fleet.NewNode(spec); err == nil {
+		t.Fatal("recover=latest booted from an empty directory")
 	}
 }
 

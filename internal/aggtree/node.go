@@ -73,10 +73,8 @@ type Config struct {
 	// Pipeline, when non-nil, replaces the edge's update pipeline (the
 	// same composable stages + window aggregator as server.Config). When
 	// nil the default is a staleness stage wrapping Algorithm in front of
-	// a sharded mean window with Shards stripes. Stateful: one per node.
+	// the mean window. Stateful: one per node.
 	Pipeline *pipeline.Pipeline
-	// Shards stripes the default mean window (ignored when Pipeline set).
-	Shards int
 	// Admission, when non-nil, is the local task-admission chain — edge
 	// nodes make admission decisions without a round trip to the root.
 	// Nil admits everything at DefaultBatchSize.
@@ -158,7 +156,6 @@ func New(cfg Config) (*Node, error) {
 		Classes:          cfg.Arch.Classes(),
 		Algorithm:        cfg.Algorithm,
 		K:                cfg.K,
-		Shards:           cfg.Shards,
 		Pipeline:         cfg.Pipeline,
 		Admission:        cfg.Admission,
 		TimeProfiler:     cfg.TimeProfiler,

@@ -12,6 +12,7 @@ import (
 	"fleet/internal/ingest"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
+	"fleet/internal/pipeline"
 	"fleet/internal/protocol"
 	"fleet/internal/server"
 	"fleet/internal/service"
@@ -67,14 +68,57 @@ func sparseGrad(i, paramCount int) []float64 {
 	return g
 }
 
+// stripedSum is the flat twin's reference window aggregator: E round-robin
+// stripes, drained as one direction summed in stripe order. With edge e's
+// leaf gradients landing in stripe e, that is ((0+S0)+S1)+S2 — the sum the
+// tree's root mean window accumulates from the edges' forwards.
+type stripedSum struct {
+	mu      sync.Mutex
+	adds    int
+	stripes [][]float64
+}
+
+func (w *stripedSum) Name() string { return "striped-sum" }
+
+func (w *stripedSum) Add(vec []float64, scale float64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	e := w.adds % len(w.stripes)
+	w.adds++
+	if w.stripes[e] == nil {
+		w.stripes[e] = make([]float64, len(vec))
+	}
+	for i, g := range vec {
+		w.stripes[e][i] += scale * g
+	}
+}
+
+func (w *stripedSum) Drain(apply func(direction []float64)) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.adds == 0 {
+		return nil
+	}
+	dir := make([]float64, len(w.stripes[0]))
+	for _, st := range w.stripes {
+		for i, v := range st {
+			dir[i] += v
+		}
+		clear(st)
+	}
+	w.adds = 0
+	apply(dir)
+	return nil
+}
+
 // TestTreeMeanEquivalentToFlat is the tree's correctness anchor: on the mean
-// path, E edges with fan-in Ke in front of a root with K=E and Shards=E
-// produce bit-for-bit the same model as a flat server with K=E·Ke and
-// Shards=E receiving the same leaf gradients edge-interleaved. Equation 3's
+// path, E edges with fan-in Ke in front of a root with K=E produce
+// bit-for-bit the same model as a flat server with K=E·Ke receiving the same
+// leaf gradients edge-interleaved into E stripes (stripedSum). Equation 3's
 // K-sum is preserved exactly — an edge forwards the raw sum of its window
-// (no division), the root's shard accumulates it with scale exactly 1
-// (staleness 0, AdaSGD), and the per-shard floating-point addition order is
-// identical in both topologies.
+// (no division), the root's mean window accumulates the E forwards with
+// scale exactly 1 (staleness 0, AdaSGD), and the floating-point addition
+// order is identical in both topologies.
 func TestTreeMeanEquivalentToFlat(t *testing.T) {
 	ctx := context.Background()
 	const (
@@ -85,13 +129,23 @@ func TestTreeMeanEquivalentToFlat(t *testing.T) {
 	)
 	leafPushes := edgesN * fanIn * rounds
 
-	// Flat twin: one server, window E·Ke, E accumulator shards.
-	flat := newRoot(t, server.Config{K: edgesN * fanIn, Shards: edgesN, Seed: seed, DeltaHistory: 4})
+	// Flat twin: one server, window E·Ke, the staleness stage in front of E
+	// stripes.
+	flatAlgo := newAlgo()
+	stage, err := pipeline.NewStalenessScale(flatAlgo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := pipeline.New(&stripedSum{stripes: make([][]float64, edgesN)}, stage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := newRoot(t, server.Config{K: edgesN * fanIn, Algorithm: flatAlgo, Pipeline: pipe, Seed: seed, DeltaHistory: 4})
 
-	// Tree: root with window E (one push per edge per round) and E shards,
-	// E edges with fan-in Ke each, announce fan-out keeping every edge's
-	// cached snapshot current the moment the root drains.
-	root := newRoot(t, server.Config{K: edgesN, Shards: edgesN, Seed: seed, DeltaHistory: 4})
+	// Tree: root with window E (one push per edge per round) into the
+	// default mean window, E edges with fan-in Ke each, announce fan-out
+	// keeping every edge's cached snapshot current the moment the root drains.
+	root := newRoot(t, server.Config{K: edgesN, Seed: seed, DeltaHistory: 4})
 	edges := make([]*Node, edgesN)
 	for e := range edges {
 		edges[e] = newEdge(t, Config{Upstream: root, K: fanIn, ID: 1_000_000 + e})

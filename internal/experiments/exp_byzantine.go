@@ -43,7 +43,7 @@ func byzantine(scale Scale) *Report {
 
 	run := func(aggSpec string, attacked bool) float64 {
 		algo := learning.NewAdaSGD(adaConfig())
-		pipe, err := pipeline.Build("staleness", aggSpec, pipeline.BuildOptions{Algorithm: algo, Shards: 1, Seed: 54})
+		pipe, err := pipeline.Build("staleness", aggSpec, pipeline.BuildOptions{Algorithm: algo, Seed: 54})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: building %q pipeline: %v", aggSpec, err))
 		}

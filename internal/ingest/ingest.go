@@ -118,18 +118,17 @@ type Sink[W any] interface {
 
 // Config is the half of server.Config and aggtree.Config both share; the
 // fields are documented there. Name prefixes error messages; ParamCount and
-// Classes size request validation. Zero K, Shards, DefaultBatchSize and
-// DeltaHistory take the defaults 1, 1, 100 and 4 (a negative DeltaHistory
+// Classes size request validation. Zero K, DefaultBatchSize and
+// DeltaHistory take the defaults 1, 100 and 4 (a negative DeltaHistory
 // disables delta pulls); a nil Pipeline is a staleness stage wrapping
-// Algorithm in front of a mean window with Shards stripes; a nil Admission
-// admits everything at DefaultBatchSize.
+// Algorithm in front of the mean window; a nil Admission admits everything
+// at DefaultBatchSize.
 type Config struct {
 	Name             string
 	ParamCount       int
 	Classes          int
 	Algorithm        learning.Algorithm
 	K                int
-	Shards           int
 	Pipeline         *pipeline.Pipeline
 	Admission        sched.AdmissionPolicy
 	TimeProfiler     *iprof.IProf
@@ -187,7 +186,7 @@ func New[W any](cfg Config, sink Sink[W]) (*Core[W], error) {
 	if cfg.Algorithm == nil {
 		return nil, protocol.Errorf(protocol.CodeInvalidArgument, "%s: Algorithm is required", cfg.Name)
 	}
-	cfg.K, cfg.Shards = max(cfg.K, 1), max(cfg.Shards, 1)
+	cfg.K = max(cfg.K, 1)
 	if cfg.DefaultBatchSize <= 0 {
 		cfg.DefaultBatchSize = 100
 	}
@@ -200,7 +199,7 @@ func New[W any](cfg Config, sink Sink[W]) (*Core[W], error) {
 		if err != nil {
 			return nil, protocol.AsError(err)
 		}
-		cfg.Pipeline, err = pipeline.New(pipeline.NewMeanWindow(cfg.Shards), stage)
+		cfg.Pipeline, err = pipeline.New(pipeline.NewMeanWindow(), stage)
 		if err != nil {
 			return nil, protocol.AsError(err)
 		}
@@ -486,7 +485,7 @@ func (c *Core[W]) PushGradient(ctx context.Context, push *protocol.GradientPush)
 	// accumulated.
 	//
 	// Sparse fast path: a validated, strictly-ascending top-k view travels
-	// the pipeline as-is and scatters straight into the shard accumulators
+	// the pipeline as-is and scatters straight into the aggregator
 	// (pipeline.SparseAdder) — zero O(params) allocations per push. Gated
 	// on sparseOK (every stage SparseSafe, aggregator a SparseAdder).
 	// Decoded payloads always arrive Ascending (the decoder canonicalizes
@@ -521,9 +520,8 @@ func (c *Core[W]) PushGradient(ctx context.Context, push *protocol.GradientPush)
 	absorb := c.cfg.Algorithm.AbsorbWeight(g.Meta)
 	c.labels.RecordWeighted(push.LabelCounts, absorb)
 
-	// Window accumulation: the aggregator synchronizes itself (per-shard
-	// locks for the mean, the window lock for retention mode), so pushes
-	// proceed in parallel here.
+	// Window accumulation: the aggregator synchronizes itself (its window
+	// lock), so the pipeline stages of concurrent pushes stay parallel.
 	c.cfg.Pipeline.Add(g)
 
 	// Commit section: a push only counts toward the K-window after its

@@ -235,7 +235,6 @@ func (f *srvFactory) spec(recover string) node.Spec {
 		K:                  sc.Server.K,
 		NonStragglerPct:    sc.Server.NonStragglerPct,
 		Seed:               f.seed,
-		Shards:             sc.Server.Shards,
 		DeltaHistory:       sc.Server.DeltaHistory,
 		DefaultBatchSize:   sc.Server.DefaultBatchSize,
 		F16Announce:        sc.Server.F16Announce,

@@ -154,7 +154,6 @@ type ServerSpec struct {
 	Arch         string  `json:"arch"`
 	LearningRate float64 `json:"learning_rate"`
 	K            int     `json:"k"`
-	Shards       int     `json:"shards,omitempty"`
 	Stages       string  `json:"stages"`
 	Aggregator   string  `json:"aggregator"`
 	Admission    string  `json:"admission,omitempty"`

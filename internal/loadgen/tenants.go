@@ -76,7 +76,6 @@ func tenantUnitConfig(ts TenantSpec, sub Scenario, seed int64) tenant.Config {
 		Arch:             d.Server.Arch,
 		LearningRate:     d.Server.LearningRate,
 		K:                d.Server.K,
-		Shards:           d.Server.Shards,
 		DeltaHistory:     d.Server.DeltaHistory,
 		DefaultBatchSize: d.Server.DefaultBatchSize,
 		NonStragglerPct:  d.Server.NonStragglerPct,

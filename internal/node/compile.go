@@ -79,11 +79,10 @@ func validateTransport(t string) error {
 
 // buildPipeline composes the update pipeline from the registry:
 // per-gradient stages (staleness scaling, DP, filters) in front of the
-// window aggregator (sharded mean, or a Byzantine-resilient rule).
+// window aggregator (the mean, or a Byzantine-resilient rule).
 func buildPipeline(s Spec, algo learning.Algorithm) (*pipeline.Pipeline, error) {
 	pipe, err := pipeline.Build(s.Stages, s.Aggregator, pipeline.BuildOptions{
 		Algorithm: algo,
-		Shards:    s.Shards,
 		Seed:      s.Seed,
 	})
 	if err != nil {
@@ -354,7 +353,6 @@ func unitSpec(s Spec, c tenant.Config) Spec {
 		K:                c.K,
 		NonStragglerPct:  c.NonStragglerPct,
 		Seed:             c.Seed,
-		Shards:           c.Shards,
 		DeltaHistory:     c.DeltaHistory,
 		DefaultBatchSize: c.DefaultBatchSize,
 		Stages:           c.Stages,

@@ -1,9 +1,13 @@
 package node
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -121,8 +125,7 @@ func TestIngestAndEndpointAreSingleSourced(t *testing.T) {
 // declare a Spec and take what it compiles to: none of them builds a
 // server, an edge, a pipeline, an admission chain or an Assembly by hand
 // (tests may). And what an unset codec means is protocol.Default's to say:
-// outside internal/protocol the gob codec is named only by the facade's
-// CodecGobGzip.
+// outside internal/protocol the gob codec is not named at all.
 func TestServingUnitsAreCompiledOnce(t *testing.T) {
 	builders := []string{
 		"server.New(", "server.RestoreLatest(", "aggtree.New(",
@@ -287,6 +290,133 @@ func TestForwardedTaskCallsKeepOrPassThrough(t *testing.T) {
 					rel, i+1, site)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking %s: %v", root, err)
+	}
+}
+
+// TestFacadeAndKnobsAreWhatIsUsed keeps two deletions deleted. fleet.go
+// exports what an examples/ program or README.md names (fleet.X), plus what
+// the declaration of such an export names in turn (Chain's Interceptor,
+// TinyMNIST's Dataset); anything else is a second, untested way in. And the
+// mean window is one accumulator: no struct field, JSON key or flag of the
+// root module is called "shards", in any case, again (data.PartitionNonIID's
+// ShardsPerUser are non-IID data shards, a different word).
+func TestFacadeAndKnobsAreWhatIsUsed(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, filepath.Join(root, "fleet.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]ast.Node{} // exported identifier → what declares it
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				decls[d.Name.Name] = d.Type
+			}
+		case *ast.GenDecl:
+			for _, sp := range d.Specs {
+				switch sp := sp.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() {
+						decls[sp.Name.Name] = sp.Type
+					}
+				case *ast.ValueSpec:
+					for _, n := range sp.Names {
+						if n.IsExported() {
+							decls[n.Name] = sp
+						}
+					}
+				}
+			}
+		}
+	}
+	users, _ := filepath.Glob(filepath.Join(root, "examples", "*", "main.go"))
+	users = append(users, filepath.Join(root, "README.md"))
+	named := regexp.MustCompile(`\bfleet\.([A-Z]\w*)`)
+	kept := map[string]bool{}
+	var queue []string
+	keep := func(name string) {
+		if _, ok := decls[name]; ok && !kept[name] {
+			kept[name] = true
+			queue = append(queue, name)
+		}
+	}
+	for _, path := range users {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range named.FindAllStringSubmatch(string(raw), -1) {
+			keep(m[1])
+		}
+	}
+	for len(queue) > 0 {
+		name := queue[0]
+		queue = queue[1:]
+		ast.Inspect(decls[name], func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				keep(id.Name)
+			}
+			return true
+		})
+	}
+	for name := range decls {
+		if !kept[name] {
+			t.Errorf("fleet.go exports %s, which no examples/*/main.go or README.md names: delete it", name)
+		}
+	}
+
+	shardsKey := regexp.MustCompile(`json:"shards[,"]`)
+	flagFuncs := map[string]bool{"Int": true, "IntVar": true, "Int64": true, "Int64Var": true, "String": true, "StringVar": true}
+	err = filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		if info.IsDir() {
+			if rel == ".git" || rel == "bench" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Field:
+				for _, id := range n.Names {
+					if strings.EqualFold(id.Name, "shards") {
+						t.Errorf("%s: a %s field: the mean window is one accumulator", fset.Position(id.Pos()), id.Name)
+					}
+				}
+				if n.Tag != nil && shardsKey.MatchString(n.Tag.Value) {
+					t.Errorf("%s: a JSON shards key", fset.Position(n.Tag.Pos()))
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || !flagFuncs[sel.Sel.Name] {
+					return true
+				}
+				for _, arg := range n.Args {
+					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						if v, _ := strconv.Unquote(lit.Value); v == "shards" {
+							t.Errorf("%s: a -shards flag", fset.Position(lit.Pos()))
+						}
+					}
+				}
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {

@@ -97,8 +97,8 @@ type UpstreamSpec struct {
 }
 
 // Spec declares one serving unit. The zero value of most fields follows
-// the corresponding binary's flag default semantics: zero K/Shards mean
-// 1, zero DeltaHistory means the server default, an empty Stages spec is
+// the corresponding binary's flag default semantics: zero K means 1,
+// zero DeltaHistory means the server default, an empty Stages spec is
 // the empty pipeline, and an empty Admission spec is synthesized from the
 // SLO knobs (root) or admits everything (edge).
 type Spec struct {
@@ -114,7 +114,6 @@ type Spec struct {
 	K                int
 	NonStragglerPct  float64
 	Seed             int64
-	Shards           int
 	DeltaHistory     int
 	DefaultBatchSize int
 	F16Announce      bool

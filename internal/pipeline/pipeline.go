@@ -14,8 +14,8 @@
 // Stages transform one gradient at a time — staleness scaling wrapping a
 // learning.Algorithm, DP clip+noise wrapping dp.Perturb, an L2 norm filter
 // rejecting malformed pushes. The WindowAggregator owns the K-window of
-// Equation 3: MeanWindow keeps the sharded sum-accumulate fast path
-// (bit-for-bit the pre-pipeline server), while NewRetained buffers the K
+// Equation 3: MeanWindow sums the window into one accumulator (bit-for-bit
+// the pre-pipeline server), while NewRetained buffers the K
 // scaled gradients so Byzantine-resilient rules (internal/robust) can see
 // the whole window before emitting one direction.
 //
@@ -80,8 +80,8 @@ type WindowAggregator interface {
 	// the current window. It must be safe for concurrent use and must not
 	// retain vec.
 	Add(vec []float64, scale float64)
-	// Drain folds the buffered window into the model via apply — zero or
-	// more calls, each with one update direction — and resets the window.
+	// Drain folds the buffered window into the model via apply — at most
+	// one call, with the window's one update direction — and resets it.
 	// The server serializes Drain under its model lock; an error (e.g. a
 	// window the aggregation rule rejects) discards the window and is
 	// surfaced to the push that completed it — a window-level failure has
@@ -104,7 +104,7 @@ type SparseSafe interface {
 // SparseAdder is a WindowAggregator that can accumulate a sparse gradient
 // without densifying it: scale·vals[j] scattered into the window at
 // idx[j]. Implementations must match their Add bit-for-bit on the touched
-// coordinates (MeanWindow scatters into the same shard accumulators).
+// coordinates (MeanWindow scatters into the same accumulator).
 type SparseAdder interface {
 	AddSparse(denseLen int, idx []int32, vals []float64, scale float64)
 }

@@ -157,7 +157,7 @@ func TestDPStageConcurrentPushes(t *testing.T) {
 
 func TestPipelineProcessRejectsViaFilter(t *testing.T) {
 	f, _ := NewNormFilter(1)
-	p := mustNew(t, NewMeanWindow(1), f)
+	p := mustNew(t, NewMeanWindow(), f)
 	err := p.Process(&Gradient{Vec: []float64{10, 10}, Scale: 1})
 	var apiErr *protocol.Error
 	if !errors.As(err, &apiErr) || apiErr.Code != protocol.CodeInvalidArgument {
@@ -169,7 +169,7 @@ func TestPipelineProcessRejectsViaFilter(t *testing.T) {
 }
 
 func TestPipelineEmptyGradientRejected(t *testing.T) {
-	p := mustNew(t, NewMeanWindow(1))
+	p := mustNew(t, NewMeanWindow())
 	var apiErr *protocol.Error
 	if err := p.Process(&Gradient{}); !errors.As(err, &apiErr) || apiErr.Code != protocol.CodeInvalidArgument {
 		t.Fatalf("want invalid_argument for empty gradient, got %v", err)
@@ -177,32 +177,23 @@ func TestPipelineEmptyGradientRejected(t *testing.T) {
 }
 
 func TestMeanWindowSumsScaledGradients(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		m := NewMeanWindow(shards)
-		m.Add([]float64{1, 2}, 0.5)
-		m.Add([]float64{10, 20}, 1)
-		var got []float64
-		if err := m.Drain(func(dir []float64) {
-			if got == nil {
-				got = make([]float64, len(dir))
-			}
-			for i, v := range dir {
-				got[i] += v
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != 10.5 || got[1] != 21 {
-			t.Fatalf("shards=%d: drained %v, want [10.5 21]", shards, got)
-		}
-		// Drained shards must be clean for the next window.
-		called := false
-		if err := m.Drain(func([]float64) { called = true }); err != nil {
-			t.Fatal(err)
-		}
-		if called {
-			t.Fatalf("shards=%d: drain of an empty window applied mass", shards)
-		}
+	m := NewMeanWindow()
+	m.Add([]float64{1, 2}, 0.5)
+	m.Add([]float64{10, 20}, 1)
+	var got []float64
+	calls := 0
+	if err := m.Drain(func(dir []float64) {
+		got = append([]float64(nil), dir...)
+		calls++
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || got[0] != 10.5 || got[1] != 21 {
+		t.Fatalf("%d applies, drained %v, want one with [10.5 21]", calls, got)
+	}
+	// A drained window must be clean for the next one.
+	if err := m.Drain(func([]float64) { t.Fatal("drain of an empty window applied mass") }); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -212,7 +203,7 @@ func TestMeanWindowSumsScaledGradients(t *testing.T) {
 // the same directions either way.
 func TestMeanWindowReportsTouched(t *testing.T) {
 	const P = 200
-	m := NewMeanWindow(1)
+	m := NewMeanWindow()
 	drain := func() (dir []float64, touched []int32, calls int) {
 		err := m.DrainTouched(func(d []float64, at []int32) {
 			dir, touched = append([]float64(nil), d...), nil
@@ -276,7 +267,7 @@ func TestMeanWindowReportsTouched(t *testing.T) {
 	if _, touched, calls = drain(); calls != 1 || touched == nil || len(touched) != 0 {
 		t.Fatalf("empty sparse window: %d applies, touched %v (nil: %v)", calls, touched, touched == nil)
 	}
-	fresh := NewMeanWindow(1)
+	fresh := NewMeanWindow()
 	fresh.AddSparse(P, nil, nil, 1)
 	if err := fresh.DrainTouched(func(_ []float64, at []int32) {
 		if at == nil {
@@ -286,19 +277,6 @@ func TestMeanWindowReportsTouched(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A striped window drains one direction per dirty shard, and no list
-	// describes their sum: it keeps none.
-	two := NewMeanWindow(2)
-	two.AddSparse(P, []int32{1}, []float64{1}, 1)
-	two.AddSparse(P, []int32{2}, []float64{1}, 1)
-	calls = 0
-	if err := two.DrainTouched(func(_ []float64, at []int32) {
-		if calls++; at != nil {
-			t.Fatalf("striped window reported a touched list %v", at)
-		}
-	}); err != nil || calls != 2 {
-		t.Fatalf("two shards: %d applies, err %v", calls, err)
-	}
 }
 
 func TestRetainedWindowAggregates(t *testing.T) {
@@ -352,11 +330,11 @@ func TestRetainedWindowRaggedRejected(t *testing.T) {
 // at a fixed learning rate.
 func TestRetainedWindowMeanEqualsMeanWindow(t *testing.T) {
 	retained, _ := NewRetained(robust.Mean{})
-	sharded := NewMeanWindow(1)
+	mean := NewMeanWindow()
 	for i := 1; i <= 4; i++ {
 		vec := []float64{float64(i), float64(-i)}
 		retained.Add(vec, 0.5)
-		sharded.Add(vec, 0.5)
+		mean.Add(vec, 0.5)
 	}
 	sum := func(w WindowAggregator) []float64 {
 		out := []float64{0, 0}
@@ -369,9 +347,9 @@ func TestRetainedWindowMeanEqualsMeanWindow(t *testing.T) {
 		}
 		return out
 	}
-	r, s := sum(retained), sum(sharded)
+	r, s := sum(retained), sum(mean)
 	if r[0] != s[0] || r[1] != s[1] {
-		t.Fatalf("retained mean %v != sharded mean %v", r, s)
+		t.Fatalf("retained mean %v != mean window %v", r, s)
 	}
 }
 
@@ -415,7 +393,7 @@ func TestRetainedWindowConcurrentHammer(t *testing.T) {
 }
 
 func TestRegistryBuild(t *testing.T) {
-	opts := BuildOptions{Algorithm: learning.DynSGD{}, Shards: 4, Seed: 3}
+	opts := BuildOptions{Algorithm: learning.DynSGD{}, Seed: 3}
 	p := mustBuild(t, "staleness,dp(1,0.5),norm-filter(100)", "krum(1)", opts)
 	if got := p.String(); got != "staleness(DynSGD) | dp(clip=1,sigma=0.5) | norm-filter(100) -> Krum(f=1)" {
 		t.Fatalf("pipeline string = %q", got)
@@ -426,7 +404,7 @@ func TestRegistryBuild(t *testing.T) {
 
 	// Empty stage spec composes a bare aggregator.
 	p = mustBuild(t, "", "mean", opts)
-	if p.AggregatorName() != "mean(shards=4)" {
+	if p.AggregatorName() != "mean" {
 		t.Fatalf("aggregator = %q", p.AggregatorName())
 	}
 
@@ -439,11 +417,21 @@ func TestRegistryBuild(t *testing.T) {
 		{"staleness", "krum(1,2)"},
 		{"staleness", "krum(0.9)"},
 		{"staleness", "trimmed(1.9)"},
-		{"staleness", "mean(2.5)"},
 	} {
 		if _, err := Build(bad.stages, bad.agg, opts); err == nil {
 			t.Errorf("Build(%q, %q) accepted", bad.stages, bad.agg)
 		}
+	}
+
+	// The mean is one accumulator: it takes no arguments, like the median.
+	for _, agg := range []string{"mean(4)", "median(1)"} {
+		_, err := Build("staleness", agg, opts)
+		if err == nil || !strings.Contains(err.Error(), "takes no arguments") {
+			t.Errorf("Build(%q): %v, want a takes-no-arguments error", agg, err)
+		}
+	}
+	if _, err := Build("", "mean(4)", opts); err == nil || !strings.Contains(err.Error(), "[4]") {
+		t.Errorf("mean(4): error %v does not name the argument", err)
 	}
 
 	// The staleness stage requires an algorithm from the options.
@@ -473,7 +461,7 @@ func TestRegisterCustomStage(t *testing.T) {
 	RegisterStage("test-negate", func(args []float64, _ BuildOptions) (Stage, error) {
 		return negateStage{}, nil
 	})
-	p := mustBuild(t, "test-negate", "mean(1)", BuildOptions{})
+	p := mustBuild(t, "test-negate", "mean", BuildOptions{})
 	g := &Gradient{Vec: []float64{1, -2}, Scale: 1}
 	if err := p.Process(g); err != nil {
 		t.Fatal(err)
@@ -503,7 +491,7 @@ func BenchmarkPipelineProcess(b *testing.B) {
 	}
 	for _, spec := range []string{"staleness", "staleness,norm-filter(1e9)", "staleness,dp(1,0.1)"} {
 		b.Run(spec, func(b *testing.B) {
-			p := mustBuild(b, spec, "mean(1)", BuildOptions{Algorithm: learning.DynSGD{}, Seed: 1})
+			p := mustBuild(b, spec, "mean", BuildOptions{Algorithm: learning.DynSGD{}, Seed: 1})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				g := &Gradient{Vec: vec, Meta: learning.GradientMeta{Staleness: 2, BatchSize: 10}, Scale: 1}
@@ -515,7 +503,7 @@ func BenchmarkPipelineProcess(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineWindow compares the sharded mean fast path against the
+// BenchmarkPipelineWindow compares the mean window against the
 // window-retention aggregators on the Add+Drain cycle.
 func BenchmarkPipelineWindow(b *testing.B) {
 	const params, k = 1024, 8
@@ -527,8 +515,7 @@ func BenchmarkPipelineWindow(b *testing.B) {
 		name string
 		mk   func() WindowAggregator
 	}{
-		{"mean/shards=1", func() WindowAggregator { return NewMeanWindow(1) }},
-		{"mean/shards=4", func() WindowAggregator { return NewMeanWindow(4) }},
+		{"mean", func() WindowAggregator { return NewMeanWindow() }},
 		{"median", func() WindowAggregator { w, _ := NewRetained(robust.CoordinateMedian{}); return w }},
 		{"krum", func() WindowAggregator { w, _ := NewRetained(robust.Krum{F: 1}); return w }},
 	}

@@ -19,8 +19,6 @@ type BuildOptions struct {
 	// Algorithm is wrapped by the "staleness" stage (usually the same
 	// instance as ServerConfig.Algorithm, so scaling and absorption agree).
 	Algorithm learning.Algorithm
-	// Shards stripes the "mean" aggregator (default 1).
-	Shards int
 	// Seed seeds the "dp" stage's noise RNG.
 	Seed int64
 }
@@ -101,19 +99,11 @@ func init() {
 		return NewNormFilter(args[0])
 	})
 
-	RegisterAggregator("mean", func(args []float64, opts BuildOptions) (WindowAggregator, error) {
-		shards := opts.Shards
-		switch len(args) {
-		case 0:
-		case 1:
-			var err error
-			if shards, err = intArg(args[0], "mean(shards)"); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("mean takes at most (shards), got %d args", len(args))
+	RegisterAggregator("mean", func(args []float64, _ BuildOptions) (WindowAggregator, error) {
+		if len(args) != 0 {
+			return nil, fmt.Errorf("mean takes no arguments, got %v", args)
 		}
-		return NewMeanWindow(shards), nil
+		return NewMeanWindow(), nil
 	})
 	RegisterAggregator("median", func(args []float64, _ BuildOptions) (WindowAggregator, error) {
 		if len(args) != 0 {

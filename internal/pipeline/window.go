@@ -4,141 +4,108 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"fleet/internal/robust"
 	"fleet/internal/tensor"
 )
 
-// meanShard is one stripe of the sharded mean accumulator. The padding
-// keeps adjacent shard mutexes off the same cache line.
-type meanShard struct {
+// MeanWindow is the default window aggregator: the K-sum of Equation 3 in
+// one accumulator, accum[i] += scale·g[i] under one lock.
+type MeanWindow struct {
 	mu    sync.Mutex
 	accum []float64
 	dirty bool
 	// touched has one bit per coordinate scattered into since the last
 	// drain, maintained while every Add of the window was sparse; a dense
 	// Add sets dense and the bitmap is ignored until the drain clears both.
-	// Only a single-shard window keeps one (nil otherwise): striped windows
-	// drain several directions, and no one list describes their sum.
 	touched []uint64
 	dense   bool
-	_       [64]byte
-}
-
-// MeanWindow is the default window aggregator: the K-sum of Equation 3,
-// striped across independently locked accumulator shards. It preserves the
-// pre-pipeline server's hot path bit-for-bit — round-robin shard choice,
-// accum[i] += scale·g[i] under the shard lock only, and a drain that
-// applies each dirty shard (applying shards one by one is equivalent to
-// applying their sum: ApplyGradient is linear in the gradient). Striping
-// reorders, never loses, gradient mass.
-type MeanWindow struct {
-	shards []meanShard
-	// idx is DrainTouched's scratch: the shard's touched coordinates.
+	// idx is DrainTouched's scratch: the window's touched coordinates.
 	idx []int32
-	// cursor round-robins Adds across shards.
-	cursor atomic.Uint64
-	// alloc sizes the shard buffers on first Add (the pipeline learns the
-	// parameter count only when gradients start flowing).
-	alloc sync.Once
 }
 
-// NewMeanWindow builds a sharded sum-accumulate window; shards < 1 is
-// clamped to 1 (the classic single accumulator).
-func NewMeanWindow(shards int) *MeanWindow {
-	if shards < 1 {
-		shards = 1
-	}
-	return &MeanWindow{shards: make([]meanShard, shards)}
-}
+// NewMeanWindow builds the sum-accumulate window.
+func NewMeanWindow() *MeanWindow { return &MeanWindow{} }
 
 // Name implements WindowAggregator.
-func (m *MeanWindow) Name() string { return fmt.Sprintf("mean(shards=%d)", len(m.shards)) }
+func (m *MeanWindow) Name() string { return "mean" }
 
-// Add implements WindowAggregator: O(params) accumulation under this
-// shard's lock only, so Adds on different shards proceed in parallel.
+// Add implements WindowAggregator: O(params) accumulation under the lock.
 func (m *MeanWindow) Add(vec []float64, scale float64) {
-	m.alloc.Do(func() { m.allocate(len(vec)) })
-	sh := &m.shards[m.cursor.Add(1)%uint64(len(m.shards))]
-	sh.mu.Lock()
+	m.mu.Lock()
+	m.allocate(len(vec))
 	for i, g := range vec {
-		sh.accum[i] += scale * g
+		m.accum[i] += scale * g
 	}
-	sh.dirty, sh.dense = true, true
-	sh.mu.Unlock()
+	m.dirty, m.dense = true, true
+	m.mu.Unlock()
 }
 
 // AddSparse implements SparseAdder: a top-k gradient scatters straight
-// into one shard's accumulator without ever materializing its dense form.
+// into the accumulator without ever materializing its dense form.
 // Bit-for-bit equivalent to Add on the densified vector — the same
 // coordinates receive the same scale·value adds in the same order, and
 // the untouched coordinates would only have received identity +0 adds —
 // while skipping the O(params) allocation and loop per push.
 func (m *MeanWindow) AddSparse(denseLen int, idx []int32, vals []float64, scale float64) {
-	m.alloc.Do(func() { m.allocate(denseLen) })
-	sh := &m.shards[m.cursor.Add(1)%uint64(len(m.shards))]
-	sh.mu.Lock()
-	tensor.ScatterAddScaled(sh.accum, idx, vals, scale)
-	if sh.touched != nil && !sh.dense {
+	m.mu.Lock()
+	m.allocate(denseLen)
+	tensor.ScatterAddScaled(m.accum, idx, vals, scale)
+	if !m.dense {
 		for _, c := range idx {
-			sh.touched[c>>6] |= 1 << (c & 63)
+			m.touched[c>>6] |= 1 << (c & 63)
 		}
 	}
-	sh.dirty = true
-	sh.mu.Unlock()
+	m.dirty = true
+	m.mu.Unlock()
 }
 
+// allocate sizes the buffers on the first Add (the pipeline learns the
+// parameter count only when gradients start flowing). Callers hold mu.
 func (m *MeanWindow) allocate(params int) {
-	for i := range m.shards {
-		m.shards[i].accum = make([]float64, params)
-	}
-	if len(m.shards) == 1 {
-		m.shards[0].touched = make([]uint64, (params+63)/64)
+	if m.accum == nil {
+		m.accum = make([]float64, params)
+		m.touched = make([]uint64, (params+63)/64)
 		m.idx = []int32{} // non-nil: an empty list is not "anything may be set"
 	}
 }
 
-// Drain implements WindowAggregator: every dirty shard is applied and
-// zeroed. Shard locks are taken one at a time inside the caller's model
-// lock (lock order model → shard, acyclic). Under concurrency a drain may
-// pick up mass that pushes of the next window have already accumulated —
-// mass is only ever reordered across versions, never lost or duplicated.
+// Drain implements WindowAggregator: the window is applied and zeroed,
+// under the window lock inside the caller's model lock (lock order
+// model → window, acyclic). Under concurrency a drain may pick up mass that
+// pushes of the next window have already accumulated — mass is only ever
+// reordered across versions, never lost or duplicated.
 func (m *MeanWindow) Drain(apply func(direction []float64)) error {
 	return m.DrainTouched(func(direction []float64, _ []int32) { apply(direction) })
 }
 
 // DrainTouched implements TouchedDrainer: Drain, telling apply which
-// coordinates the window scattered into when one shard holds the whole
-// window and all of its Adds were sparse (nil otherwise). Such a shard is
-// zeroed at those coordinates only.
+// coordinates the window scattered into when all of its Adds were sparse
+// (nil otherwise). Such a window is zeroed at those coordinates only.
 func (m *MeanWindow) DrainTouched(apply func(direction []float64, touched []int32)) error {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		switch {
-		case !sh.dirty:
-		case sh.touched == nil || sh.dense:
-			apply(sh.accum, nil)
-			clear(sh.accum)
-			clear(sh.touched)
-		default:
-			idx := m.idx[:0]
-			for w, word := range sh.touched {
-				for ; word != 0; word &= word - 1 {
-					idx = append(idx, int32(w<<6|bits.TrailingZeros64(word)))
-				}
-				sh.touched[w] = 0
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case !m.dirty:
+	case m.dense:
+		apply(m.accum, nil)
+		clear(m.accum)
+		clear(m.touched)
+	default:
+		idx := m.idx[:0]
+		for w, word := range m.touched {
+			for ; word != 0; word &= word - 1 {
+				idx = append(idx, int32(w<<6|bits.TrailingZeros64(word)))
 			}
-			apply(sh.accum, idx)
-			for _, c := range idx {
-				sh.accum[c] = 0
-			}
-			m.idx = idx
+			m.touched[w] = 0
 		}
-		sh.dirty, sh.dense = false, false
-		sh.mu.Unlock()
+		apply(m.accum, idx)
+		for _, c := range idx {
+			m.accum[c] = 0
+		}
+		m.idx = idx
 	}
+	m.dirty, m.dense = false, false
 	return nil
 }
 
@@ -155,9 +122,9 @@ func (m *MeanWindow) DrainTouched(apply func(direction []float64, touched []int3
 // size instead of silently shrinking it by K. (With robust.Mean the
 // result matches MeanWindow's sum up to floating-point rounding — the
 // mean is computed as sum·(1/K) and rescaled by K, so the last ulp can
-// differ; bit-for-bit fidelity is the sharded MeanWindow's contract.)
+// differ; bit-for-bit fidelity is MeanWindow's contract.)
 //
-// Memory: O(K · params) versus MeanWindow's O(shards · params); the
+// Memory: O(K · params) versus MeanWindow's O(params); the
 // aggregation itself is O(K·params) to O(K²·params) depending on the rule.
 type RetainedWindow struct {
 	rule robust.Aggregator

@@ -12,13 +12,10 @@ import (
 	"sync"
 )
 
-// Content types understood by the v1 wire protocol. ContentTypeOctet is
-// accepted as an alias for the gob+gzip stream for compatibility with
-// pre-v1 clients, which posted under application/octet-stream.
+// Content types understood by the v1 wire protocol.
 const (
 	ContentTypeGobGzip = "application/x-fleet-gob+gzip"
 	ContentTypeJSON    = "application/json"
-	ContentTypeOctet   = "application/octet-stream"
 )
 
 // Codec serializes protocol messages for one wire representation. Codecs
@@ -151,7 +148,6 @@ func (jsonCodec) Decode(r io.Reader, v interface{}) error {
 
 // CodecForContentType negotiates the codec for a Content-Type (or Accept)
 // header value. The empty string and wildcard accepts select Default;
-// application/octet-stream names gob+gzip like its own content type does;
 // unknown types return a CodeUnsupportedMedia error.
 func CodecForContentType(contentType string) (Codec, error) {
 	ct := strings.TrimSpace(contentType)
@@ -167,7 +163,7 @@ func CodecForContentType(contentType string) (Codec, error) {
 		switch media {
 		case "*/*", "application/*":
 			return Default, nil
-		case ContentTypeGobGzip, ContentTypeOctet:
+		case ContentTypeGobGzip:
 			return GobGzip, nil
 		case ContentTypeJSON:
 			return JSON, nil

@@ -47,7 +47,6 @@ func TestCodecNegotiation(t *testing.T) {
 	}{
 		{"", GobGzip},
 		{ContentTypeGobGzip, GobGzip},
-		{ContentTypeOctet, GobGzip},
 		{"*/*", GobGzip},
 		{ContentTypeJSON, JSON},
 		{"application/json; charset=utf-8", JSON},
@@ -62,10 +61,14 @@ func TestCodecNegotiation(t *testing.T) {
 			t.Fatalf("%q negotiated %s, want %s", c.contentType, got.ContentType(), c.want.ContentType())
 		}
 	}
-	_, err := CodecForContentType("text/csv")
-	var apiErr *Error
-	if !errors.As(err, &apiErr) || apiErr.Code != CodeUnsupportedMedia {
-		t.Fatalf("unknown type: want unsupported_media error, got %v", err)
+	// application/octet-stream was the pre-v1 alias of gob+gzip; it is an
+	// unknown type like any other now.
+	for _, ct := range []string{"text/csv", "application/octet-stream"} {
+		_, err := CodecForContentType(ct)
+		var apiErr *Error
+		if !errors.As(err, &apiErr) || apiErr.Code != CodeUnsupportedMedia {
+			t.Fatalf("%q: want unsupported_media error, got %v", ct, err)
+		}
 	}
 }
 

@@ -502,11 +502,9 @@ func TestConcurrentRequestAndPush(t *testing.T) {
 	}
 }
 
-// BenchmarkRequestTask contrasts the lock-free snapshot path against the
-// pre-redesign behavior: the "legacy-locked" baseline reproduces what the
-// old accept path did on every pull — take the server mutex and copy the
-// full O(P) parameter vector — while "snapshot" and "snapshot-delta" are
-// the live code (shared immutable slice / precomputed delta handoff).
+// BenchmarkRequestTask measures the lock-free pull path: "snapshot" serves
+// the published snapshot whole, "snapshot-delta" hands off its precomputed
+// delta.
 func BenchmarkRequestTask(b *testing.B) {
 	ctx := context.Background()
 
@@ -541,25 +539,6 @@ func BenchmarkRequestTask(b *testing.B) {
 				if _, err := s.RequestTask(ctx, req); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	})
-
-	b.Run("legacy-locked", func(b *testing.B) {
-		s := newTestServer(b, Config{Algorithm: learning.SSGD{}, Arch: nn.ArchTinyMNIST})
-		var mu sync.Mutex // the model lock the pull path once took
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				mu.Lock()
-				resp := &protocol.TaskResponse{
-					Accepted:     true,
-					ModelVersion: s.core.Snapshot().Version,
-					Params:       s.model.ParamVector(),
-					BatchSize:    100,
-				}
-				mu.Unlock()
-				_ = resp
 			}
 		})
 	})

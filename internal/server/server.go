@@ -52,19 +52,12 @@ type Config struct {
 	LearningRate float64
 	// K is the number of gradients aggregated per model update (default 1).
 	K int
-	// Shards stripes the default mean aggregator across this many
-	// independently locked accumulator buffers (default 1: the classic
-	// single accumulator). With Shards > 1, concurrent PushGradient calls
-	// landing on different shards run their O(params) accumulation in
-	// parallel and only serialize on the short metadata section. Ignored
-	// when Pipeline is set (the pipeline's aggregator decides).
-	Shards int
 	// Pipeline, when non-nil, replaces the server's update pipeline: the
 	// chain of per-gradient stages and the window aggregator every pushed
 	// gradient travels (see internal/pipeline). When nil the server builds
 	// the legacy-equivalent default — a staleness-scaling stage wrapping
-	// Algorithm in front of a sharded mean window with Shards stripes.
-	// A pipeline is stateful (its aggregator holds window/shard buffers):
+	// Algorithm in front of the mean window.
+	// A pipeline is stateful (its aggregator holds window buffers):
 	// build one per server, never share an instance between servers.
 	// Build one directly (pipeline.New) or from string specs
 	// (pipeline.Build), e.g.
@@ -261,7 +254,6 @@ func New(cfg Config) (*Server, error) {
 		Classes:          s.classes,
 		Algorithm:        cfg.Algorithm,
 		K:                cfg.K,
-		Shards:           cfg.Shards,
 		Pipeline:         cfg.Pipeline,
 		Admission:        cfg.Admission,
 		TimeProfiler:     cfg.TimeProfiler,

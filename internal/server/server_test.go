@@ -251,48 +251,14 @@ func TestStatsMeanStaleness(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalentToSingleMutex drives identical sequential pushes
-// through a single-accumulator and an 8-shard server: final model
-// parameters and stats must match exactly (striping only re-buckets the
-// accumulated mass, it never changes what K-aggregation applies).
-func TestShardedEquivalentToSingleMutex(t *testing.T) {
-	ctx := context.Background()
-	single := newTestServer(t, Config{K: 4, Shards: 1, Algorithm: learning.SSGD{}})
-	sharded := newTestServer(t, Config{K: 4, Shards: 8, Algorithm: learning.SSGD{}})
-	params, _ := single.Model()
-
-	for i := 0; i < 20; i++ {
-		grad := make([]float64, len(params))
-		grad[i%len(grad)] = float64(i + 1)
-		push := protocol.GradientPush{ModelVersion: 0, Gradient: grad, BatchSize: 5, LabelCounts: []int{1, 2}}
-		push2 := push
-		if _, err := single.PushGradient(ctx, &push); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sharded.PushGradient(ctx, &push2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p1, v1 := single.Model()
-	p2, v2 := sharded.Model()
-	if v1 != v2 {
-		t.Fatalf("versions diverged: %d vs %d", v1, v2)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("param %d diverged: %v vs %v", i, p1[i], p2[i])
-		}
-	}
-}
-
-// TestConcurrentPushGradient hammers PushGradient from many goroutines
-// across shards; run with -race it also proves the striped hot path is
-// data-race free (the seed validated sparse payloads against server state
-// before taking the lock).
+// TestConcurrentPushGradient hammers PushGradient from many goroutines,
+// sparse and dense mixed, into the default mean window; run with -race it
+// also proves the hot path is data-race free (the seed validated sparse
+// payloads against server state before taking the lock).
 func TestConcurrentPushGradient(t *testing.T) {
 	ctx := context.Background()
 	const workers, pushes = 8, 25
-	s := newTestServer(t, Config{K: 4, Shards: 4, Algorithm: learning.SSGD{}})
+	s := newTestServer(t, Config{K: 4, Algorithm: learning.SSGD{}})
 	paramCount := nn.ArchSoftmaxMNIST.Build(simrand.New(0)).ParamCount()
 
 	var wg sync.WaitGroup
@@ -348,12 +314,11 @@ func TestConcurrentPushGradient(t *testing.T) {
 	}
 }
 
-// benchmarkPush measures concurrent PushGradient throughput for a given
-// shard count. Compare BenchmarkPushGradient/shards=1 (the seed's single
-// global mutex) against shards=8 to see the striped-lock speedup.
-func benchmarkPush(b *testing.B, shards int) {
+// benchmarkPush measures concurrent dense PushGradient throughput into the
+// mean window.
+func benchmarkPush(b *testing.B) {
 	ctx := context.Background()
-	s := newTestServer(b, Config{K: 64, Shards: shards, Algorithm: learning.SSGD{}, Arch: nn.ArchTinyMNIST})
+	s := newTestServer(b, Config{K: 64, Algorithm: learning.SSGD{}, Arch: nn.ArchTinyMNIST})
 	paramCount := nn.ArchTinyMNIST.Build(simrand.New(0)).ParamCount()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -372,7 +337,7 @@ func benchmarkPush(b *testing.B, shards int) {
 
 // benchmarkPushWindow measures concurrent PushGradient throughput through
 // a window-retention aggregator draining every k pushes — the robust-rule
-// hot path the sharded mean cannot express.
+// hot path the mean window cannot express.
 func benchmarkPushWindow(b *testing.B, aggSpec string, k int) {
 	ctx := context.Background()
 	algo := learning.SSGD{}
@@ -398,13 +363,13 @@ func benchmarkPushWindow(b *testing.B, aggSpec string, k int) {
 }
 
 // benchmarkPushSparse measures the top-k uplink: with ascending indices
-// the push scatters straight into the shard accumulators (zero O(params)
+// the push scatters straight into the window's accumulator (zero O(params)
 // work); with non-ascending indices it falls back to the legacy
 // densify-then-add path — the before/after of the sparse accumulate
 // redesign, visible in allocs/op.
-func benchmarkPushSparse(b *testing.B, shards int, ascending bool) {
+func benchmarkPushSparse(b *testing.B, ascending bool) {
 	ctx := context.Background()
-	s := newTestServer(b, Config{K: 64, Shards: shards, Algorithm: learning.SSGD{}, Arch: nn.ArchTinyMNIST})
+	s := newTestServer(b, Config{K: 64, Algorithm: learning.SSGD{}, Arch: nn.ArchTinyMNIST})
 	paramCount := nn.ArchTinyMNIST.Build(simrand.New(0)).ParamCount()
 	const k = 64
 	b.ReportAllocs()
@@ -477,28 +442,24 @@ func benchmarkPushWindowClose(b *testing.B, sparse bool) {
 func BenchmarkPushGradient(b *testing.B) {
 	b.Run("sparse-window-close", func(b *testing.B) { benchmarkPushWindowClose(b, true) })
 	b.Run("dense-window-close", func(b *testing.B) { benchmarkPushWindowClose(b, false) })
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { benchmarkPush(b, shards) })
-	}
+	b.Run("dense", benchmarkPush)
 	for _, k := range []int{8, 64} {
 		b.Run(fmt.Sprintf("window=%d", k), func(b *testing.B) { benchmarkPushWindow(b, "median", k) })
 	}
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("sparse/shards=%d", shards), func(b *testing.B) { benchmarkPushSparse(b, shards, true) })
-		b.Run(fmt.Sprintf("sparse-densify/shards=%d", shards), func(b *testing.B) { benchmarkPushSparse(b, shards, false) })
-	}
+	b.Run("sparse", func(b *testing.B) { benchmarkPushSparse(b, true) })
+	b.Run("sparse-densify", func(b *testing.B) { benchmarkPushSparse(b, false) })
 }
 
 // TestSparseAccumulateMatchesDensify drives the same gradient stream
 // through two identically seeded servers — one receiving top-k pushes
 // (which travel the zero-copy scatter path: the default pipeline is
-// staleness → sharded mean, both sparse-capable), the other receiving the
+// staleness → mean, both sparse-capable), the other receiving the
 // densified form of each push — and requires bit-for-bit equal final
 // models. The scatter path must be arithmetically invisible.
 func TestSparseAccumulateMatchesDensify(t *testing.T) {
 	ctx := context.Background()
-	sparse := newTestServer(t, Config{K: 3, Shards: 4, Algorithm: learning.SSGD{}})
-	dense := newTestServer(t, Config{K: 3, Shards: 4, Algorithm: learning.SSGD{}})
+	sparse := newTestServer(t, Config{K: 3, Algorithm: learning.SSGD{}})
+	dense := newTestServer(t, Config{K: 3, Algorithm: learning.SSGD{}})
 	if !sparse.Pipeline().SparseCapable() {
 		t.Fatal("default pipeline must be sparse-capable")
 	}
@@ -672,15 +633,15 @@ func TestF16AnnounceFallback(t *testing.T) {
 // through a server with the implicit default pipeline and one with an
 // explicitly registry-built "staleness -> mean" pipeline: final parameters,
 // version and acked scales must match bit-for-bit (the pipeline API only
-// re-houses the legacy sharded path, it never changes the arithmetic).
+// re-houses the legacy accumulate path, it never changes the arithmetic).
 func TestMeanPipelineEquivalentToDefault(t *testing.T) {
 	ctx := context.Background()
 	adaCfg := learning.AdaSGDConfig{NonStragglerPct: 99.7, BootstrapSteps: 5}
 
-	implicit := newTestServer(t, Config{K: 4, Shards: 8, Algorithm: learning.NewAdaSGD(adaCfg)})
+	implicit := newTestServer(t, Config{K: 4, Algorithm: learning.NewAdaSGD(adaCfg)})
 
 	explicitAlgo := learning.NewAdaSGD(adaCfg)
-	pipe, err := pipeline.Build("staleness", "mean", pipeline.BuildOptions{Algorithm: explicitAlgo, Shards: 8})
+	pipe, err := pipeline.Build("staleness", "mean", pipeline.BuildOptions{Algorithm: explicitAlgo})
 	if err != nil {
 		t.Fatal(err)
 	}

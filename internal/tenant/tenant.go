@@ -42,7 +42,6 @@ type Config struct {
 	Arch             string  `json:"arch,omitempty"`          // default "tiny-mnist"
 	LearningRate     float64 `json:"learning_rate,omitempty"` // default 0.03
 	K                int     `json:"k,omitempty"`             // default 1
-	Shards           int     `json:"shards,omitempty"`        // default 1
 	DeltaHistory     int     `json:"delta_history,omitempty"` // default 4 (server's)
 	DefaultBatchSize int     `json:"default_batch_size,omitempty"`
 	NonStragglerPct  float64 `json:"non_straggler_pct,omitempty"` // default 99.7
