@@ -51,7 +51,6 @@ type benchOptions struct {
 	out       string
 	list      bool
 	transport string
-	mode      string
 
 	// Scenario overrides (zero/empty: keep the scenario's value).
 	workers   int
@@ -101,7 +100,6 @@ func parseBench(args []string, stderr io.Writer) (*benchOptions, error) {
 	fs.StringVar(&o.out, "out", "", `output path (default BENCH_<scenario>.json; "-" for stdout)`)
 	fs.BoolVar(&o.list, "list", false, "list registered scenarios and exit")
 	fs.StringVar(&o.transport, "transport", "inproc", "inproc (direct service calls), http (per-request v1 wire protocol) or stream (persistent sessions with server-pushed announces)")
-	fs.StringVar(&o.mode, "mode", "virtual", "virtual (deterministic event loop) or realtime (goroutine-per-worker)")
 	fs.IntVar(&o.workers, "workers", 0, "override the scenario's fleet size")
 	fs.IntVar(&o.rounds, "rounds", 0, "override the rounds per worker")
 	fs.StringVar(&o.arch, "arch", "", "override the model architecture")
@@ -207,7 +205,6 @@ func buildRunner(o *benchOptions) (*loadgen.Runner, error) {
 		Scenario:  sc,
 		Seed:      o.seed,
 		Transport: loadgen.Transport(o.transport),
-		Mode:      loadgen.Mode(o.mode),
 	}, nil
 }
 
@@ -280,7 +277,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			// seed with no tenant layer and no neighbors — the isolation
 			// baseline every difference is measured against.
 			sub, seed := loadgen.TenantSubScenario(res.Config, specOf[tr.Name], res.Seed)
-			twin := &loadgen.Runner{Scenario: sub, Seed: seed, Transport: loadgen.TransportInProc, Mode: loadgen.ModeVirtual}
+			twin := &loadgen.Runner{Scenario: sub, Seed: seed, Transport: loadgen.TransportInProc}
 			solo, err := twin.Run(ctx)
 			if err != nil {
 				fmt.Fprintf(stderr, "solo twin for tenant %s: %v\n", tr.Name, err)

@@ -40,7 +40,7 @@ func TestSpecFlagsRoundTripIntoRunner(t *testing.T) {
 		"-stages", "staleness,norm-filter(50)",
 		"-aggregator", "trimmed(1)",
 		"-admission", "min-batch(2),per-worker-quota(5,60)",
-		"-transport", "http", "-mode", "realtime",
+		"-transport", "http",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +62,8 @@ func TestSpecFlagsRoundTripIntoRunner(t *testing.T) {
 	if sc.Server.Admission != "min-batch(2),per-worker-quota(5,60)" {
 		t.Fatalf("admission spec lost: %q", sc.Server.Admission)
 	}
-	if r.Transport != loadgen.TransportHTTP || r.Mode != loadgen.ModeRealtime {
-		t.Fatalf("transport/mode lost: %v/%v", r.Transport, r.Mode)
+	if r.Transport != loadgen.TransportHTTP {
+		t.Fatalf("transport lost: %v", r.Transport)
 	}
 	// And a malformed spec must surface when the runner executes.
 	bad, _ := parseBench([]string{"-scenario", "uniform", "-aggregator", "krum(0.5)"}, io.Discard)

@@ -45,7 +45,6 @@ import (
 
 	"fleet/internal/compress"
 	"fleet/internal/ingest"
-	"fleet/internal/iprof"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
 	"fleet/internal/pipeline"
@@ -79,11 +78,6 @@ type Config struct {
 	// nodes make admission decisions without a round trip to the root.
 	// Nil admits everything at DefaultBatchSize.
 	Admission sched.AdmissionPolicy
-	// TimeProfiler and EnergyProfiler, when set, absorb the measured task
-	// costs leaf pushes report, exactly as the server's do — profiling
-	// lives at the tier that admits.
-	TimeProfiler   *iprof.IProf
-	EnergyProfiler *iprof.IProf
 	// DefaultBatchSize seeds the admission chain (default 100).
 	DefaultBatchSize int
 	// DeltaHistory is how many recent upstream versions the edge keeps as
@@ -158,8 +152,6 @@ func New(cfg Config) (*Node, error) {
 		K:                cfg.K,
 		Pipeline:         cfg.Pipeline,
 		Admission:        cfg.Admission,
-		TimeProfiler:     cfg.TimeProfiler,
-		EnergyProfiler:   cfg.EnergyProfiler,
 		DefaultBatchSize: cfg.DefaultBatchSize,
 		DeltaHistory:     cfg.DeltaHistory,
 	}, (*edgeSink)(n))

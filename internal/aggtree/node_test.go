@@ -118,7 +118,9 @@ func (w *stripedSum) Drain(apply func(direction []float64)) error {
 // K-sum is preserved exactly — an edge forwards the raw sum of its window
 // (no division), the root's mean window accumulates the E forwards with
 // scale exactly 1 (staleness 0, AdaSGD), and the floating-point addition
-// order is identical in both topologies.
+// order is identical in both topologies. Every leaf of a flat window writes
+// the same coordinates, so a summation reordered on either side rounds
+// differently and fails the == comparison.
 func TestTreeMeanEquivalentToFlat(t *testing.T) {
 	ctx := context.Background()
 	const (
@@ -169,7 +171,11 @@ func TestTreeMeanEquivalentToFlat(t *testing.T) {
 	}
 
 	for i := 0; i < leafPushes; i++ {
-		grad := sparseGrad(i, paramCount)
+		grad := make([]float64, paramCount)
+		window := i / (edgesN * fanIn)
+		for k := 0; k < 5; k++ {
+			grad[(window*37+k*11)%paramCount] = float64(i%7+1)*0.01 + float64(k)*0.003 + float64(i)/3000
+		}
 
 		// Flat: push straight at the server, always current.
 		_, fv := flat.Model()

@@ -6,17 +6,16 @@
 //   - top-k sparsification: transmit only the k largest-magnitude
 //     coordinates (with client-side error feedback so the dropped mass is
 //     not lost, merely delayed);
-//   - stochastic uniform quantization: map each value to one of 2^bits
-//     levels with unbiased rounding.
+//   - stochastic quantization of the kept values: 8-bit uniform levels
+//     (SparseQ8) or binary16 (SparseF16), both with unbiased rounding.
 //
-// Both produce a compact wire form (Sparse / Quantized) that the server
-// decodes back into a dense gradient before Equation 3.
+// Both produce a compact wire form (Sparse, SparseQ8, SparseF16) that the
+// server decodes back into a gradient before Equation 3.
 package compress
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -68,14 +67,6 @@ func (s Sparse) Dense() []float64 {
 	return out
 }
 
-// CompressionRatio returns dense/compressed size (coordinate count based).
-func (s Sparse) CompressionRatio() float64 {
-	if len(s.Indices) == 0 {
-		return 0
-	}
-	return float64(s.Len) / float64(len(s.Indices))
-}
-
 // ErrorFeedback accumulates the compression residual on the worker: the
 // next gradient is corrected by what previous transmissions dropped
 // (memory-augmented SGD). One instance per worker.
@@ -110,84 +101,6 @@ func (e *ErrorFeedback) Compress(grad []float64) Sparse {
 	}
 	return sparse
 }
-
-// ResidualNorm returns the L2 norm of the carried residual (diagnostics).
-func (e *ErrorFeedback) ResidualNorm() float64 {
-	s := 0.0
-	for _, v := range e.residual {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Quantized is a stochastically quantized gradient: per-tensor min/max and
-// one level index per coordinate.
-type Quantized struct {
-	Min    float64  `json:"min"`
-	Max    float64  `json:"max"`
-	Bits   uint8    `json:"bits"`
-	Levels []uint16 `json:"levels"`
-}
-
-// Quantize maps grad onto 2^bits uniform levels over [min, max] with
-// unbiased stochastic rounding. bits must be in [1, 16].
-func Quantize(rng *rand.Rand, grad []float64, bits uint8) Quantized {
-	if bits < 1 || bits > 16 {
-		panic(fmt.Sprintf("compress: bits=%d outside [1, 16]", bits))
-	}
-	q := Quantized{Bits: bits, Levels: make([]uint16, len(grad))}
-	if len(grad) == 0 {
-		return q
-	}
-	q.Min, q.Max = grad[0], grad[0]
-	for _, v := range grad {
-		if v < q.Min {
-			q.Min = v
-		}
-		if v > q.Max {
-			q.Max = v
-		}
-	}
-	if q.Max == q.Min {
-		return q // all levels zero; Dense restores the constant
-	}
-	levels := float64(uint32(1)<<bits - 1)
-	scale := levels / (q.Max - q.Min)
-	for i, v := range grad {
-		exact := (v - q.Min) * scale
-		lo := math.Floor(exact)
-		frac := exact - lo
-		level := lo
-		if rng.Float64() < frac {
-			level = lo + 1
-		}
-		if level > levels {
-			level = levels
-		}
-		q.Levels[i] = uint16(level)
-	}
-	return q
-}
-
-// Dense reconstructs the (approximate) gradient.
-func (q Quantized) Dense() []float64 {
-	out := make([]float64, len(q.Levels))
-	if q.Max == q.Min {
-		for i := range out {
-			out[i] = q.Min
-		}
-		return out
-	}
-	levels := float64(uint32(1)<<q.Bits - 1)
-	step := (q.Max - q.Min) / levels
-	for i, l := range q.Levels {
-		out[i] = q.Min + float64(l)*step
-	}
-	return out
-}
-
-// BitsPerCoordinate returns the wire cost per coordinate (vs 64 dense).
-func (q Quantized) BitsPerCoordinate() float64 { return float64(q.Bits) }
 
 // Diff computes the exact sparse delta from base to target: the
 // coordinates that changed, carrying the *target* values (overwrite

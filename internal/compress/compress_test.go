@@ -3,9 +3,6 @@ package compress
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"fleet/internal/simrand"
 )
 
 func TestTopKKeepsLargest(t *testing.T) {
@@ -20,9 +17,6 @@ func TestTopKKeepsLargest(t *testing.T) {
 		if d[i] != want[i] {
 			t.Fatalf("dense = %v, want %v", d, want)
 		}
-	}
-	if got := s.CompressionRatio(); got != 2.5 {
-		t.Fatalf("ratio = %v, want 2.5", got)
 	}
 }
 
@@ -66,9 +60,10 @@ func TestErrorFeedbackConservesMass(t *testing.T) {
 	if s1.Values[0] != 1 {
 		t.Fatalf("first transmission %v", s1.Values)
 	}
-	wantResidual := math.Sqrt(0.5*0.5 + 0.2*0.2 + 0.1*0.1)
-	if math.Abs(ef.ResidualNorm()-wantResidual) > 1e-12 {
-		t.Fatalf("residual norm %v, want %v", ef.ResidualNorm(), wantResidual)
+	for i, want := range []float64{0, 0.5, 0.2, 0.1} {
+		if ef.residual[i] != want {
+			t.Fatalf("residual %v, want [0 0.5 0.2 0.1]", ef.residual)
+		}
 	}
 	// A second gradient: residual is added before selection.
 	s2 := ef.Compress([]float64{0, 0.5, 0, 0})
@@ -86,8 +81,10 @@ func TestErrorFeedbackEventuallyTransmitsEverything(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ef.Compress(zero)
 	}
-	if ef.ResidualNorm() > 1e-12 {
-		t.Fatalf("residual %v not drained", ef.ResidualNorm())
+	for _, v := range ef.residual {
+		if math.Abs(v) > 1e-12 {
+			t.Fatalf("residual %v not drained", ef.residual)
+		}
 	}
 }
 
@@ -108,103 +105,6 @@ func TestErrorFeedbackPanics(t *testing.T) {
 		}()
 		NewErrorFeedback(3, 1).Compress([]float64{1})
 	}()
-}
-
-func TestQuantizeRoundTripAccuracy(t *testing.T) {
-	rng := simrand.New(1)
-	grad := make([]float64, 1000)
-	for i := range grad {
-		grad[i] = rng.NormFloat64()
-	}
-	q := Quantize(rng, grad, 8)
-	d := q.Dense()
-	span := q.Max - q.Min
-	maxStep := span / 255
-	for i := range grad {
-		if math.Abs(d[i]-grad[i]) > maxStep {
-			t.Fatalf("coordinate %d: %v -> %v exceeds one quantization step %v",
-				i, grad[i], d[i], maxStep)
-		}
-	}
-}
-
-func TestQuantizeUnbiased(t *testing.T) {
-	// Stochastic rounding must be unbiased: the mean reconstruction of a
-	// fixed value equals the value.
-	rng := simrand.New(2)
-	const v = 0.37
-	grad := []float64{0, v, 1} // fix min/max
-	sum := 0.0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		q := Quantize(rng, grad, 2) // coarse: 4 levels
-		sum += q.Dense()[1]
-	}
-	if got := sum / n; math.Abs(got-v) > 0.01 {
-		t.Fatalf("mean reconstruction %v, want %v (unbiased)", got, v)
-	}
-}
-
-func TestQuantizeConstantGradient(t *testing.T) {
-	rng := simrand.New(3)
-	q := Quantize(rng, []float64{2.5, 2.5, 2.5}, 8)
-	for _, v := range q.Dense() {
-		if v != 2.5 {
-			t.Fatalf("constant gradient reconstructed as %v", v)
-		}
-	}
-}
-
-func TestQuantizeEmptyAndBounds(t *testing.T) {
-	rng := simrand.New(4)
-	q := Quantize(rng, nil, 4)
-	if len(q.Dense()) != 0 {
-		t.Error("empty gradient")
-	}
-	if q.BitsPerCoordinate() != 4 {
-		t.Error("bits per coordinate")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("bits=0: expected panic")
-			}
-		}()
-		Quantize(rng, []float64{1}, 0)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("bits=17: expected panic")
-			}
-		}()
-		Quantize(rng, []float64{1}, 17)
-	}()
-}
-
-func TestQuantizeProperty(t *testing.T) {
-	rng := simrand.New(5)
-	err := quick.Check(func(vals [16]float64, bitsRaw uint8) bool {
-		bits := bitsRaw%16 + 1
-		grad := make([]float64, 16)
-		for i, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
-			}
-			grad[i] = math.Mod(v, 100)
-		}
-		q := Quantize(rng, grad, bits)
-		d := q.Dense()
-		for _, v := range d {
-			if v < q.Min-1e-9 || v > q.Max+1e-9 {
-				return false
-			}
-		}
-		return len(d) == len(grad)
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
 }
 
 func TestDiffExactReconstruction(t *testing.T) {

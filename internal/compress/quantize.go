@@ -160,12 +160,6 @@ func QuantizeSparseF16(rng *rand.Rand, s Sparse) SparseF16 {
 	return out
 }
 
-// Sparse dequantizes back to a float64-valued sparse gradient. The indices
-// are shared, not copied.
-func (q SparseF16) Sparse() Sparse {
-	return Sparse{Len: q.Len, Indices: q.Indices, Values: UnpackF16(q.Values)}
-}
-
 // SparseQ8 is a top-k sparsified gradient whose values travel as 8-bit
 // uniform levels over the per-push [Min, Max] range: 1 byte per kept
 // coordinate plus two float64 range bounds.
@@ -178,8 +172,7 @@ type SparseQ8 struct {
 }
 
 // QuantizeSparseQ8 quantizes a sparse gradient's values onto 256 uniform
-// levels with unbiased stochastic rounding (the 8-bit analogue of
-// Quantize). The indices are shared, not copied.
+// levels with unbiased stochastic rounding. The indices are shared, not copied.
 func QuantizeSparseQ8(rng *rand.Rand, s Sparse) SparseQ8 {
 	out := SparseQ8{Len: s.Len, Indices: s.Indices, Levels: make([]uint8, len(s.Values))}
 	if len(s.Values) == 0 {

@@ -150,8 +150,7 @@ func TestQuantizeSparseF16Structure(t *testing.T) {
 	if f.Len != 10 || len(f.Values) != 2 {
 		t.Fatalf("f16 structure: %+v", f)
 	}
-	back := f.Sparse()
-	for j, v := range back.Values {
+	for j, v := range UnpackF16(f.Values) {
 		if math.Abs(v-sp.Values[j]) > math.Abs(sp.Values[j])/1024 {
 			t.Errorf("coord %d: %v vs %v", j, v, sp.Values[j])
 		}

@@ -187,13 +187,6 @@ func (d *Device) effectiveAlpha(base float64) float64 {
 	return base * (1 + d.Model.ThermalCoeff*excess)
 }
 
-// AlphaTimeNow returns the current (thermal-adjusted, noise-free) seconds
-// per sample. Exposed for calibration and testing.
-func (d *Device) AlphaTimeNow() float64 { return d.effectiveAlpha(d.Model.AlphaTime) }
-
-// AlphaEnergyNow returns the current battery-% per sample.
-func (d *Device) AlphaEnergyNow() float64 { return d.effectiveAlpha(d.Model.AlphaEnergy) }
-
 // noise returns a multiplicative noise factor whose spread grows with
 // device temperature (Figure 4(b)'s hot-device variance).
 func (d *Device) noise() float64 {

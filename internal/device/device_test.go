@@ -76,18 +76,18 @@ func TestDeviceHeterogeneity(t *testing.T) {
 func TestThermalThrottlingRaisesSlope(t *testing.T) {
 	m, _ := ModelByName("Honor 10")
 	d := New(m, simrand.New(3))
-	coolAlpha := d.AlphaTimeNow()
+	coolAlpha := d.effectiveAlpha(d.Model.AlphaTime)
 	// Heat the device with successive large tasks ("up" phase of Fig. 4).
 	for i := 0; i < 30; i++ {
 		d.Execute(2000)
 	}
-	hotAlpha := d.AlphaTimeNow()
+	hotAlpha := d.effectiveAlpha(d.Model.AlphaTime)
 	if hotAlpha <= coolAlpha {
 		t.Fatalf("hot slope %v must exceed cool slope %v", hotAlpha, coolAlpha)
 	}
 	// Cooling down restores the slope.
 	d.Idle(10000)
-	if got := d.AlphaTimeNow(); math.Abs(got-coolAlpha) > 1e-12 {
+	if got := d.effectiveAlpha(d.Model.AlphaTime); math.Abs(got-coolAlpha) > 1e-12 {
 		t.Fatalf("after cooling slope = %v, want %v", got, coolAlpha)
 	}
 }

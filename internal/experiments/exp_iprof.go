@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 
 	"fleet/internal/device"
@@ -161,11 +160,4 @@ func fig13(scale Scale) *Report {
 		fig13TestDevices, iprof.KindEnergy, 0.075, 6e-5, rounds)
 	rep.addLine("paper: 90%% of tasks deviate ≤0.01%% with I-Prof vs 0.19%% with MAUI")
 	return rep
-}
-
-// fig12Schedule renders the request schedule (Figure 12(a)) as text —
-// useful for eyeballing the staggered log-ins.
-func fig12Schedule() string {
-	return fmt.Sprintf("%d devices, one log-in per round, one request per logged-in device per round",
-		len(fig12TestDevices))
 }

@@ -213,7 +213,11 @@ func TestStalenessTraceShape(t *testing.T) {
 	cfg.Days = 6
 	s := Generate(cfg)
 	rng := simrand.New(9)
-	trace := StalenessTrace(s, rng, 7.1, 8.45)
+	starts := make([]float64, len(s.Tweets))
+	for i, tw := range s.Tweets {
+		starts[i] = tw.TimeSec
+	}
+	trace := StalenessOfTimestamps(starts, rng, 7.1, 8.45)
 	if len(trace) != len(s.Tweets) {
 		t.Fatal("one staleness value per task expected")
 	}

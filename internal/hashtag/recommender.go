@@ -29,9 +29,6 @@ func NewRecommender(cfg StreamConfig, rng *rand.Rand) *Recommender {
 	}
 }
 
-// ParamCount returns the number of trainable parameters.
-func (r *Recommender) ParamCount() int { return r.net.ParamCount() }
-
 // features converts a token bag to a normalized count vector.
 func (r *Recommender) features(tokens []int) *tensor.Tensor {
 	x := tensor.New(r.vocab)

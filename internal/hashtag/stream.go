@@ -233,21 +233,11 @@ func Timestamps(days, perHour, peakHours int, seed int64) []float64 {
 	return out
 }
 
-// StalenessTrace reproduces the Figure-7 analysis: every tweet triggers a
-// learning task whose round-trip latency is drawn from a shifted
-// exponential (min 7.1 s, mean 8.45 s as estimated in §3.1); the staleness
-// of a task is the number of other tasks that complete between its model
-// pull and its gradient push.
-func StalenessTrace(s *Stream, rng *rand.Rand, minLatencySec, meanLatencySec float64) []int {
-	starts := make([]float64, len(s.Tweets))
-	for i, t := range s.Tweets {
-		starts[i] = t.TimeSec
-	}
-	return StalenessOfTimestamps(starts, rng, minLatencySec, meanLatencySec)
-}
-
-// StalenessOfTimestamps computes the staleness of tasks starting at the
-// given (sorted) times under exponential round-trip latency.
+// StalenessOfTimestamps reproduces the Figure-7 analysis: every task
+// starting at one of the given (sorted) times has a round-trip latency drawn
+// from a shifted exponential (min 7.1 s, mean 8.45 s as estimated in §3.1);
+// the staleness of a task is the number of other tasks that complete between
+// its model pull and its gradient push.
 func StalenessOfTimestamps(starts []float64, rng *rand.Rand, minLatencySec, meanLatencySec float64) []int {
 	n := len(starts)
 	completions := make([]float64, n)

@@ -316,18 +316,6 @@ func (p *IProf) RestoreState(st *State) error {
 	return nil
 }
 
-// PersonalModels returns the names of device models that have personalized
-// predictors (diagnostics).
-func (p *IProf) PersonalModels() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.personal))
-	for k := range p.personal {
-		out = append(out, k)
-	}
-	return out
-}
-
 func dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("iprof: feature length %d does not match model %d", len(b), len(a)))
@@ -364,13 +352,6 @@ func NewMAUI(batchSizes []int, costs []float64) (*MAUI, error) {
 		return nil, fmt.Errorf("maui: degenerate training data")
 	}
 	return m, nil
-}
-
-// Theta returns the current slope θ₀.
-func (m *MAUI) Theta() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.theta()
 }
 
 func (m *MAUI) theta() float64 {

@@ -100,7 +100,11 @@ func TestPersonalizationImprovesPrediction(t *testing.T) {
 	m, _ := device.ModelByName("Xperia E3") // unseen, much weaker than training set
 	d := device.New(m, simrand.New(3))
 
-	coldErr := math.Abs(p.PredictAlpha(m.Name, d.Features()) - d.AlphaTimeNow())
+	// The device's noise-free seconds per sample at its current temperature.
+	alphaNow := func() float64 {
+		return m.AlphaTime * (1 + m.ThermalCoeff*math.Max(0, d.TempC()-device.AmbientTempC))
+	}
+	coldErr := math.Abs(p.PredictAlpha(m.Name, d.Features()) - alphaNow())
 
 	// Feed real observations (as requests would). Noise means single
 	// observations wobble; feed enough for the PA model to settle.
@@ -113,17 +117,11 @@ func TestPersonalizationImprovesPrediction(t *testing.T) {
 		})
 		d.Idle(120)
 	}
-	persErr := math.Abs(p.PredictAlpha(m.Name, d.Features()) - d.AlphaTimeNow())
+	persErr := math.Abs(p.PredictAlpha(m.Name, d.Features()) - alphaNow())
 	if persErr >= coldErr {
 		t.Fatalf("personalized error %v should beat cold-start error %v", persErr, coldErr)
 	}
-	found := false
-	for _, name := range p.PersonalModels() {
-		if name == m.Name {
-			found = true
-		}
-	}
-	if !found {
+	if p.personal[m.Name] == nil {
 		t.Fatal("personalized model not registered")
 	}
 }
@@ -181,7 +179,7 @@ func TestMAUIFitsGlobalSlope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Theta(); math.Abs(got-0.01) > 1e-9 {
+	if got := m.theta(); math.Abs(got-0.01) > 1e-9 {
 		t.Fatalf("θ₀ = %v, want 0.01", got)
 	}
 	if n := m.BatchSize(3); n != 300 {
@@ -197,7 +195,7 @@ func TestMAUIObserveShiftsSlope(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m.Observe(100, 4) // slope 0.04 device dominates
 	}
-	if got := m.Theta(); got < 0.03 {
+	if got := m.theta(); got < 0.03 {
 		t.Fatalf("θ₀ = %v, want shifted toward 0.04", got)
 	}
 }

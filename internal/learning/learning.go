@@ -153,10 +153,10 @@ type AdaSGDConfig struct {
 	// stragglers (Λ(4·τ_thres) ≈ 1e-7), and Figure 9's recovery would be
 	// unreproducible.
 	SimFloor float64
-	// MaxHistory bounds the staleness history used for the quantile
-	// estimate; 0 means the default (16384).
-	MaxHistory int
 }
+
+// maxHistory bounds the staleness history behind the τ_thres quantile.
+const maxHistory = 16384
 
 // AdaSGD is the paper's adaptive asynchronous SGD (§2.3): exponential
 // staleness dampening calibrated on the τ_thres quantile, boosted by the
@@ -174,29 +174,17 @@ func NewAdaSGD(cfg AdaSGDConfig) *AdaSGD {
 	if cfg.NonStragglerPct <= 0 || cfg.NonStragglerPct > 100 {
 		panic(fmt.Sprintf("learning: NonStragglerPct %v outside (0, 100]", cfg.NonStragglerPct))
 	}
-	maxHist := cfg.MaxHistory
-	if maxHist == 0 {
-		maxHist = 16384
-	}
 	if cfg.SimFloor == 0 {
 		cfg.SimFloor = 0.05
 	}
 	return &AdaSGD{
 		cfg:     cfg,
-		tracker: NewStalenessTracker(maxHist),
+		tracker: NewStalenessTracker(maxHistory),
 	}
 }
 
 // Name implements Algorithm.
 func (a *AdaSGD) Name() string { return "AdaSGD" }
-
-// TauThres returns the current τ_thres estimate (s-th percentile of
-// observed staleness).
-func (a *AdaSGD) TauThres() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.tracker.Quantile(a.cfg.NonStragglerPct / 100)
-}
 
 // Scale implements Algorithm.
 func (a *AdaSGD) Scale(meta GradientMeta) float64 {

@@ -107,7 +107,7 @@ func TestAdaSGDSwitchesToExponential(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		alg.Observe(GradientMeta{Staleness: i % 13})
 	}
-	tauThres := alg.TauThres()
+	tauThres := alg.tracker.Quantile(0.90)
 	if tauThres <= 0 {
 		t.Fatalf("τ_thres = %v, want > 0", tauThres)
 	}
@@ -273,7 +273,7 @@ func TestLabelTrackerLifecycle(t *testing.T) {
 	if got := lt.Similarity([]int{5, 0, 0, 0}); got != 1 {
 		t.Fatalf("empty-tracker similarity = %v, want 1", got)
 	}
-	lt.Record([]int{10, 10, 0, 0})
+	lt.RecordWeighted([]int{10, 10, 0, 0}, 1)
 	// A local dataset matching the global distribution has sim 1.
 	if got := lt.Similarity([]int{1, 1, 0, 0}); math.Abs(got-1) > 1e-12 {
 		t.Errorf("matching similarity = %v, want 1", got)
@@ -282,27 +282,29 @@ func TestLabelTrackerLifecycle(t *testing.T) {
 	if got := lt.Similarity([]int{0, 0, 3, 3}); got != 0 {
 		t.Errorf("unseen-label similarity = %v, want 0", got)
 	}
-	dist := lt.Distribution()
-	if math.Abs(dist[0]-0.5) > 1e-12 || math.Abs(dist[1]-0.5) > 1e-12 {
-		t.Errorf("distribution = %v", dist)
+	if st := lt.ExportState(); st.Counts[0] != 10 || st.Counts[1] != 10 || st.Total != 20 {
+		t.Errorf("LD_global = %+v", st)
 	}
 }
 
 func TestLabelTrackerEmptyDistribution(t *testing.T) {
 	lt := NewLabelTracker(3)
-	for _, v := range lt.Distribution() {
+	st := lt.ExportState()
+	if len(st.Counts) != 3 || st.Total != 0 {
+		t.Fatalf("empty tracker state = %+v", st)
+	}
+	for _, v := range st.Counts {
 		if v != 0 {
-			t.Fatal("empty tracker must return zero distribution")
+			t.Fatal("empty tracker must hold a zero distribution")
 		}
 	}
 }
 
 func TestLabelTrackerIgnoresOverflowIndices(t *testing.T) {
 	lt := NewLabelTracker(2)
-	lt.Record([]int{1, 1, 99}) // third entry must be ignored
-	d := lt.Distribution()
-	if math.Abs(d[0]-0.5) > 1e-12 {
-		t.Errorf("distribution = %v", d)
+	lt.RecordWeighted([]int{1, 1, 99}, 1) // third entry must be ignored
+	if st := lt.ExportState(); len(st.Counts) != 2 || st.Total != 2 {
+		t.Errorf("LD_global = %+v", st)
 	}
 }
 

@@ -87,11 +87,6 @@ func (l *LabelTracker) Similarity(localCounts []int) float64 {
 	return Bhattacharyya(local, st.counts)
 }
 
-// Record folds the label counts of a consumed mini-batch into LD_global.
-func (l *LabelTracker) Record(localCounts []int) {
-	l.RecordWeighted(localCounts, 1)
-}
-
 // RecordWeighted folds label counts scaled by the weight the gradient was
 // actually applied with. LD_global then reflects the knowledge the model
 // effectively incorporated: samples whose gradient was dampened to ~0 do
@@ -147,18 +142,4 @@ func (l *LabelTracker) RestoreState(st LabelState) error {
 	copy(next.counts, st.Counts)
 	l.state.Store(next)
 	return nil
-}
-
-// Distribution returns a copy of the normalized global label distribution,
-// or a zero vector when nothing has been recorded. Lock-free.
-func (l *LabelTracker) Distribution() []float64 {
-	st := l.state.Load()
-	out := make([]float64, len(st.counts))
-	if st.total == 0 {
-		return out
-	}
-	for i, c := range st.counts {
-		out[i] = c / st.total
-	}
-	return out
 }

@@ -242,16 +242,6 @@ func TestServerRestartOverHTTP(t *testing.T) {
 	}
 }
 
-// TestRestartRequiresVirtualMode: realtime mode cannot place the kill
-// deterministically, so the combination is rejected up front.
-func TestRestartRequiresVirtualMode(t *testing.T) {
-	sc := small(t, "server-restart", 4, 2)
-	_, err := (&Runner{Scenario: sc, Seed: 1, Mode: ModeRealtime}).Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "virtual mode") {
-		t.Fatalf("realtime restart: %v", err)
-	}
-}
-
 // TestHTTPTransportMatchesInProc: the gob wire round-trips float64 exactly,
 // so the deterministic projection is transport-invariant.
 func TestHTTPTransportMatchesInProc(t *testing.T) {
@@ -347,26 +337,6 @@ func TestRejectsAttributedByPolicy(t *testing.T) {
 	}
 	if attributed != res.Counts.Rejected {
 		t.Fatalf("rejects not attributed: %+v vs %d", res.Server.RejectsByPolicy, res.Counts.Rejected)
-	}
-}
-
-func TestRealtimeModeRaces(t *testing.T) {
-	sc := small(t, "uniform", 8, 5)
-	sc.Byzantine = ByzantineSpec{Fraction: 0.25, Attack: AttackScaledNoise, Scale: 0.1}
-	sc.Net.LossRate = 0.1
-	sc.Churn = ChurnSpec{LeaveProb: 0.2, OfflineMeanSec: 1}
-	res, err := (&Runner{Scenario: sc, Seed: 13, Mode: ModeRealtime}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counts.ProtocolErrors != 0 {
-		t.Fatalf("realtime errors: %v", res.Counts.ErrorSamples)
-	}
-	if res.Counts.Pushes == 0 || res.Mode != "realtime" {
-		t.Fatalf("realtime result: %+v", res.Counts)
-	}
-	if res.VirtualDurationSec != 0 {
-		t.Fatal("realtime mode must not report a virtual duration")
 	}
 }
 
@@ -604,15 +574,14 @@ func TestServerRestartOverStream(t *testing.T) {
 // TestCompareTransportsRejectsMismatch: the poll-vs-push comparison refuses
 // apples-to-oranges inputs instead of emitting a misleading headline.
 func TestCompareTransportsRejectsMismatch(t *testing.T) {
-	stream := &Result{Scenario: "uniform", Seed: 1, Mode: string(ModeVirtual), Transport: string(TransportStream)}
+	stream := &Result{Scenario: "uniform", Seed: 1, Transport: string(TransportStream)}
 	for _, tc := range []struct {
 		name string
 		twin *Result
 	}{
-		{"seed", &Result{Scenario: "uniform", Seed: 2, Mode: string(ModeVirtual), Transport: string(TransportHTTP)}},
-		{"scenario", &Result{Scenario: "lossy-net", Seed: 1, Mode: string(ModeVirtual), Transport: string(TransportHTTP)}},
-		{"mode", &Result{Scenario: "uniform", Seed: 1, Mode: string(ModeRealtime), Transport: string(TransportHTTP)}},
-		{"same-transport", &Result{Scenario: "uniform", Seed: 1, Mode: string(ModeVirtual), Transport: string(TransportStream)}},
+		{"seed", &Result{Scenario: "uniform", Seed: 2, Transport: string(TransportHTTP)}},
+		{"scenario", &Result{Scenario: "lossy-net", Seed: 1, Transport: string(TransportHTTP)}},
+		{"same-transport", &Result{Scenario: "uniform", Seed: 1, Transport: string(TransportStream)}},
 	} {
 		if _, err := CompareTransports(stream, tc.twin); err == nil {
 			t.Errorf("%s mismatch accepted", tc.name)

@@ -12,7 +12,7 @@ import (
 )
 
 // Counts are the protocol-level event counters of one run. Everything here
-// is deterministic in virtual mode.
+// is deterministic.
 type Counts struct {
 	PullAttempts int `json:"pull_attempts"`
 	Accepted     int `json:"accepted"`
@@ -63,7 +63,7 @@ type StalenessBlock struct {
 
 // TransportBlock digests the transport-level cost of one wire run (HTTP or
 // stream; in-process runs have no wire and omit the block). Everything here
-// is deterministic in virtual mode: connection counts follow the event
+// is deterministic: connection counts follow the event
 // order, and wire bytes are encoded frame/payload sizes, not TCP overhead.
 type TransportBlock struct {
 	// Connections is the fleet-wide transport connection count: HTTP
@@ -110,8 +110,8 @@ type TreeBlock struct {
 
 // TransportComparison embeds the polling twin's numbers into a streaming
 // run's result — what `fleet-bench -compare-transport` writes, and what the
-// CI stream-push gate asserts on. The twin is the same scenario, seed and
-// mode re-run over the named transport.
+// CI stream-push gate asserts on. The twin is the same scenario and seed
+// re-run over the named transport.
 type TransportComparison struct {
 	// Transport is the polling twin compared against (e.g. "http").
 	Transport string `json:"transport"`
@@ -136,9 +136,9 @@ type TransportComparison struct {
 // transport. Mismatched runs are rejected — the numbers would be
 // meaningless.
 func CompareTransports(streaming, polling *Result) (*TransportComparison, error) {
-	if streaming.Scenario != polling.Scenario || streaming.Seed != polling.Seed || streaming.Mode != polling.Mode {
-		return nil, fmt.Errorf("loadgen: transport comparison needs the same scenario/seed/mode (%s/%d/%s vs %s/%d/%s)",
-			streaming.Scenario, streaming.Seed, streaming.Mode, polling.Scenario, polling.Seed, polling.Mode)
+	if streaming.Scenario != polling.Scenario || streaming.Seed != polling.Seed {
+		return nil, fmt.Errorf("loadgen: transport comparison needs the same scenario/seed (%s/%d vs %s/%d)",
+			streaming.Scenario, streaming.Seed, polling.Scenario, polling.Seed)
 	}
 	if streaming.Transport == polling.Transport {
 		return nil, fmt.Errorf("loadgen: transport comparison of %s against itself", streaming.Transport)
@@ -235,9 +235,9 @@ func CompareTenantSolo(tr *TenantResult, solo *Result) (*TenantComparison, error
 	if tr.Result == nil {
 		return nil, fmt.Errorf("loadgen: tenant %s carries no sub-run result", tr.Name)
 	}
-	if solo.Scenario != tr.Result.Scenario || solo.Seed != tr.Seed || solo.Mode != tr.Result.Mode {
-		return nil, fmt.Errorf("loadgen: solo twin for tenant %s needs scenario/seed/mode %s/%d/%s, got %s/%d/%s",
-			tr.Name, tr.Result.Scenario, tr.Seed, tr.Result.Mode, solo.Scenario, solo.Seed, solo.Mode)
+	if solo.Scenario != tr.Result.Scenario || solo.Seed != tr.Seed {
+		return nil, fmt.Errorf("loadgen: solo twin for tenant %s needs scenario/seed %s/%d, got %s/%d",
+			tr.Name, tr.Result.Scenario, tr.Seed, solo.Scenario, solo.Seed)
 	}
 	same, err := Identical(tr.Result, solo)
 	if err != nil {
@@ -346,7 +346,6 @@ type Result struct {
 	Scenario    string `json:"scenario"`
 	Description string `json:"description,omitempty"`
 	Seed        int64  `json:"seed"`
-	Mode        string `json:"mode"`
 	Transport   string `json:"transport"`
 	Workers     int    `json:"workers"`
 	Rounds      int    `json:"rounds"`
@@ -356,8 +355,7 @@ type Result struct {
 
 	Counts Counts `json:"counts"`
 	// VirtualDurationSec is the simulated duration of the run;
-	// ThroughputPerSec is accepted pushes per virtual second (virtual
-	// mode) or per wall second (realtime mode).
+	// ThroughputPerSec is accepted pushes per virtual second.
 	VirtualDurationSec float64         `json:"virtual_duration_sec"`
 	ThroughputPerSec   float64         `json:"throughput_pushes_per_sec"`
 	Latency            LatencyBlock    `json:"latency"`

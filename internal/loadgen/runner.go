@@ -37,9 +37,9 @@ type Transport string
 const (
 	// TransportInProc calls the *server.Server directly (fast, default).
 	TransportInProc Transport = "inproc"
-	// TransportHTTP drives the real v1 wire protocol (gob+gzip) through a
-	// loopback HTTP server, exercising codecs, routing and error mapping.
-	// Polling semantics: every request dials a fresh connection (mobile
+	// TransportHTTP drives the real v1 wire protocol (protocol.Default,
+	// unless Scenario.Codec names a codec) through a loopback HTTP server,
+	// exercising codecs, routing and error mapping. Polling semantics: every request dials a fresh connection (mobile
 	// fleets hold no pooled sockets across think time), so the harness
 	// counts one connection per call and, when the scenario prices
 	// connection setup, charges it on every pull and push.
@@ -48,33 +48,19 @@ const (
 	// (internal/stream) over a loopback TCP listener: one multiplexed
 	// session per worker, server-pushed model announces absorbed into the
 	// worker cache before each pull, and connection setup paid once per
-	// session instead of per call. In virtual mode announce delivery is
-	// fenced into the deterministic event order, so stream runs replay
-	// bit-for-bit like every other transport.
+	// session instead of per call. Announce delivery is fenced into the
+	// deterministic event order, so stream runs replay bit-for-bit like
+	// every other transport.
 	TransportStream Transport = "stream"
 )
 
-// Mode selects the execution engine.
-type Mode string
-
-// Modes.
-const (
-	// ModeVirtual is the deterministic discrete-event engine: one event at
-	// a time on a virtual clock, bit-for-bit replayable per seed.
-	ModeVirtual Mode = "virtual"
-	// ModeRealtime runs goroutine-per-worker at full speed with no virtual
-	// clock: nondeterministic interleaving, real contention — the stress
-	// and wall-clock-throughput engine.
-	ModeRealtime Mode = "realtime"
-)
-
-// Runner executes one scenario. Zero-value Transport/Mode default to
-// in-process virtual time.
+// Runner executes one scenario on the deterministic discrete-event engine:
+// one event at a time on a virtual clock, bit-for-bit replayable per seed.
+// A zero-value Transport defaults to in-process.
 type Runner struct {
 	Scenario  Scenario
 	Seed      int64
 	Transport Transport
-	Mode      Mode
 
 	// enforced, when set, routes every in-process service call through an
 	// externally built enforcement layer wrapped around the run's own
@@ -120,7 +106,7 @@ type simWorker struct {
 	// worker.Config.MaxResyncs for the event-driven engine.
 	resyncBudget int
 
-	// In-flight state between the pull and push events (virtual mode).
+	// In-flight state between the pull and push events.
 	pending    *worker.Prepared
 	roundStart float64
 	pushNet    float64
@@ -276,7 +262,7 @@ type run struct {
 	test      []nn.Sample
 	sims      []*simWorker
 
-	// Restart machinery (virtual mode): the factory rebuilds the server
+	// Restart machinery: the factory rebuilds the server
 	// through node.FromSpec, swap reroutes the fleet to it, clock feeds
 	// virtual time to admission. rt is the current instance's runtime —
 	// doRestart kills it and compiles a successor from the same Spec.
@@ -298,7 +284,6 @@ type run struct {
 	// (Runner.enforced): quota/budget rejections count as TenantRejects.
 	tenantScoped bool
 
-	mu         sync.Mutex
 	counts     Counts
 	pullVirt   []float64
 	pushVirt   []float64
@@ -315,7 +300,7 @@ type run struct {
 	// would.
 	wall *service.CallMetrics
 
-	// Event queue (virtual mode).
+	// Event queue.
 	events eventHeap
 	seq    int64
 }
@@ -376,7 +361,6 @@ func (r *run) recordError(err error) {
 }
 
 // maybeEval appends an accuracy point every EvalEvery accepted pushes.
-// Callers hold r.mu.
 func (r *run) maybeEval() {
 	if r.sc.EvalEvery <= 0 || r.counts.Pushes%r.sc.EvalEvery != 0 {
 		return
@@ -403,19 +387,10 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if transport == "" {
 		transport = TransportInProc
 	}
-	mode := r.Mode
-	if mode == "" {
-		mode = ModeVirtual
-	}
 	switch transport {
 	case TransportInProc, TransportHTTP, TransportStream:
 	default:
 		return nil, fmt.Errorf("loadgen: unknown transport %q", transport)
-	}
-	switch mode {
-	case ModeVirtual, ModeRealtime:
-	default:
-		return nil, fmt.Errorf("loadgen: unknown mode %q", mode)
 	}
 
 	arch, err := nn.ArchByName(sc.Server.Arch)
@@ -474,19 +449,10 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	// The virtual clock backs time-windowed admission policies in virtual
-	// mode; realtime mode keeps the wall clock (BuildOptions.Now nil).
-	var clock *vclock
-	var now func() time.Time
-	if mode == ModeVirtual {
-		clock = &vclock{}
-		now = clock.Now
-	}
-	factory := newSrvFactory(sc, r.Seed, iprofRng, fleetModels, now)
+	// The virtual clock backs time-windowed admission policies.
+	clock := &vclock{}
+	factory := newSrvFactory(sc, r.Seed, iprofRng, fleetModels, clock.Now)
 	if sc.Restart.AtSec > 0 {
-		if mode != ModeVirtual {
-			return nil, fmt.Errorf("loadgen: server restart requires virtual mode (the kill lands at a deterministic virtual instant)")
-		}
 		ckptDir, err := os.MkdirTemp("", "fleet-loadgen-ckpt-*")
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: checkpoint dir: %w", err)
@@ -568,15 +534,11 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		if lnErr != nil {
 			return nil, fmt.Errorf("loadgen: stream listener: %w", lnErr)
 		}
-		opts := stream.Options{}
-		if mode == ModeVirtual {
-			// Virtual runs disable client heartbeats so wire bytes stay a
-			// pure function of the event order; the idle reaper must stand
-			// down with them — a large fleet's sessions legitimately sit
-			// idle in wall time while other workers' events execute.
-			opts.IdleTimeout = -1
-		}
-		streamSrv = stream.NewServer(swap, opts)
+		// Client heartbeats are off so wire bytes stay a pure function of the
+		// event order; the idle reaper must stand down with them — a large
+		// fleet's sessions legitimately sit idle in wall time while other
+		// workers' events execute.
+		streamSrv = stream.NewServer(swap, stream.Options{IdleTimeout: -1})
 		go func() { _ = streamSrv.Serve(ln) }()
 		defer func() {
 			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -699,11 +661,9 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 				OnAnnounce: func(protocol.ModelAnnounce) {
 					announces.Add(1)
 				},
-			}
-			if mode == ModeVirtual {
-				// Heartbeats are wall-clock traffic; a virtual run's wire
-				// bytes must be a pure function of the event order.
-				cl.PingInterval = -1
+				// Heartbeats are wall-clock traffic; a run's wire bytes
+				// must be a pure function of the event order.
+				PingInterval: -1,
 			}
 			sw.strm = cl
 			sw.needsConn = true
@@ -757,12 +717,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	defer func() { _ = rn.srv.Close() }()
 
 	wallStart := time.Now()
-	if mode == ModeVirtual {
-		err = r.runVirtual(ctx, rn, sims)
-	} else {
-		err = r.runRealtime(ctx, rn, sims)
-	}
-	if err != nil {
+	if err := r.runVirtual(ctx, rn, sims); err != nil {
 		return nil, err
 	}
 	// Flush partial edge windows so no acked leaf gradient is stranded in
@@ -793,7 +748,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		Scenario:    sc.Name,
 		Description: sc.Description,
 		Seed:        r.Seed,
-		Mode:        string(mode),
 		Transport:   string(transport),
 		Workers:     sc.Workers,
 		Rounds:      sc.Rounds,
@@ -876,13 +830,9 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if rn.counts.Pushes > 0 {
 		res.MeanScale = rn.scaleSum / float64(rn.counts.Pushes)
 	}
-	if mode == ModeVirtual {
-		res.VirtualDurationSec = rn.virtualEnd
-		if rn.virtualEnd > 0 {
-			res.ThroughputPerSec = float64(rn.counts.Pushes) / rn.virtualEnd
-		}
-	} else if elapsed > 0 {
-		res.ThroughputPerSec = float64(rn.counts.Pushes) / elapsed
+	res.VirtualDurationSec = rn.virtualEnd
+	if rn.virtualEnd > 0 {
+		res.ThroughputPerSec = float64(rn.counts.Pushes) / rn.virtualEnd
 	}
 	return res, nil
 }
@@ -914,9 +864,7 @@ func (r *Runner) runVirtual(ctx context.Context, rn *run, sims []*simWorker) err
 		if ev.at > rn.virtualEnd {
 			rn.virtualEnd = ev.at
 		}
-		if rn.clock != nil {
-			rn.clock.set(ev.at)
-		}
+		rn.clock.set(ev.at)
 		switch ev.kind {
 		case evtPull:
 			r.doPull(ctx, rn, ev.sw, ev.at)
@@ -1072,7 +1020,7 @@ func (r *Runner) doPull(ctx context.Context, rn *run, sw *simWorker, t float64) 
 
 // doPush executes step (5) at virtual time t, then think/churn-schedules
 // the next round. Its only error is a broken announce fence (stream
-// transport, virtual mode) — a determinism violation, fatal to the run.
+// transport) — a determinism violation, fatal to the run.
 func (r *Runner) doPush(ctx context.Context, rn *run, sw *simWorker, t float64) error {
 	sw.roundsLeft--
 	if rn.sc.Net.LossRate > 0 && sw.netRng.Float64() < rn.sc.Net.LossRate {
@@ -1114,7 +1062,7 @@ func (r *Runner) doPush(ctx context.Context, rn *run, sw *simWorker, t float64) 
 			// (Broadcasts() moved), so wait here until every live session
 			// has observed it — announce delivery becomes part of the event
 			// order instead of racing the next event.
-			if rn.clock != nil && rn.streamSrv != nil && rn.streamSrv.Broadcasts() > preBcast {
+			if rn.streamSrv != nil && rn.streamSrv.Broadcasts() > preBcast {
 				if err := rn.fenceAnnounces(ctx, pushEpoch, ack.NewVersion); err != nil {
 					return err
 				}
@@ -1147,100 +1095,6 @@ func (r *Runner) doPush(ctx context.Context, rn *run, sw *simWorker, t float64) 
 	sw.dev.Idle(gap)
 	rn.schedule(t+gap, evtPull, sw)
 	return nil
-}
-
-// runRealtime runs goroutine-per-worker at full speed: no virtual clock, no
-// think time — maximum concurrency against the live serving path. The
-// interleaving (and thus staleness) is whatever the scheduler produces;
-// per-worker decisions (loss, churn, noise) still replay from the seed.
-func (r *Runner) runRealtime(ctx context.Context, rn *run, sims []*simWorker) error {
-	var wg sync.WaitGroup
-	for _, sw := range sims {
-		wg.Add(1)
-		go func(sw *simWorker) {
-			defer wg.Done()
-			for sw.roundsLeft > 0 {
-				if ctx.Err() != nil {
-					return
-				}
-				sw.roundsLeft--
-				rn.absorbAnnounces(sw)
-				prevVer, prevEpoch, prevCached := sw.w.CachedVersion()
-				ws := time.Now()
-				resp, err := sw.w.Pull(ctx, sw.svc)
-				pullDur := time.Since(ws).Seconds()
-				rn.mu.Lock()
-				rn.counts.PullAttempts++
-				if sw.rejoining {
-					sw.rejoining = false
-					rn.counts.Rejoins++
-				}
-				if err != nil {
-					rn.recordError(err)
-					rn.mu.Unlock()
-					continue
-				}
-				if !resp.Accepted {
-					rn.counts.Rejected++
-					rn.mu.Unlock()
-					continue
-				}
-				rn.counts.Accepted++
-				if resp.ParamsDelta != nil {
-					rn.counts.DeltaPulls++
-				} else {
-					rn.counts.FullPulls++
-				}
-				if prevCached && resp.ServerEpoch == prevEpoch && resp.ModelVersion >= prevVer {
-					rn.pullStale.Add(resp.ModelVersion - prevVer)
-				}
-				rn.mu.Unlock()
-
-				prep := sw.w.Compute(resp)
-				if rn.sc.Net.LossRate > 0 && sw.netRng.Float64() < rn.sc.Net.LossRate {
-					rn.mu.Lock()
-					rn.counts.LostPushes++
-					rn.mu.Unlock()
-					continue
-				}
-				ws = time.Now()
-				ack, err := sw.w.Push(ctx, sw.svc, prep.Push)
-				pushDur := time.Since(ws).Seconds()
-				rn.mu.Lock()
-				if err != nil {
-					if protocol.IsCode(err, protocol.CodeVersionConflict) && sw.resyncBudget > 0 {
-						// Same transient-recovery accounting as the virtual
-						// engine; realtime mode retries on its next round
-						// (the worker's cache is already dropped).
-						sw.resyncBudget--
-						rn.counts.Resyncs++
-					} else {
-						rn.recordError(err)
-					}
-				} else {
-					rn.counts.Pushes++
-					rn.stale.Add(ack.Staleness)
-					rn.scaleSum += ack.Scale
-					rn.roundVirt = append(rn.roundVirt, pullDur+pushDur)
-					rn.maybeEval()
-				}
-				rn.mu.Unlock()
-				if rn.sc.Churn.LeaveProb > 0 && sw.churnRng.Float64() < rn.sc.Churn.LeaveProb {
-					sw.w.ResetModelCache()
-					if sw.strm != nil {
-						_ = sw.strm.Close()
-						sw.needsConn = true
-					}
-					sw.rejoining = true
-					rn.mu.Lock()
-					rn.counts.Departures++
-					rn.mu.Unlock()
-				}
-			}
-		}(sw)
-	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // wallSummary digests one method's sampled wall latencies (zero Summary

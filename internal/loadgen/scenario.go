@@ -7,12 +7,10 @@
 // and measures what the paper's claims are about: throughput, staleness,
 // latency percentiles, rejects-by-policy, wire bytes and accuracy-vs-round.
 //
-// Every scenario is seeded through internal/simrand and, in the default
-// virtual-time mode, driven by a discrete-event loop whose event order is a
-// pure function of the seed — so a scenario replays bit-for-bit (Result
-// modulo its Wallclock block) and CI can gate on the numbers. A realtime
-// mode runs goroutine-per-worker at full speed for race hammering and
-// wall-clock throughput measurement.
+// Every scenario is seeded through internal/simrand and driven on virtual
+// time by a discrete-event loop whose event order is a pure function of the
+// seed — so a scenario replays bit-for-bit (Result modulo its Wallclock
+// block) and CI can gate on the numbers.
 package loadgen
 
 import (
@@ -80,8 +78,8 @@ type NetworkSpec struct {
 // window and every model update since the last checkpoint are lost, and
 // workers holding models newer than the restored version must resync
 // (version-conflict pushes → cache drop → full re-pull, counted in
-// Counts.Resyncs). Virtual mode only: the kill lands at a deterministic
-// virtual instant, so the whole recovery replays bit-for-bit per seed.
+// Counts.Resyncs). The kill lands at a deterministic virtual instant, so
+// the whole recovery replays bit-for-bit per seed.
 type RestartSpec struct {
 	// AtSec is the virtual time of the hard kill; 0 disables restarts.
 	AtSec float64 `json:"at_sec,omitempty"`
@@ -214,7 +212,7 @@ type Scenario struct {
 	// Tenants, when non-empty, turns the run multi-tenant: each entry is a
 	// named sub-fleet executed against its own tenant serving unit (see
 	// TenantSpec); the base scenario is every tenant's template. In-process
-	// transport, virtual mode only.
+	// transport only.
 	Tenants []TenantSpec `json:"tenants,omitempty"`
 }
 

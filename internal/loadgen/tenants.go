@@ -144,9 +144,6 @@ func (r *Runner) runTenants(ctx context.Context, sc Scenario) (*Result, error) {
 	if r.Transport != "" && r.Transport != TransportInProc {
 		return nil, fmt.Errorf("loadgen: multi-tenant scenarios require the in-process transport (got %q)", r.Transport)
 	}
-	if r.Mode != "" && r.Mode != ModeVirtual {
-		return nil, fmt.Errorf("loadgen: multi-tenant scenarios require virtual mode (got %q)", r.Mode)
-	}
 
 	type slot struct {
 		res  *Result
@@ -167,7 +164,6 @@ func (r *Runner) runTenants(ctx context.Context, sc Scenario) (*Result, error) {
 				Scenario:  sub,
 				Seed:      seed,
 				Transport: TransportInProc,
-				Mode:      ModeVirtual,
 				enforced: func(srv *server.Server) (func(int) service.Service, error) {
 					u, err := tenant.Attach(cfg, srv, tenant.Options{})
 					if err != nil {
@@ -206,7 +202,6 @@ func (r *Runner) runTenants(ctx context.Context, sc Scenario) (*Result, error) {
 		Scenario:    sc.Name,
 		Description: sc.Description,
 		Seed:        r.Seed,
-		Mode:        string(ModeVirtual),
 		Transport:   string(TransportInProc),
 		Rounds:      sc.Rounds,
 		Config:      sc,

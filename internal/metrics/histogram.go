@@ -58,13 +58,6 @@ func (r *Recorder) Observe(v float64) {
 	r.mu.Unlock()
 }
 
-// Count returns how many values were kept.
-func (r *Recorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.vals)
-}
-
 // Summary digests the recorded values.
 func (r *Recorder) Summary() Summary {
 	r.mu.Lock()
@@ -99,13 +92,6 @@ func (h *IntHist) Add(v int) {
 	h.total++
 	h.sum += float64(v)
 	h.mu.Unlock()
-}
-
-// Total returns the number of added values.
-func (h *IntHist) Total() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
 }
 
 // Mean returns the mean of the added values (0 when empty).

@@ -34,11 +34,8 @@ func TestRecorderCapKeepsFirst(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Observe(float64(i))
 	}
-	if r.Count() != 3 {
-		t.Fatalf("count = %d, want 3", r.Count())
-	}
-	if s := r.Summary(); s.Max != 2 {
-		t.Fatalf("capped recorder kept %v, want first 3 values", s.Max)
+	if s := r.Summary(); s.Count != 3 || s.Max != 2 {
+		t.Fatalf("capped recorder kept %d values up to %v, want the first 3", s.Count, s.Max)
 	}
 }
 
@@ -55,8 +52,8 @@ func TestRecorderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Count() != 4000 {
-		t.Fatalf("count = %d", r.Count())
+	if n := r.Summary().Count; n != 4000 {
+		t.Fatalf("count = %d", n)
 	}
 }
 
@@ -65,8 +62,8 @@ func TestIntHist(t *testing.T) {
 	for _, v := range []int{0, 0, 0, 1, 1, 2, 5} {
 		h.Add(v)
 	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
+	if h.total != 7 {
+		t.Fatalf("total = %d", h.total)
 	}
 	want := []IntBucket{{0, 3}, {1, 2}, {2, 1}, {5, 1}}
 	if got := h.Buckets(); !reflect.DeepEqual(got, want) {

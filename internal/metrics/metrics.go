@@ -60,26 +60,6 @@ func Max(values []float64) float64 {
 	return m
 }
 
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value float64
-	Prob  float64
-}
-
-// CDF computes the empirical CDF of values at the given number of evenly
-// spaced probability levels (e.g. 20 → p=0.05..1.00).
-func CDF(values []float64, levels int) []CDFPoint {
-	if len(values) == 0 || levels <= 0 {
-		return nil
-	}
-	out := make([]CDFPoint, 0, levels)
-	for i := 1; i <= levels; i++ {
-		p := float64(i) / float64(levels)
-		out = append(out, CDFPoint{Value: Percentile(values, p*100), Prob: p})
-	}
-	return out
-}
-
 // Histogram bins values into n equal-width bins over [min, max] and returns
 // normalized frequencies (summing to 1).
 func Histogram(values []float64, nBins int, min, max float64) []float64 {

@@ -51,28 +51,6 @@ func TestMeanMedianMax(t *testing.T) {
 	}
 }
 
-func TestCDFMonotone(t *testing.T) {
-	v := []float64{9, 1, 5, 3, 7, 2, 8, 4, 6, 0}
-	cdf := CDF(v, 10)
-	if len(cdf) != 10 {
-		t.Fatalf("CDF levels = %d", len(cdf))
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].Value < cdf[i-1].Value || cdf[i].Prob <= cdf[i-1].Prob {
-			t.Fatalf("CDF not monotone at %d: %+v", i, cdf)
-		}
-	}
-	if cdf[9].Value != 9 || cdf[9].Prob != 1 {
-		t.Fatalf("CDF tail = %+v", cdf[9])
-	}
-}
-
-func TestCDFEmpty(t *testing.T) {
-	if CDF(nil, 5) != nil {
-		t.Fatal("empty CDF should be nil")
-	}
-}
-
 func TestHistogramNormalized(t *testing.T) {
 	v := []float64{0.1, 0.2, 0.9, 0.95, 0.5}
 	h := Histogram(v, 2, 0, 1)

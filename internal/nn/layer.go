@@ -72,9 +72,6 @@ func NewConv2D(rng *rand.Rand, inC, inH, inW, outC, kh, kw, strideH, strideW, pa
 	return l
 }
 
-// OutShape returns the CHW output shape.
-func (l *Conv2D) OutShape() (c, h, w int) { return l.OutC, l.outH, l.outW }
-
 // Forward implements Layer.
 func (l *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	cols := tensor.Im2Col(x, l.KH, l.KW, l.StrideH, l.StrideW, l.PadH, l.PadW)
@@ -141,9 +138,6 @@ func NewMaxPool2D(inC, inH, inW, kh, kw, strideH, strideW int) *MaxPool2D {
 		outW: tensor.ConvOutputSize(inW, kw, strideW, 0),
 	}
 }
-
-// OutShape returns the CHW output shape.
-func (l *MaxPool2D) OutShape() (c, h, w int) { return l.InC, l.outH, l.outW }
 
 // Forward implements Layer.
 func (l *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {

@@ -225,9 +225,8 @@ func TestTable1MNISTParamStructure(t *testing.T) {
 	if conv1.OutC != 8 || conv1.KH != 5 || conv1.KW != 5 {
 		t.Fatalf("conv1 geometry %d/%dx%d, want 8/5x5", conv1.OutC, conv1.KH, conv1.KW)
 	}
-	oc, oh, ow := conv1.OutShape()
-	if oc != 8 || oh != 24 || ow != 24 {
-		t.Fatalf("conv1 out shape %dx%dx%d, want 8x24x24", oc, oh, ow)
+	if conv1.outH != 24 || conv1.outW != 24 {
+		t.Fatalf("conv1 out shape %dx%d, want 24x24", conv1.outH, conv1.outW)
 	}
 }
 

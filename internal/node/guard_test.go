@@ -2,11 +2,14 @@ package node
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -423,3 +426,330 @@ func TestFacadeAndKnobsAreWhatIsUsed(t *testing.T) {
 		t.Fatalf("walking %s: %v", root, err)
 	}
 }
+
+// TestInternalExportsAreUsed is the facade guard's twin below the facade.
+// Every package-level func, type, var and const of internal/*, and every
+// method of a type declared there, must be reachable from code that ships:
+// fleet.go, a cmd, an example or the bench/perf module (its own module, which
+// imports internal packages and must keep building untouched). Tests do not
+// count, and neither does a use inside a declaration that is itself
+// unreachable, so a helper of a dead function is reported with it. A method
+// needs no caller when its receiver type is reachable and the receiver (T or
+// *T, or a type embedding it) implements an interface that declares it: one of
+// the module's, one of a standard package the module imports, or error. That
+// is how service.Lease.Value serves context.Context, and a node's sink
+// ingest.Sink[W]. The packages are type-checked from source, the standard
+// library included, so the test needs nothing downloaded or prebuilt.
+func TestInternalExportsAreUsed(t *testing.T) {
+	allowed := map[string]string{ // at most three, each with its reason
+		"stream.Server.Sessions":  "the session count a live metrics document is to report",
+		"stream.Server.Coalesced": "the announce coalesce count a live metrics document is to report",
+		"robust.Mean":             "the plain average the robust rules and the retained window are tested against",
+	}
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path → its non-test files
+	parseDir := func(dir, path string) error {
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			return err
+		}
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			files[path] = append(files[path], f)
+		}
+		return nil
+	}
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil || !info.IsDir() {
+			return err
+		}
+		if path == root {
+			return parseDir(path, "fleet")
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		if rel == ".git" || rel == "bench" || info.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		return parseDir(path, "fleet/"+rel)
+	})
+	if err == nil {
+		err = parseDir(filepath.Join(root, "bench", "perf"), "fleet/bench/perf")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	checked := map[string]*types.Package{}
+	std := importer.ForCompiler(fset, "source", nil)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	info := &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
+	var check func(path string)
+	check = func(path string) {
+		if checked[path] != nil {
+			return
+		}
+		for _, f := range files[path] {
+			for _, spec := range f.Imports {
+				if dep, _ := strconv.Unquote(spec.Path.Value); files[dep] != nil {
+					check(dep)
+				}
+			}
+		}
+		pkg, err := conf.Check(path, fset, files[path], info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+		checked[path] = pkg
+	}
+	var paths []string
+	for path := range files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		check(path)
+	}
+
+	internal := func(p *types.Package) bool { return p != nil && strings.HasPrefix(p.Path(), "fleet/internal/") }
+	receiver := func(f *types.Func) *types.TypeName {
+		recv := f.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return nil
+		}
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			return n.Obj()
+		}
+		return nil
+	}
+	name := func(o types.Object) string {
+		if f, ok := o.(*types.Func); ok && receiver(f) != nil {
+			return o.Pkg().Name() + "." + receiver(f).Name() + "." + o.Name()
+		}
+		return o.Pkg().Name() + "." + o.Name()
+	}
+
+	// The graph: each declaration of internal/* → the declarations it names.
+	// Everything outside internal/*, init funcs, blank declarations and the
+	// allowlist are the roots.
+	uses := map[types.Object][]types.Object{}
+	var decls []types.Object
+	live := map[types.Object]bool{}
+	var queue []types.Object
+	mark := func(o types.Object) {
+		if !live[o] {
+			live[o] = true
+			queue = append(queue, o)
+		}
+	}
+	listed := map[string]bool{}
+	unit := func(pkg *types.Package, node ast.Node, objs []types.Object, isRoot bool) {
+		var used []types.Object
+		ast.Inspect(node, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+				o := info.Uses[id]
+				if f, ok := o.(*types.Func); ok {
+					o = f.Origin() // a method of an instantiated generic type
+				}
+				used = append(used, o)
+			}
+			return true
+		})
+		for _, o := range objs {
+			isRoot = isRoot || o == nil || o.Name() == "_"
+		}
+		if isRoot || !internal(pkg) {
+			for _, u := range used {
+				mark(u)
+			}
+			return
+		}
+		for _, o := range objs {
+			uses[o] = used
+			decls = append(decls, o)
+			if allowed[name(o)] != "" {
+				listed[name(o)] = true
+				mark(o)
+			}
+		}
+	}
+	for _, path := range paths {
+		pkg := checked[path]
+		for _, f := range files[path] {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					unit(pkg, d, []types.Object{info.Defs[d.Name]}, d.Recv == nil && d.Name.Name == "init")
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							unit(pkg, s, []types.Object{info.Defs[s.Name]}, false)
+						case *ast.ValueSpec:
+							var objs []types.Object
+							for _, n := range s.Names {
+								objs = append(objs, info.Defs[n])
+							}
+							unit(pkg, s, objs, false)
+						}
+					}
+				}
+			}
+		}
+	}
+	for n := range allowed {
+		if !listed[n] {
+			t.Errorf("the allowlist names %s, which internal/* no longer declares", n)
+		}
+	}
+
+	// The interfaces a method may serve without a caller: every interface
+	// the module declares or spells out, every one a standard package it
+	// imports declares, and error. A generic one is instantiated with the
+	// types a candidate's methods give its type parameters.
+	var ifaces []*types.Interface
+	var generic []*types.Named
+	addIface := func(tn *types.TypeName) {
+		if tn.IsAlias() || !types.IsInterface(tn.Type()) {
+			return
+		}
+		if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
+			generic = append(generic, n)
+		} else if i := tn.Type().Underlying().(*types.Interface); i.NumMethods() > 0 {
+			ifaces = append(ifaces, i)
+		}
+	}
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, o := range info.Defs {
+		if tn, ok := o.(*types.TypeName); ok {
+			addIface(tn)
+		}
+	}
+	for _, tv := range info.Types {
+		if i, ok := tv.Type.(*types.Interface); ok && tv.IsType() && i.NumMethods() > 0 {
+			ifaces = append(ifaces, i)
+		}
+	}
+	stdSeen := map[string]bool{}
+	for _, pkg := range checked {
+		for _, imp := range pkg.Imports() {
+			if checked[imp.Path()] != nil || stdSeen[imp.Path()] {
+				continue
+			}
+			stdSeen[imp.Path()] = true
+			for _, n := range imp.Scope().Names() {
+				if tn, ok := imp.Scope().Lookup(n).(*types.TypeName); ok {
+					addIface(tn)
+				}
+			}
+		}
+	}
+	instantiate := func(v types.Type, g *types.Named) *types.Interface {
+		args := make([]types.Type, g.TypeParams().Len())
+		bind := func(want, have *types.Tuple) {
+			for k := 0; k < want.Len() && want.Len() == have.Len(); k++ {
+				if tp, ok := want.At(k).Type().(*types.TypeParam); ok {
+					args[tp.Index()] = have.At(k).Type()
+				}
+			}
+		}
+		gi := g.Underlying().(*types.Interface)
+		for j := 0; j < gi.NumMethods(); j++ {
+			m := gi.Method(j)
+			obj, _, _ := types.LookupFieldOrMethod(v, false, m.Pkg(), m.Name())
+			f, ok := obj.(*types.Func)
+			if !ok {
+				return nil
+			}
+			want, have := m.Type().(*types.Signature), f.Type().(*types.Signature)
+			bind(want.Params(), have.Params())
+			bind(want.Results(), have.Results())
+		}
+		for _, a := range args {
+			if a == nil {
+				return nil
+			}
+		}
+		inst, err := types.Instantiate(nil, g, args, true)
+		if err != nil {
+			return nil
+		}
+		return inst.Underlying().(*types.Interface)
+	}
+	exempt := map[*types.TypeName][]types.Object{}
+	serve := func(v types.Type, i *types.Interface) {
+		if i == nil || !types.Implements(v, i) {
+			return
+		}
+		for j := 0; j < i.NumMethods(); j++ {
+			obj, _, _ := types.LookupFieldOrMethod(v, false, i.Method(j).Pkg(), i.Method(j).Name())
+			if f, ok := obj.(*types.Func); ok && internal(f.Pkg()) {
+				f = f.Origin()
+				exempt[receiver(f)] = append(exempt[receiver(f)], f)
+			}
+		}
+	}
+	for _, o := range info.Defs {
+		tn, ok := o.(*types.TypeName)
+		if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+			continue
+		}
+		if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
+			continue
+		}
+		for _, v := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
+			if types.NewMethodSet(v).Len() == 0 {
+				continue
+			}
+			for _, i := range ifaces {
+				serve(v, i)
+			}
+			for _, g := range generic {
+				serve(v, instantiate(v, g))
+			}
+		}
+	}
+
+	for len(queue) > 0 {
+		o := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, u := range uses[o] {
+			mark(u)
+		}
+		if tn, ok := o.(*types.TypeName); ok {
+			for _, m := range exempt[tn] {
+				mark(m)
+			}
+		}
+	}
+	for _, o := range decls {
+		if !live[o] {
+			pos := strings.TrimPrefix(fset.Position(o.Pos()).String(), root+string(filepath.Separator))
+			t.Errorf("%s: %s is used by no non-test code outside its own declaration (or only by code that is not used either): delete it", pos, name(o))
+		}
+	}
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

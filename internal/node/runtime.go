@@ -172,9 +172,6 @@ func (r *Runtime) Server() *server.Server { return r.asm.Server }
 // Service returns the composed serving surface.
 func (r *Runtime) Service() service.Service { return r.asm.Service }
 
-// Children returns the tenant sub-units driven by this lifecycle.
-func (r *Runtime) Children() []Child { return r.asm.Children }
-
 // State reports the runtime's lifecycle position.
 func (r *Runtime) State() State { return State(r.state.Load()) }
 
@@ -404,15 +401,6 @@ func (r *Runtime) Checkpoint() (string, error) {
 		return "", nil
 	}
 	return r.asm.Checkpoint()
-}
-
-// Flush forwards the partial aggregation window upstream (edges); a
-// no-op for roles without one.
-func (r *Runtime) Flush(ctx context.Context) error {
-	if r.asm.Flush == nil {
-		return nil
-	}
-	return r.asm.Flush(ctx)
 }
 
 // Close releases everything the runtime owns — the upstream session,

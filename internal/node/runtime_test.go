@@ -271,7 +271,7 @@ func TestRunCancelledDuringTenantRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery FromSpec: %v", err)
 	}
-	if n := len(rt.Children()); n != 2 {
+	if n := len(rt.Assembly().Children); n != 2 {
 		t.Fatalf("recovered %d tenant children, want 2", n)
 	}
 	srv := rt.Server()

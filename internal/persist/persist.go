@@ -159,9 +159,6 @@ func NewCheckpointer(dir string, keep int) (*Checkpointer, error) {
 	return c, nil
 }
 
-// Dir returns the checkpoint directory.
-func (c *Checkpointer) Dir() string { return c.dir }
-
 // Save writes st as a new checkpoint file: encode, checksum, write to a
 // temp file, fsync, rename into place, prune old files. It returns the
 // final path.
@@ -243,16 +240,10 @@ func (c *Checkpointer) pruneLocked() {
 	}
 }
 
-// LoadLatest loads the newest valid checkpoint in the directory, skipping
-// over corrupt files (a torn newest file must not mask the good state under
-// it). It returns ErrNoCheckpoint when the directory holds no checkpoint
-// files at all, and the newest file's *CorruptError when files exist but
-// none loads.
-func (c *Checkpointer) LoadLatest() (*State, string, error) {
-	return LoadLatest(c.dir)
-}
-
-// LoadLatest is the directory-level load: see Checkpointer.LoadLatest.
+// LoadLatest loads the newest valid checkpoint in dir, skipping over corrupt
+// files (a torn newest file must not mask the good state under it). It
+// returns ErrNoCheckpoint when the directory holds no checkpoint files at
+// all, and the newest file's *CorruptError when files exist but none loads.
 func LoadLatest(dir string) (*State, string, error) {
 	files, err := listCheckpoints(dir)
 	if err != nil {

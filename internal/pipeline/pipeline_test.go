@@ -279,6 +279,13 @@ func TestMeanWindowReportsTouched(t *testing.T) {
 
 }
 
+// buffered is how many gradients w retains.
+func buffered(w *RetainedWindow) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.window)
+}
+
 func TestRetainedWindowAggregates(t *testing.T) {
 	w, err := NewRetained(robust.CoordinateMedian{})
 	if err != nil {
@@ -289,8 +296,8 @@ func TestRetainedWindowAggregates(t *testing.T) {
 	w.Add([]float64{1}, 2)
 	w.Add([]float64{2}, 2)
 	w.Add([]float64{1000}, 1)
-	if w.Buffered() != 3 {
-		t.Fatalf("buffered %d, want 3", w.Buffered())
+	if buffered(w) != 3 {
+		t.Fatalf("buffered %d, want 3", buffered(w))
 	}
 	var got []float64
 	if err := w.Drain(func(dir []float64) { got = dir }); err != nil {
@@ -299,8 +306,8 @@ func TestRetainedWindowAggregates(t *testing.T) {
 	if got[0] != 12 {
 		t.Fatalf("median direction %v, want [12] (median 4 × window size 3)", got)
 	}
-	if w.Buffered() != 0 {
-		t.Fatalf("window not reset after drain: %d buffered", w.Buffered())
+	if buffered(w) != 0 {
+		t.Fatalf("window not reset after drain: %d buffered", buffered(w))
 	}
 	// An empty window drains as a no-op, not an error.
 	if err := w.Drain(func([]float64) { t.Fatal("empty window applied") }); err != nil {
@@ -332,12 +339,13 @@ func TestRetainedWindowMeanEqualsMeanWindow(t *testing.T) {
 	retained, _ := NewRetained(robust.Mean{})
 	mean := NewMeanWindow()
 	for i := 1; i <= 4; i++ {
-		vec := []float64{float64(i), float64(-i)}
+		// Seven coordinates: Add's four-wide blocks and its tail.
+		vec := []float64{float64(i), float64(-i), 2, float64(3 * i), -0.5, float64(i * i), float64(7 - i)}
 		retained.Add(vec, 0.5)
 		mean.Add(vec, 0.5)
 	}
 	sum := func(w WindowAggregator) []float64 {
-		out := []float64{0, 0}
+		out := make([]float64, 7)
 		if err := w.Drain(func(dir []float64) {
 			for i, v := range dir {
 				out[i] += v
@@ -347,8 +355,7 @@ func TestRetainedWindowMeanEqualsMeanWindow(t *testing.T) {
 		}
 		return out
 	}
-	r, s := sum(retained), sum(mean)
-	if r[0] != s[0] || r[1] != s[1] {
+	if r, s := sum(retained), sum(mean); !reflect.DeepEqual(r, s) {
 		t.Fatalf("retained mean %v != mean window %v", r, s)
 	}
 }
@@ -374,7 +381,7 @@ func TestRetainedWindowConcurrentHammer(t *testing.T) {
 					}
 					drainMu.Unlock()
 				}
-				_ = w.Buffered()
+				_ = buffered(w)
 			}
 		}()
 	}
@@ -387,8 +394,8 @@ func TestRetainedWindowConcurrentHammer(t *testing.T) {
 	if windows == 0 {
 		t.Fatal("no windows drained")
 	}
-	if w.Buffered() != 0 {
-		t.Fatalf("%d gradients stranded", w.Buffered())
+	if buffered(w) != 0 {
+		t.Fatalf("%d gradients stranded", buffered(w))
 	}
 }
 
@@ -413,6 +420,8 @@ func TestRegistryBuild(t *testing.T) {
 		{"staleness", "nope"},
 		{"staleness(", "mean"},
 		{"dp(1)", "mean"},
+		{"dp(0,1)", "mean"},
+		{"dp(1,-1)", "mean"},
 		{"norm-filter(oops)", "mean"},
 		{"staleness", "krum(1,2)"},
 		{"staleness", "krum(0.9)"},

@@ -71,11 +71,10 @@ func (s pcgSource) Seed(int64)   {}
 // push's batch size. The seed derives every push's noise stream (see the
 // type comment).
 func NewDP(cfg dp.Config, seed int64) (*DP, error) {
-	if cfg.ClipNorm <= 0 {
-		return nil, fmt.Errorf("pipeline: dp stage needs a positive ClipNorm, got %v", cfg.ClipNorm)
-	}
-	if cfg.NoiseMultiplier < 0 {
-		return nil, fmt.Errorf("pipeline: dp stage needs a non-negative NoiseMultiplier, got %v", cfg.NoiseMultiplier)
+	check := cfg
+	check.BatchSize = 1 // Process sets the batch size per gradient
+	if err := check.Validate(); err != nil {
+		return nil, fmt.Errorf("pipeline: dp stage: %w", err)
 	}
 	return &DP{cfg: cfg, seed: uint64(seed)}, nil
 }

@@ -31,11 +31,24 @@ func NewMeanWindow() *MeanWindow { return &MeanWindow{} }
 func (m *MeanWindow) Name() string { return "mean" }
 
 // Add implements WindowAggregator: O(params) accumulation under the lock.
+// Four coordinates per iteration: one per iteration spends a third of a
+// dense push in loop overhead, and on a shared 2-vCPU host its time swung
+// by up to 40 % from one server to the next. Each coordinate still gets its
+// one scale·g add, so the window's sum is the same bit for bit.
 func (m *MeanWindow) Add(vec []float64, scale float64) {
 	m.mu.Lock()
 	m.allocate(len(vec))
-	for i, g := range vec {
-		m.accum[i] += scale * g
+	acc := m.accum[:len(vec)]
+	i := 0
+	for ; i+4 <= len(vec); i += 4 {
+		a, g := acc[i:i+4:i+4], vec[i:i+4:i+4]
+		a[0] += scale * g[0]
+		a[1] += scale * g[1]
+		a[2] += scale * g[2]
+		a[3] += scale * g[3]
+	}
+	for ; i < len(vec); i++ {
+		acc[i] += scale * vec[i]
 	}
 	m.dirty, m.dense = true, true
 	m.mu.Unlock()
@@ -154,14 +167,6 @@ func (w *RetainedWindow) Add(vec []float64, scale float64) {
 	w.mu.Lock()
 	w.window = append(w.window, scaled)
 	w.mu.Unlock()
-}
-
-// Buffered returns the number of gradients currently retained (diagnostics
-// and tests).
-func (w *RetainedWindow) Buffered() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.window)
 }
 
 // Drain implements WindowAggregator: the whole buffered window is taken,

@@ -248,10 +248,3 @@ func (c *Controller) Admit(_ context.Context, req *TaskRequest) (Decision, error
 	c.sims = append(c.sims, req.Similarity)
 	return d, nil
 }
-
-// HistoryLen returns how many tasks the controller has seen.
-func (c *Controller) HistoryLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.sizes)
-}

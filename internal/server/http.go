@@ -34,11 +34,6 @@ var MaxRequestBytes int64 = 64 << 20
 // routes too.
 func NewHandler(svc service.Service) http.Handler { return NewEndpoint(svc) }
 
-// Handler returns the HTTP handler exposing the server's endpoints with no
-// interceptors attached; production deployments usually wrap the server in
-// service.Chain first and pass the result to NewHandler.
-func (s *Server) Handler() http.Handler { return NewHandler(s) }
-
 // Endpoint is the HTTP envelope around service.Call for one Service: method
 // and codec negotiation, the request-size cap, the per-codec wire tally, and
 // errors as JSON bodies with mapped statuses. As an http.Handler it serves

@@ -20,7 +20,7 @@ import (
 func newHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := newTestServer(t, cfg)
-	hs := httptest.NewServer(s.Handler())
+	hs := httptest.NewServer(NewHandler(s))
 	t.Cleanup(hs.Close)
 	return s, hs
 }

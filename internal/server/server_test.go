@@ -544,7 +544,7 @@ func TestQuantizedPushMatchesDequantized(t *testing.T) {
 		} else {
 			f := compress.QuantizeSparseF16(rng, sp)
 			push.SparseF16 = f.Values
-			dequant = f.Sparse().Values
+			dequant = compress.UnpackF16(f.Values)
 		}
 		if _, err := quant.PushGradient(ctx, push); err != nil {
 			t.Fatal(err)

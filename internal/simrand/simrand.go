@@ -19,23 +19,6 @@ func Gaussian(rng *rand.Rand, mu, sigma float64) float64 {
 	return rng.NormFloat64()*sigma + mu
 }
 
-// PositiveGaussian draws from N(mu, sigma^2) truncated to (0, +inf) by
-// resampling. It panics if mu <= 0 and sigma == 0.
-func PositiveGaussian(rng *rand.Rand, mu, sigma float64) float64 {
-	if sigma == 0 {
-		if mu <= 0 {
-			panic("simrand: PositiveGaussian with non-positive mu and zero sigma")
-		}
-		return mu
-	}
-	for {
-		v := Gaussian(rng, mu, sigma)
-		if v > 0 {
-			return v
-		}
-	}
-}
-
 // Exponential draws from a shifted exponential distribution with the given
 // minimum and mean. The paper (§3.1) models round-trip latency as an
 // exponential with min 7.1s and mean 8.45s; the rate applies to the part
@@ -116,11 +99,4 @@ func Categorical(rng *rand.Rand, weights []float64) int {
 // Perm returns a random permutation of [0, n).
 func Perm(rng *rand.Rand, n int) []int {
 	return rng.Perm(n)
-}
-
-// Shuffle shuffles idx in place.
-func Shuffle(rng *rand.Rand, idx []int) {
-	rng.Shuffle(len(idx), func(i, j int) {
-		idx[i], idx[j] = idx[j], idx[i]
-	})
 }

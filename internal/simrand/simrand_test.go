@@ -34,31 +34,6 @@ func TestGaussianMoments(t *testing.T) {
 	}
 }
 
-func TestPositiveGaussianAlwaysPositive(t *testing.T) {
-	rng := New(2)
-	for i := 0; i < 10000; i++ {
-		if v := PositiveGaussian(rng, 0.5, 2); v <= 0 {
-			t.Fatalf("got non-positive sample %v", v)
-		}
-	}
-}
-
-func TestPositiveGaussianZeroSigma(t *testing.T) {
-	rng := New(3)
-	if v := PositiveGaussian(rng, 5, 0); v != 5 {
-		t.Errorf("got %v, want 5", v)
-	}
-}
-
-func TestPositiveGaussianPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	PositiveGaussian(New(4), -1, 0)
-}
-
 func TestExponentialRespectMinAndMean(t *testing.T) {
 	rng := New(5)
 	const n = 200000
@@ -169,18 +144,5 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("invalid permutation: %v", p)
 		}
 		seen[v] = true
-	}
-}
-
-func TestShufflePreservesElements(t *testing.T) {
-	rng := New(13)
-	idx := []int{1, 2, 3, 4, 5}
-	sum := 0
-	Shuffle(rng, idx)
-	for _, v := range idx {
-		sum += v
-	}
-	if sum != 15 {
-		t.Errorf("shuffle lost elements: %v", idx)
 	}
 }

@@ -177,14 +177,6 @@ func (c *Client) TakeAnnounces() []protocol.ModelAnnounce {
 	return run
 }
 
-// AnnouncedVersion returns the latest announced model clock (or the
-// session-setup floor), with ok=false before any session was established.
-func (c *Client) AnnouncedVersion() (version int, epoch int64, ok bool) {
-	c.annMu.Lock()
-	defer c.annMu.Unlock()
-	return c.annVer, c.annEpoch, c.annSeen
-}
-
 // WaitAnnounced blocks until the announced model clock reaches (epoch,
 // version) — same epoch at that version or beyond, or any later epoch — or
 // ctx expires. The load harness uses it as a determinism fence: a push

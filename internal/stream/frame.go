@@ -43,9 +43,8 @@ import (
 // welcome, error, goaway), which are always JSON — they must be readable
 // before/without negotiation.
 const (
-	frameMagic  uint16 = 0xF1E7
-	headerSize         = 12
-	maxFlagBits byte   = 0 // no flags defined yet; nonzero is rejected
+	frameMagic uint16 = 0xF1E7
+	headerSize        = 12
 )
 
 // frameType discriminates the multiplexed frame kinds.

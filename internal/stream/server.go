@@ -57,7 +57,6 @@ type Server struct {
 	inflight sync.WaitGroup // request frames being handled
 	loops    sync.WaitGroup // session read loops
 
-	accepted   atomic.Int64
 	broadcasts atomic.Int64
 	coalesced  atomic.Int64
 }
@@ -100,7 +99,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		s.accepted.Add(1)
 		s.loops.Add(1)
 		go func() {
 			defer s.loops.Done()
@@ -115,9 +113,6 @@ func (s *Server) Sessions() int {
 	defer s.mu.Unlock()
 	return len(s.sessions)
 }
-
-// Accepted returns the total connections accepted since the server started.
-func (s *Server) Accepted() int64 { return s.accepted.Load() }
 
 // Broadcasts returns the total announce frames enqueued across all
 // sessions (a per-session-delivery count, not a per-Broadcast-call count).

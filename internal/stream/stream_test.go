@@ -436,7 +436,10 @@ func TestConcurrentBroadcastPushHammer(t *testing.T) {
 	if want := goroutines * perG; stats.GradientsIn != want {
 		t.Fatalf("gradients in = %d, want %d", stats.GradientsIn, want)
 	}
-	if _, _, ok := c.AnnouncedVersion(); !ok {
+	c.annMu.Lock()
+	seen := c.annSeen
+	c.annMu.Unlock()
+	if !seen {
 		t.Fatal("no announce ever observed")
 	}
 	if ss.Broadcasts() == 0 {

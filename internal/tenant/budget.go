@@ -51,9 +51,5 @@ func (b *Budget) Charges() int { return int(b.charges.Load()) }
 // Limit returns the configured ε budget.
 func (b *Budget) Limit() float64 { return b.limit }
 
-// MaxSteps returns the precomputed exhaustion point: the largest number of
-// pushes whose composed ε stays within the budget.
-func (b *Budget) MaxSteps() int { return int(b.maxSteps) }
-
 // Spent returns the ε the charged pushes have composed to.
 func (b *Budget) Spent() float64 { return b.acct.EpsilonAt(b.Charges()) }

@@ -57,9 +57,6 @@ func (t *Tensor) Data() []float64 { return t.data }
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.shape[i] }
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.shape...)
@@ -81,44 +78,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{shape: s, data: t.data}
 }
 
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float64 {
-	return t.data[t.offset(idx)]
-}
-
-// Set writes the element at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) {
-	t.data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v for shape %v", idx, t.shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
-// Zero resets all elements to 0.
-func (t *Tensor) Zero() {
-	for i := range t.data {
-		t.data[i] = 0
-	}
-}
-
-// Fill sets all elements to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // AddScaled adds alpha*other elementwise in place.
 func (t *Tensor) AddScaled(other *Tensor, alpha float64) {
 	if len(t.data) != len(other.data) {
@@ -134,23 +93,6 @@ func (t *Tensor) Scale(alpha float64) {
 	for i := range t.data {
 		t.data[i] *= alpha
 	}
-}
-
-// Dot returns the inner product of two equally sized tensors.
-func Dot(a, b *Tensor) float64 {
-	if len(a.data) != len(b.data) {
-		panic("tensor: Dot size mismatch")
-	}
-	s := 0.0
-	for i, v := range a.data {
-		s += v * b.data[i]
-	}
-	return s
-}
-
-// Norm2 returns the L2 norm of the tensor.
-func (t *Tensor) Norm2() float64 {
-	return math.Sqrt(Dot(t, t))
 }
 
 // MatMul computes C = A * B for 2-D tensors A (m×k) and B (k×n).

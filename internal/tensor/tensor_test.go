@@ -30,10 +30,10 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 func TestFromSliceRoundTrip(t *testing.T) {
 	d := []float64{1, 2, 3, 4, 5, 6}
 	a := FromSlice(d, 2, 3)
-	if a.At(0, 0) != 1 || a.At(0, 2) != 3 || a.At(1, 0) != 4 || a.At(1, 2) != 6 {
-		t.Fatalf("row-major layout broken: %v", a)
+	if a.Shape()[0] != 2 || a.Shape()[1] != 3 || &a.Data()[4] != &d[4] {
+		t.Fatalf("FromSlice(%v, 2, 3) = %v", d, a)
 	}
-	a.Set(9, 1, 1)
+	a.Data()[4] = 9
 	if d[4] != 9 {
 		t.Fatal("FromSlice must alias the input slice")
 	}
@@ -51,8 +51,8 @@ func TestFromSlicePanicsOnMismatch(t *testing.T) {
 func TestCloneIndependent(t *testing.T) {
 	a := FromSlice([]float64{1, 2}, 2)
 	b := a.Clone()
-	b.Set(5, 0)
-	if a.At(0) != 1 {
+	b.Data()[0] = 5
+	if a.Data()[0] != 1 {
 		t.Fatal("Clone must deep copy")
 	}
 }
@@ -60,8 +60,8 @@ func TestCloneIndependent(t *testing.T) {
 func TestReshapeSharesData(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := a.Reshape(4)
-	b.Set(7, 2)
-	if a.At(1, 0) != 7 {
+	b.Data()[2] = 7
+	if a.Data()[2] != 7 {
 		t.Fatal("Reshape must share data")
 	}
 }
@@ -75,35 +75,16 @@ func TestReshapePanicsOnCountMismatch(t *testing.T) {
 	New(2, 2).Reshape(3)
 }
 
-func TestAtPanicsOutOfBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(2, 2).At(2, 0)
-}
-
 func TestAddScaledAndScale(t *testing.T) {
 	a := FromSlice([]float64{1, 2}, 2)
 	b := FromSlice([]float64{10, 20}, 2)
 	a.AddScaled(b, 0.5)
-	if a.At(0) != 6 || a.At(1) != 12 {
+	if a.Data()[0] != 6 || a.Data()[1] != 12 {
 		t.Fatalf("AddScaled result %v", a)
 	}
 	a.Scale(2)
-	if a.At(0) != 12 || a.At(1) != 24 {
+	if a.Data()[0] != 12 || a.Data()[1] != 24 {
 		t.Fatalf("Scale result %v", a)
-	}
-}
-
-func TestDotAndNorm(t *testing.T) {
-	a := FromSlice([]float64{3, 4}, 2)
-	if got := Dot(a, a); got != 25 {
-		t.Errorf("Dot = %v, want 25", got)
-	}
-	if got := a.Norm2(); got != 5 {
-		t.Errorf("Norm2 = %v, want 5", got)
 	}
 }
 
@@ -174,7 +155,7 @@ func TestMatMulAssociativityWithIdentity(t *testing.T) {
 		a := FromSlice(d, 3, 3)
 		id := New(3, 3)
 		for i := 0; i < 3; i++ {
-			id.Set(1, i, i)
+			id.Data()[i*3+i] = 1
 		}
 		c := MatMul(a, id)
 		for i := range c.Data() {
@@ -193,11 +174,11 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1x1 kernel with stride 1 must reproduce the image, one pixel per row.
 	img := FromSlice([]float64{1, 2, 3, 4}, 1, 2, 2)
 	cols := Im2Col(img, 1, 1, 1, 1, 0, 0)
-	if cols.Dim(0) != 4 || cols.Dim(1) != 1 {
+	if cols.Shape()[0] != 4 || cols.Shape()[1] != 1 {
 		t.Fatalf("cols shape %v", cols.Shape())
 	}
 	for i, want := range []float64{1, 2, 3, 4} {
-		if cols.At(i, 0) != want {
+		if cols.Data()[i] != want {
 			t.Fatalf("cols = %v", cols.Data())
 		}
 	}
@@ -218,14 +199,14 @@ func TestIm2ColPatchContents(t *testing.T) {
 func TestIm2ColPadding(t *testing.T) {
 	img := FromSlice([]float64{5}, 1, 1, 1)
 	cols := Im2Col(img, 3, 3, 1, 1, 1, 1)
-	if cols.Dim(0) != 1 || cols.Dim(1) != 9 {
+	if cols.Shape()[0] != 1 || cols.Shape()[1] != 9 {
 		t.Fatalf("cols shape %v", cols.Shape())
 	}
 	sum := 0.0
 	for _, v := range cols.Data() {
 		sum += v
 	}
-	if sum != 5 || cols.At(0, 4) != 5 {
+	if sum != 5 || cols.Data()[4] != 5 {
 		t.Fatalf("padded patch = %v", cols.Data())
 	}
 }
@@ -238,13 +219,20 @@ func TestCol2ImAdjointOfIm2Col(t *testing.T) {
 		x.Data()[i] = float64(i%7) - 3
 	}
 	cols := Im2Col(x, kh, kw, 1, 1, 1, 1)
-	y := New(cols.Dim(0), cols.Dim(1))
+	y := New(cols.Shape()...)
 	for i := range y.Data() {
 		y.Data()[i] = float64((i*13)%5) - 2
 	}
-	lhs := Dot(cols, y)
+	dot := func(a, b *Tensor) float64 {
+		s := 0.0
+		for i, v := range a.Data() {
+			s += v * b.Data()[i]
+		}
+		return s
+	}
+	lhs := dot(cols, y)
 	back := Col2Im(y, c, h, w, kh, kw, 1, 1, 1, 1)
-	rhs := Dot(x, back)
+	rhs := dot(x, back)
 	if math.Abs(lhs-rhs) > 1e-9 {
 		t.Fatalf("adjoint property violated: %v vs %v", lhs, rhs)
 	}

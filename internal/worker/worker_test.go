@@ -108,7 +108,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	ds := data.TinyMNIST(5, 12, 4)
 	srv := newServer(t, server.Config{})
-	hs := httptest.NewServer(srv.Handler())
+	hs := httptest.NewServer(server.NewHandler(srv))
 	defer hs.Close()
 
 	client := &Client{BaseURL: hs.URL, HTTPClient: hs.Client()}
@@ -141,7 +141,7 @@ func TestHTTPEndToEndJSONAndGob(t *testing.T) {
 	ctx := context.Background()
 	ds := data.TinyMNIST(5, 12, 4)
 	srv := newServer(t, server.Config{})
-	hs := httptest.NewServer(srv.Handler())
+	hs := httptest.NewServer(server.NewHandler(srv))
 	defer hs.Close()
 
 	jsonClient := &Client{BaseURL: hs.URL, HTTPClient: hs.Client(), Codec: protocol.JSON}
@@ -170,7 +170,7 @@ func TestHTTPEndToEndJSONAndGob(t *testing.T) {
 func TestClientDecodesStructuredErrors(t *testing.T) {
 	ctx := context.Background()
 	srv := newServer(t, server.Config{})
-	hs := httptest.NewServer(srv.Handler())
+	hs := httptest.NewServer(server.NewHandler(srv))
 	defer hs.Close()
 
 	for _, c := range []*Client{
@@ -448,7 +448,7 @@ func TestWorkerDeltaPullsEndToEndHTTP(t *testing.T) {
 	ctx := context.Background()
 	ds := data.TinyMNIST(3, 24, 8)
 	srv := newServer(t, server.Config{Algorithm: learning.SSGD{}, DeltaHistory: 8})
-	hs := httptest.NewServer(srv.Handler())
+	hs := httptest.NewServer(server.NewHandler(srv))
 	defer hs.Close()
 
 	rng := simrand.New(2)
