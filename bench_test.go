@@ -194,7 +194,7 @@ func BenchmarkProtocolEncodeGradient(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := protocol.GobGzip.Encode(&buf, push); err != nil {
+		if err := protocol.Default.Encode(&buf, push); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,11 +209,11 @@ func BenchmarkProtocolRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := protocol.GobGzip.Encode(&buf, push); err != nil {
+		if err := protocol.Default.Encode(&buf, push); err != nil {
 			b.Fatal(err)
 		}
 		var out protocol.GradientPush
-		if err := protocol.GobGzip.Decode(&buf, &out); err != nil {
+		if err := protocol.Default.Decode(&buf, &out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -109,7 +109,7 @@ func parseBench(args []string, stderr io.Writer) (*benchOptions, error) {
 	fs.StringVar(&o.agg, "aggregator", "", "override the window-aggregator spec")
 	fs.StringVar(&o.admission, "admission", "", "override the admission-chain spec")
 	fs.StringVar(&o.compress, "compress", "", `override the scenario's uplink compression chain (e.g. "topk(12),q8"; "dense" clears it)`)
-	fs.StringVar(&o.codec, "codec", "", "override the scenario's wire codec: gob, json or flat")
+	fs.StringVar(&o.codec, "codec", "", "override the scenario's wire codec: flat, json")
 	fs.Float64Var(&o.minAccuracy, "min-accuracy", 0, "fail unless final accuracy reaches this (0 disables)")
 	fs.IntVar(&o.maxProtocolErrors, "max-protocol-errors", -1, "fail when protocol errors exceed this (-1 disables; CI uses 0)")
 	fs.StringVar(&o.compareTransport, "compare-transport", "", "also run the scenario over this twin transport (same seed) and embed the poll-vs-push comparison")

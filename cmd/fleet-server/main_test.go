@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -310,7 +311,7 @@ func TestHardKillThenRestore(t *testing.T) {
 	}
 
 	// Live training traffic: every push drains a window (K=1) and
-	// checkpoints (every=1), so durable state exists before the kill.
+	// checkpoints (every=1).
 	ctx := context.Background()
 	ds := data.TinyMNIST(1, 6, 2)
 	w, err := worker.New(worker.Config{ID: 1, Arch: nn.ArchSoftmaxMNIST, Local: ds.Train, Rng: simrand.New(3)})
@@ -328,6 +329,19 @@ func TestHardKillThenRestore(t *testing.T) {
 		t.Fatalf("pre-kill pull: %v %+v", err, resp)
 	}
 	prep := w.Compute(resp)
+
+	// The checkpoint writer is asynchronous: a drain's ack does not wait
+	// for its file, so wait for durable state before pulling the plug.
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		if ckpts, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.fleet")); len(ckpts) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint written before the kill")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	// kill -9: no drain, no shutdown checkpoint, in-flight window lost.
 	if err := child.Process.Kill(); err != nil {

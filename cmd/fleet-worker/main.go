@@ -67,7 +67,7 @@ func buildWorker(args []string, stderr io.Writer) (*workerSetup, error) {
 		rounds     = fs.Int("rounds", 50, "learning-task rounds to run")
 		interval   = fs.Duration("interval", 200*time.Millisecond, "pause between rounds")
 		seed       = fs.Int64("seed", 7, "local data + sampling seed")
-		codecName  = fs.String("codec", "gob", "wire codec: gob, json or flat")
+		codecName  = fs.String("codec", "", "wire codec: flat, json (empty: the default, flat)")
 		compress   = fs.String("compress", "", `uplink compression chain, e.g. "topk(16)", "topk(16),q8", "topk(16),f16" (empty sends dense gradients)`)
 		fullPull   = fs.Bool("full-pull", false, "always download the full model (disable delta pulls)")
 		timeout    = fs.Duration("timeout", 30*time.Second, "per-round deadline")

@@ -5,7 +5,8 @@
 // per-method metrics, per-worker rate limiting — on a loopback listener,
 // and drives eight workers on heterogeneous simulated phones through the
 // Figure-2 protocol via the versioned /v1 routes. One worker speaks JSON
-// instead of gob+gzip to show codec negotiation on the same server.
+// instead of the default flat codec to show codec negotiation on the same
+// server.
 package main
 
 import (

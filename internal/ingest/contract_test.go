@@ -209,7 +209,6 @@ func TestIngestContractAcrossSinks(t *testing.T) {
 				switch {
 				case c.dropped:
 					want.TasksDropped++
-					want.TasksRejected++
 					want.RejectsByPolicy["min-batch(5)"]++
 				case c.push != nil && c.code == "":
 					want.GradientsIn++

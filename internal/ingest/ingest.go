@@ -635,7 +635,6 @@ func (c *Core[W]) Stats(ctx context.Context) (*protocol.Stats, error) {
 	defer c.mu.Unlock()
 	st := &protocol.Stats{
 		TasksServed:       int(served),
-		TasksRejected:     int(dropped),
 		TasksDropped:      int(dropped),
 		GradientsIn:       c.tally.GradientsIn,
 		LeafGradients:     c.tally.LeafGradients,

@@ -242,7 +242,7 @@ func TestServerRestartOverHTTP(t *testing.T) {
 	}
 }
 
-// TestHTTPTransportMatchesInProc: the gob wire round-trips float64 exactly,
+// TestHTTPTransportMatchesInProc: the default wire round-trips float64 exactly,
 // so the deterministic projection is transport-invariant.
 func TestHTTPTransportMatchesInProc(t *testing.T) {
 	sc := small(t, "uniform", 6, 4)

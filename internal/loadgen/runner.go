@@ -38,8 +38,9 @@ const (
 	// TransportInProc calls the *server.Server directly (fast, default).
 	TransportInProc Transport = "inproc"
 	// TransportHTTP drives the real v1 wire protocol (protocol.Default,
-	// unless Scenario.Codec names a codec) through a loopback HTTP server,
-	// exercising codecs, routing and error mapping. Polling semantics: every request dials a fresh connection (mobile
+	// flat, unless Scenario.Codec names a codec) through a loopback HTTP
+	// server, exercising codecs, routing and error mapping. Polling
+	// semantics: every request dials a fresh connection (mobile
 	// fleets hold no pooled sockets across think time), so the harness
 	// counts one connection per call and, when the scenario prices
 	// connection setup, charges it on every pull and push.

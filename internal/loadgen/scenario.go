@@ -194,9 +194,9 @@ type Scenario struct {
 	// "topk(k),f16" — the same specs fleet-worker -compress accepts.
 	// Empty sends dense gradients.
 	CompressSpec string `json:"compress_spec,omitempty"`
-	// Codec selects the wire representation for wire transports: "gob"
-	// (default gob+gzip), "json", or "flat" (the flat binary codec). The
-	// in-process transport has no wire and ignores it.
+	// Codec selects the wire representation for wire transports: "flat"
+	// (the binary codec, also what "" means) or "json". The in-process
+	// transport has no wire and ignores it.
 	Codec string `json:"codec,omitempty"`
 	// FullPullFrac is the fraction of workers that never request delta
 	// pulls, mixing both downlink modes in one run.

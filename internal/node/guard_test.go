@@ -128,13 +128,16 @@ func TestIngestAndEndpointAreSingleSourced(t *testing.T) {
 // declare a Spec and take what it compiles to: none of them builds a
 // server, an edge, a pipeline, an admission chain or an Assembly by hand
 // (tests may). And what an unset codec means is protocol.Default's to say:
-// outside internal/protocol the gob codec is not named at all.
+// no cmd flag defaults to a codec name, and the retired gob+gzip codec is
+// not named at all.
 func TestServingUnitsAreCompiledOnce(t *testing.T) {
 	builders := []string{
 		"server.New(", "server.RestoreLatest(", "aggtree.New(",
 		"pipeline.Build(", "sched.Build(", "node.New(", "node.Assembly{",
 	}
 	declarers := []string{"cmd/", "internal/tenant/", "internal/loadgen/"}
+	gobCodec := regexp.MustCompile(`(?i)gobGzip|x-fleet-gob\+gzip|"gob"`)
+	codecDefault := regexp.MustCompile(`(?:String\(|StringVar\([^,]+,)\s*"[^"]*",\s*"(?:flat|json|gob)"`)
 	root := filepath.Join("..", "..")
 	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
@@ -142,7 +145,7 @@ func TestServingUnitsAreCompiledOnce(t *testing.T) {
 		}
 		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
 		if info.IsDir() {
-			if rel == "bench" || rel == ".git" || rel == "internal/protocol" {
+			if rel == "bench" || rel == ".git" {
 				return filepath.SkipDir
 			}
 			return nil
@@ -155,8 +158,13 @@ func TestServingUnitsAreCompiledOnce(t *testing.T) {
 			return err
 		}
 		src := string(raw)
-		if n := strings.Count(src, "protocol.GobGzip"); n > 0 && rel != "fleet.go" || n > 1 {
-			t.Errorf("%s names protocol.GobGzip %d time(s): an unset codec is protocol.Default, a named one protocol.CodecByName", rel, n)
+		for _, m := range gobCodec.FindAllString(src, -1) {
+			t.Errorf("%s names the retired gob codec (%s): an unset codec is protocol.Default, a named one protocol.CodecByName", rel, m)
+		}
+		if strings.HasPrefix(rel, "cmd/") {
+			for _, m := range codecDefault.FindAllString(src, -1) {
+				t.Errorf("%s: a flag defaults to a codec name (%s): default to \"\", which is protocol.Default", rel, m)
+			}
 		}
 		for _, dir := range declarers {
 			if !strings.HasPrefix(rel, dir) {
@@ -166,6 +174,43 @@ func TestServingUnitsAreCompiledOnce(t *testing.T) {
 				if strings.Contains(src, pat) {
 					t.Errorf("%s calls %q: declare a node.Spec and let node.FromSpec assemble it", rel, pat)
 				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking %s: %v", root, err)
+	}
+}
+
+// TestGobAndGzipStayInPersist keeps the slow self-describing encoders off
+// the wire: no non-test file of the module outside internal/persist, whose
+// checkpoint format still uses them, imports encoding/gob or compress/gzip.
+func TestGobAndGzipStayInPersist(t *testing.T) {
+	allowed := map[string]bool{"internal/persist": true}
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		if info.IsDir() {
+			if rel == ".git" || allowed[rel] {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/gob" || p == "compress/gzip" {
+				t.Errorf("%s imports %s: the wire speaks flat or JSON; only internal/persist may", rel, p)
 			}
 		}
 		return nil

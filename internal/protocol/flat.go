@@ -13,8 +13,8 @@ import (
 )
 
 // Flat binary wire codec: the allocation-light dialect of the whole
-// protocol. Gob re-sends type descriptors on every message (each encoder is
-// per-request) and gzip burns CPU on payloads that are mostly
+// protocol and its Default. Self-describing encoders re-send type
+// descriptors and compressors burn CPU on payloads that are mostly
 // incompressible float bits; the flat codec instead writes a fixed header
 // and raw little-endian fields and arrays, so a sparse push costs ~40 bytes
 // of framing plus 4–12 bytes per kept coordinate, encoded through a pooled
@@ -28,7 +28,7 @@ import (
 // layouts are fixed field lists in the order the encoders below write them
 // — that order is the wire contract a non-Go worker implements, and adding
 // or moving a field requires bumping flatVersion, unlike the
-// self-describing gob/JSON dialects.
+// self-describing JSON dialect.
 
 // ContentTypeFlat is the negotiation token of the flat binary codec.
 const ContentTypeFlat = "application/x-fleet-flat"
@@ -39,8 +39,9 @@ var Flat Codec = flatCodec{}
 const (
 	flatMagic = "FLT1"
 	// Version 1 peers wrapped four of the six messages in gob behind the
-	// flat header; they are refused on their first frame.
-	flatVersion = 2
+	// flat header; version 2 stats carried a TasksRejected twin of
+	// TasksDropped. Both are refused on their first frame.
+	flatVersion = 3
 
 	flatKindTaskResponse = 2
 	flatKindPush         = 3
@@ -372,7 +373,6 @@ func (f *flatBuf) stats(s *Stats) {
 	f.header(flatKindStats)
 	f.int(s.ModelVersion)
 	f.int(s.TasksServed)
-	f.int(s.TasksRejected)
 	f.int(s.GradientsIn)
 	f.f64(s.MeanStaleness)
 	f.strs(s.PipelineStages)
@@ -797,7 +797,6 @@ func (d *flatDec) stats(dst *Stats) error {
 	out := Stats{
 		ModelVersion:      d.int(),
 		TasksServed:       d.int(),
-		TasksRejected:     d.int(),
 		GradientsIn:       d.int(),
 		MeanStaleness:     d.f64(),
 		PipelineStages:    d.strs(),

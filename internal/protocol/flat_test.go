@@ -180,7 +180,6 @@ func randStats(rng *rand.Rand) *Stats {
 	s := &Stats{
 		ModelVersion:        rng.Intn(1 << 20),
 		TasksServed:         rng.Intn(1 << 20),
-		TasksRejected:       rng.Intn(100),
 		GradientsIn:         rng.Intn(1 << 20),
 		MeanStaleness:       rng.Float64() * 10,
 		Aggregator:          []string{"", "mean", "krum(2)"}[rng.Intn(3)],
@@ -399,7 +398,7 @@ func TestFlatStructuralRejects(t *testing.T) {
 	// A stats message whose first map holds the given raw entries.
 	statsWithMap := func(count uint32, entries ...[]byte) []byte {
 		raw := flatBytes(t, &Stats{})
-		const mapOffset = flatHeaderLen + 4*8 + 8 + 4 + 4 + 8 + 4 // up to RejectsByPolicy's count
+		const mapOffset = flatHeaderLen + 3*8 + 8 + 4 + 4 + 8 + 4 // up to RejectsByPolicy's count
 		out := append([]byte(nil), raw[:mapOffset]...)
 		out = binary.LittleEndian.AppendUint32(out, count)
 		out = append(out, cat(entries...)...)
@@ -421,6 +420,7 @@ func TestFlatStructuralRejects(t *testing.T) {
 		{"empty", nil, &GradientPush{}},
 		{"bad magic", []byte("XXXXXXXXXXXX"), &GradientPush{}},
 		{"flat version 1", hdr(1, flatKindPush), &GradientPush{}},
+		{"flat version 2", hdr(2, flatKindStats), &Stats{}},
 		{"future version", hdr(99, flatKindPush), &GradientPush{}},
 		{"reserved bytes", []byte{'F', 'L', 'T', '1', flatVersion, flatKindPush, 7, 0}, &GradientPush{}},
 		{"kind 0", hdr(flatVersion, 0), &PushAck{}},
@@ -445,9 +445,13 @@ func TestFlatStructuralRejects(t *testing.T) {
 		wantInvalidArgument(t, tc.name, Flat.Decode(bytes.NewReader(tc.raw), tc.into))
 	}
 
-	err := Flat.Decode(bytes.NewReader(hdr(1, flatKindPush)), &GradientPush{})
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Errorf("version 1 peer: want \"unsupported version 1\", got %v", err)
+	// Version 1 and 2 peers (version 2 stats carried TasksRejected after
+	// TasksServed) are refused by version, not misread a field over.
+	for _, v := range []uint8{1, 2} {
+		want := fmt.Sprintf("unsupported version %d", v)
+		if err := Flat.Decode(bytes.NewReader(hdr(v, flatKindStats, make([]byte, 64)...)), &Stats{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d peer: want %q, got %v", v, want, err)
+		}
 	}
 	var pe *Error
 	if err := Flat.Decode(bytes.NewReader(oversized), &GradientPush{}); !errors.As(err, &pe) || pe.Code != CodePayloadTooLarge {
@@ -537,29 +541,29 @@ func FuzzFlatDecode(f *testing.F) {
 
 // TestGradientPushDecodesPreTagBytes proves wire compatibility with
 // payloads encoded before the Encoding tag and the quantized value fields
-// existed: a gob stream of the old field set decodes into today's struct
+// existed: a JSON body of the old field set decodes into today's struct
 // with the new fields zero.
 func TestGradientPushDecodesPreTagBytes(t *testing.T) {
-	// The exact field set of the pre-tag GradientPush. Gob matches struct
-	// fields by name, so this stand-in reproduces an old client's bytes.
+	// The exact field set of the pre-tag GradientPush. JSON matches struct
+	// fields by tag, so this stand-in reproduces an old client's bytes.
 	type oldGradientPush struct {
-		WorkerID       int
-		DeviceModel    string
-		ModelVersion   int
-		ModelEpoch     int64
-		Gradient       []float64
-		GradientLen    int
-		SparseIndices  []int32
-		SparseValues   []float64
-		BatchSize      int
-		LabelCounts    []int
-		CompTimeSec    float64
-		EnergyPct      float64
-		TimeFeatures   []float64
-		EnergyFeatures []float64
-		Contributing   int
-		StalenessMin   int
-		StalenessMax   int
+		WorkerID       int       `json:"worker_id"`
+		DeviceModel    string    `json:"device_model"`
+		ModelVersion   int       `json:"model_version"`
+		ModelEpoch     int64     `json:"model_epoch,omitempty"`
+		Gradient       []float64 `json:"gradient,omitempty"`
+		GradientLen    int       `json:"gradient_len,omitempty"`
+		SparseIndices  []int32   `json:"sparse_indices,omitempty"`
+		SparseValues   []float64 `json:"sparse_values,omitempty"`
+		BatchSize      int       `json:"batch_size"`
+		LabelCounts    []int     `json:"label_counts"`
+		CompTimeSec    float64   `json:"comp_time_sec"`
+		EnergyPct      float64   `json:"energy_pct"`
+		TimeFeatures   []float64 `json:"time_features"`
+		EnergyFeatures []float64 `json:"energy_features"`
+		Contributing   int       `json:"contributing,omitempty"`
+		StalenessMin   int       `json:"staleness_min,omitempty"`
+		StalenessMax   int       `json:"staleness_max,omitempty"`
 	}
 	old := oldGradientPush{
 		WorkerID: 3, DeviceModel: "Galaxy S7", ModelVersion: 17, ModelEpoch: 1,
@@ -569,11 +573,11 @@ func TestGradientPushDecodesPreTagBytes(t *testing.T) {
 		TimeFeatures: []float64{1, 2}, EnergyFeatures: []float64{3},
 	}
 	var buf bytes.Buffer
-	if err := GobGzip.Encode(&buf, &old); err != nil {
+	if err := JSON.Encode(&buf, &old); err != nil {
 		t.Fatal(err)
 	}
 	var got GradientPush
-	if err := GobGzip.Decode(&buf, &got); err != nil {
+	if err := JSON.Decode(&buf, &got); err != nil {
 		t.Fatalf("pre-tag payload failed to decode: %v", err)
 	}
 	want := GradientPush{
@@ -594,11 +598,11 @@ func TestGradientPushDecodesPreTagBytes(t *testing.T) {
 	// through the old field set unharmed (old servers ignore the tag).
 	tagged := GradientPush{Encoding: "topk", GradientLen: 10, SparseIndices: []int32{1}, SparseValues: []float64{2}, BatchSize: 1}
 	buf.Reset()
-	if err := GobGzip.Encode(&buf, &tagged); err != nil {
+	if err := JSON.Encode(&buf, &tagged); err != nil {
 		t.Fatal(err)
 	}
 	var oldGot oldGradientPush
-	if err := GobGzip.Decode(&buf, &oldGot); err != nil {
+	if err := JSON.Decode(&buf, &oldGot); err != nil {
 		t.Fatalf("tagged payload failed to decode into pre-tag struct: %v", err)
 	}
 	if oldGot.GradientLen != 10 || len(oldGot.SparseIndices) != 1 {
@@ -680,39 +684,5 @@ func BenchmarkFlatCodecDecode(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkGobCodecEncode is the smallest message through the default
-// codec: what it costs is compressor state, not payload — pooled, a
-// ~100-byte ack no longer allocates a deflate window per call.
-func BenchmarkGobCodecEncode(b *testing.B) {
-	ack := &PushAck{Applied: true, Staleness: 2, Scale: 0.5, NewVersion: 101}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := GobGzip.Encode(&buf, ack); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGobCodecDecode is the same payload through the default codec,
-// for comparing the flat win locally (gob re-sends type descriptors and
-// gzips per message).
-func BenchmarkGobCodecDecode(b *testing.B) {
-	p := benchPush(10000, 64)
-	var buf bytes.Buffer
-	if err := GobGzip.Encode(&buf, p); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var out GradientPush
-		if err := GobGzip.Decode(bytes.NewReader(raw), &out); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

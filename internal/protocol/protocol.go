@@ -1,6 +1,7 @@
 // Package protocol defines the wire messages of FLeet's learning-task
-// protocol (Figure 2) and the gob+gzip stream codec used to exchange them —
-// the Go analogue of the paper's Kryo+Gzip Java streams (§2.4).
+// protocol (Figure 2) and the codecs used to exchange them: the flat binary
+// codec by default (the role of the paper's Kryo+Gzip Java streams, §2.4)
+// and JSON for curl and non-Go workers.
 package protocol
 
 import "fleet/internal/compress"
@@ -182,21 +183,18 @@ type ModelAnnounce struct {
 type Stats struct {
 	ModelVersion  int     `json:"model_version"`
 	TasksServed   int     `json:"tasks_served"`
-	TasksRejected int     `json:"tasks_rejected"`
 	GradientsIn   int     `json:"gradients_in"`
 	MeanStaleness float64 `json:"mean_staleness"`
 	// PipelineStages and Aggregator describe the server's composed update
 	// pipeline (internal/pipeline): the per-gradient stage names in chain
 	// order and the window-aggregation rule. Empty on pre-pipeline servers,
-	// so old gob/JSON payloads decode unchanged.
+	// so old JSON payloads decode unchanged.
 	PipelineStages []string `json:"pipeline_stages,omitempty"`
 	Aggregator     string   `json:"aggregator,omitempty"`
-	// TasksDropped is the canonical name for the controller's reject
-	// counter; it always equals TasksRejected, which is kept for pre-sched
-	// clients. AdmissionPolicies lists the composed admission chain in
-	// evaluation order (internal/sched) and RejectsByPolicy breaks
-	// TasksDropped down by the policy that rejected. All omitempty, so old
-	// payloads decode unchanged.
+	// TasksDropped is the controller's reject counter. AdmissionPolicies
+	// lists the composed admission chain in evaluation order
+	// (internal/sched) and RejectsByPolicy breaks TasksDropped down by the
+	// policy that rejected. All omitempty, so old payloads decode unchanged.
 	TasksDropped      int            `json:"tasks_dropped,omitempty"`
 	AdmissionPolicies []string       `json:"admission_policies,omitempty"`
 	RejectsByPolicy   map[string]int `json:"rejects_by_policy,omitempty"`

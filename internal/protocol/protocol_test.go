@@ -19,11 +19,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		EnergyPct:    0.05,
 	}
 	var buf bytes.Buffer
-	if err := GobGzip.Encode(&buf, in); err != nil {
+	if err := Flat.Encode(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	var out GradientPush
-	if err := GobGzip.Decode(&buf, &out); err != nil {
+	if err := Flat.Decode(&buf, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.WorkerID != 7 || out.DeviceModel != "Galaxy S7" || out.ModelVersion != 42 {
@@ -41,22 +41,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodeCompresses(t *testing.T) {
-	// A large zero gradient must compress far below its raw 8-byte/param
-	// size — that is the point of the gzip stream.
-	in := TaskResponse{Accepted: true, Params: make([]float64, 10000), BatchSize: 10}
-	var buf bytes.Buffer
-	if err := GobGzip.Encode(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() >= 40000 {
-		t.Fatalf("encoded size %d, expected compression below 40000", buf.Len())
-	}
-}
-
 func TestDecodeGarbageFails(t *testing.T) {
 	var out TaskRequest
-	if err := GobGzip.Decode(bytes.NewBufferString("not gzip"), &out); err == nil {
+	if err := Flat.Decode(bytes.NewBufferString("not flat"), &out); err == nil {
 		t.Fatal("want error on garbage input")
 	}
 }
@@ -70,13 +57,13 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 	}
 	for i, in := range cases {
 		var buf bytes.Buffer
-		if err := GobGzip.Encode(&buf, in); err != nil {
+		if err := Flat.Encode(&buf, in); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		switch want := in.(type) {
 		case TaskRequest:
 			var got TaskRequest
-			if err := GobGzip.Decode(&buf, &got); err != nil {
+			if err := Flat.Decode(&buf, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.DeviceModel != want.DeviceModel {
@@ -84,7 +71,7 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 			}
 		case TaskResponse:
 			var got TaskResponse
-			if err := GobGzip.Decode(&buf, &got); err != nil {
+			if err := Flat.Decode(&buf, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.Reason != want.Reason {
@@ -92,7 +79,7 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 			}
 		case PushAck:
 			var got PushAck
-			if err := GobGzip.Decode(&buf, &got); err != nil {
+			if err := Flat.Decode(&buf, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.Scale != want.Scale || got.Staleness != want.Staleness {
@@ -100,7 +87,7 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 			}
 		case Stats:
 			var got Stats
-			if err := GobGzip.Decode(&buf, &got); err != nil {
+			if err := Flat.Decode(&buf, &got); err != nil {
 				t.Fatal(err)
 			}
 			if got.MeanStaleness != want.MeanStaleness {
@@ -119,7 +106,7 @@ func TestRoundTripDeltaPullFieldsBothCodecs(t *testing.T) {
 		ParamsDelta:  &compress.Sparse{Len: 5, Indices: []int32{1, 4}, Values: []float64{0.5, -0.25}},
 		DeltaBase:    7,
 	}
-	for _, codec := range []Codec{GobGzip, JSON} {
+	for _, codec := range []Codec{Flat, JSON} {
 		var buf bytes.Buffer
 		if err := codec.Encode(&buf, &req); err != nil {
 			t.Fatal(err)
@@ -154,12 +141,11 @@ func TestRoundTripStatsAdmissionFieldsBothCodecs(t *testing.T) {
 	in := Stats{
 		ModelVersion:      3,
 		TasksServed:       10,
-		TasksRejected:     2,
 		TasksDropped:      2,
 		AdmissionPolicies: []string{"iprof-time(3)", "min-batch(5)"},
 		RejectsByPolicy:   map[string]int{"min-batch(5)": 2},
 	}
-	for _, codec := range []Codec{GobGzip, JSON} {
+	for _, codec := range []Codec{Flat, JSON} {
 		var buf bytes.Buffer
 		if err := codec.Encode(&buf, &in); err != nil {
 			t.Fatal(err)

@@ -402,7 +402,7 @@ func TestPerPolicyRejectCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TasksDropped != 3 || stats.TasksRejected != 3 {
+	if stats.TasksDropped != 3 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if stats.RejectsByPolicy["min-batch(200)"] != 3 {

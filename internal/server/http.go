@@ -19,7 +19,7 @@ var _ service.Service = (*Server)(nil)
 
 // MaxRequestBytes caps how much of a request body any route will read
 // before decoding — WorkerID is unauthenticated on the wire, so without a
-// cap one client could OOM the server with a huge (or gzip-bombed) body.
+// cap one client could OOM the server with a huge body.
 // Generous enough for a dense JSON gradient of a million-parameter model;
 // deployments with larger models can raise it before building the handler.
 var MaxRequestBytes int64 = 64 << 20
@@ -27,7 +27,7 @@ var MaxRequestBytes int64 = 64 << 20
 // NewHandler exposes any Service — typically a *Server wrapped in an
 // interceptor chain — over the FLeet wire protocol:
 //
-//	POST /v1/task, /v1/gradient — Content-Type negotiated (gob+gzip, JSON, flat),
+//	POST /v1/task, /v1/gradient — Content-Type negotiated (flat, JSON),
 //	GET  /v1/stats              — Accept negotiated,
 //
 // with structured JSON error bodies and mapped status codes, for unknown

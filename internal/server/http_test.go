@@ -52,7 +52,7 @@ func encodeWith(t *testing.T, codec protocol.Codec, v interface{}) []byte {
 
 func TestV1TaskRoundTripBothCodecs(t *testing.T) {
 	_, hs := newHTTPServer(t, Config{})
-	for _, codec := range []protocol.Codec{protocol.GobGzip, protocol.JSON} {
+	for _, codec := range []protocol.Codec{protocol.Flat, protocol.JSON} {
 		body := encodeWith(t, codec, &protocol.TaskRequest{WorkerID: 3, LabelCounts: []int{1, 1}})
 		status, ct, out := postRaw(t, hs.URL+"/v1/task", codec.ContentType(), body)
 		if status != http.StatusOK {
@@ -75,7 +75,7 @@ func TestV1TaskRoundTripBothCodecs(t *testing.T) {
 func TestV1GradientRoundTripBothCodecs(t *testing.T) {
 	s, hs := newHTTPServer(t, Config{Algorithm: learning.SSGD{}})
 	params, _ := s.Model()
-	for i, codec := range []protocol.Codec{protocol.GobGzip, protocol.JSON} {
+	for i, codec := range []protocol.Codec{protocol.Flat, protocol.JSON} {
 		push := &protocol.GradientPush{
 			ModelVersion: i, Gradient: make([]float64, len(params)),
 			BatchSize: 10, LabelCounts: []int{1, 2},
@@ -119,7 +119,7 @@ func TestV1StatsAcceptNegotiation(t *testing.T) {
 func TestV1MalformedPayload(t *testing.T) {
 	_, hs := newHTTPServer(t, Config{})
 	for _, route := range []string{"/v1/task", "/v1/gradient"} {
-		status, ct, body := postRaw(t, hs.URL+route, protocol.ContentTypeGobGzip, []byte("not gzip at all"))
+		status, ct, body := postRaw(t, hs.URL+route, protocol.ContentTypeFlat, []byte("not flat at all"))
 		if status != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", route, status)
 		}
@@ -152,11 +152,45 @@ func TestV1WrongMethod(t *testing.T) {
 	}
 }
 
+// TestV1UnsupportedContentType: unknown types, the retired gob+gzip one
+// included, get 415 with a structured unsupported_media body.
 func TestV1UnsupportedContentType(t *testing.T) {
 	_, hs := newHTTPServer(t, Config{})
-	status, _, body := postRaw(t, hs.URL+"/v1/task", "text/csv", []byte("a,b"))
-	if status != http.StatusUnsupportedMediaType {
-		t.Fatalf("status %d, want 415: %s", status, body)
+	for _, ct := range []string{"text/csv", "application/x-fleet-gob+gzip"} {
+		status, _, body := postRaw(t, hs.URL+"/v1/task", ct, []byte("a,b"))
+		if status != http.StatusUnsupportedMediaType {
+			t.Fatalf("%s: status %d, want 415: %s", ct, status, body)
+		}
+		var apiErr protocol.Error
+		if err := json.Unmarshal(body, &apiErr); err != nil || apiErr.Code != protocol.CodeUnsupportedMedia {
+			t.Fatalf("%s: body %s, want unsupported_media", ct, body)
+		}
+	}
+}
+
+// TestV1DefaultCodecNegotiation: a request with no Content-Type, or a
+// wildcard Accept, is served in flat.
+func TestV1DefaultCodecNegotiation(t *testing.T) {
+	_, hs := newHTTPServer(t, Config{})
+	for _, accept := range []string{"", "*/*", "application/*"} {
+		req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/task",
+			bytes.NewReader(encodeWith(t, protocol.Flat, &protocol.TaskRequest{WorkerID: 3, LabelCounts: []int{1, 1}})))
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != protocol.ContentTypeFlat {
+			t.Fatalf("accept %q: status %d, content type %q: %s", accept, resp.StatusCode, resp.Header.Get("Content-Type"), out)
+		}
+		var task protocol.TaskResponse
+		if err := protocol.Flat.Decode(bytes.NewReader(out), &task); err != nil || !task.Accepted {
+			t.Fatalf("accept %q: %+v, %v", accept, task, err)
+		}
 	}
 }
 
@@ -297,10 +331,10 @@ func TestV1KrumPipelineRejectsByzantinePushes(t *testing.T) {
 // TestV1TaskDeltaRoundTripBothCodecs drives a version-aware pull over the
 // wire in both codecs: full pull at version 0, a sparse update, then a
 // WantDelta pull whose reconstruction must equal the server's params
-// exactly — proving *compress.Sparse survives gob+gzip and JSON intact.
+// exactly — proving *compress.Sparse survives flat and JSON intact.
 func TestV1TaskDeltaRoundTripBothCodecs(t *testing.T) {
 	s, hs := newHTTPServer(t, Config{Algorithm: learning.SSGD{}})
-	for _, codec := range []protocol.Codec{protocol.GobGzip, protocol.JSON} {
+	for _, codec := range []protocol.Codec{protocol.Flat, protocol.JSON} {
 		ct := codec.ContentType()
 
 		// Full pull.
@@ -395,7 +429,7 @@ func TestV1StatsExposesAdmission(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.TasksDropped != 1 || stats.TasksRejected != 1 {
+	if stats.TasksDropped != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if len(stats.AdmissionPolicies) != 1 || stats.AdmissionPolicies[0] != "min-batch(500)" {

@@ -8,8 +8,8 @@
 //	POST /v1/gradient — step (5): push a computed gradient
 //	GET  /v1/stats    — diagnostics
 //
-// Payloads are Content-Type negotiated between gob+gzip, JSON and the flat
-// binary codec (see internal/protocol).
+// Payloads are Content-Type negotiated between the flat binary codec (the
+// default) and JSON (see internal/protocol).
 //
 // The learning-task path itself is internal/ingest's, shared with the edge
 // aggregator, and its two halves scale independently: on the uplink every

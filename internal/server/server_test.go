@@ -196,7 +196,7 @@ func TestSimilarityThresholdRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TasksRejected != 1 || stats.TasksServed != 1 {
+	if stats.TasksDropped != 1 || stats.TasksServed != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 }

@@ -28,8 +28,8 @@ func (c countConn) SetReadDeadline(time.Time) error  { return nil }
 func (c countConn) SetWriteDeadline(time.Time) error { return nil }
 
 // benchAnnounce is a realistic drain announce: a 256-entry sparse delta of
-// a 10k-parameter model, the kind of payload whose gob+gzip encode is the
-// dominant broadcast cost.
+// a 10k-parameter model, the kind of payload whose encode is the dominant
+// broadcast cost.
 func benchAnnounce() protocol.ModelAnnounce {
 	delta := &compress.Sparse{Len: 10000}
 	for i := 0; i < 256; i++ {
@@ -39,8 +39,8 @@ func benchAnnounce() protocol.ModelAnnounce {
 	return protocol.ModelAnnounce{ModelVersion: 2, DeltaBase: 1, Delta: delta}
 }
 
-// benchFleet registers n subscribed sessions (all gob+gzip) with running
-// announce loops on a fresh server.
+// benchFleet registers n subscribed sessions (all on the default codec)
+// with running announce loops on a fresh server.
 func benchFleet(b *testing.B, n int) (*Server, []*session, *atomic.Int64) {
 	b.Helper()
 	s := NewServer(nil, Options{})
@@ -50,7 +50,7 @@ func benchFleet(b *testing.B, n int) (*Server, []*session, *atomic.Int64) {
 		sess := &session{
 			srv:       s,
 			conn:      countConn{writes: writes},
-			codec:     protocol.GobGzip,
+			codec:     protocol.Default,
 			workerID:  i,
 			subscribe: true,
 			annReady:  make(chan struct{}, 1),

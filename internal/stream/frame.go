@@ -10,7 +10,7 @@
 // server broadcasts {version, epoch, sparse-delta} announcements to every
 // subscribed session the moment a window drain publishes a new snapshot.
 //
-// Payloads reuse the internal/protocol codecs (gob+gzip by default, JSON by
+// Payloads reuse the internal/protocol codecs (flat by default, JSON by
 // negotiation), so the learning messages are byte-identical to the HTTP
 // transport's bodies; only the envelope differs.
 package stream
@@ -326,7 +326,7 @@ type helloPayload struct {
 	// WorkerID identifies the worker holding the session.
 	WorkerID int `json:"worker_id"`
 	// ContentType selects the payload codec for the session, negotiated
-	// with protocol.CodecForContentType ("" means gob+gzip).
+	// with protocol.CodecForContentType ("" means protocol.Default, flat).
 	ContentType string `json:"content_type,omitempty"`
 	// Subscribe asks for model announcements on this session.
 	Subscribe bool `json:"subscribe,omitempty"`

@@ -133,8 +133,8 @@ func (s *Server) Coalesced() int64 { return s.coalesced.Load() }
 // invokes it from its snapshot-publish hook (Server.OnSnapshot).
 //
 // The announce payload is encoded once per negotiated codec and the bytes
-// shared across every target session, so a fleet of N gob+gzip subscribers
-// costs one gzip pass per drain instead of N (see BenchmarkBroadcast).
+// shared across every target session, so a fleet of N subscribers on one
+// codec costs one encode per drain instead of N (see BenchmarkBroadcast).
 func (s *Server) Broadcast(ann protocol.ModelAnnounce) {
 	s.fanOut("", false, ann)
 }

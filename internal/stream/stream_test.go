@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net"
@@ -70,7 +71,7 @@ func newTestWorker(t *testing.T, id int) *worker.Worker {
 }
 
 // TestStreamRoundTrip: the whole Figure-2 protocol — pull, push, stats —
-// over one persistent session, gob+gzip payloads, one dial total.
+// over one persistent session, default (flat) payloads, one dial total.
 func TestStreamRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	srv := newCore(t, server.Config{})
@@ -119,8 +120,9 @@ func TestStreamWireBytes(t *testing.T) {
 	}
 }
 
-// TestCodecNegotiation: a JSON session works end to end; an unknown
-// content type is refused at hello with the structured code.
+// TestCodecNegotiation: a JSON session works end to end; a hello with no
+// content type speaks flat; an unknown content type, the retired gob+gzip
+// one included, is refused at hello with the structured code.
 func TestCodecNegotiation(t *testing.T) {
 	ctx := context.Background()
 	srv := newCore(t, server.Config{})
@@ -132,27 +134,59 @@ func TestCodecNegotiation(t *testing.T) {
 		t.Fatalf("JSON session: %v", err)
 	}
 
-	// Unknown content type: the server must answer with a structured
-	// unsupported_media error frame, not hang or hard-close.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	hello := func(contentType string) net.Conn {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+		raw, _ := json.Marshal(helloPayload{WorkerID: 9, ContentType: contentType})
+		if err := writeFrame(conn, frame{typ: fHello, corr: 1, payload: raw}); err != nil {
+			t.Fatal(err)
+		}
+		return conn
 	}
-	defer func() { _ = conn.Close() }()
-	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-	hello, _ := json.Marshal(helloPayload{WorkerID: 9, ContentType: "application/xml"})
-	if err := writeFrame(conn, frame{typ: fHello, corr: 1, payload: hello}); err != nil {
-		t.Fatal(err)
-	}
+
+	// No content type: the welcome names flat and a flat task request is
+	// answered in flat.
+	conn := hello("")
 	f, err := readFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.typ != fError {
-		t.Fatalf("got %s frame, want error", f.typ)
+	var welcome welcomePayload
+	if f.typ != fWelcome || json.Unmarshal(f.payload, &welcome) != nil || welcome.ContentType != protocol.ContentTypeFlat {
+		t.Fatalf("bare hello: got %s frame %s, want a flat welcome", f.typ, f.payload)
 	}
-	if err := decodeErrorFrame(f.payload); !protocol.IsCode(err, protocol.CodeUnsupportedMedia) {
-		t.Fatalf("negotiation error: %v, want unsupported_media", err)
+	var req bytes.Buffer
+	if err := protocol.Flat.Encode(&req, &protocol.TaskRequest{WorkerID: 9, LabelCounts: []int{1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, frame{typ: fTask, corr: 2, payload: req.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = readFrame(conn); err != nil || f.typ != fTaskResp {
+		t.Fatalf("flat task: %+v, %v", f, err)
+	}
+	var resp protocol.TaskResponse
+	if err := protocol.Flat.Decode(bytes.NewReader(f.payload), &resp); err != nil || !resp.Accepted {
+		t.Fatalf("flat task response: %+v, %v", resp, err)
+	}
+
+	// Unknown content types: the server must answer with a structured
+	// unsupported_media error frame, not hang or hard-close.
+	for _, ct := range []string{"application/xml", "application/x-fleet-gob+gzip"} {
+		f, err := readFrame(hello(ct))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.typ != fError {
+			t.Fatalf("%s: got %s frame, want error", ct, f.typ)
+		}
+		if err := decodeErrorFrame(f.payload); !protocol.IsCode(err, protocol.CodeUnsupportedMedia) {
+			t.Fatalf("%s: negotiation error: %v, want unsupported_media", ct, err)
+		}
 	}
 }
 
@@ -204,7 +238,7 @@ func TestMalformedPayloadKeepsSession(t *testing.T) {
 	if f, err := readFrame(conn); err != nil || f.typ != fWelcome {
 		t.Fatalf("welcome: %+v, %v", f, err)
 	}
-	if err := writeFrame(conn, frame{typ: fTask, corr: 2, payload: []byte("not gob+gzip")}); err != nil {
+	if err := writeFrame(conn, frame{typ: fTask, corr: 2, payload: []byte("not flat")}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := readFrame(conn)

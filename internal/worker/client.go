@@ -12,7 +12,7 @@ import (
 )
 
 // Client adapts a remote FLeet server (base URL) to service.Service over
-// HTTP. It speaks the versioned /v1 routes, by default with the gob+gzip
+// HTTP. It speaks the versioned /v1 routes, by default with the flat
 // codec; Codec switches the wire representation.
 type Client struct {
 	BaseURL    string

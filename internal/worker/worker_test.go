@@ -134,10 +134,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestHTTPEndToEndJSONAndGob drives the same server through the JSON and
-// the default gob+gzip codec: both representations must train against one
-// model.
-func TestHTTPEndToEndJSONAndGob(t *testing.T) {
+// TestHTTPEndToEndJSONAndDefault drives the same server through the JSON
+// codec and a client with no codec set (protocol.Default, flat): both
+// representations must train against one model.
+func TestHTTPEndToEndJSONAndDefault(t *testing.T) {
 	ctx := context.Background()
 	ds := data.TinyMNIST(5, 12, 4)
 	srv := newServer(t, server.Config{})
@@ -145,23 +145,26 @@ func TestHTTPEndToEndJSONAndGob(t *testing.T) {
 	defer hs.Close()
 
 	jsonClient := &Client{BaseURL: hs.URL, HTTPClient: hs.Client(), Codec: protocol.JSON}
-	gobClient := &Client{BaseURL: hs.URL, HTTPClient: hs.Client()}
+	defaultClient := &Client{BaseURL: hs.URL, HTTPClient: hs.Client()}
 	workers := newWorkers(t, 2, ds)
 
 	for round := 0; round < 3; round++ {
 		if _, err := workers[0].Step(ctx, jsonClient); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := workers[1].Step(ctx, gobClient); err != nil {
+		if _, err := workers[1].Step(ctx, defaultClient); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stats, err := gobClient.Stats(ctx)
+	stats, err := defaultClient.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.GradientsIn != 6 {
 		t.Fatalf("gradients in = %d, want 6", stats.GradientsIn)
+	}
+	if got := stats.WireUplinkByCodec; got[protocol.ContentTypeFlat] == 0 || len(got) != 2 {
+		t.Fatalf("uplink by codec = %v, want flat and JSON", got)
 	}
 }
 
