@@ -137,7 +137,6 @@ func buildServer(args []string, stderr io.Writer) (rt *node.Runtime, printOnly s
 	fs.DurationVar(&spec.Bind.Drain, "drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests on SIGINT/SIGTERM")
 	fs.StringVar(&spec.Bind.Transport, "transport", "http", `served transports: "http" (per-request v1 wire protocol), "stream" (persistent sessions with server-pushed model announces) or "both"`)
 	fs.StringVar(&spec.Bind.StreamAddr, "stream-addr", ":8081", "stream-transport listen address (with -transport stream|both)")
-	fs.BoolVar(&spec.F16Announce, "f16-announce", false, "attach a half-precision full-parameter image to model announces whose exact delta went dense, so dense-gradient deployments keep absorbable announces (subscribers trade exactness for freshness)")
 	fs.BoolVar(&spec.Verbose, "verbose", false, "log every request")
 
 	fs.StringVar(&spec.Checkpoint.Dir, "checkpoint-dir", "", "durable checkpoint directory; empty disables crash safety")

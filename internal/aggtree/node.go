@@ -383,11 +383,7 @@ func (n *Node) publishLocked(version int, epoch int64, params []float64, delta *
 // RPC-free: only a delta chaining exactly onto the cache applies; anything
 // else — epoch change, chain gap, delta-less drain — flags the cache for
 // repair at the next upstream exchange. Returns whether the announce was
-// absorbed. Full half-precision announces (ModelAnnounce.ParamsF16) are
-// deliberately not absorbed here: the edge's cache is a delta base for its
-// own leaves, so quantized params would poison downstream patches — it
-// takes the needRefresh path and repairs with an exact pull instead
-// (absorbing f16 and re-announcing exactly is a follow-on).
+// absorbed.
 func (n *Node) AbsorbUpstreamAnnounce(ann protocol.ModelAnnounce) bool {
 	if !n.upMu.TryLock() {
 		// An upstream exchange is in flight — possibly on this very

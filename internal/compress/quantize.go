@@ -60,39 +60,6 @@ func f16FloorBits(av float64) uint16 {
 	return lo
 }
 
-// F16FromFloat64 encodes v as binary16 with round-to-nearest-even — the
-// deterministic conversion used for model snapshots (f16 announces), where
-// bit-for-bit replayability matters more than unbiasedness. Values beyond
-// ±65504 clamp to the largest finite half; NaN encodes as a quiet NaN.
-func F16FromFloat64(v float64) uint16 {
-	if math.IsNaN(v) {
-		return 0x7E00
-	}
-	var sign uint16
-	if math.Signbit(v) {
-		sign = 0x8000
-		v = -v
-	}
-	if v >= f16MaxFinite {
-		return sign | f16MaxBits
-	}
-	lo := f16FloorBits(v)
-	if lo == f16MaxBits {
-		return sign | lo
-	}
-	loV, hiV := F16ToFloat64(lo), F16ToFloat64(lo+1)
-	switch {
-	case v-loV > hiV-v:
-		return sign | (lo + 1)
-	case v-loV < hiV-v:
-		return sign | lo
-	case lo&1 == 0: // exact tie: round to even mantissa
-		return sign | lo
-	default:
-		return sign | (lo + 1)
-	}
-}
-
 // F16FromFloat64Stochastic encodes v as binary16 with unbiased stochastic
 // rounding: the two neighboring representable values are chosen with
 // probability proportional to proximity, so E[decode(encode(v))] = v for
@@ -121,19 +88,7 @@ func F16FromFloat64Stochastic(rng *rand.Rand, v float64) uint16 {
 	return sign | lo
 }
 
-// PackF16 converts a dense vector to binary16 bit patterns with
-// deterministic round-to-nearest-even — the wire form of a quantized dense
-// model announce (half the bytes of a float32 vector, a quarter of the
-// float64 one, with ~3 decimal digits kept).
-func PackF16(vals []float64) []uint16 {
-	out := make([]uint16, len(vals))
-	for i, v := range vals {
-		out[i] = F16FromFloat64(v)
-	}
-	return out
-}
-
-// UnpackF16 decodes a PackF16 vector.
+// UnpackF16 decodes a vector of binary16 bit patterns.
 func UnpackF16(bits []uint16) []float64 {
 	out := make([]float64, len(bits))
 	for i, b := range bits {

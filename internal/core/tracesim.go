@@ -31,9 +31,6 @@ type TraceConfig struct {
 	Updates int
 	// EvalEvery evaluates test accuracy every this many updates.
 	EvalEvery int
-	// Devices assigns a phone model to each worker (cyclic when shorter
-	// than the user population). Empty means the full catalogue.
-	Devices []device.Model
 	// NetworkMinSec/NetworkMeanSec parameterize the shifted-exponential
 	// network latency added to each round trip (§3.1 estimates 1.1 s for
 	// 4G and 3.8 s for 3G).
@@ -106,12 +103,10 @@ func RunTrace(cfg TraceConfig, users [][]nn.Sample, test []nn.Sample) *TraceResu
 	if cfg.ThinkTimeSec <= 0 {
 		cfg.ThinkTimeSec = 5
 	}
-	models := cfg.Devices
-	if len(models) == 0 {
-		models = device.Catalogue()
-	}
 	rng := simrand.New(cfg.Seed)
 
+	// Worker i runs catalogue phone i, cyclically.
+	models := device.Catalogue()
 	devices := make([]*device.Device, len(users))
 	for i := range devices {
 		devices[i] = device.New(models[i%len(models)], simrand.New(cfg.Seed+100+int64(i)))

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fleet/internal/data"
-	"fleet/internal/device"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
 	"fleet/internal/simrand"
@@ -88,25 +87,15 @@ func TestRunTraceDropout(t *testing.T) {
 }
 
 func TestRunTraceSlowDevicesStaler(t *testing.T) {
-	// A population of slow phones on slow networks must exhibit higher
-	// staleness than fast phones on fast networks.
+	// A population doing longer tasks over slow networks must exhibit
+	// higher staleness than one on fast networks with little concurrency.
 	users, test := fixtures(t)
 
 	slow := traceConfig(learning.DynSGD{})
-	slowModel, err := device.ModelByName("Xperia E3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow.Devices = []device.Model{slowModel}
 	slow.BatchSize = 24
 	slow.NetworkMinSec, slow.NetworkMeanSec = 3.8, 6
 
 	fast := traceConfig(learning.DynSGD{})
-	fastModel, err := device.ModelByName("Honor 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast.Devices = []device.Model{fastModel}
 	fast.NetworkMinSec, fast.NetworkMeanSec = 0.2, 0.4
 	fast.ThinkTimeSec = 30 // little concurrency
 

@@ -38,9 +38,7 @@ type SyntheticConfig struct {
 	// NoiseStd is the per-pixel Gaussian noise added to the class prototype.
 	// Larger values make the problem harder.
 	NoiseStd float64
-	// PrototypeStd controls the amplitude of class prototype patterns.
-	PrototypeStd float64
-	Seed         int64
+	Seed     int64
 }
 
 // Generate builds a synthetic dataset. The same config yields the same data.
@@ -48,14 +46,11 @@ func Generate(cfg SyntheticConfig) *Dataset {
 	if cfg.Classes <= 0 || cfg.C <= 0 || cfg.H <= 0 || cfg.W <= 0 {
 		panic(fmt.Sprintf("data: invalid config %+v", cfg))
 	}
-	if cfg.PrototypeStd == 0 {
-		cfg.PrototypeStd = 1
-	}
 	rng := simrand.New(cfg.Seed)
 	pixels := cfg.C * cfg.H * cfg.W
 	prototypes := make([][]float64, cfg.Classes)
 	for k := range prototypes {
-		prototypes[k] = smoothPattern(rng, cfg.C, cfg.H, cfg.W, cfg.PrototypeStd)
+		prototypes[k] = smoothPattern(rng, cfg.C, cfg.H, cfg.W)
 	}
 	gen := func(perClass int) []nn.Sample {
 		samples := make([]nn.Sample, 0, perClass*cfg.Classes)
@@ -86,7 +81,7 @@ func Generate(cfg SyntheticConfig) *Dataset {
 // smoothPattern draws a random low-frequency pattern: a sum of a few random
 // 2-D cosine bumps per channel. Low-frequency structure is what lets small
 // convolutions pick up class identity, mimicking natural-image statistics.
-func smoothPattern(rng *rand.Rand, c, h, w int, amplitude float64) []float64 {
+func smoothPattern(rng *rand.Rand, c, h, w int) []float64 {
 	out := make([]float64, c*h*w)
 	const bumps = 4
 	for ch := 0; ch < c; ch++ {
@@ -95,7 +90,7 @@ func smoothPattern(rng *rand.Rand, c, h, w int, amplitude float64) []float64 {
 			cx := rng.Float64() * float64(w)
 			sy := 1.5 + rng.Float64()*float64(h)/3
 			sx := 1.5 + rng.Float64()*float64(w)/3
-			amp := (rng.Float64()*2 - 1) * amplitude
+			amp := rng.Float64()*2 - 1
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
 					dy := (float64(y) - cy) / sy

@@ -94,7 +94,7 @@ func fig5(Scale) *Report {
 		rep.addLine("%4d  %10.4f  %10.4f  %10.4f", tau, ada, dyn, 1.0)
 	}
 	// The similarity-boosted straggler of Figure 5: τ=48 with near-zero
-	// label similarity saturates to full weight (AdaSGDConfig.SimFloor).
+	// label similarity saturates to full weight (AdaSGD's similarity floor).
 	ada := learning.NewAdaSGD(learning.AdaSGDConfig{NonStragglerPct: 99.7})
 	for i := 0; i < 100; i++ {
 		ada.Observe(learning.GradientMeta{Staleness: 24})

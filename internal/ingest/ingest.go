@@ -484,13 +484,12 @@ func (c *Core[W]) PushGradient(ctx context.Context, push *protocol.GradientPush)
 	// the norm filter) surfaces before the gradient is counted or
 	// accumulated.
 	//
-	// Sparse fast path: a validated, strictly-ascending top-k view travels
-	// the pipeline as-is and scatters straight into the aggregator
-	// (pipeline.SparseAdder) — zero O(params) allocations per push. Gated
-	// on sparseOK (every stage SparseSafe, aggregator a SparseAdder).
-	// Decoded payloads always arrive Ascending (the decoder canonicalizes
-	// out-of-order and duplicate indices with densify's last-value-wins
-	// semantics); the gate remains for hand-built payloads.
+	// Sparse fast path: a validated top-k view — strictly ascending, since
+	// the decoder canonicalizes out-of-order and duplicate indices with
+	// densify's last-value-wins semantics — travels the pipeline as-is and
+	// scatters straight into the aggregator (pipeline.SparseAdder): zero
+	// O(params) allocations per push. Gated on sparseOK (every stage
+	// SparseSafe, aggregator a SparseAdder).
 	g := &pipeline.Gradient{
 		Meta: learning.GradientMeta{
 			Staleness:  staleness,
@@ -500,7 +499,7 @@ func (c *Core[W]) PushGradient(ctx context.Context, push *protocol.GradientPush)
 		},
 		Scale: 1,
 	}
-	if payload.Sparse() && payload.Ascending && c.sparseOK {
+	if payload.Sparse() && c.sparseOK {
 		g.Vec = payload.Values
 		g.Indices = payload.Indices
 		g.DenseLen = c.cfg.ParamCount

@@ -17,17 +17,20 @@ type PretrainingData struct {
 
 // CollectConfig tunes the offline collection sweep, making the device
 // profile feeding the cold-start model pluggable: the load harness sweeps
-// tier-scaled fleets (device.Model.Scaled) with scenario-specific bounds.
+// tier-scaled fleets (device.Model.Scaled) with a scenario-specific bound.
 // The zero value reproduces the paper's protocol.
 type CollectConfig struct {
-	// StopFactor ends a device's sweep once cost ≥ StopFactor·SLO
-	// (default 2, the paper's "twice the SLO").
-	StopFactor float64
 	// MaxBatch bounds the sweep's mini-batch size (default 1<<20).
 	MaxBatch int
-	// IdleSec is the cool-down between sweep tasks (default 30).
-	IdleSec float64
 }
+
+// The paper's protocol (§3.3) ends a device's sweep once a task costs
+// stopFactor·SLO ("twice the SLO"), and spaces its tasks idleSec apart so
+// the device cools down in between.
+const (
+	stopFactor = 2
+	idleSec    = 30
+)
 
 // Collect reproduces the paper's offline collection protocol (§3.3): each
 // training device executes learning tasks with mini-batch size increasing
@@ -39,14 +42,8 @@ func Collect(rng *rand.Rand, models []device.Model, kind Kind, slo float64) Pret
 
 // CollectWith is Collect with a configurable sweep.
 func CollectWith(rng *rand.Rand, models []device.Model, kind Kind, slo float64, cfg CollectConfig) PretrainingData {
-	if cfg.StopFactor <= 0 {
-		cfg.StopFactor = 2
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1 << 20
-	}
-	if cfg.IdleSec <= 0 {
-		cfg.IdleSec = 30
 	}
 	var out PretrainingData
 	for _, m := range models {
@@ -62,8 +59,8 @@ func CollectWith(rng *rand.Rand, models []device.Model, kind Kind, slo float64, 
 			})
 			out.BatchSizes = append(out.BatchSizes, n)
 			out.Costs = append(out.Costs, cost)
-			d.Idle(cfg.IdleSec) // requests are spaced out; devices cool in between
-			if cost >= cfg.StopFactor*slo || n >= cfg.MaxBatch {
+			d.Idle(idleSec) // requests are spaced out; devices cool in between
+			if cost >= stopFactor*slo || n >= cfg.MaxBatch {
 				break
 			}
 		}

@@ -66,24 +66,16 @@ type Config struct {
 	// RetrainEvery re-fits the cold-start OLS model after this many new
 	// observations (0 disables periodic retraining).
 	RetrainEvery int
-	// MinBatch and MaxBatch clamp predictions to sane bounds. MaxBatch 0
-	// means no upper clamp.
-	MinBatch int
-	MaxBatch int
-	// MaxObservations bounds the retraining observation set: once the set
-	// reaches this size, each new observation overwrites the oldest one
-	// (a sliding window over the observation stream), so a long-lived
-	// server's memory — and every checkpoint it writes — stops growing
-	// with fleet lifetime. The window always contains the most recent
-	// MaxObservations points, which is also what periodic OLS retraining
-	// should fit: recent device behavior, not the full history. 0 means
-	// the default (1024); negative disables the bound.
-	MaxObservations int
 }
 
-// DefaultMaxObservations is the observation-window bound applied when
-// Config.MaxObservations is 0.
-const DefaultMaxObservations = 1024
+// maxObservations bounds the retraining observation set: once the set
+// reaches this size, each new observation overwrites the oldest one (a
+// sliding window over the observation stream), so a long-lived server's
+// memory — and every checkpoint it writes — stops growing with fleet
+// lifetime. The window always contains the most recent maxObservations
+// points, which is also what periodic OLS retraining should fit: recent
+// device behavior, not the full history.
+const maxObservations = 1024
 
 // IProf is the profiler. It is safe for concurrent use.
 type IProf struct {
@@ -95,7 +87,7 @@ type IProf struct {
 	obsX     [][]float64
 	obsY     []float64
 	// obsNext is the ring cursor of the bounded observation window: once
-	// obsX is full (cfg.MaxObservations), it indexes the oldest entry —
+	// obsX is full (maxObservations), it indexes the oldest entry —
 	// the one the next observation overwrites.
 	obsNext  int
 	sinceFit int
@@ -115,15 +107,6 @@ func New(cfg Config, pretrain []Observation) (*IProf, error) {
 	}
 	if len(pretrain) == 0 {
 		return nil, fmt.Errorf("iprof: cold-start model needs pretraining observations")
-	}
-	if cfg.MinBatch <= 0 {
-		cfg.MinBatch = 1
-	}
-	if cfg.MaxObservations == 0 {
-		cfg.MaxObservations = DefaultMaxObservations
-	}
-	if cfg.MaxObservations < 0 {
-		cfg.MaxObservations = 0 // negative disables; 0 internally means unbounded
 	}
 	p := &IProf{
 		cfg:      cfg,
@@ -174,16 +157,12 @@ func (p *IProf) PredictAlpha(deviceModel string, features []float64) float64 {
 	return alpha
 }
 
-// BatchSize applies Equation 1: n̂ = max(1, SLO/α̂), clamped to the
-// configured bounds.
+// BatchSize applies Equation 1: n̂ = max(1, SLO/α̂).
 func (p *IProf) BatchSize(deviceModel string, features []float64, slo float64) int {
 	alpha := p.PredictAlpha(deviceModel, features)
 	n := int(slo / alpha)
-	if n < p.cfg.MinBatch {
-		n = p.cfg.MinBatch
-	}
-	if p.cfg.MaxBatch > 0 && n > p.cfg.MaxBatch {
-		n = p.cfg.MaxBatch
+	if n < 1 {
+		n = 1
 	}
 	return n
 }
@@ -208,10 +187,10 @@ func (p *IProf) Observe(o Observation) {
 		p.maxAlpha = o.Alpha
 	}
 
-	if n := p.cfg.MaxObservations; n > 0 && len(p.obsX) >= n {
+	if len(p.obsX) >= maxObservations {
 		// Window full: overwrite the oldest observation in place. The
 		// modulo guards a restored window larger than the current bound
-		// (checkpoint written under a bigger MaxObservations) — the ring
+		// (a checkpoint written under a bigger one) — the ring
 		// then cycles over that larger-but-still-bounded buffer.
 		i := p.obsNext % len(p.obsX)
 		p.obsX[i] = o.Features
@@ -248,7 +227,7 @@ type State struct {
 	Personal []PersonalState
 	ObsX     [][]float64
 	ObsY     []float64
-	// ObsNext is the observation ring cursor (see Config.MaxObservations).
+	// ObsNext is the observation ring cursor (see maxObservations).
 	// Absent in pre-compaction checkpoints, which decodes as 0 — the ring
 	// then starts overwriting from the front, preserving window semantics.
 	ObsNext  int

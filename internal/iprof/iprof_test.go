@@ -83,15 +83,16 @@ func TestBatchSizeClamps(t *testing.T) {
 		{Features: []float64{1}, Alpha: 0.01},
 		{Features: []float64{2}, Alpha: 0.02},
 	}
-	p, err := New(Config{Epsilon: 0.001, MinBatch: 10, MaxBatch: 50}, obs)
+	p, err := New(Config{Epsilon: 0.001}, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := p.BatchSize("m", []float64{1}, 1e-9); n != 10 {
-		t.Errorf("min clamp gave %d, want 10", n)
+	// Equation 1's max(1, ·): a task is at least one sample.
+	if n := p.BatchSize("m", []float64{1}, 1e-9); n != 1 {
+		t.Errorf("min clamp gave %d, want 1", n)
 	}
-	if n := p.BatchSize("m", []float64{1}, 1e9); n != 50 {
-		t.Errorf("max clamp gave %d, want 50", n)
+	if n := p.BatchSize("m", []float64{1}, 100); n < 9000 || n > 11000 {
+		t.Errorf("SLO 100 at α 0.01 gave %d, want ~10000 (no upper clamp)", n)
 	}
 }
 
@@ -242,8 +243,9 @@ func TestKindString(t *testing.T) {
 
 func TestCollectWithConfigurableSweep(t *testing.T) {
 	models := device.Catalogue()[:2]
-	short := CollectWith(simrand.New(1), models, KindTime, 3, CollectConfig{StopFactor: 0.5, MaxBatch: 4})
-	long := CollectWith(simrand.New(1), models, KindTime, 3, CollectConfig{StopFactor: 4, MaxBatch: 1 << 16})
+	// A sweep stops at twice the SLO: a 0.75 s SLO stops at 1.5 s, a 6 s one at 12 s.
+	short := CollectWith(simrand.New(1), models, KindTime, 0.75, CollectConfig{MaxBatch: 4})
+	long := CollectWith(simrand.New(1), models, KindTime, 6, CollectConfig{MaxBatch: 1 << 16})
 	if len(short.Observations) == 0 || len(long.Observations) <= len(short.Observations) {
 		t.Fatalf("sweep bounds ignored: short=%d long=%d", len(short.Observations), len(long.Observations))
 	}
@@ -261,46 +263,47 @@ func TestCollectWithConfigurableSweep(t *testing.T) {
 }
 
 // TestObservationWindowCompaction proves the retraining observation set is
-// a bounded sliding window: once MaxObservations points are held, each new
-// observation overwrites the oldest in place, the ring cursor survives a
-// checkpoint round-trip, and a negative bound disables compaction.
+// a bounded sliding window: once maxObservations points are held, each new
+// observation overwrites the oldest in place, and the ring cursor survives a
+// checkpoint round-trip.
 func TestObservationWindowCompaction(t *testing.T) {
 	pretrain := []Observation{
 		{DeviceModel: "seed", Features: []float64{1, 1}, Alpha: 0.010},
 		{DeviceModel: "seed", Features: []float64{1, 2}, Alpha: 0.020},
 		{DeviceModel: "seed", Features: []float64{1, 3}, Alpha: 0.030},
 	}
-	alpha := func(i int) float64 { return 0.01 + float64(i)*1e-4 }
+	alpha := func(i int) float64 { return 0.01 + float64(i)*1e-6 }
+	const live = maxObservations + 40
 
-	p, err := New(Config{Epsilon: 0.1, RetrainEvery: 5, MaxObservations: 8}, pretrain)
+	p, err := New(Config{Epsilon: 0.1, RetrainEvery: 5}, pretrain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
+	for i := 0; i < live; i++ {
 		p.Observe(Observation{DeviceModel: "live", Features: []float64{1, float64(10 + i)}, Alpha: alpha(i)})
 	}
 	st := p.ExportState()
-	if len(st.ObsX) != 8 || len(st.ObsY) != 8 {
-		t.Fatalf("window grew to %d/%d observations, want 8 after compaction", len(st.ObsX), len(st.ObsY))
+	if len(st.ObsX) != maxObservations || len(st.ObsY) != maxObservations {
+		t.Fatalf("window grew to %d/%d observations, want %d after compaction", len(st.ObsX), len(st.ObsY), maxObservations)
 	}
-	if st.ObsNext < 0 || st.ObsNext >= 8 {
-		t.Fatalf("ring cursor %d out of range [0,8)", st.ObsNext)
+	if st.ObsNext < 0 || st.ObsNext >= maxObservations {
+		t.Fatalf("ring cursor %d out of range [0,%d)", st.ObsNext, maxObservations)
 	}
-	// Only the 8 newest observations survive; pretraining points and early
-	// live observations must all have been displaced.
+	// Only the newest maxObservations observations survive; pretraining
+	// points and early live observations must all have been displaced.
 	newest := map[float64]bool{}
-	for i := 32; i < 40; i++ {
+	for i := live - maxObservations; i < live; i++ {
 		newest[alpha(i)] = true
 	}
 	for k, y := range st.ObsY {
 		if !newest[y] {
-			t.Errorf("window slot %d holds stale alpha %v; want one of the 8 newest", k, y)
+			t.Fatalf("window slot %d holds stale alpha %v; want one of the %d newest", k, y, maxObservations)
 		}
 	}
 
 	// The cursor must round-trip through a checkpoint: the next observation
 	// after a restore overwrites exactly the slot the ring had reached.
-	q, err := New(Config{Epsilon: 0.1, RetrainEvery: 5, MaxObservations: 8}, pretrain)
+	q, err := New(Config{Epsilon: 0.1, RetrainEvery: 5}, pretrain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,26 +312,14 @@ func TestObservationWindowCompaction(t *testing.T) {
 	}
 	q.Observe(Observation{DeviceModel: "live", Features: []float64{1, 99}, Alpha: 0.5})
 	st2 := q.ExportState()
-	if len(st2.ObsX) != 8 {
+	if len(st2.ObsX) != maxObservations {
 		t.Fatalf("restored window grew to %d observations", len(st2.ObsX))
 	}
 	if st2.ObsY[st.ObsNext] != 0.5 {
 		t.Errorf("post-restore observation landed at alpha %v in slot %d; want 0.5 (oldest slot overwritten)",
 			st2.ObsY[st.ObsNext], st.ObsNext)
 	}
-	if want := (st.ObsNext + 1) % 8; st2.ObsNext != want {
+	if want := (st.ObsNext + 1) % maxObservations; st2.ObsNext != want {
 		t.Errorf("ring cursor after restore+observe = %d, want %d", st2.ObsNext, want)
-	}
-
-	// Negative MaxObservations disables the bound entirely.
-	u, err := New(Config{Epsilon: 0.1, MaxObservations: -1}, pretrain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		u.Observe(Observation{DeviceModel: "live", Features: []float64{1, float64(10 + i)}, Alpha: alpha(i)})
-	}
-	if got := len(u.ExportState().ObsX); got != len(pretrain)+40 {
-		t.Fatalf("unbounded profiler holds %d observations, want %d", got, len(pretrain)+40)
 	}
 }

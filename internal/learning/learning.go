@@ -147,16 +147,16 @@ type AdaSGDConfig struct {
 	// the ablation experiments and when label distributions are considered
 	// privacy sensitive (§5).
 	DisableSimilarityBoost bool
-	// SimFloor is the similarity below which a gradient counts as entirely
-	// novel and receives the full boost (scale 1). Default 0.05. Without a
-	// floor the boost can never overcome the exponential dampening of deep
-	// stragglers (Λ(4·τ_thres) ≈ 1e-7), and Figure 9's recovery would be
-	// unreproducible.
-	SimFloor float64
 }
 
 // maxHistory bounds the staleness history behind the τ_thres quantile.
 const maxHistory = 16384
+
+// simFloor is the similarity below which a gradient counts as entirely novel
+// and receives the full boost (scale 1). Without a floor the boost can never
+// overcome the exponential dampening of deep stragglers (Λ(4·τ_thres) ≈
+// 1e-7), and Figure 9's recovery would be unreproducible.
+const simFloor = 0.05
 
 // AdaSGD is the paper's adaptive asynchronous SGD (§2.3): exponential
 // staleness dampening calibrated on the τ_thres quantile, boosted by the
@@ -174,9 +174,6 @@ func NewAdaSGD(cfg AdaSGDConfig) *AdaSGD {
 	if cfg.NonStragglerPct <= 0 || cfg.NonStragglerPct > 100 {
 		panic(fmt.Sprintf("learning: NonStragglerPct %v outside (0, 100]", cfg.NonStragglerPct))
 	}
-	if cfg.SimFloor == 0 {
-		cfg.SimFloor = 0.05
-	}
 	return &AdaSGD{
 		cfg:     cfg,
 		tracker: NewStalenessTracker(maxHistory),
@@ -193,10 +190,10 @@ func (a *AdaSGD) Scale(meta GradientMeta) float64 {
 		return math.Min(1, damp)
 	}
 	sim := meta.Similarity
-	if sim < a.cfg.SimFloor {
+	if sim < simFloor {
 		// Entirely (or almost entirely) novel labels: full boost. Without
 		// this saturation the exponential dampening of deep stragglers can
-		// never be overcome (see AdaSGDConfig.SimFloor).
+		// never be overcome (see simFloor).
 		return 1
 	}
 	if sim > 1 {

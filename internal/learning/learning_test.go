@@ -315,7 +315,7 @@ func TestAbsorbWeightExcludesBoost(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		alg.Observe(GradientMeta{Staleness: 6})
 	}
-	meta := GradientMeta{Staleness: 24, Similarity: 0.01} // below SimFloor
+	meta := GradientMeta{Staleness: 24, Similarity: 0.01} // below simFloor
 	scale := alg.Scale(meta)
 	absorb := alg.AbsorbWeight(meta)
 	if scale != 1 {
@@ -333,16 +333,5 @@ func TestAbsorbWeightBaselines(t *testing.T) {
 	}
 	if got := (DynSGD{}).AbsorbWeight(meta); got != InverseDampening(4) {
 		t.Fatalf("DynSGD absorb = %v", got)
-	}
-}
-
-func TestSimFloorConfigurable(t *testing.T) {
-	alg := NewAdaSGD(AdaSGDConfig{NonStragglerPct: 99.7, BootstrapSteps: 0, SimFloor: 0.5})
-	for i := 0; i < 50; i++ {
-		alg.Observe(GradientMeta{Staleness: 6})
-	}
-	// Similarity 0.4 < floor 0.5 -> full boost.
-	if got := alg.Scale(GradientMeta{Staleness: 20, Similarity: 0.4}); got != 1 {
-		t.Fatalf("below-floor similarity should saturate to 1, got %v", got)
 	}
 }

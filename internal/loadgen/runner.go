@@ -104,7 +104,7 @@ type simWorker struct {
 	// resyncBudget bounds how many version-conflict recoveries (server
 	// restarts observed mid-round) this worker absorbs before the conflict
 	// counts as a protocol error — the harness-side mirror of
-	// worker.Config.MaxResyncs for the event-driven engine.
+	// worker.MaxResyncs for the event-driven engine.
 	resyncBudget int
 
 	// In-flight state between the pull and push events.
@@ -224,7 +224,6 @@ func (f *srvFactory) spec(recover string) node.Spec {
 		Seed:               f.seed,
 		DeltaHistory:       sc.Server.DeltaHistory,
 		DefaultBatchSize:   sc.Server.DefaultBatchSize,
-		F16Announce:        sc.Server.F16Announce,
 		Stages:             sc.Server.Stages,
 		Aggregator:         sc.Server.Aggregator,
 		Admission:          sc.Server.Admission,
@@ -609,7 +608,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 			tier:         sc.Tiers[tierOf[i]].Name,
 			byzantine:    byzantine[i],
 			roundsLeft:   sc.Rounds,
-			resyncBudget: 3, // mirrors worker.Config.MaxResyncs' default
+			resyncBudget: worker.MaxResyncs,
 		}
 		var transform func([]float64)
 		if sw.byzantine {

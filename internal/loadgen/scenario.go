@@ -124,10 +124,9 @@ type TreeSpec struct {
 type TenantSpec struct {
 	// Name is the tenant's registry key (tenant.Config.Name rules apply).
 	Name string `json:"name"`
-	// Workers/Rounds override the base scenario's fleet shape for this
-	// tenant (0: inherit the base value).
+	// Workers overrides the base scenario's fleet size for this tenant (0:
+	// inherit the base value).
 	Workers int `json:"workers,omitempty"`
-	Rounds  int `json:"rounds,omitempty"`
 	// MaxWorkers is the tenant's identity quota (tenant.Config.MaxWorkers):
 	// a fleet larger than it has its surplus workers throttled with
 	// attributed worker-cap rejects, not failed.
@@ -160,11 +159,6 @@ type ServerSpec struct {
 	NonStragglerPct float64 `json:"non_straggler_pct,omitempty"`
 	// DefaultBatchSize is used when no I-Prof policy prescribes one.
 	DefaultBatchSize int `json:"default_batch_size,omitempty"`
-	// F16Announce attaches a full half-precision parameter image to model
-	// announces whose exact delta went dense — the quantized dense announce
-	// format (server.Config.F16Announce). Off by default: absorbing workers
-	// trade exactness for freshness.
-	F16Announce bool `json:"f16_announce,omitempty"`
 }
 
 // Scenario is one composable load profile. The zero values of most fields

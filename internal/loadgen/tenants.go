@@ -46,9 +46,6 @@ func TenantSubScenario(sc Scenario, ts TenantSpec, masterSeed int64) (Scenario, 
 	if ts.Workers > 0 {
 		sub.Workers = ts.Workers
 	}
-	if ts.Rounds > 0 {
-		sub.Rounds = ts.Rounds
-	}
 	if ts.Byzantine != nil {
 		sub.Byzantine = *ts.Byzantine
 	}

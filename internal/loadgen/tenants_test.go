@@ -24,13 +24,13 @@ func TestTenantSeedDerivation(t *testing.T) {
 func TestTenantSubScenarioOverrides(t *testing.T) {
 	base := small(t, "uniform", 8, 4)
 	ts := TenantSpec{
-		Name: "n", Workers: 3, Rounds: 2,
+		Name: "n", Workers: 3,
 		Byzantine: &ByzantineSpec{Fraction: 0.5, Attack: AttackSignFlip},
 		Server:    &ServerSpec{K: 2, Stages: "dp(1,1.2),staleness"},
 	}
 	sub, seed := TenantSubScenario(base, ts, 42)
-	if sub.Name != base.Name+":n" || sub.Workers != 3 || sub.Rounds != 2 {
-		t.Errorf("sub = %s/%d workers/%d rounds, want %s:n/3/2", sub.Name, sub.Workers, sub.Rounds, base.Name)
+	if sub.Name != base.Name+":n" || sub.Workers != 3 || sub.Rounds != base.Rounds {
+		t.Errorf("sub = %s/%d workers/%d rounds, want %s:n/3/%d", sub.Name, sub.Workers, sub.Rounds, base.Name, base.Rounds)
 	}
 	if sub.Byzantine.Attack != AttackSignFlip || sub.Server.Stages != "dp(1,1.2),staleness" {
 		t.Errorf("overrides not applied: %+v %+v", sub.Byzantine, sub.Server)

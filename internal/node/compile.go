@@ -220,7 +220,6 @@ func rootServer(s Spec, timeProf, energyProf *iprof.IProf, owned bool) (*server.
 		Pipeline:         pipe,
 		DeltaHistory:     s.DeltaHistory,
 		DefaultBatchSize: s.DefaultBatchSize,
-		F16Announce:      s.F16Announce,
 		Seed:             s.Seed,
 	}
 	if owned {

@@ -345,13 +345,17 @@ func TestForwardedTaskCallsKeepOrPassThrough(t *testing.T) {
 	}
 }
 
-// TestFacadeAndKnobsAreWhatIsUsed keeps two deletions deleted. fleet.go
+// TestFacadeAndKnobsAreWhatIsUsed keeps three deletions deleted. fleet.go
 // exports what an examples/ program or README.md names (fleet.X), plus what
 // the declaration of such an export names in turn (Chain's Interceptor,
-// TinyMNIST's Dataset); anything else is a second, untested way in. And the
-// mean window is one accumulator: no struct field, JSON key or flag of the
-// root module is called "shards", in any case, again (data.PartitionNonIID's
-// ShardsPerUser are non-IID data shards, a different word).
+// TinyMNIST's Dataset); anything else is a second, untested way in. The mean
+// window is one accumulator: no struct field, JSON key or flag of the root
+// module is called "shards", in any case, again (data.PartitionNonIID's
+// ShardsPerUser are non-IID data shards, a different word). And an announce
+// carries an exact delta or none: the half-precision full-model announce's
+// server option, flag and message field do not come back under their old
+// names (retired, below). TestConfigFieldsAreSet cannot keep that one out,
+// since a flag binding sets a field.
 func TestFacadeAndKnobsAreWhatIsUsed(t *testing.T) {
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
@@ -419,8 +423,14 @@ func TestFacadeAndKnobsAreWhatIsUsed(t *testing.T) {
 		}
 	}
 
-	shardsKey := regexp.MustCompile(`json:"shards[,"]`)
-	flagFuncs := map[string]bool{"Int": true, "IntVar": true, "Int64": true, "Int64Var": true, "String": true, "StringVar": true}
+	retired := map[string]string{ // field name in lower case → why it is gone
+		"shards":      "the mean window is one accumulator",
+		"f16announce": "an announce carries an exact delta or none",
+		"paramsf16":   "an announce carries an exact delta or none",
+	}
+	retiredKey := regexp.MustCompile(`json:"(shards|f16_announce|params_f16)[,"]`)
+	retiredFlag := map[string]bool{"shards": true, "f16-announce": true}
+	flagFuncs := map[string]bool{"Bool": true, "BoolVar": true, "Int": true, "IntVar": true, "Int64": true, "Int64Var": true, "String": true, "StringVar": true}
 	err = filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
@@ -443,12 +453,14 @@ func TestFacadeAndKnobsAreWhatIsUsed(t *testing.T) {
 			switch n := n.(type) {
 			case *ast.Field:
 				for _, id := range n.Names {
-					if strings.EqualFold(id.Name, "shards") {
-						t.Errorf("%s: a %s field: the mean window is one accumulator", fset.Position(id.Pos()), id.Name)
+					if why := retired[strings.ToLower(id.Name)]; why != "" {
+						t.Errorf("%s: a %s field: %s", fset.Position(id.Pos()), id.Name, why)
 					}
 				}
-				if n.Tag != nil && shardsKey.MatchString(n.Tag.Value) {
-					t.Errorf("%s: a JSON shards key", fset.Position(n.Tag.Pos()))
+				if n.Tag != nil {
+					if m := retiredKey.FindStringSubmatch(n.Tag.Value); m != nil {
+						t.Errorf("%s: a JSON %s key", fset.Position(n.Tag.Pos()), m[1])
+					}
 				}
 			case *ast.CallExpr:
 				sel, ok := n.Fun.(*ast.SelectorExpr)
@@ -457,8 +469,8 @@ func TestFacadeAndKnobsAreWhatIsUsed(t *testing.T) {
 				}
 				for _, arg := range n.Args {
 					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-						if v, _ := strconv.Unquote(lit.Value); v == "shards" {
-							t.Errorf("%s: a -shards flag", fset.Position(lit.Pos()))
+						if v, _ := strconv.Unquote(lit.Value); retiredFlag[v] {
+							t.Errorf("%s: a -%s flag", fset.Position(lit.Pos()), v)
 						}
 					}
 				}
@@ -483,93 +495,15 @@ func TestFacadeAndKnobsAreWhatIsUsed(t *testing.T) {
 // *T, or a type embedding it) implements an interface that declares it: one of
 // the module's, one of a standard package the module imports, or error. That
 // is how service.Lease.Value serves context.Context, and a node's sink
-// ingest.Sink[W]. The packages are type-checked from source, the standard
-// library included, so the test needs nothing downloaded or prebuilt.
+// ingest.Sink[W].
 func TestInternalExportsAreUsed(t *testing.T) {
 	allowed := map[string]string{ // at most three, each with its reason
 		"stream.Server.Sessions":  "the session count a live metrics document is to report",
 		"stream.Server.Coalesced": "the announce coalesce count a live metrics document is to report",
 		"robust.Mean":             "the plain average the robust rules and the retained window are tested against",
 	}
-	root := filepath.Join("..", "..")
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // import path → its non-test files
-	parseDir := func(dir, path string) error {
-		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil {
-			return err
-		}
-		for _, name := range names {
-			if strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			files[path] = append(files[path], f)
-		}
-		return nil
-	}
-	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil || !info.IsDir() {
-			return err
-		}
-		if path == root {
-			return parseDir(path, "fleet")
-		}
-		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
-		if rel == ".git" || rel == "bench" || info.Name() == "testdata" {
-			return filepath.SkipDir
-		}
-		return parseDir(path, "fleet/"+rel)
-	})
-	if err == nil {
-		err = parseDir(filepath.Join(root, "bench", "perf"), "fleet/bench/perf")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	checked := map[string]*types.Package{}
-	std := importer.ForCompiler(fset, "source", nil)
-	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
-		if p := checked[path]; p != nil {
-			return p, nil
-		}
-		return std.Import(path)
-	})}
-	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
-	}
-	var check func(path string)
-	check = func(path string) {
-		if checked[path] != nil {
-			return
-		}
-		for _, f := range files[path] {
-			for _, spec := range f.Imports {
-				if dep, _ := strconv.Unquote(spec.Path.Value); files[dep] != nil {
-					check(dep)
-				}
-			}
-		}
-		pkg, err := conf.Check(path, fset, files[path], info)
-		if err != nil {
-			t.Fatalf("type-checking %s: %v", path, err)
-		}
-		checked[path] = pkg
-	}
-	var paths []string
-	for path := range files {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		check(path)
-	}
+	m := loadModule(t)
+	root, fset, files, checked, info, paths := m.root, m.fset, m.files, m.checked, m.info, m.paths
 
 	internal := func(p *types.Package) bool { return p != nil && strings.HasPrefix(p.Path(), "fleet/internal/") }
 	receiver := func(f *types.Func) *types.TypeName {
@@ -792,6 +726,206 @@ func TestInternalExportsAreUsed(t *testing.T) {
 			t.Errorf("%s: %s is used by no non-test code outside its own declaration (or only by code that is not used either): delete it", pos, name(o))
 		}
 	}
+}
+
+// TestConfigFieldsAreSet is the guard over what configures the code. Every
+// exported field of an exported struct type of internal/* whose name ends in
+// Config, Spec or Options, and of the two worker-side clients stream.Client
+// and worker.Client, must be set by code that ships: a non-test file names it
+// as a composite-literal key, or a file outside the declaring package assigns
+// it or takes its address (a flag binding). The package's own
+// `if c.X == 0 { c.X = d }` does not count: a field nothing else sets always
+// means d, so it is the constant d — declare it as one.
+func TestConfigFieldsAreSet(t *testing.T) {
+	allowed := map[string]string{ // each with its reason
+		"loadgen.ServerSpec.NonStragglerPct":  "withDefaults writes 99.7 into it, so all nine committed baselines record it",
+		"loadgen.ServerSpec.DefaultBatchSize": "the harness twin of tenant.Config's default_batch_size, which a -tenants file sets and only this field sets in code",
+		"loadgen.TenantSpec.Delta":            "the harness twin of tenant.Config's delta, which -tenant specs and -tenants files set and only this field sets in code",
+		"loadgen.TenantSpec.SamplingRatio":    "the harness twin of tenant.Config's sampling_ratio (q), likewise",
+	}
+	m := loadModule(t)
+	options := regexp.MustCompile(`(Config|Spec|Options)$`)
+	clients := map[string]bool{"stream.Client": true, "worker.Client": true}
+	type knob struct {
+		owner string // package.Type
+		field *types.Var
+	}
+	var knobs []knob
+	for _, path := range m.paths {
+		if !strings.HasPrefix(path, "fleet/internal/") {
+			continue
+		}
+		scope := m.checked[path].Scope()
+		for _, name := range scope.Names() {
+			owner := m.checked[path].Name() + "." + name
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(options.MatchString(name) || clients[owner]) {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						knobs = append(knobs, knob{owner, f})
+					}
+				}
+			}
+		}
+	}
+
+	set := map[*types.Var]bool{}
+	fieldOf := func(e ast.Expr) *types.Var {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			e = sel.Sel
+		}
+		if id, ok := e.(*ast.Ident); ok {
+			if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+				return v.Origin() // a field of an instantiated generic type
+			}
+		}
+		return nil
+	}
+	for _, path := range m.paths {
+		pkg := m.checked[path]
+		fromOutside := func(e ast.Expr) {
+			if v := fieldOf(e); v != nil && v.Pkg() != pkg {
+				set[v] = true
+			}
+		}
+		for _, f := range m.files[path] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr: // a struct literal's key is a bare field name
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if v := fieldOf(id); v != nil {
+							set[v] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						fromOutside(lhs)
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						fromOutside(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, k := range knobs {
+		name := k.owner + "." + k.field.Name()
+		switch {
+		case allowed[name] != "" && set[k.field]:
+			t.Errorf("the allowlist names %s, which shipped code now sets: drop the entry", name)
+		case allowed[name] == "" && !set[k.field]:
+			pos := strings.TrimPrefix(m.fset.Position(k.field.Pos()).String(), m.root+string(filepath.Separator))
+			t.Errorf("%s: %s is set by no shipped code, only defaulted: make it a constant", pos, name)
+		}
+		delete(allowed, name)
+	}
+	for name := range allowed {
+		t.Errorf("the allowlist names %s, which is no longer an option field", name)
+	}
+}
+
+// module is the code that ships: every non-test file of the root module plus
+// bench/perf (its own module, which imports internal packages and must keep
+// building untouched), type-checked from source, the standard library
+// included, so a guard needs nothing downloaded or prebuilt.
+type module struct {
+	root    string
+	fset    *token.FileSet
+	files   map[string][]*ast.File // import path → its non-test files
+	paths   []string               // every import path, sorted
+	checked map[string]*types.Package
+	info    *types.Info
+}
+
+// loadModule parses the module and type-checks it in dependency order.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	m := &module{
+		root:    filepath.Join("..", ".."),
+		fset:    token.NewFileSet(),
+		files:   map[string][]*ast.File{},
+		checked: map[string]*types.Package{},
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+	}
+	parseDir := func(dir, path string) error {
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			return err
+		}
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(m.fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			m.files[path] = append(m.files[path], f)
+		}
+		return nil
+	}
+	err := filepath.Walk(m.root, func(path string, info os.FileInfo, err error) error {
+		if err != nil || !info.IsDir() {
+			return err
+		}
+		if path == m.root {
+			return parseDir(path, "fleet")
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, m.root+string(filepath.Separator)))
+		if rel == ".git" || rel == "bench" || info.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		return parseDir(path, "fleet/"+rel)
+	})
+	if err == nil {
+		err = parseDir(filepath.Join(m.root, "bench", "perf"), "fleet/bench/perf")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	std := importer.ForCompiler(m.fset, "source", nil)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := m.checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	var check func(path string)
+	check = func(path string) {
+		if m.checked[path] != nil {
+			return
+		}
+		for _, f := range m.files[path] {
+			for _, spec := range f.Imports {
+				if dep, _ := strconv.Unquote(spec.Path.Value); m.files[dep] != nil {
+					check(dep)
+				}
+			}
+		}
+		pkg, err := conf.Check(path, m.fset, m.files[path], m.info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+		m.checked[path] = pkg
+	}
+	for path := range m.files {
+		m.paths = append(m.paths, path)
+	}
+	sort.Strings(m.paths)
+	for _, path := range m.paths {
+		check(path)
+	}
+	return m
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -116,7 +116,6 @@ type Spec struct {
 	Seed             int64
 	DeltaHistory     int
 	DefaultBatchSize int
-	F16Announce      bool
 
 	// Pipeline and admission, in the shared spec grammar.
 	Stages     string

@@ -40,8 +40,9 @@ const (
 	flatMagic = "FLT1"
 	// Version 1 peers wrapped four of the six messages in gob behind the
 	// flat header; version 2 stats carried a TasksRejected twin of
-	// TasksDropped. Both are refused on their first frame.
-	flatVersion = 3
+	// TasksDropped; version 3 announces ended in a half-precision copy of
+	// the whole model. All three are refused on their first frame.
+	flatVersion = 4
 
 	flatKindTaskResponse = 2
 	flatKindPush         = 3
@@ -365,7 +366,6 @@ func (f *flatBuf) announce(a *ModelAnnounce) {
 	f.i64(a.ServerEpoch)
 	f.sparse(a.Delta)
 	f.int(a.DeltaBase)
-	f.u16s(a.ParamsF16)
 }
 
 // stats lays out a Stats snapshot as kind 7.
@@ -784,7 +784,6 @@ func (d *flatDec) announce(dst *ModelAnnounce) error {
 		ServerEpoch:  d.i64(),
 		Delta:        d.sparse(),
 		DeltaBase:    d.int(),
-		ParamsF16:    d.u16s(),
 	}
 	if err := d.finish(); err != nil {
 		return err

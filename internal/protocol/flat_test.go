@@ -152,14 +152,12 @@ func randAnnounce(rng *rand.Rand) *ModelAnnounce {
 		ServerEpoch:  int64(rng.Intn(4)),
 		DeltaBase:    rng.Intn(1 << 20),
 	}
-	switch rng.Intn(4) {
+	switch rng.Intn(3) {
 	case 0:
 		k := 1 + rng.Intn(40)
 		a.Delta = &compress.Sparse{Len: 1000, Indices: randIndices(rng, k), Values: randFloats(rng, k)}
 	case 1:
 		a.Delta = &compress.Sparse{} // present but empty: distinct from nil
-	case 2:
-		a.ParamsF16 = randU16s(rng, 1+rng.Intn(200))
 	}
 	return a
 }
@@ -324,18 +322,15 @@ func TestFlatOptionalBlocks(t *testing.T) {
 	if err := Flat.Decode(bytes.NewReader(flatBytes(t, &ModelAnnounce{ModelVersion: 3})), &ann); err != nil {
 		t.Fatal(err)
 	}
-	if ann.Delta != nil || ann.ParamsF16 != nil {
+	if ann.Delta != nil {
 		t.Errorf("nil delta decoded as %+v", ann)
 	}
-	empty := &ModelAnnounce{ModelVersion: 3, Delta: &compress.Sparse{Len: 7, Indices: []int32{}, Values: []float64{}}, ParamsF16: []uint16{0x3C00}}
+	empty := &ModelAnnounce{ModelVersion: 3, Delta: &compress.Sparse{Len: 7, Indices: []int32{}, Values: []float64{}}}
 	if err := Flat.Decode(bytes.NewReader(flatBytes(t, empty)), &ann); err != nil {
 		t.Fatal(err)
 	}
 	if ann.Delta == nil || ann.Delta.Len != 7 || ann.Delta.Indices != nil || ann.Delta.Values != nil {
 		t.Errorf("empty delta decoded as %+v", ann.Delta)
-	}
-	if !reflect.DeepEqual(ann.ParamsF16, []uint16{0x3C00}) {
-		t.Errorf("ParamsF16 = %v", ann.ParamsF16)
 	}
 
 	var st Stats
@@ -421,13 +416,14 @@ func TestFlatStructuralRejects(t *testing.T) {
 		{"bad magic", []byte("XXXXXXXXXXXX"), &GradientPush{}},
 		{"flat version 1", hdr(1, flatKindPush), &GradientPush{}},
 		{"flat version 2", hdr(2, flatKindStats), &Stats{}},
+		{"flat version 3", hdr(3, flatKindAnnounce), &ModelAnnounce{}},
 		{"future version", hdr(99, flatKindPush), &GradientPush{}},
 		{"reserved bytes", []byte{'F', 'L', 'T', '1', flatVersion, flatKindPush, 7, 0}, &GradientPush{}},
 		{"kind 0", hdr(flatVersion, 0), &PushAck{}},
 		{"kind 1", hdr(flatVersion, 1), &PushAck{}},
 		{"unknown kind", hdr(flatVersion, 42), &GradientPush{}},
 		{"bool byte 2", hdr(flatVersion, flatKindPushAck, cat([]byte{2}, i64(0), i64(0), i64(0))...), &PushAck{}},
-		{"presence byte 2", hdr(flatVersion, flatKindAnnounce, cat(i64(1), i64(0), []byte{2}, i64(0), []byte{0, 0, 0, 0})...), &ModelAnnounce{}},
+		{"presence byte 2", hdr(flatVersion, flatKindAnnounce, cat(i64(1), i64(0), []byte{2}, i64(0))...), &ModelAnnounce{}},
 		{"map keys descending", statsWithMap(2, entry("b", 1), entry("a", 2)), &Stats{}},
 		{"map key repeated", statsWithMap(2, entry("a", 1), entry("a", 2)), &Stats{}},
 		{"non-pointer target", flatBytes(t, &PushAck{}), PushAck{}},
@@ -445,9 +441,10 @@ func TestFlatStructuralRejects(t *testing.T) {
 		wantInvalidArgument(t, tc.name, Flat.Decode(bytes.NewReader(tc.raw), tc.into))
 	}
 
-	// Version 1 and 2 peers (version 2 stats carried TasksRejected after
-	// TasksServed) are refused by version, not misread a field over.
-	for _, v := range []uint8{1, 2} {
+	// Version 1, 2 and 3 peers (version 2 stats carried TasksRejected after
+	// TasksServed, version 3 announces a trailing []u16) are refused by
+	// version, not misread a field over.
+	for _, v := range []uint8{1, 2, 3} {
 		want := fmt.Sprintf("unsupported version %d", v)
 		if err := Flat.Decode(bytes.NewReader(hdr(v, flatKindStats, make([]byte, 64)...)), &Stats{}); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("version %d peer: want %q, got %v", v, want, err)

@@ -8,20 +8,14 @@ import (
 
 // GradientPayload is the decoded uplink gradient of one push: either Dense
 // is set, or Indices/Values hold the sparse view (quantized value forms
-// already expanded to float64). Shared by every gradient sink — the root
-// server and the aggtree edges — so the wire dialects stay in one place.
+// already expanded to float64) with Indices strictly ascending — the shape
+// every TopK/Diff output has, and the precondition for scatter-accumulating
+// the view in place. Shared by every gradient sink — the root server and the
+// aggtree edges — so the wire dialects stay in one place.
 type GradientPayload struct {
 	Dense   []float64
 	Indices []int32
 	Values  []float64
-	// Ascending reports that Indices are strictly ascending (the shape
-	// every TopK/Diff output has), the precondition for
-	// scatter-accumulating the view in place. DecodeGradientPayload
-	// always returns it true: out-of-order or duplicate-index wire
-	// payloads are canonicalized on decode (sorted, duplicates merged
-	// with the last value winning, matching the legacy densify overwrite
-	// semantics). The field remains so hand-built payloads can opt out.
-	Ascending bool
 }
 
 // Sparse reports whether the payload carries the sparse view.
@@ -31,7 +25,9 @@ func (p GradientPayload) Sparse() bool { return p.Dense == nil }
 // parameter count and decodes it into a dense vector or a sparse
 // index/value view. The Encoding tag, when present, must agree with the
 // populated fields; pre-tag payloads (empty Encoding) are inferred from
-// the fields alone, exactly as before the tag existed.
+// the fields alone, exactly as before the tag existed. Out-of-order or
+// duplicate-index sparse payloads are canonicalized: sorted, duplicates
+// merged with the last value winning (Densify's overwrite semantics).
 func DecodeGradientPayload(push *GradientPush, paramCount int) (GradientPayload, error) {
 	var vals []float64
 	var enc string
@@ -76,7 +72,7 @@ func DecodeGradientPayload(push *GradientPush, paramCount int) (GradientPayload,
 		return GradientPayload{}, Errorf(CodeInvalidArgument,
 			"sparse gradient with %d indices, %d values", len(push.SparseIndices), len(vals))
 	}
-	out := GradientPayload{Indices: push.SparseIndices, Values: vals, Ascending: true}
+	out := GradientPayload{Indices: push.SparseIndices, Values: vals}
 	canonical := true
 	prev := int32(-1)
 	for _, id := range out.Indices {

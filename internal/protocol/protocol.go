@@ -167,16 +167,6 @@ type ModelAnnounce struct {
 	// drain rewrote too much of the vector to be worth sparsifying.
 	Delta     *compress.Sparse `json:"delta,omitempty"`
 	DeltaBase int              `json:"delta_base,omitempty"`
-	// ParamsF16, when non-empty, is the complete parameter vector at
-	// ModelVersion quantized to binary16 (compress.PackF16). Servers with
-	// F16Announce enabled attach it when no exact sparse delta is
-	// available — dense-gradient deployments rewrite most coordinates per
-	// drain, blowing compress.Diff's half-vector bound, and previously
-	// fell back to delta-less announces. Overwrite semantics: the vector
-	// is self-contained (no base needed), so absorbing it costs one f16
-	// rounding of the current model and never accumulates error across
-	// announces. Omitempty, so pre-f16 payloads decode unchanged.
-	ParamsF16 []uint16 `json:"params_f16,omitempty"`
 }
 
 // Stats is the server's diagnostic snapshot.

@@ -28,7 +28,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fleet/internal/compress"
 	"fleet/internal/ingest"
 	"fleet/internal/iprof"
 	"fleet/internal/learning"
@@ -83,15 +82,6 @@ type Config struct {
 	// DefaultBatchSize is the batch a task carries when no admission policy
 	// sizes it (default 100, the paper's mini-batch size).
 	DefaultBatchSize int
-	// F16Announce, when true, attaches a full half-precision parameter
-	// vector (ModelAnnounce.ParamsF16) to snapshot announces whose exact
-	// sparse delta went dense (or was never kept) — the dense-gradient
-	// deployments that previously fell back to delta-less announces.
-	// Subscribed workers overwrite their cache with the dequantized params
-	// (bounded f16 rounding error, never accumulating: the next exact pull
-	// or delta restores full precision per coordinate). Off by default —
-	// announces are bit-exact unless a deployment opts in.
-	F16Announce bool
 	// DeltaHistory is how many recent model versions the server keeps
 	// exact sparse deltas for, enabling version-aware pulls: a worker at
 	// version t−τ (τ ≤ DeltaHistory) downloads the delta instead of the
@@ -455,15 +445,7 @@ func (k *rootSink) Deliver(_ context.Context, d drained, committed int) int {
 		return committed
 	}
 	if fn := s.snapHook.Load(); fn != nil {
-		ann := (*ingest.Snapshot)(d.snap).Announce(d.snap.Version - 1)
-		if ann.Delta == nil && s.cfg.F16Announce {
-			// No exact delta retained (dense-gradient deployments hit
-			// Diff's half-vector bound every window): attach the full
-			// model in half precision so subscribers still absorb the
-			// announce instead of falling back to a delta-less ping.
-			ann.ParamsF16 = compress.PackF16(d.snap.Params())
-		}
-		(*fn)(ann)
+		(*fn)((*ingest.Snapshot)(d.snap).Announce(d.snap.Version - 1))
 	}
 	if d.ckptDue {
 		// The full state is captured here, on the push goroutine with the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -578,54 +577,6 @@ func TestMismatchedEncodingTagRejected(t *testing.T) {
 	})
 	if !errors.As(err, &apiErr) || apiErr.Code != protocol.CodeInvalidArgument {
 		t.Fatalf("want invalid_argument for tag/field mismatch, got %v", err)
-	}
-}
-
-// TestF16AnnounceFallback: with F16Announce on and the delta history
-// disabled, every published announce must carry the full model in half
-// precision, dequantizing to the published params within f16 rounding.
-func TestF16AnnounceFallback(t *testing.T) {
-	ctx := context.Background()
-	s := newTestServer(t, Config{Algorithm: learning.SSGD{}, DeltaHistory: -1, F16Announce: true})
-	var got protocol.ModelAnnounce
-	s.OnSnapshot(func(a protocol.ModelAnnounce) { got = a })
-
-	grad := make([]float64, s.paramCount)
-	grad[0] = 1
-	if _, err := s.PushGradient(ctx, &protocol.GradientPush{
-		ModelVersion: 0, Gradient: grad, BatchSize: 5, LabelCounts: []int{1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got.ModelVersion != 1 {
-		t.Fatalf("announce version %d, want 1", got.ModelVersion)
-	}
-	if got.Delta != nil {
-		t.Fatal("delta history disabled, yet announce carries a delta")
-	}
-	if len(got.ParamsF16) != s.paramCount {
-		t.Fatalf("announce carries %d f16 params, want %d", len(got.ParamsF16), s.paramCount)
-	}
-	params, _ := s.Model()
-	back := compress.UnpackF16(got.ParamsF16)
-	for i := range params {
-		// Half precision: ~2^-11 relative error.
-		if diff := math.Abs(back[i] - params[i]); diff > math.Abs(params[i])*1e-3+1e-6 {
-			t.Fatalf("param %d: f16 announce %v vs model %v", i, back[i], params[i])
-		}
-	}
-
-	// Without the opt-in the fallback stays off: announces are delta-less.
-	s2 := newTestServer(t, Config{Algorithm: learning.SSGD{}, DeltaHistory: -1})
-	var got2 protocol.ModelAnnounce
-	s2.OnSnapshot(func(a protocol.ModelAnnounce) { got2 = a })
-	if _, err := s2.PushGradient(ctx, &protocol.GradientPush{
-		ModelVersion: 0, Gradient: grad, BatchSize: 5, LabelCounts: []int{1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got2.ParamsF16 != nil {
-		t.Fatal("ParamsF16 attached without F16Announce")
 	}
 }
 

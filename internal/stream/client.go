@@ -45,9 +45,6 @@ type Client struct {
 	// default tenant) and the bearer token minted for (tenant, worker).
 	Tenant string
 	Token  string
-	// DialTimeout bounds session establishment, handshake included
-	// (0: 10s).
-	DialTimeout time.Duration
 	// PingInterval is the idle heartbeat period (0: a third of the
 	// server's default idle timeout; negative: no heartbeats).
 	PingInterval time.Duration
@@ -83,6 +80,10 @@ var _ service.Service = (*Client)(nil)
 // (the stream-push scenario peaks at 122 pending); further behind than
 // that, a pull beats patching the backlog anyway.
 const maxPendingAnnounces = 256
+
+// dialTimeout bounds session establishment, handshake included, and how long
+// the calls still in flight on a session the server drained may run on it.
+const dialTimeout = 10 * time.Second
 
 // RequestTask implements service.Service over the stream.
 func (c *Client) RequestTask(ctx context.Context, req *protocol.TaskRequest) (*protocol.TaskResponse, error) {
@@ -165,10 +166,7 @@ func goroutineID() (id uint64) {
 // epoch change or a delta-less drain resets to the announcements after the
 // break — callers absorb what applies and pull for the rest. At most
 // maxPendingAnnounces are kept; past that the oldest are dropped, which a
-// caller sees as a gap. An announce carrying a half-precision full model
-// (ParamsF16, the server's dense-drain fallback) is complete on its own: it
-// restarts the chain rather than breaking it, and later deltas chain off
-// its version.
+// caller sees as a gap.
 func (c *Client) TakeAnnounces() []protocol.ModelAnnounce {
 	c.annMu.Lock()
 	defer c.annMu.Unlock()
@@ -218,13 +216,10 @@ func (c *Client) noteAnnounce(ann protocol.ModelAnnounce) {
 	if !chained {
 		c.annRun = c.annRun[:0]
 	}
-	if ann.Delta != nil || len(ann.ParamsF16) > 0 {
+	if ann.Delta != nil {
 		if len(c.annRun) == maxPendingAnnounces {
 			c.annRun = append(c.annRun[:0], c.annRun[1:]...) // drop the oldest
 		}
-		// A ParamsF16 announce needs no base (it overwrites the whole
-		// cache), so it starts a fresh run; the reset above already
-		// dropped anything pending.
 		c.annRun = append(c.annRun, ann)
 	}
 	c.annSeen = true
@@ -323,7 +318,7 @@ func (c *Client) session(ctx context.Context) (*clientSession, error) {
 		c.sess = nil
 		c.retired = append(slices.DeleteFunc(c.retired, (*clientSession).dead), old)
 		go func() {
-			time.Sleep(c.dialTimeout())
+			time.Sleep(dialTimeout)
 			old.fail(protocol.Errorf(protocol.CodeUnavailable, "stream: session drained"))
 		}()
 	}
@@ -336,13 +331,6 @@ func (c *Client) session(ctx context.Context) (*clientSession, error) {
 	return sess, nil
 }
 
-func (c *Client) dialTimeout() time.Duration {
-	if c.DialTimeout > 0 {
-		return c.DialTimeout
-	}
-	return 10 * time.Second
-}
-
 func (c *Client) codec() protocol.Codec {
 	if c.Codec == nil {
 		return protocol.Default
@@ -353,7 +341,7 @@ func (c *Client) codec() protocol.Codec {
 // dial establishes a session: connect, hello, welcome, then start the read
 // and heartbeat loops.
 func (c *Client) dial(ctx context.Context) (*clientSession, error) {
-	dialer := net.Dialer{Timeout: c.dialTimeout()}
+	dialer := net.Dialer{Timeout: dialTimeout}
 	conn, err := dialer.DialContext(ctx, "tcp", c.Addr)
 	if err != nil {
 		return nil, protocol.Errorf(protocol.CodeUnavailable, "stream: dial %s: %v", c.Addr, err)
@@ -373,7 +361,7 @@ func (c *Client) dial(ctx context.Context) (*clientSession, error) {
 		Tenant:      c.Tenant,
 		Token:       c.Token,
 	})
-	_ = conn.SetDeadline(time.Now().Add(c.dialTimeout()))
+	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	if err := sess.write(frame{typ: fHello, corr: 1, payload: hello}); err != nil {
 		_ = conn.Close()
 		return nil, protocol.Errorf(protocol.CodeUnavailable, "stream: hello: %v", err)

@@ -153,46 +153,6 @@ func TestUntakenAnnounceRunIsBounded(t *testing.T) {
 	}
 }
 
-// TestParamsF16AnnounceSurvivesTake: a delta-less announce carrying the
-// half-precision full model (the server's dense-drain fallback under
-// F16Announce) must reach TakeAnnounces — it is complete on its own, so it
-// restarts the absorbable run instead of breaking it, and a later delta
-// chains off its version.
-func TestParamsF16AnnounceSurvivesTake(t *testing.T) {
-	ctx := context.Background()
-	srv := newCore(t, server.Config{})
-	ss, addr := startStream(t, srv, Options{})
-	c := &Client{Addr: addr, WorkerID: 1, Subscribe: true}
-	defer func() { _ = c.Close() }()
-	if _, err := c.Stats(ctx); err != nil { // establish the session
-		t.Fatal(err)
-	}
-
-	ss.Broadcast(protocol.ModelAnnounce{
-		ModelVersion: 1,
-		ParamsF16:    compress.PackF16([]float64{0.5, -1, 2, 0, 1, 0.25, -3, 8}),
-	})
-	ss.Broadcast(protocol.ModelAnnounce{
-		ModelVersion: 2, DeltaBase: 1,
-		Delta: &compress.Sparse{Len: 8, Indices: []int32{3}, Values: []float64{1}},
-	})
-	wctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	if err := c.WaitAnnounced(wctx, 0, 2); err != nil {
-		t.Fatalf("announces never arrived: %v", err)
-	}
-	anns := c.TakeAnnounces()
-	if len(anns) != 2 {
-		t.Fatalf("TakeAnnounces returned %d announces, want the f16 refresh + chained delta: %+v", len(anns), anns)
-	}
-	if len(anns[0].ParamsF16) != 8 || anns[0].ModelVersion != 1 {
-		t.Fatalf("first announce lost its ParamsF16 image: %+v", anns[0])
-	}
-	if anns[1].Delta == nil || anns[1].DeltaBase != 1 {
-		t.Fatalf("delta after the f16 refresh did not chain: %+v", anns[1])
-	}
-}
-
 // blockingSvc wraps a service and parks every PushGradient until released,
 // so a test can hold a push in flight at a precise point.
 type blockingSvc struct {
@@ -224,7 +184,7 @@ func TestGoAwayWhilePushInFlight(t *testing.T) {
 	}
 	ss, addr := startStream(t, blocking, Options{})
 
-	c := &Client{Addr: addr, WorkerID: 1, DialTimeout: 5 * time.Second}
+	c := &Client{Addr: addr, WorkerID: 1}
 	defer func() { _ = c.Close() }()
 	if _, err := c.Stats(ctx); err != nil { // establish the session
 		t.Fatal(err)

@@ -331,7 +331,7 @@ func TestShutdownGoAwayReconnect(t *testing.T) {
 	ss := NewServer(srv, Options{})
 	go func() { _ = ss.Serve(ln) }()
 
-	c := &Client{Addr: addr, WorkerID: 1, DialTimeout: time.Second}
+	c := &Client{Addr: addr, WorkerID: 1}
 	defer func() { _ = c.Close() }()
 	w := newTestWorker(t, 1)
 	if _, err := w.Step(ctx, c); err != nil {

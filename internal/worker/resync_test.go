@@ -123,30 +123,30 @@ func TestStepResyncsWithinBound(t *testing.T) {
 	ctx := context.Background()
 	ds := data.TinyMNIST(1, 6, 2)
 
-	w, err := New(Config{ID: 1, Arch: nn.ArchSoftmaxMNIST, Local: ds.Train, Rng: simrand.New(3), MaxResyncs: 2})
+	w, err := New(Config{ID: 1, Arch: nn.ArchSoftmaxMNIST, Local: ds.Train, Rng: simrand.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := &conflictingService{Service: newServer(t, server.Config{}), conflicts: 2}
+	svc := &conflictingService{Service: newServer(t, server.Config{}), conflicts: MaxResyncs}
 	ack, err := w.Step(ctx, svc)
 	if err != nil {
-		t.Fatalf("step with 2 conflicts at MaxResyncs=2: %v", err)
+		t.Fatalf("step with %d conflicts at MaxResyncs=%d: %v", MaxResyncs, MaxResyncs, err)
 	}
-	if !ack.Applied || w.Resyncs != 2 || w.Tasks != 1 {
+	if !ack.Applied || w.Resyncs != MaxResyncs || w.Tasks != 1 {
 		t.Fatalf("ack=%+v resyncs=%d tasks=%d", ack, w.Resyncs, w.Tasks)
 	}
 
 	// Past the bound: the conflict must surface, not loop forever.
-	w2, err := New(Config{ID: 2, Arch: nn.ArchSoftmaxMNIST, Local: ds.Train, Rng: simrand.New(4), MaxResyncs: 1})
+	w2, err := New(Config{ID: 2, Arch: nn.ArchSoftmaxMNIST, Local: ds.Train, Rng: simrand.New(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc2 := &conflictingService{Service: newServer(t, server.Config{}), conflicts: 5}
+	svc2 := &conflictingService{Service: newServer(t, server.Config{}), conflicts: MaxResyncs + 1}
 	if _, err := w2.Step(ctx, svc2); !protocol.IsCode(err, protocol.CodeVersionConflict) {
 		t.Fatalf("step past resync bound: %v, want version_conflict", err)
 	}
-	if w2.Resyncs != 2 { // the initial push + 1 allowed retry
-		t.Fatalf("resyncs = %d, want 2", w2.Resyncs)
+	if w2.Resyncs != MaxResyncs+1 { // the initial push + MaxResyncs allowed retries
+		t.Fatalf("resyncs = %d, want %d", w2.Resyncs, MaxResyncs+1)
 	}
 }
 

@@ -56,14 +56,14 @@ type Config struct {
 	// full parameter vector even when a model is cached. The load harness
 	// uses it to mix delta-pulling and full-pulling fleets.
 	FullPullOnly bool
-	// MaxResyncs bounds how many consecutive resync rounds one Step
-	// attempts when the server rejects a push as version_conflict — the
-	// worker computed on a model version the server no longer acknowledges
-	// (it restarted and restored an older checkpoint). Each resync drops
-	// the cached model, re-pulls full, recomputes and re-pushes. Default 3;
-	// negative disables resyncing (Step surfaces the conflict).
-	MaxResyncs int
 }
+
+// MaxResyncs bounds how many consecutive resync rounds one Step attempts
+// when the server rejects a push as version_conflict — the worker computed on
+// a model version the server no longer acknowledges (it restarted and
+// restored an older checkpoint). Each resync drops the cached model, re-pulls
+// full, recomputes and re-pushes.
+const MaxResyncs = 3
 
 // Worker is a FLeet client. Not safe for concurrent use; one goroutine per
 // worker, as one phone runs one learning task at a time.
@@ -108,12 +108,6 @@ func New(cfg Config) (*Worker, error) {
 	}
 	if cfg.Rng == nil {
 		return nil, fmt.Errorf("worker: Rng is required")
-	}
-	if cfg.MaxResyncs == 0 {
-		cfg.MaxResyncs = 3
-	}
-	if cfg.MaxResyncs < 0 {
-		cfg.MaxResyncs = 0
 	}
 	net := cfg.Arch.Build(cfg.Rng)
 	w := &Worker{
@@ -163,7 +157,7 @@ func (w *Worker) Step(ctx context.Context, svc service.Service) (protocol.PushAc
 			return protocol.PushAck{}, nil
 		}
 		ack, err := w.Push(ctx, svc, w.Compute(resp).Push)
-		if err != nil && protocol.IsCode(err, protocol.CodeVersionConflict) && attempt < w.cfg.MaxResyncs {
+		if err != nil && protocol.IsCode(err, protocol.CodeVersionConflict) && attempt < MaxResyncs {
 			continue
 		}
 		return ack, err
@@ -327,36 +321,12 @@ func (w *Worker) CachedVersion() (version int, epoch int64, ok bool) {
 // the cache (the worker missed an announce; its next pull recovers via
 // the ordinary delta/full path). A patch failure invalidates the cache
 // exactly like a poisoned delta pull would.
-//
-// An announce carrying the full model in half precision (ParamsF16 — the
-// server's fallback when no exact delta was worth the wire) overwrites the
-// cache outright: it is complete, so it needs no cached base, applies
-// across incarnations, and even adopts into a cold cache. The f16 rounding
-// error is bounded and never accumulates — every coordinate is overwritten,
-// and the next exact pull or delta restores full precision.
 func (w *Worker) AbsorbAnnounce(ann protocol.ModelAnnounce) bool {
-	if w.cfg.FullPullOnly {
+	if w.cfg.FullPullOnly || !w.cached {
 		return false
 	}
-	if w.cached && ann.ServerEpoch == w.epoch && ann.ModelVersion <= w.version {
+	if ann.ServerEpoch == w.epoch && ann.ModelVersion <= w.version {
 		return true // stale: the cache already covers this version
-	}
-	if len(ann.ParamsF16) > 0 {
-		if len(ann.ParamsF16) != w.net.ParamCount() {
-			return false
-		}
-		if w.params == nil {
-			w.params = make([]float64, len(ann.ParamsF16))
-		}
-		copy(w.params, compress.UnpackF16(ann.ParamsF16))
-		w.version = ann.ModelVersion
-		w.epoch = ann.ServerEpoch
-		w.cached = true
-		w.Refreshes++
-		return true
-	}
-	if !w.cached {
-		return false
 	}
 	// ModelVersion may be more than version+1 ahead: a coalesced announce
 	// (stream-transport queue overflow) spans several drains in one delta.

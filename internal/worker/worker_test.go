@@ -627,46 +627,3 @@ func TestQuantizedUplinkTrains(t *testing.T) {
 		t.Fatalf("quantized training accuracy %v, want >= 0.4", acc)
 	}
 }
-
-// TestAbsorbF16Announce: a full half-precision announce overwrites the
-// cache — even a cold one, and across incarnations — while wrong-length
-// payloads are refused.
-func TestAbsorbF16Announce(t *testing.T) {
-	ds := data.TinyMNIST(3, 8, 4)
-	srv := newServer(t, server.Config{})
-	w := newWorkers(t, 1, ds)[0]
-	params, _ := srv.Model()
-	f16 := compress.PackF16(params)
-
-	// Cold cache: the full f16 model adopts outright.
-	if !w.AbsorbAnnounce(protocol.ModelAnnounce{ModelVersion: 5, ServerEpoch: 2, ParamsF16: f16}) {
-		t.Fatal("cold-cache f16 announce refused")
-	}
-	if v, e, ok := w.CachedVersion(); !ok || v != 5 || e != 2 {
-		t.Fatalf("cache at (v%d, e%d, %v), want (5, 2, true)", v, e, ok)
-	}
-	if w.Refreshes != 1 {
-		t.Fatalf("refreshes %d, want 1", w.Refreshes)
-	}
-	// Stale f16 announce: chain continues, nothing re-applied.
-	if !w.AbsorbAnnounce(protocol.ModelAnnounce{ModelVersion: 5, ServerEpoch: 2, ParamsF16: f16}) {
-		t.Fatal("stale f16 announce broke the chain")
-	}
-	if w.Refreshes != 1 {
-		t.Fatalf("stale announce counted as refresh: %d", w.Refreshes)
-	}
-	// Cross-incarnation: a full model needs no shared base — it applies.
-	if !w.AbsorbAnnounce(protocol.ModelAnnounce{ModelVersion: 2, ServerEpoch: 3, ParamsF16: f16}) {
-		t.Fatal("cross-incarnation f16 announce refused")
-	}
-	if v, e, _ := w.CachedVersion(); v != 2 || e != 3 {
-		t.Fatalf("cache at (v%d, e%d), want (2, 3)", v, e)
-	}
-	// Wrong length: structurally refused, cache untouched.
-	if w.AbsorbAnnounce(protocol.ModelAnnounce{ModelVersion: 9, ServerEpoch: 3, ParamsF16: f16[:4]}) {
-		t.Fatal("truncated f16 announce absorbed")
-	}
-	if v, _, ok := w.CachedVersion(); !ok || v != 2 {
-		t.Fatalf("cache corrupted by refused announce: v%d ok=%v", v, ok)
-	}
-}
