@@ -128,6 +128,10 @@ type Node struct {
 	// announce); the next upstream exchange repairs it.
 	needRefresh atomic.Bool
 
+	// spareSum is a forward sum the upstream is done with (forwardWindow),
+	// the next window's to fill (CloseWindow); nil when none is.
+	spareSum atomic.Pointer[[]float64]
+
 	upstreamPushes    atomic.Int64
 	upstreamConflicts atomic.Int64
 	resyncs           atomic.Int64
@@ -221,21 +225,27 @@ func (k *edgeSink) Fold(push *protocol.GradientPush, staleness, contrib int) {
 	}
 }
 
-// CloseWindow drains the local aggregator into one summed direction and
-// hands the window over for the upstream push. A drain failure (a window
-// the rule rejects) discards it — the leaves were acked, so there is no
-// addressee.
+// CloseWindow drains the local aggregator into one summed direction, in the
+// sum buffer the previous forward returned when there is one, and hands the
+// window over for the upstream push. A drain failure (a window the rule
+// rejects) discards it — the leaves were acked, so there is no addressee.
 func (k *edgeSink) CloseWindow(ingest.Tally) (*windowPush, error) {
 	n := (*Node)(k)
 	up := n.win
 	n.win = nil
-	up.vec = make([]float64, n.core.Config().ParamCount)
+	if spare := n.spareSum.Swap(nil); spare != nil {
+		up.vec = *spare
+		clear(up.vec)
+	} else {
+		up.vec = make([]float64, n.core.Config().ParamCount)
+	}
 	err := n.core.Config().Pipeline.Drain(func(dir []float64) {
 		for i, v := range dir {
 			up.vec[i] += v
 		}
 	})
 	if err != nil {
+		n.spareSum.Store(&up.vec)
 		return nil, err
 	}
 	return up, nil
@@ -257,7 +267,9 @@ func (k *edgeSink) Deliver(ctx context.Context, up *windowPush, committed int) i
 // cascade's first domino: the window is lost (its leaves were acked — the
 // same invariant as a drain error), the edge re-pulls full onto the new
 // incarnation, and subsequent leaf pushes conflict locally until the
-// leaves resync too.
+// leaves resync too. The upstream only borrows the sum (see
+// service.Service.PushGradient): once the push has returned, landed or
+// lost, the sum is the next window's.
 func (n *Node) forwardWindow(ctx context.Context, w *windowPush) {
 	n.upMu.Lock()
 	defer n.upMu.Unlock()
@@ -275,6 +287,7 @@ func (n *Node) forwardWindow(ctx context.Context, w *windowPush) {
 		StalenessMax: w.staleMax,
 	}
 	ack, err := n.cfg.Upstream.PushGradient(ctx, push)
+	n.spareSum.Store(&w.vec)
 	if err != nil {
 		n.lostWindows.Add(1)
 		if protocol.IsCode(err, protocol.CodeVersionConflict) {

@@ -3,8 +3,10 @@ package aggtree
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -118,9 +120,12 @@ func (w *stripedSum) Drain(apply func(direction []float64)) error {
 // K-sum is preserved exactly — an edge forwards the raw sum of its window
 // (no division), the root's mean window accumulates the E forwards with
 // scale exactly 1 (staleness 0, AdaSGD), and the floating-point addition
-// order is identical in both topologies. Every leaf of a flat window writes
-// the same coordinates, so a summation reordered on either side rounds
-// differently and fails the == comparison.
+// order is identical in both topologies. The leaves push sparse gradients
+// whose coordinates overlap: every leaf of a flat window writes the same
+// five, and each also writes two of its own that other leaves' share now and
+// then. So the edges take the scatter path while the flat twin densifies,
+// and a summation reordered on either side rounds differently and fails the
+// == comparison.
 func TestTreeMeanEquivalentToFlat(t *testing.T) {
 	ctx := context.Background()
 	const (
@@ -176,22 +181,33 @@ func TestTreeMeanEquivalentToFlat(t *testing.T) {
 		for k := 0; k < 5; k++ {
 			grad[(window*37+k*11)%paramCount] = float64(i%7+1)*0.01 + float64(k)*0.003 + float64(i)/3000
 		}
+		grad[(i%4)*5+60] = float64(i+1) / 700
+		grad[(i*13)%17+80] = -float64(i+3) / 900
+		var sparse compress.Sparse
+		for j, v := range grad {
+			if v != 0 {
+				sparse.Indices = append(sparse.Indices, int32(j))
+				sparse.Values = append(sparse.Values, v)
+			}
+		}
+		leaf := protocol.GradientPush{
+			WorkerID: i, GradientLen: paramCount, SparseIndices: sparse.Indices, SparseValues: sparse.Values, BatchSize: 10,
+		}
 
 		// Flat: push straight at the server, always current.
 		_, fv := flat.Model()
-		if _, err := flat.PushGradient(ctx, &protocol.GradientPush{
-			WorkerID: i, ModelVersion: fv, Gradient: grad, BatchSize: 10,
-		}); err != nil {
+		push := leaf
+		push.ModelVersion = fv
+		if _, err := flat.PushGradient(ctx, &push); err != nil {
 			t.Fatalf("flat push %d: %v", i, err)
 		}
 
 		// Tree: the same gradient lands on edge i mod E at the edge's
 		// cached clock — which the announce fan-out holds at the root's.
 		ed := edges[i%edgesN]
-		ev, ee := ed.Version()
-		ack, err := ed.PushGradient(ctx, &protocol.GradientPush{
-			WorkerID: i, ModelVersion: ev, ModelEpoch: ee, Gradient: grad, BatchSize: 10,
-		})
+		push = leaf
+		push.ModelVersion, push.ModelEpoch = ed.Version()
+		ack, err := ed.PushGradient(ctx, &push)
 		if err != nil {
 			t.Fatalf("tree push %d: %v", i, err)
 		}
@@ -234,6 +250,80 @@ func TestTreeMeanEquivalentToFlat(t *testing.T) {
 		if got := ed.LostWindows(); got != 0 {
 			t.Errorf("edge %d lost %d windows", e, got)
 		}
+	}
+}
+
+// sumRecorder is an upstream that keeps a copy of every forwarded sum and
+// where its storage lay, refuses pushes while down, and scribbles NaN over
+// the sum before it returns: it only borrowed it.
+type sumRecorder struct {
+	service.Service
+	down    bool
+	sums    [][]float64
+	storage []*float64
+}
+
+func (r *sumRecorder) PushGradient(ctx context.Context, push *protocol.GradientPush) (*protocol.PushAck, error) {
+	r.sums = append(r.sums, slices.Clone(push.Gradient))
+	r.storage = append(r.storage, &push.Gradient[0])
+	var ack *protocol.PushAck
+	err := error(protocol.Errorf(protocol.CodeUnavailable, "upstream down"))
+	if !r.down {
+		ack, err = r.Service.PushGradient(ctx, push)
+	}
+	for i := range push.Gradient {
+		push.Gradient[i] = math.NaN()
+	}
+	return ack, err
+}
+
+// TestForwardSumIsRecycled: an edge fills each window's K-sum into the
+// buffer its previous forward gave back — a forward lost upstream gives it
+// back too — and every forward carries exactly its own window's sum, none of
+// what the buffer held before.
+func TestForwardSumIsRecycled(t *testing.T) {
+	ctx := context.Background()
+	root := newRoot(t, server.Config{K: 1})
+	up := &sumRecorder{Service: root}
+	const fanIn, windows = 2, 3
+	edge := newEdge(t, Config{Upstream: up, K: fanIn, Algorithm: learning.SSGD{}, ID: 1_000_000})
+	if err := edge.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	params, _ := root.Model()
+	var want [][]float64
+	for w := 0; w < windows; w++ {
+		up.down = w == 1
+		sum := make([]float64, len(params))
+		for l := 0; l < fanIn; l++ {
+			g := sparseGrad(w*fanIn+l, len(params))
+			for i, v := range g {
+				sum[i] += v
+			}
+			v, e := edge.Version()
+			if _, err := edge.PushGradient(ctx, &protocol.GradientPush{
+				WorkerID: l, ModelVersion: v, ModelEpoch: e, Gradient: g, BatchSize: 10,
+			}); err != nil {
+				t.Fatalf("window %d leaf %d: %v", w, l, err)
+			}
+		}
+		want = append(want, sum)
+	}
+	if len(up.sums) != windows {
+		t.Fatalf("%d forwards, want %d", len(up.sums), windows)
+	}
+	for w, got := range up.sums {
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[w][i]) {
+				t.Fatalf("window %d forwarded %v at %d, its K-sum is %v", w, got[i], i, want[w][i])
+			}
+		}
+		if up.storage[w] != up.storage[0] {
+			t.Errorf("window %d's sum is not the recycled buffer", w)
+		}
+	}
+	if edge.LostWindows() != 1 || edge.UpstreamPushes() != windows-1 {
+		t.Errorf("lost %d windows, forwarded %d; want 1 and %d", edge.LostWindows(), edge.UpstreamPushes(), windows-1)
 	}
 }
 

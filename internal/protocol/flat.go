@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"fleet/internal/compress"
@@ -20,7 +21,8 @@ import (
 // of framing plus 4–12 bytes per kept coordinate, encoded through a pooled
 // buffer (a model-sized array bypasses it, see SharedWriter) and decoded
 // zero-copy: array bytes are read straight off the wire into the final
-// []float64/[]int32/[]uint16 backing stores.
+// []float64/[]int32/[]uint16 backing stores — recycled ones for the
+// model-sized arrays of a push a server only borrows (Lend).
 //
 // Every protocol message has a native layout (kinds 2–7 below); there is no
 // self-describing fallback, so a Go type without a layout fails to encode
@@ -414,6 +416,9 @@ type flatDec struct {
 	scratch [8]byte
 	budget  int64
 	err     error
+	// lending reads a push's model-sized arrays into loan's storage (Lend).
+	lending bool
+	loan    *Loan
 }
 
 func (d *flatDec) fail(format string, args ...interface{}) {
@@ -511,7 +516,34 @@ func (d *flatDec) f64s() []float64 {
 	if n == 0 {
 		return nil
 	}
-	out := make([]float64, n)
+	return d.fillF64s(make([]float64, n))
+}
+
+// lentF64s is f64s for the arrays a push lends (Lend): while lending, one of
+// flatSplitBytes to flatPoolMaxBytes is read into the loan's storage for
+// slot rather than a new backing store.
+func (d *flatDec) lentF64s(slot int) []float64 {
+	n := d.count(8)
+	if n == 0 {
+		return nil
+	}
+	if !d.lending || n*8 < flatSplitBytes || n*8 > flatPoolMaxBytes {
+		return d.fillF64s(make([]float64, n))
+	}
+	if d.loan == nil {
+		d.loan = loanPool.Get().(*Loan)
+		loansOut.Add(1)
+	}
+	a := &d.loan.arrays[slot]
+	if cap(*a) < n {
+		*a = make([]float64, n)
+	}
+	return d.fillF64s((*a)[:n:n])
+}
+
+// fillF64s reads len(out) values into out.
+func (d *flatDec) fillF64s(out []float64) []float64 {
+	n := len(out)
 	if !d.fill(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*8)) {
 		return nil
 	}
@@ -641,8 +673,58 @@ func (d *flatDec) finish() error {
 }
 
 func (flatCodec) Decode(r io.Reader, v interface{}) error {
-	var hdr [flatHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	d := flatDec{r: r, budget: MaxDecodedBytes}
+	return d.decode(v)
+}
+
+// Loan is the recycled storage behind a decoded push's model-sized arrays
+// (Lend). Its arrays are kept across lends, so a steady stream of same-sized
+// pushes decodes without allocating them.
+type Loan struct {
+	arrays [2][]float64 // Gradient's, SparseValues'
+}
+
+var (
+	loanPool = sync.Pool{New: func() interface{} { return new(Loan) }}
+	// loansOut counts loans taken from loanPool and not yet released.
+	loansOut atomic.Int64
+)
+
+// Lend decodes a GradientPush like codec.Decode, except that the flat codec
+// lends the push its model-sized float64 arrays — Gradient and SparseValues,
+// from flatSplitBytes (the size the encoder sends by reference from) up to
+// flatPoolMaxBytes — out of recycled storage instead of allocating them. The
+// arrays are the caller's to read until it calls Release on the loan, once;
+// from then on they are written again. A nil loan (any other codec, a push
+// without such an array) lends nothing, and Release on it is a no-op. A
+// failed decode lends nothing either: the storage is back before Lend
+// returns. TimeFeatures, EnergyFeatures and LabelCounts are always the
+// push's own.
+func Lend(codec Codec, r io.Reader, push *GradientPush) (*Loan, error) {
+	if codec != Flat {
+		return nil, codec.Decode(r, push)
+	}
+	d := flatDec{r: r, budget: MaxDecodedBytes, lending: true}
+	if err := d.decode(push); err != nil {
+		d.loan.Release()
+		return nil, err
+	}
+	return d.loan, nil
+}
+
+// Release returns the loan's storage for the next Lend.
+func (l *Loan) Release() {
+	if l == nil {
+		return
+	}
+	loansOut.Add(-1)
+	loanPool.Put(l)
+}
+
+// decode reads one flat message into v.
+func (d *flatDec) decode(v interface{}) error {
+	hdr := d.scratch[:flatHeaderLen]
+	if _, err := io.ReadFull(d.r, hdr); err != nil {
 		return Errorf(CodeInvalidArgument, "flat: truncated header: %v", err)
 	}
 	if string(hdr[:4]) != flatMagic {
@@ -655,7 +737,6 @@ func (flatCodec) Decode(r io.Reader, v interface{}) error {
 		return Errorf(CodeInvalidArgument, "flat: nonzero reserved bytes")
 	}
 	kind := hdr[5]
-	d := flatDec{r: r, budget: MaxDecodedBytes}
 	switch m := v.(type) {
 	case *TaskResponse:
 		if kind == flatKindTaskResponse {
@@ -720,10 +801,10 @@ func (d *flatDec) push(dst *GradientPush) error {
 		DeviceModel:    d.str(),
 		ModelVersion:   d.int(),
 		ModelEpoch:     d.i64(),
-		Gradient:       d.f64s(),
+		Gradient:       d.lentF64s(0),
 		GradientLen:    d.int(),
 		SparseIndices:  d.i32s(),
-		SparseValues:   d.f64s(),
+		SparseValues:   d.lentF64s(1),
 		SparseF16:      d.u16s(),
 		SparseQ8Levels: d.u8s(),
 		SparseQ8Min:    d.f64(),

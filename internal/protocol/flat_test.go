@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -470,7 +471,8 @@ func TestFlatEncodeUnknownType(t *testing.T) {
 
 // TestFlatConcurrent hammers the pooled encode/decode path with every kind
 // from many goroutines — run with -race (as CI does) this proves the
-// sync.Pool buffers are never shared across in-flight messages.
+// sync.Pool buffers, and the loans of lent pushes, are never shared across
+// in-flight messages.
 func TestFlatConcurrent(t *testing.T) {
 	const goroutines = 8
 	const iters = 300
@@ -498,6 +500,31 @@ func TestFlatConcurrent(t *testing.T) {
 					errs <- Errorf(CodeInternal, "goroutine %d iter %d: corrupted %s round trip", seed, i, m.name)
 					return
 				}
+				if i%10 == 0 {
+					// A lent push, scribbled over once read: no other
+					// goroutine's loan may share its storage.
+					in := &GradientPush{Gradient: randFloats(rng, flatSplitBytes/8+rng.Intn(100)), BatchSize: 1}
+					buf.Reset()
+					if err := Flat.Encode(&buf, in); err != nil {
+						errs <- err
+						return
+					}
+					var out GradientPush
+					loan, err := Lend(Flat, &buf, &out)
+					if err != nil {
+						errs <- err
+						return
+					}
+					runtime.Gosched()
+					if !reflect.DeepEqual(in, &out) {
+						errs <- Errorf(CodeInternal, "goroutine %d iter %d: corrupted lent push", seed, i)
+						return
+					}
+					for j := range out.Gradient {
+						out.Gradient[j] = float64(seed)
+					}
+					loan.Release()
+				}
 			}
 		}(int64(g))
 	}
@@ -518,6 +545,12 @@ func TestFlatConcurrent(t *testing.T) {
 func FuzzFlatDecode(f *testing.F) {
 	f.Add([]byte("FLT1"))
 	f.Add([]byte{'F', 'L', 'T', '1', flatVersion, flatKindPush, 0, 0, 0xFF, 0xFF})
+	// Pushes whose arrays Lend draws from recycled storage: a dense gradient
+	// and sparse values just past the threshold.
+	lent := flatSplitBytes / 8
+	f.Add(flatBytes(f, &GradientPush{Gradient: make([]float64, lent), BatchSize: 1}))
+	f.Add(flatBytes(f, &GradientPush{GradientLen: lent, SparseIndices: make([]int32, lent),
+		SparseValues: make([]float64, lent), TimeFeatures: []float64{1}}))
 	// Keep a hostile length prefix from costing 256 MB per exec; the
 	// check-before-allocate logic is the same at any budget.
 	old := MaxDecodedBytes
@@ -526,7 +559,11 @@ func FuzzFlatDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, m := range flatMessages {
 			msg := m.zero()
-			if err := Flat.Decode(bytes.NewReader(data), msg); err != nil {
+			err := Flat.Decode(bytes.NewReader(data), msg)
+			if push, ok := msg.(*GradientPush); ok {
+				checkLendAgrees(t, data, push, err)
+			}
+			if err != nil {
 				continue
 			}
 			if again := flatBytes(t, msg); !bytes.Equal(again, data) {
@@ -534,6 +571,130 @@ func FuzzFlatDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkLendAgrees decodes data a second time through Lend and requires what
+// the owned decode produced: the same push, or the same error with nothing
+// left checked out.
+func checkLendAgrees(t *testing.T, data []byte, owned *GradientPush, ownedErr error) {
+	t.Helper()
+	out := loansOut.Load()
+	var lent GradientPush
+	loan, err := Lend(Flat, bytes.NewReader(data), &lent)
+	if (err == nil) != (ownedErr == nil) || err != nil && err.Error() != ownedErr.Error() {
+		t.Fatalf("lent decode: %v, owned decode: %v", err, ownedErr)
+	}
+	if err != nil {
+		if loan != nil || loansOut.Load() != out {
+			t.Fatalf("failed lent decode left a loan out (%d, was %d)", loansOut.Load(), out)
+		}
+		return
+	}
+	defer loan.Release()
+	// Compared as wire bytes, which the encoding pins bit for bit (NaN too).
+	if !bytes.Equal(flatBytes(t, &lent), flatBytes(t, owned)) {
+		t.Fatalf("lent decode differs from owned:\n lent: %+v\nowned: %+v", lent, *owned)
+	}
+}
+
+// TestLendRecyclesModelSizedArrays: a push's model-sized arrays are drawn
+// from the storage earlier lends released — a steady stream of pushes
+// allocates far less than one array per push (the pool may drop an entry
+// now and then, under -race on purpose) — while small arrays, every other
+// codec and a failed decode lend nothing.
+func TestLendRecyclesModelSizedArrays(t *testing.T) {
+	const params = 12_000 // an mnist-sized model: 96 KB per array
+	rng := rand.New(rand.NewSource(5))
+	dense := flatBytes(t, &GradientPush{Gradient: randFloats(rng, params), BatchSize: 2, TimeFeatures: randFloats(rng, 3)})
+	sparse := flatBytes(t, &GradientPush{GradientLen: 4 * params, SparseIndices: randIndices(rng, params),
+		SparseValues: randFloats(rng, params), BatchSize: 2})
+	for name, raw := range map[string][]byte{"dense": dense, "sparse": sparse} {
+		var want GradientPush
+		if err := Flat.Decode(bytes.NewReader(raw), &want); err != nil {
+			t.Fatal(err)
+		}
+		lend := func() {
+			var got GradientPush
+			loan, err := Lend(Flat, bytes.NewReader(raw), &got)
+			if err != nil || loan == nil {
+				t.Fatalf("%s: loan %v, err %v", name, loan, err)
+			}
+			if !reflect.DeepEqual(&got, &want) {
+				t.Fatalf("%s: lent decode differs from owned", name)
+			}
+			loan.Release()
+		}
+		perPush := func(decode func()) int64 {
+			const rounds = 50
+			decode()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
+				decode()
+			}
+			runtime.ReadMemStats(&after)
+			return int64(after.TotalAlloc-before.TotalAlloc) / rounds
+		}
+		owned := perPush(func() {
+			var got GradientPush
+			if err := Flat.Decode(bytes.NewReader(raw), &got); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if lent := perPush(lend); owned-lent < 8*params/2 {
+			t.Errorf("%s: %d bytes allocated per lent push, %d per owned one: want at least half a %d-byte array saved",
+				name, lent, owned, 8*params)
+		}
+	}
+
+	small := flatBytes(t, &GradientPush{Gradient: randFloats(rng, 100), BatchSize: 1})
+	var p GradientPush
+	if loan, err := Lend(Flat, bytes.NewReader(small), &p); err != nil || loan != nil {
+		t.Errorf("small push: loan %v, err %v", loan, err)
+	}
+	var body bytes.Buffer
+	if err := JSON.Encode(&body, &GradientPush{Gradient: make([]float64, params)}); err != nil {
+		t.Fatal(err)
+	}
+	if loan, err := Lend(JSON, &body, &p); err != nil || loan != nil || len(p.Gradient) != params {
+		t.Errorf("json push: loan %v, err %v, %d values", loan, err, len(p.Gradient))
+	}
+	out := loansOut.Load()
+	if loan, err := Lend(Flat, bytes.NewReader(dense[:len(dense)-1]), &p); err == nil || loan != nil || loansOut.Load() != out {
+		t.Errorf("truncated push: loan %v, err %v, loans out %d (was %d)", loan, err, loansOut.Load(), out)
+	}
+}
+
+// TestSegmentsListTheMessageInOrder: a message encoded into Segments lists,
+// after a head, exactly the bytes a plain writer receives, with a
+// model-sized array by reference; a message without one is copied whole.
+func TestSegmentsListTheMessageInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := randTaskResponse(rng)
+	m.Params, m.ParamsDelta = randFloats(rng, 20_000), nil
+	var s Segments
+	for _, msg := range []*TaskResponse{m, {Accepted: true, Params: randFloats(rng, 10)}} {
+		plain := flatBytes(t, msg)
+		if err := Flat.Encode(&s, msg); err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != len(plain) {
+			t.Fatalf("Len %d, message %d bytes", s.Len(), len(plain))
+		}
+		head := []byte("head")
+		got := bytes.Join(s.Buffers(head), nil)
+		if want := append(append([]byte(nil), head...), plain...); !bytes.Equal(got, want) {
+			t.Fatal("the listed segments are not head and message in order")
+		}
+		copied, ok := s.Copied()
+		if large := len(msg.Params)*8 >= flatSplitBytes; ok == large || ok && !bytes.Equal(copied, plain) {
+			t.Fatalf("%d params: copied whole %v", len(msg.Params), ok)
+		}
+		s.Reset()
+		if s.Len() != 0 || len(s.Buffers(nil)) != 0 {
+			t.Fatal("Reset left part of the message")
+		}
+	}
 }
 
 // TestGradientPushDecodesPreTagBytes proves wire compatibility with

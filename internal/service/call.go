@@ -23,6 +23,10 @@ const (
 // the reply into out. A transport owns only its envelope — routes, headers
 // and status codes, or frames and correlation IDs — and its size limit.
 //
+// A push's model-sized arrays are decoded into recycled storage
+// (protocol.Lend) that goes back when Call returns: svc only borrows them
+// (see Service.PushGradient).
+//
 // A body that fails to decode is the caller's fault (invalid_argument)
 // unless the failure is already structured: a transport's size limit or the
 // codec's decompression cap surface as payload_too_large. Nothing is
@@ -41,9 +45,11 @@ func Call(ctx context.Context, svc Service, op Op, codec protocol.Codec, body io
 		reply, err = svc.RequestTask(ctx, &req)
 	case OpPush:
 		var push protocol.GradientPush
-		if err := codec.Decode(body, &push); err != nil {
+		var loan *protocol.Loan
+		if loan, err = protocol.Lend(codec, body, &push); err != nil {
 			return decodeError(err)
 		}
+		defer loan.Release()
 		reply, err = svc.PushGradient(ctx, &push)
 	case OpStats:
 		reply, err = svc.Stats(ctx)

@@ -25,6 +25,15 @@ type Service interface {
 	RequestTask(ctx context.Context, req *protocol.TaskRequest) (*protocol.TaskResponse, error)
 	// PushGradient is step (5): the worker uploads its gradient and cost
 	// measurements and receives the applied scale and staleness.
+	//
+	// The push's gradient arrays (Gradient and the sparse forms) are lent for
+	// the call: a wire endpoint (Call) decodes model-sized ones into recycled
+	// storage and writes it again once the call has returned, and an edge
+	// reuses its forward sum the same way. An implementation finishes every
+	// read of them before it returns and copies whatever it keeps (a retained
+	// window member, a noised gradient). TimeFeatures, EnergyFeatures and
+	// LabelCounts are the push's own and may be kept (I-Prof keeps the
+	// feature vectors).
 	PushGradient(ctx context.Context, push *protocol.GradientPush) (*protocol.PushAck, error)
 	// Stats returns the server's diagnostic snapshot.
 	Stats(ctx context.Context) (*protocol.Stats, error)

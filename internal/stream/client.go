@@ -634,7 +634,7 @@ func (s *clientSession) send(typ frameType, corr uint32, out *frameOut) error {
 	if err := out.writeTo(s.conn, typ, corr); err != nil {
 		return err
 	}
-	s.client.Wire.AddUplink(int64(headerSize + out.size()))
+	s.client.Wire.AddUplink(int64(headerSize + out.Len()))
 	return nil
 }
 

@@ -127,82 +127,37 @@ type frame struct {
 // frameOut assembles one outbound frame and sends it as a single vectored
 // write: on a TCP connection (TCP_NODELAY) one writev — one syscall, one
 // segment for a small frame. It is the io.Writer a codec encodes the payload
-// into: bytes given to Write are copied into own, slices given to
-// WriteShared (protocol.SharedWriter: the model behind a full pull) go out
-// from where they lie, so the payload is never copied behind the header.
-// Everything a send needs is inline, and the value is pooled.
+// into, a protocol.Segments: copied bytes go into its own storage, slices
+// handed over by reference (the model behind a full pull, a pushed
+// gradient) go out from where they lie, so the payload is never copied
+// behind the header. Everything a send needs is inline, and the value is
+// pooled.
 type frameOut struct {
 	hdr [headerSize]byte
-	own []byte
-	// cuts lists the shared slices in payload order.
-	cuts   [maxSharedSegments]sharedSegment
-	ncut   int
-	shared int // bytes in cuts
-	vec    [2*maxSharedSegments + 2][]byte
-	nb     net.Buffers
+	protocol.Segments
+	nb net.Buffers
 }
 
-// sharedSegment is a slice sent by reference after own[:at].
-type sharedSegment struct {
-	at int
-	p  []byte
-}
-
-const (
-	// maxSharedSegments is how many slices a frame carries by reference (a
-	// task response has at most three large arrays); more are copied.
-	maxSharedSegments = 4
-	// framePoolMaxBytes bounds the copy buffer a pooled frameOut may keep.
-	framePoolMaxBytes = 1 << 20
-)
+// framePoolMaxBytes bounds the payload buffers the stream pools keep: a
+// request frame's (Server), a read loop's scratch (clientSession).
+const framePoolMaxBytes = 1 << 20
 
 var framePool = sync.Pool{New: func() interface{} { return new(frameOut) }}
 
 func newFrameOut() *frameOut { return framePool.Get().(*frameOut) }
 
-func (o *frameOut) Write(p []byte) (int, error) {
-	o.own = append(o.own, p...)
-	return len(p), nil
-}
-
-func (o *frameOut) WriteShared(p []byte) (int, error) {
-	if o.ncut == len(o.cuts) {
-		return o.Write(p)
-	}
-	o.cuts[o.ncut] = sharedSegment{at: len(o.own), p: p}
-	o.ncut++
-	o.shared += len(p)
-	return len(p), nil
-}
-
-// size is the payload length so far.
-func (o *frameOut) size() int { return len(o.own) + o.shared }
-
 // writeTo sends the frame. Callers serialize writes per connection.
 func (o *frameOut) writeTo(w io.Writer, typ frameType, corr uint32) error {
-	if int64(o.size()) > MaxFrameBytes {
+	if int64(o.Len()) > MaxFrameBytes {
 		return protocol.Errorf(protocol.CodePayloadTooLarge,
-			"stream: %s frame payload %d bytes exceeds %d", typ, o.size(), MaxFrameBytes)
+			"stream: %s frame payload %d bytes exceeds %d", typ, o.Len(), MaxFrameBytes)
 	}
 	binary.BigEndian.PutUint16(o.hdr[0:2], frameMagic)
 	o.hdr[2] = byte(typ)
 	o.hdr[3] = 0
 	binary.BigEndian.PutUint32(o.hdr[4:8], corr)
-	binary.BigEndian.PutUint32(o.hdr[8:12], uint32(o.size()))
-	vec, from := append(o.vec[:0], o.hdr[:]), 0
-	for _, c := range o.cuts[:o.ncut] {
-		if c.at > from {
-			vec = append(vec, o.own[from:c.at])
-			from = c.at
-		}
-		if len(c.p) > 0 {
-			vec = append(vec, c.p)
-		}
-	}
-	if len(o.own) > from {
-		vec = append(vec, o.own[from:])
-	}
-	o.nb = vec
+	binary.BigEndian.PutUint32(o.hdr[8:12], uint32(o.Len()))
+	o.nb = o.Buffers(o.hdr[:])
 	if _, err := o.nb.WriteTo(w); err != nil {
 		return fmt.Errorf("stream: write %s frame: %w", typ, err)
 	}
@@ -211,12 +166,8 @@ func (o *frameOut) writeTo(w io.Writer, typ frameType, corr uint32) error {
 
 // release returns o to the pool, dropping every reference to shared storage.
 func (o *frameOut) release() {
-	clear(o.cuts[:])
-	clear(o.vec[:])
-	o.nb, o.ncut, o.shared, o.own = nil, 0, 0, o.own[:0]
-	if cap(o.own) > framePoolMaxBytes {
-		o.own = nil
-	}
+	o.Reset()
+	o.nb = nil
 	framePool.Put(o)
 }
 

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -97,6 +98,46 @@ func TestReadFrameTruncated(t *testing.T) {
 			t.Fatalf("truncated at %d: %v, want unavailable", cut, err)
 		}
 	}
+}
+
+// FuzzStreamFrameRead reads a byte stream as a session's frame loop does —
+// readHeader, then readPayload into a payload buffer recycled frame after
+// frame (payloadBufs) — and requires exactly what a reader allocating every
+// payload afresh (readFrame) sees: the same frames, each payload its
+// declared length and bytes (never a previous frame's tail), and the same
+// error ending the stream, structured or the clean end of the session.
+func FuzzStreamFrameRead(f *testing.F) {
+	// Keep a hostile length prefix from costing MaxFrameBytes per exec; the
+	// check-before-allocate logic is the same at any cap.
+	old := MaxFrameBytes
+	MaxFrameBytes = 1 << 16
+	f.Cleanup(func() { MaxFrameBytes = old })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh, recycled := bytes.NewReader(data), bytes.NewReader(data)
+		for {
+			want, wantErr := readFrame(fresh)
+			buf := payloadBufs.Get().(*[]byte)
+			got, n, err := readHeader(recycled)
+			if err == nil {
+				got.payload, err = readPayload(recycled, got.typ, n, *buf)
+			}
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("recycled read: %v, fresh read: %v", err, wantErr)
+			}
+			if err != nil {
+				payloadBufs.Put(buf)
+				var pe *protocol.Error
+				if !errors.As(err, &pe) && err != errSessionClosed {
+					t.Fatalf("unstructured read error %v", err)
+				}
+				return
+			}
+			if got.typ != want.typ || got.corr != want.corr || int64(len(got.payload)) != n || !bytes.Equal(got.payload, want.payload) {
+				t.Fatalf("recycled read %s/%d/%x, fresh read %s/%d/%x", got.typ, got.corr, got.payload, want.typ, want.corr, want.payload)
+			}
+			recyclePayload(buf, got.payload)
+		}
+	})
 }
 
 // writeCountingConn counts plain Write calls on a TCP connection. It embeds

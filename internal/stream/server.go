@@ -284,8 +284,24 @@ type annEntry struct {
 // a pull) and never blocks the broadcaster.
 const announceBuffer = 16
 
+// payloadBufs recycles the storage serveConn reads frame payloads into
+// (framePoolMaxBytes bounds what is kept).
+var payloadBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// recyclePayload returns buf to payloadBufs, keeping p's storage instead when
+// readPayload had to allocate it (buf was too small) and it is within bounds.
+func recyclePayload(buf *[]byte, p []byte) {
+	if cap(p) > cap(*buf) && cap(p) <= framePoolMaxBytes {
+		*buf = p[:0]
+	}
+	payloadBufs.Put(buf)
+}
+
 // serveConn runs one session: hello/welcome handshake, then the multiplexed
-// frame loop until the peer leaves, errs, or the server shuts down.
+// frame loop until the peer leaves, errs, or the server shuts down. Each
+// frame's payload is read into recycled storage (payloadBufs); a request's
+// goes back once handle has served it, as nothing decoded from a payload
+// aliases its bytes.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 
@@ -314,8 +330,13 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	for {
 		s.armIdleDeadline(conn)
-		f, err := readFrame(conn)
+		buf := payloadBufs.Get().(*[]byte)
+		f, n, err := readHeader(conn)
+		if err == nil {
+			f.payload, err = readPayload(conn, f.typ, n, *buf)
+		}
 		if err != nil {
+			payloadBufs.Put(buf)
 			if !errors.Is(err, errSessionClosed) && !errors.Is(err, net.ErrClosed) {
 				// Protocol violation or transport failure: tell the peer
 				// why (best effort — the stream may be desynchronized, but
@@ -326,23 +347,28 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		switch f.typ {
-		case fPing:
-			if err := sess.write(frame{typ: fPong, corr: f.corr, payload: f.payload}); err != nil {
-				return
-			}
-		case fGoAway:
-			return
 		case fTask, fPush, fStats:
 			s.inflight.Add(1)
-			go func(f frame) {
+			go func(f frame, buf *[]byte) {
 				defer s.inflight.Done()
 				sess.handle(f)
-			}(f)
+				recyclePayload(buf, f.payload)
+			}(f, buf)
+			continue
+		case fPing:
+			err = sess.write(frame{typ: fPong, corr: f.corr, payload: f.payload})
+		case fGoAway:
+			recyclePayload(buf, f.payload)
+			return
 		default:
 			// Unknown or unexpected type on an intact frame boundary:
 			// answer with a structured error, keep the session.
 			sess.writeError(f.corr, protocol.Errorf(protocol.CodeInvalidArgument,
 				"stream: unexpected %s frame", f.typ))
+		}
+		recyclePayload(buf, f.payload)
+		if err != nil {
+			return
 		}
 	}
 }
@@ -427,14 +453,17 @@ func (s *Server) armIdleDeadline(conn net.Conn) {
 
 // handle serves one request frame through service.Call — the endpoint the
 // HTTP transport serves through too — and writes the encoded reply (or a
-// structured error) under the frame's correlation ID. The reply is encoded
-// into the outgoing frame itself, which keeps the arrays of a reply served
-// from a model snapshot by reference: a full pull leaves as frame header,
-// head, model, tail in one vectored write, the model bytes never copied in
-// user space, under a lease released once the write is done or has failed
-// (a peer that never reads pins that one snapshot). A payload that fails to decode
-// only fails this request — frame boundaries are length-delimited, so the
-// session survives.
+// structured error) under the frame's correlation ID. Nothing it serves
+// allocates a model-sized array: the frame's payload is recycled storage
+// (serveConn), decoded into a push whose model-sized arrays are lent for the
+// call (service.Call), and the reply is encoded into the outgoing frame
+// itself, which keeps the arrays of a reply served from a model snapshot by
+// reference: a full pull leaves as frame header, head, model, tail in one
+// vectored write, the model bytes never copied in user space, under a lease
+// released once the write is done or has failed (a peer that never reads
+// pins that one snapshot). The payload is not read once handle returns. A
+// payload that fails to decode only fails this request — frame boundaries
+// are length-delimited, so the session survives.
 func (sess *session) handle(f frame) {
 	op, resp := service.OpTask, fTaskResp
 	switch f.typ {

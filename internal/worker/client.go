@@ -5,7 +5,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"fleet/internal/protocol"
 	"fleet/internal/service"
@@ -75,16 +79,33 @@ func (c *Client) Stats(ctx context.Context) (*protocol.Stats, error) {
 	return &stats, nil
 }
 
+// post sends in and decodes the reply into out. The message is encoded into
+// a pooled protocol.Segments, which keeps its large arrays by reference
+// (Flat.Encode hands them over): such a body is read by the transport
+// straight from in's arrays, and post returns only once the transport has
+// closed it — early replies (415, 413, 401) included — so the caller may
+// write them again right after. A message without a large array is copied
+// into an in-memory body, as net/http sends those best (headers and body in
+// one write).
 func (c *Client) post(ctx context.Context, path string, in, out interface{}) error {
 	codec := c.codec()
-	var buf bytes.Buffer
-	if err := codec.Encode(&buf, in); err != nil {
+	b := bodies.Get().(*requestBody)
+	defer b.finish()
+	if err := codec.Encode(&b.segs, in); err != nil {
 		return err
 	}
-	c.Wire.AddUplink(int64(buf.Len()))
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+c.route(path), &buf)
+	c.Wire.AddUplink(int64(b.segs.Len()))
+	msg, copied := b.segs.Copied()
+	var body io.Reader = &b.first
+	if copied {
+		body = bytes.NewReader(bytes.Clone(msg))
+	}
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+c.route(path), body)
 	if err != nil {
 		return fmt.Errorf("worker: POST %s: %w", path, err)
+	}
+	if !copied {
+		b.lend(httpReq)
 	}
 	httpReq.Header.Set("Content-Type", codec.ContentType())
 	httpReq.Header.Set("Accept", codec.ContentType())
@@ -98,6 +119,71 @@ func (c *Client) post(ctx context.Context, path string, in, out interface{}) err
 		return c.readError(resp)
 	}
 	return codec.Decode(c.countBody(resp.Body), out)
+}
+
+// requestBody is a pooled POST body: the message encoded into segs, lent to
+// the transport (lend) and taken back once the transport is done (finish).
+type requestBody struct {
+	segs protocol.Segments
+	// whole lists the message in order; every reader consumes a copy.
+	whole [][]byte
+	first bodyReader
+	// open counts the readers handed to the transport and not yet closed.
+	open    sync.WaitGroup
+	getBody func() (io.ReadCloser, error) // reread, bound once per body
+}
+
+var bodies = sync.Pool{New: func() interface{} {
+	b := new(requestBody)
+	b.first.open = &b.open
+	b.getBody = b.reread
+	return b
+}}
+
+// lend makes the message req's body, read where it lies: req carries its
+// length, and a retry on a fresh connection reads it again (reread).
+func (b *requestBody) lend(req *http.Request) {
+	b.whole = b.segs.Buffers(nil)
+	b.first.list = append(b.first.list[:0], b.whole...)
+	b.first.nb = b.first.list
+	b.first.closed.Store(false)
+	b.open.Add(1)
+	req.ContentLength = int64(b.segs.Len())
+	req.GetBody = b.getBody
+}
+
+// reread is a lent request's GetBody: the message again, through a reader
+// of its own.
+func (b *requestBody) reread() (io.ReadCloser, error) {
+	b.open.Add(1)
+	return &bodyReader{nb: slices.Clone(b.whole), open: &b.open}, nil
+}
+
+// finish waits until the transport has closed every reader it was lent,
+// then returns b to the pool without a reference to the message.
+func (b *requestBody) finish() {
+	b.open.Wait()
+	clear(b.first.list)
+	b.first.list, b.first.nb, b.whole = b.first.list[:0], nil, nil
+	b.segs.Reset()
+	bodies.Put(b)
+}
+
+// bodyReader is one read of a lent body; Close counts it out.
+type bodyReader struct {
+	nb     net.Buffers
+	list   [][]byte // nb's storage, kept across uses of a pooled body
+	open   *sync.WaitGroup
+	closed atomic.Bool
+}
+
+func (r *bodyReader) Read(p []byte) (int, error) { return r.nb.Read(p) }
+
+func (r *bodyReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.open.Done()
+	}
+	return nil
 }
 
 // countBody wraps a response body so decoded bytes land in the downlink

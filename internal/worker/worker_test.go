@@ -18,7 +18,7 @@ import (
 	"fleet/internal/simrand"
 )
 
-func newServer(t *testing.T, cfg server.Config) *server.Server {
+func newServer(t testing.TB, cfg server.Config) *server.Server {
 	t.Helper()
 	if cfg.Arch == 0 {
 		cfg.Arch = nn.ArchSoftmaxMNIST
