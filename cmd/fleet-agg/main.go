@@ -13,7 +13,7 @@
 //
 //	fleet-worker -server http://edge:8090 -arch tiny-mnist
 //
-// The edge's pipeline and admission chain compose from the same registries
+// The edge's pipeline and admission chain compose from the same spec tables
 // as the server's:
 //
 //	fleet-agg -k 8 -aggregator 'trimmed(1)' -stages staleness -admission 'min-batch(5)'
@@ -66,7 +66,7 @@ func main() {
 
 // buildAgg binds the flags onto an edge node.Spec and compiles it: the
 // local update pipeline, admission chain and upstream client all assemble
-// in internal/node through the same spec registries as fleet-server.
+// in internal/node through the same spec tables as fleet-server.
 func buildAgg(args []string, stderr io.Writer) (*node.Runtime, error) {
 	fs := flag.NewFlagSet("fleet-agg", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -98,7 +98,7 @@ func parseBench(args []string, stderr io.Writer) (*benchOptions, error) {
 	fs.StringVar(&o.scenario, "scenario", "", "scenario name (see -list)")
 	fs.Int64Var(&o.seed, "seed", 1, "master seed; every random stream derives from it")
 	fs.StringVar(&o.out, "out", "", `output path (default BENCH_<scenario>.json; "-" for stdout)`)
-	fs.BoolVar(&o.list, "list", false, "list registered scenarios and exit")
+	fs.BoolVar(&o.list, "list", false, "list built-in scenarios and exit")
 	fs.StringVar(&o.transport, "transport", "inproc", "inproc (direct service calls), http (per-request v1 wire protocol) or stream (persistent sessions with server-pushed announces)")
 	fs.IntVar(&o.workers, "workers", 0, "override the scenario's fleet size")
 	fs.IntVar(&o.rounds, "rounds", 0, "override the rounds per worker")

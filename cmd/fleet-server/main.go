@@ -20,8 +20,9 @@
 //
 // When -admission is empty the chain is synthesized from the individual
 // knobs (-time-slo, -energy-slo, -min-batch, -max-similarity), which all
-// route through the same registry; a non-empty -admission takes
-// precedence over -min-batch and -max-similarity.
+// route through the same spec table; a non-empty -admission takes
+// precedence over all four, and alone decides which I-Prof profilers are
+// pretrained.
 //
 // On SIGINT/SIGTERM the server drains gracefully: the listener stops
 // accepting, in-flight pushes commit, and the process exits once idle or
@@ -112,7 +113,7 @@ func mintTenantToken(cfgs []tenant.Config, spec string) (string, error) {
 // buildServer binds the flags onto a node.Spec and compiles it:
 // architecture, update pipeline, I-Prof profilers, admission chain and
 // interceptor stack all assemble in internal/node through the shared spec
-// registries. An operator utility (-mint-token) compiles nothing: it
+// tables. An operator utility (-mint-token) compiles nothing: it
 // returns a nil Runtime and the text main prints before exiting 0.
 func buildServer(args []string, stderr io.Writer) (rt *node.Runtime, printOnly string, err error) {
 	fs := flag.NewFlagSet("fleet-server", flag.ContinueOnError)
@@ -125,8 +126,8 @@ func buildServer(args []string, stderr io.Writer) (rt *node.Runtime, printOnly s
 	fs.Float64Var(&spec.NonStragglerPct, "s-pct", 99.7, "AdaSGD non-straggler percentage")
 	fs.Float64Var(&spec.TimeSLO, "time-slo", 3.0, "computation-time SLO in seconds (0 disables)")
 	fs.Float64Var(&spec.EnergySLO, "energy-slo", 0, "energy SLO in %battery (0 disables)")
-	fs.IntVar(&spec.MinBatch, "min-batch", 0, "controller mini-batch size threshold (0 disables); routed through the admission registry")
-	fs.Float64Var(&spec.MaxSimilarity, "max-similarity", 0, "controller similarity threshold (0 disables); routed through the admission registry")
+	fs.IntVar(&spec.MinBatch, "min-batch", 0, "controller mini-batch size threshold (0 disables); spells min-batch(n) when -admission is empty")
+	fs.Float64Var(&spec.MaxSimilarity, "max-similarity", 0, "controller similarity threshold (0 disables); spells similarity(max) when -admission is empty")
 	fs.StringVar(&spec.Admission, "admission", "", "admission-policy chain spec (e.g. iprof-time(3),min-batch(5),similarity(0.9)); empty synthesizes the chain from -time-slo/-energy-slo/-min-batch/-max-similarity")
 	fs.Int64Var(&spec.Seed, "seed", 1, "model initialization seed")
 	fs.StringVar(&spec.Stages, "stages", "staleness", "comma-separated update-pipeline stage specs (e.g. staleness,norm-filter(100),dp(1,0.5))")

@@ -10,11 +10,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"fleet/internal/data"
+	"fleet/internal/device"
 	"fleet/internal/nn"
 	"fleet/internal/node"
 	"fleet/internal/persist"
@@ -87,7 +89,7 @@ func TestSpecFlagsRoundTripIntoServer(t *testing.T) {
 }
 
 // TestLegacyKnobsSynthesizeAdmission: with -admission empty, the individual
-// controller flags must still route through the registry.
+// controller flags must still route through the admission spec table.
 func TestLegacyKnobsSynthesizeAdmission(t *testing.T) {
 	rt := build(t, "-arch", "softmax-mnist", "-time-slo", "0",
 		"-min-batch", "5", "-max-similarity", "0.9")
@@ -99,6 +101,49 @@ func TestLegacyKnobsSynthesizeAdmission(t *testing.T) {
 		!strings.HasPrefix(stats.AdmissionPolicies[0], "min-batch") ||
 		!strings.HasPrefix(stats.AdmissionPolicies[1], "similarity") {
 		t.Fatalf("synthesized chain = %v", stats.AdmissionPolicies)
+	}
+}
+
+// TestAdmissionFlagDecidesPretraining: -admission alone decides which
+// I-Prof profilers are pretrained, at the SLO it states, whatever the
+// -time-slo default says.
+func TestAdmissionFlagDecidesPretraining(t *testing.T) {
+	ctx := context.Background()
+	for _, args := range [][]string{
+		{"-admission", "iprof-energy(2)"},
+		{"-time-slo", "0", "-admission", "iprof-time(3)"},
+	} {
+		rt := build(t, args...)
+		stats, err := rt.Service().Stats(ctx)
+		_ = rt.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := args[len(args)-1]; len(stats.AdmissionPolicies) != 1 || stats.AdmissionPolicies[0] != want {
+			t.Fatalf("args %v: admission policies = %v, want [%s]", args, stats.AdmissionPolicies, want)
+		}
+	}
+
+	decisions := func(args ...string) []string {
+		rt := build(t, args...)
+		defer func() { _ = rt.Close() }()
+		var out []string
+		for i, m := range device.Catalogue() {
+			dev := device.New(m, simrand.New(int64(i)))
+			resp, err := rt.Service().RequestTask(ctx, &protocol.TaskRequest{
+				WorkerID: i, LabelCounts: []int{1},
+				DeviceModel: m.Name, TimeFeatures: dev.Features(), EnergyFeatures: dev.EnergyFeatures(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprintf("%v/%d", resp.Accepted, resp.BatchSize))
+		}
+		return out
+	}
+	spelled, knob := decisions("-admission", "iprof-time(5)"), decisions("-time-slo", "5")
+	if !reflect.DeepEqual(spelled, knob) {
+		t.Fatalf("-admission iprof-time(5) decides %v, -time-slo 5 decides %v", spelled, knob)
 	}
 }
 

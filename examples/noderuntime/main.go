@@ -1,7 +1,7 @@
 // Node runtime: declare a whole deployment as data and drive it through
 // the canonical lifecycle. One NodeSpec names the model, pipeline,
 // admission chain, checkpoint policy and listeners; NewNode compiles it
-// through the same registries the fleet-server flags use; the runtime
+// through the same spec tables the fleet-server flags use; the runtime
 // owns Start → Serve → Drain → Checkpoint → Flush → Close. A worker
 // trains against the bound listener over HTTP, then the node drains.
 package main

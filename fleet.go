@@ -155,7 +155,7 @@ func BuildCompressor(specStr string, opts CompressorOptions) (Compressor, error)
 // NodeSpec declares one FLeet node — root parameter server or edge
 // aggregator — as data: model, pipeline, admission chain, checkpoint
 // policy, transport bindings, tenants. NewNode compiles it through the
-// same spec grammar and registries as the fleet-server/fleet-agg flags
+// same spec grammar and name tables as the fleet-server/fleet-agg flags
 // (which bind straight onto this type).
 type NodeSpec = node.Spec
 
@@ -232,24 +232,12 @@ func NewPipeline(agg WindowAggregator, stages ...Stage) (*Pipeline, error) {
 	return pipeline.New(agg, stages...)
 }
 
-// BuildPipeline composes a pipeline from registry specs, e.g.
+// BuildPipeline composes a pipeline from spec strings, e.g.
 //
 //	fleet.BuildPipeline("staleness,norm-filter(100)", "krum(1)",
 //	    fleet.PipelineOptions{Algorithm: algo})
 func BuildPipeline(stagesSpec, aggSpec string, opts PipelineOptions) (*Pipeline, error) {
 	return pipeline.Build(stagesSpec, aggSpec, opts)
-}
-
-// RegisterPipelineStage adds a named stage constructor to the spec
-// registry used by BuildPipeline and the fleet-server -stages flag.
-func RegisterPipelineStage(name string, ctor pipeline.StageCtor) {
-	pipeline.RegisterStage(name, ctor)
-}
-
-// RegisterWindowAggregator adds a named aggregator constructor to the spec
-// registry used by BuildPipeline and the fleet-server -aggregator flag.
-func RegisterWindowAggregator(name string, ctor pipeline.AggregatorCtor) {
-	pipeline.RegisterAggregator(name, ctor)
 }
 
 // ---------------------------------------------------------------------------
@@ -274,7 +262,7 @@ func NewAdmissionChain(policies ...AdmissionPolicy) *AdmissionChain {
 	return sched.NewChain(policies...)
 }
 
-// BuildAdmission composes an admission chain from registry specs, e.g.
+// BuildAdmission composes an admission chain from a spec string, e.g.
 //
 //	fleet.BuildAdmission("iprof-time(3),min-batch(5),similarity(0.9)",
 //	    fleet.AdmissionOptions{TimeProfiler: prof})
@@ -300,12 +288,6 @@ func MinBatchPolicy(n int) AdmissionPolicy { return sched.MinBatch(n) }
 // one per server.
 func PerWorkerQuotaPolicy(n int, window time.Duration) AdmissionPolicy {
 	return sched.PerWorkerQuota(n, window)
-}
-
-// RegisterAdmissionPolicy adds a named policy constructor to the spec
-// registry used by BuildAdmission and the fleet-server -admission flag.
-func RegisterAdmissionPolicy(name string, ctor sched.PolicyCtor) {
-	sched.RegisterPolicy(name, ctor)
 }
 
 // ---------------------------------------------------------------------------
@@ -434,16 +416,12 @@ type LoadScenario = loadgen.Scenario
 // identical result modulo the Wallclock block.
 type BenchResult = loadgen.Result
 
-// RunLoadScenario runs a registered scenario by name with the given seed —
-// the programmatic equivalent of `fleet-bench -scenario name -seed s`.
-func RunLoadScenario(ctx context.Context, name string, seed int64) (*BenchResult, error) {
-	sc, err := loadgen.ByName(name)
-	if err != nil {
-		return nil, err
-	}
+// LoadScenarioByName returns a built-in scenario (fleet-bench -list names
+// them) as a value to run as is or to adjust first.
+func LoadScenarioByName(name string) (LoadScenario, error) { return loadgen.ByName(name) }
+
+// RunLoadScenario runs a scenario with the given seed — the programmatic
+// equivalent of `fleet-bench -scenario name -seed s`.
+func RunLoadScenario(ctx context.Context, sc LoadScenario, seed int64) (*BenchResult, error) {
 	return (&loadgen.Runner{Scenario: sc, Seed: seed}).Run(ctx)
 }
-
-// RegisterLoadScenario adds a named scenario to the registry fleet-bench
-// and RunLoadScenario resolve from.
-func RegisterLoadScenario(s LoadScenario) { loadgen.Register(s) }

@@ -10,7 +10,6 @@ import (
 
 	"fleet"
 	"fleet/internal/data"
-	"fleet/internal/loadgen"
 	"fleet/internal/nn"
 	"fleet/internal/protocol"
 	"fleet/internal/simrand"
@@ -204,7 +203,7 @@ func TestPublicAPIDeviceCatalogue(t *testing.T) {
 	}
 }
 
-// TestPublicAPIPipeline drives the facade's pipeline surface: registry
+// TestPublicAPIPipeline drives the facade's pipeline surface: spec
 // specs, a Krum server, and the stats exposure.
 func TestPublicAPIPipeline(t *testing.T) {
 	ctx := context.Background()
@@ -286,14 +285,13 @@ func TestPublicAPIAdmission(t *testing.T) {
 }
 
 func TestPublicAPILoadHarness(t *testing.T) {
-	sc, err := loadgen.ByName("uniform")
+	sc, err := fleet.LoadScenarioByName("uniform")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.Name = "api-tiny"
 	sc.Workers, sc.Rounds = 4, 3
-	fleet.RegisterLoadScenario(sc)
-	res, err := fleet.RunLoadScenario(context.Background(), "api-tiny", 8)
+	res, err := fleet.RunLoadScenario(context.Background(), sc, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

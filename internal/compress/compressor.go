@@ -1,4 +1,4 @@
-// Compressor chains: the name→constructor registry that makes uplink
+// Compressor chains: the name→constructor table that makes uplink
 // compression a first-class, spec-driven component like pipeline stages
 // and admission policies. A chain spec reuses the internal/spec grammar —
 // "topk(8)", "topk(12),q8", "topk(64),f16" — and builds into one
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"fleet/internal/spec"
 )
@@ -105,26 +104,6 @@ type Options struct {
 	Rng *rand.Rand
 }
 
-// StageCtor builds one chain link from its parsed spec arguments.
-type StageCtor func(args []float64, opts Options) (Stage, error)
-
-var (
-	compressorsMu sync.RWMutex
-	compressors   = map[string]StageCtor{}
-)
-
-// RegisterCompressor adds a stage constructor under the given spec name.
-// Registering a duplicate name panics (a silent overwrite would make
-// chain specs ambiguous across packages).
-func RegisterCompressor(name string, ctor StageCtor) {
-	compressorsMu.Lock()
-	defer compressorsMu.Unlock()
-	if _, dup := compressors[name]; dup {
-		panic(fmt.Sprintf("compress: duplicate compressor %q", name))
-	}
-	compressors[name] = ctor
-}
-
 // chain is the Compressor built from a stage list.
 type chain struct {
 	name   string
@@ -150,45 +129,20 @@ func Build(chainSpec string, opts Options) (Compressor, error) {
 	if chainSpec == "" {
 		return nil, nil
 	}
-	var stages []Stage
-	var names []string
+	stages, err := spec.BuildList("compressor", compressors, chainSpec, opts)
+	if err != nil {
+		return nil, fmt.Errorf("compress: %w", err)
+	}
+	names := make([]string, len(stages))
 	prev := FormDense
-	for _, part := range spec.Split(chainSpec) {
-		name, args, err := spec.Parse(part)
-		if err != nil {
-			return nil, fmt.Errorf("compress: %w", err)
-		}
-		compressorsMu.RLock()
-		ctor, ok := compressors[name]
-		compressorsMu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("compress: unknown compressor %q (have %s)", name, strings.Join(Compressors(), ", "))
-		}
-		st, err := ctor(args, opts)
-		if err != nil {
-			return nil, fmt.Errorf("compress: %s: %w", name, err)
-		}
-		in, _ := st.Kinds()
+	for i, st := range stages {
+		in, out := st.Kinds()
 		if in != prev {
-			return nil, fmt.Errorf("compress: stage %q wants %s input, chain produces %s", name, in, prev)
+			return nil, fmt.Errorf("compress: stage %q wants %s input, chain produces %s", st.Name(), in, prev)
 		}
-		_, prev = st.Kinds()
-		stages = append(stages, st)
-		names = append(names, st.Name())
+		prev, names[i] = out, st.Name()
 	}
 	return &chain{name: strings.Join(names, ","), stages: stages}, nil
-}
-
-// Compressors lists the registered stage names (sorted by registration
-// iteration — callers sort if they need stable output).
-func Compressors() []string {
-	compressorsMu.RLock()
-	defer compressorsMu.RUnlock()
-	out := make([]string, 0, len(compressors))
-	for name := range compressors {
-		out = append(out, name)
-	}
-	return out
 }
 
 // topKStage sparsifies with error feedback: identical arithmetic to the
@@ -227,8 +181,9 @@ func (q *f16Stage) Transform(f Form) Form {
 	return Form{Kind: FormSparseF16, Encoding: EncodingTopKF16, F16: &qs}
 }
 
-func init() {
-	RegisterCompressor("topk", func(args []float64, opts Options) (Stage, error) {
+// compressors names the chain links a compressor spec may use.
+var compressors = map[string]spec.Ctor[Options, Stage]{
+	"topk": func(args []float64, opts Options) (Stage, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("topk takes exactly one argument, got %d", len(args))
 		}
@@ -243,8 +198,8 @@ func init() {
 			return nil, fmt.Errorf("topk needs the gradient length (Options.Length)")
 		}
 		return &topKStage{feedback: NewErrorFeedback(opts.Length, k), k: k}, nil
-	})
-	RegisterCompressor("q8", func(args []float64, opts Options) (Stage, error) {
+	},
+	"q8": func(args []float64, opts Options) (Stage, error) {
 		if len(args) != 0 {
 			return nil, fmt.Errorf("q8 takes no arguments")
 		}
@@ -252,8 +207,8 @@ func init() {
 			return nil, fmt.Errorf("q8 needs a stochastic-rounding RNG (Options.Rng)")
 		}
 		return &q8Stage{rng: opts.Rng}, nil
-	})
-	RegisterCompressor("f16", func(args []float64, opts Options) (Stage, error) {
+	},
+	"f16": func(args []float64, opts Options) (Stage, error) {
 		if len(args) != 0 {
 			return nil, fmt.Errorf("f16 takes no arguments")
 		}
@@ -261,5 +216,5 @@ func init() {
 			return nil, fmt.Errorf("f16 needs a stochastic-rounding RNG (Options.Rng)")
 		}
 		return &f16Stage{rng: opts.Rng}, nil
-	})
+	},
 }

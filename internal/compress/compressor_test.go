@@ -89,6 +89,7 @@ func TestBuildErrors(t *testing.T) {
 		want string
 	}{
 		{"nope(3)", Options{}, "unknown compressor"},
+		{"nope", Options{}, `unknown compressor "nope" (known: f16, q8, topk)`},
 		{"q8", Options{Rng: rng}, "wants sparse input, chain produces dense"},
 		{"f16", Options{Rng: rng}, "wants sparse input"},
 		{"topk(8),f16,q8", Options{Length: 10, Rng: rng}, "wants sparse input, chain produces sparse+f16"},
@@ -113,23 +114,10 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration must panic")
-		}
-	}()
-	RegisterCompressor("topk", func([]float64, Options) (Stage, error) { return nil, nil })
-}
-
 func TestCompressorsListed(t *testing.T) {
-	have := map[string]bool{}
-	for _, name := range Compressors() {
-		have[name] = true
-	}
 	for _, want := range []string{"topk", "q8", "f16"} {
-		if !have[want] {
-			t.Errorf("built-in %q missing from Compressors(): %v", want, Compressors())
+		if compressors[want] == nil {
+			t.Errorf("built-in %q missing from the compressor table", want)
 		}
 	}
 }

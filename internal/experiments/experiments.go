@@ -13,8 +13,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+
+	"fleet/internal/spec"
 )
 
 // Scale selects experiment sizing.
@@ -64,25 +65,17 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// runner is one registered experiment.
+// runner is one experiment driver.
 type runner struct {
 	title string
 	fn    func(Scale) *Report
 }
 
-// registry maps experiment ids to drivers. Populated in registry.go.
-var registry = map[string]runner{}
-
-func register(id, title string, fn func(Scale) *Report) {
-	registry[id] = runner{title: title, fn: fn}
-}
-
 // Run executes one experiment by id.
 func Run(id string, scale Scale) (*Report, error) {
-	r, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s)",
-			id, strings.Join(All(), ", "))
+	r, err := spec.Lookup("experiment", experiments, id)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	rep := r.fn(scale)
 	rep.ID = id
@@ -90,12 +83,5 @@ func Run(id string, scale Scale) (*Report, error) {
 	return rep, nil
 }
 
-// All lists the registered experiment ids, sorted.
-func All() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+// All lists the experiment ids, sorted.
+func All() []string { return spec.Names(experiments) }

@@ -11,7 +11,7 @@ import (
 const baselineDir = "../../bench/baselines"
 
 // TestEveryScenarioHasBaseline is the CI lint guard for the regression
-// gate: every registered scenario must ship a committed baseline the
+// gate: every built-in scenario must ship a committed baseline the
 // scenario matrix can compare against — adding a scenario without running
 // `fleet-bench -scenario <name> -seed 42 -out bench/baselines/BENCH_<name>.json`
 // fails here instead of silently skipping the gate. The reverse holds too:
@@ -53,7 +53,7 @@ func TestEveryScenarioHasBaseline(t *testing.T) {
 			continue
 		}
 		if !registered[name] {
-			t.Errorf("stale baseline %s: no scenario %q is registered", e.Name(), name)
+			t.Errorf("stale baseline %s: no scenario %q is built in", e.Name(), name)
 		}
 	}
 }

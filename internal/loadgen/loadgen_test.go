@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// small returns a scaled-down copy of a registered scenario for test speed.
+// small returns a scaled-down copy of a built-in scenario for test speed.
 func small(t *testing.T, name string, workers, rounds int) Scenario {
 	t.Helper()
 	sc, err := ByName(name)
@@ -44,6 +44,11 @@ func TestRegistryHasBuiltins(t *testing.T) {
 	}
 	if _, err := ByName("no-such-scenario"); err == nil || !strings.Contains(err.Error(), "unknown scenario") {
 		t.Errorf("ByName on unknown = %v", err)
+	}
+	for key, sc := range scenarios {
+		if sc.Name != key {
+			t.Errorf("scenario %q is filed under %q", sc.Name, key)
+		}
 	}
 }
 
@@ -425,44 +430,28 @@ func TestResultFileRoundTrip(t *testing.T) {
 }
 
 // TestConcurrentRunsDoNotMutateRegistry guards the withDefaults copy: two
-// concurrent runs of a registered scenario with zero-valued tier defaults
-// must not write through the shared Tiers backing array (-race) nor change
-// the registered profile.
+// concurrent runs of one shared scenario value with zero-valued tier
+// defaults must not write through the shared Tiers backing array (-race)
+// nor change the value.
 func TestConcurrentRunsDoNotMutateRegistry(t *testing.T) {
-	Register(Scenario{
+	sc := Scenario{
 		Name:    "shared-tiers",
 		Workers: 3, Rounds: 2,
 		Tiers: []Tier{{Name: "t", Weight: 1, SpeedFactor: 0}}, // defaulted per run
-	})
-	// The registry is process-wide: left behind, the scenario fails
-	// TestEveryScenarioHasBaseline on the next -count iteration.
-	t.Cleanup(func() {
-		regMu.Lock()
-		delete(scenarios, "shared-tiers")
-		regMu.Unlock()
-	})
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			sc, err := ByName("shared-tiers")
-			if err != nil {
-				t.Error(err)
-				return
-			}
 			if _, err := (&Runner{Scenario: sc, Seed: seed}).Run(context.Background()); err != nil {
 				t.Error(err)
 			}
 		}(int64(i))
 	}
 	wg.Wait()
-	sc, err := ByName("shared-tiers")
-	if err != nil {
-		t.Fatal(err)
-	}
 	if sc.Tiers[0].SpeedFactor != 0 {
-		t.Fatalf("registered scenario mutated: SpeedFactor = %v", sc.Tiers[0].SpeedFactor)
+		t.Fatalf("shared scenario mutated: SpeedFactor = %v", sc.Tiers[0].SpeedFactor)
 	}
 }
 

@@ -22,10 +22,10 @@ import (
 	"fleet/internal/nn"
 	"fleet/internal/node"
 	"fleet/internal/protocol"
+	"fleet/internal/sched"
 	"fleet/internal/server"
 	"fleet/internal/service"
 	"fleet/internal/simrand"
-	"fleet/internal/spec"
 	"fleet/internal/stream"
 	"fleet/internal/worker"
 )
@@ -199,11 +199,12 @@ func newSrvFactory(sc Scenario, seed int64, iprofRng *rand.Rand, fleetModels []d
 	// models; MaxBatch bounds it so an extreme fast tier cannot drag the
 	// pretraining into huge mini-batches.
 	sweep := iprof.CollectConfig{MaxBatch: 4096}
-	if slo, ok := admissionSLO(sc.Server.Admission, "iprof-time"); ok {
-		f.timeObs = iprof.CollectWith(iprofRng, fleetModels, iprof.KindTime, slo, sweep).Observations
+	timeSLO, energySLO := sched.ProfilerSLOs(sc.Server.Admission)
+	if timeSLO > 0 {
+		f.timeObs = iprof.CollectWith(iprofRng, fleetModels, iprof.KindTime, timeSLO, sweep).Observations
 	}
-	if slo, ok := admissionSLO(sc.Server.Admission, "iprof-energy"); ok {
-		f.energyObs = iprof.CollectWith(iprofRng, fleetModels, iprof.KindEnergy, slo, sweep).Observations
+	if energySLO > 0 {
+		f.energyObs = iprof.CollectWith(iprofRng, fleetModels, iprof.KindEnergy, energySLO, sweep).Observations
 	}
 	return f
 }
@@ -1127,18 +1128,4 @@ func flipLabels(samples []nn.Sample, classes int) []nn.Sample {
 		out[i] = s
 	}
 	return out
-}
-
-// admissionSLO extracts the SLO argument of the named policy from an
-// admission chain spec, e.g. ("iprof-time(3),min-batch(5)", "iprof-time")
-// → (3, true). The harness uses it to pretrain exactly the profilers the
-// chain will consult.
-func admissionSLO(chainSpec, policy string) (float64, bool) {
-	for _, part := range spec.Split(chainSpec) {
-		name, args, err := spec.Parse(part)
-		if err == nil && name == policy && len(args) > 0 {
-			return args[0], true
-		}
-	}
-	return 0, false
 }

@@ -15,10 +15,9 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"fleet/internal/protocol"
+	"fleet/internal/spec"
 )
 
 // Byzantine attack kinds.
@@ -162,8 +161,8 @@ type ServerSpec struct {
 }
 
 // Scenario is one composable load profile. The zero values of most fields
-// have sensible defaults (see withDefaults); Name is required for registry
-// use. Scenarios are pure descriptions: all randomness comes from the
+// have sensible defaults (see withDefaults); Name labels the result.
+// Scenarios are pure descriptions: all randomness comes from the
 // Runner's seed.
 type Scenario struct {
 	Name        string `json:"name"`
@@ -183,7 +182,7 @@ type Scenario struct {
 	EvalEvery int `json:"eval_every,omitempty"`
 	// ThinkTimeSec is the mean virtual idle time between a worker's rounds.
 	ThinkTimeSec float64 `json:"think_time_sec,omitempty"`
-	// CompressSpec names a registry-built uplink compression chain through
+	// CompressSpec names a spec-built uplink compression chain through
 	// the internal/compress grammar — "topk(k)", "topk(k),q8",
 	// "topk(k),f16" — the same specs fleet-worker -compress accepts.
 	// Empty sends dense gradients.
@@ -234,7 +233,7 @@ func (s Scenario) withDefaults() Scenario {
 		s.Tiers = []Tier{{Name: "uniform", Weight: 1, SpeedFactor: 1}}
 	} else {
 		// Copy before defaulting: the receiver is a value, but the slice
-		// shares its backing array with the registry's (or the caller's)
+		// shares its backing array with the built-in table's (or the caller's)
 		// scenario — writing through it would mutate and race.
 		s.Tiers = append([]Tier(nil), s.Tiers...)
 	}
@@ -342,61 +341,31 @@ func (s Scenario) validate() error {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario registry (mirrors the pipeline/sched spec registries).
+// Built-in scenarios, by name. A custom scenario is a Scenario value handed
+// to a Runner; nothing is registered.
 
-var (
-	regMu     sync.RWMutex
-	scenarios = map[string]Scenario{}
-)
-
-// Register adds (or replaces) a named scenario. It panics on an empty name,
-// matching the other registries' contract for programmer errors.
-func Register(s Scenario) {
-	if s.Name == "" {
-		panic("loadgen: Register with empty scenario name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	scenarios[s.Name] = s
-}
-
-// ByName looks a scenario up.
+// ByName looks a built-in scenario up.
 func ByName(name string) (Scenario, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := scenarios[name]
-	if !ok {
-		return Scenario{}, fmt.Errorf("loadgen: unknown scenario %q (known: %v)", name, namesLocked())
+	sc, err := spec.Lookup("scenario", scenarios, name)
+	if err != nil {
+		return Scenario{}, fmt.Errorf("loadgen: %w", err)
 	}
-	return s, nil
+	return sc, nil
 }
 
-// Names lists the registered scenario names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return namesLocked()
-}
+// Names lists the built-in scenario names, sorted.
+func Names() []string { return spec.Names(scenarios) }
 
-func namesLocked() []string {
-	out := make([]string, 0, len(scenarios))
-	for k := range scenarios {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	Register(Scenario{
+var scenarios = map[string]Scenario{
+	"uniform": {
 		Name:        "uniform",
 		Description: "homogeneous fleet, no faults: the clean-room baseline every other scenario is judged against",
 		Workers:     24,
 		Rounds:      10,
 		EvalEvery:   40,
 		Server:      ServerSpec{K: 2},
-	})
-	Register(Scenario{
+	},
+	"straggler-churn": {
 		Name: "straggler-churn",
 		Description: "three speed tiers (1×/3×/10×) feeding I-Prof batch sizing, paper-model RTTs, " +
 			"20% per-round churn forcing cold full pulls against a delta-serving server",
@@ -418,8 +387,8 @@ func init() {
 			Admission:    "iprof-time(3)",
 			DeltaHistory: 8,
 		},
-	})
-	Register(Scenario{
+	},
+	"byzantine-krum": {
 		Name: "byzantine-krum",
 		Description: "20% sign-flip ×5 pushers against a Krum-aggregating server (K=5): " +
 			"the §4 robustness claim under live fleet traffic",
@@ -428,8 +397,8 @@ func init() {
 		EvalEvery: 40,
 		Byzantine: ByzantineSpec{Fraction: 0.2, Attack: AttackSignFlip, Scale: 5},
 		Server:    ServerSpec{K: 5, Aggregator: "krum(1)"},
-	})
-	Register(Scenario{
+	},
+	"delta-mix": {
 		Name: "delta-mix",
 		Description: "downlink-focused profile: half the fleet delta-pulls against a deep delta history, " +
 			"half full-pulls, top-k + f16 quantized sparse uplink keeping diffs wire-worthy",
@@ -441,8 +410,8 @@ func init() {
 		CompressSpec: "topk(8),f16",
 		FullPullFrac: 0.5,
 		Server:       ServerSpec{DeltaHistory: 8},
-	})
-	Register(Scenario{
+	},
+	"server-restart": {
 		Name: "server-restart",
 		Description: "hard-kill the server mid-training and restore from the latest checkpoint: " +
 			"every in-flight worker resyncs on its own (incarnation conflict → full re-pull) and accuracy " +
@@ -471,8 +440,8 @@ func init() {
 		// genuinely loses progress (up to 8 model updates) and the restored
 		// clock sits behind what in-flight workers hold.
 		Restart: RestartSpec{AtSec: 40, CheckpointEvery: 8},
-	})
-	Register(Scenario{
+	},
+	"stream-push": {
 		Name: "stream-push",
 		Description: "poll-vs-push head-to-head profile: a persistent-session streaming fleet whose model " +
 			"updates arrive as server-pushed sparse-delta announces, against per-request polling that pays " +
@@ -507,8 +476,8 @@ func init() {
 		// connections (the polling twin pays ConnSetupSec twice per round).
 		Net:    NetworkSpec{MinRTTSec: 0.05, MeanRTTSec: 0.2, ConnSetupSec: 0.3},
 		Server: ServerSpec{K: 2, DeltaHistory: 8},
-	})
-	Register(Scenario{
+	},
+	"agg-tree": {
 		Name: "agg-tree",
 		Description: "hierarchical aggregation tier: 3 edge aggregators fan leaf gradients 4:1 into the " +
 			"root (K=3, one root window per full edge sweep), relaying model announces downstream — the " +
@@ -539,8 +508,8 @@ func init() {
 		// default 0.3 would take 12× steps, and the within-0.02-of-flat gate
 		// needs a smooth trajectory, not oscillation roulette.
 		Server: ServerSpec{LearningRate: 0.02, K: 3, DeltaHistory: 8},
-	})
-	Register(Scenario{
+	},
+	"multi-tenant": {
 		Name: "multi-tenant",
 		Description: "two fleets on one deployment: an honest victim tenant beside a noisy neighbor that " +
 			"over-enrolls past its worker quota and spends its DP epsilon budget dry — the victim's " +
@@ -574,8 +543,8 @@ func init() {
 				Server:     &ServerSpec{K: 2, Stages: "dp(1,1.2),staleness"},
 			},
 		},
-	})
-	Register(Scenario{
+	},
+	"lossy-net": {
 		Name: "lossy-net",
 		Description: "hostile network: paper RTTs, 15% push loss and light churn — staleness and " +
 			"retry behavior under packet loss",
@@ -585,5 +554,5 @@ func init() {
 		Net:       NetworkSpec{MinRTTSec: 7.1, MeanRTTSec: 8.45, LossRate: 0.15},
 		Churn:     ChurnSpec{LeaveProb: 0.1, OfflineMeanSec: 45},
 		Server:    ServerSpec{K: 2},
-	})
+	},
 }

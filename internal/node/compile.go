@@ -24,7 +24,7 @@ import (
 )
 
 // FromSpec compiles a Spec into a Runtime through the shared spec
-// grammar and the name→constructor registries. Compilation is a pure
+// grammar and the name→constructor tables. Compilation is a pure
 // function of the Spec (the I-Prof pretraining sweep is seeded by
 // Spec.Seed, or bypassed entirely with pre-collected observations), so
 // rebuilding a killed node from the same Spec reproduces it exactly —
@@ -77,36 +77,71 @@ func validateTransport(t string) error {
 	}
 }
 
-// buildPipeline composes the update pipeline from the registry:
+// buildPipeline composes the update pipeline from the spec tables:
 // per-gradient stages (staleness scaling, DP, filters) in front of the
 // window aggregator (the mean, or a Byzantine-resilient rule).
 func buildPipeline(s Spec, algo learning.Algorithm) (*pipeline.Pipeline, error) {
-	pipe, err := pipeline.Build(s.Stages, s.Aggregator, pipeline.BuildOptions{
+	return pipeline.Build(s.Stages, s.Aggregator, pipeline.BuildOptions{
 		Algorithm: algo,
 		Seed:      s.Seed,
 	})
-	if err != nil {
-		return nil, fmt.Errorf("%w\nknown stages: %s; known aggregators: %s",
-			err, strings.Join(pipeline.Stages(), ", "), strings.Join(pipeline.Aggregators(), ", "))
-	}
-	return pipe, nil
 }
 
-// buildProfilers pre-trains I-Prof (§3.3): pre-collected observations
-// win (the harness path — collected exactly once so a rebuild is pure);
-// otherwise a positive SLO runs the offline sweep over the simulated
-// training fleet. One RNG feeds both sweeps, time before energy — the
-// draw order is part of the deterministic contract.
+// admission is the root's effective admission chain spec: an explicit
+// Admission wins, otherwise the four Figure-2 knobs name the equivalent
+// chain. This is the knobs' only meaning.
+func (s Spec) admission() string {
+	if s.Admission != "" {
+		return s.Admission
+	}
+	var parts []string
+	if s.TimeSLO > 0 {
+		parts = append(parts, fmt.Sprintf("iprof-time(%g)", s.TimeSLO))
+	}
+	if s.EnergySLO > 0 {
+		parts = append(parts, fmt.Sprintf("iprof-energy(%g)", s.EnergySLO))
+	}
+	if s.MinBatch > 0 {
+		parts = append(parts, fmt.Sprintf("min-batch(%d)", s.MinBatch))
+	}
+	if s.MaxSimilarity > 0 {
+		parts = append(parts, fmt.Sprintf("similarity(%g)", s.MaxSimilarity))
+	}
+	return strings.Join(parts, ",")
+}
+
+// profilerSLOs returns the SLOs a root's profilers are pretrained at: the
+// ones its admission chain names, or on a multi-tenant root, whose units
+// share one pair, the largest any unit's chain (its Admission spec, see
+// unitSpec) names. Zero pretrains none.
+func profilerSLOs(s Spec) (timeSLO, energySLO float64) {
+	if len(s.Tenants) == 0 {
+		return sched.ProfilerSLOs(s.admission())
+	}
+	for _, c := range s.Tenants {
+		t, e := sched.ProfilerSLOs(c.Admission)
+		timeSLO, energySLO = max(timeSLO, t), max(energySLO, e)
+	}
+	return timeSLO, energySLO
+}
+
+// buildProfilers pre-trains I-Prof (§3.3) for exactly the profilers the
+// admission chain names: pre-collected observations win (the harness
+// path — collected exactly once so a rebuild is pure); otherwise the
+// offline sweep runs over the simulated training fleet up to the SLO the
+// chain states. One RNG feeds both sweeps, time before energy — the draw
+// order is part of the deterministic contract.
 func buildProfilers(s Spec) (timeProf, energyProf *iprof.IProf, err error) {
 	timeObs, energyObs := s.TimeObservations, s.EnergyObservations
-	if (timeObs == nil && s.TimeSLO > 0) || (energyObs == nil && s.EnergySLO > 0) {
+	timeSLO, energySLO := profilerSLOs(s)
+	if (timeObs == nil && timeSLO > 0) || (energyObs == nil && energySLO > 0) {
 		rng := simrand.New(s.Seed)
 		trainers := device.Catalogue()[:8]
-		if timeObs == nil && s.TimeSLO > 0 {
-			timeObs = iprof.Collect(rng, trainers, iprof.KindTime, s.TimeSLO).Observations
+		if timeObs == nil && timeSLO > 0 {
+			timeObs = iprof.Collect(rng, trainers, iprof.KindTime, timeSLO).Observations
 		}
-		if energyObs == nil && s.EnergySLO > 0 {
-			energyObs = iprof.Collect(rng, trainers, iprof.KindEnergy, s.EnergySLO).Observations
+		if energyObs == nil && energySLO > 0 {
+			energyObs = iprof.Collect(rng, trainers, iprof.KindEnergy, energySLO).Observations
 		}
 	}
 	if timeObs != nil {
@@ -198,7 +233,7 @@ func compileRoot(s Spec) (*Runtime, error) {
 
 // rootServer builds one parameter server from a root Spec — the
 // single-model root's, or one tenant unit's: architecture, AdaSGD, the
-// update pipeline and the admission chain from the shared registries,
+// update pipeline and the admission chain from the shared spec tables,
 // booted per the Spec's recovery policy. owned says the profilers are this
 // server's to train and checkpoint; a tenant unit only reads the
 // deployment's shared pair through its admission chain.
@@ -226,26 +261,8 @@ func rootServer(s Spec, timeProf, energyProf *iprof.IProf, owned bool) (*server.
 		cfg.TimeProfiler, cfg.EnergyProfiler = timeProf, energyProf
 	}
 
-	// Every Figure-2 controller knob routes through the same spec grammar
-	// as the stages: an explicit Admission wins, otherwise the four knobs
-	// name the equivalent chain. This is the knobs' only meaning.
-	admissionSpec := s.Admission
-	if admissionSpec == "" {
-		var parts []string
-		if s.TimeSLO > 0 {
-			parts = append(parts, fmt.Sprintf("iprof-time(%g)", s.TimeSLO))
-		}
-		if s.EnergySLO > 0 {
-			parts = append(parts, fmt.Sprintf("iprof-energy(%g)", s.EnergySLO))
-		}
-		if s.MinBatch > 0 {
-			parts = append(parts, fmt.Sprintf("min-batch(%d)", s.MinBatch))
-		}
-		if s.MaxSimilarity > 0 {
-			parts = append(parts, fmt.Sprintf("similarity(%g)", s.MaxSimilarity))
-		}
-		admissionSpec = strings.Join(parts, ",")
-	}
+	// A nil *IProf must stay a nil Profiler, or the iprof-* constructors
+	// would accept a chain with no profiler behind it.
 	schedOpts := sched.BuildOptions{Now: s.Now}
 	if timeProf != nil {
 		schedOpts.TimeProfiler = timeProf
@@ -253,9 +270,8 @@ func rootServer(s Spec, timeProf, energyProf *iprof.IProf, owned bool) (*server.
 	if energyProf != nil {
 		schedOpts.EnergyProfiler = energyProf
 	}
-	cfg.Admission, err = sched.Build(admissionSpec, schedOpts)
-	if err != nil {
-		return nil, fmt.Errorf("%w\nknown admission policies: %s", err, strings.Join(sched.Policies(), ", "))
+	if cfg.Admission, err = sched.Build(s.admission(), schedOpts); err != nil {
+		return nil, err
 	}
 	return bootRoot(s, cfg)
 }
@@ -457,7 +473,7 @@ func compileTenants(s Spec, timeProf, energyProf *iprof.IProf) (*Runtime, error)
 }
 
 // compileEdge assembles a hierarchical-aggregation tier node: the local
-// pipeline and admission chain compose from the same registries as the
+// pipeline and admission chain compose from the same spec tables as the
 // root's, and the upstream client is the node's only write path.
 func compileEdge(s Spec) (*Runtime, error) {
 	if s.Upstream.Target == "" && s.Upstream.Service == nil {
@@ -474,7 +490,7 @@ func compileEdge(s Spec) (*Runtime, error) {
 	}
 	chain, err := sched.Build(s.Admission, sched.BuildOptions{Now: s.Now})
 	if err != nil {
-		return nil, fmt.Errorf("%w\nknown admission policies: %s", err, strings.Join(sched.Policies(), ", "))
+		return nil, err
 	}
 
 	cfg := aggtree.Config{

@@ -36,8 +36,10 @@ func TestFromSpecValidation(t *testing.T) {
 		{"unknown role", func(s *Spec) { s.Role = "relay" },
 			`unknown node role "relay"`},
 		{"unknown arch", func(s *Spec) { s.Arch = "resnet-9000" }, "resnet-9000"},
-		{"unknown stage", func(s *Spec) { s.Stages = "warp-drive" }, "known stages:"},
-		{"unknown admission policy", func(s *Spec) { s.Admission = "vibes(1)" }, "known admission policies:"},
+		{"unknown stage", func(s *Spec) { s.Stages = "warp-drive" },
+			`unknown stage "warp-drive" (known: dp, norm-filter, staleness)`},
+		{"unknown admission policy", func(s *Spec) { s.Admission = "vibes(1)" },
+			`unknown admission policy "vibes" (known: iprof-energy, iprof-time, min-batch, per-worker-quota, similarity)`},
 		{"unknown recover policy", func(s *Spec) {
 			s.Checkpoint = CheckpointSpec{Dir: t.TempDir(), Recover: "bogus"}
 		}, `unknown -checkpoint-recover "bogus"`},

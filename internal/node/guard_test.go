@@ -829,6 +829,111 @@ func TestConfigFieldsAreSet(t *testing.T) {
 	}
 }
 
+// TestPackageMapsAreNotWritten keeps FLeet's name tables tables: no file
+// of the module, tests included, assigns to an element of a package-level
+// map variable, deletes from one or clears one. Stages, aggregators,
+// admission policies, compressor links, load scenarios and experiments are
+// each a map literal that nothing writes after initialisation, looked up
+// through internal/spec; a custom component is composed by value. A
+// Register* function (and the mutex and init() it needs) fails this guard.
+func TestPackageMapsAreNotWritten(t *testing.T) {
+	m := loadModule(t)
+	conf := types.Config{Importer: m.importer}
+	written := func(info *types.Info, e ast.Expr) *types.Var {
+		var id *ast.Ident
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			id = x
+		case *ast.SelectorExpr:
+			id = x.Sel
+		}
+		v, ok := info.Uses[id].(*types.Var)
+		if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+			return nil
+		}
+		if _, ok := v.Type().Underlying().(*types.Map); !ok {
+			return nil
+		}
+		return v
+	}
+	scan := func(files []*ast.File, info *types.Info) {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var targets []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+							targets = append(targets, ix.X)
+						}
+					}
+				case *ast.IncDecStmt:
+					if ix, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok {
+						targets = append(targets, ix.X)
+					}
+				case *ast.CallExpr:
+					if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) > 0 {
+						if b, ok := info.Uses[id].(*types.Builtin); ok && (b.Name() == "delete" || b.Name() == "clear") {
+							targets = append(targets, n.Args[0])
+						}
+					}
+				}
+				for _, x := range targets {
+					if v := written(info, x); v != nil {
+						pos := strings.TrimPrefix(m.fset.Position(x.Pos()).String(), m.root+string(filepath.Separator))
+						t.Errorf("%s: writes the package-level map %s.%s: make it a table nothing writes after initialisation",
+							pos, v.Pkg().Name(), v.Name())
+					}
+				}
+				return true
+			})
+		}
+	}
+	// check type-checks a package's test files — beside its shipped files,
+	// or as its _test package — against the shipped packages, and scans
+	// them.
+	check := func(path string, files, tests []*ast.File) {
+		if len(tests) == 0 {
+			return
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		if _, err := conf.Check(path, m.fset, files, info); err != nil {
+			t.Fatalf("type-checking the tests of %s: %v", path, err)
+		}
+		scan(tests, info)
+	}
+	tests := 0
+	for _, path := range m.paths {
+		scan(m.files[path], m.info)
+		if path == "fleet/bench/perf" {
+			continue // its own module
+		}
+		dir := filepath.Join(m.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, "fleet"), "/")))
+		names, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var in, ext []*ast.File
+		for _, name := range names {
+			f, err := parser.ParseFile(m.fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Name.Name == m.checked[path].Name() {
+				in = append(in, f)
+			} else {
+				ext = append(ext, f)
+			}
+		}
+		tests += len(names)
+		check(path, append(append([]*ast.File{}, m.files[path]...), in...), in)
+		check(path+"_test", ext, ext)
+	}
+	if tests == 0 {
+		t.Fatal("found no test files to check")
+	}
+}
+
 // module is the code that ships: every non-test file of the root module plus
 // bench/perf (its own module, which imports internal packages and must keep
 // building untouched), type-checked from source, the standard library
@@ -840,6 +945,9 @@ type module struct {
 	paths   []string               // every import path, sorted
 	checked map[string]*types.Package
 	info    *types.Info
+	// importer resolves the module's packages to checked and the standard
+	// library from source.
+	importer types.Importer
 }
 
 // loadModule parses the module and type-checks it in dependency order.
@@ -894,12 +1002,13 @@ func loadModule(t *testing.T) *module {
 	}
 
 	std := importer.ForCompiler(m.fset, "source", nil)
-	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+	m.importer = importerFunc(func(path string) (*types.Package, error) {
 		if p := m.checked[path]; p != nil {
 			return p, nil
 		}
 		return std.Import(path)
-	})}
+	})
+	conf := types.Config{Importer: m.importer}
 	var check func(path string)
 	check = func(path string) {
 		if m.checked[path] != nil {

@@ -5,7 +5,7 @@
 // harness's rebuilt-on-restart instances.
 //
 // A declarative Spec compiles — through the shared spec grammar and the
-// name→constructor registries (pipeline, sched, compress) — into a
+// name→constructor tables (pipeline, sched, compress) — into a
 // Runtime owning the assembled service, its interceptor chain, both
 // listeners (HTTP and stream), the checkpointer, and one canonical
 // lifecycle state machine:
@@ -122,7 +122,8 @@ type Spec struct {
 	Aggregator string
 	// Admission is the policy chain spec; empty synthesizes the chain
 	// from TimeSLO/EnergySLO/MinBatch/MaxSimilarity on a root (the
-	// Figure-2 knobs), and admits everything on an edge.
+	// Figure-2 knobs), and admits everything on an edge. A root pretrains
+	// exactly the I-Prof profilers its chain names, at the SLOs it states.
 	Admission string
 
 	// Figure-2 controller knobs, used when Admission is empty: each set
@@ -137,8 +138,8 @@ type Spec struct {
 	// TimeObservations/EnergyObservations, when non-nil, replace the
 	// I-Prof offline pretraining sweep with pre-collected observations
 	// (the loadgen harness collects exactly once so restarted instances
-	// rebuild identical profilers). Nil with a positive SLO runs the
-	// standard catalogue sweep seeded by Seed.
+	// rebuild identical profilers). Nil runs the standard catalogue sweep,
+	// seeded by Seed, for a profiler the admission chain names.
 	TimeObservations   []iprof.Observation
 	EnergyObservations []iprof.Observation
 	// Now injects the clock time-windowed admission policies read (nil:

@@ -157,7 +157,9 @@ func TestTenantUnitCompilesLikeSingleRoot(t *testing.T) {
 // TestSpecKnobsEqualAdmissionString: the four Figure-2 knobs of a Spec
 // mean exactly the -admission string they spell — same chain, and over
 // the same request stream the same decisions and the same rejects by
-// policy. (That this chain is the paper's controller is the server
+// policy — whether the knobs disagree with the string or are all unset:
+// the chain alone decides which profilers are pretrained, at the SLOs it
+// states. (That this chain is the paper's controller is the server
 // package's TestAdmissionEquivalentToLegacy.)
 func TestSpecKnobsEqualAdmissionString(t *testing.T) {
 	knobs := rootSpec()
@@ -167,10 +169,12 @@ func TestSpecKnobsEqualAdmissionString(t *testing.T) {
 	spelled.Admission = "iprof-time(2.5),iprof-energy(4),min-batch(25),similarity(0.97)"
 	// The explicit string wins over knobs that disagree with it.
 	spelled.MinBatch, spelled.MaxSimilarity = 1, 0.1
+	alone := spelled
+	alone.TimeSLO, alone.EnergySLO, alone.MinBatch, alone.MaxSimilarity = 0, 0, 0, 0
 
-	var decisions [2][]string
-	var stats [2]*protocol.Stats
-	for i, s := range []Spec{knobs, spelled} {
+	var decisions [3][]string
+	var stats [3]*protocol.Stats
+	for i, s := range []Spec{knobs, spelled, alone} {
 		rt, err := FromSpec(s)
 		if err != nil {
 			t.Fatal(err)
@@ -184,11 +188,13 @@ func TestSpecKnobsEqualAdmissionString(t *testing.T) {
 			t.Fatalf("chain %d = %v, want %v", i, stats[i].AdmissionPolicies, want)
 		}
 	}
-	if !reflect.DeepEqual(decisions[0], decisions[1]) {
-		t.Fatalf("decisions diverge:\nknobs   %v\nspelled %v", decisions[0], decisions[1])
-	}
-	if !reflect.DeepEqual(stats[0].RejectsByPolicy, stats[1].RejectsByPolicy) || stats[0].TasksDropped != stats[1].TasksDropped {
-		t.Fatalf("rejects diverge: %v vs %v", stats[0].RejectsByPolicy, stats[1].RejectsByPolicy)
+	for i := 1; i < len(stats); i++ {
+		if !reflect.DeepEqual(decisions[0], decisions[i]) {
+			t.Fatalf("decisions diverge:\nknobs %v\nspec %d %v", decisions[0], i, decisions[i])
+		}
+		if !reflect.DeepEqual(stats[0].RejectsByPolicy, stats[i].RejectsByPolicy) || stats[0].TasksDropped != stats[i].TasksDropped {
+			t.Fatalf("rejects diverge: %v vs spec %d %v", stats[0].RejectsByPolicy, i, stats[i].RejectsByPolicy)
+		}
 	}
 	if stats[0].TasksDropped == 0 || stats[0].TasksServed == 0 {
 		t.Fatalf("the stream did not exercise both outcomes: %+v", stats[0])

@@ -231,6 +231,17 @@ func (p *Pipeline) StageNames() []string {
 	return names
 }
 
+// NoiseMultiplier returns σ of the pipeline's dp stage, and whether it has
+// one: the mechanism a privacy budget composes.
+func (p *Pipeline) NoiseMultiplier() (float64, bool) {
+	for _, st := range p.stages {
+		if d, ok := st.(*DP); ok {
+			return d.cfg.NoiseMultiplier, true
+		}
+	}
+	return 0, false
+}
+
 // AggregatorName returns the window aggregator's display name.
 func (p *Pipeline) AggregatorName() string { return p.agg.Name() }
 

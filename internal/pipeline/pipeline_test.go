@@ -450,27 +450,28 @@ func TestRegistryBuild(t *testing.T) {
 }
 
 func TestRegistryLists(t *testing.T) {
-	wantStages := []string{"dp", "norm-filter", "staleness"}
-	wantAggs := []string{"krum", "mean", "median", "trimmed"}
-	have := strings.Join(Stages(), ",")
-	for _, w := range wantStages {
-		if !strings.Contains(have, w) {
-			t.Errorf("stage %q not registered (have %s)", w, have)
+	for _, w := range []string{"dp", "norm-filter", "staleness"} {
+		if stages[w] == nil {
+			t.Errorf("stage %q missing from the stage table", w)
 		}
 	}
-	have = strings.Join(Aggregators(), ",")
-	for _, w := range wantAggs {
-		if !strings.Contains(have, w) {
-			t.Errorf("aggregator %q not registered (have %s)", w, have)
+	for _, w := range []string{"krum", "mean", "median", "trimmed"} {
+		if aggregators[w] == nil {
+			t.Errorf("aggregator %q missing from the aggregator table", w)
 		}
+	}
+	_, err := Build("warp", "mean", BuildOptions{})
+	if want := `unknown stage "warp" (known: dp, norm-filter, staleness)`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("unknown stage: error %v, want containing %q", err, want)
 	}
 }
 
+// TestRegisterCustomStage: a custom stage is composed by value.
 func TestRegisterCustomStage(t *testing.T) {
-	RegisterStage("test-negate", func(args []float64, _ BuildOptions) (Stage, error) {
-		return negateStage{}, nil
-	})
-	p := mustBuild(t, "test-negate", "mean", BuildOptions{})
+	p, err := New(NewMeanWindow(), negateStage{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := &Gradient{Vec: []float64{1, -2}, Scale: 1}
 	if err := p.Process(g); err != nil {
 		t.Fatal(err)

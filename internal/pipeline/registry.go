@@ -2,9 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"fleet/internal/dp"
 	"fleet/internal/learning"
@@ -23,166 +20,69 @@ type BuildOptions struct {
 	Seed int64
 }
 
-// StageCtor builds one stage from its parenthesized numeric arguments.
-type StageCtor func(args []float64, opts BuildOptions) (Stage, error)
-
-// AggregatorCtor builds one window aggregator from its arguments.
-type AggregatorCtor func(args []float64, opts BuildOptions) (WindowAggregator, error)
-
-var (
-	regMu         sync.RWMutex
-	stageRegistry = map[string]StageCtor{}
-	aggRegistry   = map[string]AggregatorCtor{}
-)
-
-// RegisterStage adds (or replaces) a named stage constructor. Built-ins:
-// "staleness", "dp(clip,sigma)", "norm-filter(max)".
-func RegisterStage(name string, ctor StageCtor) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	stageRegistry[name] = ctor
-}
-
-// RegisterAggregator adds (or replaces) a named aggregator constructor.
-// Built-ins: "mean", "median", "trimmed(β)", "krum(f)".
-func RegisterAggregator(name string, ctor AggregatorCtor) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	aggRegistry[name] = ctor
-}
-
-// Stages lists the registered stage names, sorted.
-func Stages() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(stageRegistry))
-	for n := range stageRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Aggregators lists the registered aggregator names, sorted.
-func Aggregators() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(aggRegistry))
-	for n := range aggRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// intArg rejects non-integral spec arguments instead of silently
-// truncating them — krum(0.9) must not quietly become Krum{F: 0}.
-func intArg(v float64, name string) (int, error) { return spec.IntArg(v, name) }
-
-func init() {
-	RegisterStage("staleness", func(args []float64, opts BuildOptions) (Stage, error) {
+// stages names the stage constructors a stages spec may use.
+var stages = map[string]spec.Ctor[BuildOptions, Stage]{
+	"staleness": func(args []float64, opts BuildOptions) (Stage, error) {
 		if len(args) != 0 {
 			return nil, fmt.Errorf("staleness takes no arguments")
 		}
 		return NewStalenessScale(opts.Algorithm)
-	})
-	RegisterStage("dp", func(args []float64, opts BuildOptions) (Stage, error) {
+	},
+	"dp": func(args []float64, opts BuildOptions) (Stage, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("dp takes (clipNorm, noiseMultiplier), got %d args", len(args))
 		}
 		return NewDP(dp.Config{ClipNorm: args[0], NoiseMultiplier: args[1]}, opts.Seed)
-	})
-	RegisterStage("norm-filter", func(args []float64, _ BuildOptions) (Stage, error) {
+	},
+	"norm-filter": func(args []float64, _ BuildOptions) (Stage, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("norm-filter takes (maxL2Norm), got %d args", len(args))
 		}
 		return NewNormFilter(args[0])
-	})
+	},
+}
 
-	RegisterAggregator("mean", func(args []float64, _ BuildOptions) (WindowAggregator, error) {
+// aggregators names the window aggregator constructors.
+var aggregators = map[string]spec.Ctor[BuildOptions, WindowAggregator]{
+	"mean": func(args []float64, _ BuildOptions) (WindowAggregator, error) {
 		if len(args) != 0 {
 			return nil, fmt.Errorf("mean takes no arguments, got %v", args)
 		}
 		return NewMeanWindow(), nil
-	})
-	RegisterAggregator("median", func(args []float64, _ BuildOptions) (WindowAggregator, error) {
+	},
+	"median": func(args []float64, _ BuildOptions) (WindowAggregator, error) {
 		if len(args) != 0 {
 			return nil, fmt.Errorf("median takes no arguments")
 		}
 		return NewRetained(robust.CoordinateMedian{})
-	})
-	RegisterAggregator("trimmed", func(args []float64, _ BuildOptions) (WindowAggregator, error) {
-		trim := 1
-		switch len(args) {
-		case 0:
-		case 1:
-			var err error
-			if trim, err = intArg(args[0], "trimmed(trim)"); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("trimmed takes at most (trim), got %d args", len(args))
+	},
+	"trimmed": func(args []float64, _ BuildOptions) (WindowAggregator, error) {
+		trim, err := optionalInt(args, "trimmed(trim)")
+		if err != nil {
+			return nil, err
 		}
 		return NewRetained(robust.TrimmedMean{Trim: trim})
-	})
-	RegisterAggregator("krum", func(args []float64, _ BuildOptions) (WindowAggregator, error) {
-		f := 1
-		switch len(args) {
-		case 0:
-		case 1:
-			var err error
-			if f, err = intArg(args[0], "krum(f)"); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("krum takes at most (f), got %d args", len(args))
+	},
+	"krum": func(args []float64, _ BuildOptions) (WindowAggregator, error) {
+		f, err := optionalInt(args, "krum(f)")
+		if err != nil {
+			return nil, err
 		}
 		return NewRetained(robust.Krum{F: f})
-	})
+	},
 }
 
-// parseSpec splits "name" or "name(a,b)" into the name and numeric args
-// using the shared registry grammar (internal/spec).
-func parseSpec(s string) (name string, args []float64, err error) {
-	return spec.Parse(s)
-}
-
-// NewStage builds one stage from a spec like "norm-filter(100)".
-func NewStage(spec string, opts BuildOptions) (Stage, error) {
-	name, args, err := parseSpec(spec)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: %v", err)
+// optionalInt reads the one optional integral argument of a robust
+// aggregator, 1 when absent — krum(0.9) must not quietly become Krum{F: 0}.
+func optionalInt(args []float64, name string) (int, error) {
+	switch len(args) {
+	case 0:
+		return 1, nil
+	case 1:
+		return spec.IntArg(args[0], name)
+	default:
+		return 0, fmt.Errorf("%s takes at most one argument, got %d", name, len(args))
 	}
-	regMu.RLock()
-	ctor, ok := stageRegistry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("pipeline: unknown stage %q (known: %s)", name, strings.Join(Stages(), ", "))
-	}
-	st, err := ctor(args, opts)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: stage %q: %v", name, err)
-	}
-	return st, nil
-}
-
-// NewAggregator builds one window aggregator from a spec like "krum(1)".
-func NewAggregator(spec string, opts BuildOptions) (WindowAggregator, error) {
-	name, args, err := parseSpec(spec)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: %v", err)
-	}
-	regMu.RLock()
-	ctor, ok := aggRegistry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("pipeline: unknown aggregator %q (known: %s)", name, strings.Join(Aggregators(), ", "))
-	}
-	agg, err := ctor(args, opts)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: aggregator %q: %v", name, err)
-	}
-	return agg, nil
 }
 
 // Build composes a pipeline from a comma-separated stage spec and one
@@ -193,23 +93,13 @@ func NewAggregator(spec string, opts BuildOptions) (WindowAggregator, error) {
 // An empty stagesSpec composes no stages (every gradient is applied at
 // scale 1 — FedAvg-style).
 func Build(stagesSpec, aggSpec string, opts BuildOptions) (*Pipeline, error) {
-	var stages []Stage
-	if strings.TrimSpace(stagesSpec) != "" {
-		for _, spec := range splitSpecs(stagesSpec) {
-			st, err := NewStage(spec, opts)
-			if err != nil {
-				return nil, err
-			}
-			stages = append(stages, st)
-		}
-	}
-	agg, err := NewAggregator(aggSpec, opts)
+	sts, err := spec.BuildList("stage", stages, stagesSpec, opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	return New(agg, stages...)
+	agg, err := spec.Build("aggregator", aggregators, aggSpec, opts)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
+	}
+	return New(agg, sts...)
 }
-
-// splitSpecs splits a comma-separated spec list without breaking inside
-// parentheses: "dp(1,0.5),staleness" → ["dp(1,0.5)", "staleness"].
-func splitSpecs(s string) []string { return spec.Split(s) }

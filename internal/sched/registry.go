@@ -2,9 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"fleet/internal/spec"
@@ -27,38 +24,9 @@ type BuildOptions struct {
 	Now func() time.Time
 }
 
-// PolicyCtor builds one admission policy from its parenthesized numeric
-// arguments.
-type PolicyCtor func(args []float64, opts BuildOptions) (AdmissionPolicy, error)
-
-var (
-	regMu          sync.RWMutex
-	policyRegistry = map[string]PolicyCtor{}
-)
-
-// RegisterPolicy adds (or replaces) a named policy constructor. Built-ins:
-// "iprof-time(slo)", "iprof-energy(slo)", "min-batch(n)",
-// "similarity(max)", "per-worker-quota(n,windowSec)".
-func RegisterPolicy(name string, ctor PolicyCtor) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	policyRegistry[name] = ctor
-}
-
-// Policies lists the registered policy names, sorted.
-func Policies() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(policyRegistry))
-	for n := range policyRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterPolicy("iprof-time", func(args []float64, opts BuildOptions) (AdmissionPolicy, error) {
+// policies names the admission policy constructors a chain spec may use.
+var policies = map[string]spec.Ctor[BuildOptions, AdmissionPolicy]{
+	"iprof-time": func(args []float64, opts BuildOptions) (AdmissionPolicy, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("iprof-time takes (sloSeconds), got %d args", len(args))
 		}
@@ -69,8 +37,8 @@ func init() {
 			return nil, fmt.Errorf("iprof-time requires a time profiler (BuildOptions.TimeProfiler)")
 		}
 		return IProfTime(opts.TimeProfiler, args[0]), nil
-	})
-	RegisterPolicy("iprof-energy", func(args []float64, opts BuildOptions) (AdmissionPolicy, error) {
+	},
+	"iprof-energy": func(args []float64, opts BuildOptions) (AdmissionPolicy, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("iprof-energy takes (sloPct), got %d args", len(args))
 		}
@@ -81,8 +49,8 @@ func init() {
 			return nil, fmt.Errorf("iprof-energy requires an energy profiler (BuildOptions.EnergyProfiler)")
 		}
 		return IProfEnergy(opts.EnergyProfiler, args[0]), nil
-	})
-	RegisterPolicy("min-batch", func(args []float64, _ BuildOptions) (AdmissionPolicy, error) {
+	},
+	"min-batch": func(args []float64, _ BuildOptions) (AdmissionPolicy, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("min-batch takes (n), got %d args", len(args))
 		}
@@ -94,8 +62,8 @@ func init() {
 			return nil, fmt.Errorf("min-batch threshold must be positive, got %d", n)
 		}
 		return MinBatch(n), nil
-	})
-	RegisterPolicy("similarity", func(args []float64, _ BuildOptions) (AdmissionPolicy, error) {
+	},
+	"similarity": func(args []float64, _ BuildOptions) (AdmissionPolicy, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("similarity takes (max), got %d args", len(args))
 		}
@@ -105,8 +73,8 @@ func init() {
 			return nil, fmt.Errorf("similarity threshold must be positive, got %g", args[0])
 		}
 		return Similarity(args[0]), nil
-	})
-	RegisterPolicy("per-worker-quota", func(args []float64, opts BuildOptions) (AdmissionPolicy, error) {
+	},
+	"per-worker-quota": func(args []float64, opts BuildOptions) (AdmissionPolicy, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("per-worker-quota takes (n, windowSeconds), got %d args", len(args))
 		}
@@ -118,27 +86,7 @@ func init() {
 			return nil, fmt.Errorf("per-worker-quota needs positive n and window, got (%d, %g)", n, args[1])
 		}
 		return PerWorkerQuotaClock(n, time.Duration(args[1]*float64(time.Second)), opts.Now), nil
-	})
-}
-
-// NewPolicy builds one policy from a spec like "min-batch(5)".
-func NewPolicy(specStr string, opts BuildOptions) (AdmissionPolicy, error) {
-	name, args, err := spec.Parse(specStr)
-	if err != nil {
-		return nil, fmt.Errorf("sched: %v", err)
-	}
-	regMu.RLock()
-	ctor, ok := policyRegistry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown admission policy %q (known: %s)",
-			name, strings.Join(Policies(), ", "))
-	}
-	p, err := ctor(args, opts)
-	if err != nil {
-		return nil, fmt.Errorf("sched: policy %q: %v", name, err)
-	}
-	return p, nil
+	},
 }
 
 // Build composes an admission chain from a comma-separated policy spec in
@@ -149,15 +97,31 @@ func NewPolicy(specStr string, opts BuildOptions) (AdmissionPolicy, error) {
 // An empty spec builds an empty chain: every task is admitted at the
 // server's default batch size.
 func Build(chainSpec string, opts BuildOptions) (*Chain, error) {
-	var policies []AdmissionPolicy
-	if strings.TrimSpace(chainSpec) != "" {
-		for _, s := range spec.Split(chainSpec) {
-			p, err := NewPolicy(s, opts)
-			if err != nil {
-				return nil, err
-			}
-			policies = append(policies, p)
+	ps, err := spec.BuildList("admission policy", policies, chainSpec, opts)
+	if err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
+	}
+	return NewChain(ps...), nil
+}
+
+// ProfilerSLOs returns the SLOs a chain spec's "iprof-time" and
+// "iprof-energy" policies state, 0 for one it does not name: which I-Prof
+// profilers a deployment must pretrain for the chain, and the SLO each
+// offline sweep must reach (it stops at twice the SLO). A policy named
+// twice reports its larger SLO. A malformed spec names none here; Build
+// reports it.
+func ProfilerSLOs(chainSpec string) (timeSLO, energySLO float64) {
+	for _, s := range spec.Split(chainSpec) {
+		name, args, err := spec.Parse(s)
+		if err != nil || len(args) == 0 {
+			continue
+		}
+		switch name {
+		case "iprof-time":
+			timeSLO = max(timeSLO, args[0])
+		case "iprof-energy":
+			energySLO = max(energySLO, args[0])
 		}
 	}
-	return NewChain(policies...), nil
+	return timeSLO, energySLO
 }

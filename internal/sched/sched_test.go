@@ -243,36 +243,41 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestRegisterCustomPolicy: a custom policy is composed by value.
 func TestRegisterCustomPolicy(t *testing.T) {
-	RegisterPolicy("test-even-workers", func(args []float64, _ BuildOptions) (AdmissionPolicy, error) {
-		return policyFunc{
-			name: "test-even-workers",
-			fn: func(_ context.Context, r *TaskRequest) (Decision, error) {
-				if r.Wire.WorkerID%2 != 0 {
-					return Reject("test-even-workers", "odd worker"), nil
-				}
-				return Accept(r.BatchSize), nil
-			},
-		}, nil
+	c := NewChain(policyFunc{
+		name: "test-even-workers",
+		fn: func(_ context.Context, r *TaskRequest) (Decision, error) {
+			if r.Wire.WorkerID%2 != 0 {
+				return Reject("test-even-workers", "odd worker"), nil
+			}
+			return Accept(r.BatchSize), nil
+		},
 	})
-	c, err := Build("test-even-workers", BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if d, _ := c.Admit(context.Background(), req(2, "x")); !d.Accept {
 		t.Fatalf("even worker rejected: %+v", d)
 	}
 	if d, _ := c.Admit(context.Background(), req(3, "x")); d.Accept {
 		t.Fatal("odd worker admitted")
 	}
-	found := false
-	for _, n := range Policies() {
-		if n == "test-even-workers" {
-			found = true
-		}
+}
+
+func TestProfilerSLOs(t *testing.T) {
+	cases := []struct {
+		chain        string
+		time, energy float64
+	}{
+		{"", 0, 0},
+		{"min-batch(5),similarity(0.9)", 0, 0},
+		{"iprof-time(5)", 5, 0},
+		{"iprof-energy(2),min-batch(5)", 0, 2},
+		{"iprof-time(2.5),iprof-energy(4),min-batch(25)", 2.5, 4},
+		{"iprof-time(3),iprof-time(7)", 7, 0},
 	}
-	if !found {
-		t.Fatalf("custom policy missing from registry: %v", Policies())
+	for _, c := range cases {
+		if ts, es := ProfilerSLOs(c.chain); ts != c.time || es != c.energy {
+			t.Errorf("ProfilerSLOs(%q) = (%g, %g), want (%g, %g)", c.chain, ts, es, c.time, c.energy)
+		}
 	}
 }
 

@@ -582,7 +582,7 @@ func TestMismatchedEncodingTagRejected(t *testing.T) {
 
 // TestMeanPipelineEquivalentToDefault drives identical sequential pushes
 // through a server with the implicit default pipeline and one with an
-// explicitly registry-built "staleness -> mean" pipeline: final parameters,
+// explicitly spec-built "staleness -> mean" pipeline: final parameters,
 // version and acked scales must match bit-for-bit (the pipeline API only
 // re-houses the legacy accumulate path, it never changes the arithmetic).
 func TestMeanPipelineEquivalentToDefault(t *testing.T) {

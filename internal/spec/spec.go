@@ -1,15 +1,83 @@
-// Package spec parses the compact "name(arg,…)" constructor specs shared
-// by FLeet's component registries — the update-pipeline stages and
-// aggregators (internal/pipeline) and the admission policies
-// (internal/sched). Centralizing the grammar keeps `-stages`,
-// `-aggregator` and `-admission` flag syntax identical.
+// Package spec owns FLeet's configuration grammar: the compact
+// "name(arg,…)" spec that names one component, the comma-separated list
+// that chains several, and the one lookup every name table goes through.
+// The tables are package-level map literals that nothing writes after
+// initialisation — pipeline stages and aggregators (internal/pipeline),
+// admission policies (internal/sched), compressor links
+// (internal/compress), load scenarios (internal/loadgen) and experiments
+// (internal/experiments). A custom component is composed by value (as
+// pipeline.New and sched.NewChain take them), never registered. Owning
+// the grammar here keeps the -stages, -aggregator, -admission and
+// -compress syntax identical, and reports an unknown name the same way
+// everywhere.
 package spec
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
+
+// Ctor builds one component from its spec's numeric arguments and the
+// options the caller supplies.
+type Ctor[O, T any] func(args []float64, opts O) (T, error)
+
+// Lookup returns the entry of table named name; an unknown name is an
+// error listing the table's names, sorted.
+func Lookup[V any](kind string, table map[string]V, name string) (V, error) {
+	v, ok := table[name]
+	if !ok {
+		return v, fmt.Errorf("unknown %s %q (known: %s)", kind, name, strings.Join(Names(table), ", "))
+	}
+	return v, nil
+}
+
+// Names lists a table's names, sorted.
+func Names[V any](table map[string]V) []string {
+	names := make([]string, 0, len(table))
+	for n := range table {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Build parses one "name(args)" spec, looks the name up in table and
+// constructs it; a constructor's error is wrapped with the kind and name.
+func Build[O, T any](kind string, table map[string]Ctor[O, T], s string, opts O) (T, error) {
+	var zero T
+	name, args, err := Parse(s)
+	if err != nil {
+		return zero, err
+	}
+	ctor, err := Lookup(kind, table, name)
+	if err != nil {
+		return zero, err
+	}
+	v, err := ctor(args, opts)
+	if err != nil {
+		return zero, fmt.Errorf("%s %q: %w", kind, name, err)
+	}
+	return v, nil
+}
+
+// BuildList builds every spec of a comma-separated list, in order. A
+// blank list builds none.
+func BuildList[O, T any](kind string, table map[string]Ctor[O, T], list string, opts O) ([]T, error) {
+	if strings.TrimSpace(list) == "" {
+		return nil, nil
+	}
+	var out []T
+	for _, s := range Split(list) {
+		v, err := Build(kind, table, s, opts)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
 
 // Parse splits "name" or "name(a,b)" into the name and numeric arguments.
 func Parse(spec string) (name string, args []float64, err error) {

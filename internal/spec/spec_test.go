@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -51,5 +52,36 @@ func TestIntArg(t *testing.T) {
 	}
 	if _, err := IntArg(0.9, "f"); err == nil {
 		t.Fatal("IntArg(0.9) must error")
+	}
+}
+
+func TestTableLookup(t *testing.T) {
+	table := map[string]Ctor[int, float64]{
+		"scale": func(args []float64, k int) (float64, error) {
+			if len(args) != 1 {
+				return 0, errors.New("scale takes (x)")
+			}
+			return args[0] * float64(k), nil
+		},
+		"one": func([]float64, int) (float64, error) { return 1, nil },
+	}
+	if got, err := BuildList("unit", table, "scale(2), one", 3); err != nil || !reflect.DeepEqual(got, []float64{6, 1}) {
+		t.Fatalf("BuildList = %v, %v", got, err)
+	}
+	if got, err := BuildList("unit", table, " ", 3); err != nil || got != nil {
+		t.Fatalf("blank list = %v, %v, want none", got, err)
+	}
+	_, err := Build("unit", table, "warp(1)", 3)
+	if want := `unknown unit "warp" (known: one, scale)`; err == nil || err.Error() != want {
+		t.Fatalf("unknown name: %v, want %q", err, want)
+	}
+	if _, err := Build("unit", table, "scale", 3); err == nil || err.Error() != `unit "scale": scale takes (x)` {
+		t.Fatalf("constructor error not wrapped with kind and name: %v", err)
+	}
+	if _, err := Build("unit", table, "scale(1", 3); err == nil {
+		t.Fatal("malformed spec built")
+	}
+	if got := Names(table); !reflect.DeepEqual(got, []string{"one", "scale"}) {
+		t.Fatalf("Names = %v", got)
 	}
 }

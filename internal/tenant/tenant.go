@@ -25,7 +25,6 @@ import (
 	"fleet/internal/protocol"
 	"fleet/internal/server"
 	"fleet/internal/service"
-	"fleet/internal/spec"
 )
 
 // Config declares one tenant's serving unit. The zero value of every field
@@ -190,25 +189,12 @@ type Unit struct {
 	budgetRejects atomic.Int64
 }
 
-// dpSigma extracts the noise multiplier of the dp(clip,σ) stage from a
-// pipeline stages spec.
-func dpSigma(stages string) (float64, bool) {
-	for _, part := range spec.Split(stages) {
-		name, args, err := spec.Parse(part)
-		if err == nil && name == "dp" && len(args) == 2 {
-			return args[1], true
-		}
-	}
-	return 0, false
-}
-
 // Attach builds a Unit around a constructed server: the enforcement chain
 // (authentication, worker quota, DP budget) and the per-tenant stats
 // attribution. node.FromSpec compiles a deployment's units this way, and
 // the loadgen harness routes its own deterministically seeded server
-// through the exact tenant layer a fleet-server deployment would; cfg's
-// model/pipeline fields should mirror how srv was actually built — the
-// budget reads the dp stage's σ out of cfg.Stages.
+// through the exact tenant layer a fleet-server deployment would. The
+// budget composes the σ of the dp stage srv's own pipeline runs.
 func Attach(cfg Config, srv *server.Server, opts Options) (*Unit, error) {
 	cfg = cfg.withDefaults()
 	if !validName(cfg.Name) {
@@ -216,9 +202,9 @@ func Attach(cfg Config, srv *server.Server, opts Options) (*Unit, error) {
 	}
 	var budget *Budget
 	if cfg.Epsilon > 0 {
-		sigma, ok := dpSigma(cfg.Stages)
+		sigma, ok := srv.Pipeline().NoiseMultiplier()
 		if !ok {
-			return nil, fmt.Errorf("tenant %s: an epsilon budget requires a dp(clip,sigma) stage in the pipeline (stages: %q)", cfg.Name, cfg.Stages)
+			return nil, fmt.Errorf("tenant %s: an epsilon budget requires a dp(clip,sigma) stage in the pipeline (pipeline: %s)", cfg.Name, srv.Pipeline())
 		}
 		var err error
 		budget, err = NewBudget(cfg.SamplingRatio, sigma, cfg.Delta, cfg.Epsilon)

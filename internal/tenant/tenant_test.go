@@ -275,6 +275,38 @@ func TestBudgetRequiresDPStage(t *testing.T) {
 	}
 }
 
+// TestBudgetReadsSigmaFromPipeline: the budget composes the σ of the dp
+// stage the server runs, whatever cfg.Stages says.
+func TestBudgetReadsSigmaFromPipeline(t *testing.T) {
+	arch, err := nn.ArchByName("softmax-mnist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	algo := learning.NewAdaSGD(learning.AdaSGDConfig{NonStragglerPct: 99.7, BootstrapSteps: 50})
+	pipe, err := pipeline.Build("dp(1,0.5),staleness", "mean", pipeline.BuildOptions{Algorithm: algo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Arch: arch, Algorithm: algo, LearningRate: 0.03, Pipeline: pipe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	cfg := Config{Name: "m", Arch: "softmax-mnist", Stages: "staleness", Epsilon: 8}
+	u, err := Attach(cfg, srv, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := cfg.withDefaults()
+	want, err := NewBudget(d.SamplingRatio, 0.5, d.Delta, d.Epsilon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.budget == nil || want.maxSteps == 0 || u.budget.maxSteps != want.maxSteps {
+		t.Fatalf("budget = %+v, want one at sigma 0.5 (%d steps)", u.budget, want.maxSteps)
+	}
+}
+
 func TestRegistryResolve(t *testing.T) {
 	a, b := Config{Name: "a", Arch: "softmax-mnist"}, Config{Name: "b", Arch: "softmax-mnist"}
 	if _, err := newRegistry(t, "", a, a); err == nil {
