@@ -1,7 +1,9 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -557,6 +559,41 @@ func TestServerRestartOverStream(t *testing.T) {
 		inproc.Server.RestoredVersion != strRes.Server.RestoredVersion {
 		t.Fatalf("transports diverge: %+v (acc %.4f) vs %+v (acc %.4f)",
 			inproc.Counts, inproc.FinalAccuracy, strRes.Counts, strRes.FinalAccuracy)
+	}
+	// The restored instance announces its drains to the live sessions too.
+	// With a checkpoint every window the dead instance drained exactly
+	// RestoredVersion times, and each drain reached each session at most
+	// once; every announce past that bound came from the successor.
+	dead := int64(strRes.Server.RestoredVersion * strRes.Workers)
+	if got := strRes.TransportStats.Announces; got <= dead {
+		t.Fatalf("announces %d, at most the %d the killed instance could send: the restored instance announces to no session",
+			got, dead)
+	}
+}
+
+// TestFailedRunClosesTheRoot: a run that fails after the root has booted
+// (here on the first worker's compressor) still stops the root's
+// background checkpoint writer.
+func TestFailedRunClosesTheRoot(t *testing.T) {
+	sc := small(t, "server-restart", 4, 2)
+	sc.CompressSpec = "bogus(1)"
+	if _, err := (&Runner{Scenario: sc, Seed: 1}).Run(context.Background()); err == nil ||
+		!strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("run with an unknown compressor: %v, want its error", err)
+	}
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("ckptWriter")) {
+			t.Fatalf("the failed run left a checkpoint writer running:\n%s", g)
+		}
 	}
 }
 

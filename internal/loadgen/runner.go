@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,7 +56,11 @@ const (
 
 // Runner executes one scenario on the deterministic discrete-event engine:
 // one event at a time on a virtual clock, bit-for-bit replayable per seed.
-// A zero-value Transport defaults to in-process.
+// A zero-value Transport defaults to in-process. Run is a sequence of named
+// steps: compose the fleet (composeFleet), boot the root (run.bootRoot),
+// open the transport front (run.openFront), build the edges
+// (run.buildEdges), build each simulated worker (run.buildWorkers), run
+// (run.runVirtual) and assemble the result (run.result).
 type Runner struct {
 	Scenario  Scenario
 	Seed      int64
@@ -79,8 +82,8 @@ type simWorker struct {
 	id  int
 	w   *worker.Worker
 	dev *device.Device
-	// svc is the worker's own view of the service: the shared client for
-	// per-request transports, or this worker's persistent stream client.
+	// svc is what the worker calls through (run.connect), behind the
+	// Metrics interceptor.
 	svc service.Service
 	// strm is the persistent session client (stream transport only, nil
 	// otherwise); needsConn marks that the next pull pays connection setup
@@ -88,15 +91,12 @@ type simWorker struct {
 	strm      *stream.Client
 	needsConn bool
 	// Independent deterministic streams: network delay, think time, churn
-	// decisions, Byzantine noise. Separate streams keep one knob's draws
-	// from perturbing another's replay.
+	// decisions. Separate streams keep one knob's draws from perturbing
+	// another's replay.
 	netRng   *rand.Rand
 	thinkRng *rand.Rand
 	churnRng *rand.Rand
-	byzRng   *rand.Rand
 
-	tier       string
-	byzantine  bool
 	roundsLeft int
 	// rejoining marks a churned-out worker between its departure and the
 	// cold-cache pull that brings it back.
@@ -142,148 +142,144 @@ func (c *vclock) Now() time.Time {
 // harness replaces a hard-killed server with its restored successor while
 // the fleet keeps calling through the same front (in-process, or the HTTP
 // handler wrapping this).
-type swapService struct {
-	mu    sync.RWMutex
-	inner service.Service
-}
-
-func (s *swapService) set(svc service.Service) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inner = svc
-}
-
-func (s *swapService) get() service.Service {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.inner
-}
+type swapService struct{ atomic.Pointer[server.Server] }
 
 func (s *swapService) RequestTask(ctx context.Context, req *protocol.TaskRequest) (*protocol.TaskResponse, error) {
-	return s.get().RequestTask(ctx, req)
+	return s.Load().RequestTask(ctx, req)
 }
 
 func (s *swapService) PushGradient(ctx context.Context, push *protocol.GradientPush) (*protocol.PushAck, error) {
-	return s.get().PushGradient(ctx, push)
+	return s.Load().PushGradient(ctx, push)
 }
 
 func (s *swapService) Stats(ctx context.Context) (*protocol.Stats, error) {
-	return s.get().Stats(ctx)
+	return s.Load().Stats(ctx)
 }
 
-// srvFactory builds the scenario's server — and rebuilds it for the
-// restored instance after a RestartSpec kill — through the shared
-// node.Spec compiler, the same assembly path a fleet-server deployment
-// boots through. Stateful components (the pipeline's aggregator windows,
-// admission quota buckets, AdaSGD, the profilers) must be fresh per
-// instance, so every call compiles anew; the I-Prof pretraining
-// observations are collected exactly once (the sweep consumes the
-// master-derived iprof RNG) and passed into the Spec, so a rebuild is a
-// pure function of the scenario and seed — determinism survives the
-// restart.
-type srvFactory struct {
-	sc        Scenario
-	seed      int64
+// fleet is the run's composition: everything drawn from the master seed
+// before any node boots.
+type fleet struct {
+	arch        nn.Arch
+	test        []nn.Sample
+	parts       [][]nn.Sample // per worker: its local training set
+	workerSeeds []int64
+	devices     []device.Model
+	byzantine   []bool
+	fullPull    []bool
+	// I-Prof's offline pretraining observations, swept once over the
+	// fleet's own device models, so every boot of the root — the restored
+	// one included — is a pure function of the scenario and seed.
 	timeObs   []iprof.Observation
 	energyObs []iprof.Observation
-	now       func() time.Time
-	// ckptDir, when set, wires a checkpointer into every built instance
-	// (cadence Restart.CheckpointEvery) and is where restore loads the
-	// latest valid checkpoint from.
-	ckptDir string
 }
 
-func newSrvFactory(sc Scenario, seed int64, iprofRng *rand.Rand, fleetModels []device.Model, now func() time.Time) *srvFactory {
-	f := &srvFactory{sc: sc, seed: seed, now: now}
-	// The offline sweep runs over the fleet's own (tier-scaled) device
-	// models; MaxBatch bounds it so an extreme fast tier cannot drag the
-	// pretraining into huge mini-batches.
+// composeFleet derives every random stream from the master seed in a fixed,
+// documented order, so adding a worker or a knob never silently reshuffles
+// another stream: master → data seed, composition, I-Prof, worker seeds;
+// then composition → partition, per-worker tier and device, Byzantine
+// membership, full-pull membership.
+func composeFleet(sc Scenario, seed int64) (*fleet, error) {
+	arch, err := nn.ArchByName(sc.Server.Arch)
+	if err != nil {
+		return nil, err
+	}
+	master := simrand.New(seed)
+	dataSeed := master.Int63()
+	compRng := simrand.New(master.Int63()) // fleet composition draws
+	iprofRng := simrand.New(master.Int63())
+	fl := &fleet{arch: arch}
+	for i := 0; i < sc.Workers; i++ {
+		fl.workerSeeds = append(fl.workerSeeds, master.Int63())
+	}
+
+	ds := data.TinyMNIST(dataSeed, sc.TrainPerClass, sc.TestPerClass)
+	fl.test = ds.Test
+	if sc.ShardsPerUser > 0 {
+		fl.parts = data.PartitionNonIID(compRng, ds.Train, sc.Workers, sc.ShardsPerUser)
+	} else {
+		fl.parts = data.PartitionIID(compRng, ds.Train, sc.Workers)
+	}
+	catalogue := device.Catalogue()
+	weights := make([]float64, len(sc.Tiers))
+	for i, t := range sc.Tiers {
+		weights[i] = t.Weight
+	}
+	for i := 0; i < sc.Workers; i++ {
+		tier := sc.Tiers[simrand.Categorical(compRng, weights)]
+		fl.devices = append(fl.devices, catalogue[compRng.Intn(len(catalogue))].Scaled(tier.SpeedFactor))
+	}
+	fl.byzantine = membership(compRng, sc.Workers, sc.Byzantine.Fraction)
+	fl.fullPull = membership(compRng, sc.Workers, sc.FullPullFrac)
+
+	// The distinct device models of this fleet (first-seen order —
+	// deterministic) feed I-Prof's offline pretraining, so the scenario's
+	// speed distribution shapes the cold-start model. MaxBatch bounds the
+	// sweep so an extreme fast tier cannot drag it into huge mini-batches.
+	var models []device.Model
+	seen := map[string]bool{}
+	for _, m := range fl.devices {
+		if !seen[m.Name] {
+			seen[m.Name] = true
+			models = append(models, m)
+		}
+	}
 	sweep := iprof.CollectConfig{MaxBatch: 4096}
 	timeSLO, energySLO := sched.ProfilerSLOs(sc.Server.Admission)
 	if timeSLO > 0 {
-		f.timeObs = iprof.CollectWith(iprofRng, fleetModels, iprof.KindTime, timeSLO, sweep).Observations
+		fl.timeObs = iprof.CollectWith(iprofRng, models, iprof.KindTime, timeSLO, sweep).Observations
 	}
 	if energySLO > 0 {
-		f.energyObs = iprof.CollectWith(iprofRng, fleetModels, iprof.KindEnergy, energySLO, sweep).Observations
+		fl.energyObs = iprof.CollectWith(iprofRng, models, iprof.KindEnergy, energySLO, sweep).Observations
 	}
-	return f
+	return fl, nil
 }
 
-// spec declares one instance: an embedded root with no listeners. The
-// recovery policy is the only field that differs between the initial
-// boot ("" — always a fresh model, no boot nonce, so replayed runs keep
-// epoch 0) and the post-kill successor ("latest").
-func (f *srvFactory) spec(recover string) node.Spec {
-	sc := f.sc
-	sp := node.Spec{
-		Role:               node.RoleRoot,
-		Name:               "loadgen",
-		Arch:               sc.Server.Arch,
-		LearningRate:       sc.Server.LearningRate,
-		K:                  sc.Server.K,
-		NonStragglerPct:    sc.Server.NonStragglerPct,
-		Seed:               f.seed,
-		DeltaHistory:       sc.Server.DeltaHistory,
-		DefaultBatchSize:   sc.Server.DefaultBatchSize,
-		Stages:             sc.Server.Stages,
-		Aggregator:         sc.Server.Aggregator,
-		Admission:          sc.Server.Admission,
-		TimeObservations:   f.timeObs,
-		EnergyObservations: f.energyObs,
-		Now:                f.now,
-		Bind:               node.BindSpec{Transport: "none"},
-	}
-	if f.ckptDir != "" {
-		sp.Checkpoint = node.CheckpointSpec{
-			Dir:     f.ckptDir,
-			Every:   sc.Restart.CheckpointEvery,
-			Recover: recover,
-		}
-	}
-	return sp
-}
-
-// fresh compiles the scenario's initial instance.
-func (f *srvFactory) fresh() (*node.Runtime, error) {
-	return node.FromSpec(f.spec(""))
-}
-
-// restore compiles the post-kill successor from the latest valid
-// checkpoint.
-func (f *srvFactory) restore() (*node.Runtime, error) {
-	return node.FromSpec(f.spec("latest"))
-}
-
-// run is the mutable state of one execution.
+// run is the mutable state of one execution: Run's steps after
+// composeFleet (bootRoot, openFront, buildEdges, buildWorkers, runVirtual,
+// result) fill it in, and close tears down what they opened.
 type run struct {
-	sc        Scenario
-	transport Transport
-	srv       *server.Server
-	scratch   *nn.Network
-	test      []nn.Sample
-	sims      []*simWorker
+	sc      Scenario
+	scratch *nn.Network
+	test    []nn.Sample
+	sims    []*simWorker
 
-	// Restart machinery: the factory rebuilds the server
-	// through node.FromSpec, swap reroutes the fleet to it, clock feeds
-	// virtual time to admission. rt is the current instance's runtime —
-	// doRestart kills it and compiles a successor from the same Spec.
+	// The root. root declares every instance, compiled anew per boot
+	// through the same node.Spec path a fleet-server boots through, since
+	// stateful components (aggregator windows, quota buckets, AdaSGD, the
+	// profilers) must be fresh per instance. rt and srv are the live
+	// instance, swap routes the fleet to it and clock feeds it virtual
+	// time; doRestart kills the instance and boots its successor.
+	root      node.Spec
 	rt        *node.Runtime
-	factory   *srvFactory
-	swap      *swapService
-	clock     *vclock
+	srv       *server.Server
+	swap      swapService
+	clock     vclock
 	restarted bool
-	// streamSrv is the stream transport's session registry; doRestart
-	// re-attaches the restored server's snapshot hook to it so announces
-	// keep flowing after a crash-recovery swap.
-	streamSrv *stream.Server
+	// announce is the run's one snapshot hook (nil when nothing listens):
+	// every booted instance's drains fan out through it (fanOut).
+	announce func(protocol.ModelAnnounce)
+	// closers undo what the steps opened, run newest first by close.
+	closers []func()
+
+	// The transport front: front is the final stats route and the
+	// per-request transports' shared client; stream workers each hold their
+	// own session to streamSrv at streamAddr. wire counts wire bytes (nil
+	// in process), dials the HTTP connections and announced the announces
+	// the sessions received.
+	front      service.Service
+	codec      protocol.Codec
+	wire       *protocol.WireCounter
+	dials      atomic.Int64
+	announced  atomic.Int64
+	streamSrv  *stream.Server
+	streamAddr string
 	// edges is the hierarchical aggregation tier (TreeSpec; nil for flat
-	// runs); treeAnnounce is the root's snapshot fan-out to every edge,
-	// re-registered by doRestart on the restored instance.
-	edges        []*aggtree.Node
-	treeAnnounce func(protocol.ModelAnnounce)
-	// tenantScoped marks a run flowing through a tenant enforcement layer
-	// (Runner.enforced): quota/budget rejections count as TenantRejects.
-	tenantScoped bool
+	// runs).
+	edges []*aggtree.Node
+	// tenant, when set, is the tenant enforcement layer's per-worker service
+	// factory (Runner.enforced; workerID −1 is the final stats caller). Its
+	// quota and budget rejections count as TenantRejects.
+	tenant func(workerID int) service.Service
 
 	counts     Counts
 	pullVirt   []float64
@@ -341,34 +337,34 @@ func (h *eventHeap) Pop() interface{} {
 	return ev
 }
 
-func (r *run) schedule(at float64, kind int, sw *simWorker) {
-	r.seq++
-	heap.Push(&r.events, event{at: at, seq: r.seq, kind: kind, sw: sw})
+func (rn *run) schedule(at float64, kind int, sw *simWorker) {
+	rn.seq++
+	heap.Push(&rn.events, event{at: at, seq: rn.seq, kind: kind, sw: sw})
 }
 
-func (r *run) recordError(err error) {
+func (rn *run) recordError(err error) {
 	// Tenant enforcement throttles (worker quota, DP budget) are the
 	// behavior under test in a multi-tenant run, attributed in per-tenant
 	// stats — expected, like resyncs, not permanent protocol failures.
-	if r.tenantScoped &&
+	if rn.tenant != nil &&
 		(protocol.IsCode(err, protocol.CodeResourceExhausted) || protocol.IsCode(err, protocol.CodeBudgetExhausted)) {
-		r.counts.TenantRejects++
+		rn.counts.TenantRejects++
 		return
 	}
-	r.counts.ProtocolErrors++
-	if len(r.counts.ErrorSamples) < 5 {
-		r.counts.ErrorSamples = append(r.counts.ErrorSamples, err.Error())
+	rn.counts.ProtocolErrors++
+	if len(rn.counts.ErrorSamples) < 5 {
+		rn.counts.ErrorSamples = append(rn.counts.ErrorSamples, err.Error())
 	}
 }
 
 // maybeEval appends an accuracy point every EvalEvery accepted pushes.
-func (r *run) maybeEval() {
-	if r.sc.EvalEvery <= 0 || r.counts.Pushes%r.sc.EvalEvery != 0 {
+func (rn *run) maybeEval() {
+	if rn.sc.EvalEvery <= 0 || rn.counts.Pushes%rn.sc.EvalEvery != 0 {
 		return
 	}
-	r.accuracy = append(r.accuracy, AccuracyPoint{
-		AfterPushes: r.counts.Pushes,
-		Accuracy:    r.srv.Evaluate(r.scratch, r.test),
+	rn.accuracy = append(rn.accuracy, AccuracyPoint{
+		AfterPushes: rn.counts.Pushes,
+		Accuracy:    rn.srv.Evaluate(rn.scratch, rn.test),
 	})
 }
 
@@ -379,9 +375,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	if len(sc.Tenants) > 0 {
-		if r.enforced != nil {
-			return nil, fmt.Errorf("loadgen: a tenant sub-run cannot itself declare tenants")
-		}
 		return r.runTenants(ctx, sc)
 	}
 	transport := r.Transport
@@ -393,250 +386,262 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("loadgen: unknown transport %q", transport)
 	}
+	if sc.Tree.Edges > 0 && transport != TransportInProc {
+		// The edges are direct call targets for their worker slices.
+		return nil, fmt.Errorf("loadgen: aggregation tree requires the in-process transport (got %q)", transport)
+	}
 
-	arch, err := nn.ArchByName(sc.Server.Arch)
+	fl, err := composeFleet(sc, r.Seed)
 	if err != nil {
 		return nil, err
 	}
-	wireCodec, _ := protocol.CodecByName(sc.Codec) // validate accepted the name
+	rn := &run{
+		sc:        sc,
+		scratch:   fl.arch.Build(simrand.New(r.Seed)),
+		test:      fl.test,
+		stale:     metrics.NewIntHist(),
+		pullStale: metrics.NewIntHist(),
+		wall:      service.NewSampledCallMetrics(0),
+	}
+	if transport == TransportStream || sc.Tree.Edges > 0 {
+		rn.announce = rn.fanOut
+	}
+	defer rn.close()
 
-	// Deterministic seed plumbing: every random stream is derived from the
-	// master in a fixed, documented order, so adding a worker or a knob
-	// never silently reshuffles another stream.
-	master := simrand.New(r.Seed)
-	dataSeed := master.Int63()
-	compRng := simrand.New(master.Int63()) // fleet composition draws
-	iprofRng := simrand.New(master.Int63())
-	workerSeeds := make([]int64, sc.Workers)
-	for i := range workerSeeds {
-		workerSeeds[i] = master.Int63()
+	if err := rn.bootRoot(r.Seed, fl); err != nil {
+		return nil, err
+	}
+	if err := rn.openFront(transport, r.enforced); err != nil {
+		return nil, err
+	}
+	if err := rn.buildEdges(); err != nil {
+		return nil, err
+	}
+	if err := rn.buildWorkers(fl); err != nil {
+		return nil, err
 	}
 
-	// Dataset and per-worker partitions.
-	ds := data.TinyMNIST(dataSeed, sc.TrainPerClass, sc.TestPerClass)
-	var parts [][]nn.Sample
-	if sc.ShardsPerUser > 0 {
-		parts = data.PartitionNonIID(compRng, ds.Train, sc.Workers, sc.ShardsPerUser)
-	} else {
-		parts = data.PartitionIID(compRng, ds.Train, sc.Workers)
+	wallStart := time.Now()
+	if err := rn.runVirtual(ctx); err != nil {
+		return nil, err
 	}
+	// Flush partial edge windows so no acked leaf gradient is stranded in
+	// the tier — the same courtesy a draining fleet-agg extends. Ordered,
+	// so the replayed event stream stays identical.
+	for _, ed := range rn.edges {
+		_ = ed.Flush(ctx)
+	}
+	return rn.result(ctx, r.Seed, transport, time.Since(wallStart).Seconds())
+}
 
-	// Fleet composition: tier draw and base device per worker, then the
-	// Byzantine and full-pull memberships.
-	catalogue := device.Catalogue()
-	weights := make([]float64, len(sc.Tiers))
-	for i, t := range sc.Tiers {
-		weights[i] = t.Weight
+// bootRoot declares the run's root — an embedded instance with no
+// listeners, checkpointing into a scratch directory (cadence
+// Restart.CheckpointEvery) when the scenario restarts it — and boots its
+// first instance. From here on close owns the live instance, so every
+// return path stops its background checkpoint writer.
+func (rn *run) bootRoot(seed int64, fl *fleet) error {
+	sc := rn.sc
+	rn.root = node.Spec{
+		Role:               node.RoleRoot,
+		Name:               "loadgen",
+		Arch:               sc.Server.Arch,
+		LearningRate:       sc.Server.LearningRate,
+		K:                  sc.Server.K,
+		NonStragglerPct:    sc.Server.NonStragglerPct,
+		Seed:               seed,
+		DeltaHistory:       sc.Server.DeltaHistory,
+		DefaultBatchSize:   sc.Server.DefaultBatchSize,
+		Stages:             sc.Server.Stages,
+		Aggregator:         sc.Server.Aggregator,
+		Admission:          sc.Server.Admission,
+		TimeObservations:   fl.timeObs,
+		EnergyObservations: fl.energyObs,
+		Now:                rn.clock.Now,
+		Bind:               node.BindSpec{Transport: "none"},
 	}
-	tierOf := make([]int, sc.Workers)
-	modelOf := make([]device.Model, sc.Workers)
-	for i := 0; i < sc.Workers; i++ {
-		ti := simrand.Categorical(compRng, weights)
-		tierOf[i] = ti
-		modelOf[i] = catalogue[compRng.Intn(len(catalogue))].Scaled(sc.Tiers[ti].SpeedFactor)
-	}
-	byzantine := membership(compRng, sc.Workers, sc.Byzantine.Fraction)
-	fullPull := membership(compRng, sc.Workers, sc.FullPullFrac)
-
-	// The distinct device models of this fleet (first-seen order —
-	// deterministic) feed I-Prof's offline pretraining, so the scenario's
-	// speed distribution shapes the cold-start model.
-	var fleetModels []device.Model
-	seen := map[string]bool{}
-	for _, m := range modelOf {
-		if !seen[m.Name] {
-			seen[m.Name] = true
-			fleetModels = append(fleetModels, m)
-		}
-	}
-
-	// The virtual clock backs time-windowed admission policies.
-	clock := &vclock{}
-	factory := newSrvFactory(sc, r.Seed, iprofRng, fleetModels, clock.Now)
 	if sc.Restart.AtSec > 0 {
-		ckptDir, err := os.MkdirTemp("", "fleet-loadgen-ckpt-*")
+		dir, err := os.MkdirTemp("", "fleet-loadgen-ckpt-*")
 		if err != nil {
-			return nil, fmt.Errorf("loadgen: checkpoint dir: %w", err)
+			return fmt.Errorf("loadgen: checkpoint dir: %w", err)
 		}
-		defer func() { _ = os.RemoveAll(ckptDir) }()
-		factory.ckptDir = ckptDir
+		rn.closers = append(rn.closers, func() { _ = os.RemoveAll(dir) })
+		rn.root.Checkpoint = node.CheckpointSpec{Dir: dir, Every: sc.Restart.CheckpointEvery}
 	}
-	rt, err := factory.fresh()
+	return rn.boot("")
+}
+
+// boot compiles a root instance and attaches it: the fleet's swapper routes
+// to its server, and the run's announce hook hears its drains. The initial
+// boot recovers "" (always a fresh model, no boot nonce, so replayed runs
+// keep epoch 0); the post-kill successor recovers "latest".
+func (rn *run) boot(recover string) error {
+	sp := rn.root
+	if sp.Checkpoint.Dir != "" {
+		sp.Checkpoint.Recover = recover
+	}
+	rt, err := node.FromSpec(sp)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	srv := rt.Server()
-
-	// The tenant enforcement layer wraps the freshly built server before
-	// any traffic routes: auth, quota and budget see every call exactly as
-	// a fleet-server deployment's unit would.
-	var perWorker func(int) service.Service
-	if r.enforced != nil {
-		if transport != TransportInProc {
-			return nil, fmt.Errorf("loadgen: tenant enforcement requires the in-process transport (got %q)", transport)
-		}
-		if perWorker, err = r.enforced(srv); err != nil {
-			return nil, err
-		}
+	rn.rt, rn.srv = rt, rt.Server()
+	rn.swap.Store(rn.srv)
+	if rn.announce != nil {
+		// Clients that cached a dead epoch simply fail the quiet absorb and
+		// recover through the pull path; edges flag the epoch change and
+		// repair through their upstream exchange.
+		rn.srv.OnSnapshot(rn.announce)
 	}
+	return nil
+}
 
-	// All fleet traffic routes through the swapper, so a restart replaces
-	// the backend under every transport without the workers noticing a
-	// different endpoint.
-	swap := &swapService{inner: srv}
-	// Per-request wall timing rides the standard Metrics interceptor, so
-	// the harness measures exactly what an instrumented deployment would
-	// (in-process cost, or the full wire round-trip).
-	wall := service.NewSampledCallMetrics(0)
-	var (
-		// svc is the shared client of per-request transports and the final
-		// stats route; stream workers each hold their own session client.
-		svc        service.Service
-		wire       *protocol.WireCounter
-		httpDials  atomic.Int64
-		announces  atomic.Int64
-		streamSrv  *stream.Server
-		streamAddr string
-	)
+// fanOut delivers one drain's model announce to whatever listens: the
+// stream transport's subscribed sessions, or every edge of the aggregation
+// tier, which stays current without pull round trips exactly like a stream
+// subscriber would.
+func (rn *run) fanOut(ann protocol.ModelAnnounce) {
+	if rn.streamSrv != nil {
+		rn.streamSrv.Broadcast(ann)
+	}
+	for _, ed := range rn.edges {
+		ed.AbsorbUpstreamAnnounce(ann)
+	}
+}
+
+// close tears the run down in a fixed order: the live root instance first
+// (rn.srv may be a restored successor by then; doRestart closed the one it
+// killed), then what the steps opened, newest first — stream clients, HTTP
+// idle connections, the listener, the checkpoint directory.
+func (rn *run) close() {
+	if rn.srv != nil {
+		_ = rn.srv.Close()
+	}
+	for i := len(rn.closers) - 1; i >= 0; i-- {
+		rn.closers[i]()
+	}
+}
+
+// openFront opens the transport the fleet calls through. All traffic routes
+// through the swapper, so a restart replaces the backend under every
+// transport without the workers noticing a different endpoint; per-request
+// wall timing rides the standard Metrics interceptor, so the harness
+// measures exactly what an instrumented deployment would (in-process cost,
+// or the full wire round-trip).
+func (rn *run) openFront(transport Transport, enforced func(*server.Server) (func(int) service.Service, error)) error {
+	rn.codec, _ = protocol.CodecByName(rn.sc.Codec) // validate accepted the name
 	switch transport {
 	case TransportInProc:
-		if perWorker != nil {
+		rn.front = &rn.swap
+		if enforced != nil {
+			// The tenant enforcement layer wraps the freshly built server
+			// before any traffic routes: auth, quota and budget see every
+			// call exactly as a fleet-server deployment's unit would.
+			var err error
+			if rn.tenant, err = enforced(rn.srv); err != nil {
+				return err
+			}
 			// The final stats route carries the −1 caller's credentials;
 			// Stats is identity-free, so any valid tenant token passes.
-			svc = service.Chain(perWorker(-1), service.Metrics(wall))
-		} else {
-			svc = service.Chain(swap, service.Metrics(wall))
+			rn.front = rn.tenant(-1)
 		}
 	case TransportHTTP:
-		wire = &protocol.WireCounter{}
-		ts := httptest.NewServer(server.NewHandler(swap))
-		defer ts.Close()
+		rn.wire = &protocol.WireCounter{}
+		ts := httptest.NewServer(server.NewHandler(&rn.swap))
+		rn.closers = append(rn.closers, ts.Close)
 		// Polling fleets dial per request — a phone holds no pooled socket
 		// across think time — so keep-alives are off and every dial is
 		// counted: the connection-cost side of the poll-vs-push comparison.
 		tr := &http.Transport{
 			DisableKeepAlives: true,
 			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-				httpDials.Add(1)
+				rn.dials.Add(1)
 				var d net.Dialer
 				return d.DialContext(ctx, network, addr)
 			},
 		}
-		defer tr.CloseIdleConnections()
-		svc = service.Chain(&worker.Client{
+		rn.closers = append(rn.closers, tr.CloseIdleConnections)
+		rn.front = &worker.Client{
 			BaseURL:    ts.URL,
 			HTTPClient: &http.Client{Transport: tr},
-			Codec:      wireCodec,
-			Wire:       wire,
-		}, service.Metrics(wall))
+			Codec:      rn.codec,
+			Wire:       rn.wire,
+		}
 	case TransportStream:
-		wire = &protocol.WireCounter{}
-		ln, lnErr := net.Listen("tcp", "127.0.0.1:0")
-		if lnErr != nil {
-			return nil, fmt.Errorf("loadgen: stream listener: %w", lnErr)
+		rn.wire = &protocol.WireCounter{}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return fmt.Errorf("loadgen: stream listener: %w", err)
 		}
-		// Client heartbeats are off so wire bytes stay a pure function of the
-		// event order; the idle reaper must stand down with them — a large
-		// fleet's sessions legitimately sit idle in wall time while other
-		// workers' events execute.
-		streamSrv = stream.NewServer(swap, stream.Options{IdleTimeout: -1})
-		go func() { _ = streamSrv.Serve(ln) }()
-		defer func() {
+		// Client heartbeats are off so wire bytes stay a pure function of
+		// the event order; the idle reaper must stand down with them — a
+		// large fleet's sessions legitimately sit idle in wall time while
+		// other workers' events execute.
+		srv := stream.NewServer(&rn.swap, stream.Options{IdleTimeout: -1})
+		go func() { _ = srv.Serve(ln) }()
+		rn.closers = append(rn.closers, func() {
 			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			_ = streamSrv.Shutdown(sctx)
+			_ = srv.Shutdown(sctx)
 			cancel()
-		}()
-		// Every drain's published snapshot fans out to subscribed sessions.
-		srv.OnSnapshot(streamSrv.Broadcast)
-		streamAddr = ln.Addr().String()
+		})
+		rn.streamSrv, rn.streamAddr = srv, ln.Addr().String()
 	}
+	return nil
+}
 
-	// Hierarchical aggregation tier: edge nodes front the root through the
-	// swapper (so a restart reroutes them too), and the root's snapshot
-	// hook fans every drain out to the edges as a delta announce — edges
-	// stay current without pull round trips, exactly like stream
-	// subscribers would. In-process only: the edge services are direct
-	// call targets for their worker slices.
-	var edges []*aggtree.Node
-	var treeAnnounce func(protocol.ModelAnnounce)
-	if sc.Tree.Edges > 0 {
-		if transport != TransportInProc {
-			return nil, fmt.Errorf("loadgen: aggregation tree requires the in-process transport (got %q)", transport)
+// buildEdges compiles the hierarchical aggregation tier (TreeSpec): each
+// edge like a fleet-agg (tier-local AdaSGD, staleness into a mean window),
+// fronting the root through the swapper so a restart reroutes it too, but
+// never started: it is a direct call target for its worker slice and pulls
+// its first model lazily.
+func (rn *run) buildEdges() error {
+	sc := rn.sc
+	for e := 0; e < sc.Tree.Edges; e++ {
+		rt, err := node.FromSpec(node.Spec{
+			Role:             node.RoleEdge,
+			Arch:             sc.Server.Arch,
+			K:                sc.Tree.FanIn,
+			NonStragglerPct:  sc.Server.NonStragglerPct,
+			Stages:           "staleness",
+			Aggregator:       "mean",
+			DeltaHistory:     sc.Server.DeltaHistory,
+			DefaultBatchSize: sc.Server.DefaultBatchSize,
+			ID:               treeEdgeIDBase + e,
+			Upstream:         node.UpstreamSpec{Service: &rn.swap},
+			Bind:             node.BindSpec{Transport: "none"},
+		})
+		if err != nil {
+			return fmt.Errorf("loadgen: edge %d: %w", e, err)
 		}
-		edges = make([]*aggtree.Node, sc.Tree.Edges)
-		for e := range edges {
-			// Compiled like a fleet-agg (tier-local AdaSGD, staleness into a
-			// mean window) but never started: the edge is a direct call
-			// target and pulls its first model lazily.
-			edgeRT, err := node.FromSpec(node.Spec{
-				Role:             node.RoleEdge,
-				Arch:             sc.Server.Arch,
-				K:                sc.Tree.FanIn,
-				NonStragglerPct:  sc.Server.NonStragglerPct,
-				Stages:           "staleness",
-				Aggregator:       "mean",
-				DeltaHistory:     sc.Server.DeltaHistory,
-				DefaultBatchSize: sc.Server.DefaultBatchSize,
-				ID:               treeEdgeIDBase + e,
-				Upstream:         node.UpstreamSpec{Service: swap},
-				Bind:             node.BindSpec{Transport: "none"},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: edge %d: %w", e, err)
-			}
-			edges[e] = edgeRT.Assembly().EdgeNode
-		}
-		treeAnnounce = func(ann protocol.ModelAnnounce) {
-			for _, ed := range edges {
-				ed.AbsorbUpstreamAnnounce(ann)
-			}
-		}
-		srv.OnSnapshot(treeAnnounce)
+		rn.edges = append(rn.edges, rt.Assembly().EdgeNode)
 	}
+	return nil
+}
 
-	// Build the fleet.
-	classes := arch.Classes()
-	sims := make([]*simWorker, sc.Workers)
-	for i := 0; i < sc.Workers; i++ {
-		base := workerSeeds[i]
-		local := parts[i]
+// buildWorkers builds each simulated worker: the real client library over
+// the worker's partition and device, with its own random streams derived
+// from its seed, calling through the service connect gives it.
+func (rn *run) buildWorkers(fl *fleet) error {
+	sc := rn.sc
+	rn.sims = make([]*simWorker, sc.Workers)
+	for i := range rn.sims {
+		base := fl.workerSeeds[i]
 		sw := &simWorker{
 			id:           i,
 			netRng:       simrand.New(base + 1),
 			thinkRng:     simrand.New(base + 2),
 			churnRng:     simrand.New(base + 3),
-			byzRng:       simrand.New(base + 4),
-			tier:         sc.Tiers[tierOf[i]].Name,
-			byzantine:    byzantine[i],
 			roundsLeft:   sc.Rounds,
 			resyncBudget: worker.MaxResyncs,
 		}
+		local := fl.parts[i]
 		var transform func([]float64)
-		if sw.byzantine {
-			switch sc.Byzantine.Attack {
-			case AttackLabelFlip:
-				local = flipLabels(local, classes)
-			case AttackSignFlip:
-				s := sc.Byzantine.Scale
-				transform = func(g []float64) {
-					for j := range g {
-						g[j] = -s * g[j]
-					}
-				}
-			case AttackScaledNoise:
-				s := sc.Byzantine.Scale
-				rng := sw.byzRng
-				transform = func(g []float64) {
-					for j := range g {
-						g[j] = rng.NormFloat64() * s
-					}
-				}
-			}
+		if fl.byzantine[i] {
+			// Byzantine noise draws from its own stream (base+4).
+			local, transform = attack(sc.Byzantine, local, fl.arch.Classes(), simrand.New(base+4))
 		}
-		sw.dev = device.New(modelOf[i], simrand.New(base+5))
+		sw.dev = device.New(fl.devices[i], simrand.New(base+5))
 		w, err := worker.New(worker.Config{
 			ID:     i,
-			Arch:   arch,
+			Arch:   fl.arch,
 			Local:  local,
 			Device: sw.dev,
 			Rng:    simrand.New(base + 6),
@@ -646,101 +651,98 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 			Compress:          sc.CompressSpec,
 			CompressRng:       simrand.New(base + 7),
 			GradientTransform: transform,
-			FullPullOnly:      fullPull[i],
+			FullPullOnly:      fl.fullPull[i],
 		})
 		if err != nil {
-			return nil, fmt.Errorf("loadgen: worker %d: %w", i, err)
+			return fmt.Errorf("loadgen: worker %d: %w", i, err)
 		}
 		sw.w = w
-		if transport == TransportStream {
-			cl := &stream.Client{
-				Addr:      streamAddr,
-				WorkerID:  i,
-				Subscribe: true,
-				Codec:     wireCodec,
-				Wire:      wire,
-				OnAnnounce: func(protocol.ModelAnnounce) {
-					announces.Add(1)
-				},
-				// Heartbeats are wall-clock traffic; a run's wire bytes
-				// must be a pure function of the event order.
-				PingInterval: -1,
-			}
-			sw.strm = cl
-			sw.needsConn = true
-			sw.svc = service.Chain(cl, service.Metrics(wall))
-		} else if edges != nil {
-			// Worker i reports to edge i mod Edges — a fixed, seed-free
-			// assignment, so adding the tier never reshuffles any stream.
-			sw.svc = service.Chain(edges[i%len(edges)], service.Metrics(wall))
-		} else if perWorker != nil {
-			// Each worker presents its own minted credentials through the
-			// tenant enforcement chain.
-			sw.svc = service.Chain(perWorker(i), service.Metrics(wall))
-		} else {
-			sw.svc = svc
-		}
-		sims[i] = sw
+		sw.svc = service.Chain(rn.connect(sw), service.Metrics(rn.wall))
+		rn.sims[i] = sw
 	}
-	if transport == TransportStream {
-		defer func() {
-			for _, sw := range sims {
+	if rn.streamSrv != nil {
+		rn.closers = append(rn.closers, func() {
+			for _, sw := range rn.sims {
 				_ = sw.strm.Close()
 			}
-		}()
+		})
 		// Final stats ride worker 0's session.
-		svc = sims[0].svc
+		rn.front = rn.sims[0].strm
 	}
+	return nil
+}
 
-	rn := &run{
-		sc:           sc,
-		transport:    transport,
-		srv:          srv,
-		scratch:      arch.Build(simrand.New(r.Seed)),
-		test:         ds.Test,
-		sims:         sims,
-		stale:        metrics.NewIntHist(),
-		pullStale:    metrics.NewIntHist(),
-		wall:         wall,
-		rt:           rt,
-		factory:      factory,
-		swap:         swap,
-		clock:        clock,
-		streamSrv:    streamSrv,
-		edges:        edges,
-		treeAnnounce: treeAnnounce,
-		tenantScoped: r.enforced != nil,
+// connect returns the service sw calls through: its own stream session,
+// its edge, its tenant credentials, or the front's shared client.
+func (rn *run) connect(sw *simWorker) service.Service {
+	switch {
+	case rn.streamSrv != nil:
+		sw.strm = &stream.Client{
+			Addr:      rn.streamAddr,
+			WorkerID:  sw.id,
+			Subscribe: true,
+			Codec:     rn.codec,
+			Wire:      rn.wire,
+			OnAnnounce: func(protocol.ModelAnnounce) {
+				rn.announced.Add(1)
+			},
+			// Heartbeats are wall-clock traffic; a run's wire bytes must be
+			// a pure function of the event order.
+			PingInterval: -1,
+		}
+		sw.needsConn = true
+		return sw.strm
+	case rn.edges != nil:
+		// Worker i reports to edge i mod Edges — a fixed, seed-free
+		// assignment, so adding the tier never reshuffles any stream.
+		return rn.edges[sw.id%len(rn.edges)]
+	case rn.tenant != nil:
+		// Each worker presents its own minted credentials through the
+		// tenant enforcement chain.
+		return rn.tenant(sw.id)
 	}
+	return rn.front
+}
 
-	// The current server's background checkpoint writer is stopped at run
-	// end (rn.srv may point at a restored successor by then); the kill path
-	// closes the abandoned instance itself in doRestart.
-	defer func() { _ = rn.srv.Close() }()
-
-	wallStart := time.Now()
-	if err := r.runVirtual(ctx, rn, sims); err != nil {
-		return nil, err
+// attack turns a Byzantine worker's local data and gradient transform into
+// the scenario's attack.
+func attack(byz ByzantineSpec, local []nn.Sample, classes int, rng *rand.Rand) ([]nn.Sample, func([]float64)) {
+	s := byz.Scale
+	switch byz.Attack {
+	case AttackLabelFlip:
+		return flipLabels(local, classes), nil
+	case AttackSignFlip:
+		return local, func(g []float64) {
+			for j := range g {
+				g[j] = -s * g[j]
+			}
+		}
+	case AttackScaledNoise:
+		return local, func(g []float64) {
+			for j := range g {
+				g[j] = rng.NormFloat64() * s
+			}
+		}
 	}
-	// Flush partial edge windows so no acked leaf gradient is stranded in
-	// the tier — the same courtesy a draining fleet-agg extends. Ordered,
-	// so the replayed event stream stays identical.
-	for _, ed := range rn.edges {
-		_ = ed.Flush(ctx)
-	}
-	elapsed := time.Since(wallStart).Seconds()
+	return local, nil
+}
 
+// result assembles the measured result once the engine has stopped: the
+// final accuracy point, the final stats through the front, and the
+// transport and tree blocks of the runs that have them.
+func (rn *run) result(ctx context.Context, seed int64, transport Transport, elapsed float64) (*Result, error) {
+	sc := rn.sc
 	// Final accuracy point, always — against rn.srv, which a restart may
 	// have pointed at the restored instance.
-	final := rn.srv.Evaluate(rn.scratch, ds.Test)
+	final := rn.srv.Evaluate(rn.scratch, rn.test)
 	if sc.EvalEvery > 0 && (len(rn.accuracy) == 0 || rn.accuracy[len(rn.accuracy)-1].AfterPushes != rn.counts.Pushes) {
 		rn.accuracy = append(rn.accuracy, AccuracyPoint{AfterPushes: rn.counts.Pushes, Accuracy: final})
 	}
-
 	// Flush the background checkpoint writer before reading final stats, so
 	// the checkpoint counter reflects every core captured during the run —
 	// the same value the synchronous writer reported, deterministically.
 	rn.srv.Flush()
-	stats, err := svc.Stats(ctx)
+	stats, err := rn.front.Stats(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: final stats: %w", err)
 	}
@@ -748,7 +750,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	res := &Result{
 		Scenario:    sc.Name,
 		Description: sc.Description,
-		Seed:        r.Seed,
+		Seed:        seed,
 		Transport:   string(transport),
 		Workers:     sc.Workers,
 		Rounds:      sc.Rounds,
@@ -759,13 +761,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 			PushSec:  metrics.Summarize(rn.pushVirt),
 			RoundSec: metrics.Summarize(rn.roundVirt),
 		},
-		Staleness: StalenessBlock{
-			Mean: rn.stale.Mean(),
-			P50:  rn.stale.Quantile(0.50),
-			P95:  rn.stale.Quantile(0.95),
-			P99:  rn.stale.Quantile(0.99),
-			Hist: rn.stale.Buckets(),
-		},
+		Staleness:     stalenessBlock(rn.stale),
 		Accuracy:      rn.accuracy,
 		FinalAccuracy: final,
 		Server: ServerBlock{
@@ -787,31 +783,21 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 			PushSec:    wallSummary(rn.wall, "PushGradient"),
 		},
 	}
-	if transport != TransportInProc {
+	if rn.wire != nil {
 		tb := &TransportBlock{
-			WireUplinkBytes:   wire.Uplink(),
-			WireDownlinkBytes: wire.Downlink(),
-			PullStaleness: StalenessBlock{
-				Mean: rn.pullStale.Mean(),
-				P50:  rn.pullStale.Quantile(0.50),
-				P95:  rn.pullStale.Quantile(0.95),
-				P99:  rn.pullStale.Quantile(0.99),
-				Hist: rn.pullStale.Buckets(),
-			},
+			WireUplinkBytes:   rn.wire.Uplink(),
+			WireDownlinkBytes: rn.wire.Downlink(),
+			PullStaleness:     stalenessBlock(rn.pullStale),
+			Connections:       rn.dials.Load(),
+			Announces:         rn.announced.Load(),
 		}
-		switch transport {
-		case TransportHTTP:
-			tb.Connections = httpDials.Load()
-		case TransportStream:
-			for _, sw := range sims {
+		for _, sw := range rn.sims {
+			if sw.strm != nil {
 				tb.Connections += sw.strm.Dials()
 				tb.Refreshes += sw.w.Refreshes
 			}
-			tb.Announces = announces.Load()
 		}
-		if sc.Workers > 0 {
-			tb.ConnsPerWorker = float64(tb.Connections) / float64(sc.Workers)
-		}
+		tb.ConnsPerWorker = float64(tb.Connections) / float64(sc.Workers)
 		res.TransportStats = tb
 	}
 	if rn.edges != nil {
@@ -828,23 +814,40 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		}
 		res.Tree = tb
 	}
-	if rn.counts.Pushes > 0 {
-		res.MeanScale = rn.scaleSum / float64(rn.counts.Pushes)
-	}
 	res.VirtualDurationSec = rn.virtualEnd
-	if rn.virtualEnd > 0 {
-		res.ThroughputPerSec = float64(rn.counts.Pushes) / rn.virtualEnd
-	}
+	res.setRates(rn.scaleSum)
 	return res, nil
+}
+
+// setRates derives the mean push scale (from the sum of acked scales) and
+// the virtual throughput from the result's pushes and virtual duration.
+func (r *Result) setRates(scaleSum float64) {
+	if r.Counts.Pushes > 0 {
+		r.MeanScale = scaleSum / float64(r.Counts.Pushes)
+	}
+	if r.VirtualDurationSec > 0 {
+		r.ThroughputPerSec = float64(r.Counts.Pushes) / r.VirtualDurationSec
+	}
+}
+
+// stalenessBlock digests a staleness histogram.
+func stalenessBlock(h *metrics.IntHist) StalenessBlock {
+	return StalenessBlock{
+		Mean: h.Mean(),
+		P50:  h.Quantile(0.50),
+		P95:  h.Quantile(0.95),
+		P99:  h.Quantile(0.99),
+		Hist: h.Buckets(),
+	}
 }
 
 // runVirtual is the deterministic discrete-event engine: pop the earliest
 // event (ties broken by schedule order), execute its real protocol calls,
 // schedule the consequences. Staleness, churn and loss emerge from the
 // interleaving of virtual times.
-func (r *Runner) runVirtual(ctx context.Context, rn *run, sims []*simWorker) error {
+func (rn *run) runVirtual(ctx context.Context) error {
 	heap.Init(&rn.events)
-	for _, sw := range sims {
+	for _, sw := range rn.sims {
 		rn.schedule(sw.think(rn.sc.ThinkTimeSec), evtPull, sw)
 	}
 	for rn.events.Len() > 0 {
@@ -868,9 +871,9 @@ func (r *Runner) runVirtual(ctx context.Context, rn *run, sims []*simWorker) err
 		rn.clock.set(ev.at)
 		switch ev.kind {
 		case evtPull:
-			r.doPull(ctx, rn, ev.sw, ev.at)
+			rn.doPull(ctx, ev.sw, ev.at)
 		case evtPush:
-			if err := r.doPush(ctx, rn, ev.sw, ev.at); err != nil {
+			if err := rn.doPush(ctx, ev.sw, ev.at); err != nil {
 				return err
 			}
 		}
@@ -889,25 +892,8 @@ func (rn *run) doRestart() error {
 	// SIGKILL could lose the queued tail; the harness models the
 	// conservative cut deterministically.)
 	_ = rn.rt.Kill()
-	rt, err := rn.factory.restore()
-	if err != nil {
+	if err := rn.boot("latest"); err != nil {
 		return fmt.Errorf("loadgen: server restart at t=%gs: %w", rn.sc.Restart.AtSec, err)
-	}
-	srv := rt.Server()
-	rn.rt = rt
-	rn.srv = srv
-	rn.swap.set(srv)
-	if rn.streamSrv != nil {
-		// The restored instance must announce its drains to the existing
-		// sessions too; clients that cached the dead epoch simply fail the
-		// quiet absorb and recover through the pull path.
-		srv.OnSnapshot(rn.streamSrv.Broadcast)
-	}
-	if rn.treeAnnounce != nil {
-		// Same for the aggregation tier: edges flag the epoch change on the
-		// first announce and repair through their upstream exchange, and the
-		// conflict cascades to the leaves from there.
-		srv.OnSnapshot(rn.treeAnnounce)
 	}
 	rn.restarted = true
 	rn.counts.Restarts++
@@ -940,7 +926,7 @@ func (rn *run) connSetup(sw *simWorker) float64 {
 	if cs <= 0 {
 		return 0
 	}
-	if rn.transport == TransportStream {
+	if sw.strm != nil {
 		if !sw.needsConn {
 			return 0
 		}
@@ -971,8 +957,47 @@ func (rn *run) fenceAnnounces(ctx context.Context, epoch int64, version int) err
 	return nil
 }
 
+// endRound spends one of sw's rounds at virtual time t. A worker with none
+// left retires; any other pulls again after a think-time gap — or, when
+// mayLeave and the worker churns out, after an offline spell. idle charges
+// the device with the gap: the push paths do, the pull paths never have.
+func (rn *run) endRound(sw *simWorker, t float64, idle, mayLeave bool) {
+	sw.pending = nil
+	sw.roundsLeft--
+	if sw.roundsLeft <= 0 {
+		return
+	}
+	var gap float64
+	if mayLeave && rn.sc.Churn.LeaveProb > 0 && sw.churnRng.Float64() < rn.sc.Churn.LeaveProb {
+		gap = rn.depart(sw)
+	} else {
+		gap = sw.think(rn.sc.ThinkTimeSec)
+	}
+	if idle {
+		sw.dev.Idle(gap)
+	}
+	rn.schedule(t+gap, evtPull, sw)
+}
+
+// depart takes sw offline and returns how long it stays away. It rejoins
+// with a cold cache: the next pull is a full download regardless of the
+// server's delta history, and the rejoin is counted when that pull
+// actually executes.
+func (rn *run) depart(sw *simWorker) float64 {
+	sw.w.ResetModelCache()
+	if sw.strm != nil {
+		// The departing app tears its session down too; the rejoin dials
+		// afresh and pays connection setup again.
+		_ = sw.strm.Close()
+		sw.needsConn = true
+	}
+	sw.rejoining = true
+	rn.counts.Departures++
+	return simrand.Exponential(sw.churnRng, rn.sc.Churn.OfflineMeanSec*0.2, rn.sc.Churn.OfflineMeanSec)
+}
+
 // doPull executes steps (1)–(4) at virtual time t and schedules the push.
-func (r *Runner) doPull(ctx context.Context, rn *run, sw *simWorker, t float64) {
+func (rn *run) doPull(ctx context.Context, sw *simWorker, t float64) {
 	rn.counts.PullAttempts++
 	if sw.rejoining {
 		sw.rejoining = false
@@ -981,20 +1006,13 @@ func (r *Runner) doPull(ctx context.Context, rn *run, sw *simWorker, t float64) 
 	rn.absorbAnnounces(sw)
 	prevVer, prevEpoch, prevCached := sw.w.CachedVersion()
 	resp, err := sw.w.Pull(ctx, sw.svc)
-	if err != nil {
-		rn.recordError(err)
-		sw.roundsLeft--
-		if sw.roundsLeft > 0 {
-			rn.schedule(t+sw.think(rn.sc.ThinkTimeSec), evtPull, sw)
+	if err != nil || !resp.Accepted {
+		if err != nil {
+			rn.recordError(err)
+		} else {
+			rn.counts.Rejected++
 		}
-		return
-	}
-	if !resp.Accepted {
-		rn.counts.Rejected++
-		sw.roundsLeft--
-		if sw.roundsLeft > 0 {
-			rn.schedule(t+sw.think(rn.sc.ThinkTimeSec), evtPull, sw)
-		}
+		rn.endRound(sw, t, false, false)
 		return
 	}
 	rn.counts.Accepted++
@@ -1022,79 +1040,53 @@ func (r *Runner) doPull(ctx context.Context, rn *run, sw *simWorker, t float64) 
 // doPush executes step (5) at virtual time t, then think/churn-schedules
 // the next round. Its only error is a broken announce fence (stream
 // transport) — a determinism violation, fatal to the run.
-func (r *Runner) doPush(ctx context.Context, rn *run, sw *simWorker, t float64) error {
-	sw.roundsLeft--
+func (rn *run) doPush(ctx context.Context, sw *simWorker, t float64) error {
 	if rn.sc.Net.LossRate > 0 && sw.netRng.Float64() < rn.sc.Net.LossRate {
 		rn.counts.LostPushes++
-	} else {
-		pushEpoch := sw.pending.Push.ModelEpoch
-		var preBcast int64
-		if rn.streamSrv != nil {
-			preBcast = rn.streamSrv.Broadcasts()
-		}
-		ack, err := sw.w.Push(ctx, sw.svc, sw.pending.Push)
-		if err != nil {
-			if protocol.IsCode(err, protocol.CodeVersionConflict) && sw.resyncBudget > 0 {
-				// The server restarted onto an older model version than
-				// this gradient claims. worker.Push already dropped the
-				// cache and counted Worker.Resyncs; the round is retried,
-				// not lost: the re-pull is a full download against the
-				// restored server. Bounded per worker, so a genuinely
-				// broken server still surfaces as a protocol error.
-				sw.resyncBudget--
-				rn.counts.Resyncs++
-				sw.roundsLeft++
-				sw.pending = nil
-				gap := sw.think(rn.sc.ThinkTimeSec)
-				sw.dev.Idle(gap)
-				rn.schedule(t+gap, evtPull, sw)
-				return nil
-			}
-			rn.recordError(err)
-		} else {
-			rn.counts.Pushes++
-			rn.stale.Add(ack.Staleness)
-			rn.scaleSum += ack.Scale
-			rn.pushVirt = append(rn.pushVirt, sw.pushNet)
-			rn.roundVirt = append(rn.roundVirt, t-sw.roundStart)
-			rn.maybeEval()
-			// Determinism fence: when this push drained a window, the drain
-			// broadcast the new model clock to every session before acking
-			// (Broadcasts() moved), so wait here until every live session
-			// has observed it — announce delivery becomes part of the event
-			// order instead of racing the next event.
-			if rn.streamSrv != nil && rn.streamSrv.Broadcasts() > preBcast {
-				if err := rn.fenceAnnounces(ctx, pushEpoch, ack.NewVersion); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	sw.pending = nil
-	if sw.roundsLeft <= 0 {
+		rn.endRound(sw, t, true, true)
 		return nil
 	}
-	if rn.sc.Churn.LeaveProb > 0 && sw.churnRng.Float64() < rn.sc.Churn.LeaveProb {
-		// Depart and rejoin later with a cold cache: the next pull is a
-		// full download regardless of the server's delta history. The
-		// rejoin is counted when that pull actually executes.
-		sw.w.ResetModelCache()
-		if sw.strm != nil {
-			// The departing app tears its session down too; the rejoin
-			// dials afresh and pays connection setup again.
-			_ = sw.strm.Close()
-			sw.needsConn = true
+	pushEpoch := sw.pending.Push.ModelEpoch
+	var preBcast int64
+	if rn.streamSrv != nil {
+		preBcast = rn.streamSrv.Broadcasts()
+	}
+	ack, err := sw.w.Push(ctx, sw.svc, sw.pending.Push)
+	if err != nil {
+		if protocol.IsCode(err, protocol.CodeVersionConflict) && sw.resyncBudget > 0 {
+			// The server restarted onto an older model version than this
+			// gradient claims. worker.Push already dropped the cache and
+			// counted Worker.Resyncs; the round is retried, not spent: the
+			// re-pull is a full download against the restored server.
+			// Bounded per worker, so a genuinely broken server still
+			// surfaces as a protocol error.
+			sw.resyncBudget--
+			rn.counts.Resyncs++
+			sw.roundsLeft++
+			rn.endRound(sw, t, true, false)
+			return nil
 		}
-		sw.rejoining = true
-		rn.counts.Departures++
-		offline := simrand.Exponential(sw.churnRng, rn.sc.Churn.OfflineMeanSec*0.2, rn.sc.Churn.OfflineMeanSec)
-		sw.dev.Idle(offline)
-		rn.schedule(t+offline, evtPull, sw)
+		rn.recordError(err)
+		rn.endRound(sw, t, true, true)
 		return nil
 	}
-	gap := sw.think(rn.sc.ThinkTimeSec)
-	sw.dev.Idle(gap)
-	rn.schedule(t+gap, evtPull, sw)
+	rn.counts.Pushes++
+	rn.stale.Add(ack.Staleness)
+	rn.scaleSum += ack.Scale
+	rn.pushVirt = append(rn.pushVirt, sw.pushNet)
+	rn.roundVirt = append(rn.roundVirt, t-sw.roundStart)
+	rn.maybeEval()
+	// Determinism fence: when this push drained a window, the drain
+	// broadcast the new model clock to every session before acking
+	// (Broadcasts() moved), so wait here until every live session has
+	// observed it — announce delivery becomes part of the event order
+	// instead of racing the next event.
+	if rn.streamSrv != nil && rn.streamSrv.Broadcasts() > preBcast {
+		if err := rn.fenceAnnounces(ctx, pushEpoch, ack.NewVersion); err != nil {
+			return err
+		}
+	}
+	rn.endRound(sw, t, true, true)
 	return nil
 }
 

@@ -158,9 +158,8 @@ func (r *Runner) runTenants(ctx context.Context, sc Scenario) (*Result, error) {
 			cfg := tenantUnitConfig(ts, sub, seed)
 			secret := []byte(cfg.Secret)
 			runner := &Runner{
-				Scenario:  sub,
-				Seed:      seed,
-				Transport: TransportInProc,
+				Scenario: sub,
+				Seed:     seed,
 				enforced: func(srv *server.Server) (func(int) service.Service, error) {
 					u, err := tenant.Attach(cfg, srv, tenant.Options{})
 					if err != nil {
@@ -224,12 +223,7 @@ func (r *Runner) runTenants(ctx context.Context, sc Scenario) (*Result, error) {
 		})
 	}
 	res.FinalAccuracy = accSum / float64(len(sc.Tenants))
-	if res.Counts.Pushes > 0 {
-		res.MeanScale = scaleSum / float64(res.Counts.Pushes)
-	}
-	if res.VirtualDurationSec > 0 {
-		res.ThroughputPerSec = float64(res.Counts.Pushes) / res.VirtualDurationSec
-	}
+	res.setRates(scaleSum)
 	res.Wallclock = &WallclockBlock{ElapsedSec: time.Since(wallStart).Seconds()}
 	return res, nil
 }

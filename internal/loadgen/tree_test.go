@@ -141,6 +141,12 @@ func TestTreeRestartCascade(t *testing.T) {
 	if res.Counts.Pushes+res.Counts.Rejected != res.Workers*res.Rounds {
 		t.Fatalf("rounds lost to the restart: %+v", res.Counts)
 	}
+	// The restored root announces its drains to the edges too, so every
+	// edge forwards against the root's current model, as before the kill.
+	if res.Server.MeanStaleness != 0 {
+		t.Fatalf("root mean staleness %v after the restart, want 0: the restored root announces to no edge",
+			res.Server.MeanStaleness)
+	}
 }
 
 // TestTreeRequiresInProcTransport: the tree is an in-process topology (each

@@ -221,7 +221,6 @@ func compileRoot(s Spec) (*Runtime, error) {
 	asm.Announce = srv.OnSnapshot
 	if s.Checkpoint.Dir != "" {
 		asm.Checkpoint = srv.Checkpoint
-		asm.PreDrainCheckpoint = true
 		// Close flushes the background checkpoint writer at exit so the
 		// final enqueued cores are durable before the process dies.
 		asm.Closer = srv.Close
@@ -455,7 +454,6 @@ func compileTenants(s Spec, timeProf, energyProf *iprof.IProf) (*Runtime, error)
 	// Runtime.Close closes every child's background writer.
 	asm.Children = children
 	if dir := s.Checkpoint.Dir; dir != "" {
-		asm.PreDrainCheckpoint = true
 		// Checkpoint every child, best effort, first error reported —
 		// shutdown wants durability everywhere, not fail-fast.
 		asm.Checkpoint = func() (string, error) {

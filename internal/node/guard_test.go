@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -12,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -300,7 +302,7 @@ func TestForwardedTaskCallsKeepOrPassThrough(t *testing.T) {
 		"internal/service/service.go": "a.next.RequestTask(ctx, req)",                                    // Around: the reply goes back up through the hook
 		"internal/server/server.go":   "s.core.RequestTask(ctx, req)",                                    // a node answering from its own core
 		"internal/aggtree/node.go":    "n.core.RequestTask(ctx, req)",                                    // likewise
-		"internal/loadgen/runner.go":  "s.get().RequestTask(ctx, req)",                                   // swapService returns what it gets
+		"internal/loadgen/runner.go":  "s.Load().RequestTask(ctx, req)",                                  // swapService returns what it gets
 		"internal/loadgen/tenants.go": "c.inner.RequestTask(service.WithCredentials(ctx, c.creds), req)", // credClient likewise
 		"internal/worker/worker.go":   "svc.RequestTask(ctx, &req)",                                      // a worker is the caller: the context is its own
 	}
@@ -481,6 +483,38 @@ func TestFacadeAndKnobsAreWhatIsUsed(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("walking %s: %v", root, err)
+	}
+}
+
+// TestFunctionsStayShort keeps every function body of the code that ships —
+// the module's non-test files and bench/perf — at most 150 lines long. A
+// long procedure is a sequence of named steps, each one a function a reader
+// (or a checker) can find, not another branch of one body. Parsing is
+// enough: nothing is type-checked.
+func TestFunctionsStayShort(t *testing.T) {
+	const limit = 150
+	m, err := parseModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range m.paths {
+		for _, f := range m.files[path] {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				open, end := m.fset.Position(fn.Body.Lbrace), m.fset.Position(fn.Body.Rbrace)
+				if n := end.Line - open.Line; n > limit {
+					name := fn.Name.Name
+					if fn.Recv != nil && len(fn.Recv.List) == 1 {
+						name = strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + name
+					}
+					pos := strings.TrimPrefix(m.fset.Position(fn.Pos()).String(), m.root+string(filepath.Separator))
+					t.Errorf("%s: %s has a %d-line body (limit %d): split it into named steps", pos, name, n, limit)
+				}
+			}
+		}
 	}
 }
 
@@ -936,8 +970,9 @@ func TestPackageMapsAreNotWritten(t *testing.T) {
 
 // module is the code that ships: every non-test file of the root module plus
 // bench/perf (its own module, which imports internal packages and must keep
-// building untouched), type-checked from source, the standard library
-// included, so a guard needs nothing downloaded or prebuilt.
+// building untouched), parsed and, for the guards that need types,
+// type-checked from source, the standard library included, so a guard needs
+// nothing downloaded or prebuilt.
 type module struct {
 	root    string
 	fset    *token.FileSet
@@ -950,19 +985,12 @@ type module struct {
 	importer types.Importer
 }
 
-// loadModule parses the module and type-checks it in dependency order.
-func loadModule(t *testing.T) *module {
-	t.Helper()
+// parseModule parses the module's shipped files, without type-checking.
+func parseModule() (*module, error) {
 	m := &module{
-		root:    filepath.Join("..", ".."),
-		fset:    token.NewFileSet(),
-		files:   map[string][]*ast.File{},
-		checked: map[string]*types.Package{},
-		info: &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
-		},
+		root:  filepath.Join("..", ".."),
+		fset:  token.NewFileSet(),
+		files: map[string][]*ast.File{},
 	}
 	parseDir := func(dir, path string) error {
 		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -998,9 +1026,29 @@ func loadModule(t *testing.T) *module {
 		err = parseDir(filepath.Join(m.root, "bench", "perf"), "fleet/bench/perf")
 	}
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	for path := range m.files {
+		m.paths = append(m.paths, path)
+	}
+	sort.Strings(m.paths)
+	return m, nil
+}
 
+// checkedModule is the module parsed and type-checked in dependency order,
+// once per test binary: the guards that need types share it and only read
+// it.
+var checkedModule = sync.OnceValues(func() (*module, error) {
+	m, err := parseModule()
+	if err != nil {
+		return nil, err
+	}
+	m.checked = map[string]*types.Package{}
+	m.info = &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
 	std := importer.ForCompiler(m.fset, "source", nil)
 	m.importer = importerFunc(func(path string) (*types.Package, error) {
 		if p := m.checked[path]; p != nil {
@@ -1009,30 +1057,41 @@ func loadModule(t *testing.T) *module {
 		return std.Import(path)
 	})
 	conf := types.Config{Importer: m.importer}
-	var check func(path string)
-	check = func(path string) {
+	var check func(path string) error
+	check = func(path string) error {
 		if m.checked[path] != nil {
-			return
+			return nil
 		}
 		for _, f := range m.files[path] {
 			for _, spec := range f.Imports {
 				if dep, _ := strconv.Unquote(spec.Path.Value); m.files[dep] != nil {
-					check(dep)
+					if err := check(dep); err != nil {
+						return err
+					}
 				}
 			}
 		}
 		pkg, err := conf.Check(path, m.fset, m.files[path], m.info)
 		if err != nil {
-			t.Fatalf("type-checking %s: %v", path, err)
+			return fmt.Errorf("type-checking %s: %w", path, err)
 		}
 		m.checked[path] = pkg
+		return nil
 	}
-	for path := range m.files {
-		m.paths = append(m.paths, path)
-	}
-	sort.Strings(m.paths)
 	for _, path := range m.paths {
-		check(path)
+		if err := check(path); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+})
+
+// loadModule returns the shared type-checked module.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	m, err := checkedModule()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return m
 }

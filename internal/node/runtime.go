@@ -102,11 +102,10 @@ type Assembly struct {
 	// Sync runs before the listeners bind (edges: refuse to serve leaves
 	// a model the node does not have).
 	Sync func(ctx context.Context) error
-	// PreDrainCheckpoint checkpoints at the shutdown signal, before the
-	// drain: if the drain deadline is exceeded (or the process dies
-	// mid-drain) the state as of the signal is already durable.
-	PreDrainCheckpoint bool
 	// Checkpoint writes a durable state snapshot (nil: no crash safety).
+	// Shutdown calls it at the signal, before the drain — if the drain
+	// deadline is exceeded (or the process dies mid-drain) the state as of
+	// the signal is already durable — and again after the drain.
 	Checkpoint func() (string, error)
 	// Flush forwards the partial aggregation window upstream after the
 	// drain (edges), so no acked leaf gradient is stranded.
@@ -316,7 +315,7 @@ func (r *Runtime) Run(ctx context.Context, ready chan<- net.Addr) int {
 // and the assembly's Drain.
 func (r *Runtime) Shutdown(ctx context.Context) int {
 	name := r.asm.Name
-	if r.asm.PreDrainCheckpoint && r.asm.Checkpoint != nil {
+	if r.asm.Checkpoint != nil {
 		if path, err := r.Checkpoint(); err != nil {
 			r.logf("%s: pre-drain checkpoint failed: %v", name, err)
 		} else {

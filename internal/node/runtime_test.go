@@ -74,7 +74,6 @@ func TestShutdownCanonicalOrder(t *testing.T) {
 			}
 			switch tc.role {
 			case "root":
-				asm.PreDrainCheckpoint = true
 				asm.Checkpoint = func() (string, error) { rec.add("checkpoint"); return "ckpt", nil }
 				asm.Closer = func() error { rec.add("closer"); return nil }
 			case "edge":
@@ -105,13 +104,12 @@ func TestShutdownCanonicalOrder(t *testing.T) {
 func TestShutdownDrainFailureAbortsDurability(t *testing.T) {
 	rec := &recorder{}
 	rt := New(Assembly{
-		Name:               "fleet-server",
-		Drain:              50 * time.Millisecond,
-		PreDrainCheckpoint: true,
-		Checkpoint:         func() (string, error) { rec.add("checkpoint"); return "ckpt", nil },
-		Flush:              func(context.Context) error { rec.add("flush"); return nil },
-		Closer:             func() error { rec.add("closer"); return nil },
-		Logf:               func(string, ...interface{}) {},
+		Name:       "fleet-server",
+		Drain:      50 * time.Millisecond,
+		Checkpoint: func() (string, error) { rec.add("checkpoint"); return "ckpt", nil },
+		Flush:      func(context.Context) error { rec.add("flush"); return nil },
+		Closer:     func() error { rec.add("closer"); return nil },
+		Logf:       func(string, ...interface{}) {},
 	})
 	rt.state.Store(int32(StateServing))
 	rt.shutStream = func(context.Context) error { rec.add("stream"); return errors.New("sessions hung") }
