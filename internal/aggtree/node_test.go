@@ -253,19 +253,37 @@ func TestTreeMeanEquivalentToFlat(t *testing.T) {
 	}
 }
 
-// sumRecorder is an upstream that keeps a copy of every forwarded sum and
-// where its storage lay, refuses pushes while down, and scribbles NaN over
-// the sum before it returns: it only borrowed it.
-type sumRecorder struct {
+// forwardRecorder is an upstream that keeps a copy of every forward and
+// where its arrays lay, refuses pushes while down, and scribbles over the
+// arrays (NaN values, zero indices) before it returns: it only borrowed them.
+type forwardRecorder struct {
 	service.Service
-	down    bool
-	sums    [][]float64
-	storage []*float64
+	down     bool
+	forwards []protocol.GradientPush // gradient arrays cloned
+	storage  []forwardStorage
 }
 
-func (r *sumRecorder) PushGradient(ctx context.Context, push *protocol.GradientPush) (*protocol.PushAck, error) {
-	r.sums = append(r.sums, slices.Clone(push.Gradient))
-	r.storage = append(r.storage, &push.Gradient[0])
+// forwardStorage is where a forward's arrays lay: the dense sum, or the
+// sparse indices and values.
+type forwardStorage struct {
+	sum  *float64
+	idx  *int32
+	vals *float64
+}
+
+func first[T any](s []T) *T {
+	if len(s) == 0 {
+		return nil
+	}
+	return &s[0]
+}
+
+func (r *forwardRecorder) PushGradient(ctx context.Context, push *protocol.GradientPush) (*protocol.PushAck, error) {
+	kept := *push
+	kept.Gradient, kept.SparseIndices, kept.SparseValues = slices.Clone(push.Gradient),
+		slices.Clone(push.SparseIndices), slices.Clone(push.SparseValues)
+	r.forwards = append(r.forwards, kept)
+	r.storage = append(r.storage, forwardStorage{first(push.Gradient), first(push.SparseIndices), first(push.SparseValues)})
 	var ack *protocol.PushAck
 	err := error(protocol.Errorf(protocol.CodeUnavailable, "upstream down"))
 	if !r.down {
@@ -274,6 +292,10 @@ func (r *sumRecorder) PushGradient(ctx context.Context, push *protocol.GradientP
 	for i := range push.Gradient {
 		push.Gradient[i] = math.NaN()
 	}
+	for i := range push.SparseValues {
+		push.SparseValues[i] = math.NaN()
+	}
+	clear(push.SparseIndices)
 	return ack, err
 }
 
@@ -284,7 +306,7 @@ func (r *sumRecorder) PushGradient(ctx context.Context, push *protocol.GradientP
 func TestForwardSumIsRecycled(t *testing.T) {
 	ctx := context.Background()
 	root := newRoot(t, server.Config{K: 1})
-	up := &sumRecorder{Service: root}
+	up := &forwardRecorder{Service: root}
 	const fanIn, windows = 2, 3
 	edge := newEdge(t, Config{Upstream: up, K: fanIn, Algorithm: learning.SSGD{}, ID: 1_000_000})
 	if err := edge.Sync(ctx); err != nil {
@@ -309,21 +331,180 @@ func TestForwardSumIsRecycled(t *testing.T) {
 		}
 		want = append(want, sum)
 	}
-	if len(up.sums) != windows {
-		t.Fatalf("%d forwards, want %d", len(up.sums), windows)
+	if len(up.forwards) != windows {
+		t.Fatalf("%d forwards, want %d", len(up.forwards), windows)
 	}
-	for w, got := range up.sums {
+	for w, fwd := range up.forwards {
+		got := fwd.Gradient
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[w][i]) {
 				t.Fatalf("window %d forwarded %v at %d, its K-sum is %v", w, got[i], i, want[w][i])
 			}
 		}
-		if up.storage[w] != up.storage[0] {
+		if up.storage[w].sum == nil || up.storage[w] != up.storage[0] {
 			t.Errorf("window %d's sum is not the recycled buffer", w)
 		}
 	}
 	if edge.LostWindows() != 1 || edge.UpstreamPushes() != windows-1 {
 		t.Errorf("lost %d windows, forwarded %d; want 1 and %d", edge.LostWindows(), edge.UpstreamPushes(), windows-1)
+	}
+}
+
+// failingMean is the mean window with a drain that can be made to reject
+// the window: the mass is drained and discarded, nothing applied.
+type failingMean struct {
+	*pipeline.MeanWindow
+	fail bool
+}
+
+func (f *failingMean) DrainTouched(apply func(direction []float64, touched []int32)) error {
+	err := f.MeanWindow.DrainTouched(func(dir []float64, touched []int32) {
+		if !f.fail {
+			apply(dir, touched)
+		}
+	})
+	if f.fail {
+		return errors.New("window rejected")
+	}
+	return err
+}
+
+// leafPush is a leaf's gradient as a top-k push at indices, or dense when
+// indices is nil.
+type leafPush struct {
+	indices []int32
+	values  []float64
+}
+
+// TestSparseForwardIsRecycled is TestForwardSumIsRecycled for windows of
+// top-k leaves: each forward is exactly its window's touched K-sum —
+// ascending indices, values equal bit for bit — as a top-k push in the
+// index and value storage the previous forward gave back, which a window
+// lost upstream and a failed drain give back too. A window with a dense leaf
+// and one that touched more than half the vector forward dense, in the
+// recycled sum.
+func TestSparseForwardIsRecycled(t *testing.T) {
+	ctx := context.Background()
+	root := newRoot(t, server.Config{K: 1})
+	up := &forwardRecorder{Service: root}
+	agg := &failingMean{MeanWindow: pipeline.NewMeanWindow()}
+	pipe, err := pipeline.New(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fanIn = 2
+	edge := newEdge(t, Config{Upstream: up, K: fanIn, Algorithm: learning.SSGD{}, Pipeline: pipe, ID: 1_000_000})
+	if err := edge.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	params, _ := root.Model()
+	P := len(params)
+	topK := func(w, l int) leafPush {
+		var p leafPush
+		for k := 0; k < 5; k++ {
+			p.indices = append(p.indices, int32(w*97+(l+k)*11))
+			p.values = append(p.values, float64(w*10+l+1)*0.01+float64(k)*0.003)
+		}
+		return p
+	}
+	dense := leafPush{values: make([]float64, P)}
+	for i := range dense.values {
+		dense.values[i] = float64(i%13)*1e-4 - 5e-4
+	}
+	var wide, few leafPush // together one coordinate past half the vector
+	for i := 0; i < P; i += 2 {
+		wide.indices, wide.values = append(wide.indices, int32(i)), append(wide.values, 1e-3)
+	}
+	few.indices, few.values = []int32{1, 3}, []float64{2e-3, -2e-3}
+
+	windows := []struct {
+		leaves       [fanIn]leafPush
+		down, reject bool
+		sparse       bool // the forward is a top-k push; no forward when reject
+	}{
+		{leaves: [fanIn]leafPush{topK(0, 0), topK(0, 1)}, sparse: true},
+		{leaves: [fanIn]leafPush{topK(1, 0), topK(1, 1)}, down: true, sparse: true},
+		{leaves: [fanIn]leafPush{topK(2, 0), topK(2, 1)}, reject: true},
+		{leaves: [fanIn]leafPush{topK(3, 0), topK(3, 1)}, sparse: true},
+		{leaves: [fanIn]leafPush{topK(4, 0), dense}},
+		{leaves: [fanIn]leafPush{wide, few}},
+	}
+	var want []protocol.GradientPush
+	for w, win := range windows {
+		up.down, agg.fail = win.down, win.reject
+		sum := make([]float64, P)
+		var touched []int32
+		for l, leaf := range win.leaves {
+			push := protocol.GradientPush{WorkerID: l, BatchSize: 10}
+			if leaf.indices == nil {
+				push.Gradient = leaf.values
+				for i, v := range leaf.values {
+					sum[i] += v
+				}
+			} else {
+				push.GradientLen, push.SparseIndices, push.SparseValues = P, leaf.indices, leaf.values
+				push.Encoding = compress.EncodingTopK
+				for j, c := range leaf.indices {
+					sum[c] += leaf.values[j]
+				}
+				touched = append(touched, leaf.indices...)
+			}
+			push.ModelVersion, push.ModelEpoch = edge.Version()
+			if _, err := edge.PushGradient(ctx, &push); err != nil {
+				t.Fatalf("window %d leaf %d: %v", w, l, err)
+			}
+		}
+		switch {
+		case win.reject:
+		case win.sparse:
+			slices.Sort(touched)
+			fwd := protocol.GradientPush{GradientLen: P, SparseIndices: slices.Compact(touched), Encoding: compress.EncodingTopK}
+			for _, c := range fwd.SparseIndices {
+				fwd.SparseValues = append(fwd.SparseValues, sum[c])
+			}
+			want = append(want, fwd)
+		default:
+			want = append(want, protocol.GradientPush{Gradient: sum})
+		}
+	}
+
+	if len(up.forwards) != len(want) {
+		t.Fatalf("%d forwards, want %d", len(up.forwards), len(want))
+	}
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for f, got := range up.forwards {
+		w := want[f]
+		if got.Encoding != w.Encoding || got.GradientLen != w.GradientLen || got.Contributing != fanIn ||
+			!slices.Equal(got.SparseIndices, w.SparseIndices) ||
+			!slices.Equal(bits(got.SparseValues), bits(w.SparseValues)) || !slices.Equal(bits(got.Gradient), bits(w.Gradient)) {
+			t.Fatalf("forward %d is not its window's K-sum:\n got %q len %d, %d indices %v\nwant %q len %d, %d indices %v",
+				f, got.Encoding, got.GradientLen, len(got.SparseIndices), got.SparseIndices,
+				w.Encoding, w.GradientLen, len(w.SparseIndices), w.SparseIndices)
+		}
+	}
+	// Forwards 0–2 are sparse, 3–4 dense: each kind in its own recycled storage.
+	for f, at := range up.storage {
+		ref := up.storage[0]
+		if f >= 3 {
+			ref = up.storage[3]
+		}
+		if at != ref || (f < 3) != (at.idx != nil && at.vals != nil && at.sum == nil) {
+			t.Errorf("forward %d's arrays are not the recycled storage: %+v, want %+v", f, at, ref)
+		}
+	}
+	st, err := edge.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edge.LostWindows() != 1 || st.DrainErrors != 2 || edge.UpstreamPushes() != int64(len(want))-1 {
+		t.Errorf("lost %d windows, %d drain errors, forwarded %d; want 1, 2 and %d",
+			edge.LostWindows(), st.DrainErrors, edge.UpstreamPushes(), len(want)-1)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // buffer (a model-sized array bypasses it, see SharedWriter) and decoded
 // zero-copy: array bytes are read straight off the wire into the final
 // []float64/[]int32/[]uint16 backing stores — recycled ones for the
-// model-sized arrays of a push a server only borrows (Lend).
+// gradient arrays of a push a server only borrows (Lend).
 //
 // Every protocol message has a native layout (kinds 2–7 below); there is no
 // self-describing fallback, so a Go type without a layout fails to encode
@@ -416,7 +416,7 @@ type flatDec struct {
 	scratch [8]byte
 	budget  int64
 	err     error
-	// lending reads a push's model-sized arrays into loan's storage (Lend).
+	// lending reads a push's gradient arrays into loan's storage (Lend).
 	lending bool
 	loan    *Loan
 }
@@ -519,26 +519,52 @@ func (d *flatDec) f64s() []float64 {
 	return d.fillF64s(make([]float64, n))
 }
 
-// lentF64s is f64s for the arrays a push lends (Lend): while lending, one of
-// flatSplitBytes to flatPoolMaxBytes is read into the loan's storage for
+// lentF64s is f64s for the float64 arrays a push lends (Lend): while
+// lending, one of up to flatPoolMaxBytes is read into the loan's storage for
 // slot rather than a new backing store.
 func (d *flatDec) lentF64s(slot int) []float64 {
 	n := d.count(8)
 	if n == 0 {
 		return nil
 	}
-	if !d.lending || n*8 < flatSplitBytes || n*8 > flatPoolMaxBytes {
+	if !d.lend(n * 8) {
 		return d.fillF64s(make([]float64, n))
+	}
+	return d.fillF64s(loaned(&d.loan.arrays[slot], n))
+}
+
+// lentI32s is i32s for the index array a push lends (Lend), read into the
+// loan's storage on the same terms as lentF64s.
+func (d *flatDec) lentI32s() []int32 {
+	n := d.count(4)
+	if n == 0 {
+		return nil
+	}
+	if !d.lend(n * 4) {
+		return d.fillI32s(make([]int32, n))
+	}
+	return d.fillI32s(loaned(&d.loan.indices, n))
+}
+
+// lend reports whether an array of size bytes is read into the loan, which
+// the message's first lent array takes from the pool.
+func (d *flatDec) lend(size int) bool {
+	if !d.lending || size > flatPoolMaxBytes {
+		return false
 	}
 	if d.loan == nil {
 		d.loan = loanPool.Get().(*Loan)
 		loansOut.Add(1)
 	}
-	a := &d.loan.arrays[slot]
+	return true
+}
+
+// loaned returns n elements of a loan's array, grown when it is shorter.
+func loaned[T any](a *[]T, n int) []T {
 	if cap(*a) < n {
-		*a = make([]float64, n)
+		*a = make([]T, n)
 	}
-	return d.fillF64s((*a)[:n:n])
+	return (*a)[:n:n]
 }
 
 // fillF64s reads len(out) values into out.
@@ -561,8 +587,12 @@ func (d *flatDec) i32s() []int32 {
 	if n == 0 {
 		return nil
 	}
-	out := make([]int32, n)
-	if !d.fill(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*4)) {
+	return d.fillI32s(make([]int32, n))
+}
+
+// fillI32s reads len(out) values into out.
+func (d *flatDec) fillI32s(out []int32) []int32 {
+	if !d.fill(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), len(out)*4)) {
 		return nil
 	}
 	if !hostLittle {
@@ -677,11 +707,12 @@ func (flatCodec) Decode(r io.Reader, v interface{}) error {
 	return d.decode(v)
 }
 
-// Loan is the recycled storage behind a decoded push's model-sized arrays
-// (Lend). Its arrays are kept across lends, so a steady stream of same-sized
-// pushes decodes without allocating them.
+// Loan is the recycled storage behind a decoded push's gradient arrays
+// (Lend). Its arrays are kept across lends, so a steady stream of pushes of
+// similar size decodes without allocating them.
 type Loan struct {
-	arrays [2][]float64 // Gradient's, SparseValues'
+	arrays  [2][]float64 // Gradient's, SparseValues'
+	indices []int32      // SparseIndices'
 }
 
 var (
@@ -691,15 +722,15 @@ var (
 )
 
 // Lend decodes a GradientPush like codec.Decode, except that the flat codec
-// lends the push its model-sized float64 arrays — Gradient and SparseValues,
-// from flatSplitBytes (the size the encoder sends by reference from) up to
-// flatPoolMaxBytes — out of recycled storage instead of allocating them. The
-// arrays are the caller's to read until it calls Release on the loan, once;
-// from then on they are written again. A nil loan (any other codec, a push
-// without such an array) lends nothing, and Release on it is a no-op. A
-// failed decode lends nothing either: the storage is back before Lend
-// returns. TimeFeatures, EnergyFeatures and LabelCounts are always the
-// push's own.
+// lends the push its gradient arrays — Gradient, SparseIndices and
+// SparseValues, whatever their size up to flatPoolMaxBytes — out of recycled
+// storage instead of allocating them. The arrays are the caller's to read
+// until it calls Release on the loan, once; from then on they are written
+// again. A nil loan (any other codec, a push without such an array) lends
+// nothing, and Release on it is a no-op. A failed decode lends nothing
+// either: the storage is back before Lend returns. The quantized value
+// forms (SparseF16, SparseQ8Levels), TimeFeatures, EnergyFeatures and
+// LabelCounts are always the push's own.
 func Lend(codec Codec, r io.Reader, push *GradientPush) (*Loan, error) {
 	if codec != Flat {
 		return nil, codec.Decode(r, push)
@@ -803,7 +834,7 @@ func (d *flatDec) push(dst *GradientPush) error {
 		ModelEpoch:     d.i64(),
 		Gradient:       d.lentF64s(0),
 		GradientLen:    d.int(),
-		SparseIndices:  d.i32s(),
+		SparseIndices:  d.lentI32s(),
 		SparseValues:   d.lentF64s(1),
 		SparseF16:      d.u16s(),
 		SparseQ8Levels: d.u8s(),

@@ -545,12 +545,14 @@ func TestFlatConcurrent(t *testing.T) {
 func FuzzFlatDecode(f *testing.F) {
 	f.Add([]byte("FLT1"))
 	f.Add([]byte{'F', 'L', 'T', '1', flatVersion, flatKindPush, 0, 0, 0xFF, 0xFF})
-	// Pushes whose arrays Lend draws from recycled storage: a dense gradient
-	// and sparse values just past the threshold.
+	// Pushes whose arrays Lend draws from recycled storage: a model-sized
+	// dense gradient, model-sized sparse arrays, and a small top-k push.
 	lent := flatSplitBytes / 8
 	f.Add(flatBytes(f, &GradientPush{Gradient: make([]float64, lent), BatchSize: 1}))
 	f.Add(flatBytes(f, &GradientPush{GradientLen: lent, SparseIndices: make([]int32, lent),
 		SparseValues: make([]float64, lent), TimeFeatures: []float64{1}}))
+	f.Add(flatBytes(f, &GradientPush{GradientLen: 10, SparseIndices: []int32{1, 4, 7},
+		SparseValues: []float64{0.5, -1, 2}, Encoding: compress.EncodingTopK, BatchSize: 1}))
 	// Keep a hostile length prefix from costing 256 MB per exec; the
 	// check-before-allocate logic is the same at any budget.
 	old := MaxDecodedBytes
@@ -600,8 +602,9 @@ func checkLendAgrees(t *testing.T, data []byte, owned *GradientPush, ownedErr er
 // TestLendRecyclesModelSizedArrays: a push's model-sized arrays are drawn
 // from the storage earlier lends released — a steady stream of pushes
 // allocates far less than one array per push (the pool may drop an entry
-// now and then, under -race on purpose) — while small arrays, every other
-// codec and a failed decode lend nothing.
+// now and then, under -race on purpose) — and so are a small top-k push's
+// indices and values, while every other codec and a failed decode lend
+// nothing.
 func TestLendRecyclesModelSizedArrays(t *testing.T) {
 	const params = 12_000 // an mnist-sized model: 96 KB per array
 	rng := rand.New(rand.NewSource(5))
@@ -647,10 +650,14 @@ func TestLendRecyclesModelSizedArrays(t *testing.T) {
 		}
 	}
 
-	small := flatBytes(t, &GradientPush{Gradient: randFloats(rng, 100), BatchSize: 1})
+	small := flatBytes(t, &GradientPush{GradientLen: params, SparseIndices: randIndices(rng, 100),
+		SparseValues: randFloats(rng, 100), Encoding: compress.EncodingTopK, BatchSize: 1})
 	var p GradientPush
-	if loan, err := Lend(Flat, bytes.NewReader(small), &p); err != nil || loan != nil {
-		t.Errorf("small push: loan %v, err %v", loan, err)
+	if loan, err := Lend(Flat, bytes.NewReader(small), &p); err != nil || loan == nil ||
+		len(p.SparseIndices) != 100 || &p.SparseIndices[0] != &loan.indices[0] || &p.SparseValues[0] != &loan.arrays[1][0] {
+		t.Errorf("small top-k push: loan %v, err %v: want its indices and values lent", loan, err)
+	} else {
+		loan.Release()
 	}
 	var body bytes.Buffer
 	if err := JSON.Encode(&body, &GradientPush{Gradient: make([]float64, params)}); err != nil {

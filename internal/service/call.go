@@ -23,7 +23,7 @@ const (
 // the reply into out. A transport owns only its envelope — routes, headers
 // and status codes, or frames and correlation IDs — and its size limit.
 //
-// A push's model-sized arrays are decoded into recycled storage
+// A push's gradient arrays are decoded into recycled storage
 // (protocol.Lend) that goes back when Call returns: svc only borrows them
 // (see Service.PushGradient).
 //

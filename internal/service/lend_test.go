@@ -3,26 +3,26 @@ package service_test
 import (
 	"bytes"
 	"context"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"fleet/internal/compress"
 	"fleet/internal/node"
 	"fleet/internal/protocol"
 	"fleet/internal/service"
 	"fleet/internal/tenant"
 )
 
-// A push served through Call only borrows its model-sized arrays: Call
-// decodes them into recycled storage (protocol.Lend) and the next push
-// overwrites it. The contract table drives every kind of service a wire
-// endpoint fronts — a root under each window aggregator, the dp stage, an
-// edge in front of a root, a tenant unit — with pushes through Call, and
-// scribbles NaN over every array a push lent the moment Call returns. The
-// model they drain into must equal, bit for bit, the model of the same
-// pushes fed in process with arrays of their own.
+// A push served through Call only borrows its gradient arrays: Call decodes
+// them into recycled storage (protocol.Lend) and the next push overwrites
+// it. The contract table drives every kind of service a wire endpoint
+// fronts — a root under each window aggregator, the dp stage, an edge in
+// front of a root, a root behind an edge's forwards, a tenant unit — with
+// pushes through Call, and scribbles over every array a push lent the
+// moment Call returns. The model they drain into must equal, bit for bit,
+// the model of the same pushes fed in process with arrays of their own.
 
 const (
 	lendK      = 5  // a window: krum(1) and trimmed(1) need five members
@@ -34,6 +34,12 @@ type lendUnit struct {
 	svc   service.Service
 	model func(t *testing.T) []float64
 }
+
+// A unit is built around wire, which fronts the service its row puts
+// behind Call: the wire under test, or in process for the control.
+type unitFunc func(t *testing.T, wire func(service.Service) service.Service) lendUnit
+
+func inProcess(svc service.Service) service.Service { return svc }
 
 func quiet(string, ...interface{}) {}
 
@@ -68,24 +74,36 @@ func pulled(svc service.Service) func(t *testing.T) []float64 {
 	}
 }
 
-func rootUnit(stages, agg string) func(*testing.T) lendUnit {
-	return func(t *testing.T) lendUnit {
+func rootUnit(stages, agg string) unitFunc {
+	return func(t *testing.T, wire func(service.Service) service.Service) lendUnit {
 		svc := compile(t, lendSpec(stages, agg)).Service()
-		return lendUnit{svc: svc, model: pulled(svc)}
+		return lendUnit{svc: wire(svc), model: pulled(svc)}
 	}
 }
 
-func edgeUnit(t *testing.T) lendUnit {
-	root := lendSpec("staleness", "mean")
-	root.K = 1 // every forwarded K-sum lands at once
-	rootSvc := compile(t, root).Service()
-	edge := lendSpec("staleness", "mean")
-	edge.Role, edge.ID = node.RoleEdge, 1_000_000
-	edge.Upstream = node.UpstreamSpec{Service: rootSvc}
-	return lendUnit{svc: compile(t, edge).Service(), model: pulled(rootSvc)}
+// edgeTree is an edge in front of a K=1 root (every forwarded K-sum lands
+// at once); wireEdge puts the edge behind the wire, or else its forwards
+// to the root go over it.
+func edgeTree(wireEdge bool) unitFunc {
+	return func(t *testing.T, wire func(service.Service) service.Service) lendUnit {
+		root := lendSpec("staleness", "mean")
+		root.K = 1
+		rootSvc := compile(t, root).Service()
+		edge := lendSpec("staleness", "mean")
+		edge.Role, edge.ID = node.RoleEdge, 1_000_000
+		edge.Upstream = node.UpstreamSpec{Service: rootSvc}
+		if !wireEdge {
+			edge.Upstream.Service = wire(rootSvc)
+		}
+		svc := compile(t, edge).Service()
+		if wireEdge {
+			svc = wire(svc)
+		}
+		return lendUnit{svc: svc, model: pulled(rootSvc)}
+	}
 }
 
-func tenantUnit(t *testing.T) lendUnit {
+func tenantUnit(t *testing.T, wire func(service.Service) service.Service) lendUnit {
 	rt := compile(t, node.Spec{
 		Tenants: []tenant.Config{{Name: "t", Arch: "mnist", K: lendK, LearningRate: 0.05, Seed: 3,
 			Stages: "staleness,dp(1,1.2)", Aggregator: "median"}},
@@ -96,7 +114,7 @@ func tenantUnit(t *testing.T) lendUnit {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lendUnit{svc: svc, model: pulled(svc)}
+	return lendUnit{svc: wire(svc), model: pulled(svc)}
 }
 
 // lendPushes builds the pushes: dense and sparse in turn, every sparse one
@@ -125,56 +143,104 @@ func lendPushSet(params int) []protocol.GradientPush {
 	return out
 }
 
-// lentArrays records the gradient arrays of every push it passes on.
+// smallTopK builds pushes of a few dozen top-k coordinates each, which a
+// window sums into a sparse forward.
+func smallTopK(params int) []protocol.GradientPush {
+	rng := rand.New(rand.NewSource(31))
+	out := make([]protocol.GradientPush, lendPushes)
+	for i := range out {
+		p := protocol.GradientPush{WorkerID: i, BatchSize: 10, LabelCounts: []int{1, i % 3, 2},
+			GradientLen: params, Encoding: compress.EncodingTopK}
+		for j := i % 7; j < params; j += 1 + params/40 {
+			p.SparseIndices = append(p.SparseIndices, int32(j))
+			p.SparseValues = append(p.SparseValues, rng.NormFloat64()*1e-2)
+		}
+		out[i] = p
+	}
+	return out
+}
+
+// callWire is the wire under test: it serves every push through Call from
+// its flat encoding and, the moment Call returns, scribbles over every
+// gradient array the push lent (NaN values, zero indices).
+type callWire struct {
+	service.Service
+	lentIndices *int // index arrays scribbled over
+}
+
+func (w callWire) PushGradient(ctx context.Context, push *protocol.GradientPush) (*protocol.PushAck, error) {
+	var body, reply bytes.Buffer
+	if err := protocol.Flat.Encode(&body, push); err != nil {
+		return nil, err
+	}
+	spy := &lentArrays{Service: w.Service}
+	if err := service.Call(ctx, spy, service.OpPush, protocol.Flat, &body, &reply); err != nil {
+		return nil, err
+	}
+	for _, lent := range spy.pushes {
+		for j := range lent.Gradient {
+			lent.Gradient[j] = math.NaN()
+		}
+		for j := range lent.SparseValues {
+			lent.SparseValues[j] = math.NaN()
+		}
+		clear(lent.SparseIndices)
+		if len(lent.SparseIndices) > 0 {
+			*w.lentIndices++
+		}
+	}
+	var ack protocol.PushAck
+	if err := protocol.Flat.Decode(&reply, &ack); err != nil {
+		return nil, err
+	}
+	return &ack, nil
+}
+
+// lentArrays records every push it passes on: what Call lent it.
 type lentArrays struct {
 	service.Service
-	arrays [][]float64
+	pushes []protocol.GradientPush
 }
 
 func (s *lentArrays) PushGradient(ctx context.Context, push *protocol.GradientPush) (*protocol.PushAck, error) {
-	s.arrays = append(s.arrays, push.Gradient, push.SparseValues)
+	s.pushes = append(s.pushes, *push)
 	return s.Service.PushGradient(ctx, push)
 }
 
 func TestPushArraysAreOnlyBorrowed(t *testing.T) {
 	rows := []struct {
-		name string
-		unit func(*testing.T) lendUnit
+		name   string
+		unit   unitFunc
+		pushes func(params int) []protocol.GradientPush
 	}{
-		{"mean", rootUnit("staleness", "mean")},
-		{"median", rootUnit("staleness", "median")},
-		{"krum", rootUnit("staleness", "krum(1)")},
-		{"trimmed mean", rootUnit("staleness", "trimmed(1)")},
-		{"dp stage", rootUnit("staleness,dp(1,1.2)", "mean")},
-		{"edge", edgeUnit},
-		{"tenant unit", tenantUnit},
+		{"mean", rootUnit("staleness", "mean"), lendPushSet},
+		{"median", rootUnit("staleness", "median"), lendPushSet},
+		{"krum", rootUnit("staleness", "krum(1)"), lendPushSet},
+		{"trimmed mean", rootUnit("staleness", "trimmed(1)"), lendPushSet},
+		{"dp stage", rootUnit("staleness,dp(1,1.2)", "mean"), lendPushSet},
+		{"small top-k", rootUnit("staleness", "mean"), smallTopK},
+		{"edge", edgeTree(true), lendPushSet},
+		{"edge forward", edgeTree(false), smallTopK},
+		{"tenant unit", tenantUnit, lendPushSet},
 	}
 	ctx := context.Background()
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			sut, control := row.unit(t), row.unit(t)
-			pushes := lendPushSet(len(sut.model(t)))
-			spy := &lentArrays{Service: sut.svc}
+			lentIndices := 0
+			sut := row.unit(t, func(svc service.Service) service.Service {
+				return callWire{Service: svc, lentIndices: &lentIndices}
+			})
+			control := row.unit(t, inProcess)
+			pushes := row.pushes(len(sut.model(t)))
 			for i, push := range pushes {
 				st, err := sut.svc.Stats(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
 				push.ModelVersion, push.ModelEpoch = st.ModelVersion, st.ServerEpoch
-				var body bytes.Buffer
-				if err := protocol.Flat.Encode(&body, &push); err != nil {
-					t.Fatal(err)
-				}
-				if err := service.Call(ctx, spy, service.OpPush, protocol.Flat, &body, io.Discard); err != nil {
+				if _, err := sut.svc.PushGradient(ctx, &push); err != nil {
 					t.Fatalf("push %d through Call: %v", i, err)
 				}
-				for _, a := range spy.arrays {
-					for j := range a {
-						a[j] = math.NaN()
-					}
-				}
-				spy.arrays = spy.arrays[:0]
-
 				// The control's arrays are its own and never written again.
 				push.Gradient, push.SparseIndices, push.SparseValues = slices.Clone(push.Gradient),
 					slices.Clone(push.SparseIndices), slices.Clone(push.SparseValues)
@@ -193,6 +259,9 @@ func TestPushArraysAreOnlyBorrowed(t *testing.T) {
 			}
 			if v, _ := sut.svc.Stats(ctx); v == nil || v.ModelVersion == 0 {
 				t.Fatalf("no window closed: %+v", v)
+			}
+			if lentIndices == 0 {
+				t.Fatal("no push lent an index array")
 			}
 		})
 	}

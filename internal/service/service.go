@@ -27,11 +27,12 @@ type Service interface {
 	// measurements and receives the applied scale and staleness.
 	//
 	// The push's gradient arrays (Gradient and the sparse forms) are lent for
-	// the call: a wire endpoint (Call) decodes model-sized ones into recycled
-	// storage and writes it again once the call has returned, and an edge
-	// reuses its forward sum the same way. An implementation finishes every
-	// read of them before it returns and copies whatever it keeps (a retained
-	// window member, a noised gradient). TimeFeatures, EnergyFeatures and
+	// the call, every one whatever its size: a wire endpoint (Call) decodes
+	// them into recycled storage and writes it again once the call has
+	// returned, and an edge reuses its forward's sum, indices and values the
+	// same way. An implementation finishes every read of them before it
+	// returns and copies whatever it keeps (a retained window member, a
+	// noised gradient). TimeFeatures, EnergyFeatures and
 	// LabelCounts are the push's own and may be kept (I-Prof keeps the
 	// feature vectors).
 	PushGradient(ctx context.Context, push *protocol.GradientPush) (*protocol.PushAck, error)

@@ -455,7 +455,7 @@ func (s *Server) armIdleDeadline(conn net.Conn) {
 // HTTP transport serves through too — and writes the encoded reply (or a
 // structured error) under the frame's correlation ID. Nothing it serves
 // allocates a model-sized array: the frame's payload is recycled storage
-// (serveConn), decoded into a push whose model-sized arrays are lent for the
+// (serveConn), decoded into a push whose gradient arrays are lent for the
 // call (service.Call), and the reply is encoded into the outgoing frame
 // itself, which keeps the arrays of a reply served from a model snapshot by
 // reference: a full pull leaves as frame header, head, model, tail in one
