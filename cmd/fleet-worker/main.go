@@ -158,11 +158,7 @@ func runWorker(st *workerSetup) int {
 			// the coming pull advertises the freshest version we hold — on
 			// an up-to-date cache the server answers with a tiny delta (or
 			// nothing new at all) instead of a full download.
-			for _, ann := range st.strm.TakeAnnounces() {
-				if !st.w.AbsorbAnnounce(ann) {
-					break
-				}
-			}
+			st.w.AbsorbAnnounces(st.strm.TakeAnnounces())
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), st.timeout)
 		ack, err := st.w.Step(ctx, st.client)

@@ -137,8 +137,8 @@ func TestForwardTurnsNegativeZeroPositive(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	dir := []float64{negZero, 1, negZero, 2}
 	var f forward
-	if f.fill(dir, []int32{0, 2}); !f.sparse || math.Signbit(f.vals[0]) || math.Signbit(f.vals[1]) {
-		t.Errorf("sparse forward %v (sparse %v), want +0s", f.vals, f.sparse)
+	if f.fill(dir, []int32{0, 2}); !f.sparse || math.Signbit(f.sp.Values[0]) || math.Signbit(f.sp.Values[1]) {
+		t.Errorf("sparse forward %v (sparse %v), want +0s", f.sp.Values, f.sparse)
 	}
 	if f.fill(dir, nil); f.sparse || math.Signbit(f.sum[0]) || math.Signbit(f.sum[2]) {
 		t.Errorf("dense forward %v (sparse %v), want +0s", f.sum, f.sparse)

@@ -107,18 +107,15 @@ type windowPush struct {
 	contributing int
 	batch        int
 	labels       []int
-	staleMin     int
-	staleMax     int
 }
 
 // forward is a drained window's summed direction in the storage it travels
 // upstream in, recycled from one window to the next (Node.spare): dense in
-// sum, or, when sparse, the values vals at the ascending coordinates idx.
+// sum, or, when sparse, in sp at ascending coordinates.
 type forward struct {
 	sparse bool
 	sum    []float64
-	idx    []int32
-	vals   []float64
+	sp     compress.Sparse
 }
 
 // fill stores a drained direction. A window that touched at most half the
@@ -129,10 +126,11 @@ type forward struct {
 func (f *forward) fill(dir []float64, touched []int32) {
 	f.sparse = len(touched) > 0 && len(touched) <= len(dir)/2
 	if f.sparse {
-		f.idx = append(f.idx[:0], touched...)
-		f.vals = f.vals[:0]
+		f.sp.Len = len(dir)
+		f.sp.Indices = append(f.sp.Indices[:0], touched...)
+		f.sp.Values = f.sp.Values[:0]
 		for _, c := range touched {
-			f.vals = append(f.vals, 0+dir[c])
+			f.sp.Values = append(f.sp.Values, 0+dir[c])
 		}
 		return
 	}
@@ -250,19 +248,14 @@ func (k *edgeSink) Sync(ctx context.Context) error { return (*Node)(k).Sync(ctx)
 
 // Fold accumulates the open window's upstream-push metadata. A push from a
 // stacked sub-tier already aggregates Contributing leaf gradients; its
-// weight is counted and its staleness bounds folded in.
-func (k *edgeSink) Fold(push *protocol.GradientPush, staleness, contrib int) {
+// weight is counted.
+func (k *edgeSink) Fold(push *protocol.GradientPush, contrib int) {
 	n := (*Node)(k)
-	sMin, sMax := staleness, staleness
-	if push.Contributing > 0 {
-		sMin, sMax = min(sMin, push.StalenessMin), max(sMax, push.StalenessMax)
-	}
 	w := n.win
 	if w == nil {
-		w = &windowPush{labels: make([]int, n.cfg.Arch.Classes()), staleMin: sMin, staleMax: sMax}
+		w = &windowPush{labels: make([]int, n.cfg.Arch.Classes())}
 		n.win = w
 	}
-	w.staleMin, w.staleMax = min(w.staleMin, sMin), max(w.staleMax, sMax)
 	w.contributing += contrib
 	w.batch += push.BatchSize
 	for i, c := range push.LabelCounts {
@@ -328,13 +321,9 @@ func (n *Node) forwardWindow(ctx context.Context, w *windowPush) {
 		BatchSize:    w.batch,
 		LabelCounts:  w.labels,
 		Contributing: w.contributing,
-		StalenessMin: w.staleMin,
-		StalenessMax: w.staleMax,
 	}
 	if w.fwd.sparse {
-		push.Encoding = compress.EncodingTopK
-		push.GradientLen = n.core.Config().ParamCount
-		push.SparseIndices, push.SparseValues = w.fwd.idx, w.fwd.vals
+		push.SetForm(compress.Form{Encoding: compress.EncodingTopK, Sparse: &w.fwd.sp})
 	} else {
 		push.Gradient = w.fwd.sum
 	}
@@ -470,7 +459,7 @@ func (n *Node) AbsorbUpstreamAnnounce(ann protocol.ModelAnnounce) bool {
 	if ann.ModelVersion <= cur.Version {
 		return false // stale or duplicate
 	}
-	if ann.Delta == nil || ann.DeltaBase != cur.Version ||
+	if !ann.Follows(cur.Version, cur.Epoch) ||
 		n.publishLocked(ann.ModelVersion, ann.ServerEpoch, nil, ann.Delta) != nil {
 		n.needRefresh.Store(true)
 		return false

@@ -642,7 +642,7 @@ func TestAnnounceRelayAndDeltaServing(t *testing.T) {
 	})
 
 	base, err := edge.RequestTask(ctx, &protocol.TaskRequest{WorkerID: 1})
-	if err != nil || !base.Accepted || !base.Full {
+	if err != nil || !base.Accepted || base.ParamsDelta != nil || len(base.Params) == 0 {
 		t.Fatalf("initial full pull: %v (resp %+v)", err, base)
 	}
 	params0 := append([]float64(nil), base.Params...)

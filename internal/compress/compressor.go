@@ -13,43 +13,10 @@ import (
 	"fleet/internal/spec"
 )
 
-// FormKind names the shape a wire Form is in; Build uses the declared
-// (in, out) kinds of each stage to reject incompatible chains at
-// construction time instead of on the hot path.
-type FormKind int
-
-const (
-	// FormDense is an uncompressed float64 vector.
-	FormDense FormKind = iota
-	// FormSparse is a top-k index/value pair list with float64 values.
-	FormSparse
-	// FormSparseQ8 is a top-k list with 8-bit quantized values.
-	FormSparseQ8
-	// FormSparseF16 is a top-k list with binary16 values.
-	FormSparseF16
-)
-
-// String names the kind as it appears in chain-compatibility errors.
-func (k FormKind) String() string {
-	switch k {
-	case FormDense:
-		return "dense"
-	case FormSparse:
-		return "sparse"
-	case FormSparseQ8:
-		return "sparse+q8"
-	case FormSparseF16:
-		return "sparse+f16"
-	default:
-		return fmt.Sprintf("FormKind(%d)", int(k))
-	}
-}
-
 // Form is one gradient ready for the wire: exactly one of the payload
-// fields is set, named by Kind. Encoding carries the self-describing wire
-// tag (GradientPush.Encoding) for the form.
+// fields is set, named by Encoding, the self-describing wire tag
+// (GradientPush.Encoding) of the form.
 type Form struct {
-	Kind     FormKind
 	Encoding string
 	Dense    []float64
 	Sparse   *Sparse
@@ -68,7 +35,7 @@ const (
 
 // DenseForm wraps an uncompressed gradient as a chain input.
 func DenseForm(grad []float64) Form {
-	return Form{Kind: FormDense, Encoding: EncodingDense, Dense: grad}
+	return Form{Encoding: EncodingDense, Dense: grad}
 }
 
 // Compressor turns one dense gradient into its wire Form. Instances are
@@ -88,9 +55,10 @@ type Compressor interface {
 type Stage interface {
 	Name() string
 	Transform(f Form) Form
-	// Kinds declares the input form the stage consumes and the output
-	// form it produces; Build validates adjacent links against them.
-	Kinds() (in, out FormKind)
+	// Tags declares the Encoding of the form the stage consumes and of the
+	// form it produces; Build validates adjacent links against them, so
+	// incompatible chains fail at construction, not on the hot path.
+	Tags() (in, out string)
 }
 
 // Options carries the per-worker context a stage constructor may need.
@@ -122,7 +90,7 @@ func (c *chain) Compress(grad []float64) Form {
 
 // Build parses a comma-separated chain spec ("topk(8),f16") and
 // constructs the Compressor. An empty spec returns (nil, nil): no
-// compression, send dense. Adjacent links must agree on form kinds —
+// compression, send dense. Adjacent links must agree on form tags —
 // "q8,topk(8)" or "q8,f16" fail here, not mid-training.
 func Build(chainSpec string, opts Options) (Compressor, error) {
 	chainSpec = strings.TrimSpace(chainSpec)
@@ -134,9 +102,9 @@ func Build(chainSpec string, opts Options) (Compressor, error) {
 		return nil, fmt.Errorf("compress: %w", err)
 	}
 	names := make([]string, len(stages))
-	prev := FormDense
+	prev := EncodingDense
 	for i, st := range stages {
-		in, out := st.Kinds()
+		in, out := st.Tags()
 		if in != prev {
 			return nil, fmt.Errorf("compress: stage %q wants %s input, chain produces %s", st.Name(), in, prev)
 		}
@@ -152,33 +120,33 @@ type topKStage struct {
 	k        int
 }
 
-func (t *topKStage) Name() string              { return fmt.Sprintf("topk(%d)", t.k) }
-func (t *topKStage) Kinds() (in, out FormKind) { return FormDense, FormSparse }
+func (t *topKStage) Name() string           { return fmt.Sprintf("topk(%d)", t.k) }
+func (t *topKStage) Tags() (in, out string) { return EncodingDense, EncodingTopK }
 func (t *topKStage) Transform(f Form) Form {
 	s := t.feedback.Compress(f.Dense)
-	return Form{Kind: FormSparse, Encoding: EncodingTopK, Sparse: &s}
+	return Form{Encoding: EncodingTopK, Sparse: &s}
 }
 
 // q8Stage quantizes sparse values to 8-bit levels with unbiased
 // stochastic rounding.
 type q8Stage struct{ rng *rand.Rand }
 
-func (q *q8Stage) Name() string              { return "q8" }
-func (q *q8Stage) Kinds() (in, out FormKind) { return FormSparse, FormSparseQ8 }
+func (q *q8Stage) Name() string           { return "q8" }
+func (q *q8Stage) Tags() (in, out string) { return EncodingTopK, EncodingTopKQ8 }
 func (q *q8Stage) Transform(f Form) Form {
 	qs := QuantizeSparseQ8(q.rng, *f.Sparse)
-	return Form{Kind: FormSparseQ8, Encoding: EncodingTopKQ8, Q8: &qs}
+	return Form{Encoding: EncodingTopKQ8, Q8: &qs}
 }
 
 // f16Stage quantizes sparse values to binary16 with unbiased stochastic
 // rounding.
 type f16Stage struct{ rng *rand.Rand }
 
-func (q *f16Stage) Name() string              { return "f16" }
-func (q *f16Stage) Kinds() (in, out FormKind) { return FormSparse, FormSparseF16 }
+func (q *f16Stage) Name() string           { return "f16" }
+func (q *f16Stage) Tags() (in, out string) { return EncodingTopK, EncodingTopKF16 }
 func (q *f16Stage) Transform(f Form) Form {
 	qs := QuantizeSparseF16(q.rng, *f.Sparse)
-	return Form{Kind: FormSparseF16, Encoding: EncodingTopKF16, F16: &qs}
+	return Form{Encoding: EncodingTopKF16, F16: &qs}
 }
 
 // compressors names the chain links a compressor spec may use.

@@ -38,8 +38,8 @@ func TestTopKChainMatchesErrorFeedback(t *testing.T) {
 		}
 		f := c.Compress(grad)
 		want := legacy.Compress(grad)
-		if f.Kind != FormSparse || f.Encoding != EncodingTopK {
-			t.Fatalf("round %d: form %v/%q", round, f.Kind, f.Encoding)
+		if f.Encoding != EncodingTopK || f.Sparse == nil {
+			t.Fatalf("round %d: form %q", round, f.Encoding)
 		}
 		if len(f.Sparse.Values) != len(want.Values) {
 			t.Fatalf("round %d: %d values, want %d", round, len(f.Sparse.Values), len(want.Values))
@@ -67,7 +67,7 @@ func TestQuantizedChains(t *testing.T) {
 		t.Fatalf("chain name %q", c.Name())
 	}
 	f := c.Compress(grad)
-	if f.Kind != FormSparseQ8 || f.Encoding != EncodingTopKQ8 || f.Q8 == nil || len(f.Q8.Levels) != 8 {
+	if f.Encoding != EncodingTopKQ8 || f.Q8 == nil || len(f.Q8.Levels) != 8 {
 		t.Fatalf("q8 chain form: %+v", f)
 	}
 
@@ -76,7 +76,7 @@ func TestQuantizedChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	f = c.Compress(grad)
-	if f.Kind != FormSparseF16 || f.Encoding != EncodingTopKF16 || f.F16 == nil || len(f.F16.Values) != 8 {
+	if f.Encoding != EncodingTopKF16 || f.F16 == nil || len(f.F16.Values) != 8 {
 		t.Fatalf("f16 chain form: %+v", f)
 	}
 }
@@ -90,11 +90,11 @@ func TestBuildErrors(t *testing.T) {
 	}{
 		{"nope(3)", Options{}, "unknown compressor"},
 		{"nope", Options{}, `unknown compressor "nope" (known: f16, q8, topk)`},
-		{"q8", Options{Rng: rng}, "wants sparse input, chain produces dense"},
-		{"f16", Options{Rng: rng}, "wants sparse input"},
-		{"topk(8),f16,q8", Options{Length: 10, Rng: rng}, "wants sparse input, chain produces sparse+f16"},
-		{"topk(8),q8,f16", Options{Length: 10, Rng: rng}, "wants sparse input, chain produces sparse+q8"},
-		{"topk(8),topk(4)", Options{Length: 10}, "wants dense input, chain produces sparse"},
+		{"q8", Options{Rng: rng}, "wants topk input, chain produces dense"},
+		{"f16", Options{Rng: rng}, "wants topk input"},
+		{"topk(8),f16,q8", Options{Length: 10, Rng: rng}, "wants topk input, chain produces topk+f16"},
+		{"topk(8),q8,f16", Options{Length: 10, Rng: rng}, "wants topk input, chain produces topk+q8"},
+		{"topk(8),topk(4)", Options{Length: 10}, "wants dense input, chain produces topk"},
 		{"topk", Options{Length: 10}, "exactly one argument"},
 		{"topk(0)", Options{Length: 10}, "k must be >= 1"},
 		{"topk(2.5)", Options{Length: 10}, "integer"},

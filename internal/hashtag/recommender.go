@@ -17,7 +17,6 @@ import (
 type Recommender struct {
 	net   *nn.Network
 	vocab int
-	tags  int
 }
 
 // NewRecommender builds a fresh model for the stream's vocabulary.
@@ -25,7 +24,6 @@ func NewRecommender(cfg StreamConfig, rng *rand.Rand) *Recommender {
 	return &Recommender{
 		net:   nn.NewNetwork(cfg.MaxHashtags, nn.NewDense(rng, cfg.Vocab, cfg.MaxHashtags)),
 		vocab: cfg.Vocab,
-		tags:  cfg.MaxHashtags,
 	}
 }
 

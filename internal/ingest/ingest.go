@@ -102,7 +102,7 @@ type Sink[W any] interface {
 	Sync(ctx context.Context) error
 	// Fold runs under the commit lock for every committed push, before the
 	// window trigger: metadata a sink carries beside the aggregator's mass.
-	Fold(push *protocol.GradientPush, staleness, contributing int)
+	Fold(push *protocol.GradientPush, contributing int)
 	// CloseWindow runs under the commit lock when the K-th push commits (or
 	// on FlushWindow) and drains the pipeline's aggregator (lock order:
 	// commit lock → aggregator); tally is the accounting as of this window.
@@ -395,7 +395,7 @@ func (c *Core[W]) RequestTask(ctx context.Context, req *protocol.TaskRequest) (*
 		// Version too old, from the future, or the delta went dense:
 		// transparent fallback to a full pull.
 	}
-	resp.Params, resp.Full = held.params, true
+	resp.Params = held.params
 	if l := service.LeaseFrom(ctx); l != nil {
 		l.Hold(held)
 	} else {
@@ -544,7 +544,7 @@ func (c *Core[W]) PushGradient(ctx context.Context, push *protocol.GradientPush)
 	c.tally.GradientsIn++
 	c.tally.LeafGradients += contrib
 	c.tally.StaleSum += float64(staleness)
-	c.sink.Fold(push, staleness, contrib)
+	c.sink.Fold(push, contrib)
 	c.pending++
 	if c.pending >= c.cfg.K {
 		closed = c.closeLocked()

@@ -22,8 +22,8 @@ type vecSink struct {
 	deliver func(minted int)
 }
 
-func (*vecSink) Sync(context.Context) error            { return nil }
-func (*vecSink) Fold(*protocol.GradientPush, int, int) {}
+func (*vecSink) Sync(context.Context) error       { return nil }
+func (*vecSink) Fold(*protocol.GradientPush, int) {}
 
 func (k *vecSink) CloseWindow(Tally) (int, error) {
 	var touched []int32
@@ -238,7 +238,7 @@ func TestInProcessCallerKeepsWhatItWasServed(t *testing.T) {
 		closeWindow(t, c, 1, v)
 	}
 	resp, err := c.RequestTask(context.Background(), &protocol.TaskRequest{LabelCounts: []int{1}})
-	if err != nil || !resp.Full {
+	if err != nil || resp.ParamsDelta != nil || len(resp.Params) == 0 {
 		t.Fatalf("pull: %v (%+v)", err, resp)
 	}
 	kept, want := resp.Params, slices.Clone(resp.Params)
@@ -265,7 +265,7 @@ func TestUnreleasedLeasePinsOneBuffer(t *testing.T) {
 	}
 	stuck := &service.Lease{Context: context.Background()}
 	resp, err := c.RequestTask(stuck, &protocol.TaskRequest{LabelCounts: []int{1}})
-	if err != nil || !resp.Full {
+	if err != nil || resp.ParamsDelta != nil || len(resp.Params) == 0 {
 		t.Fatalf("pull: %v (%+v)", err, resp)
 	}
 	want := slices.Clone(resp.Params)

@@ -50,8 +50,8 @@ func CollectWith(rng *rand.Rand, models []device.Model, kind Kind, slo float64, 
 		d := device.New(m, rand.New(rand.NewSource(rng.Int63())))
 		for n := 1; ; n = nextBatch(n) {
 			res := d.Execute(n)
-			cost := costOf(res, kind)
-			features := featuresOf(d, kind)
+			cost := CostOf(res, kind)
+			features := FeaturesOf(d, kind)
 			out.Observations = append(out.Observations, Observation{
 				DeviceModel: m.Name,
 				Features:    features,
@@ -78,23 +78,19 @@ func nextBatch(n int) int {
 	return n + n/2
 }
 
-func costOf(res device.ExecResult, kind Kind) float64 {
+// CostOf is the kind-appropriate cost of an execution result.
+func CostOf(res device.ExecResult, kind Kind) float64 {
 	if kind == KindEnergy {
 		return res.EnergyPct
 	}
 	return res.LatencySec
 }
 
-func featuresOf(d *device.Device, kind Kind) []float64 {
+// FeaturesOf is the kind-appropriate feature vector of a device, what a
+// task request and a push carry for I-Prof.
+func FeaturesOf(d *device.Device, kind Kind) []float64 {
 	if kind == KindEnergy {
 		return d.EnergyFeatures()
 	}
 	return d.Features()
 }
-
-// FeaturesOf exposes the kind-appropriate feature vector of a device (used
-// by experiment drivers when issuing requests).
-func FeaturesOf(d *device.Device, kind Kind) []float64 { return featuresOf(d, kind) }
-
-// CostOf exposes the kind-appropriate cost of an execution result.
-func CostOf(res device.ExecResult, kind Kind) float64 { return costOf(res, kind) }

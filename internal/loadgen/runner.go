@@ -900,23 +900,6 @@ func (rn *run) doRestart() error {
 	return nil
 }
 
-// absorbAnnounces folds the server-pushed announces a worker's session has
-// collected into its cached model before the next pull, so the pull
-// advertises the freshest version the worker can prove it holds. The chain
-// is consecutive by construction; the first inapplicable announce (gap,
-// epoch change, cold cache) means the rest cannot apply either, and the
-// pull's delta/full path recovers.
-func (rn *run) absorbAnnounces(sw *simWorker) {
-	if sw.strm == nil {
-		return
-	}
-	for _, ann := range sw.strm.TakeAnnounces() {
-		if !sw.w.AbsorbAnnounce(ann) {
-			break
-		}
-	}
-}
-
 // connSetup prices connection establishment for one network leg:
 // per-request transports (inproc models the same polling cadence) pay it
 // on every call; the stream transport pays once per session — on the first
@@ -1003,7 +986,9 @@ func (rn *run) doPull(ctx context.Context, sw *simWorker, t float64) {
 		sw.rejoining = false
 		rn.counts.Rejoins++
 	}
-	rn.absorbAnnounces(sw)
+	if sw.strm != nil {
+		sw.w.AbsorbAnnounces(sw.strm.TakeAnnounces())
+	}
 	prevVer, prevEpoch, prevCached := sw.w.CachedVersion()
 	resp, err := sw.w.Pull(ctx, sw.svc)
 	if err != nil || !resp.Accepted {

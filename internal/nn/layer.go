@@ -49,7 +49,6 @@ type Conv2D struct {
 	gradB         *tensor.Tensor
 	lastCols      *tensor.Tensor
 	outH, outW    int
-	patchLen      int
 }
 
 // NewConv2D builds a convolution layer and He-initializes its weights.
@@ -60,13 +59,12 @@ func NewConv2D(rng *rand.Rand, inC, inH, inW, outC, kh, kw, strideH, strideW, pa
 		OutC: outC, KH: kh, KW: kw,
 		StrideH: strideH, StrideW: strideW,
 		PadH: padH, PadW: padW,
-		W:        tensor.New(outC, patch),
-		B:        tensor.New(outC),
-		gradW:    tensor.New(outC, patch),
-		gradB:    tensor.New(outC),
-		outH:     tensor.ConvOutputSize(inH, kh, strideH, padH),
-		outW:     tensor.ConvOutputSize(inW, kw, strideW, padW),
-		patchLen: patch,
+		W:     tensor.New(outC, patch),
+		B:     tensor.New(outC),
+		gradW: tensor.New(outC, patch),
+		gradB: tensor.New(outC),
+		outH:  tensor.ConvOutputSize(inH, kh, strideH, padH),
+		outW:  tensor.ConvOutputSize(inW, kw, strideW, padW),
 	}
 	heInit(rng, l.W.Data(), patch)
 	return l

@@ -863,6 +863,64 @@ func TestConfigFieldsAreSet(t *testing.T) {
 	}
 }
 
+// TestWireFieldsAreRead keeps the learning-task messages free of fields
+// nobody reads: every byte a phone sends or receives is a cost. Every field
+// of TaskRequest, TaskResponse, GradientPush, PushAck and ModelAnnounce must
+// be read by shipped code (the root module plus bench/perf) outside
+// internal/protocol/flat.go, whose encoders and decoders touch every field
+// by construction. A read is any use of the field but a composite-literal
+// key or the target of a plain assignment: a field that is only ever
+// written, or only copied from one message into the next, carries nothing.
+// Stats and TenantStats are operator documents and are exempt.
+func TestWireFieldsAreRead(t *testing.T) {
+	m := loadModule(t)
+	proto := m.checked["fleet/internal/protocol"]
+	fields := map[*types.Var]string{} // field → Message.Field
+	for _, name := range []string{"TaskRequest", "TaskResponse", "GradientPush", "PushAck", "ModelAnnounce"} {
+		st := proto.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			fields[st.Field(i)] = name + "." + st.Field(i).Name()
+		}
+	}
+	codec := filepath.Join(m.root, "internal", "protocol", "flat.go")
+	read := map[*types.Var]bool{}
+	for _, path := range m.paths {
+		for _, f := range m.files[path] {
+			if m.fset.Position(f.Package).Filename == codec {
+				continue
+			}
+			written := map[*ast.Ident]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+						for _, lhs := range n.Lhs {
+							if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+								written[sel.Sel] = true
+							}
+						}
+					}
+				case *ast.Ident: // after its parent: a write is marked by now
+					if v, ok := m.info.Uses[n].(*types.Var); ok && v.IsField() && !written[n] {
+						read[v] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	for f, name := range fields {
+		if !read[f] {
+			pos := strings.TrimPrefix(m.fset.Position(f.Pos()).String(), m.root+string(filepath.Separator))
+			t.Errorf("%s: %s is read by no shipped code outside flat.go: take it off the wire", pos, name)
+		}
+	}
+}
+
 // TestPackageMapsAreNotWritten keeps FLeet's name tables tables: no file
 // of the module, tests included, assigns to an element of a package-level
 // map variable, deletes from one or clears one. Stages, aggregators,

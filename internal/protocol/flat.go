@@ -43,8 +43,10 @@ const (
 	// Version 1 peers wrapped four of the six messages in gob behind the
 	// flat header; version 2 stats carried a TasksRejected twin of
 	// TasksDropped; version 3 announces ended in a half-precision copy of
-	// the whole model. All three are refused on their first frame.
-	flatVersion = 4
+	// the whole model; version 4 task responses carried a Full flag that
+	// restated an absent delta, and pushes a leaf-staleness range nobody
+	// read. All four are refused on their first frame.
+	flatVersion = 5
 
 	flatKindTaskResponse = 2
 	flatKindPush         = 3
@@ -308,7 +310,6 @@ func (f *flatBuf) taskResponse(t *TaskResponse) {
 	f.int(t.BatchSize)
 	f.sparse(t.ParamsDelta)
 	f.int(t.DeltaBase)
-	f.bool(t.Full)
 	f.i64(t.ServerEpoch)
 }
 
@@ -335,8 +336,6 @@ func (f *flatBuf) push(p *GradientPush) {
 	f.f64s(p.TimeFeatures)
 	f.f64s(p.EnergyFeatures)
 	f.int(p.Contributing)
-	f.int(p.StalenessMin)
-	f.int(p.StalenessMax)
 }
 
 // taskRequest lays out a TaskRequest as kind 4.
@@ -816,7 +815,6 @@ func (d *flatDec) taskResponse(dst *TaskResponse) error {
 		BatchSize:    d.int(),
 		ParamsDelta:  d.sparse(),
 		DeltaBase:    d.int(),
-		Full:         d.bool(),
 		ServerEpoch:  d.i64(),
 	}
 	if err := d.finish(); err != nil {
@@ -848,8 +846,6 @@ func (d *flatDec) push(dst *GradientPush) error {
 		TimeFeatures:   d.f64s(),
 		EnergyFeatures: d.f64s(),
 		Contributing:   d.int(),
-		StalenessMin:   d.int(),
-		StalenessMax:   d.int(),
 	}
 	if err := d.finish(); err != nil {
 		return err

@@ -41,11 +41,11 @@ func TestFlatSplitLayoutIsByteIdentical(t *testing.T) {
 		msg    TaskResponse
 		shared int // arrays a SharedWriter must receive by reference
 	}{
-		"full":               {accepted(TaskResponse{Params: randFloats(rng, P), Full: true}), 1},
+		"full":               {accepted(TaskResponse{Params: randFloats(rng, P)}), 1},
 		"delta":              {accepted(TaskResponse{ParamsDelta: delta(P), DeltaBase: 40}), 2},
 		"sparse delta":       {accepted(TaskResponse{ParamsDelta: delta(9), DeltaBase: 40}), 0},
 		"empty delta":        {accepted(TaskResponse{ParamsDelta: delta(0), DeltaBase: 41}), 0},
-		"zero-length params": {accepted(TaskResponse{Params: []float64{}, Full: true}), 0},
+		"zero-length params": {accepted(TaskResponse{Params: []float64{}}), 0},
 		"rejected":           {TaskResponse{Reason: "controller: worker rejected"}, 0},
 	}
 	little := hostLittle
@@ -123,7 +123,7 @@ func (w *failAfter) Write(p []byte) (int, error) {
 // TestFlatSplitWriteFailure: a split message is several Writes; a failure
 // of any of them is the Encode's unavailable error.
 func TestFlatSplitWriteFailure(t *testing.T) {
-	m := &TaskResponse{Accepted: true, Params: make([]float64, 20_000), Full: true}
+	m := &TaskResponse{Accepted: true, Params: make([]float64, 20_000)}
 	for n := 0; n < 3; n++ {
 		if err := Flat.Encode(&failAfter{n: n}, m); !IsCode(err, CodeUnavailable) {
 			t.Errorf("write %d failing: %v, want unavailable", n, err)

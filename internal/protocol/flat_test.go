@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -29,8 +32,6 @@ func randPush(rng *rand.Rand) *GradientPush {
 		CompTimeSec:  rng.Float64() * 10,
 		EnergyPct:    rng.Float64(),
 		Contributing: rng.Intn(3),
-		StalenessMin: rng.Intn(4),
-		StalenessMax: rng.Intn(9),
 		Encoding:     []string{"", "dense", "topk", "topk+q8", "topk+f16"}[rng.Intn(5)],
 	}
 	if rng.Intn(2) == 0 {
@@ -70,7 +71,6 @@ func randTaskResponse(rng *rand.Rand) *TaskResponse {
 		ModelVersion: rng.Intn(1 << 20),
 		BatchSize:    rng.Intn(256),
 		DeltaBase:    rng.Intn(100),
-		Full:         rng.Intn(2) == 0,
 		ServerEpoch:  int64(rng.Intn(4)),
 	}
 	if !t.Accepted {
@@ -418,6 +418,7 @@ func TestFlatStructuralRejects(t *testing.T) {
 		{"flat version 1", hdr(1, flatKindPush), &GradientPush{}},
 		{"flat version 2", hdr(2, flatKindStats), &Stats{}},
 		{"flat version 3", hdr(3, flatKindAnnounce), &ModelAnnounce{}},
+		{"flat version 4", hdr(4, flatKindTaskResponse), &TaskResponse{}},
 		{"future version", hdr(99, flatKindPush), &GradientPush{}},
 		{"reserved bytes", []byte{'F', 'L', 'T', '1', flatVersion, flatKindPush, 7, 0}, &GradientPush{}},
 		{"kind 0", hdr(flatVersion, 0), &PushAck{}},
@@ -442,14 +443,20 @@ func TestFlatStructuralRejects(t *testing.T) {
 		wantInvalidArgument(t, tc.name, Flat.Decode(bytes.NewReader(tc.raw), tc.into))
 	}
 
-	// Version 1, 2 and 3 peers (version 2 stats carried TasksRejected after
-	// TasksServed, version 3 announces a trailing []u16) are refused by
-	// version, not misread a field over.
-	for _, v := range []uint8{1, 2, 3} {
+	// Version 1–4 peers (version 2 stats carried TasksRejected after
+	// TasksServed, version 3 announces a trailing []u16, version 4 pushes
+	// two trailing staleness ints) are refused by version, not misread a
+	// field over.
+	v4push := append(flatBytes(t, randPush(rand.New(rand.NewSource(4)))), make([]byte, 16)...)
+	v4push[4] = 4
+	for _, v := range []uint8{1, 2, 3, 4} {
 		want := fmt.Sprintf("unsupported version %d", v)
 		if err := Flat.Decode(bytes.NewReader(hdr(v, flatKindStats, make([]byte, 64)...)), &Stats{}); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("version %d peer: want %q, got %v", v, want, err)
 		}
+	}
+	if err := Flat.Decode(bytes.NewReader(v4push), &GradientPush{}); err == nil || !strings.Contains(err.Error(), "unsupported version 4") {
+		t.Errorf("version 4 push: want unsupported version 4, got %v", err)
 	}
 	var pe *Error
 	if err := Flat.Decode(bytes.NewReader(oversized), &GradientPush{}); !errors.As(err, &pe) || pe.Code != CodePayloadTooLarge {
@@ -573,6 +580,43 @@ func FuzzFlatDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFlatCorpusDecodes: every committed FuzzFlatDecode seed decodes as the
+// kind its file is named after, and re-encodes to its own bytes. The fuzz
+// body skips inputs that fail to decode, so without this a layout change
+// would quietly turn the seeds into decode errors that exercise nothing.
+func TestFlatCorpusDecodes(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzFlatDecode")
+	for _, m := range flatMessages {
+		raw, err := os.ReadFile(filepath.Join(dir, m.name))
+		if err != nil {
+			t.Errorf("%s: no seed: %v", m.name, err)
+			continue
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		if !ok || !strings.HasSuffix(lit, ")") {
+			t.Errorf("%s: not a one-value []byte corpus file", m.name)
+			continue
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Errorf("%s: %v", m.name, err)
+			continue
+		}
+		msg := m.zero()
+		if err := Flat.Decode(strings.NewReader(data), msg); err != nil {
+			t.Errorf("%s: seed does not decode: %v", m.name, err)
+			continue
+		}
+		if again := flatBytes(t, msg); string(again) != data {
+			t.Errorf("%s: seed is not the encoding of what it decodes to", m.name)
+		}
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(names) != len(flatMessages) {
+		t.Errorf("%d seeds (%v), want one per kind (%d)", len(names), err, len(flatMessages))
+	}
 }
 
 // checkLendAgrees decodes data a second time through Lend and requires what
@@ -727,8 +771,6 @@ func TestGradientPushDecodesPreTagBytes(t *testing.T) {
 		TimeFeatures   []float64 `json:"time_features"`
 		EnergyFeatures []float64 `json:"energy_features"`
 		Contributing   int       `json:"contributing,omitempty"`
-		StalenessMin   int       `json:"staleness_min,omitempty"`
-		StalenessMax   int       `json:"staleness_max,omitempty"`
 	}
 	old := oldGradientPush{
 		WorkerID: 3, DeviceModel: "Galaxy S7", ModelVersion: 17, ModelEpoch: 1,

@@ -21,6 +21,24 @@ type GradientPayload struct {
 // Sparse reports whether the payload carries the sparse view.
 func (p GradientPayload) Sparse() bool { return p.Dense == nil }
 
+// SetForm writes a compression chain's wire Form into the push's gradient
+// fields and stamps its Encoding tag — the one form-to-fields mapping, the
+// inverse of DecodeGradientPayload. The push keeps the form's arrays.
+func (p *GradientPush) SetForm(f compress.Form) {
+	p.Encoding = f.Encoding
+	switch f.Encoding {
+	case compress.EncodingTopK:
+		p.GradientLen, p.SparseIndices, p.SparseValues = f.Sparse.Len, f.Sparse.Indices, f.Sparse.Values
+	case compress.EncodingTopKQ8:
+		p.GradientLen, p.SparseIndices, p.SparseQ8Levels = f.Q8.Len, f.Q8.Indices, f.Q8.Levels
+		p.SparseQ8Min, p.SparseQ8Max = f.Q8.Min, f.Q8.Max
+	case compress.EncodingTopKF16:
+		p.GradientLen, p.SparseIndices, p.SparseF16 = f.F16.Len, f.F16.Indices, f.F16.Values
+	default:
+		p.Gradient = f.Dense
+	}
+}
+
 // DecodeGradientPayload validates push's gradient against the receiver's
 // parameter count and decodes it into a dense vector or a sparse
 // index/value view. The Encoding tag, when present, must agree with the

@@ -60,10 +60,6 @@ type TaskResponse struct {
 	// empty on delta responses.
 	ParamsDelta *compress.Sparse `json:"params_delta,omitempty"`
 	DeltaBase   int              `json:"delta_base,omitempty"`
-	// Full marks Params as the complete vector. Informational: responses
-	// from pre-delta servers decode with Full == false yet still carry
-	// full params, so clients must key on ParamsDelta != nil, not Full.
-	Full bool `json:"full,omitempty"`
 	// ServerEpoch is the server's incarnation counter: 0 for a fresh
 	// boot, incremented by every checkpoint restore. Clients echo it in
 	// GradientPush.ModelEpoch and TaskRequest.KnownEpoch so the server
@@ -128,13 +124,6 @@ type GradientPush struct {
 	// preserve Equation 3's magnitude accounting end-to-end. 0 (absent, or
 	// a pre-tree client) means an ordinary single-gradient push.
 	Contributing int `json:"contributing,omitempty"`
-	// StalenessMin/StalenessMax bound the leaf-local staleness of the
-	// gradients folded into an aggregated push, measured against the
-	// edge's cached model clock — the upstream sees only the edge's own
-	// staleness, so these carry the leaf-side spread for diagnostics.
-	// Meaningful only when Contributing > 0.
-	StalenessMin int `json:"staleness_min,omitempty"`
-	StalenessMax int `json:"staleness_max,omitempty"`
 }
 
 // PushAck acknowledges a gradient push.
@@ -167,6 +156,14 @@ type ModelAnnounce struct {
 	// drain rewrote too much of the vector to be worth sparsifying.
 	Delta     *compress.Sparse `json:"delta,omitempty"`
 	DeltaBase int              `json:"delta_base,omitempty"`
+}
+
+// Follows reports whether the announce patches a model held at (version,
+// epoch): it carries a delta, from that epoch, based exactly on version, to
+// a later version. A coalesced announce spans several drains in one delta;
+// its base is what anchors the patch.
+func (a ModelAnnounce) Follows(version int, epoch int64) bool {
+	return a.Delta != nil && a.ServerEpoch == epoch && a.DeltaBase == version && a.ModelVersion > version
 }
 
 // Stats is the server's diagnostic snapshot.

@@ -181,7 +181,7 @@ func TestPreDeltaPayloadsDecodeUnchanged(t *testing.T) {
 	if err := JSON.Decode(&buf, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.ParamsDelta != nil || resp.Full {
+	if resp.ParamsDelta != nil {
 		t.Fatalf("response = %+v", resp)
 	}
 	if len(resp.Params) != 3 {

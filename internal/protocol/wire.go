@@ -2,14 +2,20 @@ package protocol
 
 import "sync/atomic"
 
-// WireCounter tallies encoded payload bytes crossing a transport boundary,
-// split by direction from the worker's point of view (uplink = worker →
-// server). Clients accept an optional *WireCounter and add every message
-// they encode or decode; the load harness aggregates one counter across a
-// whole fleet. Counts are codec-level payload sizes — what compression and
-// delta pulls actually save — not TCP or HTTP framing overhead, so they are
-// deterministic across runs. All methods are safe for concurrent use and
-// no-ops on a nil receiver.
+// WireCounter tallies bytes crossing a transport boundary, split by
+// direction from the worker's point of view (uplink = worker → server).
+// Clients accept an optional *WireCounter; the load harness aggregates one
+// counter across a whole fleet. What a count covers is the transport's:
+//
+//   - worker.Client (HTTP) adds the encoded body of every request it sends
+//     and the body of every 200 reply it decodes: message bytes only, no
+//     HTTP headers and no error replies.
+//   - stream.Client adds every frame it writes or reads with its 12-byte
+//     frame header: requests, replies and announces, and the control frames
+//     too (hello, welcome, heartbeats, goaway, errors).
+//
+// Neither counts TCP or TLS overhead. All methods are safe for concurrent
+// use and no-ops on a nil receiver.
 type WireCounter struct {
 	up   atomic.Int64
 	down atomic.Int64

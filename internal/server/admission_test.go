@@ -255,7 +255,7 @@ func TestDeltaPullReconstructsExactParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.ParamsDelta != nil || !full.Full || full.ModelVersion != 0 {
+	if full.ParamsDelta != nil || len(full.Params) == 0 || full.ModelVersion != 0 {
 		t.Fatalf("initial pull = %+v", full)
 	}
 	cached := append([]float64(nil), full.Params...)
@@ -312,7 +312,7 @@ func TestDeltaPullReconstructsExactParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ParamsDelta != nil || !resp.Full || len(resp.Params) != s.paramCount {
+	if resp.ParamsDelta != nil || len(resp.Params) != s.paramCount {
 		t.Fatalf("stale pull must fall back to full: %+v", resp)
 	}
 
@@ -359,8 +359,8 @@ func TestDeltaPullDenseUpdateFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ParamsDelta != nil || !resp.Full {
-		t.Fatalf("dense update must serve full params: delta=%v full=%v", resp.ParamsDelta, resp.Full)
+	if resp.ParamsDelta != nil || len(resp.Params) == 0 {
+		t.Fatalf("dense update must serve full params: delta=%v params=%d", resp.ParamsDelta, len(resp.Params))
 	}
 }
 
@@ -657,7 +657,7 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 			if len(bases) > depth {
 				// One past the depth: not retained, so a full pull.
 				past := bases[len(bases)-depth-1]
-				if resp := deltaPull(t, s, past.Version); resp == nil || !resp.Full || resp.ParamsDelta != nil || snap.Delta(past.Version) != nil {
+				if resp := deltaPull(t, s, past.Version); resp == nil || len(resp.Params) == 0 || resp.ParamsDelta != nil || snap.Delta(past.Version) != nil {
 					t.Fatalf("depth %d window %d: base v%d is past the history but was not served a full pull", depth, w, past.Version)
 				}
 				bases = bases[len(bases)-depth:]

@@ -17,13 +17,6 @@ import (
 // The in-process server is itself a Service; interceptors compose around it.
 var _ service.Service = (*Server)(nil)
 
-// MaxRequestBytes caps how much of a request body any route will read
-// before decoding — WorkerID is unauthenticated on the wire, so without a
-// cap one client could OOM the server with a huge body.
-// Generous enough for a dense JSON gradient of a million-parameter model;
-// deployments with larger models can raise it before building the handler.
-var MaxRequestBytes int64 = 64 << 20
-
 // NewHandler exposes any Service — typically a *Server wrapped in an
 // interceptor chain — over the FLeet wire protocol:
 //
@@ -83,7 +76,7 @@ func (e *Endpoint) Serve(ctx context.Context, w http.ResponseWriter, r *http.Req
 		protocol.WriteError(w, err)
 		return
 	}
-	body := &countingBody{r: http.MaxBytesReader(w, r.Body, MaxRequestBytes)}
+	body := &countingBody{r: http.MaxBytesReader(w, r.Body, protocol.MaxMessageBytes)}
 	cw := &countingWriter{ResponseWriter: w}
 	w.Header().Set("Content-Type", codec.ContentType())
 	if op == service.OpTask {

@@ -195,9 +195,9 @@ func TestV1DefaultCodecNegotiation(t *testing.T) {
 }
 
 func TestRequestBodyCap(t *testing.T) {
-	old := MaxRequestBytes
-	MaxRequestBytes = 1024
-	defer func() { MaxRequestBytes = old }()
+	old := protocol.MaxMessageBytes
+	protocol.MaxMessageBytes = 1024
+	defer func() { protocol.MaxMessageBytes = old }()
 	_, hs := newHTTPServer(t, Config{})
 
 	// A well-formed but oversized JSON push must be cut off with a
@@ -347,8 +347,8 @@ func TestV1TaskDeltaRoundTripBothCodecs(t *testing.T) {
 		if err := codec.Decode(bytes.NewReader(out), &full); err != nil {
 			t.Fatal(err)
 		}
-		if full.ParamsDelta != nil || !full.Full || len(full.Params) == 0 {
-			t.Fatalf("%s: full pull = delta=%v full=%v params=%d", ct, full.ParamsDelta, full.Full, len(full.Params))
+		if full.ParamsDelta != nil || len(full.Params) == 0 {
+			t.Fatalf("%s: full pull = delta=%v params=%d", ct, full.ParamsDelta, len(full.Params))
 		}
 		cached := append([]float64(nil), full.Params...)
 		base := full.ModelVersion

@@ -106,12 +106,12 @@ func TestSteadyStateWindowAllocatesNoModel(t *testing.T) {
 	leased := perWindow(func(s *Server) {
 		lease := &service.Lease{Context: ctx}
 		defer lease.Release() // after the endpoint has encoded the reply
-		if resp, err := s.RequestTask(lease, req); err != nil || !resp.Full {
+		if resp, err := s.RequestTask(lease, req); err != nil || resp.ParamsDelta != nil || len(resp.Params) == 0 {
 			t.Fatalf("pull: %v", err)
 		}
 	})
 	kept := perWindow(func(s *Server) {
-		if resp, err := s.RequestTask(ctx, req); err != nil || !resp.Full {
+		if resp, err := s.RequestTask(ctx, req); err != nil || resp.ParamsDelta != nil || len(resp.Params) == 0 {
 			t.Fatalf("pull: %v", err)
 		}
 	})

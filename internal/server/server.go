@@ -292,7 +292,7 @@ func (*rootSink) Sync(context.Context) error { return nil }
 
 // Fold has nothing to carry per push: the root's window is the
 // aggregator's mass alone.
-func (*rootSink) Fold(*protocol.GradientPush, int, int) {}
+func (*rootSink) Fold(*protocol.GradientPush, int) {}
 
 // ckptWriter is the background checkpoint goroutine: it encodes and fsyncs
 // queued cores off the push path, acknowledges flush barriers, and on Close

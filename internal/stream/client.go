@@ -48,7 +48,8 @@ type Client struct {
 	// PingInterval is the idle heartbeat period (0: a third of the
 	// server's default idle timeout; negative: no heartbeats).
 	PingInterval time.Duration
-	// Wire, when non-nil, tallies frame bytes in both directions.
+	// Wire, when non-nil, tallies the frames in both directions, headers
+	// and control frames included (see protocol.WireCounter).
 	Wire *protocol.WireCounter
 	// OnAnnounce, when non-nil, observes every model announcement as it
 	// arrives (called from the session's read loop; keep it brief).
@@ -209,11 +210,7 @@ func (c *Client) notifyLocked() chan struct{} {
 // noteAnnounce folds one announcement into the client's announce state.
 func (c *Client) noteAnnounce(ann protocol.ModelAnnounce) {
 	c.annMu.Lock()
-	// A coalesced announce spans several versions in one delta; it chains
-	// whenever its base matches the last version seen, not only for +1.
-	chained := c.annSeen && ann.ServerEpoch == c.annEpoch && ann.Delta != nil &&
-		ann.DeltaBase == c.annVer && ann.ModelVersion > c.annVer
-	if !chained {
+	if !c.annSeen || !ann.Follows(c.annVer, c.annEpoch) {
 		c.annRun = c.annRun[:0]
 	}
 	if ann.Delta != nil {

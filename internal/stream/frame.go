@@ -111,12 +111,6 @@ func (t frameType) String() string {
 	return fmt.Sprintf("frame_type_%d", uint8(t))
 }
 
-// MaxFrameBytes caps a single frame's payload, mirroring the HTTP
-// transport's request-body limit. Oversized frames are rejected with a
-// structured payload_too_large error before any payload byte is read, so a
-// hostile length prefix cannot make a peer allocate unboundedly.
-var MaxFrameBytes int64 = 64 << 20
-
 // frame is one decoded frame.
 type frame struct {
 	typ     frameType
@@ -148,9 +142,9 @@ func newFrameOut() *frameOut { return framePool.Get().(*frameOut) }
 
 // writeTo sends the frame. Callers serialize writes per connection.
 func (o *frameOut) writeTo(w io.Writer, typ frameType, corr uint32) error {
-	if int64(o.Len()) > MaxFrameBytes {
+	if int64(o.Len()) > protocol.MaxMessageBytes {
 		return protocol.Errorf(protocol.CodePayloadTooLarge,
-			"stream: %s frame payload %d bytes exceeds %d", typ, o.Len(), MaxFrameBytes)
+			"stream: %s frame payload %d bytes exceeds %d", typ, o.Len(), protocol.MaxMessageBytes)
 	}
 	binary.BigEndian.PutUint16(o.hdr[0:2], frameMagic)
 	o.hdr[2] = byte(typ)
@@ -230,9 +224,11 @@ func readHeader(r io.Reader) (frame, int64, error) {
 		corr: binary.BigEndian.Uint32(hdr[4:8]),
 	}
 	n := int64(binary.BigEndian.Uint32(hdr[8:12]))
-	if n > MaxFrameBytes {
+	// Refused before any payload byte is read: a hostile length prefix
+	// cannot make a peer allocate.
+	if n > protocol.MaxMessageBytes {
 		return frame{}, 0, protocol.Errorf(protocol.CodePayloadTooLarge,
-			"stream: %s frame announces %d-byte payload, limit %d", f.typ, n, MaxFrameBytes)
+			"stream: %s frame announces %d-byte payload, limit %d", f.typ, n, protocol.MaxMessageBytes)
 	}
 	return f, n, nil
 }

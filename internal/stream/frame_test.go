@@ -67,7 +67,7 @@ func TestReadFrameOversized(t *testing.T) {
 	raw := make([]byte, headerSize)
 	binary.BigEndian.PutUint16(raw[0:2], frameMagic)
 	raw[2] = byte(fPush)
-	binary.BigEndian.PutUint32(raw[8:12], uint32(MaxFrameBytes+1))
+	binary.BigEndian.PutUint32(raw[8:12], uint32(protocol.MaxMessageBytes+1))
 	_, err := readFrame(bytes.NewReader(raw))
 	if !protocol.IsCode(err, protocol.CodePayloadTooLarge) {
 		t.Fatalf("oversized: %v, want payload_too_large", err)
@@ -75,9 +75,9 @@ func TestReadFrameOversized(t *testing.T) {
 }
 
 func TestWriteFrameOversized(t *testing.T) {
-	old := MaxFrameBytes
-	MaxFrameBytes = 16
-	defer func() { MaxFrameBytes = old }()
+	old := protocol.MaxMessageBytes
+	protocol.MaxMessageBytes = 16
+	defer func() { protocol.MaxMessageBytes = old }()
 	err := writeFrame(io.Discard, frame{typ: fPush, payload: make([]byte, 17)})
 	if !protocol.IsCode(err, protocol.CodePayloadTooLarge) {
 		t.Fatalf("oversized write: %v, want payload_too_large", err)
@@ -107,11 +107,11 @@ func TestReadFrameTruncated(t *testing.T) {
 // declared length and bytes (never a previous frame's tail), and the same
 // error ending the stream, structured or the clean end of the session.
 func FuzzStreamFrameRead(f *testing.F) {
-	// Keep a hostile length prefix from costing MaxFrameBytes per exec; the
-	// check-before-allocate logic is the same at any cap.
-	old := MaxFrameBytes
-	MaxFrameBytes = 1 << 16
-	f.Cleanup(func() { MaxFrameBytes = old })
+	// Keep a hostile length prefix from costing protocol.MaxMessageBytes per
+	// exec; the check-before-allocate logic is the same at any cap.
+	old := protocol.MaxMessageBytes
+	protocol.MaxMessageBytes = 1 << 16
+	f.Cleanup(func() { protocol.MaxMessageBytes = old })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh, recycled := bytes.NewReader(data), bytes.NewReader(data)
 		for {

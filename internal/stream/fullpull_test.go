@@ -78,7 +78,7 @@ func fullPullsRaceWindowCloses(t *testing.T, depth, drains, pullsEach int) {
 					}
 				}
 				resp, err := c.RequestTask(ctx, &protocol.TaskRequest{WorkerID: 10 + p, LabelCounts: []int{1}})
-				if err != nil || !resp.Accepted || !resp.Full || len(resp.Params) != len(boot) {
+				if err != nil || !resp.Accepted || resp.ParamsDelta != nil || len(resp.Params) != len(boot) {
 					t.Errorf("puller %d pull %d: %v (%+v)", p, i, err, resp)
 					return
 				}
@@ -220,7 +220,7 @@ func TestPeerThatNeverReadsPinsOneSnapshot(t *testing.T) {
 	// A fresh full pull is the current model, whatever the stuck frames alias.
 	resp, err := pusher.RequestTask(ctx, &protocol.TaskRequest{WorkerID: 1, LabelCounts: make([]int, 100)})
 	want, _ := srv.Model()
-	if err != nil || !resp.Full || hashParams(resp.Params) != hashParams(want) {
+	if err != nil || resp.ParamsDelta != nil || len(resp.Params) == 0 || hashParams(resp.Params) != hashParams(want) {
 		t.Fatalf("pull behind the stuck peer: %v", err)
 	}
 }
@@ -283,7 +283,7 @@ func TestDirectDecodeKeepsFrameSync(t *testing.T) {
 	c := &Client{Addr: addr, WorkerID: 1, Codec: protocol.Flat, PingInterval: -1, Wire: wire}
 	defer func() { _ = c.Close() }()
 
-	want := &protocol.TaskResponse{Accepted: true, ModelVersion: 5, Params: make([]float64, 20_000), BatchSize: 8, Full: true}
+	want := &protocol.TaskResponse{Accepted: true, ModelVersion: 5, Params: make([]float64, 20_000), BatchSize: 8}
 	for i := range want.Params {
 		want.Params[i] = float64(i) + 0.25
 	}
@@ -428,7 +428,7 @@ func TestCloseWaitsForReadLoop(t *testing.T) {
 		t.Fatalf("request: %+v, %v", f, err)
 	}
 	var enc bytes.Buffer
-	if err := protocol.Flat.Encode(&enc, &protocol.TaskResponse{Accepted: true, Params: make([]float64, 40_000), Full: true}); err != nil {
+	if err := protocol.Flat.Encode(&enc, &protocol.TaskResponse{Accepted: true, Params: make([]float64, 40_000)}); err != nil {
 		t.Fatal(err)
 	}
 	raw := taskReply(f.corr, enc.Bytes(), enc.Len())
@@ -474,7 +474,7 @@ type modelSvc struct {
 }
 
 func (m modelSvc) RequestTask(context.Context, *protocol.TaskRequest) (*protocol.TaskResponse, error) {
-	return &protocol.TaskResponse{Accepted: true, ModelVersion: 1, Params: m.params, BatchSize: 32, Full: true}, nil
+	return &protocol.TaskResponse{Accepted: true, ModelVersion: 1, Params: m.params, BatchSize: 32}, nil
 }
 
 func (m modelSvc) Stats(context.Context) (*protocol.Stats, error) { return &protocol.Stats{}, nil }

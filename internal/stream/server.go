@@ -571,7 +571,7 @@ func (sess *session) enqueueAnnounce(entry annEntry) {
 // the pair doesn't chain: different incarnations, a delta-less announce, or
 // a base mismatch (which a dropped sibling in between would cause).
 func coalesceAnnounces(a, b protocol.ModelAnnounce) (protocol.ModelAnnounce, bool) {
-	if a.ServerEpoch != b.ServerEpoch || a.Delta == nil || b.Delta == nil || b.DeltaBase != a.ModelVersion {
+	if a.Delta == nil || !b.Follows(a.ModelVersion, a.ServerEpoch) {
 		return protocol.ModelAnnounce{}, false
 	}
 	delta, ok := compress.Compose(*a.Delta, *b.Delta)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"fleet/internal/protocol"
-	"fleet/internal/server"
 	"fleet/internal/service"
 	"fleet/internal/stream"
 	"fleet/internal/worker"
@@ -36,16 +35,15 @@ func (csvCodec) ContentType() string { return "text/csv" }
 // are envelopes around one endpoint (service.Call), not three
 // re-implementations.
 func TestEndpointParityAcrossTransports(t *testing.T) {
-	// Both transports' size caps, set before anything serves and restored
-	// by the cleanup registered first, which runs last: after the deferred
-	// server shutdowns and after every stream client's Close, which returns
-	// only once its read loop (a reader of the cap) is gone. The stream cap
-	// binds the sender too, so the oversized row also covers the client
-	// refusing to send.
-	const limit = 16 << 10
-	oldReq, oldFrame := server.MaxRequestBytes, stream.MaxFrameBytes
-	server.MaxRequestBytes, stream.MaxFrameBytes = limit, limit
-	t.Cleanup(func() { server.MaxRequestBytes, stream.MaxFrameBytes = oldReq, oldFrame })
+	// The one message-size cap of both transports, set before anything
+	// serves and restored by the cleanup registered first, which runs last:
+	// after the deferred server shutdowns and after every stream client's
+	// Close, which returns only once its read loop (a reader of the cap) is
+	// gone. The stream cap binds the sender too, so the oversized row also
+	// covers the client refusing to send.
+	old := protocol.MaxMessageBytes
+	protocol.MaxMessageBytes = 16 << 10
+	t.Cleanup(func() { protocol.MaxMessageBytes = old })
 
 	reg, err := newRegistry(t, "", Config{Name: "open", Arch: "tiny-mnist"})
 	if err != nil {

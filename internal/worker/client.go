@@ -23,8 +23,8 @@ type Client struct {
 	HTTPClient *http.Client
 	// Codec selects the wire representation (nil: protocol.Default).
 	Codec protocol.Codec
-	// Wire, when non-nil, tallies encoded payload bytes in both directions
-	// (request and response bodies; HTTP header overhead is not counted).
+	// Wire, when non-nil, tallies encoded message bytes in both directions:
+	// request bodies and 200 reply bodies (see protocol.WireCounter).
 	Wire *protocol.WireCounter
 	// Tenant routes calls through the tenant-scoped /v1/t/<tenant>/ route
 	// space on multi-tenant servers ("" keeps the un-tenanted routes, which

@@ -89,7 +89,7 @@ func TestResyncAfterServerRestart(t *testing.T) {
 	if err != nil || !resp.Accepted {
 		t.Fatalf("recovery pull: %v %+v", err, resp)
 	}
-	if resp.ParamsDelta != nil || !resp.Full {
+	if resp.ParamsDelta != nil || len(resp.Params) == 0 {
 		t.Fatalf("recovery pull served a delta: %+v", resp)
 	}
 	if _, err := w.Push(ctx, b, w.Compute(resp).Push); err != nil {

@@ -235,7 +235,7 @@ func (w *Worker) Compute(resp *protocol.TaskResponse) *Prepared {
 		LabelCounts:  data.LabelCounts(batch, w.cfg.Arch.Classes()),
 	}
 	if w.compressor != nil {
-		applyForm(push, w.compressor.Compress(grad))
+		push.SetForm(w.compressor.Compress(grad))
 	} else {
 		push.Gradient = grad
 	}
@@ -249,30 +249,6 @@ func (w *Worker) Compute(resp *protocol.TaskResponse) *Prepared {
 		push.EnergyFeatures = iprof.FeaturesOf(w.cfg.Device, iprof.KindEnergy)
 	}
 	return out
-}
-
-// applyForm maps a compression chain's wire Form onto the push message,
-// stamping the self-describing Encoding tag.
-func applyForm(push *protocol.GradientPush, f compress.Form) {
-	push.Encoding = f.Encoding
-	switch f.Kind {
-	case compress.FormSparse:
-		push.GradientLen = f.Sparse.Len
-		push.SparseIndices = f.Sparse.Indices
-		push.SparseValues = f.Sparse.Values
-	case compress.FormSparseQ8:
-		push.GradientLen = f.Q8.Len
-		push.SparseIndices = f.Q8.Indices
-		push.SparseQ8Levels = f.Q8.Levels
-		push.SparseQ8Min = f.Q8.Min
-		push.SparseQ8Max = f.Q8.Max
-	case compress.FormSparseF16:
-		push.GradientLen = f.F16.Len
-		push.SparseIndices = f.F16.Indices
-		push.SparseF16 = f.F16.Values
-	default:
-		push.Gradient = f.Dense
-	}
 }
 
 // Push sends a prepared gradient, step (5). A version_conflict rejection
@@ -328,10 +304,7 @@ func (w *Worker) AbsorbAnnounce(ann protocol.ModelAnnounce) bool {
 	if ann.ServerEpoch == w.epoch && ann.ModelVersion <= w.version {
 		return true // stale: the cache already covers this version
 	}
-	// ModelVersion may be more than version+1 ahead: a coalesced announce
-	// (stream-transport queue overflow) spans several drains in one delta.
-	// DeltaBase anchoring is what makes the patch exact either way.
-	if ann.Delta == nil || ann.ServerEpoch != w.epoch || ann.DeltaBase != w.version || ann.ModelVersion <= w.version {
+	if !ann.Follows(w.version, w.epoch) {
 		return false
 	}
 	if err := ann.Delta.Patch(w.params); err != nil {
@@ -341,6 +314,19 @@ func (w *Worker) AbsorbAnnounce(ann protocol.ModelAnnounce) bool {
 	w.version = ann.ModelVersion
 	w.Refreshes++
 	return true
+}
+
+// AbsorbAnnounces folds a session's collected announces into the cached
+// model before the next pull, so the pull advertises the freshest version
+// the worker can prove it holds. The chain is consecutive by construction:
+// the first inapplicable announce (gap, epoch change, cold cache) means the
+// rest cannot apply either, and the pull's delta/full path recovers.
+func (w *Worker) AbsorbAnnounces(anns []protocol.ModelAnnounce) {
+	for _, ann := range anns {
+		if !w.AbsorbAnnounce(ann) {
+			return
+		}
+	}
 }
 
 // absorbModel updates the worker's cached parameter vector from an

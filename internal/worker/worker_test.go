@@ -355,7 +355,7 @@ func TestWorkerAppliesDeltaPulls(t *testing.T) {
 		params[i] = float64(i) * 1e-3
 	}
 	svc := &scriptedService{responses: []*protocol.TaskResponse{
-		{Accepted: true, ModelVersion: 5, Params: params, BatchSize: 2, Full: true},
+		{Accepted: true, ModelVersion: 5, Params: params, BatchSize: 2},
 		{Accepted: true, ModelVersion: 7, BatchSize: 2, DeltaBase: 5,
 			ParamsDelta: &compress.Sparse{Len: n, Indices: []int32{0, 9}, Values: []float64{0.5, -0.25}}},
 	}}
@@ -421,7 +421,7 @@ func TestWorkerRejectsCorruptDelta(t *testing.T) {
 	}
 	n := w.net.ParamCount()
 	svc := &scriptedService{responses: []*protocol.TaskResponse{
-		{Accepted: true, ModelVersion: 5, Params: make([]float64, n), BatchSize: 2, Full: true},
+		{Accepted: true, ModelVersion: 5, Params: make([]float64, n), BatchSize: 2},
 		{Accepted: true, ModelVersion: 7, BatchSize: 2, DeltaBase: 4, // wrong base
 			ParamsDelta: &compress.Sparse{Len: n, Indices: []int32{0}, Values: []float64{1}}},
 	}}
