@@ -545,7 +545,7 @@ func TestMultiTenantBuild(t *testing.T) {
 		"-default-tenant", "analytics")
 	defer func() { _ = rt.Close() }()
 	asm := rt.Assembly()
-	if asm.Handler == nil || asm.Resolver == nil || asm.AnnounceTenants == nil {
+	if asm.Handler == nil || asm.Resolver == nil || asm.Announce == nil {
 		t.Fatal("multi-tenant assembly must carry handler, resolver and announce wiring")
 	}
 	if !strings.Contains(asm.Banner, "analytics") || !strings.Contains(asm.Banner, "ads") {

@@ -138,52 +138,6 @@ func Diff(base, target []float64, maxNNZ int) (delta Sparse, ok bool) {
 	return delta, true
 }
 
-// Compose folds two consecutive overwrite deltas into one: applied to a
-// base vector, the result reconstructs exactly what patching a then b
-// would. Because Diff deltas carry *target* values (not differences),
-// composition is a plain index union where b's value wins on overlap —
-// bit-for-bit, no arithmetic. This is what lets the stream transport
-// coalesce a backlog of announces into one v→v+k delta for a lagging
-// subscriber, and what lets an edge aggregator relay multi-step model
-// jumps downstream as a single patch. Mismatched dense lengths return
-// ok=false (deltas from different models must not merge). Both inputs
-// must carry ascending indices — true of every Diff and TopK output.
-func Compose(a, b Sparse) (Sparse, bool) {
-	if a.Len != b.Len {
-		return Sparse{}, false
-	}
-	out := Sparse{
-		Len:     a.Len,
-		Indices: make([]int32, 0, len(a.Indices)+len(b.Indices)),
-		Values:  make([]float64, 0, len(a.Indices)+len(b.Indices)),
-	}
-	// Merge the two sorted index lists; on a tie the later delta's value
-	// overwrites the earlier one's.
-	i, j := 0, 0
-	for i < len(a.Indices) && j < len(b.Indices) {
-		switch {
-		case a.Indices[i] < b.Indices[j]:
-			out.Indices = append(out.Indices, a.Indices[i])
-			out.Values = append(out.Values, a.Values[i])
-			i++
-		case a.Indices[i] > b.Indices[j]:
-			out.Indices = append(out.Indices, b.Indices[j])
-			out.Values = append(out.Values, b.Values[j])
-			j++
-		default:
-			out.Indices = append(out.Indices, b.Indices[j])
-			out.Values = append(out.Values, b.Values[j])
-			i++
-			j++
-		}
-	}
-	out.Indices = append(out.Indices, a.Indices[i:]...)
-	out.Values = append(out.Values, a.Values[i:]...)
-	out.Indices = append(out.Indices, b.Indices[j:]...)
-	out.Values = append(out.Values, b.Values[j:]...)
-	return out, true
-}
-
 // Patch overwrites dst at the sparse coordinates (dst[i] = s[i]), the
 // reconstruction step of a delta pull: applied to the delta's base vector
 // it yields the diffed target exactly. It errors instead of panicking on a

@@ -196,6 +196,14 @@ func (s Spec) assembly(svc service.Service, banner string) Assembly {
 	}
 }
 
+// untenanted wires a single-tenant model source's announces to the
+// broadcast under the "" label its sessions carry.
+func untenanted(hook func(func(protocol.ModelAnnounce))) func(func(string, protocol.ModelAnnounce)) {
+	return func(broadcast func(string, protocol.ModelAnnounce)) {
+		hook(func(ann protocol.ModelAnnounce) { broadcast("", ann) })
+	}
+}
+
 // compileRoot assembles the parameter server: single-tenant (one model,
 // one pipeline, one admission chain) or multi-tenant (each declared
 // tenant a child unit behind the shared listeners).
@@ -218,7 +226,7 @@ func compileRoot(s Spec) (*Runtime, error) {
 		fmt.Sprintf("FLeet server listening on %s (arch=%s, lr=%g, K=%d, pipeline: %s, admission: [%s])",
 			s.Bind.Addr, s.Arch, s.LearningRate, s.K, srv.Pipeline(), strings.Join(sched.Names(srv.Admission()), " -> ")))
 	asm.Server = srv
-	asm.Announce = srv.OnSnapshot
+	asm.Announce = untenanted(srv.OnSnapshot)
 	if s.Checkpoint.Dir != "" {
 		asm.Checkpoint = srv.Checkpoint
 		// Close flushes the background checkpoint writer at exit so the
@@ -445,7 +453,7 @@ func compileTenants(s Spec, timeProf, energyProf *iprof.IProf) (*Runtime, error)
 		}
 		return u.Service(), u.Name(), nil
 	}
-	asm.AnnounceTenants = func(broadcast func(string, protocol.ModelAnnounce)) {
+	asm.Announce = func(broadcast func(string, protocol.ModelAnnounce)) {
 		for _, u := range units {
 			tn := u.Name()
 			u.Server().OnSnapshot(func(ann protocol.ModelAnnounce) { broadcast(tn, ann) })
@@ -539,7 +547,7 @@ func compileEdge(s Spec) (*Runtime, error) {
 	asm.EdgeNode = node
 	// Every edge model refresh relays downstream as an announce to
 	// subscribed leaf sessions — the push half of the tree.
-	asm.Announce = node.OnAnnounce
+	asm.Announce = untenanted(node.OnAnnounce)
 	asm.Sync = node.Sync
 	asm.Flush = node.Flush
 	asm.DrainedMsg = func() string {

@@ -532,9 +532,8 @@ func TestFunctionsStayShort(t *testing.T) {
 // ingest.Sink[W].
 func TestInternalExportsAreUsed(t *testing.T) {
 	allowed := map[string]string{ // at most three, each with its reason
-		"stream.Server.Sessions":  "the session count a live metrics document is to report",
-		"stream.Server.Coalesced": "the announce coalesce count a live metrics document is to report",
-		"robust.Mean":             "the plain average the robust rules and the retained window are tested against",
+		"stream.Server.Sessions": "the session count a live metrics document is to report",
+		"robust.Mean":            "the plain average the robust rules and the retained window are tested against",
 	}
 	m := loadModule(t)
 	root, fset, files, checked, info, paths := m.root, m.fset, m.files, m.checked, m.info, m.paths

@@ -92,12 +92,10 @@ type Assembly struct {
 	// Resolver maps a stream hello's tenant name onto its serving unit;
 	// nil serves every session with Service.
 	Resolver func(tenant string) (service.Service, string, error)
-	// Announce registers the stream server's broadcast hook on the
-	// model source (root snapshots, edge relay announces).
-	Announce func(func(protocol.ModelAnnounce))
-	// AnnounceTenants registers per-tenant snapshot hooks against the
-	// tenant-scoped broadcast (multi-tenant sibling of Announce).
-	AnnounceTenants func(broadcast func(tenant string, ann protocol.ModelAnnounce))
+	// Announce registers the stream server's broadcast on the model
+	// sources (root snapshots, edge relay announces), each under the
+	// tenant label its sessions carry: "" on a single-tenant node.
+	Announce func(broadcast func(tenant string, ann protocol.ModelAnnounce))
 
 	// Sync runs before the listeners bind (edges: refuse to serve leaves
 	// a model the node does not have).
@@ -249,14 +247,10 @@ func (r *Runtime) Start(ctx context.Context) error {
 		}
 		streamSrv := stream.NewServer(r.asm.Service, stream.Options{Logf: r.asm.Logf, Resolver: r.asm.Resolver})
 		if r.asm.Announce != nil {
-			// Drain-time model snapshots broadcast to every subscribed
-			// session — the push half of the streaming transport.
-			r.asm.Announce(streamSrv.Broadcast)
-		}
-		if r.asm.AnnounceTenants != nil {
-			// Multi-tenant: each unit's snapshots fan out only to the
-			// sessions of its own tenant.
-			r.asm.AnnounceTenants(streamSrv.BroadcastTenant)
+			// Drain-time model snapshots broadcast to the subscribed
+			// sessions of their tenant — the push half of the streaming
+			// transport.
+			r.asm.Announce(streamSrv.BroadcastTenant)
 		}
 		r.streamSrv = streamSrv
 		r.shutStream = streamSrv.Shutdown

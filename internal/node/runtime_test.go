@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"fleet/internal/protocol"
+	"fleet/internal/stream"
 	"fleet/internal/tenant"
 )
 
@@ -322,5 +325,82 @@ func TestKillThenRebuildFromSpec(t *testing.T) {
 	}
 	if code := successor.Shutdown(context.Background()); code != 0 {
 		t.Fatalf("successor Shutdown = %d, want 0", code)
+	}
+}
+
+// TestTenantAnnouncesStayInTheirTenant: on a two-tenant root serving the
+// stream transport, the push that closes tenant alpha's window announces to
+// alpha's subscribed session and to no session of tenant beta. The fan-out
+// filters by the tenant label the resolver gave each session at handshake.
+func TestTenantAnnouncesStayInTheirTenant(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	tenants := testTenants()
+	for i := range tenants {
+		tenants[i].Secret = tenants[i].Name + "-secret"
+	}
+	rt, err := FromSpec(Spec{
+		Role:    RoleRoot,
+		Tenants: tenants,
+		Bind:    BindSpec{Transport: "stream", StreamAddr: "127.0.0.1:0", Drain: time.Second},
+		Logf:    func(string, ...interface{}) {},
+	})
+	if err != nil {
+		t.Fatalf("FromSpec: %v", err)
+	}
+	if err := rt.Start(ctx); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer rt.Shutdown(ctx)
+
+	var seen [2]atomic.Int64
+	clients := make([]*stream.Client, len(tenants))
+	for i, tc := range tenants {
+		seen := &seen[i]
+		clients[i] = &stream.Client{
+			Addr: rt.Addr().String(), WorkerID: 1, Subscribe: true, PingInterval: -1,
+			Tenant: tc.Name, Token: tenant.MintToken([]byte(tc.Secret), tc.Name, 1),
+			OnAnnounce: func(protocol.ModelAnnounce) { seen.Add(1) },
+		}
+		defer clients[i].Close()
+		if _, err := clients[i].Stats(ctx); err != nil { // open the session
+			t.Fatalf("%s: %v", tc.Name, err)
+		}
+	}
+	alpha, beta := clients[0], clients[1]
+
+	// push closes the window of c's tenant with a one-coordinate gradient,
+	// so the drain's announce carries a delta, and waits for its announce.
+	push := func(c *stream.Client) {
+		t.Helper()
+		resp, err := c.RequestTask(ctx, &protocol.TaskRequest{WorkerID: 1})
+		if err != nil || !resp.Accepted {
+			t.Fatalf("%s task: %v %+v", c.Tenant, err, resp)
+		}
+		grad := make([]float64, len(resp.Params))
+		grad[0] = 1e-3
+		ack, err := c.PushGradient(ctx, &protocol.GradientPush{
+			WorkerID: 1, ModelVersion: resp.ModelVersion, Gradient: grad, BatchSize: 1,
+		})
+		if err != nil || !ack.Applied || ack.NewVersion != resp.ModelVersion+1 {
+			t.Fatalf("%s push: %v %+v", c.Tenant, err, ack)
+		}
+		if err := c.WaitAnnounced(ctx, resp.ServerEpoch, ack.NewVersion); err != nil {
+			t.Fatalf("%s announce: %v", c.Tenant, err)
+		}
+	}
+
+	push(alpha)
+	if anns := alpha.TakeAnnounces(); len(anns) != 1 || anns[0].Delta == nil {
+		t.Fatalf("alpha's session took %+v, want its one delta announce", anns)
+	}
+	if anns := beta.TakeAnnounces(); len(anns) != 0 {
+		t.Fatalf("beta's session took alpha's announces: %+v", anns)
+	}
+	// Beta's own announce is a fence: a leaked alpha announce was enqueued
+	// on beta's session before alpha's ack, so it would arrive first.
+	push(beta)
+	if got := seen[1].Load(); got != 1 {
+		t.Fatalf("beta's session saw %d announces, want only its own", got)
 	}
 }

@@ -160,7 +160,7 @@ type ModelAnnounce struct {
 
 // Follows reports whether the announce patches a model held at (version,
 // epoch): it carries a delta, from that epoch, based exactly on version, to
-// a later version. A coalesced announce spans several drains in one delta;
+// a later version. An edge's relay can span several versions in one delta;
 // its base is what anchors the patch.
 func (a ModelAnnounce) Follows(version int, epoch int64) bool {
 	return a.Delta != nil && a.ServerEpoch == epoch && a.DeltaBase == version && a.ModelVersion > version

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -24,74 +25,55 @@ func chainedAnn(version int) protocol.ModelAnnounce {
 	}
 }
 
-// TestAnnounceOverflowCoalesces: a full session queue merges its two oldest
-// chained announcements into one spanning delta instead of dropping — the
-// client's consecutive chain survives the backlog, just batched.
-func TestAnnounceOverflowCoalesces(t *testing.T) {
+// TestAnnounceOverflowDropsOldest: a full session queue drops its oldest
+// announce, even when the pair chains — the client sees the gap and
+// catches up by pull. Every queued entry is the broadcaster's encoding,
+// shared by the sessions on one codec, and a session under another tenant
+// label receives none of them.
+func TestAnnounceOverflowDropsOldest(t *testing.T) {
 	s := NewServer(nil, Options{})
-	sess := &session{srv: s, annReady: make(chan struct{}, 1), done: make(chan struct{})}
+	newSession := func(tenant string) *session {
+		sess := &session{srv: s, codec: protocol.Default, subscribe: true, tenant: tenant,
+			annReady: make(chan struct{}, 1), done: make(chan struct{})}
+		s.sessions[sess] = struct{}{}
+		return sess
+	}
+	a, b, other := newSession(""), newSession(""), newSession("other")
 
-	for v := 1; v <= announceBuffer; v++ {
-		sess.enqueueAnnounce(annEntry{ann: chainedAnn(v)})
+	for v := 1; v <= announceBuffer+1; v++ {
+		s.Broadcast(chainedAnn(v))
 	}
-	sess.enqueueAnnounce(annEntry{ann: chainedAnn(announceBuffer + 1)})
 
-	sess.annMu.Lock()
-	defer sess.annMu.Unlock()
-	if len(sess.annQueue) != announceBuffer {
-		t.Fatalf("queue depth %d after overflow, want %d", len(sess.annQueue), announceBuffer)
+	if got, want := s.Broadcasts(), int64(2*(announceBuffer+1)); got != want {
+		t.Fatalf("Broadcasts() = %d, want %d", got, want)
 	}
-	head := sess.annQueue[0].ann
-	if head.ModelVersion != 2 || head.DeltaBase != 0 {
-		t.Fatalf("head after coalesce spans %d→%d, want 0→2", head.DeltaBase, head.ModelVersion)
+	if len(other.annQueue) != 0 {
+		t.Fatalf("a session of another tenant queued %d announces", len(other.annQueue))
 	}
-	if head.Delta == nil || len(head.Delta.Indices) != 2 {
-		t.Fatalf("coalesced head delta = %+v, want the 2-entry union", head.Delta)
-	}
-	if got := s.Coalesced(); got != 1 {
-		t.Fatalf("Coalesced() = %d, want 1", got)
-	}
-	// The rest of the chain is untouched and still consecutive off the
-	// coalesced head.
-	prev := head.ModelVersion
-	for _, entry := range sess.annQueue[1:] {
-		ann := entry.ann
-		if ann.DeltaBase != prev {
-			t.Fatalf("chain broken after coalesce: base %d follows version %d", ann.DeltaBase, prev)
+	for _, sess := range []*session{a, b} {
+		if len(sess.annQueue) != announceBuffer {
+			t.Fatalf("queue depth %d after overflow, want %d", len(sess.annQueue), announceBuffer)
 		}
-		prev = ann.ModelVersion
+	}
+	for i := range a.annQueue {
+		if &a.annQueue[i][0] != &b.annQueue[i][0] {
+			t.Fatalf("entry %d is a per-session copy, want the broadcaster's shared bytes", i)
+		}
+	}
+	var head protocol.ModelAnnounce
+	if err := protocol.Default.Decode(bytes.NewReader(a.annQueue[0]), &head); err != nil {
+		t.Fatal(err)
+	}
+	if head.ModelVersion != 2 || head.DeltaBase != 1 {
+		t.Fatalf("head after overflow spans %d→%d, want 1→2 (oldest dropped, nothing merged)", head.DeltaBase, head.ModelVersion)
 	}
 }
 
-// TestAnnounceOverflowDropsUncomposable: when the two oldest pending
-// announcements cannot merge (no delta to compose), the oldest is dropped —
-// the pre-coalescing behavior, now the fallback.
-func TestAnnounceOverflowDropsUncomposable(t *testing.T) {
-	s := NewServer(nil, Options{})
-	sess := &session{srv: s, annReady: make(chan struct{}, 1), done: make(chan struct{})}
-
-	for v := 1; v <= announceBuffer; v++ {
-		sess.enqueueAnnounce(annEntry{ann: protocol.ModelAnnounce{ModelVersion: v}}) // delta-less
-	}
-	sess.enqueueAnnounce(annEntry{ann: protocol.ModelAnnounce{ModelVersion: announceBuffer + 1}})
-
-	sess.annMu.Lock()
-	defer sess.annMu.Unlock()
-	if len(sess.annQueue) != announceBuffer {
-		t.Fatalf("queue depth %d after overflow, want %d", len(sess.annQueue), announceBuffer)
-	}
-	if sess.annQueue[0].ann.ModelVersion != 2 {
-		t.Fatalf("head version %d, want 2 (oldest dropped)", sess.annQueue[0].ann.ModelVersion)
-	}
-	if got := s.Coalesced(); got != 0 {
-		t.Fatalf("Coalesced() = %d, want 0 for an uncomposable pair", got)
-	}
-}
-
-// TestCoalescedAnnounceChainsAtClient: a multi-version v→v+k announce (what
-// overflow coalescing produces) still counts as chained on the client — the
-// consecutive run survives for proactive absorb instead of resetting.
-func TestCoalescedAnnounceChainsAtClient(t *testing.T) {
+// TestSpanningAnnounceChainsAtClient: a multi-version v→v+k announce (what
+// an edge relays when its model moved several steps at once) still counts
+// as chained on the client — the consecutive run survives for proactive
+// absorb instead of resetting.
+func TestSpanningAnnounceChainsAtClient(t *testing.T) {
 	ctx := context.Background()
 	srv := newCore(t, server.Config{})
 	ss, addr := startStream(t, srv, Options{})
@@ -102,19 +84,20 @@ func TestCoalescedAnnounceChainsAtClient(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A coalesced jump 0→2 in one delta.
-	ss.Broadcast(protocol.ModelAnnounce{
-		ModelVersion: 2, DeltaBase: 0,
-		Delta: &compress.Sparse{Len: 8, Indices: []int32{1}, Values: []float64{1}},
-	})
+	// A spanning jump 0→2 in one delta.
+	delta, ok := compress.Diff(make([]float64, 8), []float64{0, 1, 0, 0, 0, 0, 0, 0}, 0)
+	if !ok {
+		t.Fatal("diff")
+	}
+	ss.Broadcast(protocol.ModelAnnounce{ModelVersion: 2, DeltaBase: 0, Delta: &delta})
 	wctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
 	if err := c.WaitAnnounced(wctx, 0, 2); err != nil {
-		t.Fatalf("coalesced announce never arrived: %v", err)
+		t.Fatalf("spanning announce never arrived: %v", err)
 	}
 	anns := c.TakeAnnounces()
 	if len(anns) != 1 || anns[0].ModelVersion != 2 || anns[0].DeltaBase != 0 {
-		t.Fatalf("chain after coalesced announce: %+v (must not reset)", anns)
+		t.Fatalf("chain after spanning announce: %+v (must not reset)", anns)
 	}
 }
 

@@ -41,7 +41,7 @@ func benchAnnounce() protocol.ModelAnnounce {
 
 // benchFleet registers n subscribed sessions (all on the default codec)
 // with running announce loops on a fresh server.
-func benchFleet(b *testing.B, n int) (*Server, []*session, *atomic.Int64) {
+func benchFleet(b *testing.B, n int) (*Server, *atomic.Int64) {
 	b.Helper()
 	s := NewServer(nil, Options{})
 	writes := new(atomic.Int64)
@@ -65,7 +65,7 @@ func benchFleet(b *testing.B, n int) (*Server, []*session, *atomic.Int64) {
 			sess.close()
 		}
 	})
-	return s, sessions, writes
+	return s, writes
 }
 
 func waitWrites(writes *atomic.Int64, want int64) {
@@ -74,32 +74,16 @@ func waitWrites(writes *atomic.Int64, want int64) {
 	}
 }
 
-// BenchmarkBroadcast contrasts the fan-out strategies at 100 sessions:
-// encode-once (Broadcast pre-encodes per negotiated codec and shares the
-// bytes) against per-session (each announce loop encodes its own copy — the
-// pre-optimization behavior, still exercised by coalesced entries). One op
-// is one full fan-out: enqueue on all 100 sessions plus every frame flushed.
+// BenchmarkBroadcast times one fan-out at 100 sessions: Broadcast encodes
+// the announce once per negotiated codec, enqueues the shared bytes on
+// every session, and one op ends when every frame is flushed.
 func BenchmarkBroadcast(b *testing.B) {
 	const fleet = 100
 	ann := benchAnnounce()
-
-	b.Run("encode-once", func(b *testing.B) {
-		s, _, writes := benchFleet(b, fleet)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Broadcast(ann)
-			waitWrites(writes, int64(i+1)*fleet*2)
-		}
-	})
-
-	b.Run("per-session", func(b *testing.B) {
-		_, sessions, writes := benchFleet(b, fleet)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, sess := range sessions {
-				sess.enqueueAnnounce(annEntry{ann: ann}) // nil payload: loop encodes
-			}
-			waitWrites(writes, int64(i+1)*fleet*2)
-		}
-	})
+	s, writes := benchFleet(b, fleet)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Broadcast(ann)
+		waitWrites(writes, int64(i+1)*fleet*2)
+	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fleet/internal/compress"
 	"fleet/internal/protocol"
 	"fleet/internal/service"
 )
@@ -58,7 +57,6 @@ type Server struct {
 	loops    sync.WaitGroup // session read loops
 
 	broadcasts atomic.Int64
-	coalesced  atomic.Int64
 }
 
 // NewServer builds a stream server around svc.
@@ -118,44 +116,34 @@ func (s *Server) Sessions() int {
 // sessions (a per-session-delivery count, not a per-Broadcast-call count).
 func (s *Server) Broadcasts() int64 { return s.broadcasts.Load() }
 
-// Coalesced returns how many pending announcements were merged into a
-// composed delta on queue overflow instead of being dropped.
-func (s *Server) Coalesced() int64 { return s.coalesced.Load() }
+// Broadcast fans one model announcement out to the subscribed sessions
+// under the empty tenant label: every session of a single-tenant server,
+// none of a multi-tenant one (the Resolver gives each session its tenant's
+// canonical name). It is BroadcastTenant("", ann).
+func (s *Server) Broadcast(ann protocol.ModelAnnounce) {
+	s.BroadcastTenant("", ann)
+}
 
-// Broadcast fans one model announcement out to every subscribed session.
-// It never blocks on a slow session: each session holds a small announce
-// queue, and on overflow the two oldest pending announcements are coalesced
-// into one batched v→v+k delta (overwrite deltas compose exactly, see
-// compress.Compose) so a lagging worker keeps chaining instead of falling
-// back to a full pull. Only when the pair cannot compose — an epoch change
-// or a delta-less drain in between — is the oldest dropped, and the client
-// detects the gap and pulls. Safe for concurrent use; the parameter server
+// BroadcastTenant fans an announcement out to the subscribed sessions whose
+// tenant label — the canonical name the Resolver returned at handshake, ""
+// without one — is tenant, so tenant A's model updates never reach tenant
+// B's workers. It never blocks on a slow session: each session holds a
+// small announce queue whose overflow drops the oldest entry. An announce
+// is only a freshness hint: the client resets its chain at the gap, and its
+// next pull names the version it holds, which the core answers with a delta
+// composed once per base. Safe for concurrent use; the parameter server
 // invokes it from its snapshot-publish hook (Server.OnSnapshot).
 //
 // The announce payload is encoded once per negotiated codec and the bytes
 // shared across every target session, so a fleet of N subscribers on one
 // codec costs one encode per drain instead of N (see BenchmarkBroadcast).
-func (s *Server) Broadcast(ann protocol.ModelAnnounce) {
-	s.fanOut("", false, ann)
-}
-
-// BroadcastTenant fans an announcement out to the subscribed sessions of
-// one tenant only — the per-tenant sibling of Broadcast that multi-tenant
-// deployments wire to each tenant unit's snapshot hook, so tenant A's model
-// updates never reach tenant B's workers. The label is the canonical tenant
-// name the Resolver returned at handshake.
+// A codec that fails to encode it is logged once, and its sessions miss
+// this announce.
 func (s *Server) BroadcastTenant(tenant string, ann protocol.ModelAnnounce) {
-	s.fanOut(tenant, true, ann)
-}
-
-// fanOut enqueues ann on every subscribed session (filtered to one tenant
-// label when byTenant), pre-encoding the payload once per distinct session
-// codec so the bytes are shared.
-func (s *Server) fanOut(tenant string, byTenant bool, ann protocol.ModelAnnounce) {
 	s.mu.Lock()
 	targets := make([]*session, 0, len(s.sessions))
 	for sess := range s.sessions {
-		if sess.subscribe && (!byTenant || sess.tenant == tenant) {
+		if sess.subscribe && sess.tenant == tenant {
 			targets = append(targets, sess)
 		}
 	}
@@ -167,16 +155,16 @@ func (s *Server) fanOut(tenant string, byTenant bool, ann protocol.ModelAnnounce
 		if !done {
 			var buf bytes.Buffer
 			if err := sess.codec.Encode(&buf, &ann); err != nil {
-				// Leave payload nil: the announce loop will retry the
-				// encode per session and log there.
 				s.logf("stream: encode announce (%s): %v", ct, err)
 			} else {
 				payload = buf.Bytes()
 			}
 			encoded[ct] = payload
 		}
-		sess.enqueueAnnounce(annEntry{ann: ann, payload: payload})
-		s.broadcasts.Add(1)
+		if payload != nil {
+			sess.enqueueAnnounce(payload)
+			s.broadcasts.Add(1)
+		}
 	}
 }
 
@@ -257,31 +245,21 @@ type session struct {
 
 	writeMu sync.Mutex // serializes frames onto the connection
 
-	// annQueue buffers pending announcements for the dedicated writer
-	// goroutine. On overflow enqueueAnnounce coalesces the two oldest
-	// entries into one composed delta when they chain, and drops the
-	// oldest otherwise. annReady (capacity 1) wakes the writer.
+	// annQueue buffers pending announce payloads — the broadcaster's
+	// encoded bytes, shared by every session on the same codec — for the
+	// dedicated writer goroutine. On overflow enqueueAnnounce drops the
+	// oldest. annReady (capacity 1) wakes the writer.
 	annMu    sync.Mutex
-	annQueue []annEntry
+	annQueue [][]byte
 	annReady chan struct{}
 	done     chan struct{}
 	once     sync.Once
 }
 
-// annEntry is one queued announcement. payload holds the frame body
-// pre-encoded by the broadcaster in this session's codec — shared bytes
-// across all same-codec sessions; it is nil for coalesced entries (the
-// merge invalidates the shared bytes), which the announce loop encodes per
-// session instead.
-type annEntry struct {
-	ann     protocol.ModelAnnounce
-	payload []byte
-}
-
 // announceBuffer is the per-session announce queue depth. Deep enough that
 // a healthy session keeps a full consecutive delta chain through a burst of
-// drains; overflow coalesces chained deltas (or, failing that, degrades to
-// a pull) and never blocks the broadcaster.
+// drains; overflow drops the oldest (the client then catches up by pull)
+// and never blocks the broadcaster.
 const announceBuffer = 16
 
 // payloadBufs recycles the storage serveConn reads frame payloads into
@@ -499,14 +477,6 @@ func (sess *session) callCtx() context.Context {
 	return service.WithCredentials(sess.srv.ctx, sess.creds)
 }
 
-func (sess *session) encode(typ frameType, corr uint32, v interface{}) (frame, error) {
-	var buf bytes.Buffer
-	if err := sess.codec.Encode(&buf, v); err != nil {
-		return frame{}, err
-	}
-	return frame{typ: typ, corr: corr, payload: buf.Bytes()}, nil
-}
-
 // write serializes one frame onto the connection.
 func (sess *session) write(f frame) error {
 	sess.writeMu.Lock()
@@ -533,57 +503,25 @@ func (sess *session) sendGoAway(reason string) {
 	_ = sess.write(frame{typ: fGoAway, payload: body})
 }
 
-// enqueueAnnounce hands an announcement to the session's writer without
-// ever blocking the broadcaster. A full queue first tries to coalesce its
-// two oldest entries into one composed v→v+k delta — the chain the client
-// sees stays intact, just batched — and only drops the oldest when the pair
-// cannot compose (epoch change or delta-less announce in between; the
-// client then detects the gap and falls back to a pull).
-func (sess *session) enqueueAnnounce(entry annEntry) {
+// enqueueAnnounce hands an encoded announcement to the session's writer
+// without ever blocking the broadcaster; a full queue drops its oldest
+// entry.
+func (sess *session) enqueueAnnounce(payload []byte) {
 	select {
 	case <-sess.done:
 		return
 	default:
 	}
 	sess.annMu.Lock()
-	for len(sess.annQueue) >= announceBuffer {
-		if merged, ok := coalesceAnnounces(sess.annQueue[0].ann, sess.annQueue[1].ann); ok {
-			// The merged delta is unique to this session's backlog, so the
-			// broadcaster's shared payload no longer applies; the announce
-			// loop re-encodes it per session.
-			sess.annQueue[1] = annEntry{ann: merged}
-			sess.srv.coalesced.Add(1)
-		}
+	if len(sess.annQueue) == announceBuffer {
 		sess.annQueue = append(sess.annQueue[:0], sess.annQueue[1:]...)
 	}
-	sess.annQueue = append(sess.annQueue, entry)
+	sess.annQueue = append(sess.annQueue, payload)
 	sess.annMu.Unlock()
 	select {
 	case sess.annReady <- struct{}{}:
 	default:
 	}
-}
-
-// coalesceAnnounces merges two consecutive pending announcements into one
-// spanning delta, oldest first. Sparse deltas store target values, so
-// composing is a union where the newer delta wins (compress.Compose) — the
-// result is the exact delta a.DeltaBase → b.ModelVersion. Reports !ok when
-// the pair doesn't chain: different incarnations, a delta-less announce, or
-// a base mismatch (which a dropped sibling in between would cause).
-func coalesceAnnounces(a, b protocol.ModelAnnounce) (protocol.ModelAnnounce, bool) {
-	if a.Delta == nil || !b.Follows(a.ModelVersion, a.ServerEpoch) {
-		return protocol.ModelAnnounce{}, false
-	}
-	delta, ok := compress.Compose(*a.Delta, *b.Delta)
-	if !ok {
-		return protocol.ModelAnnounce{}, false
-	}
-	return protocol.ModelAnnounce{
-		ModelVersion: b.ModelVersion,
-		ServerEpoch:  b.ServerEpoch,
-		Delta:        &delta,
-		DeltaBase:    a.DeltaBase,
-	}, true
 }
 
 // announceLoop writes queued announcements in order until the session ends.
@@ -600,21 +538,10 @@ func (sess *session) announceLoop() {
 				sess.annMu.Unlock()
 				break
 			}
-			entry := sess.annQueue[0]
+			payload := sess.annQueue[0]
 			sess.annQueue = append(sess.annQueue[:0], sess.annQueue[1:]...)
 			sess.annMu.Unlock()
-			f := frame{typ: fAnnounce, payload: entry.payload}
-			if entry.payload == nil {
-				// Coalesced (or broadcaster-encode-failed) entry: encode
-				// this session's private copy.
-				var err error
-				f, err = sess.encode(fAnnounce, 0, &entry.ann)
-				if err != nil {
-					sess.srv.logf("stream: worker %d: encode announce: %v", sess.workerID, err)
-					continue
-				}
-			}
-			if err := sess.write(f); err != nil {
+			if err := sess.write(frame{typ: fAnnounce, payload: payload}); err != nil {
 				sess.close()
 				return
 			}

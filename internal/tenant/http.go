@@ -53,11 +53,12 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // bearerToken extracts the RFC 6750 bearer token from the Authorization
-// header ("" when absent).
+// header ("" when absent). The scheme matches in any case (RFC 7235 §2.1).
 func bearerToken(req *http.Request) string {
+	const prefix = "Bearer "
 	auth := req.Header.Get("Authorization")
-	if tok, ok := strings.CutPrefix(auth, "Bearer "); ok {
-		return tok
+	if len(auth) < len(prefix) || !strings.EqualFold(auth[:len(prefix)], prefix) {
+		return ""
 	}
-	return ""
+	return auth[len(prefix):]
 }

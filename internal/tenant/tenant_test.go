@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -416,5 +417,43 @@ func TestHTTPTenantRouting(t *testing.T) {
 	openUnit, _ := reg.Resolve("open")
 	if got := openUnit.StatsBlock().AuthRejects; got != 0 {
 		t.Errorf("open auth_rejects = %d, want 0", got)
+	}
+}
+
+// TestBearerSchemeIsCaseInsensitive: the auth scheme of an Authorization
+// header matches in any case (RFC 7235 §2.1), so "bearer <token>"
+// authenticates a tenant-scoped task request like "Bearer <token>" does.
+func TestBearerSchemeIsCaseInsensitive(t *testing.T) {
+	reg, err := newRegistry(t, "locked",
+		Config{Name: "locked", Arch: "softmax-mnist", Secret: "locked-secret"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(reg.Handler())
+	defer hs.Close()
+	token := MintToken([]byte("locked-secret"), "locked", 0)
+
+	for auth, want := range map[string]int{
+		"bearer " + token: http.StatusOK,
+		"BEARER " + token: http.StatusOK,
+		"Basic " + token:  http.StatusUnauthorized,
+		"":                http.StatusUnauthorized,
+	} {
+		req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/t/locked/task", strings.NewReader(`{"worker_id":0}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", protocol.JSON.ContentType())
+		if auth != "" {
+			req.Header.Set("Authorization", auth)
+		}
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("Authorization %q: status %d, want %d", auth, resp.StatusCode, want)
+		}
 	}
 }
