@@ -148,6 +148,9 @@ func parseBench(args []string, stderr io.Writer) (*benchOptions, error) {
 	if o.assertWin && o.maxAccuracyDelta <= 0 {
 		return nil, fmt.Errorf("-max-accuracy-delta must be positive, got %g", o.maxAccuracyDelta)
 	}
+	if o.lr < 0 {
+		return nil, fmt.Errorf("-lr must not be negative, got %g", o.lr)
+	}
 	if o.assertIsolation && !o.compareSolo {
 		return nil, fmt.Errorf("-assert-isolation needs -compare-solo")
 	}

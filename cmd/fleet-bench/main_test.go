@@ -23,6 +23,7 @@ func TestParseBenchValidation(t *testing.T) {
 		{"-scenario", "uniform", "-compare-transport", "inproc", "-transport", "inproc"},                             // twin = self (default spelled out)
 		{"-scenario", "uniform", "-compare-transport", "semaphore-flags"},                                            // unknown twin transport
 		{"-scenario", "uniform", "-compare-transport", "http", "-max-accuracy-delta", "-1", "-assert-transport-win"}, // negative gate width
+		{"-scenario", "uniform", "-lr", "-1"},                                                                        // negative learning rate
 	} {
 		if _, err := parseBench(args, io.Discard); err == nil {
 			t.Errorf("args %v parsed without error", args)

@@ -65,6 +65,7 @@ func TestScenarioValidation(t *testing.T) {
 		{Name: "x", Server: ServerSpec{Arch: "no-such-arch"}},                     // bad arch
 		{Name: "x", Server: ServerSpec{Aggregator: "no-such-agg"}},                // bad spec
 		{Name: "x", Server: ServerSpec{Admission: "no-such-policy(1)"}},           // bad admission
+		{Name: "x", Server: ServerSpec{LearningRate: -0.1}},                       // negative rate (only 0 is unset)
 	}
 	for i, sc := range bad {
 		if _, err := (&Runner{Scenario: sc, Seed: 1}).Run(context.Background()); err == nil {

@@ -379,6 +379,10 @@ type Result struct {
 	Tenants []*TenantResult `json:"tenants,omitempty"`
 
 	Wallclock *WallclockBlock `json:"wallclock,omitempty"`
+
+	// tenantStats is the block a tenant sub-run's unit stamped into its
+	// final Stats, which runTenants lifts into the parent's TenantResult.
+	tenantStats *protocol.TenantStats
 }
 
 // StripWallclock returns a copy without the wall-clock block — the

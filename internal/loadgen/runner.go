@@ -26,6 +26,7 @@ import (
 	"fleet/internal/service"
 	"fleet/internal/simrand"
 	"fleet/internal/stream"
+	"fleet/internal/tenant"
 	"fleet/internal/worker"
 )
 
@@ -66,14 +67,11 @@ type Runner struct {
 	Seed      int64
 	Transport Transport
 
-	// enforced, when set, routes every in-process service call through an
-	// externally built enforcement layer wrapped around the run's own
-	// server — the multi-tenant path (tenants.go): it receives the freshly
-	// built server once and returns a per-worker service factory (workerID
-	// −1 is the final stats caller). Enforcement rejections with
-	// resource-exhausted or budget-exhausted codes are then counted as
-	// Counts.TenantRejects, not protocol errors.
-	enforced func(*server.Server) (func(workerID int) service.Service, error)
+	// tenant, when set, makes the root a one-tenant deployment serving it —
+	// the multi-tenant path (tenants.go): every in-process call goes through
+	// the unit node.FromSpec compiles, and its quota and budget rejections
+	// count as Counts.TenantRejects, not protocol errors.
+	tenant *tenant.Config
 }
 
 // simWorker is one simulated fleet member: the real client library plus the
@@ -276,9 +274,9 @@ type run struct {
 	// edges is the hierarchical aggregation tier (TreeSpec; nil for flat
 	// runs).
 	edges []*aggtree.Node
-	// tenant, when set, is the tenant enforcement layer's per-worker service
-	// factory (Runner.enforced; workerID −1 is the final stats caller). Its
-	// quota and budget rejections count as TenantRejects.
+	// tenant, when set, is the tenant unit's per-worker service factory
+	// (Runner.tenant; workerID −1 is the final stats caller). Its quota and
+	// budget rejections count as TenantRejects.
 	tenant func(workerID int) service.Service
 
 	counts     Counts
@@ -401,17 +399,17 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		test:      fl.test,
 		stale:     metrics.NewIntHist(),
 		pullStale: metrics.NewIntHist(),
-		wall:      service.NewSampledCallMetrics(0),
+		wall:      service.NewSampledCallMetrics(),
 	}
 	if transport == TransportStream || sc.Tree.Edges > 0 {
 		rn.announce = rn.fanOut
 	}
 	defer rn.close()
 
-	if err := rn.bootRoot(r.Seed, fl); err != nil {
+	if err := rn.bootRoot(r.Seed, fl, r.tenant); err != nil {
 		return nil, err
 	}
-	if err := rn.openFront(transport, r.enforced); err != nil {
+	if err := rn.openFront(transport); err != nil {
 		return nil, err
 	}
 	if err := rn.buildEdges(); err != nil {
@@ -435,11 +433,12 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 }
 
 // bootRoot declares the run's root — an embedded instance with no
-// listeners, checkpointing into a scratch directory (cadence
-// Restart.CheckpointEvery) when the scenario restarts it — and boots its
-// first instance. From here on close owns the live instance, so every
-// return path stops its background checkpoint writer.
-func (rn *run) bootRoot(seed int64, fl *fleet) error {
+// listeners, serving the one tenant unit tc when set, checkpointing into a
+// scratch directory (cadence Restart.CheckpointEvery) when the scenario
+// restarts it — and boots its first instance. From here on close owns the
+// live instance, so every return path stops its background checkpoint
+// writer.
+func (rn *run) bootRoot(seed int64, fl *fleet, tc *tenant.Config) error {
 	sc := rn.sc
 	rn.root = node.Spec{
 		Role:               node.RoleRoot,
@@ -447,10 +446,8 @@ func (rn *run) bootRoot(seed int64, fl *fleet) error {
 		Arch:               sc.Server.Arch,
 		LearningRate:       sc.Server.LearningRate,
 		K:                  sc.Server.K,
-		NonStragglerPct:    sc.Server.NonStragglerPct,
 		Seed:               seed,
 		DeltaHistory:       sc.Server.DeltaHistory,
-		DefaultBatchSize:   sc.Server.DefaultBatchSize,
 		Stages:             sc.Server.Stages,
 		Aggregator:         sc.Server.Aggregator,
 		Admission:          sc.Server.Admission,
@@ -458,6 +455,9 @@ func (rn *run) bootRoot(seed int64, fl *fleet) error {
 		EnergyObservations: fl.energyObs,
 		Now:                rn.clock.Now,
 		Bind:               node.BindSpec{Transport: "none"},
+	}
+	if tc != nil {
+		rn.root.Tenants = []tenant.Config{*tc}
 	}
 	if sc.Restart.AtSec > 0 {
 		dir, err := os.MkdirTemp("", "fleet-loadgen-ckpt-*")
@@ -467,23 +467,23 @@ func (rn *run) bootRoot(seed int64, fl *fleet) error {
 		rn.closers = append(rn.closers, func() { _ = os.RemoveAll(dir) })
 		rn.root.Checkpoint = node.CheckpointSpec{Dir: dir, Every: sc.Restart.CheckpointEvery}
 	}
-	return rn.boot("")
+	return rn.boot()
 }
 
-// boot compiles a root instance and attaches it: the fleet's swapper routes
-// to its server, and the run's announce hook hears its drains. The initial
-// boot recovers "" (always a fresh model, no boot nonce, so replayed runs
-// keep epoch 0); the post-kill successor recovers "latest".
-func (rn *run) boot(recover string) error {
-	sp := rn.root
-	if sp.Checkpoint.Dir != "" {
-		sp.Checkpoint.Recover = recover
-	}
-	rt, err := node.FromSpec(sp)
+// boot compiles a root instance from rn.root and attaches it: the fleet's
+// swapper routes to its server (a one-tenant root's is its unit's), and the
+// run's announce hook hears its drains. The initial boot recovers "" (that
+// is "fresh": an empty directory's first boot nonce is epoch 0); the
+// post-kill successor recovers "latest".
+func (rn *run) boot() error {
+	rt, err := node.FromSpec(rn.root)
 	if err != nil {
 		return err
 	}
 	rn.rt, rn.srv = rt, rt.Server()
+	if rn.srv == nil {
+		rn.srv = rt.Assembly().Children[0].Server
+	}
 	rn.swap.Store(rn.srv)
 	if rn.announce != nil {
 		// Clients that cached a dead epoch simply fail the quiet absorb and
@@ -526,21 +526,16 @@ func (rn *run) close() {
 // wall timing rides the standard Metrics interceptor, so the harness
 // measures exactly what an instrumented deployment would (in-process cost,
 // or the full wire round-trip).
-func (rn *run) openFront(transport Transport, enforced func(*server.Server) (func(int) service.Service, error)) error {
+func (rn *run) openFront(transport Transport) error {
 	rn.codec, _ = protocol.CodecByName(rn.sc.Codec) // validate accepted the name
 	switch transport {
 	case TransportInProc:
 		rn.front = &rn.swap
-		if enforced != nil {
-			// The tenant enforcement layer wraps the freshly built server
-			// before any traffic routes: auth, quota and budget see every
-			// call exactly as a fleet-server deployment's unit would.
-			var err error
-			if rn.tenant, err = enforced(rn.srv); err != nil {
-				return err
-			}
-			// The final stats route carries the −1 caller's credentials;
-			// Stats is identity-free, so any valid tenant token passes.
+		if units := rn.root.Tenants; len(units) > 0 {
+			// Auth, quota and budget see every call exactly as a
+			// fleet-server deployment's unit would; the final stats route
+			// carries the −1 caller's credentials.
+			rn.tenant = tenantClients(rn.rt.Service(), units[0])
 			rn.front = rn.tenant(-1)
 		}
 	case TransportHTTP:
@@ -596,17 +591,15 @@ func (rn *run) buildEdges() error {
 	sc := rn.sc
 	for e := 0; e < sc.Tree.Edges; e++ {
 		rt, err := node.FromSpec(node.Spec{
-			Role:             node.RoleEdge,
-			Arch:             sc.Server.Arch,
-			K:                sc.Tree.FanIn,
-			NonStragglerPct:  sc.Server.NonStragglerPct,
-			Stages:           "staleness",
-			Aggregator:       "mean",
-			DeltaHistory:     sc.Server.DeltaHistory,
-			DefaultBatchSize: sc.Server.DefaultBatchSize,
-			ID:               treeEdgeIDBase + e,
-			Upstream:         node.UpstreamSpec{Service: &rn.swap},
-			Bind:             node.BindSpec{Transport: "none"},
+			Role:         node.RoleEdge,
+			Arch:         sc.Server.Arch,
+			K:            sc.Tree.FanIn,
+			Stages:       "staleness",
+			Aggregator:   "mean",
+			DeltaHistory: sc.Server.DeltaHistory,
+			ID:           treeEdgeIDBase + e,
+			Upstream:     node.UpstreamSpec{Service: &rn.swap},
+			Bind:         node.BindSpec{Transport: "none"},
 		})
 		if err != nil {
 			return fmt.Errorf("loadgen: edge %d: %w", e, err)
@@ -782,6 +775,7 @@ func (rn *run) result(ctx context.Context, seed int64, transport Transport, elap
 			PullSec:    wallSummary(rn.wall, "RequestTask"),
 			PushSec:    wallSummary(rn.wall, "PushGradient"),
 		},
+		tenantStats: stats.Tenant,
 	}
 	if rn.wire != nil {
 		tb := &TransportBlock{
@@ -892,7 +886,8 @@ func (rn *run) doRestart() error {
 	// SIGKILL could lose the queued tail; the harness models the
 	// conservative cut deterministically.)
 	_ = rn.rt.Kill()
-	if err := rn.boot("latest"); err != nil {
+	rn.root.Checkpoint.Recover = "latest"
+	if err := rn.boot(); err != nil {
 		return fmt.Errorf("loadgen: server restart at t=%gs: %w", rn.sc.Restart.AtSec, err)
 	}
 	rn.restarted = true

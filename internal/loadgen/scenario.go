@@ -130,13 +130,11 @@ type TenantSpec struct {
 	// a fleet larger than it has its surplus workers throttled with
 	// attributed worker-cap rejects, not failed.
 	MaxWorkers int `json:"max_workers,omitempty"`
-	// Epsilon, with Delta and SamplingRatio, gives the tenant a DP budget
-	// (requires a dp(clip,σ) stage in the tenant's pipeline): once admitted
-	// pushes compose past Epsilon the unit goes read-only and further
-	// pushes are budget rejects.
-	Epsilon       float64 `json:"epsilon,omitempty"`
-	Delta         float64 `json:"delta,omitempty"`
-	SamplingRatio float64 `json:"sampling_ratio,omitempty"`
+	// Epsilon gives the tenant a DP budget at the accountant's default δ
+	// and sampling ratio (tenant.Config; requires a dp(clip,σ) stage in the
+	// tenant's pipeline): once admitted pushes compose past Epsilon the unit
+	// goes read-only and further pushes are budget rejects.
+	Epsilon float64 `json:"epsilon,omitempty"`
 	// Byzantine/Server, when non-nil, replace the base scenario's blocks
 	// wholesale for this tenant.
 	Byzantine *ByzantineSpec `json:"byzantine,omitempty"`
@@ -145,7 +143,9 @@ type TenantSpec struct {
 
 // ServerSpec selects the server configuration through the same spec grammar
 // as the fleet-server flags, so every pipeline/admission combination the
-// live server supports is benchable.
+// live server supports is benchable. It declares only what scenarios vary;
+// node.FromSpec compiles every other knob at its default (AdaSGD's 99.7
+// percentile, the server's default batch size).
 type ServerSpec struct {
 	Arch         string  `json:"arch"`
 	LearningRate float64 `json:"learning_rate"`
@@ -154,10 +154,6 @@ type ServerSpec struct {
 	Aggregator   string  `json:"aggregator"`
 	Admission    string  `json:"admission,omitempty"`
 	DeltaHistory int     `json:"delta_history,omitempty"`
-	// NonStragglerPct is AdaSGD's s-percentile (default 99.7).
-	NonStragglerPct float64 `json:"non_straggler_pct,omitempty"`
-	// DefaultBatchSize is used when no I-Prof policy prescribes one.
-	DefaultBatchSize int `json:"default_batch_size,omitempty"`
 }
 
 // Scenario is one composable load profile. The zero values of most fields
@@ -263,7 +259,7 @@ func (s Scenario) withDefaults() Scenario {
 	if s.Server.Arch == "" {
 		s.Server.Arch = "softmax-mnist"
 	}
-	if s.Server.LearningRate <= 0 {
+	if s.Server.LearningRate == 0 {
 		s.Server.LearningRate = 0.3
 	}
 	if s.Server.K <= 0 {
@@ -274,9 +270,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.Server.Aggregator == "" {
 		s.Server.Aggregator = "mean"
-	}
-	if s.Server.NonStragglerPct <= 0 {
-		s.Server.NonStragglerPct = 99.7
 	}
 	return s
 }

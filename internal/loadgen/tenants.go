@@ -8,21 +8,20 @@ import (
 	"time"
 
 	"fleet/internal/protocol"
-	"fleet/internal/server"
 	"fleet/internal/service"
 	"fleet/internal/tenant"
 )
 
 // Multi-tenant runs: each TenantSpec becomes its own complete sub-run — a
-// derived scenario with a derived seed, executed concurrently against its
-// own tenant serving unit (internal/tenant) wrapped around the sub-run's
-// server. Every call flows through the real enforcement chain with real
-// minted tokens, so the harness measures the same layer a fleet-server
-// deployment runs. Units share nothing, and each tenant's random streams
-// derive from (master seed ⊕ tenant-name hash) — so a neighbor's behavior,
-// however noisy, cannot perturb another tenant's event order. That is the
-// isolation property the noisy-neighbor scenario gates on: an unconstrained
-// tenant's sub-result must be bit-for-bit what it produces running solo.
+// derived scenario with a derived seed, executed concurrently against a
+// one-tenant root whose unit node.FromSpec compiles as for a fleet-server
+// -tenant deployment, so every call flows through the real enforcement
+// chain with real minted tokens. Units share nothing, and each tenant's
+// random streams derive from (master seed ⊕ tenant-name hash) — so a
+// neighbor's behavior, however noisy, cannot perturb another tenant's event
+// order. That is the isolation property the noisy-neighbor scenario gates
+// on: an unconstrained tenant's sub-result must be bit-for-bit what it
+// produces running solo.
 
 // tenantSeed derives a tenant's sub-run seed from the master seed and the
 // tenant name (FNV-1a, masked non-negative): stable across runs, distinct
@@ -62,29 +61,38 @@ func tenantSecret(name string) string {
 }
 
 // tenantUnitConfig maps a tenant's defaulted sub-scenario onto the
-// tenant.Config its serving unit is attached with: the model/pipeline
-// fields mirror how the sub-run's server is actually built (the budget
-// reads the dp stage's σ out of Stages), and the spec's quota and ε knobs
-// become the unit's constraints.
+// tenant.Config its sub-run's root serves: the model/pipeline fields are
+// the sub-scenario's server (the budget reads the dp stage's σ out of
+// Stages), and the spec's quota and ε knobs become the unit's constraints.
 func tenantUnitConfig(ts TenantSpec, sub Scenario, seed int64) tenant.Config {
 	d := sub.withDefaults()
 	return tenant.Config{
-		Name:             ts.Name,
-		Arch:             d.Server.Arch,
-		LearningRate:     d.Server.LearningRate,
-		K:                d.Server.K,
-		DeltaHistory:     d.Server.DeltaHistory,
-		DefaultBatchSize: d.Server.DefaultBatchSize,
-		NonStragglerPct:  d.Server.NonStragglerPct,
-		Stages:           d.Server.Stages,
-		Aggregator:       d.Server.Aggregator,
-		Admission:        d.Server.Admission,
-		Seed:             seed,
-		Secret:           tenantSecret(ts.Name),
-		MaxWorkers:       ts.MaxWorkers,
-		Epsilon:          ts.Epsilon,
-		Delta:            ts.Delta,
-		SamplingRatio:    ts.SamplingRatio,
+		Name:         ts.Name,
+		Arch:         d.Server.Arch,
+		LearningRate: d.Server.LearningRate,
+		K:            d.Server.K,
+		DeltaHistory: d.Server.DeltaHistory,
+		Stages:       d.Server.Stages,
+		Aggregator:   d.Server.Aggregator,
+		Admission:    d.Server.Admission,
+		Seed:         seed,
+		Secret:       tenantSecret(ts.Name),
+		MaxWorkers:   ts.MaxWorkers,
+		Epsilon:      ts.Epsilon,
+	}
+}
+
+// tenantClients returns the per-worker service factory of a one-tenant
+// root: each worker presents its own minted token to the unit's service.
+// The final stats caller (workerID −1) borrows worker 0's token: Stats
+// carries no worker identity, so any valid tenant token authenticates it.
+func tenantClients(unit service.Service, cfg tenant.Config) func(workerID int) service.Service {
+	secret := []byte(cfg.Secret)
+	return func(workerID int) service.Service {
+		return credClient{inner: unit, creds: service.Credentials{
+			Tenant: cfg.Name,
+			Token:  tenant.MintToken(secret, cfg.Name, max(workerID, 0)),
+		}}
 	}
 }
 
@@ -143,9 +151,8 @@ func (r *Runner) runTenants(ctx context.Context, sc Scenario) (*Result, error) {
 	}
 
 	type slot struct {
-		res  *Result
-		unit *tenant.Unit
-		err  error
+		res *Result
+		err error
 	}
 	slots := make([]slot, len(sc.Tenants))
 	wallStart := time.Now()
@@ -156,31 +163,7 @@ func (r *Runner) runTenants(ctx context.Context, sc Scenario) (*Result, error) {
 			defer wg.Done()
 			sub, seed := TenantSubScenario(sc, ts, r.Seed)
 			cfg := tenantUnitConfig(ts, sub, seed)
-			secret := []byte(cfg.Secret)
-			runner := &Runner{
-				Scenario: sub,
-				Seed:     seed,
-				enforced: func(srv *server.Server) (func(int) service.Service, error) {
-					u, err := tenant.Attach(cfg, srv, tenant.Options{})
-					if err != nil {
-						return nil, err
-					}
-					slots[i].unit = u
-					return func(workerID int) service.Service {
-						id := workerID
-						if id < 0 {
-							// The final stats caller borrows worker 0's
-							// token: Stats carries no worker identity, so
-							// any valid tenant token authenticates it.
-							id = 0
-						}
-						return credClient{inner: u.Service(), creds: service.Credentials{
-							Tenant: ts.Name,
-							Token:  tenant.MintToken(secret, ts.Name, id),
-						}}
-					}, nil
-				},
-			}
+			runner := &Runner{Scenario: sub, Seed: seed, tenant: &cfg}
 			res, err := runner.Run(ctx)
 			if err != nil {
 				slots[i].err = fmt.Errorf("loadgen: tenant %s: %w", ts.Name, err)
@@ -219,7 +202,7 @@ func (r *Runner) runTenants(ctx context.Context, sc Scenario) (*Result, error) {
 			Name:   ts.Name,
 			Seed:   sub.Seed,
 			Result: sub,
-			Stats:  slots[i].unit.StatsBlock(),
+			Stats:  sub.tenantStats,
 		})
 	}
 	res.FinalAccuracy = accSum / float64(len(sc.Tenants))

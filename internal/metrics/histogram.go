@@ -41,20 +41,15 @@ func Summarize(values []float64) Summary {
 type Recorder struct {
 	mu   sync.Mutex
 	vals []float64
-	cap  int
 }
 
-// NewRecorder builds a Recorder keeping at most cap values (0: unbounded).
-// Once full it keeps the first cap observations — a deterministic policy, in
-// contrast to reservoir sampling, so seeded runs digest identical streams.
-func NewRecorder(cap int) *Recorder { return &Recorder{cap: cap} }
+// NewRecorder builds an empty Recorder that keeps every value.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Observe appends one value.
 func (r *Recorder) Observe(v float64) {
 	r.mu.Lock()
-	if r.cap <= 0 || len(r.vals) < r.cap {
-		r.vals = append(r.vals, v)
-	}
+	r.vals = append(r.vals, v)
 	r.mu.Unlock()
 }
 

@@ -29,18 +29,8 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestRecorderCapKeepsFirst(t *testing.T) {
-	r := NewRecorder(3)
-	for i := 0; i < 10; i++ {
-		r.Observe(float64(i))
-	}
-	if s := r.Summary(); s.Count != 3 || s.Max != 2 {
-		t.Fatalf("capped recorder kept %d values up to %v, want the first 3", s.Count, s.Max)
-	}
-}
-
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

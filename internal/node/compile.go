@@ -285,18 +285,18 @@ func rootServer(s Spec, timeProf, energyProf *iprof.IProf, owned bool) (*server.
 
 // bootRoot boots the root's server per the recovery policy. A missing
 // checkpoint with Recover "latest" is a first boot — that must be said
-// out loud (Recover "fresh"), never silently decided; a corrupt-only
-// directory always refuses (the operator deletes or repairs, the server
-// does not guess).
+// out loud (Recover "fresh", which the zero value means), never silently
+// decided; a corrupt-only directory always refuses (the operator deletes
+// or repairs, the server does not guess).
 //
 // The boot nonce covers the restart paths checkpoints do not: a boot
-// that ends up with a freshly initialized model (no checkpoint dir, or
-// Recover "fresh" on an empty directory) still bumps the incarnation
-// epoch, so workers that cached state from a previous instance resync
-// instead of colliding on epoch 0. freshConfig consults (and advances)
-// the persisted counter only when the fresh path is actually taken — a
-// checkpoint restore derives its epoch from the checkpoint itself, and
-// the harness's Recover "" boots opt in via NonceDir.
+// that ends up with a freshly initialized model (no checkpoint dir but a
+// NonceDir, or Recover "fresh" on an empty directory) still bumps the
+// incarnation epoch, so workers that cached state from a previous
+// instance resync instead of colliding on epoch 0. freshConfig consults
+// (and advances) the persisted counter only when the fresh path is
+// actually taken — a checkpoint restore derives its epoch from the
+// checkpoint itself.
 func bootRoot(s Spec, cfg server.Config) (*server.Server, error) {
 	ck := s.Checkpoint
 	freshConfig := func(bootDir string) (server.Config, error) {
@@ -335,7 +335,7 @@ func bootRoot(s Spec, cfg server.Config) (*server.Server, error) {
 			return nil, fmt.Errorf("%w (first boot? pass -checkpoint-recover=fresh to initialize a new model)", err)
 		}
 		return srv, err
-	case "fresh":
+	case "fresh", "":
 		srv, err := server.RestoreLatest(cfg, ck.Dir)
 		if errors.Is(err, persist.ErrNoCheckpoint) {
 			var fresh server.Config
@@ -345,16 +345,6 @@ func bootRoot(s Spec, cfg server.Config) (*server.Server, error) {
 			}
 		}
 		return srv, err
-	case "":
-		// The harness path: every boot is this instance's first; the
-		// checkpointer is wired for the successors Recover "latest"
-		// builds. The nonce stays opt-in (NonceDir) so replayed runs
-		// keep epoch 0.
-		fresh, err := freshConfig(ck.NonceDir)
-		if err != nil {
-			return nil, err
-		}
-		return server.New(fresh)
 	default:
 		return nil, fmt.Errorf("unknown -checkpoint-recover %q (want latest or fresh)", ck.Recover)
 	}
@@ -385,7 +375,7 @@ func unitSpec(s Spec, c tenant.Config) Spec {
 	if u.Arch == "" {
 		u.Arch = "tiny-mnist"
 	}
-	if u.LearningRate <= 0 {
+	if u.LearningRate == 0 {
 		u.LearningRate = 0.03
 	}
 	if u.Stages == "" {
@@ -432,7 +422,7 @@ func compileTenants(s Spec, timeProf, energyProf *iprof.IProf) (*Runtime, error)
 			_ = srv.Close()
 			return nil, err
 		}
-		child := Child{Name: c.Name, Close: srv.Close}
+		child := Child{Name: c.Name, Server: srv, Close: srv.Close}
 		if s.Checkpoint.Dir != "" {
 			child.Checkpoint = srv.Checkpoint
 		}

@@ -125,49 +125,43 @@ func TestRecoverLatestRequiresCheckpoint(t *testing.T) {
 // incarnation 0 (pre-nonce behavior, bit-for-bit), but every later fresh
 // boot — no checkpoint to restore — must come up with a new nonzero
 // epoch, so workers holding epoch-0 state from the dead instance resync
-// instead of colliding.
+// instead of colliding. Recover "" is "fresh".
 func TestBootNonceBumpsEpochOnFreshRestarts(t *testing.T) {
-	dir := t.TempDir()
-	boot := func() int64 {
-		s := rootSpec()
-		s.Checkpoint = CheckpointSpec{Dir: dir, Recover: "fresh"}
-		rt, err := FromSpec(s)
-		if err != nil {
-			t.Fatalf("FromSpec: %v", err)
-		}
-		defer rt.Close()
-		return rt.Server().Epoch()
-	}
-	if e := boot(); e != 0 {
-		t.Fatalf("first fresh boot epoch = %d, want 0", e)
-	}
-	second := boot()
-	if second == 0 {
-		t.Fatal("second checkpoint-less restart reused epoch 0; workers from the dead instance would collide")
-	}
-	third := boot()
-	if third == 0 || third == second {
-		t.Fatalf("third restart epoch %d must be nonzero and differ from the second's %d", third, second)
-	}
-	// Determinism: the same (seed, boot sequence) in a fresh directory
-	// replays the same epoch sequence — the property the load harness's
-	// bit-for-bit replay leans on.
-	dir2 := t.TempDir()
-	replay := func() int64 {
-		s := rootSpec()
-		s.Checkpoint = CheckpointSpec{Dir: dir2, Recover: "fresh"}
-		rt, err := FromSpec(s)
-		if err != nil {
-			t.Fatalf("FromSpec: %v", err)
-		}
-		defer rt.Close()
-		return rt.Server().Epoch()
-	}
-	if e := replay(); e != 0 {
-		t.Fatalf("replayed first boot epoch = %d, want 0", e)
-	}
-	if e := replay(); e != second {
-		t.Fatalf("replayed second boot epoch = %d, want %d (deterministic nonce)", e, second)
+	for _, recover := range []string{"fresh", ""} {
+		t.Run("recover="+recover, func(t *testing.T) {
+			bootIn := func(dir string) int64 {
+				s := rootSpec()
+				s.Checkpoint = CheckpointSpec{Dir: dir, Recover: recover}
+				rt, err := FromSpec(s)
+				if err != nil {
+					t.Fatalf("FromSpec: %v", err)
+				}
+				defer rt.Close()
+				return rt.Server().Epoch()
+			}
+			dir := t.TempDir()
+			if e := bootIn(dir); e != 0 {
+				t.Fatalf("first fresh boot epoch = %d, want 0", e)
+			}
+			second := bootIn(dir)
+			if second == 0 {
+				t.Fatal("second checkpoint-less restart reused epoch 0; workers from the dead instance would collide")
+			}
+			third := bootIn(dir)
+			if third == 0 || third == second {
+				t.Fatalf("third restart epoch %d must be nonzero and differ from the second's %d", third, second)
+			}
+			// Determinism: the same (seed, boot sequence) in a fresh directory
+			// replays the same epoch sequence — the property the load harness's
+			// bit-for-bit replay leans on.
+			dir2 := t.TempDir()
+			if e := bootIn(dir2); e != 0 {
+				t.Fatalf("replayed first boot epoch = %d, want 0", e)
+			}
+			if e := bootIn(dir2); e != second {
+				t.Fatalf("replayed second boot epoch = %d, want %d (deterministic nonce)", e, second)
+			}
+		})
 	}
 }
 
@@ -193,49 +187,32 @@ func TestBootNonceViaNonceDirWithoutCheckpoints(t *testing.T) {
 	}
 }
 
-// TestHarnessBootsKeepEpochZero: Recover "" (the load harness's path)
-// without an explicit NonceDir always boots epoch 0, even across
-// rebuilds against the same checkpoint directory — replayed runs must
-// not accumulate boot state.
-func TestHarnessBootsKeepEpochZero(t *testing.T) {
-	dir := t.TempDir()
-	for i := 0; i < 2; i++ {
-		s := rootSpec()
-		s.Checkpoint = CheckpointSpec{Dir: dir, Every: 1, Recover: ""}
-		rt, err := FromSpec(s)
-		if err != nil {
-			t.Fatalf("FromSpec: %v", err)
-		}
-		if e := rt.Server().Epoch(); e != 0 {
-			t.Fatalf("harness boot %d epoch = %d, want 0 (nonce is opt-in)", i, e)
-		}
-		rt.Close()
-	}
-}
-
 // TestCheckpointRestoreChainBeatsNonce: with a real checkpoint present,
-// recover=fresh restores it — the epoch comes from the checkpoint chain
-// (small integers), not the nonce hash.
+// recover=fresh (or "", which means it) restores it — the epoch comes from
+// the checkpoint chain (small integers), not the nonce hash.
 func TestCheckpointRestoreChainBeatsNonce(t *testing.T) {
-	dir := t.TempDir()
-	s := rootSpec()
-	s.Checkpoint = CheckpointSpec{Dir: dir, Every: 1, Recover: "fresh"}
-	rt, err := FromSpec(s)
-	if err != nil {
-		t.Fatalf("FromSpec: %v", err)
-	}
-	if _, err := rt.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	rt2, err := FromSpec(s)
-	if err != nil {
-		t.Fatalf("restore FromSpec: %v", err)
-	}
-	defer rt2.Close()
-	if e := rt2.Server().Epoch(); e != 1 {
-		t.Fatalf("restored epoch = %d, want 1 (checkpoint chain, not nonce)", e)
+	for _, recover := range []string{"fresh", ""} {
+		t.Run("recover="+recover, func(t *testing.T) {
+			s := rootSpec()
+			s.Checkpoint = CheckpointSpec{Dir: t.TempDir(), Every: 1, Recover: recover}
+			rt, err := FromSpec(s)
+			if err != nil {
+				t.Fatalf("FromSpec: %v", err)
+			}
+			if _, err := rt.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			if err := rt.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			rt2, err := FromSpec(s)
+			if err != nil {
+				t.Fatalf("restore FromSpec: %v", err)
+			}
+			defer rt2.Close()
+			if e := rt2.Server().Epoch(); e != 1 {
+				t.Fatalf("restored epoch = %d, want 1 (checkpoint chain, not nonce)", e)
+			}
+		})
 	}
 }

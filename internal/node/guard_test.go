@@ -128,14 +128,15 @@ func TestIngestAndEndpointAreSingleSourced(t *testing.T) {
 // TestServingUnitsAreCompiledOnce keeps a second assembler from growing
 // back beside FromSpec. The binaries, the tenant layer and the harness
 // declare a Spec and take what it compiles to: none of them builds a
-// server, an edge, a pipeline, an admission chain or an Assembly by hand
-// (tests may). And what an unset codec means is protocol.Default's to say:
+// server, an edge, a pipeline, an admission chain, a tenant unit or an
+// Assembly by hand (tests may). And what an unset codec means is protocol.Default's to say:
 // no cmd flag defaults to a codec name, and the retired gob+gzip codec is
 // not named at all.
 func TestServingUnitsAreCompiledOnce(t *testing.T) {
 	builders := []string{
 		"server.New(", "server.RestoreLatest(", "aggtree.New(",
 		"pipeline.Build(", "sched.Build(", "node.New(", "node.Assembly{",
+		"tenant.Attach(",
 	}
 	declarers := []string{"cmd/", "internal/tenant/", "internal/loadgen/"}
 	gobCodec := regexp.MustCompile(`(?i)gobGzip|x-fleet-gob\+gzip|"gob"`)
@@ -771,10 +772,9 @@ func TestInternalExportsAreUsed(t *testing.T) {
 // means d, so it is the constant d — declare it as one.
 func TestConfigFieldsAreSet(t *testing.T) {
 	allowed := map[string]string{ // each with its reason
-		"loadgen.ServerSpec.NonStragglerPct":  "withDefaults writes 99.7 into it, so all nine committed baselines record it",
-		"loadgen.ServerSpec.DefaultBatchSize": "the harness twin of tenant.Config's default_batch_size, which a -tenants file sets and only this field sets in code",
-		"loadgen.TenantSpec.Delta":            "the harness twin of tenant.Config's delta, which -tenant specs and -tenants files set and only this field sets in code",
-		"loadgen.TenantSpec.SamplingRatio":    "the harness twin of tenant.Config's sampling_ratio (q), likewise",
+		"tenant.Config.DefaultBatchSize": "set only by a -tenants file, which JSON decoding sets out of the guard's sight",
+		"tenant.Config.Delta":            "set by a -tenants file or by the -tenant option delta=, which ParseSpec parses inside package tenant",
+		"tenant.Config.SamplingRatio":    "set by a -tenants file or by the -tenant option q=, likewise",
 	}
 	m := loadModule(t)
 	options := regexp.MustCompile(`(Config|Spec|Options)$`)

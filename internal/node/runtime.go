@@ -58,6 +58,8 @@ func (s State) String() string {
 type Child struct {
 	// Name identifies the child in error wraps ("tenant %s: ...").
 	Name string
+	// Server is the child's own parameter server.
+	Server *server.Server
 	// Checkpoint writes the child's durable snapshot (nil: stateless).
 	Checkpoint func() (string, error)
 	// Close flushes and stops the child's background writers.
@@ -74,7 +76,8 @@ type Assembly struct {
 	// Service is the composed serving surface (interceptors included).
 	Service service.Service
 	// Server is the underlying parameter server when the node owns one
-	// (roots; nil for edges and hand-made assemblies).
+	// (single-model roots; nil for edges, multi-tenant roots — whose
+	// servers are their Children's — and hand-made assemblies).
 	Server *server.Server
 	// EdgeNode is the underlying aggregation-tier node (edges only).
 	EdgeNode *aggtree.Node
@@ -163,7 +166,8 @@ func New(asm Assembly) *Runtime {
 // benchmark doctor it (services, log sink, ready channels) before Run.
 func (r *Runtime) Assembly() *Assembly { return &r.asm }
 
-// Server returns the underlying parameter server (nil for edges).
+// Server returns the underlying parameter server (nil for edges and
+// multi-tenant roots).
 func (r *Runtime) Server() *server.Server { return r.asm.Server }
 
 // Service returns the composed serving surface.

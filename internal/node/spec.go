@@ -2,7 +2,7 @@
 // unit boots through: the root parameter server (cmd/fleet-server), the
 // edge aggregators of the hierarchical tier (cmd/fleet-agg), the
 // per-tenant sub-units of a multi-tenant deployment, and the loadgen
-// harness's rebuilt-on-restart instances.
+// harness's roots, tenant sub-runs, edges and restarted instances.
 //
 // A declarative Spec compiles — through the shared spec grammar and the
 // name→constructor tables (pipeline, sched, compress) — into a
@@ -47,9 +47,8 @@ type CheckpointSpec struct {
 	// Dir is the checkpoint directory; empty disables crash safety.
 	Dir string
 	// NonceDir persists the boot counter that bumps the incarnation
-	// epoch on checkpoint-less fresh boots. Empty: the fresh-recover
-	// path falls back to Dir; a plain fresh boot (Recover "") mints a
-	// nonce only when NonceDir is set explicitly.
+	// epoch on checkpoint-less fresh boots. Empty: Dir holds it; with no
+	// Dir either, a boot mints no nonce.
 	NonceDir string
 	// Every is the periodic checkpoint cadence in aggregation windows
 	// (0: only at graceful shutdown).
@@ -58,10 +57,8 @@ type CheckpointSpec struct {
 	Keep int
 	// Recover is the startup policy with Dir set: "latest" restores the
 	// newest valid checkpoint and refuses to boot without one; "fresh"
-	// additionally allows initializing a new model (with a boot nonce)
-	// when the directory holds no checkpoint at all; "" always builds a
-	// fresh instance wired to the checkpointer without restoring —
-	// the harness path, where the instance's first boot is the run's.
+	// (also what "" means) restores it too, but initializes a new model
+	// with a boot nonce when the directory holds no checkpoint at all.
 	Recover string
 }
 

@@ -154,6 +154,60 @@ func TestTenantUnitCompilesLikeSingleRoot(t *testing.T) {
 	}
 }
 
+// TestChildServerIsTheTenantsServer: each child of a multi-tenant root
+// exposes the parameter server behind its tenant's Resolver service — a
+// push through one tenant's service moves that child's model version and
+// no other child's.
+func TestChildServerIsTheTenantsServer(t *testing.T) {
+	s := rootSpec()
+	s.Tenants = []tenant.Config{{Name: "alpha", Arch: "softmax-mnist", Seed: 1}, {Name: "beta", Arch: "softmax-mnist", Seed: 2}}
+	rt, err := FromSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = rt.Close() }()
+	children := rt.Assembly().Children
+	if len(children) != 2 {
+		t.Fatalf("%d children, want 2", len(children))
+	}
+	for i, c := range children {
+		svc, name, err := rt.Assembly().Resolver(c.Name)
+		if err != nil || name != c.Name {
+			t.Fatalf("Resolver(%s) = %s, %v", c.Name, name, err)
+		}
+		drive(t, svc, 1)
+		for j, other := range children {
+			want := 0
+			if j <= i {
+				want = 1
+			}
+			if _, v := other.Server.Model(); v != want {
+				t.Fatalf("after a push through %s, child %s is at version %d, want %d", c.Name, other.Name, v, want)
+			}
+		}
+	}
+}
+
+// TestTenantNegativeLearningRateFails: only 0 means an unset learning rate.
+// A negative one from a -tenant spec is refused with server.New's
+// invalid_argument, naming the tenant, never replaced by the default.
+func TestTenantNegativeLearningRateFails(t *testing.T) {
+	c, err := tenant.ParseSpec("a::::lr=-0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rootSpec()
+	s.Tenants = []tenant.Config{c}
+	rt, err := FromSpec(s)
+	if err == nil {
+		_ = rt.Close()
+		t.Fatal("a tenant with lr=-0.1 compiled")
+	}
+	if !protocol.IsCode(err, protocol.CodeInvalidArgument) || !strings.Contains(err.Error(), "tenant a:") {
+		t.Fatalf("error = %v, want invalid_argument naming tenant a", err)
+	}
+}
+
 // TestSpecKnobsEqualAdmissionString: the four Figure-2 knobs of a Spec
 // mean exactly the -admission string they spell — same chain, and over
 // the same request stream the same decisions and the same rejects by

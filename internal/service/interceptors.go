@@ -53,9 +53,8 @@ type CallMetrics struct {
 	// byMethod is keyed by CallInfo.Method.
 	byMethod map[string]MethodStats
 	// samples, when non-nil, keeps per-method latency streams for
-	// percentile digestion (NewSampledCallMetrics); sampleCap bounds each.
-	samples   map[string]*metrics.Recorder
-	sampleCap int
+	// percentile digestion (NewSampledCallMetrics).
+	samples map[string]*metrics.Recorder
 }
 
 // NewCallMetrics builds an empty metrics sink.
@@ -63,15 +62,13 @@ func NewCallMetrics() *CallMetrics {
 	return &CallMetrics{byMethod: make(map[string]MethodStats)}
 }
 
-// NewSampledCallMetrics builds a sink that additionally keeps up to cap
-// latency samples per method (0: unbounded) so LatencySummary can report
-// p50/p95/p99 — the per-request timing hook the load harness reads. The cap
-// keeps the first cap observations (deterministic under a seeded driver).
-func NewSampledCallMetrics(cap int) *CallMetrics {
+// NewSampledCallMetrics builds a sink that additionally keeps every latency
+// sample per method so LatencySummary can report p50/p95/p99 — the
+// per-request timing hook the load harness reads.
+func NewSampledCallMetrics() *CallMetrics {
 	return &CallMetrics{
-		byMethod:  make(map[string]MethodStats),
-		samples:   make(map[string]*metrics.Recorder),
-		sampleCap: cap,
+		byMethod: make(map[string]MethodStats),
+		samples:  make(map[string]*metrics.Recorder),
 	}
 }
 
@@ -94,7 +91,7 @@ func (c *CallMetrics) observe(method string, d time.Duration, failed bool) {
 	if c.samples != nil {
 		rec = c.samples[method]
 		if rec == nil {
-			rec = metrics.NewRecorder(c.sampleCap)
+			rec = metrics.NewRecorder()
 			c.samples[method] = rec
 		}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestSampledCallMetricsQuantiles(t *testing.T) {
-	m := NewSampledCallMetrics(0)
+	m := NewSampledCallMetrics()
 	svc := Chain(&fake{}, Metrics(m))
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
@@ -39,22 +39,5 @@ func TestUnsampledCallMetricsHasNoSummary(t *testing.T) {
 	}
 	if _, ok := m.LatencySummary("Stats"); ok {
 		t.Fatal("unsampled sink returned a summary")
-	}
-}
-
-func TestSampledCallMetricsCap(t *testing.T) {
-	m := NewSampledCallMetrics(5)
-	svc := Chain(&fake{}, Metrics(m))
-	for i := 0; i < 50; i++ {
-		if _, err := svc.Stats(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, ok := m.LatencySummary("Stats")
-	if !ok || s.Count != 5 {
-		t.Fatalf("capped summary = %+v ok=%v, want 5 samples", s, ok)
-	}
-	if snap := m.Snapshot()["Stats"]; snap.Calls != 50 {
-		t.Fatalf("counter should see all calls: %+v", snap)
 	}
 }

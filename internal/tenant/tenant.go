@@ -191,10 +191,9 @@ type Unit struct {
 
 // Attach builds a Unit around a constructed server: the enforcement chain
 // (authentication, worker quota, DP budget) and the per-tenant stats
-// attribution. node.FromSpec compiles a deployment's units this way, and
-// the loadgen harness routes its own deterministically seeded server
-// through the exact tenant layer a fleet-server deployment would. The
-// budget composes the σ of the dp stage srv's own pipeline runs.
+// attribution. node.FromSpec compiles a fleet-server deployment's units
+// and the loadgen harness's tenant sub-runs this way. The budget composes
+// the σ of the dp stage srv's own pipeline runs.
 func Attach(cfg Config, srv *server.Server, opts Options) (*Unit, error) {
 	cfg = cfg.withDefaults()
 	if !validName(cfg.Name) {
@@ -256,9 +255,9 @@ func (u *Unit) admitWorker(id int) bool {
 	return true
 }
 
-// StatsBlock assembles the tenant's per-tenant stats slice — what the
-// interceptor injects into Stats responses and the bench harness reads.
-func (u *Unit) StatsBlock() *protocol.TenantStats {
+// statsBlock assembles the tenant's per-tenant stats slice — what the
+// interceptor stamps into Stats responses.
+func (u *Unit) statsBlock() *protocol.TenantStats {
 	u.workerMu.Lock()
 	workers := len(u.workers)
 	u.workerMu.Unlock()
@@ -326,7 +325,7 @@ func (u *Unit) interceptor() service.Interceptor {
 			// The server builds a fresh Stats per call, so stamping the
 			// tenant block here mutates nothing shared.
 			if st, ok := v.(*protocol.Stats); ok {
-				st.Tenant = u.StatsBlock()
+				st.Tenant = u.statsBlock()
 			}
 		}
 		return v, nil

@@ -174,10 +174,10 @@ func TestCrossTenantTokenReplay(t *testing.T) {
 		t.Fatalf("missing credentials: got %v, want unauthenticated", err)
 	}
 
-	if got := alphaUnit.StatsBlock().AuthRejects; got != 2 {
+	if got := alphaUnit.statsBlock().AuthRejects; got != 2 {
 		t.Errorf("alpha auth_rejects = %d, want 2", got)
 	}
-	if got := betaUnit.StatsBlock().AuthRejects; got != 1 {
+	if got := betaUnit.statsBlock().AuthRejects; got != 1 {
 		t.Errorf("beta auth_rejects = %d, want 1", got)
 	}
 }
@@ -217,7 +217,7 @@ func TestSybilRotationQuota(t *testing.T) {
 		t.Fatalf("enrolled worker rejected after cap: %v", err)
 	}
 
-	st := u.StatsBlock()
+	st := u.statsBlock()
 	if st.Workers != 3 || st.MaxWorkers != 3 || st.WorkerCapRejects != 7 {
 		t.Errorf("stats = workers %d/%d, cap_rejects %d; want 3/3 and 7", st.Workers, st.MaxWorkers, st.WorkerCapRejects)
 	}
@@ -261,7 +261,7 @@ func TestBudgetExhaustion(t *testing.T) {
 		t.Fatalf("pull after exhaustion: %v (tenant must stay readable)", err)
 	}
 
-	st := u.StatsBlock()
+	st := u.statsBlock()
 	if !st.BudgetExhausted || st.BudgetCharges != 1 || st.BudgetRejects != 1 {
 		t.Errorf("stats = exhausted %v, charges %d, rejects %d; want true, 1, 1", st.BudgetExhausted, st.BudgetCharges, st.BudgetRejects)
 	}
@@ -411,11 +411,11 @@ func TestHTTPTenantRouting(t *testing.T) {
 
 	// The adversarial traffic above landed on locked's counters, not open's.
 	lockedUnit, _ := reg.Resolve("locked")
-	if got := lockedUnit.StatsBlock().AuthRejects; got < 2 {
+	if got := lockedUnit.statsBlock().AuthRejects; got < 2 {
 		t.Errorf("locked auth_rejects = %d, want >= 2", got)
 	}
 	openUnit, _ := reg.Resolve("open")
-	if got := openUnit.StatsBlock().AuthRejects; got != 0 {
+	if got := openUnit.statsBlock().AuthRejects; got != 0 {
 		t.Errorf("open auth_rejects = %d, want 0", got)
 	}
 }
