@@ -12,15 +12,14 @@
 //
 //	fleet-bench -scenario byzantine-krum -workers 50 -aggregator 'trimmed(0.2)' -k 10
 //
-// Gate a fresh run against a committed baseline (the CI regression gate;
-// fails on >20% throughput regression, accuracy drops or new protocol
-// errors):
+// Check that a run replays a committed baseline bit-for-bit (wallclock
+// block aside); on a mismatch it exits 1 and names the first differing line
+// of the two JSONs:
 //
 //	fleet-bench -compare bench/baselines/BENCH_uniform.json -against BENCH_uniform.json
 //
-// Assert two runs replayed bit-for-bit (the determinism gate):
-//
-//	fleet-bench -compare a.json -against b.json -identical
+// The flags each committed baseline was generated with are the rows of
+// TestBaselinesReplay, which replays every one of them under go test.
 //
 // List what's runnable: fleet-bench -list
 package main
@@ -72,7 +71,6 @@ type benchOptions struct {
 	// named twin transport and embed the comparison into the result.
 	compareTransport string
 	assertWin        bool
-	maxAccuracyDelta float64
 
 	// Multi-tenant isolation: re-run each tenant's derived sub-scenario
 	// solo (no tenant layer, same derived seed) and embed the comparison;
@@ -80,13 +78,13 @@ type benchOptions struct {
 	compareSolo     bool
 	assertIsolation bool
 
-	// Compare mode.
-	compare         string
-	against         string
-	identical       bool
-	maxRegression   float64
-	maxAccuracyDrop float64
-	maxUplinkGrowth float64
+	// maxAccuracyDelta is both gates' accuracy width: the run vs its
+	// transport twin, and each tenant vs its solo twin.
+	maxAccuracyDelta float64
+
+	// Compare mode: -against must replay -compare bit-for-bit.
+	compare string
+	against string
 }
 
 // parseBench parses args without touching the process-global flag set, so
@@ -114,15 +112,11 @@ func parseBench(args []string, stderr io.Writer) (*benchOptions, error) {
 	fs.IntVar(&o.maxProtocolErrors, "max-protocol-errors", -1, "fail when protocol errors exceed this (-1 disables; CI uses 0)")
 	fs.StringVar(&o.compareTransport, "compare-transport", "", "also run the scenario over this twin transport (same seed) and embed the poll-vs-push comparison")
 	fs.BoolVar(&o.assertWin, "assert-transport-win", false, "with -compare-transport: fail unless this transport wins round p95 and connections per worker at equal accuracy")
-	fs.Float64Var(&o.maxAccuracyDelta, "max-accuracy-delta", 0.01, "with -assert-transport-win: max absolute final-accuracy gap between the transports")
+	fs.Float64Var(&o.maxAccuracyDelta, "max-accuracy-delta", 0.01, "with -assert-transport-win or -assert-isolation: max absolute final-accuracy gap between the run and its transport twin, or between a tenant and its solo twin")
 	fs.BoolVar(&o.compareSolo, "compare-solo", false, "multi-tenant scenarios: re-run each tenant's sub-scenario solo (same derived seed, no tenant layer) and embed the isolation comparison")
 	fs.BoolVar(&o.assertIsolation, "assert-isolation", false, "with -compare-solo: fail unless unconstrained tenants replay their solo twins bit-for-bit and constrained tenants show attributed throttling with zero protocol errors")
-	fs.StringVar(&o.compare, "compare", "", "baseline BENCH_*.json: compare instead of running")
+	fs.StringVar(&o.compare, "compare", "", "baseline BENCH_*.json: instead of running, require -against to replay it bit-for-bit (wallclock aside)")
 	fs.StringVar(&o.against, "against", "", "current BENCH_*.json compared to -compare")
-	fs.BoolVar(&o.identical, "identical", false, "with -compare: require bit-for-bit equality modulo wallclock")
-	fs.Float64Var(&o.maxRegression, "max-regression", 0.2, "with -compare: max fractional throughput regression")
-	fs.Float64Var(&o.maxAccuracyDrop, "max-accuracy-drop", 0.1, "with -compare: max absolute final-accuracy drop")
-	fs.Float64Var(&o.maxUplinkGrowth, "max-uplink-growth", 0.1, "with -compare: max fractional wire-uplink-bytes growth over the baseline (wire transports only)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -145,7 +139,7 @@ func parseBench(args []string, stderr io.Writer) (*benchOptions, error) {
 			return nil, fmt.Errorf("-compare-transport %q is the run's own transport", o.compareTransport)
 		}
 	}
-	if o.assertWin && o.maxAccuracyDelta <= 0 {
+	if (o.assertWin || o.assertIsolation) && o.maxAccuracyDelta <= 0 {
 		return nil, fmt.Errorf("-max-accuracy-delta must be positive, got %g", o.maxAccuracyDelta)
 	}
 	if o.lr < 0 {
@@ -238,6 +232,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	// With -out - stdout carries the JSON alone; summaries go to stderr.
+	info := stdout
+	if o.out == "-" {
+		info = stderr
+	}
 	res, err := runner.Run(ctx)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -261,7 +260,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		res.TransportComparison = tc
-		fmt.Fprintf(stdout, "%s vs %s: round p95 %+.1f%%, %.3g vs %.3g conns/worker, accuracy delta %+.4f\n",
+		fmt.Fprintf(info, "%s vs %s: round p95 %+.1f%%, %.3g vs %.3g conns/worker, accuracy delta %+.4f\n",
 			o.transport, o.compareTransport, -100*tc.RoundP95Improvement,
 			connsPerWorker(res), tc.ConnsPerWorker, tc.AccuracyDelta)
 	}
@@ -292,7 +291,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				return 1
 			}
 			tr.Solo = tc
-			fmt.Fprintf(stdout, "tenant %s vs solo: accuracy delta %+.4f, identical=%v\n",
+			fmt.Fprintf(info, "tenant %s vs solo: accuracy delta %+.4f, identical=%v\n",
 				tr.Name, tc.AccuracyDelta, tc.Identical)
 		}
 	}
@@ -366,29 +365,16 @@ func runCompare(o *benchOptions, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if o.identical {
-		same, err := loadgen.Identical(baseline, current)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if !same {
-			fmt.Fprintf(stderr, "NOT IDENTICAL: %s and %s differ outside the wallclock block — determinism broken\n",
-				o.compare, o.against)
-			return 1
-		}
-		fmt.Fprintf(stdout, "identical: %s replays %s bit-for-bit (modulo wallclock)\n", o.against, o.compare)
-		return 0
-	}
-	rep := loadgen.Compare(baseline, current, loadgen.CompareOptions{
-		MaxThroughputRegression: o.maxRegression,
-		MaxAccuracyDrop:         o.maxAccuracyDrop,
-		MaxUplinkBytesGrowth:    o.maxUplinkGrowth,
-	})
-	fmt.Fprint(stdout, rep.String())
-	if rep.Failed {
-		fmt.Fprintf(stderr, "REGRESSION GATE FAILED: %s vs baseline %s\n", o.against, o.compare)
+	diff, err := loadgen.Diff(baseline, current)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
+	if diff != "" {
+		fmt.Fprintf(stderr, "NOT IDENTICAL: %s does not replay %s (wallclock aside); first difference at %s\n",
+			o.against, o.compare, diff)
+		return 1
+	}
+	fmt.Fprintf(stdout, "identical: %s replays %s bit-for-bit (modulo wallclock)\n", o.against, o.compare)
 	return 0
 }

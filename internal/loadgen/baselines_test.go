@@ -10,12 +10,12 @@ import (
 
 const baselineDir = "../../bench/baselines"
 
-// TestEveryScenarioHasBaseline is the CI lint guard for the regression
-// gate: every built-in scenario must ship a committed baseline the
-// scenario matrix can compare against — adding a scenario without running
-// `fleet-bench -scenario <name> -seed 42 -out bench/baselines/BENCH_<name>.json`
-// fails here instead of silently skipping the gate. The reverse holds too:
-// a baseline whose scenario was removed or renamed is stale and must go.
+// TestEveryScenarioHasBaseline is the CI lint guard for the replay
+// contract: every built-in scenario must ship a committed baseline for
+// cmd/fleet-bench's TestBaselinesReplay to replay — adding a scenario
+// without generating bench/baselines/BENCH_<name>.json from its row there
+// fails here. The reverse holds too: a baseline whose scenario was removed
+// or renamed is stale and must go.
 func TestEveryScenarioHasBaseline(t *testing.T) {
 	registered := map[string]bool{}
 	for _, name := range Names() {
@@ -35,7 +35,7 @@ func TestEveryScenarioHasBaseline(t *testing.T) {
 			t.Errorf("baseline %s records scenario %q, want %q", path, res.Scenario, name)
 		}
 		if res.Seed != 42 {
-			t.Errorf("baseline %s ran seed %d; the scenario matrix compares seed-42 runs", path, res.Seed)
+			t.Errorf("baseline %s ran seed %d; the replay contract is seed 42", path, res.Seed)
 		}
 		if res.Counts.ProtocolErrors != 0 {
 			t.Errorf("baseline %s was committed with %d protocol errors", path, res.Counts.ProtocolErrors)

@@ -121,19 +121,13 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a := runScenario(t, tc.sc, 42)
 			b := runScenario(t, tc.sc, 42)
-			same, err := Identical(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !same {
-				aj, _ := a.StripWallclock().MarshalCanonical()
-				bj, _ := b.StripWallclock().MarshalCanonical()
-				t.Fatalf("same-seed runs differ:\n--- run A\n%s\n--- run B\n%s", aj, bj)
+			if diff, err := Diff(a, b); err != nil || diff != "" {
+				t.Fatalf("same-seed runs differ (%v) at %s", err, diff)
 			}
 			// A different seed must actually change the run (the engine is
 			// not ignoring its randomness).
 			c := runScenario(t, tc.sc, 43)
-			if same, _ := Identical(a, c); same {
+			if diff, _ := Diff(a, c); diff == "" {
 				t.Fatal("different seeds produced identical results")
 			}
 			if a.Wallclock == nil || a.Wallclock.ElapsedSec <= 0 {
@@ -356,60 +350,48 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-func TestCompareGate(t *testing.T) {
+// TestDiffIsIdentity: a same-seed replay has no difference, and neither
+// does a copy that differs only in its wallclock block; a change to any
+// deterministic field, however small and in whichever direction, or another
+// seed, is named by its first differing line.
+func TestDiffIsIdentity(t *testing.T) {
 	base := runScenario(t, small(t, "uniform", 6, 4), 21)
 	same := runScenario(t, small(t, "uniform", 6, 4), 21)
-	if rep := Compare(base, same, CompareOptions{}); rep.Failed {
-		t.Fatalf("identical runs failed the gate:\n%s", rep)
+	edited := func(edit func(*Result)) *Result {
+		cp := *same
+		edit(&cp)
+		return &cp
 	}
-
-	regressed := *same
-	regressed.ThroughputPerSec = base.ThroughputPerSec * 0.75
-	if rep := Compare(base, &regressed, CompareOptions{MaxThroughputRegression: 0.2}); !rep.Failed {
-		t.Fatalf("-25%% throughput passed a 20%% gate:\n%s", rep)
+	wire := func(r *Result, uplink int64) *Result {
+		cp := *r
+		cp.TransportStats = &TransportBlock{WireUplinkBytes: uplink}
+		return &cp
 	}
-	slight := *same
-	slight.ThroughputPerSec = base.ThroughputPerSec * 0.9
-	if rep := Compare(base, &slight, CompareOptions{MaxThroughputRegression: 0.2}); rep.Failed {
-		t.Fatalf("-10%% throughput failed a 20%% gate:\n%s", rep)
-	}
-
-	worseAcc := *same
-	worseAcc.FinalAccuracy = base.FinalAccuracy - 0.5
-	if rep := Compare(base, &worseAcc, CompareOptions{}); !rep.Failed {
-		t.Fatal("accuracy collapse passed the gate")
-	}
-
-	erring := *same
-	erring.Counts.ProtocolErrors = 3
-	if rep := Compare(base, &erring, CompareOptions{}); !rep.Failed {
-		t.Fatal("new protocol errors passed the gate")
-	}
-
-	otherSeed := runScenario(t, small(t, "uniform", 6, 4), 22)
-	if rep := Compare(base, otherSeed, CompareOptions{}); !rep.Failed {
-		t.Fatal("cross-seed comparison must fail as incomparable")
-	}
-
-	// The wire-uplink gate only fires between two wire runs: in-process
-	// results carry no transport stats, so it must stay silent here...
-	for _, c := range Compare(base, same, CompareOptions{}).Checks {
-		if c.Name == "wire_uplink_bytes" {
-			t.Fatal("uplink gate fired on in-process results with no transport stats")
-		}
-	}
-	// ...and fail when a wire run's uplink bytes grow past the limit.
-	wireBase := *base
-	wireBase.TransportStats = &TransportBlock{WireUplinkBytes: 1000}
-	fatUplink := *same
-	fatUplink.TransportStats = &TransportBlock{WireUplinkBytes: 1200}
-	if rep := Compare(&wireBase, &fatUplink, CompareOptions{MaxUplinkBytesGrowth: 0.1}); !rep.Failed {
-		t.Fatal("+20% uplink bytes passed a 10% gate")
-	}
-	leanUplink := *same
-	leanUplink.TransportStats = &TransportBlock{WireUplinkBytes: 500}
-	if rep := Compare(&wireBase, &leanUplink, CompareOptions{MaxUplinkBytesGrowth: 0.1}); rep.Failed {
-		t.Fatalf("halved uplink bytes failed the gate:\n%s", Compare(&wireBase, &leanUplink, CompareOptions{MaxUplinkBytesGrowth: 0.1}))
+	for _, tc := range []struct {
+		name string
+		a, b *Result
+		want string // in the first differing line; "" means identical
+	}{
+		{"same-seed", base, same, ""},
+		{"wallclock-only", base, edited(func(r *Result) { r.Wallclock = &WallclockBlock{ElapsedSec: 1e6} }), ""},
+		{"throughput-10pct-lower", base, edited(func(r *Result) { r.ThroughputPerSec *= 0.9 }), `"throughput_pushes_per_sec"`},
+		{"accuracy", base, edited(func(r *Result) { r.FinalAccuracy -= 0.5 }), `"final_accuracy"`},
+		{"protocol-errors", base, edited(func(r *Result) { r.Counts.ProtocolErrors = 3 }), `"protocol_errors"`},
+		{"uplink-halved", wire(base, 1000), wire(same, 500), `"wire_uplink_bytes"`},
+		{"other-seed", base, runScenario(t, small(t, "uniform", 6, 4), 22), `"seed"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			diff, err := Diff(tc.a, tc.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.want == "" && diff != "" {
+				t.Fatalf("want identical, got first difference at %s", diff)
+			}
+			if tc.want != "" && !strings.Contains(diff, tc.want) {
+				t.Fatalf("first difference %q does not name %s", diff, tc.want)
+			}
+		})
 	}
 }
 
@@ -423,12 +405,8 @@ func TestResultFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := Identical(res, back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !same {
-		t.Fatal("result changed across the file round trip")
+	if diff, err := Diff(res, back); err != nil || diff != "" {
+		t.Fatalf("result changed across the file round trip (%v) at %s", err, diff)
 	}
 }
 
@@ -519,16 +497,10 @@ func TestStreamDeterministicReplay(t *testing.T) {
 		return res
 	}
 	a, b := run(42), run(42)
-	same, err := Identical(a, b)
-	if err != nil {
-		t.Fatal(err)
+	if diff, err := Diff(a, b); err != nil || diff != "" {
+		t.Fatalf("same-seed stream runs differ (%v) at %s", err, diff)
 	}
-	if !same {
-		aj, _ := a.StripWallclock().MarshalCanonical()
-		bj, _ := b.StripWallclock().MarshalCanonical()
-		t.Fatalf("same-seed stream runs differ:\n--- run A\n%s\n--- run B\n%s", aj, bj)
-	}
-	if same, _ := Identical(a, run(43)); same {
+	if diff, _ := Diff(a, run(43)); diff == "" {
 		t.Fatal("different seeds produced identical stream runs")
 	}
 	// Churned workers redial: strictly more dials than workers.

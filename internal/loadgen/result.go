@@ -27,11 +27,11 @@ type Counts struct {
 	// Resyncs counts worker recoveries from them — version-conflict pushes
 	// that dropped the cache and retried the round with a full pull.
 	// Resyncs are transient by design, so they are NOT protocol errors:
-	// the CI gate's "zero protocol errors" means zero *permanent* failures.
+	// the baselines' "zero protocol errors" means zero *permanent* failures.
 	Restarts int `json:"restarts,omitempty"`
 	Resyncs  int `json:"resyncs,omitempty"`
-	// ProtocolErrors counts service calls that returned an error; the
-	// scenario-matrix CI gate asserts this stays zero. ErrorSamples keeps
+	// ProtocolErrors counts service calls that returned an error; every
+	// baseline run asserts it stays zero. ErrorSamples keeps
 	// the first few messages for diagnosis.
 	ProtocolErrors int      `json:"protocol_errors"`
 	ErrorSamples   []string `json:"error_samples,omitempty"`
@@ -167,12 +167,9 @@ func CompareTransports(streaming, polling *Result) (*TransportComparison, error)
 
 // GateTransportWin asserts the streaming result beats its embedded polling
 // twin: lower round p95 latency, fewer connections per worker, and a final
-// accuracy within maxAccuracyDelta (absolute; <= 0 means the default 0.01).
-// It returns every violated condition in one error.
+// accuracy within maxAccuracyDelta (absolute). It returns every violated
+// condition in one error.
 func GateTransportWin(streaming *Result, maxAccuracyDelta float64) error {
-	if maxAccuracyDelta <= 0 {
-		maxAccuracyDelta = 0.01
-	}
 	tc := streaming.TransportComparison
 	if tc == nil {
 		return fmt.Errorf("loadgen: result carries no transport comparison (run with -compare-transport)")
@@ -239,14 +236,14 @@ func CompareTenantSolo(tr *TenantResult, solo *Result) (*TenantComparison, error
 		return nil, fmt.Errorf("loadgen: solo twin for tenant %s needs scenario/seed %s/%d, got %s/%d",
 			tr.Name, tr.Result.Scenario, tr.Seed, solo.Scenario, solo.Seed)
 	}
-	same, err := Identical(tr.Result, solo)
+	diff, err := Diff(tr.Result, solo)
 	if err != nil {
 		return nil, err
 	}
 	return &TenantComparison{
 		FinalAccuracy: solo.FinalAccuracy,
 		AccuracyDelta: tr.Result.FinalAccuracy - solo.FinalAccuracy,
-		Identical:     same,
+		Identical:     diff == "",
 	}, nil
 }
 
@@ -254,13 +251,10 @@ func CompareTenantSolo(tr *TenantResult, solo *Result) (*TenantComparison, error
 // result: zero protocol errors fleet-wide; every constrained tenant (one
 // whose fleet exceeds its worker quota, or that carries an ε budget) shows
 // its throttling attributed in per-tenant stats; and every unconstrained
-// tenant matches its solo twin within maxAccuracyDelta (absolute; <= 0
-// means the default 0.01) — with the comparison present, i.e. the run used
-// -compare-solo. It returns every violated condition in one error.
+// tenant matches its solo twin within maxAccuracyDelta (absolute) — with
+// the comparison present, i.e. the run used -compare-solo. It returns every
+// violated condition in one error.
 func GateTenantIsolation(res *Result, maxAccuracyDelta float64) error {
-	if maxAccuracyDelta <= 0 {
-		maxAccuracyDelta = 0.01
-	}
 	if len(res.Tenants) == 0 {
 		return fmt.Errorf("loadgen: result carries no tenant blocks (not a multi-tenant run)")
 	}
@@ -427,136 +421,30 @@ func ReadResult(path string) (*Result, error) {
 	return &r, nil
 }
 
-// Identical reports whether two results agree on every deterministic field
-// (wall-clock stripped) — the replay guarantee fleet-bench -identical and
-// the CI determinism step assert.
-func Identical(a, b *Result) (bool, error) {
-	ab, err := a.StripWallclock().MarshalCanonical()
+// Diff compares two results on every deterministic field (wallclock
+// stripped) and returns the first line where their canonical JSONs differ,
+// with its line number, or "" when they are identical. Identity is the
+// whole contract between two runs of one scenario and seed: the runs are
+// deterministic, so any difference is a behaviour change (fleet-bench
+// -compare and TestBaselinesReplay hold every baseline to it).
+func Diff(a, b *Result) (string, error) {
+	aj, err := a.StripWallclock().MarshalCanonical()
 	if err != nil {
-		return false, err
+		return "", err
 	}
-	bb, err := b.StripWallclock().MarshalCanonical()
+	bj, err := b.StripWallclock().MarshalCanonical()
 	if err != nil {
-		return false, err
+		return "", err
 	}
-	return bytes.Equal(ab, bb), nil
-}
-
-// CompareOptions tunes the regression gate.
-type CompareOptions struct {
-	// MaxThroughputRegression fails the gate when current throughput is
-	// below baseline·(1−this). Default 0.2 (the CI gate's 20%).
-	MaxThroughputRegression float64
-	// MaxAccuracyDrop fails when final accuracy fell by more than this
-	// (absolute). Default 0.1.
-	MaxAccuracyDrop float64
-	// MaxUplinkBytesGrowth fails when the current run's wire uplink bytes
-	// exceed baseline·(1+this). Default 0.1 (the CI gate's 10%). The check
-	// only fires when both results carry transport stats with a nonzero
-	// baseline uplink — in-process runs have no wire to regress.
-	MaxUplinkBytesGrowth float64
-}
-
-// Check is one comparison verdict.
-type Check struct {
-	Name     string  `json:"name"`
-	Baseline float64 `json:"baseline"`
-	Current  float64 `json:"current"`
-	OK       bool    `json:"ok"`
-	Detail   string  `json:"detail"`
-}
-
-// CompareReport is the outcome of Compare.
-type CompareReport struct {
-	Checks []Check `json:"checks"`
-	Failed bool    `json:"failed"`
-}
-
-// String renders the report benchstat-style, one check per line.
-func (r CompareReport) String() string {
-	var b strings.Builder
-	for _, c := range r.Checks {
-		status := "ok  "
-		if !c.OK {
-			status = "FAIL"
-		}
-		fmt.Fprintf(&b, "%s %-22s baseline=%-12.6g current=%-12.6g %s\n",
-			status, c.Name, c.Baseline, c.Current, c.Detail)
+	if bytes.Equal(aj, bj) {
+		return "", nil
 	}
-	return b.String()
-}
-
-// Compare gates current against baseline: throughput must not regress by
-// more than MaxThroughputRegression, final accuracy must not drop by more
-// than MaxAccuracyDrop, and protocol errors must not increase. Comparing
-// results of different scenarios or seeds fails outright — the numbers
-// would be meaningless.
-func Compare(baseline, current *Result, opts CompareOptions) CompareReport {
-	if opts.MaxThroughputRegression <= 0 {
-		opts.MaxThroughputRegression = 0.2
+	// Canonical JSON has no empty lines, so two that differ do so before
+	// either ends.
+	al, bl := strings.Split(string(aj), "\n"), strings.Split(string(bj), "\n")
+	i := 0
+	for al[i] == bl[i] {
+		i++
 	}
-	if opts.MaxAccuracyDrop <= 0 {
-		opts.MaxAccuracyDrop = 0.1
-	}
-	if opts.MaxUplinkBytesGrowth <= 0 {
-		opts.MaxUplinkBytesGrowth = 0.1
-	}
-	var rep CompareReport
-	add := func(c Check) {
-		rep.Checks = append(rep.Checks, c)
-		if !c.OK {
-			rep.Failed = true
-		}
-	}
-
-	if baseline.Scenario != current.Scenario || baseline.Seed != current.Seed {
-		add(Check{
-			Name: "comparable", OK: false,
-			Detail: fmt.Sprintf("baseline is %s/seed=%d, current is %s/seed=%d — not the same benchmark",
-				baseline.Scenario, baseline.Seed, current.Scenario, current.Seed),
-		})
-		return rep
-	}
-
-	{
-		c := Check{Name: "throughput_pushes_per_sec", Baseline: baseline.ThroughputPerSec, Current: current.ThroughputPerSec}
-		if baseline.ThroughputPerSec <= 0 {
-			c.OK = true
-			c.Detail = "baseline throughput is zero; skipped"
-		} else {
-			delta := (current.ThroughputPerSec - baseline.ThroughputPerSec) / baseline.ThroughputPerSec
-			c.OK = delta >= -opts.MaxThroughputRegression
-			c.Detail = fmt.Sprintf("%+.1f%% (limit −%.0f%%)", delta*100, opts.MaxThroughputRegression*100)
-		}
-		add(c)
-	}
-	{
-		drop := baseline.FinalAccuracy - current.FinalAccuracy
-		add(Check{
-			Name: "final_accuracy", Baseline: baseline.FinalAccuracy, Current: current.FinalAccuracy,
-			OK:     drop <= opts.MaxAccuracyDrop,
-			Detail: fmt.Sprintf("drop %.4f (limit %.4f)", drop, opts.MaxAccuracyDrop),
-		})
-	}
-	{
-		add(Check{
-			Name:     "protocol_errors",
-			Baseline: float64(baseline.Counts.ProtocolErrors),
-			Current:  float64(current.Counts.ProtocolErrors),
-			OK:       current.Counts.ProtocolErrors <= baseline.Counts.ProtocolErrors,
-			Detail:   "must not increase",
-		})
-	}
-	if baseline.TransportStats != nil && current.TransportStats != nil &&
-		baseline.TransportStats.WireUplinkBytes > 0 {
-		bu := baseline.TransportStats.WireUplinkBytes
-		cu := current.TransportStats.WireUplinkBytes
-		growth := float64(cu-bu) / float64(bu)
-		add(Check{
-			Name: "wire_uplink_bytes", Baseline: float64(bu), Current: float64(cu),
-			OK:     growth <= opts.MaxUplinkBytesGrowth,
-			Detail: fmt.Sprintf("%+.1f%% (limit +%.0f%%)", growth*100, opts.MaxUplinkBytesGrowth*100),
-		})
-	}
-	return rep
+	return fmt.Sprintf("canonical JSON line %d:\n-%s\n+%s", i+1, al[i], bl[i]), nil
 }

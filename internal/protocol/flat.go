@@ -406,7 +406,7 @@ func (f *flatBuf) stats(s *Stats) {
 
 // flatDec decodes one flat message from an io.Reader, tracking a byte
 // budget so a hostile header cannot demand gigabyte allocations: every
-// declared array length is charged against MaxDecodedBytes before its
+// declared array length is charged against MaxMessageBytes before its
 // backing store is allocated. The first failure sticks in err and turns
 // every later read into a no-op returning the zero value, so the message
 // decoders are straight field lists checked once by finish.
@@ -475,7 +475,7 @@ func (d *flatDec) count(elemSize int64) int {
 		return 0
 	}
 	if d.budget -= int64(n) * elemSize; d.budget < 0 {
-		d.err = Errorf(CodePayloadTooLarge, "flat: message exceeds %d bytes", MaxDecodedBytes)
+		d.err = Errorf(CodePayloadTooLarge, "flat: message exceeds %d bytes", MaxMessageBytes)
 		return 0
 	}
 	return int(n)
@@ -702,7 +702,7 @@ func (d *flatDec) finish() error {
 }
 
 func (flatCodec) Decode(r io.Reader, v interface{}) error {
-	d := flatDec{r: r, budget: MaxDecodedBytes}
+	d := flatDec{r: r, budget: MaxMessageBytes}
 	return d.decode(v)
 }
 
@@ -734,7 +734,7 @@ func Lend(codec Codec, r io.Reader, push *GradientPush) (*Loan, error) {
 	if codec != Flat {
 		return nil, codec.Decode(r, push)
 	}
-	d := flatDec{r: r, budget: MaxDecodedBytes, lending: true}
+	d := flatDec{r: r, budget: MaxMessageBytes, lending: true}
 	if err := d.decode(push); err != nil {
 		d.loan.Release()
 		return nil, err

@@ -560,11 +560,11 @@ func FuzzFlatDecode(f *testing.F) {
 		SparseValues: make([]float64, lent), TimeFeatures: []float64{1}}))
 	f.Add(flatBytes(f, &GradientPush{GradientLen: 10, SparseIndices: []int32{1, 4, 7},
 		SparseValues: []float64{0.5, -1, 2}, Encoding: compress.EncodingTopK, BatchSize: 1}))
-	// Keep a hostile length prefix from costing 256 MB per exec; the
+	// Keep a hostile length prefix from costing 64 MB per exec; the
 	// check-before-allocate logic is the same at any budget.
-	old := MaxDecodedBytes
-	MaxDecodedBytes = 1 << 20
-	f.Cleanup(func() { MaxDecodedBytes = old })
+	old := MaxMessageBytes
+	MaxMessageBytes = 1 << 20
+	f.Cleanup(func() { MaxMessageBytes = old })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, m := range flatMessages {
 			msg := m.zero()
