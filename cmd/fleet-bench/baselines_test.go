@@ -14,7 +14,8 @@ import (
 // baseline was generated with beyond -seed 42 -max-protocol-errors 0: its
 // accuracy floor and any embedded comparison, whose verdicts are part of
 // the file. It is the one place those flags live. Regenerating a baseline
-// after an intentional behaviour change means running its row:
+// after an intentional behaviour change means running its row, after which
+// git diff bench/baselines shows exactly what moved:
 //
 //	fleet-bench -scenario <s> -seed 42 -max-protocol-errors 0 <flags> -out bench/baselines/BENCH_<s>.json
 var baselineRuns = []struct {
@@ -35,8 +36,8 @@ var baselineRuns = []struct {
 
 // TestBaselinesReplay is the behavioural contract: every built-in scenario,
 // run as its row says, converges with zero protocol errors, passes its
-// assertions and replays bench/baselines/BENCH_<s>.json bit-for-bit
-// (wallclock aside). Runs are deterministic, so any difference is a
+// assertions and writes bench/baselines/BENCH_<s>.json byte for byte.
+// Runs are deterministic, so any difference is a
 // behaviour change: the failure names the first differing line, and a PR
 // that means it regenerates the file from the row.
 func TestBaselinesReplay(t *testing.T) {

@@ -3,8 +3,7 @@
 // BENCH_<scenario>.json with throughput, latency percentiles, staleness
 // histogram, rejects-by-policy and accuracy-vs-round.
 //
-// Run a scenario (deterministic virtual time; same seed → identical JSON
-// modulo the "wallclock" block):
+// Run a scenario (deterministic virtual time; same seed → identical JSON):
 //
 //	fleet-bench -scenario straggler-churn -seed 42
 //
@@ -12,9 +11,8 @@
 //
 //	fleet-bench -scenario byzantine-krum -workers 50 -aggregator 'trimmed(0.2)' -k 10
 //
-// Check that a run replays a committed baseline bit-for-bit (wallclock
-// block aside); on a mismatch it exits 1 and names the first differing line
-// of the two JSONs:
+// Check that a run replays a committed baseline byte for byte; on a
+// mismatch it exits 1 and names the first differing line of the two files:
 //
 //	fleet-bench -compare bench/baselines/BENCH_uniform.json -against BENCH_uniform.json
 //
@@ -78,10 +76,6 @@ type benchOptions struct {
 	compareSolo     bool
 	assertIsolation bool
 
-	// maxAccuracyDelta is both gates' accuracy width: the run vs its
-	// transport twin, and each tenant vs its solo twin.
-	maxAccuracyDelta float64
-
 	// Compare mode: -against must replay -compare bit-for-bit.
 	compare string
 	against string
@@ -112,10 +106,9 @@ func parseBench(args []string, stderr io.Writer) (*benchOptions, error) {
 	fs.IntVar(&o.maxProtocolErrors, "max-protocol-errors", -1, "fail when protocol errors exceed this (-1 disables; CI uses 0)")
 	fs.StringVar(&o.compareTransport, "compare-transport", "", "also run the scenario over this twin transport (same seed) and embed the poll-vs-push comparison")
 	fs.BoolVar(&o.assertWin, "assert-transport-win", false, "with -compare-transport: fail unless this transport wins round p95 and connections per worker at equal accuracy")
-	fs.Float64Var(&o.maxAccuracyDelta, "max-accuracy-delta", 0.01, "with -assert-transport-win or -assert-isolation: max absolute final-accuracy gap between the run and its transport twin, or between a tenant and its solo twin")
 	fs.BoolVar(&o.compareSolo, "compare-solo", false, "multi-tenant scenarios: re-run each tenant's sub-scenario solo (same derived seed, no tenant layer) and embed the isolation comparison")
 	fs.BoolVar(&o.assertIsolation, "assert-isolation", false, "with -compare-solo: fail unless unconstrained tenants replay their solo twins bit-for-bit and constrained tenants show attributed throttling with zero protocol errors")
-	fs.StringVar(&o.compare, "compare", "", "baseline BENCH_*.json: instead of running, require -against to replay it bit-for-bit (wallclock aside)")
+	fs.StringVar(&o.compare, "compare", "", "baseline BENCH_*.json: instead of running, require -against to equal it byte for byte")
 	fs.StringVar(&o.against, "against", "", "current BENCH_*.json compared to -compare")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -139,11 +132,16 @@ func parseBench(args []string, stderr io.Writer) (*benchOptions, error) {
 			return nil, fmt.Errorf("-compare-transport %q is the run's own transport", o.compareTransport)
 		}
 	}
-	if (o.assertWin || o.assertIsolation) && o.maxAccuracyDelta <= 0 {
-		return nil, fmt.Errorf("-max-accuracy-delta must be positive, got %g", o.maxAccuracyDelta)
-	}
 	if o.lr < 0 {
 		return nil, fmt.Errorf("-lr must not be negative, got %g", o.lr)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-workers", o.workers}, {"-rounds", o.rounds}, {"-k", o.k}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("%s must not be negative, got %d", f.name, f.v)
+		}
 	}
 	if o.assertIsolation && !o.compareSolo {
 		return nil, fmt.Errorf("-assert-isolation needs -compare-solo")
@@ -328,13 +326,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		failed = true
 	}
 	if o.assertWin {
-		if err := loadgen.GateTransportWin(res, o.maxAccuracyDelta); err != nil {
+		if err := loadgen.GateTransportWin(res); err != nil {
 			fmt.Fprintf(stderr, "ASSERT FAIL: %v\n", err)
 			failed = true
 		}
 	}
 	if o.assertIsolation {
-		if err := loadgen.GateTenantIsolation(res, o.maxAccuracyDelta); err != nil {
+		if err := loadgen.GateTenantIsolation(res); err != nil {
 			fmt.Fprintf(stderr, "ASSERT FAIL: %v\n", err)
 			failed = true
 		}
@@ -355,26 +353,21 @@ func connsPerWorker(res *loadgen.Result) float64 {
 }
 
 func runCompare(o *benchOptions, stdout, stderr io.Writer) int {
-	baseline, err := loadgen.ReadResult(o.compare)
+	baseline, err := os.ReadFile(o.compare)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	current, err := loadgen.ReadResult(o.against)
+	current, err := os.ReadFile(o.against)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	diff, err := loadgen.Diff(baseline, current)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	if diff != "" {
-		fmt.Fprintf(stderr, "NOT IDENTICAL: %s does not replay %s (wallclock aside); first difference at %s\n",
+	if diff := loadgen.Diff(baseline, current); diff != "" {
+		fmt.Fprintf(stderr, "NOT IDENTICAL: %s does not replay %s; first difference at %s\n",
 			o.against, o.compare, diff)
 		return 1
 	}
-	fmt.Fprintf(stdout, "identical: %s replays %s bit-for-bit (modulo wallclock)\n", o.against, o.compare)
+	fmt.Fprintf(stdout, "identical: %s replays %s byte for byte\n", o.against, o.compare)
 	return 0
 }

@@ -19,13 +19,14 @@ func TestParseBenchValidation(t *testing.T) {
 		{"-compare", "a.json"},             // missing -against
 		{"-scenario", "uniform", "stray"},  // positional junk
 		{"-scenario", "uniform", "-bogus"}, // unknown flag
-		{"-scenario", "uniform", "-assert-transport-win"},                                                            // needs -compare-transport
-		{"-scenario", "uniform", "-transport", "stream", "-compare-transport", "stream"},                             // twin = self
-		{"-scenario", "uniform", "-compare-transport", "inproc", "-transport", "inproc"},                             // twin = self (default spelled out)
-		{"-scenario", "uniform", "-compare-transport", "semaphore-flags"},                                            // unknown twin transport
-		{"-scenario", "uniform", "-compare-transport", "http", "-max-accuracy-delta", "-1", "-assert-transport-win"}, // negative gate width
-		{"-scenario", "uniform", "-lr", "-1"},                                                                        // negative learning rate
-		{"-scenario", "multi-tenant", "-compare-solo", "-assert-isolation", "-max-accuracy-delta", "-1"},             // negative gate width
+		{"-scenario", "uniform", "-assert-transport-win"},                                // needs -compare-transport
+		{"-scenario", "uniform", "-transport", "stream", "-compare-transport", "stream"}, // twin = self
+		{"-scenario", "uniform", "-compare-transport", "inproc", "-transport", "inproc"}, // twin = self (default spelled out)
+		{"-scenario", "uniform", "-compare-transport", "semaphore-flags"},                // unknown twin transport
+		{"-scenario", "uniform", "-lr", "-1"},                                            // negative learning rate
+		{"-scenario", "uniform", "-workers", "-3"},                                       // negative fleet size
+		{"-scenario", "uniform", "-rounds", "-2"},                                        // negative rounds
+		{"-scenario", "uniform", "-k", "-1"},                                             // negative K
 	} {
 		if _, err := parseBench(args, io.Discard); err == nil {
 			t.Errorf("args %v parsed without error", args)
@@ -102,8 +103,7 @@ func TestListPrintsScenarios(t *testing.T) {
 }
 
 // TestRunEmitsDeterministicJSON is the end-to-end acceptance path: two
-// invocations write byte-identical files modulo wallclock, and -compare
-// agrees; another seed or one edited field fails it, naming the first
+// invocations write byte-identical files, and -compare agrees; another seed or one edited field fails it, naming the first
 // differing line.
 func TestRunEmitsDeterministicJSON(t *testing.T) {
 	dir := t.TempDir()
@@ -126,8 +126,12 @@ func TestRunEmitsDeterministicJSON(t *testing.T) {
 		"-workers", "8", "-rounds", "4", "-out", c}, io.Discard, os.Stderr); code != 0 {
 		t.Fatal("seed-43 run failed")
 	}
-	res, err := loadgen.ReadResult(b)
+	raw, err := os.ReadFile(b)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var res loadgen.Result
+	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatal(err)
 	}
 	res.ThroughputPerSec *= 0.9

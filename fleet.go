@@ -413,7 +413,7 @@ type LoadScenario = loadgen.Scenario
 
 // BenchResult is the machine-readable outcome of a load run — what
 // fleet-bench writes as BENCH_<scenario>.json. Same seed, same scenario →
-// identical result modulo the Wallclock block.
+// byte-identical canonical JSON.
 type BenchResult = loadgen.Result
 
 // LoadScenarioByName returns a built-in scenario (fleet-bench -list names

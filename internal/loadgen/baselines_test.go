@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,12 +11,27 @@ import (
 
 const baselineDir = "../../bench/baselines"
 
+// decodeStrict decodes a rendered result, refusing any key no Result field
+// carries.
+func decodeStrict(b []byte) (*Result, error) {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	var r Result
+	if err := dec.Decode(&r); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
 // TestEveryScenarioHasBaseline is the CI lint guard for the replay
 // contract: every built-in scenario must ship a committed baseline for
 // cmd/fleet-bench's TestBaselinesReplay to replay — adding a scenario
 // without generating bench/baselines/BENCH_<name>.json from its row there
 // fails here. The reverse holds too: a baseline whose scenario was removed
-// or renamed is stale and must go.
+// or renamed is stale and must go. And each file must be the canonical
+// rendering of a Result — no key a Result does not carry, none missing,
+// MarshalCanonical's layout — so a hand-edited or stale-keyed baseline
+// fails here without running a scenario.
 func TestEveryScenarioHasBaseline(t *testing.T) {
 	registered := map[string]bool{}
 	for _, name := range Names() {
@@ -26,10 +42,17 @@ func TestEveryScenarioHasBaseline(t *testing.T) {
 			t.Errorf("scenario %q has no committed baseline: %v", name, err)
 			continue
 		}
-		var res Result
-		if err := json.Unmarshal(b, &res); err != nil {
-			t.Errorf("baseline for %q does not parse as a Result: %v", name, err)
+		res, err := decodeStrict(b)
+		if err != nil {
+			t.Errorf("baseline %s does not decode as a Result: %v", path, err)
 			continue
+		}
+		canonical, err := res.MarshalCanonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := Diff(b, canonical); diff != "" {
+			t.Errorf("baseline %s is not the canonical rendering of its Result: first difference at %s", path, diff)
 		}
 		if res.Scenario != name {
 			t.Errorf("baseline %s records scenario %q, want %q", path, res.Scenario, name)

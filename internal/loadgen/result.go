@@ -165,11 +165,17 @@ func CompareTransports(streaming, polling *Result) (*TransportComparison, error)
 	return tc, nil
 }
 
+// transportWinAccuracyDelta is the transport gate's accuracy width: a
+// streaming run's final accuracy must lie within ±0.01 (absolute) of its
+// polling twin's, so its latency and connection wins are not bought with
+// learning.
+const transportWinAccuracyDelta = 0.01
+
 // GateTransportWin asserts the streaming result beats its embedded polling
 // twin: lower round p95 latency, fewer connections per worker, and a final
-// accuracy within maxAccuracyDelta (absolute). It returns every violated
+// accuracy within transportWinAccuracyDelta. It returns every violated
 // condition in one error.
-func GateTransportWin(streaming *Result, maxAccuracyDelta float64) error {
+func GateTransportWin(streaming *Result) error {
 	tc := streaming.TransportComparison
 	if tc == nil {
 		return fmt.Errorf("loadgen: result carries no transport comparison (run with -compare-transport)")
@@ -187,8 +193,8 @@ func GateTransportWin(streaming *Result, maxAccuracyDelta float64) error {
 		fails = append(fails, fmt.Sprintf("connections per worker %.3g did not beat %s's %.3g",
 			self, tc.Transport, tc.ConnsPerWorker))
 	}
-	if d := tc.AccuracyDelta; d > maxAccuracyDelta || d < -maxAccuracyDelta {
-		fails = append(fails, fmt.Sprintf("final accuracy delta %+.4f outside ±%.4f", d, maxAccuracyDelta))
+	if d := tc.AccuracyDelta; d > transportWinAccuracyDelta || d < -transportWinAccuracyDelta {
+		fails = append(fails, fmt.Sprintf("final accuracy delta %+.4f outside ±%.4f", d, transportWinAccuracyDelta))
 	}
 	if len(fails) > 0 {
 		return fmt.Errorf("loadgen: transport win gate: %s", strings.Join(fails, "; "))
@@ -197,8 +203,7 @@ func GateTransportWin(streaming *Result, maxAccuracyDelta float64) error {
 }
 
 // TenantResult is one tenant's slice of a multi-tenant run: the tenant's
-// own sub-run result (wall-clock stripped — the parent result carries the
-// only wallclock block) plus the serving unit's enforcement attribution.
+// own sub-run result plus the serving unit's enforcement attribution.
 type TenantResult struct {
 	Name string `json:"name"`
 	// Seed is the tenant's derived sub-run seed (master seed ⊕ name hash) —
@@ -220,8 +225,7 @@ type TenantComparison struct {
 	// FinalAccuracy is the twin's; AccuracyDelta is tenant − twin.
 	FinalAccuracy float64 `json:"final_accuracy"`
 	AccuracyDelta float64 `json:"accuracy_delta"`
-	// Identical reports bit-for-bit equality of the deterministic
-	// projections (wallclock stripped).
+	// Identical reports byte equality of the two canonical renderings.
 	Identical bool `json:"identical"`
 }
 
@@ -236,14 +240,18 @@ func CompareTenantSolo(tr *TenantResult, solo *Result) (*TenantComparison, error
 		return nil, fmt.Errorf("loadgen: solo twin for tenant %s needs scenario/seed %s/%d, got %s/%d",
 			tr.Name, tr.Result.Scenario, tr.Seed, solo.Scenario, solo.Seed)
 	}
-	diff, err := Diff(tr.Result, solo)
+	a, err := tr.Result.MarshalCanonical()
+	if err != nil {
+		return nil, err
+	}
+	b, err := solo.MarshalCanonical()
 	if err != nil {
 		return nil, err
 	}
 	return &TenantComparison{
 		FinalAccuracy: solo.FinalAccuracy,
 		AccuracyDelta: tr.Result.FinalAccuracy - solo.FinalAccuracy,
-		Identical:     diff == "",
+		Identical:     bytes.Equal(a, b),
 	}, nil
 }
 
@@ -251,10 +259,10 @@ func CompareTenantSolo(tr *TenantResult, solo *Result) (*TenantComparison, error
 // result: zero protocol errors fleet-wide; every constrained tenant (one
 // whose fleet exceeds its worker quota, or that carries an ε budget) shows
 // its throttling attributed in per-tenant stats; and every unconstrained
-// tenant matches its solo twin within maxAccuracyDelta (absolute) — with
-// the comparison present, i.e. the run used -compare-solo. It returns every
-// violated condition in one error.
-func GateTenantIsolation(res *Result, maxAccuracyDelta float64) error {
+// tenant replays its solo twin byte for byte — with the comparison present,
+// i.e. the run used -compare-solo. It returns every violated condition in
+// one error.
+func GateTenantIsolation(res *Result) error {
 	if len(res.Tenants) == 0 {
 		return fmt.Errorf("loadgen: result carries no tenant blocks (not a multi-tenant run)")
 	}
@@ -286,9 +294,6 @@ func GateTenantIsolation(res *Result, maxAccuracyDelta float64) error {
 		if tr.Solo == nil {
 			fails = append(fails, fmt.Sprintf("tenant %s has no solo-twin comparison (run with -compare-solo)", tr.Name))
 			continue
-		}
-		if d := tr.Solo.AccuracyDelta; d > maxAccuracyDelta || d < -maxAccuracyDelta {
-			fails = append(fails, fmt.Sprintf("tenant %s accuracy delta %+.4f vs solo twin outside ±%.4f", tr.Name, d, maxAccuracyDelta))
 		}
 		if !tr.Solo.Identical {
 			fails = append(fails, fmt.Sprintf("tenant %s sub-run is not bit-for-bit identical to its solo twin", tr.Name))
@@ -322,17 +327,6 @@ type ServerBlock struct {
 	Checkpoints       int            `json:"checkpoints,omitempty"`
 	RestoredVersion   int            `json:"restored_version,omitempty"`
 	ServerEpoch       int64          `json:"server_epoch,omitempty"`
-}
-
-// WallclockBlock holds everything measured with a real clock: the only part
-// of a Result that legitimately differs between two runs of the same seed.
-// Comparison and determinism checks strip it.
-type WallclockBlock struct {
-	ElapsedSec float64 `json:"elapsed_sec"`
-	// PullSec/PushSec digest the real duration of each service call
-	// (in-process cost, or the full wire round-trip over HTTP).
-	PullSec metrics.Summary `json:"pull_sec"`
-	PushSec metrics.Summary `json:"push_sec"`
 }
 
 // Result is fleet-bench's machine-readable output (BENCH_<scenario>.json).
@@ -372,20 +366,9 @@ type Result struct {
 	// across them (see runTenants).
 	Tenants []*TenantResult `json:"tenants,omitempty"`
 
-	Wallclock *WallclockBlock `json:"wallclock,omitempty"`
-
 	// tenantStats is the block a tenant sub-run's unit stamped into its
 	// final Stats, which runTenants lifts into the parent's TenantResult.
 	tenantStats *protocol.TenantStats
-}
-
-// StripWallclock returns a copy without the wall-clock block — the
-// deterministic projection two same-seed virtual runs must agree on
-// bit-for-bit.
-func (r *Result) StripWallclock() *Result {
-	cp := *r
-	cp.Wallclock = nil
-	return &cp
 }
 
 // MarshalCanonical renders the result as indented JSON with a trailing
@@ -408,43 +391,29 @@ func (r *Result) WriteFile(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// ReadResult loads a BENCH_*.json file.
-func ReadResult(path string) (*Result, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// Diff compares two canonical renderings (MarshalCanonical, or a file it
+// wrote) and returns the first line where they differ, with its number, or
+// "" when they are identical. Identity is the whole contract between two
+// runs of one scenario and seed: the runs are deterministic, so any
+// difference is a behaviour change (fleet-bench -compare and
+// TestBaselinesReplay hold every baseline to it). An input that ends early
+// differs at the first line it lacks.
+func Diff(a, b []byte) string {
+	if bytes.Equal(a, b) {
+		return ""
 	}
-	var r Result
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("loadgen: %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// Diff compares two results on every deterministic field (wallclock
-// stripped) and returns the first line where their canonical JSONs differ,
-// with its line number, or "" when they are identical. Identity is the
-// whole contract between two runs of one scenario and seed: the runs are
-// deterministic, so any difference is a behaviour change (fleet-bench
-// -compare and TestBaselinesReplay hold every baseline to it).
-func Diff(a, b *Result) (string, error) {
-	aj, err := a.StripWallclock().MarshalCanonical()
-	if err != nil {
-		return "", err
-	}
-	bj, err := b.StripWallclock().MarshalCanonical()
-	if err != nil {
-		return "", err
-	}
-	if bytes.Equal(aj, bj) {
-		return "", nil
-	}
-	// Canonical JSON has no empty lines, so two that differ do so before
-	// either ends.
-	al, bl := strings.Split(string(aj), "\n"), strings.Split(string(bj), "\n")
+	al, bl := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
 	i := 0
-	for al[i] == bl[i] {
+	for i < len(al) && i < len(bl) && al[i] == bl[i] {
 		i++
 	}
-	return fmt.Sprintf("canonical JSON line %d:\n-%s\n+%s", i+1, al[i], bl[i]), nil
+	return fmt.Sprintf("line %d:\n-%s\n+%s", i+1, lineAt(al, i), lineAt(bl, i))
+}
+
+// lineAt returns line i of lines, or a marker past the end.
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "(end of input)"
 }

@@ -80,8 +80,7 @@ type simWorker struct {
 	id  int
 	w   *worker.Worker
 	dev *device.Device
-	// svc is what the worker calls through (run.connect), behind the
-	// Metrics interceptor.
+	// svc is what the worker calls through (run.connect).
 	svc service.Service
 	// strm is the persistent session client (stream transport only, nil
 	// otherwise); needsConn marks that the next pull pays connection setup
@@ -289,12 +288,6 @@ type run struct {
 	accuracy   []AccuracyPoint
 	virtualEnd float64
 
-	// wall samples the real duration of every service call (per-request
-	// timing) through the Metrics interceptor, so the wallclock block
-	// reports the same percentiles any interceptor-instrumented deployment
-	// would.
-	wall *service.CallMetrics
-
 	// Event queue.
 	events eventHeap
 	seq    int64
@@ -399,7 +392,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		test:      fl.test,
 		stale:     metrics.NewIntHist(),
 		pullStale: metrics.NewIntHist(),
-		wall:      service.NewSampledCallMetrics(),
 	}
 	if transport == TransportStream || sc.Tree.Edges > 0 {
 		rn.announce = rn.fanOut
@@ -419,7 +411,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	wallStart := time.Now()
 	if err := rn.runVirtual(ctx); err != nil {
 		return nil, err
 	}
@@ -429,7 +420,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	for _, ed := range rn.edges {
 		_ = ed.Flush(ctx)
 	}
-	return rn.result(ctx, r.Seed, transport, time.Since(wallStart).Seconds())
+	return rn.result(ctx, r.Seed, transport)
 }
 
 // bootRoot declares the run's root — an embedded instance with no
@@ -522,10 +513,7 @@ func (rn *run) close() {
 
 // openFront opens the transport the fleet calls through. All traffic routes
 // through the swapper, so a restart replaces the backend under every
-// transport without the workers noticing a different endpoint; per-request
-// wall timing rides the standard Metrics interceptor, so the harness
-// measures exactly what an instrumented deployment would (in-process cost,
-// or the full wire round-trip).
+// transport without the workers noticing a different endpoint.
 func (rn *run) openFront(transport Transport) error {
 	rn.codec, _ = protocol.CodecByName(rn.sc.Codec) // validate accepted the name
 	switch transport {
@@ -650,7 +638,7 @@ func (rn *run) buildWorkers(fl *fleet) error {
 			return fmt.Errorf("loadgen: worker %d: %w", i, err)
 		}
 		sw.w = w
-		sw.svc = service.Chain(rn.connect(sw), service.Metrics(rn.wall))
+		sw.svc = rn.connect(sw)
 		rn.sims[i] = sw
 	}
 	if rn.streamSrv != nil {
@@ -723,7 +711,7 @@ func attack(byz ByzantineSpec, local []nn.Sample, classes int, rng *rand.Rand) (
 // result assembles the measured result once the engine has stopped: the
 // final accuracy point, the final stats through the front, and the
 // transport and tree blocks of the runs that have them.
-func (rn *run) result(ctx context.Context, seed int64, transport Transport, elapsed float64) (*Result, error) {
+func (rn *run) result(ctx context.Context, seed int64, transport Transport) (*Result, error) {
 	sc := rn.sc
 	// Final accuracy point, always — against rn.srv, which a restart may
 	// have pointed at the restored instance.
@@ -769,11 +757,6 @@ func (rn *run) result(ctx context.Context, seed int64, transport Transport, elap
 			Checkpoints:       stats.Checkpoints,
 			RestoredVersion:   stats.RestoredVersion,
 			ServerEpoch:       stats.ServerEpoch,
-		},
-		Wallclock: &WallclockBlock{
-			ElapsedSec: elapsed,
-			PullSec:    wallSummary(rn.wall, "RequestTask"),
-			PushSec:    wallSummary(rn.wall, "PushGradient"),
 		},
 		tenantStats: stats.Tenant,
 	}
@@ -1068,13 +1051,6 @@ func (rn *run) doPush(ctx context.Context, sw *simWorker, t float64) error {
 	}
 	rn.endRound(sw, t, true, true)
 	return nil
-}
-
-// wallSummary digests one method's sampled wall latencies (zero Summary
-// when the method never ran).
-func wallSummary(cm *service.CallMetrics, method string) metrics.Summary {
-	s, _ := cm.LatencySummary(method)
-	return s
 }
 
 // membership draws ⌈frac·n⌋ members uniformly from [0, n) — a deterministic

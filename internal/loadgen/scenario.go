@@ -9,8 +9,9 @@
 //
 // Every scenario is seeded through internal/simrand and driven on virtual
 // time by a discrete-event loop whose event order is a pure function of the
-// seed — so a scenario replays bit-for-bit (Result modulo its Wallclock
-// block) and CI can gate on the numbers.
+// seed — so a scenario's Result replays byte for byte and CI can gate on
+// the numbers. No real clock enters a Result; bench/perf measures wall
+// time.
 package loadgen
 
 import (

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"time"
 
 	"fleet/internal/protocol"
 	"fleet/internal/service"
@@ -155,7 +154,6 @@ func (r *Runner) runTenants(ctx context.Context, sc Scenario) (*Result, error) {
 		err error
 	}
 	slots := make([]slot, len(sc.Tenants))
-	wallStart := time.Now()
 	var wg sync.WaitGroup
 	for i, ts := range sc.Tenants {
 		wg.Add(1)
@@ -169,9 +167,6 @@ func (r *Runner) runTenants(ctx context.Context, sc Scenario) (*Result, error) {
 				slots[i].err = fmt.Errorf("loadgen: tenant %s: %w", ts.Name, err)
 				return
 			}
-			// The parent carries the run's only wallclock block; sub-results
-			// stay fully deterministic for the replay and solo-twin gates.
-			res.Wallclock = nil
 			slots[i].res = res
 		}(i, ts)
 	}
@@ -207,6 +202,5 @@ func (r *Runner) runTenants(ctx context.Context, sc Scenario) (*Result, error) {
 	}
 	res.FinalAccuracy = accSum / float64(len(sc.Tenants))
 	res.setRates(scaleSum)
-	res.Wallclock = &WallclockBlock{ElapsedSec: time.Since(wallStart).Seconds()}
 	return res, nil
 }

@@ -91,10 +91,10 @@ func TestTreeDeterministicReplay(t *testing.T) {
 	sc := small(t, "agg-tree", 12, 5)
 	a := runScenario(t, sc, 42)
 	b := runScenario(t, sc, 42)
-	if diff, err := Diff(a, b); err != nil || diff != "" {
-		t.Fatalf("same-seed tree runs differ (%v) at %s", err, diff)
+	if diff := resultDiff(t, a, b); diff != "" {
+		t.Fatalf("same-seed tree runs differ at %s", diff)
 	}
-	if diff, _ := Diff(a, runScenario(t, sc, 43)); diff == "" {
+	if diff := resultDiff(t, a, runScenario(t, sc, 43)); diff == "" {
 		t.Fatal("different seeds produced identical tree runs")
 	}
 }

@@ -35,33 +35,6 @@ func Summarize(values []float64) Summary {
 	}
 }
 
-// Recorder accumulates a value stream for later percentile digestion. Safe
-// for concurrent use; the load generator records one stream per operation
-// kind (pull/push/round latency) across all workers.
-type Recorder struct {
-	mu   sync.Mutex
-	vals []float64
-}
-
-// NewRecorder builds an empty Recorder that keeps every value.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Observe appends one value.
-func (r *Recorder) Observe(v float64) {
-	r.mu.Lock()
-	r.vals = append(r.vals, v)
-	r.mu.Unlock()
-}
-
-// Summary digests the recorded values.
-func (r *Recorder) Summary() Summary {
-	r.mu.Lock()
-	vals := make([]float64, len(r.vals))
-	copy(vals, r.vals)
-	r.mu.Unlock()
-	return Summarize(vals)
-}
-
 // IntBucket is one value of an integer histogram with its occurrence count.
 type IntBucket struct {
 	Value int `json:"value"`

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -26,24 +25,6 @@ func TestSummarize(t *testing.T) {
 func TestSummarizeEmpty(t *testing.T) {
 	if s := Summarize(nil); s != (Summary{}) {
 		t.Fatalf("empty summary = %+v", s)
-	}
-}
-
-func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Observe(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := r.Summary().Count; n != 4000 {
-		t.Fatalf("count = %d", n)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"fleet/internal/metrics"
 	"fleet/internal/protocol"
 )
 
@@ -52,24 +51,11 @@ type CallMetrics struct {
 	mu sync.Mutex
 	// byMethod is keyed by CallInfo.Method.
 	byMethod map[string]MethodStats
-	// samples, when non-nil, keeps per-method latency streams for
-	// percentile digestion (NewSampledCallMetrics).
-	samples map[string]*metrics.Recorder
 }
 
 // NewCallMetrics builds an empty metrics sink.
 func NewCallMetrics() *CallMetrics {
 	return &CallMetrics{byMethod: make(map[string]MethodStats)}
-}
-
-// NewSampledCallMetrics builds a sink that additionally keeps every latency
-// sample per method so LatencySummary can report p50/p95/p99 — the
-// per-request timing hook the load harness reads.
-func NewSampledCallMetrics() *CallMetrics {
-	return &CallMetrics{
-		byMethod: make(map[string]MethodStats),
-		samples:  make(map[string]*metrics.Recorder),
-	}
 }
 
 func (c *CallMetrics) observe(method string, d time.Duration, failed bool) {
@@ -87,30 +73,7 @@ func (c *CallMetrics) observe(method string, d time.Duration, failed bool) {
 		m.MaxLatency = d
 	}
 	c.byMethod[method] = m
-	var rec *metrics.Recorder
-	if c.samples != nil {
-		rec = c.samples[method]
-		if rec == nil {
-			rec = metrics.NewRecorder()
-			c.samples[method] = rec
-		}
-	}
 	c.mu.Unlock()
-	if rec != nil {
-		rec.Observe(d.Seconds())
-	}
-}
-
-// LatencySummary digests the sampled latencies (in seconds) of one method.
-// ok is false on unsampled sinks (NewCallMetrics) or unseen methods.
-func (c *CallMetrics) LatencySummary(method string) (metrics.Summary, bool) {
-	c.mu.Lock()
-	rec := c.samples[method]
-	c.mu.Unlock()
-	if rec == nil {
-		return metrics.Summary{}, false
-	}
-	return rec.Summary(), true
 }
 
 // Snapshot returns a copy of the per-method stats.

@@ -195,10 +195,20 @@ type Unit struct {
 // and the loadgen harness's tenant sub-runs this way. The budget composes
 // the σ of the dp stage srv's own pipeline runs.
 func Attach(cfg Config, srv *server.Server, opts Options) (*Unit, error) {
-	cfg = cfg.withDefaults()
 	if !validName(cfg.Name) {
 		return nil, fmt.Errorf("tenant: invalid tenant name %q", cfg.Name)
 	}
+	// A negative limit would read as "off" (no quota, no budget) or as the
+	// default; zero is the spelling of those.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"worker quota", float64(cfg.MaxWorkers)}, {"epsilon", cfg.Epsilon}, {"delta", cfg.Delta}, {"sampling ratio", cfg.SamplingRatio}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("tenant %s: %s must not be negative, got %g", cfg.Name, f.name, f.v)
+		}
+	}
+	cfg = cfg.withDefaults()
 	var budget *Budget
 	if cfg.Epsilon > 0 {
 		sigma, ok := srv.Pipeline().NoiseMultiplier()

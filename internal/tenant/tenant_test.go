@@ -276,6 +276,26 @@ func TestBudgetRequiresDPStage(t *testing.T) {
 	}
 }
 
+// TestNegativeLimitsRefused: a negative quota or budget parameter must not
+// boot a tenant that runs unlimited or unmetered; the error names the
+// tenant.
+func TestNegativeLimitsRefused(t *testing.T) {
+	for _, spec := range []string{
+		"neg:softmax-mnist:dp(1,1.2),staleness::workers=-1",
+		"neg:softmax-mnist:dp(1,1.2),staleness::eps=-1",
+		"neg:softmax-mnist:dp(1,1.2),staleness::eps=1:delta=-1",
+		"neg:softmax-mnist:dp(1,1.2),staleness::eps=1:q=-1",
+	} {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newUnit(t, cfg); err == nil || !strings.Contains(err.Error(), "tenant neg: ") {
+			t.Errorf("%s: got %v, want an error naming tenant neg", spec, err)
+		}
+	}
+}
+
 // TestBudgetReadsSigmaFromPipeline: the budget composes the σ of the dp
 // stage the server runs, whatever cfg.Stages says.
 func TestBudgetReadsSigmaFromPipeline(t *testing.T) {
