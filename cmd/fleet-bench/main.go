@@ -135,6 +135,12 @@ func parseBench(args []string, stderr io.Writer) (*benchOptions, error) {
 	if o.lr < 0 {
 		return nil, fmt.Errorf("-lr must not be negative, got %g", o.lr)
 	}
+	if o.minAccuracy < 0 {
+		return nil, fmt.Errorf("-min-accuracy must not be negative, got %g (0 disables)", o.minAccuracy)
+	}
+	if o.maxProtocolErrors < -1 {
+		return nil, fmt.Errorf("-max-protocol-errors must be -1 (disabled) or more, got %d", o.maxProtocolErrors)
+	}
 	for _, f := range []struct {
 		name string
 		v    int

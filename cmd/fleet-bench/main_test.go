@@ -27,6 +27,8 @@ func TestParseBenchValidation(t *testing.T) {
 		{"-scenario", "uniform", "-workers", "-3"},                                       // negative fleet size
 		{"-scenario", "uniform", "-rounds", "-2"},                                        // negative rounds
 		{"-scenario", "uniform", "-k", "-1"},                                             // negative K
+		{"-scenario", "uniform", "-min-accuracy", "-3"},                                  // negative accuracy gate
+		{"-scenario", "uniform", "-max-protocol-errors", "-5"},                           // below the -1 that disables the gate
 	} {
 		if _, err := parseBench(args, io.Discard); err == nil {
 			t.Errorf("args %v parsed without error", args)

@@ -375,17 +375,10 @@ func TestHardKillThenRestore(t *testing.T) {
 	}
 	prep := w.Compute(resp)
 
-	// The checkpoint writer is asynchronous: a drain's ack does not wait
-	// for its file, so wait for durable state before pulling the plug.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		if ckpts, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.fleet")); len(ckpts) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint written before the kill")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Every acked push closed a window and wrote its checkpoint before the
+	// ack returned: durable state is on disk before the plug is pulled.
+	if ckpts, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.fleet")); len(ckpts) == 0 {
+		t.Fatal("no checkpoint on disk after three acked windows")
 	}
 
 	// kill -9: no drain, no shutdown checkpoint, in-flight window lost.

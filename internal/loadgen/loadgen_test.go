@@ -1,10 +1,8 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -591,32 +589,6 @@ func TestServerRestartOverStream(t *testing.T) {
 	if got := strRes.TransportStats.Announces; got <= dead {
 		t.Fatalf("announces %d, at most the %d the killed instance could send: the restored instance announces to no session",
 			got, dead)
-	}
-}
-
-// TestFailedRunClosesTheRoot: a run that fails after the root has booted
-// (here on the first worker's compressor) still stops the root's
-// background checkpoint writer.
-func TestFailedRunClosesTheRoot(t *testing.T) {
-	sc := small(t, "server-restart", 4, 2)
-	sc.CompressSpec = "bogus(1)"
-	if _, err := (&Runner{Scenario: sc, Seed: 1}).Run(context.Background()); err == nil ||
-		!strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("run with an unknown compressor: %v, want its error", err)
-	}
-	buf := make([]byte, 1<<16)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			buf = buf[:n]
-			break
-		}
-		buf = make([]byte, 2*len(buf))
-	}
-	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if bytes.Contains(g, []byte("ckptWriter")) {
-			t.Fatalf("the failed run left a checkpoint writer running:\n%s", g)
-		}
 	}
 }
 

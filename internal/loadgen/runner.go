@@ -498,14 +498,9 @@ func (rn *run) fanOut(ann protocol.ModelAnnounce) {
 	}
 }
 
-// close tears the run down in a fixed order: the live root instance first
-// (rn.srv may be a restored successor by then; doRestart closed the one it
-// killed), then what the steps opened, newest first — stream clients, HTTP
-// idle connections, the listener, the checkpoint directory.
+// close tears down what the steps opened, newest first — stream clients,
+// HTTP idle connections, the listener, the checkpoint directory.
 func (rn *run) close() {
-	if rn.srv != nil {
-		_ = rn.srv.Close()
-	}
 	for i := len(rn.closers) - 1; i >= 0; i-- {
 		rn.closers[i]()
 	}
@@ -719,10 +714,6 @@ func (rn *run) result(ctx context.Context, seed int64, transport Transport) (*Re
 	if sc.EvalEvery > 0 && (len(rn.accuracy) == 0 || rn.accuracy[len(rn.accuracy)-1].AfterPushes != rn.counts.Pushes) {
 		rn.accuracy = append(rn.accuracy, AccuracyPoint{AfterPushes: rn.counts.Pushes, Accuracy: final})
 	}
-	// Flush the background checkpoint writer before reading final stats, so
-	// the checkpoint counter reflects every core captured during the run —
-	// the same value the synchronous writer reported, deterministically.
-	rn.srv.Flush()
 	stats, err := rn.front.Stats(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: final stats: %w", err)
@@ -862,12 +853,8 @@ func (rn *run) runVirtual(ctx context.Context) error {
 // valid checkpoint. A missing checkpoint fails the run: the scenario's
 // cadence put the first checkpoint after the kill, a profile bug.
 func (rn *run) doRestart() error {
-	// Kill the doomed instance first: its background checkpoint writer
-	// drains, so exactly the cores that fell due before the kill are
-	// durable — the same durability point the synchronous writer had,
-	// which is what keeps this scenario's replay bit-for-bit. (A real
-	// SIGKILL could lose the queued tail; the harness models the
-	// conservative cut deterministically.)
+	// Kill the doomed instance: exactly the checkpoints that fell due
+	// before the kill are durable, each written before its push was acked.
 	_ = rn.rt.Kill()
 	rn.root.Checkpoint.Recover = "latest"
 	if err := rn.boot(); err != nil {

@@ -318,7 +318,7 @@ func (s Scenario) validate() error {
 	}
 	if len(s.Tenants) > 0 {
 		if s.Restart.AtSec > 0 || s.Tree.Edges > 0 {
-			return fmt.Errorf("loadgen: tenants cannot combine with restart or tree blocks (each tenant's sub-scenario may carry its own)")
+			return fmt.Errorf("loadgen: tenants cannot combine with restart or tree blocks")
 		}
 		seen := map[string]bool{}
 		for _, ts := range s.Tenants {

@@ -6,6 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -91,14 +92,15 @@ func Histogram(values []float64, nBins int, min, max float64) []float64 {
 
 // F1AtK computes the F1 score of a top-k recommendation against the set of
 // actually used items (the paper's F1-score @ top-5, §3.1). recommended is
-// the ranked top-k list; actual is the ground-truth set.
+// the ranked top-k list; actual is the ground-truth set. An item recommended
+// twice is a hit once: the repeat only takes a slot.
 func F1AtK(recommended []int, actual map[int]bool) float64 {
 	if len(recommended) == 0 || len(actual) == 0 {
 		return 0
 	}
 	hits := 0
-	for _, r := range recommended {
-		if actual[r] {
+	for i, r := range recommended {
+		if actual[r] && !slices.Contains(recommended[:i], r) {
 			hits++
 		}
 	}

@@ -109,6 +109,17 @@ func TestF1AtKZeroCases(t *testing.T) {
 	}
 }
 
+// TestF1AtKRepeats: an item recommended three times is one hit, so the
+// list [7 7 7 3 19] against {7 3 19} has precision 3/5 and recall 1, not
+// the recall 5/3 and F1 above 1 of counting each occurrence.
+func TestF1AtKRepeats(t *testing.T) {
+	act := map[int]bool{7: true, 3: true, 19: true}
+	want := 2 * 0.6 * 1 / (0.6 + 1)
+	if got := F1AtK([]int{7, 7, 7, 3, 19}, act); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("F1 = %v, want %v", got, want)
+	}
+}
+
 func TestF1AtKBounds(t *testing.T) {
 	err := quick.Check(func(rec [5]uint8, act [3]uint8) bool {
 		r := make([]int, 5)

@@ -229,9 +229,6 @@ func compileRoot(s Spec) (*Runtime, error) {
 	asm.Announce = untenanted(srv.OnSnapshot)
 	if s.Checkpoint.Dir != "" {
 		asm.Checkpoint = srv.Checkpoint
-		// Close flushes the background checkpoint writer at exit so the
-		// final enqueued cores are durable before the process dies.
-		asm.Closer = srv.Close
 		asm.Banner += fmt.Sprintf(", checkpoints: %s every %d windows, incarnation %d at version %d",
 			s.Checkpoint.Dir, s.Checkpoint.Every, srv.Epoch(), srv.RestoredVersion())
 	}
@@ -398,7 +395,7 @@ func unitSpec(s Spec, c tenant.Config) Spec {
 // compileTenants assembles the multi-tenant root: every declared tenant's
 // server is compiled like a single-model root's (rootServer) and attached
 // to its enforcement layer, and each unit becomes a child of the parent
-// runtime — checkpointed and closed by the parent's lifecycle, served
+// runtime — checkpointed by the parent's lifecycle, served
 // through the parent's listeners. The single-model fields of s shape
 // nothing here; its transport, drain, interceptor and checkpoint fields
 // apply deployment-wide.
@@ -419,10 +416,9 @@ func compileTenants(s Spec, timeProf, energyProf *iprof.IProf) (*Runtime, error)
 		}
 		u, err := tenant.Attach(c, srv, topts)
 		if err != nil {
-			_ = srv.Close()
 			return nil, err
 		}
-		child := Child{Name: c.Name, Server: srv, Close: srv.Close}
+		child := Child{Name: c.Name, Server: srv}
 		if s.Checkpoint.Dir != "" {
 			child.Checkpoint = srv.Checkpoint
 		}
@@ -449,7 +445,6 @@ func compileTenants(s Spec, timeProf, energyProf *iprof.IProf) (*Runtime, error)
 			u.Server().OnSnapshot(func(ann protocol.ModelAnnounce) { broadcast(tn, ann) })
 		}
 	}
-	// Runtime.Close closes every child's background writer.
 	asm.Children = children
 	if dir := s.Checkpoint.Dir; dir != "" {
 		// Checkpoint every child, best effort, first error reported —

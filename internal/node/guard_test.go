@@ -188,9 +188,9 @@ func TestServingUnitsAreCompiledOnce(t *testing.T) {
 
 // TestGobAndGzipStayInPersist keeps the slow self-describing encoders off
 // the wire: no non-test file of the module outside internal/persist, whose
-// checkpoint format still uses them, imports encoding/gob or compress/gzip.
+// checkpoint format is a gob, imports encoding/gob, and no file at all
+// imports compress/gzip (it saved under 10 % of a float64 checkpoint).
 func TestGobAndGzipStayInPersist(t *testing.T) {
-	allowed := map[string]bool{"internal/persist": true}
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
 	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
@@ -199,27 +199,62 @@ func TestGobAndGzipStayInPersist(t *testing.T) {
 		}
 		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
 		if info.IsDir() {
-			if rel == ".git" || allowed[rel] {
+			if rel == ".git" {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+		if !strings.HasSuffix(rel, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
 		if err != nil {
 			return err
 		}
+		test := strings.HasSuffix(rel, "_test.go")
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/gob" || p == "compress/gzip" {
-				t.Errorf("%s imports %s: the wire speaks flat or JSON; only internal/persist may", rel, p)
+			switch p, _ := strconv.Unquote(imp.Path.Value); {
+			case p == "compress/gzip":
+				t.Errorf("%s imports compress/gzip: nothing in the module compresses with it", rel)
+			case p == "encoding/gob" && !test && filepath.Dir(rel) != "internal/persist":
+				t.Errorf("%s imports encoding/gob: the wire speaks flat or JSON; only internal/persist may", rel)
 			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("walking %s: %v", root, err)
+	}
+}
+
+// TestExperimentsStartNoGoroutines keeps the paper's experiments single
+// threaded, so their figures replay bit for bit whatever the scheduler
+// does: no shipped file of a package internal/experiments depends on
+// (itself included) contains a go statement.
+func TestExperimentsStartNoGoroutines(t *testing.T) {
+	m := loadModule(t)
+	seen := map[string]bool{}
+	var visit func(path string)
+	visit = func(path string) {
+		if seen[path] || m.files[path] == nil {
+			return
+		}
+		seen[path] = true
+		for _, f := range m.files[path] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: go statement in %s, which internal/experiments depends on", m.fset.Position(g.Pos()), path)
+				}
+				return true
+			})
+		}
+		for _, dep := range m.checked[path].Imports() {
+			visit(dep.Path())
+		}
+	}
+	visit("fleet/internal/experiments")
+	if !seen["fleet/internal/server"] {
+		t.Fatal("internal/experiments no longer reaches internal/server: the guard checks too little")
 	}
 }
 

@@ -53,8 +53,7 @@ func (s State) String() string {
 // Child is a sub-unit driven by the parent's lifecycle: a tenant's
 // serving stack behind the parent's listeners. It has no listeners or
 // drain of its own — the parent's Drain covers its in-flight requests —
-// but its durable state is checkpointed and its background writers are
-// closed by the parent's Checkpoint/Close steps.
+// but its durable state is checkpointed by the parent's Checkpoint step.
 type Child struct {
 	// Name identifies the child in error wraps ("tenant %s: ...").
 	Name string
@@ -62,8 +61,6 @@ type Child struct {
 	Server *server.Server
 	// Checkpoint writes the child's durable snapshot (nil: stateless).
 	Checkpoint func() (string, error)
-	// Close flushes and stops the child's background writers.
-	Close func() error
 }
 
 // Assembly is the compiled form of a Spec: every hook the lifecycle
@@ -114,8 +111,6 @@ type Assembly struct {
 	// CloseUpstream closes the persistent upstream session (edges over
 	// the stream transport).
 	CloseUpstream func() error
-	// Closer flushes and stops background checkpoint writers at exit.
-	Closer func() error
 	// DrainedMsg is the clean-exit log line (nil: "drained cleanly").
 	DrainedMsg func() string
 
@@ -278,8 +273,8 @@ func (r *Runtime) Start(ctx context.Context) error {
 // The returned code is the process exit code.
 func (r *Runtime) Run(ctx context.Context, ready chan<- net.Addr) int {
 	if err := r.Start(ctx); err != nil {
-		// Start released its listeners; what the compiler started — the
-		// checkpoint writer, an edge's upstream session — is closed here.
+		// Start released its listeners; what the compiler opened — an
+		// edge's upstream session — is closed here.
 		_ = r.Close()
 		return 1
 	}
@@ -304,7 +299,7 @@ func (r *Runtime) Run(ctx context.Context, ready chan<- net.Addr) int {
 //  2. Drain: stream goaway first, then HTTP shutdown
 //  3. Checkpoint: the pushes that committed during the drain are durable
 //  4. Flush: the partial window goes upstream (edges)
-//  5. Close: upstream session, background writers, children
+//  5. Close: the upstream session
 //
 // A drain failure aborts the remaining durability steps (the pre-drain
 // checkpoint already covered the signal point) but still closes; a flush
@@ -400,42 +395,25 @@ func (r *Runtime) Checkpoint() (string, error) {
 	return r.asm.Checkpoint()
 }
 
-// Close releases everything the runtime owns — the upstream session,
-// background checkpoint writers, children — exactly once; repeat calls
-// return the first call's error. Close never drains: callers wanting a
-// graceful exit go through Shutdown.
+// Close releases what the runtime owns — the upstream session — exactly
+// once, and refuses every later Drain and Checkpoint; repeat calls return
+// the first call's error. Close never drains: callers wanting a graceful
+// exit go through Shutdown.
 func (r *Runtime) Close() error {
 	r.closeOnce.Do(func() {
 		r.state.Store(int32(StateClosed))
 		if r.asm.CloseUpstream != nil {
-			_ = r.asm.CloseUpstream()
+			r.closeErr = r.asm.CloseUpstream()
 		}
-		var firstErr error
-		if r.asm.Closer != nil {
-			firstErr = r.asm.Closer()
-		}
-		// Every child, best effort, first error reported.
-		for _, c := range r.asm.Children {
-			if c.Close == nil {
-				continue
-			}
-			if err := c.Close(); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("tenant %s: %w", c.Name, err)
-			}
-		}
-		if firstErr != nil {
-			r.logf("%s: closing checkpoint writers: %v", r.asm.Name, firstErr)
-		}
-		r.closeErr = firstErr
 	})
 	return r.closeErr
 }
 
 // Kill is the abrupt teardown the restart harness models: listeners (if
-// any) close immediately, in-flight work is abandoned, and the node's
-// background writers drain without any drain/checkpoint/flush courtesy —
-// the durability point is whatever the periodic checkpoints already
-// made durable. The successor is a fresh FromSpec of the same Spec.
+// any) close immediately and in-flight work is abandoned, without any
+// drain/checkpoint/flush courtesy — the durability point is the last
+// periodic checkpoint, which was on disk before the push that scheduled it
+// was acked. The successor is a fresh FromSpec of the same Spec.
 func (r *Runtime) Kill() error {
 	r.mu.Lock()
 	httpSrv, streamSrv := r.httpSrv, r.streamSrv

@@ -44,7 +44,7 @@ func (r *recorder) list() []string {
 // TestShutdownCanonicalOrder is the drain-drift regression test: both
 // roles run the SAME teardown sequence — pre-drain checkpoint, stream
 // goaway, HTTP shutdown, post-drain checkpoint, window flush, upstream
-// close, writer close — implemented once in Runtime.Shutdown. Before the
+// close — implemented once in Runtime.Shutdown. Before the
 // node runtime existed, fleet-server and fleet-agg each hand-rolled this
 // in main and had drifted; the assertions here pin the one safe order for
 // every role shape.
@@ -53,12 +53,11 @@ func TestShutdownCanonicalOrder(t *testing.T) {
 		role string
 		want []string
 	}{
-		// Root shape: checkpoints and a background writer, no upstream.
+		// Root shape: checkpoints, no upstream.
 		{"root", []string{
 			"checkpoint", // pre-drain (durability as of the signal)
 			"stream", "http",
 			"checkpoint", // post-drain (pushes committed during the drain)
-			"closer",
 		}},
 		// Edge shape: no checkpoints; a partial window flushes upstream
 		// after the drain, then the upstream session closes.
@@ -78,7 +77,6 @@ func TestShutdownCanonicalOrder(t *testing.T) {
 			switch tc.role {
 			case "root":
 				asm.Checkpoint = func() (string, error) { rec.add("checkpoint"); return "ckpt", nil }
-				asm.Closer = func() error { rec.add("closer"); return nil }
 			case "edge":
 				asm.Flush = func(context.Context) error { rec.add("flush"); return nil }
 				asm.CloseUpstream = func() error { rec.add("close-upstream"); return nil }
@@ -107,12 +105,12 @@ func TestShutdownCanonicalOrder(t *testing.T) {
 func TestShutdownDrainFailureAbortsDurability(t *testing.T) {
 	rec := &recorder{}
 	rt := New(Assembly{
-		Name:       "fleet-server",
-		Drain:      50 * time.Millisecond,
-		Checkpoint: func() (string, error) { rec.add("checkpoint"); return "ckpt", nil },
-		Flush:      func(context.Context) error { rec.add("flush"); return nil },
-		Closer:     func() error { rec.add("closer"); return nil },
-		Logf:       func(string, ...interface{}) {},
+		Name:          "fleet-server",
+		Drain:         50 * time.Millisecond,
+		Checkpoint:    func() (string, error) { rec.add("checkpoint"); return "ckpt", nil },
+		Flush:         func(context.Context) error { rec.add("flush"); return nil },
+		CloseUpstream: func() error { rec.add("close-upstream"); return nil },
+		Logf:          func(string, ...interface{}) {},
 	})
 	rt.state.Store(int32(StateServing))
 	rt.shutStream = func(context.Context) error { rec.add("stream"); return errors.New("sessions hung") }
@@ -120,7 +118,7 @@ func TestShutdownDrainFailureAbortsDurability(t *testing.T) {
 	if code := rt.Shutdown(context.Background()); code != 1 {
 		t.Fatalf("Shutdown with hung drain = %d, want 1", code)
 	}
-	want := []string{"checkpoint", "stream", "closer"}
+	want := []string{"checkpoint", "stream", "close-upstream"}
 	if got := rec.list(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("teardown after drain failure %v, want %v", got, want)
 	}
@@ -148,11 +146,11 @@ func TestDrainExpiredContext(t *testing.T) {
 // return the first call's error without re-closing anything.
 func TestCloseIdempotent(t *testing.T) {
 	closes := 0
-	wantErr := errors.New("writer flush failed")
+	wantErr := errors.New("upstream close failed")
 	rt := New(Assembly{
-		Name:   "fleet-server",
-		Closer: func() error { closes++; return wantErr },
-		Logf:   func(string, ...interface{}) {},
+		Name:          "fleet-agg",
+		CloseUpstream: func() error { closes++; return wantErr },
+		Logf:          func(string, ...interface{}) {},
 	})
 	if err := rt.Close(); !errors.Is(err, wantErr) {
 		t.Fatalf("first Close = %v, want %v", err, wantErr)
@@ -161,7 +159,7 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatalf("second Close = %v, want the first call's error", err)
 	}
 	if closes != 1 {
-		t.Fatalf("Closer ran %d times, want 1", closes)
+		t.Fatalf("CloseUpstream ran %d times, want 1", closes)
 	}
 	if s := rt.State(); s != StateClosed {
 		t.Fatalf("state after Close = %s, want closed", s)
@@ -171,28 +169,6 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if _, err := rt.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint after Close succeeded, want state error")
-	}
-}
-
-// TestChildrenCloseWithoutCloser: without a compiled Closer the runtime
-// closes every child itself, best effort, wrapping the first error with
-// the tenant's name — the same contract tenant.Registry.Close has.
-func TestChildrenCloseWithoutCloser(t *testing.T) {
-	var closed []string
-	rt := New(Assembly{
-		Name: "fleet-server",
-		Children: []Child{
-			{Name: "alpha", Close: func() error { closed = append(closed, "alpha"); return errors.New("boom") }},
-			{Name: "beta", Close: func() error { closed = append(closed, "beta"); return errors.New("later") }},
-		},
-		Logf: func(string, ...interface{}) {},
-	})
-	err := rt.Close()
-	if err == nil || err.Error() != "tenant alpha: boom" {
-		t.Fatalf("Close = %v, want tenant alpha: boom", err)
-	}
-	if fmt.Sprint(closed) != fmt.Sprint([]string{"alpha", "beta"}) {
-		t.Fatalf("closed %v, want both children (best effort)", closed)
 	}
 }
 
@@ -239,8 +215,8 @@ func TestCheckpointRacesDrain(t *testing.T) {
 // TestRunCancelledDuringTenantRecovery models a SIGTERM arriving right as
 // a multi-tenant node comes back up from per-tenant checkpoints: Run with
 // an already-cancelled context must still complete the canonical
-// teardown — every tenant checkpointed and closed through the shared
-// runtime — and exit 0. The second boot then proves the sweep left
+// teardown — every tenant checkpointed through the shared runtime — and
+// exit 0. The second boot then proves the sweep left
 // restorable state behind.
 func TestRunCancelledDuringTenantRecovery(t *testing.T) {
 	dir := t.TempDir()

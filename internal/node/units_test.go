@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -330,45 +329,29 @@ func TestTenantRecoverMatrix(t *testing.T) {
 	}
 }
 
-// checkpointWriters counts the goroutines server.New started: one
-// background checkpoint writer per live checkpointed server.
-func checkpointWriters() int {
-	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by fleet/internal/server.New ")
-}
-
 // TestRunClosesAssemblyWhenStartFails: a Run that cannot bind its listener
-// exits 1 and leaves nothing behind — here the root's background
-// checkpoint writer, which the compiler started.
+// exits 1 and leaves nothing behind — here the upstream session an edge's
+// compiler opened, which only Close releases.
 func TestRunClosesAssemblyWhenStartFails(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ln.Close() }()
-	before := checkpointWriters()
-	s := rootSpec()
-	s.Bind = BindSpec{Transport: "http", Addr: ln.Addr().String(), Drain: time.Second}
-	s.Checkpoint = CheckpointSpec{Dir: t.TempDir(), Every: 1, Recover: "fresh"}
-	rt, err := FromSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := checkpointWriters(); n != before+1 {
-		t.Fatalf("compiling a checkpointed root left %d writer goroutines, want %d: the test pins nothing", n, before+1)
-	}
+	closes := 0
+	rt := New(Assembly{
+		Name:          "fleet-agg",
+		Addr:          ln.Addr().String(),
+		CloseUpstream: func() error { closes++; return nil },
+		Logf:          func(string, ...interface{}) {},
+	})
 	if code := rt.Run(context.Background(), nil); code != 1 {
 		t.Fatalf("Run on an occupied port = %d, want 1", code)
 	}
 	if st := rt.State(); st != StateClosed {
 		t.Fatalf("state after a failed Start = %s, want closed", st)
 	}
-	// Close waited for the writer to finish; it may still be unwinding.
-	deadline := time.Now().Add(2 * time.Second)
-	for checkpointWriters() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := checkpointWriters(); n != before {
-		t.Fatalf("%d checkpoint writers before, %d after a failed Run: the assembly leaked", before, n)
+	if closes != 1 {
+		t.Fatalf("upstream session closed %d times after a failed Run, want 1: the assembly leaked", closes)
 	}
 }

@@ -16,13 +16,16 @@
 //
 //	gob{ Magic, Format, SHA256, Payload }
 //
-// where Payload is the gzip+gob encoding of State and SHA256 is its
-// checksum. Writes go to a temp file in the same directory, are synced,
-// and renamed into place, so a crash mid-write never corrupts an existing
-// checkpoint — at worst it leaves a stray .tmp file that loading ignores.
-// Every load failure is a structured error (ErrNoCheckpoint or a
-// *CorruptError): callers decide whether a fresh boot is acceptable, the
-// package never silently invents one.
+// where Payload is the gob encoding of State and SHA256 is its checksum.
+// Format 1 gzipped the payload; gzip saved 8.9 % of a trained cifar100
+// checkpoint (2.92 → 2.66 MB: float64 parameters compress badly) and cost
+// most of the encode time, so format 2 writes the gob as is and refuses a
+// format-1 file as corrupt. Writes go to a temp file in the same
+// directory, are synced, and renamed into place, so a crash mid-write never
+// corrupts an existing checkpoint — at worst it leaves a stray .tmp file
+// that loading ignores. Every load failure is a structured error
+// (ErrNoCheckpoint or a *CorruptError): callers decide whether a fresh boot
+// is acceptable, the package never silently invents one.
 //
 // What is deliberately NOT persisted: the delta history (restored servers
 // serve full pulls until the history refills at drain time), in-flight
@@ -33,7 +36,6 @@ package persist
 
 import (
 	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/gob"
 	"errors"
@@ -54,7 +56,7 @@ const (
 	magic = "fleet-checkpoint"
 	// formatVersion is bumped on incompatible State changes; readers reject
 	// formats they do not know instead of misdecoding them.
-	formatVersion = 1
+	formatVersion = 2
 )
 
 // ErrNoCheckpoint reports that the checkpoint directory holds no checkpoint
@@ -285,13 +287,8 @@ func Load(path string) (*State, error) {
 	if sum := sha256.Sum256(env.Payload); sum != env.SHA256 {
 		return nil, &CorruptError{Path: path, Reason: "checksum mismatch"}
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(env.Payload))
-	if err != nil {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("payload not gzip: %v", err)}
-	}
-	defer func() { _ = zr.Close() }()
 	var st State
-	if err := gob.NewDecoder(zr).Decode(&st); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&st); err != nil {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("undecodable state: %v", err)}
 	}
 	if len(st.Params) == 0 {
@@ -303,11 +300,7 @@ func Load(path string) (*State, error) {
 // encodeState frames st as the on-disk blob.
 func encodeState(st *State) ([]byte, error) {
 	var payload bytes.Buffer
-	zw := gzip.NewWriter(&payload)
-	if err := gob.NewEncoder(zw).Encode(st); err != nil {
-		return nil, fmt.Errorf("persist: encode state: %w", err)
-	}
-	if err := zw.Close(); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
 		return nil, fmt.Errorf("persist: encode state: %w", err)
 	}
 	env := envelope{

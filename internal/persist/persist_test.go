@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -177,6 +179,33 @@ func TestGarbageFileIsCorrupt(t *testing.T) {
 	var ce *CorruptError
 	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "envelope") {
 		t.Fatalf("garbage load: %v", err)
+	}
+}
+
+// TestFormatOneIsRefused: a checkpoint in the retired gzip format is refused
+// as corrupt by its format number, never handed to the decoder.
+func TestFormatOneIsRefused(t *testing.T) {
+	blob, err := encodeState(sampleState(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env envelope
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	env.Format = 1
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(env); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ckpt-3-0.fleet")
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(path)
+	var ce *CorruptError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "unknown format 1") {
+		t.Fatalf("format-1 load: %v, want *CorruptError with unknown format 1", err)
 	}
 }
 

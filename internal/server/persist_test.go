@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"testing"
 
 	"fleet/internal/ingest"
@@ -130,16 +131,34 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 }
 
 // TestPeriodicCheckpointCadence: with CheckpointEvery=2 and K=1, every
-// second push must write a checkpoint, without the pusher seeing errors.
+// second push writes a checkpoint, without the pusher seeing errors, and
+// returns its ack only once that version is the latest checkpoint on disk:
+// there is no barrier and no writer to wait for.
 func TestPeriodicCheckpointCadence(t *testing.T) {
 	dir := t.TempDir()
 	ckpt, err := persist.NewCheckpointer(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Config{Checkpointer: ckpt, CheckpointEvery: 2})
-	pushN(t, s, 6)
-	s.Flush() // barrier: the background writer owns the durability lag
+	const every = 2
+	s := newTestServer(t, Config{Checkpointer: ckpt, CheckpointEvery: every})
+	for i := 0; i < 6; i++ {
+		pushN(t, s, 1)
+		_, v := s.Model()
+		st, _, err := persist.LoadLatest(dir)
+		if v < every {
+			if !errors.Is(err, persist.ErrNoCheckpoint) {
+				t.Fatalf("after v%d: %v, want no checkpoint yet", v, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("after v%d: %v", v, err)
+		}
+		if want := v - v%every; st.Version != want {
+			t.Fatalf("ack of v%d returned with v%d the latest checkpoint, want v%d", v, st.Version, want)
+		}
+	}
 	stats, _ := s.Stats(context.Background())
 	if stats.Checkpoints != 3 {
 		t.Fatalf("6 pushes at every=2: %d checkpoints, want 3", stats.Checkpoints)
@@ -147,12 +166,50 @@ func TestPeriodicCheckpointCadence(t *testing.T) {
 	if stats.CheckpointErrors != 0 {
 		t.Fatalf("checkpoint errors: %d", stats.CheckpointErrors)
 	}
+}
+
+// TestConcurrentPeriodicCheckpoints: draining pushes on several goroutines
+// each write the checkpoint their window scheduled. However the writes
+// interleave, none fails and the latest file is the final version — a
+// write that lost the race to a newer one is skipped, not made the newest.
+func TestConcurrentPeriodicCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	ckpt, err := persist.NewCheckpointer(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Checkpointer: ckpt, CheckpointEvery: 1})
+	params, _ := s.Model()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			grad := make([]float64, len(params))
+			grad[w] = 0.5
+			for i := 0; i < 5; i++ {
+				_, v := s.Model()
+				if _, err := s.PushGradient(context.Background(), &protocol.GradientPush{
+					WorkerID: w, ModelVersion: v, Gradient: grad, BatchSize: 10, LabelCounts: []int{1, 1},
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	_, final := s.Model()
 	st, _, err := persist.LoadLatest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Version != 6 {
-		t.Fatalf("latest checkpoint at version %d, want 6", st.Version)
+	if st.Version != final {
+		t.Fatalf("latest checkpoint at v%d, final version v%d", st.Version, final)
+	}
+	stats, _ := s.Stats(context.Background())
+	if stats.CheckpointErrors != 0 || stats.Checkpoints < 1 || stats.Checkpoints > final {
+		t.Fatalf("%d checkpoints, %d errors over %d windows", stats.Checkpoints, stats.CheckpointErrors, final)
 	}
 }
 
@@ -284,9 +341,9 @@ func TestDrainErrorStillAcks(t *testing.T) {
 	}
 }
 
-// TestStaleCheckpointWriteSkipped: a writer holding an older captured core
-// (descheduled between capture and write while newer pushes checkpointed)
-// must not clobber recency — persist keys "latest" on a monotonic sequence
+// TestStaleCheckpointWriteSkipped: a draining push holding an older captured
+// core (descheduled between capture and write while a newer one
+// checkpointed) must not clobber recency — persist keys "latest" on a monotonic sequence
 // number, so writing the stale core would roll a future restore backwards.
 func TestStaleCheckpointWriteSkipped(t *testing.T) {
 	dir := t.TempDir()
@@ -299,7 +356,7 @@ func TestStaleCheckpointWriteSkipped(t *testing.T) {
 	if _, err := s.Checkpoint(); err != nil { // version 5 durable
 		t.Fatal(err)
 	}
-	// The delayed writer from an earlier drain finally runs.
+	// The push that drained an earlier window finally writes.
 	held := s.core.Lease()
 	stale := s.captureState(held, ingest.Tally{})
 	stale.Version = 1
@@ -314,5 +371,34 @@ func TestStaleCheckpointWriteSkipped(t *testing.T) {
 	stats, _ := s.Stats(context.Background())
 	if stats.Checkpoints != 1 {
 		t.Fatalf("stale write counted as a checkpoint: %d", stats.Checkpoints)
+	}
+}
+
+// BenchmarkCheckpoint is Server.Checkpoint (capture, encode, fsync, prune)
+// at the smallest and the largest model bench/perf serves: what the push
+// that closes every CheckpointEvery-th window pays before its ack returns.
+func BenchmarkCheckpoint(b *testing.B) {
+	for _, arch := range []nn.Arch{nn.ArchTinyMNIST, nn.ArchCIFAR100} {
+		b.Run(arch.String(), func(b *testing.B) {
+			ckpt, err := persist.NewCheckpointer(b.TempDir(), 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := newTestServer(b, Config{Arch: arch, Checkpointer: ckpt})
+			var path string
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if path, err = s.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			fi, err := os.Stat(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(fi.Size()), "file-B")
+		})
 	}
 }

@@ -16,7 +16,7 @@ import (
 )
 
 // TestDelayedCheckpointIsTheWindowItCaptured: a checkpoint captured at
-// window v whose writer only gets to it DeltaHistory + 2 windows later —
+// window v whose draining push only writes it DeltaHistory + 2 windows later —
 // when v's storage would have been back in use — still writes v's
 // parameters: the cut's lease keeps them until the file is written.
 func TestDelayedCheckpointIsTheWindowItCaptured(t *testing.T) {
@@ -32,7 +32,7 @@ func TestDelayedCheckpointIsTheWindowItCaptured(t *testing.T) {
 	st := s.captureState(snap, tally)
 	want, v := s.Model()
 	pushN(t, s, 3*(depth+2))
-	s.saveState(st, snap) // the descheduled writer finally runs
+	s.saveState(st, snap) // the descheduled push finally writes
 	got, _, err := persist.LoadLatest(dir)
 	if err != nil {
 		t.Fatal(err)

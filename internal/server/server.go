@@ -106,14 +106,11 @@ type Config struct {
 	// (model updates): every N-th drain schedules a checkpoint. 0
 	// disables periodic checkpoints (explicit Checkpoint still works).
 	//
-	// The captured core is handed to a background writer goroutine, so
-	// the encode + fsync spike never lands in a push's latency — with one
-	// server per tenant, N fleets checkpointing would otherwise each
-	// stall a pusher at their own cadence. Durability stays bounded: the
-	// queue is small and enqueueing blocks when it is full, and Flush
-	// (or Close) is the barrier that makes everything captured so far
-	// durable — restores and graceful shutdowns call it first, which is
-	// also what keeps the replayable restart scenarios deterministic.
+	// The push that closes the N-th window writes the checkpoint itself,
+	// after the commit lock is released and before its ack returns: other
+	// pushes and pulls go on meanwhile, and once that ack is back the
+	// version it published is durable. That push pays the encode + fsync
+	// (BenchmarkCheckpoint prices it per architecture).
 	CheckpointEvery int
 	// Seed initializes the global model.
 	Seed int64
@@ -171,25 +168,15 @@ type Server struct {
 	epoch           int64
 	// ckptMu serializes checkpoint writes; the counters are atomic so
 	// Stats never waits on a write in flight. ckptVersion (under ckptMu)
-	// is the highest version already persisted: a writer holding an older
-	// captured core (it was descheduled between capture and write while
-	// newer pushes checkpointed) skips instead of clobbering recency —
-	// persist keys "latest" on a monotonic sequence number, so an
+	// is the highest version already persisted: a draining push holding an
+	// older captured core (it was descheduled between capture and write
+	// while a newer draining push checkpointed) skips instead of clobbering
+	// recency — persist keys "latest" on a monotonic sequence number, so an
 	// out-of-order write would otherwise make an older state the newest.
 	ckptMu      sync.Mutex
 	ckptVersion int
 	checkpoints atomic.Int64
 	ckptErrors  atomic.Int64
-
-	// The background checkpoint writer (nil channels when no Checkpointer
-	// is configured): drain-captured cores queue on ckptQ and are written
-	// off the pushing goroutine. ckptQuit tells the writer to drain and
-	// exit (Close); ckptDone closes when it has. closeOnce makes Close
-	// idempotent.
-	ckptQ     chan ckptReq
-	ckptQuit  chan struct{}
-	ckptDone  chan struct{}
-	closeOnce sync.Once
 }
 
 // drained is what a closed window leaves the push that closed it to do once
@@ -203,23 +190,6 @@ type drained struct {
 	tally   ingest.Tally
 	ckptDue bool
 }
-
-// ckptReq is one unit of work for the background checkpoint writer: a
-// fully captured state to persist, or (nil state) a flush barrier
-// acknowledged once everything queued before it has been written. The
-// state is captured on the push goroutine at enqueue time — capturing at
-// write time would snapshot AdaSGD/label/profiler state that later pushes
-// already advanced, making the durable bytes timing-dependent and breaking
-// replayable restarts. Its Params are snap's, released once written.
-type ckptReq struct {
-	st      *persist.State
-	snap    *ingest.Lease
-	barrier chan struct{}
-}
-
-// ckptQueueDepth bounds the background writer's backlog; a full queue
-// blocks the enqueueing push (backpressure), never drops durability.
-const ckptQueueDepth = 4
 
 // New builds a server with a freshly initialized global model.
 func New(cfg Config) (*Server, error) {
@@ -255,12 +225,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.core.Boot(0, s.epoch, model.ParamVector())
-	if cfg.Checkpointer != nil {
-		s.ckptQ = make(chan ckptReq, ckptQueueDepth)
-		s.ckptQuit = make(chan struct{})
-		s.ckptDone = make(chan struct{})
-		go s.ckptWriter()
-	}
 	return s, nil
 }
 
@@ -293,87 +257,6 @@ func (*rootSink) Sync(context.Context) error { return nil }
 // Fold has nothing to carry per push: the root's window is the
 // aggregator's mass alone.
 func (*rootSink) Fold(*protocol.GradientPush, int) {}
-
-// ckptWriter is the background checkpoint goroutine: it encodes and fsyncs
-// queued cores off the push path, acknowledges flush barriers, and on Close
-// drains whatever is already queued before exiting.
-func (s *Server) ckptWriter() {
-	defer close(s.ckptDone)
-	serve := func(req ckptReq) {
-		if req.st != nil {
-			s.saveState(req.st, req.snap)
-		}
-		if req.barrier != nil {
-			close(req.barrier)
-		}
-	}
-	for {
-		select {
-		case req := <-s.ckptQ:
-			serve(req)
-		case <-s.ckptQuit:
-			for {
-				select {
-				case req := <-s.ckptQ:
-					serve(req)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// enqueueCheckpoint hands a captured state and the lease on its Params to
-// the background writer. The queue is small and the send blocks when full —
-// backpressure, never dropped durability. A push racing Close (the writer
-// already gone) writes synchronously, preserving the pre-Close guarantee.
-func (s *Server) enqueueCheckpoint(st *persist.State, snap *ingest.Lease) {
-	select {
-	case s.ckptQ <- ckptReq{st: st, snap: snap}:
-	case <-s.ckptDone:
-		s.saveState(st, snap)
-	}
-}
-
-// Flush is the checkpoint barrier: it returns once every core captured
-// before the call is durable (or failed and was counted — same as the
-// synchronous path). A server without a Checkpointer returns immediately.
-// Restores and graceful shutdowns flush first, so "what was due before the
-// cut" is exactly what a restore will find — the property the replayable
-// restart scenarios assert bit-for-bit.
-func (s *Server) Flush() {
-	if s.ckptQ == nil {
-		return
-	}
-	barrier := make(chan struct{})
-	select {
-	case s.ckptQ <- ckptReq{barrier: barrier}:
-		select {
-		case <-barrier:
-		case <-s.ckptDone:
-		}
-	case <-s.ckptDone:
-	}
-}
-
-// Close flushes the checkpoint queue and stops the background writer.
-// Idempotent; a server without a Checkpointer has nothing to do. Close does
-// not take a final checkpoint — callers wanting one (graceful shutdown)
-// call Checkpoint first. The server remains usable for serving after Close
-// (late periodic checkpoints degrade to synchronous writes), but the
-// intended order is: quiesce, Checkpoint if desired, Close.
-func (s *Server) Close() error {
-	if s.ckptQ == nil {
-		return nil
-	}
-	s.closeOnce.Do(func() {
-		s.Flush()
-		close(s.ckptQuit)
-		<-s.ckptDone
-	})
-	return nil
-}
 
 // OnSnapshot registers fn to be called after every drain that publishes a
 // new model snapshot, with the just-published version, epoch and (when the
@@ -425,7 +308,7 @@ func (k *rootSink) CloseWindow(tally ingest.Tally) (drained, error) {
 	// Periodic crash safety: every CheckpointEvery-th window schedules a
 	// durable snapshot. Only the O(1) core capture happens here (params
 	// shares the just-published storage, under d's lease); the push that
-	// drained hands it to the writer after the commit lock is released.
+	// drained writes it after the commit lock is released.
 	if s.cfg.Checkpointer != nil && s.cfg.CheckpointEvery > 0 {
 		s.windowsSinceCkpt++
 		if s.windowsSinceCkpt >= s.cfg.CheckpointEvery {
@@ -448,10 +331,9 @@ func (k *rootSink) Deliver(_ context.Context, d drained, committed int) int {
 		(*fn)((*ingest.Snapshot)(d.snap).Announce(d.snap.Version - 1))
 	}
 	if d.ckptDue {
-		// The full state is captured here, on the push goroutine with the
-		// commit lock already released, and only the encode+fsync is
-		// deferred to the background writer.
-		s.enqueueCheckpoint(s.captureState(d.snap, d.tally), d.snap)
+		// Captured and written here, with the commit lock already
+		// released: the ack returns once the version is durable.
+		s.saveState(s.captureState(d.snap, d.tally), d.snap)
 	} else {
 		d.snap.Release()
 	}

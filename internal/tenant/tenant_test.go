@@ -40,7 +40,6 @@ func newUnit(t *testing.T, cfg Config) (*Unit, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = srv.Close() })
 	return Attach(cfg, srv, Options{})
 }
 
@@ -312,7 +311,6 @@ func TestBudgetReadsSigmaFromPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = srv.Close() })
 	cfg := Config{Name: "m", Arch: "softmax-mnist", Stages: "staleness", Epsilon: 8}
 	u, err := Attach(cfg, srv, Options{})
 	if err != nil {
