@@ -42,6 +42,15 @@
 // -checkpoint-dir: the server restores the newest durable state as a new
 // incarnation and live workers resync on their own (see internal/worker).
 //
+// Multi-tenant mode: -tenants names a JSON file declaring the fleet, an
+// array with one object per tenant keyed as tenant.Config's JSON tags (an
+// unknown key is refused, naming it), checked whole before any unit boots.
+// Each tenant keeps its checkpoints under <checkpoint-dir>/<name>, and
+// -mint-token prints a worker's bearer token from the same file:
+//
+//	fleet-server -tenants tenants.json -default-tenant analytics
+//	fleet-server -tenants tenants.json -mint-token ads:7
+//
 // The flags bind one-to-one onto a node.Spec; assembly and the
 // drain/checkpoint/flush lifecycle live in internal/node, shared with
 // fleet-agg and the loadgen harness.
@@ -144,16 +153,11 @@ func buildServer(args []string, stderr io.Writer) (rt *node.Runtime, printOnly s
 	fs.StringVar(&spec.Checkpoint.NonceDir, "boot-nonce-dir", "", "directory persisting the boot counter that bumps the incarnation epoch on checkpoint-less boots (default: -checkpoint-dir; empty with no -checkpoint-dir disables the nonce)")
 	fs.IntVar(&spec.Checkpoint.Every, "checkpoint-every", 8, "periodic checkpoint cadence in aggregation windows (0: only at graceful shutdown)")
 	fs.IntVar(&spec.Checkpoint.Keep, "checkpoint-keep", 3, "checkpoint files retained in -checkpoint-dir")
-	fs.StringVar(&spec.Checkpoint.Recover, "checkpoint-recover", "latest", `startup policy with -checkpoint-dir: "latest" restores the newest valid checkpoint and refuses to boot without one; "fresh" additionally allows initializing a new model when the directory holds no checkpoint at all (corruption still refuses). Tenant units (-tenant/-tenants) always boot "fresh if empty" under <dir>/<name>, whatever this says`)
+	fs.StringVar(&spec.Checkpoint.Recover, "checkpoint-recover", "latest", `startup policy with -checkpoint-dir: "latest" restores the newest valid checkpoint and refuses to boot without one; "fresh" additionally allows initializing a new model when the directory holds no checkpoint at all (corruption still refuses). Tenant units (-tenants) always boot "fresh if empty" under <dir>/<name>, whatever this says`)
 
-	tenantsFile := fs.String("tenants", "", "JSON file declaring the tenant fleet (array of tenant configs); switches the server to multi-tenant mode")
+	tenantsFile := fs.String("tenants", "", "JSON file declaring the tenant fleet (an array of tenant configs, unknown keys refused); switches the server to multi-tenant mode")
 	fs.StringVar(&spec.DefaultTenant, "default-tenant", "", "tenant that un-tenanted routes alias to (default: the first declared tenant)")
-	mintToken := fs.String("mint-token", "", "mint the bearer token for tenant:workerID against the declared tenant's secret, print it and exit (operator utility; requires the same -tenant/-tenants flags as the server boot)")
-	fs.Func("tenant", "declare one tenant as name:arch:stages:aggregator:admission[:key=value...] (repeatable; empty fields keep defaults; options: eps, delta, q, secret, workers, seed, lr, k); switches the server to multi-tenant mode", func(v string) error {
-		tc, err := tenant.ParseSpec(v)
-		spec.Tenants = append(spec.Tenants, tc)
-		return err
-	})
+	mintToken := fs.String("mint-token", "", "mint the bearer token for tenant:workerID against the secret the -tenants file declares for it, print it and exit (operator utility)")
 	if err := fs.Parse(args); err != nil {
 		return nil, "", err
 	}
@@ -161,17 +165,14 @@ func buildServer(args []string, stderr io.Writer) (rt *node.Runtime, printOnly s
 		return nil, "", fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
 	if *tenantsFile != "" {
-		// File-declared tenants precede flag-declared ones (the first
-		// declared is the default tenant).
-		loaded, err := tenant.LoadFile(*tenantsFile)
-		if err != nil {
+		if spec.Tenants, err = tenant.LoadFile(*tenantsFile); err != nil {
 			return nil, "", err
 		}
-		spec.Tenants = append(loaded, spec.Tenants...)
 	}
 	if *mintToken != "" {
-		if len(spec.Tenants) == 0 {
-			return nil, "", fmt.Errorf("-mint-token needs the tenant fleet declared alongside it (-tenant/-tenants): tokens are minted against a declared tenant's secret")
+		// Mint only against a declaration the server would boot.
+		if err := tenant.Validate(spec.Tenants, spec.DefaultTenant); err != nil {
+			return nil, "", fmt.Errorf("-mint-token mints against the -tenants file's declaration: %w", err)
 		}
 		printOnly, err = mintTenantToken(spec.Tenants, *mintToken)
 		return nil, printOnly, err

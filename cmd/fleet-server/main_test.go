@@ -485,16 +485,22 @@ func TestCheckpointRecoverPolicy(t *testing.T) {
 	}
 }
 
+// writeTenants writes a -tenants file and returns its path.
+func writeTenants(t *testing.T, decl string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(path, []byte(decl), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestMintTokenUtility: -mint-token is a print-and-exit operator mode —
 // the token it prints must verify against the declared tenant's secret for
 // exactly the requested worker identity.
 func TestMintTokenUtility(t *testing.T) {
-	rt, printOnly, err := buildServer([]string{
-		"-time-slo", "0",
-		"-tenant", "open",
-		"-tenant", "ads:softmax-mnist:secret=s3:workers=5",
-		"-mint-token", "ads:7",
-	}, io.Discard)
+	fleet := writeTenants(t, `[{"name":"open"},{"name":"ads","arch":"softmax-mnist","secret":"s3","max_workers":5}]`)
+	rt, printOnly, err := buildServer([]string{"-time-slo", "0", "-tenants", fleet, "-mint-token", "ads:7"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,12 +520,14 @@ func TestMintTokenUtility(t *testing.T) {
 	}
 
 	for _, args := range [][]string{
-		{"-mint-token", "ads:7"},                                 // no tenants declared
-		{"-tenant", "ads:secret=s3", "-mint-token", "ghost:7"},   // unknown tenant
-		{"-tenant", "open", "-mint-token", "open:7"},             // tenant has no secret
-		{"-tenant", "ads:secret=s3", "-mint-token", "ads"},       // no worker id
-		{"-tenant", "ads:secret=s3", "-mint-token", "ads:-1"},    // negative id
-		{"-tenant", "ads:secret=s3", "-mint-token", "ads:seven"}, // non-integer id
+		{"-mint-token", "ads:7"},                             // no tenants declared
+		{"-tenants", fleet, "-mint-token", "ghost:7"},        // unknown tenant
+		{"-tenants", fleet, "-mint-token", "open:7"},         // tenant has no secret
+		{"-tenants", fleet, "-mint-token", "ads"},            // no worker id
+		{"-tenants", fleet, "-mint-token", "ads:-1"},         // negative id
+		{"-tenants", fleet, "-mint-token", "ads:seven"},      // non-integer id
+		{"-tenant", "ads:secret=s3", "-mint-token", "ads:7"}, // the retired positional grammar
+		{"-tenants", writeTenants(t, `[{"name":"ads","secret":"s3"},{"name":"ads","secret":"s4"}]`), "-mint-token", "ads:7"}, // a declaration the server refuses
 	} {
 		if _, _, err := buildServer(append([]string{"-time-slo", "0"}, args...), io.Discard); err == nil {
 			t.Errorf("args %v minted without error", args)
@@ -527,14 +535,16 @@ func TestMintTokenUtility(t *testing.T) {
 	}
 }
 
-// TestMultiTenantBuild: the -tenant flags must switch buildServer into
+// TestMultiTenantBuild: a -tenants file must switch buildServer into
 // registry mode — tenant-routing handler, stream resolver, per-tenant
 // announce wiring — with the declared default aliased for legacy routes.
 func TestMultiTenantBuild(t *testing.T) {
 	rt := build(t,
 		"-time-slo", "0",
-		"-tenant", "analytics",
-		"-tenant", "ads:softmax-mnist:dp(1,1.2),staleness:mean:secret=s3:eps=2",
+		"-tenants", writeTenants(t, `[
+			{"name": "ads", "arch": "softmax-mnist", "stages": "dp(1,1.2),staleness", "secret": "s3", "epsilon": 2},
+			{"name": "analytics"}
+		]`),
 		"-default-tenant", "analytics")
 	defer func() { _ = rt.Close() }()
 	asm := rt.Assembly()
@@ -558,6 +568,60 @@ func TestMultiTenantBuild(t *testing.T) {
 	}
 	if _, _, err := asm.Resolver("ghost"); !protocol.IsCode(err, protocol.CodeUnauthenticated) {
 		t.Fatalf("resolver(ghost): got %v, want unauthenticated", err)
+	}
+}
+
+// TestRefusedTenantsWriteNothing: a declaration is checked whole before the
+// first unit boots, so one refused for any reason leaves -checkpoint-dir
+// as it found it — no subdirectory, no boot counter.
+func TestRefusedTenantsWriteNothing(t *testing.T) {
+	for _, tc := range []struct {
+		decl  string
+		extra []string
+		want  string
+	}{
+		{decl: `[{"name":"a"},{"name":"a"}]`, want: "duplicate tenant"},
+		{decl: `[{"name":"a"},{"name":".."}]`, want: "invalid tenant name"},
+		{decl: `[{"name":"a"},{"name":"b","max_workers":-1}]`, want: "must not be negative"},
+		{decl: `[{"name":"a"}]`, extra: []string{"-default-tenant", "ghost"}, want: `default tenant "ghost"`},
+		{decl: `[{"name":"ads","secert":"s3cr3t","max_worker":5}]`, want: `unknown field "secert"`},
+	} {
+		dir := t.TempDir()
+		args := append([]string{"-time-slo", "0", "-tenants", writeTenants(t, tc.decl), "-checkpoint-dir", dir}, tc.extra...)
+		if rt, _, err := buildServer(args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if rt != nil {
+				_ = rt.Close()
+			}
+			t.Errorf("%s %v: error %v, want containing %q", tc.decl, tc.extra, err, tc.want)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) > 0 {
+			t.Errorf("%s %v: refused, yet -checkpoint-dir holds %v (%v)", tc.decl, tc.extra, entries, err)
+		}
+	}
+}
+
+// TestReadmeTenantsExample boots README's multi-tenancy example and mints
+// the token it mints, so the example cannot rot: the -tenants file between
+// its two marker comments is compiled by buildServer exactly as written.
+func TestReadmeTenantsExample(t *testing.T) {
+	const readme, begin, end = "../../README.md", "<!-- tenants:begin -->\n```json\n", "```\n<!-- tenants:end -->"
+	doc, err := os.ReadFile(readme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := strings.Index(string(doc), begin)
+	to := strings.Index(string(doc), end)
+	if from < 0 || to < from {
+		t.Fatalf("%s lacks the %q … %q block", readme, begin, end)
+	}
+	fleet := writeTenants(t, string(doc[from+len(begin):to]))
+	rt := build(t, "-tenants", fleet, "-checkpoint-dir", t.TempDir())
+	defer func() { _ = rt.Close() }()
+	if !strings.Contains(rt.Assembly().Banner, "tenants: analytics, ads") {
+		t.Fatalf("banner %q does not serve README's two tenants", rt.Assembly().Banner)
+	}
+	if _, tok, err := buildServer([]string{"-tenants", fleet, "-mint-token", "ads:7"}, io.Discard); err != nil || tok == "" {
+		t.Fatalf("-mint-token ads:7 against README's file: %q, %v", tok, err)
 	}
 }
 

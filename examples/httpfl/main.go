@@ -1,8 +1,9 @@
 // HTTP federated learning: the full middleware over a real network stack.
 //
 // Starts a FLeet server (with I-Prof bounding each device's workload to a
-// computation-time SLO) behind an interceptor chain — panic recovery,
-// per-method metrics, per-worker rate limiting — on a loopback listener,
+// computation-time SLO) behind an interceptor chain — panic recovery, a
+// custom per-method call counter, per-worker rate limiting — on a
+// loopback listener,
 // and drives eight workers on heterogeneous simulated phones through the
 // Figure-2 protocol via the versioned /v1 routes. One worker speaks JSON
 // instead of the default flat codec to show codec negotiation on the same
@@ -15,6 +16,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"fleet"
@@ -76,10 +78,10 @@ func main() {
 
 	// Cross-cutting concerns compose around the server as interceptors;
 	// the HTTP handler serves the chained service on the /v1 routes.
-	calls := fleet.NewCallMetrics()
+	counter, report := countCalls()
 	svc := fleet.Chain(srv,
 		fleet.Recovery(),
-		fleet.Metrics(calls),
+		counter,
 		fleet.RateLimit(500, 50),
 	)
 
@@ -157,8 +159,30 @@ func main() {
 	fmt.Printf("update pipeline: %v -> %s\n", stats.PipelineStages, stats.Aggregator)
 	fmt.Printf("admission chain: %v, rejects by policy: %v\n",
 		stats.AdmissionPolicies, stats.RejectsByPolicy)
-	for method, m := range calls.Snapshot() {
-		fmt.Printf("  %-12s %4d calls, %d errors, mean %s\n",
-			method, m.Calls, m.Errors, m.MeanLatency())
+	report()
+}
+
+// countCalls builds a custom concern as an interceptor: a hook around every
+// call, here counting calls and errors per method. report prints the counts.
+func countCalls() (counter fleet.Interceptor, report func()) {
+	var mu sync.Mutex
+	calls, failed := map[string]int{}, map[string]int{}
+	counter = fleet.AroundService(func(ctx context.Context, info fleet.ServiceCallInfo, next func(context.Context) (interface{}, error)) (interface{}, error) {
+		v, err := next(ctx)
+		mu.Lock()
+		calls[info.Method]++
+		if err != nil {
+			failed[info.Method]++
+		}
+		mu.Unlock()
+		return v, err
+	})
+	report = func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for method, n := range calls {
+			fmt.Printf("  %-12s %4d calls, %d errors\n", method, n, failed[method])
+		}
 	}
+	return counter, report
 }

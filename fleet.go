@@ -71,10 +71,6 @@ func Chain(svc Service, interceptors ...Interceptor) Service {
 	return service.Chain(svc, interceptors...)
 }
 
-// Metrics returns an interceptor recording per-method call counters and
-// latencies into the given *CallMetrics sink.
-func Metrics(m *CallMetrics) Interceptor { return service.Metrics(m) }
-
 // Recovery returns an interceptor converting panics into structured
 // internal errors.
 func Recovery() Interceptor { return service.Recovery() }
@@ -89,12 +85,6 @@ func RateLimit(perSec float64, burst int) Interceptor { return service.RateLimit
 func AroundService(hook func(ctx context.Context, info ServiceCallInfo, next func(context.Context) (interface{}, error)) (interface{}, error)) Interceptor {
 	return service.Around(hook)
 }
-
-// CallMetrics is the metrics sink of the Metrics interceptor.
-type CallMetrics = service.CallMetrics
-
-// NewCallMetrics builds an empty metrics sink.
-func NewCallMetrics() *CallMetrics { return service.NewCallMetrics() }
 
 // Server is the FLeet parameter server hosting the global model, AdaSGD,
 // I-Prof and the update pipeline.

@@ -75,8 +75,8 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 
 // TestPublicAPIInterceptorChain trains a worker through a Chain of the
 // exported interceptors around an in-process server — the Service
-// abstraction the facade documents — and checks the metrics sink saw every
-// call and the rate limiter produces typed APIErrors.
+// abstraction the facade documents — and checks a custom AroundService
+// counter saw every call and the rate limiter produces typed APIErrors.
 func TestPublicAPIInterceptorChain(t *testing.T) {
 	ctx := context.Background()
 	srv, err := fleet.NewServer(fleet.ServerConfig{
@@ -89,8 +89,12 @@ func TestPublicAPIInterceptorChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := fleet.NewCallMetrics()
-	svc := fleet.Chain(srv, fleet.Recovery(), fleet.Metrics(calls))
+	calls := map[string]int{} // one worker, so one caller at a time
+	counter := fleet.AroundService(func(ctx context.Context, info fleet.ServiceCallInfo, next func(context.Context) (interface{}, error)) (interface{}, error) {
+		calls[info.Method]++
+		return next(ctx)
+	})
+	svc := fleet.Chain(srv, fleet.Recovery(), counter)
 
 	ds := fleet.TinyMNIST(2, 12, 4)
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
@@ -104,9 +108,8 @@ func TestPublicAPIInterceptorChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := calls.Snapshot()
-	if snap["RequestTask"].Calls != 4 || snap["PushGradient"].Calls != 4 {
-		t.Fatalf("metrics snapshot = %+v", snap)
+	if calls["RequestTask"] != 4 || calls["PushGradient"] != 4 {
+		t.Fatalf("calls counted = %v", calls)
 	}
 
 	// A strict rate limit turns the next call into a typed APIError. One

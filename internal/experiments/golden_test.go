@@ -20,8 +20,23 @@ const goldenPath = "testdata/ci_values.json"
 // test and the per-figure assertions read the same report.
 var ciReports sync.Map // id → func() (*Report, error)
 
+// quick holds the experiments that train no model and finish in under a
+// second at ScaleCI. Under -race only these run, concurrently (the golden
+// subtests are parallel), which checks that experiments share no mutable
+// state; the training ones take 4–40 s each, about ten times that under
+// -race, and `go test ./internal/experiments` runs them all.
+var quick = map[string]bool{
+	"fig4": true, "fig5": true, "fig7": true, "fig12": true, "fig13": true,
+	"fig14": true, "table2": true, "energy": true,
+}
+
 func ciReport(t *testing.T, id string) *Report {
 	t.Helper()
+	if raceEnabled && !quick[id] {
+		t.Skipf("%s trains a model: skipped under -race, where it would have nothing to race — "+
+			"TestExperimentsStartNoGoroutines (internal/node) proves the experiments start no goroutine; "+
+			"go test ./internal/experiments runs it", id)
+	}
 	run, _ := ciReports.LoadOrStore(id, sync.OnceValues(func() (*Report, error) { return Run(id, ScaleCI) }))
 	rep, err := run.(func() (*Report, error))()
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // Multi-tenant runs: each TenantSpec becomes its own complete sub-run — a
 // derived scenario with a derived seed, executed concurrently against a
 // one-tenant root whose unit node.FromSpec compiles as for a fleet-server
-// -tenant deployment, so every call flows through the real enforcement
+// -tenants deployment, so every call flows through the real enforcement
 // chain with real minted tokens. Units share nothing, and each tenant's
 // random streams derive from (master seed ⊕ tenant-name hash) — so a
 // neighbor's behavior, however noisy, cannot perturb another tenant's event

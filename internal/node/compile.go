@@ -400,16 +400,16 @@ func unitSpec(s Spec, c tenant.Config) Spec {
 // nothing here; its transport, drain, interceptor and checkpoint fields
 // apply deployment-wide.
 func compileTenants(s Spec, timeProf, energyProf *iprof.IProf) (*Runtime, error) {
+	// Checked whole before the first unit boots, which writes under
+	// <Checkpoint.Dir>/<name>: a refused declaration leaves no trace.
+	if err := tenant.Validate(s.Tenants, s.DefaultTenant); err != nil {
+		return nil, err
+	}
 	topts := tenant.Options{Default: s.DefaultTenant, Interceptors: buildInterceptors(s)}
 	units := make([]*tenant.Unit, 0, len(s.Tenants))
 	names := make([]string, 0, len(s.Tenants))
 	children := make([]Child, 0, len(s.Tenants))
 	for _, c := range s.Tenants {
-		// The name becomes a directory below; tenant.Attach enforces the
-		// full naming rule, this keeps the path inside Checkpoint.Dir.
-		if c.Name != filepath.Base(c.Name) || c.Name == "." || c.Name == ".." {
-			return nil, fmt.Errorf("tenant: invalid tenant name %q", c.Name)
-		}
 		srv, err := rootServer(unitSpec(s, c), timeProf, energyProf, false)
 		if err != nil {
 			return nil, fmt.Errorf("tenant %s: %w", c.Name, err)

@@ -188,15 +188,11 @@ func TestChildServerIsTheTenantsServer(t *testing.T) {
 }
 
 // TestTenantNegativeLearningRateFails: only 0 means an unset learning rate.
-// A negative one from a -tenant spec is refused with server.New's
+// A negative one in a tenant declaration is refused with server.New's
 // invalid_argument, naming the tenant, never replaced by the default.
 func TestTenantNegativeLearningRateFails(t *testing.T) {
-	c, err := tenant.ParseSpec("a::::lr=-0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := rootSpec()
-	s.Tenants = []tenant.Config{c}
+	s.Tenants = []tenant.Config{{Name: "a", LearningRate: -0.1}}
 	rt, err := FromSpec(s)
 	if err == nil {
 		_ = rt.Close()

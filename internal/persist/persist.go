@@ -161,6 +161,10 @@ func NewCheckpointer(dir string, keep int) (*Checkpointer, error) {
 	return c, nil
 }
 
+// openDir opens the checkpoint directory for its fsync; tests swap it to
+// make the open fail.
+var openDir = os.Open
+
 // Save writes st as a new checkpoint file: encode, checksum, write to a
 // temp file, fsync, rename into place, prune old files. It returns the
 // final path.
@@ -204,13 +208,16 @@ func (c *Checkpointer) Save(st *State) (string, error) {
 	}
 	// Fsync the directory too: the rename is only durable once the
 	// directory entry is — without this, a power loss right after Save
-	// returns could make the checkpoint vanish on reboot.
-	if d, err := os.Open(c.dir); err == nil {
-		syncErr := d.Sync()
-		_ = d.Close()
-		if syncErr != nil {
-			return "", fmt.Errorf("persist: sync %s: %w", c.dir, syncErr)
-		}
+	// returns could make the checkpoint vanish on reboot. A directory that
+	// cannot be opened is a failed save, not a skipped step.
+	d, err := openDir(c.dir)
+	if err != nil {
+		return "", fmt.Errorf("persist: %w", err)
+	}
+	syncErr := d.Sync()
+	_ = d.Close()
+	if syncErr != nil {
+		return "", fmt.Errorf("persist: sync %s: %w", c.dir, syncErr)
 	}
 	c.pruneLocked()
 	return final, nil

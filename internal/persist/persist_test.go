@@ -267,3 +267,25 @@ func TestSaveIsAtomicNoTempLeftovers(t *testing.T) {
 		t.Fatalf("keep=1 left %d files", len(files))
 	}
 }
+
+// TestSaveFailsWhenDirectoryCannotBeOpened: the rename is durable only once
+// the directory is fsynced, so a directory Save cannot open for that fsync
+// fails the save (and a server counts it in CheckpointErrors) instead of
+// reporting a checkpoint that may not survive a power loss.
+func TestSaveFailsWhenDirectoryCannotBeOpened(t *testing.T) {
+	c, err := NewCheckpointer(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(open func(string) (*os.File, error)) { openDir = open }(openDir)
+	openDir = func(name string) (*os.File, error) {
+		return nil, &os.PathError{Op: "open", Path: name, Err: errors.New("injected failure")}
+	}
+	if _, err := c.Save(sampleState(1)); err == nil || !strings.Contains(err.Error(), "injected failure") {
+		t.Fatalf("Save with an unopenable directory: got %v, want the open error", err)
+	}
+	openDir = os.Open
+	if _, err := c.Save(sampleState(2)); err != nil {
+		t.Fatalf("the next save, with the directory back: %v", err)
+	}
+}

@@ -29,74 +29,6 @@ func Logging(logger *log.Logger) Interceptor {
 	})
 }
 
-// MethodStats is the per-method snapshot a CallMetrics interceptor exposes.
-type MethodStats struct {
-	Calls        int64
-	Errors       int64
-	TotalLatency time.Duration
-	MaxLatency   time.Duration
-}
-
-// MeanLatency is TotalLatency / Calls (0 before any call).
-func (m MethodStats) MeanLatency() time.Duration {
-	if m.Calls == 0 {
-		return 0
-	}
-	return m.TotalLatency / time.Duration(m.Calls)
-}
-
-// CallMetrics accumulates per-method call counters and latencies. Safe for
-// concurrent use; plug it in with Metrics.
-type CallMetrics struct {
-	mu sync.Mutex
-	// byMethod is keyed by CallInfo.Method.
-	byMethod map[string]MethodStats
-}
-
-// NewCallMetrics builds an empty metrics sink.
-func NewCallMetrics() *CallMetrics {
-	return &CallMetrics{byMethod: make(map[string]MethodStats)}
-}
-
-func (c *CallMetrics) observe(method string, d time.Duration, failed bool) {
-	c.mu.Lock()
-	if c.byMethod == nil {
-		c.byMethod = make(map[string]MethodStats) // zero-value CallMetrics works too
-	}
-	m := c.byMethod[method]
-	m.Calls++
-	if failed {
-		m.Errors++
-	}
-	m.TotalLatency += d
-	if d > m.MaxLatency {
-		m.MaxLatency = d
-	}
-	c.byMethod[method] = m
-	c.mu.Unlock()
-}
-
-// Snapshot returns a copy of the per-method stats.
-func (c *CallMetrics) Snapshot() map[string]MethodStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]MethodStats, len(c.byMethod))
-	for k, v := range c.byMethod {
-		out[k] = v
-	}
-	return out
-}
-
-// Metrics returns an interceptor recording every call into m.
-func Metrics(m *CallMetrics) Interceptor {
-	return Around(func(ctx context.Context, info CallInfo, next func(context.Context) (interface{}, error)) (interface{}, error) {
-		start := time.Now()
-		v, err := next(ctx)
-		m.observe(info.Method, time.Since(start), err != nil)
-		return v, err
-	})
-}
-
 // Recovery returns an interceptor that converts panics in inner layers into
 // structured CodeInternal errors, so one poisoned request cannot take down
 // the serving process.

@@ -120,28 +120,6 @@ func TestLoggingWritesMethodAndWorker(t *testing.T) {
 	}
 }
 
-func TestMetricsCountsCallsAndErrors(t *testing.T) {
-	m := NewCallMetrics()
-	ok := Chain(&fake{}, Metrics(m))
-	bad := Chain(&fake{fail: errors.New("boom")}, Metrics(m))
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, err := ok.PushGradient(ctx, &protocol.GradientPush{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := bad.PushGradient(ctx, &protocol.GradientPush{}); err == nil {
-		t.Fatal("want error")
-	}
-	snap := m.Snapshot()["PushGradient"]
-	if snap.Calls != 4 || snap.Errors != 1 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap.TotalLatency < 0 || snap.MaxLatency > time.Minute {
-		t.Fatalf("implausible latencies: %+v", snap)
-	}
-}
-
 func TestRecoveryConvertsPanics(t *testing.T) {
 	svc := Chain(&fake{panicWith: "kaboom"}, Recovery())
 	_, err := svc.RequestTask(context.Background(), &protocol.TaskRequest{})

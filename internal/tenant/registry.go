@@ -1,10 +1,6 @@
 package tenant
 
-import (
-	"fmt"
-
-	"fleet/internal/protocol"
-)
+import "fleet/internal/protocol"
 
 // Registry maps tenant IDs onto their isolated serving units. It is built
 // once at startup and read-only afterwards, so lookups need no locking.
@@ -16,26 +12,21 @@ type Registry struct {
 
 // NewRegistry routes over built units (Attach), in declaration order.
 // Options.Default selects which tenant un-tenanted routes alias to (empty:
-// the first unit).
+// the first unit). The units' declaration must pass Validate.
 func NewRegistry(units []*Unit, opts Options) (*Registry, error) {
-	if len(units) == 0 {
-		return nil, fmt.Errorf("tenant: no tenants configured")
+	cfgs := make([]Config, len(units))
+	for i, u := range units {
+		cfgs[i] = u.cfg
 	}
-	r := &Registry{units: units, byID: make(map[string]*Unit, len(units))}
+	if err := Validate(cfgs, opts.Default); err != nil {
+		return nil, err
+	}
+	r := &Registry{units: units, byID: make(map[string]*Unit, len(units)), def: units[0]}
 	for _, u := range units {
-		if _, dup := r.byID[u.name]; dup {
-			return nil, fmt.Errorf("tenant: duplicate tenant %q", u.name)
-		}
 		r.byID[u.name] = u
 	}
-	if opts.Default == "" {
-		r.def = r.units[0]
-	} else {
-		def, ok := r.byID[opts.Default]
-		if !ok {
-			return nil, fmt.Errorf("tenant: default tenant %q is not configured", opts.Default)
-		}
-		r.def = def
+	if opts.Default != "" {
+		r.def = r.byID[opts.Default]
 	}
 	return r, nil
 }

@@ -7,18 +7,17 @@
 // call, for both transports at once (the HTTP layer and the stream
 // handshake only attach credentials; all enforcement lives here).
 //
-// Units are declared with the same spec grammar the rest of the system
-// uses: a repeatable "name:arch:stages:aggregator:admission[:k=v...]" flag
-// or a JSON config file, both routed through Config.
+// Units are declared in one place, a JSON file of Configs (LoadFile), and
+// the declaration is checked whole (Validate) before any unit is built.
 package tenant
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -29,7 +28,7 @@ import (
 
 // Config declares one tenant's serving unit. The zero value of every field
 // except Name defaults to the single-fleet server's defaults, so
-// "-tenant analytics" alone is a complete declaration. The model and
+// {"name": "analytics"} alone is a complete declaration. The model and
 // pipeline defaults are applied where the unit's server is compiled
 // (node.FromSpec); this package only enforces around a built server.
 type Config struct {
@@ -77,8 +76,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validName keeps tenant names safe as flag fields, URL path segments and
-// directory names at once.
+// validName keeps tenant names safe as URL path segments and directory
+// names at once.
 func validName(name string) bool {
 	if name == "" {
 		return false
@@ -94,70 +93,64 @@ func validName(name string) bool {
 	return name != "." && name != ".."
 }
 
-// ParseSpec parses the repeatable -tenant flag form
-// "name:arch:stages:aggregator:admission[:key=value...]". Empty middle
-// fields keep their defaults; trailing key=value options cover the knobs
-// that are not part of the positional grammar: epsilon (or eps), delta, q,
-// secret, workers (max worker quota), seed, lr, k.
-func ParseSpec(s string) (Config, error) {
-	parts := strings.Split(s, ":")
-	cfg := Config{Name: parts[0]}
-	positional := []*string{nil, &cfg.Arch, &cfg.Stages, &cfg.Aggregator, &cfg.Admission}
-	i := 1
-	for ; i < len(parts) && i < len(positional); i++ {
-		if strings.Contains(parts[i], "=") {
-			break // options start early; remaining positions keep defaults
-		}
-		*positional[i] = parts[i]
-	}
-	for ; i < len(parts); i++ {
-		key, val, ok := strings.Cut(parts[i], "=")
-		if !ok {
-			return Config{}, fmt.Errorf("tenant: spec %q: field %q is neither positional (past %d fields) nor key=value", s, parts[i], len(positional))
-		}
-		var err error
-		switch key {
-		case "epsilon", "eps":
-			cfg.Epsilon, err = strconv.ParseFloat(val, 64)
-		case "delta":
-			cfg.Delta, err = strconv.ParseFloat(val, 64)
-		case "q":
-			cfg.SamplingRatio, err = strconv.ParseFloat(val, 64)
-		case "secret":
-			cfg.Secret = val
-		case "workers":
-			cfg.MaxWorkers, err = strconv.Atoi(val)
-		case "seed":
-			cfg.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "lr":
-			cfg.LearningRate, err = strconv.ParseFloat(val, 64)
-		case "k":
-			cfg.K, err = strconv.Atoi(val)
-		default:
-			return Config{}, fmt.Errorf("tenant: spec %q: unknown option %q", s, key)
-		}
-		if err != nil {
-			return Config{}, fmt.Errorf("tenant: spec %q: option %q: %v", s, parts[i], err)
-		}
-	}
-	if !validName(cfg.Name) {
-		return Config{}, fmt.Errorf("tenant: invalid tenant name %q (letters, digits, '-', '_', '.')", cfg.Name)
-	}
-	return cfg, nil
-}
-
-// LoadFile reads a JSON array of Configs — the declarative file form of the
-// -tenant flag.
+// LoadFile reads a -tenants file: a JSON array of Configs, the one way a
+// deployment declares its tenants. Decoding is strict: a key Config does
+// not declare is refused by name (a misspelled "secret" would otherwise
+// boot a tenant without authentication), and so is anything after the
+// array. The declaration as a whole is checked by Validate.
 func LoadFile(path string) ([]Config, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
 	var cfgs []Config
-	if err := json.Unmarshal(b, &cfgs); err != nil {
+	if err := dec.Decode(&cfgs); err != nil {
 		return nil, fmt.Errorf("tenant: %s: %w", path, err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("tenant: %s: data after the tenant array", path)
+	}
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("tenant: %s declares no tenant", path)
+	}
 	return cfgs, nil
+}
+
+// Validate checks a whole tenant declaration before any unit is built: at
+// least one tenant, every name valid and unique, no negative limit, and the
+// default tenant def (empty: the first) among the declared names. Only the
+// refusal of an epsilon budget without a dp stage waits for Attach, which
+// sees the built pipeline.
+func Validate(cfgs []Config, def string) error {
+	if len(cfgs) == 0 {
+		return fmt.Errorf("tenant: no tenants configured")
+	}
+	names := make(map[string]bool, len(cfgs))
+	for _, c := range cfgs {
+		if !validName(c.Name) {
+			return fmt.Errorf("tenant: invalid tenant name %q (letters, digits, '-', '_', '.')", c.Name)
+		}
+		if names[c.Name] {
+			return fmt.Errorf("tenant: duplicate tenant %q", c.Name)
+		}
+		names[c.Name] = true
+		// A negative limit would read as "off" (no quota, no budget) or as
+		// the default; zero is the spelling of those.
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{{"worker quota", float64(c.MaxWorkers)}, {"epsilon", c.Epsilon}, {"delta", c.Delta}, {"sampling ratio", c.SamplingRatio}} {
+			if f.v < 0 {
+				return fmt.Errorf("tenant %s: %s must not be negative, got %g", c.Name, f.name, f.v)
+			}
+		}
+	}
+	if def != "" && !names[def] {
+		return fmt.Errorf("tenant: default tenant %q is not configured", def)
+	}
+	return nil
 }
 
 // Options carries what the enforcement layer shares deployment-wide.
@@ -195,18 +188,8 @@ type Unit struct {
 // and the loadgen harness's tenant sub-runs this way. The budget composes
 // the σ of the dp stage srv's own pipeline runs.
 func Attach(cfg Config, srv *server.Server, opts Options) (*Unit, error) {
-	if !validName(cfg.Name) {
-		return nil, fmt.Errorf("tenant: invalid tenant name %q", cfg.Name)
-	}
-	// A negative limit would read as "off" (no quota, no budget) or as the
-	// default; zero is the spelling of those.
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"worker quota", float64(cfg.MaxWorkers)}, {"epsilon", cfg.Epsilon}, {"delta", cfg.Delta}, {"sampling ratio", cfg.SamplingRatio}} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("tenant %s: %s must not be negative, got %g", cfg.Name, f.name, f.v)
-		}
+	if err := Validate([]Config{cfg}, ""); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	var budget *Budget

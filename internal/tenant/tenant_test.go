@@ -4,6 +4,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -56,47 +59,88 @@ func newRegistry(t *testing.T, def string, cfgs ...Config) (*Registry, error) {
 	return NewRegistry(units, Options{Default: def})
 }
 
-func TestParseSpec(t *testing.T) {
+// TestLoadFile: a -tenants file decodes strictly. A key Config does not
+// declare is refused by name, never ignored: a misspelled secret or quota
+// would otherwise boot a tenant with no authentication and no quota.
+func TestLoadFile(t *testing.T) {
 	cases := []struct {
 		in      string
-		want    Config
+		want    []Config
 		wantErr string
 	}{
-		{in: "analytics", want: Config{Name: "analytics"}},
+		{in: `[{"name":"analytics"}]`, want: []Config{{Name: "analytics"}}},
 		{
-			in:   "ads:softmax-mnist:dp(1,1.2),staleness:krum(2):rate(5)",
-			want: Config{Name: "ads", Arch: "softmax-mnist", Stages: "dp(1,1.2),staleness", Aggregator: "krum(2)", Admission: "rate(5)"},
+			in:   `[{"name":"ads","arch":"softmax-mnist","stages":"dp(1,1.2),staleness","aggregator":"krum(2)","admission":"min-batch(5)"}]`,
+			want: []Config{{Name: "ads", Arch: "softmax-mnist", Stages: "dp(1,1.2),staleness", Aggregator: "krum(2)", Admission: "min-batch(5)"}},
 		},
 		{
-			// Options may start before the positional fields run out.
-			in:   "ads:softmax-mnist:eps=1.5:workers=8:secret=s3",
-			want: Config{Name: "ads", Arch: "softmax-mnist", Epsilon: 1.5, MaxWorkers: 8, Secret: "s3"},
+			in:   `[{"name":"ads","arch":"softmax-mnist","epsilon":1.5,"max_workers":8,"secret":"s3"}, {"name":"b"}]`,
+			want: []Config{{Name: "ads", Arch: "softmax-mnist", Epsilon: 1.5, MaxWorkers: 8, Secret: "s3"}, {Name: "b"}},
 		},
 		{
-			in:   "a:::mean:epsilon=2:delta=1e-6:q=0.02:seed=7:lr=0.1:k=3",
-			want: Config{Name: "a", Aggregator: "mean", Epsilon: 2, Delta: 1e-6, SamplingRatio: 0.02, Seed: 7, LearningRate: 0.1, K: 3},
+			in:   `[{"name":"a","aggregator":"mean","epsilon":2,"delta":1e-6,"sampling_ratio":0.02,"seed":7,"learning_rate":0.1,"k":3}]`,
+			want: []Config{{Name: "a", Aggregator: "mean", Epsilon: 2, Delta: 1e-6, SamplingRatio: 0.02, Seed: 7, LearningRate: 0.1, K: 3}},
 		},
-		{in: "bad name", wantErr: "invalid tenant name"},
-		{in: "", wantErr: "invalid tenant name"},
-		{in: "..", wantErr: "invalid tenant name"},
-		{in: "a:softmax-mnist:staleness:mean:rate(5):bogus=1", wantErr: "unknown option"},
-		{in: "a:softmax-mnist:staleness:mean:rate(5):stray", wantErr: "neither positional"},
-		{in: "a:workers=many", wantErr: `option "workers=many"`},
+		{
+			in:   `[{"name":"a","default_batch_size":16,"non_straggler_pct":90,"delta_history":8}]`,
+			want: []Config{{Name: "a", DefaultBatchSize: 16, NonStragglerPct: 90, DeltaHistory: 8}},
+		},
+		{in: `[{"name":"ads","secert":"s3cr3t"}]`, wantErr: `unknown field "secert"`},
+		{in: `[{"name":"ads","max_worker":5}]`, wantErr: `unknown field "max_worker"`},
+		{in: `[{"name":"a","max_workers":"many"}]`, wantErr: "max_workers"},
+		{in: `[{"name":"a"}] [{"name":"b"}]`, wantErr: "data after the tenant array"},
+		{in: `[{"name":"a"}],`, wantErr: "data after the tenant array"},
+		{in: `{"name":"a"}`, wantErr: "cannot unmarshal object"},
+		{in: `[]`, wantErr: "declares no tenant"},
 	}
 	for _, tc := range cases {
-		got, err := ParseSpec(tc.in)
+		path := filepath.Join(t.TempDir(), "tenants.json")
+		if err := os.WriteFile(path, []byte(tc.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadFile(path)
 		if tc.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("ParseSpec(%q) error = %v, want containing %q", tc.in, err, tc.wantErr)
+				t.Errorf("LoadFile(%s) error = %v, want containing %q", tc.in, err, tc.wantErr)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("ParseSpec(%q): %v", tc.in, err)
+			t.Errorf("LoadFile(%s): %v", tc.in, err)
 			continue
 		}
-		if got != tc.want {
-			t.Errorf("ParseSpec(%q) = %+v, want %+v", tc.in, got, tc.want)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("LoadFile(%s) = %+v, want %+v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestValidate: one check of a whole declaration, run before any unit is
+// built.
+func TestValidate(t *testing.T) {
+	a := Config{Name: "a"}
+	cases := []struct {
+		cfgs    []Config
+		def     string
+		wantErr string
+	}{
+		{cfgs: []Config{a, {Name: "b-2_c.d"}}, def: "b-2_c.d"},
+		{cfgs: nil, wantErr: "no tenants configured"},
+		{cfgs: []Config{{Name: "bad name"}}, wantErr: "invalid tenant name"},
+		{cfgs: []Config{{Name: ""}}, wantErr: "invalid tenant name"},
+		{cfgs: []Config{a, {Name: ".."}}, wantErr: "invalid tenant name"},
+		{cfgs: []Config{{Name: "a/b"}}, wantErr: "invalid tenant name"},
+		{cfgs: []Config{a, a}, wantErr: `duplicate tenant "a"`},
+		{cfgs: []Config{a, {Name: "neg", MaxWorkers: -1}}, wantErr: "tenant neg: worker quota must not be negative"},
+		{cfgs: []Config{a}, def: "ghost", wantErr: `default tenant "ghost"`},
+	}
+	for i, tc := range cases {
+		err := Validate(tc.cfgs, tc.def)
+		if tc.wantErr == "" && err != nil {
+			t.Errorf("case %d: %v", i, err)
+		}
+		if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("case %d: error = %v, want containing %q", i, err, tc.wantErr)
 		}
 	}
 }
@@ -279,18 +323,15 @@ func TestBudgetRequiresDPStage(t *testing.T) {
 // boot a tenant that runs unlimited or unmetered; the error names the
 // tenant.
 func TestNegativeLimitsRefused(t *testing.T) {
-	for _, spec := range []string{
-		"neg:softmax-mnist:dp(1,1.2),staleness::workers=-1",
-		"neg:softmax-mnist:dp(1,1.2),staleness::eps=-1",
-		"neg:softmax-mnist:dp(1,1.2),staleness::eps=1:delta=-1",
-		"neg:softmax-mnist:dp(1,1.2),staleness::eps=1:q=-1",
+	for _, cfg := range []Config{
+		{MaxWorkers: -1},
+		{Epsilon: -1},
+		{Epsilon: 1, Delta: -1},
+		{Epsilon: 1, SamplingRatio: -1},
 	} {
-		cfg, err := ParseSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg.Name, cfg.Arch, cfg.Stages = "neg", "softmax-mnist", "dp(1,1.2),staleness"
 		if _, err := newUnit(t, cfg); err == nil || !strings.Contains(err.Error(), "tenant neg: ") {
-			t.Errorf("%s: got %v, want an error naming tenant neg", spec, err)
+			t.Errorf("%+v: got %v, want an error naming tenant neg", cfg, err)
 		}
 	}
 }
