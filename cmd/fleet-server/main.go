@@ -156,7 +156,7 @@ func buildServer(args []string, stderr io.Writer) (rt *node.Runtime, printOnly s
 	fs.StringVar(&spec.Checkpoint.Recover, "checkpoint-recover", "latest", `startup policy with -checkpoint-dir: "latest" restores the newest valid checkpoint and refuses to boot without one; "fresh" additionally allows initializing a new model when the directory holds no checkpoint at all (corruption still refuses). Tenant units (-tenants) always boot "fresh if empty" under <dir>/<name>, whatever this says`)
 
 	tenantsFile := fs.String("tenants", "", "JSON file declaring the tenant fleet (an array of tenant configs, unknown keys refused); switches the server to multi-tenant mode")
-	fs.StringVar(&spec.DefaultTenant, "default-tenant", "", "tenant that un-tenanted routes alias to (default: the first declared tenant)")
+	fs.StringVar(&spec.DefaultTenant, "default-tenant", "", "tenant that un-tenanted routes alias to (default: the first declared tenant); needs -tenants")
 	mintToken := fs.String("mint-token", "", "mint the bearer token for tenant:workerID against the secret the -tenants file declares for it, print it and exit (operator utility)")
 	if err := fs.Parse(args); err != nil {
 		return nil, "", err

@@ -573,7 +573,8 @@ func TestMultiTenantBuild(t *testing.T) {
 
 // TestRefusedTenantsWriteNothing: a declaration is checked whole before the
 // first unit boots, so one refused for any reason leaves -checkpoint-dir
-// as it found it — no subdirectory, no boot counter.
+// as it found it — no subdirectory, no boot counter. A -default-tenant with
+// no declaration to name is refused the same way, not ignored.
 func TestRefusedTenantsWriteNothing(t *testing.T) {
 	for _, tc := range []struct {
 		decl  string
@@ -585,9 +586,14 @@ func TestRefusedTenantsWriteNothing(t *testing.T) {
 		{decl: `[{"name":"a"},{"name":"b","max_workers":-1}]`, want: "must not be negative"},
 		{decl: `[{"name":"a"}]`, extra: []string{"-default-tenant", "ghost"}, want: `default tenant "ghost"`},
 		{decl: `[{"name":"ads","secert":"s3cr3t","max_worker":5}]`, want: `unknown field "secert"`},
+		{extra: []string{"-checkpoint-recover", "fresh", "-default-tenant", "ghost"}, want: "DefaultTenant"}, // no -tenants at all
 	} {
 		dir := t.TempDir()
-		args := append([]string{"-time-slo", "0", "-tenants", writeTenants(t, tc.decl), "-checkpoint-dir", dir}, tc.extra...)
+		args := []string{"-time-slo", "0", "-checkpoint-dir", dir}
+		if tc.decl != "" {
+			args = append(args, "-tenants", writeTenants(t, tc.decl))
+		}
+		args = append(args, tc.extra...)
 		if rt, _, err := buildServer(args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
 			if rt != nil {
 				_ = rt.Close()

@@ -396,7 +396,7 @@ func (n *Node) pullLocked(ctx context.Context, delta bool) error {
 // publishLocked installs a new cached snapshot — the upstream's full params
 // (shared with whoever served them), or the cache patched with the delta
 // that chains onto it, in the core's next recycled buffer — advances the
-// delta history (re-examining only a delta's coordinates), and relays the
+// delta history (with the step the patch recorded), and relays the
 // refresh downstream as an announce. Callers hold n.upMu. An epoch change
 // resets the history — old params are meaningless as delta bases across
 // incarnations — and relays a delta-less announce, which subscribed leaves
@@ -409,11 +409,11 @@ func (n *Node) publishLocked(version int, epoch int64, params []float64, delta *
 	var next *ingest.Snapshot
 	switch {
 	case delta != nil:
-		patched, err := n.core.Patched(delta)
+		patched, step, err := n.core.Patched(delta)
 		if err != nil {
 			return protocol.AsError(err)
 		}
-		next = n.core.Advance(version, patched, delta.Indices)
+		next = n.core.Advance(version, patched, step)
 	case old != nil && old.Epoch == epoch:
 		next = n.core.AdvanceShared(version, params)
 	default:

@@ -3,6 +3,7 @@ package aggtree
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -871,4 +872,101 @@ func TestEdgeDeltasMatchDiff(t *testing.T) {
 				depth, absorbed, published, edge.Resyncs())
 		}
 	}
+}
+
+// TestRelayedStepsMatchDiff is the step oracle of an edge's patch: over a
+// random run of upstream deltas absorbed one after another, every delta
+// the edge publishes from its previous snapshot — the step its patch
+// recorded, completed with the NaNs the delta left alone — equals
+// compress.Diff(prev, next, P/2) field for field, and is absent exactly when
+// Diff abandons. The deltas rewrite coordinates with the bits they hold,
+// write NaNs (some over NaNs), flip zeros between +0 and −0, and one in
+// five crosses the half-vector bound.
+func TestRelayedStepsMatchDiff(t *testing.T) {
+	root := newRoot(t, server.Config{K: 1, Seed: 7, DeltaHistory: 2})
+	edge := newEdge(t, Config{Upstream: root, K: 1, DeltaHistory: 2, ID: 1_000_000})
+	if err := edge.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	P := edge.core.Config().ParamCount
+	rng := rand.New(rand.NewSource(5))
+	// Each case must be seen at least once: a rewrite the step leaves out,
+	// a zero whose sign flipped, a NaN the delta did not write in the
+	// published step, a NaN written over a NaN, an abandoned step.
+	var kept, flipped, untouchedNaN, nanOverNaN, abandoned int
+	prev := edge.core.Lease()
+	for w := 0; w < 60; w++ {
+		cur := prev.Params()
+		n := 1 + rng.Intn(200)
+		if rng.Intn(5) == 0 {
+			n = P/2 + P/4 // past the bound once the writes that move nothing are taken out
+		}
+		write := map[int32]float64{}
+		for _, c := range rng.Perm(P)[:n] {
+			switch op := rng.Intn(40); {
+			case op < 8:
+				write[int32(c)] = cur[c]
+			case op < 16:
+				write[int32(c)] = math.Copysign(0, rng.NormFloat64())
+			case op < 17:
+				write[int32(c)] = math.NaN()
+			default:
+				write[int32(c)] = rng.NormFloat64()
+			}
+		}
+		if i := slices.IndexFunc(cur, math.IsNaN); i >= 0 && rng.Intn(2) == 0 {
+			write[int32(i)] = math.NaN()
+		}
+		if i := slices.Index(cur, 0); i >= 0 {
+			write[int32(i)] = -cur[i] // +0 ↔ −0
+		}
+		delta := &compress.Sparse{Len: P}
+		for _, c := range slices.Sorted(maps.Keys(write)) {
+			delta.Indices, delta.Values = append(delta.Indices, c), append(delta.Values, write[c])
+			switch v := write[c]; {
+			case math.IsNaN(v) && math.IsNaN(cur[c]):
+				nanOverNaN++
+			case v == 0 && cur[c] == 0 && math.Signbit(v) != math.Signbit(cur[c]):
+				flipped++
+			case v == cur[c]:
+				kept++
+			}
+		}
+		if !edge.AbsorbUpstreamAnnounce(protocol.ModelAnnounce{
+			ModelVersion: prev.Version + 1, ServerEpoch: prev.Epoch, DeltaBase: prev.Version, Delta: delta,
+		}) {
+			t.Fatalf("window %d: the edge refused a delta chaining onto its cache", w)
+		}
+		next := edge.core.Lease()
+		want, ok := compress.Diff(cur, next.Params(), P/2)
+		got := next.Delta(prev.Version)
+		if ok != (got != nil) {
+			t.Fatalf("window %d (%d writes): Diff ok=%v, published=%v", w, n, ok, got != nil)
+		}
+		if ok && !sameDelta(*got, want) {
+			t.Fatalf("window %d: published step differs from Diff (nnz %d vs %d)", w, len(got.Indices), len(want.Indices))
+		}
+		if !ok {
+			abandoned++
+		}
+		for _, c := range want.Indices {
+			if _, written := write[c]; !written && math.IsNaN(cur[c]) {
+				untouchedNaN++
+				break
+			}
+		}
+		prev.Release()
+		prev = next
+	}
+	prev.Release()
+	if kept == 0 || flipped == 0 || untouchedNaN == 0 || nanOverNaN == 0 || abandoned == 0 {
+		t.Fatalf("a case went unexercised: %d kept bits, %d sign flips, %d steps with an untouched NaN, %d NaNs over NaNs, %d abandoned",
+			kept, flipped, untouchedNaN, nanOverNaN, abandoned)
+	}
+}
+
+// sameDelta is field-for-field equality with NaN == NaN.
+func sameDelta(a, b compress.Sparse) bool {
+	return a.Len == b.Len && slices.Equal(a.Indices, b.Indices) &&
+		slices.EqualFunc(a.Values, b.Values, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

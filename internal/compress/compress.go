@@ -145,8 +145,44 @@ func Diff(base, target []float64, maxNNZ int) (delta Sparse, ok bool) {
 // a corrupt payload must not crash the worker — and validates fully
 // before writing, so a failed Patch never partially mutates dst.
 func (s Sparse) Patch(dst []float64) error {
-	if len(dst) != s.Len {
-		return fmt.Errorf("compress: delta over %d params applied to %d", s.Len, len(dst))
+	if err := s.check(len(dst)); err != nil {
+		return err
+	}
+	for j, id := range s.Indices {
+		dst[id] = s.Values[j]
+	}
+	return nil
+}
+
+// PatchStep is Patch that also returns the step it made dst take: each
+// coordinate whose value changed (new != old, Diff's test), in s's order,
+// with its new value, in storage sized for s. Where s.Indices is strictly
+// ascending that is Diff(dst before, dst after, 0) field for field, bar the
+// NaNs s did not write — what History.Advance takes as its step.
+func (s Sparse) PatchStep(dst []float64) (*Sparse, error) {
+	if err := s.check(len(dst)); err != nil {
+		return nil, err
+	}
+	// As in nn.Network.ApplyGradientAt, every write fills the next free
+	// slot and only a changed value keeps it.
+	step := &Sparse{Len: s.Len, Indices: make([]int32, len(s.Indices)), Values: make([]float64, len(s.Indices))}
+	k := 0
+	for j, id := range s.Indices {
+		v := s.Values[j]
+		step.Indices[k], step.Values[k] = id, v
+		if v != dst[id] {
+			k++
+		}
+		dst[id] = v
+	}
+	step.Indices, step.Values = step.Indices[:k], step.Values[:k]
+	return step, nil
+}
+
+// check is Patch's validation of s against a vector of n params.
+func (s Sparse) check(n int) error {
+	if n != s.Len {
+		return fmt.Errorf("compress: delta over %d params applied to %d", s.Len, n)
 	}
 	if len(s.Indices) != len(s.Values) {
 		return fmt.Errorf("compress: delta with %d indices, %d values", len(s.Indices), len(s.Values))
@@ -155,9 +191,6 @@ func (s Sparse) Patch(dst []float64) error {
 		if id < 0 || int(id) >= s.Len {
 			return fmt.Errorf("compress: delta index %d out of range [0, %d)", id, s.Len)
 		}
-	}
-	for j, id := range s.Indices {
-		dst[id] = s.Values[j]
 	}
 	return nil
 }

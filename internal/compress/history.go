@@ -16,9 +16,10 @@ type histEntry struct {
 // nothing when Diff would abandon (the full pull is cheaper on the wire).
 //
 // An Advance pays for one delta only, the step prev→target every announce
-// carries: a Diff, or a comparison at the coordinates the caller says it
-// wrote. The delta from an older base is left to the first pull that names
-// it (Deltas.From), which composes it outside any lock of the publisher.
+// carries: a Diff, or none when the write that moved the model recorded the
+// step itself. The delta from an older base is left to the first pull that
+// names it (Deltas.From), which composes it outside any lock of the
+// publisher.
 //
 // A History is not safe for concurrent use (the parameter server advances
 // it under its model lock, an edge under its upstream lock); the views and
@@ -33,7 +34,6 @@ type History struct {
 	// even where nothing was written.
 	nan   []int32
 	nanOK bool
-	sc    mergeScratch // reused across Advances
 }
 
 // deltaBase is one retained version inside a Deltas view.
@@ -71,11 +71,16 @@ func (h *History) Reset(version int, params []float64) {
 
 // Advance moves the line to (version, params) and returns the view of the
 // deltas from each retained older version. params must not be written
-// afterwards. touched, when non-nil, lists in ascending order every
-// coordinate written since the previous target, and possibly more — the
-// indices of a delta the caller just patched in, or of the sparse gradients
-// it applied; nil makes Advance find them.
-func (h *History) Advance(version int, params []float64, touched []int32) Deltas {
+// afterwards. step, when non-nil, is the exact step from the previous
+// target that the write which made params recorded: every written
+// coordinate whose value changed (params[i] != prev[i]), strictly
+// ascending, with its new value (nn.Network.ApplyGradientAt,
+// Sparse.PatchStep). It becomes the published delta — neither it nor its
+// slices may be written afterwards — once the history adds the NaNs the
+// write left alone, which Diff reports too. nil, or a list that is not
+// strictly ascending within the vector, makes Advance find the step with
+// one Diff.
+func (h *History) Advance(version int, params []float64, step *Sparse) Deltas {
 	if h.depth <= 0 || len(params) != len(h.cur.params) {
 		h.Reset(version, params)
 		return Deltas{}
@@ -83,22 +88,18 @@ func (h *History) Advance(version int, params []float64, touched []int32) Deltas
 	prev := h.cur
 	maxNNZ := len(params) / 2
 
-	// The step delta is re-derived from the caller's list rather than
-	// copied: a relayed delta may carry coordinates that went back to their
-	// old bits, which Diff does not report, and lacks the untouched NaNs,
-	// which it does.
 	var d *Sparse
-	if touched != nil && h.nanOK {
-		d = changed(&h.sc, touched, h.nan, prev.params, params, maxNNZ)
+	found := false
+	if step != nil && h.nanOK {
+		d, found = h.withNaNs(step, params, maxNNZ)
 	}
-	if d == nil {
+	if !found {
 		if full, ok := Diff(prev.params, params, maxNNZ); ok {
 			d = &full
 		}
 	}
 	// Every NaN of params is in d; without d (a dense step) the next
-	// Advance cannot use its touched list and pays one Diff to find them
-	// again.
+	// Advance cannot complete its step and pays one Diff to find them again.
 	h.nan, h.nanOK = h.nan[:0], d != nil
 	if d != nil {
 		for k, v := range d.Values {
@@ -174,6 +175,43 @@ func (v Deltas) at(i int) *Sparse {
 	return b.delta
 }
 
+// withNaNs completes a recorded step with the NaNs of the previous target
+// it does not name, which are still NaN in params: Diff's output. That is
+// the step itself unless there are such NaNs, nil when it passes maxNNZ
+// (maxNNZ <= 0: no bound), and ok=false when the step is not a strictly
+// ascending list inside the vector.
+func (h *History) withNaNs(step *Sparse, params []float64, maxNNZ int) (d *Sparse, ok bool) {
+	if step.Len != len(params) || len(step.Indices) != len(step.Values) {
+		return nil, false
+	}
+	last := int32(-1)
+	for _, c := range step.Indices {
+		if c <= last || int(c) >= len(params) {
+			return nil, false
+		}
+		last = c
+	}
+	d = step
+	if len(h.nan) > 0 {
+		n := len(step.Indices) + len(h.nan)
+		d = &Sparse{Len: step.Len, Indices: make([]int32, 0, n), Values: make([]float64, 0, n)}
+		i := 0
+		for _, c := range h.nan {
+			for ; i < len(step.Indices) && step.Indices[i] < c; i++ {
+				d.Indices, d.Values = append(d.Indices, step.Indices[i]), append(d.Values, step.Values[i])
+			}
+			if i == len(step.Indices) || step.Indices[i] != c {
+				d.Indices, d.Values = append(d.Indices, c), append(d.Values, params[c])
+			}
+		}
+		d.Indices, d.Values = append(d.Indices, step.Indices[i:]...), append(d.Values, step.Values[i:]...)
+	}
+	if maxNNZ > 0 && len(d.Indices) > maxNNZ {
+		return nil, true
+	}
+	return d, true
+}
+
 // mergeScratch collects one merge's output before it is copied out at its
 // exact size.
 type mergeScratch struct {
@@ -181,8 +219,7 @@ type mergeScratch struct {
 	vals []float64
 }
 
-// scratchPool serves the compositions that run on pull goroutines; a
-// History brings its own.
+// scratchPool serves the compositions, which run on pull goroutines.
 var scratchPool = sync.Pool{New: func() interface{} { return new(mergeScratch) }}
 
 // changed walks the union of the ascending index lists a and b and keeps

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -41,10 +42,11 @@ func (o *historyOracle) advance(version int, params []float64) map[int]*Sparse {
 
 // TestHistoryMatchesDiff is the equivalence oracle of the composed delta
 // history: over randomized sequences of sparse, dense and mixed windows —
-// coordinates reverting to their old bits, a delta crossing the half-vector
-// bound and coming back under it, NaNs, resets (boot / incarnation change),
-// caller-supplied steps that over-report — every delta a view hands out
-// equals Diff(base, target, P/2) field for field, and is absent exactly
+// coordinates reverting to their old bits or rewritten with the bits they
+// hold, a delta crossing the half-vector bound and coming back under it,
+// NaNs written and left alone, +0 ↔ −0, resets (boot / incarnation change),
+// with and without the step the writer recorded — every delta a view hands
+// out equals Diff(base, target, P/2) field for field, and is absent exactly
 // when Diff abandons. Bases are asked in random order, some never, and a
 // second goroutine asks the same view while the history keeps advancing.
 func TestHistoryMatchesDiff(t *testing.T) {
@@ -83,7 +85,7 @@ func TestHistoryMatchesDiff(t *testing.T) {
 				next := append([]float64(nil), cur...)
 				touched := map[int32]bool{}
 				set := func(i int, x float64) { next[i] = x; touched[int32(i)] = true }
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(11); {
 				case op < 4: // sparse window
 					for n := 1 + rng.Intn(5); n > 0; n-- {
 						set(rng.Intn(P), rng.NormFloat64())
@@ -109,22 +111,34 @@ func TestHistoryMatchesDiff(t *testing.T) {
 						set(i, next[i])
 					}
 					set(rng.Intn(P), math.NaN())
+					if i := slices.IndexFunc(next, math.IsNaN); i >= 0 && rng.Intn(2) == 0 {
+						set(i, math.NaN()) // a NaN written over a NaN
+					}
+				case op < 10: // signed zeros: new ones, and every zero's sign flipped
+					for n := 2; n > 0; n-- {
+						set(rng.Intn(P), math.Copysign(0, rng.NormFloat64()))
+					}
+					for i, x := range next {
+						if x == 0 {
+							set(i, -x)
+						}
+					}
 				default: // incarnation change
 					h.Reset(v, next)
 					o.reset(v, next)
 					cur, versions, last = next, append(versions, next), nil
 					continue
 				}
-				// The caller's step: nothing (a full pull / the server's own
-				// drain), or the list of what it wrote — which names
-				// coordinates whose value did not move and omits the
-				// untouched NaNs Diff reports.
-				var step []int32
+				// The caller's step: nothing (a full pull, a dense drain),
+				// or what its write recorded — the written coordinates whose
+				// value moved (a NaN always does, +0 → −0 never), without
+				// the untouched NaNs Diff reports.
+				var step *Sparse
 				if rng.Intn(2) == 0 {
-					step = []int32{}
+					step = &Sparse{Len: P, Indices: []int32{}, Values: []float64{}}
 					for i := int32(0); i < P; i++ {
-						if touched[i] {
-							step = append(step, i)
+						if touched[i] && next[i] != cur[i] {
+							step.Indices, step.Values = append(step.Indices, i), append(step.Values, next[i])
 						}
 					}
 				}
@@ -190,8 +204,8 @@ func sameSparse(a, b Sparse) bool {
 	return true
 }
 
-// TestHistoryRejectsBadStep: a touched list that is not strictly ascending
-// inside the vector cannot be merged; the history finds the step itself
+// TestHistoryRejectsBadStep: a recorded step that is not strictly ascending
+// inside the vector cannot be published; the history finds the step itself
 // instead of publishing a malformed delta.
 func TestHistoryRejectsBadStep(t *testing.T) {
 	boot := []float64{0, 2, 3, 4}
@@ -204,10 +218,16 @@ func TestHistoryRejectsBadStep(t *testing.T) {
 		"out of range": {1, 3, 4},
 		"negative":     {-1, 1, 3},
 	} {
+		step := &Sparse{Len: len(next), Indices: idx, Values: make([]float64, len(idx))}
+		for k, i := range idx {
+			if i >= 0 && int(i) < len(next) {
+				step.Values[k] = next[i]
+			}
+		}
 		h := NewHistory(2)
 		h.Reset(0, boot)
 		h.Advance(1, base, nil) // a step is only consulted once the history knows cur's NaNs
-		got := h.Advance(2, next, idx)
+		got := h.Advance(2, next, step)
 		if d := got.From(1); d == nil || !sameSparse(*d, want) {
 			t.Errorf("%s step: published %+v, want %+v", name, d, want)
 		}
@@ -216,9 +236,9 @@ func TestHistoryRejectsBadStep(t *testing.T) {
 
 // BenchmarkHistoryAdvance closes a window at the bench/perf model size
 // (cifar100, 325 k parameters, ~1 % of them moved per window, 4 versions
-// retained): what every window pays (step-only), what it pays when a pull
-// then names every older base (compose-on-first-pull), and the per-entry
-// Diff loop both replaced.
+// retained): what a window whose writer recorded no step pays (step-only:
+// one Diff), what it pays when a pull then names every older base
+// (compose-on-first-pull), and the per-entry Diff loop both replaced.
 func BenchmarkHistoryAdvance(b *testing.B) {
 	const P, depth, moved = 325_000, 4, 12_000
 	// The history references the current version and depth older ones, so a

@@ -258,13 +258,14 @@ func (c *Core[W]) Boot(version int, epoch int64, params []float64) *Snapshot {
 // Advance publishes the next snapshot of the current line and epoch, with
 // the exact delta from the previous one and the means to compose the delta
 // from every older retained version (Lease.Delta). params becomes the core's,
-// written again once provably unread: nobody else may hold it. touched is
-// compress.History.Advance's: every coordinate written since the previous
-// snapshot, possibly more; nil makes the history find them.
-func (c *Core[W]) Advance(version int, params []float64, touched []int32) *Snapshot {
+// written again once provably unread: nobody else may hold it. step is
+// compress.History.Advance's: the exact step from the previous snapshot that
+// the write which made params recorded, kept as the published delta; nil
+// makes the history diff the two snapshots.
+func (c *Core[W]) Advance(version int, params []float64, step *compress.Sparse) *Snapshot {
 	old := c.snap.Load()
 	next := &Snapshot{Version: version, Epoch: old.Epoch, params: params}
-	next.deltas = c.history.Advance(version, params, touched)
+	next.deltas = c.history.Advance(version, params, step)
 	c.snap.Store(next)
 	c.retire(old)
 	return next
@@ -315,14 +316,15 @@ func (c *Core[W]) Buffer() (buf []float64) {
 }
 
 // Patched returns the published parameters patched with d, in Buffer's
-// storage: an edge's next snapshot, for the Advance that follows.
-func (c *Core[W]) Patched(d *compress.Sparse) ([]float64, error) {
+// storage, and the step the patch made them take (compress.Sparse.PatchStep):
+// an edge's next snapshot and its delta, for the Advance that follows.
+func (c *Core[W]) Patched(d *compress.Sparse) ([]float64, *compress.Sparse, error) {
 	buf := append(c.Buffer()[:0], c.snap.Load().params...)
-	err := d.Patch(buf)
+	step, err := d.PatchStep(buf)
 	if err != nil {
 		c.free, buf = append(c.free, buf), nil // nothing is published from it
 	}
-	return buf, err
+	return buf, step, err
 }
 
 // RequestTask processes step (1)→(4) of Figure 2: screen the task through

@@ -26,15 +26,13 @@ func (*vecSink) Sync(context.Context) error       { return nil }
 func (*vecSink) Fold(*protocol.GradientPush, int) {}
 
 func (k *vecSink) CloseWindow(Tally) (int, error) {
-	var touched []int32
-	err := k.core.Config().Pipeline.DrainTouched(func(dir []float64, at []int32) {
-		touched = at
+	err := k.core.Config().Pipeline.Drain(func(dir []float64) {
 		for i, v := range dir {
 			k.model[i] -= v
 		}
 	})
 	minted := k.core.Snapshot().Version + 1
-	k.core.Advance(minted, append(k.core.Buffer()[:0], k.model...), touched)
+	k.core.Advance(minted, append(k.core.Buffer()[:0], k.model...), nil)
 	return minted, err
 }
 

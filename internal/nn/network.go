@@ -158,13 +158,15 @@ func (n *Network) SetParams(v []float64) {
 	copy(n.params, v)
 }
 
-// ApplyGradient performs an in-place SGD step: params -= lr * grad.
+// ApplyGradient performs an in-place SGD step: params -= lr * grad. The
+// product is rounded before the subtraction (an explicit conversion), so no
+// architecture fuses the two into one multiply-add.
 func (n *Network) ApplyGradient(grad []float64, lr float64) {
 	if len(grad) != len(n.params) {
 		panic(fmt.Sprintf("nn: ApplyGradient got %d values, want %d", len(grad), len(n.params)))
 	}
 	for i, g := range grad {
-		n.params[i] -= lr * g
+		n.params[i] -= float64(lr * g)
 	}
 }
 
@@ -173,13 +175,32 @@ func (n *Network) ApplyGradient(grad []float64, lr float64) {
 // O(params). Where grad is +0 off the list and lr is finite and positive the
 // result is bit-for-bit ApplyGradient's: x − (+0) is x for every x. (A
 // negative lr would make the skipped term −0, and −0 − (−0) is +0.)
-func (n *Network) ApplyGradientAt(idx []int32, grad []float64, lr float64) {
+//
+// It also records the step it made: each coordinate whose value changed
+// (new != old, compress.Diff's test, so a NaN always counts and +0 → −0
+// never does) is appended to stepIdx with its new value to stepVals, in
+// idx's order. For a strictly ascending idx that is the exact sparse delta
+// from the parameters before the call to those after it.
+func (n *Network) ApplyGradientAt(idx []int32, grad []float64, lr float64, stepIdx []int32, stepVals []float64) ([]int32, []float64) {
 	if len(grad) != len(n.params) {
 		panic(fmt.Sprintf("nn: ApplyGradientAt got %d values, want %d", len(grad), len(n.params)))
 	}
+	// Every write is stored in the next free slot, which only a changed
+	// value keeps: no branch around the stores, one append's worth of
+	// capacity reserved up front.
+	k := len(stepIdx)
+	stepIdx = slices.Grow(stepIdx, len(idx))[:k+len(idx)]
+	stepVals = slices.Grow(stepVals, len(idx))[:k+len(idx)]
 	for _, i := range idx {
-		n.params[i] -= lr * grad[i]
+		old := n.params[i]
+		v := old - float64(lr*grad[i])
+		n.params[i] = v
+		stepIdx[k], stepVals[k] = i, v
+		if v != old {
+			k++
+		}
 	}
+	return stepIdx[:k], stepVals[:k]
 }
 
 // Accuracy evaluates top-1 accuracy over a sample set.

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"fleet/internal/simrand"
@@ -144,7 +145,9 @@ func TestApplyGradientIsSGDStep(t *testing.T) {
 // TestApplyGradientAtMatchesDense: applying a gradient at the coordinates
 // where it is nonzero gives the same bits as applying it everywhere — across
 // layer boundaries, with the first and last parameter on the list, and with
-// negative zeros and a NaN among the untouched parameters.
+// negative zeros and a NaN among the parameters — and the step it records is
+// exactly the listed coordinates whose value changed, with their new values:
+// not the writes too small to move a parameter's bits, always a written NaN.
 func TestApplyGradientAtMatchesDense(t *testing.T) {
 	build := func() *Network {
 		net := ArchTinyMNIST.Build(simrand.New(3))
@@ -158,7 +161,7 @@ func TestApplyGradientAtMatchesDense(t *testing.T) {
 	rng := simrand.New(4)
 	for round := 0; round < 20; round++ {
 		grad := make([]float64, n)
-		picked := map[int32]bool{0: true, int32(n - 1): true}
+		picked := map[int32]bool{0: true, int32(n - 1): true, int32(5 + round%3): true}
 		for k := 0; k < 40; k++ {
 			picked[int32(rng.Intn(n))] = true
 		}
@@ -167,10 +170,33 @@ func TestApplyGradientAtMatchesDense(t *testing.T) {
 			if picked[i] {
 				idx = append(idx, i)
 				grad[i] = rng.NormFloat64()
+				if len(idx)%3 == 0 {
+					grad[i] *= 1e-30 // below half an ulp of every nonzero parameter
+				}
 			}
 		}
 		dense.ApplyGradient(grad, 0.1)
-		sparse.ApplyGradientAt(idx, grad, 0.1)
+		before := sparse.ParamVector()
+		stepIdx, stepVals := sparse.ApplyGradientAt(idx, grad, 0.1, nil, nil)
+		after := sparse.ParamVector()
+		var wantIdx []int32
+		var wantVals []float64
+		for _, i := range idx {
+			if after[i] != before[i] {
+				wantIdx, wantVals = append(wantIdx, i), append(wantVals, after[i])
+			}
+		}
+		if len(wantIdx) == len(idx) {
+			t.Fatalf("round %d: every write moved its parameter", round)
+		}
+		if !slices.Equal(stepIdx, wantIdx) || len(stepVals) != len(wantVals) {
+			t.Fatalf("round %d: recorded step at %v, want %v", round, stepIdx, wantIdx)
+		}
+		for k := range wantVals {
+			if math.Float64bits(stepVals[k]) != math.Float64bits(wantVals[k]) {
+				t.Fatalf("round %d: recorded %v at %d, want %v", round, stepVals[k], stepIdx[k], wantVals[k])
+			}
+		}
 	}
 	want, got := dense.ParamVector(), sparse.ParamVector()
 	for i := range want {

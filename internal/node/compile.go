@@ -208,6 +208,9 @@ func untenanted(hook func(func(protocol.ModelAnnounce))) func(func(string, proto
 // one pipeline, one admission chain) or multi-tenant (each declared
 // tenant a child unit behind the shared listeners).
 func compileRoot(s Spec) (*Runtime, error) {
+	if s.DefaultTenant != "" && len(s.Tenants) == 0 {
+		return nil, fmt.Errorf("DefaultTenant %q is set but no Tenants are declared: a default tenant names one of them", s.DefaultTenant)
+	}
 	timeProf, energyProf, err := buildProfilers(s)
 	if err != nil {
 		return nil, err
@@ -518,8 +521,10 @@ func compileEdge(s Spec) (*Runtime, error) {
 	if upClient != nil {
 		// Server-pushed model announces refresh the edge cache (and
 		// relay downstream) without a pull round trip.
-		// The edge consumes them here, so the client's own pending run is
-		// discarded rather than held for a TakeAnnounces nobody makes.
+		// The edge consumes them here, so the client's own pending run (up
+		// to the announce before this one, which joins it after the
+		// callback) is discarded rather than held for a TakeAnnounces
+		// nobody makes.
 		upClient.OnAnnounce = func(ann protocol.ModelAnnounce) {
 			node.AbsorbUpstreamAnnounce(ann)
 			upClient.TakeAnnounces()

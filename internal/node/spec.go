@@ -164,7 +164,9 @@ type Spec struct {
 	// single-model fields above (Arch, Stages, ...) no longer shape the
 	// serving surface. A unit checkpoints under Checkpoint.Dir/<name> and
 	// always boots "fresh if empty", whatever Checkpoint.Recover says.
-	Tenants       []tenant.Config
+	Tenants []tenant.Config
+	// DefaultTenant names the tenant un-tenanted routes alias to (""
+	// the first declared); set with no Tenants, the Spec is refused.
 	DefaultTenant string
 
 	// Logf receives every lifecycle log line (nil: log.Printf).

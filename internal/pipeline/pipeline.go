@@ -113,9 +113,10 @@ type SparseAdder interface {
 // direction may be nonzero. touched is non-nil only when that direction is
 // the whole drain and summed nothing but sparse gradients: it then lists,
 // ascending, every coordinate the window wrote, and the server applies the
-// direction and finds the model's step delta at those coordinates instead
-// of over all of them. nil means any coordinate may be set. The list is the
-// aggregator's scratch, valid until its next drain.
+// direction at those coordinates only, recording the model's step delta as
+// it writes them instead of diffing the whole vector. nil means any
+// coordinate may be set. The list is the aggregator's scratch, valid until
+// its next drain.
 type TouchedDrainer interface {
 	DrainTouched(apply func(direction []float64, touched []int32)) error
 }

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -546,8 +547,8 @@ func BenchmarkRequestTask(b *testing.B) {
 
 // TestPublishedDeltasMatchDiff is the server-level equivalence oracle of the
 // composed delta history: a server just built by Restore (empty history)
-// runs windows of top-k pushes (applied and diffed at the touched
-// coordinates only), dense and mixed windows, windows that cancel the
+// runs windows of top-k pushes (applied at the touched coordinates only,
+// which records the step), dense and mixed windows, windows that cancel the
 // previous one, and a NaN a peer slipped in — and after every drain each
 // delta the snapshot publishes must equal compress.Diff(base, params, P/2)
 // against the params that version served, and a version Diff abandons must
@@ -671,17 +672,110 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 				if !ok {
 					continue
 				}
-				same := got.Len == d.Len && reflect.DeepEqual(got.Indices, d.Indices) && len(got.Values) == len(d.Values)
-				for i := 0; same && i < len(d.Values); i++ {
-					same = math.Float64bits(got.Values[i]) == math.Float64bits(d.Values[i])
-				}
-				if !same {
+				if !sameDelta(*got, d) {
 					t.Fatalf("depth %d window %d base v%d: published delta differs from Diff (nnz %d vs %d)",
 						depth, w, b.Version, len(got.Indices), len(d.Indices))
 				}
 			}
 		}
 	}
+}
+
+// TestPublishedStepsMatchDiff is the step oracle of a sparse window: over a
+// random run of windows, the v−1→v delta each drain publishes — the step
+// its apply recorded, completed with the NaNs it left alone — equals
+// compress.Diff(v−1, v, P/2) field for field, and is absent exactly when
+// Diff abandons. The windows write steps below half an ulp of their
+// parameter, NaNs (coordinates 0–1 are NaN from the start and sometimes
+// written, 2–3 never), ±0 gradients onto ±0 parameters, and one in five
+// crosses the half-vector bound. A mean window never holds a −0, so the
+// root cannot flip a zero's sign; TestRelayedStepsMatchDiff covers that on
+// an edge.
+func TestPublishedStepsMatchDiff(t *testing.T) {
+	ctx := context.Background()
+	params := nn.ArchSoftmaxMNIST.Build(simrand.New(11)).ParamVector()
+	P := len(params)
+	for c := 0; c < 4; c++ {
+		params[c] = math.NaN()
+	}
+	params[4], params[5] = 0, math.Copysign(0, -1)
+	s, err := Restore(Config{
+		Arch: nn.ArchSoftmaxMNIST, Algorithm: learning.SSGD{}, LearningRate: 0.1, K: 2, DeltaHistory: 2,
+	}, &persist.State{Arch: nn.ArchSoftmaxMNIST.String(), Version: 1, Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := simrand.New(12)
+	// push is a sparse push of n random coordinates, a quarter of them with
+	// a step too small to move the parameter, plus the special ones given.
+	push := func(n int, special map[int32]float64) *protocol.GradientPush {
+		write := map[int32]float64{}
+		for _, c := range rng.Perm(P - 6)[:n] {
+			c := int32(6 + c) // 0–5 are only written as special
+			if write[c] = rng.NormFloat64(); rng.Intn(4) == 0 {
+				write[c] *= 1e-30
+			}
+		}
+		maps.Copy(write, special)
+		p := &protocol.GradientPush{GradientLen: P, ModelVersion: s.core.Snapshot().Version, ModelEpoch: s.epoch,
+			BatchSize: 1, LabelCounts: []int{1}}
+		for _, c := range slices.Sorted(maps.Keys(write)) {
+			p.SparseIndices, p.SparseValues = append(p.SparseIndices, c), append(p.SparseValues, write[c])
+		}
+		return p
+	}
+	var abandoned, published int
+	prev := s.core.Lease()
+	for w := 0; w < 60; w++ {
+		special := map[int32]float64{}
+		if rng.Intn(2) == 0 {
+			special[int32(rng.Intn(2))] = rng.NormFloat64() // onto a NaN
+		}
+		if rng.Intn(2) == 0 {
+			special[int32(4+rng.Intn(2))] = math.Copysign(0, rng.NormFloat64())
+		}
+		if rng.Intn(20) == 0 {
+			special[int32(6+rng.Intn(P-6))] = math.NaN() // a new NaN
+		}
+		n := 1 + rng.Intn(200)
+		if rng.Intn(5) == 0 {
+			n = P/2 + P/4 // past the bound once the steps that move nothing are taken out
+		}
+		for _, p := range []*protocol.GradientPush{push(n, special), push(1+rng.Intn(20), nil)} {
+			if _, err := s.PushGradient(ctx, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := s.core.Lease()
+		if next.Version != prev.Version+1 {
+			t.Fatalf("window %d: published v%d after v%d", w, next.Version, prev.Version)
+		}
+		want, ok := compress.Diff(prev.Params(), next.Params(), P/2)
+		got := next.Delta(prev.Version)
+		if ok != (got != nil) {
+			t.Fatalf("window %d: Diff ok=%v, published=%v", w, ok, got != nil)
+		}
+		if ok {
+			published++
+			if !sameDelta(*got, want) {
+				t.Fatalf("window %d: published step differs from Diff (nnz %d vs %d)", w, len(got.Indices), len(want.Indices))
+			}
+		} else {
+			abandoned++
+		}
+		prev.Release()
+		prev = next
+	}
+	prev.Release()
+	if abandoned == 0 || published == 0 {
+		t.Fatalf("%d windows published a step and %d abandoned it: a path went unexercised", published, abandoned)
+	}
+}
+
+// sameDelta is field-for-field equality with NaN == NaN.
+func sameDelta(a, b compress.Sparse) bool {
+	return a.Len == b.Len && slices.Equal(a.Indices, b.Indices) &&
+		slices.EqualFunc(a.Values, b.Values, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // deltaPull is a version-aware pull from known at s's incarnation; nil

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"fleet/internal/compress"
 	"fleet/internal/ingest"
 	"fleet/internal/iprof"
 	"fleet/internal/learning"
@@ -284,25 +285,27 @@ func (s *Server) OnSnapshot(fn func(protocol.ModelAnnounce)) {
 // paid once per K-window: one copy of the model's arena into storage the
 // core recycled from a snapshot nothing reads any more (allocated, unzeroed,
 // only while none is free: warm-up, or every snapshot escaped in process) and
-// one v−1→v step delta (a diff of the two vectors, or of the coordinates a
-// window of sparse pushes touched). The delta from an older history entry
-// is not taken here: the first pull that names that base composes it, off
-// this lock, by a merge over only the coordinates that moved
-// (compress.Deltas.From). A delta denser than half the vector is abandoned
-// and its version falls back to full pulls.
+// one v−1→v step delta. A window of sparse pushes only records that step
+// while it applies itself at the coordinates they touched; a dense window
+// diffs the two vectors. The delta from an older history entry is not taken
+// here: the first pull that names that base composes it, off this lock, by
+// a merge over only the coordinates that moved (compress.Deltas.From). A
+// delta denser than half the vector is abandoned and its version falls
+// back to full pulls.
 func (k *rootSink) CloseWindow(tally ingest.Tally) (drained, error) {
 	s := (*Server)(k)
-	// A window of sparse pushes only is applied at the coordinates they
-	// touched, and the step delta is found there too.
-	var touched []int32
+	var step *compress.Sparse
 	err := s.Pipeline().DrainTouched(func(direction []float64, at []int32) {
-		if touched = at; at == nil {
+		if at == nil {
 			s.model.ApplyGradient(direction, s.cfg.LearningRate)
-		} else {
-			s.model.ApplyGradientAt(at, direction, s.cfg.LearningRate)
+			return
 		}
+		// The step becomes the published delta, so its storage is new
+		// each window: allocated once, for every touched coordinate.
+		idx, vals := s.model.ApplyGradientAt(at, direction, s.cfg.LearningRate, nil, nil)
+		step = &compress.Sparse{Len: s.paramCount, Indices: idx, Values: vals}
 	})
-	s.core.Advance(s.core.Snapshot().Version+1, s.model.CopyParams(s.core.Buffer()), touched)
+	s.core.Advance(s.core.Snapshot().Version+1, s.model.CopyParams(s.core.Buffer()), step)
 	d := drained{snap: s.core.Lease(), tally: tally} // the one just published
 
 	// Periodic crash safety: every CheckpointEvery-th window schedules a

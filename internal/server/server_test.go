@@ -400,8 +400,9 @@ func benchmarkPushSparse(b *testing.B, ascending bool) {
 // stream-tenant-sparse posture — the cifar100 CNN (325 k parameters), top-k
 // 1 % uplinks — dense its inproc-dense one, the mnist CNN (12 k parameters)
 // under 94 KB gradients. One op is four pushes, the last of which closes the
-// window: apply, snapshot copy into recycled storage (nothing here pulls, so
-// every snapshot comes back: B/op holds no model), step diff.
+// window: apply (sparse: recording the step delta as it writes; dense: a
+// diff of the two snapshots follows), snapshot copy into recycled storage
+// (nothing here pulls, so every snapshot comes back: B/op holds no model).
 func benchmarkPushWindowClose(b *testing.B, sparse bool) {
 	ctx := context.Background()
 	var s *Server

@@ -52,7 +52,8 @@ type Client struct {
 	// and control frames included (see protocol.WireCounter).
 	Wire *protocol.WireCounter
 	// OnAnnounce, when non-nil, observes every model announcement as it
-	// arrives (called from the session's read loop; keep it brief).
+	// arrives (called from the session's read loop; keep it brief), before
+	// TakeAnnounces or WaitAnnounced can see it.
 	OnAnnounce func(protocol.ModelAnnounce)
 
 	mu   sync.Mutex // guards sess lifecycle
@@ -207,8 +208,13 @@ func (c *Client) notifyLocked() chan struct{} {
 	return c.annNotify
 }
 
-// noteAnnounce folds one announcement into the client's announce state.
+// noteAnnounce folds one announcement into the client's announce state,
+// after OnAnnounce has observed it: a WaitAnnounced that returns for this
+// announce returns after the callback did.
 func (c *Client) noteAnnounce(ann protocol.ModelAnnounce) {
+	if c.OnAnnounce != nil {
+		c.OnAnnounce(ann)
+	}
 	c.annMu.Lock()
 	if !c.annSeen || !ann.Follows(c.annVer, c.annEpoch) {
 		c.annRun = c.annRun[:0]
@@ -225,9 +231,6 @@ func (c *Client) noteAnnounce(ann protocol.ModelAnnounce) {
 	close(c.notifyLocked())
 	c.annNotify = nil
 	c.annMu.Unlock()
-	if c.OnAnnounce != nil {
-		c.OnAnnounce(ann)
-	}
 }
 
 // noteFloor records the session-setup model clock from the welcome frame:
