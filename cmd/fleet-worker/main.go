@@ -80,6 +80,11 @@ func buildWorker(args []string, stderr io.Writer) (*workerSetup, error) {
 	if fs.NArg() > 0 {
 		return nil, fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
+	for name, v := range map[string]int{"-id": *workerID, "-rounds": *rounds} {
+		if v < 0 {
+			return nil, fmt.Errorf("%s %d must not be negative", name, v)
+		}
+	}
 
 	codec, err := protocol.CodecByName(*codecName)
 	if err != nil {

@@ -23,6 +23,8 @@ func TestBuildWorkerFlagValidation(t *testing.T) {
 		{"-transport", "telegraph"},  // unknown transport
 		{"-bogus"},                   // unknown flag
 		{"stray"},                    // positional junk
+		{"-id", "-1"},                // a negative worker id (indexes the data shards)
+		{"-rounds", "-1"},            // a negative round count
 	} {
 		if _, err := buildWorker(args, io.Discard); err == nil {
 			t.Errorf("args %v built without error", args)

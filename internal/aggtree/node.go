@@ -39,7 +39,10 @@
 // upstream window push (or by absorbing upstream stream announces —
 // AbsorbUpstreamAnnounce), and relays every refresh downstream as a
 // {version, epoch, sparse-delta} announce (OnAnnounce), composing
-// multi-step jumps into one exact v→v+k patch.
+// multi-step jumps into one exact v→v+k patch. A refresh by delta relays
+// the upstream's delta itself: it names the coordinates whose bits changed
+// since the cached version, so it is exactly the step the patched cache
+// took, and the edge publishes it without recording a step of its own.
 //
 // Epoch conflicts cascade through the tier instead of value-poisoning
 // edge caches: a root restart (incarnation epoch bump) makes the edge's
@@ -396,11 +399,14 @@ func (n *Node) pullLocked(ctx context.Context, delta bool) error {
 // publishLocked installs a new cached snapshot — the upstream's full params
 // (shared with whoever served them), or the cache patched with the delta
 // that chains onto it, in the core's next recycled buffer — advances the
-// delta history (with the step the patch recorded), and relays the
-// refresh downstream as an announce. Callers hold n.upMu. An epoch change
-// resets the history — old params are meaningless as delta bases across
-// incarnations — and relays a delta-less announce, which subscribed leaves
-// ignore until their next push conflicts.
+// delta history, and relays the refresh downstream as an announce. A
+// delta is its own step: an upstream publishes the coordinates whose bits
+// changed since the cache's version, so patched onto the cache it moves
+// exactly those, and the history keeps it (immutable, like every delta
+// the upstream served) as the edge's published delta. Callers hold
+// n.upMu. An epoch change resets the history — old params are meaningless
+// as delta bases across incarnations — and relays a delta-less announce,
+// which subscribed leaves ignore until their next push conflicts.
 func (n *Node) publishLocked(version int, epoch int64, params []float64, delta *compress.Sparse) error {
 	old := n.core.Snapshot()
 	if old != nil && old.Version == version && old.Epoch == epoch {
@@ -409,11 +415,11 @@ func (n *Node) publishLocked(version int, epoch int64, params []float64, delta *
 	var next *ingest.Snapshot
 	switch {
 	case delta != nil:
-		patched, step, err := n.core.Patched(delta)
+		patched, err := n.core.Patched(delta)
 		if err != nil {
 			return protocol.AsError(err)
 		}
-		next = n.core.Advance(version, patched, step)
+		next = n.core.Advance(version, patched, delta)
 	case old != nil && old.Epoch == epoch:
 		next = n.core.AdvanceShared(version, params)
 	default:

@@ -874,32 +874,37 @@ func TestEdgeDeltasMatchDiff(t *testing.T) {
 	}
 }
 
-// TestRelayedStepsMatchDiff is the step oracle of an edge's patch: over a
-// random run of upstream deltas absorbed one after another, every delta
-// the edge publishes from its previous snapshot — the step its patch
-// recorded, completed with the NaNs the delta left alone — equals
-// compress.Diff(prev, next, P/2) field for field, and is absent exactly when
-// Diff abandons. The deltas rewrite coordinates with the bits they hold,
-// write NaNs (some over NaNs), flip zeros between +0 and −0, and one in
-// five crosses the half-vector bound.
+// TestRelayedStepsMatchDiff is the step oracle of an edge's relay, in two
+// parts. First, over a random run of upstream deltas absorbed one after
+// another — rewriting coordinates with the bits they hold, writing NaNs
+// (some over NaNs), flipping zeros between +0 and −0, one in five past the
+// half-vector bound — a leaf that patches each relayed announce (or pulls
+// full when the relay carries no delta) holds the edge's cache bit for bit.
+// Second, when the deltas come from a real upstream — a root's windows,
+// announced over its snapshot hook — every step the edge relays equals
+// compress.Diff(prev, next, P/2) field for field, and is absent exactly
+// when Diff abandons.
 func TestRelayedStepsMatchDiff(t *testing.T) {
 	root := newRoot(t, server.Config{K: 1, Seed: 7, DeltaHistory: 2})
 	edge := newEdge(t, Config{Upstream: root, K: 1, DeltaHistory: 2, ID: 1_000_000})
 	if err := edge.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	var relayed []protocol.ModelAnnounce
+	edge.OnAnnounce(func(ann protocol.ModelAnnounce) { relayed = append(relayed, ann) })
 	P := edge.core.Config().ParamCount
 	rng := rand.New(rand.NewSource(5))
-	// Each case must be seen at least once: a rewrite the step leaves out,
-	// a zero whose sign flipped, a NaN the delta did not write in the
-	// published step, a NaN written over a NaN, an abandoned step.
-	var kept, flipped, untouchedNaN, nanOverNaN, abandoned int
 	prev := edge.core.Lease()
+	leaf := append([]float64(nil), prev.Params()...)
+	// Each case must be seen at least once in a relayed delta: a rewrite of
+	// the bits a coordinate holds, a zero whose sign flipped, a NaN written
+	// over a NaN; and a window whose relay carries no delta.
+	var kept, flipped, nanOverNaN, full int
 	for w := 0; w < 60; w++ {
 		cur := prev.Params()
 		n := 1 + rng.Intn(200)
 		if rng.Intn(5) == 0 {
-			n = P/2 + P/4 // past the bound once the writes that move nothing are taken out
+			n = P/2 + P/4
 		}
 		write := map[int32]float64{}
 		for _, c := range rng.Perm(P)[:n] {
@@ -921,47 +926,123 @@ func TestRelayedStepsMatchDiff(t *testing.T) {
 			write[int32(i)] = -cur[i] // +0 ↔ −0
 		}
 		delta := &compress.Sparse{Len: P}
+		var keptW, flippedW, nanW int // this window's cases, counted if relayed as a delta
 		for _, c := range slices.Sorted(maps.Keys(write)) {
 			delta.Indices, delta.Values = append(delta.Indices, c), append(delta.Values, write[c])
 			switch v := write[c]; {
 			case math.IsNaN(v) && math.IsNaN(cur[c]):
-				nanOverNaN++
+				nanW++
 			case v == 0 && cur[c] == 0 && math.Signbit(v) != math.Signbit(cur[c]):
-				flipped++
+				flippedW++
 			case v == cur[c]:
-				kept++
+				keptW++
 			}
 		}
+		relayed = relayed[:0]
 		if !edge.AbsorbUpstreamAnnounce(protocol.ModelAnnounce{
 			ModelVersion: prev.Version + 1, ServerEpoch: prev.Epoch, DeltaBase: prev.Version, Delta: delta,
 		}) {
 			t.Fatalf("window %d: the edge refused a delta chaining onto its cache", w)
 		}
 		next := edge.core.Lease()
-		want, ok := compress.Diff(cur, next.Params(), P/2)
-		got := next.Delta(prev.Version)
-		if ok != (got != nil) {
-			t.Fatalf("window %d (%d writes): Diff ok=%v, published=%v", w, n, ok, got != nil)
+		if len(relayed) != 1 || relayed[0].ModelVersion != next.Version {
+			t.Fatalf("window %d: relayed %+v for v%d", w, relayed, next.Version)
 		}
-		if ok && !sameDelta(*got, want) {
-			t.Fatalf("window %d: published step differs from Diff (nnz %d vs %d)", w, len(got.Indices), len(want.Indices))
+		if ann := relayed[0]; ann.Delta != nil && ann.DeltaBase == prev.Version {
+			if err := ann.Delta.Patch(leaf); err != nil {
+				t.Fatalf("window %d: relayed delta: %v", w, err)
+			}
+			kept, flipped, nanOverNaN = kept+keptW, flipped+flippedW, nanOverNaN+nanW
+		} else {
+			leaf = append(leaf[:0], next.Params()...)
+			full++
 		}
-		if !ok {
-			abandoned++
-		}
-		for _, c := range want.Indices {
-			if _, written := write[c]; !written && math.IsNaN(cur[c]) {
-				untouchedNaN++
-				break
+		for i, x := range next.Params() {
+			if math.Float64bits(leaf[i]) != math.Float64bits(x) {
+				t.Fatalf("window %d: leaf holds %v (%#x) at %d, the edge %v (%#x)",
+					w, leaf[i], math.Float64bits(leaf[i]), i, x, math.Float64bits(x))
 			}
 		}
 		prev.Release()
 		prev = next
 	}
 	prev.Release()
-	if kept == 0 || flipped == 0 || untouchedNaN == 0 || nanOverNaN == 0 || abandoned == 0 {
-		t.Fatalf("a case went unexercised: %d kept bits, %d sign flips, %d steps with an untouched NaN, %d NaNs over NaNs, %d abandoned",
-			kept, flipped, untouchedNaN, nanOverNaN, abandoned)
+	if kept == 0 || flipped == 0 || nanOverNaN == 0 || full == 0 {
+		t.Fatalf("a case went unexercised: %d kept bits, %d sign flips, %d NaNs over NaNs relayed; %d full pulls",
+			kept, flipped, nanOverNaN, full)
+	}
+
+	// A real upstream: a fresh root and edge, leaf windows forwarded through
+	// the edge (top-k, so the root records its step as it applies, some
+	// writes below half an ulp of their parameter; or dense, past the bound)
+	// and other edges' windows moving the root behind this edge's back, so
+	// the delta pull after a forward may span several versions.
+	root = newRoot(t, server.Config{K: 1, Seed: 7, DeltaHistory: 2})
+	edge = newEdge(t, Config{Upstream: root, K: 1, DeltaHistory: 2, ID: 1_000_000})
+	if err := edge.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	edge.OnAnnounce(func(ann protocol.ModelAnnounce) { relayed = append(relayed, ann) })
+	push := func(svc service.Service, version int, epoch int64) {
+		p := &protocol.GradientPush{WorkerID: 9, ModelVersion: version, ModelEpoch: epoch, BatchSize: 1}
+		if rng.Intn(6) == 0 {
+			p.Gradient = make([]float64, P)
+			for i := range p.Gradient {
+				p.Gradient[i] = rng.NormFloat64()
+			}
+		} else {
+			p.GradientLen = P
+			for _, c := range slices.Sorted(slices.Values(rng.Perm(P)[:1+rng.Intn(50)])) {
+				g := rng.NormFloat64()
+				if rng.Intn(4) == 0 {
+					g *= 1e-30
+				}
+				p.SparseIndices, p.SparseValues = append(p.SparseIndices, int32(c)), append(p.SparseValues, g)
+			}
+		}
+		if _, err := svc.PushGradient(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var published, abandoned, spanned int
+	prev = edge.core.Lease()
+	for w := 0; w < 60; w++ {
+		if rng.Intn(3) == 0 {
+			for n := 1 + rng.Intn(2); n > 0; n-- {
+				_, v := root.Model()
+				push(root, v, root.Epoch())
+			}
+		}
+		relayed = relayed[:0]
+		push(edge, prev.Version, prev.Epoch)
+		next := edge.core.Lease()
+		if len(relayed) != 1 || relayed[0].ModelVersion != next.Version {
+			t.Fatalf("window %d: relayed %+v for v%d", w, relayed, next.Version)
+		}
+		if next.Version > prev.Version+1 {
+			spanned++
+		}
+		want, ok := compress.Diff(prev.Params(), next.Params(), P/2)
+		got := relayed[0].Delta
+		if ok != (got != nil) {
+			t.Fatalf("window %d: Diff ok=%v, relayed=%v", w, ok, got != nil)
+		}
+		if ok {
+			published++
+			if relayed[0].DeltaBase != prev.Version || !sameDelta(*got, want) {
+				t.Fatalf("window %d: relayed step from v%d differs from Diff (nnz %d vs %d)",
+					w, relayed[0].DeltaBase, len(got.Indices), len(want.Indices))
+			}
+		} else {
+			abandoned++
+		}
+		prev.Release()
+		prev = next
+	}
+	prev.Release()
+	if published == 0 || abandoned == 0 || spanned == 0 {
+		t.Fatalf("%d windows relayed a step, %d abandoned it, %d spanned versions: a path went unexercised",
+			published, abandoned, spanned)
 	}
 }
 

@@ -103,12 +103,14 @@ func (e *ErrorFeedback) Compress(grad []float64) Sparse {
 }
 
 // Diff computes the exact sparse delta from base to target: the
-// coordinates that changed, carrying the *target* values (overwrite
-// semantics, not differences — adding fl(target−base) back to base can
-// round, whereas patching the stored values in reconstructs target
-// bit-for-bit by construction). This is the downlink dual of top-k
-// sparsification: a worker holding the model at version t−τ pulls the
-// delta instead of the full vector (ISSUE 3's version-aware pulls).
+// coordinates whose float64 bits changed, carrying the *target* values
+// (overwrite semantics, not differences — adding fl(target−base) back to
+// base can round, whereas patching the stored values in reconstructs target
+// bit-for-bit by construction, a +0 ↔ −0 flip and a NaN's payload
+// included; a NaN both sides hold with the same bits is no change). This is
+// the downlink dual of top-k sparsification: a worker holding the model at
+// version t−τ pulls the delta instead of the full vector (ISSUE 3's
+// version-aware pulls).
 //
 // Unlike TopK, Diff is lossless. When more than maxNNZ coordinates differ
 // the sparse form stops paying for itself (each entry costs an index plus
@@ -121,7 +123,7 @@ func Diff(base, target []float64, maxNNZ int) (delta Sparse, ok bool) {
 	}
 	nnz := 0
 	for i := range target {
-		if target[i] != base[i] {
+		if math.Float64bits(target[i]) != math.Float64bits(base[i]) {
 			nnz++
 			if maxNNZ > 0 && nnz > maxNNZ {
 				return Sparse{}, false
@@ -130,7 +132,7 @@ func Diff(base, target []float64, maxNNZ int) (delta Sparse, ok bool) {
 	}
 	delta = Sparse{Len: len(target), Indices: make([]int32, 0, nnz), Values: make([]float64, 0, nnz)}
 	for i := range target {
-		if target[i] != base[i] {
+		if math.Float64bits(target[i]) != math.Float64bits(base[i]) {
 			delta.Indices = append(delta.Indices, int32(i))
 			delta.Values = append(delta.Values, target[i])
 		}
@@ -140,57 +142,33 @@ func Diff(base, target []float64, maxNNZ int) (delta Sparse, ok bool) {
 
 // Patch overwrites dst at the sparse coordinates (dst[i] = s[i]), the
 // reconstruction step of a delta pull: applied to the delta's base vector
-// it yields the diffed target exactly. It errors instead of panicking on a
-// length mismatch or out-of-range index — deltas arrive over the wire, so
-// a corrupt payload must not crash the worker — and validates fully
-// before writing, so a failed Patch never partially mutates dst.
+// it yields the diffed target exactly. Deltas arrive over the wire, so
+// Patch is where their shape is checked, once: it errors instead of
+// panicking on a length mismatch, an index out of range or indices that do
+// not ascend strictly — a corrupt payload must not crash the worker, and
+// every reader past this point (an edge keeps its upstream's delta as its
+// own step, and the history merges such lists) may trust the order — and
+// it validates fully before writing, so a failed Patch never partially
+// mutates dst.
 func (s Sparse) Patch(dst []float64) error {
-	if err := s.check(len(dst)); err != nil {
-		return err
-	}
-	for j, id := range s.Indices {
-		dst[id] = s.Values[j]
-	}
-	return nil
-}
-
-// PatchStep is Patch that also returns the step it made dst take: each
-// coordinate whose value changed (new != old, Diff's test), in s's order,
-// with its new value, in storage sized for s. Where s.Indices is strictly
-// ascending that is Diff(dst before, dst after, 0) field for field, bar the
-// NaNs s did not write — what History.Advance takes as its step.
-func (s Sparse) PatchStep(dst []float64) (*Sparse, error) {
-	if err := s.check(len(dst)); err != nil {
-		return nil, err
-	}
-	// As in nn.Network.ApplyGradientAt, every write fills the next free
-	// slot and only a changed value keeps it.
-	step := &Sparse{Len: s.Len, Indices: make([]int32, len(s.Indices)), Values: make([]float64, len(s.Indices))}
-	k := 0
-	for j, id := range s.Indices {
-		v := s.Values[j]
-		step.Indices[k], step.Values[k] = id, v
-		if v != dst[id] {
-			k++
-		}
-		dst[id] = v
-	}
-	step.Indices, step.Values = step.Indices[:k], step.Values[:k]
-	return step, nil
-}
-
-// check is Patch's validation of s against a vector of n params.
-func (s Sparse) check(n int) error {
-	if n != s.Len {
-		return fmt.Errorf("compress: delta over %d params applied to %d", s.Len, n)
+	if len(dst) != s.Len {
+		return fmt.Errorf("compress: delta over %d params applied to %d", s.Len, len(dst))
 	}
 	if len(s.Indices) != len(s.Values) {
 		return fmt.Errorf("compress: delta with %d indices, %d values", len(s.Indices), len(s.Values))
 	}
+	last := int32(-1)
 	for _, id := range s.Indices {
 		if id < 0 || int(id) >= s.Len {
 			return fmt.Errorf("compress: delta index %d out of range [0, %d)", id, s.Len)
 		}
+		if id <= last {
+			return fmt.Errorf("compress: delta index %d after %d: indices must ascend strictly", id, last)
+		}
+		last = id
+	}
+	for j, id := range s.Indices {
+		dst[id] = s.Values[j]
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -107,23 +108,36 @@ func TestErrorFeedbackPanics(t *testing.T) {
 	}()
 }
 
+// TestDiffExactReconstruction: Diff names every coordinate whose bits
+// changed, and Patch brings the base to the target bit for bit — a flip
+// between +0 and −0 included, a NaN that keeps its bits left out.
 func TestDiffExactReconstruction(t *testing.T) {
-	base := []float64{1, 2, 3, 4, 5}
-	target := []float64{1, 2.5, 3, 3.5, 5}
-	delta, ok := Diff(base, target, 0)
-	if !ok {
-		t.Fatal("unbounded diff must succeed")
-	}
-	if len(delta.Indices) != 2 {
-		t.Fatalf("nnz = %d, want 2", len(delta.Indices))
-	}
-	got := append([]float64(nil), base...)
-	if err := delta.Patch(got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range target {
-		if got[i] != target[i] {
-			t.Fatalf("coord %d: %v != %v", i, got[i], target[i])
+	nan, otherNaN := math.NaN(), math.Float64frombits(0x7ff8000000000002)
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name         string
+		base, target []float64
+		nnz          int
+	}{
+		{"values", []float64{1, 2, 3, 4, 5}, []float64{1, 2.5, 3, 3.5, 5}, 2},
+		{"signed zeros", []float64{0, negZero, 0, negZero}, []float64{negZero, 0, 0, negZero}, 2},
+		{"NaNs", []float64{nan, 1, nan, nan}, []float64{nan, nan, 2, otherNaN}, 3},
+	} {
+		delta, ok := Diff(tc.base, tc.target, 0)
+		if !ok {
+			t.Fatalf("%s: unbounded diff must succeed", tc.name)
+		}
+		if len(delta.Indices) != tc.nnz {
+			t.Errorf("%s: nnz = %d, want %d", tc.name, len(delta.Indices), tc.nnz)
+		}
+		got := append([]float64(nil), tc.base...)
+		if err := delta.Patch(got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range tc.target {
+			if math.Float64bits(got[i]) != math.Float64bits(tc.target[i]) {
+				t.Errorf("%s: coord %d: %v (%#x) != %v (%#x)", tc.name, i, got[i], math.Float64bits(got[i]), tc.target[i], math.Float64bits(tc.target[i]))
+			}
 		}
 	}
 }
@@ -150,20 +164,102 @@ func TestDiffBoundsAndMismatch(t *testing.T) {
 	}
 }
 
+// TestPatchRejectsCorruptDeltas: a delta from the wire that is not a
+// strictly ascending list inside the vector, with a value per index, is
+// refused before anything is written.
 func TestPatchRejectsCorruptDeltas(t *testing.T) {
 	dst := []float64{1, 2, 3}
-	if err := (Sparse{Len: 4}).Patch(dst); err == nil {
-		t.Error("length mismatch must error")
-	}
-	if err := (Sparse{Len: 3, Indices: []int32{5}, Values: []float64{1}}).Patch(dst); err == nil {
-		t.Error("out-of-range index must error")
-	}
-	if err := (Sparse{Len: 3, Indices: []int32{0, 1}, Values: []float64{1}}).Patch(dst); err == nil {
-		t.Error("ragged delta must error")
-	}
-	for i, v := range []float64{1, 2, 3} {
-		if dst[i] != v {
-			t.Fatal("failed Patch must not partially mutate dst")
+	for name, d := range map[string]Sparse{
+		"length mismatch": {Len: 4},
+		"ragged":          {Len: 3, Indices: []int32{0, 1}, Values: []float64{1}},
+		"out of range":    {Len: 3, Indices: []int32{1, 3}, Values: []float64{9, 9}},
+		"negative":        {Len: 3, Indices: []int32{-1, 1}, Values: []float64{9, 9}},
+		"descending":      {Len: 3, Indices: []int32{2, 0}, Values: []float64{9, 9}},
+		"duplicate":       {Len: 3, Indices: []int32{1, 1}, Values: []float64{9, 8}},
+	} {
+		if err := d.Patch(dst); err == nil {
+			t.Errorf("%s delta: Patch accepted it", name)
+		}
+		for i, v := range []float64{1, 2, 3} {
+			if dst[i] != v {
+				t.Fatalf("%s delta: a failed Patch wrote dst: %v", name, dst)
+			}
 		}
 	}
+}
+
+// FuzzDeltaPatch checks the two halves of a delta pull on arbitrary bits.
+// vecs is read as little-endian float64s, its first half a base and its
+// second a target: Diff then Patch must give the target back bit for bit
+// (NaN payloads and signed zeros included), naming only coordinates whose
+// bits changed. idx is read as little-endian int32 indices of a Sparse over
+// len(base)+lenSkew params, valued from vecs (ragged when vecs runs out):
+// Patch onto the base must either refuse and leave it untouched, or accept
+// a strictly ascending list inside the vector and write exactly its values
+// there, nothing elsewhere. The seed corpus is under
+// testdata/fuzz/FuzzDeltaPatch.
+func FuzzDeltaPatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, vecs, idx []byte, lenSkew int8) {
+		floats := make([]float64, len(vecs)/8)
+		for i := range floats {
+			floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(vecs[8*i:]))
+		}
+		n := len(floats) / 2
+		base, target := floats[:n], floats[n:2*n]
+		bits := func(x float64) uint64 { return math.Float64bits(x) }
+
+		d, ok := Diff(base, target, 0)
+		if !ok {
+			t.Fatalf("unbounded Diff of %d params abandoned", n)
+		}
+		for _, c := range d.Indices {
+			if bits(base[c]) == bits(target[c]) {
+				t.Fatalf("Diff names coordinate %d, whose bits did not change", c)
+			}
+		}
+		got := append([]float64(nil), base...)
+		if err := d.Patch(got); err != nil {
+			t.Fatalf("Patch refused Diff's delta: %v", err)
+		}
+		for i := range target {
+			if bits(got[i]) != bits(target[i]) {
+				t.Fatalf("coordinate %d: patched %#x, target %#x", i, bits(got[i]), bits(target[i]))
+			}
+		}
+
+		s := Sparse{Len: n + int(lenSkew), Indices: make([]int32, len(idx)/4)}
+		for j := range s.Indices {
+			s.Indices[j] = int32(binary.LittleEndian.Uint32(idx[4*j:]))
+		}
+		s.Values = floats[:min(len(floats), len(s.Indices))]
+		dst := append([]float64(nil), base...)
+		if err := s.Patch(dst); err != nil {
+			for i := range base {
+				if bits(dst[i]) != bits(base[i]) {
+					t.Fatalf("refused Patch (%v) wrote coordinate %d", err, i)
+				}
+			}
+			return
+		}
+		if s.Len != n || len(s.Values) != len(s.Indices) {
+			t.Fatalf("Patch accepted a delta over %d params with %d values for %d indices onto %d params",
+				s.Len, len(s.Values), len(s.Indices), n)
+		}
+		written := make(map[int32]float64, len(s.Indices))
+		for j, c := range s.Indices {
+			if c < 0 || int(c) >= n || (j > 0 && c <= s.Indices[j-1]) {
+				t.Fatalf("Patch accepted indices %v, not strictly ascending in [0, %d)", s.Indices, n)
+			}
+			written[c] = s.Values[j]
+		}
+		for i := range dst {
+			want, ok := written[int32(i)]
+			if !ok {
+				want = base[i]
+			}
+			if bits(dst[i]) != bits(want) {
+				t.Fatalf("coordinate %d: patched %#x, want %#x", i, bits(dst[i]), bits(want))
+			}
+		}
+	})
 }

@@ -1,6 +1,9 @@
 package compress
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // histEntry retains one superseded version's params as a delta base. The
 // slice is shared with the snapshot that published it and never written.
@@ -17,9 +20,10 @@ type histEntry struct {
 //
 // An Advance pays for one delta only, the step prev→target every announce
 // carries: a Diff, or none when the write that moved the model recorded the
-// step itself. The delta from an older base is left to the first pull that
-// names it (Deltas.From), which composes it outside any lock of the
-// publisher.
+// step itself (a sparse window's apply, an edge's upstream delta), which
+// the history trusts and publishes as it is. The delta from an older base
+// is left to the first pull that names it (Deltas.From), which composes it
+// outside any lock of the publisher.
 //
 // A History is not safe for concurrent use (the parameter server advances
 // it under its model lock, an edge under its upstream lock); the views and
@@ -29,11 +33,6 @@ type History struct {
 	depth int
 	cur   histEntry   // target of the last Reset/Advance; no params before the first
 	bases []deltaBase // cur's view: superseded versions, oldest first, ≤ depth
-	// nan lists the coordinates at which cur is NaN, valid while nanOK: a
-	// NaN compares unequal to itself, so Diff reports it in every delta
-	// even where nothing was written.
-	nan   []int32
-	nanOK bool
 }
 
 // deltaBase is one retained version inside a Deltas view.
@@ -66,20 +65,17 @@ func NewHistory(depth int) *History { return &History{depth: depth} }
 func (h *History) Reset(version int, params []float64) {
 	h.cur = histEntry{version: version, params: params}
 	h.bases = nil
-	h.nanOK = false
 }
 
 // Advance moves the line to (version, params) and returns the view of the
 // deltas from each retained older version. params must not be written
 // afterwards. step, when non-nil, is the exact step from the previous
-// target that the write which made params recorded: every written
-// coordinate whose value changed (params[i] != prev[i]), strictly
-// ascending, with its new value (nn.Network.ApplyGradientAt,
-// Sparse.PatchStep). It becomes the published delta — neither it nor its
-// slices may be written afterwards — once the history adds the NaNs the
-// write left alone, which Diff reports too. nil, or a list that is not
-// strictly ascending within the vector, makes Advance find the step with
-// one Diff.
+// target that the write which made params recorded — every coordinate
+// whose bits it changed, strictly ascending, with its new value
+// (nn.Network.ApplyGradientAt, or an edge's upstream delta, which Patch
+// checked) — and becomes the published delta as it is, or none past
+// len(params)/2; neither it nor its slices may be written afterwards. nil
+// makes Advance find the step with one Diff.
 func (h *History) Advance(version int, params []float64, step *Sparse) Deltas {
 	if h.depth <= 0 || len(params) != len(h.cur.params) {
 		h.Reset(version, params)
@@ -88,25 +84,13 @@ func (h *History) Advance(version int, params []float64, step *Sparse) Deltas {
 	prev := h.cur
 	maxNNZ := len(params) / 2
 
-	var d *Sparse
-	found := false
-	if step != nil && h.nanOK {
-		d, found = h.withNaNs(step, params, maxNNZ)
-	}
-	if !found {
+	d := step
+	if d == nil {
 		if full, ok := Diff(prev.params, params, maxNNZ); ok {
 			d = &full
 		}
-	}
-	// Every NaN of params is in d; without d (a dense step) the next
-	// Advance cannot complete its step and pays one Diff to find them again.
-	h.nan, h.nanOK = h.nan[:0], d != nil
-	if d != nil {
-		for k, v := range d.Values {
-			if v != v {
-				h.nan = append(h.nan, d.Indices[k])
-			}
-		}
+	} else if maxNNZ > 0 && len(d.Indices) > maxNNZ {
+		d = nil
 	}
 
 	// The new view keeps the newest depth−1 bases of the old one, each with
@@ -175,43 +159,6 @@ func (v Deltas) at(i int) *Sparse {
 	return b.delta
 }
 
-// withNaNs completes a recorded step with the NaNs of the previous target
-// it does not name, which are still NaN in params: Diff's output. That is
-// the step itself unless there are such NaNs, nil when it passes maxNNZ
-// (maxNNZ <= 0: no bound), and ok=false when the step is not a strictly
-// ascending list inside the vector.
-func (h *History) withNaNs(step *Sparse, params []float64, maxNNZ int) (d *Sparse, ok bool) {
-	if step.Len != len(params) || len(step.Indices) != len(step.Values) {
-		return nil, false
-	}
-	last := int32(-1)
-	for _, c := range step.Indices {
-		if c <= last || int(c) >= len(params) {
-			return nil, false
-		}
-		last = c
-	}
-	d = step
-	if len(h.nan) > 0 {
-		n := len(step.Indices) + len(h.nan)
-		d = &Sparse{Len: step.Len, Indices: make([]int32, 0, n), Values: make([]float64, 0, n)}
-		i := 0
-		for _, c := range h.nan {
-			for ; i < len(step.Indices) && step.Indices[i] < c; i++ {
-				d.Indices, d.Values = append(d.Indices, step.Indices[i]), append(d.Values, step.Values[i])
-			}
-			if i == len(step.Indices) || step.Indices[i] != c {
-				d.Indices, d.Values = append(d.Indices, c), append(d.Values, params[c])
-			}
-		}
-		d.Indices, d.Values = append(d.Indices, step.Indices[i:]...), append(d.Values, step.Values[i:]...)
-	}
-	if maxNNZ > 0 && len(d.Indices) > maxNNZ {
-		return nil, true
-	}
-	return d, true
-}
-
 // mergeScratch collects one merge's output before it is copied out at its
 // exact size.
 type mergeScratch struct {
@@ -222,14 +169,13 @@ type mergeScratch struct {
 // scratchPool serves the compositions, which run on pull goroutines.
 var scratchPool = sync.Pool{New: func() interface{} { return new(mergeScratch) }}
 
-// changed walks the union of the ascending index lists a and b and keeps
-// the coordinates where target differs from base, with target's values —
-// Diff restricted to the candidates, allocated at its exact size. It
-// returns nil when more than maxNNZ coordinates differ (maxNNZ <= 0: no
-// bound) or a list is not strictly ascending within the vector.
+// changed walks the union of the strictly ascending index lists a and b and
+// keeps the coordinates whose bits differ between base and target, with
+// target's values — Diff restricted to the candidates, allocated at its
+// exact size. It returns nil when more than maxNNZ coordinates differ
+// (maxNNZ <= 0: no bound).
 func changed(sc *mergeScratch, a, b []int32, base, target []float64, maxNNZ int) *Sparse {
 	sc.idx, sc.vals = sc.idx[:0], sc.vals[:0]
-	last := int32(-1)
 	for i, j := 0, 0; i < len(a) || j < len(b); {
 		var c int32
 		switch {
@@ -244,11 +190,7 @@ func changed(sc *mergeScratch, a, b []int32, base, target []float64, maxNNZ int)
 			i++
 			j++
 		}
-		if c <= last || int(c) >= len(target) {
-			return nil
-		}
-		last = c
-		if target[c] != base[c] {
+		if math.Float64bits(target[c]) != math.Float64bits(base[c]) {
 			if maxNNZ > 0 && len(sc.idx) == maxNNZ {
 				return nil
 			}

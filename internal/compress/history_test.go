@@ -131,13 +131,13 @@ func TestHistoryMatchesDiff(t *testing.T) {
 				}
 				// The caller's step: nothing (a full pull, a dense drain),
 				// or what its write recorded — the written coordinates whose
-				// value moved (a NaN always does, +0 → −0 never), without
-				// the untouched NaNs Diff reports.
+				// bits moved (+0 → −0 does, a NaN rewritten with its own
+				// bits does not).
 				var step *Sparse
 				if rng.Intn(2) == 0 {
 					step = &Sparse{Len: P, Indices: []int32{}, Values: []float64{}}
 					for i := int32(0); i < P; i++ {
-						if touched[i] && next[i] != cur[i] {
+						if touched[i] && math.Float64bits(next[i]) != math.Float64bits(cur[i]) {
 							step.Indices, step.Values = append(step.Indices, i), append(step.Values, next[i])
 						}
 					}
@@ -204,9 +204,13 @@ func sameSparse(a, b Sparse) bool {
 	return true
 }
 
-// TestHistoryRejectsBadStep: a recorded step that is not strictly ascending
-// inside the vector cannot be published; the history finds the step itself
-// instead of publishing a malformed delta.
+// TestHistoryRejectsBadStep: the history publishes a recorded step as it
+// is, so a step that is not strictly ascending inside the vector must never
+// reach Advance. A step from outside the program reaches it only through
+// Patch (an edge patches its cache with the upstream's delta, then advances
+// with that delta): Patch refuses each malformed step and leaves the cache
+// as it was, while the well-formed step patches the cache to the target
+// and is published as Diff would find it.
 func TestHistoryRejectsBadStep(t *testing.T) {
 	boot := []float64{0, 2, 3, 4}
 	base := []float64{1, 2, 3, 4}
@@ -224,13 +228,29 @@ func TestHistoryRejectsBadStep(t *testing.T) {
 				step.Values[k] = next[i]
 			}
 		}
-		h := NewHistory(2)
-		h.Reset(0, boot)
-		h.Advance(1, base, nil) // a step is only consulted once the history knows cur's NaNs
-		got := h.Advance(2, next, step)
-		if d := got.From(1); d == nil || !sameSparse(*d, want) {
-			t.Errorf("%s step: published %+v, want %+v", name, d, want)
+		cache := slices.Clone(base)
+		if err := step.Patch(cache); err == nil {
+			t.Errorf("%s step: Patch accepted it", name)
 		}
+		if !slices.Equal(cache, base) {
+			t.Errorf("%s step: a refused Patch wrote the cache: %v", name, cache)
+		}
+	}
+
+	step := &Sparse{Len: len(next), Indices: []int32{1, 3}, Values: []float64{9, 8}}
+	cache := slices.Clone(base)
+	if err := step.Patch(cache); err != nil {
+		t.Fatalf("well-formed step: %v", err)
+	}
+	if !slices.Equal(cache, next) {
+		t.Fatalf("well-formed step: patched %v, want %v", cache, next)
+	}
+	h := NewHistory(2)
+	h.Reset(0, boot)
+	h.Advance(1, base, nil)
+	got := h.Advance(2, cache, step)
+	if d := got.From(1); d == nil || !sameSparse(*d, want) {
+		t.Errorf("well-formed step: published %+v, want %+v", d, want)
 	}
 }
 

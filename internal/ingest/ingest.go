@@ -260,8 +260,9 @@ func (c *Core[W]) Boot(version int, epoch int64, params []float64) *Snapshot {
 // from every older retained version (Lease.Delta). params becomes the core's,
 // written again once provably unread: nobody else may hold it. step is
 // compress.History.Advance's: the exact step from the previous snapshot that
-// the write which made params recorded, kept as the published delta; nil
-// makes the history diff the two snapshots.
+// the write which made params recorded (a sparse window's apply, or the
+// upstream delta Patched applied), kept as the published delta; nil makes
+// the history diff the two snapshots.
 func (c *Core[W]) Advance(version int, params []float64, step *compress.Sparse) *Snapshot {
 	old := c.snap.Load()
 	next := &Snapshot{Version: version, Epoch: old.Epoch, params: params}
@@ -316,15 +317,15 @@ func (c *Core[W]) Buffer() (buf []float64) {
 }
 
 // Patched returns the published parameters patched with d, in Buffer's
-// storage, and the step the patch made them take (compress.Sparse.PatchStep):
-// an edge's next snapshot and its delta, for the Advance that follows.
-func (c *Core[W]) Patched(d *compress.Sparse) ([]float64, *compress.Sparse, error) {
+// storage: an edge's next snapshot, for the Advance that follows, whose
+// step d itself is (Patch refuses a d that is not strictly ascending).
+func (c *Core[W]) Patched(d *compress.Sparse) ([]float64, error) {
 	buf := append(c.Buffer()[:0], c.snap.Load().params...)
-	step, err := d.PatchStep(buf)
-	if err != nil {
-		c.free, buf = append(c.free, buf), nil // nothing is published from it
+	if err := d.Patch(buf); err != nil {
+		c.free = append(c.free, buf) // nothing is published from it
+		return nil, err
 	}
-	return buf, step, err
+	return buf, nil
 }
 
 // RequestTask processes step (1)→(4) of Figure 2: screen the task through

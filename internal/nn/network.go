@@ -176,9 +176,9 @@ func (n *Network) ApplyGradient(grad []float64, lr float64) {
 // result is bit-for-bit ApplyGradient's: x − (+0) is x for every x. (A
 // negative lr would make the skipped term −0, and −0 − (−0) is +0.)
 //
-// It also records the step it made: each coordinate whose value changed
-// (new != old, compress.Diff's test, so a NaN always counts and +0 → −0
-// never does) is appended to stepIdx with its new value to stepVals, in
+// It also records the step it made: each coordinate whose float64 bits
+// changed (compress.Diff's test, so +0 → −0 counts and a NaN that keeps its
+// bits does not) is appended to stepIdx with its new value to stepVals, in
 // idx's order. For a strictly ascending idx that is the exact sparse delta
 // from the parameters before the call to those after it.
 func (n *Network) ApplyGradientAt(idx []int32, grad []float64, lr float64, stepIdx []int32, stepVals []float64) ([]int32, []float64) {
@@ -196,7 +196,7 @@ func (n *Network) ApplyGradientAt(idx []int32, grad []float64, lr float64, stepI
 		v := old - float64(lr*grad[i])
 		n.params[i] = v
 		stepIdx[k], stepVals[k] = i, v
-		if v != old {
+		if math.Float64bits(v) != math.Float64bits(old) {
 			k++
 		}
 	}

@@ -34,6 +34,9 @@ func FromSpec(s Spec) (*Runtime, error) {
 	if err := validateTransport(s.Bind.Transport); err != nil {
 		return nil, err
 	}
+	if err := negativeKnob(s); err != nil {
+		return nil, err
+	}
 	var err error
 	if s.NonStragglerPct, err = nonStragglerPct(s.NonStragglerPct); err != nil {
 		return nil, err
@@ -66,6 +69,36 @@ func nonStragglerPct(pct float64) (float64, error) {
 		return 0, fmt.Errorf("NonStragglerPct %v outside (0, 100]", pct)
 	}
 	return pct, nil
+}
+
+// negativeKnob refuses, on every role, a count, bound, rate or period
+// below zero: each reads zero as its default or as "off", and a negative
+// value would be quietly taken for one of those (K=-1 runs K=1, a negative
+// rate limit none). DeltaHistory is the one knob whose negative value means
+// something (no delta history), so it is not checked.
+func negativeKnob(s Spec) error {
+	for _, k := range []struct {
+		name     string
+		v        any
+		negative bool
+	}{
+		{"K", s.K, s.K < 0},
+		{"DefaultBatchSize", s.DefaultBatchSize, s.DefaultBatchSize < 0},
+		{"TimeSLO", s.TimeSLO, s.TimeSLO < 0},
+		{"EnergySLO", s.EnergySLO, s.EnergySLO < 0},
+		{"MinBatch", s.MinBatch, s.MinBatch < 0},
+		{"MaxSimilarity", s.MaxSimilarity, s.MaxSimilarity < 0},
+		{"RateLimit", s.RateLimit, s.RateLimit < 0},
+		{"RateBurst", s.RateBurst, s.RateBurst < 0},
+		{"Deadline", s.Deadline, s.Deadline < 0},
+		{"Checkpoint.Every", s.Checkpoint.Every, s.Checkpoint.Every < 0},
+		{"Checkpoint.Keep", s.Checkpoint.Keep, s.Checkpoint.Keep < 0},
+	} {
+		if k.negative {
+			return fmt.Errorf("%s %v must not be negative", k.name, k.v)
+		}
+	}
+	return nil
 }
 
 func validateTransport(t string) error {

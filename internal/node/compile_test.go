@@ -57,6 +57,60 @@ func TestFromSpecValidation(t *testing.T) {
 	}
 }
 
+// TestNegativeKnobsRefused: a negative count, bound, rate or period is
+// refused by name on both roles, never read as its default or as "off";
+// a negative DeltaHistory keeps its meaning (no delta history).
+func TestNegativeKnobsRefused(t *testing.T) {
+	upstream, err := FromSpec(rootSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = upstream.Close() }()
+	roles := map[string]func() Spec{
+		"root": rootSpec,
+		"edge": func() Spec {
+			s := rootSpec()
+			s.Role, s.Arch = RoleEdge, "tiny-mnist"
+			s.Upstream.Service = upstream.Service()
+			return s
+		},
+	}
+	knobs := map[string]func(*Spec){
+		"K":                func(s *Spec) { s.K = -1 },
+		"DefaultBatchSize": func(s *Spec) { s.DefaultBatchSize = -1 },
+		"TimeSLO":          func(s *Spec) { s.TimeSLO = -1 },
+		"EnergySLO":        func(s *Spec) { s.EnergySLO = -1 },
+		"MinBatch":         func(s *Spec) { s.MinBatch = -5 },
+		"MaxSimilarity":    func(s *Spec) { s.MaxSimilarity = -0.5 },
+		"RateLimit":        func(s *Spec) { s.RateLimit = -1 },
+		"RateBurst":        func(s *Spec) { s.RateBurst = -1 },
+		"Deadline":         func(s *Spec) { s.Deadline = -time.Second },
+		"Checkpoint.Every": func(s *Spec) { s.Checkpoint.Every = -3 },
+		"Checkpoint.Keep":  func(s *Spec) { s.Checkpoint.Keep = -2 },
+	}
+	for role, spec := range roles {
+		for name, doctor := range knobs {
+			s := spec()
+			doctor(&s)
+			rt, err := FromSpec(s)
+			if err == nil || !strings.Contains(err.Error(), name+" ") {
+				t.Errorf("%s with a negative %s: error = %v, want one naming it", role, name, err)
+			}
+			if rt != nil {
+				_ = rt.Close()
+			}
+		}
+		s := spec()
+		s.DeltaHistory = -1
+		rt, err := FromSpec(s)
+		if err != nil {
+			t.Errorf("%s with DeltaHistory -1: %v", role, err)
+		} else {
+			_ = rt.Close()
+		}
+	}
+}
+
 // TestNonStragglerPctDefaultsAndValidates: an unset AdaSGD percentile
 // compiles (as 99.7) and an out-of-range one is a returned error — never
 // the learning package's constructor panic — for the single-model root,

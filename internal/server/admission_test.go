@@ -683,14 +683,14 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 
 // TestPublishedStepsMatchDiff is the step oracle of a sparse window: over a
 // random run of windows, the v−1→v delta each drain publishes — the step
-// its apply recorded, completed with the NaNs it left alone — equals
-// compress.Diff(v−1, v, P/2) field for field, and is absent exactly when
-// Diff abandons. The windows write steps below half an ulp of their
-// parameter, NaNs (coordinates 0–1 are NaN from the start and sometimes
-// written, 2–3 never), ±0 gradients onto ±0 parameters, and one in five
-// crosses the half-vector bound. A mean window never holds a −0, so the
-// root cannot flip a zero's sign; TestRelayedStepsMatchDiff covers that on
-// an edge.
+// its apply recorded, as it is — equals compress.Diff(v−1, v, P/2) field
+// for field, and is absent exactly when Diff abandons. The windows write
+// steps below half an ulp of their parameter, NaNs (coordinates 0–1 are
+// NaN from the start and sometimes written, 2–3 never, so no step names
+// them: their bits never change), ±0 gradients onto ±0 parameters, and one
+// in five crosses the half-vector bound. A mean window never holds a −0, so
+// the root cannot flip a zero's sign; TestRelayedStepsMatchDiff covers that
+// on an edge.
 func TestPublishedStepsMatchDiff(t *testing.T) {
 	ctx := context.Background()
 	params := nn.ArchSoftmaxMNIST.Build(simrand.New(11)).ParamVector()
@@ -759,6 +759,9 @@ func TestPublishedStepsMatchDiff(t *testing.T) {
 			published++
 			if !sameDelta(*got, want) {
 				t.Fatalf("window %d: published step differs from Diff (nnz %d vs %d)", w, len(got.Indices), len(want.Indices))
+			}
+			if c := slices.IndexFunc(got.Indices, func(c int32) bool { return c == 2 || c == 3 }); c >= 0 {
+				t.Fatalf("window %d: published step names coordinate %d, a NaN no window writes", w, got.Indices[c])
 			}
 		} else {
 			abandoned++

@@ -136,12 +136,13 @@ func Validate(cfgs []Config, def string) error {
 			return fmt.Errorf("tenant: duplicate tenant %q", c.Name)
 		}
 		names[c.Name] = true
-		// A negative limit would read as "off" (no quota, no budget) or as
-		// the default; zero is the spelling of those.
+		// A negative limit or count would read as "off" (no quota, no
+		// budget) or as the default; zero is the spelling of those.
 		for _, f := range []struct {
 			name string
 			v    float64
-		}{{"worker quota", float64(c.MaxWorkers)}, {"epsilon", c.Epsilon}, {"delta", c.Delta}, {"sampling ratio", c.SamplingRatio}} {
+		}{{"worker quota", float64(c.MaxWorkers)}, {"epsilon", c.Epsilon}, {"delta", c.Delta}, {"sampling ratio", c.SamplingRatio},
+			{"k", float64(c.K)}, {"default_batch_size", float64(c.DefaultBatchSize)}} {
 			if f.v < 0 {
 				return fmt.Errorf("tenant %s: %s must not be negative, got %g", c.Name, f.name, f.v)
 			}

@@ -132,6 +132,8 @@ func TestValidate(t *testing.T) {
 		{cfgs: []Config{{Name: "a/b"}}, wantErr: "invalid tenant name"},
 		{cfgs: []Config{a, a}, wantErr: `duplicate tenant "a"`},
 		{cfgs: []Config{a, {Name: "neg", MaxWorkers: -1}}, wantErr: "tenant neg: worker quota must not be negative"},
+		{cfgs: []Config{a, {Name: "neg", K: -1}}, wantErr: "tenant neg: k must not be negative"},
+		{cfgs: []Config{{Name: "neg", DefaultBatchSize: -5}}, wantErr: "tenant neg: default_batch_size must not be negative"},
 		{cfgs: []Config{a}, def: "ghost", wantErr: `default tenant "ghost"`},
 	}
 	for i, tc := range cases {
