@@ -207,6 +207,11 @@ type (
 // aggregator holds the window): build one per server.
 type Pipeline = pipeline.Pipeline
 
+// Gradient is one pushed gradient in flight through a Pipeline: dense, or
+// sparse (Indices non-nil) until code that needs every coordinate calls
+// its Densify. A custom Stage or WindowAggregator receives it.
+type Gradient = pipeline.Gradient
+
 // Stage is one per-gradient transform of the update pipeline.
 type Stage = pipeline.Stage
 

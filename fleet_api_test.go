@@ -3,8 +3,11 @@ package fleet_test
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -420,5 +423,102 @@ func TestPublicAPINodeRuntime(t *testing.T) {
 	}
 	if got := rt.State(); got.String() != "closed" {
 		t.Fatalf("state after Shutdown = %s, want closed", got)
+	}
+}
+
+// countingStage and sumWindow are a custom Stage and WindowAggregator
+// written against the facade's names alone, as an importer outside the
+// module writes them.
+type countingStage struct{ sparse, dense atomic.Int64 }
+
+func (s *countingStage) Name() string { return "count" }
+
+func (s *countingStage) Process(g *fleet.Gradient) error {
+	if g.Indices != nil {
+		s.sparse.Add(1)
+	} else {
+		s.dense.Add(1)
+	}
+	return nil
+}
+
+type sumWindow struct {
+	mu           sync.Mutex
+	sum          []float64
+	adds, drains int
+}
+
+func (w *sumWindow) Name() string { return "sum" }
+
+func (w *sumWindow) Add(g *fleet.Gradient) {
+	g.Densify()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.sum == nil {
+		w.sum = make([]float64, len(g.Vec))
+	}
+	for i, v := range g.Vec {
+		w.sum[i] += float64(g.Scale * v)
+	}
+	w.adds++
+}
+
+func (w *sumWindow) Drain(apply func(direction []float64, touched []int32)) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.adds == 0 {
+		return nil
+	}
+	apply(w.sum, nil)
+	clear(w.sum)
+	w.adds = 0
+	w.drains++
+	return nil
+}
+
+// TestPublicAPICustomPipeline composes a custom stage and aggregator with
+// fleet.NewPipeline and serves one top-k and one dense push through them:
+// the stage sees the first sparse and the second dense, and the K=2 window
+// drains once into the model.
+func TestPublicAPICustomPipeline(t *testing.T) {
+	stage, win := &countingStage{}, &sumWindow{}
+	pipe, err := fleet.NewPipeline(win, stage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := fleet.NewServer(fleet.ServerConfig{
+		Arch: fleet.ArchTinyMNIST, Algorithm: fleet.SSGD{}, LearningRate: 0.1, K: 2, Pipeline: pipe, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := fleet.TinyMNIST(2, 8, 2)
+	ctx := context.Background()
+	for i, compress := range []string{"topk(16)", ""} {
+		w, err := fleet.NewWorker(fleet.WorkerConfig{
+			ID:       i,
+			Arch:     fleet.ArchTinyMNIST,
+			Local:    ds.Train,
+			Device:   fleet.NewDevice(fleet.DeviceCatalogue()[i], rand.New(rand.NewSource(int64(i)))),
+			Rng:      rand.New(rand.NewSource(int64(10 + i))),
+			Compress: compress,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Step(ctx, srv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := srv.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.GradientsIn != 2 || stats.ModelVersion != 1 || stats.Aggregator != "sum" || !reflect.DeepEqual(stats.PipelineStages, []string{"count"}) {
+		t.Fatalf("stats: %d gradients, version %d, aggregator %q, stages %v", stats.GradientsIn, stats.ModelVersion, stats.Aggregator, stats.PipelineStages)
+	}
+	if stage.sparse.Load() != 1 || stage.dense.Load() != 1 || win.drains != 1 {
+		t.Fatalf("stage saw %d sparse and %d dense gradients, window drained %d times; want 1, 1, 1",
+			stage.sparse.Load(), stage.dense.Load(), win.drains)
 	}
 }

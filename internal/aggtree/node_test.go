@@ -83,20 +83,21 @@ type stripedSum struct {
 
 func (w *stripedSum) Name() string { return "striped-sum" }
 
-func (w *stripedSum) Add(vec []float64, scale float64) {
+func (w *stripedSum) Add(g *pipeline.Gradient) {
+	g.Densify()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	e := w.adds % len(w.stripes)
 	w.adds++
 	if w.stripes[e] == nil {
-		w.stripes[e] = make([]float64, len(vec))
+		w.stripes[e] = make([]float64, len(g.Vec))
 	}
-	for i, g := range vec {
-		w.stripes[e][i] += scale * g
+	for i, v := range g.Vec {
+		w.stripes[e][i] += float64(g.Scale * v)
 	}
 }
 
-func (w *stripedSum) Drain(apply func(direction []float64)) error {
+func (w *stripedSum) Drain(apply func(direction []float64, touched []int32)) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.adds == 0 {
@@ -110,7 +111,7 @@ func (w *stripedSum) Drain(apply func(direction []float64)) error {
 		clear(st)
 	}
 	w.adds = 0
-	apply(dir)
+	apply(dir, nil)
 	return nil
 }
 
@@ -358,8 +359,8 @@ type failingMean struct {
 	fail bool
 }
 
-func (f *failingMean) DrainTouched(apply func(direction []float64, touched []int32)) error {
-	err := f.MeanWindow.DrainTouched(func(dir []float64, touched []int32) {
+func (f *failingMean) Drain(apply func(direction []float64, touched []int32)) error {
+	err := f.MeanWindow.Drain(func(dir []float64, touched []int32) {
 		if !f.fail {
 			apply(dir, touched)
 		}

@@ -150,10 +150,6 @@ type Core[W any] struct {
 	cfg Config
 	// labels guards itself (lock-free reads); it is never touched under mu.
 	labels *learning.LabelTracker
-	// sparseOK caches Pipeline.SparseCapable(): whether a validated top-k
-	// push may travel the pipeline as an index/value view and scatter
-	// straight into the aggregator, skipping the O(params) densify per push.
-	sparseOK bool
 
 	// snap is the snapshot RequestTask serves from and PushGradient gates
 	// against, both without locking; nil until the sink's first Boot.
@@ -208,12 +204,11 @@ func New[W any](cfg Config, sink Sink[W]) (*Core[W], error) {
 		cfg.Admission = sched.NewChain()
 	}
 	return &Core[W]{
-		sink:     sink,
-		cfg:      cfg,
-		labels:   learning.NewLabelTracker(cfg.Classes),
-		sparseOK: cfg.Pipeline.SparseCapable(),
-		history:  compress.NewHistory(cfg.DeltaHistory),
-		rejects:  map[string]int{},
+		sink:    sink,
+		cfg:     cfg,
+		labels:  learning.NewLabelTracker(cfg.Classes),
+		history: compress.NewHistory(cfg.DeltaHistory),
+		rejects: map[string]int{},
 	}, nil
 }
 
@@ -422,7 +417,9 @@ func (c *Core[W]) begin(ctx context.Context) error {
 // PushGradient processes step (5): the gradient runs through the update
 // pipeline's stages (staleness scaling, DP, filters), lands in the window
 // aggregator, and the K-th accepted push closes the window into the sink;
-// the measured cost feeds back into I-Prof.
+// the measured cost feeds back into I-Prof. A top-k push enters the
+// pipeline sparse, as its values, indices and dense length, and stays so
+// until a stage or the aggregator densifies it (pipeline.Gradient).
 func (c *Core[W]) PushGradient(ctx context.Context, push *protocol.GradientPush) (*protocol.PushAck, error) {
 	if err := c.begin(ctx); err != nil {
 		return nil, err
@@ -430,8 +427,8 @@ func (c *Core[W]) PushGradient(ctx context.Context, push *protocol.GradientPush)
 	// Validation and sparse decoding touch only the immutable paramCount,
 	// so they run outside every lock. The shared payload decoder handles
 	// every uplink dialect — dense, top-k, and the quantized top-k forms —
-	// and reports whether the indices are strictly ascending (the
-	// precondition for the zero-copy scatter path below).
+	// and hands a sparse one over with strictly ascending indices, the
+	// form the pipeline takes it in.
 	payload, err := protocol.DecodeGradientPayload(push, c.cfg.ParamCount)
 	if err != nil {
 		return nil, err
@@ -487,12 +484,12 @@ func (c *Core[W]) PushGradient(ctx context.Context, push *protocol.GradientPush)
 	// the norm filter) surfaces before the gradient is counted or
 	// accumulated.
 	//
-	// Sparse fast path: a validated top-k view — strictly ascending, since
-	// the decoder canonicalizes out-of-order and duplicate indices with
-	// densify's last-value-wins semantics — travels the pipeline as-is and
-	// scatters straight into the aggregator (pipeline.SparseAdder): zero
-	// O(params) allocations per push. Gated on sparseOK (every stage
-	// SparseSafe, aggregator a SparseAdder).
+	// A validated top-k view — strictly ascending, since the decoder
+	// canonicalizes out-of-order and duplicate indices with densify's
+	// last-value-wins semantics — travels the pipeline as-is. It stays
+	// sparse until a stage or the aggregator needs every coordinate
+	// (Gradient.Densify): under staleness → mean it scatters straight into
+	// the window with no O(params) allocation per push.
 	g := &pipeline.Gradient{
 		Meta: learning.GradientMeta{
 			Staleness:  staleness,
@@ -502,12 +499,10 @@ func (c *Core[W]) PushGradient(ctx context.Context, push *protocol.GradientPush)
 		},
 		Scale: 1,
 	}
-	if payload.Sparse() && c.sparseOK {
-		g.Vec = payload.Values
-		g.Indices = payload.Indices
-		g.DenseLen = c.cfg.ParamCount
+	if payload.Sparse() {
+		g.Vec, g.Indices, g.DenseLen = payload.Values, payload.Indices, c.cfg.ParamCount
 	} else {
-		g.Vec = payload.Densify(c.cfg.ParamCount)
+		g.Vec = payload.Dense
 	}
 	if err := c.cfg.Pipeline.Process(g); err != nil {
 		return nil, err

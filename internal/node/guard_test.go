@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -256,6 +257,58 @@ func TestExperimentsStartNoGoroutines(t *testing.T) {
 	visit("fleet/internal/experiments")
 	if !seen["fleet/internal/server"] {
 		t.Fatal("internal/experiments no longer reaches internal/server: the guard checks too little")
+	}
+}
+
+// fmaCheckedPackages are the packages TestNoImplicitFMA compiles; the goal
+// is every package of fleet/.
+var fmaCheckedPackages = []string{"fleet/internal/pipeline"}
+
+// fusedOp matches an assembly listing line whose instruction is a fused
+// multiply-add or -subtract: arm64's FMADDD/FMSUBD/FNMADDD/FNMSUBD and
+// ppc64le's FMADD/FMSUB/FNMADD/FNMSUB (and their single-precision forms).
+var fusedOp = regexp.MustCompile(`^\t0x[0-9a-f]+ \d+ \(([^)]*)\)\t(FN?M(?:ADD|SUB)[DS]?)\t`)
+
+// TestNoImplicitFMA keeps the bit-for-bit contract on every GOARCH. The Go
+// spec lets a compiler fuse x*y + z into one instruction that rounds once,
+// and arm64 and ppc64le do (amd64 does not); an explicit float64(x*y)
+// rounds the product and prevents it. The guard cross-compiles the checked
+// packages for both with -S and fails on any fused instruction in their
+// listings, naming the function and its file:line. A cross-compile needs no
+// emulator.
+func TestNoImplicitFMA(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"build"}
+	for _, pkg := range fmaCheckedPackages {
+		args = append(args, "-gcflags="+pkg+"=-S")
+	}
+	args = append(args, fmaCheckedPackages...)
+	for _, arch := range []string{"arm64", "ppc64le"} {
+		cmd := exec.Command("go", args...)
+		cmd.Dir = root
+		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+arch, "CGO_ENABLED=0")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("GOARCH=%s go %s: %v\n%s", arch, strings.Join(args, " "), err, out)
+		}
+		fn, listed := "", 0
+		for _, line := range strings.Split(string(out), "\n") {
+			if name, _, ok := strings.Cut(line, " STEXT"); ok && !strings.HasPrefix(line, "\t") {
+				fn = name
+				listed++
+				continue
+			}
+			if m := fusedOp.FindStringSubmatch(line); m != nil {
+				pos, _ := filepath.Rel(root, m[1])
+				t.Errorf("GOARCH=%s: %s in %s at %s: round the product with float64(…)", arch, m[2], fn, pos)
+			}
+		}
+		if listed == 0 {
+			t.Fatalf("GOARCH=%s: the build listed no function, so nothing was checked:\n%s", arch, out)
+		}
 	}
 }
 

@@ -118,9 +118,9 @@ type Assembly struct {
 	Banner string
 	Logf   func(format string, args ...interface{})
 
-	// HTTPReady/StreamReady, when non-nil, receive the bound addresses
-	// once the listeners are up (tests bind ":0").
-	HTTPReady   chan<- net.Addr
+	// StreamReady, when non-nil, receives the stream listener's bound
+	// address once it is up (tests bind ":0"); Run's ready channel and Addr
+	// report the HTTP one.
 	StreamReady chan<- net.Addr
 
 	// Children are tenant sub-units driven by this runtime's lifecycle.
@@ -231,9 +231,6 @@ func (r *Runtime) Start(ctx context.Context) error {
 		r.shutHTTP = httpSrv.Shutdown
 		go func() { r.errc <- httpSrv.Serve(ln) }()
 		r.boundAddr = ln.Addr()
-		if r.asm.HTTPReady != nil {
-			r.asm.HTTPReady <- ln.Addr()
-		}
 	}
 	if transport == "stream" || transport == "both" {
 		sln, err := net.Listen("tcp", r.asm.StreamAddr)

@@ -27,26 +27,26 @@ package pipeline
 import (
 	"strings"
 
+	"fleet/internal/compress"
 	"fleet/internal/learning"
 	"fleet/internal/protocol"
 )
 
-// Gradient is one in-flight gradient moving through the pipeline.
+// Gradient is one in-flight gradient moving through the pipeline, dense or
+// sparse. A gradient stays in the form it arrived in until it reaches code
+// that needs every coordinate; that code calls Densify.
 type Gradient struct {
-	// Vec is the dense gradient. On the serving path it aliases the
-	// pusher's slice, so stages that rewrite values must replace Vec with
-	// a transformed copy (see DP) — never mutate the caller's memory in
-	// place. Stages that only read Vec or adjust Scale need not copy.
-	//
-	// Sparse form: when Indices is non-nil, Vec holds only the values at
-	// those coordinates of a dense vector of length DenseLen — a top-k
-	// push travelling without densification. Only pipelines whose stages
-	// are all SparseSafe and whose aggregator implements SparseAdder see
-	// sparse gradients (the server gates on Pipeline.SparseCapable);
-	// everything else receives dense vectors exactly as before.
+	// Vec is the dense gradient, or a sparse one's values (see Indices).
+	// On the serving path it aliases the pusher's slice, so stages that
+	// rewrite values must replace Vec with a transformed copy (see DP) —
+	// never mutate the caller's memory in place. Stages that only read Vec
+	// or adjust Scale need not copy.
 	Vec []float64
-	// Indices are the dense coordinates of a sparse Vec (strictly
-	// ascending, validated at the wire boundary); nil for dense gradients.
+	// Indices, when non-nil, make g sparse: Vec holds only the values at
+	// these coordinates (strictly ascending, validated at the wire
+	// boundary) of a dense vector of length DenseLen, the others being +0.
+	// A top-k push travels the pipeline in this form. nil for dense
+	// gradients.
 	Indices []int32
 	// DenseLen is the dense length a sparse Vec scatters into; 0 for
 	// dense gradients.
@@ -59,9 +59,22 @@ type Gradient struct {
 	Scale float64
 }
 
+// Densify turns a sparse g into its dense form, in fresh storage; a dense
+// g is left as it is. It never writes the arrays g aliased, so a stage or
+// aggregator may call it on the pusher's gradient.
+func (g *Gradient) Densify() {
+	if g.Indices == nil {
+		return
+	}
+	g.Vec = compress.Sparse{Len: g.DenseLen, Indices: g.Indices, Values: g.Vec}.Dense()
+	g.Indices, g.DenseLen = nil, 0
+}
+
 // Stage is one per-gradient transform of the update pipeline. Stages must
 // be safe for concurrent use: the server runs them from many handler
-// goroutines.
+// goroutines. g may be sparse: a stage that reads Vec coordinate by
+// coordinate either holds for a sparse Vec (the zeros it omits change
+// nothing, as for an L2 norm) or calls g.Densify first (as DP does).
 type Stage interface {
 	// Name returns the stage's display name (exposed in /v1/stats).
 	Name() string
@@ -76,49 +89,27 @@ type Stage interface {
 type WindowAggregator interface {
 	// Name returns the aggregator's display name (exposed in /v1/stats).
 	Name() string
-	// Add accumulates one processed gradient (vec at the given scale) into
-	// the current window. It must be safe for concurrent use and must not
-	// retain vec.
-	Add(vec []float64, scale float64)
+	// Add accumulates one processed gradient, g.Vec at g.Scale, dense or
+	// sparse, into the current window. It must be safe for concurrent use
+	// and must not retain g or write the arrays it aliases; it may call
+	// g.Densify.
+	Add(g *Gradient)
 	// Drain folds the buffered window into the model via apply — at most
 	// one call, with the window's one update direction — and resets it.
+	// touched says where the direction may be nonzero: non-nil only when
+	// the window summed nothing but sparse gradients, it lists, ascending,
+	// every coordinate the window wrote, and the server applies the
+	// direction at those coordinates only, recording the model's step
+	// delta as it writes them instead of diffing the whole vector. nil
+	// means any coordinate may be set. Both slices are the aggregator's,
+	// valid until its next drain.
+	//
 	// The server serializes Drain under its model lock; an error (e.g. a
 	// window the aggregation rule rejects) discards the window and is
 	// surfaced to the push that completed it — a window-level failure has
 	// no better addressee, so custom aggregators should reserve errors for
 	// windows that are genuinely unusable.
-	Drain(apply func(direction []float64)) error
-}
-
-// SparseSafe marks a Stage whose Process is correct when g carries a
-// sparse gradient (g.Indices non-nil, Vec holding only the nonzero
-// values). True for stages that only touch Scale (staleness) or whose
-// read of Vec is invariant under the zero coordinates (an L2 norm over
-// the nonzeros is the dense norm). Stages that rewrite or must see every
-// coordinate — DP noise touches all of them — do not implement it, and
-// the pipeline then receives densified vectors.
-type SparseSafe interface {
-	SparseSafe() bool
-}
-
-// SparseAdder is a WindowAggregator that can accumulate a sparse gradient
-// without densifying it: scale·vals[j] scattered into the window at
-// idx[j]. Implementations must match their Add bit-for-bit on the touched
-// coordinates (MeanWindow scatters into the same accumulator).
-type SparseAdder interface {
-	AddSparse(denseLen int, idx []int32, vals []float64, scale float64)
-}
-
-// TouchedDrainer is a WindowAggregator whose drain can say where its
-// direction may be nonzero. touched is non-nil only when that direction is
-// the whole drain and summed nothing but sparse gradients: it then lists,
-// ascending, every coordinate the window wrote, and the server applies the
-// direction at those coordinates only, recording the model's step delta as
-// it writes them instead of diffing the whole vector. nil means any
-// coordinate may be set. The list is the aggregator's scratch, valid until
-// its next drain.
-type TouchedDrainer interface {
-	DrainTouched(apply func(direction []float64, touched []int32)) error
+	Drain(apply func(direction []float64, touched []int32)) error
 }
 
 // Pipeline chains Stages in front of a WindowAggregator.
@@ -162,55 +153,18 @@ func (p *Pipeline) Process(g *Gradient) error {
 }
 
 // Add accumulates a processed gradient into the aggregation window.
-// Sparse gradients scatter directly into a SparseAdder aggregator; as a
-// safety net against callers that skipped the SparseCapable gate, they
-// densify in front of anything else.
-func (p *Pipeline) Add(g *Gradient) {
-	if g.Indices != nil {
-		if sa, ok := p.agg.(SparseAdder); ok {
-			sa.AddSparse(g.DenseLen, g.Indices, g.Vec, g.Scale)
-			return
-		}
-		dense := make([]float64, g.DenseLen)
-		for j, id := range g.Indices {
-			dense[id] = g.Vec[j]
-		}
-		p.agg.Add(dense, g.Scale)
-		return
-	}
-	p.agg.Add(g.Vec, g.Scale)
-}
-
-// SparseCapable reports whether this pipeline can carry sparse gradients
-// end-to-end: every stage implements SparseSafe and the aggregator
-// implements SparseAdder. The server checks it once at construction and
-// densifies top-k pushes up front when it is false.
-func (p *Pipeline) SparseCapable() bool {
-	if _, ok := p.agg.(SparseAdder); !ok {
-		return false
-	}
-	for _, st := range p.stages {
-		ss, ok := st.(SparseSafe)
-		if !ok || !ss.SparseSafe() {
-			return false
-		}
-	}
-	return true
-}
+func (p *Pipeline) Add(g *Gradient) { p.agg.Add(g) }
 
 // Drain folds the current window into the model via apply. Errors are
 // surfaced as invalid_argument protocol errors (the window is discarded).
 func (p *Pipeline) Drain(apply func(direction []float64)) error {
-	return p.drainError(p.agg.Drain(apply))
+	return p.DrainTouched(func(direction []float64, _ []int32) { apply(direction) })
 }
 
 // DrainTouched is Drain with the aggregator's touched list passed through
-// (see TouchedDrainer); an aggregator that keeps none reports nil.
+// (see WindowAggregator.Drain).
 func (p *Pipeline) DrainTouched(apply func(direction []float64, touched []int32)) error {
-	if td, ok := p.agg.(TouchedDrainer); ok {
-		return p.drainError(td.DrainTouched(apply))
-	}
-	return p.Drain(func(direction []float64) { apply(direction, nil) })
+	return p.drainError(p.agg.Drain(apply))
 }
 
 func (p *Pipeline) drainError(err error) error {

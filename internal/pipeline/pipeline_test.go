@@ -25,6 +25,13 @@ func mustNew(t testing.TB, agg WindowAggregator, stages ...Stage) *Pipeline {
 	return p
 }
 
+// dense and sparse build the Gradient an Add takes.
+func dense(vec []float64, scale float64) *Gradient { return &Gradient{Vec: vec, Scale: scale} }
+
+func sparse(denseLen int, idx []int32, vals []float64, scale float64) *Gradient {
+	return &Gradient{Vec: vals, Indices: idx, DenseLen: denseLen, Scale: scale}
+}
+
 func mustBuild(t testing.TB, stagesSpec, aggSpec string, opts BuildOptions) *Pipeline {
 	t.Helper()
 	p, err := Build(stagesSpec, aggSpec, opts)
@@ -178,11 +185,11 @@ func TestPipelineEmptyGradientRejected(t *testing.T) {
 
 func TestMeanWindowSumsScaledGradients(t *testing.T) {
 	m := NewMeanWindow()
-	m.Add([]float64{1, 2}, 0.5)
-	m.Add([]float64{10, 20}, 1)
+	m.Add(dense([]float64{1, 2}, 0.5))
+	m.Add(dense([]float64{10, 20}, 1))
 	var got []float64
 	calls := 0
-	if err := m.Drain(func(dir []float64) {
+	if err := m.Drain(func(dir []float64, _ []int32) {
 		got = append([]float64(nil), dir...)
 		calls++
 	}); err != nil {
@@ -192,20 +199,20 @@ func TestMeanWindowSumsScaledGradients(t *testing.T) {
 		t.Fatalf("%d applies, drained %v, want one with [10.5 21]", calls, got)
 	}
 	// A drained window must be clean for the next one.
-	if err := m.Drain(func([]float64) { t.Fatal("drain of an empty window applied mass") }); err != nil {
+	if err := m.Drain(func([]float64, []int32) { t.Fatal("drain of an empty window applied mass") }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestMeanWindowReportsTouched: a window of sparse Adds drains with the
 // ascending union of their coordinates and is zeroed there; one dense Add
-// makes the window opaque (nil) for that drain only; the plain Drain sees
-// the same directions either way.
+// makes the window opaque (nil) for that drain only; the pipeline's plain
+// Drain sees the same directions either way.
 func TestMeanWindowReportsTouched(t *testing.T) {
 	const P = 200
 	m := NewMeanWindow()
 	drain := func() (dir []float64, touched []int32, calls int) {
-		err := m.DrainTouched(func(d []float64, at []int32) {
+		err := m.Drain(func(d []float64, at []int32) {
 			dir, touched = append([]float64(nil), d...), nil
 			if at != nil {
 				touched = append([]int32{}, at...)
@@ -217,8 +224,8 @@ func TestMeanWindowReportsTouched(t *testing.T) {
 		}
 		return
 	}
-	m.AddSparse(P, []int32{3, 64, 199}, []float64{1, 2, 3}, 2)
-	m.AddSparse(P, []int32{0, 64, 130}, []float64{5, 5, 5}, 1)
+	m.Add(sparse(P, []int32{3, 64, 199}, []float64{1, 2, 3}, 2))
+	m.Add(sparse(P, []int32{0, 64, 130}, []float64{5, 5, 5}, 1))
 	dir, touched, calls := drain()
 	if want := []int32{0, 3, 64, 130, 199}; calls != 1 || !reflect.DeepEqual(touched, want) {
 		t.Fatalf("sparse window: %d applies, touched %v, want one with %v", calls, touched, want)
@@ -228,30 +235,30 @@ func TestMeanWindowReportsTouched(t *testing.T) {
 	}
 
 	// The drained window left nothing behind: the next one reports only its own.
-	m.AddSparse(P, []int32{7}, []float64{1}, 1)
+	m.Add(sparse(P, []int32{7}, []float64{1}, 1))
 	if dir, touched, _ = drain(); !reflect.DeepEqual(touched, []int32{7}) || dir[64] != 0 || dir[7] != 1 {
 		t.Fatalf("second window: touched %v, dir[64]=%v dir[7]=%v", touched, dir[64], dir[7])
 	}
 
 	// A dense Add anywhere in the window hides the list — before or after
 	// the sparse ones — and the window after it is sparse again.
-	dense := make([]float64, P)
-	dense[150] = 4
-	m.AddSparse(P, []int32{9}, []float64{1}, 1)
-	m.Add(dense, 1)
-	m.AddSparse(P, []int32{11}, []float64{1}, 1)
+	vec := make([]float64, P)
+	vec[150] = 4
+	m.Add(sparse(P, []int32{9}, []float64{1}, 1))
+	m.Add(dense(vec, 1))
+	m.Add(sparse(P, []int32{11}, []float64{1}, 1))
 	if dir, touched, calls = drain(); calls != 1 || touched != nil || dir[9] != 1 || dir[11] != 1 || dir[150] != 4 {
 		t.Fatalf("mixed window: %d applies, touched %v, dir[9,11,150]=%v,%v,%v", calls, touched, dir[9], dir[11], dir[150])
 	}
-	m.AddSparse(P, []int32{12}, []float64{1}, 1)
+	m.Add(sparse(P, []int32{12}, []float64{1}, 1))
 	if dir, touched, _ = drain(); !reflect.DeepEqual(touched, []int32{12}) || dir[9] != 0 || dir[150] != 0 {
 		t.Fatalf("window after a dense one: touched %v, stale mass dir[9]=%v dir[150]=%v", touched, dir[9], dir[150])
 	}
 
-	// The plain Drain is the same walk without the lists.
-	m.AddSparse(P, []int32{1, 2}, []float64{1, 1}, 3)
+	// The pipeline's plain Drain is the same walk without the lists.
+	m.Add(sparse(P, []int32{1, 2}, []float64{1, 1}, 3))
 	var plain []float64
-	if err := m.Drain(func(d []float64) { plain = append([]float64(nil), d...) }); err != nil {
+	if err := mustNew(t, m).Drain(func(d []float64) { plain = append([]float64(nil), d...) }); err != nil {
 		t.Fatal(err)
 	}
 	if plain[1] != 3 || plain[2] != 3 {
@@ -263,13 +270,13 @@ func TestMeanWindowReportsTouched(t *testing.T) {
 
 	// A dirty window no sparse Add wrote a coordinate into is still sparse:
 	// an empty list, not the nil that means "anything may be set".
-	m.AddSparse(P, nil, nil, 1)
+	m.Add(sparse(P, []int32{}, nil, 1))
 	if _, touched, calls = drain(); calls != 1 || touched == nil || len(touched) != 0 {
 		t.Fatalf("empty sparse window: %d applies, touched %v (nil: %v)", calls, touched, touched == nil)
 	}
 	fresh := NewMeanWindow()
-	fresh.AddSparse(P, nil, nil, 1)
-	if err := fresh.DrainTouched(func(_ []float64, at []int32) {
+	fresh.Add(sparse(P, []int32{}, nil, 1))
+	if err := fresh.Drain(func(_ []float64, at []int32) {
 		if at == nil {
 			t.Fatal("first drain of an empty sparse window reported nil")
 		}
@@ -277,6 +284,101 @@ func TestMeanWindowReportsTouched(t *testing.T) {
 		t.Fatal(err)
 	}
 
+}
+
+// sparseCase is a sparse gradient with its densified twin: negative values,
+// a −0, and most coordinates left out, so a negative scale turns the
+// omitted zeros of the dense form into −0.
+func sparseCase(i int) (idx []int32, vals, vec []float64) {
+	const P = 11
+	idx = []int32{int32(i % 3), 4, int32(6 + i%4), 10}
+	vals = []float64{float64(i) - 1.5, math.Copysign(0, -1), 0.25 * float64(i+1), -3}
+	vec = make([]float64, P)
+	for j, c := range idx {
+		vec[c] = vals[j]
+	}
+	return idx, vals, vec
+}
+
+// TestSparseAddMatchesDense: for every aggregator, a window of sparse Adds
+// drains to the bits a window of their densified twins drains to, at
+// scales 2, 0 and −1, and no Add writes the arrays it was handed.
+func TestSparseAddMatchesDense(t *testing.T) {
+	opts := BuildOptions{Algorithm: learning.SSGD{}, Seed: 1}
+	for _, agg := range []string{"mean", "median", "trimmed(1)", "krum(1)"} {
+		sp, dn := mustBuild(t, "", agg, opts), mustBuild(t, "", agg, opts)
+		for _, scale := range []float64{2, 0, -1} {
+			for i := 0; i < 5; i++ {
+				idx, vals, vec := sparseCase(i)
+				keepIdx, keepVals := append([]int32(nil), idx...), append([]float64(nil), vals...)
+				sp.Add(sparse(len(vec), idx, vals, scale))
+				dn.Add(dense(vec, scale))
+				if !reflect.DeepEqual(idx, keepIdx) || !bitsEqual(vals, keepVals) {
+					t.Fatalf("%s: Add wrote the pusher's arrays: %v %v", agg, idx, vals)
+				}
+			}
+			got, want := drained(t, sp), drained(t, dn)
+			if !bitsEqual(got, want) {
+				t.Errorf("%s at scale %v: sparse window drained %v, dense %v", agg, scale, got, want)
+			}
+		}
+	}
+}
+
+// TestDPStageDensifiesSparse: dp noises every coordinate of a sparse
+// gradient, exactly as of its densified twin, in storage of its own.
+func TestDPStageDensifiesSparse(t *testing.T) {
+	mk := func() *Pipeline { return mustBuild(t, "dp(1,1.2)", "mean", BuildOptions{Seed: 9}) }
+	idx, vals, vec := sparseCase(2)
+	keep := append([]float64(nil), vals...)
+	sg, dg := sparse(len(vec), idx, vals, 1), dense(vec, 1)
+	if err := mk().Process(sg); err != nil {
+		t.Fatal(err)
+	}
+	if err := mk().Process(dg); err != nil {
+		t.Fatal(err)
+	}
+	if sg.Indices != nil || !bitsEqual(sg.Vec, dg.Vec) {
+		t.Fatalf("sparse gradient noised to %v (indices %v), its dense twin to %v", sg.Vec, sg.Indices, dg.Vec)
+	}
+	if !bitsEqual(vals, keep) {
+		t.Fatalf("dp wrote the pusher's values: %v", vals)
+	}
+}
+
+// TestNormFilterSparseEqualsDense: the norm of the kept values is the dense
+// norm, so one bound admits and rejects the two forms alike.
+func TestNormFilterSparseEqualsDense(t *testing.T) {
+	idx, vals, vec := sparseCase(3) // norm sqrt(1.5² + 1² + 3²) = 3.5
+	for _, max := range []float64{3.5, math.Nextafter(3.5, 0)} {
+		f, _ := NewNormFilter(max)
+		se, de := f.Process(sparse(len(vec), idx, vals, 1)), f.Process(dense(vec, 1))
+		if (se == nil) != (de == nil) {
+			t.Fatalf("bound %v: sparse %v, dense %v", max, se, de)
+		}
+	}
+}
+
+// drained is the direction p's next drain applies (nil if none).
+func drained(t *testing.T, p *Pipeline) []float64 {
+	t.Helper()
+	var dir []float64
+	if err := p.Drain(func(d []float64) { dir = append([]float64(nil), d...) }); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // buffered is how many gradients w retains.
@@ -293,14 +395,14 @@ func TestRetainedWindowAggregates(t *testing.T) {
 	}
 	// Median of scaled gradients {2}, {4}, {1000}: the outlier is ignored,
 	// and the direction carries the K-sum magnitude (median 4 × window 3).
-	w.Add([]float64{1}, 2)
-	w.Add([]float64{2}, 2)
-	w.Add([]float64{1000}, 1)
+	w.Add(dense([]float64{1}, 2))
+	w.Add(dense([]float64{2}, 2))
+	w.Add(dense([]float64{1000}, 1))
 	if buffered(w) != 3 {
 		t.Fatalf("buffered %d, want 3", buffered(w))
 	}
 	var got []float64
-	if err := w.Drain(func(dir []float64) { got = dir }); err != nil {
+	if err := w.Drain(func(dir []float64, _ []int32) { got = dir }); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 12 {
@@ -310,15 +412,15 @@ func TestRetainedWindowAggregates(t *testing.T) {
 		t.Fatalf("window not reset after drain: %d buffered", buffered(w))
 	}
 	// An empty window drains as a no-op, not an error.
-	if err := w.Drain(func([]float64) { t.Fatal("empty window applied") }); err != nil {
+	if err := w.Drain(func([]float64, []int32) { t.Fatal("empty window applied") }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRetainedWindowRaggedRejected(t *testing.T) {
 	w, _ := NewRetained(robust.Krum{F: 1})
-	w.Add([]float64{1, 2}, 1)
-	w.Add([]float64{1}, 1)
+	w.Add(dense([]float64{1, 2}, 1))
+	w.Add(dense([]float64{1}, 1))
 	p := mustNew(t, w)
 	err := p.Drain(func([]float64) { t.Fatal("ragged window applied") })
 	var apiErr *protocol.Error
@@ -341,12 +443,12 @@ func TestRetainedWindowMeanEqualsMeanWindow(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		// Seven coordinates: Add's four-wide blocks and its tail.
 		vec := []float64{float64(i), float64(-i), 2, float64(3 * i), -0.5, float64(i * i), float64(7 - i)}
-		retained.Add(vec, 0.5)
-		mean.Add(vec, 0.5)
+		retained.Add(dense(vec, 0.5))
+		mean.Add(dense(vec, 0.5))
 	}
 	sum := func(w WindowAggregator) []float64 {
 		out := make([]float64, 7)
-		if err := w.Drain(func(dir []float64) {
+		if err := w.Drain(func(dir []float64, _ []int32) {
 			for i, v := range dir {
 				out[i] += v
 			}
@@ -373,10 +475,10 @@ func TestRetainedWindowConcurrentHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < adds; i++ {
-				w.Add([]float64{1, 2, 3}, 1)
+				w.Add(dense([]float64{1, 2, 3}, 1))
 				if i%10 == 9 {
 					drainMu.Lock()
-					if err := w.Drain(func(dir []float64) { windows++ }); err != nil {
+					if err := w.Drain(func([]float64, []int32) { windows++ }); err != nil {
 						t.Error(err)
 					}
 					drainMu.Unlock()
@@ -388,7 +490,7 @@ func TestRetainedWindowConcurrentHammer(t *testing.T) {
 	wg.Wait()
 	drainMu.Lock()
 	defer drainMu.Unlock()
-	if err := w.Drain(func([]float64) { windows++ }); err != nil {
+	if err := w.Drain(func([]float64, []int32) { windows++ }); err != nil {
 		t.Fatal(err)
 	}
 	if windows == 0 {
@@ -514,7 +616,8 @@ func BenchmarkPipelineProcess(b *testing.B) {
 }
 
 // BenchmarkPipelineWindow compares the mean window against the
-// window-retention aggregators on the Add+Drain cycle.
+// window-retention aggregators on the Add+Drain cycle. Every Add reuses one
+// Gradient, so the mean window's cycle allocates nothing.
 func BenchmarkPipelineWindow(b *testing.B) {
 	const params, k = 1024, 8
 	vec := make([]float64, params)
@@ -532,12 +635,13 @@ func BenchmarkPipelineWindow(b *testing.B) {
 	for _, c := range cases {
 		b.Run(fmt.Sprintf("%s/k=%d", c.name, k), func(b *testing.B) {
 			agg := c.mk()
+			g := dense(vec, 0.5)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < k; j++ {
-					agg.Add(vec, 0.5)
+					agg.Add(g)
 				}
-				if err := agg.Drain(func([]float64) {}); err != nil {
+				if err := agg.Drain(func([]float64, []int32) {}); err != nil {
 					b.Fatal(err)
 				}
 			}

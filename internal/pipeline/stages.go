@@ -40,9 +40,6 @@ func (s StalenessScale) Process(g *Gradient) error {
 	return nil
 }
 
-// SparseSafe implements SparseSafe: the stage never reads Vec.
-func (s StalenessScale) SparseSafe() bool { return true }
-
 // DP is the differential-privacy stage: per-gradient L2 clipping plus
 // Gaussian noise (dp.Perturb), with the noise std divided by the push's
 // mini-batch size. dp.Perturb's *rand.Rand is not safe for concurrent use,
@@ -84,25 +81,30 @@ func (d *DP) Name() string {
 	return fmt.Sprintf("dp(clip=%g,sigma=%g)", d.cfg.ClipNorm, d.cfg.NoiseMultiplier)
 }
 
-// Process implements Stage. The vector is copied before perturbation:
-// in-process pushers alias their gradient slice into the pipeline, and
-// clipping+noising the caller's memory in place would corrupt reused
-// slices (and race if one slice is pushed concurrently).
+// Process implements Stage. Noise reaches every coordinate, so a sparse g
+// is densified, into fresh storage. A dense vector is copied before
+// perturbation: in-process pushers alias their gradient slice into the
+// pipeline, and clipping+noising the caller's memory in place would corrupt
+// reused slices (and race if one slice is pushed concurrently).
 func (d *DP) Process(g *Gradient) error {
 	cfg := d.cfg
 	cfg.BatchSize = g.Meta.BatchSize
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1
 	}
-	vec := make([]float64, len(g.Vec))
-	copy(vec, g.Vec)
+	if g.Indices != nil {
+		g.Densify()
+	} else {
+		vec := make([]float64, len(g.Vec))
+		copy(vec, g.Vec)
+		g.Vec = vec
+	}
 	// The ordinal (counted from 0) goes through a splitmix64 finalizer so
 	// consecutive pushes do not start from adjacent PCG states.
 	n := (d.pushes.Add(1) - 1) * 0x9e3779b97f4a7c15
 	n = (n ^ n>>30) * 0xbf58476d1ce4e5b9
 	n = (n ^ n>>27) * 0x94d049bb133111eb
-	dp.Perturb(cfg, rand.New(pcgSource{randv2.NewPCG(d.seed, n^n>>31)}), vec)
-	g.Vec = vec
+	dp.Perturb(cfg, rand.New(pcgSource{randv2.NewPCG(d.seed, n^n>>31)}), g.Vec)
 	return nil
 }
 
@@ -125,18 +127,15 @@ func NewNormFilter(max float64) (NormFilter, error) {
 // Name implements Stage.
 func (f NormFilter) Name() string { return fmt.Sprintf("norm-filter(%g)", f.Max) }
 
-// Process implements Stage.
+// Process implements Stage. Over a sparse g it sums the kept values only,
+// which is the dense sum exactly: each omitted zero adds +0.
 func (f NormFilter) Process(g *Gradient) error {
 	sum := 0.0
 	for _, v := range g.Vec {
-		sum += v * v
+		sum += float64(v * v)
 	}
 	if norm := math.Sqrt(sum); norm > f.Max {
 		return fmt.Errorf("gradient L2 norm %.4g exceeds limit %g", norm, f.Max)
 	}
 	return nil
 }
-
-// SparseSafe implements SparseSafe: the L2 norm over a sparse gradient's
-// stored values equals the dense norm (zeros contribute nothing).
-func (f NormFilter) SparseSafe() bool { return true }

@@ -20,7 +20,7 @@ type MeanWindow struct {
 	// Add sets dense and the bitmap is ignored until the drain clears both.
 	touched []uint64
 	dense   bool
-	// idx is DrainTouched's scratch: the window's touched coordinates.
+	// idx is Drain's scratch: the window's touched coordinates.
 	idx []int32
 }
 
@@ -30,37 +30,47 @@ func NewMeanWindow() *MeanWindow { return &MeanWindow{} }
 // Name implements WindowAggregator.
 func (m *MeanWindow) Name() string { return "mean" }
 
-// Add implements WindowAggregator: O(params) accumulation under the lock.
-// Four coordinates per iteration: one per iteration spends a third of a
-// dense push in loop overhead, and on a shared 2-vCPU host its time swung
-// by up to 40 % from one server to the next. Each coordinate still gets its
-// one scale·g add, so the window's sum is the same bit for bit.
-func (m *MeanWindow) Add(vec []float64, scale float64) {
+// Add implements WindowAggregator. Each product is rounded on its own
+// (float64(…)) before it is added, so no architecture fuses the multiply
+// and the add, and the sum is the same bit for bit on every GOARCH.
+func (m *MeanWindow) Add(g *Gradient) {
+	if g.Indices != nil {
+		m.addSparse(g.DenseLen, g.Indices, g.Vec, g.Scale)
+		return
+	}
+	m.addDense(g.Vec, g.Scale)
+}
+
+// addDense is O(params) accumulation under the lock. Four coordinates per
+// iteration: one per iteration spends a third of a dense push in loop
+// overhead, and on a shared 2-vCPU host its time swung by up to 40 % from
+// one server to the next. Each coordinate still gets its one scale·g add,
+// so the window's sum is the same bit for bit.
+func (m *MeanWindow) addDense(vec []float64, scale float64) {
 	m.mu.Lock()
 	m.allocate(len(vec))
 	acc := m.accum[:len(vec)]
 	i := 0
 	for ; i+4 <= len(vec); i += 4 {
 		a, g := acc[i:i+4:i+4], vec[i:i+4:i+4]
-		a[0] += scale * g[0]
-		a[1] += scale * g[1]
-		a[2] += scale * g[2]
-		a[3] += scale * g[3]
+		a[0] += float64(scale * g[0])
+		a[1] += float64(scale * g[1])
+		a[2] += float64(scale * g[2])
+		a[3] += float64(scale * g[3])
 	}
 	for ; i < len(vec); i++ {
-		acc[i] += scale * vec[i]
+		acc[i] += float64(scale * vec[i])
 	}
 	m.dirty, m.dense = true, true
 	m.mu.Unlock()
 }
 
-// AddSparse implements SparseAdder: a top-k gradient scatters straight
-// into the accumulator without ever materializing its dense form.
-// Bit-for-bit equivalent to Add on the densified vector — the same
-// coordinates receive the same scale·value adds in the same order, and
-// the untouched coordinates would only have received identity +0 adds —
-// while skipping the O(params) allocation and loop per push.
-func (m *MeanWindow) AddSparse(denseLen int, idx []int32, vals []float64, scale float64) {
+// addSparse scatters a top-k gradient straight into the accumulator without
+// ever materializing its dense form. Bit-for-bit equivalent to addDense on
+// the densified vector: the same coordinates receive the same scale·value
+// adds in the same order, and the untouched ones would only have received
+// ±0, which leaves an accumulator that starts at +0 as it was.
+func (m *MeanWindow) addSparse(denseLen int, idx []int32, vals []float64, scale float64) {
 	m.mu.Lock()
 	m.allocate(denseLen)
 	tensor.ScatterAddScaled(m.accum, idx, vals, scale)
@@ -87,15 +97,10 @@ func (m *MeanWindow) allocate(params int) {
 // under the window lock inside the caller's model lock (lock order
 // model → window, acyclic). Under concurrency a drain may pick up mass that
 // pushes of the next window have already accumulated — mass is only ever
-// reordered across versions, never lost or duplicated.
-func (m *MeanWindow) Drain(apply func(direction []float64)) error {
-	return m.DrainTouched(func(direction []float64, _ []int32) { apply(direction) })
-}
-
-// DrainTouched implements TouchedDrainer: Drain, telling apply which
-// coordinates the window scattered into when all of its Adds were sparse
-// (nil otherwise). Such a window is zeroed at those coordinates only.
-func (m *MeanWindow) DrainTouched(apply func(direction []float64, touched []int32)) error {
+// reordered across versions, never lost or duplicated. A window whose Adds
+// were all sparse reports the coordinates they scattered into and is
+// zeroed at those coordinates only.
+func (m *MeanWindow) Drain(apply func(direction []float64, touched []int32)) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	switch {
@@ -157,12 +162,14 @@ func NewRetained(rule robust.Aggregator) (*RetainedWindow, error) {
 // Name implements WindowAggregator.
 func (w *RetainedWindow) Name() string { return w.rule.Name() }
 
-// Add implements WindowAggregator: the scaled copy is appended under the
-// window lock.
-func (w *RetainedWindow) Add(vec []float64, scale float64) {
-	scaled := make([]float64, len(vec))
-	for i, g := range vec {
-		scaled[i] = scale * g
+// Add implements WindowAggregator: a sparse g is densified first, and the
+// scaled copy of every coordinate is appended under the window lock. (The
+// scale must reach the zeros too: a negative scale turns them into −0.)
+func (w *RetainedWindow) Add(g *Gradient) {
+	g.Densify()
+	scaled := make([]float64, len(g.Vec))
+	for i, v := range g.Vec {
+		scaled[i] = g.Scale * v
 	}
 	w.mu.Lock()
 	w.window = append(w.window, scaled)
@@ -172,8 +179,9 @@ func (w *RetainedWindow) Add(vec []float64, scale float64) {
 // Drain implements WindowAggregator: the whole buffered window is taken,
 // validated, aggregated by the rule and applied as one direction. An empty
 // window (possible when a concurrent drain already consumed the buffer) is
-// a no-op; a window the rule rejects is discarded with the error.
-func (w *RetainedWindow) Drain(apply func(direction []float64)) error {
+// a no-op; a window the rule rejects is discarded with the error. The
+// direction may be nonzero anywhere, so touched is nil.
+func (w *RetainedWindow) Drain(apply func(direction []float64, touched []int32)) error {
 	w.mu.Lock()
 	window := w.window
 	w.window = nil
@@ -193,6 +201,6 @@ func (w *RetainedWindow) Drain(apply func(direction []float64)) error {
 	for i := range dir {
 		dir[i] *= k
 	}
-	apply(dir)
+	apply(dir, nil)
 	return nil
 }

@@ -291,9 +291,9 @@ func TestRestoreValidation(t *testing.T) {
 // errorDrainAgg fails every Drain: the poisoned-window scenario.
 type errorDrainAgg struct{ drains int }
 
-func (a *errorDrainAgg) Name() string                 { return "error-drain" }
-func (a *errorDrainAgg) Add(vec []float64, _ float64) {}
-func (a *errorDrainAgg) Drain(func(direction []float64)) error {
+func (a *errorDrainAgg) Name() string           { return "error-drain" }
+func (a *errorDrainAgg) Add(*pipeline.Gradient) {}
+func (a *errorDrainAgg) Drain(func(direction []float64, touched []int32)) error {
 	a.drains++
 	return fmt.Errorf("window is poisoned")
 }

@@ -285,13 +285,15 @@ func (s *Server) OnSnapshot(fn func(protocol.ModelAnnounce)) {
 // paid once per K-window: one copy of the model's arena into storage the
 // core recycled from a snapshot nothing reads any more (allocated, unzeroed,
 // only while none is free: warm-up, or every snapshot escaped in process) and
-// one v−1→v step delta. A window of sparse pushes only records that step
-// while it applies itself at the coordinates they touched; a dense window
-// diffs the two vectors. The delta from an older history entry is not taken
-// here: the first pull that names that base composes it, off this lock, by
-// a merge over only the coordinates that moved (compress.Deltas.From). A
-// delta denser than half the vector is abandoned and its version falls
-// back to full pulls.
+// one v−1→v step delta. When the aggregator's drain lists the coordinates
+// its window touched (the mean window does while every push of the window
+// was sparse; see pipeline.WindowAggregator), the direction is applied at
+// those coordinates only and the step is recorded as it is written; a nil
+// list means a dense apply, and the step is a diff of the two vectors. The
+// delta from an older history entry is not taken here: the first pull that
+// names that base composes it, off this lock, by a merge over only the
+// coordinates that moved (compress.Deltas.From). A delta denser than half
+// the vector is abandoned and its version falls back to full pulls.
 func (k *rootSink) CloseWindow(tally ingest.Tally) (drained, error) {
 	s := (*Server)(k)
 	var step *compress.Sparse

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -450,23 +452,34 @@ func BenchmarkPushGradient(b *testing.B) {
 	b.Run("sparse-densify", func(b *testing.B) { benchmarkPushSparse(b, false) })
 }
 
-// TestSparseAccumulateMatchesDensify drives the same gradient stream
-// through two identically seeded servers — one receiving top-k pushes
-// (which travel the zero-copy scatter path: the default pipeline is
-// staleness → mean, both sparse-capable), the other receiving the
-// densified form of each push — and requires bit-for-bit equal final
-// models. The scatter path must be arithmetically invisible.
+// TestSparseAccumulateMatchesDensify is an oracle table over every stage
+// spec × every aggregator: the same stale gradient stream goes through two
+// identically built servers, one receiving top-k pushes (which stay sparse
+// until a stage or the aggregator needs them dense), the other the
+// densified form of each push. Acks and final models must be equal bit for
+// bit: where the gradient is densified is arithmetically invisible.
 func TestSparseAccumulateMatchesDensify(t *testing.T) {
-	ctx := context.Background()
-	sparse := newTestServer(t, Config{K: 3, Algorithm: learning.SSGD{}})
-	dense := newTestServer(t, Config{K: 3, Algorithm: learning.SSGD{}})
-	if !sparse.Pipeline().SparseCapable() {
-		t.Fatal("default pipeline must be sparse-capable")
+	for _, stages := range []string{"staleness", "staleness,norm-filter(100)", "dp(1,1.2),staleness", "staleness,dp(0.01,0.5)"} {
+		for _, agg := range []string{"mean", "median", "trimmed(1)", "krum(1)"} {
+			t.Run(stages+"->"+agg, func(t *testing.T) { sparseMatchesDensify(t, stages, agg) })
+		}
 	}
+}
+
+func sparseMatchesDensify(t *testing.T, stages, agg string) {
+	ctx := context.Background()
+	mk := func() *Server {
+		p, err := pipeline.Build(stages, agg, pipeline.BuildOptions{Algorithm: learning.DynSGD{}, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newTestServer(t, Config{K: 5, Algorithm: learning.DynSGD{}, Pipeline: p})
+	}
+	sparse, dense := mk(), mk()
 	paramCount := sparse.paramCount
 	rng := rand.New(rand.NewSource(7))
-
-	for i := 0; i < 12; i++ {
+	stale := 0
+	for i := 0; i < 23; i++ {
 		const k = 16
 		idx := make([]int32, 0, k)
 		seen := map[int32]bool{}
@@ -477,12 +490,7 @@ func TestSparseAccumulateMatchesDensify(t *testing.T) {
 				idx = append(idx, id)
 			}
 		}
-		// The wire contract: strictly ascending indices (TopK's shape).
-		for a := 1; a < len(idx); a++ {
-			for b := a; b > 0 && idx[b] < idx[b-1]; b-- {
-				idx[b], idx[b-1] = idx[b-1], idx[b]
-			}
-		}
+		slices.Sort(idx) // the wire contract: strictly ascending (TopK's shape)
 		vals := make([]float64, k)
 		for j := range vals {
 			vals[j] = rng.NormFloat64() * 1e-3
@@ -490,25 +498,37 @@ func TestSparseAccumulateMatchesDensify(t *testing.T) {
 		sp := compress.Sparse{Len: paramCount, Indices: idx, Values: vals}
 
 		_, v := sparse.Model()
-		if _, err := sparse.PushGradient(ctx, &protocol.GradientPush{
+		v = max(v-i%3, 0) // staleness 0, 1 or 2 once the clock allows
+		a1, err := sparse.PushGradient(ctx, &protocol.GradientPush{
 			ModelVersion: v, GradientLen: paramCount, SparseIndices: idx, SparseValues: vals,
 			Encoding: compress.EncodingTopK, BatchSize: 5, LabelCounts: []int{1, 1},
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dense.PushGradient(ctx, &protocol.GradientPush{
+		a2, err := dense.PushGradient(ctx, &protocol.GradientPush{
 			ModelVersion: v, Gradient: sp.Dense(), BatchSize: 5, LabelCounts: []int{1, 1},
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		if a1.Staleness != a2.Staleness || math.Float64bits(a1.Scale) != math.Float64bits(a2.Scale) || a1.NewVersion != a2.NewVersion {
+			t.Fatalf("push %d acked %+v sparse, %+v dense", i, a1, a2)
+		}
+		if a1.Staleness > 0 {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no push was stale")
 	}
 	p1, v1 := sparse.Model()
 	p2, v2 := dense.Model()
-	if v1 != v2 {
-		t.Fatalf("versions diverged: %d vs %d", v1, v2)
+	if v1 != v2 || v1 != 4 {
+		t.Fatalf("versions %d (sparse) and %d (dense), want 4", v1, v2)
 	}
 	for i := range p1 {
-		if p1[i] != p2[i] {
+		if math.Float64bits(p1[i]) != math.Float64bits(p2[i]) {
 			t.Fatalf("param %d diverged: %v vs %v", i, p1[i], p2[i])
 		}
 	}

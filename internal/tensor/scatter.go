@@ -16,6 +16,6 @@ func ScatterAddScaled(dst []float64, idx []int32, vals []float64, scale float64)
 		idx = idx[:len(vals)]
 	}
 	for j, id := range idx {
-		dst[id] += scale * vals[j]
+		dst[id] += float64(scale * vals[j])
 	}
 }
