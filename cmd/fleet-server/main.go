@@ -150,7 +150,7 @@ func buildServer(args []string, stderr io.Writer) (rt *node.Runtime, printOnly s
 	fs.BoolVar(&spec.Verbose, "verbose", false, "log every request")
 
 	fs.StringVar(&spec.Checkpoint.Dir, "checkpoint-dir", "", "durable checkpoint directory; empty disables crash safety")
-	fs.StringVar(&spec.Checkpoint.NonceDir, "boot-nonce-dir", "", "directory persisting the boot counter that bumps the incarnation epoch on checkpoint-less boots (default: -checkpoint-dir; empty with no -checkpoint-dir disables the nonce)")
+	fs.StringVar(&spec.Checkpoint.NonceDir, "boot-nonce-dir", "", "directory persisting the boot counter every boot, fresh or restored, draws its incarnation epoch from (default: -checkpoint-dir; empty with no -checkpoint-dir: every boot is epoch 0)")
 	fs.IntVar(&spec.Checkpoint.Every, "checkpoint-every", 8, "periodic checkpoint cadence in aggregation windows (0: only at graceful shutdown)")
 	fs.IntVar(&spec.Checkpoint.Keep, "checkpoint-keep", 3, "checkpoint files retained in -checkpoint-dir")
 	fs.StringVar(&spec.Checkpoint.Recover, "checkpoint-recover", "latest", `startup policy with -checkpoint-dir: "latest" restores the newest valid checkpoint and refuses to boot without one; "fresh" additionally allows initializing a new model when the directory holds no checkpoint at all (corruption still refuses). Tenant units (-tenants) always boot "fresh if empty" under <dir>/<name>, whatever this says`)

@@ -403,8 +403,8 @@ func TestHardKillThenRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ServerEpoch != 1 {
-		t.Fatalf("restored incarnation = %d, want 1", stats.ServerEpoch)
+	if stats.ServerEpoch == 0 || stats.ServerEpoch == resp.ServerEpoch {
+		t.Fatalf("restored incarnation = %d, want nonzero and not the dead instance's %d", stats.ServerEpoch, resp.ServerEpoch)
 	}
 	if stats.RestoredVersion == 0 || stats.ModelVersion != stats.RestoredVersion {
 		t.Fatalf("restored at version %d (stats model %d): durable state lost", stats.RestoredVersion, stats.ModelVersion)
@@ -447,8 +447,8 @@ func TestHardKillThenRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no checkpoint after graceful exit (had %d files): %v", len(before), err)
 	}
-	if st.Version != after.ModelVersion || st.Epoch != 1 {
-		t.Fatalf("final checkpoint at version %d epoch %d, want %d/1", st.Version, st.Epoch, after.ModelVersion)
+	if st.Version != after.ModelVersion || st.Epoch != stats.ServerEpoch {
+		t.Fatalf("final checkpoint at version %d epoch %d, want %d/%d", st.Version, st.Epoch, after.ModelVersion, stats.ServerEpoch)
 	}
 }
 
@@ -469,19 +469,24 @@ func TestCheckpointRecoverPolicy(t *testing.T) {
 	if rt.Assembly().Checkpoint == nil {
 		t.Fatal("checkpoint hook missing despite -checkpoint-dir")
 	}
-	// The fresh boot can checkpoint; a second "latest" boot then works and
-	// reports the next incarnation.
+	// The fresh boot can checkpoint; "latest" boots then work, each as a
+	// new incarnation: nonzero, and neither the checkpoint's nor another
+	// restore's.
 	if _, err := rt.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	rt2 := build(t, base...)
-	defer func() { _ = rt2.Close() }()
-	stats, err := rt2.Service().Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ServerEpoch != 1 {
-		t.Fatalf("second boot incarnation = %d, want 1", stats.ServerEpoch)
+	epochs := map[int64]bool{0: true}
+	for i := 0; i < 2; i++ {
+		rt2 := build(t, base...)
+		stats, err := rt2.Service().Stats(context.Background())
+		_ = rt2.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if epochs[stats.ServerEpoch] {
+			t.Fatalf("restore %d incarnation = %d, already booted (%v)", i, stats.ServerEpoch, epochs)
+		}
+		epochs[stats.ServerEpoch] = true
 	}
 }
 

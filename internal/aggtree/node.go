@@ -45,7 +45,7 @@
 // took, and the edge publishes it without recording a step of its own.
 //
 // Epoch conflicts cascade through the tier instead of value-poisoning
-// edge caches: a root restart (incarnation epoch bump) makes the edge's
+// edge caches: a root restart (a new incarnation epoch) makes the edge's
 // next upstream push fail with version_conflict, the edge drops its
 // snapshot and re-pulls full, and every leaf push still carrying the old
 // epoch is then rejected by the edge the same way — the leaves resync

@@ -150,7 +150,7 @@ func QuantizeSparseQ8(rng *rand.Rand, s Sparse) SparseQ8 {
 	for i, v := range s.Values {
 		exact := (v - out.Min) * scale
 		lo := math.Floor(exact)
-		frac := exact - lo
+		frac := float64(exact) - lo
 		level := lo
 		if rng.Float64() < frac {
 			level = lo + 1
@@ -175,7 +175,7 @@ func (q SparseQ8) Sparse() Sparse {
 	}
 	step := (q.Max - q.Min) / 255.0
 	for i, l := range q.Levels {
-		out.Values[i] = q.Min + float64(l)*step
+		out.Values[i] = q.Min + float64(float64(l)*step)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -320,67 +321,51 @@ func rootServer(s Spec, timeProf, energyProf *iprof.IProf, owned bool) (*server.
 // checkpoint with Recover "latest" is a first boot — that must be said
 // out loud (Recover "fresh", which the zero value means), never silently
 // decided; a corrupt-only directory always refuses (the operator deletes
-// or repairs, the server does not guess).
+// or repairs, the server does not guess). Both refusals come before the
+// boot count is touched.
 //
-// The boot nonce covers the restart paths checkpoints do not: a boot
-// that ends up with a freshly initialized model (no checkpoint dir but a
-// NonceDir, or Recover "fresh" on an empty directory) still bumps the
-// incarnation epoch, so workers that cached state from a previous
-// instance resync instead of colliding on epoch 0. freshConfig consults
-// (and advances) the persisted counter only when the fresh path is
-// actually taken — a checkpoint restore derives its epoch from the
-// checkpoint itself.
+// Every boot with a state directory (NonceDir, else Dir) takes its epoch
+// from the directory's boot count (persist.BootNonce), fresh or restored:
+// no two boots of one directory share an epoch, so workers that cached
+// state from any earlier instance resync instead of patching this one's
+// deltas onto it. A checkpoint that arrived without its boot count could
+// carry the nonce this boot draws; the next one is drawn then.
 func bootRoot(s Spec, cfg server.Config) (*server.Server, error) {
 	ck := s.Checkpoint
-	freshConfig := func(bootDir string) (server.Config, error) {
-		if bootDir == "" {
-			return cfg, nil
-		}
-		nonce, err := persist.BootNonce(bootDir, s.Seed)
-		if err != nil {
-			return cfg, err
-		}
-		fresh := cfg
-		fresh.BootEpoch = nonce
-		return fresh, nil
+	if ck.Recover != "latest" && ck.Recover != "fresh" && ck.Recover != "" {
+		return nil, fmt.Errorf("unknown -checkpoint-recover %q (want latest or fresh)", ck.Recover)
 	}
-	if ck.Dir == "" {
-		fresh, err := freshConfig(ck.NonceDir)
+	var st *persist.State
+	if ck.Dir != "" {
+		ckpt, err := persist.NewCheckpointer(ck.Dir, ck.Keep)
 		if err != nil {
 			return nil, err
 		}
-		return server.New(fresh)
-	}
-	ckpt, err := persist.NewCheckpointer(ck.Dir, ck.Keep)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Checkpointer = ckpt
-	cfg.CheckpointEvery = ck.Every
-	bootDir := ck.NonceDir
-	if bootDir == "" {
-		bootDir = ck.Dir
-	}
-	switch ck.Recover {
-	case "latest":
-		srv, err := server.RestoreLatest(cfg, ck.Dir)
-		if errors.Is(err, persist.ErrNoCheckpoint) {
+		cfg.Checkpointer, cfg.CheckpointEvery = ckpt, ck.Every
+		st, _, err = persist.LoadLatest(ck.Dir)
+		if errors.Is(err, persist.ErrNoCheckpoint) && ck.Recover == "latest" {
 			return nil, fmt.Errorf("%w (first boot? pass -checkpoint-recover=fresh to initialize a new model)", err)
 		}
-		return srv, err
-	case "fresh", "":
-		srv, err := server.RestoreLatest(cfg, ck.Dir)
-		if errors.Is(err, persist.ErrNoCheckpoint) {
-			var fresh server.Config
-			fresh, err = freshConfig(bootDir)
-			if err == nil {
-				srv, err = server.New(fresh)
+		if err != nil && !errors.Is(err, persist.ErrNoCheckpoint) {
+			return nil, err
+		}
+	}
+	if dir := cmp.Or(ck.NonceDir, ck.Dir); dir != "" {
+		for {
+			nonce, err := persist.BootNonce(dir, s.Seed)
+			if err != nil {
+				return nil, err
+			}
+			cfg.BootEpoch = nonce
+			if st == nil || nonce != st.Epoch {
+				break
 			}
 		}
-		return srv, err
-	default:
-		return nil, fmt.Errorf("unknown -checkpoint-recover %q (want latest or fresh)", ck.Recover)
 	}
+	if st != nil {
+		return server.Restore(cfg, st)
+	}
+	return server.New(cfg)
 }
 
 // unitSpec maps one tenant's declaration onto the root Spec its unit is

@@ -3,6 +3,8 @@ package node
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -242,8 +244,13 @@ func TestBootNonceViaNonceDirWithoutCheckpoints(t *testing.T) {
 }
 
 // TestCheckpointRestoreChainBeatsNonce: with a real checkpoint present,
-// recover=fresh (or "", which means it) restores it — the epoch comes from
-// the checkpoint chain (small integers), not the nonce hash.
+// recover=fresh (or "", which means it) restores it, at the epoch the
+// directory's boot count mints like any other boot's: nonzero, not the
+// dead instance's, and a new one for every restore of the same checkpoint.
+// The last is the crash loop: a restored instance dies before it writes a
+// checkpoint of its own, and a worker that cached (epoch, version) from it
+// must not find its successor under the same name, or the successor's
+// deltas would patch the first's parameters.
 func TestCheckpointRestoreChainBeatsNonce(t *testing.T) {
 	for _, recover := range []string{"fresh", ""} {
 		t.Run("recover="+recover, func(t *testing.T) {
@@ -253,20 +260,81 @@ func TestCheckpointRestoreChainBeatsNonce(t *testing.T) {
 			if err != nil {
 				t.Fatalf("FromSpec: %v", err)
 			}
+			dead := rt.Server().Epoch()
 			if _, err := rt.Checkpoint(); err != nil {
 				t.Fatalf("Checkpoint: %v", err)
 			}
 			if err := rt.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
-			rt2, err := FromSpec(s)
-			if err != nil {
-				t.Fatalf("restore FromSpec: %v", err)
-			}
-			defer rt2.Close()
-			if e := rt2.Server().Epoch(); e != 1 {
-				t.Fatalf("restored epoch = %d, want 1 (checkpoint chain, not nonce)", e)
+			seen := map[int64]bool{dead: true}
+			for i := 0; i < 2; i++ {
+				rt2, err := FromSpec(s)
+				if err != nil {
+					t.Fatalf("restore %d: %v", i, err)
+				}
+				e := rt2.Server().Epoch()
+				_ = rt2.Kill()
+				if e == 0 || seen[e] {
+					t.Fatalf("restore %d booted epoch %d, want nonzero and unlike %v", i, e, seen)
+				}
+				seen[e] = true
 			}
 		})
+	}
+}
+
+// TestRestoreWithoutBootCountSkipsTheCheckpointEpoch: a checkpoint that
+// arrived in a directory without its boot count (copied, or the count
+// deleted) starts the count over, and the count's first nonce is 0 — the
+// epoch a first boot's checkpoint carries. The restore must neither boot
+// that epoch nor be refused for it.
+func TestRestoreWithoutBootCountSkipsTheCheckpointEpoch(t *testing.T) {
+	s := rootSpec()
+	s.Checkpoint = CheckpointSpec{Dir: t.TempDir(), Recover: "fresh"}
+	rt, err := FromSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckptEpoch := rt.Server().Epoch()
+	if _, err := rt.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	_ = rt.Kill()
+	if err := os.Remove(filepath.Join(s.Checkpoint.Dir, "boot-count")); err != nil {
+		t.Fatal(err)
+	}
+	rt, err = FromSpec(s)
+	if err != nil {
+		t.Fatalf("restore without a boot count: %v", err)
+	}
+	defer func() { _ = rt.Kill() }()
+	if e := rt.Server().Epoch(); e == ckptEpoch {
+		t.Fatalf("restore booted the checkpoint's own epoch %d", e)
+	}
+}
+
+// TestRefusedBootLeavesNoBootCount: a boot refused for its checkpoint
+// directory — "latest" on an empty one, or only corrupt files — is refused
+// before the boot count is drawn, so the first boot that does go ahead is
+// still the directory's first.
+func TestRefusedBootLeavesNoBootCount(t *testing.T) {
+	empty := t.TempDir()
+	corrupt := t.TempDir()
+	if err := os.WriteFile(filepath.Join(corrupt, "ckpt-3-0.fleet"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		dir, recover string
+	}{{empty, "latest"}, {corrupt, "latest"}, {corrupt, "fresh"}} {
+		s := rootSpec()
+		s.Checkpoint = CheckpointSpec{Dir: tc.dir, Recover: tc.recover}
+		if rt, err := FromSpec(s); err == nil {
+			_ = rt.Close()
+			t.Fatalf("recover=%s in %s booted", tc.recover, tc.dir)
+		}
+		if _, err := os.Stat(filepath.Join(tc.dir, "boot-count")); !os.IsNotExist(err) {
+			t.Fatalf("refused boot (recover=%s) left a boot-count behind: %v", tc.recover, err)
+		}
 	}
 }

@@ -136,7 +136,7 @@ func TestIngestAndEndpointAreSingleSourced(t *testing.T) {
 // not named at all.
 func TestServingUnitsAreCompiledOnce(t *testing.T) {
 	builders := []string{
-		"server.New(", "server.RestoreLatest(", "aggtree.New(",
+		"server.New(", "server.Restore(", "aggtree.New(",
 		"pipeline.Build(", "sched.Build(", "node.New(", "node.Assembly{",
 		"tenant.Attach(",
 	}
@@ -260,9 +260,16 @@ func TestExperimentsStartNoGoroutines(t *testing.T) {
 	}
 }
 
-// fmaCheckedPackages are the packages TestNoImplicitFMA compiles; the goal
-// is every package of fleet/.
-var fmaCheckedPackages = []string{"fleet/internal/pipeline"}
+// fmaCheckedPackages are the packages TestNoImplicitFMA compiles: the
+// serving path, everything a pushed or pulled byte crosses between the wire
+// and the model. The goal is every package of fleet/.
+var fmaCheckedPackages = []string{
+	"fleet/internal/compress", "fleet/internal/protocol", "fleet/internal/ingest",
+	"fleet/internal/server", "fleet/internal/aggtree", "fleet/internal/stream",
+	"fleet/internal/worker", "fleet/internal/persist", "fleet/internal/node",
+	"fleet/internal/tenant", "fleet/internal/sched", "fleet/internal/service",
+	"fleet/internal/pipeline",
+}
 
 // fusedOp matches an assembly listing line whose instruction is a fused
 // multiply-add or -subtract: arm64's FMADDD/FMSUBD/FNMADDD/FNMSUBD and

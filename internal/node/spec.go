@@ -46,9 +46,10 @@ const (
 type CheckpointSpec struct {
 	// Dir is the checkpoint directory; empty disables crash safety.
 	Dir string
-	// NonceDir persists the boot counter that bumps the incarnation
-	// epoch on checkpoint-less fresh boots. Empty: Dir holds it; with no
-	// Dir either, a boot mints no nonce.
+	// NonceDir persists the boot counter every boot draws its
+	// incarnation epoch from (persist.BootNonce), fresh or restored.
+	// Empty: Dir holds it; with no Dir either, a boot mints no nonce and
+	// runs at epoch 0.
 	NonceDir string
 	// Every is the periodic checkpoint cadence in aggregation windows
 	// (0: only at graceful shutdown).
@@ -58,7 +59,7 @@ type CheckpointSpec struct {
 	// Recover is the startup policy with Dir set: "latest" restores the
 	// newest valid checkpoint and refuses to boot without one; "fresh"
 	// (also what "" means) restores it too, but initializes a new model
-	// with a boot nonce when the directory holds no checkpoint at all.
+	// when the directory holds no checkpoint at all.
 	Recover string
 }
 

@@ -254,7 +254,7 @@ func TestSpecKnobsEqualAdmissionString(t *testing.T) {
 // per subdirectory <dir>/<name> and whatever the deployment's Recover
 // says: empty → a fresh model (epoch 0 on the very first boot, a minted
 // nonce on every later checkpoint-less one), a valid checkpoint → restored
-// at its version as the next incarnation, corrupt-only → refuses.
+// at its version under a newly minted epoch, corrupt-only → refuses.
 func TestTenantRecoverMatrix(t *testing.T) {
 	for _, recover := range []string{"latest", "fresh", ""} {
 		t.Run("recover="+recover, func(t *testing.T) {
@@ -303,8 +303,11 @@ func TestTenantRecoverMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("boot from a valid checkpoint: %v", err)
 			}
-			if st.RestoredVersion != 3 || st.ModelVersion != 3 || st.ServerEpoch != minted+1 {
-				t.Fatalf("restored = version %d (model %d) epoch %d, want 3/3/%d", st.RestoredVersion, st.ModelVersion, st.ServerEpoch, minted+1)
+			if st.RestoredVersion != 3 || st.ModelVersion != 3 {
+				t.Fatalf("restored = version %d (model %d), want 3/3", st.RestoredVersion, st.ModelVersion)
+			}
+			if st.ServerEpoch == 0 || st.ServerEpoch == minted {
+				t.Fatalf("restored epoch = %d, want nonzero and not the checkpoint's %d", st.ServerEpoch, minted)
 			}
 			_ = rt.Close()
 

@@ -13,29 +13,24 @@ import (
 const bootCountFile = "boot-count"
 
 // BootNonce persists a boot counter in dir and returns a deterministic
-// incarnation-epoch nonce for this boot: 0 on the very first boot (a fresh
-// server is genuinely incarnation 0 — pre-nonce behavior, bit-for-bit),
-// and a nonzero value derived from (seed, boot count) on every later one.
+// incarnation-epoch nonce for this boot: 0 on the very first boot, and a
+// nonzero value derived from (seed, boot count) on every later one.
 //
-// This closes the checkpoint-less-restart hole in the incarnation-epoch
-// protocol: a server restarted with -checkpoint-recover=fresh (or with no
-// checkpoint at all) used to boot epoch 0 again, colliding with workers
-// whose caches carry epoch 0 from the dead instance — their delta pulls
-// would silently patch new-incarnation deltas onto old-incarnation params.
-// With the nonce as server.Config.BootEpoch, every restart changes the
-// epoch and the ordinary worker resync protocol takes over.
+// The nonce names the incarnation: node boots every server with a state
+// directory, fresh or restored from a checkpoint, at the nonce of that
+// directory's next boot count, so no two boots of one directory share an
+// epoch and workers whose caches carry a dead instance's epoch resync
+// instead of patching the new incarnation's deltas onto old parameters.
 //
-// The nonce is a hash, not the count itself, so it cannot collide with the
-// small epochs a checkpoint-restore chain walks (restore sets epoch =
-// checkpoint epoch + 1); it is clamped positive and away from the low
-// range. Determinism: the same (seed, boot sequence) always yields the
-// same nonce sequence, so the load harness's bit-for-bit replay survives —
-// unlike a random or time-derived nonce would.
+// The nonce is a hash of the count, not the count itself; epochs are
+// names, compared for equality only. Determinism: the same (seed, boot
+// sequence) always yields the same nonce sequence, so the load harness's
+// bit-for-bit replay survives — unlike a random or time-derived nonce
+// would.
 //
-// The count file is written atomically (temp + rename) next to whatever
-// else lives in dir; a torn write at worst repeats a count, which still
-// differs from the previous boot's nonce only via the count, so callers
-// that need strict uniqueness should keep checkpoints enabled.
+// The count is stored before the nonce is returned, written atomically and
+// durably (writeFile), so a boot that returns has a count no later boot
+// can repeat: a repeated count would repeat the nonce.
 func BootNonce(dir string, seed int64) (int64, error) {
 	if dir == "" {
 		return 0, fmt.Errorf("persist: empty boot-nonce directory")
@@ -54,35 +49,9 @@ func BootNonce(dir string, seed int64) (int64, error) {
 	} else if !os.IsNotExist(err) {
 		return 0, fmt.Errorf("persist: %w", err)
 	}
-
-	// Persist count+1 before reporting this boot's nonce, atomically: a
-	// crash between write and rename leaves the old count (this boot then
-	// reuses a nonce — see above), never a corrupt file.
-	tmp, err := os.CreateTemp(dir, bootCountFile+".tmp-*")
-	if err != nil {
-		return 0, fmt.Errorf("persist: %w", err)
+	if err := writeFile(dir, bootCountFile, []byte(strconv.Itoa(count+1)+"\n")); err != nil {
+		return 0, err
 	}
-	tmpName := tmp.Name()
-	cleanup := func() { _ = os.Remove(tmpName) }
-	if _, err := fmt.Fprintf(tmp, "%d\n", count+1); err != nil {
-		_ = tmp.Close()
-		cleanup()
-		return 0, fmt.Errorf("persist: write %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		cleanup()
-		return 0, fmt.Errorf("persist: sync %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		cleanup()
-		return 0, fmt.Errorf("persist: close %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		cleanup()
-		return 0, fmt.Errorf("persist: rename: %w", err)
-	}
-
 	return bootNonceValue(seed, count), nil
 }
 
@@ -94,8 +63,7 @@ func bootNonceValue(seed int64, count int) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "fleet-boot-nonce:%d:%d", seed, count)
 	v := int64(h.Sum64() &^ (1 << 63)) // clamp non-negative
-	// Keep clear of the low epochs a restore chain occupies (epoch =
-	// checkpoint epoch + 1 walks small integers).
+	// Keep the nonce nonzero: 0 is the first boot's epoch.
 	const floor = 1 << 20
 	if v < floor {
 		v += floor

@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -24,9 +26,9 @@ func TestBootNonceFirstBoot(t *testing.T) {
 }
 
 // TestBootNonceSubsequentBoots: every boot after the first yields a nonzero
-// nonce far above any plausible checkpoint epoch, distinct per boot, and
-// deterministic in (seed, boot count) — a checkpoint-less restart always
-// lands on a fresh incarnation, replayably.
+// nonce (at least the 1<<20 floor), distinct per boot, and deterministic in
+// (seed, boot count) — every later boot, fresh or restored, lands on a new
+// incarnation, replayably.
 func TestBootNonceSubsequentBoots(t *testing.T) {
 	dir := t.TempDir()
 	nonces := []int64{}
@@ -96,5 +98,24 @@ func TestBootNonceCorruptCount(t *testing.T) {
 func TestBootNonceEmptyDir(t *testing.T) {
 	if _, err := BootNonce("", 42); err == nil {
 		t.Fatal("empty dir accepted")
+	}
+}
+
+// TestBootNonceFailsWhenDirectoryCannotBeOpened: the boot count is durable
+// before its nonce is handed out. A count whose rename the directory fsync
+// did not cover could be lost and repeated, and with it the nonce, so a
+// directory that cannot be opened for that fsync fails the boot.
+func TestBootNonceFailsWhenDirectoryCannotBeOpened(t *testing.T) {
+	dir := t.TempDir()
+	defer func(open func(string) (*os.File, error)) { openDir = open }(openDir)
+	openDir = func(name string) (*os.File, error) {
+		return nil, &os.PathError{Op: "open", Path: name, Err: errors.New("injected failure")}
+	}
+	if n, err := BootNonce(dir, 42); err == nil || !strings.Contains(err.Error(), "injected failure") {
+		t.Fatalf("BootNonce with an unopenable directory = (%d, %v), want the open error", n, err)
+	}
+	openDir = os.Open
+	if _, err := BootNonce(dir, 42); err != nil {
+		t.Fatalf("the next boot, with the directory back: %v", err)
 	}
 }

@@ -85,8 +85,8 @@ type State struct {
 	// Arch is the architecture name (nn.Arch.String()); Restore rejects a
 	// checkpoint whose architecture does not match the booting config.
 	Arch string
-	// Epoch is the incarnation counter of the server that wrote the
-	// checkpoint; restoring boots incarnation Epoch+1, so version numbers
+	// Epoch names the incarnation that wrote the checkpoint. A restore
+	// boots under an epoch of its own, never this one, so version numbers
 	// from the dead instance are never confused with the restored clock's
 	// re-walked ones.
 	Epoch int64
@@ -161,13 +161,12 @@ func NewCheckpointer(dir string, keep int) (*Checkpointer, error) {
 	return c, nil
 }
 
-// openDir opens the checkpoint directory for its fsync; tests swap it to
-// make the open fail.
+// openDir opens a state directory for its fsync; tests swap it to make the
+// open fail.
 var openDir = os.Open
 
-// Save writes st as a new checkpoint file: encode, checksum, write to a
-// temp file, fsync, rename into place, prune old files. It returns the
-// final path.
+// Save writes st as a new checkpoint file: encode, checksum, write it
+// atomically (writeFile), prune old files. It returns the final path.
 func (c *Checkpointer) Save(st *State) (string, error) {
 	if st == nil {
 		return "", fmt.Errorf("persist: nil state")
@@ -180,47 +179,49 @@ func (c *Checkpointer) Save(st *State) (string, error) {
 	defer c.mu.Unlock()
 	name := fmt.Sprintf("ckpt-%d-%d.fleet", st.Version, c.seq)
 	c.seq++
-	final := filepath.Join(c.dir, name)
-
-	tmp, err := os.CreateTemp(c.dir, name+".tmp-*")
-	if err != nil {
-		return "", fmt.Errorf("persist: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { _ = os.Remove(tmpName) }
-	if _, err := tmp.Write(blob); err != nil {
-		_ = tmp.Close()
-		cleanup()
-		return "", fmt.Errorf("persist: write %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		cleanup()
-		return "", fmt.Errorf("persist: sync %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		cleanup()
-		return "", fmt.Errorf("persist: close %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, final); err != nil {
-		cleanup()
-		return "", fmt.Errorf("persist: rename: %w", err)
-	}
-	// Fsync the directory too: the rename is only durable once the
-	// directory entry is — without this, a power loss right after Save
-	// returns could make the checkpoint vanish on reboot. A directory that
-	// cannot be opened is a failed save, not a skipped step.
-	d, err := openDir(c.dir)
-	if err != nil {
-		return "", fmt.Errorf("persist: %w", err)
-	}
-	syncErr := d.Sync()
-	_ = d.Close()
-	if syncErr != nil {
-		return "", fmt.Errorf("persist: sync %s: %w", c.dir, syncErr)
+	if err := writeFile(c.dir, name, blob); err != nil {
+		return "", err
 	}
 	c.pruneLocked()
-	return final, nil
+	return filepath.Join(c.dir, name), nil
+}
+
+// writeFile durably replaces dir/name with data: a temp file in dir is
+// written, fsynced, closed and renamed into place, and then dir itself is
+// fsynced — the rename is only durable once the directory entry is, so
+// without it a power loss right after the write could undo it. A crash
+// mid-write leaves the old file (and at worst a stray temp file), never a
+// torn one. A directory that cannot be opened is a failed write, not a
+// skipped step.
+func writeFile(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, name+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+		return fmt.Errorf("persist: %w", err)
+	}
+	d, err := openDir(dir)
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	err = d.Sync()
+	_ = d.Close()
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	return nil
 }
 
 // pruneLocked removes all but the newest keep checkpoint files (and any

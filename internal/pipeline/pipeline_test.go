@@ -648,3 +648,36 @@ func BenchmarkPipelineWindow(b *testing.B) {
 		})
 	}
 }
+
+// TestRetainedSparseAddAllocatesOnce: a sparse Add into a retained window
+// allocates the dense vector the window keeps and nothing else — Densify's
+// storage is fresh, so it is scaled in place — and still turns the omitted
+// zeros into −0 at a negative scale. A dense Add copies: its Vec is the
+// pusher's.
+func TestRetainedSparseAddAllocatesOnce(t *testing.T) {
+	w, err := NewRetained(robust.CoordinateMedian{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const P = 100_000
+	idx, vals := []int32{3, 500, 99_999}, []float64{1, -2, 4}
+	allocs := testing.AllocsPerRun(100, func() {
+		w.Add(sparse(P, idx, vals, 0.5))
+		w.window = w.window[:0]
+	})
+	if allocs != 1 {
+		t.Fatalf("sparse Add made %v allocations per push, want 1 (the kept vector)", allocs)
+	}
+
+	w.Add(sparse(P, idx, vals, -1))
+	kept := w.window[0]
+	if kept[500] != 2 || !math.Signbit(kept[0]) || kept[0] != 0 {
+		t.Fatalf("sparse Add at scale −1 kept [0]=%v [500]=%v, want −0 and 2", kept[0], kept[500])
+	}
+	vec := []float64{1, 2}
+	w.window = w.window[:0]
+	w.Add(dense(vec, 3))
+	if vec[0] != 1 || vec[1] != 2 || w.window[0][1] != 6 {
+		t.Fatalf("dense Add: pusher's vec now %v, kept %v", vec, w.window[0])
+	}
+}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"fleet/internal/robust"
@@ -162,14 +163,21 @@ func NewRetained(rule robust.Aggregator) (*RetainedWindow, error) {
 // Name implements WindowAggregator.
 func (w *RetainedWindow) Name() string { return w.rule.Name() }
 
-// Add implements WindowAggregator: a sparse g is densified first, and the
-// scaled copy of every coordinate is appended under the window lock. (The
-// scale must reach the zeros too: a negative scale turns them into −0.)
+// Add implements WindowAggregator: every coordinate of g is scaled into a
+// dense vector the window keeps, appended under the window lock. A sparse g
+// is densified into fresh storage, which is scaled in place; a dense g's
+// Vec is the pusher's, so it is copied first. (The scale must reach the
+// zeros too: a negative scale turns them into −0.)
 func (w *RetainedWindow) Add(g *Gradient) {
-	g.Densify()
-	scaled := make([]float64, len(g.Vec))
-	for i, v := range g.Vec {
-		scaled[i] = g.Scale * v
+	var scaled []float64
+	if g.Indices == nil {
+		scaled = slices.Clone(g.Vec)
+	} else {
+		g.Densify()
+		scaled = g.Vec
+	}
+	for i := range scaled {
+		scaled[i] *= g.Scale
 	}
 	w.mu.Lock()
 	w.window = append(w.window, scaled)

@@ -29,9 +29,9 @@ type TaskRequest struct {
 	KnownVersion int  `json:"known_version,omitempty"`
 	WantDelta    bool `json:"want_delta,omitempty"`
 	// KnownEpoch is the server incarnation the cached model came from
-	// (TaskResponse.ServerEpoch, echoed back). A restarted server bumps
-	// its epoch, so version numbers from different incarnations are never
-	// confused: a delta request whose epoch does not match the server's
+	// (TaskResponse.ServerEpoch, echoed back). Every boot of a server's
+	// state directory runs under its own epoch, so version numbers from
+	// different incarnations are never confused: a delta request whose epoch does not match the server's
 	// falls back to a full pull — patching a new-incarnation delta onto an
 	// old-incarnation base would silently corrupt the cache, since the
 	// same version number names different parameters across a restore.
@@ -60,11 +60,14 @@ type TaskResponse struct {
 	// empty on delta responses.
 	ParamsDelta *compress.Sparse `json:"params_delta,omitempty"`
 	DeltaBase   int              `json:"delta_base,omitempty"`
-	// ServerEpoch is the server's incarnation counter: 0 for a fresh
-	// boot, incremented by every checkpoint restore. Clients echo it in
-	// GradientPush.ModelEpoch and TaskRequest.KnownEpoch so the server
-	// can tell state learned from a previous incarnation apart from its
-	// own — the versioned protocol's crash-recovery dimension.
+	// ServerEpoch names the server's incarnation: 0 for the first boot
+	// of a state directory (or a server with none), a nonce drawn from
+	// the directory's boot count on every later boot, fresh or restored.
+	// It is a name, not a counter: epochs are compared for equality
+	// only. Clients echo it in GradientPush.ModelEpoch and
+	// TaskRequest.KnownEpoch so the server can tell state learned from a
+	// previous incarnation apart from its own — the versioned protocol's
+	// crash-recovery dimension.
 	ServerEpoch int64 `json:"server_epoch,omitempty"`
 }
 
@@ -81,12 +84,12 @@ type GradientPush struct {
 	// computed on parameters a restored server cannot reason about — and
 	// the worker resyncs with a full re-pull.
 	//
-	// Compatibility: pre-epoch clients always send 0, which matches fresh
-	// servers (epoch 0) but is permanently rejected by a restored server
-	// (epoch >= 1) — accepting it would reintroduce the silent version-
-	// number collision this field exists to prevent. Such clients must be
-	// restarted after a server restore; epoch-aware clients recover on
-	// their own.
+	// Compatibility: pre-epoch clients always send 0, which matches a
+	// state directory's first boot (epoch 0) but is rejected by every
+	// later boot of it (a nonzero nonce) — accepting it would reintroduce
+	// the silent version-number collision this field exists to prevent.
+	// Such clients must be restarted after a server restart; epoch-aware
+	// clients recover on their own.
 	ModelVersion int       `json:"model_version"`
 	ModelEpoch   int64     `json:"model_epoch,omitempty"`
 	Gradient     []float64 `json:"gradient,omitempty"`
@@ -197,8 +200,8 @@ type Stats struct {
 	Checkpoints      int `json:"checkpoints,omitempty"`
 	CheckpointErrors int `json:"checkpoint_errors,omitempty"`
 	RestoredVersion  int `json:"restored_version,omitempty"`
-	// ServerEpoch is the incarnation counter (restores since the state
-	// was first created).
+	// ServerEpoch is the incarnation's name (TaskResponse.ServerEpoch),
+	// not a count of restores.
 	ServerEpoch int64 `json:"server_epoch,omitempty"`
 	// LeafGradients counts the individual worker gradients behind
 	// GradientsIn: an aggregated push from an edge tier contributes its

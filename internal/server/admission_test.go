@@ -560,7 +560,7 @@ func TestPublishedDeltasMatchDiff(t *testing.T) {
 		pushN(t, donor, 6)
 		params, version := donor.Model()
 		s, err := Restore(Config{
-			Arch: nn.ArchSoftmaxMNIST, Algorithm: learning.SSGD{}, LearningRate: 0.1, K: 2, DeltaHistory: depth,
+			Arch: nn.ArchSoftmaxMNIST, Algorithm: learning.SSGD{}, LearningRate: 0.1, K: 2, DeltaHistory: depth, BootEpoch: 1,
 		}, &persist.State{Arch: nn.ArchSoftmaxMNIST.String(), Version: version, Params: params})
 		if err != nil {
 			t.Fatal(err)
@@ -700,7 +700,7 @@ func TestPublishedStepsMatchDiff(t *testing.T) {
 	}
 	params[4], params[5] = 0, math.Copysign(0, -1)
 	s, err := Restore(Config{
-		Arch: nn.ArchSoftmaxMNIST, Algorithm: learning.SSGD{}, LearningRate: 0.1, K: 2, DeltaHistory: 2,
+		Arch: nn.ArchSoftmaxMNIST, Algorithm: learning.SSGD{}, LearningRate: 0.1, K: 2, DeltaHistory: 2, BootEpoch: 1,
 	}, &persist.State{Arch: nn.ArchSoftmaxMNIST.String(), Version: 1, Params: params})
 	if err != nil {
 		t.Fatal(err)

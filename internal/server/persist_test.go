@@ -87,8 +87,13 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	cfg2 := Config{
 		Arch: nn.ArchSoftmaxMNIST, Algorithm: algo2, LearningRate: 0.1,
 		TimeProfiler: prof2, Checkpointer: ckpt, Seed: 999, // seed must not matter: params come from the checkpoint
+		BootEpoch: 1,
 	}
-	r, err := RestoreLatest(cfg2, dir)
+	st, _, err := persist.LoadLatest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(cfg2, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +227,12 @@ func TestRestoreValidation(t *testing.T) {
 			Arch:         nn.ArchSoftmaxMNIST,
 			Algorithm:    learning.NewAdaSGD(learning.AdaSGDConfig{NonStragglerPct: 99.7, BootstrapSteps: 2}),
 			LearningRate: 0.1,
+			BootEpoch:    1, // not the states' epoch 0: each case fails on its own check
 		}
 	}
 
 	t.Run("empty dir", func(t *testing.T) {
-		if _, err := RestoreLatest(cfg(), t.TempDir()); !errors.Is(err, persist.ErrNoCheckpoint) {
+		if _, _, err := persist.LoadLatest(t.TempDir()); !errors.Is(err, persist.ErrNoCheckpoint) {
 			t.Fatalf("err = %v, want ErrNoCheckpoint", err)
 		}
 	})
@@ -271,7 +277,7 @@ func TestRestoreValidation(t *testing.T) {
 		}
 		truncate(t, path, 20)
 		var ce *persist.CorruptError
-		if _, err := RestoreLatest(cfg(), dir); !errors.As(err, &ce) {
+		if _, _, err := persist.LoadLatest(dir); !errors.As(err, &ce) {
 			t.Fatalf("err = %v, want *persist.CorruptError", err)
 		}
 	})
@@ -284,6 +290,24 @@ func TestRestoreValidation(t *testing.T) {
 		})
 		if !protocol.IsCode(err, protocol.CodeInvalidArgument) {
 			t.Fatalf("err = %v", err)
+		}
+	})
+
+	t.Run("boot epoch of the checkpoint", func(t *testing.T) {
+		n := nn.ArchSoftmaxMNIST.Build(simrand.New(1)).ParamCount()
+		for _, tc := range []struct{ boot, ckpt int64 }{{7, 7}, {0, 0}, {-3, 0}} {
+			c := cfg()
+			c.BootEpoch = tc.boot
+			_, err := Restore(c, &persist.State{Arch: "softmax-mnist", Epoch: tc.ckpt, Version: 1, Params: make([]float64, n)})
+			if !protocol.IsCode(err, protocol.CodeInvalidArgument) {
+				t.Errorf("BootEpoch %d over a checkpoint of epoch %d: err = %v, want invalid_argument", tc.boot, tc.ckpt, err)
+			}
+		}
+		c := cfg()
+		c.BootEpoch = 7
+		s, err := Restore(c, &persist.State{Arch: "softmax-mnist", Epoch: 3, Version: 1, Params: make([]float64, n)})
+		if err != nil || s.Epoch() != 7 {
+			t.Fatalf("restore at BootEpoch 7 over epoch 3 = (%v, %v), want epoch 7", s, err)
 		}
 	})
 }

@@ -100,8 +100,7 @@ type Config struct {
 	// state (model, logical clock, AdaSGD staleness history, LD_global,
 	// I-Prof models) is written as atomic, checksummed checkpoint files
 	// (internal/persist) every CheckpointEvery windows and on explicit
-	// Checkpoint calls (graceful shutdown). Boot from one with Restore /
-	// RestoreLatest.
+	// Checkpoint calls (graceful shutdown). Boot from one with Restore.
 	Checkpointer *persist.Checkpointer
 	// CheckpointEvery is the periodic cadence in aggregation windows
 	// (model updates): every N-th drain schedules a checkpoint. 0
@@ -115,13 +114,13 @@ type Config struct {
 	CheckpointEvery int
 	// Seed initializes the global model.
 	Seed int64
-	// BootEpoch, when positive, is the incarnation epoch a freshly built
-	// server starts at instead of 0. cmd/fleet-server derives it from a
-	// persisted boot count (persist.BootNonce) so even a checkpoint-less
-	// restart — -checkpoint-recover=fresh, or no checkpoint directory at
-	// all — bumps the incarnation and forces live workers to resync,
-	// instead of colliding with epoch 0 cached from the dead instance.
-	// Ignored by Restore (the checkpoint's epoch + 1 wins).
+	// BootEpoch names this incarnation (0 when negative): a pulled
+	// (version, epoch) pair names one parameter vector only while no two
+	// instances serving the same clock share an epoch. node derives it
+	// from the state directory's persisted boot count (persist.BootNonce)
+	// on every boot, fresh or restored, so each boot of a directory has
+	// its own and live workers of the dead instance resync. Restore
+	// refuses the checkpoint's own epoch.
 	BootEpoch int64
 }
 
@@ -151,20 +150,12 @@ type Server struct {
 	snapHook atomic.Pointer[func(protocol.ModelAnnounce)]
 
 	// restoredVersion is the logical clock the server booted from (0 on a
-	// fresh boot); epoch is the incarnation counter (Config.BootEpoch on
-	// a fresh boot — 0 unless a boot nonce is wired in — and the
-	// checkpoint's epoch + 1 after a restore). The epoch travels the wire
-	// so version numbers from different incarnations are never confused:
-	// a restored clock re-walks versions the dead instance already handed
-	// out, with different parameters behind them. Both immutable after
-	// New/Restore.
-	//
-	// Checkpoint-less restarts are covered too: cmd/fleet-server persists
-	// a seed-derived boot count (persist.BootNonce) and passes the nonce
-	// as BootEpoch, so a -recover=fresh boot still forces worker resync
-	// instead of colliding with epoch 0 cached from the dead instance.
-	// (The nonce is deterministic per (seed, boot count), keeping the
-	// harness's bit-for-bit replay intact.)
+	// fresh boot); epoch is the incarnation's name, Config.BootEpoch. The
+	// epoch travels the wire so version numbers from different
+	// incarnations are never confused: a restored or fresh clock re-walks
+	// versions the dead instance already handed out, with different
+	// parameters behind them. Epochs are compared for equality only; they
+	// have no order. Both immutable after New/Restore.
 	restoredVersion int
 	epoch           int64
 	// ckptMu serializes checkpoint writes; the counters are atomic so
@@ -380,21 +371,29 @@ func (s *Server) captureState(snap *ingest.Lease, tally ingest.Tally) *persist.S
 
 // saveState persists one captured state and releases the lease on its
 // Params; failures are counted (Stats.CheckpointErrors), never propagated
-// onto the push path. A state older than what is already durable is dropped:
-// written, it would be the newest checkpoint and roll a restore backwards.
+// onto the push path.
 func (s *Server) saveState(st *persist.State, snap *ingest.Lease) {
 	defer snap.Release()
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
+	_, _ = s.saveLocked(st)
+}
+
+// saveLocked is the one checkpoint write; callers hold ckptMu. A state
+// older than what is already durable is dropped ("" and no error): written,
+// it would be the newest checkpoint and roll a restore backwards.
+func (s *Server) saveLocked(st *persist.State) (string, error) {
 	if st.Version < s.ckptVersion {
-		return
+		return "", nil
 	}
-	if _, err := s.cfg.Checkpointer.Save(st); err != nil {
+	path, err := s.cfg.Checkpointer.Save(st)
+	if err != nil {
 		s.ckptErrors.Add(1)
-		return
+		return "", err
 	}
 	s.ckptVersion = st.Version
 	s.checkpoints.Add(1)
+	return path, nil
 }
 
 // Checkpoint writes a durable snapshot of the current state now — the
@@ -413,14 +412,7 @@ func (s *Server) Checkpoint() (string, error) {
 	defer s.ckptMu.Unlock()
 	snap, tally := s.core.Cut()
 	defer snap.Release()
-	path, err := s.cfg.Checkpointer.Save(s.captureState(snap, tally))
-	if err != nil {
-		s.ckptErrors.Add(1)
-		return "", err
-	}
-	s.ckptVersion = snap.Version
-	s.checkpoints.Add(1)
-	return path, nil
+	return s.saveLocked(s.captureState(snap, tally))
 }
 
 // Restore builds a server whose learned state comes from a checkpoint
@@ -434,7 +426,9 @@ func (s *Server) Checkpoint() (string, error) {
 //
 // Validation is strict and structured: an architecture or parameter-count
 // mismatch against cfg.Arch fails with invalid_argument rather than booting
-// a silently wrong model.
+// a silently wrong model, and so does a cfg.BootEpoch equal to the
+// checkpoint's Epoch, which would let the dead instance's cached versions
+// pass for this one's.
 func Restore(cfg Config, st *persist.State) (*Server, error) {
 	if st == nil {
 		return nil, protocol.Errorf(protocol.CodeInvalidArgument, "server: Restore with nil state")
@@ -455,6 +449,13 @@ func Restore(cfg Config, st *persist.State) (*Server, error) {
 		return nil, protocol.Errorf(protocol.CodeInvalidArgument,
 			"server: checkpoint has negative version %d", st.Version)
 	}
+	// A new incarnation: pushes and delta requests carrying the dead
+	// instance's epoch must be detected, not patched onto the re-walked
+	// version stream.
+	if s.epoch == st.Epoch {
+		return nil, protocol.Errorf(protocol.CodeInvalidArgument,
+			"server: BootEpoch %d is the checkpoint's own epoch; a restore boots a new incarnation", st.Epoch)
+	}
 	s.model.SetParams(st.Params)
 	s.core.Restore(ingest.Tally{
 		GradientsIn:   st.GradientsIn,
@@ -462,9 +463,6 @@ func Restore(cfg Config, st *persist.State) (*Server, error) {
 		StaleSum:      st.StaleSum,
 	}, st.TasksServed, st.TasksDropped)
 	s.restoredVersion = st.Version
-	// A new incarnation: pushes and delta requests carrying the old epoch
-	// are detected instead of colliding with our re-walked version stream.
-	s.epoch = st.Epoch + 1
 	s.core.Boot(st.Version, s.epoch, s.model.ParamVector())
 	if st.AdaSGD != nil {
 		if a, ok := s.cfg.Algorithm.(*learning.AdaSGD); ok {
@@ -489,25 +487,11 @@ func Restore(cfg Config, st *persist.State) (*Server, error) {
 	return s, nil
 }
 
-// RestoreLatest boots from the newest valid checkpoint in dir — what
-// fleet-server -checkpoint-dir does on startup. The error is structured:
-// persist.ErrNoCheckpoint for an empty directory (callers explicitly
-// allowing fresh boots test for it), a *persist.CorruptError when files
-// exist but none loads.
-func RestoreLatest(cfg Config, dir string) (*Server, error) {
-	st, _, err := persist.LoadLatest(dir)
-	if err != nil {
-		return nil, err
-	}
-	return Restore(cfg, st)
-}
-
 // RestoredVersion returns the logical clock the server booted from: 0 for
 // a fresh boot, the checkpoint's version after Restore.
 func (s *Server) RestoredVersion() int { return s.restoredVersion }
 
-// Epoch returns the server's incarnation counter: 0 for a fresh boot,
-// incremented by every checkpoint restore.
+// Epoch returns the server's incarnation name, Config.BootEpoch.
 func (s *Server) Epoch() int64 { return s.epoch }
 
 // Stats returns a diagnostic snapshot: the ingest core's (model clock,

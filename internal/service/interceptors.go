@@ -96,7 +96,7 @@ func (l *limiter) allow(workerID int, now time.Time) bool {
 		l.buckets[workerID] = b
 	}
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * l.perSec
+		b.tokens += float64(dt * l.perSec)
 		if b.tokens > l.burst {
 			b.tokens = l.burst
 		}

@@ -178,14 +178,15 @@ func (c *Client) TakeAnnounces() []protocol.ModelAnnounce {
 }
 
 // WaitAnnounced blocks until the announced model clock reaches (epoch,
-// version) — same epoch at that version or beyond, or any later epoch — or
-// ctx expires. The load harness uses it as a determinism fence: a push
+// version) — that epoch at that version or beyond — or ctx expires. Epochs
+// name incarnations and have no order, so another epoch's clock never
+// satisfies it. The load harness uses it as a determinism fence: a push
 // that minted version v has broadcast v before acking, so waiting for v
 // makes announce delivery part of the deterministic event order.
 func (c *Client) WaitAnnounced(ctx context.Context, epoch int64, version int) error {
 	for {
 		c.annMu.Lock()
-		reached := c.annSeen && (c.annEpoch > epoch || (c.annEpoch == epoch && c.annVer >= version))
+		reached := c.annSeen && c.annEpoch == epoch && c.annVer >= version
 		ch := c.notifyLocked()
 		c.annMu.Unlock()
 		if reached {
@@ -234,11 +235,13 @@ func (c *Client) noteAnnounce(ann protocol.ModelAnnounce) {
 }
 
 // noteFloor records the session-setup model clock from the welcome frame:
-// the subscriber will only be announced versions beyond it.
+// the subscriber will only be announced versions beyond it. A welcome the
+// current clock already covers (same epoch, no newer version) is ignored;
+// one from another epoch always replaces it.
 func (c *Client) noteFloor(version int, epoch int64) {
 	c.annMu.Lock()
 	defer c.annMu.Unlock()
-	if c.annSeen && (epoch < c.annEpoch || (epoch == c.annEpoch && version <= c.annVer)) {
+	if c.annSeen && epoch == c.annEpoch && version <= c.annVer {
 		return
 	}
 	c.annRun = c.annRun[:0]

@@ -372,6 +372,61 @@ func TestShutdownGoAwayReconnect(t *testing.T) {
 	}
 }
 
+// TestRedialToSmallerEpochIsTracked: epochs name incarnations and have no
+// order. A subscribed client whose server is replaced by one booted at a
+// numerically smaller epoch takes the new incarnation's clock from the
+// welcome, and a wait for a version that incarnation has not announced
+// keeps waiting instead of counting the old epoch's clock as later.
+func TestRedialToSmallerEpochIsTracked(t *testing.T) {
+	ctx := context.Background()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ss := NewServer(newCore(t, server.Config{BootEpoch: 1 << 40}), Options{})
+	go func() { _ = ss.Serve(ln) }()
+	c := &Client{Addr: addr, WorkerID: 1, Subscribe: true}
+	defer func() { _ = c.Close() }()
+	if _, err := c.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	if err := ss.Shutdown(sctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	const small = 7
+	ln2, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss2 := NewServer(newCore(t, server.Config{BootEpoch: small}), Options{})
+	go func() { _ = ss2.Serve(ln2) }()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = ss2.Shutdown(ctx)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); c.Dials() < 2; time.Sleep(10 * time.Millisecond) {
+		if _, err := c.Stats(ctx); err != nil && time.Now().After(deadline) {
+			t.Fatalf("no redial to the replacement: %v", err)
+		}
+	}
+
+	wctx, cancel2 := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel2()
+	if err := c.WaitAnnounced(wctx, small, 0); err != nil {
+		t.Fatalf("the replacement's welcome clock (epoch %d, v0) was not taken: %v", small, err)
+	}
+	wctx, cancel3 := context.WithTimeout(ctx, 100*time.Millisecond)
+	defer cancel3()
+	if err := c.WaitAnnounced(wctx, small, 1000); !protocol.IsCode(err, protocol.CodeDeadlineExceeded) {
+		t.Fatalf("WaitAnnounced(epoch %d, v1000) before any announce = %v, want the context's deadline", small, err)
+	}
+}
+
 // TestIdleTimeoutAndHeartbeat: a silent session is reaped by the server's
 // idle timeout; a heartbeating one survives.
 func TestIdleTimeoutAndHeartbeat(t *testing.T) {
@@ -565,7 +620,13 @@ func TestResyncOverStream(t *testing.T) {
 		t.Fatalf("pull: %v %+v", err, resp)
 	}
 	prep := w.Compute(resp)
-	b, err := server.RestoreLatest(mkCfg(), dir)
+	st, _, err := persist.LoadLatest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := mkCfg()
+	restored.BootEpoch = 1 // the successor's own epoch, not the dead instance's 0
+	b, err := server.Restore(restored, st)
 	if err != nil {
 		t.Fatal(err)
 	}

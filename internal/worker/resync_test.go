@@ -63,7 +63,13 @@ func TestResyncAfterServerRestart(t *testing.T) {
 	}
 	prep := w.Compute(resp)
 
-	b, err := server.RestoreLatest(mkCfg(), dir) // restored at version 2
+	st, _, err := persist.LoadLatest(dir) // the version-2 checkpoint
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := mkCfg()
+	restored.BootEpoch = 1 // the successor's own epoch, not the dead instance's 0
+	b, err := server.Restore(restored, st)
 	if err != nil {
 		t.Fatal(err)
 	}
