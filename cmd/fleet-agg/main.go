@@ -76,11 +76,11 @@ func buildAgg(args []string, stderr io.Writer) (*node.Runtime, error) {
 	fs.StringVar(&spec.Bind.Addr, "addr", ":8090", "leaf-facing HTTP listen address")
 	fs.StringVar(&spec.Bind.Transport, "transport", "http", `leaf-facing transports: "http", "stream" or "both"`)
 	fs.StringVar(&spec.Bind.StreamAddr, "stream-addr", ":8091", "leaf-facing stream listen address (with -transport stream|both)")
-	fs.StringVar(&spec.Arch, "arch", "tiny-mnist", "model architecture (must match the upstream's)")
+	fs.StringVar(&spec.Arch, "arch", "", "model architecture, which must match the upstream's (empty: tiny-mnist)")
 	fs.IntVar(&spec.K, "k", 4, "leaf gradients aggregated per upstream push (the edge window)")
-	fs.Float64Var(&spec.NonStragglerPct, "s-pct", 99.7, "AdaSGD non-straggler percentage for the local staleness stage")
-	fs.StringVar(&spec.Stages, "stages", "staleness", "comma-separated local update-pipeline stage specs")
-	fs.StringVar(&spec.Aggregator, "aggregator", "mean", "local window-aggregation rule spec (mean, median, trimmed(b), krum(f))")
+	fs.Float64Var(&spec.NonStragglerPct, "s-pct", 0, "AdaSGD non-straggler percentage for the local staleness stage (0: 99.7)")
+	fs.StringVar(&spec.Stages, "stages", "", "comma-separated local update-pipeline stage specs (empty: staleness)")
+	fs.StringVar(&spec.Aggregator, "aggregator", "", "local window-aggregation rule spec (mean, median, trimmed(b), krum(f)); empty: mean")
 	fs.StringVar(&spec.Admission, "admission", "", "local admission-policy chain spec (e.g. min-batch(5),similarity(0.9)); empty admits everything")
 	fs.IntVar(&spec.DefaultBatchSize, "batch-size", 100, "mini-batch size served to admitted leaf tasks")
 	fs.IntVar(&spec.DeltaHistory, "delta-history", 4, "upstream versions retained as sparse deltas for version-aware leaf pulls (negative disables)")

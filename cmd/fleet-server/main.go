@@ -45,8 +45,9 @@
 // Multi-tenant mode: -tenants names a JSON file declaring the fleet, an
 // array with one object per tenant keyed as tenant.Config's JSON tags (an
 // unknown key is refused, naming it), checked whole before any unit boots.
-// Each tenant keeps its checkpoints under <checkpoint-dir>/<name>, and
-// -mint-token prints a worker's bearer token from the same file:
+// Each tenant keeps its checkpoints under <checkpoint-dir>/<name> and boots
+// by the rule above, and -mint-token prints a worker's bearer token from
+// the same file:
 //
 //	fleet-server -tenants tenants.json -default-tenant analytics
 //	fleet-server -tenants tenants.json -mint-token ads:7
@@ -129,18 +130,18 @@ func buildServer(args []string, stderr io.Writer) (rt *node.Runtime, printOnly s
 	fs.SetOutput(stderr)
 	spec := node.Spec{Role: node.RoleRoot, Name: "fleet-server"}
 	fs.StringVar(&spec.Bind.Addr, "addr", ":8080", "listen address")
-	fs.StringVar(&spec.Arch, "arch", "tiny-mnist", "model architecture")
-	fs.Float64Var(&spec.LearningRate, "lr", 0.03, "learning rate")
+	fs.StringVar(&spec.Arch, "arch", "", "model architecture (empty: tiny-mnist)")
+	fs.Float64Var(&spec.LearningRate, "lr", 0, "learning rate (0: 0.03)")
 	fs.IntVar(&spec.K, "k", 1, "gradients aggregated per model update")
-	fs.Float64Var(&spec.NonStragglerPct, "s-pct", 99.7, "AdaSGD non-straggler percentage")
+	fs.Float64Var(&spec.NonStragglerPct, "s-pct", 0, "AdaSGD non-straggler percentage (0: 99.7)")
 	fs.Float64Var(&spec.TimeSLO, "time-slo", 3.0, "computation-time SLO in seconds (0 disables)")
 	fs.Float64Var(&spec.EnergySLO, "energy-slo", 0, "energy SLO in %battery (0 disables)")
 	fs.IntVar(&spec.MinBatch, "min-batch", 0, "controller mini-batch size threshold (0 disables); spells min-batch(n) when -admission is empty")
 	fs.Float64Var(&spec.MaxSimilarity, "max-similarity", 0, "controller similarity threshold (0 disables); spells similarity(max) when -admission is empty")
 	fs.StringVar(&spec.Admission, "admission", "", "admission-policy chain spec (e.g. iprof-time(3),min-batch(5),similarity(0.9)); empty synthesizes the chain from -time-slo/-energy-slo/-min-batch/-max-similarity")
 	fs.Int64Var(&spec.Seed, "seed", 1, "model initialization seed")
-	fs.StringVar(&spec.Stages, "stages", "staleness", "comma-separated update-pipeline stage specs (e.g. staleness,norm-filter(100),dp(1,0.5))")
-	fs.StringVar(&spec.Aggregator, "aggregator", "mean", "window-aggregation rule spec (mean, median, trimmed(b), krum(f))")
+	fs.StringVar(&spec.Stages, "stages", "", "comma-separated update-pipeline stage specs (e.g. staleness,norm-filter(100),dp(1,0.5)); empty: staleness")
+	fs.StringVar(&spec.Aggregator, "aggregator", "", "window-aggregation rule spec (mean, median, trimmed(b), krum(f)); empty: mean")
 	fs.Float64Var(&spec.RateLimit, "rate-limit", 0, "per-worker request rate limit in req/s (0 disables)")
 	fs.IntVar(&spec.RateBurst, "rate-burst", 10, "per-worker rate-limit burst")
 	fs.DurationVar(&spec.Deadline, "deadline", 0, "per-request server-side deadline (0 disables)")
@@ -153,7 +154,7 @@ func buildServer(args []string, stderr io.Writer) (rt *node.Runtime, printOnly s
 	fs.StringVar(&spec.Checkpoint.NonceDir, "boot-nonce-dir", "", "directory persisting the boot counter every boot, fresh or restored, draws its incarnation epoch from (default: -checkpoint-dir; empty with no -checkpoint-dir: every boot is epoch 0)")
 	fs.IntVar(&spec.Checkpoint.Every, "checkpoint-every", 8, "periodic checkpoint cadence in aggregation windows (0: only at graceful shutdown)")
 	fs.IntVar(&spec.Checkpoint.Keep, "checkpoint-keep", 3, "checkpoint files retained in -checkpoint-dir")
-	fs.StringVar(&spec.Checkpoint.Recover, "checkpoint-recover", "latest", `startup policy with -checkpoint-dir: "latest" restores the newest valid checkpoint and refuses to boot without one; "fresh" additionally allows initializing a new model when the directory holds no checkpoint at all (corruption still refuses). Tenant units (-tenants) always boot "fresh if empty" under <dir>/<name>, whatever this says`)
+	fs.StringVar(&spec.Checkpoint.Recover, "checkpoint-recover", "latest", `startup policy with -checkpoint-dir: "latest" restores the newest valid checkpoint and refuses to boot without one; "fresh" additionally allows initializing a new model when the directory holds no checkpoint at all (corruption still refuses). With -tenants it applies to every unit's <dir>/<name>`)
 
 	tenantsFile := fs.String("tenants", "", "JSON file declaring the tenant fleet (an array of tenant configs, unknown keys refused); switches the server to multi-tenant mode")
 	fs.StringVar(&spec.DefaultTenant, "default-tenant", "", "tenant that un-tenanted routes alias to (default: the first declared tenant); needs -tenants")

@@ -592,6 +592,8 @@ func TestRefusedTenantsWriteNothing(t *testing.T) {
 		{decl: `[{"name":"a"}]`, extra: []string{"-default-tenant", "ghost"}, want: `default tenant "ghost"`},
 		{decl: `[{"name":"ads","secert":"s3cr3t","max_worker":5}]`, want: `unknown field "secert"`},
 		{extra: []string{"-checkpoint-recover", "fresh", "-default-tenant", "ghost"}, want: "DefaultTenant"}, // no -tenants at all
+		{decl: `[{"name":"a"}]`, extra: []string{"-checkpoint-recover", "bogus"}, want: `unknown -checkpoint-recover "bogus"`},
+		{decl: `[{"name":"a"},{"name":"b","learning_rate":-1}]`, extra: []string{"-checkpoint-recover", "fresh"}, want: "LearningRate -1 must not be negative"},
 	} {
 		dir := t.TempDir()
 		args := []string{"-time-slo", "0", "-checkpoint-dir", dir}
@@ -611,9 +613,11 @@ func TestRefusedTenantsWriteNothing(t *testing.T) {
 	}
 }
 
-// TestReadmeTenantsExample boots README's multi-tenancy example and mints
-// the token it mints, so the example cannot rot: the -tenants file between
-// its two marker comments is compiled by buildServer exactly as written.
+// TestReadmeTenantsExample boots README's multi-tenancy example as
+// written and mints the token it mints, so the example cannot rot: the
+// -tenants file between its two marker comments and the fleet-server
+// command after them are compiled by buildServer, with the file's and the
+// checkpoint directory's paths put in place.
 func TestReadmeTenantsExample(t *testing.T) {
 	const readme, begin, end = "../../README.md", "<!-- tenants:begin -->\n```json\n", "```\n<!-- tenants:end -->"
 	doc, err := os.ReadFile(readme)
@@ -626,7 +630,25 @@ func TestReadmeTenantsExample(t *testing.T) {
 		t.Fatalf("%s lacks the %q … %q block", readme, begin, end)
 	}
 	fleet := writeTenants(t, string(doc[from+len(begin):to]))
-	rt := build(t, "-tenants", fleet, "-checkpoint-dir", t.TempDir())
+	_, command, ok := strings.Cut(string(doc[to:]), "\nfleet-server ")
+	if !ok {
+		t.Fatalf("%s has no fleet-server command after the tenants block", readme)
+	}
+	command, _, _ = strings.Cut(command, "\n\n")
+	var args []string
+	for _, line := range strings.Split(command, "\n") {
+		line, _, _ = strings.Cut(line, "#")
+		for _, f := range strings.Fields(strings.TrimSuffix(strings.TrimSpace(line), "\\")) {
+			switch f {
+			case "tenants.json":
+				f = fleet
+			case "/var/lib/fleet":
+				f = t.TempDir()
+			}
+			args = append(args, f)
+		}
+	}
+	rt := build(t, args...)
 	defer func() { _ = rt.Close() }()
 	if !strings.Contains(rt.Assembly().Banner, "tenants: analytics, ads") {
 		t.Fatalf("banner %q does not serve README's two tenants", rt.Assembly().Banner)
@@ -678,6 +700,34 @@ func TestBootNonceBumpsEpochOnCheckpointLessRestarts(t *testing.T) {
 	}
 	if e := epochOf(t, fresh); e == 0 {
 		t.Fatal("-checkpoint-recover=fresh restart on an empty dir reused epoch 0")
+	}
+
+	// A -tenants deployment with only a nonce directory: every unit draws
+	// its epoch from its own count under <nonce-dir>/<name>.
+	unitEpochs := func(args []string) []int64 {
+		rt := build(t, args...)
+		defer func() { _ = rt.Close() }()
+		var epochs []int64
+		for _, c := range rt.Assembly().Children {
+			epochs = append(epochs, c.Server.Epoch())
+		}
+		return epochs
+	}
+	nd := filepath.Join(t.TempDir(), "nd")
+	units := []string{"-time-slo", "0", "-boot-nonce-dir", nd,
+		"-tenants", writeTenants(t, `[{"name":"a","arch":"softmax-mnist"},{"name":"b","arch":"softmax-mnist"}]`)}
+	if e := unitEpochs(units); !reflect.DeepEqual(e, []int64{0, 0}) {
+		t.Fatalf("first -tenants boot epochs = %v, want [0 0]", e)
+	}
+	for i, e := range unitEpochs(units) {
+		if e == 0 {
+			t.Fatalf("unit %d restarted at epoch 0 with -boot-nonce-dir set", i)
+		}
+	}
+	for _, name := range []string{"a", "b"} {
+		if _, err := os.Stat(filepath.Join(nd, name, "boot-count")); err != nil {
+			t.Fatalf("no boot count for unit %s under the nonce directory: %v", name, err)
+		}
 	}
 
 	// Without either directory there is nothing to persist a count in:

@@ -130,7 +130,7 @@ func ExponentialDampening(staleness int, tauThres float64) float64 {
 		// Degenerate threshold: every positive staleness is a straggler.
 		return math.Exp(-float64(staleness))
 	}
-	beta := 2 * math.Log(tauThres/2+1) / tauThres
+	beta := 2 * math.Log(float64(tauThres/2)+1) / tauThres
 	return math.Exp(-beta * float64(staleness))
 }
 

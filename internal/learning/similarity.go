@@ -106,7 +106,7 @@ func (l *LabelTracker) RecordWeighted(localCounts []int, weight float64) {
 		if i >= len(next.counts) {
 			break
 		}
-		d := float64(c) * weight
+		d := float64(float64(c) * weight)
 		next.counts[i] += d
 		next.total += d
 	}

@@ -577,8 +577,6 @@ func (rn *run) buildEdges() error {
 			Role:         node.RoleEdge,
 			Arch:         sc.Server.Arch,
 			K:            sc.Tree.FanIn,
-			Stages:       "staleness",
-			Aggregator:   "mean",
 			DeltaHistory: sc.Server.DeltaHistory,
 			ID:           treeEdgeIDBase + e,
 			Upstream:     node.UpstreamSpec{Service: &rn.swap},

@@ -35,18 +35,9 @@ func FromSpec(s Spec) (*Runtime, error) {
 	if err := validateTransport(s.Bind.Transport); err != nil {
 		return nil, err
 	}
-	if err := negativeKnob(s); err != nil {
+	s, err := resolve(s)
+	if err != nil {
 		return nil, err
-	}
-	var err error
-	if s.NonStragglerPct, err = nonStragglerPct(s.NonStragglerPct); err != nil {
-		return nil, err
-	}
-	s.Tenants = append([]tenant.Config(nil), s.Tenants...) // resolved below; the caller's stay untouched
-	for i := range s.Tenants {
-		if s.Tenants[i].NonStragglerPct, err = nonStragglerPct(s.Tenants[i].NonStragglerPct); err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", s.Tenants[i].Name, err)
-		}
 	}
 	switch s.Role {
 	case RoleRoot, "":
@@ -58,31 +49,42 @@ func FromSpec(s Spec) (*Runtime, error) {
 	}
 }
 
-// nonStragglerPct resolves AdaSGD's s-percentile for every role: unset
-// means the paper's 99.7, and a value outside (0, 100] — which
-// learning.NewAdaSGD treats as a programming error and panics on — is a
-// configuration error here.
-func nonStragglerPct(pct float64) (float64, error) {
-	if pct == 0 {
-		return 99.7, nil
+// resolve is the one check every Spec passes before anything is built —
+// a root's, an edge's and each tenant unit's alike. It fills the defaults
+// (tiny-mnist at learning rate 0.03, a staleness stage into a mean window,
+// the paper's s-percentile 99.7) and refuses a negative knob, an
+// s-percentile outside (0, 100] (learning.NewAdaSGD would panic on it) and
+// an unknown recovery policy.
+func resolve(s Spec) (Spec, error) {
+	s.Arch = cmp.Or(s.Arch, "tiny-mnist")
+	s.LearningRate = cmp.Or(s.LearningRate, 0.03)
+	s.Stages = cmp.Or(s.Stages, "staleness")
+	s.Aggregator = cmp.Or(s.Aggregator, "mean")
+	s.NonStragglerPct = cmp.Or(s.NonStragglerPct, 99.7)
+	if err := negativeKnob(s); err != nil {
+		return s, err
 	}
-	if !(pct > 0 && pct <= 100) {
-		return 0, fmt.Errorf("NonStragglerPct %v outside (0, 100]", pct)
+	if !(s.NonStragglerPct > 0 && s.NonStragglerPct <= 100) {
+		return s, fmt.Errorf("NonStragglerPct %v outside (0, 100]", s.NonStragglerPct)
 	}
-	return pct, nil
+	if r := s.Checkpoint.Recover; r != "latest" && r != "fresh" && r != "" {
+		return s, fmt.Errorf("unknown -checkpoint-recover %q (want latest or fresh)", r)
+	}
+	return s, nil
 }
 
-// negativeKnob refuses, on every role, a count, bound, rate or period
-// below zero: each reads zero as its default or as "off", and a negative
-// value would be quietly taken for one of those (K=-1 runs K=1, a negative
-// rate limit none). DeltaHistory is the one knob whose negative value means
-// something (no delta history), so it is not checked.
+// negativeKnob refuses, on every role and as invalid_argument, a count,
+// bound, rate or period below zero: each reads zero as its default or as
+// "off", and a negative value would be quietly taken for one of those (K=-1
+// runs K=1, a negative rate limit none). DeltaHistory is the one knob whose
+// negative value means something (no delta history), so it is not checked.
 func negativeKnob(s Spec) error {
 	for _, k := range []struct {
 		name     string
 		v        any
 		negative bool
 	}{
+		{"LearningRate", s.LearningRate, s.LearningRate < 0},
 		{"K", s.K, s.K < 0},
 		{"DefaultBatchSize", s.DefaultBatchSize, s.DefaultBatchSize < 0},
 		{"TimeSLO", s.TimeSLO, s.TimeSLO < 0},
@@ -96,7 +98,7 @@ func negativeKnob(s Spec) error {
 		{"Checkpoint.Keep", s.Checkpoint.Keep, s.Checkpoint.Keep < 0},
 	} {
 		if k.negative {
-			return fmt.Errorf("%s %v must not be negative", k.name, k.v)
+			return protocol.Errorf(protocol.CodeInvalidArgument, "%s %v must not be negative", k.name, k.v)
 		}
 	}
 	return nil
@@ -252,9 +254,6 @@ func compileRoot(s Spec) (*Runtime, error) {
 	if len(s.Tenants) > 0 {
 		return compileTenants(s, timeProf, energyProf)
 	}
-	if s.Arch == "" {
-		s.Arch = "tiny-mnist"
-	}
 	srv, err := rootServer(s, timeProf, energyProf, true)
 	if err != nil {
 		return nil, err
@@ -266,8 +265,8 @@ func compileRoot(s Spec) (*Runtime, error) {
 	asm.Announce = untenanted(srv.OnSnapshot)
 	if s.Checkpoint.Dir != "" {
 		asm.Checkpoint = srv.Checkpoint
-		asm.Banner += fmt.Sprintf(", checkpoints: %s every %d windows, incarnation %d at version %d",
-			s.Checkpoint.Dir, s.Checkpoint.Every, srv.Epoch(), srv.RestoredVersion())
+		asm.Banner += fmt.Sprintf(", checkpoints: %s every %d windows, %s",
+			s.Checkpoint.Dir, s.Checkpoint.Every, incarnation(srv))
 	}
 	return New(asm), nil
 }
@@ -317,12 +316,12 @@ func rootServer(s Spec, timeProf, energyProf *iprof.IProf, owned bool) (*server.
 	return bootRoot(s, cfg)
 }
 
-// bootRoot boots the root's server per the recovery policy. A missing
-// checkpoint with Recover "latest" is a first boot — that must be said
-// out loud (Recover "fresh", which the zero value means), never silently
-// decided; a corrupt-only directory always refuses (the operator deletes
-// or repairs, the server does not guess). Both refusals come before the
-// boot count is touched.
+// bootRoot boots the root's server per the recovery policy, which resolve
+// has checked. A missing checkpoint with Recover "latest" is a first boot —
+// that must be said out loud (Recover "fresh", which the zero value means),
+// never silently decided; a corrupt-only directory always refuses (the
+// operator deletes or repairs, the server does not guess). Both refusals
+// come before the boot count is touched.
 //
 // Every boot with a state directory (NonceDir, else Dir) takes its epoch
 // from the directory's boot count (persist.BootNonce), fresh or restored:
@@ -332,9 +331,6 @@ func rootServer(s Spec, timeProf, energyProf *iprof.IProf, owned bool) (*server.
 // carry the nonce this boot draws; the next one is drawn then.
 func bootRoot(s Spec, cfg server.Config) (*server.Server, error) {
 	ck := s.Checkpoint
-	if ck.Recover != "latest" && ck.Recover != "fresh" && ck.Recover != "" {
-		return nil, fmt.Errorf("unknown -checkpoint-recover %q (want latest or fresh)", ck.Recover)
-	}
 	var st *persist.State
 	if ck.Dir != "" {
 		ckpt, err := persist.NewCheckpointer(ck.Dir, ck.Keep)
@@ -368,16 +364,24 @@ func bootRoot(s Spec, cfg server.Config) (*server.Server, error) {
 	return server.New(cfg)
 }
 
-// unitSpec maps one tenant's declaration onto the root Spec its unit is
-// compiled from, applying tenant.Config's documented defaults. A unit keeps
-// its durable state under <dir>/<name> and always boots "fresh if empty"
-// (a corrupt-only subdirectory still refuses): Recover is one
-// deployment-wide setting, and having to say "fresh" to add one tenant
-// would let every other tenant start from nothing just as silently. The
-// deployment's Recover and NonceDir therefore govern a single-model root
-// only.
+// incarnation names a booted server's incarnation for a banner.
+func incarnation(srv *server.Server) string {
+	return fmt.Sprintf("incarnation %d at version %d", srv.Epoch(), srv.RestoredVersion())
+}
+
+// unitSpec is the root Spec one tenant's unit compiles from: the tenant's
+// model block, the deployment's clock and the deployment's whole boot rule,
+// its state directories joined with the tenant's name. resolve then treats
+// it as it treats any root.
 func unitSpec(s Spec, c tenant.Config) Spec {
-	u := Spec{
+	ck := s.Checkpoint
+	if ck.Dir != "" {
+		ck.Dir = filepath.Join(ck.Dir, c.Name)
+	}
+	if ck.NonceDir != "" {
+		ck.NonceDir = filepath.Join(ck.NonceDir, c.Name)
+	}
+	return Spec{
 		Arch:             c.Arch,
 		LearningRate:     c.LearningRate,
 		K:                c.K,
@@ -389,28 +393,8 @@ func unitSpec(s Spec, c tenant.Config) Spec {
 		Aggregator:       c.Aggregator,
 		Admission:        c.Admission,
 		Now:              s.Now,
+		Checkpoint:       ck,
 	}
-	if u.Arch == "" {
-		u.Arch = "tiny-mnist"
-	}
-	if u.LearningRate == 0 {
-		u.LearningRate = 0.03
-	}
-	if u.Stages == "" {
-		u.Stages = "staleness"
-	}
-	if u.Aggregator == "" {
-		u.Aggregator = "mean"
-	}
-	if s.Checkpoint.Dir != "" {
-		u.Checkpoint = CheckpointSpec{
-			Dir:     filepath.Join(s.Checkpoint.Dir, c.Name),
-			Every:   s.Checkpoint.Every,
-			Keep:    s.Checkpoint.Keep,
-			Recover: "fresh",
-		}
-	}
-	return u
 }
 
 // compileTenants assembles the multi-tenant root: every declared tenant's
@@ -422,16 +406,24 @@ func unitSpec(s Spec, c tenant.Config) Spec {
 // apply deployment-wide.
 func compileTenants(s Spec, timeProf, energyProf *iprof.IProf) (*Runtime, error) {
 	// Checked whole before the first unit boots, which writes under
-	// <Checkpoint.Dir>/<name>: a refused declaration leaves no trace.
+	// <dir>/<name>: a refused declaration leaves no trace.
 	if err := tenant.Validate(s.Tenants, s.DefaultTenant); err != nil {
 		return nil, err
+	}
+	specs := make([]Spec, len(s.Tenants))
+	for i, c := range s.Tenants {
+		var err error
+		if specs[i], err = resolve(unitSpec(s, c)); err != nil {
+			return nil, fmt.Errorf("tenant %s: %w", c.Name, err)
+		}
 	}
 	topts := tenant.Options{Default: s.DefaultTenant, Interceptors: buildInterceptors(s)}
 	units := make([]*tenant.Unit, 0, len(s.Tenants))
 	names := make([]string, 0, len(s.Tenants))
+	incarnations := make([]string, 0, len(s.Tenants))
 	children := make([]Child, 0, len(s.Tenants))
-	for _, c := range s.Tenants {
-		srv, err := rootServer(unitSpec(s, c), timeProf, energyProf, false)
+	for i, c := range s.Tenants {
+		srv, err := rootServer(specs[i], timeProf, energyProf, false)
 		if err != nil {
 			return nil, fmt.Errorf("tenant %s: %w", c.Name, err)
 		}
@@ -444,14 +436,15 @@ func compileTenants(s Spec, timeProf, energyProf *iprof.IProf) (*Runtime, error)
 			child.Checkpoint = srv.Checkpoint
 		}
 		units, names, children = append(units, u), append(names, c.Name), append(children, child)
+		incarnations = append(incarnations, c.Name+" "+incarnation(srv))
 	}
 	reg, err := tenant.NewRegistry(units, topts)
 	if err != nil {
 		return nil, err
 	}
 	asm := s.assembly(reg.Default().Service(),
-		fmt.Sprintf("FLeet multi-tenant server listening on %s (tenants: %s; default %s)",
-			s.Bind.Addr, strings.Join(names, ", "), reg.Default().Name()))
+		fmt.Sprintf("FLeet multi-tenant server listening on %s (tenants: %s; default %s), %s",
+			s.Bind.Addr, strings.Join(names, ", "), reg.Default().Name(), strings.Join(incarnations, ", ")))
 	asm.Handler = reg.Handler()
 	asm.Resolver = func(tn string) (service.Service, string, error) {
 		u, err := reg.Resolve(tn)

@@ -268,7 +268,7 @@ var fmaCheckedPackages = []string{
 	"fleet/internal/server", "fleet/internal/aggtree", "fleet/internal/stream",
 	"fleet/internal/worker", "fleet/internal/persist", "fleet/internal/node",
 	"fleet/internal/tenant", "fleet/internal/sched", "fleet/internal/service",
-	"fleet/internal/pipeline",
+	"fleet/internal/pipeline", "fleet/internal/learning",
 }
 
 // fusedOp matches an assembly listing line whose instruction is a fused
@@ -871,6 +871,7 @@ func TestConfigFieldsAreSet(t *testing.T) {
 		"tenant.Config.DefaultBatchSize": "set only by a -tenants file, which JSON decoding sets out of the guard's sight",
 		"tenant.Config.Delta":            "set only by a -tenants file (key delta), likewise",
 		"tenant.Config.SamplingRatio":    "set only by a -tenants file (key sampling_ratio), likewise",
+		"tenant.Config.NonStragglerPct":  "set only by a -tenants file (key non_straggler_pct), likewise",
 	}
 	m := loadModule(t)
 	options := regexp.MustCompile(`(Config|Spec|Options)$`)

@@ -94,11 +94,12 @@ type UpstreamSpec struct {
 	Service service.Service
 }
 
-// Spec declares one serving unit. The zero value of most fields follows
-// the corresponding binary's flag default semantics: zero K means 1,
-// zero DeltaHistory means the server default, an empty Stages spec is
-// the empty pipeline, and an empty Admission spec is synthesized from the
-// SLO knobs (root) or admits everything (edge).
+// Spec declares one serving unit. The zero value of most fields is a
+// default, the same on every role and every tenant unit: an empty Arch is
+// tiny-mnist, zero LearningRate 0.03, an empty Stages "staleness", an
+// empty Aggregator "mean", zero NonStragglerPct 99.7, zero K 1, zero
+// DeltaHistory the server default, and an empty Admission spec is
+// synthesized from the SLO knobs (root) or admits everything (edge).
 type Spec struct {
 	// Role is root or edge; empty compiles as root.
 	Role Role
@@ -160,11 +161,11 @@ type Spec struct {
 	ID int
 
 	// Tenants switches a root into multi-tenant mode: each config compiles
-	// like a single-model root (same pipeline, admission and boot path)
-	// into a child unit behind the parent's listeners, and the
+	// like a single-model root (same defaults, pipeline, admission and boot
+	// rule) into a child unit behind the parent's listeners, and the
 	// single-model fields above (Arch, Stages, ...) no longer shape the
-	// serving surface. A unit checkpoints under Checkpoint.Dir/<name> and
-	// always boots "fresh if empty", whatever Checkpoint.Recover says.
+	// serving surface. A unit keeps its state under Checkpoint.Dir/<name>
+	// and NonceDir/<name>.
 	Tenants []tenant.Config
 	// DefaultTenant names the tenant un-tenanted routes alias to (""
 	// the first declared); set with no Tenants, the Spec is refused.

@@ -2,12 +2,9 @@ package node
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +13,6 @@ import (
 	"fleet/internal/device"
 	"fleet/internal/iprof"
 	"fleet/internal/nn"
-	"fleet/internal/persist"
 	"fleet/internal/protocol"
 	"fleet/internal/service"
 	"fleet/internal/simrand"
@@ -24,16 +20,20 @@ import (
 )
 
 // drive sends a deterministic stream of n task requests and gradient
-// pushes against a softmax-mnist unit and returns every decision next to
-// the final model and stats.
-func drive(t *testing.T, svc service.Service, n int) (decisions []string, params []float64, stats *protocol.Stats) {
+// pushes against a unit serving the named architecture and returns every
+// decision next to the final model and stats.
+func drive(t *testing.T, svc service.Service, arch string, n int) (decisions []string, params []float64, stats *protocol.Stats) {
 	t.Helper()
 	ctx := context.Background()
 	boot, err := svc.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paramCount := nn.ArchSoftmaxMNIST.Build(simrand.New(0)).ParamCount()
+	a, err := nn.ArchByName(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paramCount := a.Build(simrand.New(0)).ParamCount()
 	version := boot.ModelVersion
 	models := device.Catalogue()
 	for i := 0; i < n; i++ {
@@ -97,24 +97,26 @@ func sameBits(a, b []float64) bool {
 // deployment and a single-model root declared with equal fields are the
 // same server — same composed pipeline and admission chain, and after the
 // same 32 gradients the same decisions, counters and parameters, bit for
-// bit.
+// bit. That includes the zero block: both roles take the same defaults.
 func TestTenantUnitCompilesLikeSingleRoot(t *testing.T) {
 	for _, tc := range []struct {
-		name                         string
-		stages, aggregator, admitted string
-		k                            int
+		name  string
+		block Spec // the model block both roles declare
+		arch  string
 	}{
-		{"defaults", "staleness", "mean", "", 1},
-		{"filtered window", "staleness,norm-filter(100)", "mean", "min-batch(5),per-worker-quota(9,60)", 4},
-		{"robust rule", "staleness", "trimmed(1)", "similarity(0.99)", 4},
+		{"defaults", Spec{Arch: "softmax-mnist", LearningRate: 0.05, K: 1, NonStragglerPct: 99.7, Seed: 3, DefaultBatchSize: 16,
+			Stages: "staleness", Aggregator: "mean"}, "softmax-mnist"},
+		{"filtered window", Spec{Arch: "softmax-mnist", LearningRate: 0.05, K: 4, NonStragglerPct: 99.7, Seed: 3, DefaultBatchSize: 16,
+			Stages: "staleness,norm-filter(100)", Aggregator: "mean", Admission: "min-batch(5),per-worker-quota(9,60)"}, "softmax-mnist"},
+		{"robust rule", Spec{Arch: "softmax-mnist", LearningRate: 0.05, K: 4, NonStragglerPct: 99.7, Seed: 3, DefaultBatchSize: 16,
+			Stages: "staleness", Aggregator: "trimmed(1)", Admission: "similarity(0.99)"}, "softmax-mnist"},
+		{"zero block", Spec{}, "tiny-mnist"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			single := rootSpec()
-			single.Arch, single.Seed, single.K, single.DefaultBatchSize = "softmax-mnist", 3, tc.k, 16
-			single.Stages, single.Aggregator, single.Admission = tc.stages, tc.aggregator, tc.admitted
-			single.Now = func() time.Time { return time.Unix(0, 0) }
 			multi := rootSpec()
-			multi.Now = single.Now
+			multi.Now = func() time.Time { return time.Unix(0, 0) }
+			single := tc.block
+			single.Bind, single.Logf, single.Now = multi.Bind, multi.Logf, multi.Now
 			multi.Tenants = []tenant.Config{{
 				Name: "solo", Arch: single.Arch, LearningRate: single.LearningRate, K: single.K, Seed: single.Seed,
 				DefaultBatchSize: single.DefaultBatchSize, NonStragglerPct: single.NonStragglerPct,
@@ -131,7 +133,7 @@ func TestTenantUnitCompilesLikeSingleRoot(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer func() { _ = rt.Close() }()
-				runs[i].decisions, runs[i].params, runs[i].stats = drive(t, rt.Service(), 32)
+				runs[i].decisions, runs[i].params, runs[i].stats = drive(t, rt.Service(), tc.arch, 32)
 			}
 			if !reflect.DeepEqual(runs[0].decisions, runs[1].decisions) {
 				t.Fatalf("decisions diverge:\nsingle %v\ntenant %v", runs[0].decisions, runs[1].decisions)
@@ -174,7 +176,7 @@ func TestChildServerIsTheTenantsServer(t *testing.T) {
 		if err != nil || name != c.Name {
 			t.Fatalf("Resolver(%s) = %s, %v", c.Name, name, err)
 		}
-		drive(t, svc, 1)
+		drive(t, svc, "softmax-mnist", 1)
 		for j, other := range children {
 			want := 0
 			if j <= i {
@@ -188,8 +190,8 @@ func TestChildServerIsTheTenantsServer(t *testing.T) {
 }
 
 // TestTenantNegativeLearningRateFails: only 0 means an unset learning rate.
-// A negative one in a tenant declaration is refused with server.New's
-// invalid_argument, naming the tenant, never replaced by the default.
+// A negative one in a tenant declaration is refused as invalid_argument,
+// naming the tenant, never replaced by the default.
 func TestTenantNegativeLearningRateFails(t *testing.T) {
 	s := rootSpec()
 	s.Tenants = []tenant.Config{{Name: "a", LearningRate: -0.1}}
@@ -229,7 +231,7 @@ func TestSpecKnobsEqualAdmissionString(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { _ = rt.Close() }()
-		decisions[i], _, stats[i] = drive(t, rt.Service(), 40)
+		decisions[i], _, stats[i] = drive(t, rt.Service(), "softmax-mnist", 40)
 	}
 	want := []string{"iprof-time(2.5)", "iprof-energy(4)", "min-batch(25)", "similarity(0.97)"}
 	for i := range stats {
@@ -247,84 +249,6 @@ func TestSpecKnobsEqualAdmissionString(t *testing.T) {
 	}
 	if stats[0].TasksDropped == 0 || stats[0].TasksServed == 0 {
 		t.Fatalf("the stream did not exercise both outcomes: %+v", stats[0])
-	}
-}
-
-// TestTenantRecoverMatrix pins the stated policy of a tenant unit's boot,
-// per subdirectory <dir>/<name> and whatever the deployment's Recover
-// says: empty → a fresh model (epoch 0 on the very first boot, a minted
-// nonce on every later checkpoint-less one), a valid checkpoint → restored
-// at its version under a newly minted epoch, corrupt-only → refuses.
-func TestTenantRecoverMatrix(t *testing.T) {
-	for _, recover := range []string{"latest", "fresh", ""} {
-		t.Run("recover="+recover, func(t *testing.T) {
-			dir := t.TempDir()
-			boot := func() (*Runtime, *protocol.Stats, error) {
-				s := rootSpec()
-				s.Tenants = []tenant.Config{{Name: "alpha", Arch: "softmax-mnist", Seed: 1}}
-				s.Checkpoint = CheckpointSpec{Dir: dir, Every: 1, Recover: recover}
-				rt, err := FromSpec(s)
-				if err != nil {
-					return nil, nil, err
-				}
-				st, err := rt.Service().Stats(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rt, st, nil
-			}
-			rt, st, err := boot()
-			if err != nil {
-				t.Fatalf("first boot on an empty directory: %v", err)
-			}
-			if st.ServerEpoch != 0 || st.RestoredVersion != 0 {
-				t.Fatalf("first boot = epoch %d restored %d, want 0/0", st.ServerEpoch, st.RestoredVersion)
-			}
-			_ = rt.Close()
-			if _, err := os.Stat(filepath.Join(dir, "alpha")); err != nil {
-				t.Fatalf("unit state is not under <dir>/<name>: %v", err)
-			}
-
-			rt, st, err = boot()
-			if err != nil {
-				t.Fatalf("second checkpoint-less boot: %v", err)
-			}
-			minted := st.ServerEpoch
-			if minted == 0 {
-				t.Fatal("second checkpoint-less boot reused epoch 0")
-			}
-			drive(t, rt.Service(), 3)
-			if _, err := rt.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			_ = rt.Close()
-
-			rt, st, err = boot()
-			if err != nil {
-				t.Fatalf("boot from a valid checkpoint: %v", err)
-			}
-			if st.RestoredVersion != 3 || st.ModelVersion != 3 {
-				t.Fatalf("restored = version %d (model %d), want 3/3", st.RestoredVersion, st.ModelVersion)
-			}
-			if st.ServerEpoch == 0 || st.ServerEpoch == minted {
-				t.Fatalf("restored epoch = %d, want nonzero and not the checkpoint's %d", st.ServerEpoch, minted)
-			}
-			_ = rt.Close()
-
-			files, err := filepath.Glob(filepath.Join(dir, "alpha", "ckpt-*.fleet"))
-			if err != nil || len(files) == 0 {
-				t.Fatalf("no checkpoint files under <dir>/alpha: %v", err)
-			}
-			for _, f := range files {
-				if err := os.Truncate(f, 12); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var corrupt *persist.CorruptError
-			if _, _, err := boot(); !errors.As(err, &corrupt) {
-				t.Fatalf("boot on a corrupt-only directory: %v, want a CorruptError", err)
-			}
-		})
 	}
 }
 
