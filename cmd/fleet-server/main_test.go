@@ -47,6 +47,9 @@ func TestBuildServerFlagValidation(t *testing.T) {
 		{"-aggregator", "krum(0.5)"}, // non-integral f
 		{"-admission", "no-such-policy(1)"},
 		{"-transport", "carrier-pigeon"},
+		{"-lr", "NaN"},
+		{"-rate-limit", "NaN"},
+		{"-max-similarity", "NaN"},
 		{"-bogus"},
 		{"stray-positional"},
 	} {

@@ -149,18 +149,25 @@ func TestForwardTurnsNegativeZeroPositive(t *testing.T) {
 // (325 k parameters): one op is a window of four leaf pushes through a K=4
 // edge into an in-process K=1 root. sparse: top-k 1 % leaves, so the window
 // forwards as a top-k push and the root applies and diffs it at its touched
-// coordinates; dense: the same leaves densified, so a dense forward.
+// coordinates, and the edge refreshes by delta pull; announced: the same,
+// with the root's snapshot hook wired to the edge, so the edge refreshes from
+// the announce it kept during the forward and pulls nothing; dense: the same
+// leaves densified, so a dense forward.
 func BenchmarkEdgeForward(b *testing.B) {
-	b.Run("sparse", func(b *testing.B) { benchmarkEdgeForward(b, false) })
-	b.Run("dense", func(b *testing.B) { benchmarkEdgeForward(b, true) })
+	b.Run("sparse", func(b *testing.B) { benchmarkEdgeForward(b, false, false) })
+	b.Run("announced", func(b *testing.B) { benchmarkEdgeForward(b, false, true) })
+	b.Run("dense", func(b *testing.B) { benchmarkEdgeForward(b, true, false) })
 }
 
-func benchmarkEdgeForward(b *testing.B, dense bool) {
+func benchmarkEdgeForward(b *testing.B, dense, announced bool) {
 	ctx := context.Background()
 	root := newRoot(b, server.Config{K: 1, Arch: nn.ArchCIFAR100})
 	edge := newEdge(b, Config{Upstream: root, Arch: nn.ArchCIFAR100, K: 4, ID: 1_000_000})
 	if err := edge.Sync(ctx); err != nil {
 		b.Fatal(err)
+	}
+	if announced {
+		root.OnSnapshot(func(ann protocol.ModelAnnounce) { edge.AbsorbUpstreamAnnounce(ann) })
 	}
 	params := edge.core.Config().ParamCount
 	rng := rand.New(rand.NewSource(1))

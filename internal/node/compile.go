@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 
@@ -74,32 +75,38 @@ func resolve(s Spec) (Spec, error) {
 }
 
 // negativeKnob refuses, on every role and as invalid_argument, a count,
-// bound, rate or period below zero: each reads zero as its default or as
-// "off", and a negative value would be quietly taken for one of those (K=-1
-// runs K=1, a negative rate limit none). DeltaHistory is the one knob whose
-// negative value means something (no delta history), so it is not checked.
+// bound, rate or period below zero, and a float knob that is NaN: each reads
+// zero as its default or as "off", and a negative value would be quietly
+// taken for one of those (K=-1 runs K=1, a negative rate limit none), as
+// would NaN, which every comparison calls false. DeltaHistory is the one knob
+// whose negative value means something (no delta history), so it is not
+// checked.
 func negativeKnob(s Spec) error {
 	for _, k := range []struct {
-		name     string
-		v        any
-		negative bool
+		name string
+		v    any
+		bad  bool
 	}{
-		{"LearningRate", s.LearningRate, s.LearningRate < 0},
+		{"LearningRate", s.LearningRate, !(s.LearningRate >= 0)},
 		{"K", s.K, s.K < 0},
 		{"DefaultBatchSize", s.DefaultBatchSize, s.DefaultBatchSize < 0},
-		{"TimeSLO", s.TimeSLO, s.TimeSLO < 0},
-		{"EnergySLO", s.EnergySLO, s.EnergySLO < 0},
+		{"TimeSLO", s.TimeSLO, !(s.TimeSLO >= 0)},
+		{"EnergySLO", s.EnergySLO, !(s.EnergySLO >= 0)},
 		{"MinBatch", s.MinBatch, s.MinBatch < 0},
-		{"MaxSimilarity", s.MaxSimilarity, s.MaxSimilarity < 0},
-		{"RateLimit", s.RateLimit, s.RateLimit < 0},
+		{"MaxSimilarity", s.MaxSimilarity, !(s.MaxSimilarity >= 0)},
+		{"RateLimit", s.RateLimit, !(s.RateLimit >= 0)},
 		{"RateBurst", s.RateBurst, s.RateBurst < 0},
 		{"Deadline", s.Deadline, s.Deadline < 0},
 		{"Checkpoint.Every", s.Checkpoint.Every, s.Checkpoint.Every < 0},
 		{"Checkpoint.Keep", s.Checkpoint.Keep, s.Checkpoint.Keep < 0},
 	} {
-		if k.negative {
-			return protocol.Errorf(protocol.CodeInvalidArgument, "%s %v must not be negative", k.name, k.v)
+		if !k.bad {
+			continue
 		}
+		if f, ok := k.v.(float64); ok && math.IsNaN(f) {
+			return protocol.Errorf(protocol.CodeInvalidArgument, "%s %v is not a number", k.name, k.v)
+		}
+		return protocol.Errorf(protocol.CodeInvalidArgument, "%s %v must not be negative", k.name, k.v)
 	}
 	return nil
 }
@@ -531,7 +538,11 @@ func compileEdge(s Spec) (*Runtime, error) {
 	}
 	if upClient != nil {
 		// Server-pushed model announces refresh the edge cache (and
-		// relay downstream) without a pull round trip.
+		// relay downstream) without a pull round trip. The root announces
+		// the version a forwarded window minted before it acks the
+		// forward, so that announce usually arrives while the forward is
+		// in flight: the edge keeps it and the forward applies it, with
+		// no delta pull unless the ack overtook it.
 		// The edge consumes them here, so the client's own pending run (up
 		// to the announce before this one, which joins it after the
 		// callback) is discarded rather than held for a TakeAnnounces

@@ -52,6 +52,11 @@ func TestFromSpecValidation(t *testing.T) {
 			s.Tenants = []tenant.Config{{Name: "solo"}}
 		}, `unknown -checkpoint-recover "bogus"`},
 		{"edge without upstream", func(s *Spec) { s.Role = RoleEdge }, "-upstream is required"},
+		{"NaN learning rate", func(s *Spec) { s.LearningRate = math.NaN() }, "LearningRate NaN is not a number"},
+		{"NaN time SLO", func(s *Spec) { s.TimeSLO = math.NaN() }, "TimeSLO NaN is not a number"},
+		{"NaN energy SLO", func(s *Spec) { s.EnergySLO = math.NaN() }, "EnergySLO NaN is not a number"},
+		{"NaN max similarity", func(s *Spec) { s.MaxSimilarity = math.NaN() }, "MaxSimilarity NaN is not a number"},
+		{"NaN rate limit", func(s *Spec) { s.RateLimit = math.NaN() }, "RateLimit NaN is not a number"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,10 +70,10 @@ func TestFromSpecValidation(t *testing.T) {
 	}
 }
 
-// TestNegativeKnobsRefused: a negative count, bound, rate or period is
-// refused by name and as invalid_argument on both roles, never read as its
-// default or as "off"; a negative DeltaHistory keeps its meaning (no delta
-// history).
+// TestNegativeKnobsRefused: a negative count, bound, rate or period, and a
+// NaN float knob, is refused by name and as invalid_argument on both roles,
+// never read as its default or as "off"; a negative DeltaHistory keeps its
+// meaning (no delta history).
 func TestNegativeKnobsRefused(t *testing.T) {
 	upstream, err := FromSpec(rootSpec())
 	if err != nil {
@@ -98,16 +103,26 @@ func TestNegativeKnobsRefused(t *testing.T) {
 		"Checkpoint.Every": func(s *Spec) { s.Checkpoint.Every = -3 },
 		"Checkpoint.Keep":  func(s *Spec) { s.Checkpoint.Keep = -2 },
 	}
+	nan := math.NaN()
+	nanKnobs := map[string]func(*Spec){
+		"LearningRate":  func(s *Spec) { s.LearningRate = nan },
+		"TimeSLO":       func(s *Spec) { s.TimeSLO = nan },
+		"EnergySLO":     func(s *Spec) { s.EnergySLO = nan },
+		"MaxSimilarity": func(s *Spec) { s.MaxSimilarity = nan },
+		"RateLimit":     func(s *Spec) { s.RateLimit = nan },
+	}
 	for role, spec := range roles {
-		for name, doctor := range knobs {
-			s := spec()
-			doctor(&s)
-			rt, err := FromSpec(s)
-			if !protocol.IsCode(err, protocol.CodeInvalidArgument) || !strings.Contains(err.Error(), name+" ") {
-				t.Errorf("%s with a negative %s: error = %v, want an invalid_argument naming it", role, name, err)
-			}
-			if rt != nil {
-				_ = rt.Close()
+		for what, doctors := range map[string]map[string]func(*Spec){"a negative": knobs, "a NaN": nanKnobs} {
+			for name, doctor := range doctors {
+				s := spec()
+				doctor(&s)
+				rt, err := FromSpec(s)
+				if !protocol.IsCode(err, protocol.CodeInvalidArgument) || !strings.Contains(err.Error(), name+" ") {
+					t.Errorf("%s with %s %s: error = %v, want an invalid_argument naming it", role, what, name, err)
+				}
+				if rt != nil {
+					_ = rt.Close()
+				}
 			}
 		}
 		s := spec()

@@ -185,7 +185,7 @@ type drained struct {
 
 // New builds a server with a freshly initialized global model.
 func New(cfg Config) (*Server, error) {
-	if cfg.LearningRate <= 0 {
+	if !(cfg.LearningRate > 0) { // refuses NaN too
 		return nil, protocol.Errorf(protocol.CodeInvalidArgument, "server: LearningRate must be positive")
 	}
 	if cfg.BootEpoch < 0 {

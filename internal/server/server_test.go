@@ -44,6 +44,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Arch: nn.ArchSoftmaxMNIST, Algorithm: learning.SSGD{}}); err == nil {
 		t.Error("zero learning rate must error")
 	}
+	if _, err := New(Config{Arch: nn.ArchSoftmaxMNIST, Algorithm: learning.SSGD{}, LearningRate: math.NaN()}); !protocol.IsCode(err, protocol.CodeInvalidArgument) {
+		t.Errorf("NaN learning rate: error %v, want invalid_argument", err)
+	}
 }
 
 func TestTaskServesModel(t *testing.T) {
