@@ -82,8 +82,8 @@ func buildAgg(args []string, stderr io.Writer) (*node.Runtime, error) {
 	fs.StringVar(&spec.Stages, "stages", "", "comma-separated local update-pipeline stage specs (empty: staleness)")
 	fs.StringVar(&spec.Aggregator, "aggregator", "", "local window-aggregation rule spec (mean, median, trimmed(b), krum(f)); empty: mean")
 	fs.StringVar(&spec.Admission, "admission", "", "local admission-policy chain spec (e.g. min-batch(5),similarity(0.9)); empty admits everything")
-	fs.IntVar(&spec.DefaultBatchSize, "batch-size", 100, "mini-batch size served to admitted leaf tasks")
-	fs.IntVar(&spec.DeltaHistory, "delta-history", 4, "upstream versions retained as sparse deltas for version-aware leaf pulls (negative disables)")
+	fs.IntVar(&spec.DefaultBatchSize, "batch-size", 0, "mini-batch size served to admitted leaf tasks (0: 100)")
+	fs.IntVar(&spec.DeltaHistory, "delta-history", 0, "upstream versions retained as sparse deltas for version-aware leaf pulls (0: 4; negative disables)")
 	fs.IntVar(&spec.ID, "id", 1_000_000, "worker ID this edge identifies as upstream")
 	fs.Int64Var(&spec.Seed, "seed", 1, "pipeline stage seed (DP noise etc.)")
 	fs.DurationVar(&spec.Bind.Drain, "drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests on SIGINT/SIGTERM")

@@ -1,11 +1,11 @@
 package protocol
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
-	"maps"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -25,12 +25,14 @@ import (
 // gradient arrays of a push a server only borrows (Lend).
 //
 // Every protocol message has a native layout (kinds 2–7 below); there is no
-// self-describing fallback, so a Go type without a layout fails to encode
-// and an unknown kind fails to decode, both as invalid_argument. The
-// layouts are fixed field lists in the order the encoders below write them
-// — that order is the wire contract a non-Go worker implements, and adding
-// or moving a field requires bumping flatVersion, unlike the
-// self-describing JSON dialect.
+// generic fallback, so a Go type without a layout fails to encode and an
+// unknown kind fails to decode, both as invalid_argument. The five
+// learning-task messages (kinds 2–6) are fixed field lists in the order the
+// encoders below write them — that order is the wire contract a non-Go
+// worker implements, and adding or moving a field requires bumping
+// flatVersion, unlike the self-describing JSON dialect. Stats, the operator
+// document (kind 7), is its canonical encoding/json bytes after the header,
+// so its fields are named on the wire and a new one bumps nothing.
 
 // ContentTypeFlat is the negotiation token of the flat binary codec.
 const ContentTypeFlat = "application/x-fleet-flat"
@@ -45,8 +47,9 @@ const (
 	// TasksDropped; version 3 announces ended in a half-precision copy of
 	// the whole model; version 4 task responses carried a Full flag that
 	// restated an absent delta, and pushes a leaf-staleness range nobody
-	// read. All four are refused on their first frame.
-	flatVersion = 5
+	// read; version 5 stats were a field list of their own. All five are
+	// refused on their first frame.
+	flatVersion = 6
 
 	flatKindTaskResponse = 2
 	flatKindPush         = 3
@@ -166,12 +169,6 @@ func (f *flatBuf) str(s string) {
 	f.u32(uint32(len(s)))
 	f.b = append(f.b, s...)
 }
-func (f *flatBuf) strs(s []string) {
-	f.u32(uint32(len(s)))
-	for _, v := range s {
-		f.str(v)
-	}
-}
 func (f *flatBuf) f64s(s []float64) {
 	f.u32(uint32(len(s)))
 	if len(s) == 0 {
@@ -233,17 +230,6 @@ func (f *flatBuf) sparse(s *compress.Sparse) {
 	}
 }
 
-// putFlatMap writes a string-keyed counter map as a count followed by
-// (key, i64 value) pairs in ascending key order, so equal maps encode to
-// equal bytes.
-func putFlatMap[V int | int64](f *flatBuf, m map[string]V) {
-	f.u32(uint32(len(m)))
-	for _, k := range slices.Sorted(maps.Keys(m)) {
-		f.str(k)
-		f.i64(int64(m[k]))
-	}
-}
-
 func (f *flatBuf) header(kind uint8) {
 	f.b = append(f.b, flatMagic...)
 	f.u8(flatVersion)
@@ -253,6 +239,12 @@ func (f *flatBuf) header(kind uint8) {
 }
 
 func (flatCodec) Encode(w io.Writer, v interface{}) error {
+	switch m := v.(type) {
+	case *Stats:
+		return encodeStats(w, m)
+	case Stats:
+		return encodeStats(w, &m)
+	}
 	f := flatPool.Get().(*flatBuf)
 	f.w = w
 	switch m := v.(type) {
@@ -276,10 +268,6 @@ func (flatCodec) Encode(w io.Writer, v interface{}) error {
 		f.announce(m)
 	case ModelAnnounce:
 		f.announce(&m)
-	case *Stats:
-		f.stats(m)
-	case Stats:
-		f.stats(&m)
 	default:
 		f.w = nil
 		flatPool.Put(f)
@@ -369,39 +357,24 @@ func (f *flatBuf) announce(a *ModelAnnounce) {
 	f.int(a.DeltaBase)
 }
 
-// stats lays out a Stats snapshot as kind 7.
-func (f *flatBuf) stats(s *Stats) {
-	f.header(flatKindStats)
-	f.int(s.ModelVersion)
-	f.int(s.TasksServed)
-	f.int(s.GradientsIn)
-	f.f64(s.MeanStaleness)
-	f.strs(s.PipelineStages)
-	f.str(s.Aggregator)
-	f.int(s.TasksDropped)
-	f.strs(s.AdmissionPolicies)
-	putFlatMap(f, s.RejectsByPolicy)
-	f.int(s.DrainErrors)
-	f.int(s.Checkpoints)
-	f.int(s.CheckpointErrors)
-	f.int(s.RestoredVersion)
-	f.i64(s.ServerEpoch)
-	f.int(s.LeafGradients)
-	f.bool(s.Tenant != nil)
-	if t := s.Tenant; t != nil {
-		f.str(t.Name)
-		f.int(t.Workers)
-		f.int(t.MaxWorkers)
-		f.i64(t.AuthRejects)
-		f.i64(t.WorkerCapRejects)
-		f.i64(t.BudgetRejects)
-		f.f64(t.EpsilonBudget)
-		f.f64(t.EpsilonSpent)
-		f.int(t.BudgetCharges)
-		f.bool(t.BudgetExhausted)
+// encodeStats writes a Stats snapshot as kind 7: the header, then the
+// document's canonical encoding/json bytes to the end of the message. The
+// operator document carries its own field names, so a new Stats field
+// changes no flat layout. A snapshot JSON cannot hold (a NaN or ±Inf
+// field) is refused before anything is written.
+func encodeStats(w io.Writer, s *Stats) error {
+	doc, err := json.Marshal(s)
+	if err != nil {
+		return Errorf(CodeInvalidArgument, "flat: stats: %v", err)
 	}
-	putFlatMap(f, s.WireUplinkByCodec)
-	putFlatMap(f, s.WireDownlinkByCodec)
+	f := flatBuf{b: make([]byte, 0, flatHeaderLen+len(doc)), w: w}
+	f.header(flatKindStats)
+	f.b = append(f.b, doc...)
+	f.flush()
+	if f.err != nil {
+		return Errorf(CodeUnavailable, "flat: write: %v", f.err)
+	}
+	return nil
 }
 
 // flatDec decodes one flat message from an io.Reader, tracking a byte
@@ -491,21 +464,6 @@ func (d *flatDec) str() string {
 		return ""
 	}
 	return string(b)
-}
-
-func (d *flatDec) strs() []string {
-	n := d.count(int64(unsafe.Sizeof("")))
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.str()
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
 }
 
 // f64s reads a float64 array zero-copy: the wire bytes land directly in
@@ -651,31 +609,6 @@ func (d *flatDec) sparse() *compress.Sparse {
 		return nil
 	}
 	return &compress.Sparse{Len: d.int(), Indices: d.i32s(), Values: d.f64s()}
-}
-
-// getFlatMap reads a counter map written by putFlatMap. Keys must arrive
-// strictly ascending — the one canonical encoding, which also rules out
-// duplicates. The map grows as entries actually arrive rather than being
-// pre-sized from the declared count.
-func getFlatMap[V int | int64](d *flatDec) map[string]V {
-	n := d.count(int64(unsafe.Sizeof("")) + 8)
-	if n == 0 {
-		return nil
-	}
-	out := make(map[string]V)
-	prev := ""
-	for i := 0; i < n; i++ {
-		k, v := d.str(), d.i64()
-		if d.err != nil {
-			return nil
-		}
-		if i > 0 && k <= prev {
-			d.fail("flat: map key %q not in ascending order", k)
-			return nil
-		}
-		out[k], prev = V(v), k
-	}
-	return out
 }
 
 func swap64(v uint64) uint64 {
@@ -900,42 +833,25 @@ func (d *flatDec) announce(dst *ModelAnnounce) error {
 	return nil
 }
 
+// stats reads kind 7: the rest of the message, charged against the decode
+// budget, must be a Stats document exactly as encodeStats writes it. One
+// that json.Unmarshal accepts but that does not re-marshal to the same
+// bytes (whitespace, reordered or unknown keys) is refused, so a decoded
+// document is canonical like every other kind.
 func (d *flatDec) stats(dst *Stats) error {
-	out := Stats{
-		ModelVersion:      d.int(),
-		TasksServed:       d.int(),
-		GradientsIn:       d.int(),
-		MeanStaleness:     d.f64(),
-		PipelineStages:    d.strs(),
-		Aggregator:        d.str(),
-		TasksDropped:      d.int(),
-		AdmissionPolicies: d.strs(),
-		RejectsByPolicy:   getFlatMap[int](d),
-		DrainErrors:       d.int(),
-		Checkpoints:       d.int(),
-		CheckpointErrors:  d.int(),
-		RestoredVersion:   d.int(),
-		ServerEpoch:       d.i64(),
-		LeafGradients:     d.int(),
+	doc, err := io.ReadAll(io.LimitReader(d.r, d.budget+1))
+	if err != nil {
+		return Errorf(CodeInvalidArgument, "flat: truncated message: %v", err)
 	}
-	if d.bool() {
-		out.Tenant = &TenantStats{
-			Name:             d.str(),
-			Workers:          d.int(),
-			MaxWorkers:       d.int(),
-			AuthRejects:      d.i64(),
-			WorkerCapRejects: d.i64(),
-			BudgetRejects:    d.i64(),
-			EpsilonBudget:    d.f64(),
-			EpsilonSpent:     d.f64(),
-			BudgetCharges:    d.int(),
-			BudgetExhausted:  d.bool(),
-		}
+	if int64(len(doc)) > d.budget {
+		return Errorf(CodePayloadTooLarge, "flat: message exceeds %d bytes", MaxMessageBytes)
 	}
-	out.WireUplinkByCodec = getFlatMap[int64](d)
-	out.WireDownlinkByCodec = getFlatMap[int64](d)
-	if err := d.finish(); err != nil {
-		return err
+	var out Stats
+	if err := json.Unmarshal(doc, &out); err != nil {
+		return Errorf(CodeInvalidArgument, "flat: stats: %v", err)
+	}
+	if again, _ := json.Marshal(&out); !bytes.Equal(again, doc) {
+		return Errorf(CodeInvalidArgument, "flat: stats document is not canonical encoding/json")
 	}
 	*dst = out
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
@@ -279,7 +280,8 @@ func TestFlatEncodesValuesLikePointers(t *testing.T) {
 // TestFlatSpecialFloats checks the bit-exactness claim on the values that
 // break approximate codecs — NaN payloads, infinities, signed zero,
 // subnormals — in every float-carrying message. NaN != NaN, so equality is
-// stated on the re-encoded bytes.
+// stated on the re-encoded bytes. Stats is JSON, which has no NaN or ±Inf
+// (TestFlatEncodeUnknownType): its row takes the finite values.
 func TestFlatSpecialFloats(t *testing.T) {
 	special := []float64{
 		math.NaN(), math.Float64frombits(0x7FF8000000000BAD), math.Inf(1), math.Inf(-1),
@@ -293,7 +295,9 @@ func TestFlatSpecialFloats(t *testing.T) {
 			&TaskRequest{TimeFeatures: special, EnergyFeatures: []float64{v}},
 			&PushAck{Scale: v},
 			&ModelAnnounce{ModelVersion: 1, Delta: &compress.Sparse{Len: 100, Indices: idx, Values: special}},
-			&Stats{MeanStaleness: v, Tenant: &TenantStats{EpsilonBudget: v, EpsilonSpent: v}},
+		}
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			msgs = append(msgs, &Stats{MeanStaleness: v, Tenant: &TenantStats{EpsilonBudget: v, EpsilonSpent: v}})
 		}
 		for _, in := range msgs {
 			raw := flatBytes(t, in)
@@ -312,6 +316,13 @@ func TestFlatSpecialFloats(t *testing.T) {
 	}
 	if !math.Signbit(ack.Scale) {
 		t.Error("-0 lost its sign")
+	}
+	var st Stats
+	if err := Flat.Decode(bytes.NewReader(flatBytes(t, &Stats{MeanStaleness: math.Copysign(0, -1)})), &st); err != nil {
+		t.Fatal(err)
+	}
+	if !math.Signbit(st.MeanStaleness) {
+		t.Error("stats: -0 lost its sign")
 	}
 }
 
@@ -391,20 +402,12 @@ func TestFlatStructuralRejects(t *testing.T) {
 		i64(1),                              // WorkerID
 		[]byte{0xFF, 0xFF, 0xFF, 0xFF},      // DeviceModel len 4GiB
 		bytes.Repeat([]byte{'x'}, 1024))...) // not that many follow
-	// A stats message whose first map holds the given raw entries.
-	statsWithMap := func(count uint32, entries ...[]byte) []byte {
-		raw := flatBytes(t, &Stats{})
-		const mapOffset = flatHeaderLen + 3*8 + 8 + 4 + 4 + 8 + 4 // up to RejectsByPolicy's count
-		out := append([]byte(nil), raw[:mapOffset]...)
-		out = binary.LittleEndian.AppendUint32(out, count)
-		out = append(out, cat(entries...)...)
-		return append(out, raw[mapOffset+4:]...)
-	}
-	entry := func(k string, v int64) []byte {
-		return cat(binary.LittleEndian.AppendUint32(nil, uint32(len(k))), []byte(k), i64(v))
-	}
-	if err := Flat.Decode(bytes.NewReader(statsWithMap(2, entry("a", 1), entry("b", 2))), &Stats{}); err != nil {
-		t.Fatalf("statsWithMap builds an invalid baseline: %v", err)
+	// Stats documents: json.Unmarshal takes all but the first two, yet only
+	// canonical's bytes are what json.Marshal writes.
+	const canonical = `{"model_version":3,"tasks_served":4,"gradients_in":2,"mean_staleness":0.5}`
+	stats := func(doc string) []byte { return hdr(flatVersion, flatKindStats, []byte(doc)...) }
+	if err := Flat.Decode(bytes.NewReader(stats(canonical)), &Stats{}); err != nil {
+		t.Fatalf("canonical stats document refused: %v", err)
 	}
 
 	type reject struct {
@@ -419,6 +422,7 @@ func TestFlatStructuralRejects(t *testing.T) {
 		{"flat version 2", hdr(2, flatKindStats), &Stats{}},
 		{"flat version 3", hdr(3, flatKindAnnounce), &ModelAnnounce{}},
 		{"flat version 4", hdr(4, flatKindTaskResponse), &TaskResponse{}},
+		{"flat version 5", hdr(5, flatKindStats), &Stats{}},
 		{"future version", hdr(99, flatKindPush), &GradientPush{}},
 		{"reserved bytes", []byte{'F', 'L', 'T', '1', flatVersion, flatKindPush, 7, 0}, &GradientPush{}},
 		{"kind 0", hdr(flatVersion, 0), &PushAck{}},
@@ -426,8 +430,13 @@ func TestFlatStructuralRejects(t *testing.T) {
 		{"unknown kind", hdr(flatVersion, 42), &GradientPush{}},
 		{"bool byte 2", hdr(flatVersion, flatKindPushAck, cat([]byte{2}, i64(0), i64(0), i64(0))...), &PushAck{}},
 		{"presence byte 2", hdr(flatVersion, flatKindAnnounce, cat(i64(1), i64(0), []byte{2}, i64(0))...), &ModelAnnounce{}},
-		{"map keys descending", statsWithMap(2, entry("b", 1), entry("a", 2)), &Stats{}},
-		{"map key repeated", statsWithMap(2, entry("a", 1), entry("a", 2)), &Stats{}},
+		{"stats trailing bytes", stats(canonical + "{}"), &Stats{}},
+		{"stats trailing newline", stats(canonical + "\n"), &Stats{}},
+		{"stats whitespace", stats(`{"model_version": 3,"tasks_served":4,"gradients_in":2,"mean_staleness":0.5}`), &Stats{}},
+		{"stats reordered keys", stats(`{"tasks_served":4,"model_version":3,"gradients_in":2,"mean_staleness":0.5}`), &Stats{}},
+		{"stats unknown key", stats(`{"model_version":3,"tasks_served":4,"gradients_in":2,"mean_staleness":0.5,"tasks_rejected":1}`), &Stats{}},
+		{"stats float spelling", stats(`{"model_version":3,"tasks_served":4,"gradients_in":2,"mean_staleness":5e-1}`), &Stats{}},
+		{"stats null", stats(`null`), &Stats{}},
 		{"non-pointer target", flatBytes(t, &PushAck{}), PushAck{}},
 		{"unknown target type", flatBytes(t, &PushAck{}), &struct{ Applied bool }{}},
 	}
@@ -443,13 +452,13 @@ func TestFlatStructuralRejects(t *testing.T) {
 		wantInvalidArgument(t, tc.name, Flat.Decode(bytes.NewReader(tc.raw), tc.into))
 	}
 
-	// Version 1–4 peers (version 2 stats carried TasksRejected after
+	// Version 1–5 peers (version 2 stats carried TasksRejected after
 	// TasksServed, version 3 announces a trailing []u16, version 4 pushes
-	// two trailing staleness ints) are refused by version, not misread a
-	// field over.
+	// two trailing staleness ints, version 5 stats a field list) are refused
+	// by version, not misread a field over.
 	v4push := append(flatBytes(t, randPush(rand.New(rand.NewSource(4)))), make([]byte, 16)...)
 	v4push[4] = 4
-	for _, v := range []uint8{1, 2, 3, 4} {
+	for _, v := range []uint8{1, 2, 3, 4, 5} {
 		want := fmt.Sprintf("unsupported version %d", v)
 		if err := Flat.Decode(bytes.NewReader(hdr(v, flatKindStats, make([]byte, 64)...)), &Stats{}); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("version %d peer: want %q, got %v", v, want, err)
@@ -462,12 +471,24 @@ func TestFlatStructuralRejects(t *testing.T) {
 	if err := Flat.Decode(bytes.NewReader(oversized), &GradientPush{}); !errors.As(err, &pe) || pe.Code != CodePayloadTooLarge {
 		t.Errorf("oversized count: want payload_too_large before allocation, got %v", err)
 	}
+	defer func(old int64) { MaxMessageBytes = old }(MaxMessageBytes)
+	MaxMessageBytes = int64(len(canonical)) - 1
+	if err := Flat.Decode(bytes.NewReader(stats(canonical)), &Stats{}); !errors.As(err, &pe) || pe.Code != CodePayloadTooLarge {
+		t.Errorf("stats document over budget: want payload_too_large, got %v", err)
+	}
+	MaxMessageBytes++
+	if err := Flat.Decode(bytes.NewReader(stats(canonical)), &Stats{}); err != nil {
+		t.Errorf("stats document of exactly the budget: %v", err)
+	}
 }
 
 // TestFlatEncodeUnknownType: a Go type without a layout is refused with a
 // structured error and nothing is written — there is no generic fallback.
+// So is a Stats JSON cannot hold: NaN or ±Inf in any float field.
 func TestFlatEncodeUnknownType(t *testing.T) {
-	for _, v := range []interface{}{nil, 42, "push", struct{ Applied bool }{}, &TenantStats{}, new(*PushAck)} {
+	for _, v := range []interface{}{nil, 42, "push", struct{ Applied bool }{}, &TenantStats{}, new(*PushAck),
+		&Stats{MeanStaleness: math.NaN()}, Stats{Tenant: &TenantStats{EpsilonSpent: math.Inf(1)}},
+		&Stats{Tenant: &TenantStats{EpsilonBudget: math.Inf(-1)}}} {
 		var buf bytes.Buffer
 		wantInvalidArgument(t, fmt.Sprintf("%T", v), Flat.Encode(&buf, v))
 		if buf.Len() != 0 {
@@ -582,12 +603,25 @@ func FuzzFlatDecode(f *testing.F) {
 	})
 }
 
+var updateCorpus = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzFlatDecode from the encoder")
+
 // TestFlatCorpusDecodes: every committed FuzzFlatDecode seed decodes as the
 // kind its file is named after, and re-encodes to its own bytes. The fuzz
 // body skips inputs that fail to decode, so without this a layout change
 // would quietly turn the seeds into decode errors that exercise nothing.
+// After a flatVersion bump, -update rewrites the seeds: message i of
+// flatMessages is drawn from seed i+1.
 func TestFlatCorpusDecodes(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzFlatDecode")
+	if *updateCorpus {
+		for i, m := range flatMessages {
+			raw := flatBytes(t, m.gen(rand.New(rand.NewSource(int64(i+1)))))
+			seed := "go test fuzz v1\n[]byte(" + strconv.Quote(string(raw)) + ")\n"
+			if err := os.WriteFile(filepath.Join(dir, m.name), []byte(seed), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, m := range flatMessages {
 		raw, err := os.ReadFile(filepath.Join(dir, m.name))
 		if err != nil {

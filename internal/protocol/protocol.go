@@ -221,6 +221,9 @@ type Stats struct {
 	// servers; omitempty, so old payloads decode unchanged.
 	WireUplinkByCodec   map[string]int64 `json:"wire_uplink_by_codec,omitempty"`
 	WireDownlinkByCodec map[string]int64 `json:"wire_downlink_by_codec,omitempty"`
+	// ReplyWriteErrors counts HTTP replies that failed with their status
+	// already sent: the client read a truncated body. Stamped like the above.
+	ReplyWriteErrors int64 `json:"reply_write_errors,omitempty"`
 }
 
 // TenantStats is the per-tenant slice of a Stats snapshot: everything the

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"fleet/internal/protocol"
 	"fleet/internal/service"
@@ -92,8 +93,9 @@ func (e *Endpoint) Serve(ctx context.Context, w http.ResponseWriter, r *http.Req
 		protocol.WriteError(w, err)
 	default:
 		// The reply is already on the wire, so the status can't change;
-		// log so the failure is visible server-side instead of surfacing
-		// only as an opaque decode error on the client.
+		// count and log it so the failure is visible server-side instead
+		// of surfacing only as an opaque decode error on the client.
+		e.tally.replyErrs.Add(1)
 		log.Printf("fleet: encoding %s response: %v", codec.ContentType(), err)
 	}
 }
@@ -118,11 +120,13 @@ func (s stampedStats) Stats(ctx context.Context) (*protocol.Stats, error) {
 // endpoint's routes: uplink counts every request body byte actually read
 // (decoded payloads and rejected ones alike), downlink counts the encoded
 // reply bodies (structured error bodies are not payload traffic and are
-// excluded).
+// excluded). replyErrs counts the replies that failed after their first
+// byte was written.
 type wireTally struct {
-	mu   sync.Mutex
-	up   map[string]int64
-	down map[string]int64
+	mu        sync.Mutex
+	up        map[string]int64
+	down      map[string]int64
+	replyErrs atomic.Int64
 }
 
 func newWireTally() *wireTally {
@@ -144,6 +148,7 @@ func (t *wireTally) add(codec string, up, down int64) {
 func (t *wireTally) stamp(st *protocol.Stats) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	st.ReplyWriteErrors = t.replyErrs.Load()
 	if len(t.up) > 0 {
 		st.WireUplinkByCodec = maps.Clone(t.up)
 	}

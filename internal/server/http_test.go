@@ -439,3 +439,56 @@ func TestV1StatsExposesAdmission(t *testing.T) {
 		t.Fatalf("rejects = %v", stats.RejectsByPolicy)
 	}
 }
+
+// shortWriter is a ResponseWriter whose connection drops after limit body
+// bytes: the status is already sent when the reply fails.
+type shortWriter struct {
+	*httptest.ResponseRecorder
+	limit int
+}
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.limit {
+		w.limit -= len(p)
+		return w.ResponseRecorder.Write(p)
+	}
+	n, _ := w.ResponseRecorder.Write(p[:w.limit])
+	w.limit = 0
+	return n, io.ErrClosedPipe
+}
+
+// TestReplyWriteErrorsCounted: a reply that fails after its first byte
+// reaches the client is counted in the endpoint's stats as
+// reply_write_errors, which is absent while it is zero.
+func TestReplyWriteErrorsCounted(t *testing.T) {
+	e := NewEndpoint(newTestServer(t, Config{}))
+	stats := func() (protocol.Stats, string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+		req.Header.Set("Accept", protocol.ContentTypeJSON)
+		e.ServeHTTP(rec, req)
+		var st protocol.Stats
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("stats: %v (%s)", err, rec.Body.Bytes())
+		}
+		return st, rec.Body.String()
+	}
+	if st, raw := stats(); st.ReplyWriteErrors != 0 || strings.Contains(raw, "reply_write_errors") {
+		t.Fatalf("before any failure: %s", raw)
+	}
+
+	body := encodeWith(t, protocol.Flat, &protocol.TaskRequest{WorkerID: 3, LabelCounts: []int{1, 1}})
+	for i := 1; i <= 2; i++ {
+		w := &shortWriter{ResponseRecorder: httptest.NewRecorder(), limit: 10}
+		req := httptest.NewRequest(http.MethodPost, "/v1/task", bytes.NewReader(body))
+		req.Header.Set("Content-Type", protocol.ContentTypeFlat)
+		e.ServeHTTP(w, req)
+		if w.Code != http.StatusOK || w.Body.Len() != 10 {
+			t.Fatalf("truncated reply: status %d, %d bytes", w.Code, w.Body.Len())
+		}
+		if st, raw := stats(); st.ReplyWriteErrors != int64(i) {
+			t.Fatalf("after %d failed replies: %s", i, raw)
+		}
+	}
+}
