@@ -151,7 +151,7 @@ func TestForwardTurnsNegativeZeroPositive(t *testing.T) {
 // forwards as a top-k push and the root applies and diffs it at its touched
 // coordinates, and the edge refreshes by delta pull; announced: the same,
 // with the root's snapshot hook wired to the edge, so the edge refreshes from
-// the announce it kept during the forward and pulls nothing; dense: the same
+// the announce it absorbs during the forward and pulls nothing; dense: the same
 // leaves densified, so a dense forward.
 func BenchmarkEdgeForward(b *testing.B) {
 	b.Run("sparse", func(b *testing.B) { benchmarkEdgeForward(b, false, false) })

@@ -40,21 +40,24 @@
 // by delta pull, and relays every refresh downstream as a {version, epoch,
 // sparse-delta} announce (OnAnnounce), composing multi-step jumps into one
 // exact v→v+k patch. An upstream announces the version a forwarded window
-// minted before it acks the forward, so the announce usually reaches the
-// edge while the forward still holds the upstream lock: the edge keeps it,
-// and the forward applies it once acked, then pulls only if the ack is
-// still ahead of the cache or an announce did not chain. The pull is the
-// repair path: an ack that overtook its announce, an HTTP upstream (which
-// announces nothing), an epoch change. A refresh by delta relays the
-// upstream's delta itself: it names the coordinates whose bits changed
-// since the cached version, so it is exactly the step the patched cache
-// took, and the edge publishes it without recording a step of its own. An
-// announce's delta is the upstream's step from the version before, which is
-// what a delta pull from that version returns too, so the cache, the
-// history and the relay are the same bits whichever way the refresh came.
-// On the tree-stream-sparse benchmark (bench/perf, 2 vCPUs) the announce
-// path took the edge from one delta pull per forwarded window to 393 per
-// 10 898, and push_p90_us from 140 to 113 µs.
+// minted before it acks the forward, and the edge applies that announce as
+// it arrives — the forward holds only the upstream lock, never the publish
+// lock — so by the ack the cache is usually current, and the forward pulls
+// only if the ack is still ahead of the cache or the cache is flagged. The
+// pull is the repair path: an ack that overtook its announce, an HTTP
+// upstream (which announces nothing), an epoch change. Its delta answer
+// goes through the announce's rule (AbsorbUpstreamAnnounce): a delta at or
+// behind the cache is skipped, one that chains onto it is applied, anything
+// else flags the cache for the next forward's pull. A refresh by delta
+// relays the upstream's delta itself: it names the coordinates whose bits
+// changed since the cached version, so it is exactly the step the patched
+// cache took, and the edge publishes it without recording a step of its
+// own. An announce's delta is the upstream's step from the version before,
+// which is what a delta pull from that version returns too, so the cache,
+// the history and the relay are the same bits whichever way the refresh
+// came. On the tree-stream-sparse benchmark (bench/perf, 2 vCPUs) the
+// announce path took the edge from one delta pull per forwarded window to
+// 393 per 10 898, and push_p90_us from 140 to 113 µs.
 //
 // Epoch conflicts cascade through the tier instead of value-poisoning
 // edge caches: a root restart (a new incarnation epoch) makes the edge's
@@ -172,29 +175,23 @@ type Node struct {
 	// (edgeSink.Fold, edgeSink.CloseWindow).
 	win *windowPush
 
-	// upMu serializes every upstream exchange (sync, window forward,
-	// refresh) and with them every snapshot publication. Lock order commit
-	// lock → (unlock) → upMu: the window drain captures under the commit
-	// lock and forwards after release.
+	// upMu serializes the upstream exchanges: Sync, the window forward and
+	// its repair pull. Lock order commit lock → (unlock) → upMu: the window
+	// drain captures under the commit lock and forwards after release.
 	upMu sync.Mutex
+	// pubMu serializes snapshot publication. It is never held across an
+	// upstream call, so an announce is applied as it arrives, even from
+	// inside the forward's own in-process upstream push.
+	pubMu sync.Mutex
 
 	// relayHook observes every snapshot refresh as a downstream announce
 	// (OnAnnounce); the stream transport broadcasts from it.
 	relayHook atomic.Pointer[func(protocol.ModelAnnounce)]
 
-	// needRefresh marks the cache behind upstream (an announce from another
-	// epoch, one that does not chain onto the cache, or one dropped from a
-	// full pending list); the next window forward repairs it by pull.
+	// needRefresh marks the cache behind upstream (an announce or pulled
+	// delta from another epoch, or one that does not chain onto the cache);
+	// the next window forward repairs it by pull.
 	needRefresh atomic.Bool
-
-	// pending holds, in arrival order, the upstream announces that arrived
-	// while an upstream exchange held upMu, at most maxPendingAnnounces;
-	// the exchange folds them before it decides whether to pull. Guarded
-	// by pendMu. folding is the storage the last fold emptied, the next
-	// pending list's; guarded by upMu.
-	pendMu  sync.Mutex
-	pending []protocol.ModelAnnounce
-	folding []protocol.ModelAnnounce
 
 	// spare is forward storage the upstream is done with (forwardWindow),
 	// the next window's to fill (CloseWindow); nil when none is.
@@ -207,11 +204,6 @@ type Node struct {
 }
 
 var _ service.Service = (*Node)(nil)
-
-// maxPendingAnnounces bounds the announces kept during one upstream
-// exchange. A forward waits for about one: the version its own window
-// minted, plus whatever other edges' windows minted meanwhile.
-const maxPendingAnnounces = 16
 
 // New builds an edge node. The upstream model is pulled lazily on first
 // use; call Sync to fail fast at boot instead.
@@ -332,15 +324,15 @@ func (k *edgeSink) Deliver(ctx context.Context, up *windowPush, committed int) i
 }
 
 // forwardWindow pushes one drained window direction upstream — a sparse
-// window as a lossless top-k push — and refreshes the cached model: from
-// the announces kept while the push was in flight, then by delta pull if
-// the ack is still ahead of the cache or the cache is flagged. An upstream
-// version_conflict is the epoch cascade's first domino: the window is lost
-// (its leaves were acked — the same invariant as a drain error), the edge
-// re-pulls full onto the new incarnation, and subsequent leaf pushes
-// conflict locally until the leaves resync too. The upstream only borrows
-// the forward's arrays (see service.Service.PushGradient): once the push
-// has returned, landed or lost, they are the next window's.
+// window as a lossless top-k push — and pulls a delta if the ack is still
+// ahead of the cache or the cache is flagged: the announces the push minted
+// were applied as they arrived. An upstream version_conflict is the epoch
+// cascade's first domino: the window is lost (its leaves were acked — the
+// same invariant as a drain error), the edge re-pulls full onto the new
+// incarnation, and subsequent leaf pushes conflict locally until the leaves
+// resync too. The upstream only borrows the forward's arrays (see
+// service.Service.PushGradient): once the push has returned, landed or lost,
+// they are the next window's.
 func (n *Node) forwardWindow(ctx context.Context, w *windowPush) {
 	n.upMu.Lock()
 	defer n.upMu.Unlock()
@@ -372,9 +364,6 @@ func (n *Node) forwardWindow(ctx context.Context, w *windowPush) {
 		return
 	}
 	n.upstreamPushes.Add(1)
-	// An upstream that announces sent the version this window minted before
-	// its ack: apply what arrived, and pull only for what is still missing.
-	n.foldPendingLocked()
 	if n.needRefresh.Swap(false) || ack.NewVersion > n.core.Snapshot().Version {
 		if n.pullLocked(ctx, true) != nil {
 			n.needRefresh.Store(true)
@@ -384,15 +373,21 @@ func (n *Node) forwardWindow(ctx context.Context, w *windowPush) {
 
 // Flush drains a partial local window upstream — the shutdown path, so a
 // terminating edge does not strand acked leaf gradients. No-op when the
-// window is empty.
+// window is empty. It fails when a window was lost upstream while it ran:
+// once leaf traffic has stopped, the one it flushed.
 func (n *Node) Flush(ctx context.Context) error {
+	lost := n.lostWindows.Load()
 	n.core.FlushWindow(ctx)
+	if n.lostWindows.Load() != lost {
+		return protocol.Errorf(protocol.CodeUnavailable, "aggtree: the flushed window was lost upstream")
+	}
 	return nil
 }
 
 // pullLocked performs one upstream model pull — delta-aware against the
 // current snapshot when delta is true, full otherwise — and publishes the
-// result. Callers hold n.upMu.
+// result: a delta through AbsorbUpstreamAnnounce, like an announce. Callers
+// hold n.upMu.
 func (n *Node) pullLocked(ctx context.Context, delta bool) error {
 	cur := n.core.Snapshot()
 	req := &protocol.TaskRequest{WorkerID: n.cfg.ID, DeviceModel: "aggtree-edge"}
@@ -409,39 +404,39 @@ func (n *Node) pullLocked(ctx context.Context, delta bool) error {
 		return protocol.Errorf(protocol.CodeUnavailable,
 			"aggtree: upstream declined model pull: %s", resp.Reason)
 	}
-	switch {
-	case resp.ParamsDelta != nil:
-		if cur == nil || resp.DeltaBase != cur.Version || resp.ServerEpoch != cur.Epoch {
-			return protocol.Errorf(protocol.CodeInternal,
-				"aggtree: upstream delta from (version %d, epoch %d), cache at (%d, %d)",
-				resp.DeltaBase, resp.ServerEpoch, cur.Version, cur.Epoch)
-		}
-		return n.publishLocked(resp.ModelVersion, resp.ServerEpoch, nil, resp.ParamsDelta)
-	case len(resp.Params) == n.core.Config().ParamCount:
-		// In-process upstreams hand out their snapshot's own storage, which
-		// escapes there; the edge never mutates it either, so sharing is
-		// safe (and what keeps the tree's pull path O(1) in the model size).
-		return n.publishLocked(resp.ModelVersion, resp.ServerEpoch, resp.Params, nil)
-	default:
+	if resp.ParamsDelta != nil {
+		n.AbsorbUpstreamAnnounce(protocol.ModelAnnounce{ModelVersion: resp.ModelVersion, ServerEpoch: resp.ServerEpoch,
+			DeltaBase: resp.DeltaBase, Delta: resp.ParamsDelta})
+		return nil
+	}
+	if len(resp.Params) != n.core.Config().ParamCount {
 		return protocol.Errorf(protocol.CodeInternal,
 			"aggtree: upstream served %d params, architecture needs %d", len(resp.Params), n.core.Config().ParamCount)
 	}
+	// In-process upstreams hand out their snapshot's own storage, which
+	// escapes there; the edge never mutates it either, so sharing is safe
+	// (and what keeps the tree's pull path O(1) in the model size).
+	n.pubMu.Lock()
+	defer n.pubMu.Unlock()
+	return n.publishLocked(resp.ModelVersion, resp.ServerEpoch, resp.Params, nil)
 }
 
 // publishLocked installs a new cached snapshot — the upstream's full params
 // (shared with whoever served them), or the cache patched with the delta
 // that chains onto it, in the core's next recycled buffer — advances the
 // delta history, and relays the refresh downstream as an announce. A
-// delta is its own step: an upstream publishes the coordinates whose bits
-// changed since the cache's version, so patched onto the cache it moves
-// exactly those, and the history keeps it (immutable, like every delta
-// the upstream served) as the edge's published delta. Callers hold
-// n.upMu. An epoch change resets the history — old params are meaningless
-// as delta bases across incarnations — and relays a delta-less announce,
-// which subscribed leaves ignore until their next push conflicts.
+// same-epoch version at or behind the cache is skipped, so a full pull
+// never publishes over a newer announce. A delta is its own step: an
+// upstream publishes the coordinates whose bits changed since the cache's
+// version, so patched onto the cache it moves exactly those, and the
+// history keeps it (immutable, like every delta the upstream served) as the
+// edge's published delta. Callers hold n.pubMu. An epoch change resets the
+// history — old params are meaningless as delta bases across incarnations —
+// and relays a delta-less announce, which subscribed leaves ignore until
+// their next push conflicts.
 func (n *Node) publishLocked(version int, epoch int64, params []float64, delta *compress.Sparse) error {
 	old := n.core.Snapshot()
-	if old != nil && old.Version == version && old.Epoch == epoch {
+	if old != nil && old.Epoch == epoch && version <= old.Version {
 		return nil
 	}
 	var next *ingest.Snapshot
@@ -468,49 +463,20 @@ func (n *Node) publishLocked(version int, epoch int64, params []float64, delta *
 	return nil
 }
 
-// AbsorbUpstreamAnnounce folds one upstream model announcement into the
-// cached snapshot — the streaming-transport wiring: subscribe the edge's
-// upstream stream.Client with this as OnAnnounce, and the refresh (plus
-// the downstream relay) happens without a pull round trip. It is strictly
-// RPC-free. While an upstream exchange is in flight — possibly on this
-// very goroutine: an in-process upstream runs its announce hook inside the
-// push that drained — the announce is kept for that exchange to fold once
-// it is done. Returns whether the announce was absorbed now.
+// AbsorbUpstreamAnnounce applies one upstream delta to the cached snapshot
+// and reports whether it did: only a delta chaining exactly onto the cache
+// applies; one at or behind it is skipped; anything else — epoch change,
+// chain gap, delta-less drain, a pulled delta from a base the cache has
+// since left — flags the cache for repair. It is the streaming-transport
+// wiring — subscribe the edge's upstream stream.Client with this as
+// OnAnnounce, and the refresh (plus the downstream relay) happens without a
+// pull round trip — and the delta pull's too. It is strictly RPC-free and
+// applies the announce at once, also while an upstream exchange is in
+// flight (possibly on this very goroutine: an in-process upstream runs its
+// announce hook inside the push that drained).
 func (n *Node) AbsorbUpstreamAnnounce(ann protocol.ModelAnnounce) bool {
-	if !n.upMu.TryLock() {
-		n.pendMu.Lock()
-		if len(n.pending) == maxPendingAnnounces {
-			n.pending = append(n.pending[:0], n.pending[1:]...) // drop the oldest
-			n.needRefresh.Store(true)
-		}
-		n.pending = append(n.pending, ann)
-		n.pendMu.Unlock()
-		return false
-	}
-	defer n.upMu.Unlock()
-	n.foldPendingLocked() // any kept after the last exchange folded: they came first
-	return n.absorbLocked(ann)
-}
-
-// foldPendingLocked absorbs the kept announces in arrival order. Callers
-// hold n.upMu.
-func (n *Node) foldPendingLocked() {
-	n.pendMu.Lock()
-	kept := n.pending
-	n.pending, n.folding = n.folding[:0], nil
-	n.pendMu.Unlock()
-	for _, ann := range kept {
-		n.absorbLocked(ann)
-	}
-	clear(kept) // the deltas are the history's to retain, not this list's
-	n.folding = kept[:0]
-}
-
-// absorbLocked applies one announce to the cache: only a delta chaining
-// exactly onto it applies; one at or behind it is skipped; anything else —
-// epoch change, chain gap, delta-less drain — flags the cache for repair.
-// Callers hold n.upMu.
-func (n *Node) absorbLocked(ann protocol.ModelAnnounce) bool {
+	n.pubMu.Lock()
+	defer n.pubMu.Unlock()
 	cur := n.core.Snapshot()
 	switch {
 	case cur == nil:

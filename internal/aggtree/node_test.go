@@ -352,6 +352,29 @@ func TestForwardSumIsRecycled(t *testing.T) {
 	}
 }
 
+// TestFlushReportsALostWindow: a final window whose forward fails upstream
+// is lost, and Flush says so; with the window empty there is nothing to lose.
+func TestFlushReportsALostWindow(t *testing.T) {
+	ctx := context.Background()
+	root := newRoot(t, server.Config{K: 1})
+	edge := newEdge(t, Config{Upstream: &forwardRecorder{Service: root, down: true}, K: 4, ID: 1_000_000})
+	if err := edge.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	params, _ := root.Model()
+	if _, err := edge.PushGradient(ctx, &protocol.GradientPush{
+		WorkerID: 1, Gradient: sparseGrad(0, len(params)), BatchSize: 10,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := edge.Flush(ctx); err == nil || edge.LostWindows() != 1 {
+		t.Fatalf("Flush returned %v with LostWindows %d; want an error and 1", err, edge.LostWindows())
+	}
+	if err := edge.Flush(ctx); err != nil {
+		t.Fatalf("Flush of an empty window: %v", err)
+	}
+}
+
 // failingMean is the mean window with a drain that can be made to reject
 // the window: the mass is drained and discarded, nothing applied.
 type failingMean struct {
@@ -734,8 +757,6 @@ func TestAbsorbUpstreamAnnounceRepair(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rv, _ := root.Model()
-	_ = rv
 	if ev, _ := edge.Version(); ev != 1 {
 		t.Fatalf("edge at version %d after forward, want 1", ev)
 	}

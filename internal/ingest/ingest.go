@@ -140,7 +140,7 @@ type Config struct {
 // Core is the shared learning-task path. All methods are safe for
 // concurrent use, except that Boot, Advance, AdvanceShared, Buffer and
 // Patched must be serialized by the sink (the root publishes under the
-// commit lock, inside CloseWindow; the edge under its upstream lock).
+// commit lock, inside CloseWindow; the edge under its publish lock).
 type Core[W any] struct {
 	sink Sink[W]
 	// cfg is immutable after New (defaults applied): request validation

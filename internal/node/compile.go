@@ -541,8 +541,9 @@ func compileEdge(s Spec) (*Runtime, error) {
 		// relay downstream) without a pull round trip. The root announces
 		// the version a forwarded window minted before it acks the
 		// forward, so that announce usually arrives while the forward is
-		// in flight: the edge keeps it and the forward applies it, with
-		// no delta pull unless the ack overtook it.
+		// in flight: the edge applies it on this read loop as it
+		// arrives, and the forward pulls a delta only if the ack
+		// overtook it.
 		// The edge consumes them here, so the client's own pending run (up
 		// to the announce before this one, which joins it after the
 		// callback) is discarded rather than held for a TakeAnnounces
