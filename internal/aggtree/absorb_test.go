@@ -206,8 +206,9 @@ func (u *racedUpstream) PushGradient(context.Context, *protocol.GradientPush) (*
 // TestPulledDeltaFromALeftBase: an announce absorbed while the forward's
 // delta pull is in flight moves the cache off the base the pull named. The
 // answer — a 0→2 delta in which a coordinate 0→1 changed is back at its v0
-// bits, so it does not list it — is skipped and the cache flagged, never
-// patched onto v1; the next forward repairs the cache to v2 bit for bit.
+// bits, so it does not list it — is skipped, never patched onto v1, and
+// does not flag the cache: the next forward's ack is ahead of it, and its
+// pull repairs the cache to v2 bit for bit.
 func TestPulledDeltaFromALeftBase(t *testing.T) {
 	ctx := context.Background()
 	up := &racedUpstream{}
@@ -239,8 +240,8 @@ func TestPulledDeltaFromALeftBase(t *testing.T) {
 	if !up.absorbed {
 		t.Fatal("the 0→1 announce was not absorbed during the pull")
 	}
-	if v, _ := edge.Version(); v != 1 || !edge.needRefresh.Load() {
-		t.Fatalf("after the raced pull the cache is at v%d, flagged %v; want v1, flagged", v, edge.needRefresh.Load())
+	if v, _ := edge.Version(); v != 1 || edge.needRefresh.Load() {
+		t.Fatalf("after the raced pull the cache is at v%d, flagged %v; want v1, not flagged", v, edge.needRefresh.Load())
 	}
 	push()
 	cache := edge.core.Lease()

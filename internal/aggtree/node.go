@@ -47,17 +47,15 @@
 // pull is the repair path: an ack that overtook its announce, an HTTP
 // upstream (which announces nothing), an epoch change. Its delta answer
 // goes through the announce's rule (AbsorbUpstreamAnnounce): a delta at or
-// behind the cache is skipped, one that chains onto it is applied, anything
-// else flags the cache for the next forward's pull. A refresh by delta
-// relays the upstream's delta itself: it names the coordinates whose bits
-// changed since the cached version, so it is exactly the step the patched
-// cache took, and the edge publishes it without recording a step of its
-// own. An announce's delta is the upstream's step from the version before,
+// behind the cache, or from a base the cache has left, is skipped, one that
+// chains onto it is applied, anything else flags the cache for the next
+// forward's pull. A refresh by delta relays the upstream's delta itself: it
+// names the coordinates whose bits changed since the cached version, so it
+// is exactly the step the patched cache took, and the edge publishes it
+// without recording a step of its own. An announce's delta is the upstream's step from the version before,
 // which is what a delta pull from that version returns too, so the cache,
 // the history and the relay are the same bits whichever way the refresh
-// came. On the tree-stream-sparse benchmark (bench/perf, 2 vCPUs) the
-// announce path took the edge from one delta pull per forwarded window to
-// 393 per 10 898, and push_p90_us from 140 to 113 µs.
+// came.
 //
 // Epoch conflicts cascade through the tier instead of value-poisoning
 // edge caches: a root restart (a new incarnation epoch) makes the edge's
@@ -465,9 +463,12 @@ func (n *Node) publishLocked(version int, epoch int64, params []float64, delta *
 
 // AbsorbUpstreamAnnounce applies one upstream delta to the cached snapshot
 // and reports whether it did: only a delta chaining exactly onto the cache
-// applies; one at or behind it is skipped; anything else — epoch change,
-// chain gap, delta-less drain, a pulled delta from a base the cache has
-// since left — flags the cache for repair. It is the streaming-transport
+// applies. One at or behind the cache is skipped, and so is one from a base
+// the cache has since left (a pulled delta an announce overtook): the step
+// that moved the cache is followed by the next announce, which flags the
+// cache if it does not chain, and the next forward pulls if its ack is still
+// ahead. Anything else — epoch change, chain gap, delta-less drain — flags
+// the cache for repair. It is the streaming-transport
 // wiring — subscribe the edge's upstream stream.Client with this as
 // OnAnnounce, and the refresh (plus the downstream relay) happens without a
 // pull round trip — and the delta pull's too. It is strictly RPC-free and
@@ -481,8 +482,9 @@ func (n *Node) AbsorbUpstreamAnnounce(ann protocol.ModelAnnounce) bool {
 	switch {
 	case cur == nil:
 		return false // not synced yet; the lazy first pull fetches current
-	case ann.ServerEpoch == cur.Epoch && ann.ModelVersion <= cur.Version:
-		return false // stale or duplicate
+	case ann.ServerEpoch == cur.Epoch && (ann.ModelVersion <= cur.Version ||
+		ann.Delta != nil && ann.DeltaBase < cur.Version):
+		return false // stale, duplicate, or from a base the cache has left
 	case ann.Follows(cur.Version, cur.Epoch) &&
 		n.publishLocked(ann.ModelVersion, ann.ServerEpoch, nil, ann.Delta) == nil:
 		return true
